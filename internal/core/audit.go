@@ -124,21 +124,14 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 			continue
 		}
 		stats.MetadataObjects++
-		var raw []byte
-		err := retryUnavailable(p, func() error {
-			var e error
-			raw, e = gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-			return e
-		})
+		cm, err := s.readChunkMap(p, gw, oid)
 		if rados.IsUnavailable(err) {
 			return stats, err
 		}
 		if err != nil {
-			continue // deleted concurrently, or no map yet
-		}
-		cm, err := UnmarshalChunkMap(raw)
-		if err != nil {
-			continue // scrub reports corrupt maps; nothing to reconcile here
+			// Deleted concurrently or no map yet; corrupt maps are scrub's to
+			// report. Nothing to reconcile here either way.
+			continue
 		}
 		for _, e := range cm.Entries {
 			if e.ChunkID == "" || e.Dirty {

@@ -24,7 +24,6 @@ import (
 // disagree.
 type TieringPolicy struct {
 	tracker  *hitset.Tracker
-	keepHot  bool
 	adaptive bool // multi-level temperature + target forms (off: boolean §4.3 behavior)
 	reg      *metrics.Registry
 
@@ -39,20 +38,10 @@ type TieringPolicy struct {
 	tenants map[string]string
 }
 
-// CacheManager is the historical name of the policy, kept as an alias: with
-// adaptive tiering off the type behaves exactly as the paper's cache
-// manager.
-type CacheManager = TieringPolicy
-
-// NewCacheManager creates the policy in boolean (§4.3 cache manager) mode.
-func NewCacheManager(cfg hitset.Config, keepHot bool) *CacheManager {
-	return NewTieringPolicy(cfg, keepHot, false)
-}
-
 // NewTieringPolicy creates the placement policy; adaptive enables
 // multi-level temperatures and per-object target forms.
-func NewTieringPolicy(cfg hitset.Config, keepHot, adaptive bool) *TieringPolicy {
-	tp := &TieringPolicy{tracker: hitset.New(cfg), keepHot: keepHot, adaptive: adaptive}
+func NewTieringPolicy(cfg hitset.Config, adaptive bool) *TieringPolicy {
+	tp := &TieringPolicy{tracker: hitset.New(cfg), adaptive: adaptive}
 	if adaptive {
 		tp.tenants = make(map[string]string)
 	}
@@ -126,7 +115,7 @@ func (cm *TieringPolicy) SkipFlush(now sim.Time, oid string) bool {
 // KeepCachedAfterFlush reports whether a just-flushed chunk should stay
 // cached in the metadata object (hot) or be evicted (cold).
 func (cm *TieringPolicy) KeepCachedAfterFlush(now sim.Time, oid string) bool {
-	if cm.keepHot && cm.Hot(now, oid) {
+	if cm.Hot(now, oid) {
 		cm.keptCached++
 		if cm.reg != nil {
 			cm.reg.Counter("cache_keep_cached_total").Inc()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dedupstore/internal/qos"
@@ -18,34 +17,37 @@ import (
 // splitter, so byte-shifted duplicates across objects still collapse.
 //
 // Mechanics: CDC boundaries depend on the full object content, so a CDC
-// flush must (1) materialize the complete object — cached ranges from the
-// metadata object, flushed ranges from their chunks — (2) split it, (3)
-// reference the new chunks, (4) replace the entire chunk map, and (5)
-// de-reference every previously referenced chunk. A racing client write
-// (any slot's Gen changed) aborts the map swap and undoes the new
-// references, leaving the object dirty for the next cycle — the same
+// flush materializes the complete object — cached ranges from the metadata
+// object, flushed ranges from their chunks — splits it, and swaps the whole
+// chunk map in one rebind transition (refcount.go): N puts, one bind, every
+// replaced chunk released. A racing client write (any slot's Gen changed)
+// fails the bind, leaving the object dirty for the next cycle — the same
 // convergence argument as §4.6.
 
-// flushObjectCDC deduplicates one object with content-defined chunking. It
-// returns the number of chunks the flush processed (for QoS cost billing)
-// along with any error.
-func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string) (int, error) {
+// flushCDC deduplicates one object with content-defined chunking. A CDC
+// flush rewrites the whole object in one transaction and can't pause between
+// chunks, so it prepays one admission slot and bills the rest of its cost
+// postpaid once the chunk count is known. It reports whether the object
+// must go back on the dirty list.
+func (e *Engine) flushCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
 	s := e.s
-	cdc := s.cfg.CDC
-	if cdc == nil {
-		return 0, errors.New("core: CDC flush without CDC config")
+	if !force {
+		s.cluster.QoS().WaitTurn(p, qos.Dedup)
 	}
+	chunks, bound, err := e.rechunkObject(p, gw, hostName, oid, cm)
+	if !force {
+		s.cluster.QoS().Charge(p, qos.Dedup, int64(chunks))
+	}
+	return err != nil || !bound
+}
 
-	raw, err := gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-	if err != nil {
-		return 0, nil // deleted meanwhile
-	}
-	cm, err := UnmarshalChunkMap(raw)
-	if err != nil {
-		return 0, err
-	}
+// rechunkObject re-chunks one object and rebinds its whole chunk map. It
+// returns the number of chunks processed (for QoS cost billing); bound=false
+// with a nil error means a client write raced the swap.
+func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap) (chunks int, bound bool, err error) {
+	s := e.s
 	if len(cm.DirtyEntries()) == 0 {
-		return 0, nil
+		return 0, true, nil
 	}
 	size := cm.Size()
 
@@ -63,7 +65,7 @@ func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid st
 			continue
 		}
 		if err != nil {
-			return 0, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
+			return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
 		}
 		copy(data[entry.Start:], seg)
 	}
@@ -72,223 +74,106 @@ func (e *Engine) flushObjectCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid st
 	// fingerprinting (the expense the paper avoids, §5).
 	cost := s.cluster.Cost()
 	if err := s.cluster.UseHostCPU(p, hostName, cost.Hash(len(data))+cost.Hash(len(data))/2); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	chunks := cdc.Split(0, data)
+	split := s.cfg.CDC.Split(0, data)
 
-	// (3) Phase 1 of the two-phase reference update: record an intent (and
-	// the chunk contents, if absent) for every new chunk. Nothing is counted
-	// yet — the intents only pin the chunks until the map swap lands (rate
-	// control acts through the dedup class weight on gw's scheduler).
-	var refs []takenRef
-	for _, c := range chunks {
+	// (3)–(5) Pin every new chunk, swap the whole map if no write raced (any
+	// slot's Gen changed), release every chunk the old map bound. A chunk
+	// whose offset and identity survive re-chunking keeps its reference: its
+	// put is an idempotent re-pin, so it must not be released.
+	puts := make([]chunkPut, len(split))
+	next := make([]Entry, len(split))
+	newAt := make(map[int64]string, len(split))
+	for i, c := range split {
 		id := FingerprintID(c.Data)
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: c.Offset}
-		var out intentOutcome
-		if err := gw.MutateWithPayload(p, s.chunk, id, len(c.Data), putIntentFn(c.Data, ref, e.leaseExpiry(p), &out)); err != nil {
-			e.abortIntents(p, gw, refs)
-			return len(chunks), err
-		}
-		e.stats.ChunksFlushed++
-		e.stats.BytesFlushed += int64(len(c.Data))
-		refs = append(refs, takenRef{
-			entry:     Entry{Start: c.Offset, End: c.End(), ChunkID: id},
-			ref:       ref,
-			committed: out.committed,
-		})
+		puts[i] = chunkPut{pool: s.chunk, id: id, data: c.Data, ref: Ref{Pool: s.meta.ID, OID: oid, Offset: c.Offset}}
+		next[i] = Entry{Start: c.Offset, End: c.End(), ChunkID: id}
+		newAt[c.Offset] = id
 	}
-
-	// (4) Swap the chunk map if no write raced; collect the old references.
-	var oldRefs []takenRef
-	raced := false
-	keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, entry := range cur.Entries {
-			g, ok := gens[entry.Start]
-			if !ok || g != entry.Gen {
-				raced = true
-				return nil, nil
+	keepCached := false
+	bound, err = s.rebind(p, gw, oid, transition{
+		puts: puts,
+		pinned: func() {
+			e.noteFlushed(int64(len(puts)), size)
+			keepCached = s.cache.KeepCachedAfterFlush(p.Now(), oid)
+		},
+		bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+			var unbound []Entry
+			for _, entry := range cur.Entries {
+				if g, ok := gens[entry.Start]; !ok || g != entry.Gen {
+					return nil, true, nil
+				}
+				if newAt[entry.Start] != entry.ChunkID {
+					unbound = append(unbound, entry)
+				}
 			}
-			if entry.ChunkID != "" {
-				oldRefs = append(oldRefs, takenRef{
-					entry: entry,
-					ref:   Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start},
-				})
+			for i := range next {
+				next[i].Cached = keepCached
 			}
-		}
-		next := &ChunkMap{}
-		for _, nr := range refs {
-			en := nr.entry
-			en.Cached = keepCached
-			next.Entries = append(next.Entries, en)
-		}
-		txn := store.NewTxn().SetXattr(XattrChunkMap, next.Marshal())
-		if keepCached {
-			txn.Write(0, data) // keep the full object cached
-		} else {
-			txn.Zero(0, size)
-		}
-		return txn, nil
+			cur.Entries = next
+			if keepCached {
+				txn.Write(0, data) // keep the full object cached
+			} else {
+				txn.Zero(0, size)
+			}
+			return unbound, false, nil
+		},
 	})
-	if err != nil {
-		e.abortIntents(p, gw, refs)
-		return len(chunks), err
-	}
-	if raced {
-		e.stats.Requeued++
-		e.abortIntents(p, gw, refs)
-		return len(chunks), gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	}
-
-	// Phase 3: the map swap is durable, so commit the intents into counted
-	// references. On persistent failure GC/audit promote the expired intents
-	// (the bindings exist), so commit errors other than pool loss are
-	// tolerable — but retry while OSDs are merely unavailable.
-	for _, nr := range refs {
-		if nr.committed {
-			continue
-		}
-		nr := nr
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, s.chunk, nr.entry.ChunkID, commitIntentFn(nr.ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return len(chunks), cerr
-		}
-	}
-
-	// (5) De-reference the replaced chunks. A new reference with the same
-	// (oid, offset) key may now live on a different chunk object; the old
-	// chunk's copy of the key is removed here. Chunks whose identity did
-	// not change were never re-referenced (putIntentFn is idempotent per
-	// committed key), so skip those.
-	newByOffset := make(map[int64]string, len(refs))
-	for _, nr := range refs {
-		newByOffset[nr.entry.Start] = nr.entry.ChunkID
-	}
-	for _, or := range oldRefs {
-		if newByOffset[or.entry.Start] == or.entry.ChunkID {
-			continue
-		}
-		fn := decRefFn(or.ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(or.ref)
-		}
-		if err := gw.Mutate(p, s.chunk, or.entry.ChunkID, fn); err != nil && !errors.Is(err, ErrNotFound) {
-			return len(chunks), err
-		}
-	}
-	return len(chunks), nil
-}
-
-// takenRef pairs a prospective chunk-map entry with its reference key.
-// committed records that the reference was already a committed ref before
-// this flush (idempotent re-flush) — no intent exists for it, so neither
-// commit nor abort must touch it.
-type takenRef struct {
-	entry     Entry
-	ref       Ref
-	committed bool
-}
-
-// abortIntents rolls back phase-1 intents taken by an aborted CDC flush.
-// Best-effort: an intent whose abort is lost to a crash expires and is
-// reconciled by GC/audit.
-func (e *Engine) abortIntents(p *sim.Proc, gw *rados.Gateway, refs []takenRef) {
-	s := e.s
-	for _, nr := range refs {
-		if nr.committed {
-			continue
-		}
-		_ = gw.Mutate(p, s.chunk, nr.entry.ChunkID, abortIntentFn(nr.ref, !s.cfg.FalsePositiveRefs))
-	}
+	return len(split), bound, err
 }
 
 // cdcWrite is the CDC-mode client write path: because existing entries may
 // have arbitrary (content-defined) boundaries, a write first materializes
 // every overlapped entry into the cached data region, then replaces the
-// overlapped entries with one cached, dirty span. The replaced chunks are
-// de-referenced after the map update.
+// overlapped entries with one cached, dirty span: a transition with nothing
+// to pin, whose replaced chunks rebind releases after the map update.
 func (cl *Client) cdcWrite(p *sim.Proc, oid string, off int64, data []byte) error {
 	s := cl.s
 	proxyGW, _, err := s.metaPrimaryGW(oid, qos.Client)
 	if err != nil {
 		return err
 	}
-	type oldChunk struct {
-		id  string
-		ref Ref
-	}
-	var replaced []oldChunk
-	err = cl.gw.MutateWithPayload(p, s.meta, oid, len(data), func(v rados.View) (*store.Txn, error) {
-		cm, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		end := off + int64(len(data))
-		spanStart, spanEnd := off, end
-		txn := store.NewTxn()
-		var kept []Entry
-		var maxGen uint32
-		for _, entry := range cm.Entries {
-			if entry.End <= off || entry.Start >= end {
-				kept = append(kept, entry)
-				continue
-			}
-			// Overlap: pull the entry's bytes into the object if needed,
-			// then fold it into the new dirty span.
-			if entry.Start < spanStart {
-				spanStart = entry.Start
-			}
-			if entry.End > spanEnd {
-				spanEnd = entry.End
-			}
-			if entry.Gen > maxGen {
-				maxGen = entry.Gen
-			}
-			if !entry.Cached && entry.ChunkID != "" {
-				chunkData, err := proxyGW.Read(p, s.chunk, entry.ChunkID, 0, entry.Len())
-				if err != nil {
-					return nil, fmt.Errorf("core: cdc pre-read %s: %w", entry.ChunkID, err)
+	_, err = s.rebind(p, cl.gw, oid, transition{
+		payload: len(data),
+		bind: func(cm *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+			end := off + int64(len(data))
+			span := Entry{Start: off, End: end, Cached: true, Dirty: true}
+			var kept, replaced []Entry
+			for _, entry := range cm.Entries {
+				if entry.End <= off || entry.Start >= end {
+					kept = append(kept, entry)
+					continue
 				}
-				txn.Write(entry.Start, chunkData)
+				// Overlap: pull the entry's bytes into the object if needed,
+				// then fold it into the new dirty span.
+				span.Start = min(span.Start, entry.Start)
+				span.End = max(span.End, entry.End)
+				if entry.Gen > span.Gen {
+					span.Gen = entry.Gen
+				}
+				if !entry.Cached && entry.ChunkID != "" {
+					chunkData, err := proxyGW.Read(p, s.chunk, entry.ChunkID, 0, entry.Len())
+					if err != nil {
+						return nil, false, fmt.Errorf("core: cdc pre-read %s: %w", entry.ChunkID, err)
+					}
+					txn.Write(entry.Start, chunkData)
+				}
+				replaced = append(replaced, entry)
 			}
-			if entry.ChunkID != "" {
-				replaced = append(replaced, oldChunk{
-					id:  entry.ChunkID,
-					ref: Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start},
-				})
-			}
-		}
-		txn.Write(off, data)
-		next := &ChunkMap{Entries: kept}
-		next.Upsert(Entry{Start: spanStart, End: spanEnd, Cached: true, Dirty: true, Gen: maxGen + 1})
-		txn.SetXattr(XattrChunkMap, next.Marshal())
-		return txn, nil
+			txn.Write(off, data)
+			span.Gen++
+			cm.Entries = kept
+			cm.Upsert(span)
+			// The swallowed chunks' data now lives in the metadata object.
+			return replaced, false, nil
+		},
 	})
 	if err != nil {
 		return err
 	}
-	// De-reference chunks the span swallowed (their data now lives in the
-	// metadata object).
-	for _, oc := range replaced {
-		fn := decRefFn(oc.ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(oc.ref)
-		}
-		if err := cl.gw.Mutate(p, s.chunk, oc.id, fn); err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-	}
 	// Log the object for the background engine.
-	return cl.gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().OmapSet(oid, nil), nil
-	})
+	return s.setDirty(p, cl.gw, oid, true)
 }
 
 // UseCDC reports whether the store runs in content-defined chunking mode.

@@ -92,6 +92,15 @@ func (m *ChunkMap) FindRange(off, length int64) []int {
 	return out
 }
 
+// slot returns the entry starting at the chunk-slot boundary start, or an
+// empty entry there for the write path to grow.
+func (m *ChunkMap) slot(start int64) Entry {
+	if i := m.Find(start); i >= 0 {
+		return m.Entries[i]
+	}
+	return Entry{Start: start, End: start}
+}
+
 // Upsert inserts or replaces the entry for [start, end). With fixed-size
 // chunking, ranges are chunk-slot aligned so an existing entry either
 // matches exactly or is absent; a shorter existing tail entry is grown when

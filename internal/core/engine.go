@@ -48,11 +48,6 @@ type Engine struct {
 	ratePolicyOn bool  // controller daemon is live
 	rateBase     int64 // dedup-class weight to restore when unthrottled
 
-	// Test hooks: simulated crash points in the flush protocol (§4.6). A
-	// hook returning true aborts the flush at that point, as a crash would.
-	hookAfterDeref     func(oid string, e Entry) bool
-	hookAfterChunkPut  func(oid string, e Entry) bool
-	hookBeforeMapWrite func(oid string, e Entry) bool
 }
 
 func newEngine(s *Store) *Engine {
@@ -176,10 +171,9 @@ func anyHost(s *Store) string {
 	return hostName
 }
 
-// flushObject deduplicates every dirty chunk of one metadata object
-// (§4.4.1 steps 2–6). force bypasses the hot-object exemption and rate
-// control (used by ModeFlushThrough and final drains); rate control claims
-// one dedup-class admission slot per chunk via the QoS group's WaitTurn.
+// flushObject deduplicates one metadata object (§4.4.1 steps 2–6). force
+// bypasses the hot-object exemption and rate control (used by
+// ModeFlushThrough and final drains).
 func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid string, force bool) error {
 	s := e.s
 	e.stats.ObjectsScanned++
@@ -189,57 +183,39 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 
 	// Claim: remove from the dirty list first; any racing client write
 	// re-adds the object (its OmapSet is idempotent), so nothing is lost.
-	if err := gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().OmapRm(oid), nil
-	}); err != nil {
+	if err := s.setDirty(p, gw, oid, false); err != nil {
 		return err
 	}
-
-	if s.cfg.CDC != nil {
-		// A CDC flush rewrites the whole object in one transaction and can't
-		// pause between chunks, so it prepays one admission slot and bills
-		// the rest of its cost postpaid once the chunk count is known.
-		if !force {
-			s.cluster.QoS().WaitTurn(p, qos.Dedup)
-		}
-		n, err := e.flushObjectCDC(p, gw, hostName, oid)
-		if !force {
-			s.cluster.QoS().Charge(p, qos.Dedup, int64(n))
-		}
-		if err != nil {
-			e.stats.Requeued++
-			return e.requeueDirty(p, gw, oid)
-		}
-		return nil
-	}
-
-	var raw []byte
-	err := retryUnavailable(p, func() error {
-		var e2 error
-		raw, e2 = gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-		return e2
-	})
-	if rados.IsUnavailable(err) {
+	cm, err := s.readChunkMap(p, gw, oid)
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return nil // deleted meanwhile
+	case errors.Is(err, ErrCorruptMap):
+		return err // scrub's finding; re-flushing cannot repair it
+	case err != nil:
 		// Claimed but unreachable: put it back rather than mistake a crash
 		// window for deletion and lose the dirty entry.
-		e.stats.Requeued++
-		e.reg().Counter("dedup_requeued_total").Inc()
 		return e.requeueDirty(p, gw, oid)
 	}
-	if err != nil {
-		return nil // deleted meanwhile
+	flush := e.flushStatic
+	if s.cfg.CDC != nil {
+		flush = e.flushCDC
 	}
-	cm, err := UnmarshalChunkMap(raw)
-	if err != nil {
-		return err
+	if requeue := flush(p, gw, hostName, oid, cm, force); requeue {
+		return e.requeueDirty(p, gw, oid)
 	}
-	// Flush dirty chunks with bounded intra-object parallelism: each chunk
-	// is an independent slot, so their chunk-pool I/Os pipeline. Rate
-	// control (§4.4.2) admits one chunk per slot via WaitTurn — the slot
-	// spacing is set by the watermark policy, so the trickle tracks the
-	// measured foreground rate. Forced flushes (flush-through mode,
-	// explicit drains) are client-visible and never held back.
-	requeue := false
+	return nil
+}
+
+// flushStatic flushes the dirty fixed-size slots of one object with bounded
+// intra-object parallelism: each chunk is an independent slot, so their
+// chunk-pool I/Os pipeline. Rate control (§4.4.2) admits one chunk per slot
+// via WaitTurn — the slot spacing is set by the watermark policy, so the
+// trickle tracks the measured foreground rate. Forced flushes (flush-through
+// mode, explicit drains) are client-visible and never held back. It reports
+// whether the object must go back on the dirty list.
+func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
+	s := e.s
 	queue := sim.NewQueue[Entry]()
 	for _, i := range cm.DirtyEntries() {
 		if entry := cm.Entries[i]; entry.Cached {
@@ -265,32 +241,31 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 					requeue = true
 					return
 				}
-				raced, err := e.flushChunk(q, gw, hostName, oid, entry)
-				if err != nil || raced {
+				if bound, err := e.flushChunk(q, gw, hostName, oid, entry); err != nil || !bound {
 					requeue = true
 				}
 			}
 		}))
 	}
 	sim.WaitAll(p, sigs...)
-	if requeue {
-		e.stats.Requeued++
-		e.reg().Counter("dedup_requeued_total").Inc()
-		return e.requeueDirty(p, gw, oid)
-	}
-	return nil
+	return requeue
 }
 
 // requeueDirty puts a claimed object back on its PG's dirty list. The write
 // is retried through transient unavailability: losing it would strand dirty
 // cached chunks that no future sweep ever revisits.
 func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error {
-	s := e.s
-	return retryUnavailable(p, func() error {
-		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	})
+	e.stats.Requeued++
+	e.reg().Counter("dedup_requeued_total").Inc()
+	return retryUnavailable(p, func() error { return e.s.setDirty(p, gw, oid, true) })
+}
+
+// noteFlushed counts chunks that caused real chunk-pool I/O.
+func (e *Engine) noteFlushed(chunks, bytes int64) {
+	e.stats.ChunksFlushed += chunks
+	e.stats.BytesFlushed += bytes
+	e.reg().Counter("dedup_chunks_flushed_total").Add(chunks)
+	e.reg().Counter("dedup_bytes_flushed_total").Add(bytes)
 }
 
 // EvictStats reports one cold-eviction pass.
@@ -319,32 +294,12 @@ func (e *Engine) EvictCold(p *sim.Proc) EvictStats {
 			stats.SkippedHot++
 			continue
 		}
-		err := gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-			cm, err := loadChunkMap(v)
-			if err != nil {
-				return nil, err
-			}
-			txn := store.NewTxn()
-			changed := false
-			for i, entry := range cm.Entries {
-				if !entry.Cached || entry.Dirty || entry.ChunkID == "" {
-					continue
-				}
-				cm.Entries[i].Cached = false
-				txn.Zero(entry.Start, entry.Len())
-				stats.ChunksEvicted++
-				stats.BytesEvicted += entry.Len()
-				changed = true
-			}
-			if !changed {
-				return nil, nil
-			}
-			txn.SetXattr(XattrChunkMap, cm.Marshal())
-			return txn, nil
-		})
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			continue
-		}
+		// Best-effort: an object this pass cannot reach (or that a delete
+		// raced) is left for the next pass, so the error is dropped.
+		var chunks, bytes int64
+		_ = gw.Mutate(p, s.meta, oid, evictCleanCachedFn(&chunks, &bytes))
+		stats.ChunksEvicted += chunks
+		stats.BytesEvicted += bytes
 	}
 	reg := e.reg()
 	reg.Counter("cache_agent_passes_total").Inc()
@@ -372,49 +327,47 @@ func (e *Engine) StartCacheAgent(interval time.Duration) {
 	})
 }
 
-// errCrash simulates a failure injected by a test hook.
-var errCrash = errors.New("core: injected crash")
-
-// leaseExpiry returns the sim-time lease for a reference intent recorded
-// now: GC and the audit pass leave the intent alone until it expires.
-func (e *Engine) leaseExpiry(p *sim.Proc) sim.Time {
-	return p.Now() + sim.Time(e.s.cfg.IntentLease)
+// evictCleanCachedFn drops the cached copy of every clean, bound slot of a
+// metadata object (the bytes live on in the chunk pool), reporting what it
+// evicted.
+func evictCleanCachedFn(chunks, bytes *int64) rados.MutateFn {
+	return func(v rados.View) (*store.Txn, error) {
+		*chunks, *bytes = 0, 0
+		cm, err := loadChunkMap(v)
+		if err != nil {
+			return nil, err
+		}
+		txn := store.NewTxn()
+		for i, e := range cm.Entries {
+			if e.Dirty || !e.Cached || e.ChunkID == "" {
+				continue
+			}
+			cm.Entries[i].Cached = false
+			txn.Zero(e.Start, e.Len())
+			*chunks++
+			*bytes += e.Len()
+		}
+		if *chunks == 0 {
+			return nil, nil
+		}
+		return txn.SetXattr(XattrChunkMap, cm.Marshal()), nil
+	}
 }
 
-// flushChunk deduplicates one dirty chunk slot with a two-phase,
-// intent-logged reference update, so a crash at any point leaves state the
-// reconcilers (GC, audit) can roll forward or back:
-//
-//	phase 1  record a reference intent on the chunk object (creating the
-//	         chunk if absent) with a lease expiry — the chunk is pinned
-//	         but the reference is not yet counted;
-//	phase 2  bind the chunk in the source object's chunk map (the
-//	         authoritative statement that the reference exists), unless a
-//	         client write raced;
-//	phase 3  commit the intent into a counted reference, then de-reference
-//	         the chunk the slot previously pointed at.
-//
-// Crash after 1: the intent expires, GC/audit abort it (no binding exists).
-// Crash after 2: the binding exists but the reference is an expired intent;
-// GC/audit promote it to a committed reference. Crash mid-3: commit is
-// idempotent and the old chunk's stale reference is collected by GC. A
-// raced phase 2 aborts the intent inline. Returns raced=true when a
+// flushChunk deduplicates one dirty chunk slot: fingerprint it, then rebind
+// the slot to the chunk its content names. It reports bound=false when a
 // concurrent client write invalidated the flush (the slot stays dirty).
-func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid string, entry Entry) (raced bool, err error) {
+func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid string, entry Entry) (bound bool, err error) {
 	s := e.s
-	data, err := gw.Read(p, s.meta, oid, entry.Start, entry.Len())
+	data, err := readPadded(p, gw, s.meta, oid, entry.Start, entry.Len())
 	if err != nil {
 		return false, err
-	}
-	if int64(len(data)) < entry.Len() {
-		data = append(data, make([]byte, entry.Len()-int64(len(data)))...)
 	}
 	// Fingerprint: the content hash that doubles as the chunk-pool object ID.
 	if err := s.cluster.UseHostCPU(p, hostName, s.cluster.Cost().Hash(len(data))); err != nil {
 		return false, err
 	}
 	newID := FingerprintID(data)
-	ref := Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}
 
 	// Adaptive tiering: the flush lands the chunk in the pool the object's
 	// temperature selects — cold objects erasure-code, everything else
@@ -423,106 +376,52 @@ func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid
 	cold := s.cfg.Tiering.Enabled && s.cache.Temp(p.Now(), oid) == hitset.TempCold
 	newPool := s.chunkPoolFor(cold)
 
-	// Phase 1: intent + chunk write at the content-addressed location. When
-	// the slot already points at the right chunk in the right pool (same
+	// When the slot already points at the right chunk in the right pool (same
 	// content rewritten) no chunk-pool I/O happens, so it must not count as
 	// a flush. A same-ID, different-pool slot is a real move: both pools may
 	// hold a chunk under the same fingerprint while objects migrate.
 	samePlace := entry.ChunkID == newID && entry.Cold == cold
-	var intent intentOutcome
+	var puts []chunkPut
+	var unbound []Entry
+	existedBefore := false
 	if !samePlace {
-		existedBefore, _ := gw.Exists(p, newPool, newID)
-		if err := gw.MutateWithPayload(p, newPool, newID, len(data), putIntentFn(data, ref, e.leaseExpiry(p), &intent)); err != nil {
-			return false, err
-		}
-		if existedBefore {
-			e.stats.DupChunks++
-			e.reg().Counter("dedup_dup_chunks_total").Inc()
-		}
-		e.stats.ChunksFlushed++
-		e.stats.BytesFlushed += int64(len(data))
-		e.reg().Counter("dedup_chunks_flushed_total").Inc()
-		e.reg().Counter("dedup_bytes_flushed_total").Add(int64(len(data)))
-	} else {
-		e.stats.NoopFlushes++
-		e.reg().Counter("dedup_noop_flushes_total").Inc()
+		existedBefore, _ = gw.Exists(p, newPool, newID)
+		puts = []chunkPut{{pool: newPool, id: newID, data: data, ref: Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}}}
+		unbound = []Entry{entry}
 	}
-	if e.hookAfterChunkPut != nil && e.hookAfterChunkPut(oid, entry) {
-		return false, errCrash
-	}
-
-	// Phase 2: bind the chunk in the map — only if no client write raced.
-	keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
-	if e.hookBeforeMapWrite != nil && e.hookBeforeMapWrite(oid, entry) {
-		return false, errCrash
-	}
-	raced = false
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		i := cur.Find(entry.Start)
-		if i < 0 {
-			raced = true // slot disappeared (delete raced)
-			return nil, nil
-		}
-		cs := cur.Entries[i]
-		if cs.Gen != entry.Gen {
-			raced = true // newer write; leave dirty for the next cycle
-			return nil, nil
-		}
-		cs.ChunkID = newID
-		cs.Dirty = false
-		cs.Cached = keepCached
-		cs.Cold = cold
-		cur.Entries[i] = cs
-		txn := store.NewTxn().SetXattr(XattrChunkMap, cur.Marshal())
-		if !keepCached {
-			// Evict the flushed bytes from the metadata object (the object
-			// may end with "no data but only metadata", Fig. 8 object 2).
-			txn.Zero(cs.Start, cs.Len())
-		}
-		return txn, nil
-	})
-	if err != nil || raced {
-		// Roll phase 1 back: the binding never landed, so the intent must
-		// not become a reference. Best-effort — if this mutation is lost to
-		// a crash, the lease expiry lets GC/audit abort it instead.
-		if !samePlace && !intent.committed {
-			if aerr := gw.Mutate(p, newPool, newID, abortIntentFn(ref, !s.cfg.FalsePositiveRefs)); aerr != nil && !errors.Is(aerr, ErrNotFound) && err == nil {
-				return raced, aerr
+	keepCached := false
+	return s.rebind(p, gw, oid, transition{
+		puts: puts,
+		pinned: func() {
+			if samePlace {
+				e.stats.NoopFlushes++
+				e.reg().Counter("dedup_noop_flushes_total").Inc()
+			} else {
+				if existedBefore {
+					e.stats.DupChunks++
+					e.reg().Counter("dedup_dup_chunks_total").Inc()
+				}
+				e.noteFlushed(1, int64(len(data)))
 			}
-		}
-		return raced, err
-	}
-
-	// Phase 3: commit the intent into a counted reference. On persistent
-	// failure the binding already exists, so GC/audit will promote the
-	// expired intent — the protocol converges either way.
-	if !samePlace && !intent.committed {
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, newPool, newID, commitIntentFn(ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return false, cerr
-		}
-	}
-
-	// De-reference the chunk the slot previously pointed at — after the
-	// binding swap, so no window exists where the chunk map points at a
-	// chunk whose reference was already dropped. The old binding's pool may
-	// differ from the new one (a cross-pool move via re-flush).
-	if entry.ChunkID != "" && !samePlace {
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if derr := gw.Mutate(p, s.chunkPoolFor(entry.Cold), entry.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-			return false, derr
-		}
-	}
-	if e.hookAfterDeref != nil && e.hookAfterDeref(oid, entry) {
-		return false, errCrash
-	}
-	return false, nil
+			keepCached = s.cache.KeepCachedAfterFlush(p.Now(), oid)
+		},
+		bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+			i := cur.Find(entry.Start)
+			if i < 0 || cur.Entries[i].Gen != entry.Gen {
+				// Slot deleted, or rewritten by a newer write: leave it dirty
+				// for the next cycle.
+				return nil, true, nil
+			}
+			cs := &cur.Entries[i]
+			cs.ChunkID, cs.Cold = newID, cold
+			cs.Dirty = false
+			cs.Cached = keepCached
+			if !keepCached {
+				// Evict the flushed bytes from the metadata object (the object
+				// may end with "no data but only metadata", Fig. 8 object 2).
+				txn.Zero(cs.Start, cs.Len())
+			}
+			return unbound, false, nil
+		},
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dedupstore/internal/sim"
 )
@@ -53,10 +54,10 @@ func TestCrashAfterDeref(t *testing.T) {
 	// Overwrite both so the next flush must de-reference the old chunk.
 	writeTwo(t, e, v2)
 	crashes := 0
-	e.s.engine.hookAfterDeref = func(oid string, entry Entry) bool {
+	e.s.hooks.afterRelease = func(string) bool {
 		if crashes < 2 {
 			crashes++
-			return true // crash right after step 3's de-reference
+			return true // crash right after the old chunk's de-reference
 		}
 		return false
 	}
@@ -67,19 +68,25 @@ func TestCrashAfterDeref(t *testing.T) {
 	verifyBoth(t, e, v2)
 }
 
-func TestCrashAfterChunkPut(t *testing.T) {
+// TestCrashAfterIntent covers the window the old layout split in two
+// (after the chunk put, before the map write): the chunk is pinned by an
+// intent and the chunk map is untouched.
+func TestCrashAfterIntent(t *testing.T) {
 	e := crashEnv(t)
 	content := bytes.Repeat([]byte{5}, 4096)
 	writeTwo(t, e, content)
 	crashes := 0
-	e.s.engine.hookAfterChunkPut = func(oid string, entry Entry) bool {
-		if crashes < 2 {
+	e.s.hooks.afterIntent = func(string) bool {
+		if crashes < 3 {
 			crashes++
 			return true // crash between chunk-pool write and map update
 		}
 		return false
 	}
 	e.drain(t)
+	if crashes != 3 {
+		t.Fatalf("hook fired %d times", crashes)
+	}
 	// §4.6: "If failure occurs at (3), (4), chunk's state is not cleaned.
 	// Therefore, next deduplication process handles this dirty chunk ...
 	// Since reference data is already stored in the chunk pool, if reference
@@ -89,22 +96,6 @@ func TestCrashAfterChunkPut(t *testing.T) {
 	if cp.Objects != 1 {
 		t.Fatalf("chunk pool objects = %d, want 1 (idempotent re-flush)", cp.Objects)
 	}
-}
-
-func TestCrashBeforeMapUpdate(t *testing.T) {
-	e := crashEnv(t)
-	content := bytes.Repeat([]byte{6}, 4096)
-	writeTwo(t, e, content)
-	crashes := 0
-	e.s.engine.hookBeforeMapWrite = func(oid string, entry Entry) bool {
-		if crashes < 3 {
-			crashes++
-			return true // crash before the ack/map update (§4.6 failure at (5))
-		}
-		return false
-	}
-	e.drain(t)
-	verifyBoth(t, e, content)
 }
 
 func TestCrashStormConverges(t *testing.T) {
@@ -128,17 +119,21 @@ func TestCrashStormConverges(t *testing.T) {
 			}
 		}
 	})
-	crash := func(string, Entry) bool { return rng.Intn(3) == 0 }
-	e.s.engine.hookAfterDeref = crash
-	e.s.engine.hookAfterChunkPut = crash
-	e.s.engine.hookBeforeMapWrite = crash
+	crash := func(string) bool { return rng.Intn(3) == 0 }
+	e.s.hooks = rebindHooks{afterIntent: crash, afterBind: crash, afterRelease: crash}
 	e.drain(t) // crashy drain: some flushes abort and requeue
 
-	// Disable crashes and drain again — protocol must converge.
-	e.s.engine.hookAfterDeref = nil
-	e.s.engine.hookAfterChunkPut = nil
-	e.s.engine.hookBeforeMapWrite = nil
+	// Disable crashes and drain again — protocol must converge. A flush
+	// killed after its bind left an uncommitted intent under a live binding:
+	// once the lease runs out the audit promotes it.
+	e.s.hooks = rebindHooks{}
 	e.drain(t)
+	e.run(t, func(p *sim.Proc) {
+		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		if _, err := e.s.Audit(p); err != nil {
+			t.Error(err)
+		}
+	})
 
 	e.run(t, func(p *sim.Proc) {
 		for oid, want := range contents {

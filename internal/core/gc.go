@@ -332,21 +332,12 @@ func (s *Store) refLiveness(p *sim.Proc, gw *rados.Gateway, ref Ref, cpool *rado
 	if ref.Pool != s.meta.ID {
 		return false, true
 	}
-	var raw []byte
-	err := retryUnavailable(p, func() error {
-		var e error
-		raw, e = gw.GetXattr(p, s.meta, ref.OID, XattrChunkMap)
-		return e
-	})
+	cm, err := s.readChunkMap(p, gw, ref.OID)
 	if rados.IsUnavailable(err) {
 		return false, false
 	}
 	if err != nil {
-		return false, true // source object gone
-	}
-	cm, err := UnmarshalChunkMap(raw)
-	if err != nil {
-		return false, true
+		return false, true // source object gone (or its map unreadable)
 	}
 	i := cm.Find(ref.Offset)
 	if i < 0 {

@@ -1,0 +1,361 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"dedupstore/internal/qos"
+	"dedupstore/internal/rados"
+	"dedupstore/internal/sim"
+	"dedupstore/internal/store"
+)
+
+// chunkState reads one chunk object's reference state.
+func chunkState(t *testing.T, p *sim.Proc, e *env, pool *rados.Pool, id string) chunkSnapshot {
+	t.Helper()
+	var snap chunkSnapshot
+	if err := snapshotChunk(p, e.s.hostGW(anyHost(e.s)), pool, id, &snap); err != nil {
+		t.Fatalf("snapshot %s: %v", id, err)
+	}
+	return snap
+}
+
+// TestRebindTable drives the transition primitive directly over
+// {0,1,N puts} × {raced, bind error, clean} × {strict, false-positive} and
+// checks what each outcome leaves on the chunk objects: a bind that raced or
+// failed leaves no intent and no reference behind (strict mode deletes the
+// never-referenced chunk, false-positive mode leaves it to GC); a clean bind
+// leaves every put committed and counted, every intent gone, and the
+// replaced chunk released.
+func TestRebindTable(t *testing.T) {
+	errBoom := errors.New("bind failed")
+	for _, strict := range []bool{true, false} {
+		for _, nPuts := range []int{0, 1, 3} {
+			for _, outcome := range []string{"raced", "error", "clean"} {
+				t.Run(fmt.Sprintf("strict=%v/puts=%d/%s", strict, nPuts, outcome), func(t *testing.T) {
+					e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = !strict })
+					old := mkData(0xA0, 4096)
+					e.run(t, func(p *sim.Proc) {
+						if err := e.cl.Write(p, "obj", 0, old); err != nil {
+							t.Fatal(err)
+						}
+						e.s.Engine().DrainAndWait(p)
+					})
+					e.run(t, func(p *sim.Proc) {
+						before := entries(t, p, e, "obj")
+						var puts []chunkPut
+						var next []Entry
+						for i := 0; i < nPuts; i++ {
+							data := mkData(byte(i+1), 4096)
+							off := int64(i) * 4096
+							puts = append(puts, chunkPut{pool: e.s.chunk, id: FingerprintID(data), data: data,
+								ref: Ref{Pool: e.s.meta.ID, OID: "obj", Offset: off}})
+							next = append(next, Entry{Start: off, End: off + 4096, ChunkID: FingerprintID(data)})
+						}
+						if nPuts == 0 { // release-only: unbind the slot, keep its bytes cached
+							next = []Entry{{Start: 0, End: 4096, Cached: true}}
+						}
+						pinned := 0
+						bound, err := e.s.rebind(p, e.s.hostGW(anyHost(e.s)), "obj", transition{
+							puts:   puts,
+							pinned: func() { pinned++ },
+							bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+								switch outcome {
+								case "raced":
+									return nil, true, nil
+								case "error":
+									return nil, false, errBoom
+								}
+								unbound := cur.Entries
+								cur.Entries = next
+								return unbound, false, nil
+							},
+						})
+						if pinned != 1 {
+							t.Errorf("pinned ran %d times, want 1", pinned)
+						}
+						clean := outcome == "clean"
+						if bound != clean {
+							t.Errorf("bound = %v, want %v", bound, clean)
+						}
+						if wantErr := outcome == "error"; (err != nil) != wantErr || (wantErr && !errors.Is(err, errBoom)) {
+							t.Errorf("err = %v", err)
+						}
+
+						after := entries(t, p, e, "obj")
+						want := before
+						if clean {
+							want = next
+						}
+						if fmt.Sprint(after) != fmt.Sprint(want) {
+							t.Errorf("chunk map = %v, want %v", after, want)
+						}
+						for _, put := range puts {
+							st := chunkState(t, p, e, put.pool, put.id)
+							switch {
+							case len(st.intents) != 0:
+								t.Errorf("put %s: %d intents left behind", put.id[:10], len(st.intents))
+							case clean && (!st.exists || st.count != 1 || len(st.refs) != 1):
+								t.Errorf("put %s: exists=%v count=%d refs=%d, want one counted reference", put.id[:10], st.exists, st.count, len(st.refs))
+							case !clean && strict && st.exists:
+								t.Errorf("put %s: aborted chunk not deleted inline in strict mode", put.id[:10])
+							case !clean && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
+								t.Errorf("put %s: exists=%v count=%d refs=%d, want an unreferenced chunk left to GC", put.id[:10], st.exists, st.count, len(st.refs))
+							}
+						}
+						st := chunkState(t, p, e, e.s.chunk, FingerprintID(old))
+						switch {
+						case !clean && (!st.exists || st.count != 1 || len(st.refs) != 1):
+							t.Errorf("replaced chunk touched by an unbound transition: %+v", st)
+						case clean && strict && st.exists:
+							t.Error("replaced chunk not deleted inline in strict mode")
+						case clean && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
+							t.Errorf("replaced chunk: exists=%v count=%d refs=%d, want released and left to GC", st.exists, st.count, len(st.refs))
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestFlushKillWindows kills a flush — static and CDC — inside each window
+// of the transition, as a crash that takes the worker with it, and lets the
+// reconcilers finish the job once the lease has run out. Killed after its
+// intents: a newer write supersedes the flush, so nothing ever binds the
+// pinned chunks and GC aborts the expired intents. Killed after its bind:
+// the audit promotes the intents under the surviving binding, and GC sweeps
+// the stale references on the chunks the bind replaced. Either way the store
+// ends with zero stale references, zero lost chunks and the bytes intact.
+func TestFlushKillWindows(t *testing.T) {
+	version := func(seed int64) []byte {
+		data := make([]byte, 40000)
+		rand.New(rand.NewSource(seed)).Read(data)
+		return data
+	}
+	v1, v2, v3 := version(7), version(8), version(9)
+	for _, mode := range []string{"static", "cdc"} {
+		for _, window := range []string{"afterIntent", "afterBind"} {
+			t.Run(mode+"/"+window, func(t *testing.T) {
+				newEnv := newDedupEnv
+				if mode == "cdc" {
+					newEnv = newCDCEnv
+				}
+				e := newEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
+				want := v2
+				e.run(t, func(p *sim.Proc) {
+					if err := e.cl.Write(p, "obj", 0, v1); err != nil {
+						t.Fatal(err)
+					}
+					e.s.Engine().DrainAndWait(p)
+					if err := e.cl.Write(p, "obj", 0, v2); err != nil {
+						t.Fatal(err)
+					}
+					kill := func(string) bool { return true }
+					if window == "afterIntent" {
+						e.s.hooks.afterIntent = kill
+					} else {
+						e.s.hooks.afterBind = kill
+					}
+					gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.s.engine.flushObject(p, gw, host, "obj", true); err != nil {
+						t.Fatal(err)
+					}
+					e.s.hooks = rebindHooks{}
+					dirty := 0
+					for _, en := range entries(t, p, e, "obj") {
+						if en.Dirty {
+							dirty++
+						}
+					}
+					if bound := dirty == 0; bound != (window == "afterBind") {
+						t.Fatalf("%d dirty slots after a kill %s", dirty, window)
+					}
+					if window == "afterIntent" {
+						// While the slots stay dirty GC keeps any reference to
+						// them (they may be mid-flush); supersede the flush so
+						// its intents are plainly orphans.
+						want = v3
+						if err := e.cl.Write(p, "obj", 0, v3); err != nil {
+							t.Fatal(err)
+						}
+						e.s.Engine().DrainAndWait(p)
+					}
+
+					p.Sleep(e.s.cfg.IntentLease + time.Second)
+					audit, err := e.s.Audit(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
+						t.Fatalf("scrub: err=%v issues=%v", err, rep.Issues)
+					}
+					gc1, err := e.s.GC(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case audit.LostChunks != 0:
+						t.Errorf("audit lost %d chunks", audit.LostChunks)
+					case window == "afterIntent" && (gc1.IntentsAborted == 0 || audit.IntentsPromoted != 0):
+						t.Errorf("orphan intents not aborted: gc %+v, audit %+v", gc1, audit)
+					case window == "afterBind" && audit.IntentsPromoted == 0:
+						t.Errorf("orphan binding not promoted: audit %+v", audit)
+					case window == "afterBind" && mode == "static" && gc1.StaleRefs == 0:
+						// (A CDC write releases the chunks it swallows up
+						// front, so a CDC bind has nothing left to orphan.)
+						t.Errorf("replaced chunks' stale references not swept: gc %+v", gc1)
+					}
+					if gc2, err := e.s.GC(p); err != nil || gc2.StaleRefs != 0 || gc2.IntentsAborted != 0 || gc2.IntentsPromoted != 0 {
+						t.Errorf("second GC still found work: err=%v %+v", err, gc2)
+					}
+					if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("read-back after recovery: %v", err)
+					}
+					checkClean(t, p, e)
+				})
+				e.checkIntegrity(t)
+			})
+		}
+	}
+}
+
+// disjointOID returns an object ID whose metadata PG shares no OSD with its
+// dirty list's PG, plus the acting OSDs of the former — so a test can take
+// the object's chunk map offline while its dirty list stays writable.
+func disjointOID(t *testing.T, e *env) (string, []int) {
+	t.Helper()
+	acting := func(oid string) []int {
+		return e.c.Map().ActingSetClass(e.c.PGOf(e.s.meta, oid), e.s.meta.Red.Width(), e.s.meta.Class)
+	}
+	for i := 0; i < 1000; i++ {
+		oid := fmt.Sprintf("obj-%d", i)
+		mine := acting(oid)
+		shared := false
+		for _, a := range mine {
+			for _, b := range acting(e.s.dirtyListOID(oid)) {
+				shared = shared || a == b
+			}
+		}
+		if !shared {
+			return oid, mine
+		}
+	}
+	t.Fatal("no object with a disjoint dirty-list PG")
+	return "", nil
+}
+
+// TestFlushUnreachableIsNotDeleted: a flush that has claimed its object off
+// the dirty list and then cannot reach the chunk map (every replica's OSD is
+// down, undetected) must put the object back — only ErrNotFound means
+// "deleted meanwhile". The CDC fork used to drop it, stranding dirty data no
+// sweep revisits.
+func TestFlushUnreachableIsNotDeleted(t *testing.T) {
+	for _, mode := range []string{"static", "cdc"} {
+		t.Run(mode, func(t *testing.T) {
+			newEnv := newDedupEnv
+			if mode == "cdc" {
+				newEnv = newCDCEnv
+			}
+			e := newEnv(t, nil)
+			oid, osds := disjointOID(t, e)
+			data := make([]byte, 20000)
+			rand.New(rand.NewSource(3)).Read(data)
+			e.run(t, func(p *sim.Proc) {
+				if err := e.cl.Write(p, oid, 0, data); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(time.Millisecond) // let the dirty-log append land
+				for _, id := range osds {
+					if err := e.c.CrashOSD(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				gw, host, err := e.s.metaPrimaryGW(oid, qos.Dedup)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := e.s.engine.flushObject(p, gw, host, oid, true); err != nil {
+					t.Error(err)
+					return
+				}
+				listed, err := e.s.hostGW(anyHost(e.s)).OmapList(p, e.s.meta, e.s.dirtyListOID(oid), 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(listed) != 1 || listed[0] != oid {
+					t.Errorf("dirty list after an unreachable flush = %v, want [%s]", listed, oid)
+					return
+				}
+				for _, id := range osds {
+					if err := e.c.RestartOSD(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				e.s.Engine().DrainAndWait(p)
+				for _, en := range entries(t, p, e, oid) {
+					if en.Dirty || en.ChunkID == "" {
+						t.Errorf("slot %d still unflushed after the outage: %+v", en.Start, en)
+					}
+				}
+				if got, err := e.cl.Read(p, oid, 0, -1); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("read-back after the outage: %v", err)
+				}
+			})
+			e.checkIntegrity(t)
+		})
+	}
+}
+
+// TestInlineWriteUnreachableMapIsNotEmpty: an inline write whose chunk-map
+// read hits an outage must not treat the object as new. The old code ignored
+// the read error and — when the OSDs came back before its map write — wrote
+// back a map holding only this write's slot, unbinding the rest of the
+// object.
+func TestInlineWriteUnreachableMapIsNotEmpty(t *testing.T) {
+	e := newDedupEnv(t, func(cfg *Config) { cfg.Mode = ModeInline })
+	oid, osds := disjointOID(t, e)
+	want := append(mkData(0x0B, 4096), mkData(0x02, 4096)...)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, oid, 0, append(mkData(0x01, 4096), mkData(0x02, 4096)...)); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, id := range osds {
+			if err := e.c.CrashOSD(id); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		// The OSDs return just after the write's first chunk-map read has
+		// timed out against them.
+		e.eng.After(e.c.RequestTimeout()+time.Microsecond, func() {
+			for _, id := range osds {
+				if err := e.c.RestartOSD(id); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := e.cl.Write(p, oid, 0, mkData(0x0B, 4096)); err != nil {
+			t.Errorf("write across the outage: %v", err)
+			return
+		}
+		got, err := e.cl.Read(p, oid, 0, -1)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("object after the write: %d bytes, err=%v; the untouched chunk must survive", len(got), err)
+		}
+	})
+	e.checkIntegrity(t)
+}

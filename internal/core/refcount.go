@@ -36,7 +36,7 @@ func FingerprintID(data []byte) string {
 //     source object binds that offset to this chunk, and the reference
 //     count includes them.
 //   - "int."-prefixed keys are reference *intents*: phase 1 of the
-//     two-phase reference update (see engine.go flushChunk). The value is
+//     two-phase reference update (see rebind). The value is
 //     a sim-time lease expiry. An intent does not count toward the
 //     reference count; it only keeps GC from reclaiming the chunk while a
 //     flush is between "chunk written" and "reference committed". Expired
@@ -222,8 +222,8 @@ func countOtherRefs(v rados.View, exclude string) (refs, intents int, err error)
 // information." Executed under the chunk-pool PG lock, so create-vs-incref
 // races between concurrent dedup workers are serialized by the substrate.
 // This is the single-phase (directly committed) form used by the inline
-// baseline, whose reference is bound before the client ack; the background
-// flush protocol uses putIntentFn/commitIntentFn instead.
+// baseline, whose reference is bound before the client ack; every other
+// path goes through rebind.
 func putRefFn(data []byte, ref Ref) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		txn := store.NewTxn()
@@ -353,10 +353,14 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 	}
 }
 
-// decRefFn builds the Mutate closure for strict de-referencing: remove the
-// reference and delete the chunk object when no committed references — and
-// no in-flight intents — remain.
-func decRefFn(ref Ref) rados.MutateFn {
+// releaseRefFn removes a committed reference. In strict mode the chunk
+// object is deleted inline once no committed reference — and no in-flight
+// intent — remains. The false-positive variant (§4.6 last paragraph:
+// "strictly locks on increment but no locking on decrement") never deletes
+// inline; a garbage collector reclaims zero-reference chunks later. A failed
+// refcount read propagates (so retryUnavailable can retry) instead of
+// decoding as zero and clobbering the count.
+func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if !v.Exists() {
 			return nil, nil // already gone (idempotent)
@@ -368,12 +372,14 @@ func decRefFn(ref Ref) rados.MutateFn {
 		if err != nil {
 			return nil, err
 		}
-		refs, intents, err := countOtherRefs(v, ref.Key())
-		if err != nil {
-			return nil, err
-		}
-		if refs == 0 && intents == 0 {
-			return store.NewTxn().Delete(), nil
+		if strict {
+			refs, intents, err := countOtherRefs(v, ref.Key())
+			if err != nil {
+				return nil, err
+			}
+			if refs == 0 && intents == 0 {
+				return store.NewTxn().Delete(), nil
+			}
 		}
 		if count > 0 {
 			count--
@@ -384,29 +390,157 @@ func decRefFn(ref Ref) rados.MutateFn {
 	}
 }
 
-// dropRefFn is the false-positive-refcount variant (§4.6 last paragraph:
-// "strictly locks on increment but no locking on decrement"): the reference
-// entry is removed but the chunk is never deleted inline — a garbage
-// collector reclaims zero-reference chunks later. A failed refcount read
-// propagates (so retryUnavailable can retry) instead of decoding as zero
-// and clobbering the count.
-func dropRefFn(ref Ref) rados.MutateFn {
-	return func(v rados.View) (*store.Txn, error) {
-		if !v.Exists() {
-			return nil, nil
+// --- The chunk-map transition (§4.6) -----------------------------------------
+
+// chunkPut is one chunk a transition binds: phase 1 pins it under ref in
+// pool, creating the chunk object from data if absent.
+type chunkPut struct {
+	pool *rados.Pool
+	id   string
+	data []byte
+	ref  Ref
+}
+
+// transition states one change to an object's chunk map: which chunks to pin
+// and how to edit the map. Callers say what changes; rebind owns the order.
+type transition struct {
+	puts []chunkPut
+	// pinned, if set, runs once every put is pinned, at the instant the bind
+	// is issued: the place for accounting and for policy decisions that must
+	// see bind-time sim time.
+	pinned func()
+	// payload is the bulk data the bind ships to the metadata object.
+	payload int
+	// bind edits the chunk map loaded under the metadata object's PG lock and
+	// adds any data ops to txn. It returns the bindings it replaced, or raced
+	// when the map no longer matches what the caller planned against. rebind
+	// writes the edited map back unless it raced.
+	bind func(cur *ChunkMap, txn *store.Txn) (unbound []Entry, raced bool, err error)
+}
+
+// rebindHooks are simulated crash points inside rebind (tests only). A hook
+// returning true abandons the transition at that point, as a crash would.
+type rebindHooks struct {
+	afterIntent  func(oid string) bool // intents recorded, map untouched
+	afterBind    func(oid string) bool // map rewritten, intents uncommitted
+	afterRelease func(oid string) bool // everything landed
+}
+
+// errCrash simulates a failure injected by a rebindHooks hook.
+var errCrash = errors.New("core: injected crash")
+
+// rebind is the one implementation of the paper's consistency ordering
+// (§4.6) — pin the chunk, bind it in the chunk map, count the reference,
+// release the old chunk — so a failure at any point can only leave a
+// false-positive reference. Flush, CDC flush, tier migration, recache and
+// the CDC write path all change chunk maps through it:
+//
+//	intent   every put records a reference intent on its chunk object
+//	         (creating the chunk if absent) with a lease expiry: the chunk
+//	         is pinned against GC but the reference is not yet counted;
+//	bind     t.bind edits the chunk map under the metadata object's PG lock
+//	         — the authoritative statement of which references exist. A
+//	         raced or failed bind aborts the intents inline;
+//	commit   each intent becomes a counted reference (retried through
+//	         transient unavailability);
+//	release  the bindings the bind replaced are de-referenced, each in the
+//	         pool its Cold bit names — after the bind, so no window exists
+//	         where the map points at a chunk whose reference is gone.
+//
+// Crash windows and who resolves them: after intent, no binding names the
+// chunk, the lease expires and GC/audit abort the intent. After bind, the
+// binding exists but its reference is an expired intent, which GC/audit
+// promote; the replaced chunks keep a stale reference that GC's mark pass
+// (binding gone → reference dead) sweeps. Mid-commit or mid-release is the
+// same state, partly resolved; commit and release are idempotent.
+//
+// bound reports whether the chunk map changed; !bound with a nil error means
+// the bind raced and nothing happened. An abort error is surfaced unless a
+// put or bind error already explains the failure.
+func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition) (bound bool, err error) {
+	strict := !s.cfg.FalsePositiveRefs
+	// Intents this call recorded and must settle. A put whose reference is
+	// already committed (idempotent re-run) records none.
+	var intents []chunkPut
+	abort := func(cause error) error {
+		for _, put := range intents {
+			err := gw.Mutate(p, put.pool, put.id, abortIntentFn(put.ref, strict))
+			if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
+				cause = err
+			}
 		}
-		if _, err := v.OmapGet(ref.Key()); err != nil {
-			return nil, nil
+		return cause
+	}
+	for _, put := range t.puts {
+		var out intentOutcome
+		expiry := p.Now() + sim.Time(s.cfg.IntentLease)
+		if err := gw.MutateWithPayload(p, put.pool, put.id, len(put.data), putIntentFn(put.data, put.ref, expiry, &out)); err != nil {
+			return false, abort(err)
 		}
-		count, gen, err := readRC(v)
+		if !out.committed {
+			intents = append(intents, put)
+		}
+	}
+	if t.pinned != nil {
+		t.pinned()
+	}
+	if h := s.hooks.afterIntent; h != nil && h(oid) {
+		return false, errCrash
+	}
+
+	var unbound []Entry
+	raced := false
+	err = gw.MutateWithPayload(p, s.meta, oid, t.payload, func(v rados.View) (*store.Txn, error) {
+		cur, err := loadChunkMap(v)
 		if err != nil {
 			return nil, err
 		}
-		if count > 0 {
-			count--
+		txn := store.NewTxn()
+		unbound, raced, err = t.bind(cur, txn)
+		if err != nil || raced {
+			return nil, err
 		}
-		return store.NewTxn().
-			SetXattr(XattrRefCount, encodeRC(count, gen+1)).
-			OmapRm(ref.Key()), nil
+		return txn.SetXattr(XattrChunkMap, cur.Marshal()), nil
+	})
+	if err != nil || raced {
+		return false, abort(err)
 	}
+	if h := s.hooks.afterBind; h != nil && h(oid) {
+		return true, errCrash
+	}
+
+	// On persistent commit failure the binding already exists, so GC/audit
+	// promote the expired intent: the protocol converges either way.
+	for _, put := range intents {
+		err := retryUnavailable(p, func() error {
+			return gw.Mutate(p, put.pool, put.id, commitIntentFn(put.ref))
+		})
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return true, err
+		}
+	}
+	if err := s.release(p, gw, oid, unbound); err != nil {
+		return true, err
+	}
+	if h := s.hooks.afterRelease; h != nil && h(oid) {
+		return true, errCrash
+	}
+	return true, nil
+}
+
+// release de-references the chunks oid's entries are bound to (unbound
+// entries are skipped), each in the pool its Cold bit names.
+func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []Entry) error {
+	strict := !s.cfg.FalsePositiveRefs
+	for _, e := range entries {
+		if e.ChunkID == "" {
+			continue
+		}
+		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
+		err := gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(ref, strict))
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return err
+		}
+	}
+	return nil
 }

@@ -31,3 +31,14 @@ func retryUnavailable(p *sim.Proc, fn func() error) error {
 	}
 	return err
 }
+
+// retryGet is retryUnavailable for a call that returns a value.
+func retryGet[T any](p *sim.Proc, fn func() (T, error)) (T, error) {
+	var out T
+	err := retryUnavailable(p, func() error {
+		var err error
+		out, err = fn()
+		return err
+	})
+	return out, err
+}

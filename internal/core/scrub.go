@@ -64,22 +64,15 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 			continue
 		}
 		rep.MetadataObjects++
-		var raw []byte
-		err := retryUnavailable(p, func() error {
-			var e error
-			raw, e = gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-			return e
-		})
-		if rados.IsUnavailable(err) {
+		cm, err := s.readChunkMap(p, gw, oid)
+		switch {
+		case rados.IsUnavailable(err):
 			return rep, err
-		}
-		if err != nil {
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
-			continue
-		}
-		cm, err := UnmarshalChunkMap(raw)
-		if err != nil {
+		case errors.Is(err, ErrCorruptMap):
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "corrupt chunk map"})
+			continue
+		case err != nil:
+			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
 			continue
 		}
 		for _, e := range cm.Entries {
@@ -92,12 +85,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 			if e.Cached || e.Dirty {
 				continue // data still (also) in the metadata object
 			}
-			var ok bool
-			err := retryUnavailable(p, func() error {
-				var e2 error
-				ok, e2 = gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID)
-				return e2
-			})
+			ok, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID) })
 			if err != nil {
 				return rep, err
 			}
@@ -113,12 +101,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, rep *ScrubReport) error {
 	for _, chunkOID := range s.cluster.ListObjects(cpool) {
 		rep.ChunkObjects++
-		var data []byte
-		err := retryUnavailable(p, func() error {
-			var e error
-			data, e = gw.Read(p, cpool, chunkOID, 0, -1)
-			return e
-		})
+		data, err := retryGet(p, func() ([]byte, error) { return gw.Read(p, cpool, chunkOID, 0, -1) })
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue // deleted concurrently
@@ -135,12 +118,7 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		if got := FingerprintID(data); got != chunkOID {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "content does not match fingerprint (bit rot)"})
 		}
-		var refs []string
-		err = retryUnavailable(p, func() error {
-			var e error
-			refs, e = gw.OmapList(p, cpool, chunkOID, 0)
-			return e
-		})
+		refs, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -164,12 +142,7 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
 			}
 		}
-		var rcRaw []byte
-		err = retryUnavailable(p, func() error {
-			var e error
-			rcRaw, e = gw.GetXattr(p, cpool, chunkOID, XattrRefCount)
-			return e
-		})
+		rcRaw, err := retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, cpool, chunkOID, XattrRefCount) })
 		if rados.IsUnavailable(err) {
 			// Unreachable is not the same as missing: report the pass as
 			// failed rather than log a phantom inconsistency.

@@ -30,11 +30,7 @@ func (cl *Client) Snapshot(p *sim.Proc, srcOID, dstOID string) error {
 	if srcOID == dstOID {
 		return fmt.Errorf("core: snapshot onto itself (%q)", srcOID)
 	}
-	raw, err := cl.gw.GetXattr(p, s.meta, srcOID, XattrChunkMap)
-	if err != nil {
-		return err
-	}
-	cm, err := UnmarshalChunkMap(raw)
+	cm, err := s.readChunkMap(p, cl.gw, srcOID)
 	if err != nil {
 		return err
 	}
@@ -74,7 +70,7 @@ func (cl *Client) Snapshot(p *sim.Proc, srcOID, dstOID string) error {
 			for _, r := range taken {
 				if i := cm.Find(r.Offset); i >= 0 {
 					src := cm.Entries[i]
-					_ = cl.gw.Mutate(p, s.chunkPoolFor(src.Cold), src.ChunkID, decRefFn(r))
+					_ = cl.gw.Mutate(p, s.chunkPoolFor(src.Cold), src.ChunkID, releaseRefFn(r, true))
 				}
 			}
 			return err

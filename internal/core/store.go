@@ -101,10 +101,6 @@ type Config struct {
 	Rate RateConfig
 	// HitSet configures the cache manager's hotness tracking (§4.3, §5).
 	HitSet hitset.Config
-	// KeepCachedWhenHot leaves a flushed chunk cached in the metadata object
-	// when the object is hot (cache manager policy). When false, every flush
-	// evicts.
-	KeepCachedWhenHot bool
 	// DedupThreads is the number of background dedup workers (§4.4.1).
 	DedupThreads int
 	// FlushParallel bounds concurrent chunk flushes within one object's
@@ -142,20 +138,19 @@ type Config struct {
 // replicated ×2 pools, post-processing with rate control.
 func DefaultConfig() Config {
 	return Config{
-		ChunkSize:         32 << 10,
-		MetaPoolName:      "meta",
-		ChunkPoolName:     "chunk",
-		MetaRedundancy:    rados.ReplicatedN(2),
-		ChunkRedundancy:   rados.ReplicatedN(2),
-		PGNum:             64,
-		Mode:              ModePostProcess,
-		Rate:              DefaultRate(),
-		HitSet:            hitset.DefaultConfig(),
-		KeepCachedWhenHot: true,
-		DedupThreads:      2,
-		FlushParallel:     8,
-		ScanInterval:      50 * time.Millisecond,
-		IntentLease:       2 * time.Second,
+		ChunkSize:       32 << 10,
+		MetaPoolName:    "meta",
+		ChunkPoolName:   "chunk",
+		MetaRedundancy:  rados.ReplicatedN(2),
+		ChunkRedundancy: rados.ReplicatedN(2),
+		PGNum:           64,
+		Mode:            ModePostProcess,
+		Rate:            DefaultRate(),
+		HitSet:          hitset.DefaultConfig(),
+		DedupThreads:    2,
+		FlushParallel:   8,
+		ScanInterval:    50 * time.Millisecond,
+		IntentLease:     2 * time.Second,
 	}
 }
 
@@ -174,6 +169,7 @@ type Store struct {
 	cache     *TieringPolicy
 	engine    *Engine
 	tier      tierState
+	hooks     rebindHooks
 
 	hostGWs  map[string]*rados.Gateway // keyed class|host: one internal gateway per QoS class per host
 	objLocks map[string]*sim.Resource  // inline-mode per-object write locks
@@ -251,7 +247,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		meta:     meta,
 		chunk:    chunk,
 		chk:      chunker.NewFixed(cfg.ChunkSize),
-		cache:    NewTieringPolicy(cfg.HitSet, cfg.KeepCachedWhenHot, cfg.Tiering.Enabled),
+		cache:    NewTieringPolicy(cfg.HitSet, cfg.Tiering.Enabled),
 		hostGWs:  make(map[string]*rados.Gateway),
 		objLocks: make(map[string]*sim.Resource),
 	}
@@ -305,8 +301,8 @@ func (s *Store) chunkPools() []*rados.Pool {
 // Engine returns the background dedup engine.
 func (s *Store) Engine() *Engine { return s.engine }
 
-// Cache returns the cache manager.
-func (s *Store) Cache() *CacheManager { return s.cache }
+// Cache returns the placement policy (the paper's cache manager, §4.3).
+func (s *Store) Cache() *TieringPolicy { return s.cache }
 
 // StartEngine spawns the background dedup workers (post-processing mode).
 func (s *Store) StartEngine() { s.engine.Start() }
@@ -353,6 +349,18 @@ func (s *Store) metaPrimaryGW(oid string, cls qos.Class) (*rados.Gateway, string
 func (s *Store) dirtyListOID(oid string) string {
 	pg := s.cluster.PGOf(s.meta, oid)
 	return fmt.Sprintf("sys.dirty.%d", pg.Seq)
+}
+
+// setDirty adds oid to its PG's dirty list, or removes it. Adding is
+// idempotent, so a flush claim (remove) racing a client write (add) loses
+// nothing.
+func (s *Store) setDirty(p *sim.Proc, gw *rados.Gateway, oid string, dirty bool) error {
+	return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
+		if dirty {
+			return store.NewTxn().Create().OmapSet(oid, nil), nil
+		}
+		return store.NewTxn().Create().OmapRm(oid), nil
+	})
 }
 
 // dirtyListAll enumerates every dirty-list object name.
@@ -499,13 +507,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 		}
 		txn.Write(off, data)
 		for _, c := range s.chk.Split(off, data) {
-			slotStart := s.chk.AlignDown(c.Offset)
-			var cur Entry
-			if i := cm.Find(slotStart); i >= 0 {
-				cur = cm.Entries[i]
-			} else {
-				cur = Entry{Start: slotStart, End: slotStart}
-			}
+			cur := cm.slot(s.chk.AlignDown(c.Offset))
 			if c.End() > cur.End {
 				cur.End = c.End()
 			}
@@ -524,9 +526,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	// append does not gate the client's ack — the authoritative dirty state
 	// is the chunk map's dirty bits, written transactionally above (§4.6).
 	p.Go("dirty-log", func(q *sim.Proc) {
-		_ = cl.gw.Mutate(q, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
+		_ = s.setDirty(q, cl.gw, oid, true)
 	})
 	if s.cfg.Mode == ModeFlushThrough {
 		// "Proposed-flush": deduplicate immediately (Fig. 10 worst case). The
@@ -592,8 +592,8 @@ func (cl *Client) read(p *sim.Proc, oid string, off, length int64) ([]byte, erro
 	proxied := 0
 	for _, i := range idxs {
 		e := cm.Entries[i]
-		rStart := max64(off, e.Start)
-		rEnd := min64(off+length, e.End)
+		rStart := max(off, e.Start)
+		rEnd := min(off+length, e.End)
 		if rStart >= rEnd {
 			continue
 		}
@@ -632,11 +632,7 @@ func (cl *Client) read(p *sim.Proc, oid string, off, length int64) ([]byte, erro
 
 // Stat returns the object's logical size from its chunk map.
 func (cl *Client) Stat(p *sim.Proc, oid string) (int64, error) {
-	raw, err := cl.gw.GetXattr(p, cl.s.meta, oid, XattrChunkMap)
-	if err != nil {
-		return 0, err
-	}
-	cm, err := UnmarshalChunkMap(raw)
+	cm, err := cl.s.readChunkMap(p, cl.gw, oid)
 	if err != nil {
 		return 0, err
 	}
@@ -653,33 +649,17 @@ func (cl *Client) Delete(p *sim.Proc, oid string) error {
 
 func (cl *Client) delete(p *sim.Proc, oid string) error {
 	s := cl.s
-	raw, err := cl.gw.GetXattr(p, s.meta, oid, XattrChunkMap)
+	cm, err := s.readChunkMap(p, cl.gw, oid)
 	if err != nil {
 		return err
 	}
-	cm, err := UnmarshalChunkMap(raw)
-	if err != nil {
+	if err := s.release(p, cl.gw, oid, cm.Entries); err != nil {
 		return err
-	}
-	for _, e := range cm.Entries {
-		if e.ChunkID == "" {
-			continue
-		}
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if err := cl.gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, fn); err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
 	}
 	if err := cl.gw.Delete(p, s.meta, oid); err != nil {
 		return err
 	}
-	return cl.gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().OmapRm(oid), nil
-	})
+	return s.setDirty(p, cl.gw, oid, false)
 }
 
 // --- Inline baseline (§3.1, Fig. 5a) -----------------------------------------
@@ -702,19 +682,17 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 	if err != nil {
 		return err
 	}
-	raw, _ := cl.gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-	cm, err := UnmarshalChunkMap(raw)
+	// Only a missing map means a new object: writing back a map rebuilt from
+	// an unreachable read would unbind every slot this write does not touch.
+	cm, err := s.readChunkMap(p, cl.gw, oid)
+	if errors.Is(err, ErrNotFound) {
+		cm, err = &ChunkMap{}, nil
+	}
 	if err != nil {
 		return err
 	}
 	for _, c := range s.chk.Split(off, data) {
-		slotStart := s.chk.AlignDown(c.Offset)
-		var cur Entry
-		if i := cm.Find(slotStart); i >= 0 {
-			cur = cm.Entries[i]
-		} else {
-			cur = Entry{Start: slotStart, End: slotStart}
-		}
+		cur := cm.slot(s.chk.AlignDown(c.Offset))
 		full := c.Data
 		// Partial-write problem: read-modify-write of the full chunk.
 		if c.Offset > cur.Start || (c.End() < cur.End && cur.ChunkID != "") {
@@ -725,7 +703,7 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 					return err
 				}
 			}
-			merged := make([]byte, max64(cur.End, c.End())-cur.Start)
+			merged := make([]byte, max(cur.End, c.End())-cur.Start)
 			copy(merged, base)
 			copy(merged[c.Offset-cur.Start:], c.Data)
 			full = merged
@@ -740,7 +718,7 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 		newID := FingerprintID(full)
 		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: cur.Start}
 		if cur.ChunkID != "" && cur.ChunkID != newID {
-			if err := cl.gw.Mutate(p, s.chunk, cur.ChunkID, decRefFn(ref)); err != nil {
+			if err := cl.gw.Mutate(p, s.chunk, cur.ChunkID, releaseRefFn(ref, true)); err != nil {
 				return err
 			}
 		}
@@ -759,6 +737,31 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 	})
 }
 
+// readChunkMap reads and decodes oid's chunk map, riding out transient
+// unavailability. What a missing (ErrNotFound), still-unreachable
+// (rados.IsUnavailable) or corrupt (ErrCorruptMap) map means is the caller's
+// policy.
+func (s *Store) readChunkMap(p *sim.Proc, gw *rados.Gateway, oid string) (*ChunkMap, error) {
+	raw, err := retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, s.meta, oid, XattrChunkMap) })
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalChunkMap(raw)
+}
+
+// readPadded reads n bytes at off, zero-padding a short read: an entry may
+// extend past the bytes its object physically holds (sparse tail).
+func readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
+	data, err := gw.Read(p, pool, oid, off, n)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) < n {
+		data = append(data, make([]byte, n-int64(len(data)))...)
+	}
+	return data, nil
+}
+
 // loadChunkMap reads the chunk map from a mutate view.
 func loadChunkMap(v rados.View) (*ChunkMap, error) {
 	raw, err := v.GetXattr(XattrChunkMap)
@@ -766,18 +769,4 @@ func loadChunkMap(v rados.View) (*ChunkMap, error) {
 		return &ChunkMap{}, nil // absent: new object
 	}
 	return UnmarshalChunkMap(raw)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -66,11 +66,6 @@ type tierState struct {
 	stats    TierStats
 	census   TierCensus
 	censusAt sim.Time
-
-	// Test hooks: simulated crash points inside a chunk migration. A hook
-	// returning true abandons the migration at that point, as a crash would.
-	hookAfterIntent func(oid string, e Entry) bool // after phase 1, before bind
-	hookAfterBind   func(oid string, e Entry) bool // after phase 2, before commit/deref
 }
 
 // TierStats returns the running totals of all tiering passes.
@@ -132,18 +127,9 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 			continue
 		}
 		ps.ObjectsScanned++
-		var raw []byte
-		err := retryUnavailable(p, func() error {
-			var e error
-			raw, e = gw.GetXattr(p, s.meta, oid, XattrChunkMap)
-			return e
-		})
+		cm, err := s.readChunkMap(p, gw, oid)
 		if err != nil {
-			continue // deleted meanwhile, or unreachable: next pass
-		}
-		cm, err := UnmarshalChunkMap(raw)
-		if err != nil {
-			continue // scrub's finding, not ours
+			continue // deleted meanwhile or unreachable: next pass; corrupt: scrub's finding
 		}
 		st, bytes := tierObjectState(cm)
 		temp := s.cache.Temp(p.Now(), oid)

@@ -342,7 +342,7 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.tier.hookAfterIntent = func(string, Entry) bool { return true }
+		e.s.hooks.afterIntent = func(string) bool { return true }
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +350,7 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 		if ps.Errors != 1 || ps.DemotedChunks != 0 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterIntent = nil
+		e.s.hooks.afterIntent = nil
 		for _, en := range entries(t, p, e, "obj") {
 			if en.Cold {
 				t.Fatal("binding moved despite the crash")
@@ -390,7 +390,7 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.tier.hookAfterBind = func(string, Entry) bool { return true }
+		e.s.hooks.afterBind = func(string) bool { return true }
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -398,7 +398,7 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 		if ps.Errors != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterBind = nil
+		e.s.hooks.afterBind = nil
 		for _, en := range entries(t, p, e, "obj") {
 			if !en.Cold {
 				t.Fatal("binding should have flipped before the crash")
@@ -438,7 +438,7 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		heat(p, e, "obj")
-		e.s.tier.hookAfterBind = func(string, Entry) bool { return true }
+		e.s.hooks.afterBind = func(string) bool { return true }
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -446,7 +446,7 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		if ps.Errors != 1 || ps.Recaches != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.tier.hookAfterBind = nil
+		e.s.hooks.afterBind = nil
 		if got, _ := e.cl.Read(p, "obj", 0, -1); !bytes.Equal(got, data) {
 			t.Fatal("read mismatch after crashed recache")
 		}
@@ -477,7 +477,7 @@ func TestTierRacedByClientWrite(t *testing.T) {
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
 		// The hook fires after phase 1, exactly inside the race window.
-		e.s.tier.hookAfterIntent = func(oid string, en Entry) bool {
+		e.s.hooks.afterIntent = func(string) bool {
 			done := p.Go("racer", func(q *sim.Proc) {
 				if err := e.cl.Write(q, "obj", 0, mkData(0x55, 4096)); err != nil {
 					t.Error(err)
@@ -487,7 +487,7 @@ func TestTierRacedByClientWrite(t *testing.T) {
 			return false // no crash — let phase 2 observe the raced slot
 		}
 		ps, err := e.s.TierPass(p)
-		e.s.tier.hookAfterIntent = nil
+		e.s.hooks.afterIntent = nil
 		if err != nil {
 			t.Fatal(err)
 		}

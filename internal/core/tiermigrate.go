@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dedupstore/internal/qos"
@@ -13,134 +12,70 @@ import (
 // Migration executors: the I/O half of adaptive redundancy. Each executor
 // advances one object a single step toward its target form; the policy
 // daemon re-walks objects every pass, so multi-step transitions converge
-// across passes. Chunk moves between pools ride the same two-phase
-// intent-logged reference protocol as the flush (refcount.go), so a crash
-// anywhere mid-migration leaves only state GC and the audit pass already
-// know how to reconcile — no new crash windows, no stale references.
+// across passes. Every step that moves a reference is a rebind transition
+// (refcount.go), so a crash anywhere mid-migration leaves only state GC and
+// the audit pass already know how to reconcile — no new crash windows.
 
 // recacheObject promotes an object to its hot form: every clean bound
-// slot's bytes are read back into the metadata object, the binding is
-// dropped (ChunkID="") and the chunk de-referenced. Slots that still hold a
-// cached copy (flushed while hot) skip the read — only the binding changes.
-//
-// Crash windows: the binding swap is one metadata-pool transaction, and a
-// slot without a binding holds no reference, so a crash after the swap but
-// before the de-reference leaves a stale reference on the chunk — exactly
-// the state GC's mark pass detects (binding gone → reference dead) and
-// sweeps.
+// slot's bytes are read back into the metadata object and the binding is
+// dropped (ChunkID=""), a transition with nothing to pin. Slots that still
+// hold a cached copy (flushed while hot) skip the read — only the binding
+// changes.
 func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, ps *TierStats) error {
 	// Read the chunk bytes of every uncached bound slot first, outside the
 	// metadata object's PG lock.
-	type fill struct {
-		e    Entry
-		data []byte
-	}
-	var fills []fill
+	fills := make(map[int64][]byte)
+	payload := 0
 	for _, e := range cm.Entries {
 		if e.Dirty || e.ChunkID == "" || e.Cached {
 			continue
 		}
 		s.cluster.QoS().WaitTurn(p, qos.Tiering)
-		data, err := gw.Read(p, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
+		data, err := readPadded(p, gw, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
 		if err != nil {
 			return fmt.Errorf("core: recache read chunk %s: %w", e.ChunkID, err)
 		}
-		if int64(len(data)) < e.Len() {
-			data = append(data, make([]byte, e.Len()-int64(len(data)))...)
-		}
-		fills = append(fills, fill{e: e, data: data})
-	}
-	payload := 0
-	for _, f := range fills {
-		payload += len(f.data)
+		fills[e.Start] = data
+		payload += len(data)
 	}
 
 	// Swap every binding in one transaction, re-checking each slot under the
-	// PG lock: a raced slot (newer write, new binding, or gone) is skipped
-	// and left to the engine. Collect the old bindings actually swapped so
-	// only their references are dropped.
-	var swapped []Entry
-	err := gw.MutateWithPayload(p, s.meta, oid, payload, func(v rados.View) (*store.Txn, error) {
-		swapped = swapped[:0]
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		txn := store.NewTxn()
-		changed := false
-		recheck := func(e Entry) (Entry, int, bool) {
-			i := cur.Find(e.Start)
-			if i < 0 {
-				return Entry{}, -1, false
+	// PG lock: a slot that is no longer exactly as planned (newer write, new
+	// binding, evicted, or gone) is skipped and left to the engine. Only the
+	// bindings actually swapped are released — filled slots first, then those
+	// whose bytes were already in place.
+	bound, err := s.rebind(p, gw, oid, transition{
+		payload: payload,
+		bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+			var swapped []Entry
+			for _, cached := range []bool{false, true} {
+				for _, e := range cm.Entries {
+					if e.Dirty || e.ChunkID == "" || e.Cached != cached {
+						continue
+					}
+					i := cur.Find(e.Start)
+					if i < 0 || cur.Entries[i] != e {
+						ps.RacedSkips++
+						continue
+					}
+					cs := &cur.Entries[i]
+					if !cached {
+						txn.Write(e.Start, fills[e.Start])
+						cs.Cached = true
+						ps.RecachedBytes += e.Len()
+					}
+					cs.ChunkID, cs.Cold = "", false
+					cs.Gen++
+					swapped = append(swapped, e)
+				}
 			}
-			cs := cur.Entries[i]
-			if cs.Gen != e.Gen || cs.ChunkID != e.ChunkID || cs.Cold != e.Cold || cs.Dirty {
-				return Entry{}, -1, false
-			}
-			return cs, i, true
-		}
-		for _, f := range fills {
-			cs, i, ok := recheck(f.e)
-			if !ok {
-				ps.RacedSkips++
-				continue
-			}
-			txn.Write(cs.Start, f.data)
-			swapped = append(swapped, cs)
-			cs.Cached = true
-			cs.ChunkID = ""
-			cs.Cold = false
-			cs.Gen++
-			cur.Entries[i] = cs
-			changed = true
-			ps.RecachedBytes += int64(len(f.data))
-		}
-		// Cached-bound slots: the bytes are already in place; just unbind.
-		for _, e := range cm.Entries {
-			if e.Dirty || e.ChunkID == "" || !e.Cached {
-				continue
-			}
-			cs, i, ok := recheck(e)
-			if !ok {
-				ps.RacedSkips++
-				continue
-			}
-			swapped = append(swapped, cs)
-			cs.ChunkID = ""
-			cs.Cold = false
-			cs.Gen++
-			cur.Entries[i] = cs
-			changed = true
-		}
-		if !changed {
-			return nil, nil
-		}
-		txn.SetXattr(XattrChunkMap, cur.Marshal())
-		return txn, nil
+			return swapped, len(swapped) == 0, nil
+		},
 	})
-	if err != nil {
-		return err
+	if bound {
+		ps.Recaches++
 	}
-	if len(swapped) == 0 {
-		return nil
-	}
-	ps.Recaches++
-	if s.tier.hookAfterBind != nil && s.tier.hookAfterBind(oid, swapped[0]) {
-		return errCrash // stale refs on the chunks; GC sweeps them
-	}
-	// De-reference the old bindings — after the swap, so no window exists
-	// where a binding points at a chunk whose reference is already gone.
-	for _, old := range swapped {
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: old.Start}
-		fn := decRefFn(ref)
-		if s.cfg.FalsePositiveRefs {
-			fn = dropRefFn(ref)
-		}
-		if derr := gw.Mutate(p, s.chunkPoolFor(old.Cold), old.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-			return derr
-		}
-	}
-	return nil
+	return err
 }
 
 // rededupObject demotes a hot-form object: clean cached-only slots are
@@ -174,44 +109,20 @@ func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Ti
 		return err
 	}
 	ps.Rededups++
-	return retryUnavailable(p, func() error {
-		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		})
-	})
+	return retryUnavailable(p, func() error { return s.setDirty(p, gw, oid, true) })
 }
 
 // evictObject drops the hot-time cached copies of an already-deduplicated
 // object (clean, bound, cached slots), reclaiming metadata-pool space — the
 // per-object form of the cache agent's EvictCold pass.
 func (s *Store) evictObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *TierStats) error {
-	evicted := 0
-	err := gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-		evicted = 0
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		txn := store.NewTxn()
-		for i, e := range cur.Entries {
-			if e.Dirty || !e.Cached || e.ChunkID == "" {
-				continue
-			}
-			cur.Entries[i].Cached = false
-			txn.Zero(e.Start, e.Len())
-			evicted++
-		}
-		if evicted == 0 {
-			return nil, nil
-		}
-		txn.SetXattr(XattrChunkMap, cur.Marshal())
-		return txn, nil
-	})
-	if err != nil || evicted == 0 {
+	var chunks, bytes int64
+	err := gw.Mutate(p, s.meta, oid, evictCleanCachedFn(&chunks, &bytes))
+	if err != nil || chunks == 0 {
 		return err
 	}
 	ps.Evicts++
-	ps.EvictedChunks += int64(evicted)
+	ps.EvictedChunks += chunks
 	return nil
 }
 
@@ -230,11 +141,11 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 		}
 		s.cluster.QoS().WaitTurn(p, qos.Tiering)
 		moved++
-		raced, err := s.migrateChunk(p, gw, oid, e, toCold)
+		bound, err := s.migrateChunk(p, gw, oid, e, toCold)
 		if err != nil {
 			return moved, err
 		}
-		if raced {
+		if !bound {
 			ps.RacedSkips++
 			continue
 		}
@@ -248,93 +159,27 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 	return moved, nil
 }
 
-// migrateChunk moves one binding between chunk pools with the same
-// two-phase, intent-logged reference update as the flush:
-//
-//	phase 1  record a reference intent on the destination pool's chunk
-//	         (creating it from the source copy if absent) with a lease;
-//	phase 2  flip the binding's Cold bit in the chunk map — unless a client
-//	         write raced — making the destination authoritative;
-//	phase 3  commit the intent, then de-reference the source pool's chunk.
-//
-// Crash after 1: no binding points at the destination; the intent expires
-// and GC/audit abort it. Crash after 2: the binding exists, the reference
-// is an expired intent; audit promotes it, and the source chunk's now-dead
-// reference (its binding points at the other pool) is swept by GC. Crash
-// mid-3: commit is idempotent; the stale source reference is GC'd. The same
-// fingerprint may transiently exist in both pools — each pool's copy has
-// its own reference table, and refLiveness judges each against the Cold bit.
-func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry, toCold bool) (raced bool, err error) {
-	src := s.chunkPoolFor(entry.Cold)
-	dst := s.chunkPoolFor(toCold)
-	data, err := gw.Read(p, src, entry.ChunkID, 0, entry.Len())
+// migrateChunk moves one binding between chunk pools: pin the chunk in the
+// destination pool (creating it from the source copy if absent), flip the
+// binding's Cold bit unless the slot changed, release the source pool's
+// chunk. The same fingerprint may transiently exist in both pools — each
+// pool's copy has its own reference table, and refLiveness judges each
+// against the Cold bit. bound=false with a nil error means the slot raced.
+func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry, toCold bool) (bound bool, err error) {
+	data, err := readPadded(p, gw, s.chunkPoolFor(entry.Cold), entry.ChunkID, 0, entry.Len())
 	if err != nil {
 		return false, err
 	}
-	if int64(len(data)) < entry.Len() {
-		data = append(data, make([]byte, entry.Len()-int64(len(data)))...)
-	}
 	ref := Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}
-
-	// Phase 1: intent + chunk write on the destination pool.
-	var intent intentOutcome
-	if err := gw.MutateWithPayload(p, dst, entry.ChunkID, len(data), putIntentFn(data, ref, s.engine.leaseExpiry(p), &intent)); err != nil {
-		return false, err
-	}
-	if s.tier.hookAfterIntent != nil && s.tier.hookAfterIntent(oid, entry) {
-		return false, errCrash // intent expires; GC/audit abort it
-	}
-
-	// Phase 2: flip the Cold bit — only if the slot is exactly as observed.
-	raced = false
-	err = gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		i := cur.Find(entry.Start)
-		if i < 0 {
-			raced = true
-			return nil, nil
-		}
-		cs := cur.Entries[i]
-		if cs.Gen != entry.Gen || cs.ChunkID != entry.ChunkID || cs.Cold != entry.Cold || cs.Dirty {
-			raced = true // newer write or concurrent re-flush; leave it be
-			return nil, nil
-		}
-		cs.Cold = toCold
-		cur.Entries[i] = cs
-		return store.NewTxn().SetXattr(XattrChunkMap, cur.Marshal()), nil
-	})
-	if err != nil || raced {
-		// Roll phase 1 back: the binding still names the source pool, so the
-		// destination intent must not become a reference. Best-effort — a
-		// lost abort is reconciled at lease expiry.
-		if !intent.committed {
-			if aerr := gw.Mutate(p, dst, entry.ChunkID, abortIntentFn(ref, !s.cfg.FalsePositiveRefs)); aerr != nil && !errors.Is(aerr, ErrNotFound) && err == nil {
-				return raced, aerr
+	return s.rebind(p, gw, oid, transition{
+		puts: []chunkPut{{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, data: data, ref: ref}},
+		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {
+			i := cur.Find(entry.Start)
+			if i < 0 || cur.Entries[i] != entry {
+				return nil, true, nil // newer write or concurrent re-flush; leave it be
 			}
-		}
-		return raced, err
-	}
-	if s.tier.hookAfterBind != nil && s.tier.hookAfterBind(oid, entry) {
-		return false, errCrash // audit promotes the intent; GC sweeps the source ref
-	}
-
-	// Phase 3: commit the destination reference, then drop the source one.
-	if !intent.committed {
-		if cerr := retryUnavailable(p, func() error {
-			return gw.Mutate(p, dst, entry.ChunkID, commitIntentFn(ref))
-		}); cerr != nil && !errors.Is(cerr, ErrNotFound) {
-			return false, cerr
-		}
-	}
-	fn := decRefFn(ref)
-	if s.cfg.FalsePositiveRefs {
-		fn = dropRefFn(ref)
-	}
-	if derr := gw.Mutate(p, src, entry.ChunkID, fn); derr != nil && !errors.Is(derr, ErrNotFound) {
-		return false, derr
-	}
-	return false, nil
+			cur.Entries[i].Cold = toCold
+			return []Entry{entry}, false, nil
+		},
+	})
 }
