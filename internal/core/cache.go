@@ -55,14 +55,9 @@ func (cm *TieringPolicy) Adaptive() bool { return cm.adaptive }
 // registry (nil detaches).
 func (cm *TieringPolicy) AttachRegistry(reg *metrics.Registry) { cm.reg = reg }
 
-// RecordAccess notes a client read or write of oid.
-func (cm *TieringPolicy) RecordAccess(now sim.Time, oid string) {
-	cm.tracker.Record(now, oid)
-}
-
-// RecordAccessTenant notes an access and attributes the object to tenant
-// (adaptive mode only; the boolean cache manager has no migration spans to
-// attribute).
+// RecordAccessTenant notes a client read or write of oid and attributes the
+// object to tenant (adaptive mode only; the boolean cache manager has no
+// migration spans to attribute).
 func (cm *TieringPolicy) RecordAccessTenant(now sim.Time, oid, tenant string) {
 	cm.tracker.Record(now, oid)
 	if cm.adaptive && tenant != "" {
@@ -76,10 +71,7 @@ func (cm *TieringPolicy) TenantOf(oid string) string { return cm.tenants[oid] }
 // Hot reports whether oid is currently hot. In adaptive mode hotness is the
 // top temperature band, so it always agrees with TargetForm.
 func (cm *TieringPolicy) Hot(now sim.Time, oid string) bool {
-	if cm.adaptive {
-		return cm.tracker.Temp(now, oid) == hitset.TempHot
-	}
-	return cm.tracker.Hot(now, oid)
+	return cm.Temp(now, oid) == hitset.TempHot
 }
 
 // Temp returns oid's temperature band (adaptive mode; in boolean mode hot

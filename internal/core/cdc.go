@@ -175,6 +175,3 @@ func (cl *Client) cdcWrite(p *sim.Proc, oid string, off int64, data []byte) erro
 	// Log the object for the background engine.
 	return s.setDirty(p, cl.gw, oid, true)
 }
-
-// UseCDC reports whether the store runs in content-defined chunking mode.
-func (s *Store) UseCDC() bool { return s.cfg.CDC != nil }

@@ -130,18 +130,6 @@ func (m *ChunkMap) DirtyEntries() []int {
 	return out
 }
 
-// AllCached reports whether any entry still caches data in the metadata
-// object (false means the object holds "no data but only metadata", Fig. 8
-// object 2).
-func (m *ChunkMap) AnyCached() bool {
-	for _, e := range m.Entries {
-		if e.Cached {
-			return true
-		}
-	}
-	return false
-}
-
 // EntryOverhead is the serialized footprint the paper attributes to one
 // chunk-map entry (§5: "Each chunk entry in chunk map uses 150 bytes").
 // Marshal pads entries to this size so that the space-overhead results

@@ -100,7 +100,7 @@ func TestChunkMapUpsert(t *testing.T) {
 	}
 }
 
-func TestChunkMapDirtyAndCached(t *testing.T) {
+func TestChunkMapDirtyEntries(t *testing.T) {
 	m := &ChunkMap{Entries: []Entry{
 		{Start: 0, End: 10, Dirty: true, Cached: true},
 		{Start: 10, End: 20},
@@ -109,13 +109,6 @@ func TestChunkMapDirtyAndCached(t *testing.T) {
 	d := m.DirtyEntries()
 	if len(d) != 2 || d[0] != 0 || d[1] != 2 {
 		t.Fatalf("dirty = %v", d)
-	}
-	if !m.AnyCached() {
-		t.Fatal("AnyCached false")
-	}
-	m.Entries[0].Cached = false
-	if m.AnyCached() {
-		t.Fatal("AnyCached true with no cached entries")
 	}
 }
 

@@ -40,16 +40,23 @@ func GlobalDedupAnalysis(c *rados.Cluster, pool *rados.Pool, chunkSize int64) Ra
 		if !ok {
 			continue
 		}
-		for _, ch := range chk.Split(0, data) {
-			rep.TotalBytes += int64(len(ch.Data))
-			id := FingerprintID(ch.Data)
-			if !seen[id] {
-				seen[id] = true
-				rep.UniqueBytes += int64(len(ch.Data))
-			}
-		}
+		rep.tally(chk, seen, data)
 	}
 	return rep
+}
+
+// tally chunks data and adds it to the report, counting as unique the
+// chunks whose fingerprint is not yet in seen (the scope of one dedup
+// domain: the cluster, or one OSD).
+func (r *RatioReport) tally(chk chunker.Fixed, seen map[string]bool, data []byte) {
+	for _, ch := range chk.Split(0, data) {
+		r.TotalBytes += int64(len(ch.Data))
+		id := FingerprintID(ch.Data)
+		if !seen[id] {
+			seen[id] = true
+			r.UniqueBytes += int64(len(ch.Data))
+		}
+	}
 }
 
 // LocalDedupAnalysis computes the aggregate ratio achievable when each OSD
@@ -73,14 +80,7 @@ func LocalDedupAnalysis(c *rados.Cluster, pool *rados.Pool, chunkSize int64) Rat
 			if err != nil {
 				continue
 			}
-			for _, ch := range chk.Split(0, data) {
-				rep.TotalBytes += int64(len(ch.Data))
-				fid := FingerprintID(ch.Data)
-				if !seen[fid] {
-					seen[fid] = true
-					rep.UniqueBytes += int64(len(ch.Data))
-				}
-			}
+			rep.tally(chk, seen, data)
 		}
 	}
 	return rep

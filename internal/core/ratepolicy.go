@@ -31,17 +31,9 @@ const ratePolicyTick = 50 * time.Millisecond
 // (paper: 1:100); below the low watermark the full base weight — no
 // limitation.
 func rateWeight(rc RateConfig, base int64, iops float64) int64 {
-	var gap int64
-	switch {
-	case iops > rc.HighIOPS:
-		gap = rc.OpsPerDedupAboveHigh
-	case iops > rc.LowIOPS:
-		gap = rc.OpsPerDedupMid
-	default:
+	gap := rateGap(rc, iops)
+	if gap == 0 {
 		return base
-	}
-	if gap < 1 {
-		gap = 1
 	}
 	if w := base / gap; w > 1 {
 		return w
@@ -54,19 +46,23 @@ func rateWeight(rc RateConfig, base int64, iops float64) int64 {
 // rate. Zero (no limit) below the low watermark, and when there is no
 // measurable foreground rate to couple to.
 func rateLimitInterval(rc RateConfig, iops float64) time.Duration {
-	var gap int64
-	switch {
-	case iops > rc.HighIOPS:
-		gap = rc.OpsPerDedupAboveHigh
-	case iops > rc.LowIOPS:
-		gap = rc.OpsPerDedupMid
-	default:
+	gap := rateGap(rc, iops)
+	if gap == 0 {
 		return 0
 	}
-	if gap < 1 {
-		gap = 1
-	}
 	return time.Duration(float64(gap) / iops * float64(time.Second))
+}
+
+// rateGap returns the watermark band's foreground-I/Os-per-dedup-I/O ratio
+// (at least 1), or 0 below the low watermark: no limitation.
+func rateGap(rc RateConfig, iops float64) int64 {
+	switch {
+	case iops > rc.HighIOPS:
+		return max(rc.OpsPerDedupAboveHigh, 1)
+	case iops > rc.LowIOPS:
+		return max(rc.OpsPerDedupMid, 1)
+	}
+	return 0
 }
 
 // rateTick performs one controller evaluation, retuning the dedup class

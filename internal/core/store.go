@@ -480,7 +480,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 		return cl.cdcWrite(p, oid, off, data)
 	}
 
-	proxyGW, _, err := s.metaPrimaryGW(oid, qos.Client)
+	proxyGW, hostName, err := s.metaPrimaryGW(oid, qos.Client)
 	if err != nil {
 		return err
 	}
@@ -531,11 +531,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	if s.cfg.Mode == ModeFlushThrough {
 		// "Proposed-flush": deduplicate immediately (Fig. 10 worst case). The
 		// flush gates the client's ack, so it submits in the client class.
-		gw, hostName, err := s.metaPrimaryGW(oid, qos.Client)
-		if err != nil {
-			return err
-		}
-		return s.engine.flushObject(p, gw, hostName, oid, true)
+		return s.engine.flushObject(p, proxyGW, hostName, oid, true)
 	}
 	return nil
 }

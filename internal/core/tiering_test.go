@@ -32,9 +32,9 @@ func coolDown(p *sim.Proc) { p.Sleep(700 * time.Millisecond) }
 
 // heat records accesses in two consecutive slices, grading oid hot.
 func heat(p *sim.Proc, e *env, oid string) {
-	e.s.cache.RecordAccess(p.Now(), oid)
+	e.s.cache.RecordAccessTenant(p.Now(), oid, "")
 	p.Sleep(110 * time.Millisecond)
-	e.s.cache.RecordAccess(p.Now(), oid)
+	e.s.cache.RecordAccessTenant(p.Now(), oid, "")
 }
 
 // entries reads oid's chunk map.
@@ -183,7 +183,7 @@ func TestTierPassLifecycle(t *testing.T) {
 
 		// One access → warm → promote back into the replicated pool.
 		coolDown(p)
-		e.s.cache.RecordAccess(p.Now(), "obj")
+		e.s.cache.RecordAccessTenant(p.Now(), "obj", "")
 		ps, err = e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func TestTierSharedChunkAcrossPools(t *testing.T) {
 			t.Fatalf("%d warm chunks, want 1 (shared)", n)
 		}
 		coolDown(p)
-		e.s.cache.RecordAccess(p.Now(), "worker") // keep one side warm
+		e.s.cache.RecordAccessTenant(p.Now(), "worker", "") // keep one side warm
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
