@@ -87,7 +87,7 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 	newAt := make(map[int64]string, len(split))
 	for i, c := range split {
 		id := FingerprintID(c.Data)
-		puts[i] = chunkPut{pool: s.chunk, id: id, data: c.Data, ref: Ref{Pool: s.meta.ID, OID: oid, Offset: c.Offset}}
+		puts[i] = chunkPut{pool: s.chunk, id: id, data: c.Data, off: c.Offset}
 		next[i] = Entry{Start: c.Offset, End: c.End(), ChunkID: id}
 		newAt[c.Offset] = id
 	}

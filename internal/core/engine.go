@@ -386,7 +386,7 @@ func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid
 	existedBefore := false
 	if !samePlace {
 		existedBefore, _ = gw.Exists(p, newPool, newID)
-		puts = []chunkPut{{pool: newPool, id: newID, data: data, ref: Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}}}
+		puts = []chunkPut{{pool: newPool, id: newID, data: data, off: entry.Start}}
 		unbound = []Entry{entry}
 	}
 	keepCached := false

@@ -52,8 +52,7 @@ func TestRebindTable(t *testing.T) {
 						for i := 0; i < nPuts; i++ {
 							data := mkData(byte(i+1), 4096)
 							off := int64(i) * 4096
-							puts = append(puts, chunkPut{pool: e.s.chunk, id: FingerprintID(data), data: data,
-								ref: Ref{Pool: e.s.meta.ID, OID: "obj", Offset: off}})
+							puts = append(puts, chunkPut{pool: e.s.chunk, id: FingerprintID(data), data: data, off: off})
 							next = append(next, Entry{Start: off, End: off + 4096, ChunkID: FingerprintID(data)})
 						}
 						if nPuts == 0 { // release-only: unbind the slot, keep its bytes cached

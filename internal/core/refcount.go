@@ -392,13 +392,13 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 
 // --- The chunk-map transition (§4.6) -----------------------------------------
 
-// chunkPut is one chunk a transition binds: phase 1 pins it under ref in
-// pool, creating the chunk object from data if absent.
+// chunkPut is one chunk a transition binds at offset off of its object:
+// phase 1 pins it in pool, creating the chunk object from data if absent.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
 	data []byte
-	ref  Ref
+	off  int64
 }
 
 // transition states one change to an object's chunk map: which chunks to pin
@@ -459,12 +459,13 @@ var errCrash = errors.New("core: injected crash")
 // put or bind error already explains the failure.
 func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition) (bound bool, err error) {
 	strict := !s.cfg.FalsePositiveRefs
+	ref := func(put chunkPut) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: put.off} }
 	// Intents this call recorded and must settle. A put whose reference is
 	// already committed (idempotent re-run) records none.
 	var intents []chunkPut
 	abort := func(cause error) error {
 		for _, put := range intents {
-			err := gw.Mutate(p, put.pool, put.id, abortIntentFn(put.ref, strict))
+			err := gw.Mutate(p, put.pool, put.id, abortIntentFn(ref(put), strict))
 			if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
 				cause = err
 			}
@@ -474,7 +475,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	for _, put := range t.puts {
 		var out intentOutcome
 		expiry := p.Now() + sim.Time(s.cfg.IntentLease)
-		if err := gw.MutateWithPayload(p, put.pool, put.id, len(put.data), putIntentFn(put.data, put.ref, expiry, &out)); err != nil {
+		if err := gw.MutateWithPayload(p, put.pool, put.id, len(put.data), putIntentFn(put.data, ref(put), expiry, &out)); err != nil {
 			return false, abort(err)
 		}
 		if !out.committed {
@@ -513,7 +514,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	// promote the expired intent: the protocol converges either way.
 	for _, put := range intents {
 		err := retryUnavailable(p, func() error {
-			return gw.Mutate(p, put.pool, put.id, commitIntentFn(put.ref))
+			return gw.Mutate(p, put.pool, put.id, commitIntentFn(ref(put)))
 		})
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return true, err

@@ -170,9 +170,8 @@ func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry E
 	if err != nil {
 		return false, err
 	}
-	ref := Ref{Pool: s.meta.ID, OID: oid, Offset: entry.Start}
 	return s.rebind(p, gw, oid, transition{
-		puts: []chunkPut{{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, data: data, ref: ref}},
+		puts: []chunkPut{{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, data: data, off: entry.Start}},
 		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {
 			i := cur.Find(entry.Start)
 			if i < 0 || cur.Entries[i] != entry {
