@@ -421,7 +421,7 @@ type transition struct {
 // rebindHooks are simulated crash points inside rebind (tests only). A hook
 // returning true abandons the transition at that point, as a crash would.
 type rebindHooks struct {
-	afterIntent  func(oid string) bool // intents recorded, map untouched
+	afterIntent  func(oid string) bool // intents recorded, map untouched (transitions with puts only)
 	afterBind    func(oid string) bool // map rewritten, intents uncommitted
 	afterRelease func(oid string) bool // everything landed
 }
@@ -485,7 +485,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	if t.pinned != nil {
 		t.pinned()
 	}
-	if h := s.hooks.afterIntent; h != nil && h(oid) {
+	if h := s.hooks.afterIntent; h != nil && len(t.puts) > 0 && h(oid) {
 		return false, errCrash
 	}
 

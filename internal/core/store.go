@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -179,10 +178,6 @@ type Store struct {
 	// verification and the under-lock sweep of each chunk, so tests can
 	// inject a racing reference mutation into exactly that window.
 	gcHookBeforeSweep func(p *sim.Proc, chunkOID string)
-	// readHookAfterPeek (tests only) runs between a client read's chunk-map
-	// peek and its data reads, so tests can land a flush or migration in
-	// exactly that window.
-	readHookAfterPeek func(p *sim.Proc, oid string)
 }
 
 // Open creates (or errors on existing) the metadata and chunk pools and
@@ -583,125 +578,52 @@ func (cl *Client) read(p *sim.Proc, oid string, off, length int64) ([]byte, erro
 		return nil, nil
 	}
 	out := make([]byte, length)
+	idxs := cm.FindRange(off, length)
 	proxyGW, _, err := s.metaPrimaryGW(oid, qos.Client)
 	if err != nil {
 		return nil, err
 	}
+	var sigs []*sim.Signal
+	var firstErr error
 	proxied := 0
-	todo := spansOf(cm, off, off+length)
-	for try := 1; ; try++ {
-		if s.readHookAfterPeek != nil {
-			s.readHookAfterPeek(p, oid)
+	for _, i := range idxs {
+		e := cm.Entries[i]
+		rStart := max(off, e.Start)
+		rEnd := min(off+length, e.End)
+		if rStart >= rEnd {
+			continue
 		}
-		errs := make([]error, len(todo))
-		var sigs []*sim.Signal
-		for i, sp := range todo {
-			if sp.e.Cached {
-				sigs = append(sigs, p.Go("read-cached", func(q *sim.Proc) {
-					var data []byte
-					data, errs[i] = cl.gw.Read(q, s.meta, oid, sp.start, sp.end-sp.start)
-					copy(out[sp.start-off:], data)
-				}))
-				continue
-			}
-			// Redirection: metadata primary fetches from the chunk pool, then
-			// forwards to the client.
-			proxied += int(sp.end - sp.start)
-			sigs = append(sigs, p.Go("read-redirect", func(q *sim.Proc) {
-				data, err := proxyGW.Read(q, s.chunkPoolFor(sp.e.Cold), sp.e.ChunkID, sp.start-sp.e.Start, sp.end-sp.start)
+		if e.Cached {
+			sigs = append(sigs, p.Go("read-cached", func(q *sim.Proc) {
+				data, err := cl.gw.Read(q, s.meta, oid, rStart, rEnd-rStart)
 				if err != nil {
-					errs[i] = fmt.Errorf("core: chunk %s: %w", sp.e.ChunkID, err)
+					firstErr = err
+					return
 				}
-				copy(out[sp.start-off:], data)
+				copy(out[rStart-off:], data)
 			}))
+			continue
 		}
-		sim.WaitAll(p, sigs...)
-
-		// The map was peeked an instant before the data was read, and a
-		// background mover may have landed in between. Peek again (uncharged,
-		// so the quiet path costs nothing) and re-read just the ranges that
-		// may have been read from a place their bytes had left; a failed
-		// range whose binding did not move failed for real.
-		was := raw
-		if raw, err = cl.gw.PeekXattr(s.meta, oid, XattrChunkMap); err != nil {
-			return nil, err
-		}
-		var moved []readSpan
-		if !bytes.Equal(raw, was) {
-			if cm, err = UnmarshalChunkMap(raw); err != nil {
-				return nil, err
-			}
-			for i, sp := range todo {
-				if now := spansOf(cm, sp.start, sp.end); !sp.stillGood(now, errs[i]) {
-					moved = append(moved, now...)
-					errs[i] = nil
-				}
-			}
-		}
-		for _, err := range errs {
+		// Redirection: metadata primary fetches from the chunk pool, then
+		// forwards to the client.
+		proxied += int(rEnd - rStart)
+		sigs = append(sigs, p.Go("read-redirect", func(q *sim.Proc) {
+			data, err := proxyGW.Read(q, s.chunkPoolFor(e.Cold), e.ChunkID, rStart-e.Start, rEnd-rStart)
 			if err != nil {
-				return nil, err
+				firstErr = fmt.Errorf("core: chunk %s: %w", e.ChunkID, err)
+				return
 			}
-		}
-		if len(moved) == 0 {
-			break
-		}
-		if try == readTries {
-			return nil, fmt.Errorf("core: read %s: chunk map moved under %d consecutive tries", oid, readTries)
-		}
-		todo = moved
+			copy(out[rStart-off:], data)
+		}))
+	}
+	sim.WaitAll(p, sigs...)
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if proxied > 0 {
 		cl.gw.ClientXfer(p, proxied) // final hop: metadata primary -> client
 	}
 	return out, nil
-}
-
-// readTries bounds how often one read chases a chunk map that keeps moving
-// under it before giving up.
-const readTries = 4
-
-// readSpan is one byte range of a client read and the chunk-map entry it
-// is planned against.
-type readSpan struct {
-	e          Entry
-	start, end int64
-}
-
-// spansOf clips the entries of cm overlapping [start, end) to that range.
-func spansOf(cm *ChunkMap, start, end int64) []readSpan {
-	var out []readSpan
-	for _, e := range cm.Entries {
-		if from, to := max(start, e.Start), min(end, e.End); from < to {
-			out = append(out, readSpan{e: e, start: from, end: to})
-		}
-	}
-	return out
-}
-
-// stillGood reports whether what the span's data read returned can stand,
-// given the entries now covering its range (dirty bits aside: a flush clears
-// them without moving anything). An unchanged binding stands, error and all.
-// A redirected read stands if it succeeded: chunks are immutable and
-// content-addressed, so a chunk that could be read held exactly the slot's
-// bytes at peek time, wherever the binding went since; only a chunk released
-// under the read needs the new binding. A cached read came from the mutable
-// metadata object, where a flush's bind-and-evict zeroes the range: it
-// stands only if the slot is still cached and still names the same chunk (an
-// overlapping client write changes neither, and either side of it is a
-// correct answer).
-func (sp readSpan) stillGood(now []readSpan, readErr error) bool {
-	if len(now) == 1 {
-		was, is := sp.e, now[0].e
-		was.Dirty, is.Dirty = false, false
-		if was == is {
-			return true
-		}
-		if was.Cached && is.Cached && was.ChunkID == is.ChunkID {
-			return readErr == nil
-		}
-	}
-	return !sp.e.Cached && readErr == nil
 }
 
 // Stat returns the object's logical size from its chunk map.
