@@ -1,7 +1,7 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race check-tests bench-module kernel-bench profile golden golden-write bench-json bench-compare fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json bench-compare fuzz-smoke fmt-check
 
-verify: vet build test check-tests bench-module
+verify: vet build test check-tests check-seams bench-module
 
 vet:
 	go vet ./...
@@ -31,6 +31,18 @@ race:
 # Every internal package must ship tests.
 check-tests:
 	sh scripts/check-tests.sh
+
+# Only internal/rados/osd.go may change an OSD's objects or name its
+# fingerprint index (besides fpindex.go's attach/stats/verify).
+check-seams:
+	sh scripts/check-seams.sh
+
+# The line counts PR messages report: non-test Go outside the benchmark
+# module and its build cache, then the two packages ROADMAP item 3 targets.
+lines:
+	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'internal/core:              '; find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/rados:             '; find internal/rados -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # The benchmark (bench/, the command BENCHMARK.json names) is a module of its
 # own, invisible to the root ./... patterns: vet and test it here so drift in

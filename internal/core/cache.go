@@ -4,7 +4,6 @@ import (
 	"dedupstore/internal/hitset"
 	"dedupstore/internal/metrics"
 	"dedupstore/internal/sim"
-	"dedupstore/internal/tiering"
 )
 
 // TieringPolicy decides where each object's bytes should live. It
@@ -69,7 +68,7 @@ func (cm *TieringPolicy) RecordAccessTenant(now sim.Time, oid, tenant string) {
 func (cm *TieringPolicy) TenantOf(oid string) string { return cm.tenants[oid] }
 
 // Hot reports whether oid is currently hot. In adaptive mode hotness is the
-// top temperature band, so it always agrees with TargetForm.
+// top temperature band, so it always agrees with the migration target.
 func (cm *TieringPolicy) Hot(now sim.Time, oid string) bool {
 	return cm.Temp(now, oid) == hitset.TempHot
 }
@@ -84,11 +83,6 @@ func (cm *TieringPolicy) Temp(now sim.Time, oid string) hitset.Temperature {
 		return hitset.TempHot
 	}
 	return hitset.TempCold
-}
-
-// TargetForm returns the redundancy form oid's temperature earns it.
-func (cm *TieringPolicy) TargetForm(now sim.Time, oid string) tiering.Form {
-	return tiering.FormFor(cm.Temp(now, oid))
 }
 
 // SkipFlush reports whether the dedup engine should defer deduplicating oid

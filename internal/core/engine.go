@@ -107,7 +107,7 @@ func (e *Engine) workerLoop(p *sim.Proc) {
 			if e.draining && len(e.claimed) == 0 {
 				return
 			}
-			p.Sleep(s.cfg.ScanInterval)
+			p.Sleep(scanInterval)
 			continue
 		}
 		gw, hostName, err := s.metaPrimaryGW(oid, qos.Dedup)

@@ -129,7 +129,7 @@ func TestCrashStormConverges(t *testing.T) {
 	e.s.hooks = rebindHooks{}
 	e.drain(t)
 	e.run(t, func(p *sim.Proc) {
-		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		p.Sleep(intentLease + time.Second)
 		if _, err := e.s.Audit(p); err != nil {
 			t.Error(err)
 		}

@@ -188,7 +188,7 @@ func TestFlushKillWindows(t *testing.T) {
 						e.s.Engine().DrainAndWait(p)
 					}
 
-					p.Sleep(e.s.cfg.IntentLease + time.Second)
+					p.Sleep(intentLease + time.Second)
 					audit, err := e.s.Audit(p)
 					if err != nil {
 						t.Fatal(err)

@@ -474,7 +474,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	}
 	for _, put := range t.puts {
 		var out intentOutcome
-		expiry := p.Now() + sim.Time(s.cfg.IntentLease)
+		expiry := p.Now() + sim.Time(intentLease)
 		if err := gw.MutateWithPayload(p, put.pool, put.id, len(put.data), putIntentFn(put.data, ref(put), expiry, &out)); err != nil {
 			return false, abort(err)
 		}

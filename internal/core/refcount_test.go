@@ -130,7 +130,7 @@ func TestGCIncrefRaceSkipsSweep(t *testing.T) {
 		}
 		raced++
 		gw := e.s.hostGW(anyHost(e.s))
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(e.s.cfg.IntentLease), nil)); err != nil {
+		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), nil)); err != nil {
 			t.Errorf("racing intent: %v", err)
 		}
 		cm := &ChunkMap{Entries: []Entry{{Start: 0, End: 4096, ChunkID: chunkOID}}}

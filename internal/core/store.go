@@ -60,12 +60,6 @@ type TieringConfig struct {
 	// policy daemon migrates objects whose temperature drifted from their
 	// placement. Requires ModePostProcess and static chunking.
 	Enabled bool
-	// ColdPoolName names the EC chunk pool (default "chunkcold").
-	ColdPoolName string
-	// ColdRedundancy is the cold pool's protection (default EC 2+1).
-	ColdRedundancy rados.Redundancy
-	// ColdDeviceClass pins the cold pool to a device class ("" = any).
-	ColdDeviceClass string
 	// Interval is the policy daemon's pass period (default 1s).
 	Interval time.Duration
 	// MaxMigrationsPerPass caps chunk moves (promote+demote) per daemon
@@ -79,12 +73,28 @@ func DefaultTiering() TieringConfig {
 	return TieringConfig{Enabled: true}
 }
 
+// The metadata pool, the replicated chunk pool (§4.2) and, under tiering,
+// the EC 2+1 cold chunk pool.
+const (
+	metaPoolName  = "meta"
+	chunkPoolName = "chunk"
+	coldPoolName  = "chunkcold"
+)
+
+// scanInterval is the idle poll period of the background workers.
+const scanInterval = 50 * time.Millisecond
+
+// intentLease is the lifetime of a phase-1 reference intent (see
+// refcount.go): GC and the audit pass leave an intent alone until this
+// much sim-time has passed since the flush recorded it, then reconcile
+// it (promote if the chunk map binds the chunk, abort otherwise). Must
+// comfortably exceed the flush's worst-case bind-to-commit latency.
+const intentLease = 2 * time.Second
+
 // Config configures a dedup Store.
 type Config struct {
 	// ChunkSize is the static chunking size (paper default 32 KiB, §6.1).
 	ChunkSize int64
-	// MetaPoolName / ChunkPoolName name the two pools (§4.2).
-	MetaPoolName, ChunkPoolName string
 	// MetaRedundancy / ChunkRedundancy are each pool's protection scheme
 	// ("each pool can separately select redundancy scheme", §4.2).
 	MetaRedundancy, ChunkRedundancy rados.Redundancy
@@ -106,17 +116,9 @@ type Config struct {
 	// FlushParallel bounds concurrent chunk flushes within one object's
 	// flush (each worker pipelines this many chunk I/Os).
 	FlushParallel int
-	// ScanInterval is the idle poll period of the background workers.
-	ScanInterval time.Duration
 	// FalsePositiveRefs enables the §4.6 variant: no locking on decrement;
 	// zero-reference chunks are reclaimed by the garbage collector instead.
 	FalsePositiveRefs bool
-	// IntentLease is the lifetime of a phase-1 reference intent (see
-	// refcount.go): GC and the audit pass leave an intent alone until this
-	// much sim-time has passed since the flush recorded it, then reconcile
-	// it (promote if the chunk map binds the chunk, abort otherwise). Must
-	// comfortably exceed the flush's worst-case bind-to-commit latency.
-	IntentLease time.Duration
 	// CDC switches the background flush to content-defined chunking (an
 	// extension of the paper's design; the paper uses static chunking for
 	// its lower CPU cost, §5). Only valid with ModePostProcess. ChunkSize
@@ -139,8 +141,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		ChunkSize:       32 << 10,
-		MetaPoolName:    "meta",
-		ChunkPoolName:   "chunk",
 		MetaRedundancy:  rados.ReplicatedN(2),
 		ChunkRedundancy: rados.ReplicatedN(2),
 		PGNum:           64,
@@ -149,8 +149,6 @@ func DefaultConfig() Config {
 		HitSet:          hitset.DefaultConfig(),
 		DedupThreads:    2,
 		FlushParallel:   8,
-		ScanInterval:    50 * time.Millisecond,
-		IntentLease:     2 * time.Second,
 	}
 }
 
@@ -206,31 +204,19 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		if cfg.CDC != nil {
 			return nil, errors.New("core: tiering requires static chunking (no CDC)")
 		}
-		if cfg.Tiering.ColdPoolName == "" {
-			cfg.Tiering.ColdPoolName = "chunkcold"
-		}
-		if cfg.Tiering.ColdRedundancy == (rados.Redundancy{}) {
-			cfg.Tiering.ColdRedundancy = rados.ErasureKM(2, 1)
-		}
 		if cfg.Tiering.Interval <= 0 {
 			cfg.Tiering.Interval = time.Second
 		}
 	}
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 50 * time.Millisecond
-	}
-	if cfg.IntentLease <= 0 {
-		cfg.IntentLease = 2 * time.Second
-	}
 	meta, err := cluster.CreatePool(rados.PoolConfig{
-		Name: cfg.MetaPoolName, PGNum: cfg.PGNum, Redundancy: cfg.MetaRedundancy,
+		Name: metaPoolName, PGNum: cfg.PGNum, Redundancy: cfg.MetaRedundancy,
 		DeviceClass: cfg.MetaDeviceClass,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: create metadata pool: %w", err)
 	}
 	chunk, err := cluster.CreatePool(rados.PoolConfig{
-		Name: cfg.ChunkPoolName, PGNum: cfg.PGNum, Redundancy: cfg.ChunkRedundancy,
+		Name: chunkPoolName, PGNum: cfg.PGNum, Redundancy: cfg.ChunkRedundancy,
 		DeviceClass: cfg.ChunkDeviceClass,
 	})
 	if err != nil {
@@ -253,8 +239,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{
-			Name: cfg.Tiering.ColdPoolName, PGNum: cfg.PGNum, Redundancy: cfg.Tiering.ColdRedundancy,
-			DeviceClass: cfg.Tiering.ColdDeviceClass,
+			Name: coldPoolName, PGNum: cfg.PGNum, Redundancy: rados.ErasureKM(2, 1),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: create cold chunk pool: %w", err)
@@ -437,7 +422,7 @@ func (cl *Client) SetTenant(tenant string) {
 func (cl *Client) startOp(p *sim.Proc, kind string, st *clientOpStats, bytes int) clientOpCtx {
 	sp := cl.s.cluster.Trace().Start(p, kind)
 	if sp != nil {
-		sp.SetOp(cl.s.cfg.MetaPoolName, "", int64(bytes)).SetTenant(cl.tenant)
+		sp.SetOp(metaPoolName, "", int64(bytes)).SetTenant(cl.tenant)
 	}
 	return clientOpCtx{sp: sp, st: st, start: p.Now()}
 }

@@ -195,7 +195,7 @@ func tierObjectState(cm *ChunkMap) (tiering.ObjectState, int64) {
 // it consumed from the pass's migration budget.
 func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, act tiering.Action, budget int, ps *TierStats) (moved int, err error) {
 	sp := s.cluster.Trace().Start(p, "tier."+act.String()).
-		SetOp(s.cfg.MetaPoolName, "", 0).
+		SetOp(metaPoolName, "", 0).
 		SetTenant(s.cache.TenantOf(oid)).
 		SetClass(qos.Tiering.String())
 	s.tier.inFlight++

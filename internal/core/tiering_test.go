@@ -87,11 +87,11 @@ func TestTieringOpenValidation(t *testing.T) {
 	if s.ColdChunkPool() == nil {
 		t.Fatal("tiering enabled but no cold pool")
 	}
-	if got := s.Config().Tiering.ColdPoolName; got != "chunkcold" {
-		t.Fatalf("default cold pool name = %q", got)
+	if got := s.ColdChunkPool().Name; got != "chunkcold" {
+		t.Fatalf("cold pool name = %q", got)
 	}
-	if got := s.Config().Tiering.ColdRedundancy; got != rados.ErasureKM(2, 1) {
-		t.Fatalf("default cold redundancy = %+v", got)
+	if got := s.ColdChunkPool().Red; got != rados.ErasureKM(2, 1) {
+		t.Fatalf("cold redundancy = %+v", got)
 	}
 	if !s.Cache().Adaptive() {
 		t.Fatal("tiering should put the policy in adaptive mode")
@@ -357,7 +357,7 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 			}
 		}
 		// Post-mortem: lease expiry, then the reconcilers.
-		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		p.Sleep(intentLease + time.Second)
 		gcStats, err := e.s.GC(p)
 		if err != nil {
 			t.Fatal(err)
@@ -404,7 +404,7 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 				t.Fatal("binding should have flipped before the crash")
 			}
 		}
-		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		p.Sleep(intentLease + time.Second)
 		auditStats, err := e.s.Audit(p)
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +450,7 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		if got, _ := e.cl.Read(p, "obj", 0, -1); !bytes.Equal(got, data) {
 			t.Fatal("read mismatch after crashed recache")
 		}
-		p.Sleep(e.s.cfg.IntentLease + time.Second)
+		p.Sleep(intentLease + time.Second)
 		gcStats, err := e.s.GC(p)
 		if err != nil {
 			t.Fatal(err)

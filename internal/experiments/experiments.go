@@ -33,10 +33,7 @@ type Scale struct {
 	capture *TraceCapture
 }
 
-// DefaultScale is used by the CLI.
-func DefaultScale() Scale { return Scale{Data: 1.0} }
-
-// QuickScale is used by `go test -bench` to keep iterations fast.
+// QuickScale keeps the package's own tests fast.
 func QuickScale() Scale { return Scale{Data: 0.25} }
 
 func (s Scale) bytes(n int64) int64 {

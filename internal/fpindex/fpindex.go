@@ -44,33 +44,33 @@ type Config struct {
 	// LevelFanout is the max tables per level before compaction merges the
 	// level into the next one.
 	LevelFanout int
-	// EntryBytes models the on-disk bytes an entry occupies beyond its key
+}
+
+// The cost model's fixed terms.
+const (
+	// entryBytes models the on-disk bytes an entry occupies beyond its key
 	// (sequence number, size hint, tombstone flag, framing).
-	EntryBytes int
-	// BloomCheckCost is the CPU time per bloom-filter membership probe.
-	BloomCheckCost time.Duration
-	// SearchCost is the CPU time to binary-search one data block.
-	SearchCost time.Duration
+	entryBytes = 16
+	// bloomCheckCost is the CPU time per bloom-filter membership probe.
+	bloomCheckCost = 200 * time.Nanosecond
+	// searchCost is the CPU time to binary-search one data block.
+	searchCost = 500 * time.Nanosecond
 	// CompactEvery is how often the background compactor polls for levels
 	// over their fanout.
-	CompactEvery time.Duration
-}
+	CompactEvery = 25 * time.Millisecond
+)
 
 // DefaultConfig returns an enabled index sized for tens of thousands of
 // fingerprints per OSD: small enough that experiments can push the table
 // set past the block cache without gigabyte workloads.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:        true,
-		MemtableBytes:  64 << 10,
-		BlockBytes:     4 << 10,
-		CacheBytes:     256 << 10,
-		BloomFP:        0.01,
-		LevelFanout:    4,
-		EntryBytes:     16,
-		BloomCheckCost: 200 * time.Nanosecond,
-		SearchCost:     500 * time.Nanosecond,
-		CompactEvery:   25 * time.Millisecond,
+		Enabled:       true,
+		MemtableBytes: 64 << 10,
+		BlockBytes:    4 << 10,
+		CacheBytes:    256 << 10,
+		BloomFP:       0.01,
+		LevelFanout:   4,
 	}
 }
 
@@ -90,18 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LevelFanout < 2 {
 		c.LevelFanout = d.LevelFanout
-	}
-	if c.EntryBytes <= 0 {
-		c.EntryBytes = d.EntryBytes
-	}
-	if c.BloomCheckCost <= 0 {
-		c.BloomCheckCost = d.BloomCheckCost
-	}
-	if c.SearchCost <= 0 {
-		c.SearchCost = d.SearchCost
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = d.CompactEvery
 	}
 	return c
 }
@@ -178,14 +166,11 @@ func New(cfg Config, io IO) *Index {
 	return &Index{
 		cfg:    cfg,
 		io:     io,
-		mem:    newMemtable(cfg.EntryBytes),
+		mem:    newMemtable(),
 		cache:  newBlockCache(cfg.CacheBytes),
 		levels: make([][]*sstable, 0, 4),
 	}
 }
-
-// Config returns the index's effective (defaulted) configuration.
-func (x *Index) Config() Config { return x.cfg }
 
 func (x *Index) charge(p *sim.Proc, ch charges) {
 	if p == nil {
@@ -333,7 +318,7 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 		tables := x.levels[li]
 		for ti := len(tables) - 1; ti >= 0; ti-- {
 			t := tables[ti]
-			ch.cpu += x.cfg.BloomCheckCost
+			ch.cpu += bloomCheckCost
 			x.st.bloomChecks++
 			if !t.filter.ContainsString(key) {
 				x.st.bloomNegatives++
@@ -356,7 +341,7 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 				ch.read += t.blockBytes[b]
 				x.cache.add(bk, t.blockBytes[b])
 			}
-			ch.cpu += x.cfg.SearchCost
+			ch.cpu += searchCost
 			if e, ok := t.get(key, b); ok {
 				return !e.del
 			}
@@ -420,18 +405,6 @@ func (x *Index) compactLocked(ch *charges) bool {
 		}
 		x.st.compactions++
 		return true
-	}
-	return false
-}
-
-// CompactionDue reports whether any level exceeds its fanout.
-func (x *Index) CompactionDue() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for _, lvl := range x.levels {
-		if len(lvl) > x.cfg.LevelFanout {
-			return true
-		}
 	}
 	return false
 }

@@ -6,18 +6,17 @@ import "sort"
 // written fingerprint, byte-accounted against the flush threshold. It is
 // volatile — a crash loses it, which is exactly what the WAL replays.
 type memtable struct {
-	entries    map[string]entry
-	bytes      int
-	entryBytes int
+	entries map[string]entry
+	bytes   int
 }
 
-func newMemtable(entryBytes int) *memtable {
-	return &memtable{entries: make(map[string]entry), entryBytes: entryBytes}
+func newMemtable() *memtable {
+	return &memtable{entries: make(map[string]entry)}
 }
 
 func (m *memtable) put(key string, e entry) {
 	if _, ok := m.entries[key]; !ok {
-		m.bytes += len(key) + m.entryBytes
+		m.bytes += len(key) + entryBytes
 	}
 	m.entries[key] = e
 }

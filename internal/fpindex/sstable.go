@@ -44,7 +44,7 @@ func buildSSTable(id uint64, recs []kv, cfg Config) *sstable {
 			t.maxSeq = r.ent.seq
 		}
 		t.filter.AddString(r.key)
-		sz := len(r.key) + cfg.EntryBytes
+		sz := len(r.key) + entryBytes
 		if cur == 0 || cur+sz > cfg.BlockBytes {
 			t.blockStart = append(t.blockStart, i)
 			t.blockBytes = append(t.blockBytes, 0)

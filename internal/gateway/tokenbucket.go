@@ -38,8 +38,6 @@ type TokenBucket struct {
 	last   sim.Time // virtual time tokens were last accrued to
 
 	starved *sim.Cond // parks takers while rate is 0 and tokens are short
-	takes   int64     // ops admitted
-	waits   int64     // ops that had to wait for refill
 }
 
 // NewTokenBucket returns a bucket holding burst tokens (minimum 1),
@@ -60,9 +58,6 @@ func (b *TokenBucket) Rate() int64 { return b.rate }
 
 // Burst returns the bucket capacity.
 func (b *TokenBucket) Burst() int64 { return b.burst }
-
-// Waits reports how many takes had to wait for a refill.
-func (b *TokenBucket) Waits() int64 { return b.waits }
 
 // mulDiv returns a*b/c through a 128-bit intermediate, saturating at
 // MaxInt64. All arguments must be non-negative and c positive.
@@ -137,7 +132,6 @@ func (b *TokenBucket) TryTake(now sim.Time, n int64) bool {
 		return false
 	}
 	b.tokens -= n
-	b.takes++
 	return true
 }
 
@@ -149,18 +143,12 @@ func (b *TokenBucket) TryTake(now sim.Time, n int64) bool {
 func (b *TokenBucket) Take(p *sim.Proc, n int64) time.Duration {
 	n = b.clamp(n)
 	start := p.Now()
-	waited := false
 	for {
 		b.refill(p.Now())
 		if b.tokens >= n {
 			b.tokens -= n
-			b.takes++
-			if waited {
-				b.waits++
-			}
 			return (p.Now() - start).Duration()
 		}
-		waited = true
 		if b.rate <= 0 {
 			b.starved.Wait(p)
 			continue

@@ -23,7 +23,6 @@ type Slice struct {
 type Tracker struct {
 	period    time.Duration
 	retain    int
-	perSlice  uint64
 	slices    []*Slice // slices[len-1] is the open one
 	lastRoll  sim.Time
 	hitCount  int
@@ -64,14 +63,15 @@ func (t Temperature) String() string {
 // Temperatures lists the levels from cold to hot.
 func Temperatures() []Temperature { return []Temperature{TempCold, TempWarm, TempHot} }
 
+// expectedPerSlice sizes each slice's bloom filter.
+const expectedPerSlice = 4096
+
 // Config controls HitSet behaviour.
 type Config struct {
 	// Period is the wall time each slice covers (paper: per second).
 	Period time.Duration
 	// Retain is how many closed slices are kept for hotness queries.
 	Retain int
-	// ExpectedPerSlice sizes each slice's bloom filter.
-	ExpectedPerSlice uint64
 	// HitCount is the hotness threshold: an object seen in at least HitCount
 	// of the retained slices is hot.
 	HitCount int
@@ -90,7 +90,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's setup: per-second HitSets.
 func DefaultConfig() Config {
-	return Config{Period: time.Second, Retain: 8, ExpectedPerSlice: 4096, HitCount: 2,
+	return Config{Period: time.Second, Retain: 8, HitCount: 2,
 		Decay: 0.5, HotDecayed: 1.25, WarmDecayed: 0.25}
 }
 
@@ -101,9 +101,6 @@ func New(cfg Config) *Tracker {
 	}
 	if cfg.Retain < 1 {
 		cfg.Retain = 1
-	}
-	if cfg.ExpectedPerSlice == 0 {
-		cfg.ExpectedPerSlice = 4096
 	}
 	if cfg.HitCount < 1 {
 		cfg.HitCount = 1
@@ -117,14 +114,14 @@ func New(cfg Config) *Tracker {
 	if cfg.WarmDecayed <= 0 {
 		cfg.WarmDecayed = 0.25
 	}
-	t := &Tracker{period: cfg.Period, retain: cfg.Retain, perSlice: cfg.ExpectedPerSlice, hitCount: cfg.HitCount,
+	t := &Tracker{period: cfg.Period, retain: cfg.Retain, hitCount: cfg.HitCount,
 		decay: cfg.Decay, hotDecayed: cfg.HotDecayed, warmAt: cfg.WarmDecayed}
 	t.slices = []*Slice{t.newSlice(0)}
 	return t
 }
 
 func (t *Tracker) newSlice(at sim.Time) *Slice {
-	return &Slice{Start: at, filter: bloom.NewWithEstimates(t.perSlice, 0.01)}
+	return &Slice{Start: at, filter: bloom.NewWithEstimates(expectedPerSlice, 0.01)}
 }
 
 func (t *Tracker) roll(now sim.Time) {

@@ -247,9 +247,6 @@ func (g *Group) NewScheduler(res *sim.Resource) *Scheduler {
 	return s
 }
 
-// Schedulers returns the group's schedulers in creation order.
-func (g *Group) Schedulers() []*Scheduler { return g.scheds }
-
 // ClassTotals is one class's aggregated counters, across one scheduler or a
 // whole group.
 type ClassTotals struct {

@@ -109,51 +109,6 @@ type Pool struct {
 	codec *ec.Codec // lazily built EC codec (Erasure pools only)
 }
 
-type host struct {
-	name string
-	nic  *sim.Resource
-	cpu  *sim.Resource
-	// nicSched is the QoS admission gate in front of nic: every NIC
-	// serialization on this host goes through it under an I/O class.
-	nicSched *qos.Scheduler
-}
-
-type osd struct {
-	id    int
-	host  *host
-	store *store.Store
-	disk  *sim.Resource
-	// sched is the per-OSD QoS op scheduler fronting disk: the single
-	// admission point for every disk I/O, fair-queued across classes.
-	sched *qos.Scheduler
-	// slow scales disk service times (1.0 = the cost model's SSD; an HDD
-	// class OSD uses a larger factor).
-	slow float64
-	// baseSlow remembers the device's healthy factor so a transient
-	// slow-disk fault (SetOSDSlow) can be reverted.
-	baseSlow float64
-	// alive models the OSD daemon process: false after a crash, true after
-	// restart. Aliveness is orthogonal to the CRUSH up/in flags — a crashed
-	// OSD stays "up" in the map until the heartbeat monitor's grace period
-	// expires, which is exactly the degraded window chaos experiments probe.
-	alive bool
-	// fpidx is the OSD's log-structured fingerprint index, non-nil only when
-	// EnableFPIndex armed one for a pool this OSD serves.
-	fpidx *fpindex.Index
-}
-
-// diskRead charges a read of n bytes at this OSD's device speed, admitted
-// through the OSD's QoS scheduler under the given class.
-func (o *osd) diskRead(p *sim.Proc, cls qos.Class, cost simcost.Params, n int) {
-	o.sched.Use(p, cls, time.Duration(float64(cost.DiskRead(n))*o.slow))
-}
-
-// diskWrite charges a durable write of n bytes at this OSD's device speed,
-// admitted through the OSD's QoS scheduler under the given class.
-func (o *osd) diskWrite(p *sim.Proc, cls qos.Class, cost simcost.Params, n int) {
-	o.sched.Use(p, cls, time.Duration(float64(cost.DiskWrite(n))*o.slow))
-}
-
 // Cluster is the distributed object store. All blocking methods must be
 // called from within a sim.Proc.
 type Cluster struct {
@@ -189,9 +144,6 @@ type Cluster struct {
 
 	storeOpts []store.Option
 
-	// reqTimeout is how long a gateway op waits on a dead acting primary
-	// before failing with ErrOSDDown (the client-visible request timeout).
-	reqTimeout time.Duration
 	// nicSlow scales NIC serialization per host (>1 = degraded link),
 	// keyed by resource name ("nic.host0").
 	nicSlow map[string]float64
@@ -248,22 +200,21 @@ func WithStoreOptions(opts ...store.Option) Option {
 // model.
 func New(eng *sim.Engine, cost simcost.Params, opts ...Option) *Cluster {
 	c := &Cluster{
-		eng:        eng,
-		cost:       cost,
-		cmap:       crush.NewMap(),
-		hosts:      make(map[string]*host),
-		osds:       make(map[int]*osd),
-		pools:      make(map[string]*Pool),
-		poolsByID:  make(map[uint64]*Pool),
-		pgLocks:    make(map[crush.PG]*sim.Resource),
-		reqTimeout: 2 * time.Millisecond,
-		nicSlow:    make(map[string]float64),
-		missed:     make(map[int]map[store.Key]bool),
-		fgOps:      NewOpCounter(eng),
-		reg:        metrics.NewRegistry(),
-		sink:       metrics.NewTraceSink(4096),
-		rmon:       metrics.NewResourceMonitor(),
-		qsched:     qos.NewGroup(qos.DefaultConfig()),
+		eng:       eng,
+		cost:      cost,
+		cmap:      crush.NewMap(),
+		hosts:     make(map[string]*host),
+		osds:      make(map[int]*osd),
+		pools:     make(map[string]*Pool),
+		poolsByID: make(map[uint64]*Pool),
+		pgLocks:   make(map[crush.PG]*sim.Resource),
+		nicSlow:   make(map[string]float64),
+		missed:    make(map[int]map[store.Key]bool),
+		fgOps:     NewOpCounter(eng),
+		reg:       metrics.NewRegistry(),
+		sink:      metrics.NewTraceSink(4096),
+		rmon:      metrics.NewResourceMonitor(),
+		qsched:    qos.NewGroup(qos.DefaultConfig()),
 	}
 	for _, o := range opts {
 		o(c)
@@ -298,13 +249,10 @@ func (c *Cluster) AddHost(name string, cores int) {
 	if _, ok := c.hosts[name]; ok {
 		return
 	}
-	if cores < 1 {
-		cores = 1
-	}
 	h := &host{
 		name: name,
 		nic:  sim.NewResource("nic."+name, 1),
-		cpu:  sim.NewResource("cpu."+name, cores),
+		cpu:  sim.NewResource("cpu."+name, max(cores, 1)),
 	}
 	h.nicSched = c.qsched.NewScheduler(h.nic)
 	c.rmon.Watch(h.nic)
@@ -334,7 +282,7 @@ func (c *Cluster) AddOSDClass(id int, hostName string, weight float64, class str
 		id:       id,
 		host:     h,
 		store:    store.New(c.storeOpts...),
-		disk:     sim.NewResource(fmt.Sprintf("disk.osd%d", id), c.diskShards()),
+		disk:     sim.NewResource(fmt.Sprintf("disk.osd%d", id), max(c.cost.DiskShards, 1)),
 		slow:     slowFactor,
 		baseSlow: slowFactor,
 		alive:    true,
@@ -346,13 +294,6 @@ func (c *Cluster) AddOSDClass(id int, hostName string, weight float64, class str
 		c.attachFPIndex(o) // index enabled before this OSD joined
 	}
 	return nil
-}
-
-func (c *Cluster) diskShards() int {
-	if c.cost.DiskShards > 0 {
-		return c.cost.DiskShards
-	}
-	return 1
 }
 
 // NewTestbed builds the paper's evaluation cluster: hosts each with
@@ -433,14 +374,19 @@ func (c *Cluster) acting(p *Pool, pg crush.PG) []*osd {
 	if out, ok := c.actCache[pg]; ok {
 		return out
 	}
-	ids := c.cmap.ActingSetClass(pg, p.Red.Width(), p.Class)
+	out := c.osdList(c.cmap.ActingSetClass(pg, p.Red.Width(), p.Class))
+	c.actCache[pg] = out
+	return out
+}
+
+// osdList resolves OSD ids to their daemons, in order, skipping unknown ids.
+func (c *Cluster) osdList(ids []int) []*osd {
 	out := make([]*osd, 0, len(ids))
 	for _, id := range ids {
-		if o, ok := c.osds[id]; ok {
+		if o := c.osds[id]; o != nil {
 			out = append(out, o)
 		}
 	}
-	c.actCache[pg] = out
 	return out
 }
 
@@ -451,13 +397,7 @@ func (c *Cluster) want(p *Pool, pg crush.PG) []*osd {
 	if out, ok := c.wantCache[pg]; ok {
 		return out
 	}
-	ids := c.cmap.MapPGClass(pg, p.Red.Width(), p.Class)
-	out := make([]*osd, 0, len(ids))
-	for _, id := range ids {
-		if o, ok := c.osds[id]; ok {
-			out = append(out, o)
-		}
-	}
+	out := c.osdList(c.cmap.MapPGClass(pg, p.Red.Width(), p.Class))
 	c.wantCache[pg] = out
 	return out
 }
@@ -503,17 +443,14 @@ func (c *Cluster) DumpMetrics() string {
 		c.reg.Gauge(base + "_util_ppm").Set(int64(u.Utilization * 1e6))
 	}
 	ops, bytes := c.fgOps.Totals()
-	c.reg.Counter("rados_foreground_ops_total").Add(ops - c.reg.Counter("rados_foreground_ops_total").Value())
-	c.reg.Counter("rados_foreground_bytes_total").Add(bytes - c.reg.Counter("rados_foreground_bytes_total").Value())
-	c.reg.Counter("rados_recovered_bytes_total").Add(c.recovered - c.reg.Counter("rados_recovered_bytes_total").Value())
+	c.setCounter("rados_foreground_ops_total", ops)
+	c.setCounter("rados_foreground_bytes_total", bytes)
+	c.setCounter("rados_recovered_bytes_total", c.recovered)
 	for _, t := range c.qsched.Totals() {
 		base := "qos_" + t.Class
-		set := func(suffix string, v int64) {
-			c.reg.Counter(base + suffix).Add(v - c.reg.Counter(base+suffix).Value())
-		}
-		set("_admitted_total", t.Admitted)
-		set("_queued_total", t.Queued)
-		set("_throttled_total", t.Throttled)
+		c.setCounter(base+"_admitted_total", t.Admitted)
+		c.setCounter(base+"_queued_total", t.Queued)
+		c.setCounter(base+"_throttled_total", t.Throttled)
 		c.reg.Gauge(base + "_weight").Set(t.Weight)
 		c.reg.Gauge(base + "_limit_us").Set(t.Limit.Microseconds())
 		c.reg.Gauge(base + "_queue_len").Set(int64(t.QueueLen))
@@ -524,6 +461,12 @@ func (c *Cluster) DumpMetrics() string {
 	}
 	c.publishFPIndexMetrics()
 	return c.reg.Dump()
+}
+
+// setCounter publishes a total kept outside the registry as a counter.
+func (c *Cluster) setCounter(name string, v int64) {
+	ctr := c.reg.Counter(name)
+	ctr.Add(v - ctr.Value())
 }
 
 // RecoveredBytes reports total bytes moved by recovery/rebalance so far.
@@ -590,17 +533,13 @@ func (c *Cluster) netSend(p *sim.Proc, cls qos.Class, nic *qos.Scheduler, n int)
 // the primitives internal/chaos drives; they model what happens to the
 // machine, while the heartbeat Monitor models how the cluster finds out.
 
+// reqTimeout is how long a gateway op waits on a dead acting OSD before
+// failing over or returning ErrOSDDown (the client-visible request timeout).
+const reqTimeout = 2 * time.Millisecond
+
 // RequestTimeout returns the gateway request timeout charged when an op hits
 // a dead acting OSD.
-func (c *Cluster) RequestTimeout() time.Duration { return c.reqTimeout }
-
-// SetRequestTimeout adjusts the gateway request timeout (minimum 0).
-func (c *Cluster) SetRequestTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.reqTimeout = d
-}
+func (c *Cluster) RequestTimeout() time.Duration { return reqTimeout }
 
 // CrashOSD kills an OSD process. The CRUSH map is NOT updated — the cluster
 // keeps routing to the dead OSD until the heartbeat monitor marks it down,
@@ -612,11 +551,8 @@ func (c *Cluster) CrashOSD(id int) error {
 	if !ok {
 		return fmt.Errorf("rados: unknown osd %d", id)
 	}
-	o.alive = false
+	o.crash()
 	c.dirty = true // from here on a stale or stray copy may exist somewhere
-	if o.fpidx != nil {
-		o.fpidx.Crash() // memtable and block cache are RAM; WAL+tables survive
-	}
 	c.reg.Counter("rados_osd_crashes_total").Inc()
 	return nil
 }
@@ -634,18 +570,8 @@ func (c *Cluster) RestartOSD(id int) error {
 	if o.alive {
 		return nil
 	}
-	if o.fpidx != nil {
-		o.fpidx.Recover(nil) // WAL replay restores the index to its crash point
-	}
-	for key := range c.missed[id] {
-		existed := o.store.Exists(key)
-		_ = o.store.Apply(key, store.NewTxn().Delete())
-		// Peering wipes stale copies from the store; the index must tombstone
-		// them too or later probes would disagree with the store.
-		c.fpNote(nil, o, key, existed, false)
-	}
+	o.restart(c.missed[id])
 	delete(c.missed, id)
-	o.alive = true
 	c.reg.Counter("rados_osd_restarts_total").Inc()
 	return nil
 }
@@ -664,10 +590,7 @@ func (c *Cluster) SetOSDSlow(id int, factor float64) error {
 	if !ok {
 		return fmt.Errorf("rados: unknown osd %d", id)
 	}
-	if factor < 1 {
-		factor = 1
-	}
-	o.slow = o.baseSlow * factor
+	o.slow = o.baseSlow * max(factor, 1)
 	return nil
 }
 
@@ -696,6 +619,13 @@ func (c *Cluster) HostOSDs(hostName string) []int {
 		}
 	}
 	return ids
+}
+
+// upAlive reports whether o can take part in I/O: marked up in the CRUSH map
+// and its process running.
+func (c *Cluster) upAlive(o *osd) bool {
+	info, ok := c.cmap.Lookup(o.id)
+	return ok && info.Up && o.alive
 }
 
 // liveInMapHolder returns the first live, up+in OSD (in id order) holding
@@ -731,13 +661,7 @@ func (c *Cluster) recoverableOnDead(key store.Key, cands []*osd) bool {
 // epoch and shared — callers must not modify it.
 func (c *Cluster) allOSDs() []*osd {
 	if c.osdSeqEpoch != c.cmap.Epoch || c.osdSeq == nil {
-		out := make([]*osd, 0, len(c.osds))
-		for _, id := range c.cmap.OSDs() {
-			if o := c.osds[id]; o != nil {
-				out = append(out, o)
-			}
-		}
-		c.osdSeq = out
+		c.osdSeq = c.osdList(c.cmap.OSDs())
 		c.osdSeqEpoch = c.cmap.Epoch
 	}
 	return c.osdSeq
@@ -792,10 +716,7 @@ func (c *Cluster) reconcileMissed(key store.Key, applied map[int]bool) {
 			continue
 		}
 		if o.store.Exists(key) {
-			_ = o.store.Apply(key, store.NewTxn().Delete())
-			// Stray cleanup has no proc context: the index tombstone is
-			// applied uncharged, like the store delete above.
-			c.fpNote(nil, o, key, true, false)
+			o.remove(nil, key) // stray cleanup has no proc context: uncharged
 		}
 	}
 }

@@ -55,10 +55,7 @@ func getU64(b []byte) uint64 {
 
 // stripeSplit distributes data into k shards of equal size (padded).
 func stripeSplit(data []byte, k int) [][]byte {
-	rows := (len(data) + StripeUnit*k - 1) / (StripeUnit * k)
-	if rows == 0 {
-		rows = 1
-	}
+	rows := max((len(data)+StripeUnit*k-1)/(StripeUnit*k), 1)
 	shardSize := rows * StripeUnit
 	shards := make([][]byte, k)
 	for i := range shards {
@@ -76,10 +73,7 @@ func stripeSplit(data []byte, k int) [][]byte {
 // stripeJoin reassembles logical bytes [off, off+length) from shard
 // segments that each cover shard rows [row0, row1).
 func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64) []byte {
-	end := off + length
-	if end > totalLen {
-		end = totalLen
-	}
+	end := min(off+length, totalLen)
 	if off >= end {
 		return nil
 	}
@@ -89,10 +83,7 @@ func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64)
 		shard := int(unit) % k
 		row := int(unit) / k
 		inUnit := pos % StripeUnit
-		n := StripeUnit - inUnit
-		if int64(n) > end-pos {
-			n = end - pos
-		}
+		n := min(StripeUnit-inUnit, end-pos)
 		soff := int64(row-row0)*StripeUnit + inUnit
 		copy(out[pos-off:], segments[shard][soff:soff+n])
 		pos += n
@@ -119,11 +110,8 @@ func (c *Cluster) ecHolders(p *Pool, oid string) []*osd {
 		if pos >= len(holders) || o == nil {
 			continue
 		}
-		if up, ok := c.cmap.Lookup(o.id); !ok || !up.Up {
-			continue
-		}
-		if !o.alive || !o.store.Exists(key) {
-			continue // a crashed holder cannot serve its shard
+		if !c.upAlive(o) || !o.store.Exists(key) {
+			continue // a down or crashed holder cannot serve its shard
 		}
 		idx := int(getU64(mustXattr(o.store, key, xattrECIdx)))
 		if idx >= 0 && idx < len(holders) {
@@ -250,11 +238,8 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 	g.runFanout(p, fanout{
 		name: "ec-shard",
 		pool: pool, pg: pg, key: key,
-		targets: want,
-		ok: func(_ int, target *osd) bool {
-			up, ok := g.c.cmap.Lookup(target.id)
-			return ok && up.Up && target.alive // else degraded; recovery rebuilds the shard
-		},
+		targets:  want,
+		ok:       func(_ int, o *osd) bool { return g.c.upAlive(o) }, // else degraded; recovery rebuilds the shard
 		degraded: true,
 		do: func(q *sim.Proc, pos int, target *osd) {
 			txn := store.NewTxn().
@@ -268,7 +253,7 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 				g.c.netSend(q, g.cls, target.host.nicSched, len(shards[pos]))
 				target.host.cpu.Use(q, cost.OpOverhead)
 			}
-			if err := target.store.Apply(key, txn); err != nil {
+			if err := target.apply(q, key, txn); err != nil {
 				panic(fmt.Sprintf("rados: ec shard apply: %v", err))
 			}
 			target.diskWrite(q, g.cls, cost, txn.Bytes())
@@ -300,17 +285,14 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	codec := g.c.codecFor(pool)
 	oldLen := g.ecLen(pool, oid)
 	end := off + int64(len(data))
-	newLen := oldLen
-	if end > newLen {
-		newLen = end
-	}
+	newLen := max(oldLen, end)
 	row0, row1 := rowRange(off, int64(len(data)), k)
 	stripe := int64(StripeUnit * k)
 
 	// Gather the existing bytes of the affected rows (zeros beyond EOF).
 	rowBytes := make([]byte, (int64(row1)-int64(row0))*stripe)
 	if oldLen > int64(row0)*stripe {
-		readLen := min64(oldLen, int64(row1)*stripe) - int64(row0)*stripe
+		readLen := min(oldLen, int64(row1)*stripe) - int64(row0)*stripe
 		cur, err := g.ecGather(p, pool, oid, int64(row0)*stripe, readLen)
 		if err != nil && err != ErrNotFound {
 			g.noteOp(0)
@@ -338,7 +320,7 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	want := g.c.want(pool, pg)
 	key := store.Key{Pool: pool.ID, OID: oid}
 	eligible := func(pos int, target *osd) bool {
-		if up, ok := g.c.cmap.Lookup(target.id); !ok || !up.Up || !target.alive {
+		if !g.c.upAlive(target) {
 			return false
 		}
 		if oldLen > 0 {
@@ -393,7 +375,7 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 			target.diskWrite(q, g.cls, cost, txn.Bytes()) // phase 1: WAL
 			q.Sleep(cost.NetLatency)                      // commit message
 			target.host.cpu.Use(q, cost.OpOverhead)
-			if err := target.store.Apply(key, txn); err != nil {
+			if err := target.apply(q, key, txn); err != nil {
 				panic(fmt.Sprintf("rados: ec rmw apply: %v", err))
 			}
 			target.diskWrite(q, g.cls, cost, txn.Bytes()) // phase 2: apply
@@ -401,13 +383,6 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	})
 	g.noteOp(len(data))
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
@@ -428,14 +403,11 @@ func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 		name: "ec-del",
 		pool: pool, pg: pg, key: key,
 		targets: g.c.want(pool, pg),
-		ok: func(_ int, o *osd) bool {
-			up, ok := g.c.cmap.Lookup(o.id)
-			return ok && up.Up && o.alive
-		},
+		ok:      func(_ int, o *osd) bool { return g.c.upAlive(o) },
 		do: func(q *sim.Proc, _ int, o *osd) {
 			q.Sleep(cost.NetLatency)
 			o.host.cpu.Use(q, cost.OpOverhead)
-			_ = o.store.Apply(key, store.NewTxn().Delete())
+			o.remove(q, key)
 			o.diskWrite(q, g.cls, cost, 0)
 		},
 	})
@@ -472,6 +444,7 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 	cost := g.c.cost
 	codec := g.c.codecFor(pool)
 	k := pool.Red.K
+	key := store.Key{Pool: pool.ID, OID: oid}
 	totalLen := g.ecLen(pool, oid)
 	if totalLen == 0 {
 		if g.ecExists(pool, oid) {
@@ -479,7 +452,6 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 		}
 		// No live holder. If dead OSDs still hold current shards the object
 		// is recoverable — report retryable unavailability, not absence.
-		key := store.Key{Pool: pool.ID, OID: oid}
 		if g.c.recoverableOnDead(key, g.c.want(pool, g.c.PGOf(pool, oid))) {
 			return nil, ErrOSDDown
 		}
@@ -505,7 +477,6 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 			dataMissing = true
 		}
 	}
-	key := store.Key{Pool: pool.ID, OID: oid}
 	segments := make([][]byte, len(holders))
 	fetch := func(idx int) *sim.Signal {
 		o := holders[idx]
@@ -544,7 +515,6 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 		if got < k {
 			// Shards may come back when dead holders restart or recovery
 			// rebuilds them — retryable while that is possible.
-			key := store.Key{Pool: pool.ID, OID: oid}
 			if g.c.recoverableOnDead(key, g.c.want(pool, g.c.PGOf(pool, oid))) {
 				return nil, ErrOSDDown
 			}
@@ -561,8 +531,6 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 }
 
 func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
-	pg := g.c.PGOf(pool, oid)
-	_ = pg
 	p.Sleep(g.c.cost.NetLatency) // request
 	data, err := g.ecGather(p, pool, oid, off, length)
 	if err != nil {
@@ -635,22 +603,9 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 		g.noteOp(0)
 		return err
 	}
-	if payload > 0 {
-		g.c.netSend(p, g.cls, g.nic, payload)
-		g.c.netSend(p, g.cls, primary.host.nicSched, payload)
-	} else {
-		p.Sleep(g.c.cost.NetLatency)
-	}
-	primary.host.cpu.Use(p, g.c.cost.OpOverhead)
-	txn, err := fn(ecView{g: g, p: p, pool: pool, oid: oid})
-	if err != nil {
-		g.noteOp(0)
+	txn, err := g.mutateTxn(p, pool, oid, primary, payload, ecView{g: g, p: p, pool: pool, oid: oid}, fn)
+	if txn == nil {
 		return err
-	}
-	if txn == nil || txn.Empty() {
-		p.Sleep(g.c.cost.NetLatency)
-		g.noteOp(0)
-		return nil
 	}
 	var fullData []byte
 	hasFull, isDelete := false, false
@@ -673,13 +628,13 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 			meta.Ops = append(meta.Ops, op)
 		}
 	}
+	key := store.Key{Pool: pool.ID, OID: oid}
 	if isDelete {
-		key := store.Key{Pool: pool.ID, OID: oid}
 		applied := make(map[int]bool)
 		for _, o := range g.c.want(pool, pg) {
-			if up, ok := g.c.cmap.Lookup(o.id); ok && up.Up && o.alive {
+			if g.c.upAlive(o) {
 				applied[o.id] = true
-				_ = o.store.Apply(key, store.NewTxn().Delete())
+				o.remove(p, key)
 				o.diskWrite(p, g.cls, g.c.cost, 0)
 			}
 		}
@@ -694,7 +649,6 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 		return err
 	}
 	// Metadata-only: mirror to all live shard holders.
-	key := store.Key{Pool: pool.ID, OID: oid}
 	holders := g.c.ecHolders(pool, oid)
 	live := 0
 	for _, o := range holders {
@@ -714,7 +668,7 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 		do: func(q *sim.Proc, _ int, o *osd) {
 			q.Sleep(g.c.cost.NetLatency)
 			o.host.cpu.Use(q, g.c.cost.OpOverhead)
-			if err := o.store.Apply(key, meta); err != nil {
+			if err := o.apply(q, key, meta); err != nil {
 				panic(fmt.Sprintf("rados: ec meta apply: %v", err))
 			}
 			o.diskWrite(q, g.cls, g.c.cost, meta.Bytes())

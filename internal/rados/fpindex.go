@@ -15,12 +15,11 @@ import (
 // log-structured fingerprint index (internal/fpindex). Lookups on the pool
 // charge bloom probes, block-cache misses and WAL/SSTable I/O through the
 // OSD's QoS scheduler under the dedup class; mutations keep the index in
-// lockstep with the store at every site that creates or removes a chunk
-// object (replication, heals, on-demand pulls, recovery, scrub repair,
-// stray cleanup, restart peering). The store map stays authoritative — the
-// index adds the cost model and is cross-checked against the store on every
-// probe (fpindex_lookup_mismatch_total counts disagreements; it must stay
-// zero).
+// lockstep with the store inside the osd type's mutation seam (osd.go), the
+// only code that changes an OSD's objects. The store map stays authoritative
+// — the index adds the cost model and is cross-checked against the store on
+// every probe (fpindex_lookup_mismatch_total counts disagreements; it must
+// stay zero).
 
 // EnableFPIndex turns the fingerprint index on for a replicated pool. Each
 // OSD gets its own index (bootstrapped from objects it already holds) and a
@@ -50,6 +49,7 @@ func (c *Cluster) EnableFPIndex(pool *Pool, cfg fpindex.Config) error {
 // attachFPIndex creates an OSD's index, bootstraps it from the objects the
 // OSD already holds in the indexed pool, and starts its compaction daemon.
 func (c *Cluster) attachFPIndex(o *osd) {
+	o.fpPool = c.fpPool
 	o.fpidx = fpindex.New(c.fpCfg, fpindex.IO{
 		Read:  func(p *sim.Proc, n int) { o.diskRead(p, qos.Dedup, c.cost, n) },
 		Write: func(p *sim.Proc, n int) { o.diskWrite(p, qos.Dedup, c.cost, n) },
@@ -60,7 +60,6 @@ func (c *Cluster) attachFPIndex(o *osd) {
 			o.fpidx.Insert(nil, key.OID, 0)
 		}
 	}
-	interval := o.fpidx.Config().CompactEvery
 	c.eng.GoDaemon(fmt.Sprintf("fpindex.compact.osd%d", o.id), func(p *sim.Proc) {
 		for {
 			// A crashed OSD compacts nothing; otherwise drain all due merges
@@ -68,7 +67,7 @@ func (c *Cluster) attachFPIndex(o *osd) {
 			if o.alive && o.fpidx.CompactOnce(p) {
 				continue
 			}
-			p.Sleep(interval)
+			p.Sleep(fpindex.CompactEvery)
 		}
 	})
 }
@@ -81,7 +80,8 @@ func (c *Cluster) FPIndexEnabled() bool { return c.fpPool != 0 }
 // index's verdict against the store.
 func (g *Gateway) fpProbe(p *sim.Proc, pool *Pool, oid string, o *osd) {
 	c := g.c
-	if c.fpPool == 0 || pool.ID != c.fpPool || o.fpidx == nil {
+	key := store.Key{Pool: pool.ID, OID: oid}
+	if !o.indexed(key) {
 		return
 	}
 	start := p.Now()
@@ -89,27 +89,11 @@ func (g *Gateway) fpProbe(p *sim.Proc, pool *Pool, oid string, o *osd) {
 	if sp != nil {
 		sp.SetOp(pool.Name, c.PGOf(pool, oid).String(), 0).SetClass(qos.Dedup.String())
 	}
-	found := o.fpidx.Lookup(p, oid)
+	agrees := o.probe(p, key)
 	sp.Finish(p)
 	c.fpLookupLat.Add((p.Now() - start).Duration())
-	if found != o.store.Exists(store.Key{Pool: pool.ID, OID: oid}) {
+	if !agrees {
 		c.fpMismatch.Inc()
-	}
-}
-
-// fpNote keeps an OSD's index in lockstep with a store transition of key:
-// created (absent→present) inserts, removed (present→absent) writes a
-// tombstone. A nil proc applies the update uncharged (administrative paths
-// with no process context, e.g. restart-time peering).
-func (c *Cluster) fpNote(p *sim.Proc, o *osd, key store.Key, before, after bool) {
-	if c.fpPool == 0 || key.Pool != c.fpPool || o.fpidx == nil {
-		return
-	}
-	switch {
-	case !before && after:
-		o.fpidx.Insert(p, key.OID, 0)
-	case before && !after:
-		o.fpidx.Delete(p, key.OID)
 	}
 }
 
@@ -152,9 +136,6 @@ type OSDIndexInfo struct {
 
 // FPIndexPerOSD snapshots every OSD's index, ascending by OSD id.
 func (c *Cluster) FPIndexPerOSD() []OSDIndexInfo {
-	if c.fpPool == 0 {
-		return nil
-	}
 	var out []OSDIndexInfo
 	for _, o := range c.allOSDs() {
 		if o.fpidx != nil {
@@ -213,23 +194,20 @@ func (c *Cluster) publishFPIndexMetrics() {
 		return
 	}
 	s := c.FPIndexStats()
-	setCtr := func(name string, v int64) {
-		c.reg.Counter(name).Add(v - c.reg.Counter(name).Value())
-	}
-	setCtr("fpindex_lookups_total", s.Lookups)
-	setCtr("fpindex_inserts_total", s.Inserts)
-	setCtr("fpindex_deletes_total", s.Deletes)
-	setCtr("fpindex_bloom_checks_total", s.BloomChecks)
-	setCtr("fpindex_bloom_negatives_total", s.BloomNegatives)
-	setCtr("fpindex_bloom_fp_total", s.BloomFalsePos)
-	setCtr("fpindex_cache_hits_total", s.CacheHits)
-	setCtr("fpindex_cache_misses_total", s.CacheMisses)
-	setCtr("fpindex_flushes_total", s.Flushes)
-	setCtr("fpindex_compactions_total", s.Compactions)
-	setCtr("fpindex_compaction_bytes_total", s.CompactionBytes)
-	setCtr("fpindex_read_bytes_total", s.ReadBytes)
-	setCtr("fpindex_write_bytes_total", s.WriteBytes)
-	setCtr("fpindex_wal_replayed_records_total", s.ReplayedRecs)
+	c.setCounter("fpindex_lookups_total", s.Lookups)
+	c.setCounter("fpindex_inserts_total", s.Inserts)
+	c.setCounter("fpindex_deletes_total", s.Deletes)
+	c.setCounter("fpindex_bloom_checks_total", s.BloomChecks)
+	c.setCounter("fpindex_bloom_negatives_total", s.BloomNegatives)
+	c.setCounter("fpindex_bloom_fp_total", s.BloomFalsePos)
+	c.setCounter("fpindex_cache_hits_total", s.CacheHits)
+	c.setCounter("fpindex_cache_misses_total", s.CacheMisses)
+	c.setCounter("fpindex_flushes_total", s.Flushes)
+	c.setCounter("fpindex_compactions_total", s.Compactions)
+	c.setCounter("fpindex_compaction_bytes_total", s.CompactionBytes)
+	c.setCounter("fpindex_read_bytes_total", s.ReadBytes)
+	c.setCounter("fpindex_write_bytes_total", s.WriteBytes)
+	c.setCounter("fpindex_wal_replayed_records_total", s.ReplayedRecs)
 	c.reg.Gauge("fpindex_memtable_bytes").Set(s.MemtableBytes)
 	c.reg.Gauge("fpindex_wal_bytes").Set(s.WALBytes)
 	c.reg.Gauge("fpindex_table_bytes").Set(s.TableBytes)

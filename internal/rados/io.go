@@ -259,7 +259,7 @@ func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64) (
 // timeoutWait charges the request timeout an op pays before concluding its
 // target OSD is dead.
 func (g *Gateway) timeoutWait(p *sim.Proc) {
-	p.Sleep(g.c.reqTimeout)
+	p.Sleep(reqTimeout)
 	g.c.reg.Counter("rados_requests_timed_out_total").Inc()
 }
 
@@ -314,42 +314,32 @@ func (g *Gateway) servingOSD(p *sim.Proc, pool *Pool, oid string) (*osd, error) 
 
 // Stat returns the object size.
 func (g *Gateway) Stat(p *sim.Proc, pool *Pool, oid string) (int64, error) {
-	primary, err := g.metaOp(p, pool, oid)
+	v, err := g.metaView(p, pool, oid)
 	if err != nil {
 		return 0, err
 	}
-	if pool.Red.Kind == Erasure {
-		if !g.ecExists(pool, oid) {
-			return 0, ErrNotFound
-		}
-		return g.ecLen(pool, oid), nil
+	if !v.Exists() {
+		return 0, ErrNotFound
 	}
-	_ = primary
-	return primary.store.Size(store.Key{Pool: pool.ID, OID: oid})
+	return v.Size(), nil
 }
 
 // Exists reports object existence.
 func (g *Gateway) Exists(p *sim.Proc, pool *Pool, oid string) (bool, error) {
-	primary, err := g.metaOp(p, pool, oid)
+	v, err := g.metaView(p, pool, oid)
 	if err != nil {
 		return false, err
 	}
-	if pool.Red.Kind == Erasure {
-		return g.ecExists(pool, oid), nil
-	}
-	return primary.store.Exists(store.Key{Pool: pool.ID, OID: oid}), nil
+	return v.Exists(), nil
 }
 
 // GetXattr reads an extended attribute.
 func (g *Gateway) GetXattr(p *sim.Proc, pool *Pool, oid, name string) ([]byte, error) {
-	primary, err := g.metaOp(p, pool, oid)
+	v, err := g.metaView(p, pool, oid)
 	if err != nil {
 		return nil, err
 	}
-	if pool.Red.Kind == Erasure {
-		return ecView{g: g, p: p, pool: pool, oid: oid}.GetXattr(name)
-	}
-	return primary.store.GetXattr(store.Key{Pool: pool.ID, OID: oid}, name)
+	return v.GetXattr(name)
 }
 
 // SetXattr writes an extended attribute (replicated like any mutation).
@@ -361,26 +351,20 @@ func (g *Gateway) SetXattr(p *sim.Proc, pool *Pool, oid, name string, value []by
 
 // OmapGet reads one omap value.
 func (g *Gateway) OmapGet(p *sim.Proc, pool *Pool, oid, key string) ([]byte, error) {
-	primary, err := g.metaOp(p, pool, oid)
+	v, err := g.metaView(p, pool, oid)
 	if err != nil {
 		return nil, err
 	}
-	if pool.Red.Kind == Erasure {
-		return ecView{g: g, p: p, pool: pool, oid: oid}.OmapGet(key)
-	}
-	return primary.store.OmapGet(store.Key{Pool: pool.ID, OID: oid}, key)
+	return v.OmapGet(key)
 }
 
 // OmapList lists up to max omap keys (all if max<=0).
 func (g *Gateway) OmapList(p *sim.Proc, pool *Pool, oid string, max int) ([]string, error) {
-	primary, err := g.metaOp(p, pool, oid)
+	v, err := g.metaView(p, pool, oid)
 	if err != nil {
 		return nil, err
 	}
-	if pool.Red.Kind == Erasure {
-		return ecView{g: g, p: p, pool: pool, oid: oid}.OmapList(max)
-	}
-	return primary.store.OmapList(store.Key{Pool: pool.ID, OID: oid}, max)
+	return v.OmapList(max)
 }
 
 // OmapSet writes omap entries.
@@ -419,32 +403,15 @@ func (g *Gateway) mutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload
 	if pool.Red.Kind == Erasure {
 		return g.ecMutate(p, pool, oid, payload, fn)
 	}
-	primary, _, unlock, err := g.prepare(p, pool, oid, true)
+	primary, unlock, err := g.prepare(p, pool, oid)
 	if err != nil {
 		return err
 	}
 	defer unlock()
-	key := store.Key{Pool: pool.ID, OID: oid}
-	// Request (with any bulk payload) crosses the wire.
-	if payload > 0 {
-		g.c.netSend(p, g.cls, g.nic, payload)
-		g.c.netSend(p, g.cls, primary.host.nicSched, payload)
-	} else {
-		p.Sleep(g.c.cost.NetLatency)
-	}
-	primary.host.cpu.Use(p, g.c.cost.OpOverhead)
-	// A mutation on the indexed pool (chunk create-or-ref, refcount update)
-	// first resolves the fingerprint through the index.
-	g.fpProbe(p, pool, oid, primary)
-	txn, err := fn(replView{st: primary.store, k: key})
-	if err != nil {
-		g.noteOp(0)
+	view := replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}
+	txn, err := g.mutateTxn(p, pool, oid, primary, payload, view, fn)
+	if txn == nil {
 		return err
-	}
-	if txn == nil || txn.Empty() {
-		p.Sleep(g.c.cost.NetLatency) // ack
-		g.noteOp(0)
-		return nil
 	}
 	if err := g.replicate(p, pool, oid, txn, txn.Bytes()); err != nil {
 		return err
@@ -455,30 +422,51 @@ func (g *Gateway) mutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload
 
 // --- Internal plumbing -------------------------------------------------------
 
-// prepare resolves placement and (optionally) acquires the PG lock. With
-// lock set (the mutation path) it additionally verifies the acting primary
-// is alive — a mutation against a dead primary pays the request timeout and
-// fails with the retryable ErrOSDDown — and pulls the object to a
-// freshly-remapped primary that does not hold it yet.
-func (g *Gateway) prepare(p *sim.Proc, pool *Pool, oid string, lock bool) (primary *osd, pg crush.PG, unlock func(), err error) {
-	pg = g.c.PGOf(pool, oid)
+// mutateTxn is the request half of a Mutate on either pool kind: the request
+// (with any bulk payload) crosses the wire to the primary, which runs fn
+// against v. It returns the transaction to apply, or nil when fn aborted or
+// left nothing to change — the op is then already accounted and acked.
+func (g *Gateway) mutateTxn(p *sim.Proc, pool *Pool, oid string, primary *osd, payload int, v View, fn MutateFn) (*store.Txn, error) {
+	if payload > 0 {
+		g.c.netSend(p, g.cls, g.nic, payload)
+		g.c.netSend(p, g.cls, primary.host.nicSched, payload)
+	} else {
+		p.Sleep(g.c.cost.NetLatency)
+	}
+	primary.host.cpu.Use(p, g.c.cost.OpOverhead)
+	// A mutation on the indexed pool (chunk create-or-ref, refcount update)
+	// first resolves the fingerprint through the index.
+	g.fpProbe(p, pool, oid, primary)
+	txn, err := fn(v)
+	if err != nil || txn == nil || txn.Empty() {
+		if err == nil {
+			p.Sleep(g.c.cost.NetLatency) // ack
+		}
+		g.noteOp(0)
+		return nil, err
+	}
+	return txn, nil
+}
+
+// prepare resolves placement and acquires the PG lock for a mutation. It
+// verifies the acting primary is alive — a mutation against a dead primary
+// pays the request timeout and fails with the retryable ErrOSDDown — and
+// pulls the object to a freshly-remapped primary that does not hold it yet.
+func (g *Gateway) prepare(p *sim.Proc, pool *Pool, oid string) (primary *osd, unlock func(), err error) {
+	pg := g.c.PGOf(pool, oid)
 	acting := g.c.acting(pool, pg)
 	if len(acting) == 0 {
-		return nil, pg, nil, ErrNoOSD
+		return nil, nil, ErrNoOSD
 	}
-	unlock = func() {}
-	if lock {
-		l := g.c.pgLock(pg)
-		l.Acquire(p)
-		unlock = func() { l.Release(p) }
-		if !acting[0].alive {
-			g.timeoutWait(p)
-			unlock()
-			return nil, pg, nil, ErrOSDDown
-		}
-		g.pullOnDemand(p, pool, oid, acting[0])
+	l := g.c.pgLock(pg)
+	l.Acquire(p)
+	if !acting[0].alive {
+		g.timeoutWait(p)
+		l.Release(p)
+		return nil, nil, ErrOSDDown
 	}
-	return acting[0], pg, unlock, nil
+	g.pullOnDemand(p, pool, oid, acting[0])
+	return acting[0], func() { l.Release(p) }, nil
 }
 
 // pullOnDemand restores an object at a freshly-remapped primary before a
@@ -497,24 +485,14 @@ func (g *Gateway) pullOnDemand(p *sim.Proc, pool *Pool, oid string, primary *osd
 	if src == nil {
 		return
 	}
-	snap, err := src.store.Snapshot(key)
-	if err != nil {
-		return
+	if _, ok := g.c.copyObject(p, g.cls, key, src, primary); ok {
+		g.c.reg.Counter("rados_ondemand_pulls_total").Inc()
 	}
-	n := objBytes(snap)
-	cost := g.c.cost
-	src.diskRead(p, g.cls, cost, n)
-	g.c.netSend(p, g.cls, primary.host.nicSched, n)
-	primary.host.cpu.Use(p, cost.OpOverhead)
-	primary.store.Install(key, snap)
-	g.c.fpNote(p, primary, key, false, true)
-	primary.diskWrite(p, g.cls, cost, n)
-	g.c.reg.Counter("rados_ondemand_pulls_total").Inc()
 }
 
 // applyTxn transfers the payload to the primary and replicates the txn.
 func (g *Gateway) applyTxn(p *sim.Proc, pool *Pool, oid string, txn *store.Txn, payload int) error {
-	primary, _, unlock, err := g.prepare(p, pool, oid, true)
+	primary, unlock, err := g.prepare(p, pool, oid)
 	if err != nil {
 		return err
 	}
@@ -621,12 +599,9 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn,
 
 	existedBefore := primary.store.Exists(key)
 	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(payload))
-	if err := primary.store.Apply(key, txn); err != nil {
+	if err := primary.apply(p, key, txn); err != nil {
 		return err
 	}
-	// Keep the fingerprint index in lockstep with the store transition
-	// (created → WAL insert, removed → tombstone), charged to this op.
-	g.c.fpNote(p, primary, key, existedBefore, primary.store.Exists(key))
 	journal := p.Go("journal", func(q *sim.Proc) {
 		jsp := g.c.sink.Start(q, "rados.journal")
 		if jsp != nil {
@@ -646,36 +621,32 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn,
 		do: func(q *sim.Proc, _ int, r *osd) {
 			g.c.netSend(q, g.cls, r.host.nicSched, payload)
 			r.host.cpu.Use(q, cost.OpOverhead)
-			rExisted := r.store.Exists(key)
-			if existedBefore && !rExisted {
+			if existedBefore && !r.store.Exists(key) {
 				// The replica missed earlier updates (its stale copy was
 				// wiped on restart): heal with a full copy of the primary's
 				// post-txn state. If the txn deleted the object the snapshot
 				// fails and the plain apply below is a safe no-op delete.
 				if snap, err := primary.store.Snapshot(key); err == nil {
-					n := objBytes(snap)
+					n := snap.PayloadBytes()
 					g.c.netSend(q, g.cls, r.host.nicSched, n)
-					r.store.Install(key, snap)
-					g.c.fpNote(q, r, key, rExisted, true)
+					r.install(q, key, snap)
 					r.diskWrite(q, g.cls, cost, n)
 					g.c.reg.Counter("rados_replica_heals_total").Inc()
 					return
 				}
 			}
-			if err := r.store.Apply(key, txn); err != nil {
+			if err := r.apply(q, key, txn); err != nil {
 				// The replica's copy diverged from the primary: quarantine it
 				// instead of killing the process. The copy is dropped so no
 				// degraded read can serve it, the miss is recorded so the
 				// replica re-syncs before serving after a restart, and a
 				// repair scrub restores the redundancy from the primary.
 				g.c.reg.Counter("rados_replica_diverged_total").Inc()
-				_ = r.store.Apply(key, store.NewTxn().Delete())
-				g.c.fpNote(q, r, key, rExisted, false)
+				r.remove(q, key)
 				g.c.noteMissed(r.id, key)
 				r.diskWrite(q, g.cls, cost, 0)
 				return
 			}
-			g.c.fpNote(q, r, key, rExisted, r.store.Exists(key))
 			r.diskWrite(q, g.cls, cost, txn.Bytes())
 		},
 	})
@@ -739,9 +710,10 @@ func (c *Cluster) UseHostCPU(p *sim.Proc, hostName string, d time.Duration) erro
 	return nil
 }
 
-// metaOp charges the fixed cost of a small metadata read at the OSD serving
-// the object (the primary, or a surviving replica when it is dead).
-func (g *Gateway) metaOp(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
+// metaView charges the fixed cost of a small metadata read at the OSD serving
+// the object (the primary, or a surviving replica when it is dead) and
+// returns the view the read is answered from.
+func (g *Gateway) metaView(p *sim.Proc, pool *Pool, oid string) (View, error) {
 	serving, err := g.servingOSD(p, pool, oid)
 	if err != nil {
 		return nil, err
@@ -753,5 +725,8 @@ func (g *Gateway) metaOp(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
 	// OSD's log-structured index, whose probe cost is charged here.
 	g.fpProbe(p, pool, oid, serving)
 	p.Sleep(g.c.cost.NetLatency)
-	return serving, nil
+	if pool.Red.Kind == Erasure {
+		return ecView{g: g, p: p, pool: pool, oid: oid}, nil
+	}
+	return replView{st: serving.store, k: store.Key{Pool: pool.ID, OID: oid}}, nil
 }

@@ -38,13 +38,9 @@ func (c *Cluster) ReplaceOSD(id int) (recoveryPending bool, err error) {
 	if !ok {
 		return false, fmt.Errorf("rados: unknown osd %d", id)
 	}
-	o.store.Clear()
-	if o.fpidx != nil {
-		o.fpidx.Reset() // fresh device: the index starts empty too
-	}
+	o.replace()
 	delete(c.missed, id) // fresh device: nothing stale left to wipe
-	o.alive = true
-	c.dirty = true // the fresh device misses every object it should hold
+	c.dirty = true       // the fresh device misses every object it should hold
 	c.cmap.SetUp(id, true)
 	c.cmap.SetIn(id, true)
 	return c.recoveryPendingFor(id), nil
@@ -103,10 +99,7 @@ type recoveryTask struct {
 // cap (Ceph's osd_recovery_max_active analog), and every byte it moves is
 // admitted under the recovery class so foreground I/O keeps priority.
 func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
-	streamsPerOSD := c.qsched.MaxDepth(qos.Recovery)
-	if streamsPerOSD < 1 {
-		streamsPerOSD = 1
-	}
+	streamsPerOSD := max(c.qsched.MaxDepth(qos.Recovery), 1)
 	stats := RecoveryStats{Start: p.Now()}
 
 	// 1. Inventory: which up OSD holds which object (and EC shard index).
@@ -220,10 +213,8 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 			}
 		}
 		for _, h := range hs {
-			if pos := inWant(h.osd); pos < 0 || pos != h.idx {
-				if pos < 0 {
-					plan(recoveryTask{kind: "delete", key: key, pool: pool, dst: h.osd})
-				}
+			if inWant(h.osd) < 0 {
+				plan(recoveryTask{kind: "delete", key: key, pool: pool, dst: h.osd})
 			}
 		}
 	}
@@ -275,34 +266,39 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 	return stats
 }
 
+// copyObject ships src's copy of key to dst under QoS class cls: source
+// read, one hop to the destination's NIC, the destination's op overhead,
+// install, durable write. It reports the payload bytes moved, or ok=false
+// (nothing charged) when src no longer holds the object.
+func (c *Cluster) copyObject(p *sim.Proc, cls qos.Class, key store.Key, src, dst *osd) (bytes int, ok bool) {
+	snap, err := src.store.Snapshot(key)
+	if err != nil {
+		return 0, false
+	}
+	n := snap.PayloadBytes()
+	src.diskRead(p, cls, c.cost, n)
+	c.netSend(p, cls, dst.host.nicSched, n)
+	dst.host.cpu.Use(p, c.cost.OpOverhead)
+	dst.install(p, key, snap)
+	dst.diskWrite(p, cls, c.cost, n)
+	return n, true
+}
+
 func (c *Cluster) runRecoveryTask(q *sim.Proc, t recoveryTask, stats *RecoveryStats) {
 	sp := c.sink.Start(q, "recover."+t.kind).
 		SetOp(t.pool.Name, c.PGOf(t.pool, t.key.OID).String(), 0).
 		SetClass(qos.Recovery.String())
 	defer sp.Finish(q)
-	cost := c.cost
 	switch t.kind {
 	case "delete":
-		existed := t.dst.store.Exists(t.key)
-		_ = t.dst.store.Apply(t.key, store.NewTxn().Delete())
-		c.fpNote(q, t.dst, t.key, existed, false)
-		t.dst.diskWrite(q, qos.Recovery, cost, 0)
+		t.dst.remove(q, t.key)
+		t.dst.diskWrite(q, qos.Recovery, c.cost, 0)
 		stats.ObjectsDeleted++
 	case "copy":
-		snap, err := t.src.store.Snapshot(t.key)
-		if err != nil {
-			return
+		if n, ok := c.copyObject(q, qos.Recovery, t.key, t.src, t.dst); ok {
+			stats.ObjectsCopied++
+			stats.BytesMoved += int64(n)
 		}
-		n := objBytes(snap)
-		t.src.diskRead(q, qos.Recovery, cost, n)
-		c.netSend(q, qos.Recovery, t.dst.host.nicSched, n)
-		t.dst.host.cpu.Use(q, cost.OpOverhead)
-		existed := t.dst.store.Exists(t.key)
-		t.dst.store.Install(t.key, snap)
-		c.fpNote(q, t.dst, t.key, existed, true)
-		t.dst.diskWrite(q, qos.Recovery, cost, n)
-		stats.ObjectsCopied++
-		stats.BytesMoved += int64(n)
 	case "rebuild":
 		c.rebuildShard(q, t, stats)
 	}
@@ -372,10 +368,8 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 		obj.Xattr[name] = v
 	}
 	obj.Xattr[xattrECIdx] = putU64(uint64(t.idx))
-	t.dst.store.Install(t.key, obj)
+	t.dst.install(q, t.key, obj)
 	t.dst.diskWrite(q, qos.Recovery, cost, shardLen)
 	stats.ShardsRebuilt++
 	stats.BytesMoved += int64(shardLen)
 }
-
-func objBytes(o *store.Object) int { return o.PayloadBytes() }

@@ -49,10 +49,7 @@ func (s ScrubStats) Clean() bool { return len(s.Errors) == 0 }
 func (c *Cluster) Scrub(p *sim.Proc, pool *Pool, repair bool) ScrubStats {
 	oids := c.ListObjects(pool)
 	sort.Strings(oids)
-	workers := c.qsched.MaxDepth(qos.Scrub)
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(c.qsched.MaxDepth(qos.Scrub), 1)
 	slots := make([]ScrubStats, len(oids))
 	queue := sim.NewQueue[int]()
 	for i := range oids {
@@ -109,7 +106,7 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 		if err != nil {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: "replica missing"})
 			if repair {
-				c.repairCopy(p, key, primary, rep, auth, stats)
+				c.repairCopy(p, key, rep, auth, stats)
 			}
 			continue
 		}
@@ -119,17 +116,15 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 		if detail := diffObjects(auth, got); detail != "" {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: detail})
 			if repair {
-				c.repairCopy(p, key, primary, rep, auth, stats)
+				c.repairCopy(p, key, rep, auth, stats)
 			}
 		}
 	}
 }
 
-func (c *Cluster) repairCopy(p *sim.Proc, key store.Key, src, dst *osd, auth *store.Object, stats *ScrubStats) {
+func (c *Cluster) repairCopy(p *sim.Proc, key store.Key, dst *osd, auth *store.Object, stats *ScrubStats) {
 	c.netSend(p, qos.Scrub, dst.host.nicSched, auth.PayloadBytes())
-	existed := dst.store.Exists(key)
-	dst.store.Install(key, auth)
-	c.fpNote(p, dst, key, existed, true)
+	dst.install(p, key, auth)
 	dst.diskWrite(p, qos.Scrub, c.cost, auth.PayloadBytes())
 	stats.Repaired++
 }
@@ -154,9 +149,7 @@ func (c *Cluster) scrubEC(p *sim.Proc, pool *Pool, oid string, repair bool, stat
 		o.diskRead(p, qos.Scrub, c.cost, len(snap.Data))
 		stats.BytesScanned += int64(len(snap.Data))
 		shards[idx] = snap.Data
-		if len(snap.Data) > size {
-			size = len(snap.Data)
-		}
+		size = max(size, len(snap.Data))
 		present++
 	}
 	if present < k {
@@ -201,7 +194,7 @@ func (c *Cluster) scrubEC(p *sim.Proc, pool *Pool, oid string, repair bool, stat
 				if lenRaw, lerr := o.store.GetXattr(key, xattrECLen); lerr == nil {
 					txn.SetXattr(xattrECLen, lenRaw)
 				}
-				_ = o.store.Apply(key, txn)
+				_ = o.apply(p, key, txn) // rewriting a held parity shard cannot fail
 				o.diskWrite(p, qos.Scrub, c.cost, len(enc[idx]))
 				stats.Repaired++
 			}
@@ -255,5 +248,5 @@ func (c *Cluster) CorruptForTest(osdID int, key store.Key, offset int64) error {
 	if len(data) == 0 {
 		return fmt.Errorf("rados: offset %d beyond object", offset)
 	}
-	return o.store.Apply(key, store.NewTxn().Write(offset, []byte{data[0] ^ 0xff}))
+	return o.apply(nil, key, store.NewTxn().Write(offset, []byte{data[0] ^ 0xff}))
 }

@@ -497,9 +497,6 @@ func (e *Engine) RunUntil(limit Time) int {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.fifo.len() + e.heap.len() }
 
-// Live reports the number of spawned-but-unfinished processes.
-func (e *Engine) Live() int { return e.live }
-
 // ---------------------------------------------------------------------------
 // Signal: a one-shot broadcast event.
 
@@ -649,9 +646,6 @@ func NewResource(name string, capacity int) *Resource {
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
-
-// InUse reports current holders.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports processes waiting for the resource.
 func (r *Resource) QueueLen() int { return len(r.waiters) }

@@ -15,7 +15,6 @@ func (s extentSet) add(start, end int64) extentSet {
 		return s
 	}
 	out := s[:0:0]
-	inserted := false
 	for _, e := range s {
 		switch {
 		case e.end < start || e.start > end:
@@ -30,7 +29,6 @@ func (s extentSet) add(start, end int64) extentSet {
 		}
 	}
 	out = append(out, extent{start, end})
-	_ = inserted
 	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
 	return out
 }

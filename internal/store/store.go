@@ -400,6 +400,24 @@ func (o *Object) PayloadBytes() int {
 	return n
 }
 
+// clone returns a deep copy of the object.
+func (o *Object) clone() *Object {
+	cp := &Object{Data: append([]byte(nil), o.Data...), punched: append(extentSet(nil), o.punched...)}
+	if o.Xattr != nil {
+		cp.Xattr = make(map[string][]byte, len(o.Xattr))
+		for n, v := range o.Xattr {
+			cp.Xattr[n] = append([]byte(nil), v...)
+		}
+	}
+	if o.Omap != nil {
+		cp.Omap = make(map[string][]byte, len(o.Omap))
+		for n, v := range o.Omap {
+			cp.Omap[n] = append([]byte(nil), v...)
+		}
+	}
+	return cp
+}
+
 // Snapshot returns a deep copy of an object (for recovery copies).
 func (s *Store) Snapshot(k Key) (*Object, error) {
 	s.mu.Lock()
@@ -408,41 +426,16 @@ func (s *Store) Snapshot(k Key) (*Object, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	cp := &Object{Data: append([]byte(nil), obj.Data...), punched: append(extentSet(nil), obj.punched...)}
-	if obj.Xattr != nil {
-		cp.Xattr = make(map[string][]byte, len(obj.Xattr))
-		for n, v := range obj.Xattr {
-			cp.Xattr[n] = append([]byte(nil), v...)
-		}
-	}
-	if obj.Omap != nil {
-		cp.Omap = make(map[string][]byte, len(obj.Omap))
-		for n, v := range obj.Omap {
-			cp.Omap[n] = append([]byte(nil), v...)
-		}
-	}
-	return cp, nil
+	return obj.clone(), nil
 }
 
-// Install places a snapshot object (recovery path), replacing any existing
-// object at k.
+// Install places a copy of a snapshot object (recovery path), replacing any
+// existing object at k. It copies because one snapshot may be installed on
+// several OSDs (scrub repair).
 func (s *Store) Install(k Key, obj *Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := &Object{Data: append([]byte(nil), obj.Data...), punched: append(extentSet(nil), obj.punched...)}
-	if obj.Xattr != nil {
-		cp.Xattr = make(map[string][]byte, len(obj.Xattr))
-		for n, v := range obj.Xattr {
-			cp.Xattr[n] = append([]byte(nil), v...)
-		}
-	}
-	if obj.Omap != nil {
-		cp.Omap = make(map[string][]byte, len(obj.Omap))
-		for n, v := range obj.Omap {
-			cp.Omap[n] = append([]byte(nil), v...)
-		}
-	}
-	s.objects[k] = cp
+	s.objects[k] = obj.clone()
 }
 
 // Clear removes every object (simulates device replacement).
