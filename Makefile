@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json bench-compare fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -79,14 +79,6 @@ golden-write:
 # summary; CI uploads results/ as an artifact.
 bench-json:
 	go run ./cmd/dedupbench -scale 0.25 -results results -timing results/BENCH_pr.json all
-
-# Wall-clock regression gate: PR sweep total vs the checked-in baseline
-# (results/BENCH_baseline.json — committed with `git add -f`, results/ is
-# otherwise gitignored). >25% slower fails, 10-25% warns. The script's
-# --selftest exercises the thresholds themselves.
-bench-compare:
-	sh scripts/bench-compare.sh --selftest
-	sh scripts/bench-compare.sh results/BENCH_baseline.json results/BENCH_pr.json
 
 # Fuzz smoke: 30s per fuzz target over the parsers that guard on-disk and
 # operator input (ref keys, SLO specs). Regression corpora run in `make

@@ -144,14 +144,16 @@ func (d *BlockDevice) WriteAt(p *sim.Proc, off int64, data []byte) error {
 }
 
 // ReadAt reads length bytes at a device offset. Unwritten regions read as
-// zeros (thin provisioning).
+// zeros (thin provisioning). The result is the caller's: when one stripe
+// object covers the request and holds all of it, that is the backend's own
+// buffer, handed on without a copy.
 func (d *BlockDevice) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	if off < 0 || off+length > d.size {
 		return nil, fmt.Errorf("client: read [%d,%d) outside device %q size %d", off, off+length, d.name, d.size)
 	}
 	sp := d.sink.Start(p, "rbd.read").SetOp(d.name, "", length).SetTenant(d.tenant)
 	defer sp.Finish(p)
-	out := make([]byte, length)
+	var out []byte // zero-filled assembly buffer, for every case but the one above
 	pos := int64(0)
 	for pos < length {
 		idx := (off + pos) / d.objectSize
@@ -161,14 +163,16 @@ func (d *BlockDevice) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 			n = length - pos
 		}
 		data, err := d.backend.Read(p, d.ObjectName(idx), inObj, n)
-		switch {
-		case err == nil:
-			copy(out[pos:], data)
-		case err == rados.ErrNotFound:
-			// hole: zeros
-		default:
+		if err != nil && err != rados.ErrNotFound { // not found is a hole: zeros
 			return nil, err
 		}
+		if err == nil && n == length && int64(len(data)) == n {
+			return data, nil
+		}
+		if out == nil {
+			out = make([]byte, length)
+		}
+		copy(out[pos:], data)
 		pos += n
 	}
 	return out, nil

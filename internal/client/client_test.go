@@ -75,6 +75,55 @@ func TestBlockDeviceHolesReadZero(t *testing.T) {
 	})
 }
 
+// TestBlockDeviceReadAtShapes covers each way ReadAt comes by its result:
+// the backend's buffer handed on (one object, full length), and the
+// zero-filled assembly for a short object, a hole and a range spanning
+// objects. Every result is exactly length bytes, equals a shadow image, and
+// belongs to the caller: scribbling on it must not reach the store.
+func TestBlockDeviceReadAtShapes(t *testing.T) {
+	const obj = 64 << 10
+	eng, dev := rawDevice(t, obj)
+	shadow := make([]byte, dev.Size())
+	rng := rand.New(rand.NewSource(5))
+	run(t, eng, func(p *sim.Proc) {
+		for _, w := range []struct{ off, n int64 }{
+			{2 * obj, obj},      // object 2 fully written
+			{4 * obj, 10 << 10}, // object 4 short
+			{8 * obj, 2 * obj},  // objects 8 and 9 fully written; 10 is a hole
+		} {
+			rng.Read(shadow[w.off : w.off+w.n])
+			if err := dev.WriteAt(p, w.off, shadow[w.off:w.off+w.n]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, r := range []struct {
+			name        string
+			off, length int64
+		}{
+			{"full object", 2*obj + 4096, 16 << 10},
+			{"whole object", 2 * obj, obj},
+			{"short object", 4 * obj, 32 << 10},
+			{"past a short object's end", 4*obj + 20<<10, 4096},
+			{"hole", 6 * obj, 4096},
+			{"two objects", 8*obj + 60<<10, 20 << 10},
+			{"object then hole", 9*obj + 60<<10, 20 << 10},
+			{"empty", 2 * obj, 0},
+		} {
+			for pass := 0; pass < 2; pass++ { // the second pass sees any damage the first did
+				got, err := dev.ReadAt(p, r.off, r.length)
+				if err != nil || int64(len(got)) != r.length || !bytes.Equal(got, shadow[r.off:r.off+r.length]) {
+					t.Errorf("%s, pass %d: err %v, %d bytes (want %d), equal to what was written: %v",
+						r.name, pass, err, len(got), r.length, bytes.Equal(got, shadow[r.off:r.off+r.length]))
+				}
+				for i := range got {
+					got[i] ^= 0x5A
+				}
+			}
+		}
+	})
+}
+
 func TestBlockDeviceBounds(t *testing.T) {
 	eng, dev := rawDevice(t, 64<<10)
 	run(t, eng, func(p *sim.Proc) {

@@ -60,3 +60,36 @@ func BenchmarkWritePathSimulated(b *testing.B) {
 	})
 	eng.Run()
 }
+
+// BenchmarkClientRead64K measures the host-side cost of simulating one 64 KiB
+// dedup read whose two chunks are cached in the metadata object: B/op shows
+// how many times the payload is allocated on its way up to the caller.
+func BenchmarkClientRead64K(b *testing.B) {
+	eng := sim.New(1)
+	c := rados.NewTestbed(eng, simcost.Default(), 4, 4)
+	cfg := DefaultConfig()
+	cfg.Rate.Enabled = false
+	cfg.HitSet.HitCount = 1000
+	s, err := Open(c, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := s.Client("bench")
+	data := make([]byte, 64<<10)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	eng.Go("reader", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ {
+			if err := cl.Write(p, fmt.Sprintf("o%d", i), 0, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got, err := cl.Read(p, fmt.Sprintf("o%d", i%64), 0, int64(len(data))); err != nil || len(got) != len(data) {
+				b.Fatalf("read: %d bytes, err %v", len(got), err)
+			}
+		}
+	})
+	eng.Run()
+}

@@ -136,41 +136,34 @@ func (m *ChunkMap) DirtyEntries() []int {
 // (Table 2) reflect the paper's metadata costs.
 const EntryOverhead = 150
 
-// Marshal serializes the map.
+// entryFixed is the fixed-width head of a serialized entry: Start, End, Gen,
+// flags, chunk-id length. The chunk id follows, then zero padding.
+const entryFixed = 8 + 8 + 4 + 1 + 1
+
+// Marshal serializes the map: an entry count, then one EntryOverhead-byte
+// record per entry, encoded in place in a buffer sized once.
 func (m *ChunkMap) Marshal() []byte {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(m.Entries)))
-	buf = append(buf, tmp[:]...)
-	for _, e := range m.Entries {
-		rec := make([]byte, 0, EntryOverhead)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(e.Start))
-		rec = append(rec, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(e.End))
-		rec = append(rec, tmp[:]...)
-		var g [4]byte
-		binary.LittleEndian.PutUint32(g[:], e.Gen)
-		rec = append(rec, g[:]...)
-		var flags byte
-		if e.Cached {
-			flags |= 1
-		}
-		if e.Dirty {
-			flags |= 2
-		}
-		if e.Cold {
-			flags |= 4
-		}
-		rec = append(rec, flags)
-		if len(e.ChunkID) > 255 {
+	buf := make([]byte, 8+len(m.Entries)*EntryOverhead)
+	binary.LittleEndian.PutUint64(buf, uint64(len(m.Entries)))
+	for i, e := range m.Entries {
+		if len(e.ChunkID) > EntryOverhead-entryFixed {
 			panic("core: chunk id too long")
 		}
-		rec = append(rec, byte(len(e.ChunkID)))
-		rec = append(rec, e.ChunkID...)
-		for len(rec) < EntryOverhead {
-			rec = append(rec, 0)
+		rec := buf[8+i*EntryOverhead:][:EntryOverhead]
+		binary.LittleEndian.PutUint64(rec[0:], uint64(e.Start))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(e.End))
+		binary.LittleEndian.PutUint32(rec[16:], e.Gen)
+		if e.Cached {
+			rec[20] |= 1
 		}
-		buf = append(buf, rec...)
+		if e.Dirty {
+			rec[20] |= 2
+		}
+		if e.Cold {
+			rec[20] |= 4
+		}
+		rec[21] = byte(len(e.ChunkID))
+		copy(rec[entryFixed:], e.ChunkID)
 	}
 	return buf
 }
@@ -187,9 +180,11 @@ func UnmarshalChunkMap(b []byte) (*ChunkMap, error) {
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	if uint64(len(b)) != n*EntryOverhead {
+	// Divide rather than multiply: n is untrusted and n*EntryOverhead wraps.
+	if uint64(len(b))%EntryOverhead != 0 || uint64(len(b))/EntryOverhead != n {
 		return nil, fmt.Errorf("%w: %d entries, %d payload bytes", ErrCorruptMap, n, len(b))
 	}
+	m.Entries = make([]Entry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rec := b[i*EntryOverhead : (i+1)*EntryOverhead]
 		e := Entry{
@@ -202,10 +197,10 @@ func UnmarshalChunkMap(b []byte) (*ChunkMap, error) {
 		e.Dirty = flags&2 != 0
 		e.Cold = flags&4 != 0
 		idLen := int(rec[21])
-		if 22+idLen > EntryOverhead {
+		if entryFixed+idLen > EntryOverhead {
 			return nil, ErrCorruptMap
 		}
-		e.ChunkID = string(rec[22 : 22+idLen])
+		e.ChunkID = string(rec[entryFixed : entryFixed+idLen])
 		if e.End < e.Start {
 			return nil, ErrCorruptMap
 		}

@@ -1,6 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +28,48 @@ func TestChunkMapMarshalRoundTrip(t *testing.T) {
 		if got.Entries[i] != m.Entries[i] {
 			t.Fatalf("entry %d: %+v != %+v", i, got.Entries[i], m.Entries[i])
 		}
+	}
+}
+
+// TestChunkMapMarshalFixture pins the stored format: the fixture is what
+// Marshal produced before it encoded in place, and maps already on disk must
+// keep decoding.
+func TestChunkMapMarshalFixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/chunkmap_3entries.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.ReplaceAll(string(raw), "\n", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &ChunkMap{Entries: []Entry{
+		{Start: 0, End: 32768, ChunkID: FingerprintID([]byte("fixture-a")), Cached: true, Dirty: true, Gen: 3},
+		{Start: 32768, End: 65536, ChunkID: FingerprintID([]byte("fixture-b")), Cold: true, Gen: 0x01020304},
+		{Start: 65536, End: 70000, ChunkID: "", Gen: 9},
+	}}
+	if got := m.Marshal(); !bytes.Equal(got, want) {
+		t.Fatalf("encoding changed:\n got %x\nwant %x", got, want)
+	}
+	got, err := UnmarshalChunkMap(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Entries {
+		if got.Entries[i] != m.Entries[i] {
+			t.Fatalf("entry %d: %+v != %+v", i, got.Entries[i], m.Entries[i])
+		}
+	}
+}
+
+// TestChunkMapCountOverflow: the entry count is stored bytes. One chosen so
+// that count*EntryOverhead wraps to the payload length must be refused, not
+// used to size the entry slice.
+func TestChunkMapCountOverflow(t *testing.T) {
+	b := make([]byte, 8)
+	binary.LittleEndian.PutUint64(b, 1<<63) // 1<<63 * 150 wraps to 0
+	if _, err := UnmarshalChunkMap(b); !errors.Is(err, ErrCorruptMap) {
+		t.Fatalf("wrapping entry count: err = %v, want ErrCorruptMap", err)
 	}
 }
 

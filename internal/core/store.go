@@ -580,12 +580,9 @@ func (cl *Client) read(p *sim.Proc, oid string, off, length int64) ([]byte, erro
 		}
 		if e.Cached {
 			sigs = append(sigs, p.Go("read-cached", func(q *sim.Proc) {
-				data, err := cl.gw.Read(q, s.meta, oid, rStart, rEnd-rStart)
-				if err != nil {
+				if _, err := cl.gw.ReadInto(q, s.meta, oid, rStart, out[rStart-off:rEnd-off]); err != nil {
 					firstErr = err
-					return
 				}
-				copy(out[rStart-off:], data)
 			}))
 			continue
 		}
@@ -593,12 +590,9 @@ func (cl *Client) read(p *sim.Proc, oid string, off, length int64) ([]byte, erro
 		// forwards to the client.
 		proxied += int(rEnd - rStart)
 		sigs = append(sigs, p.Go("read-redirect", func(q *sim.Proc) {
-			data, err := proxyGW.Read(q, s.chunkPoolFor(e.Cold), e.ChunkID, rStart-e.Start, rEnd-rStart)
-			if err != nil {
+			if _, err := proxyGW.ReadInto(q, s.chunkPoolFor(e.Cold), e.ChunkID, rStart-e.Start, out[rStart-off:rEnd-off]); err != nil {
 				firstErr = fmt.Errorf("core: chunk %s: %w", e.ChunkID, err)
-				return
 			}
-			copy(out[rStart-off:], data)
 		}))
 	}
 	sim.WaitAll(p, sigs...)
@@ -733,12 +727,9 @@ func (s *Store) readChunkMap(p *sim.Proc, gw *rados.Gateway, oid string) (*Chunk
 // readPadded reads n bytes at off, zero-padding a short read: an entry may
 // extend past the bytes its object physically holds (sparse tail).
 func readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
-	data, err := gw.Read(p, pool, oid, off, n)
-	if err != nil {
+	data := make([]byte, n)
+	if _, err := gw.ReadInto(p, pool, oid, off, data); err != nil {
 		return nil, err
-	}
-	if int64(len(data)) < n {
-		data = append(data, make([]byte, n-int64(len(data)))...)
 	}
 	return data, nil
 }

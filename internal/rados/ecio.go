@@ -71,13 +71,18 @@ func stripeSplit(data []byte, k int) [][]byte {
 }
 
 // stripeJoin reassembles logical bytes [off, off+length) from shard
-// segments that each cover shard rows [row0, row1).
-func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64) []byte {
+// segments that each cover shard rows [row0, row1), into dst when the caller
+// brought a buffer (of at least length bytes) and into a fresh one when dst
+// is nil.
+func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64, dst []byte) []byte {
 	end := min(off+length, totalLen)
 	if off >= end {
 		return nil
 	}
-	out := make([]byte, end-off)
+	if dst == nil {
+		dst = make([]byte, end-off)
+	}
+	out := dst[:end-off]
 	for pos := off; pos < end; {
 		unit := pos / StripeUnit
 		shard := int(unit) % k
@@ -293,12 +298,10 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	rowBytes := make([]byte, (int64(row1)-int64(row0))*stripe)
 	if oldLen > int64(row0)*stripe {
 		readLen := min(oldLen, int64(row1)*stripe) - int64(row0)*stripe
-		cur, err := g.ecGather(p, pool, oid, int64(row0)*stripe, readLen)
-		if err != nil && err != ErrNotFound {
+		if _, err := g.ecGather(p, pool, oid, int64(row0)*stripe, readLen, rowBytes[:readLen]); err != nil && err != ErrNotFound {
 			g.noteOp(0)
 			return err
 		}
-		copy(rowBytes, cur)
 	}
 	copy(rowBytes[off-int64(row0)*stripe:], data)
 
@@ -439,8 +442,9 @@ func (g *Gateway) ecExists(pool *Pool, oid string) bool {
 
 // ecGather reads logical bytes [off, off+length) by fetching the covering
 // shard segments to the primary (reconstructing from parity when data
-// shards are down) and reassembling.
-func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
+// shards are down) and reassembling — into dst when it is non-nil (length is
+// then len(dst)), else into a fresh buffer.
+func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
 	cost := g.c.cost
 	codec := g.c.codecFor(pool)
 	k := pool.Red.K
@@ -481,12 +485,9 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 	fetch := func(idx int) *sim.Signal {
 		o := holders[idx]
 		return p.Go("ec-read", func(q *sim.Proc) {
-			seg, err := o.store.Read(key, int64(row0)*StripeUnit, int64(segLen))
-			if err != nil {
+			seg := make([]byte, segLen) // a short shard tail reads as zeros
+			if _, err := o.store.ReadInto(key, int64(row0)*StripeUnit, seg); err != nil {
 				return
-			}
-			if len(seg) < segLen { // pad short shard tail
-				seg = append(seg, make([]byte, segLen-len(seg))...)
 			}
 			o.diskRead(q, g.cls, cost, segLen)
 			if o != primary {
@@ -527,12 +528,12 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 		}
 		g.c.reg.Counter("rados_degraded_reads_total").Inc()
 	}
-	return stripeJoin(segments[:k], k, row0, off, length, totalLen), nil
+	return stripeJoin(segments[:k], k, row0, off, length, totalLen, dst), nil
 }
 
-func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
+func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
 	p.Sleep(g.c.cost.NetLatency) // request
-	data, err := g.ecGather(p, pool, oid, off, length)
+	data, err := g.ecGather(p, pool, oid, off, length, dst)
 	if err != nil {
 		g.noteOp(0)
 		return nil, err
@@ -558,7 +559,7 @@ type ecView struct {
 func (v ecView) Exists() bool { return v.g.ecExists(v.pool, v.oid) }
 func (v ecView) Size() int64  { return v.g.ecLen(v.pool, v.oid) }
 func (v ecView) Read(off, length int64) ([]byte, error) {
-	return v.g.ecGather(v.p, v.pool, v.oid, off, length)
+	return v.g.ecGather(v.p, v.pool, v.oid, off, length, nil)
 }
 func (v ecView) meta() (*osd, store.Key, error) {
 	for _, o := range v.g.c.ecHolders(v.pool, v.oid) {

@@ -217,11 +217,25 @@ func (g *Gateway) Delete(p *sim.Proc, pool *Pool, oid string) error {
 	return err
 }
 
-// Read returns length bytes at off (length<0 reads to end). Reads are
-// served by the acting primary.
+// Read returns length bytes at off (length<0 reads to end) in a fresh buffer
+// the caller owns. Reads are served by the acting primary.
 func (g *Gateway) Read(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
+	return g.tracedRead(p, pool, oid, off, length, nil)
+}
+
+// ReadInto is Read for a caller that already owns the buffer the bytes end
+// up in: it reads up to len(dst) bytes at off into dst and returns how many
+// it read (fewer than len(dst) when the object ends first). The bytes land in
+// dst at the simulated instant Read would have copied them out of the store;
+// the op is charged, counted and traced exactly as the equal-length Read.
+func (g *Gateway) ReadInto(p *sim.Proc, pool *Pool, oid string, off int64, dst []byte) (int, error) {
+	data, err := g.tracedRead(p, pool, oid, off, int64(len(dst)), dst)
+	return len(data), err
+}
+
+func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
 	oc := g.startOp(p, "rados.read", &g.c.ops.read, pool, oid, 0)
-	data, err := g.read(p, pool, oid, off, length)
+	data, err := g.read(p, pool, oid, off, length, dst)
 	if oc.sp != nil {
 		oc.sp.Bytes = int64(len(data))
 	}
@@ -229,9 +243,12 @@ func (g *Gateway) Read(p *sim.Proc, pool *Pool, oid string, off, length int64) (
 	return data, err
 }
 
-func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
+// read serves Read (dst nil: the result is allocated here, once its length
+// is known) and ReadInto (the result is the filled prefix of dst, and length
+// is len(dst)).
+func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
 	if pool.Red.Kind == Erasure {
-		return g.ecRead(p, pool, oid, off, length)
+		return g.ecRead(p, pool, oid, off, length, dst)
 	}
 	serving, err := g.servingOSD(p, pool, oid)
 	if err != nil {
@@ -244,7 +261,14 @@ func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64) (
 	// Locating a chunk object on the indexed pool walks the fingerprint
 	// index before the data read.
 	g.fpProbe(p, pool, oid, serving)
-	data, err := serving.store.Read(key, off, length)
+	var data []byte
+	if dst == nil {
+		data, err = serving.store.Read(key, off, length)
+	} else {
+		var n int
+		n, err = serving.store.ReadInto(key, off, dst)
+		data = dst[:n]
+	}
 	if err != nil {
 		g.noteOp(0)
 		return nil, err

@@ -33,7 +33,7 @@ func BenchmarkResourceHandoff(b *testing.B) {
 }
 
 // BenchmarkProcSpawn measures spawn/finish round trips — dominated by the
-// goroutine free pool once it warms up.
+// process free pool once it warms up.
 func BenchmarkProcSpawn(b *testing.B) {
 	e := New(1)
 	e.Go("spawner", func(p *Proc) {

@@ -1,14 +1,22 @@
+// iter.Pull needs Go 1.23; go.mod stays at 1.22 because bench/go.mod, which
+// requires this module, says 1.22. The line states a toolchain floor for this
+// file — there is no other implementation for it to select.
+//
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation (DES)
 // kernel. Every timing-sensitive component in this repository — OSD disks,
 // network links, client think time, background deduplication threads — runs
 // as a sim.Proc on a shared virtual clock, so experiments are exactly
 // reproducible across runs and machines.
 //
-// The kernel uses goroutine-based processes: each Proc is a goroutine that
-// runs exclusively (one at a time), parking itself whenever it waits on the
-// virtual clock or a synchronization primitive. The engine resumes processes
-// in (time, sequence) order, which makes every run deterministic for a fixed
-// seed and program.
+// The kernel uses coroutine-based processes: each Proc is a runtime
+// coroutine (iter.Pull) that runs exclusively (one at a time), yielding to
+// the engine whenever it waits on the virtual clock or a synchronization
+// primitive. The engine resumes a process by calling its coroutine's next
+// function — a direct switch on the calling thread, with no channel
+// operation and no pass through the Go scheduler — in (time, sequence)
+// order, which makes every run deterministic for a fixed seed and program.
 //
 // The event queue is split in two: a concrete-typed 4-ary min-heap for
 // future events and a FIFO for events scheduled at the current timestamp.
@@ -17,12 +25,13 @@
 // smaller of the heap top and the FIFO front preserves the exact global
 // (time, seq) order while letting the common same-time wakeups (signal
 // fires, resource handoffs, zero sleeps) skip the heap entirely. Finished
-// process goroutines park on a free list and are reused by later spawns, so
+// process coroutines park on a free list and are reused by later spawns, so
 // steady-state spawning allocates nothing.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -153,28 +162,28 @@ type Stats struct {
 	FastPath         int64 // dispatches served from the same-time FIFO, no heap round-trip
 	PeakHeap         int   // high-water mark of the future-event heap
 	PeakFIFO         int   // high-water mark of the same-time FIFO
-	ProcsSpawned     int64 // process starts that created a new goroutine
+	ProcsSpawned     int64 // process starts that created a new coroutine
 	ProcsReused      int64 // process starts served from the free pool
 	ProcsLive        int   // processes spawned and not yet finished
-	ProcsPooled      int   // finished goroutines parked for reuse
+	ProcsPooled      int   // finished coroutines parked for reuse
 }
 
-// procPoolCap bounds the free list of finished process goroutines kept for
-// reuse. Beyond the cap a finishing goroutine exits instead of parking.
+// procPoolCap bounds the free list of finished process coroutines kept for
+// reuse. Beyond the cap a finishing coroutine exits instead of parking.
 const procPoolCap = 256
 
 // Engine owns the virtual clock and the event queue. Create one with New,
 // spawn processes with Go, then call Run.
 //
-// Engine is not safe for concurrent use from arbitrary goroutines: only the
-// engine goroutine and the single currently-running Proc may touch it, which
-// is exactly the DES execution model.
+// Engine is not safe for concurrent use: only the goroutine inside Run and
+// the single currently-running Proc may touch it, which is exactly the DES
+// execution model. Successive Run calls may come from different goroutines
+// as long as they do not overlap.
 type Engine struct {
 	now        Time
 	seq        uint64
 	heap       eventHeap
 	fifo       eventFIFO
-	yield      chan struct{}
 	rng        *rand.Rand
 	cur        *Proc // currently executing process (nil in engine/callback context)
 	live       int   // processes spawned and not yet finished
@@ -192,10 +201,7 @@ type Engine struct {
 
 // New returns an empty engine whose randomness is derived from seed.
 func New(seed int64) *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -271,11 +277,12 @@ type Tracer interface {
 }
 
 // Proc is a simulated process. All waiting primitives take the Proc so that
-// the kernel can park and resume the right goroutine.
+// the kernel can park and resume the right coroutine.
 type Proc struct {
 	e      *Engine
 	name   string
-	resume chan struct{}
+	next   func() (struct{}, bool) // engine side: run the process until it yields or ends
+	yield  func(struct{}) bool     // process side: hand control back to the engine
 	done   *Signal
 	fn     func(p *Proc)
 	daemon bool
@@ -358,9 +365,9 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 		p.fn = fn
 		e.stats.ProcsReused++
 	} else {
-		p = &Proc{e: e, name: name, resume: make(chan struct{}), done: NewSignal(), daemon: daemon, fn: fn}
+		p = &Proc{e: e, name: name, done: NewSignal(), daemon: daemon, fn: fn}
 		e.stats.ProcsSpawned++
-		go p.loop()
+		p.next, _ = iter.Pull(p.loop)
 	}
 	if e.cur != nil {
 		p.tracer = e.cur.tracer // children report into the spawner's span
@@ -373,16 +380,18 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 	return p.done
 }
 
-// loop is the body of a process goroutine: run the current fn, do the
-// finish bookkeeping, park on the free list (if there is room) and wait to
-// be reincarnated as a later spawn. The engine is blocked on yield for the
+// loop is the body of a process coroutine: run the current fn, do the
+// finish bookkeeping, park on the free list (if there is room) and yield
+// until reincarnated as a later spawn. The engine is inside next for the
 // whole bookkeeping section, and a reused Proc's fields are rewritten
-// strictly before the resume send that wakes the goroutine again, so the
-// handoff is race-free.
-func (p *Proc) loop() {
+// strictly before the next call that resumes the coroutine, so the handoff
+// is race-free. The coroutine's stop function is never called: a process
+// ends only by returning, and one that is still parked when the engine is
+// dropped (a daemon) is never reclaimed.
+func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
+	p.yield = yield
 	for {
-		<-p.resume // wait for first resume of this incarnation
 		fn := p.fn
 		p.fn = nil
 		fn(p)
@@ -395,10 +404,10 @@ func (p *Proc) loop() {
 		if recycle {
 			e.freeProcs = append(e.freeProcs, p)
 		}
-		e.yield <- struct{}{} // return control to engine
 		if !recycle {
-			return
+			return // ends the coroutine, which returns control to the engine
 		}
+		yield(struct{}{}) // return control to the engine
 	}
 }
 
@@ -408,10 +417,7 @@ func (p *Proc) Go(name string, fn func(p *Proc)) *Signal {
 }
 
 // park transfers control back to the engine and blocks until resumed.
-func (p *Proc) park() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep advances the process by d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
@@ -437,12 +443,17 @@ func (e *Engine) Run() int { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil processes events with at <= limit. Events beyond the limit stay
 // queued, so RunUntil may be called repeatedly with growing limits.
+//
+// A process runs on the caller's thread of control: a panic inside one
+// unwinds through RunUntil into the caller (the process stays live and never
+// runs again), and runtime.Goexit inside one — what t.Fatal does — ends the
+// goroutine that called RunUntil, running its deferred calls.
 func (e *Engine) RunUntil(limit Time) int {
 	if e.running {
 		panic("sim: nested Run")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() { e.running, e.cur = false, nil }()
 	for {
 		hasF := e.fifo.len() > 0
 		hasH := e.heap.len() > 0
@@ -484,8 +495,7 @@ func (e *Engine) RunUntil(limit Time) int {
 			continue
 		}
 		e.cur = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.yield
+		ev.proc.next()
 		e.cur = nil
 	}
 	if e.now < limit && limit < Time(1<<62-1) {

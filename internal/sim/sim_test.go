@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -508,4 +509,111 @@ func TestCondSignalNoWaitersIsNoop(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// A process runs on the thread of control that called Run, so a panic in one
+// unwinds into Run's caller like any other panic — and the engine it leaves
+// behind accepts new work.
+func TestProcPanicUnwindsThroughRun(t *testing.T) {
+	e := New(1)
+	e.Go("bystander", func(p *Proc) { p.Sleep(time.Millisecond) })
+	e.Go("bomb", func(p *Proc) { panic("boom") })
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if recovered != "boom" {
+		t.Fatalf("recovered %v from Run, want the process's panic value", recovered)
+	}
+	ran := false
+	e.Go("after", func(p *Proc) {
+		if p.Daemon() || p.Tracer() != nil {
+			t.Error("spawn after a panic inherited from the dead process")
+		}
+		p.Sleep(time.Millisecond)
+		ran = true
+	})
+	if left := e.Run(); !ran || left != 1 { // must not panic "nested Run"; the bomb stays live forever
+		t.Fatalf("second Run: ran=%v, %d processes left (want the dead one only)", ran, left)
+	}
+}
+
+// runtime.Goexit inside a process — what t.Fatal, t.FailNow and t.SkipNow
+// do — ends the goroutine that called Run, deferred calls included, instead
+// of hanging the engine.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	e := New(1)
+	e.Go("quitter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Goexit inside a process hung the goroutine running the engine")
+	}
+	if returned {
+		t.Fatal("Run returned normally after a process called Goexit")
+	}
+}
+
+// Nothing ties an engine to one goroutine: a daemon parked when one Run
+// ended resumes under a Run issued from another goroutine.
+func TestDaemonResumesUnderRunFromAnotherGoroutine(t *testing.T) {
+	e := New(1)
+	ticks := 0
+	e.GoDaemon("poller", func(p *Proc) {
+		for {
+			p.Sleep(10 * time.Millisecond)
+			ticks++
+		}
+	})
+	e.Go("fg1", func(p *Proc) { p.Sleep(25 * time.Millisecond) })
+	e.Run()
+	first := ticks
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Go("fg2", func(p *Proc) { p.Sleep(25 * time.Millisecond) })
+		e.RunUntil(e.Now() + Time(15*time.Millisecond))
+		e.Run()
+	}()
+	<-done
+	if first != 2 || ticks != 4 {
+		t.Fatalf("daemon ticked %d times in the first Run and %d in all, want 2 and 4", first, ticks)
+	}
+}
+
+// The process counters are part of the benchmark's digest, so the pool's
+// behaviour is pinned: 300 short processes, three times over. The first wave
+// creates all 300 (plus the driver), 256 of them park in the pool as they
+// finish, and each later wave reuses those and creates the other 44.
+func TestProcPoolCountersPinned(t *testing.T) {
+	e := New(1)
+	e.Go("driver", func(p *Proc) {
+		for wave := 0; wave < 3; wave++ {
+			sigs := make([]*Signal, 300)
+			for i := range sigs {
+				d := time.Duration(i%7) * time.Microsecond
+				sigs[i] = p.Go("short", func(q *Proc) { q.Sleep(d) })
+			}
+			WaitAll(p, sigs...)
+		}
+	})
+	if left := e.Run(); left != 0 {
+		t.Fatalf("leftover procs: %d", left)
+	}
+	st := e.Stats()
+	got := [4]int64{st.ProcsSpawned, st.ProcsReused, int64(st.ProcsPooled), st.EventsDispatched}
+	if want := [4]int64{1 + 300 + 44 + 44, 256 + 256, 256, 1822}; got != want {
+		t.Fatalf("spawned, reused, pooled, dispatched = %v, want %v", got, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -74,6 +75,32 @@ func (m *model) apply(k Key, t *Txn) {
 			delete(obj.omap, op.Name)
 		case OpCreate:
 		}
+	}
+}
+
+// readInto is the reference for Store.ReadInto: fill dst from off, stop at
+// the object's end, touch nothing when the object is missing.
+func (m *model) readInto(k Key, off int64, dst []byte) (n int, ok bool) {
+	obj, ok := m.objects[k]
+	if !ok || off < 0 || off >= int64(len(obj.data)) {
+		return 0, ok
+	}
+	return copy(dst, obj.data[off:]), true
+}
+
+// checkReadInto compares one destination-passing read against the model,
+// including that bytes of dst beyond the count returned keep their sentinel.
+func checkReadInto(t *testing.T, step int, st *Store, m *model, k Key, off int64, dstLen int) {
+	t.Helper()
+	got := bytes.Repeat([]byte{0xEE}, dstLen)
+	want := bytes.Repeat([]byte{0xEE}, dstLen)
+	wantN, wantOK := m.readInto(k, off, want)
+	n, err := st.ReadInto(k, off, got)
+	if (err == nil) != wantOK || (err != nil && err != ErrNotFound) {
+		t.Fatalf("step %d: ReadInto(off %d, %d bytes): err %v, model has object: %v", step, off, dstLen, err, wantOK)
+	}
+	if n != wantN || !bytes.Equal(got, want) {
+		t.Fatalf("step %d: ReadInto(off %d, %d bytes) = %d bytes, want %d; buffers equal: %v", step, off, dstLen, n, wantN, bytes.Equal(got, want))
 	}
 }
 
@@ -195,10 +222,25 @@ func TestModelRandomReads(t *testing.T) {
 	st := New()
 	m := newModel()
 	k := Key{3, "r"}
+	checkReadInto(t, -1, st, m, k, 0, 16) // never written: ErrNotFound, dst untouched
 	for step := 0; step < 200; step++ {
 		txn := randomTxn(rng)
 		st.Apply(k, txn)
 		m.apply(k, txn)
+		// Destination-passing reads, on a missing object too: dst shorter
+		// than, equal to and longer than what the object holds from off, and
+		// off at and past the end.
+		size := 0
+		if obj, ok := m.objects[k]; ok {
+			size = len(obj.data)
+		}
+		off := rng.Intn(size + 1)
+		for _, c := range []struct{ off, dstLen int }{
+			{off, (size - off) / 2}, {off, size - off}, {off, size - off + 9},
+			{0, size}, {size, 16}, {size + 7, 16}, {0, 0},
+		} {
+			checkReadInto(t, step, st, m, k, int64(c.off), c.dstLen)
+		}
 		if obj, ok := m.objects[k]; ok && len(obj.data) > 0 {
 			off := int64(rng.Intn(len(obj.data)))
 			length := int64(rng.Intn(len(obj.data)))
@@ -218,5 +260,62 @@ func TestModelRandomReads(t *testing.T) {
 				t.Fatalf("step %d: range read mismatch at [%d,+%d)", step, off, length)
 			}
 		}
+	}
+}
+
+// TestExtendingWriteAfterTruncate is the sequence a store that keeps spare
+// capacity can get wrong: the bytes a Truncate cut off are still in the
+// backing array, and an extending write that starts beyond the new end must
+// expose the gap as zeros, not as what used to be there.
+func TestExtendingWriteAfterTruncate(t *testing.T) {
+	st, m := New(), newModel()
+	k := Key{1, "grow"}
+	for _, txn := range []*Txn{
+		NewTxn().Write(0, bytes.Repeat([]byte{0xFF}, 64<<10)),
+		NewTxn().Truncate(8 << 10),
+		NewTxn().Write(32<<10, bytes.Repeat([]byte{0xAA}, 4<<10)),
+		// and once more within the capacity the first write left behind
+		NewTxn().Truncate(33<<10).Write(40<<10, []byte{1, 2, 3}),
+	} {
+		if err := st.Apply(k, txn); err != nil {
+			t.Fatal(err)
+		}
+		m.apply(k, txn)
+		compareObject(t, 0, st, m, k)
+	}
+	got, err := st.Read(k, 8<<10, 24<<10)
+	if err != nil || !bytes.Equal(got, make([]byte, 24<<10)) {
+		t.Fatalf("bytes [8K, 32K) after truncate + extending write are not zeros (err %v)", err)
+	}
+	want := int64(len(m.objects[k].data))
+	if u := st.Usage(); u.Data != want || u.Physical != want {
+		t.Fatalf("usage data %d physical %d, model %d", u.Data, u.Physical, want)
+	}
+	snap, err := st.Snapshot(k)
+	if err != nil || int64(snap.PayloadBytes()) != want {
+		t.Fatalf("payload bytes %d (err %v), model %d", snap.PayloadBytes(), err, want)
+	}
+}
+
+// TestAppendsGrowGeometrically: filling an object by fixed-size appends must
+// not reallocate and copy it on every append (16 appends of 64 KiB did
+// 8.5 MiB of that; doubling capacity does 2 MiB).
+func TestAppendsGrowGeometrically(t *testing.T) {
+	st := New()
+	k := Key{1, "fill"}
+	block := make([]byte, 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := int64(0); off < 1<<20; off += int64(len(block)) {
+		if err := st.Apply(k, NewTxn().Write(off, block)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 3<<20 {
+		t.Fatalf("filling a 1 MiB object by 64 KiB appends allocated %d bytes, want under 3 MiB", grew)
+	}
+	if n, _ := st.Size(k); n != 1<<20 {
+		t.Fatalf("object is %d bytes", n)
 	}
 }

@@ -9,6 +9,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -224,9 +225,7 @@ func (s *Store) Apply(k Key, t *Txn) error {
 		case OpWrite:
 			end := op.Off + int64(len(op.Data))
 			if int64(len(obj.Data)) < end {
-				grown := make([]byte, end)
-				copy(grown, obj.Data)
-				obj.Data = grown
+				obj.Data = extend(obj.Data, end, op.Off)
 			}
 			copy(obj.Data[op.Off:], op.Data)
 			obj.punched = obj.punched.sub(op.Off, end)
@@ -256,8 +255,8 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			if op.Off < 0 {
 				op.Off = 0
 			}
-			for i := op.Off; i < end; i++ {
-				obj.Data[i] = 0
+			if op.Off < end {
+				clear(obj.Data[op.Off:end])
 			}
 			obj.punched = obj.punched.add(op.Off, end)
 			obj.compressValid = false
@@ -278,6 +277,27 @@ func (s *Store) Apply(k Key, t *Txn) error {
 		}
 	}
 	return nil
+}
+
+// extend grows data to length end for a write that starts at off. It reuses
+// spare capacity, zeroing the bytes between the old length and off because
+// spare capacity may hold what an earlier Truncate cut off; otherwise it
+// reallocates at the next power of two, so that filling an object by appends
+// copies it a bounded number of times per byte instead of once per append,
+// and an object whose final size is a power of two (a stripe object, a
+// chunk) ends with no slack.
+func extend(data []byte, end, off int64) []byte {
+	if end > int64(cap(data)) {
+		grown := make([]byte, end, 1<<bits.Len64(uint64(end-1)))
+		copy(grown, data)
+		return grown
+	}
+	old := int64(len(data))
+	data = data[:end]
+	if old < off {
+		clear(data[old:off])
+	}
+	return data
 }
 
 // --- Reads ------------------------------------------------------------------
@@ -301,8 +321,22 @@ func (s *Store) Size(k Key) (int64, error) {
 	return int64(len(obj.Data)), nil
 }
 
+// span returns the object's bytes in [off, off+length), short if the object
+// is smaller and nil past its end. A length < 0 runs to the end. The result
+// is the store's own memory: callers copy out of it under the lock.
+func (o *Object) span(off, length int64) []byte {
+	if off >= int64(len(o.Data)) || off < 0 {
+		return nil
+	}
+	end := int64(len(o.Data))
+	if length >= 0 && off+length < end {
+		end = off + length
+	}
+	return o.Data[off:end]
+}
+
 // Read returns length bytes at off (short if the object is smaller). A
-// length < 0 reads to the end.
+// length < 0 reads to the end. The result is a fresh buffer the caller owns.
 func (s *Store) Read(k Key, off, length int64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,14 +344,21 @@ func (s *Store) Read(k Key, off, length int64) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if off >= int64(len(obj.Data)) || off < 0 {
-		return nil, nil
+	return append([]byte(nil), obj.span(off, length)...), nil
+}
+
+// ReadInto copies the object's bytes at off into dst and returns how many it
+// copied: len(dst), or fewer if the object ends first (0 at or past its end).
+// It is Read for a caller that already owns the buffer the bytes end up in.
+// A missing object leaves dst untouched.
+func (s *Store) ReadInto(k Key, off int64, dst []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	obj, ok := s.objects[k]
+	if !ok {
+		return 0, ErrNotFound
 	}
-	end := int64(len(obj.Data))
-	if length >= 0 && off+length < end {
-		end = off + length
-	}
-	return append([]byte(nil), obj.Data[off:end]...), nil
+	return copy(dst, obj.span(off, int64(len(dst)))), nil
 }
 
 // GetXattr returns an extended attribute.
