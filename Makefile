@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -28,12 +28,19 @@ test:
 race:
 	go test -race ./internal/metrics ./internal/sim ./internal/qos ./internal/gateway ./internal/fpindex ./internal/hitset ./internal/tiering ./internal/rados ./internal/core ./internal/chaos ./internal/harness ./internal/experiments
 
+# The aliasing guard: replicas, snapshots and borrowers share payload bytes on
+# the promise that nobody writes to them (DESIGN.md §9). This build checksums
+# every shared payload and panics, naming key and field, when one changes.
+storecheck:
+	go test -tags storecheck ./internal/store ./internal/rados ./internal/core ./internal/client ./internal/gateway
+
 # Every internal package must ship tests.
 check-tests:
 	sh scripts/check-tests.sh
 
 # Only internal/rados/osd.go may change an OSD's objects or name its
-# fingerprint index (besides fpindex.go's attach/stats/verify).
+# fingerprint index (besides fpindex.go's attach/stats/verify), and only
+# internal/store may write through a store.Object's fields.
 check-seams:
 	sh scripts/check-seams.sh
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dedupstore/internal/qos"
 	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/simcost"
@@ -88,6 +89,91 @@ func BenchmarkClientRead64K(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if got, err := cl.Read(p, fmt.Sprintf("o%d", i%64), 0, int64(len(data))); err != nil || len(got) != len(data) {
 				b.Fatalf("read: %d bytes, err %v", len(got), err)
+			}
+		}
+	})
+	eng.Run()
+}
+
+// benchStore is a default-config store (32 KiB chunks, rep x2) with tracing
+// sampled off, as in the benchmark's timed runs.
+func benchStore(b *testing.B) (*sim.Engine, *Store) {
+	eng := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.Rate.Enabled = false
+	s, err := Open(rados.NewTestbed(eng, simcost.Default(), 4, 4), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.cluster.Trace().SetSample(1 << 30)
+	return eng, s
+}
+
+// BenchmarkFlushChunk measures the host-side cost of flushing one dirty
+// 32 KiB chunk — read, fingerprint, rebind — when the chunk pool already
+// holds the content (dup) and when it does not (new). B/op is the point: a
+// duplicate's payload is only hashed, a new chunk's is copied once for all
+// replicas. Writing the object is outside the timer.
+func BenchmarkFlushChunk(b *testing.B) {
+	for _, distinct := range []bool{false, true} {
+		name := "dup"
+		if distinct {
+			name = "new"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, s := benchStore(b)
+			cl := s.Client("bench")
+			data := make([]byte, 32<<10)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			eng.Go("flusher", func(p *sim.Proc) {
+				for i := -1; i < b.N; i++ { // iteration -1 creates the duplicate and the scratch buffer
+					b.StopTimer()
+					oid := fmt.Sprintf("o%d", i)
+					if distinct {
+						data[0], data[1], data[2], data[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+					}
+					if err := cl.Write(p, oid, 0, data); err != nil {
+						b.Fatal(err)
+					}
+					gw, host, err := s.metaPrimaryGW(oid, qos.Dedup)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if err := s.engine.flushObject(p, gw, host, oid, true); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
+// BenchmarkScrubChunkPool measures one dedup-scrub pass over a pool of 256
+// chunks of 32 KiB: every payload is read and hashed, none is kept.
+func BenchmarkScrubChunkPool(b *testing.B) {
+	const chunks = 256
+	eng, s := benchStore(b)
+	cl := s.Client("bench")
+	data := make([]byte, 32<<10)
+	b.SetBytes(chunks * int64(len(data)))
+	b.ReportAllocs()
+	eng.Go("scrubber", func(p *sim.Proc) {
+		for i := 0; i < chunks; i++ {
+			data[0] = byte(i)
+			if err := cl.Write(p, fmt.Sprintf("o%d", i), 0, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.engine.DrainAndWait(p)
+		gw := s.hostGWClass(anyHost(s), qos.Scrub)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var rep ScrubReport
+			if err := s.scrubChunkPool(p, gw, s.chunk, &rep); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {
+				b.Fatalf("scrub: err %v, report %+v", err, rep)
 			}
 		}
 	})

@@ -52,6 +52,17 @@ func (e *env) run(t *testing.T, fn func(p *sim.Proc)) {
 	if panicked != nil {
 		t.Fatal(panicked)
 	}
+	checkShared(e.c)
+}
+
+// checkShared sweeps every OSD's store for a shared payload that changed
+// under it (a no-op without -tags storecheck; `make storecheck` runs with it).
+func checkShared(c *rados.Cluster) {
+	for _, id := range c.OSDs() {
+		if st, ok := c.OSDStore(id); ok {
+			st.CheckShared()
+		}
+	}
 }
 
 // drain flushes all dirty objects and stops the engine.

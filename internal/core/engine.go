@@ -359,10 +359,11 @@ func evictCleanCachedFn(chunks, bytes *int64) rados.MutateFn {
 // concurrent client write invalidated the flush (the slot stays dirty).
 func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid string, entry Entry) (bound bool, err error) {
 	s := e.s
-	data, err := readPadded(p, gw, s.meta, oid, entry.Start, entry.Len())
+	data, err := s.readPadded(p, gw, s.meta, oid, entry.Start, entry.Len())
 	if err != nil {
 		return false, err
 	}
+	defer s.recycle(data)
 	// Fingerprint: the content hash that doubles as the chunk-pool object ID.
 	if err := s.cluster.UseHostCPU(p, hostName, s.cluster.Cost().Hash(len(data))); err != nil {
 		return false, err

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -15,10 +16,10 @@ import (
 
 // TestClientReadAllocatesOnce: a read fills one buffer. A 64 KiB block-device
 // read of a two-chunk object may allocate the payload once plus small change
-// (events, spans, the decoded chunk map) — not once per layer it crosses.
-// The EC case still copies each shard segment out of its OSD's store on the
-// way, so its bound is one payload higher. (An external test: internal/client
-// imports this package.)
+// (events, spans, the decoded chunk map) — not once per layer it crosses,
+// and on the EC pool not once more per shard segment: the join reads the
+// shards where they are stored. (An external test: internal/client imports
+// this package.)
 func TestClientReadAllocatesOnce(t *testing.T) {
 	const chunk, size, reads = 32 << 10, 64 << 10, 200
 	cases := []struct {
@@ -34,7 +35,7 @@ func TestClientReadAllocatesOnce(t *testing.T) {
 				s.Engine().DrainAndWait(p) // both chunks leave for the chunk pool
 				return dev.WriteAt(p, 0, data[:chunk])
 			}},
-		{"redirected to the EC cold pool", 2.5, [2]string{"cold", "cold"},
+		{"redirected to the EC cold pool", 1.5, [2]string{"cold", "cold"},
 			func(p *sim.Proc, s *core.Store, _ *client.BlockDevice, _ []byte) error {
 				p.Sleep(700 * time.Millisecond) // the write's access rolls out of every hitset slice
 				s.Engine().DrainAndWait(p)
@@ -121,4 +122,107 @@ func chunkStates(t *testing.T, p *sim.Proc, s *core.Store, oid string) (states [
 		}
 	}
 	return states
+}
+
+// allocEnv is a dedup store with 32 KiB chunks on the 4 × 4 testbed, its
+// chunk pool replicated rep times.
+func allocEnv(t testing.TB, rep int) (*sim.Engine, *core.Store) {
+	eng := sim.New(11)
+	cfg := core.DefaultConfig()
+	cfg.Rate.Enabled = false
+	cfg.ChunkRedundancy = rados.ReplicatedN(rep)
+	s, err := core.Open(rados.NewTestbed(eng, simcost.Default(), 4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cluster().Trace().SetSample(1 << 30) // untraced, as the benchmark's timed runs are
+	return eng, s
+}
+
+// writeChunks writes n one-chunk objects named prefix0…, of n different
+// contents when distinct and of 8 (whatever the prefix) when not.
+func writeChunks(t testing.TB, p *sim.Proc, s *core.Store, prefix string, n int, distinct bool) {
+	cl := s.Client("client0")
+	data := make([]byte, 32<<10)
+	for i := 0; i < n; i++ {
+		data[0] = byte(i % 8)
+		if distinct {
+			copy(data, fmt.Sprintf("%s%d", prefix, i))
+		}
+		if err := cl.Write(p, fmt.Sprintf("%s%d", prefix, i), 0, data); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// allocated runs fn and returns the bytes the process allocated meanwhile.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// drainAlloc flushes n dirty one-chunk objects — all holding a chunk the pool
+// already has, or each a new one — and returns the bytes allocated per
+// flushed chunk, in chunks.
+func drainAlloc(t *testing.T, rep int, distinct bool) (perChunk float64) {
+	const chunks, chunk = 256, 32 << 10
+	eng, s := allocEnv(t, rep)
+	eng.Go("test", func(p *sim.Proc) {
+		writeChunks(t, p, s, "warm", 8, distinct) // the pool holds the duplicates; scratch buffers exist
+		s.Engine().DrainAndWait(p)
+		writeChunks(t, p, s, "o", chunks, distinct)
+		before := s.Engine().Stats()
+		perChunk = float64(allocated(func() { s.Engine().DrainAndWait(p) })) / chunks / chunk
+		st := s.Engine().Stats()
+		if flushed, dup := st.ChunksFlushed-before.ChunksFlushed, st.DupChunks-before.DupChunks; flushed != chunks || (dup == chunks) == distinct {
+			t.Errorf("flushed %d chunks, %d of them duplicates: the test no longer builds the case it names", flushed, dup)
+		}
+	})
+	eng.Run()
+	return perChunk
+}
+
+// TestFlushAllocatesOneCopyPerNewChunk: the flush reads a dirty chunk into a
+// scratch buffer, so a chunk the pool already holds costs no payload
+// allocation at all — what is left is the flush's bookkeeping (transactions,
+// events, the chunk map), about a fifth of a 32 KiB chunk — and a new chunk
+// is copied exactly once, the copy its object keeps, however many replicas
+// then share it. (Before the sharing rule: 1 x for a duplicate, and 1 x + one
+// per replica for a new chunk.)
+func TestFlushAllocatesOneCopyPerNewChunk(t *testing.T) {
+	for _, rep := range []int{2, 3} {
+		dup, fresh := drainAlloc(t, rep, false), drainAlloc(t, rep, true)
+		t.Logf("rep x%d: %.3f chunks allocated per duplicate chunk flushed, %.3f per new chunk", rep, dup, fresh)
+		if dup >= 0.25 {
+			t.Errorf("rep x%d: flushing a duplicate chunk allocates %.2f x its bytes, want under 0.25 x", rep, dup)
+		}
+		if fresh-dup >= 1.15 || fresh >= 1.4 {
+			t.Errorf("rep x%d: flushing a new chunk allocates %.2f x its bytes, %.2f x more than a duplicate; want one copy (under 1.15 x more, under 1.4 x in all)", rep, fresh, fresh-dup)
+		}
+	}
+}
+
+// TestScrubBorrowsChunks: the dedup scrub only hashes chunk payloads, and on
+// a replicated pool reads them in place.
+func TestScrubBorrowsChunks(t *testing.T) {
+	const chunks, chunk = 256, 32 << 10
+	eng, s := allocEnv(t, 2)
+	eng.Go("test", func(p *sim.Proc) {
+		writeChunks(t, p, s, "o", chunks, true)
+		s.Engine().DrainAndWait(p)
+		var rep core.ScrubReport
+		var err error
+		perChunk := float64(allocated(func() { rep, err = s.Scrub(p) })) / chunks / chunk
+		if err != nil || !rep.Clean() || rep.ChunkObjects != chunks || rep.BytesVerified != chunks*chunk {
+			t.Errorf("scrub: err %v, report %+v", err, rep)
+		}
+		t.Logf("%.3f chunks allocated per scrubbed chunk", perChunk)
+		if perChunk >= 0.1 {
+			t.Errorf("scrubbing a chunk allocates %.2f x its bytes, want under 0.1 x", perChunk)
+		}
+	})
+	eng.Run()
 }

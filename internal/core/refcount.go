@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -57,32 +57,34 @@ type Ref struct {
 	Offset int64
 }
 
-// refBody serializes the reference fields with a length-prefixed OID, so
-// any OID — including ones containing '|' or trailing '.' — round-trips
-// through parseRefBody. (The previous "pool|oid|offset" form mis-parsed
-// such OIDs, leaving their references invisible to GC forever.)
-func (r Ref) refBody() string {
-	return fmt.Sprintf("%d|%d:%s|%d", r.Pool, len(r.OID), r.OID, r.Offset)
+// key serializes the reference under prefix, padded with dots to the paper's
+// per-reference footprint. The OID is length-prefixed, so any OID — including
+// ones containing '|' or trailing '.' — round-trips through parseRefBody.
+// (The previous "pool|oid|offset" form mis-parsed such OIDs, leaving their
+// references invisible to GC forever.) It is built in one buffer: the key is
+// made on every reference mutation and every liveness probe.
+func (r Ref) key(prefix string) string {
+	b := append(make([]byte, 0, RefEntryOverhead), prefix...)
+	b = append(strconv.AppendUint(b, r.Pool, 10), '|')
+	b = append(strconv.AppendInt(b, int64(len(r.OID)), 10), ':')
+	b = append(append(b, r.OID...), '|')
+	b = strconv.AppendInt(b, r.Offset, 10)
+	for len(b) < RefEntryOverhead {
+		b = append(b, '.')
+	}
+	return string(b)
 }
 
-// Key returns the omap key for this committed reference, padded to the
-// paper's per-reference footprint.
-func (r Ref) Key() string { return padRefKey(refKeyPrefix + r.refBody()) }
+// Key returns the omap key for this committed reference.
+func (r Ref) Key() string { return r.key(refKeyPrefix) }
 
 // IntentKey returns the omap key recording a phase-1 intent for this
 // reference.
-func (r Ref) IntentKey() string { return padRefKey(intentKeyPrefix + r.refBody()) }
+func (r Ref) IntentKey() string { return r.key(intentKeyPrefix) }
 
-func padRefKey(k string) string {
-	for len(k) < RefEntryOverhead {
-		k += "."
-	}
-	return k
-}
-
-// parseRefBody inverts refBody. The padding dots appended by padRefKey are
-// unambiguous because the body is self-delimiting: the OID's length is
-// explicit and the trailing offset is all digits.
+// parseRefBody inverts Ref.key's body. The padding dots are unambiguous
+// because the body is self-delimiting: the OID's length is explicit and the
+// trailing offset is all digits.
 func parseRefBody(body string) (Ref, bool) {
 	bar := strings.IndexByte(body, '|')
 	if bar < 0 {
@@ -228,7 +230,8 @@ func putRefFn(data []byte, ref Ref) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		txn := store.NewTxn()
 		if !v.Exists() {
-			txn.WriteFull(data).
+			// The chunk object keeps a copy; data stays the caller's.
+			txn.WriteFull(bytes.Clone(data)).
 				SetXattr(XattrRefCount, encodeRC(1, 1)).
 				OmapSet(ref.Key(), nil)
 			return txn, nil
@@ -272,7 +275,8 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 		}
 		txn := store.NewTxn()
 		if !v.Exists() {
-			txn.WriteFull(data).
+			// The chunk object keeps a copy; data may be a scratch buffer.
+			txn.WriteFull(bytes.Clone(data)).
 				SetXattr(XattrRefCount, encodeRC(0, 1)).
 				OmapSet(ref.IntentKey(), encodeExpiry(expiry))
 			return txn, nil

@@ -101,7 +101,9 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, rep *ScrubReport) error {
 	for _, chunkOID := range s.cluster.ListObjects(cpool) {
 		rep.ChunkObjects++
-		data, err := retryGet(p, func() ([]byte, error) { return gw.Read(p, cpool, chunkOID, 0, -1) })
+		// Borrowed: the bytes are only hashed, and stay as read if the chunk
+		// is rewritten meanwhile.
+		data, err := retryGet(p, func() ([]byte, error) { return gw.ReadBorrowed(p, cpool, chunkOID, 0, -1) })
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue // deleted concurrently

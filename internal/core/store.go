@@ -171,6 +171,7 @@ type Store struct {
 
 	hostGWs  map[string]*rados.Gateway // keyed class|host: one internal gateway per QoS class per host
 	objLocks map[string]*sim.Resource  // inline-mode per-object write locks
+	scratch  [][]byte                  // idle readPadded buffers
 
 	// gcHookBeforeSweep (tests only) runs between GC's out-of-lock
 	// verification and the under-lock sweep of each chunk, so tests can
@@ -725,14 +726,31 @@ func (s *Store) readChunkMap(p *sim.Proc, gw *rados.Gateway, oid string) (*Chunk
 }
 
 // readPadded reads n bytes at off, zero-padding a short read: an entry may
-// extend past the bytes its object physically holds (sparse tail).
-func readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
-	data := make([]byte, n)
-	if _, err := gw.ReadInto(p, pool, oid, off, data); err != nil {
+// extend past the bytes its object physically holds (sparse tail). The buffer
+// is scratch, for readers that only hash the bytes or pass them on to a
+// transaction that copies what it keeps: hand it back with recycle once
+// nothing started with it is still running. Sim processes interleave at every
+// I/O, so each read in flight holds a buffer of its own.
+func (s *Store) readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
+	var data []byte
+	if k := len(s.scratch) - 1; k >= 0 {
+		data, s.scratch = s.scratch[k], s.scratch[:k]
+	}
+	if int64(cap(data)) < n {
+		data = make([]byte, n)
+	}
+	data = data[:n]
+	got, err := gw.ReadInto(p, pool, oid, off, data)
+	if err != nil {
+		s.recycle(data)
 		return nil, err
 	}
+	clear(data[got:])
 	return data, nil
 }
+
+// recycle returns a readPadded buffer for the next reader.
+func (s *Store) recycle(buf []byte) { s.scratch = append(s.scratch, buf) }
 
 // loadChunkMap reads the chunk map from a mutate view.
 func loadChunkMap(v rados.View) (*ChunkMap, error) {

@@ -25,13 +25,18 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 	// Read the chunk bytes of every uncached bound slot first, outside the
 	// metadata object's PG lock.
 	fills := make(map[int64][]byte)
+	defer func() {
+		for _, data := range fills {
+			s.recycle(data)
+		}
+	}()
 	payload := 0
 	for _, e := range cm.Entries {
 		if e.Dirty || e.ChunkID == "" || e.Cached {
 			continue
 		}
 		s.cluster.QoS().WaitTurn(p, qos.Tiering)
-		data, err := readPadded(p, gw, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
+		data, err := s.readPadded(p, gw, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
 		if err != nil {
 			return fmt.Errorf("core: recache read chunk %s: %w", e.ChunkID, err)
 		}
@@ -166,10 +171,11 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 // pool's copy has its own reference table, and refLiveness judges each
 // against the Cold bit. bound=false with a nil error means the slot raced.
 func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry, toCold bool) (bound bool, err error) {
-	data, err := readPadded(p, gw, s.chunkPoolFor(entry.Cold), entry.ChunkID, 0, entry.Len())
+	data, err := s.readPadded(p, gw, s.chunkPoolFor(entry.Cold), entry.ChunkID, 0, entry.Len())
 	if err != nil {
 		return false, err
 	}
+	defer s.recycle(data)
 	return s.rebind(p, gw, oid, transition{
 		puts: []chunkPut{{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, data: data, off: entry.Start}},
 		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {

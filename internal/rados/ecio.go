@@ -73,7 +73,7 @@ func stripeSplit(data []byte, k int) [][]byte {
 // stripeJoin reassembles logical bytes [off, off+length) from shard
 // segments that each cover shard rows [row0, row1), into dst when the caller
 // brought a buffer (of at least length bytes) and into a fresh one when dst
-// is nil.
+// is nil. A segment may stop short of row1: a short shard tail reads as zeros.
 func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64, dst []byte) []byte {
 	end := min(off+length, totalLen)
 	if off >= end {
@@ -90,7 +90,9 @@ func stripeJoin(segments [][]byte, k int, row0 int, off, length, totalLen int64,
 		inUnit := pos % StripeUnit
 		n := min(StripeUnit-inUnit, end-pos)
 		soff := int64(row-row0)*StripeUnit + inUnit
-		copy(out[pos-off:], segments[shard][soff:soff+n])
+		piece, seg := out[pos-off:pos-off+n], segments[shard]
+		copied := copy(piece, seg[min(soff, int64(len(seg))):])
+		clear(piece[copied:]) // past a short shard's end
 		pos += n
 	}
 	return out
@@ -485,9 +487,14 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 	fetch := func(idx int) *sim.Signal {
 		o := holders[idx]
 		return p.Go("ec-read", func(q *sim.Proc) {
-			seg := make([]byte, segLen) // a short shard tail reads as zeros
-			if _, err := o.store.ReadInto(key, int64(row0)*StripeUnit, seg); err != nil {
+			// Borrowed, not copied: the span keeps the bytes of this instant
+			// whatever is written to the shard while the transfer is charged.
+			seg, err := o.store.Borrow(key, int64(row0)*StripeUnit, int64(segLen))
+			if err != nil {
 				return
+			}
+			if dataMissing && len(seg) < segLen { // Reconstruct wants equal sizes
+				seg = append(make([]byte, 0, segLen), seg...)[:segLen]
 			}
 			o.diskRead(q, g.cls, cost, segLen)
 			if o != primary {

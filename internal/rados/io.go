@@ -1,6 +1,7 @@
 package rados
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -188,14 +189,15 @@ func (g *Gateway) Write(p *sim.Proc, pool *Pool, oid string, off int64, data []b
 	return err
 }
 
-// WriteFull replaces the object's contents.
+// WriteFull replaces the object's contents. data stays the caller's: the
+// replicas share the one copy made here (an EC pool encodes fresh shards).
 func (g *Gateway) WriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
 	oc := g.startOp(p, "rados.writefull", &g.c.ops.writeFull, pool, oid, len(data))
 	var err error
 	if pool.Red.Kind == Erasure {
 		err = g.ecWriteFull(p, pool, oid, data)
 	} else {
-		txn := store.NewTxn().WriteFull(data)
+		txn := store.NewTxn().WriteFull(bytes.Clone(data))
 		err = g.applyTxn(p, pool, oid, txn, len(data))
 		g.noteOp(len(data))
 	}
@@ -220,7 +222,7 @@ func (g *Gateway) Delete(p *sim.Proc, pool *Pool, oid string) error {
 // Read returns length bytes at off (length<0 reads to end) in a fresh buffer
 // the caller owns. Reads are served by the acting primary.
 func (g *Gateway) Read(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
-	return g.tracedRead(p, pool, oid, off, length, nil)
+	return g.tracedRead(p, pool, oid, off, length, nil, false)
 }
 
 // ReadInto is Read for a caller that already owns the buffer the bytes end
@@ -229,13 +231,20 @@ func (g *Gateway) Read(p *sim.Proc, pool *Pool, oid string, off, length int64) (
 // dst at the simulated instant Read would have copied them out of the store;
 // the op is charged, counted and traced exactly as the equal-length Read.
 func (g *Gateway) ReadInto(p *sim.Proc, pool *Pool, oid string, off int64, dst []byte) (int, error) {
-	data, err := g.tracedRead(p, pool, oid, off, int64(len(dst)), dst)
+	data, err := g.tracedRead(p, pool, oid, off, int64(len(dst)), dst, false)
 	return len(data), err
 }
 
-func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
+// ReadBorrowed is Read for a caller that only looks at the bytes (scrub
+// hashes them). The result is read-only: on a replicated pool it is the
+// serving OSD's stored bytes as of the instant Read would have copied them.
+func (g *Gateway) ReadBorrowed(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
+	return g.tracedRead(p, pool, oid, off, length, nil, true)
+}
+
+func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte, borrow bool) ([]byte, error) {
 	oc := g.startOp(p, "rados.read", &g.c.ops.read, pool, oid, 0)
-	data, err := g.read(p, pool, oid, off, length, dst)
+	data, err := g.read(p, pool, oid, off, length, dst, borrow)
 	if oc.sp != nil {
 		oc.sp.Bytes = int64(len(data))
 	}
@@ -244,9 +253,9 @@ func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length in
 }
 
 // read serves Read (dst nil: the result is allocated here, once its length
-// is known) and ReadInto (the result is the filled prefix of dst, and length
-// is len(dst)).
-func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
+// is known), ReadInto (the result is the filled prefix of dst, and length
+// is len(dst)) and ReadBorrowed (dst nil, borrow set).
+func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte, borrow bool) ([]byte, error) {
 	if pool.Red.Kind == Erasure {
 		return g.ecRead(p, pool, oid, off, length, dst)
 	}
@@ -262,9 +271,12 @@ func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64, d
 	// index before the data read.
 	g.fpProbe(p, pool, oid, serving)
 	var data []byte
-	if dst == nil {
+	switch {
+	case borrow:
+		data, err = serving.store.Borrow(key, off, length)
+	case dst == nil:
 		data, err = serving.store.Read(key, off, length)
-	} else {
+	default:
 		var n int
 		n, err = serving.store.ReadInto(key, off, dst)
 		data = dst[:n]
@@ -367,7 +379,9 @@ func (g *Gateway) GetXattr(p *sim.Proc, pool *Pool, oid, name string) ([]byte, e
 }
 
 // SetXattr writes an extended attribute (replicated like any mutation).
+// value stays the caller's; the replicas share the one copy made here.
 func (g *Gateway) SetXattr(p *sim.Proc, pool *Pool, oid, name string, value []byte) error {
+	value = bytes.Clone(value)
 	return g.Mutate(p, pool, oid, func(View) (*store.Txn, error) {
 		return store.NewTxn().SetXattr(name, value), nil
 	})
@@ -391,12 +405,13 @@ func (g *Gateway) OmapList(p *sim.Proc, pool *Pool, oid string, max int) ([]stri
 	return v.OmapList(max)
 }
 
-// OmapSet writes omap entries.
+// OmapSet writes omap entries. The values stay the caller's; the replicas
+// share the one copy made here.
 func (g *Gateway) OmapSet(p *sim.Proc, pool *Pool, oid string, kv map[string][]byte) error {
 	return g.Mutate(p, pool, oid, func(View) (*store.Txn, error) {
 		txn := store.NewTxn().Create()
 		for k, v := range kv {
-			txn.OmapSet(k, v)
+			txn.OmapSet(k, bytes.Clone(v))
 		}
 		return txn, nil
 	})

@@ -59,6 +59,11 @@ func (e *testEnv) run(t *testing.T, fn func(p *sim.Proc)) {
 	if procErr != nil {
 		t.Fatal(procErr)
 	}
+	// A shared payload that changed under a store (a no-op without -tags
+	// storecheck; `make storecheck` runs with it).
+	for _, o := range e.c.osds {
+		o.store.CheckShared()
+	}
 }
 
 func TestPoolCreation(t *testing.T) {

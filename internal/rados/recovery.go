@@ -363,12 +363,19 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 	if err := codec.Reconstruct(shards); err != nil {
 		return
 	}
-	obj := &store.Object{Data: shards[t.idx], Xattr: map[string][]byte{}, Omap: template.Omap}
+	// The rebuilt shard replaces whatever dst held under the key: the
+	// reconstructed data, a surviving shard's mirrored metadata (shared, not
+	// copied), its own index.
+	txn := store.NewTxn().Delete().WriteFull(shards[t.idx])
 	for name, v := range template.Xattr {
-		obj.Xattr[name] = v
+		txn.SetXattr(name, v)
 	}
-	obj.Xattr[xattrECIdx] = putU64(uint64(t.idx))
-	t.dst.install(q, t.key, obj)
+	for name, v := range template.Omap {
+		txn.OmapSet(name, v)
+	}
+	if err := t.dst.apply(q, t.key, txn.SetXattr(xattrECIdx, putU64(uint64(t.idx)))); err != nil {
+		return
+	}
 	t.dst.diskWrite(q, qos.Recovery, cost, shardLen)
 	stats.ShardsRebuilt++
 	stats.BytesMoved += int64(shardLen)

@@ -58,6 +58,55 @@ func TestScrubDetectsReplicaBitRot(t *testing.T) {
 	}
 }
 
+// TestCorruptForTestRotsOneReplica: replicas share one backing array —
+// handed to both by the write's fan-out, or to the second by a scrub repair
+// or a recovery copy of the first — and bit rot on one of them must stay on
+// that one: the other's bytes are what was written, and scrub blames the
+// rotten copy alone.
+func TestCorruptForTestRotsOneReplica(t *testing.T) {
+	want := bytes.Repeat([]byte{7}, 4096)
+	for _, tc := range []struct {
+		name   string
+		reseat func(e *testEnv, replica int) // makes the replica's copy a new alias of the primary's
+	}{
+		{"shared by the write fan-out", func(*testEnv, int) {}},
+		{"shared by scrub repair", func(e *testEnv, replica int) {
+			e.c.osds[replica].remove(nil, store.Key{Pool: e.rep.ID, OID: "victim"})
+			e.run(t, func(p *sim.Proc) { e.c.Scrub(p, e.rep, true) })
+		}},
+		{"shared by a recovery copy", func(e *testEnv, replica int) {
+			if _, err := e.c.ReplaceOSD(replica); err != nil {
+				t.Fatal(err)
+			}
+			e.run(t, func(p *sim.Proc) { e.c.Recover(p) })
+		}},
+	} {
+		for rotten := 0; rotten < 2; rotten++ {
+			t.Run(fmt.Sprintf("%s, rot on acting[%d]", tc.name, rotten), func(t *testing.T) {
+				e := newEnv(t)
+				e.run(t, func(p *sim.Proc) { e.gw.WriteFull(p, e.rep, "victim", want) })
+				key := store.Key{Pool: e.rep.ID, OID: "victim"}
+				acting := e.c.Map().ActingSet(e.c.PGOf(e.rep, "victim"), 2)
+				tc.reseat(e, acting[1])
+				if err := e.c.CorruptForTest(acting[rotten], key, 100); err != nil {
+					t.Fatal(err)
+				}
+				healthy, _ := e.c.OSDStore(acting[1-rotten])
+				if got, err := healthy.Read(key, 0, -1); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("rot on osd.%d shows on osd.%d (err %v)", acting[rotten], acting[1-rotten], err)
+				}
+				var stats ScrubStats
+				e.run(t, func(p *sim.Proc) { stats = e.c.Scrub(p, e.rep, false) })
+				// The primary is the authority, so either way it is the replica
+				// that is reported as differing from it.
+				if len(stats.Errors) != 1 || stats.Errors[0].OSD != acting[1] || stats.Errors[0].Detail != "data mismatch" {
+					t.Fatalf("scrub verdict: %v", stats.Errors)
+				}
+			})
+		}
+	}
+}
+
 func TestScrubDetectsXattrDivergence(t *testing.T) {
 	e := newEnv(t)
 	e.run(t, func(p *sim.Proc) {

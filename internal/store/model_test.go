@@ -319,3 +319,186 @@ func TestAppendsGrowGeometrically(t *testing.T) {
 		t.Fatalf("object is %d bytes", n)
 	}
 }
+
+// --- The sharing rule ---------------------------------------------------------
+
+var sharedKey = Key{7, "shared"}
+
+// holder is a store and the model of what it alone was told.
+type holder struct {
+	st *Store
+	m  *model
+}
+
+func newHolder() holder { return holder{New(), newModel()} }
+
+func (h holder) apply(t *testing.T, txn *Txn) {
+	t.Helper()
+	if err := h.st.Apply(sharedKey, txn); err != nil {
+		t.Fatal(err)
+	}
+	h.m.apply(sharedKey, txn)
+}
+
+// copyOf returns a deep copy of the model's object: what a snapshot taken
+// now must keep showing.
+func (m *model) copyOf(k Key) *modelObject {
+	o := m.objects[k]
+	cp := &modelObject{data: append([]byte(nil), o.data...), xattr: map[string]string{}, omap: map[string]string{}}
+	for n, v := range o.xattr {
+		cp.xattr[n] = v
+	}
+	for n, v := range o.omap {
+		cp.omap[n] = v
+	}
+	return cp
+}
+
+// sharedFixture is one way for several holders to end up aliasing the same
+// payloads: edited is the one the case then writes to, others must not
+// notice, and neither must snap (whose contents snapWas recorded).
+type sharedFixture struct {
+	edited  holder
+	others  []holder
+	snap    *Object
+	snapWas *modelObject
+}
+
+// sharedTxn builds the object every fixture starts from. The data slice has
+// spare capacity, so an extending write could land in the adopted array.
+func sharedTxn() *Txn {
+	data := make([]byte, 4096, 8192)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	return NewTxn().WriteFull(data).SetXattr("x", []byte("xattr-value")).OmapSet("o", []byte("omap-value"))
+}
+
+var sharedFixtures = []struct {
+	name  string
+	build func(t *testing.T) sharedFixture
+}{
+	{"one Txn applied to two stores", func(t *testing.T) sharedFixture {
+		a, b, txn := newHolder(), newHolder(), sharedTxn()
+		a.apply(t, txn)
+		b.apply(t, txn)
+		return sharedFixture{edited: a, others: []holder{b}}
+	}},
+	{"snapshot, then write to the source", func(t *testing.T) sharedFixture {
+		a := newHolder()
+		a.apply(t, sharedTxn())
+		snap, _ := a.st.Snapshot(sharedKey)
+		return sharedFixture{edited: a, snap: snap, snapWas: a.m.copyOf(sharedKey)}
+	}},
+	{"snapshot of private data, then write to the source", func(t *testing.T) sharedFixture {
+		a := newHolder()
+		a.apply(t, sharedTxn())
+		a.apply(t, NewTxn().Write(0, []byte{9})) // moves Data to an array of its own
+		snap, _ := a.st.Snapshot(sharedKey)
+		return sharedFixture{edited: a, snap: snap, snapWas: a.m.copyOf(sharedKey)}
+	}},
+	{"one snapshot installed on two stores, then write to one", func(t *testing.T) sharedFixture {
+		src, a, b := newHolder(), newHolder(), newHolder()
+		src.apply(t, sharedTxn())
+		snap, _ := src.st.Snapshot(sharedKey)
+		for _, h := range []holder{a, b} {
+			h.st.Install(sharedKey, snap)
+			h.m.objects[sharedKey] = src.m.copyOf(sharedKey)
+		}
+		return sharedFixture{edited: a, others: []holder{src, b}, snap: snap, snapWas: src.m.copyOf(sharedKey)}
+	}},
+}
+
+var sharedEdits = []struct {
+	name string
+	txn  func() *Txn
+}{
+	{"OpWrite", func() *Txn { return NewTxn().Write(100, []byte("scribble")) }},
+	{"OpZero", func() *Txn { return NewTxn().Zero(10, 500) }},
+	{"extending write into spare capacity", func() *Txn { return NewTxn().Write(5000, []byte{1, 2, 3}) }},
+	{"truncate-shrink then extending write", func() *Txn { return NewTxn().Truncate(1000).Write(2000, []byte{4, 5, 6}) }},
+	{"truncate-grow", func() *Txn { return NewTxn().Truncate(6000) }},
+	{"replace xattr and omap values", func() *Txn {
+		return NewTxn().SetXattr("x", []byte("new")).OmapSet("o", []byte("new")).OmapRm("o").OmapSet("o2", nil)
+	}},
+	{"WriteFull", func() *Txn { return NewTxn().WriteFull([]byte("replaced")) }},
+	{"delete", func() *Txn { return NewTxn().Delete() }},
+}
+
+// TestSharingRule: however holders came to alias one payload, an edit
+// through one of them is seen by that one alone. Every holder is compared
+// with a model that was told only what that holder was told.
+func TestSharingRule(t *testing.T) {
+	for _, fx := range sharedFixtures {
+		for _, ed := range sharedEdits {
+			t.Run(fx.name+"/"+ed.name, func(t *testing.T) {
+				f := fx.build(t)
+				f.edited.apply(t, ed.txn())
+				for i, h := range append([]holder{f.edited}, f.others...) {
+					compareObject(t, i, h.st, h.m, sharedKey)
+					h.st.CheckShared()
+				}
+				if f.snap == nil {
+					return
+				}
+				if string(f.snap.Data) != string(f.snapWas.data) || len(f.snap.Xattr) != 1 || len(f.snap.Omap) != 1 ||
+					string(f.snap.Xattr["x"]) != f.snapWas.xattr["x"] || string(f.snap.Omap["o"]) != f.snapWas.omap["o"] {
+					t.Fatal("the snapshot changed when a store holding its payloads was written to")
+				}
+				late := newHolder() // and it still installs what it held
+				late.st.Install(sharedKey, f.snap)
+				late.m.objects[sharedKey] = f.snapWas
+				compareObject(t, 9, late.st, late.m, sharedKey)
+			})
+		}
+	}
+}
+
+// TestReadResultIsCallerOwned: Read and ReadInto copy out, so the caller may
+// write to what they return; Borrow's result is read-only but keeps its
+// contents when the object is written to afterwards, whether it lent the
+// stored array (whole range, or data already shared) or copied (partial
+// range of private data).
+func TestReadResultIsCallerOwned(t *testing.T) {
+	st := New()
+	k := Key{1, "r"}
+	st.Apply(k, NewTxn().WriteFull([]byte("immutable")))
+	got, _ := st.Read(k, 0, -1)
+	got[0] = 'X'
+	dst := make([]byte, 4)
+	st.ReadInto(k, 0, dst)
+	dst[1] = 'Y'
+	if again, _ := st.Read(k, 0, -1); string(again) != "immutable" {
+		t.Fatalf("writing to a Read result changed the store: %q", again)
+	}
+	st.CheckShared()
+
+	for _, shared := range []bool{true, false} {
+		for _, whole := range []bool{true, false} {
+			st.Apply(k, NewTxn().WriteFull([]byte("0123456789")))
+			if !shared {
+				st.Apply(k, NewTxn().Write(0, []byte("0"))) // private array from here on
+			}
+			length := int64(-1)
+			if !whole {
+				length = 4
+			}
+			lent, err := st.Borrow(k, 2, length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			was := string(lent)
+			st.Apply(k, NewTxn().Write(3, []byte("zz")).Zero(5, 2))
+			if string(lent) != was {
+				t.Fatalf("shared=%v whole=%v: borrowed bytes %q became %q after a write", shared, whole, was, lent)
+			}
+			if now, _ := st.Read(k, 0, -1); string(now) != "012zz\x00\x00789" {
+				t.Fatalf("shared=%v whole=%v: object reads %q after the write", shared, whole, now)
+			}
+			st.CheckShared()
+		}
+	}
+	if _, err := st.Borrow(Key{1, "absent"}, 0, -1); err != ErrNotFound {
+		t.Fatalf("Borrow of a missing object: %v", err)
+	}
+}

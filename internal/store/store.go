@@ -4,11 +4,23 @@
 // model the paper's "self-contained object" design builds on (§3.2, §4.1).
 // All deduplication metadata lives inside these per-object fields, so the
 // substrate's replication/recovery machinery covers it with no extra code.
+//
+// The sharing rule. A whole value — WriteFull data, a SetXattr or OmapSet
+// value — is immutable from the moment it enters a Txn: Apply adopts the
+// slice, so the replicas a transaction is applied to, the snapshots taken of
+// them and the stores those are installed on all alias one backing array,
+// and GetXattr, OmapGet and Borrow hand the stored slice out read-only. The
+// store copies before it edits data in place that someone else may hold
+// (Object.shared), and Read / ReadInto copy out, so what they return is the
+// caller's. Nobody outside this package writes through an Object's fields
+// (scripts/check-seams.sh); a build with -tags storecheck checksums every
+// shared payload and panics when one changes.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"sort"
 	"sync"
@@ -22,16 +34,24 @@ type Key struct {
 
 func (k Key) String() string { return fmt.Sprintf("%d/%s", k.Pool, k.OID) }
 
-// Object is the stored representation. Byte slices are owned by the store;
-// accessors copy.
+// Object is the stored representation, and what Snapshot hands to recovery
+// and scrub. Its byte slices are read-only to everyone but this package:
+// xattr and omap values are only ever replaced whole, and Data is edited in
+// place only while shared is false.
 type Object struct {
 	Data  []byte
 	Xattr map[string][]byte
 	Omap  map[string][]byte
 
-	punched       extentSet // hole ranges (read as zeros, not stored)
-	compressedLen int       // cached physical footprint of Data
-	compressValid bool      // whether compressedLen is current
+	// shared is set while Data's backing array may be held by someone else —
+	// the Txn it was adopted from (and so the other replicas), a snapshot, a
+	// store the snapshot was installed on, a Borrow — and cleared when an
+	// in-place edit has moved Data to an array of its own.
+	shared        bool
+	sums          payloadSums // checksums of the shared payloads (-tags storecheck; else empty)
+	punched       extentSet   // hole ranges (read as zeros, not stored)
+	compressedLen int         // cached physical footprint of Data
+	compressValid bool        // whether compressedLen is current
 }
 
 // PerObjectOverhead models the fixed per-object metadata footprint of the
@@ -117,6 +137,9 @@ type Op struct {
 // Txn is an ordered list of mutations applied atomically to ONE object —
 // the consistency unit the paper's §4.6 model relies on ("data consistency
 // is achieved by the transactional operation of underlying storage system").
+// WriteFull data and SetXattr / OmapSet values are adopted, not copied, by
+// every store the transaction is applied to: the caller must not change them
+// once they are in the Txn. Write data is copied into the object.
 type Txn struct {
 	Ops []Op
 }
@@ -207,6 +230,9 @@ func (s *Store) Apply(k Key, t *Txn) error {
 		return s.failErr
 	}
 	obj := s.objects[k]
+	if obj != nil {
+		obj.verifySums(k)
+	}
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case OpDelete:
@@ -224,14 +250,13 @@ func (s *Store) Apply(k Key, t *Txn) error {
 		switch op.Kind {
 		case OpWrite:
 			end := op.Off + int64(len(op.Data))
-			if int64(len(obj.Data)) < end {
-				obj.Data = extend(obj.Data, end, op.Off)
-			}
+			obj.edit(end, op.Off)
 			copy(obj.Data[op.Off:], op.Data)
 			obj.punched = obj.punched.sub(op.Off, end)
 			obj.compressValid = false
 		case OpWriteFull:
-			obj.Data = append([]byte(nil), op.Data...)
+			obj.Data, obj.shared = op.Data, true
+			obj.sumData()
 			obj.punched = nil
 			obj.compressValid = false
 		case OpTruncate:
@@ -240,10 +265,9 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			}
 			if int64(len(obj.Data)) > op.Off {
 				obj.Data = obj.Data[:op.Off]
+				obj.sumData()
 			} else if int64(len(obj.Data)) < op.Off {
-				grown := make([]byte, op.Off)
-				copy(grown, obj.Data)
-				obj.Data = grown
+				obj.edit(op.Off, op.Off)
 			}
 			obj.punched = obj.punched.clamp(op.Off)
 			obj.compressValid = false
@@ -256,6 +280,7 @@ func (s *Store) Apply(k Key, t *Txn) error {
 				op.Off = 0
 			}
 			if op.Off < end {
+				obj.edit(end, op.Off)
 				clear(obj.Data[op.Off:end])
 			}
 			obj.punched = obj.punched.add(op.Off, end)
@@ -264,40 +289,48 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			if obj.Xattr == nil {
 				obj.Xattr = make(map[string][]byte)
 			}
-			obj.Xattr[op.Name] = append([]byte(nil), op.Value...)
+			obj.Xattr[op.Name] = op.Value
+			obj.sumValue("xattr", op.Name, op.Value)
 		case OpRmXattr:
 			delete(obj.Xattr, op.Name)
+			obj.forgetValue("xattr", op.Name)
 		case OpOmapSet:
 			if obj.Omap == nil {
 				obj.Omap = make(map[string][]byte)
 			}
-			obj.Omap[op.Name] = append([]byte(nil), op.Value...)
+			obj.Omap[op.Name] = op.Value
+			obj.sumValue("omap", op.Name, op.Value)
 		case OpOmapRm:
 			delete(obj.Omap, op.Name)
+			obj.forgetValue("omap", op.Name)
 		}
 	}
 	return nil
 }
 
-// extend grows data to length end for a write that starts at off. It reuses
-// spare capacity, zeroing the bytes between the old length and off because
-// spare capacity may hold what an earlier Truncate cut off; otherwise it
+// edit readies Data for an in-place edit of [off, end): private to this
+// object and at least end bytes long. Shared data moves to an array of its
+// own first — the one copy-on-write in the store. Private data reuses spare
+// capacity, zeroing the bytes between the old length and off because spare
+// capacity may hold what an earlier Truncate cut off; otherwise it
 // reallocates at the next power of two, so that filling an object by appends
 // copies it a bounded number of times per byte instead of once per append,
 // and an object whose final size is a power of two (a stripe object, a
 // chunk) ends with no slack.
-func extend(data []byte, end, off int64) []byte {
-	if end > int64(cap(data)) {
-		grown := make([]byte, end, 1<<bits.Len64(uint64(end-1)))
-		copy(grown, data)
-		return grown
+func (o *Object) edit(end, off int64) {
+	old := int64(len(o.Data))
+	end = max(end, old)
+	if o.shared || end > int64(cap(o.Data)) {
+		grown := make([]byte, end, 1<<bits.Len64(uint64(max(end, 1)-1)))
+		copy(grown, o.Data)
+		o.Data, o.shared = grown, false
+		o.sumData()
+		return
 	}
-	old := int64(len(data))
-	data = data[:end]
+	o.Data = o.Data[:end]
 	if old < off {
-		clear(data[old:off])
+		clear(o.Data[old:off])
 	}
-	return data
 }
 
 // --- Reads ------------------------------------------------------------------
@@ -323,7 +356,8 @@ func (s *Store) Size(k Key) (int64, error) {
 
 // span returns the object's bytes in [off, off+length), short if the object
 // is smaller and nil past its end. A length < 0 runs to the end. The result
-// is the store's own memory: callers copy out of it under the lock.
+// is the store's own memory: Read and ReadInto copy out of it under the
+// lock, Borrow marks it shared before handing it out.
 func (o *Object) span(off, length int64) []byte {
 	if off >= int64(len(o.Data)) || off < 0 {
 		return nil
@@ -361,7 +395,37 @@ func (s *Store) ReadInto(k Key, off int64, dst []byte) (int, error) {
 	return copy(dst, obj.span(off, int64(len(dst)))), nil
 }
 
-// GetXattr returns an extended attribute.
+// Borrow is Read for a caller that only looks at the bytes (hashes, compares,
+// decodes, copies on): the result is read-only and keeps its contents
+// whatever is written to the object afterwards. It is the store's own memory,
+// now marked shared, when that costs nothing — the data is shared already, or
+// the range covers all of it, so the whole-object copy a later in-place write
+// must make is no more than the copy saved here. A partial read of private
+// data is copied out instead, as Read would.
+func (s *Store) Borrow(k Key, off, length int64) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	obj, ok := s.objects[k]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	span := obj.span(off, length)
+	if !obj.shared && len(span) < len(obj.Data) {
+		return append([]byte(nil), span...), nil
+	}
+	obj.share()
+	return span, nil
+}
+
+// share marks Data as held by someone besides this object.
+func (o *Object) share() {
+	if !o.shared {
+		o.shared = true
+		o.sumData()
+	}
+}
+
+// GetXattr returns an extended attribute; the result is read-only.
 func (s *Store) GetXattr(k Key, name string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,10 +437,10 @@ func (s *Store) GetXattr(k Key, name string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
 
-// OmapGet returns one omap value.
+// OmapGet returns one omap value; the result is read-only.
 func (s *Store) OmapGet(k Key, key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,7 +452,7 @@ func (s *Store) OmapGet(k Key, key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
 
 // OmapList returns up to max omap keys (all if max <= 0), sorted.
@@ -441,25 +505,23 @@ func (o *Object) PayloadBytes() int {
 	return n
 }
 
-// clone returns a deep copy of the object.
-func (o *Object) clone() *Object {
-	cp := &Object{Data: append([]byte(nil), o.Data...), punched: append(extentSet(nil), o.punched...)}
-	if o.Xattr != nil {
-		cp.Xattr = make(map[string][]byte, len(o.Xattr))
-		for n, v := range o.Xattr {
-			cp.Xattr[n] = append([]byte(nil), v...)
-		}
+// alias returns a second object over the same payloads: Data and every
+// xattr and omap value share o's backing arrays, only the maps themselves
+// (which each object changes as it goes) are copied. Both objects' Data is
+// shared from here on.
+func (o *Object) alias(k Key) *Object {
+	o.verifySums(k)
+	o.share()
+	return &Object{
+		Data: o.Data, shared: true, sums: o.sums.clone(),
+		Xattr: maps.Clone(o.Xattr), Omap: maps.Clone(o.Omap), // a nil map stays nil
+		punched: append(extentSet(nil), o.punched...),
 	}
-	if o.Omap != nil {
-		cp.Omap = make(map[string][]byte, len(o.Omap))
-		for n, v := range o.Omap {
-			cp.Omap[n] = append([]byte(nil), v...)
-		}
-	}
-	return cp
 }
 
-// Snapshot returns a deep copy of an object (for recovery copies).
+// Snapshot returns the object as it is now (for recovery copies and scrub):
+// later writes to the store do not show through it. The snapshot is
+// read-only; it aliases the stored payloads.
 func (s *Store) Snapshot(k Key) (*Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,16 +529,31 @@ func (s *Store) Snapshot(k Key) (*Object, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return obj.clone(), nil
+	return obj.alias(k), nil
 }
 
-// Install places a copy of a snapshot object (recovery path), replacing any
-// existing object at k. It copies because one snapshot may be installed on
-// several OSDs (scrub repair).
+// Install places a snapshot object at k (recovery path), replacing any
+// existing object. One snapshot may be installed on several OSDs (scrub
+// repair): each gets an object of its own over the snapshot's payloads.
 func (s *Store) Install(k Key, obj *Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objects[k] = obj.clone()
+	if old := s.objects[k]; old != nil {
+		old.verifySums(k)
+	}
+	s.objects[k] = obj.alias(k)
+}
+
+// CheckShared verifies every shared payload in the store against the
+// checksum taken when it was adopted or borrowed, and panics with the key and
+// field of one that changed. Without -tags storecheck no checksums exist and
+// it does nothing.
+func (s *Store) CheckShared() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, obj := range s.objects {
+		obj.verifySums(k)
+	}
 }
 
 // Clear removes every object (simulates device replacement).

@@ -159,50 +159,6 @@ func TestTxnBytes(t *testing.T) {
 	}
 }
 
-func TestReturnedSlicesAreCopies(t *testing.T) {
-	s := New()
-	data := []byte("mutable")
-	s.Apply(k, NewTxn().WriteFull(data))
-	data[0] = 'X' // caller mutates input after apply
-	got, _ := s.Read(k, 0, -1)
-	if string(got) != "mutable" {
-		t.Fatal("store aliases caller's input slice")
-	}
-	got[0] = 'Y' // caller mutates output
-	again, _ := s.Read(k, 0, -1)
-	if string(again) != "mutable" {
-		t.Fatal("store returned aliased slice")
-	}
-}
-
-func TestSnapshotInstall(t *testing.T) {
-	s := New()
-	s.Apply(k, NewTxn().WriteFull([]byte("data")).SetXattr("a", []byte("v")).OmapSet("o", []byte("w")))
-	snap, err := s.Snapshot(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := New()
-	k2 := Key{Pool: 1, OID: "copy"}
-	dst.Install(k2, snap)
-	got, _ := dst.Read(k2, 0, -1)
-	if string(got) != "data" {
-		t.Fatalf("installed data %q", got)
-	}
-	if v, _ := dst.GetXattr(k2, "a"); string(v) != "v" {
-		t.Fatal("xattr lost in snapshot/install")
-	}
-	if v, _ := dst.OmapGet(k2, "o"); string(v) != "w" {
-		t.Fatal("omap lost in snapshot/install")
-	}
-	// Mutating the snapshot must not affect either store.
-	snap.Data[0] = 'X'
-	got, _ = s.Read(k, 0, -1)
-	if string(got) != "data" {
-		t.Fatal("snapshot aliases source store")
-	}
-}
-
 func TestUsageAccounting(t *testing.T) {
 	s := New()
 	s.Apply(k, NewTxn().WriteFull(make([]byte, 1000)).SetXattr("name", make([]byte, 46)))

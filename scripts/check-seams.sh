@@ -2,9 +2,24 @@
 # Fails if code outside the osd type (internal/rados/osd.go) changes an OSD's
 # objects directly, or names the fingerprint index outside osd.go/fpindex.go:
 # every store mutation must go through the seam that keeps index = store.
+# Also fails if a non-test file outside internal/store assigns to or through a
+# store.Object's Data, Xattr or Omap, builds one from parts, or copies into
+# its Data: replicas, snapshots and borrowers alias those bytes (DESIGN.md §9
+# "Who may share a buffer"), so only the store, which knows who else holds
+# them, may write there. Recovery and scrub compare them and pass them on.
 set -eu
-cd "$(dirname "$0")/../internal/rados"
+cd "$(dirname "$0")/.."
 bad=0
+for f in $(grep -rl --include='*.go' '"dedupstore/internal/store"' . | grep -v -e '_test\.go$' -e '^\./internal/store/' -e '^\./\.bench_build/'); do
+	if grep -nE '\.(Data|Xattr|Omap)(\[[^]]*\])* *=[^=]|store\.Object\{[^}]|(copy|clear)\([^,)]*\.Data\b' "$f" /dev/null; then
+		bad=1
+	fi
+done
+if [ $bad -ne 0 ]; then
+	echo "check-seams: the lines above write to a store.Object's payload outside internal/store" >&2
+	exit 1
+fi
+cd internal/rados
 for f in *.go; do
 	case $f in *_test.go | osd.go) continue ;; esac
 	if grep -nE '\.store\.(Apply|Install|Clear)\(' "$f" /dev/null; then
