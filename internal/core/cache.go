@@ -98,8 +98,9 @@ func (cm *TieringPolicy) SkipFlush(now sim.Time, oid string) bool {
 	return false
 }
 
-// KeepCachedAfterFlush reports whether a just-flushed chunk should stay
-// cached in the metadata object (hot) or be evicted (cold).
+// KeepCachedAfterFlush reports whether the chunks a flush is binding should
+// stay cached in the metadata object (hot) or be evicted (cold): one decision,
+// and one count, per object per flush pass.
 func (cm *TieringPolicy) KeepCachedAfterFlush(now sim.Time, oid string) bool {
 	if cm.Hot(now, oid) {
 		cm.keptCached++

@@ -91,13 +91,8 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 		next[i] = Entry{Start: c.Offset, End: c.End(), ChunkID: id}
 		newAt[c.Offset] = id
 	}
-	keepCached := false
 	bound, err = s.rebind(p, gw, oid, transition{
 		puts: puts,
-		pinned: func() {
-			e.noteFlushed(int64(len(puts)), size)
-			keepCached = s.cache.KeepCachedAfterFlush(p.Now(), oid)
-		},
 		bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
 			var unbound []Entry
 			for _, entry := range cur.Entries {
@@ -108,6 +103,7 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 					unbound = append(unbound, entry)
 				}
 			}
+			keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
 			for i := range next {
 				next[i].Cached = keepCached
 			}
@@ -120,6 +116,9 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 			return unbound, false, nil
 		},
 	})
+	if bound {
+		e.noteFlushed(puts)
+	}
 	return len(split), bound, err
 }
 

@@ -207,48 +207,112 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	return nil
 }
 
-// flushStatic flushes the dirty fixed-size slots of one object with bounded
-// intra-object parallelism: each chunk is an independent slot, so their
-// chunk-pool I/Os pipeline. Rate control (§4.4.2) admits one chunk per slot
-// via WaitTurn — the slot spacing is set by the watermark policy, so the
-// trickle tracks the measured foreground rate. Forced flushes (flush-through
-// mode, explicit drains) are client-visible and never held back. It reports
-// whether the object must go back on the dirty list.
+// flushStatic flushes the dirty fixed-size slots of one object as a single
+// chunk-map transition. Prepare runs FlushParallel-wide, one slot at a time:
+// rate control (§4.4.2) admits one chunk per WaitTurn — the spacing is set by
+// the watermark policy, so the trickle tracks the measured foreground rate;
+// forced flushes (flush-through mode, explicit drains) are client-visible and
+// never held back — then the slot is read, fingerprinted and, unless it
+// already points at that chunk in that pool, given a put. Only when every slot
+// is prepared does rebind pin the puts, so intent → bind stays one fan-out
+// wave long however slowly the reads were paced. The one bind takes each slot
+// whose Gen still matches and leaves the rest dirty. It reports whether the
+// object must go back on the dirty list: a slot raced or failed, or the engine
+// was asked to stop mid-pass.
 func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
 	s := e.s
-	queue := sim.NewQueue[Entry]()
+	type slot struct {
+		entry Entry
+		data  []byte
+		id    string // fingerprint of data; "" while unprepared
+		cold  bool
+	}
+	var slots []slot
 	for _, i := range cm.DirtyEntries() {
 		if entry := cm.Entries[i]; entry.Cached {
-			queue.PushFrom(s.cluster.Engine(), entry)
+			slots = append(slots, slot{entry: entry})
 		}
 	}
-	workers := s.cfg.FlushParallel
-	if n := queue.Len(); workers > n {
-		workers = n
+	if len(slots) == 0 {
+		return false
 	}
-	var sigs []*sim.Signal
-	for w := 0; w < workers; w++ {
-		sigs = append(sigs, p.Go("flush", func(q *sim.Proc) {
-			for {
-				entry, ok := queue.TryPop()
-				if !ok {
-					return
+	fanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		if !force {
+			s.cluster.QoS().WaitTurn(q, qos.Dedup)
+		}
+		if e.stopReq && !e.draining && !force {
+			return
+		}
+		sl := &slots[i]
+		data, err := s.readPadded(q, gw, s.meta, oid, sl.entry.Start, sl.entry.Len())
+		if err != nil {
+			return
+		}
+		sl.data = data
+		// Fingerprint: the content hash that doubles as the chunk-pool object ID.
+		if s.cluster.UseHostCPU(q, hostName, s.cluster.Cost().Hash(len(data))) != nil {
+			return
+		}
+		// Adaptive tiering: the flush lands the chunk in the pool the object's
+		// temperature selects — cold objects erasure-code, everything else
+		// replicates. With tiering off, cold is always false and the pool is the
+		// single chunk pool, preserving the static design exactly.
+		sl.cold = s.cfg.Tiering.Enabled && s.cache.Temp(q.Now(), oid) == hitset.TempCold
+		sl.id = FingerprintID(data)
+	})
+	// When a slot already points at the right chunk in the right pool (same
+	// content rewritten) no chunk-pool I/O happens, so it gets no put and must
+	// not count as a flush. A same-ID, different-pool slot is a real move: both
+	// pools may hold a chunk under the same fingerprint while objects migrate.
+	samePlace := func(sl *slot) bool { return sl.entry.ChunkID == sl.id && sl.entry.Cold == sl.cold }
+	var puts []chunkPut
+	for i := range slots {
+		if sl := &slots[i]; sl.id != "" && !samePlace(sl) {
+			puts = append(puts, chunkPut{pool: s.chunkPoolFor(sl.cold), id: sl.id, data: sl.data, off: sl.entry.Start})
+		}
+	}
+	took, noops := 0, int64(0)
+	bound, err := s.rebind(p, gw, oid, transition{
+		puts: puts,
+		bind: func(cur *ChunkMap, txn *store.Txn) (unbound []Entry, raced bool, err error) {
+			took, noops = 0, 0
+			keepCached := s.cache.KeepCachedAfterFlush(p.Now(), oid)
+			for i := range slots {
+				sl := &slots[i]
+				j := cur.Find(sl.entry.Start)
+				if sl.id == "" || j < 0 || cur.Entries[j].Gen != sl.entry.Gen {
+					// Unprepared, deleted, or rewritten by a newer write: the slot
+					// stays dirty for the next cycle and rebind aborts its intent.
+					continue
 				}
-				if !force {
-					s.cluster.QoS().WaitTurn(q, qos.Dedup)
+				took++
+				if samePlace(sl) {
+					noops++
+				} else {
+					unbound = append(unbound, sl.entry)
 				}
-				if e.stopReq && !e.draining && !force {
-					requeue = true
-					return
-				}
-				if bound, err := e.flushChunk(q, gw, hostName, oid, entry); err != nil || !bound {
-					requeue = true
+				cs := &cur.Entries[j]
+				cs.ChunkID, cs.Cold, cs.Dirty, cs.Cached = sl.id, sl.cold, false, keepCached
+				if !keepCached {
+					// Evict the flushed bytes from the metadata object (the object
+					// may end with "no data but only metadata", Fig. 8 object 2).
+					txn.Zero(cs.Start, cs.Len())
 				}
 			}
-		}))
+			return unbound, took == 0, nil
+		},
+	})
+	if bound {
+		e.stats.NoopFlushes += noops
+		e.reg().Counter("dedup_noop_flushes_total").Add(noops)
+		e.noteFlushed(puts)
 	}
-	sim.WaitAll(p, sigs...)
-	return requeue
+	for _, sl := range slots {
+		if sl.data != nil {
+			s.recycle(sl.data)
+		}
+	}
+	return err != nil || took < len(slots)
 }
 
 // requeueDirty puts a claimed object back on its PG's dirty list. The write
@@ -260,12 +324,25 @@ func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error 
 	return retryUnavailable(p, func() error { return e.s.setDirty(p, gw, oid, true) })
 }
 
-// noteFlushed counts chunks that caused real chunk-pool I/O.
-func (e *Engine) noteFlushed(chunks, bytes int64) {
+// noteFlushed counts the puts a transition bound — the chunks that caused
+// real chunk-pool I/O — and those the pool already held.
+func (e *Engine) noteFlushed(puts []chunkPut) {
+	var chunks, bytes, dups int64
+	for _, put := range puts {
+		if put.bound {
+			chunks++
+			bytes += int64(len(put.data))
+			if put.existed {
+				dups++
+			}
+		}
+	}
 	e.stats.ChunksFlushed += chunks
 	e.stats.BytesFlushed += bytes
+	e.stats.DupChunks += dups
 	e.reg().Counter("dedup_chunks_flushed_total").Add(chunks)
 	e.reg().Counter("dedup_bytes_flushed_total").Add(bytes)
+	e.reg().Counter("dedup_dup_chunks_total").Add(dups)
 }
 
 // EvictStats reports one cold-eviction pass.
@@ -352,77 +429,4 @@ func evictCleanCachedFn(chunks, bytes *int64) rados.MutateFn {
 		}
 		return txn.SetXattr(XattrChunkMap, cm.Marshal()), nil
 	}
-}
-
-// flushChunk deduplicates one dirty chunk slot: fingerprint it, then rebind
-// the slot to the chunk its content names. It reports bound=false when a
-// concurrent client write invalidated the flush (the slot stays dirty).
-func (e *Engine) flushChunk(p *sim.Proc, gw *rados.Gateway, hostName string, oid string, entry Entry) (bound bool, err error) {
-	s := e.s
-	data, err := s.readPadded(p, gw, s.meta, oid, entry.Start, entry.Len())
-	if err != nil {
-		return false, err
-	}
-	defer s.recycle(data)
-	// Fingerprint: the content hash that doubles as the chunk-pool object ID.
-	if err := s.cluster.UseHostCPU(p, hostName, s.cluster.Cost().Hash(len(data))); err != nil {
-		return false, err
-	}
-	newID := FingerprintID(data)
-
-	// Adaptive tiering: the flush lands the chunk in the pool the object's
-	// temperature selects — cold objects erasure-code, everything else
-	// replicates. With tiering off, cold is always false and newPool is the
-	// single chunk pool, preserving the static design exactly.
-	cold := s.cfg.Tiering.Enabled && s.cache.Temp(p.Now(), oid) == hitset.TempCold
-	newPool := s.chunkPoolFor(cold)
-
-	// When the slot already points at the right chunk in the right pool (same
-	// content rewritten) no chunk-pool I/O happens, so it must not count as
-	// a flush. A same-ID, different-pool slot is a real move: both pools may
-	// hold a chunk under the same fingerprint while objects migrate.
-	samePlace := entry.ChunkID == newID && entry.Cold == cold
-	var puts []chunkPut
-	var unbound []Entry
-	existedBefore := false
-	if !samePlace {
-		existedBefore, _ = gw.Exists(p, newPool, newID)
-		puts = []chunkPut{{pool: newPool, id: newID, data: data, off: entry.Start}}
-		unbound = []Entry{entry}
-	}
-	keepCached := false
-	return s.rebind(p, gw, oid, transition{
-		puts: puts,
-		pinned: func() {
-			if samePlace {
-				e.stats.NoopFlushes++
-				e.reg().Counter("dedup_noop_flushes_total").Inc()
-			} else {
-				if existedBefore {
-					e.stats.DupChunks++
-					e.reg().Counter("dedup_dup_chunks_total").Inc()
-				}
-				e.noteFlushed(1, int64(len(data)))
-			}
-			keepCached = s.cache.KeepCachedAfterFlush(p.Now(), oid)
-		},
-		bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
-			i := cur.Find(entry.Start)
-			if i < 0 || cur.Entries[i].Gen != entry.Gen {
-				// Slot deleted, or rewritten by a newer write: leave it dirty
-				// for the next cycle.
-				return nil, true, nil
-			}
-			cs := &cur.Entries[i]
-			cs.ChunkID, cs.Cold = newID, cold
-			cs.Dirty = false
-			cs.Cached = keepCached
-			if !keepCached {
-				// Evict the flushed bytes from the metadata object (the object
-				// may end with "no data but only metadata", Fig. 8 object 2).
-				txn.Zero(cs.Start, cs.Len())
-			}
-			return unbound, false, nil
-		},
-	})
 }

@@ -58,10 +58,8 @@ func TestRebindTable(t *testing.T) {
 						if nPuts == 0 { // release-only: unbind the slot, keep its bytes cached
 							next = []Entry{{Start: 0, End: 4096, Cached: true}}
 						}
-						pinned := 0
 						bound, err := e.s.rebind(p, e.s.hostGW(anyHost(e.s)), "obj", transition{
-							puts:   puts,
-							pinned: func() { pinned++ },
+							puts: puts,
 							bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
 								switch outcome {
 								case "raced":
@@ -74,9 +72,6 @@ func TestRebindTable(t *testing.T) {
 								return unbound, false, nil
 							},
 						})
-						if pinned != 1 {
-							t.Errorf("pinned ran %d times, want 1", pinned)
-						}
 						clean := outcome == "clean"
 						if bound != clean {
 							t.Errorf("bound = %v, want %v", bound, clean)
@@ -122,14 +117,28 @@ func TestRebindTable(t *testing.T) {
 	}
 }
 
+// poolIntents returns the lease expiry of every intent recorded in the warm
+// chunk pool.
+func poolIntents(t *testing.T, p *sim.Proc, e *env) (expiries []sim.Time) {
+	t.Helper()
+	for _, id := range e.c.ListObjects(e.s.chunk) {
+		for _, exp := range chunkState(t, p, e, e.s.chunk, id).intents {
+			expiries = append(expiries, exp)
+		}
+	}
+	return expiries
+}
+
 // TestFlushKillWindows kills a flush — static and CDC — inside each window
 // of the transition, as a crash that takes the worker with it, and lets the
-// reconcilers finish the job once the lease has run out. Killed after its
-// intents: a newer write supersedes the flush, so nothing ever binds the
-// pinned chunks and GC aborts the expired intents. Killed after its bind:
-// the audit promotes the intents under the surviving binding, and GC sweeps
-// the stale references on the chunks the bind replaced. Either way the store
-// ends with zero stale references, zero lost chunks and the bytes intact.
+// reconcilers finish the job once the lease has run out. The object's whole
+// dirty set is one transition, so the kill leaves N intents behind (one per
+// slot in static mode). Killed after its intents: a newer write supersedes
+// the flush, so nothing ever binds the pinned chunks and GC aborts all N
+// expired intents. Killed after its bind: the audit promotes all N under the
+// surviving bindings, and GC sweeps the stale references on the chunks the
+// bind replaced. Either way the store ends with zero stale references, zero
+// lost chunks and the bytes intact.
 func TestFlushKillWindows(t *testing.T) {
 	version := func(seed int64) []byte {
 		data := make([]byte, 40000)
@@ -168,6 +177,10 @@ func TestFlushKillWindows(t *testing.T) {
 						t.Fatal(err)
 					}
 					e.s.hooks = rebindHooks{}
+					orphans := int64(len(poolIntents(t, p, e)))
+					if slots := int64(len(entries(t, p, e, "obj"))); mode == "static" && orphans != slots {
+						t.Fatalf("kill %s left %d intents, want one per slot (%d)", window, orphans, slots)
+					}
 					dirty := 0
 					for _, en := range entries(t, p, e, "obj") {
 						if en.Dirty {
@@ -203,10 +216,10 @@ func TestFlushKillWindows(t *testing.T) {
 					switch {
 					case audit.LostChunks != 0:
 						t.Errorf("audit lost %d chunks", audit.LostChunks)
-					case window == "afterIntent" && (gc1.IntentsAborted == 0 || audit.IntentsPromoted != 0):
-						t.Errorf("orphan intents not aborted: gc %+v, audit %+v", gc1, audit)
-					case window == "afterBind" && audit.IntentsPromoted == 0:
-						t.Errorf("orphan binding not promoted: audit %+v", audit)
+					case window == "afterIntent" && (gc1.IntentsAborted != orphans || audit.IntentsPromoted != 0):
+						t.Errorf("%d orphan intents not all aborted: gc %+v, audit %+v", orphans, gc1, audit)
+					case window == "afterBind" && audit.IntentsPromoted != orphans:
+						t.Errorf("%d orphan bindings not all promoted: audit %+v", orphans, audit)
 					case window == "afterBind" && mode == "static" && gc1.StaleRefs == 0:
 						// (A CDC write releases the chunks it swallows up
 						// front, so a CDC bind has nothing left to orphan.)
@@ -224,6 +237,177 @@ func TestFlushKillWindows(t *testing.T) {
 			})
 		}
 	}
+}
+
+// distinctSlots returns n 4 KiB slots of different content.
+func distinctSlots(seed int64, n int) []byte {
+	data := make([]byte, n*4096)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return data
+}
+
+// TestFlushPartialBind: a client write lands on one slot between the flush's
+// prepare phase and its bind. That slot stays dirty with the writer's Gen, its
+// intent is aborted — in strict mode the chunk nobody else references is
+// deleted inline — every other slot binds, only they count as flushed, and the
+// object goes back on the dirty list.
+func TestFlushPartialBind(t *testing.T) {
+	const slots, hit = 8, 3
+	for _, strict := range []bool{true, false} {
+		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
+			e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = !strict })
+			v1, patch := distinctSlots(21, slots), distinctSlots(22, 1)
+			want := bytes.Clone(v1)
+			copy(want[hit*4096:], patch)
+			e.run(t, func(p *sim.Proc) {
+				if err := e.cl.Write(p, "obj", 0, v1); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(time.Millisecond) // let the dirty-log append land
+				e.s.hooks.afterIntent = func(string) bool {
+					if got := len(poolIntents(t, p, e)); got != slots {
+						t.Errorf("%d intents before the bind, want %d", got, slots)
+					}
+					sim.WaitAll(p, p.Go("racer", func(q *sim.Proc) {
+						if err := e.cl.Write(q, "obj", hit*4096, patch); err != nil {
+							t.Error(err)
+						}
+					}))
+					return false // no crash: the bind sees the rewritten slot
+				}
+				gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.s.engine.flushObject(p, gw, host, "obj", true); err != nil {
+					t.Fatal(err)
+				}
+				e.s.hooks = rebindHooks{}
+				for i, en := range entries(t, p, e, "obj") {
+					id := FingerprintID(v1[i*4096 : (i+1)*4096])
+					st := chunkState(t, p, e, e.s.chunk, id)
+					switch {
+					case len(st.intents) != 0:
+						t.Errorf("slot %d: %d intents left behind", i, len(st.intents))
+					case i == hit && (!en.Dirty || !en.Cached || en.Gen != 2 || en.ChunkID != ""):
+						t.Errorf("raced slot = %+v, want dirty, cached, Gen 2, unbound", en)
+					case i == hit && strict && st.exists:
+						t.Error("raced slot: aborted chunk not deleted inline in strict mode")
+					case i == hit && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
+						t.Errorf("raced slot: chunk %+v, want unreferenced and left to GC", st)
+					case i != hit && (en.Dirty || en.ChunkID != id || st.count != 1 || len(st.refs) != 1):
+						t.Errorf("slot %d = %+v with chunk %+v, want bound with one counted reference", i, en, st)
+					}
+				}
+				st := e.s.engine.Stats()
+				if st.ChunksFlushed != slots-1 || st.BytesFlushed != (slots-1)*4096 || st.Requeued != 1 {
+					t.Errorf("stats %+v: want %d chunks flushed and one requeue", st, slots-1)
+				}
+				if listed, err := gw.OmapList(p, e.s.meta, e.s.dirtyListOID("obj"), 0); err != nil || len(listed) != 1 {
+					t.Errorf("dirty list = %v, err %v: the object must be requeued", listed, err)
+				}
+				e.s.Engine().DrainAndWait(p)
+				if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("read-back: %v", err)
+				}
+				checkClean(t, p, e)
+			})
+			e.checkIntegrity(t)
+		})
+	}
+}
+
+// TestFlushEqualSlots: two slots of one object hold the same bytes. Their
+// puts name one chunk, so they serialise on its PG lock: one creates it, the
+// other finds it there, and the chunk ends with two counted references.
+func TestFlushEqualSlots(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	twin, other := mkData(0x77, 4096), mkData(0x78, 4096)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, append(append(bytes.Clone(twin), other...), twin...)); err != nil {
+			t.Fatal(err)
+		}
+		e.s.Engine().DrainAndWait(p)
+		st := chunkState(t, p, e, e.s.chunk, FingerprintID(twin))
+		if !st.exists || st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+			t.Errorf("shared chunk %+v, want two counted references", st)
+		}
+		if es := e.s.engine.Stats(); es.ChunksFlushed != 3 || es.DupChunks != 1 || e.c.PoolStats(e.s.chunk).Objects != 2 {
+			t.Errorf("stats %+v, %d chunk objects: want 3 flushed, 1 duplicate, 2 objects", es, e.c.PoolStats(e.s.chunk).Objects)
+		}
+		checkClean(t, p, e)
+	})
+	e.checkIntegrity(t)
+}
+
+// TestFlushPacedPastLease: rate control holds the flush to one chunk per
+// 100 ms, so preparing a 32-slot object takes longer than intentLease, while
+// audit and GC passes run against it throughout. Intents are recorded only
+// once every slot is prepared, so at bind time none is older than one
+// fan-out wave, and the reconcilers never find one to promote, abort or
+// repair.
+func TestFlushPacedPastLease(t *testing.T) {
+	const slots = 32
+	e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
+	data := distinctSlots(23, slots)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time.Millisecond)
+		e.c.QoS().SetLimit(qos.Dedup, 100*time.Millisecond)
+		flushing := true
+		reconcilers := p.Go("reconcile", func(q *sim.Proc) {
+			for flushing {
+				audit, err := e.s.Audit(q)
+				if err != nil || !audit.Clean() {
+					t.Errorf("audit during the flush: err=%v %+v", err, audit)
+				}
+				gc, err := e.s.GC(q)
+				if err != nil || gc.IntentsAborted+gc.IntentsPromoted+gc.StaleRefs+gc.ChunksDeleted != 0 {
+					t.Errorf("gc during the flush: err=%v %+v", err, gc)
+				}
+				q.Sleep(50 * time.Millisecond)
+			}
+		})
+		start := p.Now()
+		e.s.hooks.afterIntent = func(string) bool {
+			if took := (p.Now() - start).Duration(); took <= intentLease {
+				t.Errorf("prepare took %v: the test no longer paces past the %v lease", took, intentLease)
+			}
+			expiries := poolIntents(t, p, e)
+			for _, exp := range expiries {
+				if age := sim.Time(intentLease) - (exp - p.Now()); age.Duration() > 50*time.Millisecond {
+					t.Errorf("an intent is %v old at bind time, want under one wave", age)
+				}
+			}
+			if len(expiries) != slots {
+				t.Errorf("%d intents at bind time, want %d", len(expiries), slots)
+			}
+			return false
+		}
+		gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.s.engine.flushObject(p, gw, host, "obj", false); err != nil {
+			t.Fatal(err)
+		}
+		e.s.hooks = rebindHooks{}
+		flushing = false
+		sim.WaitAll(p, reconcilers)
+		e.c.QoS().SetLimit(qos.Dedup, 0)
+		for _, en := range entries(t, p, e, "obj") {
+			if en.Dirty || en.ChunkID == "" {
+				t.Errorf("slot %d not flushed: %+v", en.Start, en)
+			}
+		}
+		if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("read-back: %v", err)
+		}
+		checkClean(t, p, e)
+	})
+	e.checkIntegrity(t)
 }
 
 // disjointOID returns an object ID whose metadata PG shares no OSD with its

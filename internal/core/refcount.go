@@ -261,6 +261,8 @@ type intentOutcome struct {
 	// re-flush after a crash between commit and map update) — no intent was
 	// recorded, and neither commit nor abort must run.
 	committed bool
+	// existed: the chunk was already in the pool (a duplicate).
+	existed bool
 }
 
 // putIntentFn is phase 1 of the two-phase reference update: store the chunk
@@ -284,6 +286,9 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 		count, gen, err := readRC(v)
 		if err != nil {
 			return nil, err
+		}
+		if out != nil {
+			out.existed = true
 		}
 		if _, err := v.OmapGet(ref.Key()); err == nil {
 			if out != nil {
@@ -398,28 +403,54 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 
 // chunkPut is one chunk a transition binds at offset off of its object:
 // phase 1 pins it in pool, creating the chunk object from data if absent.
+// The three flags are rebind's to set; existed and bound are its report.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
 	data []byte
 	off  int64
+
+	existed bool // phase 1 found the chunk already in the pool
+	intent  bool // phase 1 recorded an intent, which commit or abort must settle
+	bound   bool // the chunk map as rebind wrote it binds off to this chunk
 }
 
 // transition states one change to an object's chunk map: which chunks to pin
 // and how to edit the map. Callers say what changes; rebind owns the order.
 type transition struct {
 	puts []chunkPut
-	// pinned, if set, runs once every put is pinned, at the instant the bind
-	// is issued: the place for accounting and for policy decisions that must
-	// see bind-time sim time.
-	pinned func()
 	// payload is the bulk data the bind ships to the metadata object.
 	payload int
 	// bind edits the chunk map loaded under the metadata object's PG lock and
-	// adds any data ops to txn. It returns the bindings it replaced, or raced
-	// when the map no longer matches what the caller planned against. rebind
-	// writes the edited map back unless it raced.
+	// adds any data ops to txn; it runs at bind time, so policy that must see
+	// bind-time sim time is decided here. It returns the bindings it replaced,
+	// or raced when nothing in the map matches what the caller planned against
+	// any more. rebind writes the edited map back unless it raced. A bind may
+	// take only some of the puts (slots that changed since the caller looked
+	// stay as they are): the edited map says which.
 	bind func(cur *ChunkMap, txn *store.Txn) (unbound []Entry, raced bool, err error)
+}
+
+// fanOut runs fn(q, i) for every i in [0, n) on at most width sim processes
+// and returns when all are done; with one item or width 1 it runs on p itself.
+func fanOut(p *sim.Proc, name string, n, width int, fn func(q *sim.Proc, i int)) {
+	if n <= 1 || width <= 1 {
+		for i := 0; i < n; i++ {
+			fn(p, i)
+		}
+		return
+	}
+	next := 0
+	sigs := make([]*sim.Signal, min(n, width))
+	for w := range sigs {
+		sigs[w] = p.Go(name, func(q *sim.Proc) {
+			for next < n {
+				next++
+				fn(q, next-1)
+			}
+		})
+	}
+	sim.WaitAll(p, sigs...)
 }
 
 // rebindHooks are simulated crash points inside rebind (tests only). A hook
@@ -445,11 +476,18 @@ var errCrash = errors.New("core: injected crash")
 //	bind     t.bind edits the chunk map under the metadata object's PG lock
 //	         — the authoritative statement of which references exist. A
 //	         raced or failed bind aborts the intents inline;
-//	commit   each intent becomes a counted reference (retried through
-//	         transient unavailability);
+//	commit   each intent the written map binds becomes a counted reference
+//	         (retried through transient unavailability); one the bind did
+//	         not take — its slot changed — is aborted, by the rule GC and
+//	         the audit apply to an expired intent;
 //	release  the bindings the bind replaced are de-referenced, each in the
 //	         pool its Cold bit names — after the bind, so no window exists
 //	         where the map points at a chunk whose reference is gone.
+//
+// The bind is one operation; intent, commit and release each fan out
+// FlushParallel-wide, since their steps hit different chunk objects (two puts
+// of equal content serialise on that chunk's PG lock and leave two
+// references).
 //
 // Crash windows and who resolves them: after intent, no binding names the
 // chunk, the lease expires and GC/audit abort the intent. After bind, the
@@ -463,41 +501,57 @@ var errCrash = errors.New("core: injected crash")
 // put or bind error already explains the failure.
 func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition) (bound bool, err error) {
 	strict := !s.cfg.FalsePositiveRefs
-	ref := func(put chunkPut) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: put.off} }
-	// Intents this call recorded and must settle. A put whose reference is
-	// already committed (idempotent re-run) records none.
-	var intents []chunkPut
-	abort := func(cause error) error {
-		for _, put := range intents {
-			err := gw.Mutate(p, put.pool, put.id, abortIntentFn(ref(put), strict))
+	width := s.cfg.FlushParallel
+	ref := func(put *chunkPut) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: put.off} }
+	// settle commits the intents this call recorded for bound puts and aborts
+	// the rest. A put whose reference is already committed (idempotent re-run)
+	// recorded none.
+	settle := func(cause error) error {
+		fanOut(p, "settle", len(t.puts), width, func(q *sim.Proc, i int) {
+			put := &t.puts[i]
+			if !put.intent {
+				return
+			}
+			var err error
+			if put.bound {
+				// On persistent commit failure the binding already exists, so
+				// GC/audit promote the expired intent: the protocol converges.
+				err = retryUnavailable(q, func() error { return gw.Mutate(q, put.pool, put.id, commitIntentFn(ref(put))) })
+			} else {
+				err = gw.Mutate(q, put.pool, put.id, abortIntentFn(ref(put), strict))
+			}
 			if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
 				cause = err
 			}
-		}
+		})
 		return cause
 	}
-	for _, put := range t.puts {
+	fanOut(p, "intent", len(t.puts), width, func(q *sim.Proc, i int) {
+		if err != nil {
+			return
+		}
+		put := &t.puts[i]
 		var out intentOutcome
-		expiry := p.Now() + sim.Time(intentLease)
-		if err := gw.MutateWithPayload(p, put.pool, put.id, len(put.data), putIntentFn(put.data, ref(put), expiry, &out)); err != nil {
-			return false, abort(err)
+		expiry := q.Now() + sim.Time(intentLease)
+		if perr := gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, ref(put), expiry, &out)); perr != nil {
+			err = perr
+			return
 		}
-		if !out.committed {
-			intents = append(intents, put)
-		}
-	}
-	if t.pinned != nil {
-		t.pinned()
+		put.existed, put.intent = out.existed, !out.committed
+	})
+	if err != nil {
+		return false, settle(err)
 	}
 	if h := s.hooks.afterIntent; h != nil && len(t.puts) > 0 && h(oid) {
 		return false, errCrash
 	}
 
+	var cur *ChunkMap
 	var unbound []Entry
 	raced := false
 	err = gw.MutateWithPayload(p, s.meta, oid, t.payload, func(v rados.View) (*store.Txn, error) {
-		cur, err := loadChunkMap(v)
-		if err != nil {
+		var err error
+		if cur, err = loadChunkMap(v); err != nil {
 			return nil, err
 		}
 		txn := store.NewTxn()
@@ -508,21 +562,18 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 		return txn.SetXattr(XattrChunkMap, cur.Marshal()), nil
 	})
 	if err != nil || raced {
-		return false, abort(err)
+		return false, settle(err)
+	}
+	for i := range t.puts {
+		put := &t.puts[i]
+		j := cur.Find(put.off)
+		put.bound = j >= 0 && cur.Entries[j].ChunkID == put.id && s.chunkPoolFor(cur.Entries[j].Cold) == put.pool
 	}
 	if h := s.hooks.afterBind; h != nil && h(oid) {
 		return true, errCrash
 	}
-
-	// On persistent commit failure the binding already exists, so GC/audit
-	// promote the expired intent: the protocol converges either way.
-	for _, put := range intents {
-		err := retryUnavailable(p, func() error {
-			return gw.Mutate(p, put.pool, put.id, commitIntentFn(ref(put)))
-		})
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return true, err
-		}
+	if err := settle(nil); err != nil {
+		return true, err
 	}
 	if err := s.release(p, gw, oid, unbound); err != nil {
 		return true, err
@@ -534,18 +585,20 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 }
 
 // release de-references the chunks oid's entries are bound to (unbound
-// entries are skipped), each in the pool its Cold bit names.
-func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []Entry) error {
+// entries are skipped), each in the pool its Cold bit names, FlushParallel at
+// a time. It returns the first error and starts nothing new after one.
+func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []Entry) (first error) {
 	strict := !s.cfg.FalsePositiveRefs
-	for _, e := range entries {
-		if e.ChunkID == "" {
-			continue
+	fanOut(p, "release", len(entries), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		e := entries[i]
+		if e.ChunkID == "" || first != nil {
+			return
 		}
 		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
-		err := gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(ref, strict))
+		err := gw.Mutate(q, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(ref, strict))
 		if err != nil && !errors.Is(err, ErrNotFound) {
-			return err
+			first = err
 		}
-	}
-	return nil
+	})
+	return first
 }

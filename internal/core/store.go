@@ -113,8 +113,8 @@ type Config struct {
 	HitSet hitset.Config
 	// DedupThreads is the number of background dedup workers (§4.4.1).
 	DedupThreads int
-	// FlushParallel bounds concurrent chunk flushes within one object's
-	// flush (each worker pipelines this many chunk I/Os).
+	// FlushParallel bounds the concurrent per-chunk steps of one object's
+	// flush: slot reads, then intents, commits and releases (refcount.go).
 	FlushParallel int
 	// FalsePositiveRefs enables the §4.6 variant: no locking on decrement;
 	// zero-reference chunks are reclaimed by the garbage collector instead.

@@ -51,6 +51,38 @@ func TestFig5aShape(t *testing.T) {
 	}
 }
 
+// interferenceRatio is the foreground throughput an interference timeline
+// keeps once the engine has started.
+func interferenceRatio(r InterferenceResult) float64 { return r.SteadyAfter / r.SteadyBefore }
+
+// TestFig5bShape and TestFig14Shape pin the interference picture at the
+// golden scale (at tinyScale the span is three blocks and nothing contends):
+// an unthrottled engine costs the foreground at least 5 % of its throughput,
+// the watermark controller gives all but 2 % of it back. The paper's drop is
+// far deeper (600 -> 200 MB/s); EXPERIMENTS.md states the distance. They run
+// beside the other tests: 8 s of simulated foreground each.
+func TestFig5bShape(t *testing.T) {
+	if testing.Short() || raceBuild {
+		t.Skip("experiment smoke test")
+	}
+	t.Parallel()
+	if got := interferenceRatio(Fig5b(QuickScale())); got > 0.95 {
+		t.Errorf("unthrottled dedup keeps %.3f of the foreground throughput, want at most 0.95", got)
+	}
+}
+
+func TestFig14Shape(t *testing.T) {
+	if testing.Short() || raceBuild {
+		t.Skip("experiment smoke test")
+	}
+	t.Parallel()
+	rs := Fig14(QuickScale())
+	ideal, uncontrolled, controlled := interferenceRatio(rs[0]), interferenceRatio(rs[1]), interferenceRatio(rs[2])
+	if ideal < 0.98 || uncontrolled > 0.95 || controlled < 0.98 {
+		t.Errorf("after/before: ideal %.3f (want >= 0.98), without rate control %.3f (want <= 0.95), with it %.3f (want >= 0.98)", ideal, uncontrolled, controlled)
+	}
+}
+
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")

@@ -7,9 +7,17 @@
 # its Data: replicas, snapshots and borrowers alias those bytes (DESIGN.md §9
 # "Who may share a buffer"), so only the store, which knows who else holds
 # them, may write there. Recovery and scrub compare them and pass them on.
+# And fails if the intent primitives are named outside refcount.go: only
+# Store.rebind runs intent -> bind -> commit -> release (DESIGN.md §6.3). Tests
+# drive them directly, and audit.go mentions commitIntentFn in a comment.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
+if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn)\b' . |
+	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
+	echo "check-seams: the lines above name an intent primitive outside Store.rebind's file (internal/core/refcount.go)" >&2
+	exit 1
+fi
 for f in $(grep -rl --include='*.go' '"dedupstore/internal/store"' . | grep -v -e '_test\.go$' -e '^\./internal/store/' -e '^\./\.bench_build/'); do
 	if grep -nE '\.(Data|Xattr|Omap)(\[[^]]*\])* *=[^=]|store\.Object\{[^}]|(copy|clear)\([^,)]*\.Data\b' "$f" /dev/null; then
 		bad=1
