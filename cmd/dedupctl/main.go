@@ -224,6 +224,13 @@ func (c *ctl) qos() {
 			t.Class, t.Weight, t.MaxDepth, limit, t.Admitted, t.Queued, t.Throttled,
 			t.QueueLen, t.MaxQueue, t.QueueWait.Round(time.Microsecond), t.Busy.Round(time.Microsecond))
 	}
+	// The dedup limit's cost, which the table above cannot show: time flush
+	// slots spent asleep in admission (WaitTurn), not queued at any device.
+	reg := c.world.Cluster.Metrics()
+	pw := reg.Histogram("dedup_pacing_wait")
+	fmt.Printf("dedup pacing: %d paced slots waited %v in admission (mean %v, max %v); rate policy parked: %d\n",
+		pw.Count(), pw.Sum().Round(time.Microsecond), pw.Mean().Round(time.Microsecond), pw.Max().Round(time.Microsecond),
+		reg.Gauge("dedup_rate_policy_parked").Value())
 }
 
 // simStats prints the DES kernel's execution counters and the trace sink's

@@ -26,17 +26,16 @@ import (
 
 // flushCDC deduplicates one object with content-defined chunking. A CDC
 // flush rewrites the whole object in one transaction and can't pause between
-// chunks, so it prepays one admission slot and bills the rest of its cost
-// postpaid once the chunk count is known. It reports whether the object
+// chunks, so a paced one prepays one admission slot and bills the rest of its
+// cost postpaid once the chunk count is known. It reports whether the object
 // must go back on the dirty list.
-func (e *Engine) flushCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
-	s := e.s
-	if !force {
-		s.cluster.QoS().WaitTurn(p, qos.Dedup)
+func (e *Engine) flushCDC(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, paced bool) (requeue bool) {
+	if paced {
+		e.pace(p)
 	}
 	chunks, bound, err := e.rechunkObject(p, gw, hostName, oid, cm)
-	if !force {
-		s.cluster.QoS().Charge(p, qos.Dedup, int64(chunks))
+	if paced {
+		e.s.cluster.QoS().Charge(p, qos.Dedup, int64(chunks))
 	}
 	return err != nil || !bound
 }

@@ -47,7 +47,6 @@ type Engine struct {
 	// Watermark rate-control state (ratepolicy.go).
 	ratePolicyOn bool  // controller daemon is live
 	rateBase     int64 // dedup-class weight to restore when unthrottled
-
 }
 
 func newEngine(s *Store) *Engine {
@@ -78,9 +77,19 @@ func (e *Engine) Start() {
 func (e *Engine) RequestStop() { e.stopReq = true }
 
 // Drain switches workers into drain mode: they keep flushing until every
-// dirty list is empty, then exit. Wait on the returned signals completing
-// via WaitIdle.
-func (e *Engine) Drain() { e.draining = true }
+// dirty list is empty, then exit (wait for that with WaitIdle). A drain is the
+// foreground's own request and its caller has usually stopped writing, so the
+// rate policy could only couple to the fading echo of a load that is gone (and
+// gap/iops spacing lengthens as it fades): flushes run unpaced from here on and
+// the policy is parked — class unthrottled, no rateTick — so a slot already
+// asleep in WaitTurn leaves at its next re-check, at most one interval later.
+func (e *Engine) Drain() {
+	e.draining = true
+	if e.ratePolicyOn {
+		e.unthrottle()
+		e.reg().Gauge("dedup_rate_policy_parked").Set(1)
+	}
+}
 
 // WaitIdle blocks p until all workers have exited (use after Drain or
 // RequestStop).
@@ -95,6 +104,7 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 	e.WaitIdle(p)
 	e.started = false
 	e.draining = false
+	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
 	e.stopReq = false
 	e.done = nil
 }
@@ -172,8 +182,8 @@ func anyHost(s *Store) string {
 }
 
 // flushObject deduplicates one metadata object (§4.4.1 steps 2–6). force
-// bypasses the hot-object exemption and rate control (used by
-// ModeFlushThrough and final drains).
+// (ModeFlushThrough) and an explicit drain are client-visible: both bypass
+// rate control, which is decided here, once, for every flush path.
 func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid string, force bool) error {
 	s := e.s
 	e.stats.ObjectsScanned++
@@ -201,17 +211,26 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if s.cfg.CDC != nil {
 		flush = e.flushCDC
 	}
-	if requeue := flush(p, gw, hostName, oid, cm, force); requeue {
+	if requeue := flush(p, gw, hostName, oid, cm, !force && !e.draining); requeue {
 		return e.requeueDirty(p, gw, oid)
 	}
 	return nil
 }
 
+// pace holds one paced flush slot to the dedup class's admission spacing — the
+// only place a flush meets rate control (§4.4.2; check-seams) — and records
+// the simulated time it waited.
+func (e *Engine) pace(p *sim.Proc) {
+	t0 := p.Now()
+	e.s.cluster.QoS().WaitTurn(p, qos.Dedup)
+	e.reg().Histogram("dedup_pacing_wait").Add((p.Now() - t0).Duration())
+}
+
 // flushStatic flushes the dirty fixed-size slots of one object as a single
 // chunk-map transition. Prepare runs FlushParallel-wide, one slot at a time:
-// rate control (§4.4.2) admits one chunk per WaitTurn — the spacing is set by
-// the watermark policy, so the trickle tracks the measured foreground rate;
-// forced flushes (flush-through mode, explicit drains) are client-visible and
+// a paced flush admits one chunk per WaitTurn — the spacing is set by the
+// watermark policy, so the trickle tracks the measured foreground rate; an
+// unpaced one (flush-through mode, explicit drains) is client-visible and
 // never held back — then the slot is read, fingerprinted and, unless it
 // already points at that chunk in that pool, given a put. Only when every slot
 // is prepared does rebind pin the puts, so intent → bind stays one fan-out
@@ -219,7 +238,7 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 // whose Gen still matches and leaves the rest dirty. It reports whether the
 // object must go back on the dirty list: a slot raced or failed, or the engine
 // was asked to stop mid-pass.
-func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, force bool) (requeue bool) {
+func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, paced bool) (requeue bool) {
 	s := e.s
 	type slot struct {
 		entry Entry
@@ -236,12 +255,20 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if len(slots) == 0 {
 		return false
 	}
-	fanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
-		if !force {
-			s.cluster.QoS().WaitTurn(q, qos.Dedup)
+	defer func() {
+		for _, sl := range slots {
+			if sl.data != nil {
+				s.recycle(sl.data)
+			}
 		}
-		if e.stopReq && !e.draining && !force {
-			return
+	}()
+	prepared := 0
+	fanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		if paced {
+			e.pace(q)
+			if e.stopReq {
+				return
+			}
 		}
 		sl := &slots[i]
 		data, err := s.readPadded(q, gw, s.meta, oid, sl.entry.Start, sl.entry.Len())
@@ -259,7 +286,11 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		// single chunk pool, preserving the static design exactly.
 		sl.cold = s.cfg.Tiering.Enabled && s.cache.Temp(q.Now(), oid) == hitset.TempCold
 		sl.id = FingerprintID(data)
+		prepared++
 	})
+	if prepared == 0 {
+		return true // nothing to bind: every read failed, or the engine is stopping
+	}
 	// When a slot already points at the right chunk in the right pool (same
 	// content rewritten) no chunk-pool I/O happens, so it gets no put and must
 	// not count as a flush. A same-ID, different-pool slot is a real move: both
@@ -306,11 +337,6 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		e.stats.NoopFlushes += noops
 		e.reg().Counter("dedup_noop_flushes_total").Add(noops)
 		e.noteFlushed(puts)
-	}
-	for _, sl := range slots {
-		if sl.data != nil {
-			s.recycle(sl.data)
-		}
 	}
 	return err != nil || took < len(slots)
 }

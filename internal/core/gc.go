@@ -354,5 +354,11 @@ func (s *Store) refLiveness(p *sim.Proc, gw *rados.Gateway, ref Ref, cpool *rado
 	if e.Dirty {
 		return true, true
 	}
-	return e.ChunkID == chunkOID && s.chunkPoolFor(e.Cold) == cpool, true
+	return s.binds(e, cpool, chunkOID), true
+}
+
+// binds reports whether entry e binds its offset to chunk id in pool: how
+// rebind reads a put's fate off the map it wrote and how GC judges a reference.
+func (s *Store) binds(e Entry, pool *rados.Pool, id string) bool {
+	return e.ChunkID == id && s.chunkPoolFor(e.Cold) == pool
 }

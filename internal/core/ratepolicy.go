@@ -87,25 +87,33 @@ func (e *Engine) rateTick() {
 	}
 }
 
-// startRatePolicy spawns the controller daemon alongside the dedup workers.
-// It runs until the engine stops or drains, then restores the base weight so
-// a stopped engine leaves the scheduler untouched.
+// startRatePolicy spawns the controller daemon alongside the dedup workers. It
+// runs until the engine stops, sitting out drains (Engine.Drain parks it; a
+// restarted engine finds it still there), and restores the base weight on exit
+// so a stopped engine leaves the scheduler untouched.
 func (e *Engine) startRatePolicy() {
 	if !e.s.cfg.Rate.Enabled || e.ratePolicyOn {
 		return
 	}
 	e.ratePolicyOn = true
-	q := e.s.cluster.QoS()
-	e.rateBase = q.Weight(qos.Dedup)
+	e.rateBase = e.s.cluster.QoS().Weight(qos.Dedup)
 	e.s.cluster.Engine().GoDaemon("dedup.rate-policy", func(p *sim.Proc) {
 		defer func() {
-			q.SetWeight(qos.Dedup, e.rateBase)
-			q.SetLimit(qos.Dedup, 0)
+			e.unthrottle()
 			e.ratePolicyOn = false
 		}()
 		for e.started && !e.stopReq {
-			e.rateTick()
+			if !e.draining {
+				e.rateTick()
+			}
 			p.Sleep(ratePolicyTick)
 		}
 	})
+}
+
+// unthrottle gives the dedup class its base weight and no admission spacing.
+func (e *Engine) unthrottle() {
+	q := e.s.cluster.QoS()
+	q.SetWeight(qos.Dedup, e.rateBase)
+	q.SetLimit(qos.Dedup, 0)
 }

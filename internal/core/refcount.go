@@ -567,7 +567,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	for i := range t.puts {
 		put := &t.puts[i]
 		j := cur.Find(put.off)
-		put.bound = j >= 0 && cur.Entries[j].ChunkID == put.id && s.chunkPoolFor(cur.Entries[j].Cold) == put.pool
+		put.bound = j >= 0 && s.binds(cur.Entries[j], put.pool, put.id)
 	}
 	if h := s.hooks.afterBind; h != nil && h(oid) {
 		return true, errCrash

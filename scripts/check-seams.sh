@@ -10,12 +10,19 @@
 # And fails if the intent primitives are named outside refcount.go: only
 # Store.rebind runs intent -> bind -> commit -> release (DESIGN.md §6.3). Tests
 # drive them directly, and audit.go mentions commitIntentFn in a comment.
+# And fails if internal/core meets the dedup rate limit anywhere but Engine.pace
+# (engine.go): flushObject decides once whether a flush is paced (DESIGN.md §7),
+# so a new flush path cannot forget that an explicit drain is not.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
 if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn)\b' . |
 	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
 	echo "check-seams: the lines above name an intent primitive outside Store.rebind's file (internal/core/refcount.go)" >&2
+	exit 1
+fi
+if [ "$(grep -cE 'WaitTurn\(.*qos\.Dedup' internal/core/*.go | grep -vE '_test\.go:|:0$')" != internal/core/engine.go:1 ]; then
+	echo "check-seams: in internal/core only Engine.pace (engine.go) may call WaitTurn for qos.Dedup" >&2
 	exit 1
 fi
 for f in $(grep -rl --include='*.go' '"dedupstore/internal/store"' . | grep -v -e '_test\.go$' -e '^\./internal/store/' -e '^\./\.bench_build/'); do
