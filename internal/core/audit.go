@@ -48,19 +48,13 @@ func auditBindingFn(ref Ref, promoted, repaired, fixed *bool) rados.MutateFn {
 		_, refErr := v.OmapGet(ref.Key())
 		_, intErr := v.OmapGet(ref.IntentKey())
 		hasRef, hasIntent := refErr == nil, intErr == nil
-		keys, err := v.OmapList(0)
+		t, err := chunkRefs(v)
 		if err != nil {
 			return nil, err
 		}
-		committed := 0
-		for _, k := range keys {
-			if isRefKey(k) {
-				committed++
-			}
-		}
 		count, gen, _ := readRCLenient(v)
 		txn := store.NewTxn()
-		want := committed
+		want := len(t.refs)
 		switch {
 		case hasRef && !hasIntent:
 			// Healthy binding; only rewrite the xattr if the count drifted.
@@ -140,7 +134,7 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 				continue
 			}
 			stats.BindingsChecked++
-			ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
+			ref := s.refAt(oid, e.Start)
 			var promoted, repaired, fixed bool
 			err := retryUnavailable(p, func() error {
 				return gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, auditBindingFn(ref, &promoted, &repaired, &fixed))

@@ -399,8 +399,7 @@ func (e *Engine) EvictCold(p *sim.Proc) EvictStats {
 		}
 		// Best-effort: an object this pass cannot reach (or that a delete
 		// raced) is left for the next pass, so the error is dropped.
-		var chunks, bytes int64
-		_ = gw.Mutate(p, s.meta, oid, evictCleanCachedFn(&chunks, &bytes))
+		chunks, bytes, _ := s.evictCached(p, gw, oid)
 		stats.ChunksEvicted += chunks
 		stats.BytesEvicted += bytes
 	}
@@ -430,29 +429,22 @@ func (e *Engine) StartCacheAgent(interval time.Duration) {
 	})
 }
 
-// evictCleanCachedFn drops the cached copy of every clean, bound slot of a
-// metadata object (the bytes live on in the chunk pool), reporting what it
-// evicted.
-func evictCleanCachedFn(chunks, bytes *int64) rados.MutateFn {
-	return func(v rados.View) (*store.Txn, error) {
-		*chunks, *bytes = 0, 0
-		cm, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		txn := store.NewTxn()
+// evictCached drops the cached copy of every clean, bound slot of a metadata
+// object (the bytes live on in the chunk pool) and reports what it evicted: a
+// transition with nothing to pin or release, raced when nothing is evictable.
+func (s *Store) evictCached(p *sim.Proc, gw *rados.Gateway, oid string) (chunks, bytes int64, err error) {
+	_, err = s.rebind(p, gw, oid, transition{bind: func(cm *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+		chunks, bytes = 0, 0
 		for i, e := range cm.Entries {
 			if e.Dirty || !e.Cached || e.ChunkID == "" {
 				continue
 			}
 			cm.Entries[i].Cached = false
 			txn.Zero(e.Start, e.Len())
-			*chunks++
-			*bytes += e.Len()
+			chunks++
+			bytes += e.Len()
 		}
-		if *chunks == 0 {
-			return nil, nil
-		}
-		return txn.SetXattr(XattrChunkMap, cm.Marshal()), nil
-	}
+		return nil, chunks == 0, nil
+	}})
+	return chunks, bytes, err
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
+	"dedupstore/internal/store"
 )
 
 // The §4.6 consistency argument: a crash at any point of the flush protocol
@@ -228,4 +230,133 @@ func TestGCReclaimsLeakedRefs(t *testing.T) {
 			t.Error("GC deleted the live chunk")
 		}
 	})
+}
+
+// actingOSDs lists the OSDs serving oid in pool.
+func actingOSDs(e *env, pool *rados.Pool, oid string) []int {
+	return e.c.Map().ActingSetClass(e.c.PGOf(pool, oid), pool.Red.Width(), pool.Class)
+}
+
+// disjoint reports whether a shares no OSD with any of the other sets.
+func disjoint(a []int, others ...[]int) bool {
+	for _, o := range others {
+		for _, x := range o {
+			for _, y := range a {
+				if x == y {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+func setOSDs(t *testing.T, osds []int, change func(int) error) {
+	t.Helper()
+	for _, id := range osds {
+		if err := change(id); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestInlineFailedOverwriteKeepsOldData: an inline overwrite whose new chunk
+// cannot be stored (its OSDs are down) fails — and the object still reads as
+// before. The old order released the replaced chunk first, so in strict mode
+// the failed put left the map bound to a chunk already deleted.
+func TestInlineFailedOverwriteKeepsOldData(t *testing.T) {
+	e := newDedupEnv(t, func(cfg *Config) { cfg.Mode = ModeInline })
+	v1 := mkData(0x01, 4096)
+	keep := [][]int{actingOSDs(e, e.s.meta, "obj"), actingOSDs(e, e.s.chunk, FingerprintID(v1))}
+	var v2 []byte
+	var down []int
+	for b := byte(2); v2 == nil; b++ {
+		if osds := actingOSDs(e, e.s.chunk, FingerprintID(mkData(b, 4096))); disjoint(osds, keep...) {
+			v2, down = mkData(b, 4096), osds
+		}
+	}
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, v1); err != nil {
+			t.Error(err)
+			return
+		}
+		setOSDs(t, down, e.c.CrashOSD)
+		if err := e.cl.Write(p, "obj", 0, v2); err == nil {
+			t.Error("overwrite succeeded with the new chunk's OSDs down")
+		}
+		setOSDs(t, down, e.c.RestartOSD)
+		if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, v1) {
+			t.Errorf("read after the failed overwrite: err=%v; the old bytes must survive", err)
+		}
+	})
+	e.checkIntegrity(t)
+}
+
+// TestSnapshotFailedCloneLeavesNoRefs: the clone's metadata OSDs die once the
+// snapshot holds its first claim on the chunk, so the clone's map is never
+// written. The claim must go with it: the chunk ends with the source's one
+// reference, and deleting the source reclaims it (strict mode has no GC). The
+// old snapshot counted the reference first and rolled back only when a later
+// reference failed, never when the map write did.
+func TestSnapshotFailedCloneLeavesNoRefs(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	data := mkData(0x51, 4096)
+	id := FingerprintID(data)
+	keep := [][]int{actingOSDs(e, e.s.meta, "vol"), actingOSDs(e, e.s.chunk, id)}
+	var dst string
+	var down []int
+	for i := 0; dst == ""; i++ {
+		if osds := actingOSDs(e, e.s.meta, fmt.Sprintf("vol@%d", i)); disjoint(osds, keep...) {
+			dst, down = fmt.Sprintf("vol@%d", i), osds
+		}
+	}
+	// claimed reads the OSD stores directly (no simulated time passes): does
+	// any copy of the chunk record a reference or an intent from dst?
+	claimed := func() bool {
+		for _, osd := range e.c.OSDs() {
+			st, _ := e.c.OSDStore(osd)
+			keys, _ := st.OmapList(store.Key{Pool: e.s.chunk.ID, OID: id}, 0)
+			for _, k := range keys {
+				r, ok := parseRefKey(k)
+				if !ok {
+					r, ok = parseIntentKey(k)
+				}
+				if ok && r.OID == dst {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "vol", 0, data); err != nil {
+			t.Error(err)
+			return
+		}
+		e.s.Engine().DrainAndWait(p)
+		snapping := true
+		watcher := p.Go("crash-on-claim", func(q *sim.Proc) {
+			for snapping && !claimed() {
+				q.Sleep(time.Microsecond)
+			}
+			setOSDs(t, down, e.c.CrashOSD)
+		})
+		err := e.cl.Snapshot(p, "vol", dst)
+		snapping = false
+		sim.WaitAll(p, watcher)
+		if err == nil {
+			t.Error("snapshot succeeded with the clone's metadata OSDs down")
+		}
+		setOSDs(t, down, e.c.RestartOSD)
+		if st := chunkState(t, p, e, e.s.chunk, id); st.count != 1 || len(st.refs) != 1 || len(st.intents) != 0 {
+			t.Errorf("chunk after the failed clone: count=%d refs=%d intents=%d, want the source's one reference", st.count, len(st.refs), len(st.intents))
+		}
+		if err := e.cl.Delete(p, "vol"); err != nil {
+			t.Error(err)
+		}
+		if st := chunkState(t, p, e, e.s.chunk, id); st.exists {
+			t.Errorf("chunk outlives its only object: count=%d refs=%d", st.count, len(st.refs))
+		}
+	})
+	e.checkIntegrity(t)
 }

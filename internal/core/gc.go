@@ -65,22 +65,18 @@ func snapshotChunk(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string,
 			if raw, err := v.GetXattr(XattrRefCount); err == nil {
 				snap.count, snap.gen, snap.rcOK = decodeRC(raw)
 			}
-			keys, err := v.OmapList(0)
+			t, err := chunkRefs(v)
 			if err != nil {
 				return nil, err
 			}
-			snap.intents = make(map[string]sim.Time)
-			for _, k := range keys {
-				switch {
-				case isRefKey(k):
-					snap.refs = append(snap.refs, k)
-				case isIntentKey(k):
-					var exp sim.Time
-					if raw, err := v.OmapGet(k); err == nil {
-						exp, _ = decodeExpiry(raw)
-					}
-					snap.intents[k] = exp
+			snap.refs = t.refs
+			snap.intents = make(map[string]sim.Time, len(t.intents))
+			for _, k := range t.intents {
+				var exp sim.Time
+				if raw, err := v.OmapGet(k); err == nil {
+					exp, _ = decodeExpiry(raw)
 				}
+				snap.intents[k] = exp
 			}
 			return nil, nil
 		})
@@ -258,12 +254,13 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 					promote[k] = true
 				}
 				txn := store.NewTxn()
-				keys, err := v.OmapList(0)
+				t, err := chunkRefs(v)
 				if err != nil {
 					return nil, err
 				}
+				// Intents first: that is the table's sorted order ("int." < "ref.").
 				remainRefs, remainIntents := 0, 0
-				for _, k := range keys {
+				for _, k := range t.intents {
 					switch {
 					case drop[k]:
 						txn.OmapRm(k)
@@ -273,10 +270,15 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 							txn.OmapSet(ref.Key(), nil)
 							remainRefs++
 						}
-					case isRefKey(k):
-						remainRefs++
-					case isIntentKey(k):
+					default:
 						remainIntents++
+					}
+				}
+				for _, k := range t.refs {
+					if drop[k] {
+						txn.OmapRm(k)
+					} else {
+						remainRefs++
 					}
 				}
 				if remainRefs == 0 && remainIntents == 0 {

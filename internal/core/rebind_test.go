@@ -30,7 +30,7 @@ func chunkState(t *testing.T, p *sim.Proc, e *env, pool *rados.Pool, id string) 
 // failed leaves no intent and no reference behind (strict mode deletes the
 // never-referenced chunk, false-positive mode leaves it to GC); a clean bind
 // leaves every put committed and counted, every intent gone, and the
-// replaced chunk released.
+// replaced chunk released. The zero-put callers follow (zeroPutCallerRows).
 func TestRebindTable(t *testing.T) {
 	errBoom := errors.New("bind failed")
 	for _, strict := range []bool{true, false} {
@@ -115,6 +115,113 @@ func TestRebindTable(t *testing.T) {
 			}
 		}
 	}
+	zeroPutCallerRows(t)
+}
+
+// mapBytes returns oid's chunk-map xattr exactly as an OSD stores it: a map
+// that was rewritten, even to the same content, is a new slice.
+func mapBytes(t *testing.T, e *env, oid string) []byte {
+	t.Helper()
+	for _, osd := range e.c.OSDs() {
+		if st, ok := e.c.OSDStore(osd); ok {
+			if raw, err := st.GetXattr(store.Key{Pool: e.s.meta.ID, OID: oid}, XattrChunkMap); err == nil {
+				return raw
+			}
+		}
+	}
+	t.Fatalf("no chunk map stored for %s", oid)
+	return nil
+}
+
+// zeroPutCallerRows are TestRebindTable's rows for the callers that pin
+// nothing — the client write, cold eviction, re-dedup — run through the
+// transition they describe, each with work to do and (where it can happen)
+// without. With work, the bind fires once and edits the map; without, the
+// transition reports raced and writes nothing: the stored map is the very
+// slice it was. Neither touches a chunk object or fires the intent hook.
+func zeroPutCallerRows(t *testing.T) {
+	const (
+		flushed = "flushed" // clean, bound, evicted
+		cached  = "cached"  // clean, bound, still cached (flushed while hot)
+		hotForm = "hotform" // clean, cached, unbound (recached)
+	)
+	rows := []struct {
+		caller string
+		from   string
+		want   func(en Entry) bool // every slot afterwards; nil = nothing to do
+	}{
+		{"write", flushed, func(en Entry) bool { return en.Dirty && en.Cached && en.Gen == 2 }},
+		{"evict", cached, func(en Entry) bool { return !en.Cached && !en.Dirty && en.ChunkID != "" }},
+		{"evict", flushed, nil},
+		{"rededup", hotForm, func(en Entry) bool { return en.Dirty && en.Cached && en.ChunkID == "" }},
+		{"rededup", flushed, nil},
+	}
+	data := distinctSlots(31, 3)
+	for _, strict := range []bool{true, false} {
+		for _, row := range rows {
+			t.Run(fmt.Sprintf("strict=%v/%s/%s", strict, row.caller, row.from), func(t *testing.T) {
+				e := newTierEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = !strict })
+				e.run(t, func(p *sim.Proc) {
+					gw := e.s.hostGWClass(anyHost(e.s), qos.Tiering)
+					if row.from != flushed {
+						heat(p, e, "obj") // hot at flush time: the flush keeps the bytes cached
+					}
+					if err := e.cl.Write(p, "obj", 0, data); err != nil {
+						t.Fatal(err)
+					}
+					e.s.Engine().DrainAndWait(p)
+					var ps TierStats
+					if row.from == hotForm {
+						if err := e.s.recacheObject(p, gw, "obj", &ChunkMap{Entries: entries(t, p, e, "obj")}, &ps); err != nil {
+							t.Fatal(err)
+						}
+					}
+					chunks := func() string {
+						var out []string
+						for _, id := range e.c.ListObjects(e.s.chunk) {
+							out = append(out, fmt.Sprintf("%s %+v", id[:10], chunkState(t, p, e, e.s.chunk, id)))
+						}
+						return fmt.Sprint(out)
+					}
+					chunksBefore, rawBefore := chunks(), mapBytes(t, e, "obj")
+					binds := 0
+					e.s.hooks.afterIntent = func(string) bool { t.Error("intent hook fired for a transition with no puts"); return false }
+					e.s.hooks.afterBind = func(oid string) bool { binds++; return false }
+					var err error
+					switch row.caller {
+					case "write":
+						err = e.cl.Write(p, "obj", 0, data)
+					case "evict":
+						err = e.s.evictObject(p, gw, "obj", &ps)
+					case "rededup":
+						err = e.s.rededupObject(p, gw, "obj", &ps)
+					}
+					e.s.hooks = rebindHooks{}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := chunks(); got != chunksBefore {
+						t.Errorf("chunk objects changed:\n%s\n%s", chunksBefore, got)
+					}
+					rawAfter := mapBytes(t, e, "obj")
+					if row.want == nil {
+						if binds != 0 || &rawAfter[0] != &rawBefore[0] || ps != (TierStats{}) {
+							t.Errorf("nothing to do, yet binds=%d, map rewritten=%v, stats %+v", binds, &rawAfter[0] != &rawBefore[0], ps)
+						}
+						return
+					}
+					if binds != 1 {
+						t.Errorf("bind hook fired %d times, want 1", binds)
+					}
+					for _, en := range entries(t, p, e, "obj") {
+						if !row.want(en) {
+							t.Errorf("slot %d left as %+v", en.Start, en)
+						}
+					}
+				})
+			})
+		}
+	}
 }
 
 // poolIntents returns the lease expiry of every intent recorded in the warm
@@ -129,16 +236,18 @@ func poolIntents(t *testing.T, p *sim.Proc, e *env) (expiries []sim.Time) {
 	return expiries
 }
 
-// TestFlushKillWindows kills a flush — static and CDC — inside each window
-// of the transition, as a crash that takes the worker with it, and lets the
-// reconcilers finish the job once the lease has run out. The object's whole
-// dirty set is one transition, so the kill leaves N intents behind (one per
-// slot in static mode). Killed after its intents: a newer write supersedes
-// the flush, so nothing ever binds the pinned chunks and GC aborts all N
-// expired intents. Killed after its bind: the audit promotes all N under the
-// surviving bindings, and GC sweeps the stale references on the chunks the
-// bind replaced. Either way the store ends with zero stale references, zero
-// lost chunks and the bytes intact.
+// TestFlushKillWindows kills a transition — a static flush, a CDC flush, a
+// snapshot, an inline write — inside each window, as a crash that takes its
+// caller with it, and lets the reconcilers finish the job once the lease has
+// run out. The whole change is one transition, so the kill leaves N intents
+// behind (one per slot, except under CDC). Killed after its intents: nothing
+// ever binds the pinned chunks (a newer write supersedes a killed flush) and
+// GC aborts all N expired intents. Killed after its bind: the audit promotes
+// all N under the surviving bindings, and GC sweeps the stale references on
+// the chunks the bind replaced. Either way — strict or false-positive — the
+// store ends with zero stale references, zero lost chunks and the bytes
+// intact. The hooks fire for every transition on the object, client writes
+// included, so they are armed around the victim only and keyed on its oid.
 func TestFlushKillWindows(t *testing.T) {
 	version := func(seed int64) []byte {
 		data := make([]byte, 40000)
@@ -146,97 +255,188 @@ func TestFlushKillWindows(t *testing.T) {
 		return data
 	}
 	v1, v2, v3 := version(7), version(8), version(9)
-	for _, mode := range []string{"static", "cdc"} {
-		for _, window := range []string{"afterIntent", "afterBind"} {
-			t.Run(mode+"/"+window, func(t *testing.T) {
-				newEnv := newDedupEnv
-				if mode == "cdc" {
-					newEnv = newCDCEnv
-				}
-				e := newEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
-				want := v2
-				e.run(t, func(p *sim.Proc) {
-					if err := e.cl.Write(p, "obj", 0, v1); err != nil {
-						t.Fatal(err)
-					}
-					e.s.Engine().DrainAndWait(p)
-					if err := e.cl.Write(p, "obj", 0, v2); err != nil {
-						t.Fatal(err)
-					}
-					kill := func(string) bool { return true }
-					if window == "afterIntent" {
-						e.s.hooks.afterIntent = kill
-					} else {
-						e.s.hooks.afterBind = kill
-					}
-					gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := e.s.engine.flushObject(p, gw, host, "obj", true); err != nil {
-						t.Fatal(err)
-					}
-					e.s.hooks = rebindHooks{}
-					orphans := int64(len(poolIntents(t, p, e)))
-					if slots := int64(len(entries(t, p, e, "obj"))); mode == "static" && orphans != slots {
-						t.Fatalf("kill %s left %d intents, want one per slot (%d)", window, orphans, slots)
-					}
-					dirty := 0
-					for _, en := range entries(t, p, e, "obj") {
-						if en.Dirty {
-							dirty++
+	inline := func(cfg *Config) { cfg.Mode = ModeInline }
+	flush := func(p *sim.Proc, e *env) error {
+		gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
+		if err != nil {
+			return err
+		}
+		return e.s.engine.flushObject(p, gw, host, "obj", true)
+	}
+	// Every victim starts from "obj" holding v1, flushed (inline: bound).
+	victims := []struct {
+		name     string
+		newEnv   func(*testing.T, func(*Config)) *env
+		mode     func(*Config)
+		oid      string // the object whose transition dies
+		flush    bool   // the victim is a flush of v2, already written
+		op       func(p *sim.Proc, e *env) error
+		replaces bool   // its bind replaces counted bindings
+		survivor []byte // what oid holds when the bind survived
+	}{
+		{name: "static", newEnv: newDedupEnv, oid: "obj", flush: true, op: flush, replaces: true, survivor: v2},
+		// (A CDC write releases the chunks it swallows up front, so a CDC
+		// bind has nothing left to orphan.)
+		{name: "cdc", newEnv: newCDCEnv, oid: "obj", flush: true, op: flush, survivor: v2},
+		{name: "snapshot", newEnv: newDedupEnv, oid: "obj@s", survivor: v1,
+			op: func(p *sim.Proc, e *env) error { return e.cl.Snapshot(p, "obj", "obj@s") }},
+		{name: "inline", newEnv: newDedupEnv, mode: inline, oid: "obj", replaces: true, survivor: v2,
+			op: func(p *sim.Proc, e *env) error { return e.cl.Write(p, "obj", 0, v2) }},
+	}
+	for _, v := range victims {
+		for _, refs := range []string{"", "-strict"} { // "" is the false-positive mode
+			for _, window := range []string{"afterIntent", "afterBind"} {
+				t.Run(v.name+refs+"/"+window, func(t *testing.T) {
+					e := v.newEnv(t, func(cfg *Config) {
+						cfg.FalsePositiveRefs = refs == ""
+						if v.mode != nil {
+							v.mode(cfg)
 						}
-					}
-					if bound := dirty == 0; bound != (window == "afterBind") {
-						t.Fatalf("%d dirty slots after a kill %s", dirty, window)
-					}
-					if window == "afterIntent" {
-						// While the slots stay dirty GC keeps any reference to
-						// them (they may be mid-flush); supersede the flush so
-						// its intents are plainly orphans.
-						want = v3
-						if err := e.cl.Write(p, "obj", 0, v3); err != nil {
+					})
+					e.run(t, func(p *sim.Proc) {
+						if err := e.cl.Write(p, "obj", 0, v1); err != nil {
 							t.Fatal(err)
 						}
 						e.s.Engine().DrainAndWait(p)
-					}
+						if v.flush {
+							if err := e.cl.Write(p, "obj", 0, v2); err != nil {
+								t.Fatal(err)
+							}
+						}
+						kill := func(oid string) bool { return oid == v.oid }
+						if window == "afterIntent" {
+							e.s.hooks.afterIntent = kill
+						} else {
+							e.s.hooks.afterBind = kill
+						}
+						// A flush swallows the crash and requeues; a client op returns it.
+						err := v.op(p, e)
+						if died := !v.flush; (err != nil) != died || (died && !errors.Is(err, errCrash)) {
+							t.Fatalf("victim returned %v", err)
+						}
+						e.s.hooks = rebindHooks{}
+						orphans := int64(len(poolIntents(t, p, e)))
+						if slots := int64(len(entries(t, p, e, "obj"))); v.name != "cdc" && orphans != slots {
+							t.Fatalf("kill %s left %d intents, want one per slot (%d)", window, orphans, slots)
+						}
+						want := map[string][]byte{"obj": v1}
+						if window == "afterBind" {
+							want[v.oid] = v.survivor
+						} else if v.oid != "obj" {
+							want[v.oid] = nil // never created
+						}
+						if v.flush {
+							dirty := 0
+							for _, en := range entries(t, p, e, "obj") {
+								if en.Dirty {
+									dirty++
+								}
+							}
+							if bound := dirty == 0; bound != (window == "afterBind") {
+								t.Fatalf("%d dirty slots after a kill %s", dirty, window)
+							}
+							if window == "afterIntent" {
+								// While the slots stay dirty GC keeps any reference to
+								// them (they may be mid-flush); supersede the flush so
+								// its intents are plainly orphans.
+								want["obj"] = v3
+								if err := e.cl.Write(p, "obj", 0, v3); err != nil {
+									t.Fatal(err)
+								}
+								e.s.Engine().DrainAndWait(p)
+							}
+						}
 
-					p.Sleep(intentLease + time.Second)
-					audit, err := e.s.Audit(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
-						t.Fatalf("scrub: err=%v issues=%v", err, rep.Issues)
-					}
-					gc1, err := e.s.GC(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					switch {
-					case audit.LostChunks != 0:
-						t.Errorf("audit lost %d chunks", audit.LostChunks)
-					case window == "afterIntent" && (gc1.IntentsAborted != orphans || audit.IntentsPromoted != 0):
-						t.Errorf("%d orphan intents not all aborted: gc %+v, audit %+v", orphans, gc1, audit)
-					case window == "afterBind" && audit.IntentsPromoted != orphans:
-						t.Errorf("%d orphan bindings not all promoted: audit %+v", orphans, audit)
-					case window == "afterBind" && mode == "static" && gc1.StaleRefs == 0:
-						// (A CDC write releases the chunks it swallows up
-						// front, so a CDC bind has nothing left to orphan.)
-						t.Errorf("replaced chunks' stale references not swept: gc %+v", gc1)
-					}
-					if gc2, err := e.s.GC(p); err != nil || gc2.StaleRefs != 0 || gc2.IntentsAborted != 0 || gc2.IntentsPromoted != 0 {
-						t.Errorf("second GC still found work: err=%v %+v", err, gc2)
-					}
-					if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, want) {
-						t.Errorf("read-back after recovery: %v", err)
-					}
-					checkClean(t, p, e)
+						p.Sleep(intentLease + time.Second)
+						audit, err := e.s.Audit(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
+							t.Fatalf("scrub: err=%v issues=%v", err, rep.Issues)
+						}
+						gc1, err := e.s.GC(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						switch {
+						case audit.LostChunks != 0:
+							t.Errorf("audit lost %d chunks", audit.LostChunks)
+						case window == "afterIntent" && (gc1.IntentsAborted != orphans || audit.IntentsPromoted != 0):
+							t.Errorf("%d orphan intents not all aborted: gc %+v, audit %+v", orphans, gc1, audit)
+						case window == "afterBind" && audit.IntentsPromoted != orphans:
+							t.Errorf("%d orphan bindings not all promoted: audit %+v", orphans, audit)
+						case window == "afterBind" && v.replaces && gc1.StaleRefs == 0:
+							t.Errorf("replaced chunks' stale references not swept: gc %+v", gc1)
+						}
+						if gc2, err := e.s.GC(p); err != nil || gc2.StaleRefs != 0 || gc2.IntentsAborted != 0 || gc2.IntentsPromoted != 0 {
+							t.Errorf("second GC still found work: err=%v %+v", err, gc2)
+						}
+						for oid, data := range want {
+							got, err := e.cl.Read(p, oid, 0, -1)
+							if data == nil {
+								if !errors.Is(err, ErrNotFound) {
+									t.Errorf("%s exists after a kill before its bind: %d bytes, err=%v", oid, len(got), err)
+								}
+							} else if err != nil || !bytes.Equal(got, data) {
+								t.Errorf("read-back of %s after recovery: %v", oid, err)
+							}
+						}
+						checkClean(t, p, e)
+					})
+					e.checkIntegrity(t)
 				})
-				e.checkIntegrity(t)
-			})
+			}
 		}
 	}
+	t.Run("snapshot-race", func(t *testing.T) { snapshotRace(t, true) })
+	t.Run("snapshot-race-strict", func(t *testing.T) { snapshotRace(t, false) })
+}
+
+// snapshotRace is TestFlushKillWindows' row with no kill in it: two snapshots,
+// of sources that share their first chunk, race for one target. Both pin that
+// chunk under the same (target, offset) intent key; the bind, under the
+// target's PG lock, lets exactly one in, and the loser's inline abort must not
+// cost the winner its reference.
+func snapshotRace(t *testing.T, fp bool) {
+	e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = fp })
+	shared := mkData(0x10, 4096)
+	data := map[string][]byte{"a": append(bytes.Clone(shared), mkData(0x0A, 4096)...), "b": append(bytes.Clone(shared), mkData(0x0B, 4096)...)}
+	e.run(t, func(p *sim.Proc) {
+		for oid, d := range data {
+			if err := e.cl.Write(p, oid, 0, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.s.Engine().DrainAndWait(p)
+		errs := map[string]error{}
+		var sigs []*sim.Signal
+		for _, src := range []string{"a", "b"} {
+			sigs = append(sigs, p.Go("snap-"+src, func(q *sim.Proc) { errs[src] = e.cl.Snapshot(q, src, "target") }))
+		}
+		sim.WaitAll(p, sigs...)
+		winner, loser := "a", "b"
+		if errs["a"] != nil {
+			winner, loser = loser, winner
+		}
+		if errs[winner] != nil || errs[loser] == nil {
+			t.Fatalf("want exactly one winner: a=%v b=%v", errs["a"], errs["b"])
+		}
+		if got, err := e.cl.Read(p, "target", 0, -1); err != nil || !bytes.Equal(got, data[winner]) {
+			t.Errorf("target does not read as the winner %q: %v", winner, err)
+		}
+		for id, want := range map[string]uint64{
+			FingerprintID(shared):              3, // a, b, target
+			FingerprintID(data[winner][4096:]): 2,
+			FingerprintID(data[loser][4096:]):  1,
+		} {
+			if st := chunkState(t, p, e, e.s.chunk, id); st.count != want || uint64(len(st.refs)) != want || len(st.intents) != 0 {
+				t.Errorf("chunk %s: count=%d refs=%d intents=%d, want %d counted references", id[:10], st.count, len(st.refs), len(st.intents), want)
+			}
+		}
+		checkClean(t, p, e)
+	})
+	e.checkIntegrity(t)
 }
 
 // distinctSlots returns n 4 KiB slots of different content.
@@ -415,19 +615,9 @@ func TestFlushPacedPastLease(t *testing.T) {
 // the object's chunk map offline while its dirty list stays writable.
 func disjointOID(t *testing.T, e *env) (string, []int) {
 	t.Helper()
-	acting := func(oid string) []int {
-		return e.c.Map().ActingSetClass(e.c.PGOf(e.s.meta, oid), e.s.meta.Red.Width(), e.s.meta.Class)
-	}
 	for i := 0; i < 1000; i++ {
 		oid := fmt.Sprintf("obj-%d", i)
-		mine := acting(oid)
-		shared := false
-		for _, a := range mine {
-			for _, b := range acting(e.s.dirtyListOID(oid)) {
-				shared = shared || a == b
-			}
-		}
-		if !shared {
+		if mine := actingOSDs(e, e.s.meta, oid); disjoint(mine, actingOSDs(e, e.s.meta, e.s.dirtyListOID(oid))) {
 			return oid, mine
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -197,62 +198,34 @@ func decodeExpiry(b []byte) (sim.Time, bool) {
 	return sim.Time(binary.LittleEndian.Uint64(b)), true
 }
 
-// countOtherRefs tallies the committed references and intents recorded on
-// the chunk besides the excluded key.
-func countOtherRefs(v rados.View, exclude string) (refs, intents int, err error) {
-	keys, err := v.OmapList(0)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, k := range keys {
-		if k == exclude {
-			continue
-		}
-		switch {
-		case isRefKey(k):
-			refs++
-		case isIntentKey(k):
-			intents++
-		}
-	}
-	return refs, intents, nil
+// refTable is a chunk object's omap partitioned by key kind, each part in the
+// sorted order OmapList returns. Every reader of a chunk's reference table —
+// release, abort, the GC mark and sweep, the audit and scrub — classifies its
+// keys here.
+type refTable struct {
+	refs    []string // committed references
+	intents []string // phase-1 intents
+	unknown []string // neither: nothing writes these
 }
 
-// putRefFn builds the Mutate closure for §4.4.1 steps (4)–(5): "If there is
-// no object at the location ... store the object with reference count = 1.
-// If there is an object already stored at the location, add reference count
-// information." Executed under the chunk-pool PG lock, so create-vs-incref
-// races between concurrent dedup workers are serialized by the substrate.
-// This is the single-phase (directly committed) form used by the inline
-// baseline, whose reference is bound before the client ack; every other
-// path goes through rebind.
-func putRefFn(data []byte, ref Ref) rados.MutateFn {
-	return func(v rados.View) (*store.Txn, error) {
-		txn := store.NewTxn()
-		if !v.Exists() {
-			// The chunk object keeps a copy; data stays the caller's.
-			txn.WriteFull(bytes.Clone(data)).
-				SetXattr(XattrRefCount, encodeRC(1, 1)).
-				OmapSet(ref.Key(), nil)
-			return txn, nil
+func partitionRefKeys(keys []string) (t refTable) {
+	for _, k := range keys {
+		switch {
+		case isRefKey(k):
+			t.refs = append(t.refs, k)
+		case isIntentKey(k):
+			t.intents = append(t.intents, k)
+		default:
+			t.unknown = append(t.unknown, k)
 		}
-		count, gen, err := readRC(v)
-		if err != nil {
-			return nil, err
-		}
-		// Duplicate chunk: only reference info is added; the data write is
-		// avoided entirely — the core space saving.
-		if _, err := v.OmapGet(ref.Key()); err == nil {
-			// Already recorded (idempotent re-reference) — but still bump the
-			// generation: this reference is being bound again, and a GC pass
-			// that judged it stale before the re-bind must not replay that
-			// decision.
-			return txn.SetXattr(XattrRefCount, encodeRC(count, gen+1)), nil
-		}
-		txn.SetXattr(XattrRefCount, encodeRC(count+1, gen+1)).
-			OmapSet(ref.Key(), nil)
-		return txn, nil
 	}
+	return t
+}
+
+// chunkRefs lists and partitions the reference table of the chunk under v.
+func chunkRefs(v rados.View) (refTable, error) {
+	keys, err := v.OmapList(0)
+	return partitionRefKeys(keys), err
 }
 
 // intentOutcome reports what putIntentFn found under the PG lock.
@@ -265,11 +238,16 @@ type intentOutcome struct {
 	existed bool
 }
 
+// ErrChunkVanished is returned when a transition pins a chunk it has no bytes
+// for (a snapshot's) and the chunk is no longer in its pool.
+var ErrChunkVanished = errors.New("core: chunk vanished")
+
 // putIntentFn is phase 1 of the two-phase reference update: store the chunk
-// contents if absent and record a reference intent with a lease expiry. The
-// committed reference count is NOT incremented — the intent only pins the
-// chunk against GC until commitIntentFn (phase 3) lands or the lease runs
-// out. Re-running phase 1 for the same reference refreshes the lease.
+// contents if absent (nil data pins an existing chunk only) and record a
+// reference intent with a lease expiry. The committed reference count is NOT
+// incremented — the intent only pins the chunk against GC until
+// commitIntentFn (phase 3) lands or the lease runs out. Re-running phase 1
+// for the same reference refreshes the lease.
 func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if out != nil {
@@ -277,6 +255,9 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 		}
 		txn := store.NewTxn()
 		if !v.Exists() {
+			if data == nil {
+				return nil, ErrChunkVanished
+			}
 			// The chunk object keeps a copy; data may be a scratch buffer.
 			txn.WriteFull(bytes.Clone(data)).
 				SetXattr(XattrRefCount, encodeRC(0, 1)).
@@ -349,12 +330,12 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 		if err != nil {
 			return nil, err
 		}
-		refs, intents, err := countOtherRefs(v, ref.IntentKey())
+		t, err := chunkRefs(v)
 		if err != nil {
 			return nil, err
 		}
-		if strict && count == 0 && refs == 0 && intents == 0 {
-			return store.NewTxn().Delete(), nil
+		if strict && count == 0 && len(t.refs) == 0 && len(t.intents) == 1 {
+			return store.NewTxn().Delete(), nil // this intent was all that held it
 		}
 		return store.NewTxn().
 			OmapRm(ref.IntentKey()).
@@ -382,12 +363,12 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 			return nil, err
 		}
 		if strict {
-			refs, intents, err := countOtherRefs(v, ref.Key())
+			t, err := chunkRefs(v)
 			if err != nil {
 				return nil, err
 			}
-			if refs == 0 && intents == 0 {
-				return store.NewTxn().Delete(), nil
+			if len(t.refs) == 1 && len(t.intents) == 0 {
+				return store.NewTxn().Delete(), nil // this reference was the last
 			}
 		}
 		if count > 0 {
@@ -402,8 +383,10 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 // --- The chunk-map transition (§4.6) -----------------------------------------
 
 // chunkPut is one chunk a transition binds at offset off of its object:
-// phase 1 pins it in pool, creating the chunk object from data if absent.
-// The three flags are rebind's to set; existed and bound are its report.
+// phase 1 pins it in pool, creating the chunk object from data if absent. A
+// put with nil data pins a chunk that must already be there and fails the
+// transition with ErrChunkVanished if it is not. The three flags are rebind's
+// to set; existed and bound are its report.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
@@ -467,8 +450,9 @@ var errCrash = errors.New("core: injected crash")
 // rebind is the one implementation of the paper's consistency ordering
 // (§4.6) — pin the chunk, bind it in the chunk map, count the reference,
 // release the old chunk — so a failure at any point can only leave a
-// false-positive reference. Flush, CDC flush, tier migration, recache and
-// the CDC write path all change chunk maps through it:
+// false-positive reference. It is also the only writer of a chunk map: client
+// writes (static, CDC and the inline baseline), flushes, snapshots, eviction,
+// re-dedup, recache and tier migration all describe a transition:
 //
 //	intent   every put records a reference intent on its chunk object
 //	         (creating the chunk if absent) with a lease expiry: the chunk
@@ -487,7 +471,8 @@ var errCrash = errors.New("core: injected crash")
 // The bind is one operation; intent, commit and release each fan out
 // FlushParallel-wide, since their steps hit different chunk objects (two puts
 // of equal content serialise on that chunk's PG lock and leave two
-// references).
+// references). A transition with no puts, or that replaced nothing, skips
+// those phases outright: a client write is the bind and nothing else.
 //
 // Crash windows and who resolves them: after intent, no binding names the
 // chunk, the lease expires and GC/audit abort the intent. After bind, the
@@ -500,47 +485,8 @@ var errCrash = errors.New("core: injected crash")
 // the bind raced and nothing happened. An abort error is surfaced unless a
 // put or bind error already explains the failure.
 func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition) (bound bool, err error) {
-	strict := !s.cfg.FalsePositiveRefs
-	width := s.cfg.FlushParallel
-	ref := func(put *chunkPut) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: put.off} }
-	// settle commits the intents this call recorded for bound puts and aborts
-	// the rest. A put whose reference is already committed (idempotent re-run)
-	// recorded none.
-	settle := func(cause error) error {
-		fanOut(p, "settle", len(t.puts), width, func(q *sim.Proc, i int) {
-			put := &t.puts[i]
-			if !put.intent {
-				return
-			}
-			var err error
-			if put.bound {
-				// On persistent commit failure the binding already exists, so
-				// GC/audit promote the expired intent: the protocol converges.
-				err = retryUnavailable(q, func() error { return gw.Mutate(q, put.pool, put.id, commitIntentFn(ref(put))) })
-			} else {
-				err = gw.Mutate(q, put.pool, put.id, abortIntentFn(ref(put), strict))
-			}
-			if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
-				cause = err
-			}
-		})
-		return cause
-	}
-	fanOut(p, "intent", len(t.puts), width, func(q *sim.Proc, i int) {
-		if err != nil {
-			return
-		}
-		put := &t.puts[i]
-		var out intentOutcome
-		expiry := q.Now() + sim.Time(intentLease)
-		if perr := gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, ref(put), expiry, &out)); perr != nil {
-			err = perr
-			return
-		}
-		put.existed, put.intent = out.existed, !out.committed
-	})
-	if err != nil {
-		return false, settle(err)
+	if err := s.pin(p, gw, oid, t.puts); err != nil {
+		return false, s.settle(p, gw, oid, t.puts, err)
 	}
 	if h := s.hooks.afterIntent; h != nil && len(t.puts) > 0 && h(oid) {
 		return false, errCrash
@@ -562,7 +508,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 		return txn.SetXattr(XattrChunkMap, cur.Marshal()), nil
 	})
 	if err != nil || raced {
-		return false, settle(err)
+		return false, s.settle(p, gw, oid, t.puts, err)
 	}
 	for i := range t.puts {
 		put := &t.puts[i]
@@ -572,7 +518,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	if h := s.hooks.afterBind; h != nil && h(oid) {
 		return true, errCrash
 	}
-	if err := settle(nil); err != nil {
+	if err := s.settle(p, gw, oid, t.puts, nil); err != nil {
 		return true, err
 	}
 	if err := s.release(p, gw, oid, unbound); err != nil {
@@ -584,18 +530,82 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	return true, nil
 }
 
+// loadChunkMap reads the chunk map under the metadata object's PG lock.
+func loadChunkMap(v rados.View) (*ChunkMap, error) {
+	raw, err := v.GetXattr(XattrChunkMap)
+	if err != nil {
+		return &ChunkMap{}, nil // absent: new object
+	}
+	return UnmarshalChunkMap(raw)
+}
+
+// refAt names the reference from offset off of metadata object oid.
+func (s *Store) refAt(oid string, off int64) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: off} }
+
+// pin is rebind's intent phase. It stops recording at the first error.
+func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut) (err error) {
+	if len(puts) == 0 {
+		return nil
+	}
+	fanOut(p, "intent", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		if err != nil {
+			return
+		}
+		put := &puts[i]
+		var out intentOutcome
+		expiry := q.Now() + sim.Time(intentLease)
+		if perr := gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, s.refAt(oid, put.off), expiry, &out)); perr != nil {
+			err = fmt.Errorf("core: pin chunk %s: %w", put.id, perr)
+			return
+		}
+		put.existed, put.intent = out.existed, !out.committed
+	})
+	return err
+}
+
+// settle commits the intents pin recorded for bound puts and aborts the rest.
+// A put whose reference is already committed (idempotent re-run) recorded
+// none. It returns cause, or the first error of its own if cause is nil.
+func (s *Store) settle(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut, cause error) error {
+	if len(puts) == 0 {
+		return cause
+	}
+	strict := !s.cfg.FalsePositiveRefs
+	fanOut(p, "settle", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		put := &puts[i]
+		if !put.intent {
+			return
+		}
+		ref := s.refAt(oid, put.off)
+		var err error
+		if put.bound {
+			// On persistent commit failure the binding already exists, so
+			// GC/audit promote the expired intent: the protocol converges.
+			err = retryUnavailable(q, func() error { return gw.Mutate(q, put.pool, put.id, commitIntentFn(ref)) })
+		} else {
+			err = gw.Mutate(q, put.pool, put.id, abortIntentFn(ref, strict))
+		}
+		if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
+			cause = err
+		}
+	})
+	return cause
+}
+
 // release de-references the chunks oid's entries are bound to (unbound
 // entries are skipped), each in the pool its Cold bit names, FlushParallel at
 // a time. It returns the first error and starts nothing new after one.
 func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []Entry) (first error) {
+	if len(entries) == 0 {
+		return nil
+	}
 	strict := !s.cfg.FalsePositiveRefs
 	fanOut(p, "release", len(entries), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		e := entries[i]
 		if e.ChunkID == "" || first != nil {
 			return
 		}
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: e.Start}
-		err := gw.Mutate(q, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(ref, strict))
+		err := gw.Mutate(q, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(s.refAt(oid, e.Start), strict))
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			first = err
 		}

@@ -120,29 +120,26 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		if got := FingerprintID(data); got != chunkOID {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "content does not match fingerprint (bit rot)"})
 		}
-		refs, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
+		keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
-		// Partition the omap into committed references and in-flight intents:
-		// only committed references are counted, and every key must parse
-		// back to the Ref that wrote it (an unparseable key is invisible to
-		// GC and would pin the chunk forever).
-		committed := 0
-		for _, k := range refs {
-			switch {
-			case isRefKey(k):
-				committed++
-				if _, ok := parseRefKey(k); !ok {
-					rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable reference key " + k})
-				}
-			case isIntentKey(k):
-				if _, ok := parseIntentKey(k); !ok {
-					rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable intent key " + k})
-				}
-			default:
-				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
+		// Only committed references are counted, and every key must parse back
+		// to the Ref that wrote it (an unparseable key is invisible to GC and
+		// would pin the chunk forever).
+		t := partitionRefKeys(keys)
+		for _, k := range t.refs {
+			if _, ok := parseRefKey(k); !ok {
+				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable reference key " + k})
 			}
+		}
+		for _, k := range t.intents {
+			if _, ok := parseIntentKey(k); !ok {
+				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable intent key " + k})
+			}
+		}
+		for _, k := range t.unknown {
+			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
 		}
 		rcRaw, err := retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, cpool, chunkOID, XattrRefCount) })
 		if rados.IsUnavailable(err) {
@@ -161,7 +158,7 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "corrupt refcount xattr"})
 			continue
 		}
-		if int(rc) != committed {
+		if int(rc) != len(t.refs) {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "refcount disagrees with reference table"})
 		}
 	}

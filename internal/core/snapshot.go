@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/store"
 )
@@ -24,7 +23,9 @@ var ErrSnapshotDirty = errors.New("core: source object has unflushed chunks; flu
 
 // Snapshot clones srcOID into dstOID without copying data: dst gets a copy
 // of src's chunk map and one additional reference on every chunk. The
-// source must be fully flushed (every slot clean and chunk-backed).
+// source must be fully flushed (every slot clean and chunk-backed). It is one
+// transition on the clone — a data-less put per chunk, which pins the chunk or
+// fails with ErrChunkVanished — so it is crash-safe the way a flush is.
 func (cl *Client) Snapshot(p *sim.Proc, srcOID, dstOID string) error {
 	s := cl.s
 	if srcOID == dstOID {
@@ -34,59 +35,26 @@ func (cl *Client) Snapshot(p *sim.Proc, srcOID, dstOID string) error {
 	if err != nil {
 		return err
 	}
-	for _, entry := range cm.Entries {
+	// The clone's map: same bindings, nothing cached, clean.
+	clone := make([]Entry, len(cm.Entries))
+	puts := make([]chunkPut, len(cm.Entries))
+	for i, entry := range cm.Entries {
 		if entry.Dirty || entry.ChunkID == "" {
 			return ErrSnapshotDirty
 		}
+		puts[i] = chunkPut{pool: s.chunkPoolFor(entry.Cold), id: entry.ChunkID, off: entry.Start}
+		entry.Cached, entry.Gen = false, 0
+		clone[i] = entry
 	}
-	if ok, err := cl.gw.Exists(p, s.meta, dstOID); err != nil {
-		return err
-	} else if ok {
-		return fmt.Errorf("core: snapshot target %q already exists", dstOID)
-	}
-
-	// Reference every chunk on behalf of the clone. putRefFn is idempotent
-	// per (object, offset) key, so a crashed, re-run snapshot converges.
-	taken := make([]Ref, 0, len(cm.Entries))
-	for _, entry := range cm.Entries {
-		ref := Ref{Pool: s.meta.ID, OID: dstOID, Offset: entry.Start}
-		err := cl.gw.Mutate(p, s.chunkPoolFor(entry.Cold), entry.ChunkID, func(v rados.View) (*store.Txn, error) {
-			if !v.Exists() {
-				return nil, fmt.Errorf("core: chunk %s vanished during snapshot", entry.ChunkID)
+	_, err = s.rebind(p, cl.gw, dstOID, transition{
+		puts: puts,
+		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {
+			if len(cur.Entries) > 0 {
+				return nil, false, fmt.Errorf("core: snapshot target %q already exists", dstOID)
 			}
-			if _, err := v.OmapGet(ref.Key()); err == nil {
-				return nil, nil // already referenced (idempotent retry)
-			}
-			count, gen, err := readRC(v)
-			if err != nil {
-				return nil, err
-			}
-			return store.NewTxn().
-				SetXattr(XattrRefCount, encodeRC(count+1, gen+1)).
-				OmapSet(ref.Key(), nil), nil
-		})
-		if err != nil {
-			// Roll back the references taken so far.
-			for _, r := range taken {
-				if i := cm.Find(r.Offset); i >= 0 {
-					src := cm.Entries[i]
-					_ = cl.gw.Mutate(p, s.chunkPoolFor(src.Cold), src.ChunkID, releaseRefFn(r, true))
-				}
-			}
-			return err
-		}
-		taken = append(taken, ref)
-	}
-
-	// Write the clone's metadata object: same map, nothing cached, clean.
-	clone := &ChunkMap{}
-	for _, entry := range cm.Entries {
-		entry.Cached = false
-		entry.Dirty = false
-		entry.Gen = 0
-		clone.Entries = append(clone.Entries, entry)
-	}
-	return cl.gw.Mutate(p, s.meta, dstOID, func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().SetXattr(XattrChunkMap, clone.Marshal()), nil
+			cur.Entries = clone
+			return nil, false, nil
+		},
 	})
+	return err
 }

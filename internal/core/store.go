@@ -62,9 +62,6 @@ type TieringConfig struct {
 	Enabled bool
 	// Interval is the policy daemon's pass period (default 1s).
 	Interval time.Duration
-	// MaxMigrationsPerPass caps chunk moves (promote+demote) per daemon
-	// pass, bounding the background load one pass may create; 0 = unlimited.
-	MaxMigrationsPerPass int
 }
 
 // DefaultTiering returns an enabled tiering config with the defaults
@@ -103,8 +100,6 @@ type Config struct {
 	// location depending on the required performance": hot metadata (and
 	// cached chunks) on fast media, deduplicated chunks on cheap media.
 	MetaDeviceClass, ChunkDeviceClass string
-	// PGNum for both pools.
-	PGNum uint32
 	// Mode selects dedup timing (default post-processing).
 	Mode Mode
 	// Rate is the background dedup rate control.
@@ -143,7 +138,6 @@ func DefaultConfig() Config {
 		ChunkSize:       32 << 10,
 		MetaRedundancy:  rados.ReplicatedN(2),
 		ChunkRedundancy: rados.ReplicatedN(2),
-		PGNum:           64,
 		Mode:            ModePostProcess,
 		Rate:            DefaultRate(),
 		HitSet:          hitset.DefaultConfig(),
@@ -210,14 +204,14 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		}
 	}
 	meta, err := cluster.CreatePool(rados.PoolConfig{
-		Name: metaPoolName, PGNum: cfg.PGNum, Redundancy: cfg.MetaRedundancy,
+		Name: metaPoolName, Redundancy: cfg.MetaRedundancy,
 		DeviceClass: cfg.MetaDeviceClass,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: create metadata pool: %w", err)
 	}
 	chunk, err := cluster.CreatePool(rados.PoolConfig{
-		Name: chunkPoolName, PGNum: cfg.PGNum, Redundancy: cfg.ChunkRedundancy,
+		Name: chunkPoolName, Redundancy: cfg.ChunkRedundancy,
 		DeviceClass: cfg.ChunkDeviceClass,
 	})
 	if err != nil {
@@ -240,7 +234,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{
-			Name: coldPoolName, PGNum: cfg.PGNum, Redundancy: rados.ErasureKM(2, 1),
+			Name: coldPoolName, Redundancy: rados.ErasureKM(2, 1),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: create cold chunk pool: %w", err)
@@ -470,40 +464,38 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	err = cl.gw.MutateWithPayload(p, s.meta, oid, len(data), func(v rados.View) (*store.Txn, error) {
-		cm, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
-		txn := store.NewTxn()
-		// Pre-read (§4.5 write step 2): when a sub-chunk write lands on a
-		// slot whose bytes live only in the chunk pool, the primary fetches
-		// the missing part so the slot becomes a complete cached chunk.
-		end := off + int64(len(data))
-		for _, i := range cm.FindRange(s.chk.AlignDown(off), s.chk.AlignUp(end)-s.chk.AlignDown(off)) {
-			e := cm.Entries[i]
-			if e.Cached || e.ChunkID == "" || (off <= e.Start && end >= e.End) {
-				continue
+	// A transition with nothing to pin or release: the write is the bind.
+	_, err = s.rebind(p, cl.gw, oid, transition{
+		payload: len(data),
+		bind: func(cm *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+			// Pre-read (§4.5 write step 2): when a sub-chunk write lands on a
+			// slot whose bytes live only in the chunk pool, the primary fetches
+			// the missing part so the slot becomes a complete cached chunk.
+			end := off + int64(len(data))
+			for _, i := range cm.FindRange(s.chk.AlignDown(off), s.chk.AlignUp(end)-s.chk.AlignDown(off)) {
+				e := cm.Entries[i]
+				if e.Cached || e.ChunkID == "" || (off <= e.Start && end >= e.End) {
+					continue
+				}
+				chunkData, err := proxyGW.Read(p, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
+				if err != nil {
+					return nil, false, fmt.Errorf("core: pre-read chunk %s: %w", e.ChunkID, err)
+				}
+				txn.Write(e.Start, chunkData)
 			}
-			chunkData, err := proxyGW.Read(p, s.chunkPoolFor(e.Cold), e.ChunkID, 0, e.Len())
-			if err != nil {
-				return nil, fmt.Errorf("core: pre-read chunk %s: %w", e.ChunkID, err)
+			txn.Write(off, data)
+			for _, c := range s.chk.Split(off, data) {
+				cur := cm.slot(s.chk.AlignDown(c.Offset))
+				if c.End() > cur.End {
+					cur.End = c.End()
+				}
+				cur.Cached = true
+				cur.Dirty = true
+				cur.Gen++
+				cm.Upsert(cur)
 			}
-			txn.Write(e.Start, chunkData)
-		}
-		txn.Write(off, data)
-		for _, c := range s.chk.Split(off, data) {
-			cur := cm.slot(s.chk.AlignDown(c.Offset))
-			if c.End() > cur.End {
-				cur.End = c.End()
-			}
-			cur.Cached = true
-			cur.Dirty = true
-			cur.Gen++
-			cm.Upsert(cur)
-		}
-		txn.SetXattr(XattrChunkMap, cm.Marshal())
-		return txn, nil
+			return nil, false, nil
+		},
 	})
 	if err != nil {
 		return err
@@ -644,7 +636,9 @@ func (cl *Client) delete(p *sim.Proc, oid string) error {
 // fingerprinted and sent to the chunk pool before the ack; sub-chunk writes
 // force a read-modify-write of the whole chunk. Inline writes to one object
 // are serialized (librbd-style client stripe locking) because the chunk-map
-// read-modify-write spans several cluster operations.
+// read-modify-write spans several cluster operations. The slots are prepared
+// first (RMW read, hash); then one transition pins every chunk that changed,
+// binds the slots and releases what they replaced.
 func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) error {
 	s := cl.s
 	lock, ok := s.objLocks[oid]
@@ -658,8 +652,8 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 	if err != nil {
 		return err
 	}
-	// Only a missing map means a new object: writing back a map rebuilt from
-	// an unreachable read would unbind every slot this write does not touch.
+	// Only a missing map means a new object: planning against a map rebuilt
+	// from an unreachable read would treat every slot as unbound.
 	cm, err := s.readChunkMap(p, cl.gw, oid)
 	if errors.Is(err, ErrNotFound) {
 		cm, err = &ChunkMap{}, nil
@@ -667,6 +661,8 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 	if err != nil {
 		return err
 	}
+	var puts []chunkPut
+	var next []Entry // the touched slots as this write leaves them
 	for _, c := range s.chk.Split(off, data) {
 		cur := cm.slot(s.chk.AlignDown(c.Offset))
 		full := c.Data
@@ -684,33 +680,38 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 			copy(merged[c.Offset-cur.Start:], c.Data)
 			full = merged
 		}
-		if c.End() > cur.End {
-			cur.End = c.End()
-		}
 		// Fingerprint on the write path (inline's latency cost).
 		if err := s.cluster.UseHostCPU(p, hostName, s.cluster.Cost().Hash(len(full))); err != nil {
 			return err
 		}
 		newID := FingerprintID(full)
-		ref := Ref{Pool: s.meta.ID, OID: oid, Offset: cur.Start}
-		if cur.ChunkID != "" && cur.ChunkID != newID {
-			if err := cl.gw.Mutate(p, s.chunk, cur.ChunkID, releaseRefFn(ref, true)); err != nil {
-				return err
-			}
-		}
 		if cur.ChunkID != newID {
-			if err := cl.gw.MutateWithPayload(p, s.chunk, newID, len(full), putRefFn(full, ref)); err != nil {
-				return err
-			}
+			puts = append(puts, chunkPut{pool: s.chunk, id: newID, data: full, off: cur.Start})
 		}
-		cur.ChunkID = newID
-		cur.Cached = false
-		cur.Dirty = false
-		cm.Upsert(cur)
+		cur.End = max(cur.End, c.End())
+		cur.ChunkID, cur.Cached, cur.Dirty = newID, false, false
+		next = append(next, cur)
 	}
-	return cl.gw.Mutate(p, s.meta, oid, func(rados.View) (*store.Txn, error) {
-		return store.NewTxn().Create().SetXattr(XattrChunkMap, cm.Marshal()), nil
+	bound, err := s.rebind(p, cl.gw, oid, transition{
+		puts: puts,
+		bind: func(cur *ChunkMap, _ *store.Txn) (unbound []Entry, raced bool, err error) {
+			for _, e := range next {
+				old := cur.slot(e.Start)
+				if old != cm.slot(e.Start) {
+					return nil, true, nil // not the slot the chunk was built from
+				}
+				if old.ChunkID != "" && old.ChunkID != e.ChunkID {
+					unbound = append(unbound, old)
+				}
+				cur.Upsert(e)
+			}
+			return unbound, false, nil
+		},
 	})
+	if err == nil && !bound {
+		err = fmt.Errorf("core: inline write to %q raced another change to the object", oid)
+	}
+	return err
 }
 
 // readChunkMap reads and decodes oid's chunk map, riding out transient
@@ -751,12 +752,3 @@ func (s *Store) readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid
 
 // recycle returns a readPadded buffer for the next reader.
 func (s *Store) recycle(buf []byte) { s.scratch = append(s.scratch, buf) }
-
-// loadChunkMap reads the chunk map from a mutate view.
-func loadChunkMap(v rados.View) (*ChunkMap, error) {
-	raw, err := v.GetXattr(XattrChunkMap)
-	if err != nil {
-		return &ChunkMap{}, nil // absent: new object
-	}
-	return UnmarshalChunkMap(raw)
-}

@@ -118,10 +118,6 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 	ps.Passes = 1
 	var census TierCensus
 	gw := s.hostGWClass(anyHost(s), qos.Tiering)
-	budget := s.cfg.Tiering.MaxMigrationsPerPass
-	if budget <= 0 {
-		budget = int(^uint(0) >> 1) // unlimited
-	}
 	for _, oid := range s.cluster.ListObjects(s.meta) {
 		if IsSystemObject(oid) {
 			continue
@@ -139,13 +135,8 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 		if act == tiering.ActNone {
 			continue
 		}
-		moved, err := s.applyTierAction(p, gw, oid, cm, act, budget, &ps)
-		budget -= moved
-		if err != nil {
+		if err := s.applyTierAction(p, gw, oid, cm, act, &ps); err != nil {
 			ps.Errors++
-		}
-		if budget <= 0 {
-			break
 		}
 	}
 	s.tier.census = census
@@ -191,9 +182,8 @@ func tierObjectState(cm *ChunkMap) (tiering.ObjectState, int64) {
 }
 
 // applyTierAction executes one migration step under a trace span carrying
-// the owning tenant and the tiering QoS class. Returns how many chunk moves
-// it consumed from the pass's migration budget.
-func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, act tiering.Action, budget int, ps *TierStats) (moved int, err error) {
+// the owning tenant and the tiering QoS class.
+func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, act tiering.Action, ps *TierStats) (err error) {
 	sp := s.cluster.Trace().Start(p, "tier."+act.String()).
 		SetOp(metaPoolName, "", 0).
 		SetTenant(s.cache.TenantOf(oid)).
@@ -214,12 +204,12 @@ func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *
 	case tiering.ActEvict:
 		err = s.evictObject(p, gw, oid, ps)
 	case tiering.ActPromoteWarm:
-		moved, err = s.migrateObjectChunks(p, gw, oid, cm, false, budget, ps)
+		err = s.migrateObjectChunks(p, gw, oid, cm, false, ps)
 	case tiering.ActDemoteCold:
-		moved, err = s.migrateObjectChunks(p, gw, oid, cm, true, budget, ps)
+		err = s.migrateObjectChunks(p, gw, oid, cm, true, ps)
 	}
 	if errors.Is(err, rados.ErrNotFound) {
 		err = nil // object deleted mid-action: nothing to migrate
 	}
-	return moved, err
+	return err
 }

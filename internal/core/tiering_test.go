@@ -302,34 +302,6 @@ func TestTierSharedChunkAcrossPools(t *testing.T) {
 	})
 }
 
-// TestTierMigrationBudget: MaxMigrationsPerPass caps chunk moves per pass,
-// and successive passes finish the job.
-func TestTierMigrationBudget(t *testing.T) {
-	e := newTierEnv(t, func(cfg *Config) { cfg.Tiering.MaxMigrationsPerPass = 1 })
-	e.run(t, func(p *sim.Proc) {
-		if err := e.cl.Write(p, "obj", 0, mkData(0x31, 12288)); err != nil { // 3 chunks
-			t.Fatal(err)
-		}
-		e.s.Engine().DrainAndWait(p)
-		coolDown(p)
-		for pass := 1; pass <= 3; pass++ {
-			ps, err := e.s.TierPass(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ps.DemotedChunks != 1 {
-				t.Fatalf("pass %d demoted %d chunks, want 1", pass, ps.DemotedChunks)
-			}
-		}
-		for _, en := range entries(t, p, e, "obj") {
-			if !en.Cold {
-				t.Fatalf("slot %d still warm after 3 budgeted passes", en.Start)
-			}
-		}
-		checkClean(t, p, e)
-	})
-}
-
 // TestTierMigrateCrashAfterIntent: a migration dying between phase 1 and
 // the binding flip leaves an orphan intent on the destination pool. The
 // lease expires, GC aborts it, and a later pass completes the move.

@@ -87,29 +87,21 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 // marked dirty again (keeping the cached bytes — they are the data) and the
 // object goes back on the dirty list, so the ordinary flush engine
 // re-deduplicates it, landing chunks in the pool its current temperature
-// selects. No references move here, so there is nothing to crash.
+// selects: a transition with nothing to pin or release, raced when no slot
+// qualifies. No references move here, so there is nothing to crash.
 func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *TierStats) error {
-	marked := false
-	err := gw.Mutate(p, s.meta, oid, func(v rados.View) (*store.Txn, error) {
-		marked = false
-		cur, err := loadChunkMap(v)
-		if err != nil {
-			return nil, err
-		}
+	marked, err := s.rebind(p, gw, oid, transition{bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {
+		none := true
 		for i, e := range cur.Entries {
 			if e.Dirty || !e.Cached || e.ChunkID != "" {
 				continue
 			}
-			e.Dirty = true
-			e.Gen++
-			cur.Entries[i] = e
-			marked = true
+			cur.Entries[i].Dirty = true
+			cur.Entries[i].Gen++
+			none = false
 		}
-		if !marked {
-			return nil, nil
-		}
-		return store.NewTxn().SetXattr(XattrChunkMap, cur.Marshal()), nil
-	})
+		return nil, none, nil
+	}})
 	if err != nil || !marked {
 		return err
 	}
@@ -121,8 +113,7 @@ func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Ti
 // object (clean, bound, cached slots), reclaiming metadata-pool space — the
 // per-object form of the cache agent's EvictCold pass.
 func (s *Store) evictObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *TierStats) error {
-	var chunks, bytes int64
-	err := gw.Mutate(p, s.meta, oid, evictCleanCachedFn(&chunks, &bytes))
+	chunks, _, err := s.evictCached(p, gw, oid)
 	if err != nil || chunks == 0 {
 		return err
 	}
@@ -132,23 +123,16 @@ func (s *Store) evictObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Tier
 }
 
 // migrateObjectChunks moves an object's clean, uncached chunk bindings into
-// the toCold pool, one chunk at a time, up to budget moves. Returns how
-// many chunks it moved (counted against the pass's migration budget even
-// when the move later raced).
-func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, toCold bool, budget int, ps *TierStats) (int, error) {
-	moved := 0
+// the toCold pool, one chunk at a time.
+func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, toCold bool, ps *TierStats) error {
 	for _, e := range cm.Entries {
 		if e.Dirty || e.Cached || e.ChunkID == "" || e.Cold == toCold {
 			continue
 		}
-		if moved >= budget {
-			break
-		}
 		s.cluster.QoS().WaitTurn(p, qos.Tiering)
-		moved++
 		bound, err := s.migrateChunk(p, gw, oid, e, toCold)
 		if err != nil {
-			return moved, err
+			return err
 		}
 		if !bound {
 			ps.RacedSkips++
@@ -161,7 +145,7 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 		}
 		ps.MigratedBytes += e.Len()
 	}
-	return moved, nil
+	return nil
 }
 
 // migrateChunk moves one binding between chunk pools: pin the chunk in the

@@ -75,25 +75,30 @@ func (c *Cluster) attachFPIndex(o *osd) {
 // FPIndexEnabled reports whether a fingerprint index fronts any pool.
 func (c *Cluster) FPIndexEnabled() bool { return c.fpPool != 0 }
 
-// fpProbe charges one fingerprint-index lookup at the OSD serving a
-// metadata op on the indexed pool, under a trace span, and cross-checks the
-// index's verdict against the store.
-func (g *Gateway) fpProbe(p *sim.Proc, pool *Pool, oid string, o *osd) {
-	c := g.c
-	key := store.Key{Pool: pool.ID, OID: oid}
-	if !o.indexed(key) {
-		return
-	}
+// fpLookup runs one charged index lookup under the "fpindex.lookup" span and
+// the lookup-latency histogram: the one bracket fpProbe and FPLookup share.
+func (c *Cluster) fpLookup(p *sim.Proc, pool *Pool, oid string, lookup func() bool) bool {
 	start := p.Now()
 	sp := c.sink.Start(p, "fpindex.lookup")
 	if sp != nil {
 		sp.SetOp(pool.Name, c.PGOf(pool, oid).String(), 0).SetClass(qos.Dedup.String())
 	}
-	agrees := o.probe(p, key)
+	res := lookup()
 	sp.Finish(p)
 	c.fpLookupLat.Add((p.Now() - start).Duration())
-	if !agrees {
-		c.fpMismatch.Inc()
+	return res
+}
+
+// fpProbe charges one fingerprint-index lookup at the OSD serving a
+// metadata op on the indexed pool and cross-checks the index's verdict
+// against the store.
+func (g *Gateway) fpProbe(p *sim.Proc, pool *Pool, oid string, o *osd) {
+	key := store.Key{Pool: pool.ID, OID: oid}
+	if !o.indexed(key) {
+		return
+	}
+	if !g.c.fpLookup(p, pool, oid, func() bool { return o.probe(p, key) }) {
+		g.c.fpMismatch.Inc()
 	}
 }
 
@@ -114,18 +119,13 @@ func (c *Cluster) FPLookup(p *sim.Proc, oid string) (bool, error) {
 	if !o.alive || o.fpidx == nil {
 		return false, ErrOSDDown
 	}
-	start := p.Now()
-	sp := c.sink.Start(p, "fpindex.lookup")
-	if sp != nil {
-		sp.SetOp(pool.Name, c.PGOf(pool, oid).String(), 0).SetClass(qos.Dedup.String())
-	}
-	p.Sleep(c.cost.NetLatency)
-	o.host.cpu.Use(p, c.cost.OpOverhead)
-	found := o.fpidx.Lookup(p, oid)
-	p.Sleep(c.cost.NetLatency)
-	sp.Finish(p)
-	c.fpLookupLat.Add((p.Now() - start).Duration())
-	return found, nil
+	return c.fpLookup(p, pool, oid, func() bool {
+		p.Sleep(c.cost.NetLatency)
+		o.host.cpu.Use(p, c.cost.OpOverhead)
+		found := o.fpidx.Lookup(p, oid)
+		p.Sleep(c.cost.NetLatency)
+		return found
+	}), nil
 }
 
 // OSDIndexInfo is one OSD's fingerprint-index snapshot (dedupctl index).

@@ -7,8 +7,9 @@
 # its Data: replicas, snapshots and borrowers alias those bytes (DESIGN.md §9
 # "Who may share a buffer"), so only the store, which knows who else holds
 # them, may write there. Recovery and scrub compare them and pass them on.
-# And fails if the intent primitives are named outside refcount.go: only
-# Store.rebind runs intent -> bind -> commit -> release (DESIGN.md §6.3). Tests
+# And fails if the intent primitives or releaseRefFn are named, or a chunk map
+# is written, outside refcount.go: only Store.rebind runs intent -> bind ->
+# commit -> release and it is the chunk map's one writer (DESIGN.md §6.3). Tests
 # drive them directly, and audit.go mentions commitIntentFn in a comment.
 # And fails if internal/core meets the dedup rate limit anywhere but Engine.pace
 # (engine.go): flushObject decides once whether a flush is paced (DESIGN.md §7),
@@ -16,9 +17,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
-if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn)\b' . |
+if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn|releaseRefFn)\b|SetXattr\(XattrChunkMap' . |
 	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
-	echo "check-seams: the lines above name an intent primitive outside Store.rebind's file (internal/core/refcount.go)" >&2
+	echo "check-seams: the lines above name a reference primitive or write a chunk map outside Store.rebind's file (internal/core/refcount.go)" >&2
 	exit 1
 fi
 if [ "$(grep -cE 'WaitTurn\(.*qos\.Dedup' internal/core/*.go | grep -vE '_test\.go:|:0$')" != internal/core/engine.go:1 ]; then
