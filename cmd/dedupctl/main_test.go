@@ -1,0 +1,81 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"dedupstore/internal/qos"
+)
+
+// TestMain lets the test binary stand in for dedupctl: with DEDUPCTL_ARGS
+// set it runs main on those arguments and exits, so a test can run the
+// command as a subprocess and read exactly what an operator would.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("DEDUPCTL_ARGS"); ok {
+		os.Args = append([]string{"dedupctl"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// dedupctl runs the command on a small world and returns its output.
+func dedupctl(t *testing.T, args string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "DEDUPCTL_ARGS=-seed 1 -size 4194304 "+args)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("dedupctl %s: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// section returns the rows an action printed, split into fields.
+func section(out, action string) [][]string {
+	_, body, _ := strings.Cut(out, "--- "+action+" ---\n")
+	body, _, _ = strings.Cut(body, "\n--- ")
+	var rows [][]string
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows = append(rows, f)
+		}
+	}
+	return rows
+}
+
+// TestTenantsAndQoSActions smoke-tests the two actions admission feeds: the
+// qos table has a row per class, the bronze noisy tenant is throttled while
+// the gold one is not, and one seed prints the same bytes twice.
+func TestTenantsAndQoSActions(t *testing.T) {
+	out := dedupctl(t, "tenants qos")
+
+	classes := map[string]bool{}
+	for _, row := range section(out, "qos") {
+		classes[row[0]] = true
+	}
+	for _, cls := range qos.ClassNames() {
+		if !classes[cls] {
+			t.Errorf("qos table has no %q row:\n%s", cls, out)
+		}
+	}
+
+	throttled := map[string]string{} // slo -> throttled column
+	for _, row := range section(out, "tenants") {
+		if len(row) == 8 && row[0] != "tenant" {
+			throttled[row[1]] = row[4]
+		}
+	}
+	if got := throttled["gold"]; got != "0" {
+		t.Errorf("gold tenant throttled %q times, want 0:\n%s", got, out)
+	}
+	if got := throttled["bronze"]; got == "" || got == "0" {
+		t.Errorf("bronze noisy tenant throttled %q times, want > 0:\n%s", got, out)
+	}
+
+	if again := dedupctl(t, "tenants qos"); again != out {
+		t.Errorf("two runs at one seed differ:\n%s\n--- vs ---\n%s", out, again)
+	}
+}

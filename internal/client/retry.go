@@ -9,16 +9,9 @@ import (
 )
 
 // RetryPolicy bounds the timeout/backoff loop a client runs when the
-// cluster reports transient unavailability (a crashed acting primary that
-// the heartbeat monitor has not yet marked down, or a PG below write
-// quorum). Exponential backoff from Base, capped at Max, up to MaxAttempts
-// tries. The policy only retries errors rados.IsUnavailable recognizes;
-// permanent errors (not-found, validation) surface immediately.
-type RetryPolicy struct {
-	MaxAttempts int
-	Base        time.Duration
-	Max         time.Duration
-}
+// cluster reports transient unavailability; permanent errors (not-found,
+// validation) surface immediately.
+type RetryPolicy = rados.RetryPolicy
 
 // DefaultRetryPolicy covers a crash detected after a few seconds of
 // heartbeat grace plus mark-out and remap with room to spare.
@@ -62,28 +55,17 @@ func NewRetryBackend(inner ObjectBackend, policy RetryPolicy, reg *metrics.Regis
 func (b *RetryBackend) Stats() RetryStats { return b.stats }
 
 func (b *RetryBackend) do(p *sim.Proc, fn func() error) error {
-	delay := b.policy.Base
-	var err error
-	for attempt := 0; attempt < b.policy.MaxAttempts; attempt++ {
-		if err = fn(); err == nil || !rados.IsUnavailable(err) {
-			return err
-		}
-		if attempt == b.policy.MaxAttempts-1 {
-			break
-		}
+	err := b.policy.Retry(p, fn, func() {
 		b.stats.Retries++
 		if b.reg != nil {
 			b.reg.Counter("client_retries_total").Inc()
 		}
-		p.Sleep(delay)
-		delay *= 2
-		if delay > b.policy.Max {
-			delay = b.policy.Max
+	})
+	if rados.IsUnavailable(err) {
+		b.stats.Exhausted++
+		if b.reg != nil {
+			b.reg.Counter("client_retries_exhausted_total").Inc()
 		}
-	}
-	b.stats.Exhausted++
-	if b.reg != nil {
-		b.reg.Counter("client_retries_exhausted_total").Inc()
 	}
 	return err
 }

@@ -71,16 +71,34 @@ type harness struct {
 
 // TraceCapture accumulates the trace sinks of every harness built through
 // one Scale, keeping span attribution correct when many experiments run
-// concurrently. The zero value is ready to use.
+// concurrently, and — for a private capture — their engines, so Close can
+// end them once the experiment's Result is built. The zero value is ready to
+// use.
 type TraceCapture struct {
-	mu    sync.Mutex
-	sinks []*metrics.TraceSink
+	mu      sync.Mutex
+	sinks   []*metrics.TraceSink
+	engines []*sim.Engine
 }
 
-func (tc *TraceCapture) add(s *metrics.TraceSink) {
+func (tc *TraceCapture) add(s *metrics.TraceSink, eng *sim.Engine) {
 	tc.mu.Lock()
 	tc.sinks = append(tc.sinks, s)
+	if tc != &globalSinks {
+		tc.engines = append(tc.engines, eng)
+	}
 	tc.mu.Unlock()
+}
+
+// Close ends the simulations of every harness built through the capture's
+// Scale (sim.Engine.Close), so their processes and worlds can be collected.
+func (tc *TraceCapture) Close() {
+	tc.mu.Lock()
+	engines := tc.engines
+	tc.engines = nil
+	tc.mu.Unlock()
+	for _, eng := range engines {
+		eng.Close()
+	}
 }
 
 // Report drains the captured sinks and renders the n slowest spans,
@@ -112,7 +130,7 @@ func (s Scale) newHarness(seed int64, hosts, osdsPerHost int, opts ...rados.Opti
 	if tc == nil {
 		tc = &globalSinks
 	}
-	tc.add(c.Trace())
+	tc.add(c.Trace(), eng)
 	return &harness{eng: eng, c: c}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupstore/internal/metrics"
 	"dedupstore/internal/sim"
 )
 
@@ -15,9 +16,26 @@ func runSim(t *testing.T, seed int64, fn func(p *sim.Proc)) {
 	eng.Run()
 }
 
-// TestTokenBucketTable drives Take through the contract cases: burst served
-// instantly, refill paced on sim time, oversized takes clamped to burst,
-// fractional refill never lost.
+// bucketTenant registers a tenant whose SLO is only a token bucket.
+func bucketTenant(t *testing.T, rate, burst int64) *Tenant {
+	t.Helper()
+	tn, err := New(metrics.NewRegistry(), 0).Register("b", SLO{Class: "custom", RateBps: rate, Burst: burst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// take admits one zero-length op of n bytes and returns its admission wait.
+func take(p *sim.Proc, tn *Tenant, n int64) time.Duration {
+	start := p.Now()
+	tn.Do(p, n, func(*sim.Proc) {})
+	return (p.Now() - start).Duration()
+}
+
+// TestTokenBucketTable drives a tenant's token bucket through the contract
+// cases: burst served instantly, refill paced on sim time, oversized takes
+// clamped to burst, fractional refill never lost.
 func TestTokenBucketTable(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -52,11 +70,10 @@ func TestTokenBucketTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tn := bucketTenant(t, tc.rate, tc.burst)
 			runSim(t, 1, func(p *sim.Proc) {
-				b := NewTokenBucket(tc.rate, tc.burst)
 				for i, n := range tc.takes {
-					got := b.Take(p, n)
-					if got != tc.wantWaits[i] {
+					if got := take(p, tn, n); got != tc.wantWaits[i] {
 						t.Errorf("take %d of %d tokens: waited %v, want %v", i, n, got, tc.wantWaits[i])
 					}
 				}
@@ -65,71 +82,53 @@ func TestTokenBucketTable(t *testing.T) {
 	}
 }
 
-// TestTokenBucketRefillOnSimTime checks that a idle gap refills the bucket
+// TestTokenBucketRefillOnSimTime checks that an idle gap refills the bucket
 // from virtual time alone, capped at burst.
 func TestTokenBucketRefillOnSimTime(t *testing.T) {
+	tn := bucketTenant(t, 1000, 400)
 	runSim(t, 1, func(p *sim.Proc) {
-		b := NewTokenBucket(1000, 400)
-		if !b.TryTake(p.Now(), 400) {
-			t.Fatal("initial burst not available")
+		want := func(n int64, wait time.Duration) {
+			t.Helper()
+			if got := take(p, tn, n); got != wait {
+				t.Errorf("take %d at %v: waited %v, want %v", n, p.Now(), got, wait)
+			}
 		}
+		want(400, 0)
 		p.Sleep(100 * time.Millisecond) // +100 tokens
-		if got := b.Tokens(p.Now()); got != 100 {
-			t.Fatalf("after 100ms at 1000/s: %d tokens, want 100", got)
-		}
+		want(100, 0)
+		want(1, time.Millisecond) // and not one more
 		p.Sleep(10 * time.Second) // way past burst: cap
-		if got := b.Tokens(p.Now()); got != 400 {
-			t.Fatalf("refill not capped at burst: %d tokens, want 400", got)
-		}
+		want(400, 0)
+		want(1, time.Millisecond)
 	})
 }
 
 // TestTokenBucketZeroRateStarves checks the clean-starvation contract: a
-// zero-rate bucket grants its burst, then parks takers without scheduling
-// wakeup events, and SetRate revives them.
+// zero-rate bucket (a hard allowance) grants its burst, then parks takers
+// without scheduling wakeup events.
 func TestTokenBucketZeroRateStarves(t *testing.T) {
 	eng := sim.New(1)
-	b := NewTokenBucket(0, 100)
+	tn := bucketTenant(t, 0, 100)
 	admitted := 0
 	eng.Go("taker", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			b.Take(p, 50)
+			tn.Do(p, 50, func(*sim.Proc) {})
 			admitted++
 		}
 	})
-	// With no refill and no reviver, the run must terminate on its own —
-	// parked takers hold no pending events (clean starvation, not a spin).
-	eng.RunUntil(sim.Time(time.Hour))
+	// With no refill the run must terminate on its own — parked takers hold
+	// no pending events (clean starvation, not a spin).
+	if live := eng.RunUntil(sim.Time(time.Hour)); live != 1 {
+		t.Fatalf("%d processes live after the run, want the one starved taker", live)
+	}
 	if admitted != 2 {
 		t.Fatalf("zero-rate bucket admitted %d takes of its 100-token burst, want 2", admitted)
 	}
 	if n := eng.Pending(); n != 0 {
 		t.Fatalf("starved taker left %d events queued — it must park, not poll", n)
 	}
-	if got := b.starved.Waiters(); got != 1 {
-		t.Fatalf("starved taker not parked on the bucket cond (waiters=%d)", got)
-	}
 	if st := eng.Stats(); st.EventsDispatched > 20 {
 		t.Fatalf("starvation dispatched %d events — looks like polling", st.EventsDispatched)
-	}
-
-	// SetRate from a second process revives the parked taker.
-	eng2 := sim.New(1)
-	b2 := NewTokenBucket(0, 100)
-	admitted = 0
-	eng2.Go("taker", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			b2.Take(p, 100)
-			admitted++
-		}
-	})
-	eng2.Go("reviver", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		b2.SetRate(p, 1000, 100)
-	})
-	eng2.RunUntil(sim.Time(time.Hour))
-	if admitted != 3 {
-		t.Fatalf("revived taker admitted %d takes, want 3", admitted)
 	}
 }
 
@@ -140,11 +139,11 @@ func TestTokenBucketDeterministic(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		var waits []time.Duration
 		eng := sim.New(seed)
-		b := NewTokenBucket(10_000, 1000)
+		tn := bucketTenant(t, 10_000, 1000)
 		for w := 0; w < 4; w++ {
 			eng.Go("taker", func(p *sim.Proc) {
 				for i := 0; i < 8; i++ {
-					waits = append(waits, b.Take(p, 300))
+					waits = append(waits, take(p, tn, 300))
 				}
 			})
 		}
@@ -174,12 +173,12 @@ func TestTokenBucketConcurrentTakers(t *testing.T) {
 		burst = 10_000
 		horiz = 2 * time.Second
 	)
-	b := NewTokenBucket(rate, burst)
+	tn := bucketTenant(t, rate, burst)
 	var admitted int64
 	for w := 0; w < 16; w++ {
 		eng.GoDaemon("taker", func(p *sim.Proc) {
 			for {
-				b.Take(p, 700)
+				tn.Do(p, 700, func(*sim.Proc) {})
 				admitted += 700
 			}
 		})
@@ -193,20 +192,5 @@ func TestTokenBucketConcurrentTakers(t *testing.T) {
 	}
 	if admitted < limit*9/10 {
 		t.Fatalf("admitted only %d of ~%d tokens — bucket underserving under contention", admitted, limit)
-	}
-}
-
-// TestMulDiv covers the 128-bit helper's edge cases.
-func TestMulDiv(t *testing.T) {
-	cases := []struct{ a, b, c, want int64 }{
-		{0, 5, 3, 0},
-		{10, 10, 3, 33},
-		{1 << 40, 1 << 40, 1 << 20, 1 << 60},
-		{1 << 62, 1 << 62, 1, 1<<63 - 1}, // saturates
-	}
-	for _, tc := range cases {
-		if got := mulDiv(tc.a, tc.b, tc.c); got != tc.want {
-			t.Errorf("mulDiv(%d,%d,%d) = %d, want %d", tc.a, tc.b, tc.c, got, tc.want)
-		}
 	}
 }

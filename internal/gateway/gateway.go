@@ -1,3 +1,17 @@
+// Package gateway is the multi-tenant serving front end: a coordinator
+// through which many simulated tenants — each with an identity, an SLO
+// class, and its own workload mix — share one cluster. Every tenant op first
+// clears its tenant's token bucket (rate + burst on simulated time — the
+// non-work-conserving cap that holds a noisy neighbor to its contract even
+// when the cluster is idle), then the tenant's inflight cap and, optionally,
+// the coordinator's bounded service slots in weighted start-time-fair order.
+// Both mechanisms are internal/qos's: the bucket is a qos.Limiter, the caps
+// and slots a qos.FairQueue with one flow per tenant. Whatever is admitted
+// flows into the cluster as ordinary client-class I/O, where the per-OSD
+// qos.Scheduler arbitrates it against background dedup, recovery, scrub and
+// GC traffic. Tenant identity rides along on trace spans and per-tenant
+// registry instruments, so every op in the cluster is attributable to the
+// tenant that issued it.
 package gateway
 
 import (
@@ -9,6 +23,7 @@ import (
 
 	"dedupstore/internal/client"
 	"dedupstore/internal/metrics"
+	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 )
 
@@ -168,20 +183,17 @@ func parseSize(s string) (int64, error) {
 }
 
 // Coordinator is the serving front end: it owns the tenant registry and the
-// (optional) bounded pool of service slots every admitted op occupies.
-// Slots model the front end's own capacity — request handler concurrency —
-// and are granted in start-time-fair order weighted by tenant SLO weight,
-// exactly the discipline qos.Scheduler applies per class at each OSD.
+// fair queue every admitted op passes. The queue's optional slots model the
+// front end's own capacity — request handler concurrency — granted across
+// tenants in start-time-fair order with cost = bytes and weight = SLO
+// weight; its per-flow depth cap is each tenant's MaxInflight. It reports
+// nothing into the cluster registry: tenant accounting does.
 type Coordinator struct {
-	reg   *metrics.Registry
-	slots int // concurrent admitted ops (0 = unbounded, slot layer inactive)
-
-	inflight    int
-	queuedTotal int
-	virt        int64 // SFQ virtual clock across tenants
+	reg *metrics.Registry
+	fq  qos.FairQueue
 
 	tenants map[string]*Tenant
-	order   []*Tenant // registration order, for stable reporting
+	order   []*Tenant // registration order = flow order, for stable reporting and ties
 }
 
 // New returns a coordinator publishing per-tenant instruments into reg
@@ -189,29 +201,19 @@ type Coordinator struct {
 // bounds concurrently admitted ops across all tenants; 0 leaves the slot
 // layer inactive and admission is token buckets + inflight caps only.
 func New(reg *metrics.Registry, slots int) *Coordinator {
-	if slots < 0 {
-		slots = 0
-	}
-	return &Coordinator{reg: reg, slots: slots, tenants: make(map[string]*Tenant)}
+	c := &Coordinator{reg: reg, tenants: make(map[string]*Tenant)}
+	c.fq = qos.NewFairQueue(slots)
+	return c
 }
 
-// weightScale keeps integer SFQ finish-tag increments meaningful for small
-// costs divided by large weights (same constant role as in qos).
-const weightScale = 1000
-
-// Tenant is one registered identity: its SLO, token bucket, inflight
-// accounting and attribution instruments.
+// Tenant is one registered identity: its SLO, token bucket, fair-queue flow
+// and attribution instruments.
 type Tenant struct {
-	c    *Coordinator
-	name string
-	slo  SLO
-
-	bucket   *TokenBucket // nil when the SLO sets no rate/burst
-	inflight int
-	depth    *sim.Cond // parks submitters at the inflight cap
-
-	queue      []*slotWaiter // waiters for coordinator slots, FIFO
-	lastFinish int64         // SFQ finish tag of the latest submission
+	c     *Coordinator
+	name  string
+	slo   SLO
+	limit qos.Limiter // the zero Limiter when the SLO sets no rate/burst
+	flow  int         // the tenant's flow in the coordinator's fair queue
 
 	ops       *metrics.Counter
 	bytes     *metrics.Counter
@@ -234,9 +236,9 @@ func (c *Coordinator) Register(name string, slo SLO) (*Tenant, error) {
 	if slo.Class == "" {
 		slo.Class = "custom"
 	}
-	t := &Tenant{c: c, name: name, slo: slo, depth: sim.NewCond()}
+	t := &Tenant{c: c, name: name, slo: slo, flow: c.fq.AddFlow(slo.Weight)}
 	if slo.RateBps > 0 || slo.Burst > 0 {
-		t.bucket = NewTokenBucket(slo.RateBps, slo.Burst)
+		t.limit = qos.NewLimiter(slo.RateBps, time.Second, slo.Burst)
 	}
 	id := sanitizeMetricName(name)
 	t.ops = c.reg.Counter("tenant_" + id + "_ops_total")
@@ -279,35 +281,15 @@ func (t *Tenant) Name() string { return t.name }
 // SLO returns the tenant's contract.
 func (t *Tenant) SLO() SLO { return t.slo }
 
-// Bucket exposes the tenant's token bucket (nil when unthrottled), for
-// retuning via SetRate.
-func (t *Tenant) Bucket() *TokenBucket { return t.bucket }
-
-// weight returns the tenant's clamped slot weight.
-func (t *Tenant) weight() int64 {
-	if t.slo.Weight < 1 {
-		return 1
-	}
-	return t.slo.Weight
-}
-
 // Do admits one tenant operation carrying nbytes of payload and runs op
-// once admission clears: the token bucket is charged nbytes, the tenant's
-// inflight cap and the coordinator's slot pool (if bounded) are acquired,
-// and the op's full latency — admission wait included, since that is what
-// the tenant observes — lands in the tenant's histogram.
+// once admission clears: the token bucket is charged nbytes, then the
+// tenant's inflight cap and the coordinator's slots (if bounded) are
+// acquired, and the op's full latency — admission wait included, since that
+// is what the tenant observes — lands in the tenant's histogram.
 func (t *Tenant) Do(p *sim.Proc, nbytes int64, op func(q *sim.Proc)) {
 	start := p.Now()
-	if t.bucket != nil {
-		t.bucket.Take(p, nbytes)
-	}
-	if max := t.slo.MaxInflight; max > 0 {
-		for t.inflight >= max {
-			t.depth.Wait(p)
-		}
-	}
-	t.inflight++
-	t.c.acquireSlot(p, t, nbytes)
+	t.limit.Take(p, nbytes)
+	t.c.fq.Acquire(p, t.flow, nbytes, t.slo.MaxInflight)
 	wait := (p.Now() - start).Duration()
 	if wait > 0 {
 		t.throttled.Inc()
@@ -317,80 +299,10 @@ func (t *Tenant) Do(p *sim.Proc, nbytes int64, op func(q *sim.Proc)) {
 
 	op(p)
 
-	t.c.releaseSlot(p)
-	t.inflight--
-	t.depth.Signal(p)
+	t.c.fq.Release(p, t.flow)
 	t.ops.Inc()
 	t.bytes.Add(nbytes)
 	t.lat.Add((p.Now() - start).Duration())
-}
-
-// slotWaiter is one op queued for a coordinator slot.
-type slotWaiter struct {
-	finish int64
-	sig    *sim.Signal
-}
-
-// acquireSlot blocks until a coordinator service slot is free, granting
-// contended slots in SFQ order across tenants (smallest finish tag first,
-// cost = bytes / tenant weight). A no-op when slots are unbounded.
-func (c *Coordinator) acquireSlot(p *sim.Proc, t *Tenant, nbytes int64) {
-	if c.slots <= 0 {
-		return
-	}
-	// Tag the submission whether or not it queues, so a busy tenant's next
-	// op always starts no earlier than its previous one finished.
-	startTag := c.virt
-	if t.lastFinish > startTag {
-		startTag = t.lastFinish
-	}
-	inc := nbytes * weightScale / t.weight()
-	if inc < 1 {
-		inc = 1
-	}
-	finish := startTag + inc
-	t.lastFinish = finish
-
-	if c.inflight < c.slots && c.queuedTotal == 0 {
-		if startTag > c.virt {
-			c.virt = startTag
-		}
-		c.inflight++
-		return
-	}
-	w := &slotWaiter{finish: finish, sig: sim.NewSignal()}
-	t.queue = append(t.queue, w)
-	c.queuedTotal++
-	w.sig.Wait(p) // releaseSlot dispatches in SFQ order
-}
-
-// releaseSlot frees a slot and grants it to the queued op with the smallest
-// finish tag (per-tenant queues are FIFO with monotone tags, so only heads
-// need comparing). Ties break by registration order, deterministically.
-func (c *Coordinator) releaseSlot(p *sim.Proc) {
-	if c.slots <= 0 {
-		return
-	}
-	c.inflight--
-	for c.inflight < c.slots && c.queuedTotal > 0 {
-		var best *Tenant
-		for _, t := range c.order {
-			if len(t.queue) == 0 {
-				continue
-			}
-			if best == nil || t.queue[0].finish < best.queue[0].finish {
-				best = t
-			}
-		}
-		w := best.queue[0]
-		best.queue = best.queue[1:]
-		c.queuedTotal--
-		if w.finish > c.virt {
-			c.virt = w.finish
-		}
-		c.inflight++
-		w.sig.Fire(p)
-	}
 }
 
 // Backend wraps an ObjectBackend so every op is admitted under the
@@ -456,7 +368,7 @@ func (c *Coordinator) Stats() []TenantStats {
 // Stats reports this tenant's accounting.
 func (t *Tenant) Stats() TenantStats {
 	st := TenantStats{
-		Name: t.name, Class: t.slo.Class, Weight: t.weight(),
+		Name: t.name, Class: t.slo.Class, Weight: max(t.slo.Weight, 1),
 		RateBps: t.slo.RateBps, Burst: t.slo.Burst, MaxInflight: t.slo.MaxInflight,
 		Ops: t.ops.Value(), Bytes: t.bytes.Value(), Throttled: t.throttled.Value(),
 		QueueWait: t.waitTotal,

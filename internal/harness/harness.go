@@ -125,6 +125,7 @@ func runOne(exp experiments.Experiment, opts Options) (rep Report) {
 		}
 	}()
 	sc, capture := opts.Scale.WithTraceCapture()
+	defer capture.Close()
 	rep.Result = exp.Run(sc)
 	rep.Output = rep.Result.Output()
 	if opts.TraceN > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -207,5 +208,28 @@ func TestTimingSummaryAndResults(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("result file %s not written: %v", name, err)
 		}
+	}
+}
+
+// TestSweepLeavesNoGoroutines: once an experiment's Result is built the
+// harness closes the engines it ran on, so the daemons and pooled processes
+// of a finished experiment do not outlive it as parked goroutines.
+func TestSweepLeavesNoGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test")
+	}
+	base := runtime.NumGoroutine()
+	reports := Run([]experiments.Experiment{experiments.NewExperiment("table2", experiments.Table2Result)},
+		Options{Workers: 1, Scale: experiments.Scale{Data: 0.05}}, nil)
+	if reports[0].Err != nil {
+		t.Fatal(reports[0].Err)
+	}
+	got := runtime.NumGoroutine()
+	for i := 0; i < 100 && got > base; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > base {
+		t.Fatalf("%d goroutines after the sweep, %d before", got, base)
 	}
 }

@@ -28,6 +28,12 @@
 // dedup class rate limit (Group.SetLimit — the mClock-style upper bound
 // that holds the paper's one-dedup-op-per-N-client-requests trickle even
 // when devices are idle). The scheduler does the actual throttling.
+//
+// Both mechanisms exist once and also serve the tenant gateway one level up:
+// FairQueue is the SFQ core (a Scheduler is one with a flow per class, the
+// gateway's coordinator one with a flow per tenant) and Limiter is the rate
+// limiter (a class limit is one with burst 1, a tenant SLO one with a burst
+// of bytes).
 package qos
 
 import (
@@ -136,73 +142,56 @@ type Group struct {
 	cfg    Config
 	scheds []*Scheduler
 
-	// nextEligible is the per-class admission timeline for LimitInterval:
-	// each rate-limited submitter reserves the next free slot on it.
-	nextEligible [NumClasses]sim.Time
+	// limits holds each class's admission timeline for LimitInterval: one
+	// token per interval, burst 1, shared by every rate-limited submitter.
+	limits [NumClasses]Limiter
 
 	// OnAdmit, if non-nil, is called on every admission. It must not block.
 	OnAdmit AdmitFunc
 }
 
 // NewGroup returns a scheduler group with the given shared config.
-func NewGroup(cfg Config) *Group { return &Group{cfg: cfg} }
+func NewGroup(cfg Config) *Group {
+	g := &Group{cfg: cfg}
+	for c := range g.limits {
+		g.limits[c] = NewLimiter(1, cfg.Classes[c].LimitInterval, 1)
+	}
+	return g
+}
 
 // Weight returns the effective (clamped) weight of a class.
-func (g *Group) Weight(cls Class) int64 {
-	w := g.cfg.Classes[cls].Weight
-	if w < 1 {
-		return 1
-	}
-	return w
-}
+func (g *Group) Weight(cls Class) int64 { return max(g.cfg.Classes[cls].Weight, 1) }
 
 // SetWeight updates a class's weight across every scheduler in the group.
 // Ops already queued keep their tags; newly submitted ops use the new
 // weight, so a change takes effect within one queue drain.
 func (g *Group) SetWeight(cls Class, w int64) {
 	g.cfg.Classes[cls].Weight = w
+	for _, s := range g.scheds {
+		s.fq.flows[cls].weight = g.Weight(cls)
+	}
 }
 
 // Limit returns a class's admission spacing (0 = no rate limit).
-func (g *Group) Limit(cls Class) time.Duration { return g.cfg.Classes[cls].LimitInterval }
+func (g *Group) Limit(cls Class) time.Duration { return g.limits[cls].per }
 
 // SetLimit sets the minimum spacing between the class's admissions across
 // the whole group (0 = no rate limit). Unlike SetWeight this is
 // non-work-conserving: the class is held to the rate even on idle devices.
+// A retune keeps the next admission slot already earned; clearing the limit
+// drops it, so a later re-enable starts from the current time, not a stale
+// horizon.
 func (g *Group) SetLimit(cls Class, interval time.Duration) {
-	if interval < 0 {
-		interval = 0
-	}
-	if interval == 0 {
-		// Drop any reserved-ahead admission slots so a later re-enable
-		// starts from the current time, not a stale horizon.
-		g.nextEligible[cls] = 0
-	}
-	g.cfg.Classes[cls].LimitInterval = interval
+	g.limits[cls].retune(interval)
 }
 
 // WaitTurn holds the caller to the class's admission spacing (LimitInterval)
 // and returns immediately when no limit is set. Call it once at the start of
-// each logical operation of the class. The caller claims the next slot if it
-// is due, otherwise sleeps until the slot time and re-checks. Nothing is
-// reserved ahead of time, so the admission horizon never runs more than one
-// interval past the clock and retuning or clearing the limit takes effect
-// within one interval even for callers already asleep.
-func (g *Group) WaitTurn(p *sim.Proc, cls Class) {
-	for {
-		iv := g.cfg.Classes[cls].LimitInterval
-		if iv <= 0 {
-			return
-		}
-		now := p.Now()
-		if next := g.nextEligible[cls]; next > now {
-			p.SleepUntil(next)
-			continue
-		}
-		g.nextEligible[cls] = now + sim.Time(iv)
-		return
-	}
-}
+// each logical operation of the class: it is the class limiter's Take of one
+// token. Nothing is reserved ahead of time, so the admission horizon never
+// runs more than one interval past the clock and retuning or clearing the
+// limit takes effect within one interval even for callers already asleep.
+func (g *Group) WaitTurn(p *sim.Proc, cls Class) { g.limits[cls].Take(p, 1) }
 
 // Charge bills a completed operation that turned out to cover n cost units
 // (postpaid cost accounting, as mClock does with delayed cost adjustment):
@@ -210,15 +199,9 @@ func (g *Group) WaitTurn(p *sim.Proc, cls Class) {
 // out by the remaining n-1 intervals once the true cost is known. A no-op
 // when no limit is set.
 func (g *Group) Charge(p *sim.Proc, cls Class, n int64) {
-	iv := g.cfg.Classes[cls].LimitInterval
-	if iv <= 0 || n <= 1 {
-		return
+	if n > 1 {
+		g.limits[cls].charge(p.Now(), n-1)
 	}
-	next := g.nextEligible[cls]
-	if now := p.Now(); next < now {
-		next = now
-	}
-	g.nextEligible[cls] = next + sim.Time(iv)*sim.Time(n-1)
 }
 
 // MaxDepth returns a class's queue-depth cap (0 = unlimited).
@@ -229,19 +212,16 @@ func (g *Group) MaxDepth(cls Class) int { return g.cfg.Classes[cls].MaxDepth }
 // of the class drain below it; a raised cap admits new submitters
 // immediately and parked ones as completions wake them.
 func (g *Group) SetMaxDepth(cls Class, depth int) {
-	if depth < 0 {
-		depth = 0
-	}
-	g.cfg.Classes[cls].MaxDepth = depth
+	g.cfg.Classes[cls].MaxDepth = max(depth, 0)
 }
 
 // NewScheduler creates a scheduler fronting res and registers it with the
 // group. All access to res must go through the returned scheduler: the SFQ
 // grant order relies on the underlying resource never queueing on its own.
 func (g *Group) NewScheduler(res *sim.Resource) *Scheduler {
-	s := &Scheduler{g: g, res: res}
-	for c := range s.depthCond {
-		s.depthCond[c] = sim.NewCond()
+	s := &Scheduler{g: g, res: res, fq: NewFairQueue(res.Cap())}
+	for c := range NumClasses {
+		s.fq.AddFlow(g.Weight(c))
 	}
 	g.scheds = append(g.scheds, s)
 	return s
@@ -265,69 +245,26 @@ type ClassTotals struct {
 }
 
 // Totals aggregates counters per class across every scheduler in the group.
-func (g *Group) Totals() []ClassTotals {
+func (g *Group) Totals() []ClassTotals { return g.totals(g.scheds) }
+
+func (g *Group) totals(scheds []*Scheduler) []ClassTotals {
 	out := make([]ClassTotals, NumClasses)
 	for c := Class(0); c < NumClasses; c++ {
-		out[c].Class = c.String()
-		out[c].Weight = g.Weight(c)
-		out[c].MaxDepth = g.cfg.Classes[c].MaxDepth
-		out[c].Limit = g.cfg.Classes[c].LimitInterval
-	}
-	for _, s := range g.scheds {
-		for c := Class(0); c < NumClasses; c++ {
-			st := &s.classes[c]
-			t := &out[c]
-			t.Admitted += st.admitted
-			t.Queued += st.queued
-			t.Throttled += st.throttled
-			t.QueueLen += len(st.queue)
-			t.Inflight += st.pending - len(st.queue)
-			if st.maxQueue > t.MaxQueue {
-				t.MaxQueue = st.maxQueue
-			}
-			t.QueueWait += st.waitTime
-			t.Busy += st.busy
+		out[c] = ClassTotals{Class: c.String(), Weight: g.Weight(c), MaxDepth: g.MaxDepth(c), Limit: g.Limit(c)}
+		for _, s := range scheds {
+			s.fq.totals(int(c), &out[c])
 		}
 	}
 	return out
 }
 
-// weightScale keeps integer finish-tag increments meaningful for
-// sub-microsecond costs divided by large weights.
-const weightScale = 1000
-
-type waiter struct {
-	start  int64 // SFQ virtual start tag
-	finish int64 // SFQ virtual finish tag
-	sig    *sim.Signal
-}
-
-type classState struct {
-	queue      []*waiter
-	lastFinish int64 // finish tag of this class's most recent submission
-	pending    int   // queued + in service (MaxDepth accounting)
-
-	admitted  int64
-	queued    int64
-	throttled int64
-	maxQueue  int
-	waitTime  time.Duration
-	busy      time.Duration
-}
-
 // Scheduler is the admission gate in front of one sim.Resource (an OSD's
-// disk, a host's NIC). It grants at most res.Cap() concurrent ops, picking
-// the next op by smallest SFQ finish tag whenever a slot frees.
+// disk, a host's NIC): a FairQueue with one flow per class and the
+// resource's capacity.
 type Scheduler struct {
 	g   *Group
 	res *sim.Resource
-
-	inflight    int   // ops currently holding a resource slot
-	queuedTotal int   // ops across all class queues
-	virt        int64 // SFQ virtual clock: max start tag granted so far
-
-	classes   [NumClasses]classState
-	depthCond [NumClasses]*sim.Cond
+	fq  FairQueue
 }
 
 // Resource returns the underlying resource (for name/utilization reporting).
@@ -340,23 +277,14 @@ func (s *Scheduler) Resource() *sim.Resource { return s.res }
 // process's tracer under the resource's name, so trace spans keep their
 // queue-wait/service breakdown.
 func (s *Scheduler) Use(p *sim.Proc, cls Class, d time.Duration) {
-	if d < 0 {
-		d = 0
+	d = max(d, 0)
+	wait, queued := s.fq.Acquire(p, int(cls), int64(d), s.g.cfg.Classes[cls].MaxDepth)
+	if t := p.Tracer(); t != nil && queued {
+		t.ResourceWait(s.res.Name(), p.Now()-sim.Time(wait), p.Now())
 	}
-	st := &s.classes[cls]
-
-	// Backpressure: park (never spin) while the class is at its depth cap.
-	// The loop re-checks because another submitter may take the freed slot
-	// between our wakeup being scheduled and running.
-	if max := s.g.cfg.Classes[cls].MaxDepth; max > 0 && st.pending >= max {
-		st.throttled++
-		for st.pending >= max {
-			s.depthCond[cls].Wait(p)
-		}
+	if fn := s.g.OnAdmit; fn != nil {
+		fn(s.res.Name(), cls, wait, queued)
 	}
-	st.pending++
-
-	s.admit(p, cls, d)
 
 	// Service. The scheduler only grants while inflight < cap and it is the
 	// sole admission path, so this Acquire never queues.
@@ -367,117 +295,9 @@ func (s *Scheduler) Use(p *sim.Proc, cls Class, d time.Duration) {
 		t.ResourceHold(s.res.Name(), start, p.Now())
 	}
 	s.res.Release(p)
-	st.busy += d
-
-	s.inflight--
-	st.pending--
-	s.depthCond[cls].Signal(p)
-	s.dispatch(p)
-}
-
-// admit blocks p until the fair queue grants it a service slot.
-func (s *Scheduler) admit(p *sim.Proc, cls Class, d time.Duration) {
-	st := &s.classes[cls]
-	if s.inflight < s.res.Cap() && s.queuedTotal == 0 {
-		// Free slot and an empty queue: grant immediately.
-		startTag, _ := s.tag(cls, d)
-		if startTag > s.virt {
-			s.virt = startTag
-		}
-		s.inflight++
-		st.admitted++
-		if fn := s.g.OnAdmit; fn != nil {
-			fn(s.res.Name(), cls, 0, false)
-		}
-		return
-	}
-	w := &waiter{sig: sim.NewSignal()}
-	w.start, w.finish = s.tag(cls, d)
-	st.queue = append(st.queue, w)
-	st.queued++
-	if len(st.queue) > st.maxQueue {
-		st.maxQueue = len(st.queue)
-	}
-	s.queuedTotal++
-	begin := p.Now()
-	w.sig.Wait(p) // dispatch fires this when the op wins a slot
-	wait := (p.Now() - begin).Duration()
-	st.waitTime += wait
-	st.admitted++
-	if t := p.Tracer(); t != nil {
-		t.ResourceWait(s.res.Name(), begin, p.Now())
-	}
-	if fn := s.g.OnAdmit; fn != nil {
-		fn(s.res.Name(), cls, wait, true)
-	}
-}
-
-// tag stamps a submission with SFQ virtual start/finish tags: start at the
-// later of the virtual clock and the class's last finish (so an idle class
-// re-enters at the current virtual time instead of burning accumulated
-// credit), finish after cost/weight of virtual progress.
-func (s *Scheduler) tag(cls Class, d time.Duration) (start, finish int64) {
-	st := &s.classes[cls]
-	start = s.virt
-	if st.lastFinish > start {
-		start = st.lastFinish
-	}
-	inc := int64(d) * weightScale / s.g.Weight(cls)
-	if inc < 1 {
-		inc = 1
-	}
-	finish = start + inc
-	st.lastFinish = finish
-	return start, finish
-}
-
-// dispatch fills free service slots with queued ops in SFQ order: smallest
-// finish tag first, ties broken by class enum order. Within a class the
-// queue is FIFO and tags are monotonic, so the head always has the class's
-// smallest finish tag.
-func (s *Scheduler) dispatch(p *sim.Proc) {
-	for s.inflight < s.res.Cap() && s.queuedTotal > 0 {
-		best := -1
-		for c := 0; c < int(NumClasses); c++ {
-			q := s.classes[c].queue
-			if len(q) == 0 {
-				continue
-			}
-			if best < 0 || q[0].finish < s.classes[best].queue[0].finish {
-				best = c
-			}
-		}
-		st := &s.classes[best]
-		w := st.queue[0]
-		st.queue = st.queue[1:]
-		s.queuedTotal--
-		if w.start > s.virt {
-			s.virt = w.start
-		}
-		s.inflight++
-		w.sig.Fire(p)
-	}
+	s.fq.flows[cls].busy += d
+	s.fq.Release(p, int(cls))
 }
 
 // Snapshot returns this scheduler's per-class counters.
-func (s *Scheduler) Snapshot() []ClassTotals {
-	out := make([]ClassTotals, NumClasses)
-	for c := Class(0); c < NumClasses; c++ {
-		st := &s.classes[c]
-		out[c] = ClassTotals{
-			Class:     c.String(),
-			Weight:    s.g.Weight(c),
-			MaxDepth:  s.g.cfg.Classes[c].MaxDepth,
-			Limit:     s.g.cfg.Classes[c].LimitInterval,
-			Admitted:  st.admitted,
-			Queued:    st.queued,
-			Throttled: st.throttled,
-			QueueLen:  len(st.queue),
-			Inflight:  st.pending - len(st.queue),
-			MaxQueue:  st.maxQueue,
-			QueueWait: st.waitTime,
-			Busy:      st.busy,
-		}
-	}
-	return out
-}
+func (s *Scheduler) Snapshot() []ClassTotals { return s.g.totals([]*Scheduler{s}) }

@@ -37,6 +37,35 @@ func IsUnavailable(err error) bool {
 	return errors.Is(err, ErrOSDDown) || errors.Is(err, ErrNoOSD)
 }
 
+// RetryPolicy bounds the timeout/backoff loop a caller runs while the
+// cluster reports transient unavailability (a crashed acting primary the
+// heartbeat monitor has not yet marked down, or a PG below write quorum):
+// exponential backoff from Base, capped at Max, up to MaxAttempts tries.
+type RetryPolicy struct {
+	MaxAttempts int
+	Base        time.Duration
+	Max         time.Duration
+}
+
+// Retry runs fn until it succeeds, fails with an error IsUnavailable does not
+// recognise, or has been tried MaxAttempts times, sleeping the backoff
+// between tries; onRetry, if non-nil, is told of each retry before its
+// sleep. It returns fn's last error: IsUnavailable of it means the attempts
+// ran out.
+func (pol RetryPolicy) Retry(p *sim.Proc, fn func() error, onRetry func()) error {
+	delay := pol.Base
+	for attempt := 1; ; attempt++ {
+		if err := fn(); err == nil || !IsUnavailable(err) || attempt >= pol.MaxAttempts {
+			return err
+		}
+		if onRetry != nil {
+			onRetry()
+		}
+		p.Sleep(delay)
+		delay = min(2*delay, pol.Max)
+	}
+}
+
 // RedundancyKind selects the pool redundancy scheme.
 type RedundancyKind int
 

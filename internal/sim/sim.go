@@ -191,6 +191,7 @@ type Engine struct {
 	inCallback bool // an engine callback (After/FireAt) is executing
 
 	freeProcs []*Proc
+	coros     []*Proc // every process whose coroutine has not ended, for Close
 	stats     Stats
 
 	// Daemon bookkeeping: daemon processes (background pollers) do not keep
@@ -282,7 +283,9 @@ type Proc struct {
 	e      *Engine
 	name   string
 	next   func() (struct{}, bool) // engine side: run the process until it yields or ends
+	stop   func()                  // engine side: end the coroutine (Close)
 	yield  func(struct{}) bool     // process side: hand control back to the engine
+	coro   int                     // index in e.coros
 	done   *Signal
 	fn     func(p *Proc)
 	daemon bool
@@ -365,9 +368,10 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 		p.fn = fn
 		e.stats.ProcsReused++
 	} else {
-		p = &Proc{e: e, name: name, done: NewSignal(), daemon: daemon, fn: fn}
+		p = &Proc{e: e, name: name, done: NewSignal(), daemon: daemon, fn: fn, coro: len(e.coros)}
 		e.stats.ProcsSpawned++
-		p.next, _ = iter.Pull(p.loop)
+		p.next, p.stop = iter.Pull(p.loop)
+		e.coros = append(e.coros, p)
 	}
 	if e.cur != nil {
 		p.tracer = e.cur.tracer // children report into the spawner's span
@@ -385,9 +389,8 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 // until reincarnated as a later spawn. The engine is inside next for the
 // whole bookkeeping section, and a reused Proc's fields are rewritten
 // strictly before the next call that resumes the coroutine, so the handoff
-// is race-free. The coroutine's stop function is never called: a process
-// ends only by returning, and one that is still parked when the engine is
-// dropped (a daemon) is never reclaimed.
+// is race-free. A coroutine ends when its process returns with the pool
+// full, or when Close stops it.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
 	p.yield = yield
@@ -405,9 +408,14 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 			e.freeProcs = append(e.freeProcs, p)
 		}
 		if !recycle {
+			last := e.coros[len(e.coros)-1]
+			last.coro, e.coros[p.coro] = p.coro, last
+			e.coros = e.coros[:len(e.coros)-1]
 			return // ends the coroutine, which returns control to the engine
 		}
-		yield(struct{}{}) // return control to the engine
+		if !yield(struct{}{}) { // return control to the engine
+			return // stopped by Close while pooled
+		}
 	}
 }
 
@@ -416,8 +424,50 @@ func (p *Proc) Go(name string, fn func(p *Proc)) *Signal {
 	return p.e.Go(name, fn)
 }
 
-// park transfers control back to the engine and blocks until resumed.
-func (p *Proc) park() { p.yield(struct{}{}) }
+// park transfers control back to the engine and blocks until resumed. A
+// process parked when Close stops its coroutine unwinds from here, running
+// its deferred calls.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
+}
+
+// procStopped is the panic that unwinds a parked process stopped by Close.
+type procStopped struct{}
+
+// Close ends every coroutine the engine still holds — processes parked on
+// the clock or on a primitive, daemons, spawned processes that never ran,
+// and the reuse pool — running the deferred calls of those that were
+// parked. Without it each of them stays a blocked goroutine that keeps the
+// engine's whole world reachable. Call it outside Run, once nothing more
+// will be read from the simulation; the engine must not be used again.
+func (e *Engine) Close() {
+	if e.running {
+		panic("sim: Close during Run")
+	}
+	// A process whose deferred calls swallow the stop and return recycles
+	// into the emptied pool instead of removing itself from e.coros.
+	e.freeProcs = nil
+	for len(e.coros) > 0 {
+		p := e.coros[len(e.coros)-1]
+		e.coros = e.coros[:len(e.coros)-1]
+		p.end()
+	}
+	e.freeProcs = nil
+	e.heap, e.fifo = eventHeap{}, eventFIFO{}
+}
+
+// end stops p's coroutine; the procStopped panic that unwound it surfaces
+// here and ends with it. Any other panic from its deferred calls propagates.
+func (p *Proc) end() {
+	defer func() {
+		if r := recover(); r != nil && r != (procStopped{}) {
+			panic(r)
+		}
+	}()
+	p.stop()
+}
 
 // Sleep advances the process by d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {

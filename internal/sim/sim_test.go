@@ -617,3 +617,53 @@ func TestProcPoolCountersPinned(t *testing.T) {
 		t.Fatalf("spawned, reused, pooled, dispatched = %v, want %v", got, want)
 	}
 }
+
+// Close ends every coroutine an engine holds — a parked daemon, a process
+// blocked on a Cond forever, a spawn that never ran, the reuse pool — and
+// runs the parked ones' deferred calls, so dropped engines leave no
+// goroutine behind.
+func TestCloseEndsCoroutines(t *testing.T) {
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100 && n > 0; i++ {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				break
+			} else {
+				n = m
+			}
+		}
+		return n
+	}
+	base := settled()
+	unwound := 0
+	for i := 0; i < 50; i++ {
+		e := New(int64(i))
+		e.GoDaemon("daemon", func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				p.Sleep(time.Millisecond)
+			}
+		})
+		never := NewCond()
+		e.Go("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			never.Wait(p)
+		})
+		for j := 0; j < 20; j++ {
+			e.Go("short", func(p *Proc) { p.Sleep(time.Microsecond) })
+		}
+		if left := e.RunUntil(Time(10 * time.Millisecond)); left != 2 {
+			t.Fatalf("engine %d: %d processes live after the run, want the daemon and the stuck one", i, left)
+		}
+		e.Go("unstarted", func(p *Proc) { t.Error("a process spawned after the last Run ran") })
+		e.Close()
+	}
+	if unwound != 100 {
+		t.Fatalf("%d parked processes ran their deferred calls, want 100", unwound)
+	}
+	if got := settled(); got > base {
+		t.Fatalf("%d goroutines after closing 50 engines, %d before", got, base)
+	}
+}

@@ -14,12 +14,19 @@
 # And fails if internal/core meets the dedup rate limit anywhere but Engine.pace
 # (engine.go): flushObject decides once whether a flush is paced (DESIGN.md §7),
 # so a new flush path cannot forget that an explicit drain is not.
+# And fails if a non-test file outside internal/qos names weightScale,
+# lastFinish or bits.Mul64: fair queueing and rate limiting exist once, in
+# qos.FairQueue and qos.Limiter (DESIGN.md §10), whoever they meter.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
 if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn|releaseRefFn)\b|SetXattr\(XattrChunkMap' . |
 	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
 	echo "check-seams: the lines above name a reference primitive or write a chunk map outside Store.rebind's file (internal/core/refcount.go)" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
+	echo "check-seams: the lines above re-implement fair queueing or rate limiting outside internal/qos" >&2
 	exit 1
 fi
 if [ "$(grep -cE 'WaitTurn\(.*qos\.Dedup' internal/core/*.go | grep -vE '_test\.go:|:0$')" != internal/core/engine.go:1 ]; then
