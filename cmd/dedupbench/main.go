@@ -5,8 +5,10 @@
 //
 //	dedupbench [flags] [experiment ...]
 //
-// Experiments: fig3 table1 fig5a fig5b fig10 fig11 table2 fig12 table3
-// fig13 fig14 chaos ablation (or "all", the default).
+// Experiments are named as in the paper (fig3, table1, ..., fig14) plus the
+// studies beyond it (chaos, ablation, qos, ...); -list prints them all in
+// presentation order. "all", the default, runs every one. Figure 5-(b) is
+// a table of fig14, which owns the interference runs.
 //
 // The sweep runs across a bounded worker pool (-workers, default
 // GOMAXPROCS; every experiment owns an isolated deterministic sim, so

@@ -98,3 +98,67 @@ func TestWorldSizedAndRedundancyHelpers(t *testing.T) {
 		}
 	})
 }
+
+// Example is the quickstart: bring up a simulated 4-node cluster, store
+// objects through the global dedup layer, and watch identical content
+// collapse to a single chunk-pool copy regardless of which node it lands on.
+func Example() {
+	world := dedupstore.NewWorld(42) // 4 hosts x 4 OSDs, SSDs, 10GbE
+
+	cfg := dedupstore.DefaultConfig() // 32KiB chunks, rep x2 pools, post-processing
+	store, err := dedupstore.OpenStore(world.Cluster, cfg)
+	if err != nil {
+		panic(err)
+	}
+	store.StartEngine() // background dedup workers
+
+	client := store.Client("quickstart")
+
+	// Ten "golden image" objects with identical content plus one unique one.
+	golden := make([]byte, 256<<10)
+	rand.New(rand.NewSource(7)).Read(golden)
+	unique := make([]byte, 256<<10)
+	rand.New(rand.NewSource(8)).Read(unique)
+
+	world.Run(func(p *dedupstore.Proc) {
+		for i := 0; i < 10; i++ {
+			if err := client.Write(p, fmt.Sprintf("image-%d", i), 0, golden); err != nil {
+				panic(err)
+			}
+		}
+		if err := client.Write(p, "one-off", 0, unique); err != nil {
+			panic(err)
+		}
+		fmt.Printf("wrote 11 objects (%.1f MB logical) at virtual time %v\n",
+			11*float64(len(golden))/1e6, p.Now())
+	})
+
+	// Let the post-processing engine deduplicate everything.
+	world.Run(func(p *dedupstore.Proc) { store.Engine().DrainAndWait(p) })
+
+	meta := world.Cluster.PoolStats(store.MetaPool())
+	chunk := world.Cluster.PoolStats(store.ChunkPool())
+	logical := int64(11 * len(golden))
+	stored := meta.StoredTotal() + chunk.StoredTotal()
+	fmt.Printf("chunk pool: %d unique chunks, %.2f MB data\n", chunk.Objects, float64(chunk.LogicalBytes)/1e6)
+	fmt.Printf("stored (incl. 2x replication + metadata): %.2f MB for %.2f MB logical -> %.1f%% saved vs raw 2x\n",
+		float64(stored)/1e6, float64(logical)/1e6, 100*(1-float64(stored)/float64(2*logical)))
+
+	// Reads reassemble transparently from the chunk pool.
+	world.Run(func(p *dedupstore.Proc) {
+		got, err := client.Read(p, "image-3", 0, -1)
+		if err != nil || !bytes.Equal(got, golden) {
+			panic(fmt.Sprintf("read back failed: %v", err))
+		}
+		fmt.Println("read-after-dedup verified: image-3 content intact")
+	})
+
+	st := store.Engine().Stats()
+	fmt.Printf("engine: %d chunks flushed, %d were duplicates\n", st.ChunksFlushed, st.DupChunks)
+	// Output:
+	// wrote 11 objects (2.9 MB logical) at virtual time 21.234061ms
+	// chunk pool: 16 unique chunks, 0.52 MB data
+	// stored (incl. 2x replication + metadata): 1.13 MB for 2.88 MB logical -> 80.5% saved vs raw 2x
+	// read-after-dedup verified: image-3 content intact
+	// engine: 88 chunks flushed, 72 were duplicates
+}

@@ -51,35 +51,33 @@ func TestFig5aShape(t *testing.T) {
 	}
 }
 
-// interferenceRatio is the foreground throughput an interference timeline
-// keeps once the engine has started.
-func interferenceRatio(r InterferenceResult) float64 { return r.SteadyAfter / r.SteadyBefore }
-
-// TestFig5bShape and TestFig14Shape pin the interference picture at the
-// golden scale (at tinyScale the span is three blocks and nothing contends):
-// an unthrottled engine costs the foreground at least 5 % of its throughput,
-// the watermark controller gives all but 2 % of it back. The paper's drop is
-// far deeper (600 -> 200 MB/s); EXPERIMENTS.md states the distance. They run
-// beside the other tests: 8 s of simulated foreground each.
-func TestFig5bShape(t *testing.T) {
-	if testing.Short() || raceBuild {
-		t.Skip("experiment smoke test")
-	}
-	t.Parallel()
-	if got := interferenceRatio(Fig5b(QuickScale())); got > 0.95 {
-		t.Errorf("unthrottled dedup keeps %.3f of the foreground throughput, want at most 0.95", got)
-	}
-}
-
+// TestFig14Shape pins the interference picture at the golden scale (at
+// tinyScale the span is three blocks and nothing contends): an unthrottled
+// engine costs the foreground at least 5 % of its throughput — Figure 5-(b)
+// is that run — and the watermark controller gives all but 2 % of it back.
+// The paper's drop is far deeper (600 -> 200 MB/s); EXPERIMENTS.md states
+// the distance. The ablation reads the same runs: only the controller
+// adjusts the rate, and it still flushes its deferred backlog once the
+// stream stops. 8 s of simulated foreground per run.
 func TestFig14Shape(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("experiment smoke test")
 	}
 	t.Parallel()
 	rs := Fig14(QuickScale())
-	ideal, uncontrolled, controlled := interferenceRatio(rs[0]), interferenceRatio(rs[1]), interferenceRatio(rs[2])
-	if ideal < 0.98 || uncontrolled > 0.95 || controlled < 0.98 {
-		t.Errorf("after/before: ideal %.3f (want >= 0.98), without rate control %.3f (want <= 0.95), with it %.3f (want >= 0.98)", ideal, uncontrolled, controlled)
+	ideal, static, controlled := rs[0], rs[1], rs[2]
+	if retainedPct(ideal) < 98 || retainedPct(static) > 95 || retainedPct(controlled) < 98 {
+		t.Errorf("retained %%: ideal %.1f (want >= 98), without rate control %.1f (want <= 95), with it %.1f (want >= 98)",
+			retainedPct(ideal), retainedPct(static), retainedPct(controlled))
+	}
+	if retainedPct(controlled) <= retainedPct(static) {
+		t.Errorf("controller retains %.1f %%, not more than the static weight's %.1f %%", retainedPct(controlled), retainedPct(static))
+	}
+	if static.RateAdjusts != 0 || controlled.RateAdjusts == 0 {
+		t.Errorf("rate adjusts: static %d (want 0), controller %d (want > 0)", static.RateAdjusts, controlled.RateAdjusts)
+	}
+	if controlled.FlushedIdle == 0 {
+		t.Error("controller flushed nothing in the idle tail")
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"time"
 
 	"dedupstore/internal/client"
@@ -246,32 +247,15 @@ func Fig11Table(rows []Fig11Row) Table {
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
-			r.Config, r.Op, fmt10(r.BlockSize), f1(r.Throughput), r.Latency.Round(time.Microsecond).String(),
+			r.Config, r.Op, fmtKB(r.BlockSize), f1(r.Throughput), r.Latency.Round(time.Microsecond).String(),
 		})
 	}
 	return t
 }
 
-func fmt10(bs int64) string {
-	return fmtKB(bs)
-}
-
+// fmtKB renders a byte count in whole KiB, e.g. "32KB".
 func fmtKB(bs int64) string {
-	return fmtInt(bs>>10) + "KB"
-}
-
-func fmtInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	pos := len(b)
-	for v > 0 {
-		pos--
-		b[pos] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[pos:])
+	return strconv.FormatInt(bs>>10, 10) + "KB"
 }
 
 // Fig10Result runs Fig10 and packages it as a machine-readable Result.

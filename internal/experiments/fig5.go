@@ -79,13 +79,17 @@ type TimelinePoint struct {
 	MBps   float64
 }
 
-// InterferenceResult is a Fig5b/Fig14 timeline.
+// InterferenceResult is one Fig14 timeline.
 type InterferenceResult struct {
 	Label  string
 	Points []TimelinePoint
 	// SteadyBefore/SteadyAfter are mean MB/s before/after the background
 	// engine starts.
 	SteadyBefore, SteadyAfter float64
+	// Engine runs only: rate-policy adjustments, and chunks flushed while
+	// the foreground stream ran and in the idle tail after it stopped.
+	RateAdjusts            int64
+	FlushedFg, FlushedIdle int64
 }
 
 // foregroundWithEngine runs a sequential foreground writer for total
@@ -127,27 +131,12 @@ func foregroundWithEngine(h *harness, s *core.Store, dev *client.BlockDevice,
 	return res
 }
 
-// Fig5b reproduces Figure 5-(b): a foreground sequential write stream is
-// throttled hard when an un-rate-limited background dedup engine starts.
-func Fig5b(sc Scale) InterferenceResult {
-	h := sc.newHarness(202, 4, 4)
-	s := h.dedupStore(func(cfg *core.Config) {
-		cfg.Rate.Enabled = false // the problem case: no rate control
-		cfg.DedupThreads = 32
-		cfg.FlushParallel = 16
-		cfg.HitSet.HitCount = 1000 // no hot exemption: everything is a target
-	})
-	span := sc.bytes(16 << 20)
-	dev := h.dedupDevice("img", span, s)
-	total := scaledDuration(sc, 24*time.Second)
-	return foregroundWithEngine(h, s, dev, span, total, total/3,
-		"post-processing dedup w/o rate control")
-}
-
-// Fig5bTable renders the interference timeline.
+// Fig5bTable renders Figure 5-(b) — a foreground sequential write stream
+// throttled when an un-rate-limited background dedup engine starts — from
+// Fig14's run without rate control.
 func Fig5bTable(r InterferenceResult) Table {
 	t := Table{
-		Title:   "Figure 5-(b): foreground interference from background dedup (" + r.Label + ")",
+		Title:   "Figure 5-(b): foreground interference from background dedup (post-processing dedup w/o rate control)",
 		Columns: []string{"second", "foreground MB/s"},
 		Notes: []string{
 			fmt.Sprintf("steady before engine start: %.0f MB/s; after: %.0f MB/s", r.SteadyBefore, r.SteadyAfter),
@@ -163,47 +152,49 @@ func Fig5bTable(r InterferenceResult) Table {
 // Fig14 reproduces Figure 14: the same foreground stream under (1) no
 // dedup, (2) background dedup without rate control, and (3) background
 // dedup with watermark rate control — rate control recovers most of the
-// foreground throughput.
+// foreground throughput. Run 2 is also Figure 5-(b). Runs 2 and 3 go on
+// into an idle tail after the stream stops, where the watermark-vs-static
+// ablation counts the flush work the controller deferred.
 func Fig14(sc Scale) []InterferenceResult {
 	span := sc.bytes(16 << 20)
 	total := scaledDuration(sc, 24*time.Second)
 	engStart := total / 3
 
-	var out []InterferenceResult
+	// Ideal: no deduplication at all.
+	h := sc.newHarness(203, 4, 4)
+	s := h.dedupStore(func(cfg *core.Config) {
+		cfg.HitSet.HitCount = 1000
+	})
+	ideal := foregroundWithEngine(h, nil, h.dedupDevice("img", span, s), span, total, engStart, "no deduplication (ideal)")
 
-	{ // Ideal: no deduplication at all.
-		h := sc.newHarness(203, 4, 4)
+	withEngine := func(seed int64, label string, rate func(cfg *core.Config)) InterferenceResult {
+		h := sc.newHarness(seed, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.HitSet.HitCount = 1000
+			rate(cfg)
+			cfg.DedupThreads = 32
+			cfg.FlushParallel = 16
+			cfg.HitSet.HitCount = 1000 // no hot exemption: everything is a target
 		})
 		dev := h.dedupDevice("img", span, s)
-		r := foregroundWithEngine(h, nil, dev, span, total, engStart, "no deduplication (ideal)")
-		_ = s
-		out = append(out, r)
+		r := foregroundWithEngine(h, s, dev, span, total, engStart, label)
+		r.FlushedFg = s.Engine().Stats().ChunksFlushed
+		// Idle tail: the foreground has stopped, so the controller's
+		// throttle clears and the engine catches up on whatever backlog it
+		// deferred while the stream was hot.
+		h.run(func(p *sim.Proc) { p.Sleep(scaledDuration(sc, 8*time.Second)) })
+		st := s.Engine().Stats()
+		r.RateAdjusts, r.FlushedIdle = st.RateAdjusts, st.ChunksFlushed-r.FlushedFg
+		return r
 	}
-	{ // Dedup without rate control.
-		h := sc.newHarness(204, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
+	return []InterferenceResult{
+		ideal,
+		withEngine(204, "dedup w/o rate control", func(cfg *core.Config) {
 			cfg.Rate.Enabled = false
-			cfg.DedupThreads = 32
-			cfg.FlushParallel = 16
-			cfg.HitSet.HitCount = 1000
-		})
-		dev := h.dedupDevice("img", span, s)
-		out = append(out, foregroundWithEngine(h, s, dev, span, total, engStart, "dedup w/o rate control"))
-	}
-	{ // Dedup with watermark rate control.
-		h := sc.newHarness(205, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
+		}),
+		withEngine(205, "dedup w/ rate control", func(cfg *core.Config) {
 			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
-			cfg.DedupThreads = 32
-			cfg.FlushParallel = 16
-			cfg.HitSet.HitCount = 1000
-		})
-		dev := h.dedupDevice("img", span, s)
-		out = append(out, foregroundWithEngine(h, s, dev, span, total, engStart, "dedup w/ rate control"))
+		}),
 	}
-	return out
 }
 
 // Fig14Table renders the three rate-control timelines side by side.
@@ -235,17 +226,49 @@ func Fig14Table(rs []InterferenceResult) Table {
 	return t
 }
 
+// RateAblationTable renders the §4.4.2 watermark controller (re-expressed
+// as a dedup-class weight policy) against a static dedup-class weight, from
+// Fig14's two engine runs.
+func RateAblationTable(static, controlled InterferenceResult) Table {
+	t := Table{
+		Title:   "QoS: watermark weight controller vs static dedup weight (foreground MB/s)",
+		Columns: []string{"config", "before MB/s", "after MB/s", "retained %", "rate adjusts", "flushed (fg)", "flushed (idle)"},
+		Notes: []string{
+			"shape target: controller retains more foreground throughput than the static weight, deferring flush work into the idle tail",
+		},
+	}
+	for _, c := range []struct {
+		config string
+		r      InterferenceResult
+	}{
+		{"static dedup weight (controller off)", static},
+		{"watermark controller (scaled watermarks)", controlled},
+	} {
+		t.Rows = append(t.Rows, []string{
+			c.config, f1(c.r.SteadyBefore), f1(c.r.SteadyAfter), f1(retainedPct(c.r)),
+			fmt.Sprint(c.r.RateAdjusts), fmt.Sprint(c.r.FlushedFg), fmt.Sprint(c.r.FlushedIdle),
+		})
+	}
+	return t
+}
+
+// retainedPct is the share of pre-engine foreground throughput a timeline
+// keeps once the engine has started, in percent.
+func retainedPct(r InterferenceResult) float64 {
+	if r.SteadyBefore <= 0 {
+		return 0
+	}
+	return 100 * r.SteadyAfter / r.SteadyBefore
+}
+
 // Fig5aResult runs Fig5a and packages it as a machine-readable Result.
 func Fig5aResult(sc Scale) Result {
 	return Result{Name: "fig5a", Tables: []Table{Fig5aTable(Fig5a(sc))}}
 }
 
-// Fig5bResult runs Fig5b and packages it as a machine-readable Result.
-func Fig5bResult(sc Scale) Result {
-	return Result{Name: "fig5b", Tables: []Table{Fig5bTable(Fig5b(sc))}}
-}
-
-// Fig14Result runs Fig14 and packages it as a machine-readable Result.
+// Fig14Result runs Fig14 once and packages the three tables its runs feed:
+// Figure 5-(b), Figure 14 and the watermark-vs-static ablation.
 func Fig14Result(sc Scale) Result {
-	return Result{Name: "fig14", Tables: []Table{Fig14Table(Fig14(sc))}}
+	rs := Fig14(sc)
+	return Result{Name: "fig14", Tables: []Table{Fig5bTable(rs[1]), Fig14Table(rs), RateAblationTable(rs[1], rs[2])}}
 }

@@ -12,8 +12,9 @@ import (
 
 // The qos experiment exercises the per-OSD op scheduler directly, beyond
 // what the paper measures: an interference matrix (client latency while each
-// background class runs flat out) and an ablation of the §4.4.2 watermark
-// controller against a static dedup-class weight.
+// background class runs flat out). The ablation of the §4.4.2 watermark
+// controller against a static dedup-class weight reads Fig14's runs
+// (RateAblationTable).
 
 // QoSMatrixRow is one row of the interference matrix: client small-write
 // latency with one background class active.
@@ -169,85 +170,8 @@ func QoSMatrixTable(rows []QoSMatrixRow) Table {
 	return t
 }
 
-// QoSAblationRow is one config of the watermark-vs-static ablation.
-type QoSAblationRow struct {
-	Config      string
-	BeforeMBps  float64
-	AfterMBps   float64
-	RetainedPct float64
-	RateAdjusts int64
-	FlushedFg   int64 // chunks flushed while the foreground stream ran
-	FlushedIdle int64 // chunks flushed in the idle tail after it stopped
-}
-
-// QoSAblation compares the watermark controller (§4.4.2 re-expressed as a
-// dedup-class weight policy) against a static dedup-class weight: the same
-// foreground stream, background engine started a third of the way in.
-func QoSAblation(sc Scale) []QoSAblationRow {
-	span := sc.bytes(16 << 20)
-	total := scaledDuration(sc, 24*time.Second)
-	engStart := total / 3
-
-	runCase := func(label string, seed int64, mut func(cfg *core.Config)) QoSAblationRow {
-		h := sc.newHarness(seed, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.DedupThreads = 32
-			cfg.FlushParallel = 16
-			cfg.HitSet.HitCount = 1000
-			mut(cfg)
-		})
-		dev := h.dedupDevice("img", span, s)
-		r := foregroundWithEngine(h, s, dev, span, total, engStart, label)
-		during := s.Engine().Stats().ChunksFlushed
-		// Idle tail: the foreground has stopped, so the controller's
-		// throttle clears and the engine catches up on whatever backlog it
-		// deferred while the stream was hot.
-		h.run(func(p *sim.Proc) { p.Sleep(scaledDuration(sc, 8*time.Second)) })
-		st := s.Engine().Stats()
-		retained := 0.0
-		if r.SteadyBefore > 0 {
-			retained = 100 * r.SteadyAfter / r.SteadyBefore
-		}
-		return QoSAblationRow{
-			Config: label, BeforeMBps: r.SteadyBefore, AfterMBps: r.SteadyAfter,
-			RetainedPct: retained, RateAdjusts: st.RateAdjusts,
-			FlushedFg: during, FlushedIdle: st.ChunksFlushed - during,
-		}
-	}
-
-	return []QoSAblationRow{
-		runCase("static dedup weight (controller off)", 902, func(cfg *core.Config) {
-			cfg.Rate.Enabled = false
-		}),
-		runCase("watermark controller (scaled watermarks)", 903, func(cfg *core.Config) {
-			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
-		}),
-	}
-}
-
-// QoSAblationTable renders the ablation.
-func QoSAblationTable(rows []QoSAblationRow) Table {
-	t := Table{
-		Title:   "QoS: watermark weight controller vs static dedup weight (foreground MB/s)",
-		Columns: []string{"config", "before MB/s", "after MB/s", "retained %", "rate adjusts", "flushed (fg)", "flushed (idle)"},
-		Notes: []string{
-			"shape target: controller retains more foreground throughput than the static weight, deferring flush work into the idle tail",
-		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Config, f1(r.BeforeMBps), f1(r.AfterMBps), f1(r.RetainedPct),
-			fmt.Sprint(r.RateAdjusts), fmt.Sprint(r.FlushedFg), fmt.Sprint(r.FlushedIdle),
-		})
-	}
-	return t
-}
-
-// QoSResult runs both QoS tables and packages them as a machine-readable
-// Result.
+// QoSResult runs the interference matrix and packages it as a
+// machine-readable Result.
 func QoSResult(sc Scale) Result {
-	return Result{Name: "qos", Tables: []Table{
-		QoSMatrixTable(QoSMatrix(sc)),
-		QoSAblationTable(QoSAblation(sc)),
-	}}
+	return Result{Name: "qos", Tables: []Table{QoSMatrixTable(QoSMatrix(sc))}}
 }

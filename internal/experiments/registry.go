@@ -67,7 +67,6 @@ func Registry() []Experiment {
 		NewExperiment("fig3", Fig3Result),
 		NewExperiment("table1", Table1Result),
 		NewExperiment("fig5a", Fig5aResult),
-		NewExperiment("fig5b", Fig5bResult),
 		NewExperiment("fig10", Fig10Result),
 		NewExperiment("fig11", Fig11Result),
 		NewExperiment("table2", Table2Result),

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegistryOrderAndLookup(t *testing.T) {
-	want := []string{"fig3", "table1", "fig5a", "fig5b", "fig10", "fig11",
+	want := []string{"fig3", "table1", "fig5a", "fig10", "fig11",
 		"table2", "fig12", "table3", "fig13", "fig14", "chaos", "ablation", "qos", "fpindex", "scale", "tenants", "redundancy"}
 	got := Names()
 	if strings.Join(got, " ") != strings.Join(want, " ") {

@@ -58,7 +58,8 @@ func WriteGolden(dir string, results []experiments.Result) error {
 
 // CheckGolden diffs fresh results against the snapshots in dir. A clean run
 // returns (nil, nil); drift returns one Diff per divergent cell (plus
-// structural diffs). Only I/O and JSON errors are returned as error.
+// structural diffs, and one per snapshot whose experiment is not
+// registered). Only I/O and JSON errors are returned as error.
 func CheckGolden(dir string, results []experiments.Result) ([]Diff, error) {
 	var diffs []Diff
 	for _, got := range results {
@@ -87,6 +88,23 @@ func CheckGolden(dir string, results []experiments.Result) ([]Diff, error) {
 			})
 		}
 		diffs = append(diffs, diffResult(golden, got)...)
+	}
+	// A snapshot no registered experiment writes is left over from a deleted
+	// or renamed one. Report it on every check, subset runs included, so it
+	// cannot outlive its experiment unnoticed.
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		if _, ok := experiments.Lookup(name); !ok {
+			diffs = append(diffs, Diff{
+				Experiment: name, Table: "*", Row: -1,
+				Golden: fmt.Sprintf("snapshot %s has no registered experiment", path),
+				Got:    "nothing (delete the snapshot)",
+			})
+		}
 	}
 	return diffs, nil
 }

@@ -10,9 +10,13 @@ import (
 	"dedupstore/internal/experiments"
 )
 
+// sampleName is a registered experiment: CheckGolden reports a snapshot of
+// an unregistered one as an orphan.
+const sampleName = "fig10"
+
 func sampleResult() experiments.Result {
 	return experiments.Result{
-		Name: "figX",
+		Name: sampleName,
 		Tables: []experiments.Table{{
 			Title:   "Figure X: sample",
 			Columns: []string{"workload", "lat(ms)", "cpu"},
@@ -58,13 +62,13 @@ func TestGoldenSingleCellPerturbation(t *testing.T) {
 		t.Fatalf("got %d diffs, want exactly 1: %v", len(diffs), diffs)
 	}
 	d := diffs[0]
-	if d.Experiment != "figX" || d.Row != 0 || d.Col != 1 ||
+	if d.Experiment != sampleName || d.Row != 0 || d.Col != 1 ||
 		d.RowLabel != "randwrite" || d.ColName != "lat(ms)" ||
 		d.Golden != "9.1" || d.Got != "7.3" {
 		t.Errorf("diff coordinates wrong: %+v", d)
 	}
 	s := d.String()
-	for _, want := range []string{"figX", "Figure X: sample", "randwrite", "lat(ms)", `"9.1"`, `"7.3"`} {
+	for _, want := range []string{sampleName, "Figure X: sample", "randwrite", "lat(ms)", `"9.1"`, `"7.3"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered diff missing %q: %s", want, s)
 		}
@@ -136,6 +140,27 @@ func TestGoldenStructuralDiffs(t *testing.T) {
 			t.Errorf("table-count drift not reported: %v", diffs)
 		}
 	})
+}
+
+// TestGoldenOrphanSnapshot: a snapshot whose experiment is no longer
+// registered is reported even when the check covers only other experiments,
+// so a deleted experiment's golden cannot linger.
+func TestGoldenOrphanSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	orphan := sampleResult()
+	orphan.Name = "retired"
+	if err := WriteGolden(dir, []experiments.Result{sampleResult(), orphan}); err != nil {
+		t.Fatal(err)
+	}
+	for _, subset := range [][]experiments.Result{{sampleResult()}, nil} {
+		diffs, err := CheckGolden(dir, subset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diffs) != 1 || diffs[0].Experiment != "retired" || !strings.Contains(diffs[0].String(), "no registered experiment") {
+			t.Errorf("checking %d result(s): orphan snapshot not reported: %v", len(subset), diffs)
+		}
+	}
 }
 
 // TestGoldenNonCanonicalSnapshot: a snapshot that parses to the same value
