@@ -225,12 +225,14 @@ func (c *ctl) qos() {
 			t.QueueLen, t.MaxQueue, t.QueueWait.Round(time.Microsecond), t.Busy.Round(time.Microsecond))
 	}
 	// The dedup limit's cost, which the table above cannot show: time flush
-	// slots spent asleep in admission (WaitTurn), not queued at any device.
+	// slots spent asleep in admission (WaitTurn), not queued at any device;
+	// and the explicit drains, which run unpaced with one agent per OSD.
 	reg := c.world.Cluster.Metrics()
-	pw := reg.Histogram("dedup_pacing_wait")
-	fmt.Printf("dedup pacing: %d paced slots waited %v in admission (mean %v, max %v); rate policy parked: %d\n",
+	pw, dr := reg.Histogram("dedup_pacing_wait"), reg.Histogram("dedup_drain_seconds")
+	fmt.Printf("dedup pacing: %d paced slots waited %v in admission (mean %v, max %v); rate policy parked: %d; drains: %d in %v (max %v), %d agents\n",
 		pw.Count(), pw.Sum().Round(time.Microsecond), pw.Mean().Round(time.Microsecond), pw.Max().Round(time.Microsecond),
-		reg.Gauge("dedup_rate_policy_parked").Value())
+		reg.Gauge("dedup_rate_policy_parked").Value(),
+		dr.Count(), dr.Sum().Round(time.Microsecond), dr.Max().Round(time.Microsecond), reg.Gauge("dedup_drain_agents").Value())
 }
 
 // simStats prints the DES kernel's execution counters and the trace sink's

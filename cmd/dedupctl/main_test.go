@@ -47,8 +47,9 @@ func section(out, action string) [][]string {
 }
 
 // TestTenantsAndQoSActions smoke-tests the two actions admission feeds: the
-// qos table has a row per class, the bronze noisy tenant is throttled while
-// the gold one is not, and one seed prints the same bytes twice.
+// qos table has a row per class and its pacing line reports the drain, the
+// bronze noisy tenant is throttled while the gold one is not, and one seed
+// prints the same bytes twice.
 func TestTenantsAndQoSActions(t *testing.T) {
 	out := dedupctl(t, "tenants qos")
 
@@ -60,6 +61,11 @@ func TestTenantsAndQoSActions(t *testing.T) {
 		if !classes[cls] {
 			t.Errorf("qos table has no %q row:\n%s", cls, out)
 		}
+	}
+
+	// The load drains once, one agent per OSD of the 16.
+	if !strings.Contains(out, "; drains: 1 in ") || !strings.Contains(out, ", 16 agents\n") {
+		t.Errorf("qos pacing line does not report the load's drain over 16 agents:\n%s", out)
 	}
 
 	throttled := map[string]string{} // slo -> throttled column

@@ -30,17 +30,17 @@ type EngineStats struct {
 // from metadata objects, fingerprint them, move them to the chunk pool with
 // reference counting, and update the chunk maps — all throttled by the
 // watermark rate controller (§4.4.2), which retunes the dedup QoS class
-// weight from the foreground load.
+// weight from the foreground load. An explicit drain (DrainAndWait) stops the
+// workers and flushes unpaced, one agent per OSD over the PGs it leads.
 type Engine struct {
 	s     *Store
 	stats EngineStats
 
-	started  bool
-	stopReq  bool
-	draining bool
-	done     []*sim.Signal
+	started bool
+	stopReq bool
+	done    []*sim.Signal
 
-	claimed map[string]bool // objects a worker is currently flushing
+	claimed map[string]bool // objects a worker or drain agent is currently flushing
 	pending []string        // dirty OIDs discovered by the last sweep
 	inQueue map[string]bool // membership set for pending
 
@@ -76,58 +76,85 @@ func (e *Engine) Start() {
 // RequestStop asks workers to exit after their current object.
 func (e *Engine) RequestStop() { e.stopReq = true }
 
-// Drain switches workers into drain mode: they keep flushing until every
-// dirty list is empty, then exit (wait for that with WaitIdle). A drain is the
-// foreground's own request and its caller has usually stopped writing, so the
-// rate policy could only couple to the fading echo of a load that is gone (and
-// gap/iops spacing lengthens as it fades): flushes run unpaced from here on and
-// the policy is parked — class unthrottled, no rateTick — so a slot already
-// asleep in WaitTurn leaves at its next re-check, at most one interval later.
-func (e *Engine) Drain() {
-	e.draining = true
+// DrainAndWait stops the workers and flushes every dirty object before it
+// returns. It is the foreground's own request, whose load has usually
+// stopped, so it runs unpaced and parks the rate policy at once: a slot
+// asleep in WaitTurn leaves at its next re-check. Its width comes from the
+// map, not from DedupThreads: one agent per OSD over the PGs it leads
+// (§4.4.1, Fig. 8), in rounds until one finds nothing, which also catches a
+// PG whose primary moved and an object a failed flush put back.
+func (e *Engine) DrainAndWait(p *sim.Proc) {
+	t0 := p.Now()
+	// The workers finish their current object and exit; the rate-policy
+	// daemon sees the engine stopped at its next tick and exits too.
+	e.started = false
 	if e.ratePolicyOn {
 		e.unthrottle()
 		e.reg().Gauge("dedup_rate_policy_parked").Set(1)
 	}
+	osds := e.s.cluster.OSDs()
+	e.reg().Gauge("dedup_drain_agents").Set(int64(len(osds)))
+	// The first round overlaps the exiting workers; a clean round counts only
+	// once none is left to put an object back.
+	workers := e.done
+	for e.drainRound(p, osds) > 0 || len(workers) > 0 {
+		sim.WaitAll(p, workers...)
+		workers = nil
+	}
+	e.done, e.stopReq = nil, false
+	e.pending = e.pending[:0] // flushed: a restarted worker must not revisit them
+	clear(e.inQueue)
+	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
+	e.reg().Histogram("dedup_drain_seconds").Add((p.Now() - t0).Duration())
 }
 
-// WaitIdle blocks p until all workers have exited (use after Drain or
-// RequestStop).
-func (e *Engine) WaitIdle(p *sim.Proc) { sim.WaitAll(p, e.done...) }
-
-// DrainAndWait flushes all outstanding dirty objects and stops the workers.
-func (e *Engine) DrainAndWait(p *sim.Proc) {
-	if !e.started {
-		e.Start()
-	}
-	e.Drain()
-	e.WaitIdle(p)
-	e.started = false
-	e.draining = false
-	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
-	e.stopReq = false
-	e.done = nil
+// drainRound runs one drain agent per OSD as a child of p. An agent sweeps
+// the dirty lists of the PGs whose acting primary is its OSD and flushes
+// their unclaimed objects one at a time, unpaced. It reports how many objects
+// the agents flushed.
+func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
+	s := e.s
+	fanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
+		for seq := uint32(0); seq < s.meta.PGNum; seq++ {
+			id, primaryHost, err := s.cluster.PGPrimary(s.meta, seq)
+			if err != nil || id != osds[i] {
+				continue
+			}
+			oids, err := s.hostGW(primaryHost).OmapList(q, s.meta, dirtyListName(seq), 64)
+			if err != nil {
+				continue
+			}
+			for _, oid := range oids {
+				if !e.claimed[oid] {
+					flushed++
+					e.flushClaimed(q, oid, true)
+				}
+			}
+		}
+	})
+	return flushed
 }
 
 func (e *Engine) workerLoop(p *sim.Proc) {
-	s := e.s
-	for !e.stopReq {
-		oid, ok := e.nextDirty(p)
-		if !ok {
-			if e.draining && len(e.claimed) == 0 {
-				return
-			}
+	for e.started && !e.stopReq {
+		if oid, ok := e.nextDirty(p); ok {
+			e.flushClaimed(p, oid, false)
+		} else {
 			p.Sleep(scanInterval)
-			continue
 		}
-		gw, hostName, err := s.metaPrimaryGW(oid, qos.Dedup)
-		if err != nil {
-			continue
-		}
-		e.claimed[oid] = true
-		_ = e.flushObject(p, gw, hostName, oid, false)
-		delete(e.claimed, oid)
 	}
+}
+
+// flushClaimed flushes oid at its metadata primary, claimed so that no other
+// worker or drain agent flushes it meanwhile.
+func (e *Engine) flushClaimed(p *sim.Proc, oid string, force bool) {
+	gw, hostName, err := e.s.metaPrimaryGW(oid, qos.Dedup)
+	if err != nil {
+		return
+	}
+	e.claimed[oid] = true
+	_ = e.flushObject(p, gw, hostName, oid, force)
+	delete(e.claimed, oid)
 }
 
 // nextDirty returns the next unclaimed dirty object ID (§4.4.1 step 1).
@@ -143,9 +170,9 @@ func (e *Engine) nextDirty(p *sim.Proc) (string, bool) {
 			if e.claimed[oid] {
 				continue
 			}
-			// Hot objects stay on the dirty list for a later cycle (§3.2),
-			// except during a drain, which force-flushes everything.
-			if !e.draining && s.cache.SkipFlush(p.Now(), oid) {
+			// Hot objects stay on the dirty list for a later cycle (§3.2); a
+			// drain's agents force-flush everything.
+			if s.cache.SkipFlush(p.Now(), oid) {
 				e.stats.SkippedHot++
 				e.reg().Counter("dedup_skipped_hot_total").Inc()
 				continue
@@ -182,8 +209,8 @@ func anyHost(s *Store) string {
 }
 
 // flushObject deduplicates one metadata object (§4.4.1 steps 2–6). force
-// (ModeFlushThrough) and an explicit drain are client-visible: both bypass
-// rate control, which is decided here, once, for every flush path.
+// (ModeFlushThrough and an explicit drain's agents) is client-visible and
+// bypasses rate control, which is decided here, once, for every flush path.
 func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid string, force bool) error {
 	s := e.s
 	e.stats.ObjectsScanned++
@@ -211,7 +238,7 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if s.cfg.CDC != nil {
 		flush = e.flushCDC
 	}
-	if requeue := flush(p, gw, hostName, oid, cm, !force && !e.draining); requeue {
+	if requeue := flush(p, gw, hostName, oid, cm, !force); requeue {
 		return e.requeueDirty(p, gw, oid)
 	}
 	return nil

@@ -88,9 +88,10 @@ func (e *Engine) rateTick() {
 }
 
 // startRatePolicy spawns the controller daemon alongside the dedup workers. It
-// runs until the engine stops, sitting out drains (Engine.Drain parks it; a
-// restarted engine finds it still there), and restores the base weight on exit
-// so a stopped engine leaves the scheduler untouched.
+// runs until the engine stops — a drain stops it and parks the class at once;
+// an engine restarted within the tick finds the daemon still there — and
+// restores the base weight on exit so a stopped engine leaves the scheduler
+// untouched.
 func (e *Engine) startRatePolicy() {
 	if !e.s.cfg.Rate.Enabled || e.ratePolicyOn {
 		return
@@ -103,9 +104,7 @@ func (e *Engine) startRatePolicy() {
 			e.ratePolicyOn = false
 		}()
 		for e.started && !e.stopReq {
-			if !e.draining {
-				e.rateTick()
-			}
+			e.rateTick()
 			p.Sleep(ratePolicyTick)
 		}
 	})

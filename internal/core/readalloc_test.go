@@ -175,7 +175,10 @@ func drainAlloc(t *testing.T, rep, slots int, distinct bool) (perChunk float64) 
 	const chunks, chunk = 256, 32 << 10
 	eng, s := allocEnv(t, rep)
 	eng.Go("test", func(p *sim.Proc) {
-		writeChunks(t, p, s, "warm", max(8, 2*slots), slots, distinct) // the pool holds the duplicates; scratch buffers exist
+		// The pool holds the duplicates, and scratch buffers exist for a drain
+		// as wide as this one: each OSD's agent holds its object's slots until
+		// the bind, so the warm-up drains twice as many objects.
+		writeChunks(t, p, s, "warm", 2*chunks, slots, distinct)
 		s.Engine().DrainAndWait(p)
 		writeChunks(t, p, s, "o", chunks, slots, distinct)
 		before := s.Engine().Stats()

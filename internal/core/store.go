@@ -323,12 +323,14 @@ func (s *Store) metaPrimaryGW(oid string, cls qos.Class) (*rados.Gateway, string
 	return s.hostGWClass(hostName, cls), hostName, nil
 }
 
-// dirtyListOID returns the per-PG dirty object ID list's object name
-// (Fig. 8 "Dirty Obj ID List"). Kept in the metadata pool so it is
-// replicated and recovered like everything else.
+// dirtyListName names metadata PG seq's dirty object ID list (Fig. 8 "Dirty
+// Obj ID List"). Kept in the metadata pool so it is replicated and recovered
+// like everything else.
+func dirtyListName(seq uint32) string { return fmt.Sprintf("sys.dirty.%d", seq) }
+
+// dirtyListOID returns the name of the dirty list of oid's PG.
 func (s *Store) dirtyListOID(oid string) string {
-	pg := s.cluster.PGOf(s.meta, oid)
-	return fmt.Sprintf("sys.dirty.%d", pg.Seq)
+	return dirtyListName(s.cluster.PGOf(s.meta, oid).Seq)
 }
 
 // setDirty adds oid to its PG's dirty list, or removes it. Adding is
@@ -347,7 +349,7 @@ func (s *Store) setDirty(p *sim.Proc, gw *rados.Gateway, oid string, dirty bool)
 func (s *Store) dirtyListAll() []string {
 	out := make([]string, 0, s.meta.PGNum)
 	for seq := uint32(0); seq < s.meta.PGNum; seq++ {
-		out = append(out, fmt.Sprintf("sys.dirty.%d", seq))
+		out = append(out, dirtyListName(seq))
 	}
 	return out
 }

@@ -731,11 +731,18 @@ func (g *Gateway) ClientXfer(p *sim.Proc, n int) {
 // PrimaryHost returns the host of the acting primary for an object — where
 // server-side dedup logic (redirection, background flush) runs.
 func (c *Cluster) PrimaryHost(pool *Pool, oid string) (string, error) {
-	acting := c.acting(pool, c.PGOf(pool, oid))
+	_, hostName, err := c.PGPrimary(pool, c.PGOf(pool, oid).Seq)
+	return hostName, err
+}
+
+// PGPrimary names the acting primary of the pool's PG seq: its OSD id and
+// host. It fails with ErrNoOSD when none of the PG's OSDs is up.
+func (c *Cluster) PGPrimary(pool *Pool, seq uint32) (osdID int, hostName string, err error) {
+	acting := c.acting(pool, crush.PG{Pool: pool.ID, Seq: seq})
 	if len(acting) == 0 {
-		return "", ErrNoOSD
+		return -1, "", ErrNoOSD
 	}
-	return acting[0].host.name, nil
+	return acting[0].id, acting[0].host.name, nil
 }
 
 // UseHostCPU charges d of CPU work on a host's cores (e.g. fingerprinting

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dedupstore/internal/sim"
@@ -366,6 +367,28 @@ func TestECDegradedRead(t *testing.T) {
 			t.Error("degraded read returned wrong data")
 		}
 	})
+}
+
+// TestPGPrimary: a PG's named primary is an OSD on the host PrimaryHost names
+// for the PG's objects; when it goes down another of the PG's OSDs leads, and
+// with every OSD down none does.
+func TestPGPrimary(t *testing.T) {
+	e := newEnv(t)
+	seq := e.c.PGOf(e.rep, "obj").Seq
+	id, hostName, err := e.c.PGPrimary(e.rep, seq)
+	if h, _ := e.c.PrimaryHost(e.rep, "obj"); err != nil || h != hostName || !slices.Contains(e.c.HostOSDs(hostName), id) {
+		t.Fatalf("PG %d primary osd.%d on %q (err %v), PrimaryHost says %q", seq, id, hostName, err, h)
+	}
+	e.c.Map().SetUp(id, false)
+	if next, _, err := e.c.PGPrimary(e.rep, seq); err != nil || next == id {
+		t.Errorf("with osd.%d down PG %d is led by osd.%d (err %v), want another OSD", id, seq, next, err)
+	}
+	for _, o := range e.c.OSDs() {
+		e.c.Map().SetUp(o, false)
+	}
+	if _, _, err := e.c.PGPrimary(e.rep, seq); err != ErrNoOSD {
+		t.Errorf("with every OSD down PGPrimary err = %v, want ErrNoOSD", err)
+	}
 }
 
 func TestECMutateMetadataMirrored(t *testing.T) {

@@ -14,6 +14,9 @@
 # And fails if internal/core meets the dedup rate limit anywhere but Engine.pace
 # (engine.go): flushObject decides once whether a flush is paced (DESIGN.md §7),
 # so a new flush path cannot forget that an explicit drain is not.
+# And fails if internal/core has more than its four GoDaemon loops (workers,
+# cache agent, tier policy, rate policy): work that ends with its caller, such
+# as a drain's per-OSD agents, is a child process (fanOut), not a daemon.
 # And fails if a non-test file outside internal/qos names weightScale,
 # lastFinish or bits.Mul64: fair queueing and rate limiting exist once, in
 # qos.FairQueue and qos.Limiter (DESIGN.md §10), whoever they meter.
@@ -23,6 +26,12 @@ bad=0
 if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn|releaseRefFn)\b|SetXattr\(XattrChunkMap' . |
 	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
 	echo "check-seams: the lines above name a reference primitive or write a chunk map outside Store.rebind's file (internal/core/refcount.go)" >&2
+	exit 1
+fi
+core=$(ls internal/core/*.go | grep -v '_test\.go$')
+if [ "$(grep -h 'GoDaemon(' $core | wc -l)" -gt 4 ]; then
+	grep -n 'GoDaemon(' $core >&2
+	echo "check-seams: internal/core may spawn at most four GoDaemon loops (engine.go x2, tierdaemon.go, ratepolicy.go); a drain's agents are fan-out children that end with the call" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
