@@ -233,6 +233,18 @@ func (c *ctl) qos() {
 		pw.Count(), pw.Sum().Round(time.Microsecond), pw.Mean().Round(time.Microsecond), pw.Max().Round(time.Microsecond),
 		reg.Gauge("dedup_rate_policy_parked").Value(),
 		dr.Count(), dr.Sum().Round(time.Microsecond), dr.Max().Round(time.Microsecond), reg.Gauge("dedup_drain_agents").Value())
+	// The PG locks, which no device scheduler sees either: how long ops
+	// queued for a PG's lock and then held it, per pool.
+	pools := []*dedupstore.Pool{c.store.MetaPool(), c.store.ChunkPool()}
+	if cold := c.store.ColdChunkPool(); cold != nil {
+		pools = append(pools, cold)
+	}
+	for _, pool := range pools {
+		w, h := reg.Histogram("rados_pg_lock_wait:"+pool.Name), reg.Histogram("rados_pg_lock_hold:"+pool.Name)
+		fmt.Printf("pg lock %s: %d acquisitions, wait mean %v max %v, hold mean %v max %v\n", pool.Name, w.Count(),
+			w.Mean().Round(time.Microsecond), w.Max().Round(time.Microsecond),
+			h.Mean().Round(time.Microsecond), h.Max().Round(time.Microsecond))
+	}
 }
 
 // simStats prints the DES kernel's execution counters and the trace sink's

@@ -47,7 +47,8 @@ func section(out, action string) [][]string {
 }
 
 // TestTenantsAndQoSActions smoke-tests the two actions admission feeds: the
-// qos table has a row per class and its pacing line reports the drain, the
+// qos table has a row per class, its pacing line reports the drain and a
+// PG-lock line follows for each pool, the
 // bronze noisy tenant is throttled while the gold one is not, and one seed
 // prints the same bytes twice.
 func TestTenantsAndQoSActions(t *testing.T) {
@@ -66,6 +67,11 @@ func TestTenantsAndQoSActions(t *testing.T) {
 	// The load drains once, one agent per OSD of the 16.
 	if !strings.Contains(out, "; drains: 1 in ") || !strings.Contains(out, ", 16 agents\n") {
 		t.Errorf("qos pacing line does not report the load's drain over 16 agents:\n%s", out)
+	}
+	for _, pool := range []string{"meta", "chunk"} {
+		if !strings.Contains(out, "\npg lock "+pool+": ") {
+			t.Errorf("qos prints no PG-lock line for pool %s:\n%s", pool, out)
+		}
 	}
 
 	throttled := map[string]string{} // slo -> throttled column

@@ -28,8 +28,8 @@ type TenantIsolationRow struct {
 }
 
 // TenantIsolation measures a quiet gold tenant's small-write p99 three ways:
-// alone, sharing the cluster with an unthrottled noisy neighbor running
-// dedup-hostile traffic (low-dup random writes — every block fingerprints,
+// alone, sharing the cluster with an unthrottled noisy neighbor (two client
+// sessions) running dedup-hostile traffic (low-dup random writes — every block fingerprints,
 // misses, and flushes), and sharing with the same neighbor held to the
 // bronze SLO. The headline is the before/after p99 delta: isolation off
 // lets the neighbor blow the quiet tenant's tail; the bronze token bucket
@@ -95,24 +95,29 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 			if err != nil {
 				panic(err)
 			}
-			nc := s.Client("client.noisy")
-			nc.SetTenant("noisy")
-			ndev, err := client.NewBlockDevice("noisy", noisySpan, 1<<20,
-				noisy.Backend(&client.DedupBackend{Client: nc}))
-			if err != nil {
-				panic(err)
-			}
-			ndev.SetTrace(h.c.Trace())
-			ndev.SetTenant("noisy")
-			// Daemon: saturates for as long as the measured phase runs, then
-			// the engine stops with the quiet proc.
-			h.eng.GoDaemon("noisy", func(p *sim.Proc) {
-				workload.RunFIO(p, ndev, workload.FIOConfig{
-					BlockSize: 64 << 10, Span: noisySpan, Pattern: workload.RandWrite,
-					DedupPct: 0, Threads: 64, IODepth: 16, Seed: 95,
-					Ops: 1 << 30,
+			// The neighbor is two client sessions on one volume, 32 threads x
+			// 16 deep each (1024 outstanding 64KB writes): one session's 10GbE
+			// link, at 57us per write, would cap it below what the OSDs absorb.
+			for i := range 2 {
+				nc := s.Client(fmt.Sprintf("client.noisy%d", i))
+				nc.SetTenant("noisy")
+				ndev, err := client.NewBlockDevice("noisy", noisySpan, 1<<20,
+					noisy.Backend(&client.DedupBackend{Client: nc}))
+				if err != nil {
+					panic(err)
+				}
+				ndev.SetTrace(h.c.Trace())
+				ndev.SetTenant("noisy")
+				// Daemon: saturates for as long as the measured phase runs,
+				// then the engine stops with the quiet proc.
+				h.eng.GoDaemon("noisy", func(p *sim.Proc) {
+					workload.RunFIO(p, ndev, workload.FIOConfig{
+						BlockSize: 64 << 10, Span: noisySpan, Pattern: workload.RandWrite,
+						DedupPct: 0, Threads: 32, IODepth: 16, Seed: 95 + int64(i),
+						Ops: 1 << 30,
+					})
 				})
-			})
+			}
 		}
 
 		h.run(func(p *sim.Proc) {

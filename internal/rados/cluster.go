@@ -135,7 +135,8 @@ type Pool struct {
 	// Class is the pool's device-class restriction ("" = any).
 	Class string
 
-	codec *ec.Codec // lazily built EC codec (Erasure pools only)
+	codec              *ec.Codec          // lazily built EC codec (Erasure pools only)
+	lockWait, lockHold *metrics.Histogram // rados_pg_lock_wait:<Name>, rados_pg_lock_hold:<Name>
 }
 
 // Cluster is the distributed object store. All blocking methods must be
@@ -364,7 +365,8 @@ func (c *Cluster) CreatePool(cfg PoolConfig) (*Pool, error) {
 		return nil, fmt.Errorf("rados: pool %q missing redundancy scheme", cfg.Name)
 	}
 	c.nextPool++
-	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy, Class: cfg.DeviceClass}
+	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy, Class: cfg.DeviceClass,
+		lockWait: c.reg.Histogram("rados_pg_lock_wait:" + cfg.Name), lockHold: c.reg.Histogram("rados_pg_lock_hold:" + cfg.Name)}
 	c.pools[cfg.Name] = p
 	c.poolsByID[p.ID] = p
 	return p, nil
@@ -438,6 +440,28 @@ func (c *Cluster) pgLock(pg crush.PG) *sim.Resource {
 		c.pgLocks[pg] = l
 	}
 	return l
+}
+
+// pgHold is one granted PG lock; release gives it back.
+type pgHold struct {
+	l    *sim.Resource
+	pool *Pool
+	at   sim.Time // when the lock was granted
+}
+
+// lockPG takes pg's lock for one op's PG work — the only place a PG lock is
+// taken, so every acquisition is timed into the pool's lockWait and, at
+// release, lockHold.
+func (c *Cluster) lockPG(p *sim.Proc, pool *Pool, pg crush.PG) pgHold {
+	l, asked := c.pgLock(pg), p.Now()
+	l.Acquire(p)
+	pool.lockWait.Add((p.Now() - asked).Duration())
+	return pgHold{l: l, pool: pool, at: p.Now()}
+}
+
+func (h pgHold) release(p *sim.Proc) {
+	h.l.Release(p)
+	h.pool.lockHold.Add((p.Now() - h.at).Duration())
 }
 
 // ForegroundOps returns the counter of client-issued operations, the signal

@@ -204,25 +204,23 @@ func (g *Gateway) firstAliveActing(pool *Pool, oid string) *osd {
 
 // --- Write paths -------------------------------------------------------------
 
+// An EC mutation, unlike replMutate, holds its PG lock across both wire legs
+// and the ack; DESIGN.md §9 "What a PG lock covers" says why.
 func (g *Gateway) ecWriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
-	pg := g.c.PGOf(pool, oid)
-	l := g.c.pgLock(pg)
-	l.Acquire(p)
-	defer l.Release(p)
+	defer g.c.lockPG(p, pool, g.c.PGOf(pool, oid)).release(p)
 	primary, err := g.ecWritePrimary(p, pool, oid)
 	if err != nil {
 		g.noteOp(0)
 		return err
 	}
-	g.c.netSend(p, g.cls, g.nic, len(data))
-	g.c.netSend(p, g.cls, primary.host.nicSched, len(data))
+	g.request(p, primary, len(data), false)
 	err = g.ecApplyFull(p, pool, oid, data, nil)
 	g.noteOp(len(data))
 	return err
 }
 
-// ecApplyFull encodes data and writes all shards. PG lock must be held and
-// the caller must have validated the primary via ecWritePrimary. extraMeta,
+// ecApplyFull encodes data, writes all shards and acks. PG lock must be held
+// and the caller must have validated the primary via ecWritePrimary. extraMeta,
 // if non-nil, is a metadata-only txn mirrored onto every shard.
 func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, extraMeta *store.Txn) error {
 	cost := g.c.cost
@@ -266,6 +264,7 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 			target.diskWrite(q, g.cls, cost, txn.Bytes())
 		},
 	})
+	p.Sleep(cost.NetLatency) // ack
 	return nil
 }
 
@@ -276,17 +275,14 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 // read-modify-write according to write size" penalty of §6.4.1.
 func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data []byte) error {
 	pg := g.c.PGOf(pool, oid)
-	l := g.c.pgLock(pg)
-	l.Acquire(p)
-	defer l.Release(p)
+	defer g.c.lockPG(p, pool, pg).release(p)
 	cost := g.c.cost
 	primary, err := g.ecWritePrimary(p, pool, oid)
 	if err != nil {
 		g.noteOp(0)
 		return err
 	}
-	g.c.netSend(p, g.cls, g.nic, len(data))
-	g.c.netSend(p, g.cls, primary.host.nicSched, len(data))
+	g.request(p, primary, len(data), false)
 
 	k := pool.Red.K
 	codec := g.c.codecFor(pool)
@@ -386,15 +382,14 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 			target.diskWrite(q, g.cls, cost, txn.Bytes()) // phase 2: apply
 		},
 	})
+	p.Sleep(cost.NetLatency) // ack
 	g.noteOp(len(data))
 	return nil
 }
 
 func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 	pg := g.c.PGOf(pool, oid)
-	l := g.c.pgLock(pg)
-	l.Acquire(p)
-	defer l.Release(p)
+	defer g.c.lockPG(p, pool, pg).release(p)
 	if _, err := g.ecWritePrimary(p, pool, oid); err != nil {
 		g.noteOp(0)
 		return err
@@ -416,6 +411,7 @@ func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 			o.diskWrite(q, g.cls, cost, 0)
 		},
 	})
+	p.Sleep(cost.NetLatency) // ack
 	g.noteOp(0)
 	return nil
 }
@@ -603,16 +599,18 @@ func (v ecView) OmapList(max int) ([]string, error) {
 // to every live shard. payload is the bulk data shipped with the request.
 func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
 	pg := g.c.PGOf(pool, oid)
-	l := g.c.pgLock(pg)
-	l.Acquire(p)
-	defer l.Release(p)
+	defer g.c.lockPG(p, pool, pg).release(p)
 	primary, err := g.ecWritePrimary(p, pool, oid)
 	if err != nil {
 		g.noteOp(0)
 		return err
 	}
-	txn, err := g.mutateTxn(p, pool, oid, primary, payload, ecView{g: g, p: p, pool: pool, oid: oid}, fn)
+	g.request(p, primary, payload, payload == 0)
+	txn, err := g.mutateTxn(p, pool, oid, primary, ecView{g: g, p: p, pool: pool, oid: oid}, fn)
 	if txn == nil {
+		if err == nil {
+			p.Sleep(g.c.cost.NetLatency) // ack
+		}
 		return err
 	}
 	var fullData []byte
@@ -682,6 +680,7 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 			o.diskWrite(q, g.cls, g.c.cost, meta.Bytes())
 		},
 	})
+	p.Sleep(g.c.cost.NetLatency) // ack
 	g.noteOp(meta.Bytes())
 	return nil
 }

@@ -181,8 +181,7 @@ func (g *Gateway) Write(p *sim.Proc, pool *Pool, oid string, off int64, data []b
 	if pool.Red.Kind == Erasure {
 		err = g.ecWrite(p, pool, oid, off, data)
 	} else {
-		txn := store.NewTxn().Write(off, data)
-		err = g.applyTxn(p, pool, oid, txn, len(data))
+		err = g.replMutate(p, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
 		g.noteOp(len(data))
 	}
 	g.finishOp(p, oc, err)
@@ -197,8 +196,7 @@ func (g *Gateway) WriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) er
 	if pool.Red.Kind == Erasure {
 		err = g.ecWriteFull(p, pool, oid, data)
 	} else {
-		txn := store.NewTxn().WriteFull(bytes.Clone(data))
-		err = g.applyTxn(p, pool, oid, txn, len(data))
+		err = g.replMutate(p, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
 		g.noteOp(len(data))
 	}
 	g.finishOp(p, oc, err)
@@ -212,7 +210,7 @@ func (g *Gateway) Delete(p *sim.Proc, pool *Pool, oid string) error {
 	if pool.Red.Kind == Erasure {
 		err = g.ecDelete(p, pool, oid)
 	} else {
-		err = g.applyTxn(p, pool, oid, store.NewTxn().Delete(), 0)
+		err = g.replMutate(p, pool, oid, 0, store.NewTxn().Delete(), nil)
 		g.noteOp(0)
 	}
 	g.finishOp(p, oc, err)
@@ -433,79 +431,91 @@ func (g *Gateway) Mutate(p *sim.Proc, pool *Pool, oid string, fn MutateFn) error
 // inbound link. Replicas always receive the full resulting transaction.
 func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
 	oc := g.startOp(p, "rados.mutate", &g.c.ops.mutate, pool, oid, payload)
-	err := g.mutateWithPayload(p, pool, oid, payload, fn)
+	var err error
+	if pool.Red.Kind == Erasure {
+		err = g.ecMutate(p, pool, oid, payload, fn)
+	} else {
+		err = g.replMutate(p, pool, oid, payload, nil, fn)
+	}
 	g.finishOp(p, oc, err)
 	return err
 }
 
-func (g *Gateway) mutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
-	if pool.Red.Kind == Erasure {
-		return g.ecMutate(p, pool, oid, payload, fn)
-	}
-	primary, unlock, err := g.prepare(p, pool, oid)
+// --- Internal plumbing -------------------------------------------------------
+
+// replMutate serves a replicated-pool mutation — a shipped txn (Write,
+// WriteFull, Delete) or a Mutate's fn — in the order a Ceph OSD does, so the
+// PG lock guards the PG's work, not the wire: the request crosses both links;
+// under the lock the primary runs fn, then applies and journals the txn while
+// the replicas apply it; the lock is released once every replica has (the
+// next op sees only replicated state); then the ack travels back.
+func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
+	pg := g.c.PGOf(pool, oid)
+	primary, err := g.prepare(p, pool, pg)
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	view := replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}
-	txn, err := g.mutateTxn(p, pool, oid, primary, payload, view, fn)
-	if txn == nil {
+	g.request(p, primary, payload, fn != nil && payload == 0)
+	hold := g.c.lockPG(p, pool, pg)
+	g.pullOnDemand(p, pool, oid, primary)
+	if fn != nil {
+		txn, err = g.mutateTxn(p, pool, oid, primary, replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}, fn)
+	}
+	if txn != nil {
+		err = g.replicate(p, pool, oid, txn)
+	}
+	hold.release(p)
+	if err != nil {
 		return err
 	}
-	if err := g.replicate(p, pool, oid, txn, txn.Bytes()); err != nil {
-		return err
+	p.Sleep(g.c.cost.NetLatency) // ack
+	if fn != nil && txn != nil {
+		g.noteOp(max(payload, txn.Bytes()))
 	}
-	g.noteOp(max(payload, txn.Bytes()))
 	return nil
 }
 
-// --- Internal plumbing -------------------------------------------------------
-
-// mutateTxn is the request half of a Mutate on either pool kind: the request
-// (with any bulk payload) crosses the wire to the primary, which runs fn
-// against v. It returns the transaction to apply, or nil when fn aborted or
-// left nothing to change — the op is then already accounted and acked.
-func (g *Gateway) mutateTxn(p *sim.Proc, pool *Pool, oid string, primary *osd, payload int, v View, fn MutateFn) (*store.Txn, error) {
-	if payload > 0 {
-		g.c.netSend(p, g.cls, g.nic, payload)
-		g.c.netSend(p, g.cls, primary.host.nicSched, payload)
-	} else {
+// request charges a mutation's trip to the primary: the payload serializes
+// out of the client's link and into the primary host's link (even an empty
+// one), or a bare call — a Mutate with no payload — costs one hop's latency.
+func (g *Gateway) request(p *sim.Proc, primary *osd, payload int, bare bool) {
+	if bare {
 		p.Sleep(g.c.cost.NetLatency)
+		return
 	}
+	g.c.netSend(p, g.cls, g.nic, payload)
+	g.c.netSend(p, g.cls, primary.host.nicSched, payload)
+}
+
+// mutateTxn is the primary's half of a Mutate on either pool kind, run under
+// the PG lock once the request has arrived: it runs fn against v and returns
+// the transaction to apply, or nil when fn aborted or left nothing to change
+// (the op is then accounted; the caller acks it unless fn failed).
+func (g *Gateway) mutateTxn(p *sim.Proc, pool *Pool, oid string, primary *osd, v View, fn MutateFn) (*store.Txn, error) {
 	primary.host.cpu.Use(p, g.c.cost.OpOverhead)
 	// A mutation on the indexed pool (chunk create-or-ref, refcount update)
 	// first resolves the fingerprint through the index.
 	g.fpProbe(p, pool, oid, primary)
 	txn, err := fn(v)
 	if err != nil || txn == nil || txn.Empty() {
-		if err == nil {
-			p.Sleep(g.c.cost.NetLatency) // ack
-		}
 		g.noteOp(0)
 		return nil, err
 	}
 	return txn, nil
 }
 
-// prepare resolves placement and acquires the PG lock for a mutation. It
-// verifies the acting primary is alive — a mutation against a dead primary
-// pays the request timeout and fails with the retryable ErrOSDDown — and
-// pulls the object to a freshly-remapped primary that does not hold it yet.
-func (g *Gateway) prepare(p *sim.Proc, pool *Pool, oid string) (primary *osd, unlock func(), err error) {
-	pg := g.c.PGOf(pool, oid)
+// prepare resolves a mutation's acting primary. A mutation against a dead
+// primary pays the request timeout and fails with the retryable ErrOSDDown.
+func (g *Gateway) prepare(p *sim.Proc, pool *Pool, pg crush.PG) (*osd, error) {
 	acting := g.c.acting(pool, pg)
 	if len(acting) == 0 {
-		return nil, nil, ErrNoOSD
+		return nil, ErrNoOSD
 	}
-	l := g.c.pgLock(pg)
-	l.Acquire(p)
 	if !acting[0].alive {
 		g.timeoutWait(p)
-		l.Release(p)
-		return nil, nil, ErrOSDDown
+		return nil, ErrOSDDown
 	}
-	g.pullOnDemand(p, pool, oid, acting[0])
-	return acting[0], func() { l.Release(p) }, nil
+	return acting[0], nil
 }
 
 // pullOnDemand restores an object at a freshly-remapped primary before a
@@ -529,20 +539,6 @@ func (g *Gateway) pullOnDemand(p *sim.Proc, pool *Pool, oid string, primary *osd
 	}
 }
 
-// applyTxn transfers the payload to the primary and replicates the txn.
-func (g *Gateway) applyTxn(p *sim.Proc, pool *Pool, oid string, txn *store.Txn, payload int) error {
-	primary, unlock, err := g.prepare(p, pool, oid)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	// Client -> primary transfer: the payload serializes out of the client
-	// link and into the primary host's link.
-	g.c.netSend(p, g.cls, g.nic, payload)
-	g.c.netSend(p, g.cls, primary.host.nicSched, payload)
-	return g.replicate(p, pool, oid, txn, payload)
-}
-
 // fanout describes one replica/shard fan-out: the shared shape behind every
 // replicated and EC mutation in the I/O path. Targets failing the ok
 // predicate are skipped (optionally counted as one degraded write);
@@ -564,9 +560,9 @@ type fanout struct {
 
 // runFanout executes a fan-out: one concurrent child per eligible target
 // plus any extra signals, a single wait for all acks, degraded-write
-// accounting, missed-write reconciliation for the key, and the final ack
-// latency back to the client. Every fanned-out mutation goes through here,
-// so the QoS-classed submit path of replica/shard work changes in one place.
+// accounting, and missed-write reconciliation for the key. Every fanned-out
+// mutation goes through here, so the QoS-classed submit path of
+// replica/shard work changes in one place.
 func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 	// On a clean cluster (no crash/replace ever, CRUSH epoch unmoved) the
 	// reconciliation scan provably has no work, so the applied-set map is
@@ -612,7 +608,6 @@ func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 	if reconcile {
 		g.c.reconcileMissed(f.key, applied)
 	}
-	p.Sleep(g.c.cost.NetLatency) // ack to client
 }
 
 // replicate applies txn at the primary and fans out to replicas, returning
@@ -622,7 +617,7 @@ func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 // that rejoined after missing earlier updates is healed with a full copy of
 // the primary's post-txn state instead of applying a transaction its stale
 // object cannot absorb.
-func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn, payload int) error {
+func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn) error {
 	pg := g.c.PGOf(pool, oid)
 	acting := g.c.acting(pool, pg)
 	if len(acting) == 0 {
@@ -634,7 +629,7 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn,
 		return ErrOSDDown
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	cost := g.c.cost
+	cost, payload := g.c.cost, txn.Bytes()
 
 	existedBefore := primary.store.Exists(key)
 	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(payload))
@@ -644,9 +639,9 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn,
 	journal := p.Go("journal", func(q *sim.Proc) {
 		jsp := g.c.sink.Start(q, "rados.journal")
 		if jsp != nil {
-			jsp.SetOp(pool.Name, pg.String(), int64(txn.Bytes())).SetClass(g.cls.String())
+			jsp.SetOp(pool.Name, pg.String(), int64(payload)).SetClass(g.cls.String())
 		}
-		primary.diskWrite(q, g.cls, cost, txn.Bytes())
+		primary.diskWrite(q, g.cls, cost, payload)
 		jsp.Finish(q)
 	})
 	g.runFanout(p, fanout{
@@ -686,7 +681,7 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn,
 				r.diskWrite(q, g.cls, cost, 0)
 				return
 			}
-			r.diskWrite(q, g.cls, cost, txn.Bytes())
+			r.diskWrite(q, g.cls, cost, payload)
 		},
 	})
 	return nil

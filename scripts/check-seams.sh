@@ -20,12 +20,24 @@
 # And fails if a non-test file outside internal/qos names weightScale,
 # lastFinish or bits.Mul64: fair queueing and rate limiting exist once, in
 # qos.FairQueue and qos.Limiter (DESIGN.md §10), whoever they meter.
+# And fails if pgLock( is called anywhere but Cluster.lockPG (cluster.go): every
+# PG-lock acquisition is then timed into the pool's wait/hold histograms, and
+# what a PG lock covers is decided by lockPG's callers alone (DESIGN.md §9).
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
 if grep -rnE --include='*.go' '\b(putIntentFn|commitIntentFn|abortIntentFn|releaseRefFn)\b|SetXattr\(XattrChunkMap' . |
 	grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:|internal/core/[a-z_]*_test\.go:)|^\./internal/core/audit\.go:[0-9]+:[[:space:]]*//'; then
 	echo "check-seams: the lines above name a reference primitive or write a chunk map outside Store.rebind's file (internal/core/refcount.go)" >&2
+	exit 1
+fi
+pglock=$(find . -name '*.go' ! -path './.bench_build/*' -exec awk '
+	FNR == 1 { fn = "" }
+	/^func / { fn = $0 }
+	/pgLock\(/ && !/^func \(c \*Cluster\) pgLock\(/ && fn !~ /\) lockPG\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$pglock" ]; then
+	echo "$pglock" >&2
+	echo "check-seams: the lines above take a PG lock outside Cluster.lockPG (internal/rados/cluster.go), where every acquisition is timed" >&2
 	exit 1
 fi
 core=$(ls internal/core/*.go | grep -v '_test\.go$')
