@@ -561,6 +561,11 @@ func (c *ctl) chaos(seed int64) {
 		reg.Counter("rados_degraded_writes_total").Value(),
 		reg.Counter("rados_requests_timed_out_total").Value(),
 		float64(c.world.Cluster.RecoveredBytes())/1e6)
+	// Replicas brought up to date by a write's full copy, and recovery copies
+	// turned away because a write or delete was acknowledged while in flight.
+	fmt.Printf("heals %d, stale installs refused %d\n",
+		reg.Counter("rados_replica_heals_total").Value(),
+		reg.Counter("rados_stale_installs_refused_total").Value())
 }
 
 func (c *ctl) verify() {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -88,6 +89,23 @@ func TestTenantsAndQoSActions(t *testing.T) {
 	}
 
 	if again := dedupctl(t, "tenants qos"); again != out {
+		t.Errorf("two runs at one seed differ:\n%s\n--- vs ---\n%s", out, again)
+	}
+}
+
+// TestChaosAction: the crash-and-recover timeline ends with the version
+// counters — replicas healed by a write, recovery installs refused as stale —
+// and one seed prints the same bytes twice.
+func TestChaosAction(t *testing.T) {
+	out := dedupctl(t, "chaos")
+	rows := section(out, "chaos")
+	if len(rows) == 0 || !regexp.MustCompile(`^heals \d+, stale installs refused \d+$`).MatchString(strings.Join(rows[len(rows)-1], " ")) {
+		t.Errorf("chaos does not end with the heals / stale installs line:\n%s", out)
+	}
+	if !strings.Contains(out, "monitor: recovered") {
+		t.Errorf("chaos timeline shows no recovery:\n%s", out)
+	}
+	if again := dedupctl(t, "chaos"); again != out {
 		t.Errorf("two runs at one seed differ:\n%s\n--- vs ---\n%s", out, again)
 	}
 }

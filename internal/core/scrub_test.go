@@ -36,6 +36,42 @@ func TestDedupScrubClean(t *testing.T) {
 	})
 }
 
+// TestDedupScrubSkipsObjectDeletedWhileHolderDown: deleting an object while
+// one of its metadata holders is down leaves that holder a stale copy. The
+// namespace lists live objects only, so scrub neither walks the deleted object
+// nor reports its chunk map missing.
+func TestDedupScrubSkipsObjectDeletedWhileHolderDown(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	down := actingOSDs(e, e.s.meta, "gone")[1]
+	var data []byte
+	for b := byte(1); data == nil; b++ {
+		if cand := mkData(b, 4096); disjoint([]int{down}, actingOSDs(e, e.s.chunk, FingerprintID(cand))) {
+			data = cand
+		}
+	}
+	e.run(t, func(p *sim.Proc) {
+		for _, oid := range []string{"gone", "kept"} {
+			if err := e.cl.Write(p, oid, 0, data); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	e.drain(t)
+	e.run(t, func(p *sim.Proc) {
+		if err := e.c.CrashOSD(down); err != nil {
+			t.Error(err)
+		}
+		if err := e.cl.Delete(p, "gone"); err != nil {
+			t.Error(err)
+		}
+		rep, err := e.s.Scrub(p)
+		if err != nil || !rep.Clean() || rep.MetadataObjects != 1 {
+			t.Errorf("scrub with the deleted object's stale copy on osd.%d: err=%v, %d metadata objects, issues %v",
+				down, err, rep.MetadataObjects, rep.Issues)
+		}
+	})
+}
+
 func TestDedupScrubDetectsChunkBitRot(t *testing.T) {
 	e := newDedupEnv(t, nil)
 	content := bytes.Repeat([]byte{9}, 4096)

@@ -9,6 +9,7 @@ package rados
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dedupstore/internal/crush"
@@ -163,26 +164,18 @@ type Cluster struct {
 	osdSeq      []*osd // allOSDs() cache, id order
 	osdSeqEpoch int
 
-	// dirty is set — permanently — the first time anything happens that
-	// could strand a stale or stray object copy: an OSD crash, a device
-	// replacement, or a CRUSH epoch change after data exists (reconBase is
-	// the epoch observed at the first mutation). While the cluster is clean,
-	// per-mutation missed-write reconciliation provably has nothing to do
-	// and the write path skips its cluster-wide scan.
-	dirty     bool
-	reconBase int
+	// head maps each live object to the version of its last acknowledged
+	// mutation; a delete drops the entry. A copy whose version differs is
+	// stale (see current). lastVersion is the counter versions are minted
+	// from (nextVersion).
+	head        map[store.Key]uint64
+	lastVersion uint64
 
 	storeOpts []store.Option
 
 	// nicSlow scales NIC serialization per host (>1 = degraded link),
 	// keyed by resource name ("nic.host0").
 	nicSlow map[string]float64
-	// missed tracks, per OSD id, object keys whose writes/deletes the OSD
-	// missed while crashed or marked down. On restart those keys are wiped
-	// from the OSD's store before it serves again (the moral equivalent of
-	// Ceph peering: a rejoining OSD must not serve stale versions), and
-	// recovery re-copies fresh ones.
-	missed map[int]map[store.Key]bool
 
 	// Stats counters.
 	fgOps     *OpCounter
@@ -239,7 +232,7 @@ func New(eng *sim.Engine, cost simcost.Params, opts ...Option) *Cluster {
 		poolsByID: make(map[uint64]*Pool),
 		pgLocks:   make(map[crush.PG]*sim.Resource),
 		nicSlow:   make(map[string]float64),
-		missed:    make(map[int]map[store.Key]bool),
+		head:      make(map[store.Key]uint64),
 		fgOps:     NewOpCounter(eng),
 		reg:       metrics.NewRegistry(),
 		sink:      metrics.NewTraceSink(4096),
@@ -605,16 +598,14 @@ func (c *Cluster) CrashOSD(id int) error {
 		return fmt.Errorf("rados: unknown osd %d", id)
 	}
 	o.crash()
-	c.dirty = true // from here on a stale or stray copy may exist somewhere
 	c.reg.Counter("rados_osd_crashes_total").Inc()
 	return nil
 }
 
-// RestartOSD brings a crashed OSD process back with its store intact, except
-// for objects whose writes or deletes it missed while dead: those are wiped
-// before it serves again (peering — a rejoining OSD must never serve stale
-// versions) and re-copied by recovery. The monitor notices the restart on
-// its next tick and marks the OSD up/in again.
+// RestartOSD brings a crashed OSD process back with its store intact. Copies
+// of objects written or deleted while it was dead are stale by version, so it
+// never serves or sources them; recovery overwrites or deletes them. The
+// monitor notices the restart on its next tick and marks the OSD up/in again.
 func (c *Cluster) RestartOSD(id int) error {
 	o, ok := c.osds[id]
 	if !ok {
@@ -623,8 +614,7 @@ func (c *Cluster) RestartOSD(id int) error {
 	if o.alive {
 		return nil
 	}
-	o.restart(c.missed[id])
-	delete(c.missed, id)
+	o.restart()
 	c.reg.Counter("rados_osd_restarts_total").Inc()
 	return nil
 }
@@ -681,33 +671,86 @@ func (c *Cluster) upAlive(o *osd) bool {
 	return ok && info.Up && o.alive
 }
 
-// liveInMapHolder returns the first live, up+in OSD (in id order) holding
-// key, excluding skip — the shared "who can still serve this object" scan
-// behind degraded reads, on-demand pulls and xattr peeks.
-func (c *Cluster) liveInMapHolder(key store.Key, skip *osd) *osd {
-	for _, o := range c.allOSDs() {
-		if o == skip || !o.alive || !o.store.Exists(key) {
-			continue
+// current reports whether o's copy of key may be trusted: its version equals
+// the key's head, a missing copy and a missing head both counting as 0. It is
+// the one rule by which rados picks who serves a read, sources a copy, counts
+// as a holder or takes a delta (DESIGN.md §6.1); any other copy is stale and
+// inert until Recover overwrites or deletes it. For a key without a head every
+// OSD lacking a copy is current: it answers not-found, right for a read but
+// nothing to copy or decode, so a caller about to read the copy itself must
+// know it exists — from a nonzero head (current then implies a copy) or from
+// store.Exists.
+func (c *Cluster) current(o *osd, key store.Key) bool {
+	return o.store.Version(key) == c.head[key]
+}
+
+// nextVersion mints the version of one mutation, which every copy it is
+// applied to is stamped with: the only place rados makes one
+// (scripts/check-seams.sh).
+func (c *Cluster) nextVersion() uint64 {
+	c.lastVersion++
+	return c.lastVersion
+}
+
+// setHead makes v key's head; 0 drops the entry (the object is deleted).
+func (c *Cluster) setHead(key store.Key, v uint64) {
+	if v == 0 {
+		delete(c.head, key)
+	} else {
+		c.head[key] = v
+	}
+}
+
+// commitShards ends an EC mutation of key: the shards it wrote (the non-nil
+// entries) are stamped with a new version, which becomes the head. No shard
+// serves a read alone, so until then all keep their old version and a read
+// racing the fan-out trusts the shards it did before the mutation began.
+func (c *Cluster) commitShards(key store.Key, shards []*osd) {
+	v := c.nextVersion()
+	stamp := store.NewTxn().Stamp(v)
+	for _, o := range shards {
+		if o != nil {
+			_ = o.apply(nil, key, stamp) // a txn without ops cannot fail
 		}
-		if info, ok := c.cmap.Lookup(o.id); !ok || !info.Up || !info.In {
-			continue
-		}
-		return o
+	}
+	c.setHead(key, v)
+}
+
+// unavailable is the error for an object no live OSD can serve: retryable
+// ErrOSDDown while a dead or out OSD holds a current copy, else ErrNotFound.
+func (c *Cluster) unavailable(key store.Key) error {
+	if c.head[key] != 0 && slices.ContainsFunc(c.allOSDs(), func(o *osd) bool { return c.current(o, key) }) {
+		return ErrOSDDown
+	}
+	return ErrNotFound
+}
+
+// servingCopy picks the OSD whose copy of key answers a read on a replicated
+// object: the first live acting member with a current copy, else any live
+// in-map holder (nil if there is none).
+func (c *Cluster) servingCopy(acting []*osd, key store.Key) *osd {
+	if i := slices.IndexFunc(acting, func(o *osd) bool { return o.alive && c.current(o, key) }); i >= 0 {
+		return acting[i]
+	}
+	return c.liveInMapHolder(key)
+}
+
+// liveInMapHolder returns the first live, up+in OSD (in id order) with a
+// current copy of key — the shared "who can still serve this object" scan
+// behind degraded reads, on-demand pulls and xattr peeks. For a key without a
+// head that is any such OSD, which serves the not-found answer.
+func (c *Cluster) liveInMapHolder(key store.Key) *osd {
+	if i := slices.IndexFunc(c.allOSDs(), func(o *osd) bool { return c.current(o, key) && c.inService(o) }); i >= 0 {
+		return c.allOSDs()[i]
 	}
 	return nil
 }
 
-// recoverableOnDead reports whether any dead OSD among cands still holds a
-// current (not known-stale) copy of key — the object can come back via a
-// restart or recovery, so an unservable read should fail retryably rather
-// than not-found.
-func (c *Cluster) recoverableOnDead(key store.Key, cands []*osd) bool {
-	for _, o := range cands {
-		if o != nil && !o.alive && o.store.Exists(key) && !c.missed[o.id][key] {
-			return true
-		}
-	}
-	return false
+// inService reports whether o is alive and marked up and in: a member that
+// serves and receives its share of the map.
+func (c *Cluster) inService(o *osd) bool {
+	info, ok := c.cmap.Lookup(o.id)
+	return ok && info.Up && info.In && o.alive
 }
 
 // allOSDs returns every OSD in id order. The slice is cached per CRUSH
@@ -718,58 +761,4 @@ func (c *Cluster) allOSDs() []*osd {
 		c.osdSeqEpoch = c.cmap.Epoch
 	}
 	return c.osdSeq
-}
-
-// noteMissed records that OSD id did not apply the mutation of key, so its
-// copy is stale (or a delete never landed). The key is wiped on restart.
-func (c *Cluster) noteMissed(id int, key store.Key) {
-	m := c.missed[id]
-	if m == nil {
-		m = make(map[store.Key]bool)
-		c.missed[id] = m
-	}
-	m[key] = true
-}
-
-// reconcileNeeded reports whether missed-write reconciliation could have
-// any work to do. While the cluster is clean — no OSD ever crashed or was
-// replaced, and the CRUSH epoch never moved since the first mutation — no
-// stale or stray copy can exist anywhere, so the write path skips both the
-// cluster-wide scan and the applied-set bookkeeping feeding it. The first
-// perturbation flips dirty permanently.
-func (c *Cluster) reconcileNeeded() bool {
-	if !c.dirty {
-		if c.reconBase == 0 {
-			c.reconBase = c.cmap.Epoch
-		}
-		if c.cmap.Epoch != c.reconBase {
-			c.dirty = true
-		}
-	}
-	return c.dirty || len(c.missed) > 0
-}
-
-// reconcileMissed runs after a mutation of key was applied to the OSDs in
-// applied: every dead OSD gets the miss recorded (so its copy is wiped on
-// restart), and any live copy outside the applied set — a stray left behind
-// by remapping — is deleted immediately so a degraded-read fallback can
-// never observe a stale version. This compresses Ceph's pg-log-driven
-// peering and stray cleanup into the write path. On a clean cluster (see
-// reconcileNeeded) the scan short-circuits.
-func (c *Cluster) reconcileMissed(key store.Key, applied map[int]bool) {
-	if !c.reconcileNeeded() {
-		return
-	}
-	for _, o := range c.allOSDs() {
-		if applied[o.id] {
-			continue
-		}
-		if !o.alive {
-			c.noteMissed(o.id, key)
-			continue
-		}
-		if o.store.Exists(key) {
-			o.remove(nil, key) // stray cleanup has no proc context: uncharged
-		}
-	}
 }

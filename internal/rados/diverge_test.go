@@ -11,8 +11,8 @@ import (
 
 // Regression test: a replica whose local apply fails (its copy diverged from
 // the primary, e.g. a missed base write) must not kill the simulation. The
-// write succeeds on the primary, the divergence is recorded — counter plus a
-// missed-write mark — the stale copy is quarantined, and a repair scrub
+// write succeeds on the primary, the divergence is counted, the replica's copy
+// keeps its old version — stale, so nothing trusts it — and a repair scrub
 // restores full redundancy.
 func TestDivergedReplicaApplyIsQuarantinedAndRepaired(t *testing.T) {
 	e := newEnv(t)
@@ -55,8 +55,8 @@ func TestDivergedReplicaApplyIsQuarantinedAndRepaired(t *testing.T) {
 	if n := e.c.Metrics().Counter("rados_replica_diverged_total").Value(); n != 1 {
 		t.Errorf("rados_replica_diverged_total = %d, want 1", n)
 	}
-	if repStore.Exists(key) {
-		t.Error("diverged copy not quarantined: replica still holds the object")
+	if e.c.current(e.c.osds[replica], key) {
+		t.Error("diverged copy not quarantined: the replica's copy still counts as current")
 	}
 
 	// A repair scrub re-replicates from the primary.
@@ -65,7 +65,7 @@ func TestDivergedReplicaApplyIsQuarantinedAndRepaired(t *testing.T) {
 	if stats.Repaired == 0 {
 		t.Fatalf("repair scrub fixed nothing: %+v", stats)
 	}
-	if !repStore.Exists(key) {
+	if !e.c.current(e.c.osds[replica], key) {
 		t.Error("repair did not restore the replica copy")
 	}
 	got, err := repStore.Read(key, 0, -1)

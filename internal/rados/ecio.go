@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dedupstore/internal/ec"
 	"dedupstore/internal/sim"
@@ -106,19 +107,16 @@ func rowRange(off, length int64, k int) (row0, row1 int) {
 	return row0, row1
 }
 
-// ecHolders returns, for each shard index, the OSD currently expected to
-// hold it (nil if down/absent).
+// ecHolders returns, for each shard index, the want-set OSD serving it: up,
+// alive and holding a current shard (nil if there is none).
 func (c *Cluster) ecHolders(p *Pool, oid string) []*osd {
 	pg := c.PGOf(p, oid)
 	want := c.want(p, pg)
 	holders := make([]*osd, p.Red.K+p.Red.M)
 	key := store.Key{Pool: p.ID, OID: oid}
-	for pos, o := range want {
-		if pos >= len(holders) || o == nil {
-			continue
-		}
-		if !c.upAlive(o) || !o.store.Exists(key) {
-			continue // a down or crashed holder cannot serve its shard
+	for _, o := range want[:min(len(want), len(holders))] {
+		if !c.upAlive(o) || !o.store.Exists(key) || !c.current(o, key) {
+			continue // a down, crashed or stale holder cannot serve its shard
 		}
 		idx := int(getU64(mustXattr(o.store, key, xattrECIdx)))
 		if idx >= 0 && idx < len(holders) {
@@ -128,21 +126,38 @@ func (c *Cluster) ecHolders(p *Pool, oid string) []*osd {
 	return holders
 }
 
+// ecLost reports whether fewer than k distinct current shards of key, an
+// object of EC pool p, survive on any OSD, dead, down or out ones included:
+// the object can never be read again. An object without a head counts as lost.
+func (c *Cluster) ecLost(p *Pool, key store.Key) bool {
+	idx := make(map[uint64]bool)
+	for _, o := range c.allOSDs() {
+		if c.head[key] != 0 && c.current(o, key) {
+			idx[getU64(mustXattr(o.store, key, xattrECIdx))] = true
+		}
+	}
+	return len(idx) < p.Red.K
+}
+
+// withMeta appends to txn the ops that give a shard obj's xattrs and omap —
+// the mirrored metadata a shard written from nothing takes from a current
+// one. The values are shared, not copied.
+func withMeta(txn *store.Txn, obj *store.Object) *store.Txn {
+	for name, v := range obj.Xattr {
+		txn.SetXattr(name, v)
+	}
+	for name, v := range obj.Omap {
+		txn.OmapSet(name, v)
+	}
+	return txn
+}
+
 func mustXattr(st *store.Store, k store.Key, name string) []byte {
 	v, err := st.GetXattr(k, name)
 	if err != nil {
 		return nil
 	}
 	return v
-}
-
-// ecPrimary returns the first up OSD of the PG mapping.
-func (g *Gateway) ecPrimary(pool *Pool, oid string) (*osd, error) {
-	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
-	if len(acting) == 0 {
-		return nil, ErrNoOSD
-	}
-	return acting[0], nil
 }
 
 // ecWritePrimary is ecPrimary for mutation paths: a dead primary costs the
@@ -154,17 +169,13 @@ func (g *Gateway) ecWritePrimary(p *sim.Proc, pool *Pool, oid string) (*osd, err
 	if len(acting) == 0 {
 		return nil, ErrNoOSD
 	}
-	if !acting[0].alive {
-		g.timeoutWait(p)
-		return nil, ErrOSDDown
-	}
 	alive := 0
 	for _, o := range acting {
 		if o.alive {
 			alive++
 		}
 	}
-	if alive < pool.Red.K {
+	if !acting[0].alive || alive < pool.Red.K {
 		g.timeoutWait(p)
 		return nil, ErrOSDDown
 	}
@@ -191,17 +202,6 @@ func (g *Gateway) ecCoord(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
 	return nil, ErrOSDDown
 }
 
-// firstAliveActing returns the first live acting member (nil if none) —
-// used for cost charging where failure is already handled elsewhere.
-func (g *Gateway) firstAliveActing(pool *Pool, oid string) *osd {
-	for _, o := range g.c.acting(pool, g.c.PGOf(pool, oid)) {
-		if o.alive {
-			return o
-		}
-	}
-	return nil
-}
-
 // --- Write paths -------------------------------------------------------------
 
 // An EC mutation, unlike replMutate, holds its PG lock across both wire legs
@@ -220,13 +220,44 @@ func (g *Gateway) ecWriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) 
 }
 
 // ecApplyFull encodes data, writes all shards and acks. PG lock must be held
-// and the caller must have validated the primary via ecWritePrimary. extraMeta,
-// if non-nil, is a metadata-only txn mirrored onto every shard.
+// and the caller must have validated the primary via ecWritePrimary; the
+// primary that encodes is the acting one now, after the request's trip.
+// extraMeta, if non-nil, is a metadata-only txn mirrored onto every shard.
 func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, extraMeta *store.Txn) error {
 	cost := g.c.cost
-	primary, err := g.ecPrimary(pool, oid)
-	if err != nil {
-		return err
+	pg := g.c.PGOf(pool, oid)
+	acting := g.c.acting(pool, pg)
+	if len(acting) == 0 {
+		return ErrNoOSD
+	}
+	primary := acting[0]
+	want := g.c.want(pool, pg)
+	key := store.Key{Pool: pool.ID, OID: oid}
+	// A down or crashed member is skipped (degraded); recovery rebuilds it.
+	targets := make([]*osd, min(len(want), pool.Red.K+pool.Red.M))
+	behind := false
+	for pos := range targets {
+		if g.c.upAlive(want[pos]) {
+			targets[pos] = want[pos]
+			behind = behind || !g.c.current(want[pos], key)
+		}
+	}
+	// A member whose shard is not current gets the whole post-write shard:
+	// its copy is dropped and the object's metadata comes from a current
+	// holder. An object that does not exist or is lost (ecLost) starts afresh
+	// on every member. While the metadata is only on OSDs that cannot serve,
+	// the write is refused (retryably) rather than drop it.
+	var tmpl *store.Object
+	fresh := false
+	if behind {
+		if fresh = g.c.ecLost(pool, key); !fresh {
+			h := firstShard(g.c.ecHolders(pool, oid))
+			if h == nil {
+				g.timeoutWait(p)
+				return ErrOSDDown
+			}
+			tmpl, _ = h.store.Snapshot(key)
+		}
 	}
 	codec := g.c.codecFor(pool)
 	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(len(data))+cost.ECEncode(len(data)))
@@ -234,21 +265,21 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 	if err != nil {
 		return err
 	}
-	pg := g.c.PGOf(pool, oid)
-	want := g.c.want(pool, pg)
-	if len(want) > len(shards) {
-		want = want[:len(shards)]
-	}
-	key := store.Key{Pool: pool.ID, OID: oid}
 	g.runFanout(p, fanout{
 		name: "ec-shard",
-		pool: pool, pg: pg, key: key,
-		targets:  want,
-		ok:       func(_ int, o *osd) bool { return g.c.upAlive(o) }, // else degraded; recovery rebuilds the shard
+		pool: pool, pg: pg,
+		targets:  targets,
+		ok:       func(_ int, o *osd) bool { return o != nil },
 		degraded: true,
 		do: func(q *sim.Proc, pos int, target *osd) {
-			txn := store.NewTxn().
-				WriteFull(shards[pos]).
+			txn := store.NewTxn()
+			if fresh || !g.c.current(target, key) {
+				txn.Delete()
+				if tmpl != nil {
+					withMeta(txn, tmpl)
+				}
+			}
+			txn.WriteFull(shards[pos]).
 				SetXattr(xattrECIdx, putU64(uint64(pos))).
 				SetXattr(xattrECLen, putU64(uint64(len(data))))
 			if extraMeta != nil {
@@ -264,6 +295,7 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 			target.diskWrite(q, g.cls, cost, txn.Bytes())
 		},
 	})
+	g.c.commitShards(key, targets)
 	p.Sleep(cost.NetLatency) // ack
 	return nil
 }
@@ -320,27 +352,23 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 
 	want := g.c.want(pool, pg)
 	key := store.Key{Pool: pool.ID, OID: oid}
-	eligible := func(pos int, target *osd) bool {
-		if !g.c.upAlive(target) {
-			return false
-		}
-		if oldLen > 0 {
-			// A partial row write can only be applied onto the matching
-			// existing shard. A target whose shard is absent (wiped after a
-			// restart) or carries another index (remap permutation) would be
-			// corrupted by it; skip and let recovery rebuild.
-			if !target.store.Exists(key) ||
-				int(getU64(mustXattr(target.store, key, xattrECIdx))) != pos {
-				return false
-			}
-		}
-		return true
-	}
+	// A partial row write can only be applied onto the matching current
+	// shard. A target whose shard is absent or stale (it missed writes) or
+	// carries another index (remap permutation) would be corrupted by it;
+	// it is skipped and recovery rebuilds it. An object that does not exist
+	// starts afresh on every member: a stale copy left from an earlier one
+	// lends it no rows or metadata.
+	fresh := g.c.head[key] == 0
+	targets := make([]*osd, min(len(want), len(shards)))
 	nEligible := 0
-	for pos, target := range want {
-		if pos < len(shards) && eligible(pos, target) {
-			nEligible++
+	for pos := range targets {
+		o := want[pos]
+		if !g.c.upAlive(o) || !fresh && (!g.c.current(o, key) ||
+			int(getU64(mustXattr(o.store, key, xattrECIdx))) != pos) {
+			continue
 		}
+		targets[pos] = o
+		nEligible++
 	}
 	if nEligible < k {
 		// Too few intact shard targets to keep the new rows reconstructable;
@@ -350,14 +378,11 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 		g.noteOp(0)
 		return ErrOSDDown
 	}
-	if len(want) > len(shards) {
-		want = want[:len(shards)]
-	}
 	g.runFanout(p, fanout{
 		name: "ec-rmw",
-		pool: pool, pg: pg, key: key,
-		targets:  want,
-		ok:       eligible,
+		pool: pool, pg: pg,
+		targets:  targets,
+		ok:       func(_ int, o *osd) bool { return o != nil },
 		degraded: true,
 		do: func(q *sim.Proc, pos int, target *osd) {
 			// EC overwrites commit in two sequential phases per shard
@@ -365,8 +390,11 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 			// k+m shards stay mutually consistent — Ceph's EC-overwrite
 			// protocol, and the §6.4.1 random-write penalty: two round
 			// trips and two durable writes per shard.
-			txn := store.NewTxn().
-				Write(int64(row0)*StripeUnit, shards[pos]).
+			txn := store.NewTxn()
+			if fresh {
+				txn.Delete()
+			}
+			txn.Write(int64(row0)*StripeUnit, shards[pos]).
 				SetXattr(xattrECIdx, putU64(uint64(pos))).
 				SetXattr(xattrECLen, putU64(uint64(newLen)))
 			if target != primary {
@@ -382,6 +410,7 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 			target.diskWrite(q, g.cls, cost, txn.Bytes()) // phase 2: apply
 		},
 	})
+	g.c.commitShards(key, targets)
 	p.Sleep(cost.NetLatency) // ack
 	g.noteOp(len(data))
 	return nil
@@ -396,12 +425,9 @@ func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 	}
 	cost := g.c.cost
 	key := store.Key{Pool: pool.ID, OID: oid}
-	// Deletion must also reach strays and be remembered against dead
-	// holders, or the object would resurrect when they rejoin — runFanout's
-	// missed-write reconciliation covers both.
 	g.runFanout(p, fanout{
 		name: "ec-del",
-		pool: pool, pg: pg, key: key,
+		pool: pool, pg: pg,
 		targets: g.c.want(pool, pg),
 		ok:      func(_ int, o *osd) bool { return g.c.upAlive(o) },
 		do: func(q *sim.Proc, _ int, o *osd) {
@@ -411,6 +437,9 @@ func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 			o.diskWrite(q, g.cls, cost, 0)
 		},
 	})
+	// Copies the delete could not reach — on dead holders or remap strays —
+	// are stale once the head is gone, so they can never resurrect the object.
+	g.c.setHead(key, 0)
 	p.Sleep(cost.NetLatency) // ack
 	g.noteOp(0)
 	return nil
@@ -420,22 +449,22 @@ func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
 
 // ecLen returns the logical object length (0 if absent).
 func (g *Gateway) ecLen(pool *Pool, oid string) int64 {
-	key := store.Key{Pool: pool.ID, OID: oid}
-	for _, o := range g.c.ecHolders(pool, oid) {
-		if o != nil {
-			return int64(getU64(mustXattr(o.store, key, xattrECLen)))
-		}
+	if o := firstShard(g.c.ecHolders(pool, oid)); o != nil {
+		return int64(getU64(mustXattr(o.store, store.Key{Pool: pool.ID, OID: oid}, xattrECLen)))
 	}
 	return 0
 }
 
 func (g *Gateway) ecExists(pool *Pool, oid string) bool {
-	for _, o := range g.c.ecHolders(pool, oid) {
-		if o != nil {
-			return true
-		}
+	return firstShard(g.c.ecHolders(pool, oid)) != nil
+}
+
+// firstShard returns the first holder ecHolders found, nil if there is none.
+func firstShard(holders []*osd) *osd {
+	if i := slices.IndexFunc(holders, func(o *osd) bool { return o != nil }); i >= 0 {
+		return holders[i]
 	}
-	return false
+	return nil
 }
 
 // ecGather reads logical bytes [off, off+length) by fetching the covering
@@ -452,12 +481,7 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 		if g.ecExists(pool, oid) {
 			return nil, nil
 		}
-		// No live holder. If dead OSDs still hold current shards the object
-		// is recoverable — report retryable unavailability, not absence.
-		if g.c.recoverableOnDead(key, g.c.want(pool, g.c.PGOf(pool, oid))) {
-			return nil, ErrOSDDown
-		}
-		return nil, ErrNotFound
+		return nil, g.c.unavailable(key)
 	}
 	if length < 0 || off+length > totalLen {
 		length = totalLen - off
@@ -473,12 +497,7 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 	row0, row1 := rowRange(off, length, k)
 	segLen := (row1 - row0) * StripeUnit
 
-	dataMissing := false
-	for i := 0; i < k; i++ {
-		if holders[i] == nil {
-			dataMissing = true
-		}
-	}
+	dataMissing := slices.Contains(holders[:k], nil)
 	segments := make([][]byte, len(holders))
 	fetch := func(idx int) *sim.Signal {
 		o := holders[idx]
@@ -517,12 +536,12 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 			}
 		}
 		if got < k {
-			// Shards may come back when dead holders restart or recovery
-			// rebuilds them — retryable while that is possible.
-			if g.c.recoverableOnDead(key, g.c.want(pool, g.c.PGOf(pool, oid))) {
-				return nil, ErrOSDDown
+			// Shards come back when dead holders restart or recovery
+			// rebuilds them: retryable, unless too few survive anywhere.
+			if g.c.ecLost(pool, key) {
+				return nil, ec.ErrTooFew
 			}
-			return nil, ec.ErrTooFew
+			return nil, ErrOSDDown
 		}
 		sim.WaitAll(p, sigs...)
 		primary.host.cpu.Use(p, cost.ECEncode(segLen*k))
@@ -541,9 +560,10 @@ func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64,
 		g.noteOp(0)
 		return nil, err
 	}
-	if primary := g.firstAliveActing(pool, oid); primary != nil {
-		primary.host.cpu.Use(p, g.c.cost.OpOverhead)
-		g.c.netSend(p, g.cls, primary.host.nicSched, len(data))
+	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
+	if i := slices.IndexFunc(acting, func(o *osd) bool { return o.alive }); i >= 0 {
+		acting[i].host.cpu.Use(p, g.c.cost.OpOverhead) // the replying member
+		g.c.netSend(p, g.cls, acting[i].host.nicSched, len(data))
 	}
 	g.c.netSend(p, g.cls, g.nic, len(data))
 	g.noteOp(len(data))
@@ -565,10 +585,8 @@ func (v ecView) Read(off, length int64) ([]byte, error) {
 	return v.g.ecGather(v.p, v.pool, v.oid, off, length, nil)
 }
 func (v ecView) meta() (*osd, store.Key, error) {
-	for _, o := range v.g.c.ecHolders(v.pool, v.oid) {
-		if o != nil {
-			return o, store.Key{Pool: v.pool.ID, OID: v.oid}, nil
-		}
+	if o := firstShard(v.g.c.ecHolders(v.pool, v.oid)); o != nil {
+		return o, store.Key{Pool: v.pool.ID, OID: v.oid}, nil
 	}
 	return nil, store.Key{}, ErrNotFound
 }
@@ -636,15 +654,13 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
 	if isDelete {
-		applied := make(map[int]bool)
 		for _, o := range g.c.want(pool, pg) {
 			if g.c.upAlive(o) {
-				applied[o.id] = true
 				o.remove(p, key)
 				o.diskWrite(p, g.cls, g.c.cost, 0)
 			}
 		}
-		g.c.reconcileMissed(key, applied)
+		g.c.setHead(key, 0)
 		p.Sleep(g.c.cost.NetLatency)
 		g.noteOp(0)
 		return nil
@@ -654,21 +670,15 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 		g.noteOp(len(fullData))
 		return err
 	}
-	// Metadata-only: mirror to all live shard holders.
+	// Metadata-only: mirror to all live current shard holders.
 	holders := g.c.ecHolders(pool, oid)
-	live := 0
-	for _, o := range holders {
-		if o != nil {
-			live++
-		}
-	}
-	if live == 0 {
+	if firstShard(holders) == nil {
 		g.noteOp(0)
 		return ErrNotFound
 	}
 	g.runFanout(p, fanout{
 		name: "ec-meta",
-		pool: pool, pg: pg, key: key,
+		pool: pool, pg: pg,
 		targets: holders,
 		ok:      func(_ int, o *osd) bool { return o != nil },
 		do: func(q *sim.Proc, _ int, o *osd) {
@@ -680,6 +690,7 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 			o.diskWrite(q, g.cls, g.c.cost, meta.Bytes())
 		},
 	})
+	g.c.commitShards(key, holders)
 	p.Sleep(g.c.cost.NetLatency) // ack
 	g.noteOp(meta.Bytes())
 	return nil

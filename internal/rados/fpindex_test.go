@@ -173,8 +173,9 @@ func TestFPIndexCrashRestartPeering(t *testing.T) {
 			return
 		}
 	})
-	// After restart peering (store wipe of missed keys + index recovery +
-	// tombstones) every OSD's index must still match its store exactly.
+	// After the restart (index recovery from the WAL; the victim's copies of
+	// keys written or deleted meanwhile stay, stale) every OSD's index must
+	// still match its store exactly.
 	checkLockstep(t, c, pool)
 }
 
@@ -242,10 +243,10 @@ func (e *fpEnv) rewrite(p *sim.Proc, n int, fill byte) {
 
 func (e *fpEnv) counter(name string) int64 { return e.c.Metrics().Counter(name).Value() }
 
-// wipedReplica crashes the replica of chunk 0, overwrites every chunk so the
-// victim misses the updates, and restarts it: peering wipes the missed keys,
-// leaving primaries that hold objects their replica lacks.
-func (e *fpEnv) wipedReplica(t *testing.T, p *sim.Proc, n int) {
+// staleReplica crashes the replica of chunk 0, overwrites every chunk so the
+// victim misses the updates, and restarts it: its copies of those chunks are
+// stale, behind their primaries' current ones.
+func (e *fpEnv) staleReplica(t *testing.T, p *sim.Proc, n int) {
 	victim := e.c.acting(e.pool, e.c.PGOf(e.pool, chunkOID(0)))[1].id
 	if err := e.c.CrashOSD(victim); err != nil {
 		t.Error(err)
@@ -257,8 +258,8 @@ func (e *fpEnv) wipedReplica(t *testing.T, p *sim.Proc, n int) {
 }
 
 // TestFPIndexLockstepTransitions drives every store transition that goes
-// through the osd mutation seam beyond plain write/delete, restart peering
-// and replace→recover (covered above), and checks after each that every
+// through the osd mutation seam beyond plain write/delete, restart and
+// replace→recover (covered above), and checks after each that every
 // OSD's index still equals its store's key set for the indexed pool.
 func TestFPIndexLockstepTransitions(t *testing.T) {
 	const n = 64
@@ -269,14 +270,14 @@ func TestFPIndexLockstepTransitions(t *testing.T) {
 		drive func(t *testing.T, e *fpEnv, p *sim.Proc) error
 	}{
 		{"scrub repair of a dropped replica", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
-			e.wipedReplica(t, p, n)
+			e.staleReplica(t, p, n)
 			if st := e.c.Scrub(p, e.pool, true); st.Repaired == 0 {
 				return fmt.Errorf("repair scrub fixed nothing: %+v", st)
 			}
 			return nil
 		}},
-		{"heal-on-write after a restart wipe", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
-			e.wipedReplica(t, p, n)
+		{"heal-on-write of a stale replica", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
+			e.staleReplica(t, p, n)
 			e.rewrite(p, n, 0x33)
 			if e.counter("rados_replica_heals_total") == 0 {
 				return fmt.Errorf("no replica was healed")
@@ -303,22 +304,36 @@ func TestFPIndexLockstepTransitions(t *testing.T) {
 			if err := e.gw.WriteFull(p, e.pool, chunkOID(0), []byte("update")); err != nil {
 				return err
 			}
-			if e.counter("rados_replica_diverged_total") != 1 || replica.store.Exists(storeKeyFor(e.pool, chunkOID(0))) {
+			if e.counter("rados_replica_diverged_total") != 1 || e.c.current(replica, storeKeyFor(e.pool, chunkOID(0))) {
 				return fmt.Errorf("diverged copy not quarantined")
 			}
 			return nil
 		}},
-		{"stray cleanup by reconcileMissed", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
-			// Marked out but still running: the victim keeps stale copies the
-			// next write of each key must delete.
+		{"stale copies on a marked-out holder", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
+			// Marked out but still running: the victim keeps its copies, stale
+			// once each key is written again, until Recover brings it back.
 			victim := e.c.acting(e.pool, e.c.PGOf(e.pool, chunkOID(0)))[0]
-			held := victim.store.Usage().Objects
+			keys := victim.store.Keys()
 			if err := e.c.FailOSD(victim.id); err != nil {
 				return err
 			}
 			e.rewrite(p, n, 0x55)
-			if left := victim.store.Usage().Objects; held == 0 || left != 0 {
-				return fmt.Errorf("victim held %d objects, %d strays left", held, left)
+			stale := 0
+			for _, key := range keys {
+				if !e.c.current(victim, key) {
+					stale++
+				}
+			}
+			if len(keys) == 0 || stale != len(keys) {
+				return fmt.Errorf("victim held %d copies, %d of them stale after the rewrite", len(keys), stale)
+			}
+			e.c.cmap.SetUp(victim.id, true)
+			e.c.cmap.SetIn(victim.id, true)
+			e.c.Recover(p)
+			for _, key := range victim.store.Keys() {
+				if !e.c.current(victim, key) {
+					return fmt.Errorf("%s still stale on the victim after Recover", key)
+				}
 			}
 			return nil
 		}},
@@ -381,8 +396,8 @@ func TestFPIndexIgnoresErasurePool(t *testing.T) {
 				return
 			}
 		}
-		// A shard holder misses EC rewrites while crashed; peering wipes its
-		// stale shards on restart and Recover rebuilds them from the others.
+		// A shard holder misses EC rewrites while crashed; its shards are
+		// stale after the restart and Recover rebuilds them from the others.
 		victim := e.c.want(e.ecp, e.c.PGOf(e.ecp, oid(1)))[1].id
 		if err := e.c.CrashOSD(victim); err != nil {
 			t.Error(err)

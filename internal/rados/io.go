@@ -2,7 +2,9 @@ package rados
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dedupstore/internal/crush"
@@ -298,52 +300,33 @@ func (g *Gateway) timeoutWait(p *sim.Proc) {
 }
 
 // servingOSD selects the OSD that serves a read-type op on a replicated
-// object. The acting primary serves when it is alive and holds the object;
-// if the primary's process is dead (crashed but not yet marked down) the op
-// pays the request timeout and fails over to a surviving replica — the
-// degraded-read path. During the post-remap window an object may not have
-// reached the new acting set yet, in which case any live in-map holder of
-// the current copy serves. Only if the sole copies sit on dead OSDs does
-// the op fail, with the retryable ErrOSDDown.
+// object: the acting primary when it is alive and its copy is current (for a
+// deleted object, absent: it reports not-found). If the primary's process is
+// dead (crashed but not yet marked down) the op pays the request timeout
+// first. Otherwise — a dead primary, or one that missed writes or has not yet
+// received the object after a remap — a surviving replica or any live in-map
+// OSD with a current copy serves: the degraded-read path. If none can, the op
+// fails with Cluster.unavailable's error.
 func (g *Gateway) servingOSD(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
 	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
 	if len(acting) == 0 {
 		return nil, ErrNoOSD
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	if acting[0].alive && acting[0].store.Exists(key) {
-		return acting[0], nil
+	o := g.c.servingCopy(acting, key)
+	if o == acting[0] {
+		return o, nil
 	}
 	if !acting[0].alive {
 		g.timeoutWait(p) // request to the dead primary times out first
 	}
-	for _, o := range acting[1:] {
-		if o.alive && o.store.Exists(key) {
-			g.c.reg.Counter("rados_degraded_reads_total").Inc()
-			return o, nil
-		}
+	if o == nil {
+		return nil, g.c.unavailable(key)
 	}
-	// Post-remap window: recovery has not yet copied the object into the new
-	// acting set, but a live in-map OSD still holds the current copy.
-	if o := g.c.liveInMapHolder(key, nil); o != nil {
+	if g.c.head[key] != 0 { // not a not-found answer: another copy stands in
 		g.c.reg.Counter("rados_degraded_reads_total").Inc()
-		return o, nil
 	}
-	// No live copy. If a dead OSD holds one that is not known-stale, the
-	// object will come back when that OSD restarts or recovery rebuilds it:
-	// retryable, not not-found.
-	if g.c.recoverableOnDead(key, g.c.allOSDs()) {
-		return nil, ErrOSDDown
-	}
-	if acting[0].alive {
-		return acting[0], nil // absent object: primary reports not-found
-	}
-	for _, o := range acting[1:] {
-		if o.alive {
-			return o, nil
-		}
-	}
-	return nil, ErrOSDDown
+	return o, nil
 }
 
 // Stat returns the object size.
@@ -361,7 +344,9 @@ func (g *Gateway) Stat(p *sim.Proc, pool *Pool, oid string) (int64, error) {
 // Exists reports object existence.
 func (g *Gateway) Exists(p *sim.Proc, pool *Pool, oid string) (bool, error) {
 	v, err := g.metaView(p, pool, oid)
-	if err != nil {
+	if errors.Is(err, ErrNotFound) {
+		return false, nil
+	} else if err != nil {
 		return false, err
 	}
 	return v.Exists(), nil
@@ -457,11 +442,11 @@ func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, t
 	}
 	g.request(p, primary, payload, fn != nil && payload == 0)
 	hold := g.c.lockPG(p, pool, pg)
-	g.pullOnDemand(p, pool, oid, primary)
-	if fn != nil {
+	err = g.pullOnDemand(p, pool, oid, primary)
+	if err == nil && fn != nil {
 		txn, err = g.mutateTxn(p, pool, oid, primary, replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}, fn)
 	}
-	if txn != nil {
+	if err == nil && txn != nil {
 		err = g.replicate(p, pool, oid, txn)
 	}
 	hold.release(p)
@@ -518,66 +503,57 @@ func (g *Gateway) prepare(p *sim.Proc, pool *Pool, pg crush.PG) (*osd, error) {
 	return acting[0], nil
 }
 
-// pullOnDemand restores an object at a freshly-remapped primary before a
-// mutation runs against it: if the primary lacks the object but another
-// live in-map OSD still holds the current copy (the PG moved and Recover
-// has not caught up yet), the primary pulls it first — Ceph's
-// recover-on-demand for ops hitting a degraded object. Without this, a
-// partial write or chunk-map update at the new primary would silently
-// recreate the object from nothing. Caller holds the PG lock.
-func (g *Gateway) pullOnDemand(p *sim.Proc, pool *Pool, oid string, primary *osd) {
+// pullOnDemand makes the primary's copy current before a mutation runs
+// against it — Ceph's recover-on-demand: if the primary lacks the current
+// copy (the PG moved and Recover has not caught up, or it missed writes while
+// down), it pulls it from a live in-map holder, so a partial write or
+// chunk-map update never applies to nothing or to stale bytes. While the
+// current copy sits only on OSDs that cannot serve, the op fails retryably. A
+// stale copy of a deleted object, or of a lost one (no current copy left
+// anywhere), is dropped instead, and the mutation runs as on a deleted
+// object. Caller holds the PG lock.
+func (g *Gateway) pullOnDemand(p *sim.Proc, pool *Pool, oid string, primary *osd) error {
 	key := store.Key{Pool: pool.ID, OID: oid}
-	if primary.store.Exists(key) {
-		return
+	switch {
+	case g.c.current(primary, key):
+		return nil
+	case g.c.head[key] != 0:
+		if src := g.c.liveInMapHolder(key); src != nil { // never the stale primary
+			if _, ok := g.c.copyObject(p, g.cls, key, src, primary); ok {
+				g.c.reg.Counter("rados_ondemand_pulls_total").Inc()
+				return nil
+			}
+		}
+		if err := g.c.unavailable(key); err != ErrNotFound {
+			return err
+		}
 	}
-	src := g.c.liveInMapHolder(key, primary)
-	if src == nil {
-		return
-	}
-	if _, ok := g.c.copyObject(p, g.cls, key, src, primary); ok {
-		g.c.reg.Counter("rados_ondemand_pulls_total").Inc()
-	}
+	primary.remove(p, key)
+	return nil
 }
 
 // fanout describes one replica/shard fan-out: the shared shape behind every
 // replicated and EC mutation in the I/O path. Targets failing the ok
-// predicate are skipped (optionally counted as one degraded write);
-// preApplied lists OSDs that already hold the mutation (the primary).
+// predicate are skipped (optionally counted as one degraded write); a
+// skipped copy keeps its old version, so it is stale from then on.
 type fanout struct {
-	name       string // child proc name
-	span       string // per-child trace span ("" = untraced children)
-	pool       *Pool
-	pg         crush.PG
-	key        store.Key
-	bytes      int // payload bytes recorded on child spans
-	targets    []*osd
-	preApplied []*osd
-	ok         func(i int, o *osd) bool
-	degraded   bool // count skipped targets as a degraded write
-	extra      []*sim.Signal
-	do         func(q *sim.Proc, i int, o *osd)
+	name     string // child proc name
+	span     string // per-child trace span ("" = untraced children)
+	pool     *Pool
+	pg       crush.PG
+	bytes    int // payload bytes recorded on child spans
+	targets  []*osd
+	ok       func(i int, o *osd) bool
+	degraded bool // count skipped targets as a degraded write
+	extra    []*sim.Signal
+	do       func(q *sim.Proc, i int, o *osd)
 }
 
 // runFanout executes a fan-out: one concurrent child per eligible target
-// plus any extra signals, a single wait for all acks, degraded-write
-// accounting, and missed-write reconciliation for the key. Every fanned-out
-// mutation goes through here, so the QoS-classed submit path of
-// replica/shard work changes in one place.
+// plus any extra signals, a single wait for all acks, and degraded-write
+// accounting. Every fanned-out mutation goes through here, so the
+// QoS-classed submit path of replica/shard work changes in one place.
 func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
-	// On a clean cluster (no crash/replace ever, CRUSH epoch unmoved) the
-	// reconciliation scan provably has no work, so the applied-set map is
-	// not even built. The decision is made here, before any child runs:
-	// spawning is instantaneous in virtual time, so every target passing ok
-	// below applies the mutation even if it crashes mid-fan-out, and a
-	// cluster that is clean at this instant holds no stray copy of f.key.
-	reconcile := g.c.reconcileNeeded()
-	var applied map[int]bool
-	if reconcile {
-		applied = make(map[int]bool, len(f.targets)+len(f.preApplied))
-		for _, o := range f.preApplied {
-			applied[o.id] = true
-		}
-	}
 	skipped := false
 	sigs := make([]*sim.Signal, 0, len(f.targets)+len(f.extra))
 	sigs = append(sigs, f.extra...)
@@ -586,10 +562,6 @@ func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 			skipped = true
 			continue
 		}
-		if reconcile {
-			applied[o.id] = true
-		}
-		i, o := i, o
 		sigs = append(sigs, p.Go(f.name, func(q *sim.Proc) {
 			if f.span != "" {
 				if sp := g.c.sink.Start(q, f.span); sp != nil {
@@ -605,18 +577,15 @@ func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 	if skipped && f.degraded {
 		g.c.reg.Counter("rados_degraded_writes_total").Inc()
 	}
-	if reconcile {
-		g.c.reconcileMissed(f.key, applied)
-	}
 }
 
 // replicate applies txn at the primary and fans out to replicas, returning
-// after all replicas ack (primary-copy replication). Caller holds the PG
-// lock. Crashed acting members are skipped (a degraded write) and their
-// missed update recorded so they re-sync before serving again; a replica
-// that rejoined after missing earlier updates is healed with a full copy of
-// the primary's post-txn state instead of applying a transaction its stale
-// object cannot absorb.
+// after all replicas ack (primary-copy replication). Caller holds the PG lock
+// and has made the primary's copy current. The mutation gets a new version,
+// stamped on every copy it is applied to, and the head follows the primary's
+// copy. Crashed acting members are skipped (a degraded write) and keep their
+// copy, stale from then on. A replica that is not current gets the primary's
+// whole post-txn copy instead of a transaction its stale copy cannot absorb.
 func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn) error {
 	pg := g.c.PGOf(pool, oid)
 	acting := g.c.acting(pool, pg)
@@ -631,11 +600,17 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 	key := store.Key{Pool: pool.ID, OID: oid}
 	cost, payload := g.c.cost, txn.Bytes()
 
-	existedBefore := primary.store.Exists(key)
 	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(payload))
-	if err := primary.apply(p, key, txn); err != nil {
+	var behind []*osd // replicas not current before this mutation
+	for _, r := range acting[1:] {
+		if !g.c.current(r, key) {
+			behind = append(behind, r)
+		}
+	}
+	if err := primary.apply(p, key, txn.Stamp(g.c.nextVersion())); err != nil {
 		return err
 	}
+	g.c.setHead(key, primary.store.Version(key))
 	journal := p.Go("journal", func(q *sim.Proc) {
 		jsp := g.c.sink.Start(q, "rados.journal")
 		if jsp != nil {
@@ -646,39 +621,34 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 	})
 	g.runFanout(p, fanout{
 		name: "replica", span: "rados.replica",
-		pool: pool, pg: pg, key: key, bytes: payload,
-		targets:    acting[1:],
-		preApplied: []*osd{primary},
-		ok:         func(_ int, o *osd) bool { return o.alive },
-		degraded:   true,
-		extra:      []*sim.Signal{journal},
+		pool: pool, pg: pg, bytes: payload,
+		targets:  acting[1:],
+		ok:       func(_ int, o *osd) bool { return o.alive },
+		degraded: true,
+		extra:    []*sim.Signal{journal},
 		do: func(q *sim.Proc, _ int, r *osd) {
 			g.c.netSend(q, g.cls, r.host.nicSched, payload)
 			r.host.cpu.Use(q, cost.OpOverhead)
-			if existedBefore && !r.store.Exists(key) {
-				// The replica missed earlier updates (its stale copy was
-				// wiped on restart): heal with a full copy of the primary's
-				// post-txn state. If the txn deleted the object the snapshot
-				// fails and the plain apply below is a safe no-op delete.
+			if slices.Contains(behind, r) {
+				// Heal with the primary's post-txn copy. If the txn deleted
+				// the object the snapshot fails and the plain apply below
+				// deletes the stale copy. The PG lock keeps the head still, so
+				// the install is never refused.
 				if snap, err := primary.store.Snapshot(key); err == nil {
 					n := snap.PayloadBytes()
 					g.c.netSend(q, g.cls, r.host.nicSched, n)
-					r.install(q, key, snap)
+					g.c.install(q, r, key, snap)
 					r.diskWrite(q, g.cls, cost, n)
 					g.c.reg.Counter("rados_replica_heals_total").Inc()
 					return
 				}
 			}
 			if err := r.apply(q, key, txn); err != nil {
-				// The replica's copy diverged from the primary: quarantine it
-				// instead of killing the process. The copy is dropped so no
-				// degraded read can serve it, the miss is recorded so the
-				// replica re-syncs before serving after a restart, and a
-				// repair scrub restores the redundancy from the primary.
+				// The replica's copy diverged from the primary. It keeps its
+				// old version, so it is stale: never served or sourced until
+				// the next write heals it or a repair scrub or Recover
+				// overwrites it.
 				g.c.reg.Counter("rados_replica_diverged_total").Inc()
-				r.remove(q, key)
-				g.c.noteMissed(r.id, key)
-				r.diskWrite(q, g.cls, cost, 0)
 				return
 			}
 			r.diskWrite(q, g.cls, cost, payload)
@@ -691,29 +661,19 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 // separate round trip. It models a server-side sub-step of an enclosing
 // operation (e.g. the dedup read path's chunk-map lookup, §4.5 read step 3,
 // which the primary performs while handling the read) — the enclosing op's
-// OpOverhead covers it. When the primary is dead the xattr is served from a
-// surviving holder; untimed, because the enclosing op already paid the
-// failover timeout when it selected its serving OSD.
+// OpOverhead covers it. When the primary is dead or its copy stale the xattr
+// is served from another current copy; untimed, because the enclosing op
+// already paid the failover timeout when it selected its serving OSD.
 func (g *Gateway) PeekXattr(pool *Pool, oid, name string) ([]byte, error) {
 	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
 	if len(acting) == 0 {
 		return nil, ErrNoOSD
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	for _, o := range acting {
-		if o.alive && o.store.Exists(key) {
-			return o.store.GetXattr(key, name)
-		}
-	}
-	if o := g.c.liveInMapHolder(key, nil); o != nil {
+	if o := g.c.servingCopy(acting, key); o != nil {
 		return o.store.GetXattr(key, name)
 	}
-	for _, o := range acting {
-		if o.alive {
-			return o.store.GetXattr(key, name) // absent object: not-found
-		}
-	}
-	return nil, ErrOSDDown
+	return nil, g.c.unavailable(key)
 }
 
 // ClientXfer charges the client-side link for n bytes delivered to this

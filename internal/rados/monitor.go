@@ -168,8 +168,9 @@ func (m *Monitor) tick(p *sim.Proc) {
 }
 
 // rejoin handles an OSD whose process came back: the monitor undoes its own
-// down/out marks and backfills, because a restarted OSD wiped any objects
-// whose updates it missed and may have lost shards to remapping.
+// down/out marks and backfills, because a restarted OSD's copies of objects
+// written while it was down are stale and it may have lost shards to
+// remapping.
 func (m *Monitor) rejoin(p *sim.Proc, id int) {
 	c := m.c
 	if m.markedDown[id] {

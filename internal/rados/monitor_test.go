@@ -245,45 +245,54 @@ func TestWriteFailsFastRetryable(t *testing.T) {
 	})
 }
 
-// TestRestartWipesMissedWrites: an OSD that missed updates while dead comes
-// back with those objects wiped (no stale reads), and recovery backfills the
-// current version.
-func TestRestartWipesMissedWrites(t *testing.T) {
+// TestRestartedStaleCopyIsInert: an OSD that missed a write while dead comes
+// back with its old copy, which is stale: it never serves a read (the first
+// replica in acting order is passed over for the second) and never sources a
+// copy, and Recover overwrites it with the current version.
+func TestRestartedStaleCopyIsInert(t *testing.T) {
 	e := newEnv(t)
+	rep3, err := e.c.CreatePool(PoolConfig{Name: "rep3", PGNum: 64, Redundancy: ReplicatedN(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	oldData := bytes.Repeat([]byte{0x11}, 4096)
 	newData := bytes.Repeat([]byte{0x22}, 4096)
-	key := store.Key{Pool: e.rep.ID, OID: "obj"}
+	key := store.Key{Pool: rep3.ID, OID: "obj"}
 	e.run(t, func(p *sim.Proc) {
-		if err := e.gw.WriteFull(p, e.rep, "obj", oldData); err != nil {
+		if err := e.gw.WriteFull(p, rep3, "obj", oldData); err != nil {
 			e.fail(err)
 		}
-		acting := e.c.acting(e.rep, e.c.PGOf(e.rep, "obj"))
-		replica := acting[1].id
-		if err := e.c.CrashOSD(replica); err != nil {
+		acting := e.c.acting(rep3, e.c.PGOf(rep3, "obj"))
+		primary, stale := acting[0], acting[1]
+		if err := e.c.CrashOSD(stale.id); err != nil {
 			e.fail(err)
 		}
-		// Degraded write: lands on the primary only, miss noted for replica.
-		if err := e.gw.WriteFull(p, e.rep, "obj", newData); err != nil {
+		// Degraded write: lands on the primary and the third replica only.
+		if err := e.gw.WriteFull(p, rep3, "obj", newData); err != nil {
 			e.fail(err)
 		}
-		if err := e.c.RestartOSD(replica); err != nil {
+		if err := e.c.RestartOSD(stale.id); err != nil {
 			e.fail(err)
 		}
-		st, _ := e.c.OSDStore(replica)
-		if st.Exists(key) {
-			t.Error("restarted replica still serves the stale pre-crash copy")
+		if got, err := stale.store.Read(key, 0, -1); err != nil || !bytes.Equal(got, oldData) || e.c.current(stale, key) {
+			t.Fatalf("restarted replica: err=%v, keeps the old copy %v, current %v; want its old copy kept, stale",
+				err, bytes.Equal(got, oldData), e.c.current(stale, key))
 		}
-		e.c.Recover(p)
-		obj, err := st.Snapshot(key)
-		if err != nil {
-			t.Fatalf("replica missing object after recovery: %v", err)
+		// The primary dies undetected: the read fails over past the stale
+		// replica to the current one.
+		if err := e.c.CrashOSD(primary.id); err != nil {
+			e.fail(err)
 		}
-		if !bytes.Equal(obj.Data, newData) {
-			t.Error("replica recovered stale contents")
+		if got, err := e.gw.Read(p, rep3, "obj", 0, -1); err != nil || !bytes.Equal(got, newData) {
+			t.Errorf("degraded read: err=%v, stale bytes %v", err, bytes.Equal(got, oldData))
 		}
-		got, err := e.gw.Read(p, e.rep, "obj", 0, -1)
-		if err != nil || !bytes.Equal(got, newData) {
-			t.Errorf("read after restart+recover: err=%v", err)
+		// Recover, with the primary still dead: the stale copy is a
+		// destination, not a source.
+		if st := e.c.Recover(p); st.ObjectsCopied != 1 {
+			t.Errorf("Recover copied %d objects, want 1 (onto the stale replica)", st.ObjectsCopied)
+		}
+		if got, err := stale.store.Read(key, 0, -1); err != nil || !bytes.Equal(got, newData) || !e.c.current(stale, key) {
+			t.Errorf("after Recover the replica's copy: err=%v, current %v; want the new bytes", err, e.c.current(stale, key))
 		}
 	})
 	if e.c.Metrics().Counter("rados_degraded_writes_total").Value() == 0 {

@@ -71,7 +71,8 @@ func (o *osd) indexed(key store.Key) bool {
 // apply executes txn on the OSD's copy of key. An indexed key's transition
 // is recorded in the index — absent → present inserts, present → absent
 // writes a tombstone — with the index's WAL write charged to p, or uncharged
-// on a nil p (paths with no process context: restart peering, stray cleanup).
+// on a nil p (paths with no process context: bit-rot injection, an EC
+// mutation's version stamp).
 func (o *osd) apply(p *sim.Proc, key store.Key, txn *store.Txn) error {
 	if !o.indexed(key) {
 		return o.store.Apply(key, txn)
@@ -118,14 +119,10 @@ func (o *osd) crash() {
 }
 
 // restart brings the process back: WAL replay restores the index to its
-// crash point, then peering wipes every object whose write or delete the
-// OSD missed while dead — from store and index alike — before it serves.
-func (o *osd) restart(missed map[store.Key]bool) {
+// crash point. Copies the OSD missed writes to stay, stale by version.
+func (o *osd) restart() {
 	if o.fpidx != nil {
 		o.fpidx.Recover(nil)
-	}
-	for key := range missed {
-		o.remove(nil, key)
 	}
 	o.alive = true
 }

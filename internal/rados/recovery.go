@@ -2,6 +2,7 @@ package rados
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dedupstore/internal/qos"
@@ -39,15 +40,14 @@ func (c *Cluster) ReplaceOSD(id int) (recoveryPending bool, err error) {
 		return false, fmt.Errorf("rados: unknown osd %d", id)
 	}
 	o.replace()
-	delete(c.missed, id) // fresh device: nothing stale left to wipe
-	c.dirty = true       // the fresh device misses every object it should hold
 	c.cmap.SetUp(id, true)
 	c.cmap.SetIn(id, true)
 	return c.recoveryPendingFor(id), nil
 }
 
-// recoveryPendingFor reports whether any object held by a live up OSD maps
-// onto OSD id under the current CRUSH map while id itself lacks it.
+// recoveryPendingFor reports whether any object with a current copy on a live
+// up OSD maps onto OSD id under the current CRUSH map while id itself lacks a
+// current copy.
 func (c *Cluster) recoveryPendingFor(id int) bool {
 	fresh := c.osds[id]
 	for _, sid := range c.cmap.UpOSDs() {
@@ -57,13 +57,11 @@ func (c *Cluster) recoveryPendingFor(id int) bool {
 		}
 		for _, key := range src.store.Keys() {
 			pool := c.poolsByID[key.Pool]
-			if pool == nil {
+			if pool == nil || !c.current(src, key) || c.current(fresh, key) {
 				continue
 			}
-			for _, w := range c.want(pool, c.PGOf(pool, key.OID)) {
-				if w == fresh && !fresh.store.Exists(key) {
-					return true
-				}
+			if slices.Contains(c.want(pool, c.PGOf(pool, key.OID)), fresh) {
+				return true
 			}
 		}
 	}
@@ -92,9 +90,10 @@ type recoveryTask struct {
 }
 
 // Recover reconciles object placement with the current CRUSH map: it
-// re-replicates objects onto OSDs that should hold them but do not,
-// rebuilds missing EC shards from surviving shards, and removes objects
-// from OSDs that are no longer in their PG's mapping (rebalancing).
+// re-replicates objects onto OSDs that should hold a current copy but do not
+// (overwriting a stale one), rebuilds missing EC shards from surviving
+// current shards, and removes copies that are no longer in their PG's
+// mapping (rebalancing) or stale with nothing to overwrite them.
 // Per-destination parallelism is bounded by the recovery class's QoS depth
 // cap (Ceph's osd_recovery_max_active analog), and every byte it moves is
 // admitted under the recovery class so foreground I/O keeps priority.
@@ -102,29 +101,21 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 	streamsPerOSD := max(c.qsched.MaxDepth(qos.Recovery), 1)
 	stats := RecoveryStats{Start: p.Now()}
 
-	// 1. Inventory: which up OSD holds which object (and EC shard index).
-	type holderInfo struct {
-		osd *osd
-		idx int
-	}
-	holders := make(map[store.Key][]holderInfo)
+	// 1. Inventory: every copy an up OSD holds, current or stale.
+	copies := make(map[store.Key][]*osd)
 	for _, id := range c.cmap.UpOSDs() {
 		o := c.osds[id]
 		if !o.alive {
 			continue // a crashed OSD can neither source nor report holdings
 		}
 		for _, key := range o.store.Keys() {
-			idx := -1
-			if pool := c.poolsByID[key.Pool]; pool != nil && pool.Red.Kind == Erasure {
-				idx = int(getU64(mustXattr(o.store, key, xattrECIdx)))
-			}
-			holders[key] = append(holders[key], holderInfo{osd: o, idx: idx})
+			copies[key] = append(copies[key], o)
 		}
 	}
 
 	// Deterministic iteration order over objects.
-	keys := make([]store.Key, 0, len(holders))
-	for k := range holders {
+	keys := make([]store.Key, 0, len(copies))
+	for k := range copies {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -143,85 +134,52 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 		if pool == nil {
 			continue
 		}
-		pg := c.PGOf(pool, key.OID)
-		want := c.want(pool, pg)
-		hs := holders[key]
-		inWant := func(o *osd) int {
-			for pos, w := range want {
-				if w == o {
-					return pos
-				}
-			}
-			return -1
-		}
-		up := func(o *osd) bool {
-			info, ok := c.cmap.Lookup(o.id)
-			return ok && info.Up && info.In && o.alive
-		}
-
-		if pool.Red.Kind == Replicated {
-			holderSet := make(map[int]bool, len(hs))
-			for _, h := range hs {
-				holderSet[h.osd.id] = true
-			}
-			for _, w := range want {
-				if !up(w) || holderSet[w.id] {
-					continue
-				}
-				// Prefer a source that is itself in the want set.
-				var src *osd
-				for _, h := range hs {
-					if inWant(h.osd) >= 0 {
-						src = h.osd
-						break
-					}
-				}
-				if src == nil && len(hs) > 0 {
-					src = hs[0].osd
-				}
-				if src != nil {
-					plan(recoveryTask{kind: "copy", key: key, pool: pool, src: src, dst: w})
-				}
-			}
-			for _, h := range hs {
-				if inWant(h.osd) < 0 {
-					plan(recoveryTask{kind: "delete", key: key, pool: pool, dst: h.osd})
-				}
-			}
-			continue
-		}
-
-		// Erasure pool: shard at index pos belongs on want[pos].
+		want := c.want(pool, c.PGOf(pool, key.OID))
+		// Only current copies are sources; an EC shard at index pos belongs
+		// on want[pos].
+		var holders []*osd
 		shardHolder := make(map[int]*osd)
-		for _, h := range hs {
-			if h.idx >= 0 {
-				shardHolder[h.idx] = h.osd
+		for _, h := range copies[key] {
+			if c.current(h, key) {
+				holders = append(holders, h)
+				if pool.Red.Kind == Erasure {
+					shardHolder[int(getU64(mustXattr(h.store, key, xattrECIdx)))] = h
+				}
 			}
 		}
 		for pos, w := range want {
-			if pos >= pool.Red.K+pool.Red.M || !up(w) {
+			if !c.inService(w) || len(holders) == 0 {
 				continue
 			}
-			cur := shardHolder[pos]
-			if cur == w {
+			if pool.Red.Kind == Replicated {
+				if slices.Contains(holders, w) {
+					continue
+				}
+				// Prefer a source that is itself in the want set, else the first.
+				src := holders[max(slices.IndexFunc(holders, func(h *osd) bool { return slices.Contains(want, h) }), 0)]
+				plan(recoveryTask{kind: "copy", key: key, pool: pool, src: src, dst: w})
 				continue
 			}
-			if cur != nil {
+			if cur := shardHolder[pos]; pos >= pool.Red.K+pool.Red.M || cur == w {
+				continue
+			} else if cur != nil {
 				plan(recoveryTask{kind: "copy", key: key, pool: pool, src: cur, dst: w, idx: pos})
 			} else {
 				plan(recoveryTask{kind: "rebuild", key: key, pool: pool, dst: w, idx: pos})
 			}
 		}
-		for _, h := range hs {
-			if inWant(h.osd) < 0 {
-				plan(recoveryTask{kind: "delete", key: key, pool: pool, dst: h.osd})
+		// A stale copy in the want set is overwritten above unless there is
+		// no current copy to overwrite it with.
+		for _, h := range copies[key] {
+			if !slices.Contains(want, h) || !c.current(h, key) && len(holders) == 0 {
+				plan(recoveryTask{kind: "delete", key: key, pool: pool, dst: h})
 			}
 		}
 	}
 
 	// 3. Execute in two phases: all copies/rebuilds first, then deletes.
-	// Deletes must not run concurrently with copies — a stale holder may be
-	// the only source for a copy still in flight.
+	// Deletes must not run concurrently with copies — an out-of-map holder
+	// may be the only source for a copy still in flight.
 	runPhase := func(match func(kind string) bool) {
 		var sigs []*sim.Signal
 		dsts := make([]int, 0, len(perDst))
@@ -269,7 +227,8 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 // copyObject ships src's copy of key to dst under QoS class cls: source
 // read, one hop to the destination's NIC, the destination's op overhead,
 // install, durable write. It reports the payload bytes moved, or ok=false
-// (nothing charged) when src no longer holds the object.
+// when src no longer holds the object (nothing charged) or the install was
+// refused (the read and the hop stay charged).
 func (c *Cluster) copyObject(p *sim.Proc, cls qos.Class, key store.Key, src, dst *osd) (bytes int, ok bool) {
 	snap, err := src.store.Snapshot(key)
 	if err != nil {
@@ -279,9 +238,47 @@ func (c *Cluster) copyObject(p *sim.Proc, cls qos.Class, key store.Key, src, dst
 	src.diskRead(p, cls, c.cost, n)
 	c.netSend(p, cls, dst.host.nicSched, n)
 	dst.host.cpu.Use(p, c.cost.OpOverhead)
-	dst.install(p, key, snap)
+	if !c.install(p, dst, key, snap) {
+		return 0, false
+	}
 	dst.diskWrite(p, cls, c.cost, n)
 	return n, true
+}
+
+// install puts snap on dst unless it is stale (staleInstall).
+func (c *Cluster) install(p *sim.Proc, dst *osd, key store.Key, snap *store.Object) bool {
+	defer c.settle(p, key)()
+	if c.staleInstall(key, snap.Version) {
+		return false
+	}
+	dst.install(p, key, snap)
+	return true
+}
+
+// settle waits out an EC mutation of key's PG, whose shards are stamped only
+// at its commit (commitShards), by taking the PG lock; the returned func,
+// called once the install is done, releases it. A replicated copy is stamped
+// as it is written, so there is nothing to wait for (and callers that hold a
+// PG lock install only replicated copies).
+func (c *Cluster) settle(p *sim.Proc, key store.Key) (done func()) {
+	pool := c.poolsByID[key.Pool]
+	if pool.Red.Kind != Erasure {
+		return func() {}
+	}
+	hold := c.lockPG(p, pool, c.PGOf(pool, key.OID))
+	return func() { hold.release(p) }
+}
+
+// staleInstall reports whether a copy of key at version v, about to be
+// installed, is no longer current: a write or delete was acknowledged while
+// it was in flight, and installing it would undo that. The refusal is
+// counted; the work already done stays charged.
+func (c *Cluster) staleInstall(key store.Key, v uint64) bool {
+	if v == c.head[key] {
+		return false
+	}
+	c.reg.Counter("rados_stale_installs_refused_total").Inc()
+	return true
 }
 
 func (c *Cluster) runRecoveryTask(q *sim.Proc, t recoveryTask, stats *RecoveryStats) {
@@ -291,6 +288,9 @@ func (c *Cluster) runRecoveryTask(q *sim.Proc, t recoveryTask, stats *RecoverySt
 	defer sp.Finish(q)
 	switch t.kind {
 	case "delete":
+		if c.current(t.dst, t.key) && slices.Contains(c.want(t.pool, c.PGOf(t.pool, t.key.OID)), t.dst) {
+			return // a write brought this stale copy up to date since planning
+		}
 		t.dst.remove(q, t.key)
 		t.dst.diskWrite(q, qos.Recovery, c.cost, 0)
 		stats.ObjectsDeleted++
@@ -304,12 +304,19 @@ func (c *Cluster) runRecoveryTask(q *sim.Proc, t recoveryTask, stats *RecoverySt
 	}
 }
 
-// rebuildShard reconstructs a missing EC shard from k surviving shards.
+// rebuildShard reconstructs a missing EC shard from k surviving current
+// shards. Like install, it refuses to apply a shard that is no longer current
+// by the time it is rebuilt.
 func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats) {
 	cost := c.cost
 	pool := t.pool
 	codec := c.codecFor(pool)
 	k, m := pool.Red.K, pool.Red.M
+	if c.head[t.key] == 0 {
+		// Deleted since planning. Without a head, OSDs lacking a copy would
+		// also pass as current sources below, with no shard to read.
+		return
+	}
 
 	// Find surviving shard holders.
 	type src struct {
@@ -319,7 +326,7 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 	var srcs []src
 	for _, id := range c.cmap.UpOSDs() {
 		o := c.osds[id]
-		if o == t.dst || !o.alive || !o.store.Exists(t.key) {
+		if o == t.dst || !o.alive || !c.current(o, t.key) {
 			continue
 		}
 		idx := int(getU64(mustXattr(o.store, t.key, xattrECIdx)))
@@ -340,7 +347,6 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 			continue
 		}
 		got++
-		s := s
 		snap, err := s.osd.store.Snapshot(t.key)
 		if err != nil {
 			continue
@@ -363,17 +369,18 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 	if err := codec.Reconstruct(shards); err != nil {
 		return
 	}
+	done := c.settle(q, t.key)
+	if c.staleInstall(t.key, template.Version) {
+		done()
+		return
+	}
 	// The rebuilt shard replaces whatever dst held under the key: the
 	// reconstructed data, a surviving shard's mirrored metadata (shared, not
-	// copied), its own index.
-	txn := store.NewTxn().Delete().WriteFull(shards[t.idx])
-	for name, v := range template.Xattr {
-		txn.SetXattr(name, v)
-	}
-	for name, v := range template.Omap {
-		txn.OmapSet(name, v)
-	}
-	if err := t.dst.apply(q, t.key, txn.SetXattr(xattrECIdx, putU64(uint64(t.idx)))); err != nil {
+	// copied), its own index, the version it was rebuilt at.
+	txn := withMeta(store.NewTxn().Delete().WriteFull(shards[t.idx]).Stamp(template.Version), template)
+	err := t.dst.apply(q, t.key, txn.SetXattr(xattrECIdx, putU64(uint64(t.idx))))
+	done()
+	if err != nil {
 		return
 	}
 	t.dst.diskWrite(q, qos.Recovery, cost, shardLen)

@@ -3,6 +3,7 @@ package rados
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dedupstore/internal/qos"
@@ -37,12 +38,13 @@ type ScrubStats struct {
 // Clean reports whether the scrub found no inconsistencies.
 func (s ScrubStats) Clean() bool { return len(s.Errors) == 0 }
 
-// Scrub deep-scrubs one pool: for replicated pools every replica's payload
-// and metadata must match the acting primary's; for EC pools the parity
-// must verify and every shard's mirrored metadata must agree. With repair
-// set, inconsistent replicas are rewritten from the authoritative copy
-// (the primary, like Ceph's pg repair) and missing redundancy is noted for
-// Recover. Objects are scrubbed by a worker pool whose width is the scrub
+// Scrub deep-scrubs one pool: for replicated pools every acting member must
+// hold a current copy whose payload and metadata match the authoritative one
+// (the primary's, like Ceph's pg repair, unless it is stale); for EC pools
+// the parity must verify and every shard's mirrored metadata must agree.
+// With repair set, inconsistent or stale replicas are rewritten from the
+// authoritative copy and missing EC redundancy is noted for Recover.
+// Objects are scrubbed by a worker pool whose width is the scrub
 // class's QoS depth cap — scrub paces itself purely through the scheduler —
 // with per-object results merged back in oid order so the report stays
 // deterministic.
@@ -91,17 +93,22 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 		return
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	primary := acting[0]
-	auth, err := primary.store.Snapshot(key)
-	if err != nil {
-		stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: primary.id, Detail: "primary missing object"})
+	// The authoritative copy is the first current one in acting order: the
+	// primary's, unless it missed writes.
+	src := slices.IndexFunc(acting, func(o *osd) bool { return c.current(o, key) })
+	if src < 0 || c.head[key] == 0 {
+		stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: acting[0].id, Detail: "no current copy in the acting set"})
 		return
 	}
-	primary.diskRead(p, qos.Scrub, c.cost, len(auth.Data))
-	primary.host.cpu.Use(p, c.cost.Checksum(len(auth.Data)))
+	auth, _ := acting[src].store.Snapshot(key)
+	acting[src].diskRead(p, qos.Scrub, c.cost, len(auth.Data))
+	acting[src].host.cpu.Use(p, c.cost.Checksum(len(auth.Data)))
 	stats.BytesScanned += int64(len(auth.Data))
 
-	for _, rep := range acting[1:] {
+	for i, rep := range acting {
+		if i == src {
+			continue
+		}
 		got, err := rep.store.Snapshot(key)
 		if err != nil {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: "replica missing"})
@@ -110,10 +117,15 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 			}
 			continue
 		}
+		stale := !c.current(rep, key)
 		rep.diskRead(p, qos.Scrub, c.cost, len(got.Data))
 		rep.host.cpu.Use(p, c.cost.Checksum(len(got.Data)))
 		stats.BytesScanned += int64(len(got.Data))
-		if detail := diffObjects(auth, got); detail != "" {
+		detail := diffObjects(auth, got)
+		if stale {
+			detail = "stale copy"
+		}
+		if detail != "" {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: detail})
 			if repair {
 				c.repairCopy(p, key, rep, auth, stats)
@@ -124,9 +136,10 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 
 func (c *Cluster) repairCopy(p *sim.Proc, key store.Key, dst *osd, auth *store.Object, stats *ScrubStats) {
 	c.netSend(p, qos.Scrub, dst.host.nicSched, auth.PayloadBytes())
-	dst.install(p, key, auth)
-	dst.diskWrite(p, qos.Scrub, c.cost, auth.PayloadBytes())
-	stats.Repaired++
+	if c.install(p, dst, key, auth) {
+		dst.diskWrite(p, qos.Scrub, c.cost, auth.PayloadBytes())
+		stats.Repaired++
+	}
 }
 
 func (c *Cluster) scrubEC(p *sim.Proc, pool *Pool, oid string, repair bool, stats *ScrubStats) {
@@ -167,9 +180,9 @@ func (c *Cluster) scrubEC(p *sim.Proc, pool *Pool, oid string, repair bool, stat
 			shards[i] = append(append([]byte(nil), shards[i]...), make([]byte, size-len(shards[i]))...)
 		}
 	}
-	// Charge the parity verification.
-	if h := c.ecPrimaryHost(pool, oid); h != nil {
-		h.cpu.Use(p, c.cost.ECEncode(size*k))
+	// Charge the parity verification to the acting primary.
+	if acting := c.acting(pool, c.PGOf(pool, oid)); len(acting) > 0 {
+		acting[0].host.cpu.Use(p, c.cost.ECEncode(size*k))
 	}
 	ok, err := codec.Verify(shards)
 	if err != nil || !ok {
@@ -200,14 +213,6 @@ func (c *Cluster) scrubEC(p *sim.Proc, pool *Pool, oid string, repair bool, stat
 			}
 		}
 	}
-}
-
-func (c *Cluster) ecPrimaryHost(pool *Pool, oid string) *host {
-	acting := c.acting(pool, c.PGOf(pool, oid))
-	if len(acting) == 0 {
-		return nil
-	}
-	return acting[0].host
 }
 
 // diffObjects compares two object copies and describes the first mismatch.

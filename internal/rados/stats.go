@@ -54,20 +54,15 @@ func (c *Cluster) PoolStats(pool *Pool) PoolStats {
 	return ps
 }
 
-// ListObjects returns the distinct object IDs in a pool, sorted.
+// ListObjects returns the IDs of the pool's live objects — those with a head
+// — sorted. A stale copy, such as one a dead OSD holds of an object deleted
+// while it was down, lists nothing.
 func (c *Cluster) ListObjects(pool *Pool) []string {
-	seen := make(map[string]bool)
-	for _, id := range c.cmap.OSDs() {
-		o := c.osds[id]
-		for _, key := range o.store.Keys() {
-			if key.Pool == pool.ID {
-				seen[key.OID] = true
-			}
+	var out []string
+	for key := range c.head {
+		if key.Pool == pool.ID {
+			out = append(out, key.OID)
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for oid := range seen {
-		out = append(out, oid)
 	}
 	sort.Strings(out)
 	return out

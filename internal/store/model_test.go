@@ -19,6 +19,7 @@ type modelObject struct {
 	xattr   map[string]string
 	omap    map[string]string
 	punched int64
+	version uint64
 }
 
 type model struct {
@@ -75,6 +76,9 @@ func (m *model) apply(k Key, t *Txn) {
 			delete(obj.omap, op.Name)
 		case OpCreate:
 		}
+	}
+	if obj != nil && t.version != 0 {
+		obj.version = t.version
 	}
 }
 
@@ -148,7 +152,13 @@ func compareObject(t *testing.T, step int, st *Store, m *model, k Key) {
 		t.Fatalf("step %d: existence mismatch for %v (model %v)", step, k, wantOK)
 	}
 	if !wantOK {
+		if v := st.Version(k); v != 0 {
+			t.Fatalf("step %d: absent object has version %d", step, v)
+		}
 		return
+	}
+	if snap, _ := st.Snapshot(k); st.Version(k) != want.version || snap.Version != want.version {
+		t.Fatalf("step %d: version %d, snapshot's %d, model %d", step, st.Version(k), snap.Version, want.version)
 	}
 	got, err := st.Read(k, 0, -1)
 	if err != nil {
@@ -196,6 +206,9 @@ func TestModelBasedTransactions(t *testing.T) {
 			for step := 0; step < 500; step++ {
 				k := keys[rng.Intn(len(keys))]
 				txn := randomTxn(rng)
+				if step%3 != 0 { // a third of the txns leave the version alone
+					txn.Stamp(uint64(step + 1))
+				}
 				if err := st.Apply(k, txn); err != nil {
 					t.Fatalf("step %d: apply: %v", step, err)
 				}
@@ -344,7 +357,7 @@ func (h holder) apply(t *testing.T, txn *Txn) {
 // now must keep showing.
 func (m *model) copyOf(k Key) *modelObject {
 	o := m.objects[k]
-	cp := &modelObject{data: append([]byte(nil), o.data...), xattr: map[string]string{}, omap: map[string]string{}}
+	cp := &modelObject{data: append([]byte(nil), o.data...), xattr: map[string]string{}, omap: map[string]string{}, version: o.version}
 	for n, v := range o.xattr {
 		cp.xattr[n] = v
 	}
@@ -371,7 +384,7 @@ func sharedTxn() *Txn {
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	return NewTxn().WriteFull(data).SetXattr("x", []byte("xattr-value")).OmapSet("o", []byte("omap-value"))
+	return NewTxn().WriteFull(data).SetXattr("x", []byte("xattr-value")).OmapSet("o", []byte("omap-value")).Stamp(7)
 }
 
 var sharedFixtures = []struct {
@@ -441,7 +454,7 @@ func TestSharingRule(t *testing.T) {
 				if f.snap == nil {
 					return
 				}
-				if string(f.snap.Data) != string(f.snapWas.data) || len(f.snap.Xattr) != 1 || len(f.snap.Omap) != 1 ||
+				if string(f.snap.Data) != string(f.snapWas.data) || f.snap.Version != f.snapWas.version || len(f.snap.Xattr) != 1 || len(f.snap.Omap) != 1 ||
 					string(f.snap.Xattr["x"]) != f.snapWas.xattr["x"] || string(f.snap.Omap["o"]) != f.snapWas.omap["o"] {
 					t.Fatal("the snapshot changed when a store holding its payloads was written to")
 				}

@@ -42,6 +42,11 @@ type Object struct {
 	Data  []byte
 	Xattr map[string][]byte
 	Omap  map[string][]byte
+	// Version names the last mutation this copy took part in. Apply stamps it
+	// from the transaction and Snapshot / Install carry it; the cluster
+	// compares it with the object's head to tell a current copy from a stale
+	// one. 0 means never stamped.
+	Version uint64
 
 	// shared is set while Data's backing array may be held by someone else —
 	// the Txn it was adopted from (and so the other replicas), a snapshot, a
@@ -142,6 +147,15 @@ type Op struct {
 // once they are in the Txn. Write data is copied into the object.
 type Txn struct {
 	Ops []Op
+
+	version uint64 // stamped on the object by Apply (0 = leave it)
+}
+
+// Stamp sets the version Apply records on the object the transaction leaves
+// behind; without one the object keeps the version it had.
+func (t *Txn) Stamp(v uint64) *Txn {
+	t.version = v
+	return t
 }
 
 // NewTxn returns an empty transaction.
@@ -305,6 +319,9 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			obj.forgetValue("omap", op.Name)
 		}
 	}
+	if obj != nil && t.version != 0 {
+		obj.Version = t.version
+	}
 	return nil
 }
 
@@ -341,6 +358,16 @@ func (s *Store) Exists(k Key) bool {
 	defer s.mu.Unlock()
 	_, ok := s.objects[k]
 	return ok
+}
+
+// Version returns the object's version, 0 if it is absent.
+func (s *Store) Version(k Key) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if obj, ok := s.objects[k]; ok {
+		return obj.Version
+	}
+	return 0
 }
 
 // Size returns the object's data length.
@@ -513,15 +540,15 @@ func (o *Object) alias(k Key) *Object {
 	o.verifySums(k)
 	o.share()
 	return &Object{
-		Data: o.Data, shared: true, sums: o.sums.clone(),
+		Data: o.Data, shared: true, sums: o.sums.clone(), Version: o.Version,
 		Xattr: maps.Clone(o.Xattr), Omap: maps.Clone(o.Omap), // a nil map stays nil
 		punched: append(extentSet(nil), o.punched...),
 	}
 }
 
-// Snapshot returns the object as it is now (for recovery copies and scrub):
-// later writes to the store do not show through it. The snapshot is
-// read-only; it aliases the stored payloads.
+// Snapshot returns the object as it is now, version included (for recovery
+// copies and scrub): later writes to the store do not show through it. The
+// snapshot is read-only; it aliases the stored payloads.
 func (s *Store) Snapshot(k Key) (*Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,8 +560,9 @@ func (s *Store) Snapshot(k Key) (*Object, error) {
 }
 
 // Install places a snapshot object at k (recovery path), replacing any
-// existing object. One snapshot may be installed on several OSDs (scrub
-// repair): each gets an object of its own over the snapshot's payloads.
+// existing object; the copy keeps the snapshot's version. One snapshot may be
+// installed on several OSDs (scrub repair): each gets an object of its own
+// over the snapshot's payloads.
 func (s *Store) Install(k Key, obj *Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

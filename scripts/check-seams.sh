@@ -3,10 +3,13 @@
 # objects directly, or names the fingerprint index outside osd.go/fpindex.go:
 # every store mutation must go through the seam that keeps index = store.
 # Also fails if a non-test file outside internal/store assigns to or through a
-# store.Object's Data, Xattr or Omap, builds one from parts, or copies into
-# its Data: replicas, snapshots and borrowers alias those bytes (DESIGN.md §9
-# "Who may share a buffer"), so only the store, which knows who else holds
-# them, may write there. Recovery and scrub compare them and pass them on.
+# store.Object's Data, Xattr, Omap or Version, builds one from parts, or copies
+# into its Data: replicas, snapshots and borrowers alias those bytes (DESIGN.md
+# §9 "Who may share a buffer"), so only the store, which knows who else holds
+# them, may write there. Recovery and scrub compare them and pass them on; a
+# version is stamped only by Apply, from its Txn (DESIGN.md §6.1).
+# And fails if internal/rados mints versions in more than one place: every
+# mutation's version comes from Cluster.nextVersion (cluster.go).
 # And fails if the intent primitives or releaseRefFn are named, or a chunk map
 # is written, outside refcount.go: only Store.rebind runs intent -> bind ->
 # commit -> release and it is the chunk map's one writer (DESIGN.md §6.3). Tests
@@ -55,15 +58,21 @@ if [ "$(grep -cE 'WaitTurn\(.*qos\.Dedup' internal/core/*.go | grep -vE '_test\.
 	exit 1
 fi
 for f in $(grep -rl --include='*.go' '"dedupstore/internal/store"' . | grep -v -e '_test\.go$' -e '^\./internal/store/' -e '^\./\.bench_build/'); do
-	if grep -nE '\.(Data|Xattr|Omap)(\[[^]]*\])* *=[^=]|store\.Object\{[^}]|(copy|clear)\([^,)]*\.Data\b' "$f" /dev/null; then
+	if grep -nE '\.(Data|Xattr|Omap|Version)(\[[^]]*\])* *=[^=]|store\.Object\{[^}]|(copy|clear)\([^,)]*\.Data\b' "$f" /dev/null; then
 		bad=1
 	fi
 done
 if [ $bad -ne 0 ]; then
-	echo "check-seams: the lines above write to a store.Object's payload outside internal/store" >&2
+	echo "check-seams: the lines above write to a store.Object's payload or version outside internal/store" >&2
 	exit 1
 fi
 cd internal/rados
+mints=$(grep -nE 'lastVersion *(\+\+|--|[-+]?=[^=])' $(ls *.go | grep -v '_test\.go$') /dev/null || true)
+if [ "$(printf '%s' "$mints" | grep -c .)" -gt 1 ]; then
+	echo "$mints" >&2
+	echo "check-seams: the lines above assign object versions in more than one place; only Cluster.nextVersion (internal/rados/cluster.go) mints one" >&2
+	exit 1
+fi
 for f in *.go; do
 	case $f in *_test.go | osd.go) continue ;; esac
 	if grep -nE '\.store\.(Apply|Install|Clear)\(' "$f" /dev/null; then
