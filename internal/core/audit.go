@@ -52,7 +52,7 @@ func auditBindingFn(ref Ref, promoted, repaired, fixed *bool) rados.MutateFn {
 		if err != nil {
 			return nil, err
 		}
-		count, gen, _ := readRCLenient(v)
+		count, _ := readRC(v) // missing or corrupt reads as 0, which the rewrite below repairs
 		txn := store.NewTxn()
 		want := len(t.refs)
 		switch {
@@ -81,19 +81,9 @@ func auditBindingFn(ref Ref, promoted, repaired, fixed *bool) rados.MutateFn {
 		if uint64(want) != count && !*promoted && !*repaired {
 			*fixed = true
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(uint64(want), gen+1))
+		txn.SetXattr(XattrRefCount, encodeRC(uint64(want)))
 		return txn, nil
 	}
-}
-
-// readRCLenient decodes the refcount xattr, treating missing or corrupt
-// state as zero — used only by repair paths that rewrite the xattr anyway.
-func readRCLenient(v rados.View) (count, gen uint64, ok bool) {
-	raw, err := v.GetXattr(XattrRefCount)
-	if err != nil {
-		return 0, 0, false
-	}
-	return decodeRC(raw)
 }
 
 // Audit runs one chunkmap→chunk reconciliation pass over the metadata pool.

@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"strings"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestAuditRepairsMissingRef(t *testing.T) {
 		gw := e.s.hostGW(anyHost(e.s))
 		// Chunk exists with no trace of the reference the binding implies.
 		err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().WriteFull(data).SetXattr(XattrRefCount, encodeRC(0, 1)), nil
+			return store.NewTxn().WriteFull(data).SetXattr(XattrRefCount, encodeRC(0)), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -193,45 +194,43 @@ func TestGCPromotesExpiredIntentWithBinding(t *testing.T) {
 
 // TestScrubReportsCorruptRefcount: a short/garbled dedup.rc xattr used to
 // silently decode as count 0; it must surface as a scrub issue, and GC must
-// rebuild the count from the reference table.
+// rebuild the count from the reference table. So must the old 16-byte
+// count+generation form, whose count half is right.
 func TestScrubReportsCorruptRefcount(t *testing.T) {
 	e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
 	data := bytes.Repeat([]byte{7}, 4096)
 	writeTwo(t, e, data)
 	e.drain(t)
 	chunkOID := FingerprintID(data)
+	countAndGen := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 2), 5)
 
-	e.run(t, func(p *sim.Proc) {
-		gw := e.s.hostGW(anyHost(e.s))
-		err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().SetXattr(XattrRefCount, []byte{1, 2, 3}), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.s.Scrub(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, is := range rep.Issues {
-			if is.OID == chunkOID && strings.Contains(is.Detail, "corrupt refcount") {
-				found = true
+	for _, raw := range [][]byte{{1, 2, 3}, countAndGen} {
+		e.run(t, func(p *sim.Proc) {
+			gw := e.s.hostGW(anyHost(e.s))
+			err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
+				return store.NewTxn().SetXattr(XattrRefCount, raw), nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !found {
-			t.Fatalf("scrub issues %v missing corrupt-refcount finding", rep.Issues)
-		}
-		// GC rebuilds the count from the omap...
-		st, err := e.s.GC(p)
-		if err != nil || st.CountsFixed != 1 {
-			t.Fatalf("GC CountsFixed = %d, %v (want 1)", st.CountsFixed, err)
-		}
-		// ...after which scrub is clean again.
-		rep, err = e.s.Scrub(p)
-		if err != nil || !rep.Clean() {
-			t.Fatalf("scrub after repair not clean: %v, %v", rep.Issues, err)
-		}
-	})
+			rep, err := e.s.Scrub(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "corrupt refcount xattr"}) {
+				t.Fatalf("dedup.rc %x: scrub issues %v missing corrupt-refcount finding", raw, rep.Issues)
+			}
+			// GC rebuilds the count from the omap...
+			st, err := e.s.GC(p)
+			if err != nil || st.CountsFixed != 1 {
+				t.Fatalf("dedup.rc %x: GC CountsFixed = %d, %v (want 1)", raw, st.CountsFixed, err)
+			}
+			// ...after which scrub is clean again.
+			rep, err = e.s.Scrub(p)
+			if err != nil || !rep.Clean() {
+				t.Fatalf("dedup.rc %x: scrub after repair not clean: %v, %v", raw, rep.Issues, err)
+			}
+		})
+	}
 	e.checkIntegrity(t)
 }

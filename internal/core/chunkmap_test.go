@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,14 +36,7 @@ func TestChunkMapMarshalRoundTrip(t *testing.T) {
 // Marshal produced before it encoded in place, and maps already on disk must
 // keep decoding.
 func TestChunkMapMarshalFixture(t *testing.T) {
-	raw, err := os.ReadFile("testdata/chunkmap_3entries.hex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.ReplaceAll(string(raw), "\n", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := chunkMapFixture(t)
 	m := &ChunkMap{Entries: []Entry{
 		{Start: 0, End: 32768, ChunkID: FingerprintID([]byte("fixture-a")), Cached: true, Dirty: true, Gen: 3},
 		{Start: 32768, End: 65536, ChunkID: FingerprintID([]byte("fixture-b")), Cold: true, Gen: 0x01020304},
@@ -60,6 +54,40 @@ func TestChunkMapMarshalFixture(t *testing.T) {
 			t.Fatalf("entry %d: %+v != %+v", i, got.Entries[i], m.Entries[i])
 		}
 	}
+}
+
+// chunkMapFixture returns the three-entry map in testdata, as stored.
+func chunkMapFixture(tb testing.TB) []byte {
+	raw, err := os.ReadFile("testdata/chunkmap_3entries.hex")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.ReplaceAll(string(raw), "\n", ""))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzUnmarshalChunkMap: stored chunk-map bytes never panic the decoder, and
+// a map that decodes re-marshals to bytes that decode to the same map. (The
+// re-marshalled bytes need not equal the input: the decoder ignores unused
+// flag bits and the padding after the chunk id.)
+func FuzzUnmarshalChunkMap(f *testing.F) {
+	fixture := chunkMapFixture(f)
+	f.Add(fixture)
+	f.Add(fixture[:8+EntryOverhead])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := UnmarshalChunkMap(b)
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalChunkMap(m.Marshal())
+		if err != nil || !slices.Equal(again.Entries, m.Entries) {
+			t.Fatalf("re-marshal of %x: %+v, %v; want %+v", b, again, err, m)
+		}
+	})
 }
 
 // TestChunkMapCountOverflow: the entry count is stored bytes. One chosen so

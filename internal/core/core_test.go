@@ -138,7 +138,7 @@ func (e *env) checkIntegrity(t *testing.T) {
 			if intents > 0 {
 				t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, intents)
 			}
-			rc, _, ok := decodeRC(rcRaw)
+			rc, ok := decodeRC(rcRaw)
 			if !ok {
 				t.Errorf("chunk %s: corrupt refcount xattr (%d bytes)", chunkOID, len(rcRaw))
 				continue
@@ -157,7 +157,7 @@ func (e *env) checkIntegrity(t *testing.T) {
 // mustCount decodes the committed-reference count from a dedup.rc xattr.
 func mustCount(t *testing.T, raw []byte) uint64 {
 	t.Helper()
-	count, _, ok := decodeRC(raw)
+	count, ok := decodeRC(raw)
 	if !ok {
 		t.Fatalf("corrupt refcount xattr (%d bytes)", len(raw))
 	}

@@ -243,7 +243,6 @@ func TestRatePolicyResumesAfterDrain(t *testing.T) {
 					t.Errorf("stopped engine left limit %v weight %d (base %d) daemon %v, want 0, base, gone",
 						q.Limit(qos.Dedup), q.Weight(qos.Dedup), base, eng.ratePolicyOn)
 				}
-				eng.RequestStop()
 			})
 		})
 	}

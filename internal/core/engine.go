@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dedupstore/internal/hitset"
 	"dedupstore/internal/metrics"
@@ -36,8 +35,7 @@ type Engine struct {
 	s     *Store
 	stats EngineStats
 
-	started bool
-	stopReq bool
+	started bool // the one stop rule: DrainAndWait clears it
 	done    []*sim.Signal
 
 	claimed map[string]bool // objects a worker or drain agent is currently flushing
@@ -57,7 +55,7 @@ func newEngine(s *Store) *Engine {
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // reg returns the cluster-wide metric registry; engine counters mirror into
-// it so `dedupctl metrics` shows flush/GC/cache-agent activity.
+// it so `dedupctl metrics` shows flush/GC/eviction activity.
 func (e *Engine) reg() *metrics.Registry { return e.s.cluster.Metrics() }
 
 // Start spawns the worker processes.
@@ -72,9 +70,6 @@ func (e *Engine) Start() {
 	}
 	e.startRatePolicy()
 }
-
-// RequestStop asks workers to exit after their current object.
-func (e *Engine) RequestStop() { e.stopReq = true }
 
 // DrainAndWait stops the workers and flushes every dirty object before it
 // returns. It is the foreground's own request, whose load has usually
@@ -101,7 +96,7 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 		sim.WaitAll(p, workers...)
 		workers = nil
 	}
-	e.done, e.stopReq = nil, false
+	e.done = nil
 	e.pending = e.pending[:0] // flushed: a restarted worker must not revisit them
 	clear(e.inQueue)
 	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
@@ -136,7 +131,7 @@ func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 }
 
 func (e *Engine) workerLoop(p *sim.Proc) {
-	for e.started && !e.stopReq {
+	for e.started {
 		if oid, ok := e.nextDirty(p); ok {
 			e.flushClaimed(p, oid, false)
 		} else {
@@ -263,8 +258,7 @@ func (e *Engine) pace(p *sim.Proc) {
 // is prepared does rebind pin the puts, so intent → bind stays one fan-out
 // wave long however slowly the reads were paced. The one bind takes each slot
 // whose Gen still matches and leaves the rest dirty. It reports whether the
-// object must go back on the dirty list: a slot raced or failed, or the engine
-// was asked to stop mid-pass.
+// object must go back on the dirty list: a slot raced or failed.
 func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, paced bool) (requeue bool) {
 	s := e.s
 	type slot struct {
@@ -293,9 +287,6 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	fanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		if paced {
 			e.pace(q)
-			if e.stopReq {
-				return
-			}
 		}
 		sl := &slots[i]
 		data, err := s.readPadded(q, gw, s.meta, oid, sl.entry.Start, sl.entry.Len())
@@ -316,7 +307,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		prepared++
 	})
 	if prepared == 0 {
-		return true // nothing to bind: every read failed, or the engine is stopping
+		return true // nothing to bind: every read failed
 	}
 	// When a slot already points at the right chunk in the right pool (same
 	// content rewritten) no chunk-pool I/O happens, so it gets no put and must
@@ -406,7 +397,7 @@ type EvictStats struct {
 	SkippedHot     int64
 }
 
-// EvictCold is the cache agent's demotion pass (§4.3): clean, flushed
+// EvictCold is one cache-tier demotion pass (§4.3): clean, flushed
 // chunks still cached in metadata objects are evicted when their object has
 // gone cold, reclaiming metadata-pool space. (Flush handles dirty chunks;
 // this handles chunks kept cached because the object was hot at flush
@@ -436,24 +427,6 @@ func (e *Engine) EvictCold(p *sim.Proc) EvictStats {
 	reg.Counter("cache_agent_bytes_evicted_total").Add(stats.BytesEvicted)
 	reg.Counter("cache_agent_skipped_hot_total").Add(stats.SkippedHot)
 	return stats
-}
-
-// StartCacheAgent spawns a background demotion daemon that periodically
-// evicts cold cached chunks (the flush/evict agent role of Ceph's cache
-// tiering). It runs until RequestStop.
-func (e *Engine) StartCacheAgent(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	e.s.cluster.Engine().GoDaemon("dedup.cache-agent", func(p *sim.Proc) {
-		for !e.stopReq {
-			p.Sleep(interval)
-			if e.stopReq {
-				return
-			}
-			e.EvictCold(p)
-		}
-	})
 }
 
 // evictCached drops the cached copy of every clean, bound slot of a metadata

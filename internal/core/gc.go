@@ -23,10 +23,11 @@ import (
 // rewritten to match the omap whenever they drift apart.
 //
 // Every verification happens outside the chunk's PG lock (liveness checks
-// read a different pool), so the sweep re-reads the refcount generation
-// under the lock and skips the chunk if any reference mutation raced the
-// verification — replaying a stale decision could otherwise remove a key a
-// racing incref just re-added.
+// read a different pool), so the sweep re-reads the chunk object's version
+// under the lock and skips the chunk if any mutation landed since the mark —
+// replaying a stale decision could otherwise remove a key a racing incref
+// just re-added. A version never repeats, so a chunk deleted and re-created
+// in between is caught too.
 
 // GCStats reports one collection pass.
 type GCStats struct {
@@ -45,8 +46,8 @@ type GCStats struct {
 // chunkSnapshot is what one under-lock read of a chunk object observed.
 type chunkSnapshot struct {
 	exists  bool
+	version uint64 // the chunk object's version (rados.View.Version)
 	count   uint64
-	gen     uint64
 	rcOK    bool // refcount xattr present and well-formed
 	refs    []string
 	intents map[string]sim.Time // intent key → lease expiry (0 if garbled)
@@ -61,9 +62,9 @@ func snapshotChunk(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string,
 			if !v.Exists() {
 				return nil, nil
 			}
-			snap.exists = true
+			snap.exists, snap.version = true, v.Version()
 			if raw, err := v.GetXattr(XattrRefCount); err == nil {
-				snap.count, snap.gen, snap.rcOK = decodeRC(raw)
+				snap.count, snap.rcOK = decodeRC(raw)
 			}
 			t, err := chunkRefs(v)
 			if err != nil {
@@ -81,22 +82,6 @@ func snapshotChunk(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string,
 			return nil, nil
 		})
 	})
-}
-
-// genUnchanged reports whether a sweep-time view of the refcount xattr
-// matches the snapshot — i.e. no reference mutation landed in between (every
-// mutation bumps the generation, and corruption can only heal into a valid
-// xattr through such a mutation).
-func (snap *chunkSnapshot) genUnchanged(v rados.View) bool {
-	raw, err := v.GetXattr(XattrRefCount)
-	if err != nil {
-		return !snap.rcOK
-	}
-	_, gen, ok := decodeRC(raw)
-	if !ok {
-		return !snap.rcOK
-	}
-	return snap.rcOK && gen == snap.gen
 }
 
 // gcDecision is the plan computed outside the PG lock for one chunk.
@@ -126,9 +111,9 @@ func sortedKeys(m map[string]sim.Time) []string {
 }
 
 // GC runs one mark-and-sweep pass over the chunk pool. It is safe to run
-// concurrently with foreground I/O: the sweep compares the refcount
-// generation under the chunk's PG lock and skips the chunk when a racing
-// reference mutation invalidated the verification.
+// concurrently with foreground I/O: the sweep compares the chunk's version
+// under its PG lock and skips the chunk when a racing mutation invalidated
+// the verification.
 func (s *Store) GC(p *sim.Proc) (GCStats, error) {
 	var stats GCStats
 	reg := s.cluster.Metrics()
@@ -224,7 +209,7 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 		}
 
 		// Sweep: replay the decision under the PG lock, but only if no
-		// reference mutation raced the verification (generation compare).
+		// mutation raced the verification (version compare).
 		raced := false
 		deleted := false
 		countFixed := false
@@ -235,7 +220,7 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 				if !v.Exists() {
 					return nil, nil
 				}
-				if !snap.genUnchanged(v) {
+				if v.Version() != snap.version {
 					raced = true
 					return nil, nil
 				}
@@ -291,7 +276,7 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 				if !snap.rcOK || snap.count != uint64(remainRefs) {
 					countFixed = true
 				}
-				txn.SetXattr(XattrRefCount, encodeRC(uint64(remainRefs), snap.gen+1))
+				txn.SetXattr(XattrRefCount, encodeRC(uint64(remainRefs)))
 				return txn, nil
 			})
 		})

@@ -103,7 +103,7 @@ func (e *Engine) startRatePolicy() {
 			e.unthrottle()
 			e.ratePolicyOn = false
 		}()
-		for e.started && !e.stopReq {
+		for e.started {
 			e.rateTick()
 			p.Sleep(ratePolicyTick)
 		}

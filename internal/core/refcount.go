@@ -145,44 +145,41 @@ func parseIntentKey(key string) (Ref, bool) {
 func isRefKey(k string) bool    { return strings.HasPrefix(k, refKeyPrefix) }
 func isIntentKey(k string) bool { return strings.HasPrefix(k, intentKeyPrefix) }
 
-// The reference-count xattr packs the committed-reference count with a
-// generation number bumped by every reference mutation on the chunk. GC
-// snapshots the generation before its (unlocked, cross-pool) liveness
-// checks and re-reads it under the sweep lock: a changed generation means
-// a reference mutation raced the verification, so the sweep's decisions
-// are stale and must not be replayed.
-const rcLen = 16
+// The reference-count xattr holds the committed-reference count and nothing
+// else. Every reference mutation rewrites it, so the chunk object's version
+// (rados.View.Version) moves with each one; GC compares that version across
+// its unlocked liveness checks (gc.go).
+const rcLen = 8
 
 // ErrCorruptRefCount reports a malformed dedup.rc xattr.
 var ErrCorruptRefCount = errors.New("core: corrupt refcount xattr")
 
-func encodeRC(count, gen uint64) []byte {
+func encodeRC(count uint64) []byte {
 	b := make([]byte, rcLen)
 	binary.LittleEndian.PutUint64(b, count)
-	binary.LittleEndian.PutUint64(b[8:], gen)
 	return b
 }
 
-func decodeRC(b []byte) (count, gen uint64, ok bool) {
+func decodeRC(b []byte) (count uint64, ok bool) {
 	if len(b) != rcLen {
-		return 0, 0, false
+		return 0, false
 	}
-	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]), true
+	return binary.LittleEndian.Uint64(b), true
 }
 
 // readRC reads and decodes the refcount xattr from a mutate view. Errors —
 // including a transient unavailable read on an EC pool — propagate to the
 // caller instead of decoding as count 0 and clobbering the real count.
-func readRC(v rados.View) (count, gen uint64, err error) {
+func readRC(v rados.View) (uint64, error) {
 	raw, err := v.GetXattr(XattrRefCount)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	count, gen, ok := decodeRC(raw)
+	count, ok := decodeRC(raw)
 	if !ok {
-		return 0, 0, ErrCorruptRefCount
+		return 0, ErrCorruptRefCount
 	}
-	return count, gen, nil
+	return count, nil
 }
 
 func encodeExpiry(t sim.Time) []byte {
@@ -260,11 +257,11 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 			}
 			// The chunk object keeps a copy; data may be a scratch buffer.
 			txn.WriteFull(bytes.Clone(data)).
-				SetXattr(XattrRefCount, encodeRC(0, 1)).
+				SetXattr(XattrRefCount, encodeRC(0)).
 				OmapSet(ref.IntentKey(), encodeExpiry(expiry))
 			return txn, nil
 		}
-		count, gen, err := readRC(v)
+		count, err := readRC(v)
 		if err != nil {
 			return nil, err
 		}
@@ -275,12 +272,13 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 			if out != nil {
 				out.committed = true
 			}
-			// Already committed (idempotent re-flush) — bump the generation
-			// anyway so a GC pass that judged this reference stale before the
-			// re-bind cannot replay its decision against it.
-			return txn.SetXattr(XattrRefCount, encodeRC(count, gen+1)), nil
+			// Already committed (idempotent re-flush) — rewrite the unchanged
+			// count anyway: the txn applies, so the chunk's version moves and a
+			// GC pass that judged this reference stale before the re-bind cannot
+			// replay its decision against it.
+			return txn.SetXattr(XattrRefCount, encodeRC(count)), nil
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(count, gen+1)).
+		txn.SetXattr(XattrRefCount, encodeRC(count)).
 			OmapSet(ref.IntentKey(), encodeExpiry(expiry))
 		return txn, nil
 	}
@@ -299,7 +297,7 @@ func commitIntentFn(ref Ref) rados.MutateFn {
 			// (racing write), so the flush result is obsolete anyway.
 			return nil, nil
 		}
-		count, gen, err := readRC(v)
+		count, err := readRC(v)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +306,7 @@ func commitIntentFn(ref Ref) rados.MutateFn {
 			txn.OmapSet(ref.Key(), nil)
 			count++
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(count, gen+1))
+		txn.SetXattr(XattrRefCount, encodeRC(count))
 		return txn, nil
 	}
 }
@@ -326,7 +324,7 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 		if _, err := v.OmapGet(ref.IntentKey()); err != nil {
 			return nil, nil // no intent recorded (already reconciled)
 		}
-		count, gen, err := readRC(v)
+		count, err := readRC(v)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +337,7 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 		}
 		return store.NewTxn().
 			OmapRm(ref.IntentKey()).
-			SetXattr(XattrRefCount, encodeRC(count, gen+1)), nil
+			SetXattr(XattrRefCount, encodeRC(count)), nil
 	}
 }
 
@@ -358,7 +356,7 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 		if _, err := v.OmapGet(ref.Key()); err != nil {
 			return nil, nil // reference not present (idempotent retry)
 		}
-		count, gen, err := readRC(v)
+		count, err := readRC(v)
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +373,7 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 			count--
 		}
 		return store.NewTxn().
-			SetXattr(XattrRefCount, encodeRC(count, gen+1)).
+			SetXattr(XattrRefCount, encodeRC(count)).
 			OmapRm(ref.Key()), nil
 	}
 }

@@ -81,102 +81,140 @@ func FuzzRefKeyRoundTrip(f *testing.F) {
 	})
 }
 
-// TestDecodeRC: only a well-formed 16-byte xattr decodes; short, long and
-// legacy 8-byte values are rejected (and surface as scrub issues / readRC
-// errors instead of silently reading as count 0).
+// TestDecodeRC: only a well-formed 8-byte xattr decodes; short, long and the
+// old 16-byte count+generation values are rejected (and surface as scrub
+// issues / readRC errors instead of silently reading as count 0).
 func TestDecodeRC(t *testing.T) {
-	count, gen, ok := decodeRC(encodeRC(42, 7))
-	if !ok || count != 42 || gen != 7 {
-		t.Fatalf("decodeRC(encodeRC(42,7)) = %d,%d,%v", count, gen, ok)
+	if count, ok := decodeRC(encodeRC(42)); !ok || count != 42 {
+		t.Fatalf("decodeRC(encodeRC(42)) = %d,%v", count, ok)
 	}
-	for _, raw := range [][]byte{nil, {}, {1, 2, 3}, make([]byte, 8), make([]byte, 15), make([]byte, 17)} {
-		if _, _, ok := decodeRC(raw); ok {
+	for _, raw := range [][]byte{nil, {}, {1, 2, 3}, make([]byte, 7), make([]byte, 9), make([]byte, 16)} {
+		if _, ok := decodeRC(raw); ok {
 			t.Errorf("decodeRC accepted %d bytes", len(raw))
 		}
 	}
 }
 
-// TestGCIncrefRaceSkipsSweep: the GC verifies references outside the chunk's
-// PG lock, so a reference taken between verification and sweep must
-// invalidate the sweep (generation compare) — the old code replayed the
-// stale decision and could delete a chunk a racing incref had just made
-// live again.
-func TestGCIncrefRaceSkipsSweep(t *testing.T) {
-	e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
+// FuzzDecodeRC: stored dedup.rc bytes never panic the decoder, only 8-byte
+// values decode, and those round-trip byte for byte.
+func FuzzDecodeRC(f *testing.F) {
+	f.Add(encodeRC(0))
+	f.Add(encodeRC(42))
+	f.Add(make([]byte, 16))
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		count, ok := decodeRC(raw)
+		if ok != (len(raw) == rcLen) {
+			t.Fatalf("decodeRC(%d bytes) ok=%v", len(raw), ok)
+		}
+		if ok && !bytes.Equal(encodeRC(count), raw) {
+			t.Fatalf("round trip: %x -> %d -> %x", raw, count, encodeRC(count))
+		}
+	})
+}
+
+// TestGCRaceSkipsSweep: GC verifies references outside the chunk's PG lock,
+// so any mutation of the chunk between that mark and the sweep must void the
+// sweep (version compare) and count as a raced skip. Each case is what the
+// hook does in that window, and each leaves a live binding "racer" that names
+// the chunk, which replaying the mark's decision would break:
+//
+//   - incref: a racing flush takes a new reference (intent, bind, commit);
+//   - recommit: the mark judged racer's committed reference stale; its flush
+//     re-runs phase 1, finds the reference already committed and changes no
+//     key, then binds;
+//   - recreate: the chunk is deleted and re-created exactly as the mark saw
+//     it (same data, dedup.rc bytes and reference key), then bound. A
+//     generation kept in dedup.rc restarts with the bytes, so only a version
+//     that never repeats tells this chunk from the one the mark saw.
+func TestGCRaceSkipsSweep(t *testing.T) {
 	data := bytes.Repeat([]byte{9}, 4096)
 	chunkOID := FingerprintID(data)
-
-	// Fabricate the aftermath of a crashed flush: the chunk exists with no
-	// references at all (an aborted intent), so GC's mark phase decides to
-	// delete it.
-	e.run(t, func(p *sim.Proc) {
-		gw := e.s.hostGW(anyHost(e.s))
-		err := gw.Mutate(p, e.s.chunk, chunkOID, func(v rados.View) (*store.Txn, error) {
-			return store.NewTxn().WriteFull(data).SetXattr(XattrRefCount, encodeRC(0, 3)), nil
+	for _, tc := range []struct {
+		name string
+		// committed: the chunk starts with racer's reference committed but
+		// unbound (the mark finds it stale), else with no reference at all.
+		committed bool
+		race      func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref)
+	}{
+		{"incref", false, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
+			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), nil)); err != nil {
+				t.Errorf("racing intent: %v", err)
+			}
+			fabricateBinding(t, e, p, "racer", chunkOID)
+			if err := gw.Mutate(p, e.s.chunk, chunkOID, commitIntentFn(ref)); err != nil {
+				t.Errorf("racing commit: %v", err)
+			}
+		}},
+		{"recommit", true, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
+			var out intentOutcome
+			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), &out)); err != nil || !out.committed {
+				t.Errorf("racing re-commit: committed=%v, %v; want it to find the reference committed", out.committed, err)
+			}
+			fabricateBinding(t, e, p, "racer", chunkOID)
+		}},
+		{"recreate", true, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
+			rc, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
+			if err != nil {
+				t.Errorf("read dedup.rc: %v", err)
+			}
+			if err := gw.Delete(p, e.s.chunk, chunkOID); err != nil {
+				t.Errorf("delete: %v", err)
+			}
+			err = gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
+				return store.NewTxn().WriteFull(bytes.Clone(data)).SetXattr(XattrRefCount, rc).OmapSet(ref.Key(), nil), nil
+			})
+			if err != nil {
+				t.Errorf("re-create: %v", err)
+			}
+			fabricateBinding(t, e, p, "racer", chunkOID)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
+			ref := Ref{Pool: e.s.meta.ID, OID: "racer", Offset: 0}
+			// The aftermath of a crashed flush, built with the protocol's own
+			// steps: no binding names the chunk, so the mark decides to delete it.
+			e.run(t, func(p *sim.Proc) {
+				gw := e.s.hostGW(anyHost(e.s))
+				settle := abortIntentFn(ref, false)
+				if tc.committed {
+					settle = commitIntentFn(ref)
+				}
+				for _, fn := range []rados.MutateFn{putIntentFn(data, ref, p.Now(), nil), settle} {
+					if err := gw.Mutate(p, e.s.chunk, chunkOID, fn); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			raced := 0
+			e.s.gcHookBeforeSweep = func(p *sim.Proc, oid string) {
+				if oid == chunkOID {
+					raced++
+					tc.race(t, e, p, e.s.hostGW(anyHost(e.s)), ref)
+				}
+			}
+			e.run(t, func(p *sim.Proc) {
+				stats, err := e.s.GC(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if raced != 1 || stats.RacedSkips != 1 || stats.ChunksDeleted != 0 {
+					t.Errorf("hook fired %d times, RacedSkips %d, ChunksDeleted %d; want 1, 1, 0 (the racer must win)",
+						raced, stats.RacedSkips, stats.ChunksDeleted)
+				}
+			})
+			// A later pass with no race sees the live binding and keeps the chunk.
+			e.s.gcHookBeforeSweep = nil
+			e.run(t, func(p *sim.Proc) {
+				stats, err := e.s.GC(p)
+				if err != nil || stats.ChunksDeleted != 0 || stats.StaleRefs != 0 {
+					t.Errorf("second pass deleted=%d stale=%d, %v; want 0/0", stats.ChunksDeleted, stats.StaleRefs, err)
+				}
+			})
+			e.checkIntegrity(t)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	// Between mark and sweep, a racing flush references the chunk: intent,
-	// binding, commit — exactly what a concurrent write of the same content
-	// would do.
-	ref := Ref{Pool: e.s.meta.ID, OID: "racer", Offset: 0}
-	raced := 0
-	e.s.gcHookBeforeSweep = func(p *sim.Proc, oid string) {
-		if oid != chunkOID {
-			return
-		}
-		raced++
-		gw := e.s.hostGW(anyHost(e.s))
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), nil)); err != nil {
-			t.Errorf("racing intent: %v", err)
-		}
-		cm := &ChunkMap{Entries: []Entry{{Start: 0, End: 4096, ChunkID: chunkOID}}}
-		err := gw.Mutate(p, e.s.meta, "racer", func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().Create().SetXattr(XattrChunkMap, cm.Marshal()), nil
-		})
-		if err != nil {
-			t.Errorf("racing bind: %v", err)
-		}
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, commitIntentFn(ref)); err != nil {
-			t.Errorf("racing commit: %v", err)
-		}
 	}
-
-	e.run(t, func(p *sim.Proc) {
-		stats, err := e.s.GC(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if raced != 1 {
-			t.Fatalf("hook fired %d times, want 1", raced)
-		}
-		if stats.RacedSkips != 1 {
-			t.Errorf("RacedSkips = %d, want 1", stats.RacedSkips)
-		}
-		if stats.ChunksDeleted != 0 {
-			t.Errorf("ChunksDeleted = %d, want 0 (racing incref must win)", stats.ChunksDeleted)
-		}
-		ok, err := e.s.hostGW(anyHost(e.s)).Exists(p, e.s.chunk, chunkOID)
-		if err != nil || !ok {
-			t.Fatalf("chunk deleted despite racing incref (ok=%v err=%v)", ok, err)
-		}
-	})
-
-	// A later pass with no race sees the live binding and keeps the chunk.
-	e.s.gcHookBeforeSweep = nil
-	e.run(t, func(p *sim.Proc) {
-		stats, err := e.s.GC(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.ChunksDeleted != 0 || stats.StaleRefs != 0 {
-			t.Errorf("second pass deleted=%d stale=%d, want 0/0", stats.ChunksDeleted, stats.StaleRefs)
-		}
-	})
-	e.checkIntegrity(t)
 }
 
 // TestRefcountModes: the same seeded workload must keep refcounts exact in

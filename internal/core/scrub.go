@@ -151,7 +151,7 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "missing refcount xattr"})
 			continue
 		}
-		rc, _, ok := decodeRC(rcRaw)
+		rc, ok := decodeRC(rcRaw)
 		if !ok {
 			// A short or garbled dedup.rc used to silently read as count 0;
 			// now it is a first-class finding (GC rebuilds it from the omap).

@@ -130,15 +130,17 @@ func TestDedupScrubDetectsDanglingChunkRef(t *testing.T) {
 	})
 }
 
-func TestCacheAgentEvictsCold(t *testing.T) {
+// TestEvictColdOnceCooled: a pass skips a hot cached object, a pass after it
+// cools evicts its chunks, and the data reads back from the chunk pool.
+func TestEvictColdOnceCooled(t *testing.T) {
 	e := newDedupEnv(t, func(cfg *Config) {
 		cfg.HitSet.HitCount = 2
 		cfg.HitSet.Period = time.Second
 		cfg.HitSet.Retain = 2
 	})
 	data := bytes.Repeat([]byte{1}, 8192)
-	// Make the object hot, flush (it stays cached), then let the agent
-	// evict it after it cools.
+	// Make the object hot, flush (it stays cached), then evict it once it
+	// has cooled.
 	e.run(t, func(p *sim.Proc) {
 		e.cl.Write(p, "obj", 0, data)
 		p.Sleep(1100 * time.Millisecond)
@@ -149,13 +151,18 @@ func TestCacheAgentEvictsCold(t *testing.T) {
 	if metaBefore == 0 {
 		t.Fatal("expected hot object to stay cached after flush")
 	}
-	e.s.Engine().StartCacheAgent(500 * time.Millisecond)
 	e.run(t, func(p *sim.Proc) {
-		p.Sleep(8 * time.Second) // object cools; agent sweeps
+		if st := e.s.Engine().EvictCold(p); st.ChunksEvicted != 0 || st.SkippedHot != 1 {
+			t.Errorf("pass while hot: %+v, want the object skipped", st)
+		}
+		p.Sleep(8 * time.Second) // the object cools
+		if st := e.s.Engine().EvictCold(p); st.ChunksEvicted != 2 || st.BytesEvicted != int64(len(data)) {
+			t.Errorf("pass once cold: %+v, want both chunks evicted", st)
+		}
 	})
 	metaAfter := e.c.PoolStats(e.s.meta).StoredPhysical
 	if metaAfter >= metaBefore {
-		t.Fatalf("cache agent did not evict: %d -> %d", metaBefore, metaAfter)
+		t.Fatalf("eviction did not shrink the metadata pool: %d -> %d", metaBefore, metaAfter)
 	}
 	// Data still readable via the chunk pool.
 	e.run(t, func(p *sim.Proc) {
@@ -164,7 +171,6 @@ func TestCacheAgentEvictsCold(t *testing.T) {
 			t.Fatalf("read after eviction: %v", err)
 		}
 	})
-	e.s.Engine().RequestStop()
 }
 
 func TestEvictColdSkipsHotAndDirty(t *testing.T) {

@@ -111,7 +111,7 @@ func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Ti
 
 // evictObject drops the hot-time cached copies of an already-deduplicated
 // object (clean, bound, cached slots), reclaiming metadata-pool space — the
-// per-object form of the cache agent's EvictCold pass.
+// per-object form of EvictCold.
 func (s *Store) evictObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *TierStats) error {
 	chunks, _, err := s.evictCached(p, gw, oid)
 	if err != nil || chunks == 0 {

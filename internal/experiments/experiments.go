@@ -27,9 +27,9 @@ type Scale struct {
 	// Data multiplies dataset sizes (1.0 = the default scaled sizes).
 	Data float64
 
-	// capture, when set, collects the trace sinks of every harness this
-	// Scale builds, so concurrently running experiments keep their spans
-	// separate. Nil falls back to the process-global sink list.
+	// capture, when set, collects the trace sinks and engines of every
+	// harness this Scale builds, so concurrently running experiments keep
+	// their spans separate. Nil records nothing.
 	capture *TraceCapture
 }
 
@@ -71,9 +71,8 @@ type harness struct {
 
 // TraceCapture accumulates the trace sinks of every harness built through
 // one Scale, keeping span attribution correct when many experiments run
-// concurrently, and — for a private capture — their engines, so Close can
-// end them once the experiment's Result is built. The zero value is ready to
-// use.
+// concurrently, and their engines, so Close can end them once the
+// experiment's Result is built.
 type TraceCapture struct {
 	mu      sync.Mutex
 	sinks   []*metrics.TraceSink
@@ -83,9 +82,7 @@ type TraceCapture struct {
 func (tc *TraceCapture) add(s *metrics.TraceSink, eng *sim.Engine) {
 	tc.mu.Lock()
 	tc.sinks = append(tc.sinks, s)
-	if tc != &globalSinks {
-		tc.engines = append(tc.engines, eng)
-	}
+	tc.engines = append(tc.engines, eng)
 	tc.mu.Unlock()
 }
 
@@ -112,33 +109,21 @@ func (tc *TraceCapture) Report(n int) string {
 }
 
 // WithTraceCapture returns a copy of s whose harnesses record their trace
-// sinks into a private capture instead of the process-global list.
+// sinks and engines into a private capture.
 func (s Scale) WithTraceCapture() (Scale, *TraceCapture) {
 	tc := &TraceCapture{}
 	s.capture = tc
 	return s, tc
 }
 
-// globalSinks is the legacy process-wide capture, used by harnesses built
-// from a Scale without WithTraceCapture (tests, benches, direct callers).
-var globalSinks TraceCapture
-
 func (s Scale) newHarness(seed int64, hosts, osdsPerHost int, opts ...rados.Option) *harness {
 	eng := sim.New(seed)
 	c := rados.NewTestbed(eng, simcost.Default(), hosts, osdsPerHost, opts...)
-	tc := s.capture
-	if tc == nil {
-		tc = &globalSinks
+	if s.capture != nil {
+		s.capture.add(c.Trace(), eng)
 	}
-	tc.add(c.Trace(), eng)
 	return &harness{eng: eng, c: c}
 }
-
-// TraceReport merges the spans recorded by every harness built since the
-// previous call (from Scales without a private capture) and renders the n
-// slowest. The sink list is reset so successive experiments report
-// independently.
-func TraceReport(n int) string { return globalSinks.Report(n) }
 
 func renderSlowest(sinks []*metrics.TraceSink, n int) string {
 	if n <= 0 {

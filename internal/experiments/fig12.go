@@ -74,7 +74,7 @@ func Fig12(sc Scale) []Fig12Row {
 			}
 		})
 		// Storage usage (e): measured on the settled dataset — flushed,
-		// cooled, and after the cache agent's eviction pass — matching the
+		// cooled, and after an EvictCold pass — matching the
 		// paper's dataset-footprint accounting. (At this scale the measured
 		// phase rewrites nearly every chunk, which the paper's 240GB file
 		// set did not experience.)

@@ -58,33 +58,24 @@ func TestCanonicalJSONStable(t *testing.T) {
 	}
 }
 
-// TestTraceCaptureIsolation: harnesses built from a captured Scale must not
-// leak their sinks into the process-global list, and vice versa.
+// TestTraceCaptureIsolation: a harness records its trace sink and engine in
+// the capture of the Scale that built it and nowhere else; a Scale without a
+// capture records nothing.
 func TestTraceCaptureIsolation(t *testing.T) {
-	TraceReport(10) // drain whatever other tests left behind
-
-	captured, tc := (Scale{Data: 0.1}).WithTraceCapture()
-	h := captured.newHarness(1, 1, 1)
-	_ = h
-	if got := TraceReport(10); got != "" {
-		t.Errorf("captured harness leaked into the global sink list:\n%s", got)
+	a, tcA := (Scale{Data: 0.1}).WithTraceCapture()
+	b, tcB := (Scale{Data: 0.1}).WithTraceCapture()
+	a.newHarness(1, 1, 1)
+	b.newHarness(2, 1, 1)
+	b.newHarness(3, 1, 1)
+	(Scale{Data: 0.1}).newHarness(4, 1, 1)
+	for _, c := range []struct {
+		name string
+		tc   *TraceCapture
+		want int
+	}{{"a", tcA, 1}, {"b", tcB, 2}} {
+		if len(c.tc.sinks) != c.want || len(c.tc.engines) != c.want {
+			t.Errorf("capture %s holds %d sinks and %d engines, want %d of each", c.name, len(c.tc.sinks), len(c.tc.engines), c.want)
+		}
+		c.tc.Close()
 	}
-	// The capture saw the sink (empty span list renders "", but draining
-	// twice proves the sink moved through the capture exactly once).
-	tc.mu.Lock()
-	n := len(tc.sinks)
-	tc.mu.Unlock()
-	if n != 1 {
-		t.Errorf("capture holds %d sinks, want 1", n)
-	}
-
-	plain := Scale{Data: 0.1}
-	_ = plain.newHarness(2, 1, 1)
-	globalSinks.mu.Lock()
-	g := len(globalSinks.sinks)
-	globalSinks.mu.Unlock()
-	if g != 1 {
-		t.Errorf("global list holds %d sinks, want 1", g)
-	}
-	TraceReport(10) // leave the global list clean for other tests
 }

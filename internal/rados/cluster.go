@@ -462,7 +462,7 @@ func (h pgHold) release(p *sim.Proc) {
 func (c *Cluster) ForegroundOps() *OpCounter { return c.fgOps }
 
 // Metrics returns the cluster-wide metric registry. Every layer (gateways,
-// the dedup engine, the cache agent, recovery) registers its instruments
+// the dedup engine, GC, recovery) registers its instruments
 // here.
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 

@@ -584,33 +584,24 @@ func (v ecView) Size() int64  { return v.g.ecLen(v.pool, v.oid) }
 func (v ecView) Read(off, length int64) ([]byte, error) {
 	return v.g.ecGather(v.p, v.pool, v.oid, off, length, nil)
 }
-func (v ecView) meta() (*osd, store.Key, error) {
+
+// meta views the first current shard: every current shard mirrors the
+// object's metadata. With none, it views an empty store (not found).
+func (v ecView) meta() replView {
 	if o := firstShard(v.g.c.ecHolders(v.pool, v.oid)); o != nil {
-		return o, store.Key{Pool: v.pool.ID, OID: v.oid}, nil
+		return replView{st: o.store, k: store.Key{Pool: v.pool.ID, OID: v.oid}}
 	}
-	return nil, store.Key{}, ErrNotFound
+	return replView{st: noShards}
 }
-func (v ecView) GetXattr(name string) ([]byte, error) {
-	o, key, err := v.meta()
-	if err != nil {
-		return nil, err
-	}
-	return o.store.GetXattr(key, name)
-}
-func (v ecView) OmapGet(key string) ([]byte, error) {
-	o, k, err := v.meta()
-	if err != nil {
-		return nil, err
-	}
-	return o.store.OmapGet(k, key)
-}
-func (v ecView) OmapList(max int) ([]string, error) {
-	o, k, err := v.meta()
-	if err != nil {
-		return nil, err
-	}
-	return o.store.OmapList(k, max)
-}
+
+// noShards is the empty store an ecView of an object without a current shard
+// reads.
+var noShards = store.New()
+
+func (v ecView) GetXattr(name string) ([]byte, error) { return v.meta().GetXattr(name) }
+func (v ecView) OmapGet(key string) ([]byte, error)   { return v.meta().OmapGet(key) }
+func (v ecView) OmapList(max int) ([]string, error)   { return v.meta().OmapList(max) }
+func (v ecView) Version() uint64                      { return v.meta().Version() }
 
 // ecMutate applies a read-modify transaction on an EC object: at most one
 // WriteFull data op (triggering a full re-encode) plus metadata ops mirrored
@@ -670,11 +661,13 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 		g.noteOp(len(fullData))
 		return err
 	}
-	// Metadata-only: mirror to all live current shard holders.
+	// Metadata-only: mirror to all live current shard holders, at least k of
+	// them. Stamped, fewer would be the only current shards and the object
+	// lost; it is refused retryably until recovery fills the want set.
 	holders := g.c.ecHolders(pool, oid)
-	if firstShard(holders) == nil {
+	if len(slices.DeleteFunc(slices.Clone(holders), func(o *osd) bool { return o == nil })) < pool.Red.K {
 		g.noteOp(0)
-		return ErrNotFound
+		return g.c.unavailable(key)
 	}
 	g.runFanout(p, fanout{
 		name: "ec-meta",

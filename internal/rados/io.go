@@ -148,6 +148,8 @@ type View interface {
 	OmapGet(key string) ([]byte, error)
 	// OmapList returns up to max omap keys (all if max<=0), sorted.
 	OmapList(max int) ([]string, error)
+	// Version returns the version of the copy read (0 if absent; §6.1).
+	Version() uint64
 }
 
 // MutateFn inspects the current object state and returns the transaction to
@@ -172,6 +174,7 @@ func (v replView) Read(off, length int64) ([]byte, error) { return v.st.Read(v.k
 func (v replView) GetXattr(name string) ([]byte, error)   { return v.st.GetXattr(v.k, name) }
 func (v replView) OmapGet(key string) ([]byte, error)     { return v.st.OmapGet(v.k, key) }
 func (v replView) OmapList(max int) ([]string, error)     { return v.st.OmapList(v.k, max) }
+func (v replView) Version() uint64                        { return v.st.Version(v.k) }
 
 // --- Public operations -------------------------------------------------------
 

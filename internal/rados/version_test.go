@@ -367,3 +367,53 @@ func TestECReadOfLostObject(t *testing.T) {
 		}
 	})
 }
+
+// TestECMetaMutateKeepsKShards: an object written while an OSD was out sits
+// on the OSDs that stood in for it. Once the OSD is back in, and until
+// Recover moves the shards, only one member of the want set holds one. A
+// metadata-only mutation stamped on that lone shard would leave it the only
+// current one and the object lost, so it is refused retryably until Recover
+// has run, and then lands.
+func TestECMetaMutateKeepsKShards(t *testing.T) {
+	e := newEnv(t)
+	// An object whose want set keeps only one member when the OSD at
+	// position 0 is marked out.
+	oid, out := "", -1
+	for i := 0; oid == ""; i++ {
+		cand := fmt.Sprintf("e%d", i)
+		before := slices.Clone(e.c.want(e.ecp, e.c.PGOf(e.ecp, cand)))
+		e.c.cmap.SetIn(before[0].id, false)
+		after := e.c.want(e.ecp, e.c.PGOf(e.ecp, cand))
+		e.c.cmap.SetIn(before[0].id, true)
+		if len(slices.DeleteFunc(slices.Clone(before), func(o *osd) bool { return !slices.Contains(after, o) })) == 1 {
+			oid, out = cand, before[0].id
+		}
+	}
+	data := bytes.Repeat([]byte{0x11}, 3*StripeUnit)
+	setOmap := func(p *sim.Proc) error {
+		return e.gw.OmapSet(p, e.ecp, oid, map[string][]byte{"k": {1}})
+	}
+	e.run(t, func(p *sim.Proc) {
+		if err := e.c.FailOSD(out); err != nil {
+			e.fail(err)
+		}
+		if err := e.gw.WriteFull(p, e.ecp, oid, data); err != nil {
+			e.fail(err)
+		}
+		e.c.cmap.SetUp(out, true)
+		e.c.cmap.SetIn(out, true)
+		if err := setOmap(p); !errors.Is(err, ErrOSDDown) {
+			t.Errorf("metadata mutation with one shard in the want set: err=%v, want %v", err, ErrOSDDown)
+		}
+		e.c.Recover(p)
+		if err := setOmap(p); err != nil {
+			t.Errorf("metadata mutation after Recover: %v", err)
+		}
+		if got, err := e.gw.Read(p, e.ecp, oid, 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("read: err=%v, match=%v", err, bytes.Equal(got, data))
+		}
+		if keys, err := e.gw.OmapList(p, e.ecp, oid, 0); err != nil || !slices.Equal(keys, []string{"k"}) {
+			t.Errorf("OmapList = %v, %v; want [k]", keys, err)
+		}
+	})
+}
