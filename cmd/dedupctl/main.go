@@ -234,16 +234,20 @@ func (c *ctl) qos() {
 		reg.Gauge("dedup_rate_policy_parked").Value(),
 		dr.Count(), dr.Sum().Round(time.Microsecond), dr.Max().Round(time.Microsecond), reg.Gauge("dedup_drain_agents").Value())
 	// The PG locks, which no device scheduler sees either: how long ops
-	// queued for a PG's lock and then held it, per pool.
+	// queued for a PG's lock and then held it, per pool; and how long a
+	// replicated mutation's replica legs ran after the primary's commit,
+	// which the hold no longer covers.
 	pools := []*dedupstore.Pool{c.store.MetaPool(), c.store.ChunkPool()}
 	if cold := c.store.ColdChunkPool(); cold != nil {
 		pools = append(pools, cold)
 	}
 	for _, pool := range pools {
 		w, h := reg.Histogram("rados_pg_lock_wait:"+pool.Name), reg.Histogram("rados_pg_lock_hold:"+pool.Name)
-		fmt.Printf("pg lock %s: %d acquisitions, wait mean %v max %v, hold mean %v max %v\n", pool.Name, w.Count(),
+		r := reg.Histogram("rados_replica_apply:" + pool.Name)
+		fmt.Printf("pg lock %s: %d acquisitions, wait mean %v max %v, hold mean %v max %v; replica apply mean %v max %v\n", pool.Name, w.Count(),
 			w.Mean().Round(time.Microsecond), w.Max().Round(time.Microsecond),
-			h.Mean().Round(time.Microsecond), h.Max().Round(time.Microsecond))
+			h.Mean().Round(time.Microsecond), h.Max().Round(time.Microsecond),
+			r.Mean().Round(time.Microsecond), r.Max().Round(time.Microsecond))
 	}
 }
 

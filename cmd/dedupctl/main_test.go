@@ -73,6 +73,10 @@ func TestTenantsAndQoSActions(t *testing.T) {
 		if !strings.Contains(out, "\npg lock "+pool+": ") {
 			t.Errorf("qos prints no PG-lock line for pool %s:\n%s", pool, out)
 		}
+		// Both pools are replicated, so their writes' replica legs are timed.
+		if m := regexp.MustCompile(`\npg lock ` + pool + `: .*; replica apply mean (\S+) `).FindStringSubmatch(out); m == nil || m[1] == "0s" {
+			t.Errorf("qos PG-lock line for pool %s reports no replica apply time:\n%s", pool, out)
+		}
 	}
 
 	throttled := map[string]string{} // slo -> throttled column

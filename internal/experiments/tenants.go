@@ -95,8 +95,8 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 			if err != nil {
 				panic(err)
 			}
-			// The neighbor is two client sessions on one volume, 32 threads x
-			// 16 deep each (1024 outstanding 64KB writes): one session's 10GbE
+			// The neighbor is two client sessions on one volume, 8 threads x
+			// 4 deep each (64 outstanding 64KB writes): one session's 10GbE
 			// link, at 57us per write, would cap it below what the OSDs absorb.
 			for i := range 2 {
 				nc := s.Client(fmt.Sprintf("client.noisy%d", i))
@@ -113,7 +113,7 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 				h.eng.GoDaemon("noisy", func(p *sim.Proc) {
 					workload.RunFIO(p, ndev, workload.FIOConfig{
 						BlockSize: 64 << 10, Span: noisySpan, Pattern: workload.RandWrite,
-						DedupPct: 0, Threads: 32, IODepth: 16, Seed: 95 + int64(i),
+						DedupPct: 0, Threads: 8, IODepth: 4, Seed: 95 + int64(i),
 						Ops: 1 << 30,
 					})
 				})

@@ -138,6 +138,7 @@ type Pool struct {
 
 	codec              *ec.Codec          // lazily built EC codec (Erasure pools only)
 	lockWait, lockHold *metrics.Histogram // rados_pg_lock_wait:<Name>, rados_pg_lock_hold:<Name>
+	replApply          *metrics.Histogram // rados_replica_apply:<Name>: commit to last replica applied
 }
 
 // Cluster is the distributed object store. All blocking methods must be
@@ -359,7 +360,8 @@ func (c *Cluster) CreatePool(cfg PoolConfig) (*Pool, error) {
 	}
 	c.nextPool++
 	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy, Class: cfg.DeviceClass,
-		lockWait: c.reg.Histogram("rados_pg_lock_wait:" + cfg.Name), lockHold: c.reg.Histogram("rados_pg_lock_hold:" + cfg.Name)}
+		lockWait: c.reg.Histogram("rados_pg_lock_wait:" + cfg.Name), lockHold: c.reg.Histogram("rados_pg_lock_hold:" + cfg.Name),
+		replApply: c.reg.Histogram("rados_replica_apply:" + cfg.Name)}
 	c.pools[cfg.Name] = p
 	c.poolsByID[p.ID] = p
 	return p, nil

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"dedupstore/internal/crush"
@@ -433,10 +432,10 @@ func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload
 
 // replMutate serves a replicated-pool mutation — a shipped txn (Write,
 // WriteFull, Delete) or a Mutate's fn — in the order a Ceph OSD does, so the
-// PG lock guards the PG's work, not the wire: the request crosses both links;
-// under the lock the primary runs fn, then applies and journals the txn while
-// the replicas apply it; the lock is released once every replica has (the
-// next op sees only replicated state); then the ack travels back.
+// PG lock guards the primary's own work only: the request crosses both links;
+// under the lock the primary runs fn and commits the txn; the lock is released
+// while the journal write and the replica legs run; once all are done the ack
+// travels back.
 func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
 	pg := g.c.PGOf(pool, oid)
 	primary, err := g.prepare(p, pool, pg)
@@ -449,13 +448,15 @@ func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, t
 	if err == nil && fn != nil {
 		txn, err = g.mutateTxn(p, pool, oid, primary, replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}, fn)
 	}
+	wait := func() {}
 	if err == nil && txn != nil {
-		err = g.replicate(p, pool, oid, txn)
+		wait, err = g.replicate(p, pool, oid, txn)
 	}
 	hold.release(p)
 	if err != nil {
 		return err
 	}
+	wait()
 	p.Sleep(g.c.cost.NetLatency) // ack
 	if fn != nil && txn != nil {
 		g.noteOp(max(payload, txn.Bytes()))
@@ -548,18 +549,16 @@ type fanout struct {
 	targets  []*osd
 	ok       func(i int, o *osd) bool
 	degraded bool // count skipped targets as a degraded write
-	extra    []*sim.Signal
 	do       func(q *sim.Proc, i int, o *osd)
 }
 
-// runFanout executes a fan-out: one concurrent child per eligible target
-// plus any extra signals, a single wait for all acks, and degraded-write
-// accounting. Every fanned-out mutation goes through here, so the
-// QoS-classed submit path of replica/shard work changes in one place.
-func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
+// startFanout spawns a fan-out — one concurrent child per eligible target,
+// skipped targets counted — and returns the children's signals. Every
+// fanned-out mutation goes through here, so the QoS-classed submit path of
+// replica/shard work changes in one place.
+func (g *Gateway) startFanout(p *sim.Proc, f fanout) []*sim.Signal {
 	skipped := false
-	sigs := make([]*sim.Signal, 0, len(f.targets)+len(f.extra))
-	sigs = append(sigs, f.extra...)
+	sigs := make([]*sim.Signal, 0, len(f.targets))
 	for i, o := range f.targets {
 		if f.ok != nil && !f.ok(i, o) {
 			skipped = true
@@ -576,44 +575,44 @@ func (g *Gateway) runFanout(p *sim.Proc, f fanout) {
 			f.do(q, i, o)
 		}))
 	}
-	sim.WaitAll(p, sigs...)
 	if skipped && f.degraded {
 		g.c.reg.Counter("rados_degraded_writes_total").Inc()
 	}
+	return sigs
 }
 
-// replicate applies txn at the primary and fans out to replicas, returning
-// after all replicas ack (primary-copy replication). Caller holds the PG lock
-// and has made the primary's copy current. The mutation gets a new version,
-// stamped on every copy it is applied to, and the head follows the primary's
-// copy. Crashed acting members are skipped (a degraded write) and keep their
-// copy, stale from then on. A replica that is not current gets the primary's
-// whole post-txn copy instead of a transaction its stale copy cannot absorb.
-func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn) error {
+// runFanout runs a fan-out to completion: an EC mutation waits for its
+// shards under its PG lock.
+func (g *Gateway) runFanout(p *sim.Proc, f fanout) { sim.WaitAll(p, g.startFanout(p, f)...) }
+
+// replicate commits txn at the primary and fans it out to the replicas
+// (primary-copy replication). Caller holds the PG lock and has made the
+// primary's copy current. The mutation gets a new version, stamped on every
+// copy it is applied to, and the head follows the primary's copy: that is the
+// commit. replicate returns once the primary's journal write and the replica
+// legs are under way; wait returns when all are done, timing the legs into
+// rados_replica_apply:<pool>. Crashed acting members are skipped (a degraded
+// write) and keep their copy, stale from then on.
+func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn) (wait func(), err error) {
 	pg := g.c.PGOf(pool, oid)
 	acting := g.c.acting(pool, pg)
 	if len(acting) == 0 {
-		return ErrNoOSD
+		return nil, ErrNoOSD
 	}
 	primary := acting[0]
 	if !primary.alive {
 		g.timeoutWait(p)
-		return ErrOSDDown
+		return nil, ErrOSDDown
 	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	cost, payload := g.c.cost, txn.Bytes()
+	cost, payload, prev := g.c.cost, txn.Bytes(), primary.store.Version(key)
 
 	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(payload))
-	var behind []*osd // replicas not current before this mutation
-	for _, r := range acting[1:] {
-		if !g.c.current(r, key) {
-			behind = append(behind, r)
-		}
-	}
 	if err := primary.apply(p, key, txn.Stamp(g.c.nextVersion())); err != nil {
-		return err
+		return nil, err
 	}
 	g.c.setHead(key, primary.store.Version(key))
+	commit := p.Now()
 	journal := p.Go("journal", func(q *sim.Proc) {
 		jsp := g.c.sink.Start(q, "rados.journal")
 		if jsp != nil {
@@ -622,42 +621,54 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 		primary.diskWrite(q, g.cls, cost, payload)
 		jsp.Finish(q)
 	})
-	g.runFanout(p, fanout{
+	legs := g.startFanout(p, fanout{
 		name: "replica", span: "rados.replica",
 		pool: pool, pg: pg, bytes: payload,
 		targets:  acting[1:],
 		ok:       func(_ int, o *osd) bool { return o.alive },
 		degraded: true,
-		extra:    []*sim.Signal{journal},
 		do: func(q *sim.Proc, _ int, r *osd) {
 			g.c.netSend(q, g.cls, r.host.nicSched, payload)
 			r.host.cpu.Use(q, cost.OpOverhead)
-			if slices.Contains(behind, r) {
-				// Heal with the primary's post-txn copy. If the txn deleted
-				// the object the snapshot fails and the plain apply below
-				// deletes the stale copy. The PG lock keeps the head still, so
-				// the install is never refused.
-				if snap, err := primary.store.Snapshot(key); err == nil {
-					n := snap.PayloadBytes()
-					g.c.netSend(q, g.cls, r.host.nicSched, n)
-					g.c.install(q, r, key, snap)
-					r.diskWrite(q, g.cls, cost, n)
-					g.c.reg.Counter("rados_replica_heals_total").Inc()
-					return
-				}
-			}
-			if err := r.apply(q, key, txn); err != nil {
-				// The replica's copy diverged from the primary. It keeps its
-				// old version, so it is stale: never served or sourced until
-				// the next write heals it or a repair scrub or Recover
-				// overwrites it.
-				g.c.reg.Counter("rados_replica_diverged_total").Inc()
-				return
-			}
-			r.diskWrite(q, g.cls, cost, payload)
+			g.replicaApply(q, primary, r, key, prev, txn)
 		},
 	})
-	return nil
+	return func() {
+		if len(legs) > 0 {
+			sim.WaitAll(p, legs...)
+			pool.replApply.Add((p.Now() - commit).Duration())
+		}
+		sim.WaitAll(p, journal)
+	}, nil
+}
+
+// replicaApply lands, on replica r, the leg of a mutation of key the primary
+// applied at version prev — in version order, whatever order legs arrive in.
+// A copy already current (a later leg's heal covered it) is left alone and a
+// copy at prev takes the delta. Any other copy is healed with the primary's
+// current copy, which install refuses if the head moves in flight (a later
+// leg then heals it).
+func (g *Gateway) replicaApply(q *sim.Proc, primary, r *osd, key store.Key, prev uint64, txn *store.Txn) {
+	switch {
+	case g.c.current(r, key):
+	case r.store.Version(key) != prev:
+		if snap, err := primary.store.Snapshot(key); err == nil {
+			g.c.netSend(q, g.cls, r.host.nicSched, snap.PayloadBytes())
+			if g.c.install(q, r, key, snap) {
+				r.diskWrite(q, g.cls, g.c.cost, snap.PayloadBytes())
+				g.c.reg.Counter("rados_replica_heals_total").Inc()
+			}
+		} else if g.c.head[key] == 0 { // deleted since: the stale copy goes too
+			r.remove(q, key)
+		}
+	case r.apply(q, key, txn) != nil:
+		// The replica's copy diverged from the primary. It keeps its old
+		// version, so it is stale until the next write heals it or a repair
+		// scrub or Recover overwrites it.
+		g.c.reg.Counter("rados_replica_diverged_total").Inc()
+	default:
+		r.diskWrite(q, g.cls, g.c.cost, txn.Bytes())
+	}
 }
 
 // PeekXattr reads an xattr from the acting primary without charging a

@@ -245,7 +245,8 @@ func (c *Cluster) copyObject(p *sim.Proc, cls qos.Class, key store.Key, src, dst
 	return n, true
 }
 
-// install puts snap on dst unless it is stale (staleInstall).
+// install puts snap on dst unless it is stale (staleInstall): no lock keeps
+// the head still while a copy is in flight, so the check is made here.
 func (c *Cluster) install(p *sim.Proc, dst *osd, key store.Key, snap *store.Object) bool {
 	defer c.settle(p, key)()
 	if c.staleInstall(key, snap.Version) {
@@ -258,8 +259,8 @@ func (c *Cluster) install(p *sim.Proc, dst *osd, key store.Key, snap *store.Obje
 // settle waits out an EC mutation of key's PG, whose shards are stamped only
 // at its commit (commitShards), by taking the PG lock; the returned func,
 // called once the install is done, releases it. A replicated copy is stamped
-// as it is written, so there is nothing to wait for (and callers that hold a
-// PG lock install only replicated copies).
+// as it is written, so there is nothing to wait for: a replica leg's heal
+// installs outside the lock, and pullOnDemand installs inside it.
 func (c *Cluster) settle(p *sim.Proc, key store.Key) (done func()) {
 	pool := c.poolsByID[key.Pool]
 	if pool.Red.Kind != Erasure {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
 
 	"dedupstore/internal/ec"
+	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/store"
 )
@@ -416,4 +418,122 @@ func TestECMetaMutateKeepsKShards(t *testing.T) {
 			t.Errorf("OmapList = %v, %v; want [k]", keys, err)
 		}
 	})
+}
+
+// setX returns a Mutate closure that sets xattr name to val.
+func setX(name string, val byte) MutateFn {
+	return func(View) (*store.Txn, error) { return store.NewTxn().SetXattr(name, []byte{val}), nil }
+}
+
+// sameCopy reports whether a and b hold the same data, xattrs, omap and
+// version of key.
+func sameCopy(a, b *osd, key store.Key) bool {
+	sa, errA := a.store.Snapshot(key)
+	sb, errB := b.store.Snapshot(key)
+	return errA == nil && errB == nil && sa.Version == sb.Version && bytes.Equal(sa.Data, sb.Data) &&
+		maps.EqualFunc(sa.Xattr, sb.Xattr, bytes.Equal) && maps.EqualFunc(sa.Omap, sb.Omap, bytes.Equal)
+}
+
+func (e *testEnv) heals() int64 {
+	return e.c.Metrics().Counter("rados_replica_heals_total").Value()
+}
+
+// TestReplicaLegsOutOfOrder: two mutations of one object reach its replica in
+// reverse order. The earlier one runs in the low-weight scrub class, and its
+// leg queues behind a scrub backlog on the replica host's link; a client-class
+// Mutate overtakes it. The overtaking leg finds the replica below its base
+// version and heals it with the primary's copy; the late delta applies
+// nothing.
+func TestReplicaLegsOutOfOrder(t *testing.T) {
+	e := newEnv(t)
+	const oid = "obj"
+	key := store.Key{Pool: e.rep.ID, OID: oid}
+	acting := e.c.acting(e.rep, e.c.PGOf(e.rep, oid))
+	primary, replica := acting[0], acting[1]
+	slow, err := e.c.HostGatewayClass(primary.host.name, qos.Scrub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.run(t, func(p *sim.Proc) {
+		if err := e.gw.WriteFull(p, e.rep, oid, bytes.Repeat([]byte{0x11}, 4096)); err != nil {
+			e.fail(err)
+		}
+		base := e.c.head[key]
+		var backlog []*sim.Signal
+		for range 3 {
+			backlog = append(backlog, p.Go("backlog", func(q *sim.Proc) {
+				e.c.netSend(q, qos.Scrub, replica.host.nicSched, 1<<20)
+			}))
+		}
+		late := p.Go("late", func(q *sim.Proc) {
+			if err := slow.Mutate(q, e.rep, oid, setX("a", 1)); err != nil {
+				e.fail(err)
+			}
+		})
+		p.Sleep(500 * time.Microsecond)
+		if e.c.head[key] == base || replica.store.Version(key) != base {
+			t.Fatalf("the scrub-class mutation has not committed, or its leg already landed")
+		}
+		if err := e.gw.Mutate(p, e.rep, oid, setX("b", 2)); err != nil {
+			e.fail(err)
+		}
+		healed := replica.store.Version(key)
+		if healed != e.c.head[key] || e.heals() != 1 {
+			t.Errorf("after the overtaking Mutate the replica is at version %d (head %d), %d heals", healed, e.c.head[key], e.heals())
+		}
+		sim.WaitAll(p, late)
+		if v := replica.store.Version(key); v != healed {
+			t.Errorf("the late leg moved the healed replica from version %d to %d", healed, v)
+		}
+		sim.WaitAll(p, backlog...)
+	})
+	if !e.c.current(replica, key) || !sameCopy(primary, replica, key) {
+		t.Errorf("the replica does not end current with the primary's copy")
+	}
+	if e.heals() != 1 {
+		t.Errorf("rados_replica_heals_total = %d, want 1", e.heals())
+	}
+}
+
+// TestReplicaHealRefusedInFlight: a replica that missed a write while crashed
+// is healed by the next write's leg. A third write commits while that heal's
+// copy is on the wire, so its install is refused, and the third write's own
+// leg heals the replica instead.
+func TestReplicaHealRefusedInFlight(t *testing.T) {
+	e := newEnv(t)
+	other := e.c.NewGateway("client1")
+	const oid = "obj"
+	key := store.Key{Pool: e.rep.ID, OID: oid}
+	acting := e.c.acting(e.rep, e.c.PGOf(e.rep, oid))
+	primary, replica := acting[0], acting[1]
+	e.run(t, func(p *sim.Proc) {
+		if err := e.gw.WriteFull(p, e.rep, oid, bytes.Repeat([]byte{0x11}, raceSize)); err != nil {
+			e.fail(err)
+		}
+		if err := e.c.CrashOSD(replica.id); err != nil {
+			e.fail(err)
+		}
+		if err := e.gw.Mutate(p, e.rep, oid, setX("a", 1)); err != nil {
+			e.fail(err)
+		}
+		if err := e.c.RestartOSD(replica.id); err != nil {
+			e.fail(err)
+		}
+		heal := p.Go("heal", func(q *sim.Proc) {
+			if err := e.gw.Mutate(q, e.rep, oid, setX("b", 2)); err != nil {
+				e.fail(err)
+			}
+		})
+		p.Sleep(400 * time.Microsecond) // the heal's 1 MiB copy is on the wire
+		if err := other.Mutate(p, e.rep, oid, setX("c", 3)); err != nil {
+			e.fail(err)
+		}
+		sim.WaitAll(p, heal)
+	})
+	if e.refusedInstalls() != 1 || e.heals() != 1 {
+		t.Errorf("%d installs refused and %d heals, want one each", e.refusedInstalls(), e.heals())
+	}
+	if !e.c.current(replica, key) || !sameCopy(primary, replica, key) {
+		t.Errorf("the replica does not end current with the primary's copy")
+	}
 }
