@@ -45,11 +45,14 @@ check-seams:
 	sh scripts/check-seams.sh
 
 # The line counts PR messages report: non-test Go outside the benchmark
-# module and its build cache, then the two packages ROADMAP item 3 targets.
+# module and its build cache, then the two packages ROADMAP item 5 targets
+# and the two whose sum ROADMAP item 9 reads.
 lines:
 	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'internal/core:              '; find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'internal/rados:             '; find internal/rados -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/experiments:       '; find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/harness:           '; find internal/harness -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # The benchmark (bench/, the command BENCHMARK.json names) is a module of its
 # own, invisible to the root ./... patterns: vet and test it here so drift in

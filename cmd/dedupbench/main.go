@@ -10,11 +10,12 @@
 // presentation order. "all", the default, runs every one. Figure 5-(b) is
 // a table of fig14, which owns the interference runs.
 //
-// The sweep runs across a bounded worker pool (-workers, default
-// GOMAXPROCS; every experiment owns an isolated deterministic sim, so
-// stdout is byte-identical to a sequential -workers 1 run). Tables go to
-// stdout; per-experiment wall-clock lines and the final timing table go to
-// stderr so machine-diffed output stays deterministic.
+// Every experiment is a list of isolated runs, each with its own
+// deterministic sim, and -workers (default GOMAXPROCS) bounds how many runs
+// execute at once across the whole sweep, so stdout is byte-identical to a
+// sequential -workers 1 run. Tables go to stdout; per-experiment wall-clock
+// lines (the sum of the experiment's run walls) and the final timing table
+// go to stderr so machine-diffed output stays deterministic.
 //
 // Each experiment also writes a canonical JSON result to results/<name>.json
 // (-results, empty to disable). -golden write|check snapshots those results
@@ -47,7 +48,7 @@ func run() int {
 	scale := flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default scaled sizes; <1 faster)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	trace := flag.Int("trace", 0, "print the N slowest trace spans after each experiment (bare -trace = 10)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS; 1 = sequential)")
+	workers := flag.Int("workers", 0, "runs executing at once (0 = GOMAXPROCS; 1 = sequential)")
 	golden := flag.String("golden", "", "golden snapshot mode: 'write' to (re)generate, 'check' to diff and fail on drift")
 	goldenDir := flag.String("goldendir", "testdata/golden", "directory holding golden snapshots")
 	results := flag.String("results", "results", "directory for canonical JSON results (empty = don't write)")
@@ -82,7 +83,7 @@ func run() int {
 		exps = append(exps, exp)
 	}
 	sort.SliceStable(exps, func(i, j int) bool {
-		return indexOf(valid, exps[i].Name()) < indexOf(valid, exps[j].Name())
+		return indexOf(valid, exps[i].Name) < indexOf(valid, exps[j].Name)
 	})
 
 	if *cpuProfile != "" {

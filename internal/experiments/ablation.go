@@ -42,15 +42,25 @@ func AblationChunking(sc Scale) []AblationChunkingRow {
 	// the CPU of static chunking on the paper's testbed. Modeled time keeps
 	// the table deterministic, so it can be golden-snapshotted.
 	costs := simcost.Default()
-	measure := func(name string, scans bool, split func([]byte) []chunker.Chunk) AblationChunkingRow {
+	fixed := chunker.NewFixed(32 << 10)
+	cdc := chunker.NewCDC(8<<10, 32<<10, 128<<10)
+	type chunking struct {
+		name  string
+		scans bool // pays the rolling-hash scan
+		split func([]byte) []chunker.Chunk
+	}
+	return Runs(sc, []chunking{
+		{fixed.Name(), false, func(b []byte) []chunker.Chunk { return fixed.Split(0, b) }},
+		{cdc.Name(), true, func(b []byte) []chunker.Chunk { return cdc.Split(0, b) }},
+	}, func(_ *Testbed, c chunking) AblationChunkingRow {
 		seen := map[string]bool{}
 		var unique int64
 		var cpu time.Duration
 		for _, data := range contents {
-			if scans {
+			if c.scans {
 				cpu += costs.ChunkScan(len(data))
 			}
-			for _, ch := range split(data) {
+			for _, ch := range c.split(data) {
 				cpu += costs.Hash(len(ch.Data))
 				id := core.FingerprintID(ch.Data)
 				if !seen[id] {
@@ -60,34 +70,55 @@ func AblationChunking(sc Scale) []AblationChunkingRow {
 			}
 		}
 		return AblationChunkingRow{
-			Algorithm:  name,
+			Algorithm:  c.name,
 			DedupRatio: 100 * float64(total-unique) / float64(total),
 			CPUPerMB:   cpu / time.Duration(total/1e6+1),
 		}
-	}
-	fixed := chunker.NewFixed(32 << 10)
-	cdc := chunker.NewCDC(8<<10, 32<<10, 128<<10)
-	return []AblationChunkingRow{
-		measure(fixed.Name(), false, func(b []byte) []chunker.Chunk { return fixed.Split(0, b) }),
-		measure(cdc.Name(), true, func(b []byte) []chunker.Chunk { return cdc.Split(0, b) }),
-	}
+	})
 }
 
 // AblationChunkingTable renders the chunking ablation.
 func AblationChunkingTable(rows []AblationChunkingRow) Table {
-	t := Table{
-		Title:   "Ablation: static vs content-defined chunking (cloud dataset)",
-		Columns: []string{"algorithm", "dedup ratio %", "modeled chunk+hash CPU /MB"},
-		Notes: []string{
+	return table("Ablation: static vs content-defined chunking (cloud dataset)",
+		[]string{"algorithm", "dedup ratio %", "modeled chunk+hash CPU /MB"},
+		[]string{
 			"the paper picks static chunking: CDC costs ~4x the CPU on a busy OSD (§5)",
 			"this synthetic dataset's duplication is block-aligned (favoring fixed chunks); CDC wins only on byte-shifted data",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Algorithm, f1(r.DedupRatio), r.CPUPerMB.Round(time.Microsecond).String()})
-	}
-	return t
+		rows, func(r AblationChunkingRow) []string {
+			return []string{r.Algorithm, f1(r.DedupRatio), us(r.CPUPerMB)}
+		})
 }
+
+// chunkPoolBytes writes streams, as objects named by oidFmt, through one
+// client of a fixed-chunk store and of a CDC-mode store (16 KiB target
+// chunks), one run each, and returns each chunk pool's logical bytes after a
+// drain, fixed first.
+func chunkPoolBytes(sc Scale, seed int64, clientName, oidFmt string, streams [][]byte) []int64 {
+	return Runs(sc, []bool{false, true}, func(tb *Testbed, useCDC bool) int64 {
+		h := tb.harness(seed, 4, 4)
+		s := h.dedupStore(func(cfg *core.Config) {
+			cfg.Rate.Enabled = false
+			cfg.HitSet.HitCount = 1000
+			cfg.ChunkSize = 16 << 10
+			if useCDC {
+				cdc := chunker.NewCDC(4<<10, 16<<10, 64<<10)
+				cfg.CDC = &cdc
+			}
+		})
+		cl := s.Client(clientName)
+		h.run(func(p *sim.Proc) {
+			for i, data := range streams {
+				check(cl.Write(p, fmt.Sprintf(oidFmt, i), 0, data))
+			}
+			s.Engine().DrainAndWait(p)
+		})
+		return h.c.PoolStats(s.ChunkPool()).LogicalBytes
+	})
+}
+
+// chunkingStores names chunkPoolBytes' two stores, in its order.
+var chunkingStores = []string{"fixed chunking", "content-defined chunking"}
 
 // AblationCDCRow compares the stores end to end on byte-shifted content.
 type AblationCDCRow struct {
@@ -104,50 +135,24 @@ func AblationCDCStore(sc Scale) []AblationCDCRow {
 	base := make([]byte, sc.bytes(512<<10))
 	fillSeeded(base, 905)
 	variants := make([][]byte, 6)
+	logical := int64(0)
 	for i := range variants {
 		// Each variant grows by a different, chunk-unaligned prefix length,
 		// so fixed-chunk boundaries land differently in every copy.
 		prefix := make([]byte, 37+i*151)
 		fillSeeded(prefix, int64(9000+i))
 		variants[i] = append(append([]byte(nil), prefix...), base...)
+		logical += int64(len(variants[i]))
 	}
-	logical := int64(0)
-	for _, v := range variants {
-		logical += int64(len(v))
-	}
-
-	run := func(useCDC bool) AblationCDCRow {
-		h := sc.newHarness(906, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.Rate.Enabled = false
-			cfg.HitSet.HitCount = 1000
-			cfg.ChunkSize = 16 << 10
-			if useCDC {
-				cdc := chunker.NewCDC(4<<10, 16<<10, 64<<10)
-				cfg.CDC = &cdc
-			}
-		})
-		cl := s.Client("cl")
-		h.run(func(p *sim.Proc) {
-			for i, v := range variants {
-				if err := cl.Write(p, fmt.Sprintf("stream%d", i), 0, v); err != nil {
-					panic(err)
-				}
-			}
-			s.Engine().DrainAndWait(p)
-		})
-		stored := h.c.PoolStats(s.ChunkPool()).LogicalBytes
-		name := "fixed chunking"
-		if useCDC {
-			name = "content-defined chunking"
-		}
-		return AblationCDCRow{
-			Store:       name,
+	var rows []AblationCDCRow
+	for i, stored := range chunkPoolBytes(sc, 906, "cl", "stream%d", variants) {
+		rows = append(rows, AblationCDCRow{
+			Store:       chunkingStores[i],
 			StoredBytes: stored,
 			Saved:       100 * (1 - float64(stored)/float64(logical)),
-		}
+		})
 	}
-	return []AblationCDCRow{run(false), run(true)}
+	return rows
 }
 
 // fillSeeded fills buf deterministically (local copy to avoid exporting the
@@ -181,69 +186,42 @@ func AblationBackup(sc Scale) []AblationBackupRow {
 		ChurnPerGen: 0.03,
 		Seed:        907,
 	})
-	run := func(useCDC bool) AblationBackupRow {
-		h := sc.newHarness(908, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.Rate.Enabled = false
-			cfg.HitSet.HitCount = 1000
-			cfg.ChunkSize = 16 << 10
-			if useCDC {
-				cdc := chunker.NewCDC(4<<10, 16<<10, 64<<10)
-				cfg.CDC = &cdc
-			}
-		})
-		cl := s.Client("backup")
-		h.run(func(p *sim.Proc) {
-			for i := 0; i < gen.Generations(); i++ {
-				if err := cl.Write(p, fmt.Sprintf("backup.gen%d", i), 0, gen.Generation(i)); err != nil {
-					panic(err)
-				}
-			}
-			s.Engine().DrainAndWait(p)
-		})
-		stored := h.c.PoolStats(s.ChunkPool()).LogicalBytes
-		name := "fixed chunking"
-		if useCDC {
-			name = "content-defined chunking"
-		}
-		return AblationBackupRow{
-			Store:       name,
+	gens := make([][]byte, gen.Generations())
+	for i := range gens {
+		gens[i] = gen.Generation(i)
+	}
+	var rows []AblationBackupRow
+	for i, stored := range chunkPoolBytes(sc, 908, "backup", "backup.gen%d", gens) {
+		rows = append(rows, AblationBackupRow{
+			Store:       chunkingStores[i],
 			Generations: gen.Generations(),
 			LogicalMB:   float64(gen.TotalBytes()) / 1e6,
 			StoredMB:    float64(stored) / 1e6,
 			Saved:       100 * (1 - float64(stored)/float64(gen.TotalBytes())),
-		}
+		})
 	}
-	return []AblationBackupRow{run(false), run(true)}
+	return rows
 }
 
 // AblationBackupTable renders the backup-generations ablation.
 func AblationBackupTable(rows []AblationBackupRow) Table {
-	t := Table{
-		Title:   "Ablation: backup generations (5 gens, 3% unaligned churn each)",
-		Columns: []string{"store", "generations", "logical", "stored", "saved %"},
-		Notes:   []string{"unaligned edits shift fixed-chunk boundaries; CDC keeps unmodified regions dedupable"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Store, fmt.Sprint(r.Generations),
-			fmt.Sprintf("%.2f MB", r.LogicalMB), fmt.Sprintf("%.2f MB", r.StoredMB), f1(r.Saved),
+	return table("Ablation: backup generations (5 gens, 3% unaligned churn each)",
+		[]string{"store", "generations", "logical", "stored", "saved %"},
+		[]string{"unaligned edits shift fixed-chunk boundaries; CDC keeps unmodified regions dedupable"},
+		rows, func(r AblationBackupRow) []string {
+			return []string{
+				r.Store, fmt.Sprint(r.Generations),
+				fmt.Sprintf("%.2f MB", r.LogicalMB), fmt.Sprintf("%.2f MB", r.StoredMB), f1(r.Saved),
+			}
 		})
-	}
-	return t
 }
 
 // AblationCDCStoreTable renders the end-to-end chunking ablation.
 func AblationCDCStoreTable(rows []AblationCDCRow) Table {
-	t := Table{
-		Title:   "Ablation: fixed vs CDC store on byte-shifted streams (6 copies, unaligned prefixes)",
-		Columns: []string{"store", "chunk-pool bytes", "saved %"},
-		Notes:   []string{"CDC's raison d'être: shifted duplicates survive re-chunking; fixed chunking sees all-new chunks"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Store, mb(r.StoredBytes), f1(r.Saved)})
-	}
-	return t
+	return table("Ablation: fixed vs CDC store on byte-shifted streams (6 copies, unaligned prefixes)",
+		[]string{"store", "chunk-pool bytes", "saved %"},
+		[]string{"CDC's raison d'être: shifted duplicates survive re-chunking; fixed chunking sees all-new chunks"},
+		rows, func(r AblationCDCRow) []string { return []string{r.Store, mb(r.StoredBytes), f1(r.Saved)} })
 }
 
 // AblationRefcountRow compares reference-counting disciplines.
@@ -261,8 +239,8 @@ type AblationRefcountRow struct {
 // deletes cheaper and defers reclamation to a garbage collector.
 func AblationRefcount(sc Scale) []AblationRefcountRow {
 	const objects = 24
-	run := func(fp bool) AblationRefcountRow {
-		h := sc.newHarness(902, 4, 4)
+	return Runs(sc, []bool{false, true}, func(tb *Testbed, fp bool) AblationRefcountRow {
+		h := tb.harness(902, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.FalsePositiveRefs = fp
 			cfg.Rate.Enabled = false
@@ -277,9 +255,7 @@ func AblationRefcount(sc Scale) []AblationRefcountRow {
 				for b := 0; b < 16; b++ {
 					buf = append(buf, gen.NextBlock()...)
 				}
-				if err := cl.Write(p, fmt.Sprintf("obj%d", i), 0, buf); err != nil {
-					panic(err)
-				}
+				check(cl.Write(p, fmt.Sprintf("obj%d", i), 0, buf))
 			}
 			s.Engine().DrainAndWait(p)
 		})
@@ -291,9 +267,7 @@ func AblationRefcount(sc Scale) []AblationRefcountRow {
 		h.run(func(p *sim.Proc) {
 			for i := 0; i < objects; i++ {
 				t0 := p.Now()
-				if err := cl.Delete(p, fmt.Sprintf("obj%d", i)); err != nil {
-					panic(err)
-				}
+				check(cl.Delete(p, fmt.Sprintf("obj%d", i)))
 				delTotal += (p.Now() - t0).Duration()
 			}
 		})
@@ -302,34 +276,27 @@ func AblationRefcount(sc Scale) []AblationRefcountRow {
 		if fp {
 			h.run(func(p *sim.Proc) {
 				t0 := p.Now()
-				stats, err := s.GC(p)
-				if err != nil {
-					panic(err)
-				}
+				stats := must(s.GC(p))
 				row.GCSeconds = (p.Now() - t0).Seconds()
 				row.BytesReclaimed = stats.BytesReclaimed
 			})
 		}
 		row.FinalChunkCount = len(h.c.ListObjects(s.ChunkPool()))
 		return row
-	}
-	return []AblationRefcountRow{run(false), run(true)}
+	})
 }
 
 // AblationRefcountTable renders the refcount ablation.
 func AblationRefcountTable(rows []AblationRefcountRow) Table {
-	t := Table{
-		Title:   "Ablation: strict vs false-positive reference counting (§4.6)",
-		Columns: []string{"mode", "mean delete latency", "chunks left pre-GC", "GC secs", "reclaimed", "final chunks"},
-		Notes:   []string{"FP mode trades cheaper deletes for a GC pass; both end with zero chunks after full delete"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Mode, r.DeleteLatency.Round(time.Microsecond).String(),
-			fmt.Sprint(r.ChunksLeaked), f2(r.GCSeconds), mb(r.BytesReclaimed), fmt.Sprint(r.FinalChunkCount),
+	return table("Ablation: strict vs false-positive reference counting (§4.6)",
+		[]string{"mode", "mean delete latency", "chunks left pre-GC", "GC secs", "reclaimed", "final chunks"},
+		[]string{"FP mode trades cheaper deletes for a GC pass; both end with zero chunks after full delete"},
+		rows, func(r AblationRefcountRow) []string {
+			return []string{
+				r.Mode, us(r.DeleteLatency),
+				fmt.Sprint(r.ChunksLeaked), f2(r.GCSeconds), mb(r.BytesReclaimed), fmt.Sprint(r.FinalChunkCount),
+			}
 		})
-	}
-	return t
 }
 
 // AblationCacheRow compares hot-object handling.
@@ -343,8 +310,8 @@ type AblationCacheRow struct {
 // wasted dedup I/O: a hot working set rewritten repeatedly with the cache
 // manager on (hot objects exempt) vs off (every write re-deduplicated).
 func AblationCache(sc Scale) []AblationCacheRow {
-	run := func(cacheOn bool) AblationCacheRow {
-		h := sc.newHarness(904, 4, 4)
+	return Runs(sc, []bool{true, false}, func(tb *Testbed, cacheOn bool) AblationCacheRow {
+		h := tb.harness(904, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.Rate.Enabled = false
 			cfg.DedupThreads = 4
@@ -364,9 +331,7 @@ func AblationCache(sc Scale) []AblationCacheRow {
 				for i := 0; i < 8; i++ {
 					data[0] = byte(i)
 					t0 := p.Now()
-					if err := cl.Write(p, fmt.Sprintf("hot%d", i), 0, data); err != nil {
-						panic(err)
-					}
+					check(cl.Write(p, fmt.Sprintf("hot%d", i), 0, data))
 					total += (p.Now() - t0).Duration()
 					ops++
 				}
@@ -382,30 +347,24 @@ func AblationCache(sc Scale) []AblationCacheRow {
 			WriteLatency: total / time.Duration(ops),
 			FlushedBytes: s.Engine().Stats().BytesFlushed,
 		}
-	}
-	return []AblationCacheRow{run(true), run(false)}
+	})
 }
 
 // AblationCacheTable renders the cache ablation.
 func AblationCacheTable(rows []AblationCacheRow) Table {
-	t := Table{
-		Title:   "Ablation: cache manager hot-object exemption (§3.2, §4.3)",
-		Columns: []string{"mode", "mean write latency", "background bytes flushed"},
-		Notes:   []string{"exempting hot objects eliminates repeated dedup I/O for data about to be rewritten"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Mode, r.WriteLatency.Round(time.Microsecond).String(), mb(r.FlushedBytes)})
-	}
-	return t
+	return table("Ablation: cache manager hot-object exemption (§3.2, §4.3)",
+		[]string{"mode", "mean write latency", "background bytes flushed"},
+		[]string{"exempting hot objects eliminates repeated dedup I/O for data about to be rewritten"},
+		rows, func(r AblationCacheRow) []string { return []string{r.Mode, us(r.WriteLatency), mb(r.FlushedBytes)} })
 }
 
-// AblationResult runs every ablation and packages them as one Result.
-func AblationResult(sc Scale) Result {
-	return Result{Name: "ablation", Tables: []Table{
+// ablationTables runs every ablation as one experiment.
+func ablationTables(sc Scale) []Table {
+	return []Table{
 		AblationChunkingTable(AblationChunking(sc)),
 		AblationCDCStoreTable(AblationCDCStore(sc)),
 		AblationBackupTable(AblationBackup(sc)),
 		AblationRefcountTable(AblationRefcount(sc)),
 		AblationCacheTable(AblationCache(sc)),
-	}}
+	}
 }

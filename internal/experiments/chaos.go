@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"dedupstore/internal/chaos"
@@ -65,10 +67,7 @@ type ChaosResult struct {
 	// Invariants after the dust settles.
 	ForegroundErrors int
 	VerifyErrors     int
-	ScrubIssues      int
-	GCStaleRefs      int64
-	AuditRepairs     int64 // intents promoted + refs repaired + counts fixed
-	LostChunks       int64 // bindings pointing at data that exists nowhere
+	Reconciled
 }
 
 // DefaultChaosScenarios covers both protection schemes for the chunk pool,
@@ -84,18 +83,17 @@ func DefaultChaosScenarios() []ChaosScenario {
 	}
 }
 
-// Chaos runs every scenario with the same seed and fault schedule.
-func Chaos(sc Scale) []ChaosResult {
-	var out []ChaosResult
-	for _, scn := range DefaultChaosScenarios() {
-		out = append(out, chaosRun(sc, scn, 811))
-	}
-	return out
+// ChaosSeeded runs every scenario with the same seed and fault schedule,
+// one run each.
+func ChaosSeeded(sc Scale, seed int64) []ChaosResult {
+	return Runs(sc, DefaultChaosScenarios(), func(tb *Testbed, scn ChaosScenario) ChaosResult {
+		return chaosRun(tb, sc, scn, seed)
+	})
 }
 
-func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
+func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 	res := ChaosResult{Scenario: scn.Name}
-	h := sc.newHarness(seed, 4, 4)
+	h := tb.harness(seed, 4, 4)
 	s := h.dedupStore(func(cfg *core.Config) {
 		cfg.ChunkRedundancy = scn.Chunk
 		cfg.Rate.Enabled = false
@@ -103,12 +101,7 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 		cfg.DedupThreads = 4
 		cfg.FalsePositiveRefs = true // crash-safe refcount mode (§4.6)
 	})
-	mon := h.c.StartMonitor(rados.MonitorConfig{
-		Interval:    250 * time.Millisecond,
-		Grace:       time.Second,
-		OutAfter:    2500 * time.Millisecond,
-		AutoRecover: true,
-	})
+	mon := h.startMonitor()
 	s.StartEngine()
 
 	const (
@@ -125,14 +118,16 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 	inj := chaos.NewInjector(h.c)
 	shadow := make([][]byte, objects)
 	var t0 sim.Time
+	// retrying is a client that absorbs the fault window in retries.
+	retrying := func(name string) *client.RetryBackend {
+		return client.NewRetryBackend(&client.DedupBackend{Client: s.Client(name)}, client.DefaultRetryPolicy(), h.c.Metrics())
+	}
 
 	h.run(func(p *sim.Proc) {
 		// Preload half the namespace so the crash window also hits reads,
 		// deref-rewrites and flushes of pre-existing state.
 		pre := rand.New(rand.NewSource(seed + 100))
-		backend := client.NewRetryBackend(
-			&client.DedupBackend{Client: s.Client("preload")},
-			client.DefaultRetryPolicy(), h.c.Metrics())
+		backend := retrying("preload")
 		for i := 0; i < objects/2; i++ {
 			shadow[i] = chaosObject(pre, objSize)
 			if err := backend.Write(p, chaosOID(i), 0, shadow[i]); err != nil {
@@ -167,12 +162,9 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 			}))
 		}
 		for w := 0; w < workers; w++ {
-			w := w
 			sigs = append(sigs, p.Go(fmt.Sprintf("load%d", w), func(q *sim.Proc) {
 				rng := rand.New(rand.NewSource(seed + int64(w)))
-				be := client.NewRetryBackend(
-					&client.DedupBackend{Client: s.Client(fmt.Sprintf("client%d", w))},
-					client.DefaultRetryPolicy(), h.c.Metrics())
+				be := retrying(fmt.Sprintf("client%d", w))
 				for q.Now() < t0+sim.Time(loadFor) {
 					i := w*perWorker + rng.Intn(perWorker)
 					data := chaosObject(rng, objSize)
@@ -182,11 +174,9 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 						shadow[i] = data
 					}
 					if shadow[i] != nil && rng.Intn(3) == 0 {
-						got, err := be.Read(q, chaosOID(i), 0, int64(len(shadow[i])))
-						if err != nil {
+						if _, err := be.Read(q, chaosOID(i), 0, int64(len(shadow[i]))); err != nil {
 							res.ForegroundErrors++
 						}
-						_ = got
 					}
 					q.Sleep(time.Duration(5+rng.Intn(20)) * time.Millisecond)
 				}
@@ -198,32 +188,9 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 		s.Engine().DrainAndWait(p)
 		res.MTTR = (p.Now() - t0).Duration() - crashAt
 
-		// Post-mortem: dedup invariants must have survived the window. Let
-		// every reference-intent lease expire first, then reconcile in both
-		// directions — audit (chunkmap→chunk), scrub, GC (chunk→chunkmap) —
-		// before asserting the store is clean.
-		p.Sleep(3 * time.Second)
-		if au, err := s.Audit(p); err != nil {
-			res.LostChunks = -1
-		} else {
-			res.AuditRepairs = au.IntentsPromoted + au.RefsRepaired + au.CountsFixed
-			res.LostChunks = au.LostChunks
-		}
-		rep, err := s.Scrub(p)
-		if err != nil {
-			res.ScrubIssues = -1
-		} else {
-			res.ScrubIssues = len(rep.Issues)
-		}
-		if _, err := s.GC(p); err == nil {
-			// A second pass after cleanup must find nothing further.
-			if st, err := s.GC(p); err == nil {
-				res.GCStaleRefs = st.StaleRefs
-			}
-		}
-		verify := client.NewRetryBackend(
-			&client.DedupBackend{Client: s.Client("verify")},
-			client.DefaultRetryPolicy(), h.c.Metrics())
+		// Post-mortem: dedup invariants must have survived the window.
+		res.Reconciled = reconcile(p, s)
+		verify := retrying("verify")
 		for i, want := range shadow {
 			if want == nil {
 				continue
@@ -261,7 +228,7 @@ func chaosRun(sc Scale, scn ChaosScenario, seed int64) ChaosResult {
 		}
 		res.Timeline = append(res.Timeline, ChaosEvent{At: rel(ev.At), What: what})
 	}
-	sortTimeline(res.Timeline)
+	slices.SortStableFunc(res.Timeline, func(a, b ChaosEvent) int { return cmp.Compare(a.At, b.At) })
 	res.Downtime = crashFor
 
 	reg := h.c.Metrics()
@@ -299,28 +266,14 @@ func chaosObject(rng *rand.Rand, size int) []byte {
 	return data
 }
 
-func sortTimeline(tl []ChaosEvent) {
-	for i := 1; i < len(tl); i++ {
-		for j := i; j > 0 && tl[j].At < tl[j-1].At; j-- {
-			tl[j], tl[j-1] = tl[j-1], tl[j]
-		}
-	}
-}
-
 // ChaosTables renders each scenario as a timeline table plus a summary.
 func ChaosTables(results []ChaosResult) []Table {
 	var out []Table
 	for _, r := range results {
-		tl := Table{
-			Title:   fmt.Sprintf("Chaos availability timeline (chunk pool %s)", r.Scenario),
-			Columns: []string{"t (virtual)", "event"},
-		}
-		for _, ev := range r.Timeline {
-			tl.Rows = append(tl.Rows, []string{ev.At.String(), ev.What})
-		}
-		out = append(out, tl)
-
-		sum := Table{
+		out = append(out, table(fmt.Sprintf("Chaos availability timeline (chunk pool %s)", r.Scenario),
+			[]string{"t (virtual)", "event"}, nil,
+			r.Timeline, func(ev ChaosEvent) []string { return []string{ev.At.String(), ev.What} }))
+		out = append(out, Table{
 			Title:   fmt.Sprintf("Chaos summary (chunk pool %s)", r.Scenario),
 			Columns: []string{"measure", "value"},
 			Rows: [][]string{
@@ -336,7 +289,7 @@ func ChaosTables(results []ChaosResult) []Table {
 				{"foreground op failures", fmt.Sprint(r.ForegroundErrors)},
 				{"objects failing verification", fmt.Sprint(r.VerifyErrors)},
 				{"dedup scrub issues", fmt.Sprint(r.ScrubIssues)},
-				{"stale refs after GC", fmt.Sprint(r.GCStaleRefs)},
+				{"stale refs after GC", fmt.Sprint(r.StaleRefs)},
 				{"audit repairs applied", fmt.Sprint(r.AuditRepairs)},
 				{"lost chunks", fmt.Sprint(r.LostChunks)},
 			},
@@ -344,39 +297,7 @@ func ChaosTables(results []ChaosResult) []Table {
 				"all times virtual; fixed seed makes the run bit-for-bit reproducible",
 				"foreground failures, verification failures, scrub issues, residual stale refs and lost chunks must all be 0",
 			},
-		}
-		out = append(out, sum)
+		})
 	}
 	return out
-}
-
-// Fingerprint canonicalizes a result for determinism checks: two runs with
-// the same seed must produce identical fingerprints.
-func (r ChaosResult) Fingerprint() string {
-	s := r.Scenario + "\n"
-	for _, ev := range r.Timeline {
-		s += fmt.Sprintf("%v %s\n", ev.At, ev.What)
-	}
-	s += fmt.Sprintf("detect=%v mttr=%v dr=%d dw=%d to=%d cr=%d rh=%d rb=%d fg=%d ve=%d si=%d gc=%d au=%d lc=%d\n",
-		r.DetectLatency, r.MTTR, r.DegradedReads, r.DegradedWrites, r.Timeouts,
-		r.ClientRetries, r.ReplicaHeals, r.RecoveredBytes,
-		r.ForegroundErrors, r.VerifyErrors, r.ScrubIssues, r.GCStaleRefs,
-		r.AuditRepairs, r.LostChunks)
-	return s
-}
-
-// ChaosSeeded runs every scenario with a caller-chosen seed; the default
-// sweep and the harness's determinism tests both route through it.
-func ChaosSeeded(sc Scale, seed int64) []ChaosResult {
-	var out []ChaosResult
-	for _, scn := range DefaultChaosScenarios() {
-		out = append(out, chaosRun(sc, scn, seed))
-	}
-	return out
-}
-
-// ChaosSweepResult runs the default chaos sweep and packages it as a
-// machine-readable Result.
-func ChaosSweepResult(sc Scale) Result {
-	return Result{Name: "chaos", Tables: ChaosTables(Chaos(sc))}
 }

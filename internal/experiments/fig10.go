@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -20,27 +21,6 @@ type Fig10Row struct {
 	CPUPct  float64
 }
 
-// cpuWindow measures cluster CPU utilization (%) across a measured phase.
-type cpuWindow struct {
-	h      *harness
-	busy0  time.Duration
-	start  sim.Time
-	nCores float64
-}
-
-func startCPUWindow(h *harness) *cpuWindow {
-	return &cpuWindow{h: h, busy0: h.c.HostCPUBusy(), start: h.eng.Now(), nCores: float64(h.c.HostCount() * 12)}
-}
-
-func (w *cpuWindow) pct() float64 {
-	elapsed := (w.h.eng.Now() - w.start).Duration()
-	if elapsed <= 0 {
-		return 0
-	}
-	busy := w.h.c.HostCPUBusy() - w.busy0
-	return 100 * float64(busy) / (float64(elapsed) * w.nCores)
-}
-
 // Fig10 reproduces Figure 10: 8KB random write and random read latency/CPU
 // on a 32KB-chunk system, FIO 4 threads × 4 iodepth, for:
 //
@@ -58,94 +38,74 @@ func Fig10(sc Scale) []Fig10Row {
 	fioR := fioW
 	fioR.Pattern = workload.RandRead
 
-	var rows []Fig10Row
-	record := func(config, op string, res workload.FIOResult, cpu float64) {
-		rows = append(rows, Fig10Row{Config: config, Op: op, Latency: res.MeanLatency(), CPUPct: cpu})
-	}
-
-	// --- Original -------------------------------------------------------
-	{
-		h := sc.newHarness(301, 4, 4)
-		dev := h.rawDevice("img", span, 0, rados.ReplicatedN(2))
-		h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
-		w := startCPUWindow(h)
+	// measure runs cfg against dev and reports its mean latency with the
+	// cluster CPU utilization (%) across the phase.
+	measure := func(h *harness, dev *client.BlockDevice, config string, cfg workload.FIOConfig) Fig10Row {
+		busy0, start := h.c.HostCPUBusy(), h.eng.Now()
 		var res workload.FIOResult
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioW) })
-		record("Original", "randwrite", res, w.pct())
-		w = startCPUWindow(h)
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioR) })
-		record("Original", "randread", res, w.pct())
+		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, cfg) })
+		row := Fig10Row{Config: config, Op: cfg.Pattern.String(), Latency: res.MeanLatency()}
+		if elapsed := (h.eng.Now() - start).Duration(); elapsed > 0 {
+			row.CPUPct = 100 * float64(h.c.HostCPUBusy()-busy0) / (float64(elapsed) * float64(h.c.HostCount()*12))
+		}
+		return row
 	}
-
-	// --- Proposed (post-processing, engine + rate control active) --------
-	{
-		h := sc.newHarness(302, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.HitSet.HitCount = 1000 // measure the non-cached path
-		})
+	// dedup opens a dedup store tweaked by mut and prefills a device on it.
+	dedup := func(h *harness, mut func(*core.Config)) (*core.Store, *client.BlockDevice) {
+		s := h.dedupStore(mut)
 		dev := h.dedupDevice("img", span, s)
 		h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
-		s.StartEngine()
-		w := startCPUWindow(h)
-		var res workload.FIOResult
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioW) })
-		record("Proposed", "randwrite", res, w.pct())
-		// Reads against flushed data: the redirection path.
-		h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
-		s.StartEngine()
-		w = startCPUWindow(h)
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioR) })
-		record("Proposed", "randread", res, w.pct())
+		return s, dev
 	}
-
-	// --- Proposed-flush (synchronous dedup on every write) ---------------
-	{
-		h := sc.newHarness(303, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.Mode = core.ModeFlushThrough
-			cfg.HitSet.HitCount = 1000
-		})
-		dev := h.dedupDevice("img", span, s)
-		h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
-		w := startCPUWindow(h)
-		var res workload.FIOResult
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioW) })
-		record("Proposed-flush", "randwrite", res, w.pct())
-	}
-
-	// --- Proposed-cache (data stays in the metadata pool) ----------------
-	{
-		h := sc.newHarness(304, 4, 4)
-		s := h.dedupStore(func(cfg *core.Config) {
-			cfg.HitSet.HitCount = 1 // everything hot: nothing is flushed
-		})
-		dev := h.dedupDevice("img", span, s)
-		h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
-		w := startCPUWindow(h)
-		var res workload.FIOResult
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioW) })
-		record("Proposed-cache", "randwrite", res, w.pct())
-		w = startCPUWindow(h)
-		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, fioR) })
-		record("Proposed-cache", "randread", res, w.pct())
-	}
-	return rows
+	return slices.Concat(Runs(sc, []func(*Testbed) []Fig10Row{
+		func(tb *Testbed) []Fig10Row {
+			h := tb.harness(301, 4, 4)
+			dev := h.rawDevice("img", span, 0, rados.ReplicatedN(2))
+			h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
+			return []Fig10Row{measure(h, dev, "Original", fioW), measure(h, dev, "Original", fioR)}
+		},
+		// Post-processing, engine + rate control active.
+		func(tb *Testbed) []Fig10Row {
+			h := tb.harness(302, 4, 4)
+			s, dev := dedup(h, func(cfg *core.Config) {
+				cfg.HitSet.HitCount = 1000 // measure the non-cached path
+			})
+			s.StartEngine()
+			w := measure(h, dev, "Proposed", fioW)
+			// Reads against flushed data: the redirection path.
+			h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
+			s.StartEngine()
+			return []Fig10Row{w, measure(h, dev, "Proposed", fioR)}
+		},
+		// Synchronous dedup on every write.
+		func(tb *Testbed) []Fig10Row {
+			h := tb.harness(303, 4, 4)
+			_, dev := dedup(h, func(cfg *core.Config) {
+				cfg.Mode = core.ModeFlushThrough
+				cfg.HitSet.HitCount = 1000
+			})
+			return []Fig10Row{measure(h, dev, "Proposed-flush", fioW)}
+		},
+		// Data stays in the metadata pool.
+		func(tb *Testbed) []Fig10Row {
+			h := tb.harness(304, 4, 4)
+			_, dev := dedup(h, func(cfg *core.Config) {
+				cfg.HitSet.HitCount = 1 // everything hot: nothing is flushed
+			})
+			return []Fig10Row{measure(h, dev, "Proposed-cache", fioW), measure(h, dev, "Proposed-cache", fioR)}
+		},
+	}, call)...)
 }
 
 // Fig10Table renders Fig10.
 func Fig10Table(rows []Fig10Row) Table {
-	t := Table{
-		Title:   "Figure 10: 8KB random I/O latency and CPU (32KB chunks, FIO 4thr x 4qd)",
-		Columns: []string{"config", "op", "mean latency", "CPU %"},
-		Notes: []string{
+	return table("Figure 10: 8KB random I/O latency and CPU (32KB chunks, FIO 4thr x 4qd)",
+		[]string{"config", "op", "mean latency", "CPU %"},
+		[]string{
 			"paper shape: write — Proposed ~ +20% latency / ~2x CPU vs Original; Proposed-flush worst; Proposed-cache ~ Original",
 			"paper shape: read — Proposed (redirected) slower than Original; Proposed-cache ~ Original",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Config, r.Op, r.Latency.Round(time.Microsecond).String(), f1(r.CPUPct)})
-	}
-	return t
+		rows, func(r Fig10Row) []string { return []string{r.Config, r.Op, us(r.Latency), f1(r.CPUPct)} })
 }
 
 // Fig11Row is one point of Figure 11: sequential throughput/latency at one
@@ -162,108 +122,86 @@ type Fig11Row struct {
 // three clients, Original vs Proposed (32KB chunk system). Reads run after
 // all data is flushed to the chunk pool, as in the paper.
 func Fig11(sc Scale) []Fig11Row {
-	var rows []Fig11Row
 	span := sc.bytes(6 << 20) // per client
 	const clients = 3
-
-	type target struct {
-		devs []*client.BlockDevice
-		h    *harness
-		s    *core.Store
+	type fig11Case struct {
+		bs    int64
+		dedup bool
 	}
-	build := func(seed int64, dedup bool) *target {
-		h := sc.newHarness(seed, 4, 4)
-		tg := &target{h: h}
-		if dedup {
-			tg.s = h.dedupStore(func(cfg *core.Config) {
+	var cases []fig11Case
+	for _, bs := range []int64{32 << 10, 64 << 10, 128 << 10} {
+		cases = append(cases, fig11Case{bs, false}, fig11Case{bs, true})
+	}
+	return slices.Concat(Runs(sc, cases, func(tb *Testbed, c fig11Case) []Fig11Row {
+		config, seed := "Original", int64(401)
+		if c.dedup {
+			config, seed = "Proposed", 402
+		}
+		h := tb.harness(seed, 4, 4)
+		var s *core.Store
+		if c.dedup {
+			s = h.dedupStore(func(cfg *core.Config) {
 				cfg.HitSet.HitCount = 1000
 			})
 		}
-		for i := 0; i < clients; i++ {
+		devs := make([]*client.BlockDevice, clients)
+		for i := range devs {
 			name := "img" + string(rune('a'+i))
-			if dedup {
-				tg.devs = append(tg.devs, h.dedupDevice(name, span, tg.s))
+			if c.dedup {
+				devs[i] = h.dedupDevice(name, span, s)
 			} else {
-				tg.devs = append(tg.devs, h.rawDevice(name, span, 0, rados.ReplicatedN(2)))
+				devs[i] = h.rawDevice(name, span, 0, rados.ReplicatedN(2))
 			}
 		}
-		return tg
-	}
-
-	runPhase := func(tg *target, bs int64, pattern workload.Pattern, seed int64) (float64, time.Duration) {
-		results := make([]workload.FIOResult, clients)
-		tg.h.run(func(p *sim.Proc) {
-			var sigs []*sim.Signal
-			for i := 0; i < clients; i++ {
-				i := i
-				sigs = append(sigs, p.Go("client", func(q *sim.Proc) {
-					results[i] = workload.RunFIO(q, tg.devs[i], workload.FIOConfig{
-						BlockSize: bs, Span: span, Pattern: pattern,
-						DedupPct: 30, Threads: 2, IODepth: 4, Seed: seed + int64(i),
-					})
-				}))
+		phase := func(op string, pattern workload.Pattern, seed int64) Fig11Row {
+			results := make([]workload.FIOResult, clients)
+			h.run(func(p *sim.Proc) {
+				var sigs []*sim.Signal
+				for i := 0; i < clients; i++ {
+					sigs = append(sigs, p.Go("client", func(q *sim.Proc) {
+						results[i] = workload.RunFIO(q, devs[i], workload.FIOConfig{
+							BlockSize: c.bs, Span: span, Pattern: pattern,
+							DedupPct: 30, Threads: 2, IODepth: 4, Seed: seed + int64(i),
+						})
+					}))
+				}
+				sim.WaitAll(p, sigs...)
+			})
+			row := Fig11Row{Config: config, Op: op, BlockSize: c.bs}
+			for _, r := range results {
+				row.Throughput += r.Throughput()
+				row.Latency += r.MeanLatency()
 			}
-			sim.WaitAll(p, sigs...)
-		})
-		var tput float64
-		var lat time.Duration
-		for _, r := range results {
-			tput += r.Throughput()
-			lat += r.MeanLatency()
+			row.Latency /= clients
+			return row
 		}
-		return tput, lat / clients
-	}
-
-	for _, bs := range []int64{32 << 10, 64 << 10, 128 << 10} {
-		// Original.
-		tg := build(401, false)
-		tput, lat := runPhase(tg, bs, workload.SeqWrite, 81)
-		rows = append(rows, Fig11Row{"Original", "write", bs, tput, lat})
-		tput, lat = runPhase(tg, bs, workload.SeqRead, 82)
-		rows = append(rows, Fig11Row{"Original", "read", bs, tput, lat})
-
-		// Proposed: write with background engine + rate control; read after
-		// a full flush (redirection path).
-		tg = build(402, true)
-		tg.s.StartEngine()
-		tput, lat = runPhase(tg, bs, workload.SeqWrite, 81)
-		rows = append(rows, Fig11Row{"Proposed", "write", bs, tput, lat})
-		tg.h.run(func(p *sim.Proc) { tg.s.Engine().DrainAndWait(p) })
-		tput, lat = runPhase(tg, bs, workload.SeqRead, 82)
-		rows = append(rows, Fig11Row{"Proposed", "read", bs, tput, lat})
-	}
-	return rows
+		// Proposed writes with the background engine and rate control on,
+		// and reads after a full flush (the redirection path).
+		if c.dedup {
+			s.StartEngine()
+		}
+		w := phase("write", workload.SeqWrite, 81)
+		if c.dedup {
+			h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
+		}
+		return []Fig11Row{w, phase("read", workload.SeqRead, 82)}
+	})...)
 }
 
 // Fig11Table renders Fig11.
 func Fig11Table(rows []Fig11Row) Table {
-	t := Table{
-		Title:   "Figure 11: sequential performance, 3 clients (32KB chunks)",
-		Columns: []string{"config", "op", "block", "MB/s", "mean latency"},
-		Notes: []string{
+	return table("Figure 11: sequential performance, 3 clients (32KB chunks)",
+		[]string{"config", "op", "block", "MB/s", "mean latency"},
+		[]string{
 			"paper shape: read — Proposed ~1/2 of Original at 32KB (redirection), gap narrows by 128KB (parallel chunk reads)",
 			"paper shape: write — Proposed close to Original at every block size (rate-controlled background dedup)",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Config, r.Op, fmtKB(r.BlockSize), f1(r.Throughput), r.Latency.Round(time.Microsecond).String(),
+		rows, func(r Fig11Row) []string {
+			return []string{r.Config, r.Op, fmtKB(r.BlockSize), f1(r.Throughput), us(r.Latency)}
 		})
-	}
-	return t
 }
 
 // fmtKB renders a byte count in whole KiB, e.g. "32KB".
 func fmtKB(bs int64) string {
 	return strconv.FormatInt(bs>>10, 10) + "KB"
-}
-
-// Fig10Result runs Fig10 and packages it as a machine-readable Result.
-func Fig10Result(sc Scale) Result {
-	return Result{Name: "fig10", Tables: []Table{Fig10Table(Fig10(sc))}}
-}
-
-// Fig11Result runs Fig11 and packages it as a machine-readable Result.
-func Fig11Result(sc Scale) Result {
-	return Result{Name: "fig11", Tables: []Table{Fig11Table(Fig11(sc))}}
 }

@@ -43,61 +43,52 @@ func Fig12(sc Scale) []Fig12Row {
 
 	type setup struct {
 		name  string
+		seed  int64
 		build func(h *harness) (*client.BlockDevice, *core.Store)
 	}
 	setups := []setup{
-		{"Replication", func(h *harness) (*client.BlockDevice, *core.Store) {
+		{"Replication", 610, func(h *harness) (*client.BlockDevice, *core.Store) {
 			return h.rawDevice("img", devSize, 0, rados.ReplicatedN(2)), nil
 		}},
-		{"Proposed", func(h *harness) (*client.BlockDevice, *core.Store) {
+		{"Proposed", 611, func(h *harness) (*client.BlockDevice, *core.Store) {
 			s := h.dedupStore(nil) // paper defaults: cache manager active
 			return h.dedupDevice("img", devSize, s), s
 		}},
-		{"EC", func(h *harness) (*client.BlockDevice, *core.Store) {
+		{"EC", 612, func(h *harness) (*client.BlockDevice, *core.Store) {
 			return h.rawDevice("img", devSize, 0, rados.ErasureKM(2, 1)), nil
 		}},
-		{"Proposed-EC", func(h *harness) (*client.BlockDevice, *core.Store) {
+		{"Proposed-EC", 613, func(h *harness) (*client.BlockDevice, *core.Store) {
 			s := h.dedupStore(func(cfg *core.Config) {
 				cfg.ChunkRedundancy = rados.ErasureKM(2, 1)
 			})
 			return h.dedupDevice("img", devSize, s), s
 		}},
 	}
-
-	var rows []Fig12Row
-	for i, st := range setups {
-		h := sc.newHarness(610+int64(i), 4, 4)
+	return Runs(sc, setups, func(tb *Testbed, st setup) Fig12Row {
+		h := tb.harness(st.seed, 4, 4)
 		dev, s := st.build(h)
-		h.run(func(p *sim.Proc) {
-			if err := workload.BuildSFSDataset(p, dev, sfsCfg); err != nil {
-				panic(err)
-			}
-		})
+		h.run(func(p *sim.Proc) { check(workload.BuildSFSDataset(p, dev, sfsCfg)) })
 		// Storage usage (e): measured on the settled dataset — flushed,
 		// cooled, and after an EvictCold pass — matching the
 		// paper's dataset-footprint accounting. (At this scale the measured
 		// phase rewrites nearly every chunk, which the paper's 240GB file
 		// set did not experience.)
+		var used int64
 		if s != nil {
 			h.run(func(p *sim.Proc) {
 				s.Engine().DrainAndWait(p)
 				p.Sleep(12 * time.Second)
 				s.Engine().EvictCold(p)
 			})
-		}
-		used := int64(0)
-		if s != nil {
-			used = h.c.PoolStats(s.MetaPool()).StoredTotal() + h.c.PoolStats(s.ChunkPool()).StoredTotal()
+			used = h.footprint(s)
+			s.StartEngine() // keep the engine running through the perf phase
 		} else {
 			pool, _ := h.c.LookupPool("pool.img")
 			used = h.c.PoolStats(pool).StoredTotal()
 		}
-		if s != nil {
-			s.StartEngine() // keep the engine running through the perf phase
-		}
 		var res workload.SFSResult
 		h.run(func(p *sim.Proc) { res = workload.RunSFS(p, dev, sfsCfg) })
-		rows = append(rows, Fig12Row{
+		return Fig12Row{
 			Config:      st.name,
 			Throughput:  res.TotalThroughput(),
 			MeanLatency: res.MeanLatency(),
@@ -106,34 +97,23 @@ func Fig12(sc Scale) []Fig12Row {
 			ReadLat:     res.Read.Lat.Mean(),
 			WriteLat:    res.Write.Lat.Mean(),
 			StorageUsed: used,
-		})
-	}
-	return rows
+		}
+	})
 }
 
 // Fig12Table renders Fig12.
 func Fig12Table(rows []Fig12Row) Table {
-	t := Table{
-		Title:   "Figure 12: SPEC SFS 2014 database workload (rep=2 / EC 2+1)",
-		Columns: []string{"config", "MB/s", "mean lat", "read IOPS", "write IOPS", "read lat", "write lat", "storage"},
-		Notes: []string{
+	return table("Figure 12: SPEC SFS 2014 database workload (rep=2 / EC 2+1)",
+		[]string{"config", "MB/s", "mean lat", "read IOPS", "write IOPS", "read lat", "write lat", "storage"},
+		[]string{
 			"paper shape (a): Replication ~ Proposed throughput (fixed-rate workload); EC/Proposed-EC lower",
 			"paper shape (b,d): Proposed latency > Replication (dedup overhead); EC latencies much worse (RMW + spread reads)",
 			"paper shape (e): storage 428GB rep / 320GB EC / 48GB Proposed on the 240GB file set",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Config, f1(r.Throughput), r.MeanLatency.Round(time.Microsecond).String(),
-			f1(r.ReadIOPS), f1(r.WriteIOPS),
-			r.ReadLat.Round(time.Microsecond).String(), r.WriteLat.Round(time.Microsecond).String(),
-			mb(r.StorageUsed),
+		rows, func(r Fig12Row) []string {
+			return []string{
+				r.Config, f1(r.Throughput), us(r.MeanLatency), f1(r.ReadIOPS), f1(r.WriteIOPS),
+				us(r.ReadLat), us(r.WriteLat), mb(r.StorageUsed),
+			}
 		})
-	}
-	return t
-}
-
-// Fig12Result runs Fig12 and packages it as a machine-readable Result.
-func Fig12Result(sc Scale) Result {
-	return Result{Name: "fig12", Tables: []Table{Fig12Table(Fig12(sc))}}
 }

@@ -36,28 +36,27 @@ func Fig13(sc Scale) []Fig13Series {
 		Thick:     true,
 	}
 
-	type cfg struct {
+	type fig13Case struct {
 		label    string
+		seed     int64
 		red      rados.Redundancy
 		dedup    bool
 		compress bool
 	}
-	cases := []cfg{
-		{"rep", rados.ReplicatedN(2), false, false},
-		{"ec", rados.ErasureKM(2, 1), false, false},
-		{"rep+dedup", rados.ReplicatedN(2), true, false},
-		{"rep+dedup+comp", rados.ReplicatedN(2), true, true},
-		{"ec+dedup", rados.ErasureKM(2, 1), true, false},
-		{"ec+dedup+comp", rados.ErasureKM(2, 1), true, true},
+	cases := []fig13Case{
+		{"rep", 810, rados.ReplicatedN(2), false, false},
+		{"ec", 811, rados.ErasureKM(2, 1), false, false},
+		{"rep+dedup", 812, rados.ReplicatedN(2), true, false},
+		{"rep+dedup+comp", 813, rados.ReplicatedN(2), true, true},
+		{"ec+dedup", 814, rados.ErasureKM(2, 1), true, false},
+		{"ec+dedup+comp", 815, rados.ErasureKM(2, 1), true, true},
 	}
-
-	var out []Fig13Series
-	for ci, c := range cases {
+	return Runs(sc, cases, func(tb *Testbed, c fig13Case) Fig13Series {
 		var opts []rados.Option
 		if c.compress {
 			opts = append(opts, rados.WithStoreOptions(store.WithSizeFn(compressfs.Default())))
 		}
-		h := sc.newHarness(810+int64(ci), 4, 4, opts...)
+		h := tb.harness(c.seed, 4, 4, opts...)
 		series := Fig13Series{Label: c.label}
 
 		var s *core.Store
@@ -73,41 +72,28 @@ func Fig13(sc Scale) []Fig13Series {
 		} else {
 			rawPool, gwRaw = h.rawPool("vmpool", c.red)
 		}
-
-		usage := func() int64 {
-			if c.dedup {
-				return h.c.PoolStats(s.MetaPool()).StoredTotal() + h.c.PoolStats(s.ChunkPool()).StoredTotal()
-			}
-			return h.c.PoolStats(rawPool).StoredTotal()
-		}
-
 		for vm := 0; vm < images; vm++ {
 			name := fmt.Sprintf("vm%d", vm)
 			var dev *client.BlockDevice
-			var err error
 			if c.dedup {
 				dev = h.dedupDevice(name, imgCfg.ImageSize, s)
 			} else {
-				dev, err = client.NewBlockDevice(name, imgCfg.ImageSize, 1<<20,
-					&client.RawBackend{GW: gwRaw, Pool: rawPool})
-				if err != nil {
-					panic(err)
-				}
+				dev = must(client.NewBlockDevice(name, imgCfg.ImageSize, 1<<20, &client.RawBackend{GW: gwRaw, Pool: rawPool}))
 			}
-			vm := vm
 			h.run(func(p *sim.Proc) {
-				if err := workload.WriteVMImage(p, dev, imgCfg, vm); err != nil {
-					panic(err)
-				}
+				check(workload.WriteVMImage(p, dev, imgCfg, vm))
 				if c.dedup {
 					s.Engine().DrainAndWait(p)
 				}
 			})
-			series.UsedBytes = append(series.UsedBytes, usage())
+			if c.dedup {
+				series.UsedBytes = append(series.UsedBytes, h.footprint(s))
+			} else {
+				series.UsedBytes = append(series.UsedBytes, h.c.PoolStats(rawPool).StoredTotal())
+			}
 		}
-		out = append(out, series)
-	}
-	return out
+		return series
+	})
 }
 
 // Fig13Table renders Fig13 as cumulative image-count rows.
@@ -124,9 +110,7 @@ func Fig13Table(series []Fig13Series) Table {
 	}
 	n := 0
 	for _, s := range series {
-		if len(s.UsedBytes) > n {
-			n = len(s.UsedBytes)
-		}
+		n = max(n, len(s.UsedBytes))
 	}
 	for i := 0; i < n; i++ {
 		row := []string{fmt.Sprint(i + 1)}
@@ -140,9 +124,4 @@ func Fig13Table(series []Fig13Series) Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// Fig13Result runs Fig13 and packages it as a machine-readable Result.
-func Fig13Result(sc Scale) Result {
-	return Result{Name: "fig13", Tables: []Table{Fig13Table(Fig13(sc))}}
 }

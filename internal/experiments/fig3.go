@@ -19,86 +19,85 @@ type Fig3Row struct {
 	PaperGlobal float64
 }
 
+// fioDataset writes 5 MB (paper: 5GB) of sequential 8 KiB FIO blocks at
+// dedupPct into a raw replicated pool and returns the pool.
+func fioDataset(sc Scale, h *harness, dedupPct float64, seed int64) *rados.Pool {
+	span := sc.bytes(5 << 20)
+	dev := h.rawDevice("fio", span, 64<<10, rados.ReplicatedN(2))
+	h.run(func(p *sim.Proc) {
+		runFIO(p, dev, workload.FIOConfig{
+			BlockSize: 8 << 10, Span: span, Pattern: workload.SeqWrite,
+			DedupPct: dedupPct, Threads: 4, IODepth: 4, Seed: seed,
+		})
+	})
+	pool, _ := h.c.LookupPool("pool.fio")
+	return pool
+}
+
+// dedupRatios is the local and global dedup ratio of pool's data at chunk
+// bytes.
+func dedupRatios(h *harness, pool *rados.Pool, chunk int64) (local, global float64) {
+	return core.LocalDedupAnalysis(h.c, pool, chunk).Ratio(), core.GlobalDedupAnalysis(h.c, pool, chunk).Ratio()
+}
+
 // Fig3 reproduces Figure 3: "Deduplication ratio comparison between global
 // deduplication and local deduplication" across FIO, SPEC SFS DB, and the
 // private-cloud dataset, on 4 nodes × 4 OSDs.
 func Fig3(sc Scale) []Fig3Row {
-	var rows []Fig3Row
-
-	fio := func(name string, pct float64, paperLocal, paperGlobal float64) {
-		h := sc.newHarness(101, 4, 4)
-		span := sc.bytes(5 << 20) // paper: 5GB
-		dev := h.rawDevice("fio", span, 64<<10, rados.ReplicatedN(2))
-		h.run(func(p *sim.Proc) {
-			res := workload.RunFIO(p, dev, workload.FIOConfig{
-				BlockSize: 8 << 10, Span: span, Pattern: workload.SeqWrite,
-				DedupPct: pct, Threads: 4, IODepth: 4, Seed: 11,
-			})
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("fig3 %s: %d errors", name, res.Errors))
-			}
-		})
-		pool, _ := h.c.LookupPool("pool.fio")
-		local := core.LocalDedupAnalysis(h.c, pool, 8<<10)
-		global := core.GlobalDedupAnalysis(h.c, pool, 8<<10)
-		rows = append(rows, Fig3Row{name, local.Ratio(), global.Ratio(), paperLocal, paperGlobal})
+	type fig3Case struct {
+		row  Fig3Row // workload and paper numbers
+		seed int64
+		// load writes the data set and returns its pool and the chunk
+		// size the analysis uses.
+		load func(h *harness) (*rados.Pool, int64)
 	}
-	fio("FIO dedup 50%", 50, 4.20, 50.01)
-	fio("FIO dedup 80%", 80, 12.98, 80.01)
-
-	sfs := func(loads int, paperLocal, paperGlobal float64) {
-		h := sc.newHarness(102, 4, 4)
-		perLoad := sc.bytes(2400 << 10) // paper: 24GB total at metric 10
-		dev := h.rawDevice("sfs", int64(loads)*perLoad, 64<<10, rados.ReplicatedN(2))
-		cfg := workload.SFSConfig{Loads: loads, BytesPerLoad: perLoad, PageSize: 8 << 10, Seed: 21}
-		h.run(func(p *sim.Proc) {
-			if err := workload.BuildSFSDataset(p, dev, cfg); err != nil {
-				panic(err)
-			}
-		})
-		pool, _ := h.c.LookupPool("pool.sfs")
-		local := core.LocalDedupAnalysis(h.c, pool, 8<<10)
-		global := core.GlobalDedupAnalysis(h.c, pool, 8<<10)
-		rows = append(rows, Fig3Row{fmt.Sprintf("SFS DB (LD%d)", loads), local.Ratio(), global.Ratio(), paperLocal, paperGlobal})
+	fio := func(pct float64) func(h *harness) (*rados.Pool, int64) {
+		return func(h *harness) (*rados.Pool, int64) { return fioDataset(sc, h, pct, 11), 8 << 10 }
 	}
-	sfs(1, 8.96, 35.96)
-	sfs(3, 32.53, 80.60)
-	sfs(10, 50.02, 92.73)
-
-	// Private cloud.
-	{
-		h := sc.newHarness(103, 4, 4)
+	sfs := func(loads int) func(h *harness) (*rados.Pool, int64) {
+		return func(h *harness) (*rados.Pool, int64) {
+			perLoad := sc.bytes(2400 << 10) // paper: 24GB total at metric 10
+			dev := h.rawDevice("sfs", int64(loads)*perLoad, 64<<10, rados.ReplicatedN(2))
+			cfg := workload.SFSConfig{Loads: loads, BytesPerLoad: perLoad, PageSize: 8 << 10, Seed: 21}
+			h.run(func(p *sim.Proc) { check(workload.BuildSFSDataset(p, dev, cfg)) })
+			pool, _ := h.c.LookupPool("pool.sfs")
+			return pool, 8 << 10
+		}
+	}
+	cloud := func(h *harness) (*rados.Pool, int64) {
 		pool, gw := h.rawPool("cloud", rados.ReplicatedN(2))
-		gen := workload.NewCloudGen(workload.CloudConfig{
-			Objects: sc.countMin(12, 6), ObjectSize: 2 << 20, Seed: 31,
-		})
+		gen := workload.NewCloudGen(workload.CloudConfig{Objects: sc.countMin(12, 6), ObjectSize: 2 << 20, Seed: 31})
 		h.run(func(p *sim.Proc) {
 			for i := 0; i < gen.Config().Objects; i++ {
-				if err := gw.WriteFull(p, pool, gen.ObjectName(i), gen.ObjectContent(i)); err != nil {
-					panic(err)
-				}
+				check(gw.WriteFull(p, pool, gen.ObjectName(i), gen.ObjectContent(i)))
 			}
 		})
-		local := core.LocalDedupAnalysis(h.c, pool, 32<<10)
-		global := core.GlobalDedupAnalysis(h.c, pool, 32<<10)
-		rows = append(rows, Fig3Row{"SKT Private Cloud", local.Ratio(), global.Ratio(), 21.53, 44.80})
+		return pool, 32 << 10
 	}
-	return rows
+	cases := []fig3Case{
+		{Fig3Row{Workload: "FIO dedup 50%", PaperLocal: 4.20, PaperGlobal: 50.01}, 101, fio(50)},
+		{Fig3Row{Workload: "FIO dedup 80%", PaperLocal: 12.98, PaperGlobal: 80.01}, 101, fio(80)},
+		{Fig3Row{Workload: "SFS DB (LD1)", PaperLocal: 8.96, PaperGlobal: 35.96}, 102, sfs(1)},
+		{Fig3Row{Workload: "SFS DB (LD3)", PaperLocal: 32.53, PaperGlobal: 80.60}, 102, sfs(3)},
+		{Fig3Row{Workload: "SFS DB (LD10)", PaperLocal: 50.02, PaperGlobal: 92.73}, 102, sfs(10)},
+		{Fig3Row{Workload: "SKT Private Cloud", PaperLocal: 21.53, PaperGlobal: 44.80}, 103, cloud},
+	}
+	return Runs(sc, cases, func(tb *Testbed, c fig3Case) Fig3Row {
+		h := tb.harness(c.seed, 4, 4)
+		pool, chunk := c.load(h)
+		c.row.Local, c.row.Global = dedupRatios(h, pool, chunk)
+		return c.row
+	})
 }
 
 // Fig3Table renders Fig3 results.
 func Fig3Table(rows []Fig3Row) Table {
-	t := Table{
-		Title:   "Figure 3: local vs global deduplication ratio (%)",
-		Columns: []string{"workload", "local", "global", "paper-local", "paper-global"},
-		Notes: []string{
-			"shape target: global >> local everywhere; gap ~2-4x for SFS/cloud, ~12x for FIO on 16 OSDs",
-		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Workload, f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)})
-	}
-	return t
+	return table("Figure 3: local vs global deduplication ratio (%)",
+		[]string{"workload", "local", "global", "paper-local", "paper-global"},
+		[]string{"shape target: global >> local everywhere; gap ~2-4x for SFS/cloud, ~12x for FIO on 16 OSDs"},
+		rows, func(r Fig3Row) []string {
+			return []string{r.Workload, f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)}
+		})
 }
 
 // Table1Row is one column of Table 1: local vs global ratio as the cluster
@@ -116,47 +115,19 @@ type Table1Row struct {
 // cluster scales out, global stays at the content's 50%.
 func Table1(sc Scale) []Table1Row {
 	paperLocal := map[int]float64{4: 15.5, 8: 8.1, 12: 5.5, 16: 4.1}
-	var rows []Table1Row
-	for _, osds := range []int{4, 8, 12, 16} {
-		h := sc.newHarness(111, 4, osds/4)
-		span := sc.bytes(5 << 20)
-		dev := h.rawDevice("fio", span, 64<<10, rados.ReplicatedN(2))
-		h.run(func(p *sim.Proc) {
-			res := workload.RunFIO(p, dev, workload.FIOConfig{
-				BlockSize: 8 << 10, Span: span, Pattern: workload.SeqWrite,
-				DedupPct: 50, Threads: 4, IODepth: 4, Seed: 41,
-			})
-			if res.Errors > 0 {
-				panic("table1: write errors")
-			}
-		})
-		pool, _ := h.c.LookupPool("pool.fio")
-		local := core.LocalDedupAnalysis(h.c, pool, 8<<10)
-		global := core.GlobalDedupAnalysis(h.c, pool, 8<<10)
-		rows = append(rows, Table1Row{osds, local.Ratio(), global.Ratio(), paperLocal[osds], 50.0})
-	}
-	return rows
+	return Runs(sc, []int{4, 8, 12, 16}, func(tb *Testbed, osds int) Table1Row {
+		h := tb.harness(111, 4, osds/4)
+		local, global := dedupRatios(h, fioDataset(sc, h, 50, 41), 8<<10)
+		return Table1Row{osds, local, global, paperLocal[osds], 50.0}
+	})
 }
 
 // Table1Table renders Table1 results.
 func Table1Table(rows []Table1Row) Table {
-	t := Table{
-		Title:   "Table 1: dedup ratio (%) vs cluster size, FIO dedup=50%",
-		Columns: []string{"OSDs", "local", "global", "paper-local", "paper-global"},
-		Notes:   []string{"shape target: local ratio shrinks ~1/OSDs; global stays ~50%"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{fmt.Sprint(r.OSDs), f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)})
-	}
-	return t
-}
-
-// Fig3Result runs Fig3 and packages it as a machine-readable Result.
-func Fig3Result(sc Scale) Result {
-	return Result{Name: "fig3", Tables: []Table{Fig3Table(Fig3(sc))}}
-}
-
-// Table1Result runs Table1 and packages it as a machine-readable Result.
-func Table1Result(sc Scale) Result {
-	return Result{Name: "table1", Tables: []Table{Table1Table(Table1(sc))}}
+	return table("Table 1: dedup ratio (%) vs cluster size, FIO dedup=50%",
+		[]string{"OSDs", "local", "global", "paper-local", "paper-global"},
+		[]string{"shape target: local ratio shrinks ~1/OSDs; global stays ~50%"},
+		rows, func(r Table1Row) []string {
+			return []string{fmt.Sprint(r.OSDs), f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)}
+		})
 }

@@ -26,10 +26,19 @@ type Fig5aRow struct {
 // the original store (and versus chunk-aligned 32KB writes).
 func Fig5a(sc Scale) []Fig5aRow {
 	span := sc.bytes(8 << 20)
-	runCase := func(name string, bs int64, inline bool) Fig5aRow {
-		h := sc.newHarness(201, 4, 4)
+	type fig5aCase struct {
+		row    Fig5aRow
+		inline bool
+	}
+	cases := []fig5aCase{
+		{Fig5aRow{Config: "Original, 16KB writes", BlockSize: 16 << 10}, false},
+		{Fig5aRow{Config: "Inline dedup, 16KB writes (partial-write RMW)", BlockSize: 16 << 10}, true},
+		{Fig5aRow{Config: "Inline dedup, 32KB writes (chunk-aligned)", BlockSize: 32 << 10}, true},
+	}
+	return Runs(sc, cases, func(tb *Testbed, c fig5aCase) Fig5aRow {
+		h := tb.harness(201, 4, 4)
 		var dev *client.BlockDevice
-		if inline {
+		if c.inline {
 			s := h.dedupStore(func(cfg *core.Config) {
 				cfg.Mode = core.ModeInline
 				cfg.ChunkSize = 32 << 10
@@ -38,39 +47,24 @@ func Fig5a(sc Scale) []Fig5aRow {
 		} else {
 			dev = h.rawDevice("img", span, 0, rados.ReplicatedN(2))
 		}
-		var res workload.FIOResult
 		h.run(func(p *sim.Proc) {
 			// Two sequential passes: the second pass hits chunks that inline
 			// dedup already flushed, so sub-chunk writes must pre-read them.
-			cfg := workload.FIOConfig{
-				BlockSize: bs, Span: span, Pattern: workload.SeqWrite,
-				Threads: 4, IODepth: 4, Seed: 51, Ops: int(2 * span / bs),
-			}
-			res = workload.RunFIO(p, dev, cfg)
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("fig5a %s: %d errors", name, res.Errors))
-			}
+			c.row.Throughput = runFIO(p, dev, workload.FIOConfig{
+				BlockSize: c.row.BlockSize, Span: span, Pattern: workload.SeqWrite,
+				Threads: 4, IODepth: 4, Seed: 51, Ops: int(2 * span / c.row.BlockSize),
+			}).Throughput()
 		})
-		return Fig5aRow{Config: name, BlockSize: bs, Throughput: res.Throughput()}
-	}
-	return []Fig5aRow{
-		runCase("Original, 16KB writes", 16<<10, false),
-		runCase("Inline dedup, 16KB writes (partial-write RMW)", 16<<10, true),
-		runCase("Inline dedup, 32KB writes (chunk-aligned)", 32<<10, true),
-	}
+		return c.row
+	})
 }
 
 // Fig5aTable renders Fig5a.
 func Fig5aTable(rows []Fig5aRow) Table {
-	t := Table{
-		Title:   "Figure 5-(a): inline dedup partial-write problem (seq write)",
-		Columns: []string{"config", "block", "MB/s"},
-		Notes:   []string{"shape target: inline 16KB << original 16KB (read-modify-write per 32KB chunk)"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Config, fmt.Sprintf("%dKB", r.BlockSize>>10), f1(r.Throughput)})
-	}
-	return t
+	return table("Figure 5-(a): inline dedup partial-write problem (seq write)",
+		[]string{"config", "block", "MB/s"},
+		[]string{"shape target: inline 16KB << original 16KB (read-modify-write per 32KB chunk)"},
+		rows, func(r Fig5aRow) []string { return []string{r.Config, fmtKB(r.BlockSize), f1(r.Throughput)} })
 }
 
 // TimelinePoint is one second of a foreground-throughput timeline.
@@ -112,9 +106,7 @@ func foregroundWithEngine(h *harness, s *core.Store, dev *client.BlockDevice,
 					off := (next % blocks) * (512 << 10)
 					next++
 					opStart := q.Now()
-					if err := dev.WriteAt(q, off, gen.NextBlock()); err != nil {
-						panic(err)
-					}
+					check(dev.WriteAt(q, off, gen.NextBlock()))
 					rec.Record(q.Now(), (q.Now() - opStart).Duration(), 512<<10)
 				}
 			})
@@ -135,18 +127,13 @@ func foregroundWithEngine(h *harness, s *core.Store, dev *client.BlockDevice,
 // throttled when an un-rate-limited background dedup engine starts — from
 // Fig14's run without rate control.
 func Fig5bTable(r InterferenceResult) Table {
-	t := Table{
-		Title:   "Figure 5-(b): foreground interference from background dedup (post-processing dedup w/o rate control)",
-		Columns: []string{"second", "foreground MB/s"},
-		Notes: []string{
+	return table("Figure 5-(b): foreground interference from background dedup (post-processing dedup w/o rate control)",
+		[]string{"second", "foreground MB/s"},
+		[]string{
 			fmt.Sprintf("steady before engine start: %.0f MB/s; after: %.0f MB/s", r.SteadyBefore, r.SteadyAfter),
 			"shape target: pronounced throughput drop once background dedup starts (paper: 600 -> 200 MB/s)",
 		},
-	}
-	for _, pt := range r.Points {
-		t.Rows = append(t.Rows, []string{fmt.Sprint(pt.Second), f1(pt.MBps)})
-	}
-	return t
+		r.Points, func(pt TimelinePoint) []string { return []string{fmt.Sprint(pt.Second), f1(pt.MBps)} })
 }
 
 // Fig14 reproduces Figure 14: the same foreground stream under (1) no
@@ -159,24 +146,31 @@ func Fig14(sc Scale) []InterferenceResult {
 	span := sc.bytes(16 << 20)
 	total := scaledDuration(sc, 24*time.Second)
 	engStart := total / 3
-
-	// Ideal: no deduplication at all.
-	h := sc.newHarness(203, 4, 4)
-	s := h.dedupStore(func(cfg *core.Config) {
-		cfg.HitSet.HitCount = 1000
-	})
-	ideal := foregroundWithEngine(h, nil, h.dedupDevice("img", span, s), span, total, engStart, "no deduplication (ideal)")
-
-	withEngine := func(seed int64, label string, rate func(cfg *core.Config)) InterferenceResult {
-		h := sc.newHarness(seed, 4, 4)
+	type fig14Case struct {
+		seed  int64
+		label string
+		rate  func(cfg *core.Config) // nil: no deduplication at all
+	}
+	cases := []fig14Case{
+		{203, "no deduplication (ideal)", nil},
+		{204, "dedup w/o rate control", func(cfg *core.Config) { cfg.Rate.Enabled = false }},
+		{205, "dedup w/ rate control", func(cfg *core.Config) {
+			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
+		}},
+	}
+	return Runs(sc, cases, func(tb *Testbed, c fig14Case) InterferenceResult {
+		h := tb.harness(c.seed, 4, 4)
+		if c.rate == nil {
+			s := h.dedupStore(func(cfg *core.Config) { cfg.HitSet.HitCount = 1000 })
+			return foregroundWithEngine(h, nil, h.dedupDevice("img", span, s), span, total, engStart, c.label)
+		}
 		s := h.dedupStore(func(cfg *core.Config) {
-			rate(cfg)
+			c.rate(cfg)
 			cfg.DedupThreads = 32
 			cfg.FlushParallel = 16
 			cfg.HitSet.HitCount = 1000 // no hot exemption: everything is a target
 		})
-		dev := h.dedupDevice("img", span, s)
-		r := foregroundWithEngine(h, s, dev, span, total, engStart, label)
+		r := foregroundWithEngine(h, s, h.dedupDevice("img", span, s), span, total, engStart, c.label)
 		r.FlushedFg = s.Engine().Stats().ChunksFlushed
 		// Idle tail: the foreground has stopped, so the controller's
 		// throttle clears and the engine catches up on whatever backlog it
@@ -185,16 +179,7 @@ func Fig14(sc Scale) []InterferenceResult {
 		st := s.Engine().Stats()
 		r.RateAdjusts, r.FlushedIdle = st.RateAdjusts, st.ChunksFlushed-r.FlushedFg
 		return r
-	}
-	return []InterferenceResult{
-		ideal,
-		withEngine(204, "dedup w/o rate control", func(cfg *core.Config) {
-			cfg.Rate.Enabled = false
-		}),
-		withEngine(205, "dedup w/ rate control", func(cfg *core.Config) {
-			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
-		}),
-	}
+	})
 }
 
 // Fig14Table renders the three rate-control timelines side by side.
@@ -207,9 +192,7 @@ func Fig14Table(rs []InterferenceResult) Table {
 	maxLen := 0
 	for _, r := range rs {
 		t.Columns = append(t.Columns, r.Label)
-		if len(r.Points) > maxLen {
-			maxLen = len(r.Points)
-		}
+		maxLen = max(maxLen, len(r.Points))
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: before=%.0f MB/s after=%.0f MB/s", r.Label, r.SteadyBefore, r.SteadyAfter))
 	}
 	for i := 0; i < maxLen; i++ {
@@ -230,26 +213,16 @@ func Fig14Table(rs []InterferenceResult) Table {
 // as a dedup-class weight policy) against a static dedup-class weight, from
 // Fig14's two engine runs.
 func RateAblationTable(static, controlled InterferenceResult) Table {
-	t := Table{
-		Title:   "QoS: watermark weight controller vs static dedup weight (foreground MB/s)",
-		Columns: []string{"config", "before MB/s", "after MB/s", "retained %", "rate adjusts", "flushed (fg)", "flushed (idle)"},
-		Notes: []string{
-			"shape target: controller retains more foreground throughput than the static weight, deferring flush work into the idle tail",
-		},
-	}
-	for _, c := range []struct {
-		config string
-		r      InterferenceResult
-	}{
-		{"static dedup weight (controller off)", static},
-		{"watermark controller (scaled watermarks)", controlled},
-	} {
-		t.Rows = append(t.Rows, []string{
-			c.config, f1(c.r.SteadyBefore), f1(c.r.SteadyAfter), f1(retainedPct(c.r)),
-			fmt.Sprint(c.r.RateAdjusts), fmt.Sprint(c.r.FlushedFg), fmt.Sprint(c.r.FlushedIdle),
+	static.Label, controlled.Label = "static dedup weight (controller off)", "watermark controller (scaled watermarks)"
+	return table("QoS: watermark weight controller vs static dedup weight (foreground MB/s)",
+		[]string{"config", "before MB/s", "after MB/s", "retained %", "rate adjusts", "flushed (fg)", "flushed (idle)"},
+		[]string{"shape target: controller retains more foreground throughput than the static weight, deferring flush work into the idle tail"},
+		[]InterferenceResult{static, controlled}, func(r InterferenceResult) []string {
+			return []string{
+				r.Label, f1(r.SteadyBefore), f1(r.SteadyAfter), f1(retainedPct(r)),
+				fmt.Sprint(r.RateAdjusts), fmt.Sprint(r.FlushedFg), fmt.Sprint(r.FlushedIdle),
+			}
 		})
-	}
-	return t
 }
 
 // retainedPct is the share of pre-engine foreground throughput a timeline
@@ -261,14 +234,9 @@ func retainedPct(r InterferenceResult) float64 {
 	return 100 * r.SteadyAfter / r.SteadyBefore
 }
 
-// Fig5aResult runs Fig5a and packages it as a machine-readable Result.
-func Fig5aResult(sc Scale) Result {
-	return Result{Name: "fig5a", Tables: []Table{Fig5aTable(Fig5a(sc))}}
-}
-
-// Fig14Result runs Fig14 once and packages the three tables its runs feed:
+// fig14Tables runs Fig14 once and renders the three tables its runs feed:
 // Figure 5-(b), Figure 14 and the watermark-vs-static ablation.
-func Fig14Result(sc Scale) Result {
+func fig14Tables(sc Scale) []Table {
 	rs := Fig14(sc)
-	return Result{Name: "fig14", Tables: []Table{Fig5bTable(rs[1]), Fig14Table(rs), RateAblationTable(rs[1], rs[2])}}
+	return []Table{Fig5bTable(rs[1]), Fig14Table(rs), RateAblationTable(rs[1], rs[2])}
 }

@@ -98,135 +98,116 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 	caches := []int{32 << 10, 1 << 20}
 	seeds := []int64{1301, 1302}
 
-	var rows []FPIndexLatencyRow
+	type latencyCase struct {
+		seed    int64
+		cache   int
+		entries int
+	}
+	var cases []latencyCase
 	for _, seed := range seeds {
 		for _, cache := range caches {
 			for _, entries := range sizes {
-				h := sc.newHarness(seed, 2, 2)
-				pool, err := h.c.CreatePool(rados.PoolConfig{
-					Name: "chunks", PGNum: 64, Redundancy: rados.ReplicatedN(2),
-				})
-				if err != nil {
-					panic(err)
-				}
-				if err := h.c.EnableFPIndex(pool, fpIndexSweepConfig(cache)); err != nil {
-					panic(err)
-				}
-				gw := h.c.NewGateway("fp-load")
-				present, absent := fpKeys(seed, entries)
-
-				h.run(func(p *sim.Proc) {
-					for _, oid := range present {
-						if err := gw.WriteFull(p, pool, oid, make([]byte, 64)); err != nil {
-							panic(fmt.Sprintf("fpindex load %s: %v", oid, err))
-						}
-					}
-					// Let the background compactors drain every due merge so
-					// the measured phase sees a quiescent table layout.
-					p.Sleep(2 * time.Second)
-				})
-
-				probeOrder := rng(seed).Perm(len(present))
-				var hits, negs []time.Duration
-				var elapsed time.Duration
-				before := h.c.FPIndexStats()
-				h.run(func(p *sim.Proc) {
-					// Warm pass (unmeasured): fills the cache when the index
-					// fits; with a smaller cache the LRU thrashes either way.
-					for _, i := range probeOrder {
-						if _, err := h.c.FPLookup(p, present[i]); err != nil {
-							panic(err)
-						}
-					}
-					t0 := p.Now()
-					for _, i := range probeOrder {
-						s := p.Now()
-						found, err := h.c.FPLookup(p, present[i])
-						if err != nil {
-							panic(err)
-						}
-						if !found {
-							panic(fmt.Sprintf("fpindex: present fingerprint %q not found", present[i]))
-						}
-						hits = append(hits, (p.Now() - s).Duration())
-					}
-					for _, oid := range absent {
-						s := p.Now()
-						found, err := h.c.FPLookup(p, oid)
-						if err != nil {
-							panic(err)
-						}
-						if found {
-							panic(fmt.Sprintf("fpindex: absent fingerprint %q found", oid))
-						}
-						negs = append(negs, (p.Now() - s).Duration())
-					}
-					elapsed = (p.Now() - t0).Duration()
-				})
-				if err := h.c.FPIndexVerify(); err != nil {
-					panic(err)
-				}
-				after := h.c.FPIndexStats()
-
-				nOSD := len(h.c.OSDs())
-				dCacheHits := after.CacheHits - before.CacheHits
-				dCacheMiss := after.CacheMisses - before.CacheMisses
-				dFP := after.BloomFalsePos - before.BloomFalsePos
-				dAbsent := after.AbsentProbes - before.AbsentProbes
-				dEst := after.EstFPSum - before.EstFPSum
-				row := FPIndexLatencyRow{
-					Seed:     seed,
-					Entries:  entries,
-					CacheKiB: int64(cache >> 10),
-					IndexKiB: after.TableBytes / int64(nOSD) >> 10,
-					HitP50Us: percentileUs(hits, 50),
-					HitP99Us: percentileUs(hits, 99),
-					NegP50Us: percentileUs(negs, 50),
-					NegP99Us: percentileUs(negs, 99),
-					ProbeKops: float64(len(hits)+len(negs)) /
-						elapsed.Seconds() / 1000,
-					EstFPPct: 100 * dEst / float64(max64(dAbsent, 1)),
-					ObsFPPct: 100 * float64(dFP) / float64(max64(dAbsent, 1)),
-				}
-				if tot := dCacheHits + dCacheMiss; tot > 0 {
-					row.CacheHitPct = 100 * float64(dCacheHits) / float64(tot)
-				}
-				rows = append(rows, row)
+				cases = append(cases, latencyCase{seed, cache, entries})
 			}
 		}
 	}
-	return rows
+	return Runs(sc, cases, func(tb *Testbed, c latencyCase) FPIndexLatencyRow {
+		seed, cache, entries := c.seed, c.cache, c.entries
+		h := tb.harness(seed, 2, 2)
+		pool := must(h.c.CreatePool(rados.PoolConfig{Name: "chunks", PGNum: 64, Redundancy: rados.ReplicatedN(2)}))
+		check(h.c.EnableFPIndex(pool, fpIndexSweepConfig(cache)))
+		gw := h.c.NewGateway("fp-load")
+		present, absent := fpKeys(seed, entries)
+
+		h.run(func(p *sim.Proc) {
+			for _, oid := range present {
+				if err := gw.WriteFull(p, pool, oid, make([]byte, 64)); err != nil {
+					panic(fmt.Sprintf("fpindex load %s: %v", oid, err))
+				}
+			}
+			// Let the background compactors drain every due merge so
+			// the measured phase sees a quiescent table layout.
+			p.Sleep(2 * time.Second)
+		})
+
+		probeOrder := rng(seed).Perm(len(present))
+		var hits, negs []time.Duration
+		var elapsed time.Duration
+		before := h.c.FPIndexStats()
+		h.run(func(p *sim.Proc) {
+			// Warm pass (unmeasured): fills the cache when the index
+			// fits; with a smaller cache the LRU thrashes either way.
+			for _, i := range probeOrder {
+				must(h.c.FPLookup(p, present[i]))
+			}
+			t0 := p.Now()
+			for _, i := range probeOrder {
+				s := p.Now()
+				found := must(h.c.FPLookup(p, present[i]))
+				if !found {
+					panic(fmt.Sprintf("fpindex: present fingerprint %q not found", present[i]))
+				}
+				hits = append(hits, (p.Now() - s).Duration())
+			}
+			for _, oid := range absent {
+				s := p.Now()
+				found := must(h.c.FPLookup(p, oid))
+				if found {
+					panic(fmt.Sprintf("fpindex: absent fingerprint %q found", oid))
+				}
+				negs = append(negs, (p.Now() - s).Duration())
+			}
+			elapsed = (p.Now() - t0).Duration()
+		})
+		check(h.c.FPIndexVerify())
+		after := h.c.FPIndexStats()
+
+		nOSD := len(h.c.OSDs())
+		dCacheHits := after.CacheHits - before.CacheHits
+		dCacheMiss := after.CacheMisses - before.CacheMisses
+		dFP := after.BloomFalsePos - before.BloomFalsePos
+		dAbsent := after.AbsentProbes - before.AbsentProbes
+		dEst := after.EstFPSum - before.EstFPSum
+		row := FPIndexLatencyRow{
+			Seed:     seed,
+			Entries:  entries,
+			CacheKiB: int64(cache >> 10),
+			IndexKiB: after.TableBytes / int64(nOSD) >> 10,
+			HitP50Us: percentileUs(hits, 50),
+			HitP99Us: percentileUs(hits, 99),
+			NegP50Us: percentileUs(negs, 50),
+			NegP99Us: percentileUs(negs, 99),
+			ProbeKops: float64(len(hits)+len(negs)) /
+				elapsed.Seconds() / 1000,
+			EstFPPct: 100 * dEst / float64(max(dAbsent, 1)),
+			ObsFPPct: 100 * float64(dFP) / float64(max(dAbsent, 1)),
+		}
+		if tot := dCacheHits + dCacheMiss; tot > 0 {
+			row.CacheHitPct = 100 * float64(dCacheHits) / float64(tot)
+		}
+		return row
+	})
 }
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ 0x5f3c9)) }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FPIndexLatencyTable renders the lookup-latency sweep.
 func FPIndexLatencyTable(rows []FPIndexLatencyRow) Table {
-	t := Table{
-		Title:   "fpindex: chunk-existence lookup latency vs index size x block cache (per-OSD LSM index)",
-		Columns: []string{"seed", "entries", "cache KiB", "index KiB/osd", "hit p50 us", "hit p99 us", "neg p50 us", "neg p99 us", "cache hit %", "probe kops/s", "obs FP %", "est FP %"},
-		Notes: []string{
+	return table("fpindex: chunk-existence lookup latency vs index size x block cache (per-OSD LSM index)",
+		[]string{"seed", "entries", "cache KiB", "index KiB/osd", "hit p50 us", "hit p99 us", "neg p50 us", "neg p99 us", "cache hit %", "probe kops/s", "obs FP %", "est FP %"},
+		[]string{
 			"shape target: hit p50 rises monotonically with index size once SSTables exceed the cache (the cliff); cached configs stay flat",
 			"shape target: negative lookups stay near-flat across index sizes - bloom filters reject them before any block I/O",
 			"shape target: observed bloom false-positive rate within ~2x of the filters' design rate (est FP)",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Seed), fmt.Sprint(r.Entries), fmt.Sprint(r.CacheKiB),
-			fmt.Sprint(r.IndexKiB), f1(r.HitP50Us), f1(r.HitP99Us),
-			f1(r.NegP50Us), f1(r.NegP99Us), f1(r.CacheHitPct),
-			f1(r.ProbeKops), f2(r.ObsFPPct), f2(r.EstFPPct),
+		rows, func(r FPIndexLatencyRow) []string {
+			return []string{
+				fmt.Sprint(r.Seed), fmt.Sprint(r.Entries), fmt.Sprint(r.CacheKiB),
+				fmt.Sprint(r.IndexKiB), f1(r.HitP50Us), f1(r.HitP99Us),
+				f1(r.NegP50Us), f1(r.NegP99Us), f1(r.CacheHitPct),
+				f1(r.ProbeKops), f2(r.ObsFPPct), f2(r.EstFPPct),
+			}
 		})
-	}
-	return t
 }
 
 // FPIndexFlushRow is one configuration of the dedup-flush throughput
@@ -249,7 +230,7 @@ type FPIndexFlushRow struct {
 // budget as the flush I/O itself.
 func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
 	span := sc.bytes(8 << 20)
-	cases := []struct {
+	configs := []struct {
 		label string
 		cfg   fpindex.Config
 	}{
@@ -257,83 +238,79 @@ func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
 		{label: "lsm index, 1 MiB cache", cfg: fpIndexSweepConfig(1 << 20)},
 		{label: "lsm index, 4 KiB cache", cfg: fpIndexSweepConfig(4 << 10)},
 	}
-	var rows []FPIndexFlushRow
+	type flushCase struct {
+		seed  int64
+		label string
+		cfg   fpindex.Config
+	}
+	var cases []flushCase
 	for _, seed := range []int64{1311, 1312} {
-		for _, bc := range cases {
-			h := sc.newHarness(seed, 2, 2)
-			s := h.dedupStore(func(cfg *core.Config) {
-				cfg.ChunkSize = 4096
-				cfg.Rate.Enabled = false
-				cfg.HitSet.HitCount = 1000
-				cfg.DedupThreads = 4
-				cfg.FPIndex = bc.cfg
-			})
-			dev := h.dedupDevice("img", span, s)
-			h.run(func(p *sim.Proc) {
-				res := workload.RunFIO(p, dev, workload.FIOConfig{
-					BlockSize: 64 << 10, Span: span, Pattern: workload.SeqWrite,
-					DedupPct: 80, Threads: 4, IODepth: 4, Seed: seed,
-				})
-				if res.Errors > 0 {
-					panic(fmt.Sprintf("fpindex flush load: %d errors", res.Errors))
-				}
-			})
-			before := h.c.FPIndexStats()
-			var elapsed time.Duration
-			h.run(func(p *sim.Proc) {
-				t0 := p.Now()
-				s.StartEngine()
-				s.Engine().DrainAndWait(p)
-				elapsed = (p.Now() - t0).Duration()
-			})
-			if err := h.c.FPIndexVerify(); err != nil {
-				panic(err)
-			}
-			after := h.c.FPIndexStats()
-			st := s.Engine().Stats()
-			row := FPIndexFlushRow{
-				Config:        bc.label,
-				Seed:          seed,
-				ChunksFlushed: st.ChunksFlushed,
-				ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
-				FlushMBps: float64(st.ChunksFlushed*4096) /
-					(1 << 20) / elapsed.Seconds(),
-				IndexLookups:  after.Lookups - before.Lookups,
-				IndexWriteKiB: (after.WriteBytes - before.WriteBytes) >> 10,
-			}
-			if tot := (after.CacheHits - before.CacheHits) + (after.CacheMisses - before.CacheMisses); tot > 0 {
-				row.CacheHitPct = 100 * float64(after.CacheHits-before.CacheHits) / float64(tot)
-			}
-			rows = append(rows, row)
+		for _, bc := range configs {
+			cases = append(cases, flushCase{seed, bc.label, bc.cfg})
 		}
 	}
-	return rows
+	return Runs(sc, cases, func(tb *Testbed, c flushCase) FPIndexFlushRow {
+		h := tb.harness(c.seed, 2, 2)
+		s := h.dedupStore(func(cfg *core.Config) {
+			cfg.ChunkSize = 4096
+			cfg.Rate.Enabled = false
+			cfg.HitSet.HitCount = 1000
+			cfg.DedupThreads = 4
+			cfg.FPIndex = c.cfg
+		})
+		dev := h.dedupDevice("img", span, s)
+		h.run(func(p *sim.Proc) {
+			runFIO(p, dev, workload.FIOConfig{
+				BlockSize: 64 << 10, Span: span, Pattern: workload.SeqWrite,
+				DedupPct: 80, Threads: 4, IODepth: 4, Seed: c.seed,
+			})
+		})
+		before := h.c.FPIndexStats()
+		var elapsed time.Duration
+		h.run(func(p *sim.Proc) {
+			t0 := p.Now()
+			s.StartEngine()
+			s.Engine().DrainAndWait(p)
+			elapsed = (p.Now() - t0).Duration()
+		})
+		check(h.c.FPIndexVerify())
+		after := h.c.FPIndexStats()
+		st := s.Engine().Stats()
+		row := FPIndexFlushRow{
+			Config:        c.label,
+			Seed:          c.seed,
+			ChunksFlushed: st.ChunksFlushed,
+			ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
+			FlushMBps: float64(st.ChunksFlushed*4096) /
+				(1 << 20) / elapsed.Seconds(),
+			IndexLookups:  after.Lookups - before.Lookups,
+			IndexWriteKiB: (after.WriteBytes - before.WriteBytes) >> 10,
+		}
+		if tot := (after.CacheHits - before.CacheHits) + (after.CacheMisses - before.CacheMisses); tot > 0 {
+			row.CacheHitPct = 100 * float64(after.CacheHits-before.CacheHits) / float64(tot)
+		}
+		return row
+	})
 }
 
 // FPIndexFlushTable renders the flush-throughput comparison.
 func FPIndexFlushTable(rows []FPIndexFlushRow) Table {
-	t := Table{
-		Title:   "fpindex: background dedup flush throughput - flat map vs LSM fingerprint index",
-		Columns: []string{"config", "seed", "chunks flushed", "elapsed ms", "flush MB/s", "index lookups", "cache hit %", "index write KiB"},
-		Notes: []string{
+	return table("fpindex: background dedup flush throughput - flat map vs LSM fingerprint index",
+		[]string{"config", "seed", "chunks flushed", "elapsed ms", "flush MB/s", "index lookups", "cache hit %", "index write KiB"},
+		[]string{
 			"shape target: flush bandwidth holds within ~5% of the flat map - index WAL/SSTable writes mostly overlap the replicated chunk writes on the dedup QoS budget; cache starvation shows up as a lower block-cache hit ratio and the larger share of the loss",
 			"flat-map rows show zero index traffic: the Config switch leaves the default path untouched",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Config, fmt.Sprint(r.Seed), fmt.Sprint(r.ChunksFlushed),
-			f1(r.ElapsedMs), f1(r.FlushMBps), fmt.Sprint(r.IndexLookups),
-			f1(r.CacheHitPct), fmt.Sprint(r.IndexWriteKiB),
+		rows, func(r FPIndexFlushRow) []string {
+			return []string{
+				r.Config, fmt.Sprint(r.Seed), fmt.Sprint(r.ChunksFlushed),
+				f1(r.ElapsedMs), f1(r.FlushMBps), fmt.Sprint(r.IndexLookups),
+				f1(r.CacheHitPct), fmt.Sprint(r.IndexWriteKiB),
+			}
 		})
-	}
-	return t
 }
 
-// FPIndexResult runs both fpindex tables as one golden-gated experiment.
-func FPIndexResult(sc Scale) Result {
-	return Result{Name: "fpindex", Tables: []Table{
-		FPIndexLatencyTable(FPIndexLatencySweep(sc)),
-		FPIndexFlushTable(FPIndexFlushSweep(sc)),
-	}}
+// fpindexTables runs both fpindex tables as one golden-gated experiment.
+func fpindexTables(sc Scale) []Table {
+	return []Table{FPIndexLatencyTable(FPIndexLatencySweep(sc)), FPIndexFlushTable(FPIndexFlushSweep(sc))}
 }

@@ -56,12 +56,8 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 			label: "recovery", cls: qos.Recovery,
 			prep: func(h *harness, s *core.Store) {
 				for _, id := range []int{0, 5} {
-					if err := h.c.FailOSD(id); err != nil {
-						panic(err)
-					}
-					if _, err := h.c.ReplaceOSD(id); err != nil {
-						panic(err)
-					}
+					check(h.c.FailOSD(id))
+					must(h.c.ReplaceOSD(id))
 				}
 			},
 			bg: func(h *harness, s *core.Store, p *sim.Proc) { h.c.Recover(p) },
@@ -79,17 +75,14 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 			label: "gc", cls: qos.GC,
 			bg: func(h *harness, s *core.Store, p *sim.Proc) {
 				for i := 0; i < 3; i++ {
-					if _, err := s.GC(p); err != nil {
-						panic(err)
-					}
+					must(s.GC(p))
 				}
 			},
 		},
 	}
 
-	var rows []QoSMatrixRow
-	for _, bc := range cases {
-		h := sc.newHarness(901, 4, 4)
+	return Runs(sc, cases, func(tb *Testbed, bc bgCase) QoSMatrixRow {
+		h := tb.harness(901, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.Rate.Enabled = false // static weights: the scheduler alone
 			cfg.HitSet.HitCount = 1000
@@ -101,20 +94,14 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 			DedupPct: 50, Threads: 8, IODepth: 4, Seed: 91,
 		}
 		h.run(func(p *sim.Proc) {
-			if res := workload.RunFIO(p, dev, load); res.Errors > 0 {
-				panic(fmt.Sprintf("qos load: %d errors", res.Errors))
-			}
+			runFIO(p, dev, load)
 			s.Engine().DrainAndWait(p)
 		})
 		// Re-dirty the dataset (no drain) in EVERY case so all rows measure
 		// against the same store state; the dedup row's engine then has a
 		// full flush backlog to chew through.
 		load.Seed = 92
-		h.run(func(p *sim.Proc) {
-			if res := workload.RunFIO(p, dev, load); res.Errors > 0 {
-				panic(fmt.Sprintf("qos re-dirty: %d errors", res.Errors))
-			}
-		})
+		h.run(func(p *sim.Proc) { runFIO(p, dev, load) })
 		if bc.prep != nil {
 			bc.prep(h, s)
 		}
@@ -123,17 +110,13 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 		var res workload.FIOResult
 		h.run(func(p *sim.Proc) {
 			if bc.bg != nil {
-				bg := bc.bg
-				p.Go("qos-bg", func(q *sim.Proc) { bg(h, s, q) })
+				p.Go("qos-bg", func(q *sim.Proc) { bc.bg(h, s, q) })
 			}
-			res = workload.RunFIO(p, dev, workload.FIOConfig{
+			res = runFIO(p, dev, workload.FIOConfig{
 				BlockSize: 16 << 10, Span: span, Pattern: workload.RandWrite,
 				DedupPct: 50, Threads: 4, IODepth: 4, Seed: 93,
 				Ops: int(span / (16 << 10)),
 			})
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("qos measured phase (%s): %d errors", bc.label, res.Errors))
-			}
 		})
 		row := QoSMatrixRow{
 			Background: bc.label,
@@ -146,32 +129,22 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 			row.BGAdmitted = after[bc.cls].Admitted - before[bc.cls].Admitted
 			row.BGThrottled = after[bc.cls].Throttled - before[bc.cls].Throttled
 		}
-		rows = append(rows, row)
-	}
-	return rows
+		return row
+	})
 }
 
 // QoSMatrixTable renders the interference matrix.
 func QoSMatrixTable(rows []QoSMatrixRow) Table {
-	t := Table{
-		Title:   "QoS: client 16KB randwrite latency vs active background class (static weights)",
-		Columns: []string{"background", "mean ms", "p99 ms", "client MB/s", "bg admitted", "bg throttled"},
-		Notes: []string{
+	return table("QoS: client 16KB randwrite latency vs active background class (static weights)",
+		[]string{"background", "mean ms", "p99 ms", "client MB/s", "bg admitted", "bg throttled"},
+		[]string{
 			"shape target: every background class leaves client latency within ~2x of baseline",
 			"background classes run at default weights (dedup 1000/cap 2, recovery 250/cap 4, scrub 100/cap 2, gc 100/cap 2)",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Background, f2(r.MeanMs), f2(r.P99Ms), f1(r.MBps),
-			fmt.Sprint(r.BGAdmitted), fmt.Sprint(r.BGThrottled),
+		rows, func(r QoSMatrixRow) []string {
+			return []string{
+				r.Background, f2(r.MeanMs), f2(r.P99Ms), f1(r.MBps),
+				fmt.Sprint(r.BGAdmitted), fmt.Sprint(r.BGThrottled),
+			}
 		})
-	}
-	return t
-}
-
-// QoSResult runs the interference matrix and packages it as a
-// machine-readable Result.
-func QoSResult(sc Scale) Result {
-	return Result{Name: "qos", Tables: []Table{QoSMatrixTable(QoSMatrix(sc))}}
 }

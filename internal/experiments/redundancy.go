@@ -106,18 +106,26 @@ func (wl redundancyWorkload) pick(rng *rand.Rand) int {
 
 func redundancyOID(i int) string { return fmt.Sprintf("robj.%d", i) }
 
-// redundancyCase runs one configuration. kind: "raw" (replicated pool, no
-// dedup), "dedup" (static chunk redundancy red), "adaptive" (tiering on).
-func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rados.Redundancy, seed int64) RedundancyRow {
-	row := RedundancyRow{Config: name}
-	h := sc.newHarness(seed, 4, 4)
+// redundancyConfig is one point of the frontier sweep. kind: "raw"
+// (replicated pool, no dedup), "dedup" (static chunk redundancy red),
+// "adaptive" (tiering on).
+type redundancyConfig struct {
+	name, kind string
+	red        rados.Redundancy
+	seed       int64
+}
+
+// redundancyCase runs one configuration.
+func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) RedundancyRow {
+	row := RedundancyRow{Config: c.name}
+	h := tb.harness(c.seed, 4, 4)
 
 	var s *core.Store
 	var rawPool *rados.Pool
 	var rawGW *rados.Gateway
-	adaptive := kind == "adaptive"
-	if kind == "raw" {
-		rawPool, rawGW = h.rawPool("redundancy", red)
+	adaptive := c.kind == "adaptive"
+	if c.kind == "raw" {
+		rawPool, rawGW = h.rawPool("redundancy", c.red)
 	} else {
 		s = h.dedupStore(func(cfg *core.Config) {
 			cfg.ChunkSize = wl.chunkSz
@@ -125,7 +133,7 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 				cfg.Tiering = core.DefaultTiering()
 				cfg.Tiering.Interval = 500 * time.Millisecond
 			} else {
-				cfg.ChunkRedundancy = red
+				cfg.ChunkRedundancy = c.red
 			}
 		})
 	}
@@ -152,9 +160,7 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 	}
 	h.run(func(p *sim.Proc) {
 		for i := 0; i < wl.objects; i++ {
-			if err := write(p, ingest, i); err != nil {
-				panic(err)
-			}
+			check(write(p, ingest, i))
 		}
 		if s != nil {
 			s.Engine().DrainAndWait(p)
@@ -179,9 +185,8 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 		end := t0 + sim.Time(wl.duration)
 		var sigs []*sim.Signal
 		for w := 0; w < workers; w++ {
-			w := w
 			sigs = append(sigs, p.Go(fmt.Sprintf("load%d", w), func(q *sim.Proc) {
-				rng := rand.New(rand.NewSource(seed + 10 + int64(w)))
+				rng := rand.New(rand.NewSource(c.seed + 10 + int64(w)))
 				var cl *core.Client
 				if s != nil {
 					cl = s.Client(fmt.Sprintf("client.%d", w))
@@ -190,14 +195,10 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 				for q.Now() < end {
 					i := wl.pick(rng)
 					if rng.Intn(5) == 0 {
-						if err := write(q, cl, i); err != nil {
-							panic(err)
-						}
+						check(write(q, cl, i))
 					} else {
 						t := q.Now()
-						if err := read(q, cl, i); err != nil {
-							panic(err)
-						}
+						check(read(q, cl, i))
 						if q.Now() >= warmup {
 							lat := (q.Now() - t).Duration()
 							allLat.Add(lat)
@@ -219,7 +220,7 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 	// Static dedup drains and evicts cold caches (the Fig 12 idiom);
 	// adaptive additionally runs policy passes to convergence, which drop
 	// the hot set's chunk claims instead of double-storing them.
-	used := int64(0)
+	var used int64
 	h.run(func(p *sim.Proc) {
 		if s == nil {
 			return
@@ -231,17 +232,12 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 		s.Engine().EvictCold(p)
 		if adaptive {
 			for i := 0; i < 3; i++ {
-				if _, err := s.TierPass(p); err != nil {
-					panic(err)
-				}
+				must(s.TierPass(p))
 			}
 		}
 	})
 	if s != nil {
-		used = h.c.PoolStats(s.MetaPool()).StoredTotal() + h.c.PoolStats(s.ChunkPool()).StoredTotal()
-		if cp := s.ColdChunkPool(); cp != nil {
-			used += h.c.PoolStats(cp).StoredTotal()
-		}
+		used = h.footprint(s)
 		ts := s.TierStats()
 		row.Migrations = ts.PromotedChunks + ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
 		row.TierErrors = ts.Errors
@@ -263,12 +259,12 @@ func redundancyCase(sc Scale, wl redundancyWorkload, name, kind string, red rado
 // Redundancy runs the four-configuration frontier sweep.
 func Redundancy(sc Scale) []RedundancyRow {
 	wl := redundancyWL(sc)
-	return []RedundancyRow{
-		redundancyCase(sc, wl, "Replication", "raw", rados.ReplicatedN(2), 920),
-		redundancyCase(sc, wl, "Dedup+Rep", "dedup", rados.ReplicatedN(2), 921),
-		redundancyCase(sc, wl, "Dedup+EC", "dedup", rados.ErasureKM(2, 1), 922),
-		redundancyCase(sc, wl, "Adaptive", "adaptive", rados.Redundancy{}, 923),
-	}
+	return Runs(sc, []redundancyConfig{
+		{"Replication", "raw", rados.ReplicatedN(2), 920},
+		{"Dedup+Rep", "dedup", rados.ReplicatedN(2), 921},
+		{"Dedup+EC", "dedup", rados.ErasureKM(2, 1), 922},
+		{"Adaptive", "adaptive", rados.Redundancy{}, 923},
+	}, func(tb *Testbed, c redundancyConfig) RedundancyRow { return redundancyCase(tb, wl, c) })
 }
 
 // RedundancyChaosRow reports the kill-during-migration soak: OSD crashes
@@ -278,20 +274,22 @@ type RedundancyChaosRow struct {
 	Kills        int
 	Migrations   int64
 	TierErrors   int64 // migration steps that died mid-protocol (expected > 0)
-	StaleRefs    int64 // after the post-mortem GC pass (must be 0)
-	ScrubIssues  int   // must be 0
-	LostChunks   int64 // must be 0
 	VerifyErrors int   // objects whose content diverged (must be 0)
+	Reconciled         // stale refs, scrub issues and lost chunks must be 0
 }
 
 // RedundancyChaos crashes OSDs while the tiering daemon is actively
 // migrating a cooling dataset, lets the leases expire, reconciles, and
 // verifies every object byte-for-byte.
 func RedundancyChaos(sc Scale) RedundancyChaosRow {
-	const seed = 930
-	wl := redundancyWL(sc)
+	return Runs(sc, []int64{930}, func(tb *Testbed, seed int64) RedundancyChaosRow {
+		return redundancyChaos(tb, redundancyWL(sc), seed)
+	})[0]
+}
+
+func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyChaosRow {
 	row := RedundancyChaosRow{Kills: 3}
-	h := sc.newHarness(seed, 4, 4)
+	h := tb.harness(seed, 4, 4)
 	s := h.dedupStore(func(cfg *core.Config) {
 		cfg.ChunkSize = wl.chunkSz
 		cfg.Tiering = core.DefaultTiering()
@@ -299,20 +297,13 @@ func RedundancyChaos(sc Scale) RedundancyChaosRow {
 		cfg.HitSet.Period = 2 * time.Second
 		cfg.HitSet.Retain = 4
 	})
-	mon := h.c.StartMonitor(rados.MonitorConfig{
-		Interval:    250 * time.Millisecond,
-		Grace:       time.Second,
-		OutAfter:    2500 * time.Millisecond,
-		AutoRecover: true,
-	})
+	mon := h.startMonitor()
 	inj := chaos.NewInjector(h.c)
 
 	h.run(func(p *sim.Proc) {
 		cl := s.Client("client.chaos")
 		for i := 0; i < wl.objects; i++ {
-			if err := cl.Write(p, redundancyOID(i), 0, wl.objectData(i)); err != nil {
-				panic(err)
-			}
+			check(cl.Write(p, redundancyOID(i), 0, wl.objectData(i)))
 		}
 		s.Engine().DrainAndWait(p)
 
@@ -339,28 +330,8 @@ func RedundancyChaos(sc Scale) RedundancyChaosRow {
 		row.Migrations = ts.PromotedChunks + ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
 		row.TierErrors = ts.Errors
 
-		// Post-mortem: leases out, then audit → scrub → GC twice; the second
-		// collection pass must find nothing left to reclaim.
-		p.Sleep(3 * time.Second)
-		if au, err := s.Audit(p); err == nil {
-			row.LostChunks = au.LostChunks
-		} else {
-			row.LostChunks = -1
-		}
-		if rep, err := s.Scrub(p); err == nil {
-			row.ScrubIssues = len(rep.Issues)
-		} else {
-			row.ScrubIssues = -1
-		}
-		if _, err := s.GC(p); err == nil {
-			if st, err := s.GC(p); err == nil {
-				row.StaleRefs = st.StaleRefs
-			} else {
-				row.StaleRefs = -1
-			}
-		} else {
-			row.StaleRefs = -1
-		}
+		// Post-mortem: the battery, then every object byte-for-byte.
+		row.Reconciled = reconcile(p, s)
 		for i := 0; i < wl.objects; i++ {
 			got, err := cl.Read(p, redundancyOID(i), 0, wl.objSize)
 			if err != nil || string(got) != string(wl.objectData(i)) {
@@ -373,47 +344,38 @@ func RedundancyChaos(sc Scale) RedundancyChaosRow {
 
 // RedundancyTable renders the frontier sweep.
 func RedundancyTable(rows []RedundancyRow) Table {
-	t := Table{
-		Title:   "Adaptive redundancy: storage-efficiency vs tail-latency frontier (skewed popularity)",
-		Columns: []string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations"},
-		Notes: []string{
+	return table("Adaptive redundancy: storage-efficiency vs tail-latency frontier (skewed popularity)",
+		[]string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations"},
+		[]string{
 			"frontier target: Adaptive efficiency >= Dedup+EC (hot objects drop chunk claims; no double-storing)",
 			"frontier target: Adaptive hot p99 <= 1.5x Replication (hot reads served replicated, never from EC)",
 		},
-	}
-	for _, r := range rows {
-		mig := "-"
-		if r.Config == "Adaptive" {
-			mig = fmt.Sprint(r.Migrations)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Config, f2(r.LogicalMB), f2(r.StoredMB), f2(r.Efficiency),
-			r.HotP99.Round(time.Microsecond).String(), r.AllP99.Round(time.Microsecond).String(),
-			fmt.Sprint(r.HotReads), mig,
+		rows, func(r RedundancyRow) []string {
+			mig := "-"
+			if r.Config == "Adaptive" {
+				mig = fmt.Sprint(r.Migrations)
+			}
+			return []string{
+				r.Config, f2(r.LogicalMB), f2(r.StoredMB), f2(r.Efficiency),
+				us(r.HotP99), us(r.AllP99), fmt.Sprint(r.HotReads), mig,
+			}
 		})
-	}
-	return t
 }
 
 // RedundancyChaosTable renders the kill-during-migration soak.
 func RedundancyChaosTable(r RedundancyChaosRow) Table {
-	return Table{
-		Title:   "Adaptive redundancy: OSD kills during live migrations",
-		Columns: []string{"kills", "migrations", "mid-protocol deaths", "stale refs", "scrub issues", "lost chunks", "verify errors"},
-		Rows: [][]string{{
-			fmt.Sprint(r.Kills), fmt.Sprint(r.Migrations), fmt.Sprint(r.TierErrors),
-			fmt.Sprint(r.StaleRefs), fmt.Sprint(r.ScrubIssues), fmt.Sprint(r.LostChunks), fmt.Sprint(r.VerifyErrors),
-		}},
-		Notes: []string{
-			"invariant: stale refs, scrub issues, lost chunks, verify errors all 0 after lease expiry + audit + GC",
-		},
-	}
+	return table("Adaptive redundancy: OSD kills during live migrations",
+		[]string{"kills", "migrations", "mid-protocol deaths", "stale refs", "scrub issues", "lost chunks", "verify errors"},
+		[]string{"invariant: stale refs, scrub issues, lost chunks, verify errors all 0 after lease expiry + audit + GC"},
+		[]RedundancyChaosRow{r}, func(r RedundancyChaosRow) []string {
+			return []string{
+				fmt.Sprint(r.Kills), fmt.Sprint(r.Migrations), fmt.Sprint(r.TierErrors),
+				fmt.Sprint(r.StaleRefs), fmt.Sprint(r.ScrubIssues), fmt.Sprint(r.LostChunks), fmt.Sprint(r.VerifyErrors),
+			}
+		})
 }
 
-// RedundancyResult runs the sweep and the chaos soak as one experiment.
-func RedundancyResult(sc Scale) Result {
-	return Result{Name: "redundancy", Tables: []Table{
-		RedundancyTable(Redundancy(sc)),
-		RedundancyChaosTable(RedundancyChaos(sc)),
-	}}
+// redundancyTables runs the sweep and the chaos soak as one experiment.
+func redundancyTables(sc Scale) []Table {
+	return []Table{RedundancyTable(Redundancy(sc)), RedundancyChaosTable(RedundancyChaos(sc))}
 }

@@ -37,59 +37,54 @@ func (r Result) Output() string {
 	return b.String()
 }
 
-// Experiment is one registered paper experiment: a stable CLI name plus a
-// runner that builds its own isolated deterministic sim and returns a
-// JSON-able Result. Runners are pure functions of (seed baked in, Scale), so
-// the harness may execute any set of them concurrently.
-type Experiment interface {
-	Name() string
-	Run(sc Scale) Result
+// Experiment is one registered paper experiment: a stable CLI name and the
+// function that renders its tables. Run builds every simulation through
+// Runs, each an isolated deterministic sim, so a sweep may execute the runs
+// of any set of experiments concurrently.
+type Experiment struct {
+	Name string
+	Run  func(Scale) []Table
 }
 
-type expFunc struct {
-	name string
-	run  func(Scale) Result
+// Result runs the experiment and packages its tables under its name.
+func (e Experiment) Result(sc Scale) Result {
+	return Result{Name: e.Name, Tables: e.Run(sc)}
 }
 
-func (e expFunc) Name() string        { return e.name }
-func (e expFunc) Run(sc Scale) Result { return e.run(sc) }
-
-// NewExperiment wraps a runner function as an Experiment; used by the
-// registry below and by harness tests that need ad-hoc experiments.
-func NewExperiment(name string, run func(Scale) Result) Experiment {
-	return expFunc{name: name, run: run}
+// one is the Run of an experiment with one table: its rows, rendered.
+func one[R any](rows func(Scale) R, render func(R) Table) func(Scale) []Table {
+	return func(sc Scale) []Table { return []Table{render(rows(sc))} }
 }
 
 // Registry returns every experiment in canonical presentation order (the
 // order of figures and tables in the paper, then chaos and the ablations).
 func Registry() []Experiment {
 	return []Experiment{
-		NewExperiment("fig3", Fig3Result),
-		NewExperiment("table1", Table1Result),
-		NewExperiment("fig5a", Fig5aResult),
-		NewExperiment("fig10", Fig10Result),
-		NewExperiment("fig11", Fig11Result),
-		NewExperiment("table2", Table2Result),
-		NewExperiment("fig12", Fig12Result),
-		NewExperiment("table3", Table3Result),
-		NewExperiment("fig13", Fig13Result),
-		NewExperiment("fig14", Fig14Result),
-		NewExperiment("chaos", ChaosSweepResult),
-		NewExperiment("ablation", AblationResult),
-		NewExperiment("qos", QoSResult),
-		NewExperiment("fpindex", FPIndexResult),
-		NewExperiment("scale", ScaleResult),
-		NewExperiment("tenants", TenantsResult),
-		NewExperiment("redundancy", RedundancyResult),
+		{"fig3", one(Fig3, Fig3Table)},
+		{"table1", one(Table1, Table1Table)},
+		{"fig5a", one(Fig5a, Fig5aTable)},
+		{"fig10", one(Fig10, Fig10Table)},
+		{"fig11", one(Fig11, Fig11Table)},
+		{"table2", one(Table2, Table2Table)},
+		{"fig12", one(Fig12, Fig12Table)},
+		{"table3", one(Table3, Table3Table)},
+		{"fig13", one(Fig13, Fig13Table)},
+		{"fig14", fig14Tables},
+		{"chaos", func(sc Scale) []Table { return ChaosTables(ChaosSeeded(sc, 811)) }},
+		{"ablation", ablationTables},
+		{"qos", one(QoSMatrix, QoSMatrixTable)},
+		{"fpindex", fpindexTables},
+		{"scale", one(ScaleSweep, ScaleTable)},
+		{"tenants", tenantsTables},
+		{"redundancy", redundancyTables},
 	}
 }
 
 // Names lists the registered experiment names in canonical order.
 func Names() []string {
-	exps := Registry()
-	names := make([]string, len(exps))
-	for i, e := range exps {
-		names[i] = e.Name()
+	var names []string
+	for _, e := range Registry() {
+		names = append(names, e.Name)
 	}
 	return names
 }
@@ -97,9 +92,9 @@ func Names() []string {
 // Lookup finds a registered experiment by name.
 func Lookup(name string) (Experiment, bool) {
 	for _, e := range Registry() {
-		if e.Name() == name {
+		if e.Name == name {
 			return e, true
 		}
 	}
-	return nil, false
+	return Experiment{}, false
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 	}
 	for _, name := range want {
 		exp, ok := Lookup(name)
-		if !ok || exp.Name() != name {
+		if !ok || exp.Name != name {
 			t.Errorf("Lookup(%q) = %v, %v", name, exp, ok)
 		}
 	}
@@ -58,24 +59,34 @@ func TestCanonicalJSONStable(t *testing.T) {
 	}
 }
 
-// TestTraceCaptureIsolation: a harness records its trace sink and engine in
-// the capture of the Scale that built it and nowhere else; a Scale without a
-// capture records nothing.
+// TestTraceCaptureIsolation: a run records its trace sink in the capture of
+// the Scale it ran under, at its run index, and nowhere else; a run that
+// builds no harness leaves its slot empty, and a Scale without a capture
+// records nothing.
 func TestTraceCaptureIsolation(t *testing.T) {
 	a, tcA := (Scale{Data: 0.1}).WithTraceCapture()
 	b, tcB := (Scale{Data: 0.1}).WithTraceCapture()
-	a.newHarness(1, 1, 1)
-	b.newHarness(2, 1, 1)
-	b.newHarness(3, 1, 1)
-	(Scale{Data: 0.1}).newHarness(4, 1, 1)
+	build := func(tb *Testbed, seed int64) int64 {
+		if seed > 0 {
+			tb.harness(seed, 1, 1)
+		}
+		return seed
+	}
+	Runs(a, []int64{1}, build)
+	Runs(b, []int64{2, 0}, build)
+	Runs(b, []int64{3}, build)
+	Runs(Scale{Data: 0.1}, []int64{4}, build)
 	for _, c := range []struct {
 		name string
 		tc   *TraceCapture
-		want int
-	}{{"a", tcA, 1}, {"b", tcB, 2}} {
-		if len(c.tc.sinks) != c.want || len(c.tc.engines) != c.want {
-			t.Errorf("capture %s holds %d sinks and %d engines, want %d of each", c.name, len(c.tc.sinks), len(c.tc.engines), c.want)
+		want []bool // whether each run slot holds a sink
+	}{{"a", tcA, []bool{true}}, {"b", tcB, []bool{true, false, true}}} {
+		var got []bool
+		for _, s := range c.tc.sinks {
+			got = append(got, s != nil)
 		}
-		c.tc.Close()
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("capture %s holds sinks %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -44,27 +44,19 @@ type ScaleRow struct {
 // gateway per host, each client writing perClient bytes of 32 KiB objects
 // into a 2x-replicated pool with 4 concurrent streams, then reading every
 // object back the same way.
-func scaleCase(sc Scale, hosts, osdsPerHost int) ScaleRow {
+func scaleCase(tb *Testbed, sc Scale, hosts, osdsPerHost int) ScaleRow {
 	const (
 		opSize  = 32 << 10
 		streams = 4 // concurrent ops per client
 	)
-	h := sc.newHarness(801, hosts, osdsPerHost)
+	h := tb.harness(801, hosts, osdsPerHost)
 	osds := hosts * osdsPerHost
 	clients := hosts
 	perClient := sc.bytes(24 << 20)
-	opsPerClient := int(perClient / opSize)
-	if opsPerClient < streams {
-		opsPerClient = streams
-	}
+	opsPerClient := max(int(perClient/opSize), streams)
 	pgs := 4 * osds
 
-	pool, err := h.c.CreatePool(rados.PoolConfig{
-		Name: "pool.scale", PGNum: uint32(pgs), Redundancy: rados.ReplicatedN(2),
-	})
-	if err != nil {
-		panic(err)
-	}
+	pool := must(h.c.CreatePool(rados.PoolConfig{Name: "pool.scale", PGNum: uint32(pgs), Redundancy: rados.ReplicatedN(2)}))
 	gws := make([]*rados.Gateway, clients)
 	for i := range gws {
 		gws[i] = h.c.NewGateway(fmt.Sprintf("client.scale%d", i))
@@ -85,9 +77,7 @@ func scaleCase(sc Scale, hosts, osdsPerHost int) ScaleRow {
 			start := p.Now()
 			var sigs []*sim.Signal
 			for ci := 0; ci < clients; ci++ {
-				ci := ci
 				for s := 0; s < streams; s++ {
-					s := s
 					sigs = append(sigs, p.Go("scale.client", func(q *sim.Proc) {
 						for k := s; k < opsPerClient; k += streams {
 							oid := fmt.Sprintf("obj.%d.%d", ci, k)
@@ -105,14 +95,10 @@ func scaleCase(sc Scale, hosts, osdsPerHost int) ScaleRow {
 	}
 
 	wrote := runPhase(writeLat, func(q *sim.Proc, gw *rados.Gateway, oid string) {
-		if err := gw.WriteFull(q, pool, oid, data); err != nil {
-			panic(err)
-		}
+		check(gw.WriteFull(q, pool, oid, data))
 	})
 	read := runPhase(readLat, func(q *sim.Proc, gw *rados.Gateway, oid string) {
-		if _, err := gw.Read(q, pool, oid, 0, opSize); err != nil {
-			panic(err)
-		}
+		must(gw.Read(q, pool, oid, 0, opSize))
 	})
 
 	totalOps := clients * opsPerClient
@@ -135,41 +121,29 @@ func scaleCase(sc Scale, hosts, osdsPerHost int) ScaleRow {
 
 // ScaleSweep runs the 16 -> 64 -> 256 OSD sweep.
 func ScaleSweep(sc Scale) []ScaleRow {
-	return []ScaleRow{
-		scaleCase(sc, 4, 4),   // 16 OSDs
-		scaleCase(sc, 8, 8),   // 64 OSDs
-		scaleCase(sc, 16, 16), // 256 OSDs
-	}
+	return Runs(sc, []int{4, 8, 16}, func(tb *Testbed, n int) ScaleRow { return scaleCase(tb, sc, n, n) })
 }
 
 // ScaleTable renders the sweep.
 func ScaleTable(rows []ScaleRow) Table {
-	t := Table{
-		Title: "Scaling sweep: 16 -> 256 OSDs, client load proportional to cluster size",
-		Columns: []string{
+	ms := func(d time.Duration) string { return f2(float64(d) / float64(time.Millisecond)) }
+	return table("Scaling sweep: 16 -> 256 OSDs, client load proportional to cluster size",
+		[]string{
 			"osds", "hosts", "clients", "pgs", "data",
 			"write MB/s", "wr p50 ms", "wr p99 ms",
 			"read MB/s", "rd p50 ms", "rd p99 ms",
 			"events", "events/op", "peak heap",
 		},
-		Notes: []string{
+		[]string{
 			"shape target: aggregate MB/s grows ~linearly with OSD count; p99 stays flat (per-OSD load is constant)",
 			"sim cost: events dispatched and heap high-water mark are the deterministic proxies for kernel wall-clock (see `make profile` for real time)",
 		},
-	}
-	ms := func(d time.Duration) string { return f2(float64(d) / float64(time.Millisecond)) }
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.OSDs), fmt.Sprint(r.Hosts), fmt.Sprint(r.Clients), fmt.Sprint(r.PGs), mb(r.Bytes),
-			f1(r.WriteMBps), ms(r.WriteP50), ms(r.WriteP99),
-			f1(r.ReadMBps), ms(r.ReadP50), ms(r.ReadP99),
-			fmt.Sprint(r.Stats.EventsDispatched), f1(r.EventsPerOp), fmt.Sprint(r.Stats.PeakHeap),
+		rows, func(r ScaleRow) []string {
+			return []string{
+				fmt.Sprint(r.OSDs), fmt.Sprint(r.Hosts), fmt.Sprint(r.Clients), fmt.Sprint(r.PGs), mb(r.Bytes),
+				f1(r.WriteMBps), ms(r.WriteP50), ms(r.WriteP99),
+				f1(r.ReadMBps), ms(r.ReadP50), ms(r.ReadP99),
+				fmt.Sprint(r.Stats.EventsDispatched), f1(r.EventsPerOp), fmt.Sprint(r.Stats.PeakHeap),
+			}
 		})
-	}
-	return t
-}
-
-// ScaleResult runs the sweep and packages it as a machine-readable Result.
-func ScaleResult(sc Scale) Result {
-	return Result{Name: "scale", Tables: []Table{ScaleTable(ScaleSweep(sc))}}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dedupstore/internal/chunker"
 	"dedupstore/internal/core"
 	"dedupstore/internal/rados"
@@ -43,8 +41,7 @@ func Table2(sc Scale) []Table2Row {
 		logical += int64(len(contents[i]))
 	}
 
-	var rows []Table2Row
-	for _, cs := range []int64{16 << 10, 32 << 10, 64 << 10} {
+	return Runs(sc, []int64{16 << 10, 32 << 10, 64 << 10}, func(tb *Testbed, cs int64) Table2Row {
 		// Ideal ratio: content analysis only.
 		chk := chunker.NewFixed(cs)
 		seen := map[string]bool{}
@@ -64,7 +61,7 @@ func Table2(sc Scale) []Table2Row {
 		// Actual: store through the dedup design. Replication factor 1 on
 		// both pools, matching the paper's accounting ("calculated under
 		// excluding the redundancy caused by replication").
-		h := sc.newHarness(502, 4, 4)
+		h := tb.harness(502, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.ChunkSize = cs
 			cfg.MetaRedundancy = rados.ReplicatedN(1)
@@ -76,9 +73,7 @@ func Table2(sc Scale) []Table2Row {
 		cl := s.Client("loader")
 		h.run(func(p *sim.Proc) {
 			for i, data := range contents {
-				if err := cl.Write(p, gen.ObjectName(i), 0, data); err != nil {
-					panic(err)
-				}
+				check(cl.Write(p, gen.ObjectName(i), 0, data))
 			}
 			s.Engine().DrainAndWait(p)
 		})
@@ -86,38 +81,27 @@ func Table2(sc Scale) []Table2Row {
 		chunk := h.c.PoolStats(s.ChunkPool())
 		storedData := meta.StoredPhysical + chunk.StoredPhysical
 		storedMeta := meta.StoredMetadata + chunk.StoredMetadata
-		actual := 100 * (1 - float64(storedData+storedMeta)/float64(logical))
-		rows = append(rows, Table2Row{
+		return Table2Row{
 			ChunkSize: cs, IdealRatio: ideal,
-			StoredData: storedData, StoredMetadata: storedMeta, ActualRatio: actual,
-			PaperIdeal: paper[cs][0], PaperActual: paper[cs][1],
-		})
-	}
-	return rows
+			StoredData: storedData, StoredMetadata: storedMeta,
+			ActualRatio: 100 * (1 - float64(storedData+storedMeta)/float64(logical)),
+			PaperIdeal:  paper[cs][0], PaperActual: paper[cs][1],
+		}
+	})
 }
 
 // Table2Table renders Table2.
 func Table2Table(rows []Table2Row) Table {
-	t := Table{
-		Title:   "Table 2: dedup ratio vs chunk size (private-cloud dataset, replication excluded)",
-		Columns: []string{"chunk", "ideal %", "stored data", "stored metadata", "actual %", "paper-ideal %", "paper-actual %"},
-		Notes: []string{
+	return table("Table 2: dedup ratio vs chunk size (private-cloud dataset, replication excluded)",
+		[]string{"chunk", "ideal %", "stored data", "stored metadata", "actual %", "paper-ideal %", "paper-actual %"},
+		[]string{
 			"shape target: ideal ratio falls as chunks grow; metadata halves per doubling; actual ratio crossover favors larger chunks",
 			"paper stored: 1.82/1.88/1.89 TB data and 163/82/41 GB metadata on the 3.3TB dataset",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmtKB(r.ChunkSize), f1(r.IdealRatio), mb(r.StoredData), mb(r.StoredMetadata),
-			f1(r.ActualRatio), f1(r.PaperIdeal), f1(r.PaperActual),
+		rows, func(r Table2Row) []string {
+			return []string{
+				fmtKB(r.ChunkSize), f1(r.IdealRatio), mb(r.StoredData), mb(r.StoredMetadata),
+				f1(r.ActualRatio), f1(r.PaperIdeal), f1(r.PaperActual),
+			}
 		})
-	}
-	return t
-}
-
-var _ = fmt.Sprintf // keep fmt for future note formatting
-
-// Table2Result runs Table2 and packages it as a machine-readable Result.
-func Table2Result(sc Scale) Result {
-	return Result{Name: "table2", Tables: []Table{Table2Table(Table2(sc))}}
 }

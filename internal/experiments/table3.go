@@ -36,11 +36,21 @@ func Table3(sc Scale) []Table3Row {
 		DedupPct: 50, Threads: 8, IODepth: 4, Seed: 701,
 	}
 
-	run := func(failed []int, dedup bool) (secs float64, moved int64) {
-		h := sc.newHarness(703, 4, 4)
+	// Failed OSDs chosen on distinct hosts, like pulling one drive per node;
+	// each set recovers once under the original store, once under dedup.
+	type table3Case struct {
+		failed []int
+		dedup  bool
+	}
+	var cases []table3Case
+	for _, failed := range [][]int{{0}, {0, 5}, {0, 5, 10, 15}} {
+		cases = append(cases, table3Case{failed, false}, table3Case{failed, true})
+	}
+	stats := Runs(sc, cases, func(tb *Testbed, c table3Case) rados.RecoveryStats {
+		h := tb.harness(703, 4, 4)
 		var s *core.Store
 		var dev *client.BlockDevice
-		if dedup {
+		if c.dedup {
 			s = h.dedupStore(func(cfg *core.Config) {
 				cfg.Rate.Enabled = false
 				cfg.HitSet.HitCount = 1000
@@ -50,45 +60,32 @@ func Table3(sc Scale) []Table3Row {
 		} else {
 			dev = h.rawDevice("img", span, 0, rados.ReplicatedN(2))
 		}
-		h.run(func(p *sim.Proc) {
-			res := workload.RunFIO(p, dev, fio)
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("table3: %d write errors", res.Errors))
-			}
-		})
-		if dedup {
+		h.run(func(p *sim.Proc) { runFIO(p, dev, fio) })
+		if c.dedup {
 			h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
 		}
-		for _, id := range failed {
-			if err := h.c.FailOSD(id); err != nil {
-				panic(err)
-			}
+		for _, id := range c.failed {
+			check(h.c.FailOSD(id))
 		}
-		for _, id := range failed {
-			if _, err := h.c.ReplaceOSD(id); err != nil {
-				panic(err)
-			}
+		for _, id := range c.failed {
+			must(h.c.ReplaceOSD(id))
 		}
 		var stats rados.RecoveryStats
 		h.c.QoS().SetMaxDepth(qos.Recovery, 8) // match the paper run's 8 streams per OSD
 		h.run(func(p *sim.Proc) { stats = h.c.Recover(p) })
-		return stats.Duration().Seconds(), stats.BytesMoved
-	}
-
-	// Failed OSDs chosen on distinct hosts, like pulling one drive per node.
-	failSets := map[int][]int{1: {0}, 2: {0, 5}, 4: {0, 5, 10, 15}}
+		return stats
+	})
 	var rows []Table3Row
-	for _, n := range []int{1, 2, 4} {
-		origSecs, origMoved := run(failSets[n], false)
-		propSecs, propMoved := run(failSets[n], true)
+	for i := 0; i < len(cases); i += 2 {
+		n, orig, prop := len(cases[i].failed), stats[i], stats[i+1]
 		rows = append(rows, Table3Row{
 			FailedOSDs:    n,
-			OriginalSecs:  origSecs,
-			ProposedSecs:  propSecs,
+			OriginalSecs:  orig.Duration().Seconds(),
+			ProposedSecs:  prop.Duration().Seconds(),
 			PaperOriginal: paper[n][0],
 			PaperProposed: paper[n][1],
-			OriginalMoved: origMoved,
-			ProposedMoved: propMoved,
+			OriginalMoved: orig.BytesMoved,
+			ProposedMoved: prop.BytesMoved,
 		})
 	}
 	return rows
@@ -96,25 +93,17 @@ func Table3(sc Scale) []Table3Row {
 
 // Table3Table renders Table3.
 func Table3Table(rows []Table3Row) Table {
-	t := Table{
-		Title:   "Table 3: recovery time after replacing OSDs (dataset at 50% dedup ratio)",
-		Columns: []string{"failed OSDs", "original (ms)", "proposed (ms)", "prop/orig", "paper prop/orig", "orig moved", "prop moved"},
-		Notes: []string{
+	return table("Table 3: recovery time after replacing OSDs (dataset at 50% dedup ratio)",
+		[]string{"failed OSDs", "original (ms)", "proposed (ms)", "prop/orig", "paper prop/orig", "orig moved", "prop moved"},
+		[]string{
 			"shape target: proposed recovery ~35-45% faster (half the bytes to move); both grow with failed OSD count",
 			"paper absolute times: 68.0/71.4/81.8 s original vs 43.7/44.5/54.8 s proposed (100GB unscaled)",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.FailedOSDs), f2(r.OriginalSecs * 1000), f2(r.ProposedSecs * 1000),
-			f2(r.ProposedSecs / r.OriginalSecs), f2(r.PaperProposed / r.PaperOriginal),
-			mb(r.OriginalMoved), mb(r.ProposedMoved),
+		rows, func(r Table3Row) []string {
+			return []string{
+				fmt.Sprint(r.FailedOSDs), f2(r.OriginalSecs * 1000), f2(r.ProposedSecs * 1000),
+				f2(r.ProposedSecs / r.OriginalSecs), f2(r.PaperProposed / r.PaperOriginal),
+				mb(r.OriginalMoved), mb(r.ProposedMoved),
+			}
 		})
-	}
-	return t
-}
-
-// Table3Result runs Table3 and packages it as a machine-readable Result.
-func Table3Result(sc Scale) Result {
-	return Result{Name: "table3", Tables: []Table{Table3Table(Table3(sc))}}
 }

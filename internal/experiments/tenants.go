@@ -40,28 +40,22 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 	// so its queue depth lands on the OSDs instead of serializing on a
 	// handful of object locks.
 	noisySpan := sc.bytes(256 << 20)
-	cases := []struct {
+	type tenantCase struct {
 		label string
 		noisy bool
 		slo   gateway.SLO
-	}{
+	}
+	rows := Runs(sc, []tenantCase{
 		{label: "quiet gold, solo (baseline)"},
 		{label: "+ noisy neighbor, isolation off", noisy: true, slo: gateway.SLO{}},
 		{label: "+ noisy neighbor, bronze SLO", noisy: true, slo: gateway.Bronze},
-	}
-
-	var rows []TenantIsolationRow
-	solo := 0.0
-	for _, tc := range cases {
-		h := sc.newHarness(910, 4, 4)
+	}, func(tb *Testbed, tc tenantCase) TenantIsolationRow {
+		h := tb.harness(910, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.HitSet.HitCount = 1000
 		})
 		coord := gateway.New(h.c.Metrics(), 0)
-		quiet, err := coord.Register("quiet", gateway.Gold)
-		if err != nil {
-			panic(err)
-		}
+		quiet := must(coord.Register("quiet", gateway.Gold))
 		qc := s.Client("client.quiet")
 		qc.SetTenant("quiet")
 
@@ -69,43 +63,29 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 		// latency histogram holds only the measured phase.
 		prefill := h.dedupDevice("quiet", span, s)
 		h.run(func(p *sim.Proc) {
-			res := workload.RunFIO(p, prefill, workload.FIOConfig{
+			runFIO(p, prefill, workload.FIOConfig{
 				BlockSize: 64 << 10, Span: span, Pattern: workload.SeqWrite,
 				DedupPct: 50, Threads: 8, IODepth: 4, Seed: 91,
 			})
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("tenants prefill: %d errors", res.Errors))
-			}
 			s.Engine().DrainAndWait(p)
 		})
 
 		// The measured quiet device shares the prefilled object namespace but
 		// routes every op through the tenant's admission path.
-		qdev, err := client.NewBlockDevice("quiet", span, 1<<20,
-			quiet.Backend(&client.DedupBackend{Client: qc}))
-		if err != nil {
-			panic(err)
-		}
+		qdev := must(client.NewBlockDevice("quiet", span, 1<<20, quiet.Backend(&client.DedupBackend{Client: qc})))
 		qdev.SetTrace(h.c.Trace())
 		qdev.SetTenant("quiet")
 
 		var noisy *gateway.Tenant
 		if tc.noisy {
-			noisy, err = coord.Register("noisy", tc.slo)
-			if err != nil {
-				panic(err)
-			}
+			noisy = must(coord.Register("noisy", tc.slo))
 			// The neighbor is two client sessions on one volume, 8 threads x
 			// 4 deep each (64 outstanding 64KB writes): one session's 10GbE
 			// link, at 57us per write, would cap it below what the OSDs absorb.
 			for i := range 2 {
 				nc := s.Client(fmt.Sprintf("client.noisy%d", i))
 				nc.SetTenant("noisy")
-				ndev, err := client.NewBlockDevice("noisy", noisySpan, 1<<20,
-					noisy.Backend(&client.DedupBackend{Client: nc}))
-				if err != nil {
-					panic(err)
-				}
+				ndev := must(client.NewBlockDevice("noisy", noisySpan, 1<<20, noisy.Backend(&client.DedupBackend{Client: nc})))
 				ndev.SetTrace(h.c.Trace())
 				ndev.SetTenant("noisy")
 				// Daemon: saturates for as long as the measured phase runs,
@@ -124,14 +104,11 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 			if tc.noisy {
 				p.Sleep(100 * time.Millisecond) // let the neighbor fill the OSD queues
 			}
-			res := workload.RunFIO(p, qdev, workload.FIOConfig{
+			runFIO(p, qdev, workload.FIOConfig{
 				BlockSize: 16 << 10, Span: span, Pattern: workload.RandWrite,
 				DedupPct: 50, Threads: 2, IODepth: 2, Seed: 94,
 				Ops: 256,
 			})
-			if res.Errors > 0 {
-				panic(fmt.Sprintf("tenants measured phase (%s): %d errors", tc.label, res.Errors))
-			}
 		})
 
 		qst := quiet.Stats()
@@ -145,34 +122,30 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 			row.NoisyThrot = nst.Throttled
 			row.NoisyWaitS = nst.QueueWait.Seconds()
 		}
-		if solo == 0 {
-			solo = row.QuietP99Ms
+		return row
+	})
+	if solo := rows[0].QuietP99Ms; solo > 0 {
+		for i := range rows {
+			rows[i].VsSolo = rows[i].QuietP99Ms / solo
 		}
-		if solo > 0 {
-			row.VsSolo = row.QuietP99Ms / solo
-		}
-		rows = append(rows, row)
 	}
 	return rows
 }
 
 // TenantIsolationTable renders the noisy-neighbor study.
 func TenantIsolationTable(rows []TenantIsolationRow) Table {
-	t := Table{
-		Title:   "Tenants: quiet gold tenant 16KB randwrite p99 vs noisy neighbor (dedup-hostile 64KB randwrite)",
-		Columns: []string{"config", "quiet p99 ms", "vs solo", "noisy MB", "noisy throttled", "noisy wait s"},
-		Notes: []string{
+	return table("Tenants: quiet gold tenant 16KB randwrite p99 vs noisy neighbor (dedup-hostile 64KB randwrite)",
+		[]string{"config", "quiet p99 ms", "vs solo", "noisy MB", "noisy throttled", "noisy wait s"},
+		[]string{
 			"shape target: bronze SLO holds quiet p99 within 1.5x of solo; isolation off degrades it >=3x",
 			"noisy traffic is 0%-dup random writes: every block fingerprints, misses, and flushes",
 		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Config, f2(r.QuietP99Ms), f2(r.VsSolo),
-			fmt.Sprint(r.NoisyMB), fmt.Sprint(r.NoisyThrot), f2(r.NoisyWaitS),
+		rows, func(r TenantIsolationRow) []string {
+			return []string{
+				r.Config, f2(r.QuietP99Ms), f2(r.VsSolo),
+				fmt.Sprint(r.NoisyMB), fmt.Sprint(r.NoisyThrot), f2(r.NoisyWaitS),
+			}
 		})
-	}
-	return t
 }
 
 // TenantFleetRow aggregates one SLO class of the fleet sweep.
@@ -191,31 +164,31 @@ type TenantFleetRow struct {
 // totals: weighted SFQ should let gold through with the least queueing
 // while bronze absorbs the wait.
 func TenantFleet(sc Scale) []TenantFleetRow {
-	h := sc.newHarness(915, 4, 4)
+	return Runs(sc, []int64{915}, func(tb *Testbed, seed int64) []TenantFleetRow {
+		return tenantFleet(tb, sc, seed)
+	})[0]
+}
+
+func tenantFleet(tb *Testbed, sc Scale, seed int64) []TenantFleetRow {
+	h := tb.harness(seed, 4, 4)
 	pool, gw := h.rawPool("fleet", rados.ReplicatedN(2))
 	coord := gateway.New(h.c.Metrics(), 64)
 	n := sc.countMin(1000, 250)
 	classes := []gateway.SLO{gateway.Gold, gateway.Silver, gateway.Bronze}
 	tenants := make([]*gateway.Tenant, n)
 	for i := range tenants {
-		t, err := coord.Register(fmt.Sprintf("t%04d", i), classes[i%len(classes)])
-		if err != nil {
-			panic(err)
-		}
+		t := must(coord.Register(fmt.Sprintf("t%04d", i), classes[i%len(classes)]))
 		tenants[i] = t
 	}
 	const opBytes = 64 << 10
 	buf := make([]byte, opBytes)
 	h.run(func(p *sim.Proc) {
 		for i, tn := range tenants {
-			i, tn := i, tn
 			p.Go("tenant", func(q *sim.Proc) {
 				for k := 0; k < 4; k++ {
 					oid := fmt.Sprintf("obj.%d.%d", i, k)
 					tn.Do(q, opBytes, func(r *sim.Proc) {
-						if err := gw.Write(r, pool, oid, 0, buf); err != nil {
-							panic(err)
-						}
+						check(gw.Write(r, pool, oid, 0, buf))
 					})
 				}
 			})
@@ -238,26 +211,18 @@ func TenantFleet(sc Scale) []TenantFleetRow {
 
 // TenantFleetTable renders the fleet sweep.
 func TenantFleetTable(rows []TenantFleetRow) Table {
-	t := Table{
-		Title:   "Tenants: fleet of tenants round-robined over gold/silver/bronze, 64-slot coordinator",
-		Columns: []string{"class", "tenants", "ops", "MB", "throttled", "avg wait ms"},
-		Notes: []string{
-			"shape target: gold's average admission wait is the lowest of the three classes",
-		},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Class, fmt.Sprint(r.Tenants), fmt.Sprint(r.Ops),
-			fmt.Sprint(r.MB), fmt.Sprint(r.Throttled), f2(r.AvgWaitMs),
+	return table("Tenants: fleet of tenants round-robined over gold/silver/bronze, 64-slot coordinator",
+		[]string{"class", "tenants", "ops", "MB", "throttled", "avg wait ms"},
+		[]string{"shape target: gold's average admission wait is the lowest of the three classes"},
+		rows, func(r TenantFleetRow) []string {
+			return []string{
+				r.Class, fmt.Sprint(r.Tenants), fmt.Sprint(r.Ops),
+				fmt.Sprint(r.MB), fmt.Sprint(r.Throttled), f2(r.AvgWaitMs),
+			}
 		})
-	}
-	return t
 }
 
-// TenantsResult runs both tenant tables and packages them as a Result.
-func TenantsResult(sc Scale) Result {
-	return Result{Name: "tenants", Tables: []Table{
-		TenantIsolationTable(TenantIsolation(sc)),
-		TenantFleetTable(TenantFleet(sc)),
-	}}
+// tenantsTables runs both tenant tables as one experiment.
+func tenantsTables(sc Scale) []Table {
+	return []Table{TenantIsolationTable(TenantIsolation(sc)), TenantFleetTable(TenantFleet(sc))}
 }

@@ -1,10 +1,13 @@
-// Package harness runs registered experiments across a bounded worker pool.
-// Every experiment owns an isolated deterministic sim, so running them
-// concurrently must — and verifiably does — produce results bit-identical
-// to a sequential sweep; only wall-clock changes. Reports stream back in
-// canonical order regardless of completion order, wall-clock per experiment
-// is recorded in a metrics.Registry, and results can be persisted as
-// canonical JSON for golden-snapshot diffing (golden.go).
+// Package harness sweeps registered experiments. Every experiment is a list
+// of isolated runs (experiments.Runs), each with its own deterministic sim,
+// and the sweep schedules runs, not experiments: each run holds one of
+// Options.Workers slots while it executes, so the runs of one experiment
+// proceed concurrently and a sweep must — and verifiably does — produce
+// results bit-identical to a sequential one; only wall-clock changes.
+// Reports stream back in canonical order regardless of completion order,
+// wall-clock per experiment is recorded in a metrics.Registry, and results
+// can be persisted as canonical JSON for golden-snapshot diffing
+// (golden.go).
 package harness
 
 import (
@@ -13,6 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dedupstore/internal/experiments"
@@ -21,8 +25,8 @@ import (
 
 // Options configure one sweep.
 type Options struct {
-	// Workers bounds pool concurrency; <=0 uses GOMAXPROCS. Workers == 1 is
-	// the sequential reference run.
+	// Workers bounds how many runs execute at once; <=0 uses GOMAXPROCS.
+	// Workers == 1 is the sequential reference sweep.
 	Workers int
 	// Scale is forwarded to every experiment.
 	Scale experiments.Scale
@@ -40,67 +44,38 @@ type Report struct {
 	Result experiments.Result
 	Output string        // rendered tables, exactly what the CLI prints
 	Trace  string        // slow-span report ("" when Options.TraceN == 0)
-	Wall   time.Duration // host wall-clock for this experiment
-	Err    error         // non-nil if the experiment panicked
+	Wall   time.Duration // host wall-clock summed over the experiment's runs
+	Err    error         // non-nil if a run or the experiment panicked
 }
 
-// Run executes the experiments over the worker pool and invokes emit (if
-// non-nil) once per experiment in input order — each report is emitted as
-// soon as it and all its predecessors have finished, so output streams
-// during the sweep but never reorders. The returned slice is in input order.
+// Run sweeps the experiments and invokes emit (if non-nil) once per
+// experiment in input order — each report is emitted as soon as it and all
+// its predecessors have finished, so output streams during the sweep but
+// never reorders. The returned slice is in input order.
+//
+// Every experiment starts at once on its own goroutine, which holds no slot:
+// only runs do. So the pool is exactly Workers wide and an experiment
+// waiting for its runs cannot starve them.
 func Run(exps []experiments.Experiment, opts Options, emit func(Report)) []Report {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	start := time.Now()
-	done := make([]*Report, len(exps))
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rep := runOne(exps[i], opts)
-				mu.Lock()
-				done[i] = &rep
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
+	pool := newPool(workers, len(exps))
+	done := make([]chan Report, len(exps))
+	for i, exp := range exps {
+		done[i] = make(chan Report, 1)
+		go func() { done[i] <- runOne(exp, opts, pool, i) }()
 	}
-	go func() {
-		for i := range exps {
-			jobs <- i
-		}
-		close(jobs)
-	}()
-
 	out := make([]Report, 0, len(exps))
-	for i := range exps {
-		mu.Lock()
-		for done[i] == nil {
-			cond.Wait()
-		}
-		rep := *done[i]
-		mu.Unlock()
+	for _, ch := range done {
+		rep := <-ch
 		if emit != nil {
 			emit(rep)
 		}
 		out = append(out, rep)
 	}
-	wg.Wait()
 	if opts.Metrics != nil {
 		opts.Metrics.Histogram("harness_total_wall").Add(time.Since(start))
 		opts.Metrics.Gauge("harness_workers").Set(int64(workers))
@@ -108,14 +83,14 @@ func Run(exps []experiments.Experiment, opts Options, emit func(Report)) []Repor
 	return out
 }
 
-// runOne executes a single experiment with an isolated trace capture,
-// converting a panic into Report.Err so one broken experiment cannot take
-// down the sweep.
-func runOne(exp experiments.Experiment, opts Options) (rep Report) {
-	rep.Name = exp.Name()
-	start := time.Now()
+// runOne executes experiment i of the sweep with an isolated trace capture,
+// its runs drawing slots from pool, and converts a panic into Report.Err so
+// one broken experiment cannot take down the sweep.
+func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Report) {
+	rep.Name = exp.Name
+	var wall atomic.Int64
 	defer func() {
-		rep.Wall = time.Since(start)
+		rep.Wall = time.Duration(wall.Load())
 		if r := recover(); r != nil {
 			rep.Err = fmt.Errorf("experiment %s panicked: %v", rep.Name, r)
 		}
@@ -125,13 +100,63 @@ func runOne(exp experiments.Experiment, opts Options) (rep Report) {
 		}
 	}()
 	sc, capture := opts.Scale.WithTraceCapture()
-	defer capture.Close()
-	rep.Result = exp.Run(sc)
+	sc = sc.WithPool(func() func() {
+		pool.acquire(i)
+		start := time.Now()
+		return func() {
+			wall.Add(int64(time.Since(start)))
+			pool.release()
+		}
+	})
+	rep.Result = exp.Result(sc)
 	rep.Output = rep.Result.Output()
 	if opts.TraceN > 0 {
 		rep.Trace = capture.Report(opts.TraceN)
 	}
 	return rep
+}
+
+// pool bounds the runs executing at once to its slots. A freed slot goes to
+// the next experiment in rotation with a run waiting, so the runs of a long
+// experiment are not queued behind every short run listed before it.
+type pool struct {
+	mu      sync.Mutex
+	free    int
+	waiting [][]chan struct{} // per experiment, in arrival order
+	next    int               // the experiment the next grant looks at first
+}
+
+func newPool(slots, exps int) *pool {
+	return &pool{free: slots, waiting: make([][]chan struct{}, exps)}
+}
+
+// acquire blocks until a run of experiment exp holds a slot.
+func (p *pool) acquire(exp int) {
+	p.mu.Lock()
+	if p.free > 0 {
+		p.free--
+		p.mu.Unlock()
+		return
+	}
+	grant := make(chan struct{})
+	p.waiting[exp] = append(p.waiting[exp], grant)
+	p.mu.Unlock()
+	<-grant
+}
+
+// release hands the slot to the next waiting run in rotation, or frees it.
+func (p *pool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := range p.waiting {
+		i := (p.next + k) % len(p.waiting)
+		if q := p.waiting[i]; len(q) > 0 {
+			p.waiting[i], p.next = q[1:], i+1
+			close(q[0])
+			return
+		}
+	}
+	p.free++
 }
 
 // WriteResults persists each successful report as canonical JSON at
@@ -156,7 +181,7 @@ func WriteResults(dir string, reports []Report) error {
 }
 
 // TimingTable summarizes per-experiment wall-clock and the pool speedup:
-// sequential cost is the sum of per-experiment walls, so sum/total is the
+// sequential cost is the sum of the run walls, so sum/total is the
 // concurrency win on this machine.
 func TimingTable(reports []Report, workers int, total time.Duration) experiments.Table {
 	t := experiments.Table{

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,19 +15,26 @@ import (
 	"dedupstore/internal/metrics"
 )
 
+// sleepRuns runs one run per delay, each sleeping its delay.
+func sleepRuns(sc experiments.Scale, delays ...time.Duration) {
+	experiments.Runs(sc, delays, func(_ *experiments.Testbed, d time.Duration) struct{} {
+		time.Sleep(d)
+		return struct{}{}
+	})
+}
+
 // fakeExp builds a trivially fast experiment whose table depends only on its
-// name, with an optional artificial delay to force out-of-order completion.
+// name, with one run that sleeps an optional artificial delay to force
+// out-of-order completion.
 func fakeExp(name string, delay time.Duration) experiments.Experiment {
-	return experiments.NewExperiment(name, func(sc experiments.Scale) experiments.Result {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		return experiments.Result{Name: name, Tables: []experiments.Table{{
+	return experiments.Experiment{Name: name, Run: func(sc experiments.Scale) []experiments.Table {
+		sleepRuns(sc, delay)
+		return []experiments.Table{{
 			Title:   "table " + name,
 			Columns: []string{"k", "v"},
 			Rows:    [][]string{{name, fmt.Sprintf("%.2f", sc.Data)}},
-		}}}
-	})
+		}}
+	}}
 }
 
 // TestRunEmitsInCanonicalOrder: the first experiment is the slowest, so with
@@ -63,12 +71,19 @@ func TestRunEmitsInCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a panicking experiment becomes Report.Err without
-// taking down the sweep or disturbing its neighbors.
+// TestPanicIsolation: a panic inside one run becomes its experiment's
+// Report.Err, after the experiment's other runs finish, without taking down
+// the sweep or disturbing its neighbors.
 func TestPanicIsolation(t *testing.T) {
-	boom := experiments.NewExperiment("boom", func(experiments.Scale) experiments.Result {
-		panic("injected failure")
-	})
+	boom := experiments.Experiment{Name: "boom", Run: func(sc experiments.Scale) []experiments.Table {
+		experiments.Runs(sc, []int{0, 1, 2}, func(_ *experiments.Testbed, i int) int {
+			if i == 1 {
+				panic("injected failure")
+			}
+			return i
+		})
+		return nil
+	}}
 	exps := []experiments.Experiment{fakeExp("a", 0), boom, fakeExp("b", 0)}
 	reports := Run(exps, Options{Workers: 2}, nil)
 	if reports[0].Err != nil || reports[2].Err != nil {
@@ -79,28 +94,56 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolBounded: no more than Options.Workers experiments run
-// simultaneously.
+// TestWorkerPoolBounded: no more than Options.Workers runs execute at once,
+// across every experiment of the sweep.
 func TestWorkerPoolBounded(t *testing.T) {
 	var inFlight, peak atomic.Int32
 	exps := make([]experiments.Experiment, 8)
 	for i := range exps {
-		exps[i] = experiments.NewExperiment(fmt.Sprintf("e%d", i), func(experiments.Scale) experiments.Result {
-			n := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
+		exps[i] = experiments.Experiment{Name: fmt.Sprintf("e%d", i), Run: func(sc experiments.Scale) []experiments.Table {
+			experiments.Runs(sc, []int{0, 1, 2}, func(*experiments.Testbed, int) struct{} {
+				n := inFlight.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
 				}
-			}
-			time.Sleep(20 * time.Millisecond)
-			inFlight.Add(-1)
-			return experiments.Result{Name: "x"}
-		})
+				time.Sleep(20 * time.Millisecond)
+				inFlight.Add(-1)
+				return struct{}{}
+			})
+			return nil
+		}}
 	}
 	Run(exps, Options{Workers: 2}, nil)
 	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds pool size 2", p)
+		t.Errorf("peak concurrency %d runs exceeds pool size 2", p)
+	}
+}
+
+// TestRunsOfOneExperimentOverlap: an experiment's runs execute concurrently,
+// and the experiment holds no slot while it waits for them, so four runs
+// that each wait for all four to arrive complete at Workers 4.
+func TestRunsOfOneExperimentOverlap(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(4)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	exp := experiments.Experiment{Name: "rendezvous", Run: func(sc experiments.Scale) []experiments.Table {
+		experiments.Runs(sc, []int{0, 1, 2, 3}, func(*experiments.Testbed, int) struct{} {
+			arrived.Done()
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				panic("runs did not overlap")
+			}
+			return struct{}{}
+		})
+		return nil
+	}}
+	if rep := Run([]experiments.Experiment{exp}, Options{Workers: 4}, nil)[0]; rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
 }
 
@@ -114,17 +157,13 @@ func TestParallelMatchesSequentialTwoSeeds(t *testing.T) {
 	}
 	sc := experiments.Scale{Data: 0.05}
 	chaosAt := func(seed int64) experiments.Experiment {
-		name := fmt.Sprintf("chaos-seed%d", seed)
-		return experiments.NewExperiment(name, func(sc experiments.Scale) experiments.Result {
-			return experiments.Result{Name: name, Tables: experiments.ChaosTables(experiments.ChaosSeeded(sc, seed))}
-		})
+		return experiments.Experiment{Name: fmt.Sprintf("chaos-seed%d", seed), Run: func(sc experiments.Scale) []experiments.Table {
+			return experiments.ChaosTables(experiments.ChaosSeeded(sc, seed))
+		}}
 	}
-	exps := []experiments.Experiment{
-		chaosAt(811),
-		chaosAt(977),
-		experiments.NewExperiment("table2", experiments.Table2Result),
-		experiments.NewExperiment("fig5a", experiments.Fig5aResult),
-	}
+	table2, _ := experiments.Lookup("table2")
+	fig5a, _ := experiments.Lookup("fig5a")
+	exps := []experiments.Experiment{chaosAt(811), chaosAt(977), table2, fig5a}
 	seq := Run(exps, Options{Workers: 1, Scale: sc, TraceN: 5}, nil)
 	par := Run(exps, Options{Workers: 4, Scale: sc, TraceN: 5}, nil)
 	for i := range seq {
@@ -145,6 +184,30 @@ func TestParallelMatchesSequentialTwoSeeds(t *testing.T) {
 		if seq[i].Trace != par[i].Trace {
 			t.Errorf("%s: trace report differs between sequential and parallel runs", seq[i].Name)
 		}
+	}
+}
+
+// TestTraceIndependentOfWorkers: runs finish in any order, but the span
+// report reads every run's sink in run order, so -trace output is the same
+// at every pool width.
+func TestTraceIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test")
+	}
+	fig3, _ := experiments.Lookup("fig3")
+	trace := func(workers int) string {
+		rep := Run([]experiments.Experiment{fig3}, Options{Workers: workers, Scale: experiments.Scale{Data: 0.05}, TraceN: 20}, nil)[0]
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		return rep.Trace
+	}
+	seq, par := trace(1), trace(4)
+	if seq == "" {
+		t.Fatal("no span report")
+	}
+	if seq != par {
+		t.Errorf("span report differs between 1 and 4 workers:\n--- 1 ---\n%s--- 4 ---\n%s", seq, par)
 	}
 }
 
@@ -211,16 +274,16 @@ func TestTimingSummaryAndResults(t *testing.T) {
 	}
 }
 
-// TestSweepLeavesNoGoroutines: once an experiment's Result is built the
-// harness closes the engines it ran on, so the daemons and pooled processes
-// of a finished experiment do not outlive it as parked goroutines.
+// TestSweepLeavesNoGoroutines: every run closes the engine it ran on, so
+// the daemons and pooled processes of a finished experiment do not outlive
+// it as parked goroutines.
 func TestSweepLeavesNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
 	base := runtime.NumGoroutine()
-	reports := Run([]experiments.Experiment{experiments.NewExperiment("table2", experiments.Table2Result)},
-		Options{Workers: 1, Scale: experiments.Scale{Data: 0.05}}, nil)
+	table2, _ := experiments.Lookup("table2")
+	reports := Run([]experiments.Experiment{table2}, Options{Workers: 1, Scale: experiments.Scale{Data: 0.05}}, nil)
 	if reports[0].Err != nil {
 		t.Fatal(reports[0].Err)
 	}
