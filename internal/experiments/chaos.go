@@ -53,7 +53,7 @@ type ChaosResult struct {
 
 	// Availability measures.
 	DetectLatency time.Duration // crash -> marked down
-	Downtime      time.Duration // crash -> process restarted
+	Downtime      time.Duration // summed over the schedule's crashes: crash -> process restarted
 	MTTR          time.Duration // crash -> cluster settled at full redundancy
 
 	// Work absorbed by the degraded-I/O machinery.
@@ -105,16 +105,25 @@ func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult 
 	s.StartEngine()
 
 	const (
-		workers  = 4
-		objSize  = 16 << 10
-		crashed  = 5
-		crashAt  = time.Second
-		crashFor = 4 * time.Second
-		loadFor  = 8 * time.Second
+		workers = 4
+		objSize = 16 << 10
+		crashAt = time.Second
+		loadFor = 8 * time.Second
 	)
 	objects := sc.countMin(96, 16)
 	perWorker := objects / workers
 
+	// The fault schedule starts with the load at t0. The kill scenarios swap
+	// the single long crash for a burst of short kills: each is long enough
+	// (1.3s) for the heartbeat monitor to mark the OSD down, but the 1.4s
+	// spacing keeps at most one OSD dead at once.
+	sched := chaos.Schedule{{At: crashAt, Kind: chaos.KindCrashOSD, OSD: 5, Duration: 4 * time.Second}}
+	if scn.KillN > 0 {
+		sched = chaos.CrashBurst(h.c.OSDs(), scn.KillN, crashAt, 7*time.Second, 1300*time.Millisecond)
+	}
+	for _, f := range sched {
+		res.Downtime += f.Duration
+	}
 	inj := chaos.NewInjector(h.c)
 	shadow := make([][]byte, objects)
 	var t0 sim.Time
@@ -137,18 +146,8 @@ func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult 
 		s.Engine().DrainAndWait(p)
 		s.StartEngine() // workers keep flushing through the fault window
 
-		// Fault schedule and foreground load start together at t0. The kill
-		// scenarios swap the single long crash for a burst of short kills:
-		// each is long enough (1.3s) for the heartbeat monitor to mark the
-		// OSD down, but the 1.4s spacing keeps at most one OSD dead at once.
 		t0 = p.Now()
-		if scn.KillN > 0 {
-			inj.Apply(chaos.CrashBurst(h.c.OSDs(), scn.KillN, crashAt, 7*time.Second, 1300*time.Millisecond))
-		} else {
-			inj.Apply(chaos.Schedule{
-				{At: crashAt, Kind: chaos.KindCrashOSD, OSD: crashed, Duration: crashFor},
-			})
-		}
+		inj.Apply(sched)
 		var sigs []*sim.Signal
 		if scn.GCDuring {
 			sigs = append(sigs, p.Go("gcloop", func(q *sim.Proc) {
@@ -229,7 +228,6 @@ func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult 
 		res.Timeline = append(res.Timeline, ChaosEvent{At: rel(ev.At), What: what})
 	}
 	slices.SortStableFunc(res.Timeline, func(a, b ChaosEvent) int { return cmp.Compare(a.At, b.At) })
-	res.Downtime = crashFor
 
 	reg := h.c.Metrics()
 	res.DegradedReads = reg.Counter("rados_degraded_reads_total").Value()

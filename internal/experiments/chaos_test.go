@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestChaosInvariants: under crashes mid-load — including the high-rate
@@ -36,6 +37,13 @@ func TestChaosInvariants(t *testing.T) {
 			}
 			if len(r.Timeline) == 0 {
 				t.Errorf("%s seed %d: empty availability timeline", name, seed)
+			}
+			wantDown := 4 * time.Second
+			if strings.Contains(name, "kill") {
+				wantDown = 5 * 1300 * time.Millisecond
+			}
+			if r.Downtime != wantDown {
+				t.Errorf("%s seed %d: process downtime %v, want %v (the schedule's crashes summed)", name, seed, r.Downtime, wantDown)
 			}
 			if strings.Contains(name, "kill") {
 				// The burst scenarios must actually fire at the elevated
