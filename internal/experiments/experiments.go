@@ -144,9 +144,6 @@ func Runs[C, R any](sc Scale, cases []C, run func(*Testbed, C) R) []R {
 	return rows
 }
 
-// call is the run of a case that is itself a run function.
-func call[R any](tb *Testbed, run func(*Testbed) R) R { return run(tb) }
-
 // TraceCapture collects the trace sinks of every run under one Scale in run
 // order, so the span report does not depend on which run finished first.
 type TraceCapture struct {

@@ -94,7 +94,7 @@ func Fig10(sc Scale) []Fig10Row {
 			})
 			return []Fig10Row{measure(h, dev, "Proposed-cache", fioW), measure(h, dev, "Proposed-cache", fioR)}
 		},
-	}, call)...)
+	}, func(tb *Testbed, run func(*Testbed) []Fig10Row) []Fig10Row { return run(tb) })...)
 }
 
 // Fig10Table renders Fig10.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"dedupstore/internal/core"
@@ -76,16 +76,20 @@ func percentileUs(samples []time.Duration, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(float64(len(s))*p/100+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	rank := min(max(int(float64(len(s))*p/100+0.9999999)-1, 0), len(s)-1)
 	return float64(s[rank]) / float64(time.Microsecond)
+}
+
+// cacheHitPct is the block-cache hit ratio between two index snapshots,
+// in percent (0 without lookups).
+func cacheHitPct(before, after fpindex.Stats) float64 {
+	hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
+	if hits+misses == 0 {
+		return 0
+	}
+	return 100 * float64(hits) / float64(hits+misses)
 }
 
 // FPIndexLatencySweep measures chunk-existence lookup latency across index
@@ -112,12 +116,11 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 		}
 	}
 	return Runs(sc, cases, func(tb *Testbed, c latencyCase) FPIndexLatencyRow {
-		seed, cache, entries := c.seed, c.cache, c.entries
-		h := tb.harness(seed, 2, 2)
+		h := tb.harness(c.seed, 2, 2)
 		pool := must(h.c.CreatePool(rados.PoolConfig{Name: "chunks", PGNum: 64, Redundancy: rados.ReplicatedN(2)}))
-		check(h.c.EnableFPIndex(pool, fpIndexSweepConfig(cache)))
+		check(h.c.EnableFPIndex(pool, fpIndexSweepConfig(c.cache)))
 		gw := h.c.NewGateway("fp-load")
-		present, absent := fpKeys(seed, entries)
+		present, absent := fpKeys(c.seed, c.entries)
 
 		h.run(func(p *sim.Proc) {
 			for _, oid := range present {
@@ -130,7 +133,7 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 			p.Sleep(2 * time.Second)
 		})
 
-		probeOrder := rng(seed).Perm(len(present))
+		probeOrder := rand.New(rand.NewSource(c.seed ^ 0x5f3c9)).Perm(len(present))
 		var hits, negs []time.Duration
 		var elapsed time.Duration
 		before := h.c.FPIndexStats()
@@ -140,56 +143,42 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 			for _, i := range probeOrder {
 				must(h.c.FPLookup(p, present[i]))
 			}
+			probe := func(oid string, inserted bool) time.Duration {
+				s := p.Now()
+				if found := must(h.c.FPLookup(p, oid)); found != inserted {
+					panic(fmt.Sprintf("fpindex: fingerprint %q found %v, inserted %v", oid, found, inserted))
+				}
+				return (p.Now() - s).Duration()
+			}
 			t0 := p.Now()
 			for _, i := range probeOrder {
-				s := p.Now()
-				found := must(h.c.FPLookup(p, present[i]))
-				if !found {
-					panic(fmt.Sprintf("fpindex: present fingerprint %q not found", present[i]))
-				}
-				hits = append(hits, (p.Now() - s).Duration())
+				hits = append(hits, probe(present[i], true))
 			}
 			for _, oid := range absent {
-				s := p.Now()
-				found := must(h.c.FPLookup(p, oid))
-				if found {
-					panic(fmt.Sprintf("fpindex: absent fingerprint %q found", oid))
-				}
-				negs = append(negs, (p.Now() - s).Duration())
+				negs = append(negs, probe(oid, false))
 			}
 			elapsed = (p.Now() - t0).Duration()
 		})
 		check(h.c.FPIndexVerify())
 		after := h.c.FPIndexStats()
 
-		nOSD := len(h.c.OSDs())
-		dCacheHits := after.CacheHits - before.CacheHits
-		dCacheMiss := after.CacheMisses - before.CacheMisses
-		dFP := after.BloomFalsePos - before.BloomFalsePos
-		dAbsent := after.AbsentProbes - before.AbsentProbes
-		dEst := after.EstFPSum - before.EstFPSum
-		row := FPIndexLatencyRow{
-			Seed:     seed,
-			Entries:  entries,
-			CacheKiB: int64(cache >> 10),
-			IndexKiB: after.TableBytes / int64(nOSD) >> 10,
-			HitP50Us: percentileUs(hits, 50),
-			HitP99Us: percentileUs(hits, 99),
-			NegP50Us: percentileUs(negs, 50),
-			NegP99Us: percentileUs(negs, 99),
-			ProbeKops: float64(len(hits)+len(negs)) /
-				elapsed.Seconds() / 1000,
-			EstFPPct: 100 * dEst / float64(max(dAbsent, 1)),
-			ObsFPPct: 100 * float64(dFP) / float64(max(dAbsent, 1)),
+		absentProbes := float64(max(after.AbsentProbes-before.AbsentProbes, 1))
+		return FPIndexLatencyRow{
+			Seed:        c.seed,
+			Entries:     c.entries,
+			CacheKiB:    int64(c.cache >> 10),
+			IndexKiB:    after.TableBytes / int64(len(h.c.OSDs())) >> 10,
+			HitP50Us:    percentileUs(hits, 50),
+			HitP99Us:    percentileUs(hits, 99),
+			NegP50Us:    percentileUs(negs, 50),
+			NegP99Us:    percentileUs(negs, 99),
+			CacheHitPct: cacheHitPct(before, after),
+			ProbeKops:   float64(len(hits)+len(negs)) / elapsed.Seconds() / 1000,
+			EstFPPct:    100 * (after.EstFPSum - before.EstFPSum) / absentProbes,
+			ObsFPPct:    100 * float64(after.BloomFalsePos-before.BloomFalsePos) / absentProbes,
 		}
-		if tot := dCacheHits + dCacheMiss; tot > 0 {
-			row.CacheHitPct = 100 * float64(dCacheHits) / float64(tot)
-		}
-		return row
 	})
 }
-
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ 0x5f3c9)) }
 
 // FPIndexLatencyTable renders the lookup-latency sweep.
 func FPIndexLatencyTable(rows []FPIndexLatencyRow) Table {
@@ -276,20 +265,16 @@ func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
 		check(h.c.FPIndexVerify())
 		after := h.c.FPIndexStats()
 		st := s.Engine().Stats()
-		row := FPIndexFlushRow{
+		return FPIndexFlushRow{
 			Config:        c.label,
 			Seed:          c.seed,
 			ChunksFlushed: st.ChunksFlushed,
 			ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
-			FlushMBps: float64(st.ChunksFlushed*4096) /
-				(1 << 20) / elapsed.Seconds(),
+			FlushMBps:     float64(st.ChunksFlushed*4096) / (1 << 20) / elapsed.Seconds(),
 			IndexLookups:  after.Lookups - before.Lookups,
+			CacheHitPct:   cacheHitPct(before, after),
 			IndexWriteKiB: (after.WriteBytes - before.WriteBytes) >> 10,
 		}
-		if tot := (after.CacheHits - before.CacheHits) + (after.CacheMisses - before.CacheMisses); tot > 0 {
-			row.CacheHitPct = 100 * float64(after.CacheHits-before.CacheHits) / float64(tot)
-		}
-		return row
 	})
 }
 

@@ -46,11 +46,6 @@ type Experiment struct {
 	Run  func(Scale) []Table
 }
 
-// Result runs the experiment and packages its tables under its name.
-func (e Experiment) Result(sc Scale) Result {
-	return Result{Name: e.Name, Tables: e.Run(sc)}
-}
-
 // one is the Run of an experiment with one table: its rows, rendered.
 func one[R any](rows func(Scale) R, render func(R) Table) func(Scale) []Table {
 	return func(sc Scale) []Table { return []Table{render(rows(sc))} }

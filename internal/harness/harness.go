@@ -83,9 +83,10 @@ func Run(exps []experiments.Experiment, opts Options, emit func(Report)) []Repor
 	return out
 }
 
-// runOne executes experiment i of the sweep with an isolated trace capture,
-// its runs drawing slots from pool, and converts a panic into Report.Err so
-// one broken experiment cannot take down the sweep.
+// runOne executes experiment i of the sweep, its runs drawing slots from
+// pool and, when spans are asked for, recording into an isolated trace
+// capture. It converts a panic into Report.Err so one broken experiment
+// cannot take down the sweep.
 func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Report) {
 	rep.Name = exp.Name
 	var wall atomic.Int64
@@ -99,8 +100,7 @@ func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Re
 			opts.Metrics.Counter("harness_experiments_run").Inc()
 		}
 	}()
-	sc, capture := opts.Scale.WithTraceCapture()
-	sc = sc.WithPool(func() func() {
+	sc := opts.Scale.WithPool(func() func() {
 		pool.acquire(i)
 		start := time.Now()
 		return func() {
@@ -108,9 +108,13 @@ func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Re
 			pool.release()
 		}
 	})
-	rep.Result = exp.Result(sc)
-	rep.Output = rep.Result.Output()
+	var capture *experiments.TraceCapture
 	if opts.TraceN > 0 {
+		sc, capture = sc.WithTraceCapture()
+	}
+	rep.Result = experiments.Result{Name: exp.Name, Tables: exp.Run(sc)}
+	rep.Output = rep.Result.Output()
+	if capture != nil {
 		rep.Trace = capture.Report(opts.TraceN)
 	}
 	return rep
