@@ -177,8 +177,7 @@ func tenantFleet(tb *Testbed, sc Scale, seed int64) []TenantFleetRow {
 	classes := []gateway.SLO{gateway.Gold, gateway.Silver, gateway.Bronze}
 	tenants := make([]*gateway.Tenant, n)
 	for i := range tenants {
-		t := must(coord.Register(fmt.Sprintf("t%04d", i), classes[i%len(classes)]))
-		tenants[i] = t
+		tenants[i] = must(coord.Register(fmt.Sprintf("t%04d", i), classes[i%len(classes)]))
 	}
 	const opBytes = 64 << 10
 	buf := make([]byte, opBytes)
