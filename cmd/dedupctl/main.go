@@ -226,13 +226,15 @@ func (c *ctl) qos() {
 	}
 	// The dedup limit's cost, which the table above cannot show: time flush
 	// slots spent asleep in admission (WaitTurn), not queued at any device;
-	// and the explicit drains, which run unpaced with one agent per OSD.
+	// and the explicit drains, which run unpaced with one agent per OSD, and
+	// how many objects an agent flushed off another agent's queue.
 	reg := c.world.Cluster.Metrics()
 	pw, dr := reg.Histogram("dedup_pacing_wait"), reg.Histogram("dedup_drain_seconds")
-	fmt.Printf("dedup pacing: %d paced slots waited %v in admission (mean %v, max %v); rate policy parked: %d; drains: %d in %v (max %v), %d agents\n",
+	fmt.Printf("dedup pacing: %d paced slots waited %v in admission (mean %v, max %v); rate policy parked: %d; drains: %d in %v (max %v), %d agents, %d shared\n",
 		pw.Count(), pw.Sum().Round(time.Microsecond), pw.Mean().Round(time.Microsecond), pw.Max().Round(time.Microsecond),
 		reg.Gauge("dedup_rate_policy_parked").Value(),
-		dr.Count(), dr.Sum().Round(time.Microsecond), dr.Max().Round(time.Microsecond), reg.Gauge("dedup_drain_agents").Value())
+		dr.Count(), dr.Sum().Round(time.Microsecond), dr.Max().Round(time.Microsecond), reg.Gauge("dedup_drain_agents").Value(),
+		reg.Counter("dedup_drain_shared_total").Value())
 	// The PG locks, which no device scheduler sees either: how long ops
 	// queued for a PG's lock and then held it, per pool; and how long a
 	// replicated mutation's replica legs ran after the primary's commit,

@@ -65,9 +65,10 @@ func TestTenantsAndQoSActions(t *testing.T) {
 		}
 	}
 
-	// The load drains once, one agent per OSD of the 16.
-	if !strings.Contains(out, "; drains: 1 in ") || !strings.Contains(out, ", 16 agents\n") {
-		t.Errorf("qos pacing line does not report the load's drain over 16 agents:\n%s", out)
+	// The load drains once, one agent per OSD of the 16, and ends with how
+	// many objects an agent took off another agent's queue.
+	if !regexp.MustCompile(`; drains: 1 in .*, 16 agents, \d+ shared\n`).MatchString(out) {
+		t.Errorf("qos pacing line does not report the load's drain over 16 agents and its shared objects:\n%s", out)
 	}
 	for _, pool := range []string{"meta", "chunk"} {
 		if !strings.Contains(out, "\npg lock "+pool+": ") {

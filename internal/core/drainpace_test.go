@@ -205,6 +205,60 @@ func TestDrainScalesOut(t *testing.T) {
 	}
 }
 
+// TestDrainSharesSkewedBacklog: 16 one-MiB objects whose metadata all lands
+// on one OSD. That OSD's agent lists them, and the agents whose own PGs are
+// clean take objects off the end of its queue, so the backlog drains well
+// under 16 times one object's drain (one agent alone took 0.79x that).
+func TestDrainSharesSkewedBacklog(t *testing.T) {
+	const objects, objSize = 16, 1 << 20
+	drain := func(n int) (took time.Duration, shared int64) {
+		eng := sim.New(11)
+		defer eng.Close()
+		c := rados.NewTestbed(eng, simcost.Default(), 4, 4)
+		s, err := Open(c, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for i := 0; len(names) < n; i++ {
+			oid := fmt.Sprintf("skew%d", i)
+			if id, _, err := c.PGPrimary(s.meta, c.PGOf(s.meta, oid).Seq); err == nil && id == c.OSDs()[0] {
+				names = append(names, oid)
+			}
+		}
+		eng.Go("test", func(p *sim.Proc) {
+			cl := s.Client("client0")
+			data := make([]byte, objSize)
+			for _, oid := range names {
+				for off := 0; off < objSize; off += 32 << 10 {
+					copy(data[off:], fmt.Sprintf("%s.%d", oid, off))
+				}
+				if err := cl.Write(p, oid, 0, data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			t0 := p.Now()
+			s.Engine().DrainAndWait(p)
+			took = (p.Now() - t0).Duration()
+		})
+		eng.Run()
+		if st := s.Engine().Stats(); st.ChunksFlushed != int64(n*objSize/(32<<10)) {
+			t.Fatalf("%d objects: drain flushed %d chunks, want %d", n, st.ChunksFlushed, n*objSize/(32<<10))
+		}
+		return took, c.Metrics().Counter("dedup_drain_shared_total").Value()
+	}
+	t1, _ := drain(1)
+	tn, shared := drain(objects)
+	t.Logf("one object %v, %d objects %v (%.2fx %d x t1), %d shared", t1, objects, tn, float64(tn)/float64(objects*t1), objects, shared)
+	if tn > objects*t1/2 {
+		t.Errorf("%d objects on one primary drained in %v, want at most half of %d x the one-object %v", objects, tn, objects, t1)
+	}
+	if shared == 0 {
+		t.Error("dedup_drain_shared_total = 0, want agents to take work off the loaded queue")
+	}
+}
+
 func TestRatePolicyResumesAfterDrain(t *testing.T) {
 	for _, restart := range []bool{true, false} {
 		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {

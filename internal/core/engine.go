@@ -103,31 +103,68 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 	e.reg().Histogram("dedup_drain_seconds").Add((p.Now() - t0).Duration())
 }
 
-// drainRound runs one drain agent per OSD as a child of p. An agent sweeps
-// the dirty lists of the PGs whose acting primary is its OSD and flushes
-// their unclaimed objects one at a time, unpaced. It reports how many objects
-// the agents flushed.
+// drainRound runs one drain agent per OSD as a child of p. An agent lists the
+// dirty lists of the PGs whose acting primary is its OSD and flushes that
+// queue from the front, one unclaimed object at a time, unpaced. Once its own
+// queue is empty it takes the last object of the longest queue among agents
+// that have finished listing, so a backlog skewed onto one primary still
+// drains at cluster width; it stops when every agent has listed and no queue
+// holds work. It reports how many objects the agents flushed.
 func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 	s := e.s
+	queues := make([][]string, len(osds))
+	listed := make([]bool, len(osds))
+	listing, lister := len(osds), sim.NewCond()
 	fanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
 		for seq := uint32(0); seq < s.meta.PGNum; seq++ {
 			id, primaryHost, err := s.cluster.PGPrimary(s.meta, seq)
 			if err != nil || id != osds[i] {
 				continue
 			}
-			oids, err := s.hostGW(primaryHost).OmapList(q, s.meta, dirtyListName(seq), 64)
-			if err != nil {
+			if oids, err := s.hostGW(primaryHost).OmapList(q, s.meta, dirtyListName(seq), 64); err == nil {
+				queues[i] = append(queues[i], oids...)
+			}
+		}
+		listed[i] = true
+		listing--
+		lister.Broadcast(q)
+		for {
+			var oid string
+			shared := false
+			if len(queues[i]) > 0 {
+				oid, queues[i] = queues[i][0], queues[i][1:]
+			} else if j := longestListed(queues, listed); j >= 0 {
+				last := len(queues[j]) - 1
+				oid, queues[j], shared = queues[j][last], queues[j][:last], true
+			} else if listing > 0 {
+				lister.Wait(q)
+				continue
+			} else {
+				return
+			}
+			if e.claimed[oid] {
 				continue
 			}
-			for _, oid := range oids {
-				if !e.claimed[oid] {
-					flushed++
-					e.flushClaimed(q, oid, true)
-				}
+			if shared {
+				e.reg().Counter("dedup_drain_shared_total").Inc()
 			}
+			flushed++
+			e.flushClaimed(q, oid, true)
 		}
 	})
 	return flushed
+}
+
+// longestListed returns the index of the longest non-empty queue among
+// agents that have finished listing, or -1 if none holds work.
+func longestListed(queues [][]string, listed []bool) int {
+	best := -1
+	for j, q := range queues {
+		if listed[j] && len(q) > 0 && (best < 0 || len(q) > len(queues[best])) {
+			best = j
+		}
+	}
+	return best
 }
 
 func (e *Engine) workerLoop(p *sim.Proc) {
