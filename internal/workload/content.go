@@ -10,11 +10,23 @@ import (
 	"math/rand"
 )
 
-// fillRandom fills buf with seeded pseudo-random (incompressible) bytes.
+// fillRandom fills buf with seeded pseudo-random (incompressible) bytes:
+// exactly the bytes rand.Read produces from the same seed, the low 7 bytes of
+// each Int63 draw, little-endian, without its byte-at-a-time loop.
 func fillRandom(buf []byte, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	// rand.Read never errors.
-	rng.Read(buf)
+	src := rand.NewSource(seed)
+	for len(buf) >= 8 {
+		// The eighth byte written is the next draw's first.
+		binary.LittleEndian.PutUint64(buf, uint64(src.Int63()))
+		buf = buf[7:]
+	}
+	if len(buf) > 0 {
+		v := src.Int63()
+		for i := range buf {
+			buf[i] = byte(v)
+			v >>= 8
+		}
+	}
 }
 
 // fillCompressible fills buf with text-like content that DEFLATE compresses
