@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -327,7 +328,10 @@ func AblationCache(sc Scale) []AblationCacheRow {
 		ops := 0
 		h.runUntil(sim.Time(10*time.Second), func(p *sim.Proc) {
 			data := make([]byte, 32<<10)
-			for p.Now() < sim.Time(10*time.Second) {
+			for round := uint32(0); p.Now() < sim.Time(10*time.Second); round++ {
+				// Each round writes new bytes, so a flush of a rewritten
+				// object is real chunk-pool I/O, not a no-op.
+				binary.LittleEndian.PutUint32(data[1:], round)
 				for i := 0; i < 8; i++ {
 					data[0] = byte(i)
 					t0 := p.Now()
@@ -354,7 +358,7 @@ func AblationCache(sc Scale) []AblationCacheRow {
 func AblationCacheTable(rows []AblationCacheRow) Table {
 	return table("Ablation: cache manager hot-object exemption (§3.2, §4.3)",
 		[]string{"mode", "mean write latency", "background bytes flushed"},
-		[]string{"exempting hot objects eliminates repeated dedup I/O for data about to be rewritten"},
+		[]string{"exempting hot objects cuts the bytes flushed about 10x by not deduplicating data about to be rewritten; mean write latency does not move, since flushes run behind the writes"},
 		rows, func(r AblationCacheRow) []string { return []string{r.Mode, us(r.WriteLatency), mb(r.FlushedBytes)} })
 }
 

@@ -225,3 +225,17 @@ func TestFPIndexShape(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationShape gates the direction an ablation's note claims. The cache
+// manager's hot exemption must cut the bytes the engine flushes to at most a
+// quarter of what the same rewrites flush with it off.
+func TestAblationShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test")
+	}
+	rows := AblationCache(QuickScale())
+	on, off := rows[0], rows[1]
+	if on.FlushedBytes*4 > off.FlushedBytes {
+		t.Errorf("cache on flushed %d bytes, cache off %d: want at most a quarter", on.FlushedBytes, off.FlushedBytes)
+	}
+}
