@@ -14,8 +14,9 @@
 // deterministic sim, and -workers (default GOMAXPROCS) bounds how many runs
 // execute at once across the whole sweep, so stdout is byte-identical to a
 // sequential -workers 1 run. Tables go to stdout; per-experiment wall-clock
-// lines (the sum of the experiment's run walls) and the final timing table
-// go to stderr so machine-diffed output stays deterministic.
+// lines (the sum of the experiment's run walls) and the final timing table,
+// which also lists the sim events each experiment's runs dispatched, go to
+// stderr so machine-diffed output stays deterministic.
 //
 // Each experiment also writes a canonical JSON result to results/<name>.json
 // (-results, empty to disable). -golden write|check snapshots those results

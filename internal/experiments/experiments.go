@@ -33,10 +33,10 @@ type Scale struct {
 	Data float64
 
 	// slot, when set, blocks until the sweep's pool grants a worker slot
-	// and returns the function that frees it. Runs then executes each run
-	// on its own goroutine, holding a slot. Nil runs every run in order on
-	// the caller.
-	slot func() (release func())
+	// and returns the function that frees it, which is handed the events the
+	// run's engine dispatched. Runs then executes each run on its own
+	// goroutine, holding a slot. Nil runs every run in order on the caller.
+	slot func() (release func(events int64))
 	// capture, when set, collects every run's trace sink in run order.
 	capture *TraceCapture
 }
@@ -46,7 +46,7 @@ func QuickScale() Scale { return Scale{Data: 0.25} }
 
 // WithPool returns a copy of s whose runs each hold a slot from acquire
 // while they execute.
-func (s Scale) WithPool(acquire func() (release func())) Scale {
+func (s Scale) WithPool(acquire func() (release func(events int64))) Scale {
 	s.slot = acquire
 	return s
 }
@@ -106,11 +106,13 @@ func (tb *Testbed) harness(seed int64, hosts, osdsPerHost int, opts ...rados.Opt
 func Runs[C, R any](sc Scale, cases []C, run func(*Testbed, C) R) []R {
 	rows := make([]R, len(cases))
 	sinks := make([]*metrics.TraceSink, len(cases))
+	events := make([]int64, len(cases))
 	one := func(i int) {
 		tb := &Testbed{}
 		defer func() {
 			sinks[i] = tb.sink
 			if tb.eng != nil {
+				events[i] = tb.eng.Stats().EventsDispatched
 				tb.eng.Close()
 			}
 		}()
@@ -130,7 +132,7 @@ func Runs[C, R any](sc Scale, cases []C, run func(*Testbed, C) R) []R {
 		go func() {
 			defer wg.Done()
 			release := sc.slot()
-			defer release()
+			defer func() { release(events[i]) }()
 			defer func() { panics[i] = recover() }()
 			one(i)
 		}()

@@ -45,6 +45,7 @@ type Report struct {
 	Output string        // rendered tables, exactly what the CLI prints
 	Trace  string        // slow-span report ("" when Options.TraceN == 0)
 	Wall   time.Duration // host wall-clock summed over the experiment's runs
+	Events int64         // sim events dispatched, summed over the experiment's runs
 	Err    error         // non-nil if a run or the experiment panicked
 }
 
@@ -89,9 +90,9 @@ func Run(exps []experiments.Experiment, opts Options, emit func(Report)) []Repor
 // cannot take down the sweep.
 func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Report) {
 	rep.Name = exp.Name
-	var wall atomic.Int64
+	var wall, events atomic.Int64
 	defer func() {
-		rep.Wall = time.Duration(wall.Load())
+		rep.Wall, rep.Events = time.Duration(wall.Load()), events.Load()
 		if r := recover(); r != nil {
 			rep.Err = fmt.Errorf("experiment %s panicked: %v", rep.Name, r)
 		}
@@ -100,11 +101,12 @@ func runOne(exp experiments.Experiment, opts Options, pool *pool, i int) (rep Re
 			opts.Metrics.Counter("harness_experiments_run").Inc()
 		}
 	}()
-	sc := opts.Scale.WithPool(func() func() {
+	sc := opts.Scale.WithPool(func() func(int64) {
 		pool.acquire(i)
 		start := time.Now()
-		return func() {
+		return func(n int64) {
 			wall.Add(int64(time.Since(start)))
+			events.Add(n)
 			pool.release()
 		}
 	})
@@ -184,24 +186,28 @@ func WriteResults(dir string, reports []Report) error {
 	return nil
 }
 
-// TimingTable summarizes per-experiment wall-clock and the pool speedup:
-// sequential cost is the sum of the run walls, so sum/total is the
-// concurrency win on this machine.
+// TimingTable summarizes per-experiment wall-clock, the sim events each
+// experiment dispatched, and the pool speedup: sequential cost is the sum of
+// the run walls, so sum/total is the concurrency win on this machine. The
+// event counts are deterministic, so they show a change in an experiment's
+// work that its wall clock would hide in noise.
 func TimingTable(reports []Report, workers int, total time.Duration) experiments.Table {
 	t := experiments.Table{
 		Title:   fmt.Sprintf("Harness timing (%d workers)", workers),
-		Columns: []string{"experiment", "wall", "status"},
+		Columns: []string{"experiment", "wall", "events", "status"},
 	}
 	var sum time.Duration
+	var events int64
 	for _, rep := range reports {
 		sum += rep.Wall
+		events += rep.Events
 		status := "ok"
 		if rep.Err != nil {
 			status = "ERROR: " + rep.Err.Error()
 		}
-		t.Rows = append(t.Rows, []string{rep.Name, rep.Wall.Round(time.Millisecond).String(), status})
+		t.Rows = append(t.Rows, []string{rep.Name, rep.Wall.Round(time.Millisecond).String(), fmt.Sprint(rep.Events), status})
 	}
-	t.Rows = append(t.Rows, []string{"TOTAL", total.Round(time.Millisecond).String(), ""})
+	t.Rows = append(t.Rows, []string{"TOTAL", total.Round(time.Millisecond).String(), fmt.Sprint(events), ""})
 	if total > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("sum of experiment walls %s, sweep wall %s: %.2fx speedup",
 			sum.Round(time.Millisecond), total.Round(time.Millisecond), float64(sum)/float64(total)))
@@ -209,10 +215,12 @@ func TimingTable(reports []Report, workers int, total time.Duration) experiments
 	return t
 }
 
-// ExpTiming is one experiment's wall-clock in the JSON timing summary.
+// ExpTiming is one experiment's wall-clock and dispatched sim events in the
+// JSON timing summary.
 type ExpTiming struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
+	Events  int64   `json:"events"`
 	OK      bool    `json:"ok"`
 }
 
@@ -248,7 +256,7 @@ func Summarize(reports []Report, workers int, total time.Duration) TimingSummary
 	var sum time.Duration
 	for _, rep := range reports {
 		sum += rep.Wall
-		s.Experiments = append(s.Experiments, ExpTiming{Name: rep.Name, Seconds: rep.Wall.Seconds(), OK: rep.Err == nil})
+		s.Experiments = append(s.Experiments, ExpTiming{Name: rep.Name, Seconds: rep.Wall.Seconds(), Events: rep.Events, OK: rep.Err == nil})
 	}
 	s.SumSeconds = sum.Seconds()
 	if total > 0 {

@@ -181,6 +181,11 @@ func TestParallelMatchesSequentialTwoSeeds(t *testing.T) {
 		if seq[i].Trace != par[i].Trace {
 			t.Errorf("%s: trace report differs between sequential and parallel runs", seq[i].Name)
 		}
+		// Each run's dispatched events are deterministic, so their sum is
+		// the same whatever the worker count.
+		if seq[i].Events == 0 || seq[i].Events != par[i].Events {
+			t.Errorf("%s: %d events dispatched at 1 worker, %d at 4, want equal and non-zero", seq[i].Name, seq[i].Events, par[i].Events)
+		}
 	}
 	if seq[3].Trace == "" {
 		t.Error("fig5a: no span report to compare")
