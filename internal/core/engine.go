@@ -112,20 +112,20 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 // holds work. It reports how many objects the agents flushed.
 func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 	s := e.s
-	queues := make([][]string, len(osds))
-	listed := make([]bool, len(osds))
+	queues := make([][]string, len(osds)) // each set once its agent has listed
 	listing, lister := len(osds), sim.NewCond()
 	fanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
+		var own []string
 		for seq := uint32(0); seq < s.meta.PGNum; seq++ {
 			id, primaryHost, err := s.cluster.PGPrimary(s.meta, seq)
 			if err != nil || id != osds[i] {
 				continue
 			}
 			if oids, err := s.hostGW(primaryHost).OmapList(q, s.meta, dirtyListName(seq), 64); err == nil {
-				queues[i] = append(queues[i], oids...)
+				own = append(own, oids...)
 			}
 		}
-		listed[i] = true
+		queues[i] = own
 		listing--
 		lister.Broadcast(q)
 		for {
@@ -133,10 +133,11 @@ func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 			shared := false
 			if len(queues[i]) > 0 {
 				oid, queues[i] = queues[i][0], queues[i][1:]
-			} else if j := longestListed(queues, listed); j >= 0 {
+			} else if j := longest(queues); j >= 0 {
 				last := len(queues[j]) - 1
 				oid, queues[j], shared = queues[j][last], queues[j][:last], true
 			} else if listing > 0 {
+				// Idle, not a barrier: a slower lister may yet publish work.
 				lister.Wait(q)
 				continue
 			} else {
@@ -155,12 +156,12 @@ func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 	return flushed
 }
 
-// longestListed returns the index of the longest non-empty queue among
-// agents that have finished listing, or -1 if none holds work.
-func longestListed(queues [][]string, listed []bool) int {
+// longest returns the index of the longest non-empty queue, or -1 if none
+// holds work.
+func longest(queues [][]string) int {
 	best := -1
 	for j, q := range queues {
-		if listed[j] && len(q) > 0 && (best < 0 || len(q) > len(queues[best])) {
+		if len(q) > 0 && (best < 0 || len(q) > len(queues[best])) {
 			best = j
 		}
 	}
