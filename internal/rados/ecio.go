@@ -617,9 +617,7 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn 
 	g.request(p, primary, payload, payload == 0)
 	txn, err := g.mutateTxn(p, pool, oid, primary, ecView{g: g, p: p, pool: pool, oid: oid}, fn)
 	if txn == nil {
-		if err == nil {
-			p.Sleep(g.c.cost.NetLatency) // ack
-		}
+		p.Sleep(g.c.cost.NetLatency) // ack, or the error reply
 		return err
 	}
 	var fullData []byte

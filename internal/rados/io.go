@@ -435,7 +435,8 @@ func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload
 // PG lock guards the primary's own work only: the request crosses both links;
 // under the lock the primary runs fn and commits the txn; the lock is released
 // while the journal write and the replica legs run; once all are done the ack
-// travels back.
+// travels back. A pull or fn that fails answers at once, and the answer costs
+// the same hop as an ack.
 func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
 	pg := g.c.PGOf(pool, oid)
 	primary, err := g.prepare(p, pool, pg)
@@ -448,8 +449,13 @@ func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, t
 	if err == nil && fn != nil {
 		txn, err = g.mutateTxn(p, pool, oid, primary, replView{st: primary.store, k: store.Key{Pool: pool.ID, OID: oid}}, fn)
 	}
+	if err != nil {
+		hold.release(p)
+		p.Sleep(g.c.cost.NetLatency) // the error reply
+		return err
+	}
 	wait := func() {}
-	if err == nil && txn != nil {
+	if txn != nil {
 		wait, err = g.replicate(p, pool, oid, txn)
 	}
 	hold.release(p)
