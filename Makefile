@@ -91,10 +91,12 @@ bench-json:
 	go run ./cmd/dedupbench -scale 0.25 -results results -timing results/BENCH_pr.json all
 
 # Fuzz smoke: 30s per fuzz target over the parsers and decoders that guard
-# on-disk and operator input (ref keys, chunk maps, dedup.rc, SLO specs).
+# on-disk and operator input (ref keys, chunk maps, dedup.rc, SLO specs,
+# bloom filters).
 # Regression corpora run in `make test`; this step searches for new inputs.
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzRefKeyRoundTrip -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzUnmarshalChunkMap -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzDecodeRC -fuzztime 30s ./internal/core
 	go test -run NONE -fuzz FuzzParseSLO -fuzztime 30s ./internal/gateway
+	go test -run NONE -fuzz FuzzBloomUnmarshal -fuzztime 30s ./internal/bloom

@@ -47,13 +47,18 @@ func section(out, action string) [][]string {
 	return rows
 }
 
-// TestTenantsAndQoSActions smoke-tests the two actions admission feeds: the
+// TestTenantsAndQoSActions smoke-tests the two actions admission feeds, after
+// the status line: the engine line ends with the bytes flushes shipped, the
 // qos table has a row per class, its pacing line reports the drain and a
 // PG-lock line follows for each pool, the
 // bronze noisy tenant is throttled while the gold one is not, and one seed
 // prints the same bytes twice.
 func TestTenantsAndQoSActions(t *testing.T) {
-	out := dedupctl(t, "tenants qos")
+	out := dedupctl(t, "status tenants qos")
+
+	if !regexp.MustCompile(`\nengine: \d+ objects scanned, .*, \d+ requeues, \d+\.\d MB shipped\n`).MatchString(out) {
+		t.Errorf("status engine line does not end with the MB shipped:\n%s", out)
+	}
 
 	classes := map[string]bool{}
 	for _, row := range section(out, "qos") {
@@ -93,7 +98,7 @@ func TestTenantsAndQoSActions(t *testing.T) {
 		t.Errorf("bronze noisy tenant throttled %q times, want > 0:\n%s", got, out)
 	}
 
-	if again := dedupctl(t, "tenants qos"); again != out {
+	if again := dedupctl(t, "status tenants qos"); again != out {
 		t.Errorf("two runs at one seed differ:\n%s\n--- vs ---\n%s", out, again)
 	}
 }

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -141,4 +142,26 @@ func TestEstimatedFPGrows(t *testing.T) {
 	if after := f.EstimatedFP(); after <= before {
 		t.Fatalf("EstimatedFP did not grow: %v -> %v", before, after)
 	}
+}
+
+// FuzzBloomUnmarshal: stored filter bytes never panic the decoder, and a
+// filter it accepts answers Contains without panicking and marshals back to
+// the very bytes it came from.
+func FuzzBloomUnmarshal(f *testing.F) {
+	f.Add([]byte("short"))
+	f.Add(New(128, 3).Marshal())
+	g := NewWithEstimates(16, 0.01)
+	g.AddString("k")
+	f.Add(g.Marshal())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		flt, err := Unmarshal(raw)
+		if err != nil {
+			return
+		}
+		flt.Contains(raw)
+		flt.ContainsString("k")
+		if got := flt.Marshal(); !bytes.Equal(got, raw) {
+			t.Fatalf("round trip changed the bytes:\n%x\n%x", raw, got)
+		}
+	})
 }

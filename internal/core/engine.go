@@ -16,7 +16,8 @@ import (
 type EngineStats struct {
 	ObjectsScanned int64
 	ChunksFlushed  int64 // chunks that caused real chunk-pool I/O
-	BytesFlushed   int64 // bytes shipped to the chunk pool
+	BytesFlushed   int64 // bytes of the chunks flushes bound in the chunk pool
+	BytesShipped   int64 // of those, bytes sent to the chunk pool: their probe missed
 	DupChunks      int64 // flushed chunks that already existed in the chunk pool
 	NoopFlushes    int64 // dirty slots whose content already matched their chunk (no chunk-pool I/O)
 	SkippedHot     int64
@@ -407,13 +408,17 @@ func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error 
 }
 
 // noteFlushed counts the puts a transition bound — the chunks that caused
-// real chunk-pool I/O — and those the pool already held.
+// real chunk-pool I/O — those the pool already held, and the bytes of those
+// whose data travelled.
 func (e *Engine) noteFlushed(puts []chunkPut) {
-	var chunks, bytes, dups int64
+	var chunks, bytes, shipped, dups int64
 	for _, put := range puts {
 		if put.bound {
 			chunks++
 			bytes += int64(len(put.data))
+			if put.shipped {
+				shipped += int64(len(put.data))
+			}
 			if put.existed {
 				dups++
 			}
@@ -421,9 +426,11 @@ func (e *Engine) noteFlushed(puts []chunkPut) {
 	}
 	e.stats.ChunksFlushed += chunks
 	e.stats.BytesFlushed += bytes
+	e.stats.BytesShipped += shipped
 	e.stats.DupChunks += dups
 	e.reg().Counter("dedup_chunks_flushed_total").Add(chunks)
 	e.reg().Counter("dedup_bytes_flushed_total").Add(bytes)
+	e.reg().Counter("dedup_chunk_bytes_shipped_total").Add(shipped)
 	e.reg().Counter("dedup_dup_chunks_total").Add(dups)
 }
 

@@ -116,6 +116,73 @@ func TestRebindTable(t *testing.T) {
 		}
 	}
 	zeroPutCallerRows(t)
+	probeRows(t)
+}
+
+// probeRows are TestRebindTable's rows for the intent phase's probe. Two
+// transitions on different objects put the same new chunk at once: both
+// probes miss, both ship, the first shipping call creates the chunk and the
+// second records its intent on it, which leaves one chunk with two counted
+// references. And a data-less put, a snapshot's, on a chunk that is gone
+// still fails the transition with ErrChunkVanished and leaves nothing.
+func probeRows(t *testing.T) {
+	t.Run("probe/racing-ship", func(t *testing.T) {
+		e := newDedupEnv(t, nil)
+		data := mkData(0x5A, 4096)
+		id := FingerprintID(data)
+		e.run(t, func(p *sim.Proc) {
+			puts := map[string][]chunkPut{}
+			var sigs []*sim.Signal
+			for _, oid := range []string{"x", "y"} {
+				puts[oid] = []chunkPut{{pool: e.s.chunk, id: id, data: data}}
+				sigs = append(sigs, p.Go("put-"+oid, func(q *sim.Proc) {
+					bound, err := e.s.rebind(q, e.s.hostGW(anyHost(e.s)), oid, transition{
+						puts: puts[oid],
+						bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+							cur.Entries = []Entry{{Start: 0, End: 4096, ChunkID: id}}
+							return nil, false, nil
+						},
+					})
+					if !bound || err != nil {
+						t.Errorf("%s: bound=%v err=%v", oid, bound, err)
+					}
+				}))
+			}
+			sim.WaitAll(p, sigs...)
+			x, y := puts["x"][0], puts["y"][0]
+			if !x.shipped || !y.shipped || x.existed == y.existed {
+				t.Errorf("x %+v, y %+v: want both probes missed, one shipping call created the chunk", x, y)
+			}
+			if st := chunkState(t, p, e, e.s.chunk, id); !st.exists || st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+				t.Errorf("chunk %+v, want two counted references", st)
+			}
+			if n := e.c.PoolStats(e.s.chunk).Objects; n != 1 {
+				t.Errorf("%d chunk objects, want 1", n)
+			}
+			checkClean(t, p, e)
+		})
+		e.checkIntegrity(t)
+	})
+	t.Run("probe/vanished-snapshot-put", func(t *testing.T) {
+		e := newDedupEnv(t, nil)
+		id := FingerprintID(mkData(0x5B, 4096))
+		e.run(t, func(p *sim.Proc) {
+			put := []chunkPut{{pool: e.s.chunk, id: id}}
+			bound, err := e.s.rebind(p, e.s.hostGW(anyHost(e.s)), "snap", transition{
+				puts: put,
+				bind: func(cur *ChunkMap, txn *store.Txn) ([]Entry, bool, error) {
+					t.Error("bind ran after a failed pin")
+					return nil, false, nil
+				},
+			})
+			if bound || !errors.Is(err, ErrChunkVanished) || put[0].shipped {
+				t.Errorf("bound=%v err=%v shipped=%v, want ErrChunkVanished and nothing shipped", bound, err, put[0].shipped)
+			}
+			if st := chunkState(t, p, e, e.s.chunk, id); st.exists {
+				t.Errorf("chunk %+v created by a data-less put", st)
+			}
+		})
+	})
 }
 
 // mapBytes returns oid's chunk-map xattr exactly as an OSD stores it: a map
@@ -534,6 +601,44 @@ func TestFlushEqualSlots(t *testing.T) {
 		}
 		if es := e.s.engine.Stats(); es.ChunksFlushed != 3 || es.DupChunks != 1 || e.c.PoolStats(e.s.chunk).Objects != 2 {
 			t.Errorf("stats %+v, %d chunk objects: want 3 flushed, 1 duplicate, 2 objects", es, e.c.PoolStats(e.s.chunk).Objects)
+		}
+		checkClean(t, p, e)
+	})
+	e.checkIntegrity(t)
+}
+
+// TestFlushShipsOnlyMissingChunks: object A's flush finds none of its four
+// chunks in the pool and ships every one; object B holds the same content,
+// so each of its probes finds the chunk by fingerprint and B's flush ships no
+// bytes. Each chunk ends with both objects' counted references.
+func TestFlushShipsOnlyMissingChunks(t *testing.T) {
+	const slots = 4
+	e := newDedupEnv(t, nil)
+	data := distinctSlots(24, slots)
+	e.run(t, func(p *sim.Proc) {
+		var shipped []int64
+		for _, oid := range []string{"A", "B"} {
+			before := e.s.engine.Stats().BytesShipped
+			if err := e.cl.Write(p, oid, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			e.s.Engine().DrainAndWait(p)
+			shipped = append(shipped, e.s.engine.Stats().BytesShipped-before)
+		}
+		if shipped[0] != slots*4096 || shipped[1] != 0 {
+			t.Errorf("A shipped %d bytes, B %d: want %d and 0", shipped[0], shipped[1], slots*4096)
+		}
+		if n := e.c.PoolStats(e.s.chunk).Objects; n != slots {
+			t.Errorf("%d chunk objects, want %d", n, slots)
+		}
+		for i := 0; i < slots; i++ {
+			id := FingerprintID(data[i*4096 : (i+1)*4096])
+			if st := chunkState(t, p, e, e.s.chunk, id); st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+				t.Errorf("chunk %d %+v, want two counted references", i, st)
+			}
+		}
+		if misses := e.c.Metrics().Counter("dedup_intent_probe_misses_total").Value(); misses != slots {
+			t.Errorf("%d probe misses, want %d", misses, slots)
 		}
 		checkClean(t, p, e)
 	})

@@ -233,6 +233,9 @@ type intentOutcome struct {
 	committed bool
 	// existed: the chunk was already in the pool (a duplicate).
 	existed bool
+	// missing: a probe found no chunk and recorded nothing; the caller ships
+	// the bytes next.
+	missing bool
 }
 
 // ErrChunkVanished is returned when a transition pins a chunk it has no bytes
@@ -281,6 +284,21 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 		txn.SetXattr(XattrRefCount, encodeRC(count)).
 			OmapSet(ref.IntentKey(), encodeExpiry(expiry))
 		return txn, nil
+	}
+}
+
+// probeIntentFn is phase 1 by fingerprint alone, for a put whose bytes have
+// not travelled: on a chunk already in the pool it does what putIntentFn
+// does; on an absent one it records nothing and reports out.missing, which is
+// an answer, not an error.
+func probeIntentFn(ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
+	pin := putIntentFn(nil, ref, expiry, out)
+	return func(v rados.View) (*store.Txn, error) {
+		if !v.Exists() {
+			*out = intentOutcome{missing: true}
+			return nil, nil
+		}
+		return pin(v)
 	}
 }
 
@@ -383,8 +401,8 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 // chunkPut is one chunk a transition binds at offset off of its object:
 // phase 1 pins it in pool, creating the chunk object from data if absent. A
 // put with nil data pins a chunk that must already be there and fails the
-// transition with ErrChunkVanished if it is not. The three flags are rebind's
-// to set; existed and bound are its report.
+// transition with ErrChunkVanished if it is not. The flags are rebind's to
+// set; existed, shipped and bound are its report.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
@@ -392,6 +410,7 @@ type chunkPut struct {
 	off  int64
 
 	existed bool // phase 1 found the chunk already in the pool
+	shipped bool // phase 1 sent data to the chunk's primary: its probe missed
 	intent  bool // phase 1 recorded an intent, which commit or abort must settle
 	bound   bool // the chunk map as rebind wrote it binds off to this chunk
 }
@@ -453,8 +472,10 @@ var errCrash = errors.New("core: injected crash")
 // re-dedup, recache and tier migration all describe a transition:
 //
 //	intent   every put records a reference intent on its chunk object
-//	         (creating the chunk if absent) with a lease expiry: the chunk
-//	         is pinned against GC but the reference is not yet counted;
+//	         with a lease expiry: the chunk is pinned against GC but the
+//	         reference is not yet counted. The chunk's name is its
+//	         fingerprint, so a put probes by name first and ships its bytes,
+//	         creating the chunk, only when the probe finds it absent;
 //	bind     t.bind edits the chunk map under the metadata object's PG lock
 //	         — the authoritative statement of which references exist. A
 //	         raced or failed bind aborts the intents inline;
@@ -540,7 +561,11 @@ func loadChunkMap(v rados.View) (*ChunkMap, error) {
 // refAt names the reference from offset off of metadata object oid.
 func (s *Store) refAt(oid string, off int64) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: off} }
 
-// pin is rebind's intent phase. It stops recording at the first error.
+// pin is rebind's intent phase. A put with data first probes its chunk by
+// fingerprint with a data-less intent, and ships the bytes only when the
+// probe finds the chunk absent: a duplicate costs one small round trip, a new
+// chunk that trip plus the shipping call. It stops recording at the first
+// error.
 func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut) (err error) {
 	if len(puts) == 0 {
 		return nil
@@ -550,9 +575,22 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 			return
 		}
 		put := &puts[i]
-		var out intentOutcome
+		ref := s.refAt(oid, put.off)
 		expiry := q.Now() + sim.Time(intentLease)
-		if perr := gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, s.refAt(oid, put.off), expiry, &out)); perr != nil {
+		var out intentOutcome
+		fn := putIntentFn(nil, ref, expiry, &out)
+		if put.data != nil {
+			fn = probeIntentFn(ref, expiry, &out)
+		}
+		perr := gw.Mutate(q, put.pool, put.id, fn)
+		if perr == nil && out.missing {
+			// A put racing on the same chunk may create it meanwhile; the
+			// shipping call then just records the intent on it.
+			put.shipped = true
+			s.cluster.Metrics().Counter("dedup_intent_probe_misses_total").Inc()
+			perr = gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, ref, expiry, &out))
+		}
+		if perr != nil {
 			err = fmt.Errorf("core: pin chunk %s: %w", put.id, perr)
 			return
 		}

@@ -228,14 +228,27 @@ func TestFPIndexShape(t *testing.T) {
 
 // TestAblationShape gates the direction an ablation's note claims. The cache
 // manager's hot exemption must cut the bytes the engine flushes to at most a
-// quarter of what the same rewrites flush with it off.
+// quarter of what the same rewrites flush with it off. The CDC-mode store
+// must save more than the fixed-chunk store, on byte-shifted streams and on
+// backup generations alike. False-positive refcounting must leave chunks
+// behind after the deletes, and none once GC has run.
 func TestAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	rows := AblationCache(QuickScale())
+	sc := QuickScale()
+	rows := AblationCache(sc)
 	on, off := rows[0], rows[1]
 	if on.FlushedBytes*4 > off.FlushedBytes {
 		t.Errorf("cache on flushed %d bytes, cache off %d: want at most a quarter", on.FlushedBytes, off.FlushedBytes)
+	}
+	if cdc := AblationCDCStore(sc); cdc[1].Saved <= cdc[0].Saved {
+		t.Errorf("shifted streams: %s saves %.1f%%, %s %.1f%%: want CDC ahead", cdc[1].Store, cdc[1].Saved, cdc[0].Store, cdc[0].Saved)
+	}
+	if bk := AblationBackup(sc); bk[1].Saved <= bk[0].Saved {
+		t.Errorf("backup generations: %s saves %.1f%%, %s %.1f%%: want CDC ahead", bk[1].Store, bk[1].Saved, bk[0].Store, bk[0].Saved)
+	}
+	if fp := AblationRefcount(sc)[1]; fp.ChunksLeaked == 0 || fp.FinalChunkCount != 0 {
+		t.Errorf("%s: %d chunks before GC, %d after: want some, then none", fp.Mode, fp.ChunksLeaked, fp.FinalChunkCount)
 	}
 }
