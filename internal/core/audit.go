@@ -37,49 +37,38 @@ func (a AuditStats) Clean() bool {
 }
 
 // auditBindingFn repairs one chunkmap→chunk binding under the chunk's PG
-// lock: promote the intent (or re-add the reference) and reconcile the
-// committed count with the omap.
-func auditBindingFn(ref Ref, promoted, repaired, fixed *bool) rados.MutateFn {
+// lock: promote the intent, or re-add the reference.
+func auditBindingFn(ref Ref, promoted, repaired *bool) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
-		*promoted, *repaired, *fixed = false, false, false
+		*promoted, *repaired = false, false
 		if !v.Exists() {
 			return nil, rados.ErrNotFound
 		}
 		_, refErr := v.OmapGet(ref.Key())
 		_, intErr := v.OmapGet(ref.IntentKey())
 		hasRef, hasIntent := refErr == nil, intErr == nil
+		if hasRef && !hasIntent {
+			return nil, nil // healthy binding
+		}
 		t, err := chunkRefs(v)
 		if err != nil {
 			return nil, err
 		}
-		count, _ := readRC(v) // missing or corrupt reads as 0, which the rewrite below repairs
 		txn := store.NewTxn()
 		want := len(t.refs)
-		switch {
-		case hasRef && !hasIntent:
-			// Healthy binding; only rewrite the xattr if the count drifted.
-			if uint64(want) == count {
-				return nil, nil
-			}
-			*fixed = true
-		case hasIntent:
+		if hasIntent {
 			// Crash between bind and commit: finish phase 3 on the flush's
 			// behalf (idempotent with a late commitIntentFn).
 			txn.OmapRm(ref.IntentKey())
-			if !hasRef {
-				txn.OmapSet(ref.Key(), nil)
-				want++
-			}
 			*promoted = true
-		default:
+		} else {
 			// Neither reference nor intent survived, yet the binding is
 			// authoritative: re-add the committed reference.
-			txn.OmapSet(ref.Key(), nil)
-			want++
 			*repaired = true
 		}
-		if uint64(want) != count && !*promoted && !*repaired {
-			*fixed = true
+		if !hasRef {
+			txn.OmapSet(ref.Key(), nil)
+			want++
 		}
 		txn.SetXattr(XattrRefCount, encodeRC(uint64(want)))
 		return txn, nil
@@ -125,9 +114,9 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 			}
 			stats.BindingsChecked++
 			ref := s.refAt(oid, e.Start)
-			var promoted, repaired, fixed bool
+			var promoted, repaired bool
 			err := retryUnavailable(p, func() error {
-				return gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, auditBindingFn(ref, &promoted, &repaired, &fixed))
+				return gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, auditBindingFn(ref, &promoted, &repaired))
 			})
 			if errors.Is(err, ErrNotFound) {
 				if !e.Cached {
@@ -145,8 +134,6 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 				stats.IntentsPromoted++
 			case repaired:
 				stats.RefsRepaired++
-			case fixed:
-				stats.CountsFixed++
 			}
 		}
 	}

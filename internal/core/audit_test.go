@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -192,43 +191,48 @@ func TestGCPromotesExpiredIntentWithBinding(t *testing.T) {
 	e.checkIntegrity(t)
 }
 
-// TestScrubReportsCorruptRefcount: a short/garbled dedup.rc xattr used to
-// silently decode as count 0; it must surface as a scrub issue, and GC must
-// rebuild the count from the reference table. So must the old 16-byte
-// count+generation form, whose count half is right.
+// TestScrubReportsCorruptRefcount: every key in a chunk's reference table
+// must parse back to the Ref that wrote it, and nothing but references and
+// intents may live there. Scrub reports any other key. GC removes an
+// unparseable reference or intent, which would otherwise pin the chunk
+// forever, and leaves an unknown key alone.
 func TestScrubReportsCorruptRefcount(t *testing.T) {
 	e := newDedupEnv(t, func(cfg *Config) { cfg.FalsePositiveRefs = true })
 	data := bytes.Repeat([]byte{7}, 4096)
 	writeTwo(t, e, data)
 	e.drain(t)
 	chunkOID := FingerprintID(data)
-	countAndGen := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 2), 5)
 
-	for _, raw := range [][]byte{{1, 2, 3}, countAndGen} {
+	for _, tc := range []struct {
+		key, detail string
+		badKeys     int64 // what GC removes
+	}{
+		{"ref.garbage", "unparseable reference key ref.garbage", 1},
+		{"int.garbage", "unparseable intent key int.garbage", 1},
+		{"bogus", "unknown omap key bogus", 0},
+	} {
 		e.run(t, func(p *sim.Proc) {
 			gw := e.s.hostGW(anyHost(e.s))
-			err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
-				return store.NewTxn().SetXattr(XattrRefCount, raw), nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			edit := func(txn *store.Txn) {
+				t.Helper()
+				if err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) { return txn, nil }); err != nil {
+					t.Fatal(err)
+				}
 			}
+			edit(store.NewTxn().OmapSet(tc.key, nil))
 			rep, err := e.s.Scrub(p)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || !slices.Equal(rep.Issues, []ScrubIssue{{OID: chunkOID, Detail: tc.detail}}) {
+				t.Fatalf("%s: scrub issues %v, %v; want just %q", tc.key, rep.Issues, err, tc.detail)
 			}
-			if !slices.Contains(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "corrupt refcount xattr"}) {
-				t.Fatalf("dedup.rc %x: scrub issues %v missing corrupt-refcount finding", raw, rep.Issues)
-			}
-			// GC rebuilds the count from the omap...
 			st, err := e.s.GC(p)
-			if err != nil || st.CountsFixed != 1 {
-				t.Fatalf("dedup.rc %x: GC CountsFixed = %d, %v (want 1)", raw, st.CountsFixed, err)
+			if err != nil || st.BadRefKeys != tc.badKeys || st.StaleRefs != 0 || st.ChunksDeleted != 0 {
+				t.Fatalf("%s: GC %+v, %v; want %d bad keys removed and the chunk kept", tc.key, st, err, tc.badKeys)
 			}
-			// ...after which scrub is clean again.
-			rep, err = e.s.Scrub(p)
-			if err != nil || !rep.Clean() {
-				t.Fatalf("dedup.rc %x: scrub after repair not clean: %v, %v", raw, rep.Issues, err)
+			if tc.badKeys == 0 {
+				edit(store.NewTxn().OmapRm(tc.key))
+			}
+			if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
+				t.Fatalf("%s: scrub after repair not clean: %v, %v", tc.key, rep.Issues, err)
 			}
 		})
 	}

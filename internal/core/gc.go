@@ -38,7 +38,7 @@ type GCStats struct {
 	BytesReclaimed  int64
 	IntentsPromoted int64 // expired intents with a live binding → committed
 	IntentsAborted  int64 // expired intents with no binding → removed
-	CountsFixed     int64 // refcount xattrs that disagreed with the omap
+	CountsFixed     int64 // sweeps that left a chunk with a different number of committed refs
 	RacedSkips      int64 // chunks skipped: a ref mutation raced verification
 	BadRefKeys      int64 // unparseable ref/intent keys removed
 }
@@ -47,8 +47,6 @@ type GCStats struct {
 type chunkSnapshot struct {
 	exists  bool
 	version uint64 // the chunk object's version (rados.View.Version)
-	count   uint64
-	rcOK    bool // refcount xattr present and well-formed
 	refs    []string
 	intents map[string]sim.Time // intent key → lease expiry (0 if garbled)
 }
@@ -63,9 +61,6 @@ func snapshotChunk(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string,
 				return nil, nil
 			}
 			snap.exists, snap.version = true, v.Version()
-			if raw, err := v.GetXattr(XattrRefCount); err == nil {
-				snap.count, snap.rcOK = decodeRC(raw)
-			}
 			t, err := chunkRefs(v)
 			if err != nil {
 				return nil, err
@@ -195,12 +190,8 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 				dec.abort = append(dec.abort, key)
 			}
 		}
-		// A corrupt or drifted refcount xattr is repaired even when every
-		// reference is live — count ↔ omap reconciliation is part of the
-		// pass, not just a side effect of key removal.
-		fixCount := !snap.rcOK || snap.count != uint64(len(snap.refs))
 		canDelete := dec.liveRefs == 0 && dec.keepintent == 0 && len(dec.promote) == 0
-		if dec.empty() && !fixCount && !canDelete {
+		if dec.empty() && !canDelete {
 			continue
 		}
 
@@ -271,11 +262,7 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 					reclaimed = v.Size()
 					return store.NewTxn().Delete(), nil
 				}
-				// Reconcile count ← omap: the committed count must equal the
-				// committed reference keys that survive the sweep.
-				if !snap.rcOK || snap.count != uint64(remainRefs) {
-					countFixed = true
-				}
+				countFixed = remainRefs != len(snap.refs)
 				txn.SetXattr(XattrRefCount, encodeRC(uint64(remainRefs)))
 				return txn, nil
 			})

@@ -93,22 +93,22 @@ func TestRebindTable(t *testing.T) {
 							switch {
 							case len(st.intents) != 0:
 								t.Errorf("put %s: %d intents left behind", put.id[:10], len(st.intents))
-							case clean && (!st.exists || st.count != 1 || len(st.refs) != 1):
-								t.Errorf("put %s: exists=%v count=%d refs=%d, want one counted reference", put.id[:10], st.exists, st.count, len(st.refs))
+							case clean && (!st.exists || len(st.refs) != 1):
+								t.Errorf("put %s: exists=%v refs=%d, want one counted reference", put.id[:10], st.exists, len(st.refs))
 							case !clean && strict && st.exists:
 								t.Errorf("put %s: aborted chunk not deleted inline in strict mode", put.id[:10])
-							case !clean && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
-								t.Errorf("put %s: exists=%v count=%d refs=%d, want an unreferenced chunk left to GC", put.id[:10], st.exists, st.count, len(st.refs))
+							case !clean && !strict && (!st.exists || len(st.refs) != 0):
+								t.Errorf("put %s: exists=%v refs=%d, want an unreferenced chunk left to GC", put.id[:10], st.exists, len(st.refs))
 							}
 						}
 						st := chunkState(t, p, e, e.s.chunk, FingerprintID(old))
 						switch {
-						case !clean && (!st.exists || st.count != 1 || len(st.refs) != 1):
+						case !clean && (!st.exists || len(st.refs) != 1):
 							t.Errorf("replaced chunk touched by an unbound transition: %+v", st)
 						case clean && strict && st.exists:
 							t.Error("replaced chunk not deleted inline in strict mode")
-						case clean && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
-							t.Errorf("replaced chunk: exists=%v count=%d refs=%d, want released and left to GC", st.exists, st.count, len(st.refs))
+						case clean && !strict && (!st.exists || len(st.refs) != 0):
+							t.Errorf("replaced chunk: exists=%v refs=%d, want released and left to GC", st.exists, len(st.refs))
 						}
 					})
 				})
@@ -153,7 +153,7 @@ func probeRows(t *testing.T) {
 			if !x.shipped || !y.shipped || x.existed == y.existed {
 				t.Errorf("x %+v, y %+v: want both probes missed, one shipping call created the chunk", x, y)
 			}
-			if st := chunkState(t, p, e, e.s.chunk, id); !st.exists || st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+			if st := chunkState(t, p, e, e.s.chunk, id); !st.exists || len(st.refs) != 2 || len(st.intents) != 0 {
 				t.Errorf("chunk %+v, want two counted references", st)
 			}
 			if n := e.c.PoolStats(e.s.chunk).Objects; n != 1 {
@@ -492,13 +492,13 @@ func snapshotRace(t *testing.T, fp bool) {
 		if got, err := e.cl.Read(p, "target", 0, -1); err != nil || !bytes.Equal(got, data[winner]) {
 			t.Errorf("target does not read as the winner %q: %v", winner, err)
 		}
-		for id, want := range map[string]uint64{
+		for id, want := range map[string]int{
 			FingerprintID(shared):              3, // a, b, target
 			FingerprintID(data[winner][4096:]): 2,
 			FingerprintID(data[loser][4096:]):  1,
 		} {
-			if st := chunkState(t, p, e, e.s.chunk, id); st.count != want || uint64(len(st.refs)) != want || len(st.intents) != 0 {
-				t.Errorf("chunk %s: count=%d refs=%d intents=%d, want %d counted references", id[:10], st.count, len(st.refs), len(st.intents), want)
+			if st := chunkState(t, p, e, e.s.chunk, id); len(st.refs) != want || len(st.intents) != 0 {
+				t.Errorf("chunk %s: refs=%d intents=%d, want %d counted references", id[:10], len(st.refs), len(st.intents), want)
 			}
 		}
 		checkClean(t, p, e)
@@ -560,9 +560,9 @@ func TestFlushPartialBind(t *testing.T) {
 						t.Errorf("raced slot = %+v, want dirty, cached, Gen 2, unbound", en)
 					case i == hit && strict && st.exists:
 						t.Error("raced slot: aborted chunk not deleted inline in strict mode")
-					case i == hit && !strict && (!st.exists || st.count != 0 || len(st.refs) != 0):
+					case i == hit && !strict && (!st.exists || len(st.refs) != 0):
 						t.Errorf("raced slot: chunk %+v, want unreferenced and left to GC", st)
-					case i != hit && (en.Dirty || en.ChunkID != id || st.count != 1 || len(st.refs) != 1):
+					case i != hit && (en.Dirty || en.ChunkID != id || len(st.refs) != 1):
 						t.Errorf("slot %d = %+v with chunk %+v, want bound with one counted reference", i, en, st)
 					}
 				}
@@ -596,7 +596,7 @@ func TestFlushEqualSlots(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		st := chunkState(t, p, e, e.s.chunk, FingerprintID(twin))
-		if !st.exists || st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+		if !st.exists || len(st.refs) != 2 || len(st.intents) != 0 {
 			t.Errorf("shared chunk %+v, want two counted references", st)
 		}
 		if es := e.s.engine.Stats(); es.ChunksFlushed != 3 || es.DupChunks != 1 || e.c.PoolStats(e.s.chunk).Objects != 2 {
@@ -633,7 +633,7 @@ func TestFlushShipsOnlyMissingChunks(t *testing.T) {
 		}
 		for i := 0; i < slots; i++ {
 			id := FingerprintID(data[i*4096 : (i+1)*4096])
-			if st := chunkState(t, p, e, e.s.chunk, id); st.count != 2 || len(st.refs) != 2 || len(st.intents) != 0 {
+			if st := chunkState(t, p, e, e.s.chunk, id); len(st.refs) != 2 || len(st.intents) != 0 {
 				t.Errorf("chunk %d %+v, want two counted references", i, st)
 			}
 		}

@@ -350,7 +350,7 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 		if err != nil {
 			return nil, err
 		}
-		if strict && count == 0 && len(t.refs) == 0 && len(t.intents) == 1 {
+		if strict && len(t.refs) == 0 && len(t.intents) == 1 {
 			return store.NewTxn().Delete(), nil // this intent was all that held it
 		}
 		return store.NewTxn().

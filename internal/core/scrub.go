@@ -141,25 +141,9 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		for _, k := range t.unknown {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
 		}
-		rcRaw, err := retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, cpool, chunkOID, XattrRefCount) })
+		_, err = retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, cpool, chunkOID, XattrRefCount) })
 		if rados.IsUnavailable(err) {
-			// Unreachable is not the same as missing: report the pass as
-			// failed rather than log a phantom inconsistency.
 			return err
-		}
-		if err != nil {
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "missing refcount xattr"})
-			continue
-		}
-		rc, ok := decodeRC(rcRaw)
-		if !ok {
-			// A short or garbled dedup.rc used to silently read as count 0;
-			// now it is a first-class finding (GC rebuilds it from the omap).
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "corrupt refcount xattr"})
-			continue
-		}
-		if int(rc) != len(t.refs) {
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "refcount disagrees with reference table"})
 		}
 	}
 	return nil
