@@ -500,9 +500,9 @@ func (c *ctl) gc() {
 		}
 		fmt.Printf("gc: %d chunks scanned, %d refs checked, %d stale, %d chunks deleted (%.2f MB reclaimed)\n",
 			stats.ChunksScanned, stats.RefsChecked, stats.StaleRefs, stats.ChunksDeleted, float64(stats.BytesReclaimed)/1e6)
-		if stats.IntentsPromoted+stats.IntentsAborted+stats.CountsFixed+stats.RacedSkips+stats.BadRefKeys > 0 {
-			fmt.Printf("gc: %d intents promoted, %d aborted, %d counts fixed, %d raced skips, %d bad keys\n",
-				stats.IntentsPromoted, stats.IntentsAborted, stats.CountsFixed, stats.RacedSkips, stats.BadRefKeys)
+		if stats.IntentsPromoted+stats.IntentsAborted+stats.RacedSkips+stats.BadRefKeys > 0 {
+			fmt.Printf("gc: %d intents promoted, %d aborted, %d raced skips, %d bad keys\n",
+				stats.IntentsPromoted, stats.IntentsAborted, stats.RacedSkips, stats.BadRefKeys)
 		}
 	})
 }
@@ -513,8 +513,8 @@ func (c *ctl) audit() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("audit: %d objects, %d bindings checked, %d intents promoted, %d refs repaired, %d counts fixed, %d lost chunks\n",
-			stats.MetadataObjects, stats.BindingsChecked, stats.IntentsPromoted, stats.RefsRepaired, stats.CountsFixed, stats.LostChunks)
+		fmt.Printf("audit: %d objects, %d bindings checked, %d intents promoted, %d refs repaired, %d lost chunks\n",
+			stats.MetadataObjects, stats.BindingsChecked, stats.IntentsPromoted, stats.RefsRepaired, stats.LostChunks)
 	})
 }
 

@@ -119,3 +119,15 @@ func TestChaosAction(t *testing.T) {
 		t.Errorf("two runs at one seed differ:\n%s\n--- vs ---\n%s", out, again)
 	}
 }
+
+// TestGCAndAuditActions: on a freshly loaded store the two reconcilers agree
+// from both ends — GC checks one reference per binding the audit checks —
+// and neither finds anything to fix.
+func TestGCAndAuditActions(t *testing.T) {
+	out := dedupctl(t, "gc audit")
+	gc := regexp.MustCompile(`\ngc: \d+ chunks scanned, (\d+) refs checked, 0 stale, 0 chunks deleted \(0\.00 MB reclaimed\)\n`).FindStringSubmatch(out)
+	audit := regexp.MustCompile(`\naudit: \d+ objects, (\d+) bindings checked, 0 intents promoted, 0 refs repaired, 0 lost chunks\n`).FindStringSubmatch(out)
+	if gc == nil || audit == nil || gc[1] != audit[1] || gc[1] == "0" {
+		t.Errorf("want a clean gc and audit line, with as many references checked as bindings:\n%s", out)
+	}
+}

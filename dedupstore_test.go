@@ -158,7 +158,7 @@ func Example() {
 	// Output:
 	// wrote 11 objects (2.9 MB logical) at virtual time 21.148908ms
 	// chunk pool: 16 unique chunks, 0.52 MB data
-	// stored (incl. 2x replication + metadata): 1.13 MB for 2.88 MB logical -> 80.5% saved vs raw 2x
+	// stored (incl. 2x replication + metadata): 1.12 MB for 2.88 MB logical -> 80.5% saved vs raw 2x
 	// read-after-dedup verified: image-3 content intact
 	// engine: 88 chunks flushed, 72 were duplicates
 }

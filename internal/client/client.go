@@ -122,8 +122,8 @@ func (d *BlockDevice) ObjectCount() int64 {
 
 // WriteAt writes data at a device offset, splitting across stripe objects.
 func (d *BlockDevice) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	if off < 0 || off+int64(len(data)) > d.size {
-		return fmt.Errorf("client: write [%d,%d) outside device %q size %d", off, off+int64(len(data)), d.name, d.size)
+	if off < 0 || int64(len(data)) > d.size-off { // not off+len: that sum can overflow
+		return fmt.Errorf("client: write of %d bytes at %d outside device %q size %d", len(data), off, d.name, d.size)
 	}
 	sp := d.sink.Start(p, "rbd.write").SetOp(d.name, "", int64(len(data))).SetTenant(d.tenant)
 	defer sp.Finish(p)
@@ -148,8 +148,8 @@ func (d *BlockDevice) WriteAt(p *sim.Proc, off int64, data []byte) error {
 // object covers the request and holds all of it, that is the backend's own
 // buffer, handed on without a copy.
 func (d *BlockDevice) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
-	if off < 0 || off+length > d.size {
-		return nil, fmt.Errorf("client: read [%d,%d) outside device %q size %d", off, off+length, d.name, d.size)
+	if off < 0 || length < 0 || length > d.size-off { // not off+length: that sum can overflow
+		return nil, fmt.Errorf("client: read of %d bytes at %d outside device %q size %d", length, off, d.name, d.size)
 	}
 	sp := d.sink.Start(p, "rbd.read").SetOp(d.name, "", length).SetTenant(d.tenant)
 	defer sp.Finish(p)

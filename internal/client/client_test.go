@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,6 +133,27 @@ func TestBlockDeviceBounds(t *testing.T) {
 		}
 		if _, err := dev.ReadAt(p, -1, 10); err == nil {
 			t.Fatal("negative-offset read accepted")
+		}
+	})
+}
+
+// TestBlockDeviceExtentOverflow: an extent whose end overflows int64 lies
+// outside the device. Checked as off+length > size, the sum wrapped negative
+// and such a read returned zeros with no error.
+func TestBlockDeviceExtentOverflow(t *testing.T) {
+	eng, dev := rawDevice(t, 64<<10)
+	run(t, eng, func(p *sim.Proc) {
+		if data, err := dev.ReadAt(p, math.MaxInt64-10, 20); err == nil {
+			t.Errorf("read at MaxInt64-10 accepted: %d bytes", len(data))
+		}
+		if err := dev.WriteAt(p, math.MaxInt64-10, make([]byte, 20)); err == nil {
+			t.Error("write at MaxInt64-10 accepted")
+		}
+		if _, err := dev.ReadAt(p, 0, -1); err == nil {
+			t.Error("negative-length read accepted")
+		}
+		if _, err := dev.ReadAt(p, dev.Size(), 0); err != nil {
+			t.Errorf("empty read at the device end: %v", err)
 		}
 	})
 }

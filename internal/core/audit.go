@@ -17,7 +17,7 @@ import (
 // the committed reference outright). A binding whose chunk object does not
 // exist at all is unrecoverable data loss and is reported, not repaired.
 //
-// Together the two passes make the invariant count ↔ omap ↔ chunkmap hold
+// Together the two passes make the invariant reference table ↔ chunkmap hold
 // in both directions after any crash the chaos harness can produce.
 
 // AuditStats reports one audit pass.
@@ -26,14 +26,16 @@ type AuditStats struct {
 	BindingsChecked int64
 	IntentsPromoted int64 // binding present, chunk held an intent → committed
 	RefsRepaired    int64 // binding present, chunk had no trace → ref re-added
-	CountsFixed     int64 // refcount xattr rewritten to match the omap
 	LostChunks      int64 // binding points at a missing chunk (data loss)
+	// CountsFixed is always 0: a chunk's reference table is its count, so
+	// there is no separate count to fix. It stays only because the
+	// benchmark module (bench/run.go) sums it.
+	CountsFixed int64
 }
 
 // Clean reports whether the audit found nothing to repair or report.
 func (a AuditStats) Clean() bool {
-	return a.IntentsPromoted == 0 && a.RefsRepaired == 0 &&
-		a.CountsFixed == 0 && a.LostChunks == 0
+	return a.IntentsPromoted == 0 && a.RefsRepaired == 0 && a.LostChunks == 0
 }
 
 // auditBindingFn repairs one chunkmap→chunk binding under the chunk's PG
@@ -50,27 +52,18 @@ func auditBindingFn(ref Ref, promoted, repaired *bool) rados.MutateFn {
 		if hasRef && !hasIntent {
 			return nil, nil // healthy binding
 		}
-		t, err := chunkRefs(v)
-		if err != nil {
-			return nil, err
-		}
+		// An intent means a crash between bind and commit: finish phase 3 on
+		// the flush's behalf (idempotent with a late commitIntentFn). With
+		// neither reference nor intent left, the binding is still
+		// authoritative: re-add the committed reference.
+		*promoted, *repaired = hasIntent, !hasIntent
 		txn := store.NewTxn()
-		want := len(t.refs)
 		if hasIntent {
-			// Crash between bind and commit: finish phase 3 on the flush's
-			// behalf (idempotent with a late commitIntentFn).
 			txn.OmapRm(ref.IntentKey())
-			*promoted = true
-		} else {
-			// Neither reference nor intent survived, yet the binding is
-			// authoritative: re-add the committed reference.
-			*repaired = true
 		}
 		if !hasRef {
 			txn.OmapSet(ref.Key(), nil)
-			want++
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(uint64(want)))
 		return txn, nil
 	}
 }
@@ -86,7 +79,6 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 		reg.Counter("dedup_audit_bindings_checked_total").Add(stats.BindingsChecked)
 		reg.Counter("dedup_audit_intents_promoted_total").Add(stats.IntentsPromoted)
 		reg.Counter("dedup_audit_refs_repaired_total").Add(stats.RefsRepaired)
-		reg.Counter("dedup_audit_counts_fixed_total").Add(stats.CountsFixed)
 		reg.Counter("dedup_audit_lost_chunks_total").Add(stats.LostChunks)
 	}()
 	sp := s.cluster.Trace().Start(p, "dedup.audit").SetClass(qos.Scrub.String())

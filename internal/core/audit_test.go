@@ -53,14 +53,10 @@ func TestAuditPromotesCrashedIntent(t *testing.T) {
 		if au.LostChunks != 0 {
 			t.Errorf("LostChunks = %d, want 0", au.LostChunks)
 		}
-		// The reference must now be committed and counted.
+		// The reference must now be committed.
 		keys, err := gw.OmapList(p, e.s.chunk, chunkOID, 0)
 		if err != nil || len(keys) != 1 || keys[0] != ref.Key() {
 			t.Fatalf("post-audit omap = %v, %v (want just the committed ref)", keys, err)
-		}
-		rc, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
-		if err != nil || mustCount(t, rc) != 1 {
-			t.Fatalf("post-audit count = %d, %v (want 1)", mustCount(t, rc), err)
 		}
 		// A second pass finds nothing left to do.
 		if au, err := e.s.Audit(p); err != nil || !au.Clean() {
@@ -82,7 +78,7 @@ func TestAuditRepairsMissingRef(t *testing.T) {
 		gw := e.s.hostGW(anyHost(e.s))
 		// Chunk exists with no trace of the reference the binding implies.
 		err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
-			return store.NewTxn().WriteFull(data).SetXattr(XattrRefCount, encodeRC(0)), nil
+			return store.NewTxn().WriteFull(data), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,9 +179,8 @@ func TestGCPromotesExpiredIntentWithBinding(t *testing.T) {
 		if st.IntentsPromoted != 1 || st.ChunksDeleted != 0 {
 			t.Errorf("promoted=%d deleted=%d, want 1/0", st.IntentsPromoted, st.ChunksDeleted)
 		}
-		rc, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
-		if err != nil || mustCount(t, rc) != 1 {
-			t.Fatalf("count = %d, %v (want 1)", mustCount(t, rc), err)
+		if st := chunkState(t, p, e, e.s.chunk, chunkOID); len(st.refs) != 1 || len(st.intents) != 0 {
+			t.Fatalf("chunk %+v, want one committed reference", st)
 		}
 	})
 	e.checkIntegrity(t)

@@ -73,13 +73,14 @@ func (e *env) drain(t *testing.T) {
 
 // checkIntegrity verifies the global invariants of the design: every
 // non-cached chunk-map entry points at an existing chunk object whose
-// content round-trips, and every chunk object's reference count equals its
-// recorded back references, each of which is live.
+// content round-trips, and every chunk object's committed references match
+// the live bindings that name it — exactly in strict mode, at least in
+// false-positive mode, where a released reference may wait for GC.
 func (e *env) checkIntegrity(t *testing.T) {
 	t.Helper()
 	e.run(t, func(p *sim.Proc) {
 		gw := e.s.hostGW(anyHost(e.s))
-		refCount := map[string]int{}
+		bindings := map[string]int{}
 		for _, oid := range e.c.ListObjects(e.s.meta) {
 			if IsSystemObject(oid) {
 				continue
@@ -109,59 +110,35 @@ func (e *env) checkIntegrity(t *testing.T) {
 					continue
 				}
 				if !entry.Dirty {
-					refCount[entry.ChunkID]++
+					bindings[entry.ChunkID]++
 				}
 			}
 		}
 		for _, chunkOID := range e.c.ListObjects(e.s.chunk) {
-			refs, err := gw.OmapList(p, e.s.chunk, chunkOID, 0)
+			keys, err := gw.OmapList(p, e.s.chunk, chunkOID, 0)
 			if err != nil {
 				t.Errorf("chunk %s: %v", chunkOID, err)
 				continue
 			}
-			rcRaw, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
-			if err != nil {
-				t.Errorf("chunk %s: missing refcount", chunkOID)
-				continue
+			table := partitionRefKeys(keys)
+			for _, k := range table.unknown {
+				t.Errorf("chunk %s: unknown omap key %q", chunkOID, k)
 			}
-			committed, intents := 0, 0
-			for _, k := range refs {
-				switch {
-				case isRefKey(k):
-					committed++
-				case isIntentKey(k):
-					intents++
-				default:
-					t.Errorf("chunk %s: unknown omap key %q", chunkOID, k)
-				}
+			if len(table.intents) > 0 {
+				t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, len(table.intents))
 			}
-			if intents > 0 {
-				t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, intents)
+			refs, live := len(table.refs), bindings[chunkOID]
+			switch {
+			case !e.s.cfg.FalsePositiveRefs && refs != live:
+				t.Errorf("chunk %s: %d committed references, %d live bindings (strict mode)", chunkOID, refs, live)
+			case refs < live:
+				t.Errorf("chunk %s: %d committed references, fewer than its %d live bindings", chunkOID, refs, live)
 			}
-			rc, ok := decodeRC(rcRaw)
-			if !ok {
-				t.Errorf("chunk %s: corrupt refcount xattr (%d bytes)", chunkOID, len(rcRaw))
-				continue
-			}
-			if int(rc) != committed {
-				t.Errorf("chunk %s: refcount %d != %d recorded refs", chunkOID, rc, committed)
-			}
-			if !e.s.cfg.FalsePositiveRefs && committed == 0 {
+			if !e.s.cfg.FalsePositiveRefs && refs == 0 {
 				t.Errorf("chunk %s: zero references but not deleted (strict mode)", chunkOID)
 			}
 		}
-		_ = refCount
 	})
-}
-
-// mustCount decodes the committed-reference count from a dedup.rc xattr.
-func mustCount(t *testing.T, raw []byte) uint64 {
-	t.Helper()
-	count, ok := decodeRC(raw)
-	if !ok {
-		t.Fatalf("corrupt refcount xattr (%d bytes)", len(raw))
-	}
-	return count
 }
 
 func TestWriteReadCachedRoundTrip(t *testing.T) {
@@ -233,12 +210,10 @@ func TestGlobalDedupAcrossObjects(t *testing.T) {
 	if cp.LogicalBytes != 4096 {
 		t.Fatalf("chunk pool logical = %d", cp.LogicalBytes)
 	}
-	// Refcount must be 10.
+	// Ten committed references.
 	e.run(t, func(p *sim.Proc) {
-		gw := e.s.hostGW(anyHost(e.s))
-		rc, err := gw.GetXattr(p, e.s.chunk, FingerprintID(shared), XattrRefCount)
-		if err != nil || mustCount(t, rc) != 10 {
-			t.Errorf("refcount = %d, %v", mustCount(t, rc), err)
+		if n := len(chunkState(t, p, e, e.s.chunk, FingerprintID(shared)).refs); n != 10 {
+			t.Errorf("%d committed references, want 10", n)
 		}
 	})
 	e.checkIntegrity(t)

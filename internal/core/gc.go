@@ -11,16 +11,15 @@ import (
 )
 
 // Garbage collection for the false-positive reference-count mode (§4.6):
-// when decrements are lock-free the count may read high, so chunks are never
-// deleted inline; the collector periodically verifies each chunk's back
-// references against the owning chunk maps and deletes chunks with none
-// left. This is the "additional garbage collection process" the paper notes
-// the technique requires.
+// when decrements are lock-free a chunk's reference table may hold stale
+// entries, so chunks are never deleted inline; the collector periodically
+// verifies each chunk's back references against the owning chunk maps and
+// deletes chunks with none left. This is the "additional garbage collection
+// process" the paper notes the technique requires.
 //
 // The pass also reconciles the two-phase reference protocol (refcount.go):
 // expired intents are promoted to committed references when the source chunk
-// map still binds the chunk, aborted otherwise; the committed count is
-// rewritten to match the omap whenever they drift apart.
+// map still binds the chunk, aborted otherwise.
 //
 // Every verification happens outside the chunk's PG lock (liveness checks
 // read a different pool), so the sweep re-reads the chunk object's version
@@ -38,7 +37,6 @@ type GCStats struct {
 	BytesReclaimed  int64
 	IntentsPromoted int64 // expired intents with a live binding → committed
 	IntentsAborted  int64 // expired intents with no binding → removed
-	CountsFixed     int64 // sweeps that left a chunk with a different number of committed refs
 	RacedSkips      int64 // chunks skipped: a ref mutation raced verification
 	BadRefKeys      int64 // unparseable ref/intent keys removed
 }
@@ -121,7 +119,6 @@ func (s *Store) GC(p *sim.Proc) (GCStats, error) {
 		reg.Counter("dedup_gc_bytes_reclaimed_total").Add(stats.BytesReclaimed)
 		reg.Counter("dedup_gc_intents_promoted_total").Add(stats.IntentsPromoted)
 		reg.Counter("dedup_gc_intents_aborted_total").Add(stats.IntentsAborted)
-		reg.Counter("dedup_gc_counts_fixed_total").Add(stats.CountsFixed)
 		reg.Counter("dedup_gc_raced_skips_total").Add(stats.RacedSkips)
 	}()
 	sp := s.cluster.Trace().Start(p, "dedup.gc").SetClass(qos.GC.String())
@@ -203,10 +200,9 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 		// mutation raced the verification (version compare).
 		raced := false
 		deleted := false
-		countFixed := false
 		var reclaimed int64
 		err := retryUnavailable(p, func() error {
-			raced, deleted, countFixed, reclaimed = false, false, false, 0
+			raced, deleted, reclaimed = false, false, 0
 			return gw.Mutate(p, cpool, chunkOID, func(v rados.View) (*store.Txn, error) {
 				if !v.Exists() {
 					return nil, nil
@@ -262,8 +258,6 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 					reclaimed = v.Size()
 					return store.NewTxn().Delete(), nil
 				}
-				countFixed = remainRefs != len(snap.refs)
-				txn.SetXattr(XattrRefCount, encodeRC(uint64(remainRefs)))
 				return txn, nil
 			})
 		})
@@ -278,9 +272,6 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 		stats.BadRefKeys += int64(len(dec.badKeys))
 		stats.IntentsPromoted += int64(len(dec.promote))
 		stats.IntentsAborted += int64(len(dec.abort))
-		if countFixed && !deleted {
-			stats.CountsFixed++
-		}
 		if deleted {
 			stats.ChunksDeleted++
 			stats.BytesReclaimed += reclaimed

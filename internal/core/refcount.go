@@ -27,25 +27,23 @@ func FingerprintID(data []byte) string {
 
 // Chunk object metadata keys. The reference information the paper stores
 // with each chunk (§4.1: "pool id, source object ID, offset") lives in the
-// chunk object's own omap; the count is an xattr. RefEntryOverhead models
-// the paper's per-reference cost (§5: "the object in chunk pool uses
-// additional 64 bytes for reference").
+// chunk object's own omap, and the committed keys are the chunk's only
+// reference record: its reference count is how many there are.
+// RefEntryOverhead models the paper's per-reference cost (§5: "the object in
+// chunk pool uses additional 64 bytes for reference").
 //
 // Two kinds of omap entries live on a chunk object:
 //
 //   - "ref."-prefixed keys are committed references: the chunk map of the
-//     source object binds that offset to this chunk, and the reference
-//     count includes them.
+//     source object binds that offset to this chunk.
 //   - "int."-prefixed keys are reference *intents*: phase 1 of the
-//     two-phase reference update (see rebind). The value is
-//     a sim-time lease expiry. An intent does not count toward the
-//     reference count; it only keeps GC from reclaiming the chunk while a
-//     flush is between "chunk written" and "reference committed". Expired
-//     intents are reconciled by GC and the audit pass: promoted to
-//     committed references when the source chunk map binds this chunk,
-//     aborted (removed) otherwise.
+//     two-phase reference update (see rebind). The value is a sim-time
+//     lease expiry. An intent is not a reference; it only keeps GC from
+//     reclaiming the chunk while a flush is between "chunk written" and
+//     "reference committed". Expired intents are reconciled by GC and the
+//     audit pass: promoted to committed references when the source chunk
+//     map binds this chunk, aborted (removed) otherwise.
 const (
-	XattrRefCount    = "dedup.rc"
 	refKeyPrefix     = "ref."
 	intentKeyPrefix  = "int."
 	RefEntryOverhead = 64
@@ -145,43 +143,6 @@ func parseIntentKey(key string) (Ref, bool) {
 func isRefKey(k string) bool    { return strings.HasPrefix(k, refKeyPrefix) }
 func isIntentKey(k string) bool { return strings.HasPrefix(k, intentKeyPrefix) }
 
-// The reference-count xattr holds the committed-reference count and nothing
-// else. Every reference mutation rewrites it, so the chunk object's version
-// (rados.View.Version) moves with each one; GC compares that version across
-// its unlocked liveness checks (gc.go).
-const rcLen = 8
-
-// ErrCorruptRefCount reports a malformed dedup.rc xattr.
-var ErrCorruptRefCount = errors.New("core: corrupt refcount xattr")
-
-func encodeRC(count uint64) []byte {
-	b := make([]byte, rcLen)
-	binary.LittleEndian.PutUint64(b, count)
-	return b
-}
-
-func decodeRC(b []byte) (count uint64, ok bool) {
-	if len(b) != rcLen {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(b), true
-}
-
-// readRC reads and decodes the refcount xattr from a mutate view. Errors —
-// including a transient unavailable read on an EC pool — propagate to the
-// caller instead of decoding as count 0 and clobbering the real count.
-func readRC(v rados.View) (uint64, error) {
-	raw, err := v.GetXattr(XattrRefCount)
-	if err != nil {
-		return 0, err
-	}
-	count, ok := decodeRC(raw)
-	if !ok {
-		return 0, ErrCorruptRefCount
-	}
-	return count, nil
-}
-
 func encodeExpiry(t sim.Time) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, uint64(t))
@@ -244,10 +205,10 @@ var ErrChunkVanished = errors.New("core: chunk vanished")
 
 // putIntentFn is phase 1 of the two-phase reference update: store the chunk
 // contents if absent (nil data pins an existing chunk only) and record a
-// reference intent with a lease expiry. The committed reference count is NOT
-// incremented — the intent only pins the chunk against GC until
-// commitIntentFn (phase 3) lands or the lease runs out. Re-running phase 1
-// for the same reference refreshes the lease.
+// reference intent with a lease expiry. No reference is committed — the
+// intent only pins the chunk against GC until commitIntentFn (phase 3) lands
+// or the lease runs out. Re-running phase 1 for the same reference refreshes
+// the lease.
 func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if out != nil {
@@ -259,31 +220,22 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 				return nil, ErrChunkVanished
 			}
 			// The chunk object keeps a copy; data may be a scratch buffer.
-			txn.WriteFull(bytes.Clone(data)).
-				SetXattr(XattrRefCount, encodeRC(0)).
-				OmapSet(ref.IntentKey(), encodeExpiry(expiry))
-			return txn, nil
-		}
-		count, err := readRC(v)
-		if err != nil {
-			return nil, err
+			return txn.WriteFull(bytes.Clone(data)).OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
 		}
 		if out != nil {
 			out.existed = true
 		}
-		if _, err := v.OmapGet(ref.Key()); err == nil {
+		if val, err := v.OmapGet(ref.Key()); err == nil {
 			if out != nil {
 				out.committed = true
 			}
-			// Already committed (idempotent re-flush) — rewrite the unchanged
-			// count anyway: the txn applies, so the chunk's version moves and a
-			// GC pass that judged this reference stale before the re-bind cannot
-			// replay its decision against it.
-			return txn.SetXattr(XattrRefCount, encodeRC(count)), nil
+			// Already committed (idempotent re-flush) — rewrite the reference
+			// unchanged anyway: the txn applies, so the chunk's version moves and
+			// a GC pass that judged this reference stale before the re-bind
+			// cannot replay its decision against it.
+			return txn.OmapSet(ref.Key(), val), nil
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(count)).
-			OmapSet(ref.IntentKey(), encodeExpiry(expiry))
-		return txn, nil
+		return txn.OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
 	}
 }
 
@@ -303,10 +255,10 @@ func probeIntentFn(ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn 
 }
 
 // commitIntentFn is phase 3: the chunk-map binding is durable, so convert
-// the intent into a committed reference and count it. Safe to run after GC
-// aborted an expired intent (the reference is still recorded — the binding
-// exists, which is exactly what GC verifies) and idempotent when the audit
-// pass promoted the intent first.
+// the intent into a committed reference. Safe to run after GC aborted an
+// expired intent (the reference is still recorded — the binding exists,
+// which is exactly what GC verifies) and idempotent when the audit pass
+// promoted the intent first.
 func commitIntentFn(ref Ref) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if !v.Exists() {
@@ -315,16 +267,10 @@ func commitIntentFn(ref Ref) rados.MutateFn {
 			// (racing write), so the flush result is obsolete anyway.
 			return nil, nil
 		}
-		count, err := readRC(v)
-		if err != nil {
-			return nil, err
-		}
 		txn := store.NewTxn().OmapRm(ref.IntentKey())
 		if _, err := v.OmapGet(ref.Key()); err != nil {
 			txn.OmapSet(ref.Key(), nil)
-			count++
 		}
-		txn.SetXattr(XattrRefCount, encodeRC(count))
 		return txn, nil
 	}
 }
@@ -342,20 +288,16 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 		if _, err := v.OmapGet(ref.IntentKey()); err != nil {
 			return nil, nil // no intent recorded (already reconciled)
 		}
-		count, err := readRC(v)
-		if err != nil {
-			return nil, err
+		if strict {
+			t, err := chunkRefs(v)
+			if err != nil {
+				return nil, err
+			}
+			if len(t.refs) == 0 && len(t.intents) == 1 {
+				return store.NewTxn().Delete(), nil // this intent was all that held it
+			}
 		}
-		t, err := chunkRefs(v)
-		if err != nil {
-			return nil, err
-		}
-		if strict && len(t.refs) == 0 && len(t.intents) == 1 {
-			return store.NewTxn().Delete(), nil // this intent was all that held it
-		}
-		return store.NewTxn().
-			OmapRm(ref.IntentKey()).
-			SetXattr(XattrRefCount, encodeRC(count)), nil
+		return store.NewTxn().OmapRm(ref.IntentKey()), nil
 	}
 }
 
@@ -363,9 +305,7 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 // object is deleted inline once no committed reference — and no in-flight
 // intent — remains. The false-positive variant (§4.6 last paragraph:
 // "strictly locks on increment but no locking on decrement") never deletes
-// inline; a garbage collector reclaims zero-reference chunks later. A failed
-// refcount read propagates (so retryUnavailable can retry) instead of
-// decoding as zero and clobbering the count.
+// inline; a garbage collector reclaims zero-reference chunks later.
 func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if !v.Exists() {
@@ -373,10 +313,6 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 		}
 		if _, err := v.OmapGet(ref.Key()); err != nil {
 			return nil, nil // reference not present (idempotent retry)
-		}
-		count, err := readRC(v)
-		if err != nil {
-			return nil, err
 		}
 		if strict {
 			t, err := chunkRefs(v)
@@ -387,12 +323,7 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 				return store.NewTxn().Delete(), nil // this reference was the last
 			}
 		}
-		if count > 0 {
-			count--
-		}
-		return store.NewTxn().
-			SetXattr(XattrRefCount, encodeRC(count)).
-			OmapRm(ref.Key()), nil
+		return store.NewTxn().OmapRm(ref.Key()), nil
 	}
 }
 
@@ -465,7 +396,7 @@ type rebindHooks struct {
 var errCrash = errors.New("core: injected crash")
 
 // rebind is the one implementation of the paper's consistency ordering
-// (§4.6) — pin the chunk, bind it in the chunk map, count the reference,
+// (§4.6) — pin the chunk, bind it in the chunk map, commit the reference,
 // release the old chunk — so a failure at any point can only leave a
 // false-positive reference. It is also the only writer of a chunk map: client
 // writes (static, CDC and the inline baseline), flushes, snapshots, eviction,
@@ -473,13 +404,13 @@ var errCrash = errors.New("core: injected crash")
 //
 //	intent   every put records a reference intent on its chunk object
 //	         with a lease expiry: the chunk is pinned against GC but the
-//	         reference is not yet counted. The chunk's name is its
+//	         reference is not yet committed. The chunk's name is its
 //	         fingerprint, so a put probes by name first and ships its bytes,
 //	         creating the chunk, only when the probe finds it absent;
 //	bind     t.bind edits the chunk map under the metadata object's PG lock
 //	         — the authoritative statement of which references exist. A
 //	         raced or failed bind aborts the intents inline;
-//	commit   each intent the written map binds becomes a counted reference
+//	commit   each intent the written map binds becomes a committed reference
 //	         (retried through transient unavailability); one the bind did
 //	         not take — its slot changed — is aborted, by the rule GC and
 //	         the audit apply to an expired intent;

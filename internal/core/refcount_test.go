@@ -81,38 +81,6 @@ func FuzzRefKeyRoundTrip(f *testing.F) {
 	})
 }
 
-// TestDecodeRC: only a well-formed 8-byte xattr decodes; short, long and the
-// old 16-byte count+generation values are rejected (and surface as scrub
-// issues / readRC errors instead of silently reading as count 0).
-func TestDecodeRC(t *testing.T) {
-	if count, ok := decodeRC(encodeRC(42)); !ok || count != 42 {
-		t.Fatalf("decodeRC(encodeRC(42)) = %d,%v", count, ok)
-	}
-	for _, raw := range [][]byte{nil, {}, {1, 2, 3}, make([]byte, 7), make([]byte, 9), make([]byte, 16)} {
-		if _, ok := decodeRC(raw); ok {
-			t.Errorf("decodeRC accepted %d bytes", len(raw))
-		}
-	}
-}
-
-// FuzzDecodeRC: stored dedup.rc bytes never panic the decoder, only 8-byte
-// values decode, and those round-trip byte for byte.
-func FuzzDecodeRC(f *testing.F) {
-	f.Add(encodeRC(0))
-	f.Add(encodeRC(42))
-	f.Add(make([]byte, 16))
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		count, ok := decodeRC(raw)
-		if ok != (len(raw) == rcLen) {
-			t.Fatalf("decodeRC(%d bytes) ok=%v", len(raw), ok)
-		}
-		if ok && !bytes.Equal(encodeRC(count), raw) {
-			t.Fatalf("round trip: %x -> %d -> %x", raw, count, encodeRC(count))
-		}
-	})
-}
-
 // TestGCRaceSkipsSweep: GC verifies references outside the chunk's PG lock,
 // so any mutation of the chunk between that mark and the sweep must void the
 // sweep (version compare) and count as a raced skip. Each case is what the
@@ -124,9 +92,9 @@ func FuzzDecodeRC(f *testing.F) {
 //     re-runs phase 1, finds the reference already committed and changes no
 //     key, then binds;
 //   - recreate: the chunk is deleted and re-created exactly as the mark saw
-//     it (same data, dedup.rc bytes and reference key), then bound. A
-//     generation kept in dedup.rc restarts with the bytes, so only a version
-//     that never repeats tells this chunk from the one the mark saw.
+//     it (same data and reference key), then bound. A generation kept in the
+//     object would restart with it, so only a version that never repeats
+//     tells this chunk from the one the mark saw.
 func TestGCRaceSkipsSweep(t *testing.T) {
 	data := bytes.Repeat([]byte{9}, 4096)
 	chunkOID := FingerprintID(data)
@@ -154,15 +122,11 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 			fabricateBinding(t, e, p, "racer", chunkOID)
 		}},
 		{"recreate", true, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
-			rc, err := gw.GetXattr(p, e.s.chunk, chunkOID, XattrRefCount)
-			if err != nil {
-				t.Errorf("read dedup.rc: %v", err)
-			}
 			if err := gw.Delete(p, e.s.chunk, chunkOID); err != nil {
 				t.Errorf("delete: %v", err)
 			}
-			err = gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
-				return store.NewTxn().WriteFull(bytes.Clone(data)).SetXattr(XattrRefCount, rc).OmapSet(ref.Key(), nil), nil
+			err := gw.Mutate(p, e.s.chunk, chunkOID, func(rados.View) (*store.Txn, error) {
+				return store.NewTxn().WriteFull(bytes.Clone(data)).OmapSet(ref.Key(), nil), nil
 			})
 			if err != nil {
 				t.Errorf("re-create: %v", err)
@@ -217,8 +181,8 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 	}
 }
 
-// TestRefcountModes: the same seeded workload must keep refcounts exact in
-// both decrement disciplines — strict (inline delete at zero) and
+// TestRefcountModes: the same seeded workload must keep reference tables
+// exact in both decrement disciplines — strict (inline delete at zero) and
 // false-positive (§4.6, GC reclaims) — and end with identical surviving
 // data.
 func TestRefcountModes(t *testing.T) {
@@ -251,10 +215,8 @@ func TestRefcountModes(t *testing.T) {
 			e.drain(t)
 
 			e.run(t, func(p *sim.Proc) {
-				gw := e.s.hostGW(anyHost(e.s))
-				rc, err := gw.GetXattr(p, e.s.chunk, FingerprintID(shared), XattrRefCount)
-				if err != nil || mustCount(t, rc) != objects {
-					t.Fatalf("shared refcount = %d, %v (want %d)", mustCount(t, rc), err, objects)
+				if n := len(chunkState(t, p, e, e.s.chunk, FingerprintID(shared)).refs); n != objects {
+					t.Fatalf("shared chunk has %d committed references, want %d", n, objects)
 				}
 			})
 
@@ -276,10 +238,8 @@ func TestRefcountModes(t *testing.T) {
 			}
 
 			e.run(t, func(p *sim.Proc) {
-				gw := e.s.hostGW(anyHost(e.s))
-				rc, err := gw.GetXattr(p, e.s.chunk, FingerprintID(shared), XattrRefCount)
-				if err != nil || mustCount(t, rc) != objects/2 {
-					t.Fatalf("shared refcount after deletes = %d, %v (want %d)", mustCount(t, rc), err, objects/2)
+				if n := len(chunkState(t, p, e, e.s.chunk, FingerprintID(shared)).refs); n != objects/2 {
+					t.Fatalf("shared chunk has %d committed references after deletes, want %d", n, objects/2)
 				}
 				// objects/2 unique chunks + 1 shared chunk must remain.
 				if got := len(e.c.ListObjects(e.s.chunk)); got != objects/2+1 {

@@ -11,8 +11,8 @@ import (
 // Dedup-aware scrub: on top of the substrate's replica/parity scrub, the
 // dedup layer can verify its own invariants — a chunk object's content must
 // hash to its own ID (double hashing makes bit-rot self-evident), every
-// chunk-map entry must point at an existing chunk, and reference counts
-// must agree with the recorded back references.
+// chunk-map entry must point at an existing chunk, and every key in a
+// chunk's reference table must be a reference or an intent that parses.
 
 // ScrubIssue describes one dedup-level inconsistency.
 type ScrubIssue struct {
@@ -48,7 +48,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
 
 	// 1. Chunk objects: content must hash to the object ID (the double-
-	// hashing invariant) and the refcount must equal the back-ref count.
+	// hashing invariant) and the reference table must parse.
 	// With tiering on, both the warm and the cold pool hold chunk objects
 	// and each is verified against the same invariants.
 	for _, cpool := range s.chunkPools() {
@@ -124,9 +124,8 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
-		// Only committed references are counted, and every key must parse back
-		// to the Ref that wrote it (an unparseable key is invisible to GC and
-		// would pin the chunk forever).
+		// Every key must parse back to the Ref that wrote it (an unparseable
+		// key is invisible to GC and would pin the chunk forever).
 		t := partitionRefKeys(keys)
 		for _, k := range t.refs {
 			if _, ok := parseRefKey(k); !ok {
@@ -140,10 +139,6 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		}
 		for _, k := range t.unknown {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
-		}
-		_, err = retryGet(p, func() ([]byte, error) { return gw.GetXattr(p, cpool, chunkOID, XattrRefCount) })
-		if rados.IsUnavailable(err) {
-			return err
 		}
 	}
 	return nil

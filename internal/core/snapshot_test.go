@@ -137,10 +137,8 @@ func TestManySnapshotsRefcount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gw := e.s.hostGW(anyHost(e.s))
-		rc, err := gw.GetXattr(p, e.s.chunk, FingerprintID(data), XattrRefCount)
-		if err != nil || mustCount(t, rc) != 6 { // vol + 5 snapshots
-			t.Fatalf("refcount = %d, %v", mustCount(t, rc), err)
+		if n := len(chunkState(t, p, e, e.s.chunk, FingerprintID(data)).refs); n != 6 { // vol + 5 snapshots
+			t.Fatalf("%d committed references, want 6", n)
 		}
 	})
 	e.checkIntegrity(t)

@@ -290,7 +290,7 @@ func runFIO(p *sim.Proc, dev *client.BlockDevice, cfg workload.FIOConfig) worklo
 // Reconciled is what the post-mortem battery leaves behind. A step that
 // fails reports -1 in every measure it feeds.
 type Reconciled struct {
-	AuditRepairs int64 // intents promoted + refs repaired + counts fixed
+	AuditRepairs int64 // intents promoted + refs repaired
 	LostChunks   int64 // bindings pointing at data that exists nowhere
 	ScrubIssues  int
 	StaleRefs    int64 // found by a second GC pass after the first cleaned up
@@ -303,7 +303,7 @@ type Reconciled struct {
 func reconcile(p *sim.Proc, s *core.Store) (r Reconciled) {
 	p.Sleep(3 * time.Second)
 	if au, err := s.Audit(p); err == nil {
-		r.AuditRepairs = au.IntentsPromoted + au.RefsRepaired + au.CountsFixed
+		r.AuditRepairs = au.IntentsPromoted + au.RefsRepaired
 		r.LostChunks = au.LostChunks
 	} else {
 		r.AuditRepairs, r.LostChunks = -1, -1

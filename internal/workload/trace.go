@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -57,6 +58,9 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 		length, err3 := strconv.ParseInt(fields[3], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("workload: trace line %d: bad number", line)
+		}
+		if ts < 0 || ts > math.MaxInt64/int64(time.Microsecond) {
+			return nil, fmt.Errorf("workload: trace line %d: timestamp %d us out of range", line, ts)
 		}
 		op := TraceOp{At: time.Duration(ts) * time.Microsecond, Offset: off, Length: length}
 		switch strings.ToUpper(fields[1]) {
@@ -144,6 +148,11 @@ func ReplayTrace(p *sim.Proc, dev *client.BlockDevice, ops []TraceOp, timeScale 
 					return
 				}
 				opStart := q.Now()
+				// Refuse an extent off the device before allocating its buffer.
+				if op.Offset < 0 || op.Length < 0 || op.Length > dev.Size()-op.Offset {
+					res.Errors++
+					continue
+				}
 				if op.Write {
 					buf := make([]byte, op.Length)
 					fillRandom(buf, op.Seed)

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,12 +40,14 @@ func TestParseTrace(t *testing.T) {
 
 func TestParseTraceErrors(t *testing.T) {
 	for _, bad := range []string{
-		"100 X 0 4096",   // unknown op
-		"abc W 0 4096",   // bad ts
-		"100 W -1 4096",  // negative offset
-		"100 W 0 0",      // zero length
-		"100 W",          // too few fields
-		"100 W 0 4096 x", // bad seed
+		"100 X 0 4096",              // unknown op
+		"abc W 0 4096",              // bad ts
+		"100 W -1 4096",             // negative offset
+		"100 W 0 0",                 // zero length
+		"100 W",                     // too few fields
+		"100 W 0 4096 x",            // bad seed
+		"-1 W 0 4096",               // negative timestamp
+		"9223372036854776 W 0 4096", // microseconds overflow time.Duration
 	} {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -94,6 +98,54 @@ func TestReplayTrace(t *testing.T) {
 	if res.Elapsed < sim.Time(ops[len(ops)-1].At) {
 		t.Fatalf("elapsed %v shorter than trace span %v", res.Elapsed, ops[len(ops)-1].At)
 	}
+}
+
+// TestReplayTraceRefusesOffDeviceExtent: an op past the device end counts as
+// an error before its buffer is allocated, so a write longer than the device
+// costs no memory however long the trace says it is.
+func TestReplayTraceRefusesOffDeviceExtent(t *testing.T) {
+	eng := sim.New(7)
+	c := rados.NewTestbed(eng, simcost.Default(), 4, 4)
+	pool, _ := c.CreatePool(rados.PoolConfig{Name: "p", PGNum: 64, Redundancy: rados.ReplicatedN(2)})
+	dev, _ := client.NewBlockDevice("img", 1<<20, 256<<10, &client.RawBackend{GW: c.NewGateway("cl"), Pool: pool})
+	ops, err := ParseTrace(strings.NewReader("0 W 0 67108864\n0 R 1048576 1\n0 W 0 4096\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res TraceResult
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(t, eng, func(p *sim.Proc) { res = ReplayTrace(p, dev, ops, 0, 1) })
+	runtime.ReadMemStats(&after)
+	if res.Errors != 2 || res.Writes.Lat.Count() != 1 || res.Reads.Lat.Count() != 0 {
+		t.Errorf("errors %d, writes %d, reads %d; want the two off-device ops refused and the write replayed",
+			res.Errors, res.Writes.Lat.Count(), res.Reads.Lat.Count())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("replay allocated %d bytes: the off-device write's buffer was made", grew)
+	}
+}
+
+// FuzzParseTrace: whatever ParseTrace accepts, FormatTrace writes back in a
+// form ParseTrace reads as the same ops.
+func FuzzParseTrace(f *testing.F) {
+	f.Add("100 W 0 4096 7\n250 r 8192 4096\n")
+	f.Add("# comment\n\n0 w 4096 8192\n")
+	f.Add("9223372036854 W 0 1 -5 extra\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		ops, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := FormatTrace(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseTrace(&buf)
+		if err != nil || !slices.Equal(again, ops) {
+			t.Fatalf("%q: parsed %+v, formatted %q, re-parsed %+v, %v", in, ops, buf.String(), again, err)
+		}
+	})
 }
 
 func TestReplayTraceContentDeterminism(t *testing.T) {
