@@ -180,6 +180,9 @@ func (d *BlockDevice) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 
 // Discard deletes whole stripe objects fully covered by [off, off+length).
 func (d *BlockDevice) Discard(p *sim.Proc, off, length int64) error {
+	if off < 0 || length < 0 || length > d.size-off { // not off+length: that sum can overflow
+		return fmt.Errorf("client: discard of %d bytes at %d outside device %q size %d", length, off, d.name, d.size)
+	}
 	first := (off + d.objectSize - 1) / d.objectSize
 	last := (off + length) / d.objectSize
 	for idx := first; idx < last; idx++ {

@@ -236,6 +236,37 @@ func TestDiscard(t *testing.T) {
 	})
 }
 
+// TestDiscardBounds: a discard reaching outside the device is refused, as
+// an out-of-range write or read is, and deletes nothing. Unchecked, one
+// twice the device's size deleted every object and then some past its end,
+// one at a negative offset deleted an object named for index -1, and one
+// whose end overflows int64 returned nil.
+func TestDiscardBounds(t *testing.T) {
+	eng, dev := rawDevice(t, 64<<10)
+	run(t, eng, func(p *sim.Proc) {
+		data := bytes.Repeat([]byte{1}, 64<<10)
+		if err := dev.WriteAt(p, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ off, length int64 }{
+			{0, 2 * dev.Size()},
+			{-128 << 10, 192 << 10},
+			{math.MaxInt64 - 10, 20},
+			{0, -1},
+		} {
+			if err := dev.Discard(p, c.off, c.length); err == nil {
+				t.Errorf("discard of %d bytes at %d accepted", c.length, c.off)
+			}
+		}
+		if got, err := dev.ReadAt(p, 0, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("refused discards lost the first object (err %v)", err)
+		}
+		if err := dev.Discard(p, 0, dev.Size()); err != nil {
+			t.Errorf("whole-device discard: %v", err)
+		}
+	})
+}
+
 func TestInvalidDevice(t *testing.T) {
 	if _, err := NewBlockDevice("x", 0, 0, nil); err == nil {
 		t.Fatal("zero-size device accepted")

@@ -26,9 +26,9 @@ const (
 	StripeUnit = 4096
 )
 
-// ErrECDataOp is returned when a Mutate transaction on an EC pool contains
-// a data operation other than a single leading WriteFull.
-var ErrECDataOp = errors.New("rados: EC pools support only WriteFull data ops in Mutate")
+// ErrECDataOp is returned when a mutation of an EC object carries more than
+// one data op (Write, WriteFull or Delete), or a Truncate or Zero.
+var ErrECDataOp = errors.New("rados: an EC mutation takes at most one Write, WriteFull or Delete, and no Truncate or Zero")
 
 func (c *Cluster) codecFor(p *Pool) *ec.Codec {
 	if p.codec == nil {
@@ -160,28 +160,6 @@ func mustXattr(st *store.Store, k store.Key, name string) []byte {
 	return v
 }
 
-// ecWritePrimary is ecPrimary for mutation paths: a dead primary costs the
-// request timeout and fails with the retryable ErrOSDDown, and the write is
-// refused (retryably) while fewer than k acting members are alive, since it
-// could not reach durability.
-func (g *Gateway) ecWritePrimary(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
-	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
-	if len(acting) == 0 {
-		return nil, ErrNoOSD
-	}
-	alive := 0
-	for _, o := range acting {
-		if o.alive {
-			alive++
-		}
-	}
-	if !acting[0].alive || alive < pool.Red.K {
-		g.timeoutWait(p)
-		return nil, ErrOSDDown
-	}
-	return acting[0], nil
-}
-
 // ecCoord selects the OSD coordinating an EC read: the acting primary when
 // alive, otherwise (after the request timeout) the first surviving acting
 // member — the degraded fan-in point.
@@ -204,26 +182,10 @@ func (g *Gateway) ecCoord(p *sim.Proc, pool *Pool, oid string) (*osd, error) {
 
 // --- Write paths -------------------------------------------------------------
 
-// An EC mutation, unlike replMutate, holds its PG lock across both wire legs
-// and the ack; DESIGN.md §9 "What a PG lock covers" says why.
-func (g *Gateway) ecWriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
-	defer g.c.lockPG(p, pool, g.c.PGOf(pool, oid)).release(p)
-	primary, err := g.ecWritePrimary(p, pool, oid)
-	if err != nil {
-		g.noteOp(0)
-		return err
-	}
-	g.request(p, primary, len(data), false)
-	err = g.ecApplyFull(p, pool, oid, data, nil)
-	g.noteOp(len(data))
-	return err
-}
-
-// ecApplyFull encodes data, writes all shards and acks. PG lock must be held
-// and the caller must have validated the primary via ecWritePrimary; the
+// ecApplyFull encodes data, writes all shards and acks; meta, a
+// metadata-only txn, is mirrored onto every shard. Run by ecMutate; the
 // primary that encodes is the acting one now, after the request's trip.
-// extraMeta, if non-nil, is a metadata-only txn mirrored onto every shard.
-func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, extraMeta *store.Txn) error {
+func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, meta *store.Txn) error {
 	cost := g.c.cost
 	pg := g.c.PGOf(pool, oid)
 	acting := g.c.acting(pool, pg)
@@ -282,9 +244,7 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 			txn.WriteFull(shards[pos]).
 				SetXattr(xattrECIdx, putU64(uint64(pos))).
 				SetXattr(xattrECLen, putU64(uint64(len(data))))
-			if extraMeta != nil {
-				txn.Ops = append(txn.Ops, extraMeta.Ops...)
-			}
+			txn.Ops = append(txn.Ops, meta.Ops...)
 			if target != primary {
 				g.c.netSend(q, g.cls, target.host.nicSched, len(shards[pos]))
 				target.host.cpu.Use(q, cost.OpOverhead)
@@ -300,22 +260,16 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 	return nil
 }
 
-// ecWrite performs a partial write with a row-aligned read-modify-write of
-// only the stripes the write touches (Ceph EC-overwrite style): the rows
+// ecApplyRows performs a partial write with a row-aligned read-modify-write
+// of only the stripes the write touches (Ceph EC-overwrite style): the rows
 // covering [off, off+len) are gathered, patched, re-encoded, and all k+m
 // shard segments rewritten — the "parity calculation ... and
-// read-modify-write according to write size" penalty of §6.4.1.
-func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data []byte) error {
+// read-modify-write according to write size" penalty of §6.4.1. meta is
+// mirrored onto every shard written. Run by ecMutate, which has resolved
+// primary; a gather that fails answers at once, at the cost of an ack hop.
+func (g *Gateway) ecApplyRows(p *sim.Proc, pool *Pool, oid string, primary *osd, off int64, data []byte, meta *store.Txn) error {
 	pg := g.c.PGOf(pool, oid)
-	defer g.c.lockPG(p, pool, pg).release(p)
 	cost := g.c.cost
-	primary, err := g.ecWritePrimary(p, pool, oid)
-	if err != nil {
-		g.noteOp(0)
-		return err
-	}
-	g.request(p, primary, len(data), false)
-
 	k := pool.Red.K
 	codec := g.c.codecFor(pool)
 	oldLen := g.ecLen(pool, oid)
@@ -329,6 +283,7 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	if oldLen > int64(row0)*stripe {
 		readLen := min(oldLen, int64(row1)*stripe) - int64(row0)*stripe
 		if _, err := g.ecGather(p, pool, oid, int64(row0)*stripe, readLen, rowBytes[:readLen]); err != nil && err != ErrNotFound {
+			p.Sleep(cost.NetLatency) // the error reply
 			g.noteOp(0)
 			return err
 		}
@@ -397,6 +352,7 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 			txn.Write(int64(row0)*StripeUnit, shards[pos]).
 				SetXattr(xattrECIdx, putU64(uint64(pos))).
 				SetXattr(xattrECLen, putU64(uint64(newLen)))
+			txn.Ops = append(txn.Ops, meta.Ops...)
 			if target != primary {
 				g.c.netSend(q, g.cls, target.host.nicSched, len(shards[pos]))
 				target.host.cpu.Use(q, cost.OpOverhead)
@@ -413,35 +369,6 @@ func (g *Gateway) ecWrite(p *sim.Proc, pool *Pool, oid string, off int64, data [
 	g.c.commitShards(key, targets)
 	p.Sleep(cost.NetLatency) // ack
 	g.noteOp(len(data))
-	return nil
-}
-
-func (g *Gateway) ecDelete(p *sim.Proc, pool *Pool, oid string) error {
-	pg := g.c.PGOf(pool, oid)
-	defer g.c.lockPG(p, pool, pg).release(p)
-	if _, err := g.ecWritePrimary(p, pool, oid); err != nil {
-		g.noteOp(0)
-		return err
-	}
-	cost := g.c.cost
-	key := store.Key{Pool: pool.ID, OID: oid}
-	g.runFanout(p, fanout{
-		name: "ec-del",
-		pool: pool, pg: pg,
-		targets: g.c.want(pool, pg),
-		ok:      func(_ int, o *osd) bool { return g.c.upAlive(o) },
-		do: func(q *sim.Proc, _ int, o *osd) {
-			q.Sleep(cost.NetLatency)
-			o.host.cpu.Use(q, cost.OpOverhead)
-			o.remove(q, key)
-			o.diskWrite(q, g.cls, cost, 0)
-		},
-	})
-	// Copies the delete could not reach — on dead holders or remap strays —
-	// are stale once the head is gone, so they can never resurrect the object.
-	g.c.setHead(key, 0)
-	p.Sleep(cost.NetLatency) // ack
-	g.noteOp(0)
 	return nil
 }
 
@@ -603,61 +530,74 @@ func (v ecView) OmapGet(key string) ([]byte, error)   { return v.meta().OmapGet(
 func (v ecView) OmapList(max int) ([]string, error)   { return v.meta().OmapList(max) }
 func (v ecView) Version() uint64                      { return v.meta().Version() }
 
-// ecMutate applies a read-modify transaction on an EC object: at most one
-// WriteFull data op (triggering a full re-encode) plus metadata ops mirrored
-// to every live shard. payload is the bulk data shipped with the request.
-func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
+// ecMutate serves an EC-pool mutation — a shipped txn (Write, WriteFull,
+// Delete) or a Mutate's fn — holding the PG lock from before the request
+// crosses the wire until after the ack; DESIGN.md §9 "What a PG lock covers"
+// says why. The txn's one data op decides the work: a WriteFull re-encodes
+// the object (ecApplyFull), a Write rewrites the stripe rows it touches
+// (ecApplyRows), a Delete removes the shards; its metadata ops are mirrored
+// onto every shard written, or alone onto every current holder. A fn that
+// fails, or a txn the pool cannot apply, answers at once, and the answer
+// costs the same hop as an ack.
+func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
 	pg := g.c.PGOf(pool, oid)
 	defer g.c.lockPG(p, pool, pg).release(p)
-	primary, err := g.ecWritePrimary(p, pool, oid)
+	primary, err := g.prepare(p, pool, pg)
 	if err != nil {
 		g.noteOp(0)
 		return err
 	}
-	g.request(p, primary, payload, payload == 0)
-	txn, err := g.mutateTxn(p, pool, oid, primary, ecView{g: g, p: p, pool: pool, oid: oid}, fn)
-	if txn == nil {
-		p.Sleep(g.c.cost.NetLatency) // ack, or the error reply
-		return err
+	g.request(p, primary, payload, fn != nil && payload == 0)
+	if fn != nil {
+		if txn, err = g.mutateTxn(p, pool, oid, primary, ecView{g: g, p: p, pool: pool, oid: oid}, fn); txn == nil {
+			p.Sleep(g.c.cost.NetLatency) // ack, or the error reply
+			return err
+		}
 	}
-	var fullData []byte
-	hasFull, isDelete := false, false
+	var data store.Op // Kind 0: a metadata-only txn
 	meta := store.NewTxn()
 	for _, op := range txn.Ops {
 		switch op.Kind {
-		case store.OpWriteFull:
-			if hasFull {
-				return ErrECDataOp
+		case store.OpWrite, store.OpWriteFull, store.OpDelete:
+			if data.Kind != 0 {
+				err = ErrECDataOp
 			}
-			hasFull = true
-			fullData = op.Data
-		case store.OpWrite, store.OpTruncate, store.OpZero:
-			return ErrECDataOp
-		case store.OpDelete:
-			isDelete = true
+			data = op
+		case store.OpTruncate, store.OpZero:
+			err = ErrECDataOp
 		case store.OpCreate:
-			// no-op for EC; creation happens via WriteFull
+			// no-op for EC; a shard comes into being with its data
 		default:
 			meta.Ops = append(meta.Ops, op)
 		}
 	}
+	if err != nil {
+		p.Sleep(g.c.cost.NetLatency) // the error reply
+		g.noteOp(0)
+		return err
+	}
 	key := store.Key{Pool: pool.ID, OID: oid}
-	if isDelete {
+	switch data.Kind {
+	case store.OpWrite:
+		return g.ecApplyRows(p, pool, oid, primary, data.Off, data.Data, meta)
+	case store.OpWriteFull:
+		err = g.ecApplyFull(p, pool, oid, data.Data, meta)
+		g.noteOp(len(data.Data))
+		return err
+	case store.OpDelete:
 		for _, o := range g.c.want(pool, pg) {
 			if g.c.upAlive(o) {
 				o.remove(p, key)
 				o.diskWrite(p, g.cls, g.c.cost, 0)
 			}
 		}
+		// Copies the delete could not reach — on dead holders or remap
+		// strays — are stale once the head is gone, so they can never
+		// resurrect the object.
 		g.c.setHead(key, 0)
-		p.Sleep(g.c.cost.NetLatency)
+		p.Sleep(g.c.cost.NetLatency) // ack
 		g.noteOp(0)
 		return nil
-	}
-	if hasFull {
-		err = g.ecApplyFull(p, pool, oid, fullData, meta)
-		g.noteOp(len(fullData))
-		return err
 	}
 	// Metadata-only: mirror to all live current shard holders, at least k of
 	// them. Stamped, fewer would be the only current shards and the object

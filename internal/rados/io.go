@@ -178,47 +178,20 @@ func (v replView) Version() uint64                        { return v.st.Version(
 // --- Public operations -------------------------------------------------------
 
 // Write writes data at offset off (replicated pools write in place; EC
-// pools perform a read-modify-write of the full object).
+// pools rewrite the stripe rows the write touches).
 func (g *Gateway) Write(p *sim.Proc, pool *Pool, oid string, off int64, data []byte) error {
-	oc := g.startOp(p, "rados.write", &g.c.ops.write, pool, oid, len(data))
-	var err error
-	if pool.Red.Kind == Erasure {
-		err = g.ecWrite(p, pool, oid, off, data)
-	} else {
-		err = g.replMutate(p, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
-		g.noteOp(len(data))
-	}
-	g.finishOp(p, oc, err)
-	return err
+	return g.mutate(p, "rados.write", &g.c.ops.write, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
 }
 
 // WriteFull replaces the object's contents. data stays the caller's: the
 // replicas share the one copy made here (an EC pool encodes fresh shards).
 func (g *Gateway) WriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
-	oc := g.startOp(p, "rados.writefull", &g.c.ops.writeFull, pool, oid, len(data))
-	var err error
-	if pool.Red.Kind == Erasure {
-		err = g.ecWriteFull(p, pool, oid, data)
-	} else {
-		err = g.replMutate(p, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
-		g.noteOp(len(data))
-	}
-	g.finishOp(p, oc, err)
-	return err
+	return g.mutate(p, "rados.writefull", &g.c.ops.writeFull, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
 }
 
 // Delete removes the object.
 func (g *Gateway) Delete(p *sim.Proc, pool *Pool, oid string) error {
-	oc := g.startOp(p, "rados.delete", &g.c.ops.del, pool, oid, 0)
-	var err error
-	if pool.Red.Kind == Erasure {
-		err = g.ecDelete(p, pool, oid)
-	} else {
-		err = g.replMutate(p, pool, oid, 0, store.NewTxn().Delete(), nil)
-		g.noteOp(0)
-	}
-	g.finishOp(p, oc, err)
-	return err
+	return g.mutate(p, "rados.delete", &g.c.ops.del, pool, oid, 0, store.NewTxn().Delete(), nil)
 }
 
 // Read returns length bytes at off (length<0 reads to end) in a fresh buffer
@@ -417,12 +390,18 @@ func (g *Gateway) Mutate(p *sim.Proc, pool *Pool, oid string, fn MutateFn) error
 // the payload is charged on the caller's outbound link and the primary's
 // inbound link. Replicas always receive the full resulting transaction.
 func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
-	oc := g.startOp(p, "rados.mutate", &g.c.ops.mutate, pool, oid, payload)
+	return g.mutate(p, "rados.mutate", &g.c.ops.mutate, pool, oid, payload, nil, fn)
+}
+
+// mutate is every mutation's one path: it opens the op's span under its own
+// kind and serves the shipped txn or fn by the pool's kind.
+func (g *Gateway) mutate(p *sim.Proc, kind string, st *opStats, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
+	oc := g.startOp(p, kind, st, pool, oid, payload)
 	var err error
 	if pool.Red.Kind == Erasure {
-		err = g.ecMutate(p, pool, oid, payload, fn)
+		err = g.ecMutate(p, pool, oid, payload, txn, fn)
 	} else {
-		err = g.replMutate(p, pool, oid, payload, nil, fn)
+		err = g.replMutate(p, pool, oid, payload, txn, fn)
 	}
 	g.finishOp(p, oc, err)
 	return err
@@ -436,8 +415,12 @@ func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload
 // under the lock the primary runs fn and commits the txn; the lock is released
 // while the journal write and the replica legs run; once all are done the ack
 // travels back. A pull or fn that fails answers at once, and the answer costs
-// the same hop as an ack.
+// the same hop as an ack. A shipped txn counts as a foreground op of its
+// payload whatever its outcome.
 func (g *Gateway) replMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
+	if fn == nil {
+		defer g.noteOp(payload)
+	}
 	pg := g.c.PGOf(pool, oid)
 	primary, err := g.prepare(p, pool, pg)
 	if err != nil {
@@ -500,13 +483,21 @@ func (g *Gateway) mutateTxn(p *sim.Proc, pool *Pool, oid string, primary *osd, v
 }
 
 // prepare resolves a mutation's acting primary. A mutation against a dead
-// primary pays the request timeout and fails with the retryable ErrOSDDown.
+// primary pays the request timeout and fails with the retryable ErrOSDDown,
+// and so does one on an EC pool while fewer than k acting members are alive,
+// since it could not reach durability.
 func (g *Gateway) prepare(p *sim.Proc, pool *Pool, pg crush.PG) (*osd, error) {
 	acting := g.c.acting(pool, pg)
 	if len(acting) == 0 {
 		return nil, ErrNoOSD
 	}
-	if !acting[0].alive {
+	alive := 0
+	for _, o := range acting {
+		if o.alive {
+			alive++
+		}
+	}
+	if !acting[0].alive || pool.Red.Kind == Erasure && alive < pool.Red.K {
 		g.timeoutWait(p)
 		return nil, ErrOSDDown
 	}

@@ -418,17 +418,89 @@ func TestECMutateMetadataMirrored(t *testing.T) {
 	}
 }
 
+// TestECMutateRejectsPartialDataOps: an EC mutation carries one data op. A
+// Truncate, a Zero or a second data op is refused; a Write is the stripe-row
+// read-modify-write, and the metadata riding with it lands on every current
+// shard. Write, WriteFull and Delete still count under their own op kinds.
 func TestECMutateRejectsPartialDataOps(t *testing.T) {
 	e := newEnv(t)
 	e.run(t, func(p *sim.Proc) {
-		e.gw.WriteFull(p, e.ecp, "obj", make([]byte, 100))
-		err := e.gw.Mutate(p, e.ecp, "obj", func(v View) (*store.Txn, error) {
-			return store.NewTxn().Write(5, []byte("no")), nil
+		if err := e.gw.WriteFull(p, e.ecp, "obj", make([]byte, 100)); err != nil {
+			e.fail(err)
+		}
+		for name, txn := range map[string]*store.Txn{
+			"truncate":         store.NewTxn().Truncate(5),
+			"zero":             store.NewTxn().Zero(5, 10),
+			"write+writefull":  store.NewTxn().Write(5, []byte("no")).WriteFull([]byte("no")),
+			"writefull+delete": store.NewTxn().WriteFull([]byte("no")).Delete(),
+		} {
+			err := e.gw.Mutate(p, e.ecp, "obj", func(View) (*store.Txn, error) { return txn, nil })
+			if err != ErrECDataOp {
+				t.Errorf("%s: err = %v, want ErrECDataOp", name, err)
+			}
+		}
+		err := e.gw.Mutate(p, e.ecp, "obj", func(View) (*store.Txn, error) {
+			return store.NewTxn().Write(5, []byte("yes")).OmapSet("k", []byte("v")), nil
 		})
-		if err != ErrECDataOp {
-			t.Errorf("err = %v, want ErrECDataOp", err)
+		if err != nil {
+			e.fail(err)
+		}
+		want := make([]byte, 100)
+		copy(want[5:], "yes")
+		if got, err := e.gw.Read(p, e.ecp, "obj", 0, -1); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("after Write+OmapSet read %q, %v; want %q", got, err, want)
+		}
+		if err := e.gw.Write(p, e.ecp, "obj", 0, []byte("w")); err != nil {
+			e.fail(err)
+		}
+		if err := e.gw.Delete(p, e.ecp, "gone"); err != nil {
+			e.fail(err)
 		}
 	})
+	key := store.Key{Pool: e.ecp.ID, OID: "obj"}
+	holders := e.c.ecHolders(e.ecp, "obj")
+	for idx, o := range holders {
+		if o == nil {
+			t.Errorf("shard %d has no current holder", idx)
+		} else if v, err := o.store.OmapGet(key, "k"); err != nil || string(v) != "v" {
+			t.Errorf("shard %d on osd.%d omap k = %q, %v; want v", idx, o.id, v, err)
+		}
+	}
+	reg := e.c.Metrics()
+	for kind, want := range map[string]int64{"rados.write": 1, "rados.writefull": 1, "rados.delete": 1, "rados.mutate": 5} {
+		if got := reg.Counter("rados_op_total:" + kind).Value(); got != want {
+			t.Errorf("rados_op_total:%s = %d, want %d", kind, got, want)
+		}
+	}
+}
+
+// TestECRejectedTxnAnswers: a Mutate whose txn the EC pool refuses answers
+// like one whose closure fails — the reply hop is charged and the op
+// counted — so the two take the same time.
+func TestECRejectedTxnAnswers(t *testing.T) {
+	e := newEnv(t)
+	var failed, rejected sim.Time
+	e.run(t, func(p *sim.Proc) {
+		if err := e.gw.WriteFull(p, e.ecp, "obj", make([]byte, 100)); err != nil {
+			e.fail(err)
+		}
+		timed := func(fn MutateFn) sim.Time {
+			start := p.Now()
+			before, _ := e.c.ForegroundOps().Totals()
+			if err := e.gw.Mutate(p, e.ecp, "obj", fn); err == nil {
+				t.Error("mutation succeeded, want an error")
+			}
+			if after, _ := e.c.ForegroundOps().Totals(); after != before+1 {
+				t.Error("a refused mutation was not counted as a foreground op")
+			}
+			return p.Now() - start
+		}
+		failed = timed(func(View) (*store.Txn, error) { return nil, ErrNotFound })
+		rejected = timed(func(View) (*store.Txn, error) { return store.NewTxn().Truncate(5), nil })
+	})
+	if failed != rejected {
+		t.Errorf("failed closure took %v, rejected txn %v; want equal", failed.Duration(), rejected.Duration())
+	}
 }
 
 func TestRecoveryReplicated(t *testing.T) {

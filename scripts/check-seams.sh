@@ -26,6 +26,10 @@
 # And fails if pgLock( is called anywhere but Cluster.lockPG (cluster.go): every
 # PG-lock acquisition is then timed into the pool's wait/hold histograms, and
 # what a PG lock covers is decided by lockPG's callers alone (DESIGN.md §9).
+# And fails if lockPG( is called anywhere but replMutate (io.go), ecMutate
+# (ecio.go) and Cluster.settle (recovery.go): each pool kind has one mutation
+# path, so a PG lock's scope is decided at one site per pool kind, and
+# recovery waits out an EC mutation at one more.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -41,6 +45,15 @@ pglock=$(find . -name '*.go' ! -path './.bench_build/*' -exec awk '
 if [ -n "$pglock" ]; then
 	echo "$pglock" >&2
 	echo "check-seams: the lines above take a PG lock outside Cluster.lockPG (internal/rados/cluster.go), where every acquisition is timed" >&2
+	exit 1
+fi
+lockpg=$(find . -name '*.go' ! -path './.bench_build/*' -exec awk '
+	FNR == 1 { fn = "" }
+	/^func / { fn = $0 }
+	/lockPG\(/ && !/^func \(c \*Cluster\) lockPG\(/ && fn !~ /\) (replMutate|ecMutate|settle)\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$lockpg" ]; then
+	echo "$lockpg" >&2
+	echo "check-seams: the lines above take a PG lock outside replMutate, ecMutate and Cluster.settle: a pool kind has one mutation path" >&2
 	exit 1
 fi
 core=$(ls internal/core/*.go | grep -v '_test\.go$')
