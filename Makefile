@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-pairs profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -61,10 +61,24 @@ bench-module:
 	cd bench && go vet . && go test .
 
 # Kernel hot-path microbenchmarks: the DES engine and the metrics/trace
-# primitives every simulated I/O passes through. CI runs these so dispatch
-# cost and allocs/op regressions show up in review.
+# primitives every simulated I/O passes through, and one dedup-scrub pass
+# (host cost per chunk read and verified). CI runs these so dispatch cost and
+# allocs/op regressions show up in review.
 kernel-bench:
 	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics
+	go test -run NONE -bench ScrubChunkPool -benchmem ./internal/core
+
+# Paired runs for a host-clock claim (ROADMAP.md's rules for claims): the
+# working tree against REV on one workload and seed, PAIRS alternating pairs,
+# judged on METRIC. MODEL=-model skips the sim_digest check for a change that
+# moves the simulated product on purpose.
+REV ?= HEAD
+WORKLOAD ?= maintain-recover
+SEED ?= 1
+PAIRS ?= 10
+METRIC ?= host_cpu_s
+bench-pairs:
+	sh scripts/bench-pairs.sh $(MODEL) $(REV) $(WORKLOAD) $(SEED) $(PAIRS) $(METRIC)
 
 # CPU + heap profile of the golden sweep — the kernel's real workload.
 # Inspect with `go tool pprof profiles/sweep.cpu.pprof`.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"hash/crc32"
 
 	"dedupstore/internal/qos"
 	"dedupstore/internal/rados"
@@ -97,12 +98,34 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	return rep, nil
 }
 
+// scrubSeen is what a scrub pass learned about one chunk's payload: the
+// array it read, that array's CRC-32C and whether the bytes hashed to the
+// chunk's name.
+type scrubSeen struct {
+	data  []byte
+	crc   uint32
+	match bool
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // scrubChunkPool verifies the chunk objects of one chunk pool.
+//
+// Every chunk is read and CRC-32C-checked on every pass, but SHA-256 runs
+// only on bytes the previous pass did not see: a chunk whose borrowed slice
+// is the same array, at the same length and with the same CRC-32C, reuses
+// that pass's verdict. The reuse is exact because a chunk's bytes never
+// change in place (DESIGN.md §9): every store path that changes a chunk,
+// bit rot included, gives it a new array, and the CRC-32C still catches an
+// in-place write that broke the rule. An erasure pool's reads assemble a
+// fresh buffer each time, so its verdicts are not kept.
 func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, rep *ScrubReport) error {
+	prev := s.scrubMemo[cpool]
+	next := make(map[string]scrubSeen, len(prev))
 	for _, chunkOID := range s.cluster.ListObjects(cpool) {
 		rep.ChunkObjects++
-		// Borrowed: the bytes are only hashed, and stay as read if the chunk
-		// is rewritten meanwhile.
+		// Borrowed: the bytes are only hashed and kept for the next pass to
+		// compare against, and stay as read if the chunk is rewritten.
 		data, err := retryGet(p, func() ([]byte, error) { return gw.ReadBorrowed(p, cpool, chunkOID, 0, -1) })
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
@@ -116,8 +139,18 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 				return err
 			}
 		}
+		seen := scrubSeen{data: data, crc: crc32.Checksum(data, castagnoli)}
+		old, ok := prev[chunkOID]
+		if ok && len(data) > 0 && len(old.data) == len(data) && &old.data[0] == &data[0] && old.crc == seen.crc {
+			seen.match = old.match
+		} else {
+			seen.match = FingerprintID(data) == chunkOID
+		}
+		if cpool.Red.Kind != rados.Erasure {
+			next[chunkOID] = seen
+		}
 		rep.BytesVerified += int64(len(data))
-		if got := FingerprintID(data); got != chunkOID {
+		if !seen.match {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "content does not match fingerprint (bit rot)"})
 		}
 		keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
@@ -141,5 +174,6 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
 		}
 	}
+	s.scrubMemo[cpool] = next
 	return nil
 }

@@ -108,6 +108,50 @@ func TestDedupScrubDetectsChunkBitRot(t *testing.T) {
 	})
 }
 
+// TestDedupScrubDetectsBitRotAfterCleanPass: a pass that found a chunk clean
+// does not vouch for it on the next one. Rot is an unstamped write, so the
+// chunk's version does not move; the next pass still reads every byte and
+// reports the chunk.
+func TestDedupScrubDetectsBitRotAfterCleanPass(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	content := bytes.Repeat([]byte{7}, 4096)
+	e.run(t, func(p *sim.Proc) { e.cl.Write(p, "obj", 0, content) })
+	e.drain(t)
+	chunkOID := FingerprintID(content)
+	var first ScrubReport
+	e.run(t, func(p *sim.Proc) {
+		var err error
+		if first, err = e.s.Scrub(p); err != nil || !first.Clean() {
+			t.Errorf("first pass: err %v, issues %v", err, first.Issues)
+		}
+	})
+	key := store.Key{Pool: e.s.chunk.ID, OID: chunkOID}
+	for _, id := range e.c.OSDs() {
+		st, _ := e.c.OSDStore(id)
+		if st.Exists(key) {
+			if err := e.c.CorruptForTest(id, key, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.run(t, func(p *sim.Proc) {
+		rep, err := e.s.Scrub(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, is := range rep.Issues {
+			found = found || is.OID == chunkOID
+		}
+		if !found {
+			t.Errorf("second pass missed the rot: issues %v", rep.Issues)
+		}
+		if rep.BytesVerified != first.BytesVerified {
+			t.Errorf("second pass verified %d bytes, first %d", rep.BytesVerified, first.BytesVerified)
+		}
+	})
+}
+
 func TestDedupScrubDetectsDanglingChunkRef(t *testing.T) {
 	e := newDedupEnv(t, nil)
 	content := bytes.Repeat([]byte{4}, 4096)

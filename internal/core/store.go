@@ -167,6 +167,10 @@ type Store struct {
 	objLocks map[string]*sim.Resource  // inline-mode per-object write locks
 	scratch  [][]byte                  // idle readPadded buffers
 
+	// scrubMemo holds, per chunk pool, the last scrub pass's view of each
+	// chunk's payload (scrubChunkPool); each pass replaces it.
+	scrubMemo map[*rados.Pool]map[string]scrubSeen
+
 	// gcHookBeforeSweep (tests only) runs between GC's out-of-lock
 	// verification and the under-lock sweep of each chunk, so tests can
 	// inject a racing reference mutation into exactly that window.
@@ -231,6 +235,8 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		cache:    NewTieringPolicy(cfg.HitSet, cfg.Tiering.Enabled),
 		hostGWs:  make(map[string]*rados.Gateway),
 		objLocks: make(map[string]*sim.Resource),
+
+		scrubMemo: make(map[*rados.Pool]map[string]scrubSeen),
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{
