@@ -293,9 +293,9 @@ func TestRatePolicyResumesAfterDrain(t *testing.T) {
 				if restart && !throttled() {
 					t.Errorf("policy not back two ticks after restart: limit %v weight %d (base %d)", q.Limit(qos.Dedup), q.Weight(qos.Dedup), base)
 				}
-				if !restart && (q.Limit(qos.Dedup) != 0 || q.Weight(qos.Dedup) != base || eng.ratePolicyOn) {
+				if !restart && (q.Limit(qos.Dedup) != 0 || q.Weight(qos.Dedup) != base || eng.rate.Running()) {
 					t.Errorf("stopped engine left limit %v weight %d (base %d) daemon %v, want 0, base, gone",
-						q.Limit(qos.Dedup), q.Weight(qos.Dedup), base, eng.ratePolicyOn)
+						q.Limit(qos.Dedup), q.Weight(qos.Dedup), base, eng.rate.Running())
 				}
 			})
 		})

@@ -36,20 +36,26 @@ type Engine struct {
 	s     *Store
 	stats EngineStats
 
-	started bool // the one stop rule: DrainAndWait clears it
-	done    []*sim.Signal
+	workers []sim.Loop // one per DedupThreads; DrainAndWait stops them
 
 	claimed map[string]bool // objects a worker or drain agent is currently flushing
 	pending []string        // dirty OIDs discovered by the last sweep
 	inQueue map[string]bool // membership set for pending
 
 	// Watermark rate-control state (ratepolicy.go).
-	ratePolicyOn bool  // controller daemon is live
-	rateBase     int64 // dedup-class weight to restore when unthrottled
+	rate     sim.Loop
+	rateBase int64 // dedup-class weight to restore when unthrottled
 }
 
 func newEngine(s *Store) *Engine {
-	return &Engine{s: s, claimed: make(map[string]bool), inQueue: make(map[string]bool)}
+	e := &Engine{s: s, claimed: make(map[string]bool), inQueue: make(map[string]bool)}
+	e.workers = make([]sim.Loop, s.cfg.DedupThreads)
+	for i := range e.workers {
+		e.workers[i] = sim.Loop{Name: fmt.Sprintf("dedup.worker%d", i), Every: scanInterval, Tick: e.workerTick}
+	}
+	e.rate = sim.Loop{Name: "dedup.rate-policy", Every: ratePolicyTick, Exit: e.unthrottle,
+		Tick: func(*sim.Proc) bool { e.rateTick(); return false }}
+	return e
 }
 
 // Stats returns a copy of the engine counters.
@@ -59,15 +65,10 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // it so `dedupctl metrics` shows flush/GC/eviction activity.
 func (e *Engine) reg() *metrics.Registry { return e.s.cluster.Metrics() }
 
-// Start spawns the worker processes.
+// Start starts the worker loops and the rate controller (DESIGN.md §9).
 func (e *Engine) Start() {
-	if e.started {
-		return
-	}
-	e.started = true
-	eng := e.s.cluster.Engine()
-	for i := 0; i < e.s.cfg.DedupThreads; i++ {
-		e.done = append(e.done, eng.GoDaemon(fmt.Sprintf("dedup.worker%d", i), e.workerLoop))
+	for i := range e.workers {
+		e.workers[i].Start(e.s.cluster.Engine())
 	}
 	e.startRatePolicy()
 }
@@ -81,10 +82,15 @@ func (e *Engine) Start() {
 // PG whose primary moved and an object a failed flush put back.
 func (e *Engine) DrainAndWait(p *sim.Proc) {
 	t0 := p.Now()
-	// The workers finish their current object and exit; the rate-policy
-	// daemon sees the engine stopped at its next tick and exits too.
-	e.started = false
-	if e.ratePolicyOn {
+	// The workers finish their current object and exit; the rate controller
+	// exits at its next wake-up (DESIGN.md §9).
+	var workers []*sim.Signal
+	for i := range e.workers {
+		if done := e.workers[i].Stop(); done != nil {
+			workers = append(workers, done)
+		}
+	}
+	if e.rate.Stop() != nil {
 		e.unthrottle()
 		e.reg().Gauge("dedup_rate_policy_parked").Set(1)
 	}
@@ -92,12 +98,10 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 	e.reg().Gauge("dedup_drain_agents").Set(int64(len(osds)))
 	// The first round overlaps the exiting workers; a clean round counts only
 	// once none is left to put an object back.
-	workers := e.done
 	for e.drainRound(p, osds) > 0 || len(workers) > 0 {
 		sim.WaitAll(p, workers...)
 		workers = nil
 	}
-	e.done = nil
 	e.pending = e.pending[:0] // flushed: a restarted worker must not revisit them
 	clear(e.inQueue)
 	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
@@ -169,14 +173,14 @@ func longest(queues [][]string) int {
 	return best
 }
 
-func (e *Engine) workerLoop(p *sim.Proc) {
-	for e.started {
-		if oid, ok := e.nextDirty(p); ok {
-			e.flushClaimed(p, oid, false)
-		} else {
-			p.Sleep(scanInterval)
-		}
+// workerTick flushes the next unclaimed dirty object, reporting whether there
+// was one: an idle worker sleeps scanInterval before it sweeps again.
+func (e *Engine) workerTick(p *sim.Proc) bool {
+	oid, ok := e.nextDirty(p)
+	if ok {
+		e.flushClaimed(p, oid, false)
 	}
+	return ok
 }
 
 // flushClaimed flushes oid at its metadata primary, claimed so that no other

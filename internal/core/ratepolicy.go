@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dedupstore/internal/qos"
-	"dedupstore/internal/sim"
 )
 
 // The §4.4.2 watermark rate controller, re-expressed for the QoS op
@@ -87,27 +86,19 @@ func (e *Engine) rateTick() {
 	}
 }
 
-// startRatePolicy spawns the controller daemon alongside the dedup workers. It
-// runs until the engine stops — a drain stops it and parks the class at once;
-// an engine restarted within the tick finds the daemon still there — and
-// restores the base weight on exit so a stopped engine leaves the scheduler
-// untouched.
+// startRatePolicy starts the controller alongside the dedup workers. A drain
+// stops it, parking the class at once; the controller sees the stop at its
+// next wake-up (DESIGN.md §9), so an engine restarted before then keeps it
+// and its base weight. On exit it restores the base weight, so a stopped
+// engine leaves the scheduler untouched.
 func (e *Engine) startRatePolicy() {
-	if !e.s.cfg.Rate.Enabled || e.ratePolicyOn {
+	if !e.s.cfg.Rate.Enabled {
 		return
 	}
-	e.ratePolicyOn = true
-	e.rateBase = e.s.cluster.QoS().Weight(qos.Dedup)
-	e.s.cluster.Engine().GoDaemon("dedup.rate-policy", func(p *sim.Proc) {
-		defer func() {
-			e.unthrottle()
-			e.ratePolicyOn = false
-		}()
-		for e.started {
-			e.rateTick()
-			p.Sleep(ratePolicyTick)
-		}
-	})
+	if !e.rate.Running() {
+		e.rateBase = e.s.cluster.QoS().Weight(qos.Dedup)
+	}
+	e.rate.Start(e.s.cluster.Engine())
 }
 
 // unthrottle gives the dedup class its base weight and no admission spacing.

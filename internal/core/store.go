@@ -248,6 +248,8 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 	}
 	s.cache.AttachRegistry(cluster.Metrics())
 	s.engine = newEngine(s)
+	s.tier.daemon = sim.Loop{Name: "dedup.tier-policy", First: cfg.Tiering.Interval, Every: cfg.Tiering.Interval,
+		Tick: func(p *sim.Proc) bool { _, _ = s.TierPass(p); return false }}
 	return s, nil
 }
 
@@ -366,28 +368,6 @@ func IsSystemObject(oid string) bool {
 	return len(oid) >= 4 && oid[:4] == "sys."
 }
 
-// clientOpStats caches one dedup op kind's registry handles so per-op
-// completion avoids string-keyed registry lookups.
-type clientOpStats struct {
-	total *metrics.Counter
-	lat   *metrics.Histogram
-}
-
-func newClientOpStats(reg *metrics.Registry, kind string) clientOpStats {
-	return clientOpStats{
-		total: reg.Counter("dedup_op_total:" + kind),
-		lat:   reg.Histogram("dedup_op_latency:" + kind),
-	}
-}
-
-// clientOpCtx carries one in-flight client op: its trace span (nil when
-// sampling dropped it), stat handles, and start time.
-type clientOpCtx struct {
-	sp    *metrics.Span
-	st    *clientOpStats
-	start sim.Time
-}
-
 // Client opens a user session with its own network link.
 type Client struct {
 	s      *Store
@@ -395,7 +375,7 @@ type Client struct {
 	tenant string
 
 	// Pre-resolved per-kind op handles (write/read/delete).
-	opWrite, opRead, opDelete clientOpStats
+	opWrite, opRead, opDelete metrics.OpStats
 }
 
 // Client returns a client session named name.
@@ -404,9 +384,9 @@ func (s *Store) Client(name string) *Client {
 	return &Client{
 		s:        s,
 		gw:       s.cluster.NewGateway(name),
-		opWrite:  newClientOpStats(reg, "dedup.write"),
-		opRead:   newClientOpStats(reg, "dedup.read"),
-		opDelete: newClientOpStats(reg, "dedup.delete"),
+		opWrite:  metrics.NewOpStats(reg, "dedup_op", "dedup.write", false),
+		opRead:   metrics.NewOpStats(reg, "dedup_op", "dedup.read", false),
+		opDelete: metrics.NewOpStats(reg, "dedup_op", "dedup.delete", false),
 	}
 }
 
@@ -422,23 +402,10 @@ func (cl *Client) SetTenant(tenant string) {
 
 // startOp opens a dedup-level trace span (the outermost span of a client
 // op; the rados ops it issues nest under it).
-func (cl *Client) startOp(p *sim.Proc, kind string, st *clientOpStats, bytes int) clientOpCtx {
-	sp := cl.s.cluster.Trace().Start(p, kind)
-	if sp != nil {
-		sp.SetOp(metaPoolName, "", int64(bytes)).SetTenant(cl.tenant)
-	}
-	return clientOpCtx{sp: sp, st: st, start: p.Now()}
-}
-
-// finishOp closes the span (recycling it — it must not be touched after)
-// and records the op latency in the registry.
-func (cl *Client) finishOp(p *sim.Proc, oc clientOpCtx, err error) {
-	if oc.sp != nil {
-		oc.sp.Err = err != nil
-		oc.sp.Finish(p)
-	}
-	oc.st.total.Inc()
-	oc.st.lat.Add((p.Now() - oc.start).Duration())
+func (cl *Client) startOp(p *sim.Proc, st *metrics.OpStats, bytes int) metrics.Op {
+	op := st.Start(p, cl.s.cluster.Trace())
+	op.Span.SetOp(metaPoolName, "", int64(bytes)).SetTenant(cl.tenant)
+	return op
 }
 
 // --- Write path (§4.5) -------------------------------------------------------
@@ -448,9 +415,9 @@ func (cl *Client) finishOp(p *sim.Proc, oc clientOpCtx, err error) {
 // chunk-map entries cached+dirty, and log the object in the dirty list; no
 // fingerprinting happens on this path.
 func (cl *Client) Write(p *sim.Proc, oid string, off int64, data []byte) error {
-	oc := cl.startOp(p, "dedup.write", &cl.opWrite, len(data))
+	op := cl.startOp(p, &cl.opWrite, len(data))
 	err := cl.write(p, oid, off, data)
-	cl.finishOp(p, oc, err)
+	op.Finish(p, err)
 	return err
 }
 
@@ -529,12 +496,12 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 // chunks are proxied through the metadata primary to the chunk pool
 // (step 4b — the redirection whose cost Fig. 10/11 quantify).
 func (cl *Client) Read(p *sim.Proc, oid string, off, length int64) ([]byte, error) {
-	oc := cl.startOp(p, "dedup.read", &cl.opRead, 0)
+	op := cl.startOp(p, &cl.opRead, 0)
 	out, err := cl.read(p, oid, off, length)
-	if oc.sp != nil {
-		oc.sp.Bytes = int64(len(out))
+	if op.Span != nil {
+		op.Span.Bytes = int64(len(out))
 	}
-	cl.finishOp(p, oc, err)
+	op.Finish(p, err)
 	return out, err
 }
 
@@ -617,9 +584,9 @@ func (cl *Client) Stat(p *sim.Proc, oid string) (int64, error) {
 
 // Delete removes the object, de-referencing every chunk it points to.
 func (cl *Client) Delete(p *sim.Proc, oid string) error {
-	oc := cl.startOp(p, "dedup.delete", &cl.opDelete, 0)
+	op := cl.startOp(p, &cl.opDelete, 0)
 	err := cl.delete(p, oid)
-	cl.finishOp(p, oc, err)
+	op.Finish(p, err)
 	return err
 }
 

@@ -59,9 +59,8 @@ type TierCensus struct {
 
 // tierState is the daemon's mutable state, embedded in Store.
 type tierState struct {
-	daemonOn bool
-	stopReq  bool
-	inFlight int // object actions currently executing
+	daemon   sim.Loop // a TierPass every Tiering.Interval, first after one
+	inFlight int      // object actions currently executing
 
 	stats    TierStats
 	census   TierCensus
@@ -79,32 +78,20 @@ func (s *Store) TierCensus() (TierCensus, sim.Time) { return s.tier.census, s.ti
 func (s *Store) TierInFlight() int { return s.tier.inFlight }
 
 // TieringDaemonRunning reports whether the policy daemon is live.
-func (s *Store) TieringDaemonRunning() bool { return s.tier.daemonOn }
+func (s *Store) TieringDaemonRunning() bool { return s.tier.daemon.Running() }
 
-// StartTieringDaemon spawns the policy daemon (no-op unless tiering is
-// enabled): every Tiering.Interval it runs one TierPass. Modeled on the
-// rate-policy controller — a single long-lived process, stopped via
-// StopTieringDaemon.
+// StartTieringDaemon starts the policy daemon (no-op unless tiering is
+// enabled): every Tiering.Interval it runs one TierPass. A daemon stopped but
+// not yet at its next wake-up keeps running instead (DESIGN.md §9).
 func (s *Store) StartTieringDaemon() {
-	if !s.cfg.Tiering.Enabled || s.tier.daemonOn {
-		return
+	if s.cfg.Tiering.Enabled {
+		s.tier.daemon.Start(s.cluster.Engine())
 	}
-	s.tier.daemonOn = true
-	s.tier.stopReq = false
-	s.cluster.Engine().GoDaemon("dedup.tier-policy", func(p *sim.Proc) {
-		defer func() { s.tier.daemonOn = false }()
-		for !s.tier.stopReq {
-			p.Sleep(s.cfg.Tiering.Interval)
-			if s.tier.stopReq {
-				return
-			}
-			_, _ = s.TierPass(p)
-		}
-	})
 }
 
-// StopTieringDaemon asks the policy daemon to exit after its current pass.
-func (s *Store) StopTieringDaemon() { s.tier.stopReq = true }
+// StopTieringDaemon asks the policy daemon to exit; it sees the request at
+// its next wake-up, so a pass under way runs to its end first.
+func (s *Store) StopTieringDaemon() { s.tier.daemon.Stop() }
 
 // TierPass runs one policy pass: census every object's temperature, and for
 // each object whose placement disagrees with its target form, execute the

@@ -505,6 +505,28 @@ func TestTieringDaemon(t *testing.T) {
 	})
 }
 
+// TestTieringDaemonRestartWithinInterval: a stop and a start inside one
+// Tiering.Interval leave exactly one daemon, still running its passes.
+func TestTieringDaemonRestartWithinInterval(t *testing.T) {
+	e := newTierEnv(t, func(cfg *Config) { cfg.Tiering.Interval = 200 * time.Millisecond })
+	e.run(t, func(p *sim.Proc) {
+		e.s.StartTieringDaemon()
+		p.Sleep(300 * time.Millisecond)
+		e.s.StopTieringDaemon()
+		p.Sleep(50 * time.Millisecond)
+		e.s.StartTieringDaemon()
+		before := e.s.TierStats().Passes
+		p.Sleep(2 * time.Second)
+		if !e.s.TieringDaemonRunning() {
+			t.Fatal("no daemon 2s after a restart within the interval")
+		}
+		// One daemon passes at 400ms, 600ms, ..., 2200ms.
+		if passes := e.s.TierStats().Passes - before; passes != 10 {
+			t.Fatalf("%d passes in the 2s after the restart, want 10 (one daemon)", passes)
+		}
+	})
+}
+
 // TestTieringDisabledUnchanged: with the zero-value config the subsystem is
 // inert — no cold pool, boolean hotness, TierPass refuses to run.
 func TestTieringDisabledUnchanged(t *testing.T) {

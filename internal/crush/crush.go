@@ -90,14 +90,6 @@ func (m *Map) AddOSDClass(id int, host string, weight float64, class string) err
 	return nil
 }
 
-// RemoveOSD deletes an OSD entirely.
-func (m *Map) RemoveOSD(id int) {
-	if _, ok := m.osds[id]; ok {
-		delete(m.osds, id)
-		m.Epoch++
-	}
-}
-
 // SetUp marks an OSD up/down.
 func (m *Map) SetUp(id int, up bool) {
 	if o, ok := m.osds[id]; ok && o.Up != up {
@@ -333,30 +325,4 @@ func (m *Map) ActingSetClass(pg PG, n int, class string) []int {
 		}
 	}
 	return acting
-}
-
-// MovedPGs compares PG mappings between two maps and returns the PG
-// sequence numbers whose OSD sets differ — the PGs that must rebalance.
-func MovedPGs(a, b *Map, pool uint64, pgNum uint32, n int) []uint32 {
-	var moved []uint32
-	for seq := uint32(0); seq < pgNum; seq++ {
-		pg := PG{Pool: pool, Seq: seq}
-		sa, sb := a.MapPG(pg, n), b.MapPG(pg, n)
-		if !equalInts(sa, sb) {
-			moved = append(moved, seq)
-		}
-	}
-	return moved
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package crush
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,7 +84,7 @@ func TestMapPGDeterministic(t *testing.T) {
 	m := paperCluster(t)
 	pg := PG{Pool: 2, Seq: 17}
 	a, b := m.MapPG(pg, 2), m.MapPG(pg, 2)
-	if !equalInts(a, b) {
+	if !slices.Equal(a, b) {
 		t.Fatal("MapPG not deterministic")
 	}
 }
@@ -128,7 +129,7 @@ func TestMinimalMovementOnOSDOut(t *testing.T) {
 	after := before.Clone()
 	after.SetIn(5, false) // fail one of 16 OSDs out
 	const pgNum = 512
-	moved := MovedPGs(before, after, 1, pgNum, 2)
+	moved := movedPGs(before, after, 1, pgNum, 2)
 	// Ideal movement = PGs that had osd.5 (~ 2*512/16 = 64). Allow overhead
 	// for cascading straw2 choices but far below full reshuffle.
 	if len(moved) > pgNum/3 {
@@ -173,9 +174,9 @@ func TestEpochBumps(t *testing.T) {
 	if m.Epoch != e2 {
 		t.Fatal("no-op SetUp bumped epoch")
 	}
-	m.RemoveOSD(0)
+	m.SetIn(0, false)
 	if m.Epoch <= e2 {
-		t.Fatal("RemoveOSD did not bump epoch")
+		t.Fatal("SetIn did not bump epoch")
 	}
 }
 
@@ -235,4 +236,18 @@ func TestQuickMapPGAlwaysDistinct(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// movedPGs compares PG mappings between two maps and returns the PG
+// sequence numbers whose OSD sets differ — the PGs that must rebalance.
+func movedPGs(a, b *Map, pool uint64, pgNum uint32, n int) []uint32 {
+	var moved []uint32
+	for seq := uint32(0); seq < pgNum; seq++ {
+		pg := PG{Pool: pool, Seq: seq}
+		sa, sb := a.MapPG(pg, n), b.MapPG(pg, n)
+		if !slices.Equal(sa, sb) {
+			moved = append(moved, seq)
+		}
+	}
+	return moved
 }

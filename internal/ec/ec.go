@@ -47,25 +47,6 @@ func (c *Codec) SplitData(payload []byte) [][]byte {
 	return shards
 }
 
-// JoinData reassembles the original payload of length n from data shards.
-func (c *Codec) JoinData(shards [][]byte, n int) ([]byte, error) {
-	if len(shards) < c.K {
-		return nil, ErrShardCount
-	}
-	out := make([]byte, 0, n)
-	for i := 0; i < c.K && len(out) < n; i++ {
-		if shards[i] == nil {
-			return nil, ErrTooFew
-		}
-		remain := n - len(out)
-		if remain > len(shards[i]) {
-			remain = len(shards[i])
-		}
-		out = append(out, shards[i][:remain]...)
-	}
-	return out, nil
-}
-
 // Encode computes parity shards from the K data shards. Input must contain
 // exactly K equal-size shards; it returns K+M shards (data aliased, parity
 // fresh).

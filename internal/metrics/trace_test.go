@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -128,3 +129,37 @@ func TestSpanString(t *testing.T) {
 		}
 	}
 }
+
+// TestOpBracket: an op records its count and latency under its family's
+// names, its error only where the family counts errors, and its span even
+// when the op failed.
+func TestOpBracket(t *testing.T) {
+	e := sim.New(1)
+	reg, sink := NewRegistry(), NewTraceSink(16)
+	counted := NewOpStats(reg, "rados_op", "rados.read", true)
+	silent := NewOpStats(reg, "dedup_op", "dedup.read", false)
+	e.Go("ops", func(p *sim.Proc) {
+		for _, st := range []*OpStats{&counted, &silent} {
+			op := st.Start(p, sink)
+			p.Sleep(2 * time.Millisecond)
+			op.Finish(p, errTestOp)
+		}
+	})
+	e.Run()
+	for _, name := range []string{"rados_op_total:rados.read", "rados_op_errors_total:rados.read", "dedup_op_total:dedup.read"} {
+		if v := reg.Counter(name).Value(); v != 1 {
+			t.Errorf("%s = %d, want 1", name, v)
+		}
+	}
+	if strings.Contains(reg.Dump(), "dedup_op_errors") {
+		t.Error("a family without an error counter grew one")
+	}
+	if h := reg.Histogram("dedup_op_latency:dedup.read"); h.Count() != 1 || h.Sum() != 2*time.Millisecond {
+		t.Errorf("latency: %d ops summing %v, want 1 of 2ms", h.Count(), h.Sum())
+	}
+	if recent := sink.Recent(2); len(recent) != 2 || recent[0].Name != "rados.read" || !recent[1].Err {
+		t.Errorf("spans %+v, want rados.read then dedup.read, both failed", recent)
+	}
+}
+
+var errTestOp = errors.New("op failed")

@@ -198,7 +198,7 @@ type Cluster struct {
 	// errors) the same way: resolve the metric name once at construction,
 	// then each op completion is a few atomic ops with no map lookups.
 	ops struct {
-		write, writeFull, del, read, mutate opStats
+		write, writeFull, del, read, mutate metrics.OpStats
 	}
 	// fpLookupLat/fpMismatch are the fingerprint-probe handles, resolved
 	// when EnableFPIndex arms the index.
@@ -251,11 +251,11 @@ func New(eng *sim.Engine, cost simcost.Params, opts ...Option) *Cluster {
 			c.qwait[cls].Add(wait)
 		}
 	}
-	c.ops.write = newOpStats(c.reg, "rados.write")
-	c.ops.writeFull = newOpStats(c.reg, "rados.writefull")
-	c.ops.del = newOpStats(c.reg, "rados.delete")
-	c.ops.read = newOpStats(c.reg, "rados.read")
-	c.ops.mutate = newOpStats(c.reg, "rados.mutate")
+	c.ops.write = metrics.NewOpStats(c.reg, "rados_op", "rados.write", true)
+	c.ops.writeFull = metrics.NewOpStats(c.reg, "rados_op", "rados.writefull", true)
+	c.ops.del = metrics.NewOpStats(c.reg, "rados_op", "rados.delete", true)
+	c.ops.read = metrics.NewOpStats(c.reg, "rados_op", "rados.read", true)
+	c.ops.mutate = metrics.NewOpStats(c.reg, "rados_op", "rados.mutate", true)
 	return c
 }
 
@@ -519,21 +519,6 @@ func (c *Cluster) setCounter(name string, v int64) {
 
 // RecoveredBytes reports total bytes moved by recovery/rebalance so far.
 func (c *Cluster) RecoveredBytes() int64 { return c.recovered }
-
-// HostCPUUsage returns average CPU utilization (0..1) across all hosts up to
-// the current virtual time, the metric plotted as the solid line in Fig. 10.
-func (c *Cluster) HostCPUUsage() float64 {
-	now := c.eng.Now()
-	if now == 0 || len(c.hosts) == 0 {
-		return 0
-	}
-	var frac float64
-	for _, h := range c.hosts {
-		busy := h.cpu.BusyTime(now)
-		frac += float64(busy) / float64(now.Duration())
-	}
-	return frac / float64(len(c.hosts))
-}
 
 // HostCPUBusy returns the summed CPU busy time across all hosts up to now.
 // Measure a window by differencing two calls: usage = Δbusy / (Δt × hosts).

@@ -60,16 +60,11 @@ func (c *Cluster) attachFPIndex(o *osd) {
 			o.fpidx.Insert(nil, key.OID, 0)
 		}
 	}
-	c.eng.GoDaemon(fmt.Sprintf("fpindex.compact.osd%d", o.id), func(p *sim.Proc) {
-		for {
-			// A crashed OSD compacts nothing; otherwise drain all due merges
-			// before going back to sleep.
-			if o.alive && o.fpidx.CompactOnce(p) {
-				continue
-			}
-			p.Sleep(fpindex.CompactEvery)
-		}
-	})
+	// A crashed OSD compacts nothing; otherwise the daemon drains all due
+	// merges before it goes back to sleep.
+	compact := &sim.Loop{Name: fmt.Sprintf("fpindex.compact.osd%d", o.id), Every: fpindex.CompactEvery,
+		Tick: func(p *sim.Proc) bool { return o.alive && o.fpidx.CompactOnce(p) }}
+	compact.Start(c.eng)
 }
 
 // FPIndexEnabled reports whether a fingerprint index fronts any pool.

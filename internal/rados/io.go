@@ -34,17 +34,11 @@ func (c *Cluster) NewGateway(name string) *Gateway {
 	return &Gateway{c: c, name: name, nic: c.qsched.NewScheduler(nic), cls: qos.Client, foreground: true}
 }
 
-// HostGateway creates an internal gateway that shares an existing host's
-// NIC — the vantage point of a background dedup thread running on a storage
-// node. Its operations are not counted as foreground I/O and run in the
-// dedup QoS class.
-func (c *Cluster) HostGateway(hostName string) (*Gateway, error) {
-	return c.HostGatewayClass(hostName, qos.Dedup)
-}
-
-// HostGatewayClass is HostGateway for an explicit QoS class — how GC,
-// scrub and read-redirection sessions pin their traffic to the right
-// scheduler class.
+// HostGatewayClass creates an internal gateway that shares an existing
+// host's NIC — the vantage point of a background thread running on a storage
+// node. Its operations are not counted as foreground I/O and run in class
+// cls, which is how dedup, GC, scrub and read-redirection sessions pin their
+// traffic to the right scheduler class.
 func (c *Cluster) HostGatewayClass(hostName string, cls qos.Class) (*Gateway, error) {
 	h, ok := c.hosts[hostName]
 	if !ok {
@@ -79,56 +73,14 @@ func (g *Gateway) noteOp(bytes int) {
 	}
 }
 
-// opStats caches one op kind's registry handles, resolved once at cluster
-// construction so the per-op completion path performs no string-keyed map
-// lookups.
-type opStats struct {
-	total *metrics.Counter
-	lat   *metrics.Histogram
-	errs  *metrics.Counter
-}
-
-func newOpStats(reg *metrics.Registry, kind string) opStats {
-	return opStats{
-		total: reg.Counter("rados_op_total:" + kind),
-		lat:   reg.Histogram("rados_op_latency:" + kind),
-		errs:  reg.Counter("rados_op_errors_total:" + kind),
+// startOp opens a gateway op's span, tagged with pool, PG, payload size,
+// QoS class and tenant.
+func (g *Gateway) startOp(p *sim.Proc, st *metrics.OpStats, pool *Pool, oid string, bytes int) metrics.Op {
+	op := st.Start(p, g.c.sink)
+	if op.Span != nil {
+		op.Span.SetOp(pool.Name, g.c.PGOf(pool, oid).String(), int64(bytes)).SetClass(g.cls.String()).SetTenant(g.tenant)
 	}
-}
-
-// opCtx carries one in-flight gateway op: its trace span (nil when trace
-// sampling dropped it), the kind's pre-resolved stat handles, and the start
-// time. Latency is measured from the op's own clock, so the registry stays
-// exact even for ops whose span was not sampled.
-type opCtx struct {
-	sp    *metrics.Span
-	st    *opStats
-	start sim.Time
-}
-
-// startOp opens a trace span for a gateway operation, tagged with pool, PG
-// and payload size. Tracing observes only — it adds no virtual time.
-func (g *Gateway) startOp(p *sim.Proc, kind string, st *opStats, pool *Pool, oid string, bytes int) opCtx {
-	sp := g.c.sink.Start(p, kind)
-	if sp != nil {
-		sp.SetOp(pool.Name, g.c.PGOf(pool, oid).String(), int64(bytes)).SetClass(g.cls.String()).SetTenant(g.tenant)
-	}
-	return opCtx{sp: sp, st: st, start: p.Now()}
-}
-
-// finishOp closes the span (which recycles it — the span must not be used
-// afterwards) and records the op's latency and outcome in the cluster
-// registry.
-func (g *Gateway) finishOp(p *sim.Proc, oc opCtx, err error) {
-	if oc.sp != nil {
-		oc.sp.Err = err != nil
-		oc.sp.Finish(p)
-	}
-	oc.st.total.Inc()
-	oc.st.lat.Add((p.Now() - oc.start).Duration())
-	if err != nil {
-		oc.st.errs.Inc()
-	}
+	return op
 }
 
 // View gives a Mutate closure read access to the object being mutated. For
@@ -180,18 +132,18 @@ func (v replView) Version() uint64                        { return v.st.Version(
 // Write writes data at offset off (replicated pools write in place; EC
 // pools rewrite the stripe rows the write touches).
 func (g *Gateway) Write(p *sim.Proc, pool *Pool, oid string, off int64, data []byte) error {
-	return g.mutate(p, "rados.write", &g.c.ops.write, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
+	return g.mutate(p, &g.c.ops.write, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
 }
 
 // WriteFull replaces the object's contents. data stays the caller's: the
 // replicas share the one copy made here (an EC pool encodes fresh shards).
 func (g *Gateway) WriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
-	return g.mutate(p, "rados.writefull", &g.c.ops.writeFull, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
+	return g.mutate(p, &g.c.ops.writeFull, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
 }
 
 // Delete removes the object.
 func (g *Gateway) Delete(p *sim.Proc, pool *Pool, oid string) error {
-	return g.mutate(p, "rados.delete", &g.c.ops.del, pool, oid, 0, store.NewTxn().Delete(), nil)
+	return g.mutate(p, &g.c.ops.del, pool, oid, 0, store.NewTxn().Delete(), nil)
 }
 
 // Read returns length bytes at off (length<0 reads to end) in a fresh buffer
@@ -218,12 +170,12 @@ func (g *Gateway) ReadBorrowed(p *sim.Proc, pool *Pool, oid string, off, length 
 }
 
 func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte, borrow bool) ([]byte, error) {
-	oc := g.startOp(p, "rados.read", &g.c.ops.read, pool, oid, 0)
+	op := g.startOp(p, &g.c.ops.read, pool, oid, 0)
 	data, err := g.read(p, pool, oid, off, length, dst, borrow)
-	if oc.sp != nil {
-		oc.sp.Bytes = int64(len(data))
+	if op.Span != nil {
+		op.Span.Bytes = int64(len(data))
 	}
-	g.finishOp(p, oc, err)
+	op.Finish(p, err)
 	return data, err
 }
 
@@ -390,20 +342,20 @@ func (g *Gateway) Mutate(p *sim.Proc, pool *Pool, oid string, fn MutateFn) error
 // the payload is charged on the caller's outbound link and the primary's
 // inbound link. Replicas always receive the full resulting transaction.
 func (g *Gateway) MutateWithPayload(p *sim.Proc, pool *Pool, oid string, payload int, fn MutateFn) error {
-	return g.mutate(p, "rados.mutate", &g.c.ops.mutate, pool, oid, payload, nil, fn)
+	return g.mutate(p, &g.c.ops.mutate, pool, oid, payload, nil, fn)
 }
 
 // mutate is every mutation's one path: it opens the op's span under its own
 // kind and serves the shipped txn or fn by the pool's kind.
-func (g *Gateway) mutate(p *sim.Proc, kind string, st *opStats, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
-	oc := g.startOp(p, kind, st, pool, oid, payload)
+func (g *Gateway) mutate(p *sim.Proc, st *metrics.OpStats, pool *Pool, oid string, payload int, txn *store.Txn, fn MutateFn) error {
+	op := g.startOp(p, st, pool, oid, payload)
 	var err error
 	if pool.Red.Kind == Erasure {
 		err = g.ecMutate(p, pool, oid, payload, txn, fn)
 	} else {
 		err = g.replMutate(p, pool, oid, payload, txn, fn)
 	}
-	g.finishOp(p, oc, err)
+	op.Finish(p, err)
 	return err
 }
 

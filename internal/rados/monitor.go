@@ -62,7 +62,7 @@ type Monitor struct {
 	c   *Cluster
 	cfg MonitorConfig
 
-	stopped  bool
+	loop     sim.Loop
 	lastAck  map[int]sim.Time
 	wasAlive map[int]bool
 	downAt   map[int]sim.Time
@@ -102,20 +102,16 @@ func (c *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 		m.lastAck[id] = now
 		m.wasAlive[id] = c.OSDAlive(id)
 	}
-	c.eng.GoDaemon("mon", func(p *sim.Proc) {
-		for !m.stopped {
-			m.tick(p)
-			p.Sleep(m.cfg.Interval)
-		}
-	})
+	m.loop = sim.Loop{Name: "mon", Every: cfg.Interval, Tick: func(p *sim.Proc) bool { m.tick(p); return false }}
+	m.loop.Start(c.eng)
 	return m
 }
 
 // Config returns the monitor's effective configuration.
 func (m *Monitor) Config() MonitorConfig { return m.cfg }
 
-// Stop ends the monitor loop after the current tick.
-func (m *Monitor) Stop() { m.stopped = true }
+// Stop ends the monitor loop at its next wake-up (DESIGN.md §9).
+func (m *Monitor) Stop() { m.loop.Stop() }
 
 // Events returns the availability timeline so far.
 func (m *Monitor) Events() []MonEvent {

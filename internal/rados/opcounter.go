@@ -54,12 +54,6 @@ func (oc *OpCounter) RecentIOPS() float64 {
 	return ops
 }
 
-// RecentThroughput reports bytes per second over the trailing window.
-func (oc *OpCounter) RecentThroughput() float64 {
-	_, bytes := oc.recent()
-	return bytes
-}
-
 func (oc *OpCounter) recent() (opsPerSec, bytesPerSec float64) {
 	now := int64(oc.eng.Now())
 	curEpoch := now / int64(oc.bucketLen)

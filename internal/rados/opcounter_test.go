@@ -33,7 +33,7 @@ func TestOpCounterSlidingWindow(t *testing.T) {
 		if got := oc.RecentIOPS(); got < 80 || got > 120 {
 			t.Errorf("recent IOPS = %v, want ~100", got)
 		}
-		if got := oc.RecentThroughput(); got < 80e3 || got > 120e3 {
+		if _, got := oc.recent(); got < 80e3 || got > 120e3 {
 			t.Errorf("recent throughput = %v, want ~100KB/s", got)
 		}
 		// Go quiet for two seconds: the window must drain to zero.

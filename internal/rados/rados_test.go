@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/simcost"
 	"dedupstore/internal/store"
@@ -680,7 +681,7 @@ func TestNoOSDError(t *testing.T) {
 
 func TestForegroundOpCounting(t *testing.T) {
 	e := newEnv(t)
-	internal, err := e.c.HostGateway("host0")
+	internal, err := e.c.HostGatewayClass("host0", qos.Dedup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +739,22 @@ func TestHostCPUUsageAccounting(t *testing.T) {
 			e.gw.WriteFull(p, e.rep, fmt.Sprintf("o%d", i), make([]byte, 32768))
 		}
 	})
-	if u := e.c.HostCPUUsage(); u <= 0 || u > 1 {
+	if u := e.c.hostCPUUsage(); u <= 0 || u > 1 {
 		t.Fatalf("cpu usage = %v", u)
 	}
+}
+
+// hostCPUUsage returns average CPU utilization (0..1) across all hosts up to
+// the current virtual time, the metric plotted as the solid line in Fig. 10.
+func (c *Cluster) hostCPUUsage() float64 {
+	now := c.eng.Now()
+	if now == 0 || len(c.hosts) == 0 {
+		return 0
+	}
+	var frac float64
+	for _, h := range c.hosts {
+		busy := h.cpu.BusyTime(now)
+		frac += float64(busy) / float64(now.Duration())
+	}
+	return frac / float64(len(c.hosts))
 }

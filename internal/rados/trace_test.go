@@ -94,7 +94,7 @@ func TestOpCounterEarlyWindow(t *testing.T) {
 		if got > 2500 {
 			t.Errorf("early-window IOPS = %v overshoots ~2000", got)
 		}
-		if tp := oc.RecentThroughput(); tp < 1.5e6 || tp > 2.5e6 {
+		if _, tp := oc.recent(); tp < 1.5e6 || tp > 2.5e6 {
 			t.Errorf("early-window throughput = %v, want ~2e6 B/s", tp)
 		}
 	})

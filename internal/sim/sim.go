@@ -610,6 +610,69 @@ func WaitAll(p *Proc, sigs ...*Signal) {
 }
 
 // ---------------------------------------------------------------------------
+// Loop: a periodic background service.
+
+// Loop is a background service that repeats one tick while it runs. Its
+// daemon process sleeps First, then ticks; a tick that reports more work
+// (busy) is followed at once by the next, any other by a sleep of Every.
+//
+// A Stop is seen at the top of the next iteration — at the wake-up after a
+// sleep, or right after a busy tick — and never interrupts a tick. A Start
+// before then cancels it, so any sequence of Starts and Stops leaves at most
+// one process, and exactly one after a Start. Exit, if set, runs once as the
+// process ends, before its done signal fires.
+type Loop struct {
+	Name  string
+	First time.Duration // sleep before the first tick
+	Every time.Duration // sleep after a tick that is not busy
+	Tick  func(p *Proc) (busy bool)
+	Exit  func()
+
+	live, stopping bool
+	done           *Signal
+}
+
+// Start spawns the loop's daemon process on e, or, when one is live, cancels
+// any stop it has not yet seen. It returns the live process's done signal.
+func (l *Loop) Start(e *Engine) *Signal {
+	l.stopping = false
+	if !l.live {
+		l.live = true
+		l.done = e.GoDaemon(l.Name, l.run)
+	}
+	return l.done
+}
+
+// Stop asks the live process to exit at the top of its next iteration and
+// returns its done signal; nil when no process is live.
+func (l *Loop) Stop() *Signal {
+	if !l.live {
+		return nil
+	}
+	l.stopping = true
+	return l.done
+}
+
+// Running reports whether the loop's process is live, including a stopped
+// one that has not yet seen its stop.
+func (l *Loop) Running() bool { return l.live }
+
+func (l *Loop) run(p *Proc) {
+	if l.First > 0 {
+		p.Sleep(l.First)
+	}
+	for !l.stopping {
+		if !l.Tick(p) {
+			p.Sleep(l.Every)
+		}
+	}
+	l.live, l.stopping = false, false
+	if l.Exit != nil {
+		l.Exit()
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Cond: a reusable condition variable.
 
 // Cond is a reusable wait/notify point, the DES analogue of sync.Cond:

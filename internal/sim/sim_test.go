@@ -667,3 +667,138 @@ func TestCloseEndsCoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines after closing 50 engines, %d before", got, base)
 	}
 }
+
+func TestLoop(t *testing.T) {
+	const every = 10 * time.Millisecond
+	ms := func(n int) Time { return Time(time.Duration(n) * time.Millisecond) }
+	cases := []struct {
+		name  string
+		first time.Duration
+		busy  int // leading ticks that take 1ms and report more work
+		drive func(t *testing.T, p *Proc, l *Loop)
+		ticks []Time
+		exits int
+		live  bool
+	}{
+		{
+			name:  "first delay honoured",
+			first: 30 * time.Millisecond,
+			drive: func(t *testing.T, p *Proc, l *Loop) { p.Sleep(55 * time.Millisecond) },
+			ticks: []Time{ms(30), ms(40), ms(50)},
+			live:  true,
+		},
+		{
+			name: "stop seen only at a wake-up",
+			drive: func(t *testing.T, p *Proc, l *Loop) {
+				p.Sleep(25 * time.Millisecond)
+				done := l.Stop()
+				p.Sleep(4 * time.Millisecond)
+				if !l.Running() {
+					t.Error("stopped loop exited before its wake-up")
+				}
+				done.Wait(p)
+				if p.Now() != ms(30) {
+					t.Errorf("exited at %v, want at the 30ms wake-up", p.Now())
+				}
+			},
+			ticks: []Time{0, ms(10), ms(20)},
+			exits: 1,
+		},
+		{
+			name: "start before the wake-up cancels the stop",
+			drive: func(t *testing.T, p *Proc, l *Loop) {
+				p.Sleep(25 * time.Millisecond)
+				stopped := l.Stop()
+				p.Sleep(2 * time.Millisecond)
+				if l.Start(p.Engine()) != stopped {
+					t.Error("restart spawned a second process")
+				}
+				p.Sleep(20 * time.Millisecond)
+				if live := p.Engine().Stats().ProcsLive; live != 2 {
+					t.Errorf("%d processes live, want the driver and one loop", live)
+				}
+			},
+			ticks: []Time{0, ms(10), ms(20), ms(30), ms(40)},
+			live:  true,
+		},
+		{
+			name:  "busy tick does not sleep",
+			busy:  3,
+			drive: func(t *testing.T, p *Proc, l *Loop) { p.Sleep(25 * time.Millisecond) },
+			ticks: []Time{0, ms(1), ms(2), ms(3), ms(13), ms(23)},
+			live:  true,
+		},
+		{
+			name: "done fires once and exit runs once per process",
+			drive: func(t *testing.T, p *Proc, l *Loop) {
+				p.Sleep(5 * time.Millisecond)
+				done := l.Stop()
+				if l.Stop() != done {
+					t.Error("second stop named another process")
+				}
+				woken := 0
+				p.Go("waiter", func(q *Proc) {
+					done.Wait(q)
+					woken++
+				})
+				done.Wait(p)
+				p.Sleep(20 * time.Millisecond)
+				if woken != 1 {
+					t.Errorf("done woke its waiter %d times, want 1", woken)
+				}
+				if l.Stop() != nil {
+					t.Error("stop of an exited loop returned a done signal")
+				}
+				again := l.Start(p.Engine())
+				if again == done {
+					t.Error("start after exit reused the exited process's signal")
+				}
+				p.Sleep(5 * time.Millisecond)
+				l.Stop().Wait(p)
+			},
+			ticks: []Time{0, ms(30)},
+			exits: 2,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(1)
+			var ticks []Time
+			exits, busy := 0, c.busy
+			l := &Loop{
+				Name:  "loop",
+				First: c.first,
+				Every: every,
+				Tick: func(p *Proc) bool {
+					ticks = append(ticks, p.Now())
+					if busy == 0 {
+						return false
+					}
+					busy--
+					p.Sleep(time.Millisecond)
+					return true
+				},
+				Exit: func() { exits++ },
+			}
+			e.Go("driver", func(p *Proc) {
+				l.Start(e)
+				c.drive(t, p, l)
+			})
+			e.Run()
+			if len(ticks) != len(c.ticks) {
+				t.Fatalf("ticks at %v, want %v", ticks, c.ticks)
+			}
+			for i := range ticks {
+				if ticks[i] != c.ticks[i] {
+					t.Fatalf("ticks at %v, want %v", ticks, c.ticks)
+				}
+			}
+			if exits != c.exits {
+				t.Errorf("exit hook ran %d times, want %d", exits, c.exits)
+			}
+			if l.Running() != c.live {
+				t.Errorf("running = %v at the end, want %v", l.Running(), c.live)
+			}
+		})
+	}
+}

@@ -90,24 +90,6 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	return ops, nil
 }
 
-// FormatTrace writes ops in the trace format.
-func FormatTrace(w io.Writer, ops []TraceOp) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# ts_us op offset length [seed]")
-	for _, op := range ops {
-		kind := "R"
-		if op.Write {
-			kind = "W"
-		}
-		if op.Write {
-			fmt.Fprintf(bw, "%d %s %d %d %d\n", op.At.Microseconds(), kind, op.Offset, op.Length, op.Seed)
-		} else {
-			fmt.Fprintf(bw, "%d %s %d %d\n", op.At.Microseconds(), kind, op.Offset, op.Length)
-		}
-	}
-	return bw.Flush()
-}
-
 // TraceResult aggregates a replay.
 type TraceResult struct {
 	Reads, Writes *metrics.Recorder
@@ -175,48 +157,4 @@ func ReplayTrace(p *sim.Proc, dev *client.BlockDevice, ops []TraceOp, timeScale 
 	sim.WaitAll(p, append(sigs, sched)...)
 	res.Elapsed = p.Now() - start
 	return res
-}
-
-// SynthesizeTrace builds a trace with the cloud generator's redundancy
-// profile: a write-mostly burst populating the device followed by a mixed
-// read/overwrite phase. Useful for demos and as a template for converting
-// real traces.
-func SynthesizeTrace(devSize int64, blockSize int64, ops int, dedupPct float64, seed int64) []TraceOp {
-	gen := NewFIOGen(FIOConfig{BlockSize: blockSize, Span: devSize, DedupPct: dedupPct, Ops: ops, Seed: seed})
-	_ = gen
-	blocks := devSize / blockSize
-	if blocks < 1 {
-		blocks = 1
-	}
-	rng := newSplitMix(seed)
-	var out []TraceOp
-	t := time.Duration(0)
-	for i := 0; i < ops; i++ {
-		t += time.Duration(100+rng.next()%400) * time.Microsecond
-		op := TraceOp{At: t, Offset: int64(rng.next()%uint64(blocks)) * blockSize, Length: blockSize}
-		if i < ops/2 || rng.next()%100 < 40 {
-			op.Write = true
-			// Duplicate content with probability dedupPct.
-			if float64(rng.next()%100) < dedupPct {
-				op.Seed = seed + int64(rng.next()%64) // shared pool
-			} else {
-				op.Seed = seed + 1000 + int64(i)
-			}
-		}
-		out = append(out, op)
-	}
-	return out
-}
-
-// splitMix is a tiny deterministic generator for trace synthesis.
-type splitMix struct{ x uint64 }
-
-func newSplitMix(seed int64) *splitMix { return &splitMix{x: uint64(seed)*0x9e3779b97f4a7c15 + 1} }
-
-func (s *splitMix) next() uint64 {
-	s.x += 0x9e3779b97f4a7c15
-	z := s.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

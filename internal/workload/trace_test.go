@@ -1,11 +1,15 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dedupstore/internal/client"
 	"dedupstore/internal/rados"
@@ -56,9 +60,9 @@ func TestParseTraceErrors(t *testing.T) {
 }
 
 func TestFormatParseRoundTrip(t *testing.T) {
-	ops := SynthesizeTrace(1<<20, 8<<10, 50, 50, 7)
+	ops := synthesizeTrace(1<<20, 8<<10, 50, 50, 7)
 	var buf bytes.Buffer
-	if err := FormatTrace(&buf, ops); err != nil {
+	if err := formatTrace(&buf, ops); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseTrace(&buf)
@@ -85,7 +89,7 @@ func TestReplayTrace(t *testing.T) {
 	c := rados.NewTestbed(eng, simcost.Default(), 4, 4)
 	pool, _ := c.CreatePool(rados.PoolConfig{Name: "p", PGNum: 64, Redundancy: rados.ReplicatedN(2)})
 	dev, _ := client.NewBlockDevice("img", 1<<20, 256<<10, &client.RawBackend{GW: c.NewGateway("cl"), Pool: pool})
-	ops := SynthesizeTrace(1<<20, 8<<10, 200, 50, 9)
+	ops := synthesizeTrace(1<<20, 8<<10, 200, 50, 9)
 	var res TraceResult
 	run(t, eng, func(p *sim.Proc) { res = ReplayTrace(p, dev, ops, 1.0, 8) })
 	if res.Errors > 0 {
@@ -126,7 +130,7 @@ func TestReplayTraceRefusesOffDeviceExtent(t *testing.T) {
 	}
 }
 
-// FuzzParseTrace: whatever ParseTrace accepts, FormatTrace writes back in a
+// FuzzParseTrace: whatever ParseTrace accepts, formatTrace writes back in a
 // form ParseTrace reads as the same ops.
 func FuzzParseTrace(f *testing.F) {
 	f.Add("100 W 0 4096 7\n250 r 8192 4096\n")
@@ -138,7 +142,7 @@ func FuzzParseTrace(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := FormatTrace(&buf, ops); err != nil {
+		if err := formatTrace(&buf, ops); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ParseTrace(&buf)
@@ -167,4 +171,64 @@ func TestReplayTraceContentDeterminism(t *testing.T) {
 			t.Error("same-seed writes differ")
 		}
 	})
+}
+
+// formatTrace writes ops in the trace format.
+func formatTrace(w io.Writer, ops []TraceOp) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# ts_us op offset length [seed]")
+	for _, op := range ops {
+		kind := "R"
+		if op.Write {
+			kind = "W"
+		}
+		if op.Write {
+			fmt.Fprintf(bw, "%d %s %d %d %d\n", op.At.Microseconds(), kind, op.Offset, op.Length, op.Seed)
+		} else {
+			fmt.Fprintf(bw, "%d %s %d %d\n", op.At.Microseconds(), kind, op.Offset, op.Length)
+		}
+	}
+	return bw.Flush()
+}
+
+// synthesizeTrace builds a trace with the cloud generator's redundancy
+// profile: a write-mostly burst populating the device followed by a mixed
+// read/overwrite phase. Useful for demos and as a template for converting
+// real traces.
+func synthesizeTrace(devSize int64, blockSize int64, ops int, dedupPct float64, seed int64) []TraceOp {
+	blocks := devSize / blockSize
+	if blocks < 1 {
+		blocks = 1
+	}
+	rng := newSplitMix(seed)
+	var out []TraceOp
+	t := time.Duration(0)
+	for i := 0; i < ops; i++ {
+		t += time.Duration(100+rng.next()%400) * time.Microsecond
+		op := TraceOp{At: t, Offset: int64(rng.next()%uint64(blocks)) * blockSize, Length: blockSize}
+		if i < ops/2 || rng.next()%100 < 40 {
+			op.Write = true
+			// Duplicate content with probability dedupPct.
+			if float64(rng.next()%100) < dedupPct {
+				op.Seed = seed + int64(rng.next()%64) // shared pool
+			} else {
+				op.Seed = seed + 1000 + int64(i)
+			}
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
+// splitMix is a tiny deterministic generator for trace synthesis.
+type splitMix struct{ x uint64 }
+
+func newSplitMix(seed int64) *splitMix { return &splitMix{x: uint64(seed)*0x9e3779b97f4a7c15 + 1} }
+
+func (s *splitMix) next() uint64 {
+	s.x += 0x9e3779b97f4a7c15
+	z := s.x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
