@@ -414,6 +414,37 @@ func TestInlineMode(t *testing.T) {
 	e.checkIntegrity(t)
 }
 
+// TestInlineLocksDropped: an inline write lock lives only while its object
+// is being written; writers that queued behind one another leave none.
+func TestInlineLocksDropped(t *testing.T) {
+	e := newDedupEnv(t, func(cfg *Config) { cfg.Mode = ModeInline })
+	e.run(t, func(p *sim.Proc) {
+		var sigs []*sim.Signal
+		for i := 0; i < 8; i++ {
+			oid := fmt.Sprintf("o%d", i)
+			if i >= 6 {
+				oid = "shared" // three writers of one object queue on its lock
+			}
+			data := mkData(byte(i), 4096)
+			sigs = append(sigs, p.Go("writer", func(q *sim.Proc) {
+				if err := e.cl.Write(q, oid, 0, data); err != nil {
+					t.Error(err)
+				}
+			}))
+		}
+		if err := e.cl.Write(p, "shared", 0, mkData(9, 4096)); err != nil {
+			t.Error(err)
+		}
+		for _, sig := range sigs {
+			sig.Wait(p)
+		}
+	})
+	if n := len(e.s.objLocks); n != 0 {
+		t.Fatalf("%d inline write locks left after every write returned, want 0", n)
+	}
+	e.checkIntegrity(t)
+}
+
 func TestInlineDedupsAcrossObjects(t *testing.T) {
 	e := newDedupEnv(t, func(cfg *Config) { cfg.Mode = ModeInline })
 	shared := bytes.Repeat([]byte{3}, 4096)

@@ -72,6 +72,16 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 		case errors.Is(err, ErrCorruptMap):
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "corrupt chunk map"})
 			continue
+		case errors.Is(err, ErrNotFound):
+			// Deleted since the listing, or live with no map.
+			live, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.meta, oid) })
+			if err != nil {
+				return rep, err
+			}
+			if live {
+				rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
+			}
+			continue
 		case err != nil:
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
 			continue

@@ -72,6 +72,37 @@ func TestDedupScrubSkipsObjectDeletedWhileHolderDown(t *testing.T) {
 	})
 }
 
+// TestDedupScrubRacesDelete: an object deleted between scrub's listing and
+// its chunk-map read is gone, not missing its map, and the pass stays clean.
+func TestDedupScrubRacesDelete(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	const n = 40
+	e.run(t, func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if err := e.cl.Write(p, fmt.Sprintf("o%02d", i), 0, mkData(byte(i), 4096)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	e.run(t, func(p *sim.Proc) {
+		// The scrub lists every object at once, then reads the maps in
+		// name order; the last one is deleted while it reads the first.
+		del := p.Go("delete", func(q *sim.Proc) {
+			if err := e.cl.Delete(q, fmt.Sprintf("o%02d", n-1)); err != nil {
+				t.Error(err)
+			}
+		})
+		rep, err := e.s.Scrub(p)
+		del.Wait(p)
+		if err != nil || !rep.Clean() {
+			t.Errorf("scrub racing a delete: err=%v, issues %v", err, rep.Issues)
+		}
+		if rep.MetadataObjects != n {
+			t.Errorf("scrub listed %d metadata objects, want %d: the delete did not race the walk", rep.MetadataObjects, n)
+		}
+	})
+}
+
 func TestDedupScrubDetectsChunkBitRot(t *testing.T) {
 	e := newDedupEnv(t, nil)
 	content := bytes.Repeat([]byte{9}, 4096)

@@ -164,7 +164,7 @@ type Store struct {
 	hooks     rebindHooks
 
 	hostGWs  map[string]*rados.Gateway // keyed class|host: one internal gateway per QoS class per host
-	objLocks map[string]*sim.Resource  // inline-mode per-object write locks
+	objLocks map[string]*sim.Resource  // inline-mode write locks of objects being written
 	scratch  [][]byte                  // idle readPadded buffers
 
 	// scrubMemo holds, per chunk pool, the last scrub pass's view of each
@@ -622,7 +622,14 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 		s.objLocks[oid] = lock
 	}
 	lock.Acquire(p)
-	defer lock.Release(p)
+	defer func() {
+		// Nobody waits: drop the entry. A fresh lock behaves as this idle
+		// one would, so only objects being written keep one.
+		if lock.QueueLen() == 0 {
+			delete(s.objLocks, oid)
+		}
+		lock.Release(p)
+	}()
 	hostName, err := s.cluster.PrimaryHost(s.meta, oid)
 	if err != nil {
 		return err

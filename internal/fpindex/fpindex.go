@@ -150,7 +150,7 @@ type Index struct {
 	levels [][]*sstable // levels[0] = newest tier; within a level, newest last
 	cache  *blockCache
 
-	st stats
+	st Stats // the counters; Stats fills in the structure fields
 
 	// Test hooks: fired inside a flush, between writing the SSTable and
 	// truncating the WAL (and just before installing the table). Returning
@@ -207,16 +207,16 @@ func (x *Index) apply(p *sim.Proc, key string, size uint32, del bool) {
 	x.walBytes += rb
 	x.mem.put(key, entry{seq: rec.seq, size: size, del: del})
 	if del {
-		x.st.deletes++
+		x.st.Deletes++
 	} else {
-		x.st.inserts++
+		x.st.Inserts++
 	}
 	ch := charges{write: rb}
 	if x.mem.bytes >= x.cfg.MemtableBytes {
 		x.flushLocked(&ch)
 	}
-	x.st.readBytes += int64(ch.read)
-	x.st.writeBytes += int64(ch.write)
+	x.st.ReadBytes += int64(ch.read)
+	x.st.WriteBytes += int64(ch.write)
 	x.mu.Unlock()
 	x.charge(p, ch)
 }
@@ -228,8 +228,8 @@ func (x *Index) Flush(p *sim.Proc) {
 	if x.mem.len() > 0 {
 		x.flushLocked(&ch)
 	}
-	x.st.readBytes += int64(ch.read)
-	x.st.writeBytes += int64(ch.write)
+	x.st.ReadBytes += int64(ch.read)
+	x.st.WriteBytes += int64(ch.write)
 	x.mu.Unlock()
 	x.charge(p, ch)
 }
@@ -257,8 +257,8 @@ func (x *Index) flushLocked(ch *charges) {
 	if t.maxSeq > x.durableSeq {
 		x.durableSeq = t.maxSeq
 	}
-	x.st.flushes++
-	x.st.flushBytes += int64(t.bytes)
+	x.st.Flushes++
+	x.st.FlushBytes += int64(t.bytes)
 	if x.hookAfterInstall != nil && x.hookAfterInstall() {
 		x.crashLocked()
 		return
@@ -297,11 +297,11 @@ func ensureLevel(levels [][]*sstable, i int) [][]*sstable {
 // bloom probes, block-cache reads and searches the walk costs.
 func (x *Index) Lookup(p *sim.Proc, key string) bool {
 	x.mu.Lock()
-	x.st.lookups++
+	x.st.Lookups++
 	var ch charges
 	found := x.lookupLocked(key, &ch)
-	x.st.readBytes += int64(ch.read)
-	x.st.writeBytes += int64(ch.write)
+	x.st.ReadBytes += int64(ch.read)
+	x.st.WriteBytes += int64(ch.write)
 	x.mu.Unlock()
 	x.charge(p, ch)
 	return found
@@ -309,7 +309,7 @@ func (x *Index) Lookup(p *sim.Proc, key string) bool {
 
 func (x *Index) lookupLocked(key string, ch *charges) bool {
 	if e, ok := x.mem.get(key); ok {
-		x.st.memHits++
+		x.st.MemHits++
 		return !e.del
 	}
 	// Newest data first: level 0 holds the freshest tables (appended at the
@@ -319,9 +319,9 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 		for ti := len(tables) - 1; ti >= 0; ti-- {
 			t := tables[ti]
 			ch.cpu += bloomCheckCost
-			x.st.bloomChecks++
+			x.st.BloomChecks++
 			if !t.filter.ContainsString(key) {
-				x.st.bloomNegatives++
+				x.st.BloomNegatives++
 				x.noteAbsentProbe(t)
 				continue
 			}
@@ -329,15 +329,15 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 			if !ok {
 				// Bloom said maybe, but the key sorts outside every block:
 				// a false positive caught by the sparse index alone.
-				x.st.bloomFalsePos++
+				x.st.BloomFalsePos++
 				x.noteAbsentProbe(t)
 				continue
 			}
 			bk := blockKey{table: t.id, block: b}
 			if x.cache.get(bk) {
-				x.st.cacheHits++
+				x.st.CacheHits++
 			} else {
-				x.st.cacheMisses++
+				x.st.CacheMisses++
 				ch.read += t.blockBytes[b]
 				x.cache.add(bk, t.blockBytes[b])
 			}
@@ -345,7 +345,7 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 			if e, ok := t.get(key, b); ok {
 				return !e.del
 			}
-			x.st.bloomFalsePos++
+			x.st.BloomFalsePos++
 			x.noteAbsentProbe(t)
 		}
 	}
@@ -355,8 +355,8 @@ func (x *Index) lookupLocked(key string, ch *charges) bool {
 // noteAbsentProbe records a probe against a table that did not hold the key,
 // feeding the observed-vs-estimated false-positive comparison.
 func (x *Index) noteAbsentProbe(t *sstable) {
-	x.st.absentProbes++
-	x.st.estFPSum += t.filter.EstimatedFP()
+	x.st.AbsentProbes++
+	x.st.EstFPSum += t.filter.EstimatedFP()
 }
 
 // CompactOnce merges the shallowest level over its fanout into the next
@@ -368,8 +368,8 @@ func (x *Index) CompactOnce(p *sim.Proc) bool {
 	x.mu.Lock()
 	var ch charges
 	done := x.compactLocked(&ch)
-	x.st.readBytes += int64(ch.read)
-	x.st.writeBytes += int64(ch.write)
+	x.st.ReadBytes += int64(ch.read)
+	x.st.WriteBytes += int64(ch.write)
 	x.mu.Unlock()
 	x.charge(p, ch)
 	return done
@@ -401,9 +401,9 @@ func (x *Index) compactLocked(ch *charges) bool {
 			ch.write += out.bytes
 			x.levels = ensureLevel(x.levels, li+1)
 			x.levels[li+1] = append(x.levels[li+1], out)
-			x.st.compactionBytes += int64(out.bytes)
+			x.st.CompactionBytes += int64(out.bytes)
 		}
-		x.st.compactions++
+		x.st.Compactions++
 		return true
 	}
 	return false
@@ -447,9 +447,9 @@ func (x *Index) Recover(p *sim.Proc) {
 		}
 		replayed++
 	}
-	x.st.recoveries++
-	x.st.replayedRecs += int64(replayed)
-	x.st.readBytes += int64(ch.read)
+	x.st.Recoveries++
+	x.st.ReplayedRecs += int64(replayed)
+	x.st.ReadBytes += int64(ch.read)
 	x.mu.Unlock()
 	x.charge(p, ch)
 }

@@ -1,33 +1,5 @@
 package fpindex
 
-// stats is the index's internal counter block (guarded by Index.mu).
-type stats struct {
-	lookups    int64
-	inserts    int64
-	deletes    int64
-	memHits    int64
-	flushes    int64
-	flushBytes int64
-
-	bloomChecks    int64
-	bloomNegatives int64
-	bloomFalsePos  int64
-	absentProbes   int64
-	estFPSum       float64
-
-	cacheHits   int64
-	cacheMisses int64
-
-	compactions     int64
-	compactionBytes int64
-
-	readBytes  int64
-	writeBytes int64
-
-	recoveries   int64
-	replayedRecs int64
-}
-
 // Stats is a point-in-time snapshot of one index (or, via Add, a sum over
 // several). Counters are cumulative since creation.
 type Stats struct {
@@ -135,31 +107,11 @@ func (s *Stats) Add(o Stats) {
 func (x *Index) Stats() Stats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	s := Stats{
-		Lookups:         x.st.lookups,
-		Inserts:         x.st.inserts,
-		Deletes:         x.st.deletes,
-		MemHits:         x.st.memHits,
-		Flushes:         x.st.flushes,
-		FlushBytes:      x.st.flushBytes,
-		BloomChecks:     x.st.bloomChecks,
-		BloomNegatives:  x.st.bloomNegatives,
-		BloomFalsePos:   x.st.bloomFalsePos,
-		AbsentProbes:    x.st.absentProbes,
-		EstFPSum:        x.st.estFPSum,
-		CacheHits:       x.st.cacheHits,
-		CacheMisses:     x.st.cacheMisses,
-		CacheBytes:      int64(x.cache.bytes),
-		Compactions:     x.st.compactions,
-		CompactionBytes: x.st.compactionBytes,
-		ReadBytes:       x.st.readBytes,
-		WriteBytes:      x.st.writeBytes,
-		Recoveries:      x.st.recoveries,
-		ReplayedRecs:    x.st.replayedRecs,
-		MemtableBytes:   int64(x.mem.bytes),
-		WALBytes:        int64(x.walBytes),
-		Entries:         int64(x.mem.len()),
-	}
+	s := x.st
+	s.CacheBytes = int64(x.cache.bytes)
+	s.MemtableBytes = int64(x.mem.bytes)
+	s.WALBytes = int64(x.walBytes)
+	s.Entries = int64(x.mem.len())
 	for _, lvl := range x.levels {
 		s.LevelTables = append(s.LevelTables, len(lvl))
 		s.Tables += len(lvl)

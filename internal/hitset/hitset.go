@@ -27,10 +27,6 @@ type Tracker struct {
 	lastRoll  sim.Time
 	hitCount  int
 	totalHits uint64
-
-	decay      float64
-	hotDecayed float64
-	warmAt     float64
 }
 
 // Temperature is a multi-level hotness classification derived from decayed
@@ -75,23 +71,23 @@ type Config struct {
 	// HitCount is the hotness threshold: an object seen in at least HitCount
 	// of the retained slices is hot.
 	HitCount int
-
-	// Decay is the per-slice-age geometric factor for DecayedHits: a hit in
-	// the open slice weighs 1, one slice older weighs Decay, two slices
-	// older Decay², … Zero or negative selects the default 0.5.
-	Decay float64
-	// HotDecayed / WarmDecayed are the temperature band thresholds on the
-	// decayed hit count: decayed ≥ HotDecayed is hot, ≥ WarmDecayed is
-	// warm, below is cold. Zero or negative selects the defaults (1.25 and
-	// 0.25: roughly "hit in at least two recent slices" and "hit within the
-	// last couple of slices").
-	HotDecayed, WarmDecayed float64
 }
+
+const (
+	// decay is the per-slice-age geometric factor for DecayedHits: a hit in
+	// the open slice weighs 1, one slice older weighs decay, two slices
+	// older decay², …
+	decay = 0.5
+	// hotDecayed / warmDecayed are the temperature band thresholds on the
+	// decayed hit count: decayed ≥ hotDecayed is hot, ≥ warmDecayed is
+	// warm, below is cold. Roughly "hit in at least two recent slices" and
+	// "hit within the last couple of slices".
+	hotDecayed, warmDecayed = 1.25, 0.25
+)
 
 // DefaultConfig mirrors the paper's setup: per-second HitSets.
 func DefaultConfig() Config {
-	return Config{Period: time.Second, Retain: 8, HitCount: 2,
-		Decay: 0.5, HotDecayed: 1.25, WarmDecayed: 0.25}
+	return Config{Period: time.Second, Retain: 8, HitCount: 2}
 }
 
 // New creates a tracker.
@@ -105,17 +101,7 @@ func New(cfg Config) *Tracker {
 	if cfg.HitCount < 1 {
 		cfg.HitCount = 1
 	}
-	if cfg.Decay <= 0 {
-		cfg.Decay = 0.5
-	}
-	if cfg.HotDecayed <= 0 {
-		cfg.HotDecayed = 1.25
-	}
-	if cfg.WarmDecayed <= 0 {
-		cfg.WarmDecayed = 0.25
-	}
-	t := &Tracker{period: cfg.Period, retain: cfg.Retain, hitCount: cfg.HitCount,
-		decay: cfg.Decay, hotDecayed: cfg.HotDecayed, warmAt: cfg.WarmDecayed}
+	t := &Tracker{period: cfg.Period, retain: cfg.Retain, hitCount: cfg.HitCount}
 	t.slices = []*Slice{t.newSlice(0)}
 	return t
 }
@@ -174,10 +160,10 @@ func (t *Tracker) Hot(now sim.Time, oid string) bool {
 }
 
 // DecayedHits returns the recency-weighted access score of oid: each
-// retained slice that contains oid contributes Decay^age, where the open
+// retained slice that contains oid contributes decay^age, where the open
 // slice has age 0. A burst of old accesses therefore decays toward zero as
 // slices roll, while sustained access holds the score near its geometric
-// maximum 1/(1-Decay).
+// maximum 1/(1-decay).
 func (t *Tracker) DecayedHits(now sim.Time, oid string) float64 {
 	t.roll(now)
 	score := 0.0
@@ -188,7 +174,7 @@ func (t *Tracker) DecayedHits(now sim.Time, oid string) float64 {
 		}
 		w := 1.0
 		for age := n - 1 - i; age > 0; age-- {
-			w *= t.decay
+			w *= decay
 		}
 		score += w
 	}
@@ -198,9 +184,9 @@ func (t *Tracker) DecayedHits(now sim.Time, oid string) float64 {
 // Temp classifies oid into a temperature band from its decayed hit score.
 func (t *Tracker) Temp(now sim.Time, oid string) Temperature {
 	switch d := t.DecayedHits(now, oid); {
-	case d >= t.hotDecayed:
+	case d >= hotDecayed:
 		return TempHot
-	case d >= t.warmAt:
+	case d >= warmDecayed:
 		return TempWarm
 	default:
 		return TempCold

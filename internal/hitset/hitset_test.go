@@ -162,13 +162,13 @@ func TestHitsMonotoneInAccesses(t *testing.T) {
 }
 
 func TestDecayedHitsWeighting(t *testing.T) {
-	tr := New(Config{Period: time.Second, Retain: 8, HitCount: 2, Decay: 0.5})
+	tr := New(Config{Period: time.Second, Retain: 8, HitCount: 2})
 	tr.Record(at(100*time.Millisecond), "obj")
 	// Open slice hit weighs 1.0.
 	if d := tr.DecayedHits(at(200*time.Millisecond), "obj"); d != 1.0 {
 		t.Fatalf("open-slice decayed hits = %v, want 1.0", d)
 	}
-	// One roll later the same hit weighs Decay = 0.5.
+	// One roll later the same hit weighs decay = 0.5.
 	if d := tr.DecayedHits(at(1100*time.Millisecond), "obj"); d != 0.5 {
 		t.Fatalf("one-slice-old decayed hits = %v, want 0.5", d)
 	}
@@ -180,8 +180,7 @@ func TestDecayedHitsWeighting(t *testing.T) {
 }
 
 func TestTemperatureBands(t *testing.T) {
-	tr := New(Config{Period: time.Second, Retain: 8, HitCount: 2,
-		Decay: 0.5, HotDecayed: 1.25, WarmDecayed: 0.25})
+	tr := New(Config{Period: time.Second, Retain: 8, HitCount: 2})
 	if got := tr.Temp(at(0), "never"); got != TempCold {
 		t.Fatalf("unseen object temp = %v, want cold", got)
 	}

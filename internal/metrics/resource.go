@@ -2,84 +2,12 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"dedupstore/internal/sim"
 )
-
-// ResourceStat accumulates a queue-depth/occupancy timeline for one sim FIFO
-// resource (an OSD disk, a host NIC, a CPU core set). It is fed by the
-// resource's observer hook on every state change, so time-weighted averages
-// are exact, not sampled. Safe for concurrent use.
-type ResourceStat struct {
-	mu        sync.Mutex
-	name      string
-	capacity  int
-	lastT     sim.Time
-	lastQ     int
-	lastInUse int
-	maxQueue  int
-	queueArea int64 // ∫ queueLen dt, in queue·ns
-	busyArea  int64 // ∫ inUse dt, in slot·ns
-	changes   int64
-}
-
-// Observe is the sim.ResourceObserver hook: record the state change at now.
-func (rs *ResourceStat) Observe(now sim.Time, queueLen, inUse int) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.advance(now)
-	rs.lastQ = queueLen
-	rs.lastInUse = inUse
-	if queueLen > rs.maxQueue {
-		rs.maxQueue = queueLen
-	}
-	rs.changes++
-}
-
-// advance integrates the current state up to now. Caller holds mu.
-func (rs *ResourceStat) advance(now sim.Time) {
-	if now > rs.lastT {
-		dt := int64(now - rs.lastT)
-		rs.queueArea += dt * int64(rs.lastQ)
-		rs.busyArea += dt * int64(rs.lastInUse)
-		rs.lastT = now
-	}
-}
-
-// Name returns the resource name.
-func (rs *ResourceStat) Name() string { return rs.name }
-
-// MaxQueue returns the deepest queue observed.
-func (rs *ResourceStat) MaxQueue() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.maxQueue
-}
-
-// AvgQueue returns the time-weighted mean queue depth up to now.
-func (rs *ResourceStat) AvgQueue(now sim.Time) float64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.advance(now)
-	if now <= 0 {
-		return 0
-	}
-	return float64(rs.queueArea) / float64(now)
-}
-
-// Utilization returns the capacity-weighted busy fraction (0..1) up to now.
-func (rs *ResourceStat) Utilization(now sim.Time) float64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.advance(now)
-	if now <= 0 || rs.capacity <= 0 {
-		return 0
-	}
-	return float64(rs.busyArea) / (float64(now) * float64(rs.capacity))
-}
 
 // ResourceUsage is one resource's summary row.
 type ResourceUsage struct {
@@ -90,66 +18,50 @@ type ResourceUsage struct {
 	Utilization float64
 }
 
-// ResourceMonitor owns the ResourceStats of a cluster's resources. Attach a
-// resource with Watch; snapshot all timelines with Snapshot.
+// ResourceMonitor lists a cluster's resources by name. Each resource
+// integrates its own occupancy and queue timelines (sim.Resource.Occupancy);
+// the monitor only reads them. Like the resources, it belongs to the
+// goroutine that runs their engine.
 type ResourceMonitor struct {
-	mu    sync.Mutex
-	stats map[string]*ResourceStat
+	byName map[string][]*sim.Resource
 }
 
 // NewResourceMonitor returns an empty monitor.
 func NewResourceMonitor() *ResourceMonitor {
-	return &ResourceMonitor{stats: make(map[string]*ResourceStat)}
+	return &ResourceMonitor{byName: make(map[string][]*sim.Resource)}
 }
 
-// Watch registers r and installs an observer on it so queue-depth and
-// utilization accrue from now on. Nil-safe on the monitor.
-func (m *ResourceMonitor) Watch(r *sim.Resource) *ResourceStat {
-	if m == nil {
-		return nil
+// Watch lists r under its name; watching a resource twice lists it once.
+// Nil-safe on the monitor.
+func (m *ResourceMonitor) Watch(r *sim.Resource) {
+	if m != nil && !slices.Contains(m.byName[r.Name()], r) {
+		m.byName[r.Name()] = append(m.byName[r.Name()], r)
 	}
-	m.mu.Lock()
-	rs, ok := m.stats[r.Name()]
-	if !ok {
-		rs = &ResourceStat{name: r.Name(), capacity: r.Cap()}
-		m.stats[r.Name()] = rs
-	}
-	m.mu.Unlock()
-	r.SetObserver(rs.Observe)
-	return rs
 }
 
-// Stat returns the stat registered under name (nil if absent).
-func (m *ResourceMonitor) Stat(name string) *ResourceStat {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats[name]
-}
-
-// Snapshot summarizes every watched resource at virtual time now, sorted by
-// name.
+// Snapshot summarizes every watched resource over [0, now], one row per
+// name, sorted by name. Resources that share a name form one row: their
+// capacities and areas are summed, and its MaxQueue is the deepest of
+// theirs.
 func (m *ResourceMonitor) Snapshot(now sim.Time) []ResourceUsage {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	stats := make([]*ResourceStat, 0, len(m.stats))
-	for _, rs := range m.stats {
-		stats = append(stats, rs)
-	}
-	m.mu.Unlock()
-	out := make([]ResourceUsage, 0, len(stats))
-	for _, rs := range stats {
-		out = append(out, ResourceUsage{
-			Name:        rs.name,
-			Capacity:    rs.capacity,
-			MaxQueue:    rs.MaxQueue(),
-			AvgQueue:    rs.AvgQueue(now),
-			Utilization: rs.Utilization(now),
-		})
+	out := make([]ResourceUsage, 0, len(m.byName))
+	for name, rs := range m.byName {
+		u := ResourceUsage{Name: name}
+		var held, queued int64
+		for _, r := range rs {
+			h, q, mq := r.Occupancy(now)
+			held, queued = held+h, queued+q
+			u.Capacity += r.Cap()
+			u.MaxQueue = max(u.MaxQueue, mq)
+		}
+		if now > 0 {
+			u.AvgQueue = float64(queued) / float64(now)
+			u.Utilization = float64(held) / (float64(now) * float64(u.Capacity))
+		}
+		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

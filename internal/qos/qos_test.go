@@ -191,19 +191,22 @@ func TestSchedulerNeverOversubscribesResource(t *testing.T) {
 	eng := sim.New(7)
 	g := NewGroup(DefaultConfig())
 	res := sim.NewResource("disk", 3)
-	maxInUse := 0
-	res.SetObserver(func(_ sim.Time, _, inUse int) {
-		if inUse > maxInUse {
-			maxInUse = inUse
-		}
-	})
 	s := g.NewScheduler(res)
 	limit := sim.Time(50 * time.Millisecond)
 	saturate(eng, s, Client, 6, time.Millisecond, limit)
 	saturate(eng, s, Recovery, 6, time.Millisecond, limit)
+	// The resource cannot hold more than its cap, so an occupancy area of
+	// cap × window means the scheduler kept every slot filled throughout;
+	// an empty resource queue means it never admitted past the cap.
+	var held int64
+	var maxQueue int
+	eng.GoAt(limit, "probe", func(p *sim.Proc) { held, _, maxQueue = res.Occupancy(p.Now()) })
 	eng.Run()
-	if maxInUse != 3 {
-		t.Fatalf("resource max occupancy %d, want exactly the cap 3 under saturation", maxInUse)
+	if maxQueue != 0 {
+		t.Fatalf("resource queued %d deep: the scheduler admitted past the cap", maxQueue)
+	}
+	if util := float64(held) / float64(3*limit); util != 1 {
+		t.Fatalf("resource utilization %v over the saturated window, want 1 (all 3 slots held)", util)
 	}
 }
 

@@ -726,37 +726,24 @@ func (c *Cond) Broadcast(p *Proc) {
 
 // Resource models a station with fixed concurrency: at most Cap holders at a
 // time, FIFO granting order. It is the building block for disk queues, NIC
-// serialization and CPU cores.
+// serialization and CPU cores. It measures itself: every state change
+// integrates occupancy and queue length up to that instant, so Occupancy's
+// time averages are exact, not sampled.
 type Resource struct {
 	name    string
 	cap     int
 	inUse   int
 	waiters []*Proc
 
-	// Busy accounting for utilization reporting.
-	busy      time.Duration
 	lastStamp Time
-
-	observer ResourceObserver
-}
-
-// ResourceObserver is called after every occupancy or queue change, with the
-// virtual time of the change and the resource's new state. Observers must not
-// block; they exist so an observability layer can derive queue-depth and
-// utilization timelines without polling.
-type ResourceObserver func(now Time, queueLen, inUse int)
-
-// SetObserver installs fn as the resource's state-change observer (nil
-// removes it).
-func (r *Resource) SetObserver(fn ResourceObserver) { r.observer = fn }
-
-// Cap returns the resource's concurrency capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-func (r *Resource) observe(now Time) {
-	if r.observer != nil {
-		r.observer(now, len(r.waiters), r.inUse)
-	}
+	held      int64 // ∫ inUse dt, in slot·ns
+	queued    int64 // ∫ len(waiters) dt, in waiter·ns
+	maxQueue  int
+	// busy is held / cap rounded down at every step, not once at the end.
+	// It stays beside held because HostCPUBusy, and so every simulated CPU
+	// figure, is defined by that rounding; deriving it from held would move
+	// those figures in their last digits.
+	busy time.Duration
 }
 
 // NewResource returns a resource with the given concurrency cap.
@@ -770,12 +757,22 @@ func NewResource(name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
+// Cap returns the resource's concurrency capacity.
+func (r *Resource) Cap() int { return r.cap }
+
 // QueueLen reports processes waiting for the resource.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
+// stamp integrates the state held since the last change up to now. A waiter
+// exists only while every slot is held, so stamping on the enqueue path
+// splits busy at a point where it gains exactly dt and leaves its rounding
+// unchanged.
 func (r *Resource) stamp(now Time) {
 	if r.inUse > 0 {
-		r.busy += time.Duration(now-r.lastStamp) * time.Duration(min(r.inUse, r.cap)) / time.Duration(r.cap)
+		dt := now - r.lastStamp
+		r.busy += time.Duration(dt) * time.Duration(r.inUse) / time.Duration(r.cap)
+		r.held += int64(dt) * int64(r.inUse)
+		r.queued += int64(dt) * int64(len(r.waiters))
 	}
 	r.lastStamp = now
 }
@@ -786,18 +783,26 @@ func (r *Resource) BusyTime(now Time) time.Duration {
 	return r.busy
 }
 
+// Occupancy reports, as of now and without changing any state, the
+// occupancy area (slot·ns), the queue-length area (waiter·ns) and the
+// deepest queue seen since the resource was created. now must not precede
+// the resource's last state change.
+func (r *Resource) Occupancy(now Time) (held, queued int64, maxQueue int) {
+	dt := int64(now - r.lastStamp)
+	return r.held + dt*int64(r.inUse), r.queued + dt*int64(len(r.waiters)), r.maxQueue
+}
+
 // Acquire blocks p until a slot is free, FIFO order. Time spent queued is
 // reported to the process's tracer.
 func (r *Resource) Acquire(p *Proc) {
+	r.stamp(p.Now())
 	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.stamp(p.Now())
 		r.inUse++
-		r.observe(p.Now())
 		return
 	}
 	start := p.Now()
 	r.waiters = append(r.waiters, p)
-	r.observe(start)
+	r.maxQueue = max(r.maxQueue, len(r.waiters))
 	p.park()
 	// Slot was transferred to us by Release; accounting already updated.
 	if p.tracer != nil {
@@ -816,11 +821,9 @@ func (r *Resource) Release(p *Proc) {
 		r.waiters = r.waiters[1:]
 		// Slot stays in use, transferred to w.
 		p.e.schedule(p.Now(), w, nil)
-		r.observe(p.Now())
 		return
 	}
 	r.inUse--
-	r.observe(p.Now())
 }
 
 // Use acquires the resource, holds it for d of virtual time, and releases it.
@@ -914,11 +917,4 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 	v = q.items[0]
 	q.items = q.items[1:]
 	return v, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -59,18 +59,11 @@ func TestTracerInheritedByChildren(t *testing.T) {
 	}
 }
 
+// TestResourceObserver: the resource observes itself. Three 10ms users of
+// one slot queue two deep, hold the slot for all 30ms and wait 10+20ms.
 func TestResourceObserver(t *testing.T) {
 	e := New(1)
 	disk := NewResource("disk", 1)
-	type ev struct {
-		at    Time
-		queue int
-		inUse int
-	}
-	var events []ev
-	disk.SetObserver(func(now Time, queueLen, inUse int) {
-		events = append(events, ev{now, queueLen, inUse})
-	})
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
 			disk.Use(p, 10*time.Millisecond)
@@ -79,26 +72,22 @@ func TestResourceObserver(t *testing.T) {
 	if left := e.Run(); left != 0 {
 		t.Fatalf("leftover procs: %d", left)
 	}
-	if len(events) == 0 {
-		t.Fatal("observer saw no state changes")
+	end := Time(30 * time.Millisecond)
+	if e.Now() != end {
+		t.Fatalf("run ended at %v, want 30ms", e.Now())
 	}
-	maxQ := 0
-	for _, v := range events {
-		if v.queue > maxQ {
-			maxQ = v.queue
-		}
-		if v.inUse < 0 || v.inUse > 1 {
-			t.Errorf("inUse %d out of range for capacity 1", v.inUse)
-		}
-	}
+	held, queued, maxQ := disk.Occupancy(end)
 	if maxQ != 2 {
 		t.Errorf("max queue = %d, want 2 (three users, one slot)", maxQ)
 	}
-	last := events[len(events)-1]
-	if last.queue != 0 || last.inUse != 0 {
-		t.Errorf("final state queue=%d inUse=%d, want idle", last.queue, last.inUse)
+	if want := int64(30 * time.Millisecond); held != want {
+		t.Errorf("occupancy area = %d slot·ns, want %d", held, want)
 	}
-	if last.at != Time(30*time.Millisecond) {
-		t.Errorf("final event at %v, want 30ms", last.at)
+	if want := int64(30 * time.Millisecond); queued != want {
+		t.Errorf("queue area = %d waiter·ns, want %d (10ms + 20ms)", queued, want)
+	}
+	// Idle after the last release: the areas stop growing.
+	if h, q, _ := disk.Occupancy(end + Time(time.Second)); h != held || q != queued || disk.QueueLen() != 0 {
+		t.Errorf("areas grew while idle: %d→%d, %d→%d (queue %d)", held, h, queued, q, disk.QueueLen())
 	}
 }
