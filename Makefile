@@ -61,12 +61,13 @@ bench-module:
 	cd bench && go vet . && go test .
 
 # Kernel hot-path microbenchmarks: the DES engine and the metrics/trace
-# primitives every simulated I/O passes through, and one dedup-scrub pass
-# (host cost per chunk read and verified). CI runs these so dispatch cost and
-# allocs/op regressions show up in review.
+# primitives every simulated I/O passes through, one dedup-scrub pass (host
+# cost per chunk read and verified) and naming a chunk through the name memo
+# (hit and miss). CI runs these so dispatch cost and allocs/op regressions
+# show up in review.
 kernel-bench:
 	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics
-	go test -run NONE -bench ScrubChunkPool -benchmem ./internal/core
+	go test -run NONE -bench 'ScrubChunkPool|Name' -benchmem ./internal/core
 
 # Paired runs for a host-clock claim (ROADMAP.md's rules for claims): the
 # working tree against REV on one workload and seed, PAIRS alternating pairs,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -167,7 +168,9 @@ func BenchmarkFlushObject(b *testing.B) {
 }
 
 // BenchmarkScrubChunkPool measures one dedup-scrub pass over a pool of 256
-// chunks of 32 KiB: every payload is read and hashed, none is kept.
+// chunks of 32 KiB: every payload is read and CRC-32C-checked, and only the
+// first pass runs SHA-256; every later one reuses that pass's verdicts, since
+// each chunk is the same array with the same CRC-32C.
 func BenchmarkScrubChunkPool(b *testing.B) {
 	const chunks = 256
 	eng, s := benchStore(b)
@@ -193,4 +196,29 @@ func BenchmarkScrubChunkPool(b *testing.B) {
 		}
 	})
 	eng.Run()
+}
+
+var nameSink string
+
+// BenchmarkName measures naming one 32 KiB payload: a hit is a CRC-32C, a map
+// lookup and a compare with the kept bytes; a miss is the CRC-32C and SHA-256.
+func BenchmarkName(b *testing.B) {
+	data := make([]byte, 32<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	s := &Store{names: newNameMemo()}
+	s.names.learn(FingerprintID(data), bytes.Clone(data))
+	other := bytes.Clone(data)
+	other[0] ^= 1
+	for _, bc := range []struct {
+		name string
+		data []byte
+	}{{"hit", data}, {"miss", other}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nameSink = s.name(bc.data)
+			}
+		})
+	}
 }

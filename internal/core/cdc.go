@@ -55,18 +55,17 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 	data := make([]byte, size)
 	for _, entry := range cm.Entries {
 		gens[entry.Start] = entry.Gen
-		var seg []byte
+		dst := data[entry.Start:entry.End]
 		if entry.Cached {
-			seg, err = gw.Read(p, s.meta, oid, entry.Start, entry.Len())
+			_, err = gw.ReadInto(p, s.meta, oid, entry.Start, dst)
 		} else if entry.ChunkID != "" {
-			seg, err = gw.Read(p, s.chunk, entry.ChunkID, 0, entry.Len())
+			_, err = gw.ReadInto(p, s.chunk, entry.ChunkID, 0, dst)
 		} else {
 			continue
 		}
 		if err != nil {
 			return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
 		}
-		copy(data[entry.Start:], seg)
 	}
 
 	// (2) Split with the rolling hash; charge its CPU cost on top of the
@@ -85,8 +84,8 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 	next := make([]Entry, len(split))
 	newAt := make(map[int64]string, len(split))
 	for i, c := range split {
-		id := FingerprintID(c.Data)
-		puts[i] = chunkPut{pool: s.chunk, id: id, data: c.Data, off: c.Offset}
+		id := s.name(c.Data)
+		puts[i] = chunkPut{pool: s.chunk, id: id, data: c.Data, off: c.Offset, named: true}
 		next[i] = Entry{Start: c.Offset, End: c.End(), ChunkID: id}
 		newAt[c.Offset] = id
 	}

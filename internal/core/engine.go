@@ -346,7 +346,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		// replicates. With tiering off, cold is always false and the pool is the
 		// single chunk pool, preserving the static design exactly.
 		sl.cold = s.cfg.Tiering.Enabled && s.cache.Temp(q.Now(), oid) == hitset.TempCold
-		sl.id = FingerprintID(data)
+		sl.id = s.name(data)
 		prepared++
 	})
 	if prepared == 0 {
@@ -360,7 +360,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	var puts []chunkPut
 	for i := range slots {
 		if sl := &slots[i]; sl.id != "" && !samePlace(sl) {
-			puts = append(puts, chunkPut{pool: s.chunkPoolFor(sl.cold), id: sl.id, data: sl.data, off: sl.entry.Start})
+			puts = append(puts, chunkPut{pool: s.chunkPoolFor(sl.cold), id: sl.id, data: sl.data, off: sl.entry.Start, named: true})
 		}
 	}
 	took, noops := 0, int64(0)

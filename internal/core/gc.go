@@ -273,6 +273,7 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 		stats.IntentsPromoted += int64(len(dec.promote))
 		stats.IntentsAborted += int64(len(dec.abort))
 		if deleted {
+			s.names.forget(chunkOID)
 			stats.ChunksDeleted++
 			stats.BytesReclaimed += reclaimed
 		}

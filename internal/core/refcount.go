@@ -197,6 +197,9 @@ type intentOutcome struct {
 	// missing: a probe found no chunk and recorded nothing; the caller ships
 	// the bytes next.
 	missing bool
+	// created: the payload a put created the chunk from, the chunk's own
+	// copy of its bytes; nil when the chunk was already there.
+	created []byte
 }
 
 // ErrChunkVanished is returned when a transition pins a chunk it has no bytes
@@ -220,7 +223,11 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 				return nil, ErrChunkVanished
 			}
 			// The chunk object keeps a copy; data may be a scratch buffer.
-			return txn.WriteFull(bytes.Clone(data)).OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
+			created := bytes.Clone(data)
+			if out != nil {
+				out.created = created
+			}
+			return txn.WriteFull(created).OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
 		}
 		if out != nil {
 			out.existed = true
@@ -332,13 +339,16 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 // chunkPut is one chunk a transition binds at offset off of its object:
 // phase 1 pins it in pool, creating the chunk object from data if absent. A
 // put with nil data pins a chunk that must already be there and fails the
-// transition with ErrChunkVanished if it is not. The flags are rebind's to
-// set; existed, shipped and bound are its report.
+// transition with ErrChunkVanished if it is not. The caller sets named; the
+// other flags are rebind's to set, and existed, shipped and bound are its
+// report.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
 	data []byte
 	off  int64
+
+	named bool // id is the name the host computed from data: a chunk created from it teaches the name memo
 
 	existed bool // phase 1 found the chunk already in the pool
 	shipped bool // phase 1 sent data to the chunk's primary: its probe missed
@@ -520,6 +530,9 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 			put.shipped = true
 			s.cluster.Metrics().Counter("dedup_intent_probe_misses_total").Inc()
 			perr = gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, ref, expiry, &out))
+			if perr == nil {
+				s.learnPut(put, out.created)
+			}
 		}
 		if perr != nil {
 			err = fmt.Errorf("core: pin chunk %s: %w", put.id, perr)
@@ -550,7 +563,7 @@ func (s *Store) settle(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkP
 			// GC/audit promote the expired intent: the protocol converges.
 			err = retryUnavailable(q, func() error { return gw.Mutate(q, put.pool, put.id, commitIntentFn(ref)) })
 		} else {
-			err = gw.Mutate(q, put.pool, put.id, abortIntentFn(ref, strict))
+			err = gw.Mutate(q, put.pool, put.id, s.forgetDeleted(put.id, abortIntentFn(ref, strict)))
 		}
 		if err != nil && !errors.Is(err, ErrNotFound) && cause == nil {
 			cause = err
@@ -572,7 +585,7 @@ func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []En
 		if e.ChunkID == "" || first != nil {
 			return
 		}
-		err := gw.Mutate(q, s.chunkPoolFor(e.Cold), e.ChunkID, releaseRefFn(s.refAt(oid, e.Start), strict))
+		err := gw.Mutate(q, s.chunkPoolFor(e.Cold), e.ChunkID, s.forgetDeleted(e.ChunkID, releaseRefFn(s.refAt(oid, e.Start), strict)))
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			first = err
 		}

@@ -170,6 +170,9 @@ type Store struct {
 	// scrubMemo holds, per chunk pool, the last scrub pass's view of each
 	// chunk's payload (scrubChunkPool); each pass replaces it.
 	scrubMemo map[*rados.Pool]map[string]scrubSeen
+	// names remembers the chunk names the host computed, with the stored
+	// bytes each names, so equal bytes are not hashed again (names.go).
+	names nameMemo
 
 	// gcHookBeforeSweep (tests only) runs between GC's out-of-lock
 	// verification and the under-lock sweep of each chunk, so tests can
@@ -237,6 +240,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		objLocks: make(map[string]*sim.Resource),
 
 		scrubMemo: make(map[*rados.Pool]map[string]scrubSeen),
+		names:     newNameMemo(),
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{
@@ -650,15 +654,12 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 		full := c.Data
 		// Partial-write problem: read-modify-write of the full chunk.
 		if c.Offset > cur.Start || (c.End() < cur.End && cur.ChunkID != "") {
-			var base []byte
+			merged := make([]byte, max(cur.End, c.End())-cur.Start)
 			if cur.ChunkID != "" {
-				base, err = cl.gw.Read(p, s.chunk, cur.ChunkID, 0, cur.Len())
-				if err != nil {
+				if _, err := cl.gw.ReadInto(p, s.chunk, cur.ChunkID, 0, merged[:cur.Len()]); err != nil {
 					return err
 				}
 			}
-			merged := make([]byte, max(cur.End, c.End())-cur.Start)
-			copy(merged, base)
 			copy(merged[c.Offset-cur.Start:], c.Data)
 			full = merged
 		}
@@ -666,9 +667,9 @@ func (cl *Client) inlineWrite(p *sim.Proc, oid string, off int64, data []byte) e
 		if err := s.cluster.UseHostCPU(p, hostName, s.cluster.Cost().Hash(len(full))); err != nil {
 			return err
 		}
-		newID := FingerprintID(full)
+		newID := s.name(full)
 		if cur.ChunkID != newID {
-			puts = append(puts, chunkPut{pool: s.chunk, id: newID, data: full, off: cur.Start})
+			puts = append(puts, chunkPut{pool: s.chunk, id: newID, data: full, off: cur.Start, named: true})
 		}
 		cur.End = max(cur.End, c.End())
 		cur.ChunkID, cur.Cached, cur.Dirty = newID, false, false
