@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-pairs profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -68,6 +68,11 @@ bench-module:
 kernel-bench:
 	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics
 	go test -run NONE -bench 'ScrubChunkPool|Name' -benchmem ./internal/core
+
+# The same packages' benchmarks, one iteration each: a check a benchmark makes
+# (a b.Fatalf on a wrong result) runs in CI, which `go test ./...` never does.
+bench-smoke:
+	go test -run NONE -bench . -benchtime 1x ./internal/sim ./internal/metrics ./internal/core
 
 # Paired runs for a host-clock claim (ROADMAP.md's rules for claims): the
 # working tree against REV on one workload and seed, PAIRS alternating pairs,

@@ -191,12 +191,6 @@ func NewWorld(seed int64) *World {
 	return &World{Engine: eng, Cluster: rados.NewTestbed(eng, simcost.Default(), 4, 4)}
 }
 
-// NewWorldSized creates a testbed with a custom shape.
-func NewWorldSized(seed int64, hosts, osdsPerHost int) *World {
-	eng := sim.New(seed)
-	return &World{Engine: eng, Cluster: rados.NewTestbed(eng, simcost.Default(), hosts, osdsPerHost)}
-}
-
 // Run executes fn as a simulated process and drives the virtual clock until
 // all foreground work completes. It may be called repeatedly; background
 // daemons (the dedup engine) persist across calls.

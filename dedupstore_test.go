@@ -72,12 +72,9 @@ func TestPublicAPIBlockDevice(t *testing.T) {
 	})
 }
 
-// TestWorldSizedAndRedundancyHelpers covers the remaining facade surface.
-func TestWorldSizedAndRedundancyHelpers(t *testing.T) {
-	world := dedupstore.NewWorldSized(1, 2, 3)
-	if got := len(world.Cluster.OSDs()); got != 6 {
-		t.Fatalf("OSDs = %d, want 6", got)
-	}
+// TestRedundancyHelpers covers the remaining facade surface.
+func TestRedundancyHelpers(t *testing.T) {
+	world := dedupstore.NewWorld(1)
 	if dedupstore.ReplicatedN(3).Width() != 3 {
 		t.Fatal("ReplicatedN width")
 	}

@@ -115,11 +115,6 @@ func (d *BlockDevice) ObjectName(idx int64) string {
 	return fmt.Sprintf("%s.%016x", d.name, idx)
 }
 
-// ObjectCount returns how many stripe objects cover the device.
-func (d *BlockDevice) ObjectCount() int64 {
-	return (d.size + d.objectSize - 1) / d.objectSize
-}
-
 // WriteAt writes data at a device offset, splitting across stripe objects.
 func (d *BlockDevice) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	if off < 0 || int64(len(data)) > d.size-off { // not off+len: that sum can overflow

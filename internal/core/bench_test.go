@@ -167,10 +167,11 @@ func BenchmarkFlushObject(b *testing.B) {
 	}
 }
 
-// BenchmarkScrubChunkPool measures one dedup-scrub pass over a pool of 256
-// chunks of 32 KiB: every payload is read and CRC-32C-checked, and only the
-// first pass runs SHA-256; every later one reuses that pass's verdicts, since
-// each chunk is the same array with the same CRC-32C.
+// BenchmarkScrubChunkPool measures a first dedup-scrub pass over a pool of 256
+// freshly flushed chunks of 32 KiB. The flush taught the name memo every
+// chunk, so each payload read costs a CRC-32C and a compare with the chunk's
+// stored payload, not SHA-256. A pass keeps nothing for the next, so every
+// iteration is a first pass.
 func BenchmarkScrubChunkPool(b *testing.B) {
 	const chunks = 256
 	eng, s := benchStore(b)

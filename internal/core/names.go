@@ -14,8 +14,10 @@ import (
 // chunk's name the SHA-256 of its bytes, so the flush, the CDC rechunk and the
 // inline write name every chunk they prepare, and most of those bytes the
 // store already holds under that name: a no-op rewrite or a duplicate. The
-// memo keeps, per payload length and CRC-32C, one name the host computed and
-// the stored bytes it was computed from, and name reuses it for equal bytes.
+// scrub names every chunk it reads, and its verdict is that name against the
+// chunk's own. The memo keeps, per payload length and CRC-32C, one name the
+// host computed and the stored bytes it was computed from, and name reuses it
+// for equal bytes.
 // Equal bytes have equal SHA-256, so the reuse is exact, and a CRC collision
 // costs only a compare. The memo is host-side only: every naming site still
 // charges the modelled Hash, so no simulated number depends on it.
@@ -37,6 +39,8 @@ type nameKey struct {
 	n   int
 	crc uint32
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func keyOf(data []byte) nameKey { return nameKey{len(data), crc32.Checksum(data, castagnoli)} }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dedupstore/internal/rados"
@@ -145,6 +146,31 @@ func TestNameMemo(t *testing.T) {
 			}
 			if kept(e, id) {
 				t.Fatal("a chunk deleted by a GC sweep stayed in the memo")
+			}
+		}},
+		{"a first scrub pass names through the memo", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			clean, rotten := randData(9, 4096), randData(10, 4096)
+			cleanID, rottenID := FingerprintID(clean), FingerprintID(rotten)
+			writeDrain(t, p, e, "clean", clean)
+			writeDrain(t, p, e, "rotten", rotten)
+			if !kept(e, cleanID) || !kept(e, rottenID) {
+				t.Fatal("the flush did not teach the memo both chunks")
+			}
+			// Rot the copy the scrub reads: the primary's.
+			osd, _, err := e.c.PGPrimary(e.s.chunk, e.c.PGOf(e.s.chunk, rottenID).Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.c.CorruptForTest(osd, store.Key{Pool: e.s.chunk.ID, OID: rottenID}, 5); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.s.Scrub(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []ScrubIssue{{OID: rottenID, Detail: "content does not match fingerprint (bit rot)"}}
+			if rep.ChunkObjects != 2 || !slices.Equal(rep.Issues, want) {
+				t.Fatalf("scrub checked %d chunks, issues %v; want 2 chunks and only %v", rep.ChunkObjects, rep.Issues, want)
 			}
 		}},
 		{"EC put not learned", func(t *testing.T) *env {

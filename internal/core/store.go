@@ -167,9 +167,6 @@ type Store struct {
 	objLocks map[string]*sim.Resource  // inline-mode write locks of objects being written
 	scratch  [][]byte                  // idle readPadded buffers
 
-	// scrubMemo holds, per chunk pool, the last scrub pass's view of each
-	// chunk's payload (scrubChunkPool); each pass replaces it.
-	scrubMemo map[*rados.Pool]map[string]scrubSeen
 	// names remembers the chunk names the host computed, with the stored
 	// bytes each names, so equal bytes are not hashed again (names.go).
 	names nameMemo
@@ -238,9 +235,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		cache:    NewTieringPolicy(cfg.HitSet, cfg.Tiering.Enabled),
 		hostGWs:  make(map[string]*rados.Gateway),
 		objLocks: make(map[string]*sim.Resource),
-
-		scrubMemo: make(map[*rados.Pool]map[string]scrubSeen),
-		names:     newNameMemo(),
+		names:    newNameMemo(),
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{

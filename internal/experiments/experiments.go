@@ -41,9 +41,6 @@ type Scale struct {
 	capture *TraceCapture
 }
 
-// QuickScale keeps the package's own tests fast.
-func QuickScale() Scale { return Scale{Data: 0.25} }
-
 // WithPool returns a copy of s whose runs each hold a slot from acquire
 // while they execute.
 func (s Scale) WithPool(acquire func() (release func(events int64))) Scale {

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// tinyScale keeps the experiment smoke tests fast.
-var tinyScale = Scale{Data: 0.1}
+// tinyScale keeps the experiment smoke tests fast; quickScale is for the
+// shape tests that need a little more data.
+var tinyScale, quickScale = Scale{Data: 0.1}, Scale{Data: 0.25}
 
 func TestFig3ShapeHolds(t *testing.T) {
 	if testing.Short() {
@@ -64,7 +65,7 @@ func TestFig14Shape(t *testing.T) {
 		t.Skip("experiment smoke test")
 	}
 	t.Parallel()
-	rs := Fig14(QuickScale())
+	rs := Fig14(quickScale)
 	ideal, static, controlled := rs[0], rs[1], rs[2]
 	if retainedPct(ideal) < 98 || retainedPct(static) > 95 || retainedPct(controlled) < 98 {
 		t.Errorf("retained %%: ideal %.1f (want >= 98), without rate control %.1f (want <= 95), with it %.1f (want >= 98)",
@@ -181,7 +182,7 @@ func TestFPIndexShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	rows := FPIndexLatencySweep(QuickScale())
+	rows := FPIndexLatencySweep(quickScale)
 	// Group rows by (seed, cache); within each group entries ascend.
 	groups := map[[2]int64][]FPIndexLatencyRow{}
 	var order [][2]int64
@@ -236,7 +237,7 @@ func TestAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	sc := QuickScale()
+	sc := quickScale
 	rows := AblationCache(sc)
 	on, off := rows[0], rows[1]
 	if on.FlushedBytes*4 > off.FlushedBytes {

@@ -14,7 +14,7 @@ func TestRedundancyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	rows := Redundancy(QuickScale())
+	rows := Redundancy(quickScale)
 	byName := map[string]RedundancyRow{}
 	for _, r := range rows {
 		byName[r.Config] = r
@@ -43,7 +43,7 @@ func TestRedundancyShape(t *testing.T) {
 		}
 	}
 
-	ch := RedundancyChaos(QuickScale())
+	ch := RedundancyChaos(quickScale)
 	if ch.Migrations == 0 {
 		t.Error("chaos soak performed no migrations; kills landed against an idle daemon")
 	}

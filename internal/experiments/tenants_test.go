@@ -12,7 +12,7 @@ func TestTenantIsolationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	rows := TenantIsolation(QuickScale())
+	rows := TenantIsolation(quickScale)
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 configurations, got %d", len(rows))
 	}
@@ -45,7 +45,7 @@ func TestTenantFleetShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	rows := TenantFleet(QuickScale())
+	rows := TenantFleet(quickScale)
 	t.Log(TenantFleetTable(rows).String())
 	byClass := map[string]TenantFleetRow{}
 	for _, r := range rows {

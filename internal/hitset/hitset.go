@@ -21,12 +21,11 @@ type Slice struct {
 
 // Tracker maintains a ring of recent HitSet slices.
 type Tracker struct {
-	period    time.Duration
-	retain    int
-	slices    []*Slice // slices[len-1] is the open one
-	lastRoll  sim.Time
-	hitCount  int
-	totalHits uint64
+	period   time.Duration
+	retain   int
+	slices   []*Slice // slices[len-1] is the open one
+	lastRoll sim.Time
+	hitCount int
 }
 
 // Temperature is a multi-level hotness classification derived from decayed
@@ -55,9 +54,6 @@ func (t Temperature) String() string {
 	}
 	return "invalid"
 }
-
-// Temperatures lists the levels from cold to hot.
-func Temperatures() []Temperature { return []Temperature{TempCold, TempWarm, TempHot} }
 
 // expectedPerSlice sizes each slice's bloom filter.
 const expectedPerSlice = 4096
@@ -137,7 +133,6 @@ func (t *Tracker) roll(now sim.Time) {
 func (t *Tracker) Record(now sim.Time, oid string) {
 	t.roll(now)
 	t.slices[len(t.slices)-1].filter.AddString(oid)
-	t.totalHits++
 }
 
 // Hits returns in how many retained slices oid appears (bloom-approximate).
@@ -192,9 +187,3 @@ func (t *Tracker) Temp(now sim.Time, oid string) Temperature {
 		return TempCold
 	}
 }
-
-// TotalHits returns the lifetime number of recorded accesses.
-func (t *Tracker) TotalHits() uint64 { return t.totalHits }
-
-// Slices returns the number of slices currently retained (including open).
-func (t *Tracker) Slices() int { return len(t.slices) }

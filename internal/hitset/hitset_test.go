@@ -47,7 +47,7 @@ func TestSliceRetention(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Record(at(time.Duration(i)*time.Second+time.Millisecond), "o")
 	}
-	if got := tr.Slices(); got > 4 { // retain + open
+	if got := len(tr.slices); got > 4 { // retain + open
 		t.Fatalf("retained %d slices, want <= 4", got)
 	}
 }
@@ -62,16 +62,6 @@ func TestHitsCountsSlices(t *testing.T) {
 	}
 	if !tr.Hot(at(3100*time.Millisecond), "obj") {
 		t.Fatal("obj should be hot at threshold")
-	}
-}
-
-func TestTotalHits(t *testing.T) {
-	tr := New(DefaultConfig())
-	for i := 0; i < 5; i++ {
-		tr.Record(0, "x")
-	}
-	if tr.TotalHits() != 5 {
-		t.Fatalf("TotalHits=%d", tr.TotalHits())
 	}
 }
 
@@ -95,7 +85,7 @@ func TestRollLongIdleGap(t *testing.T) {
 	if got := tr.Hits(far, "old"); got != 0 {
 		t.Fatalf("hits across huge gap = %d, want 0", got)
 	}
-	if got := tr.Slices(); got > 5 {
+	if got := len(tr.slices); got > 5 {
 		t.Fatalf("slice count after gap = %d, want <= retain+1 = 5", got)
 	}
 	// The open slice must cover `far`: recording and querying in the same
@@ -133,7 +123,7 @@ func TestRollGapMatchesStepwise(t *testing.T) {
 			t.Fatalf("hits(%q): fast=%d slow=%d", oid, f, s)
 		}
 	}
-	if f, s := fast.Slices(), slow.Slices(); f != s {
+	if f, s := len(fast.slices), len(slow.slices); f != s {
 		t.Fatalf("slice count: fast=%d slow=%d", f, s)
 	}
 }
@@ -203,9 +193,9 @@ func TestTemperatureBands(t *testing.T) {
 
 func TestTemperatureString(t *testing.T) {
 	want := map[Temperature]string{TempCold: "cold", TempWarm: "warm", TempHot: "hot"}
-	for _, tp := range Temperatures() {
-		if tp.String() != want[tp] {
-			t.Fatalf("Temperature(%d).String()=%q want %q", tp, tp.String(), want[tp])
+	for tp, name := range want {
+		if tp.String() != name {
+			t.Fatalf("Temperature(%d).String()=%q want %q", tp, tp.String(), name)
 		}
 	}
 	if Temperature(99).String() != "invalid" {

@@ -82,15 +82,17 @@ func TestLimiterZeroRateStarves(t *testing.T) {
 			admitted++
 		}
 	})
-	eng.RunUntil(sim.Time(time.Hour))
+	// One live process and no queued event: the taker is parked on a
+	// condition, and the limiter's only one is its starved condition.
+	if live := eng.RunUntil(sim.Time(time.Hour)); live != 1 {
+		t.Fatalf("%d processes live after the run, want the one starved taker", live)
+	}
 	if admitted != 2 {
 		t.Fatalf("zero-rate limiter admitted %d takes of its 100-token burst, want 2", admitted)
 	}
-	if n := eng.Pending(); n != 0 {
+	st := eng.Stats()
+	if n := st.EventsScheduled - st.EventsDispatched; n != 0 {
 		t.Fatalf("starved taker left %d events queued — it must park, not poll", n)
-	}
-	if got := l.starved.Waiters(); got != 1 {
-		t.Fatalf("starved taker not parked on the limiter's condition (waiters=%d)", got)
 	}
 }
 

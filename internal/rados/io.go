@@ -162,9 +162,10 @@ func (g *Gateway) ReadInto(p *sim.Proc, pool *Pool, oid string, off int64, dst [
 	return len(data), err
 }
 
-// ReadBorrowed is Read for a caller that only looks at the bytes (scrub
-// hashes them). The result is read-only: on a replicated pool it is the
-// serving OSD's stored bytes as of the instant Read would have copied them.
+// ReadBorrowed is Read for a caller that only looks at the bytes (the dedup
+// scrub hashes them and keeps nothing). The result is read-only: on a
+// replicated pool it is the serving OSD's stored bytes as of the instant Read
+// would have copied them.
 func (g *Gateway) ReadBorrowed(p *sim.Proc, pool *Pool, oid string, off, length int64) ([]byte, error) {
 	return g.tracedRead(p, pool, oid, off, length, nil, true)
 }

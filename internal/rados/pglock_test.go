@@ -77,7 +77,7 @@ func TestPGLockExcludesWire(t *testing.T) {
 			})
 			// Just past the write's commit: its request has landed on both
 			// links and the primary has done its own work.
-			p.Sleep(2*e.c.cost.NetXfer(len(data)) + own + time.Microsecond)
+			p.Sleep(2*(e.c.cost.NetLatency+e.c.cost.NetSer(len(data))) + own + time.Microsecond)
 			err := other.Mutate(p, e.rep, y, func(v View) (*store.Txn, error) {
 				if e.c.head[key] == 0 {
 					t.Errorf("Mutate ran before the write committed")

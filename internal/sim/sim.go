@@ -303,9 +303,6 @@ func (p *Proc) SetTracer(t Tracer) Tracer {
 // Tracer returns the process's current tracer (nil if none).
 func (p *Proc) Tracer() Tracer { return p.tracer }
 
-// Daemon reports whether this is a daemon process.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
@@ -554,9 +551,6 @@ func (e *Engine) RunUntil(limit Time) int {
 	return e.live
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.fifo.len() + e.heap.len() }
-
 // ---------------------------------------------------------------------------
 // Signal: a one-shot broadcast event.
 
@@ -693,9 +687,6 @@ type Cond struct {
 
 // NewCond returns a condition with no waiters.
 func NewCond() *Cond { return &Cond{} }
-
-// Waiters reports the number of parked processes.
-func (c *Cond) Waiters() int { return len(c.waiters) }
 
 // Wait parks p until a Signal or Broadcast releases it.
 func (c *Cond) Wait(p *Proc) {

@@ -381,7 +381,7 @@ func TestDaemonChildrenInheritDaemonStatus(t *testing.T) {
 	e.GoDaemon("parent", func(p *Proc) {
 		for {
 			p.Go("child", func(c *Proc) {
-				if !c.Daemon() {
+				if !c.daemon {
 					t.Error("daemon child not marked daemon")
 				}
 				c.Sleep(time.Millisecond)
@@ -474,8 +474,8 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	}
 	e.Go("caster", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		if c.Waiters() != 4 {
-			t.Errorf("Waiters() = %d, want 4", c.Waiters())
+		if n := len(c.waiters); n != 4 {
+			t.Errorf("%d waiters, want 4", n)
 		}
 		c.Broadcast(p)
 	})
@@ -483,8 +483,8 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	if woke != 4 {
 		t.Fatalf("broadcast woke %d of 4 waiters", woke)
 	}
-	if c.Waiters() != 0 {
-		t.Fatalf("waiters remain after broadcast: %d", c.Waiters())
+	if n := len(c.waiters); n != 0 {
+		t.Fatalf("waiters remain after broadcast: %d", n)
 	}
 }
 
@@ -528,7 +528,7 @@ func TestProcPanicUnwindsThroughRun(t *testing.T) {
 	}
 	ran := false
 	e.Go("after", func(p *Proc) {
-		if p.Daemon() || p.Tracer() != nil {
+		if p.daemon || p.Tracer() != nil {
 			t.Error("spawn after a panic inherited from the dead process")
 		}
 		p.Sleep(time.Millisecond)

@@ -24,11 +24,10 @@ type Params struct {
 	JournalAmp      float64
 
 	// CPU work rates.
-	HashBW     float64 // SHA-256 fingerprinting
-	RollBW     float64 // content-defined-chunking rolling-hash scan
-	ECBW       float64 // Reed-Solomon encode/decode per byte of data
-	CompressBW float64 // flate compression
-	CRCBW      float64 // per-message checksumming
+	HashBW float64 // SHA-256 fingerprinting
+	RollBW float64 // content-defined-chunking rolling-hash scan
+	ECBW   float64 // Reed-Solomon encode/decode per byte of data
+	CRCBW  float64 // per-message checksumming
 
 	// Fixed software overhead per object operation at an OSD (request
 	// decode, PG lock, metadata update). Dominates small-IO latency.
@@ -52,7 +51,6 @@ func Default() Params {
 		HashBW:          1.4e9,
 		RollBW:          450e6,
 		ECBW:            2.8e9,
-		CompressBW:      220e6,
 		CRCBW:           5e9,
 		OpOverhead:      90 * time.Microsecond,
 		DiskShards:      4,
@@ -65,10 +63,6 @@ func xfer(n int, bw float64) time.Duration {
 	}
 	return time.Duration(float64(n) / bw * float64(time.Second))
 }
-
-// NetXfer is the end-to-end time to move n bytes across one network hop
-// (serialization plus propagation).
-func (p Params) NetXfer(n int) time.Duration { return p.NetLatency + xfer(n, p.NetBandwidth) }
 
 // NetSer is only the link-occupancy (serialization) time for n bytes: the
 // component that consumes NIC capacity. Propagation (NetLatency) adds
@@ -97,9 +91,6 @@ func (p Params) ChunkScan(n int) time.Duration { return xfer(n, p.RollBW) }
 
 // ECEncode is the CPU time to erasure-code n bytes of data.
 func (p Params) ECEncode(n int) time.Duration { return xfer(n, p.ECBW) }
-
-// Compress is the CPU time to compress n bytes.
-func (p Params) Compress(n int) time.Duration { return xfer(n, p.CompressBW) }
 
 // Checksum is the CPU time to checksum n bytes.
 func (p Params) Checksum(n int) time.Duration { return xfer(n, p.CRCBW) }

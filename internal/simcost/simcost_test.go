@@ -17,18 +17,12 @@ func TestDefaultSane(t *testing.T) {
 
 func TestTransferScalesWithSize(t *testing.T) {
 	p := Default()
-	small, big := p.NetXfer(1<<10), p.NetXfer(1<<20)
+	small, big := p.NetSer(1<<10), p.NetSer(1<<20)
 	if big <= small {
 		t.Fatal("network transfer not size-dependent")
 	}
-	if p.NetXfer(0) != p.NetLatency {
-		t.Fatal("zero-byte transfer should cost only latency")
-	}
 	if p.NetSer(0) != 0 {
 		t.Fatal("zero-byte serialization should be free")
-	}
-	if p.NetSer(1<<20)+p.NetLatency != p.NetXfer(1<<20) {
-		t.Fatal("NetXfer != NetSer + latency")
 	}
 }
 
@@ -50,7 +44,7 @@ func TestDiskCosts(t *testing.T) {
 
 func TestCPUCosts(t *testing.T) {
 	p := Default()
-	if p.Hash(1<<20) <= 0 || p.ECEncode(1<<20) <= 0 || p.Compress(1<<20) <= 0 || p.Checksum(1<<20) <= 0 {
+	if p.Hash(1<<20) <= 0 || p.ECEncode(1<<20) <= 0 || p.Checksum(1<<20) <= 0 {
 		t.Fatal("CPU costs must be positive for 1MB")
 	}
 	// SHA-256 fingerprinting is slower than CRC checksums.

@@ -68,8 +68,6 @@ func (m *model) apply(k Key, t *Txn) {
 			}
 		case OpSetXattr:
 			obj.xattr[op.Name] = string(op.Value)
-		case OpRmXattr:
-			delete(obj.xattr, op.Name)
 		case OpOmapSet:
 			obj.omap[op.Name] = string(op.Value)
 		case OpOmapRm:
@@ -113,7 +111,7 @@ func randomTxn(rng *rand.Rand) *Txn {
 	t := NewTxn()
 	n := 1 + rng.Intn(4)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(8) {
 		case 0:
 			buf := make([]byte, rng.Intn(300))
 			rng.Read(buf)
@@ -129,12 +127,10 @@ func randomTxn(rng *rand.Rand) *Txn {
 		case 4:
 			t.SetXattr(fmt.Sprintf("x%d", rng.Intn(4)), []byte{byte(rng.Intn(256))})
 		case 5:
-			t.RmXattr(fmt.Sprintf("x%d", rng.Intn(4)))
-		case 6:
 			t.OmapSet(fmt.Sprintf("k%d", rng.Intn(6)), []byte{byte(rng.Intn(256))})
-		case 7:
+		case 6:
 			t.OmapRm(fmt.Sprintf("k%d", rng.Intn(6)))
-		case 8:
+		case 7:
 			if rng.Intn(4) == 0 { // deletes are rarer
 				t.Delete()
 			} else {

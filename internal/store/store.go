@@ -121,7 +121,6 @@ const (
 	OpDelete
 	OpCreate // ensure existence (no-op if present)
 	OpSetXattr
-	OpRmXattr
 	OpOmapSet
 	OpOmapRm
 	// OpZero punches a hole: the range reads as zeros and stops counting
@@ -197,12 +196,6 @@ func (t *Txn) SetXattr(name string, value []byte) *Txn {
 	return t
 }
 
-// RmXattr appends an xattr removal.
-func (t *Txn) RmXattr(name string) *Txn {
-	t.Ops = append(t.Ops, Op{Kind: OpRmXattr, Name: name})
-	return t
-}
-
 // OmapSet appends an omap key set.
 func (t *Txn) OmapSet(key string, value []byte) *Txn {
 	t.Ops = append(t.Ops, Op{Kind: OpOmapSet, Name: key, Value: value})
@@ -253,7 +246,7 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			delete(s.objects, k)
 			obj = nil
 			continue
-		case OpCreate, OpWrite, OpWriteFull, OpTruncate, OpSetXattr, OpRmXattr, OpOmapSet, OpOmapRm, OpZero:
+		case OpCreate, OpWrite, OpWriteFull, OpTruncate, OpSetXattr, OpOmapSet, OpOmapRm, OpZero:
 			if obj == nil {
 				obj = &Object{}
 				s.objects[k] = obj
@@ -305,9 +298,6 @@ func (s *Store) Apply(k Key, t *Txn) error {
 			}
 			obj.Xattr[op.Name] = op.Value
 			obj.sumValue("xattr", op.Name, op.Value)
-		case OpRmXattr:
-			delete(obj.Xattr, op.Name)
-			obj.forgetValue("xattr", op.Name)
 		case OpOmapSet:
 			if obj.Omap == nil {
 				obj.Omap = make(map[string][]byte)

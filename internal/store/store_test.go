@@ -112,10 +112,6 @@ func TestXattr(t *testing.T) {
 	if err != nil || !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Fatalf("xattr = %v, %v", v, err)
 	}
-	s.Apply(k, NewTxn().RmXattr("chunkmap"))
-	if _, err := s.GetXattr(k, "chunkmap"); err != ErrNotFound {
-		t.Fatal("xattr survived removal")
-	}
 }
 
 func TestOmap(t *testing.T) {

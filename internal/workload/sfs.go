@@ -151,11 +151,6 @@ func (r SFSResult) TotalThroughput() float64 {
 	return r.Read.Throughput(r.Elapsed) + r.Write.Throughput(r.Elapsed) + r.LogWrite.Throughput(r.Elapsed)
 }
 
-// TotalIOPS returns ops/s across all op classes.
-func (r SFSResult) TotalIOPS() float64 {
-	return r.Read.IOPS(r.Elapsed) + r.Write.IOPS(r.Elapsed) + r.LogWrite.IOPS(r.Elapsed)
-}
-
 // MeanLatency returns the op-weighted mean latency.
 func (r SFSResult) MeanLatency() time.Duration {
 	tot := r.Read.Lat.Count() + r.Write.Lat.Count() + r.LogWrite.Lat.Count()

@@ -216,7 +216,7 @@ func TestRunSFSFixedRate(t *testing.T) {
 	if res.OpsDone < 300 || res.OpsDone > 500 {
 		t.Fatalf("ops done = %d, want ~400 (fixed rate)", res.OpsDone)
 	}
-	if res.TotalIOPS() < 150 || res.TotalIOPS() > 250 {
-		t.Fatalf("IOPS = %.0f, want ~200", res.TotalIOPS())
+	if iops := res.Read.IOPS(res.Elapsed) + res.Write.IOPS(res.Elapsed) + res.LogWrite.IOPS(res.Elapsed); iops < 150 || iops > 250 {
+		t.Fatalf("IOPS = %.0f, want ~200", iops)
 	}
 }

@@ -32,6 +32,10 @@
 # (ecio.go) and Cluster.settle (recovery.go): each pool kind has one mutation
 # path, so a PG lock's scope is decided at one site per pool kind, and
 # recovery waits out an EC mutation at one more.
+# And fails if a non-test file in internal/core calls FingerprintID( outside
+# names.go, refcount.go (where it is defined) and local.go (the analysis
+# helpers): the store names bytes through Store.name, whose memo is the one
+# shortcut around SHA-256 (DESIGN.md §9), so no site keeps a second one.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -60,6 +64,10 @@ if [ -n "$lockpg" ]; then
 fi
 if grep -n 'GoDaemon(' $(ls internal/core/*.go internal/rados/*.go | grep -v '_test\.go$') >&2; then
 	echo "check-seams: the lines above spawn a daemon in internal/core or internal/rados; a periodic loop is a sim.Loop (DESIGN.md §9), and a drain's agents are fan-out children that end with the call" >&2
+	exit 1
+fi
+if grep -n 'FingerprintID(' $(ls internal/core/*.go | grep -vE '_test\.go$|/(names|refcount|local)\.go$') | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' >&2; then
+	echo "check-seams: the lines above name bytes with FingerprintID in internal/core outside names.go, refcount.go and local.go; name them through Store.name (DESIGN.md §9)" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
