@@ -25,8 +25,10 @@ test:
 
 # Concurrency-sensitive packages under the race detector (includes the
 # experiment harness's worker pool and the chaos kill-schedule scenarios).
+# A trace sink has no lock, so every package that writes to or reads a
+# cluster's sink is here.
 race:
-	go test -race ./internal/metrics ./internal/sim ./internal/qos ./internal/gateway ./internal/fpindex ./internal/hitset ./internal/tiering ./internal/rados ./internal/core ./internal/chaos ./internal/harness ./internal/experiments
+	go test -race ./internal/metrics ./internal/sim ./internal/qos ./internal/gateway ./internal/fpindex ./internal/hitset ./internal/tiering ./internal/rados ./internal/core ./internal/client ./internal/chaos ./internal/harness ./internal/experiments ./cmd/dedupctl
 
 # The aliasing guard: replicas, snapshots and borrowers share payload bytes on
 # the promise that nobody writes to them (DESIGN.md §9). This build checksums

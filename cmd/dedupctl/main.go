@@ -270,8 +270,7 @@ func (c *ctl) simStats() {
 	fmt.Printf("procs: %d goroutines spawned, %d starts served from the free pool, %d live, %d pooled\n",
 		st.ProcsSpawned, st.ProcsReused, st.ProcsLive, st.ProcsPooled)
 	sink := c.world.Cluster.Trace()
-	fmt.Printf("trace: sampling 1 of every %d spans, %d seen, %d recorded\n",
-		sink.Sample(), sink.Seen(), sink.Total())
+	fmt.Printf("trace: %d spans recorded\n", sink.Total())
 }
 
 // tenants runs a short multi-tenant demo — a gold interactive tenant, a

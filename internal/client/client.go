@@ -68,6 +68,9 @@ func (b *DedupBackend) Delete(p *sim.Proc, oid string) error {
 	return b.Client.Delete(p, oid)
 }
 
+// The device-level span names.
+var spanWrite, spanRead = sim.Intern("rbd.write"), sim.Intern("rbd.read")
+
 // BlockDevice is a virtual disk of Size bytes striped over ObjectSize-byte
 // objects named <name>.<index>, like Ceph's RBD image layout.
 type BlockDevice struct {
@@ -76,7 +79,8 @@ type BlockDevice struct {
 	objectSize int64
 	backend    ObjectBackend
 	sink       *metrics.TraceSink
-	tenant     string
+	label      sim.Label // name, as the device's spans carry it in their pool field
+	tenant     sim.Label
 }
 
 // NewBlockDevice creates a block device view. objectSize defaults to 4 MiB
@@ -88,7 +92,7 @@ func NewBlockDevice(name string, size, objectSize int64, backend ObjectBackend) 
 	if objectSize <= 0 {
 		objectSize = 4 << 20
 	}
-	return &BlockDevice{name: name, size: size, objectSize: objectSize, backend: backend}, nil
+	return &BlockDevice{name: name, size: size, objectSize: objectSize, backend: backend, label: sim.Intern(name)}, nil
 }
 
 // Name returns the device name.
@@ -108,7 +112,7 @@ func (d *BlockDevice) SetTrace(sink *metrics.TraceSink) { d.sink = sink }
 // SetTenant attributes the device's spans to a tenant identity, so
 // device-level I/O joins the per-tenant trace trail the backend layers
 // continue.
-func (d *BlockDevice) SetTenant(tenant string) { d.tenant = tenant }
+func (d *BlockDevice) SetTenant(tenant string) { d.tenant = sim.Intern(tenant) }
 
 // ObjectName returns the backing object name for stripe index idx.
 func (d *BlockDevice) ObjectName(idx int64) string {
@@ -120,7 +124,7 @@ func (d *BlockDevice) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	if off < 0 || int64(len(data)) > d.size-off { // not off+len: that sum can overflow
 		return fmt.Errorf("client: write of %d bytes at %d outside device %q size %d", len(data), off, d.name, d.size)
 	}
-	sp := d.sink.Start(p, "rbd.write").SetOp(d.name, "", int64(len(data))).SetTenant(d.tenant)
+	sp := d.sink.StartLabel(p, spanWrite).SetOp(d.label, 0, int64(len(data))).SetTenant(d.tenant)
 	defer sp.Finish(p)
 	for len(data) > 0 {
 		idx := off / d.objectSize
@@ -146,7 +150,7 @@ func (d *BlockDevice) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 	if off < 0 || length < 0 || length > d.size-off { // not off+length: that sum can overflow
 		return nil, fmt.Errorf("client: read of %d bytes at %d outside device %q size %d", length, off, d.name, d.size)
 	}
-	sp := d.sink.Start(p, "rbd.read").SetOp(d.name, "", length).SetTenant(d.tenant)
+	sp := d.sink.StartLabel(p, spanRead).SetOp(d.label, 0, length).SetTenant(d.tenant)
 	defer sp.Finish(p)
 	var out []byte // zero-filled assembly buffer, for every case but the one above
 	pos := int64(0)

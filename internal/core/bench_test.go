@@ -97,8 +97,8 @@ func BenchmarkClientRead64K(b *testing.B) {
 	eng.Run()
 }
 
-// benchStore is a default-config store (32 KiB chunks, rep x2) with tracing
-// sampled off, as in the benchmark's timed runs.
+// benchStore is a default-config store (32 KiB chunks, rep x2), tracing
+// every span as the benchmark's timed runs do.
 func benchStore(b *testing.B) (*sim.Engine, *Store) {
 	eng := sim.New(1)
 	cfg := DefaultConfig()
@@ -107,7 +107,6 @@ func benchStore(b *testing.B) (*sim.Engine, *Store) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.cluster.Trace().SetSample(1 << 30)
 	return eng, s
 }
 

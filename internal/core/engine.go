@@ -246,6 +246,9 @@ func anyHost(s *Store) string {
 	return hostName
 }
 
+// spanFlush names a flushObject's span.
+var spanFlush = sim.Intern("dedup.flush")
+
 // flushObject deduplicates one metadata object (§4.4.1 steps 2–6). force
 // (ModeFlushThrough and an explicit drain's agents) is client-visible and
 // bypasses rate control, which is decided here, once, for every flush path.
@@ -253,7 +256,7 @@ func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	s := e.s
 	e.stats.ObjectsScanned++
 	e.reg().Counter("dedup_objects_scanned_total").Inc()
-	sp := s.cluster.Trace().Start(p, "dedup.flush").SetOp(s.meta.Name, "", 0)
+	sp := s.cluster.Trace().StartLabel(p, spanFlush).SetOp(s.meta.Label(), 0, 0)
 	defer sp.Finish(p)
 
 	// Claim: remove from the dirty list first; any racing client write

@@ -121,7 +121,7 @@ func (s *Store) GC(p *sim.Proc) (GCStats, error) {
 		reg.Counter("dedup_gc_intents_aborted_total").Add(stats.IntentsAborted)
 		reg.Counter("dedup_gc_raced_skips_total").Add(stats.RacedSkips)
 	}()
-	sp := s.cluster.Trace().Start(p, "dedup.gc").SetClass(qos.GC.String())
+	sp := s.cluster.Trace().Start(p, "dedup.gc").SetClass(qos.GC.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.GC)
 	for _, cpool := range s.chunkPools() {

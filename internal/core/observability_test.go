@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"dedupstore/internal/metrics"
 	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 )
@@ -80,4 +82,45 @@ func TestNoopFlushAccounting(t *testing.T) {
 		t.Error("registry noop counter disagrees with engine stats")
 	}
 	e.checkIntegrity(t)
+}
+
+// TestTracedWriteChildrenNest: over traced writes and their drain, every
+// recorded child span lies within its parent's [Start, End]. The dirty-list
+// append a write leaves behind runs after the write's span has finished, so
+// it must not record the write as its parent.
+func TestTracedWriteChildrenNest(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	e.run(t, func(p *sim.Proc) {
+		for i := range 4 {
+			if err := e.cl.Write(p, fmt.Sprintf("obj%d", i), 0, randData(int64(i), 2*4096)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.s.Engine().DrainAndWait(p)
+	})
+	spans := e.cl.Trace().Recent(4096)
+	if int64(len(spans)) != e.cl.Trace().Total() {
+		t.Fatalf("ring kept %d of %d spans", len(spans), e.cl.Trace().Total())
+	}
+	byID := make(map[uint64]metrics.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	nested := 0
+	for _, sp := range spans {
+		if sp.Parent == 0 {
+			continue
+		}
+		parent, ok := byID[sp.Parent]
+		if !ok || sp.Parent >= sp.ID { // ids count up from Start
+			t.Fatalf("%s %d names parent %d, which is not a span recorded and started before it", sp.Name, sp.ID, sp.Parent)
+		}
+		if sp.Start < parent.Start || sp.End > parent.End {
+			t.Errorf("%s [%v, %v] outside its parent %s [%v, %v]", sp.Name, sp.Start, sp.End, parent.Name, parent.Start, parent.End)
+		}
+		nested++
+	}
+	if nested == 0 {
+		t.Fatal("no child span recorded")
+	}
 }

@@ -125,7 +125,8 @@ func chunkStates(t *testing.T, p *sim.Proc, s *core.Store, oid string) (states [
 }
 
 // allocEnv is a dedup store with 32 KiB chunks on the 4 × 4 testbed, its
-// chunk pool replicated rep times.
+// chunk pool replicated rep times, tracing every span as the benchmark's
+// runs do.
 func allocEnv(t testing.TB, rep int) (*sim.Engine, *core.Store) {
 	eng := sim.New(11)
 	cfg := core.DefaultConfig()
@@ -135,7 +136,6 @@ func allocEnv(t testing.TB, rep int) (*sim.Engine, *core.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cluster().Trace().SetSample(1 << 30) // untraced, as the benchmark's timed runs are
 	return eng, s
 }
 

@@ -369,9 +369,10 @@ func IsSystemObject(oid string) bool {
 
 // Client opens a user session with its own network link.
 type Client struct {
-	s      *Store
-	gw     *rados.Gateway
-	tenant string
+	s           *Store
+	gw          *rados.Gateway
+	tenant      string
+	tenantLabel sim.Label // tenant, as the session's spans carry it
 
 	// Pre-resolved per-kind op handles (write/read/delete).
 	opWrite, opRead, opDelete metrics.OpStats
@@ -395,7 +396,7 @@ func (cl *Client) Trace() *metrics.TraceSink { return cl.s.cluster.Trace() }
 // SetTenant attributes this session to a tenant: the dedup-level spans it
 // opens and the rados ops its gateway issues all carry the identity.
 func (cl *Client) SetTenant(tenant string) {
-	cl.tenant = tenant
+	cl.tenant, cl.tenantLabel = tenant, sim.Intern(tenant)
 	cl.gw.SetTenant(tenant)
 }
 
@@ -403,7 +404,7 @@ func (cl *Client) SetTenant(tenant string) {
 // op; the rados ops it issues nest under it).
 func (cl *Client) startOp(p *sim.Proc, st *metrics.OpStats, bytes int) metrics.Op {
 	op := st.Start(p, cl.s.cluster.Trace())
-	op.Span.SetOp(metaPoolName, "", int64(bytes)).SetTenant(cl.tenant)
+	op.Span.SetOp(cl.s.meta.Label(), 0, int64(bytes)).SetTenant(cl.tenantLabel)
 	return op
 }
 
@@ -477,7 +478,9 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	// Step (4): log the object ID for the background dedup engine. The log
 	// append does not gate the client's ack — the authoritative dirty state
 	// is the chunk map's dirty bits, written transactionally above (§4.6).
+	// It outlives the write, so it does not trace into the write's span.
 	p.Go("dirty-log", func(q *sim.Proc) {
+		q.SetTracer(nil, 0)
 		_ = s.setDirty(q, cl.gw, oid, true)
 	})
 	if s.cfg.Mode == ModeFlushThrough {
@@ -497,9 +500,7 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 func (cl *Client) Read(p *sim.Proc, oid string, off, length int64) ([]byte, error) {
 	op := cl.startOp(p, &cl.opRead, 0)
 	out, err := cl.read(p, oid, off, length)
-	if op.Span != nil {
-		op.Span.Bytes = int64(len(out))
-	}
+	op.Span.SetBytes(int64(len(out)))
 	op.Finish(p, err)
 	return out, err
 }

@@ -168,20 +168,26 @@ func tierObjectState(cm *ChunkMap) (tiering.ObjectState, int64) {
 	return st, bytes
 }
 
+// tierSpans names each action's span ("tier.recache", ...), resolved once.
+var tierSpans = func() (ls [tiering.ActEvict + 1]sim.Label) {
+	for a := range ls {
+		ls[a] = sim.Intern("tier." + tiering.Action(a).String())
+	}
+	return ls
+}()
+
 // applyTierAction executes one migration step under a trace span carrying
 // the owning tenant and the tiering QoS class.
 func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, act tiering.Action, ps *TierStats) (err error) {
-	sp := s.cluster.Trace().Start(p, "tier."+act.String()).
-		SetOp(metaPoolName, "", 0).
-		SetTenant(s.cache.TenantOf(oid)).
-		SetClass(qos.Tiering.String())
+	sp := s.cluster.Trace().StartLabel(p, tierSpans[act]).
+		SetOp(s.meta.Label(), 0, 0).
+		SetTenant(sim.Intern(s.cache.TenantOf(oid))).
+		SetClass(qos.Tiering.Label())
 	s.tier.inFlight++
 	defer func() {
 		s.tier.inFlight--
-		if sp != nil {
-			sp.Err = err != nil
-			sp.Finish(p)
-		}
+		sp.SetErr(err)
+		sp.Finish(p)
 	}()
 	switch act {
 	case tiering.ActRecache:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dedupstore/internal/sim"
@@ -18,15 +17,14 @@ type ResourceSpan struct {
 	Hold     time.Duration // service time inside Resource.Use
 }
 
-// Span is one traced operation: virtual start/end time, identity (op kind,
-// pool, placement group, payload bytes) and the queue-wait vs. service-time
-// breakdown across every sim FIFO resource the op touched. A span attaches
-// to the executing sim.Proc as its Tracer, so resource waits — including
-// those of child processes (replica writers, parallel chunk reads) — accrue
-// automatically; nested Start calls record the parent span's ID.
+// Span is one recorded operation as a reader sees it: virtual start/end
+// time, identity (op kind, pool, placement group, payload bytes) and the
+// queue-wait vs. service-time breakdown across every sim FIFO resource the
+// op touched. The sink stores spans as pointer-free records and builds Span
+// values only when Recent or Slowest is called.
 type Span struct {
 	ID     uint64
-	Parent uint64
+	Parent uint64 // 0 for a root, and for a child that finished after its parent
 	Name   string // op kind, e.g. "rados.write"
 	Class  string // QoS class the op was admitted under ("client", "dedup", ...)
 	Tenant string // tenant the op is attributed to ("" = not tenant traffic)
@@ -38,9 +36,6 @@ type Span struct {
 	Err    bool
 
 	Resources []ResourceSpan
-
-	sink *TraceSink
-	prev sim.Tracer
 }
 
 // Duration is the span's total virtual time.
@@ -62,81 +57,6 @@ func (sp *Span) Service() time.Duration {
 		d += r.Hold
 	}
 	return d
-}
-
-func (sp *Span) resource(name string) *ResourceSpan {
-	for i := range sp.Resources {
-		if sp.Resources[i].Resource == name {
-			return &sp.Resources[i]
-		}
-	}
-	sp.Resources = append(sp.Resources, ResourceSpan{Resource: name})
-	return &sp.Resources[len(sp.Resources)-1]
-}
-
-// ResourceWait implements sim.Tracer.
-func (sp *Span) ResourceWait(resource string, start, end sim.Time) {
-	if sp == nil || end <= start {
-		return
-	}
-	sp.resource(resource).Wait += (end - start).Duration()
-}
-
-// ResourceHold implements sim.Tracer.
-func (sp *Span) ResourceHold(resource string, start, end sim.Time) {
-	if sp == nil || end <= start {
-		return
-	}
-	sp.resource(resource).Hold += (end - start).Duration()
-}
-
-// SetOp fills in the span's operation identity. Nil-safe.
-func (sp *Span) SetOp(pool, pg string, bytes int64) *Span {
-	if sp != nil {
-		sp.Pool, sp.PG, sp.Bytes = pool, pg, bytes
-	}
-	return sp
-}
-
-// SetClass tags the span with the QoS class its I/O was admitted under.
-// Nil-safe.
-func (sp *Span) SetClass(class string) *Span {
-	if sp != nil {
-		sp.Class = class
-	}
-	return sp
-}
-
-// SetTenant attributes the span to a tenant identity. Nil-safe.
-func (sp *Span) SetTenant(tenant string) *Span {
-	if sp != nil {
-		sp.Tenant = tenant
-	}
-	return sp
-}
-
-// Finish closes the span at the process's current virtual time, restores the
-// parent tracer, and records the span in the sink. Must be called on the
-// same process that Started it. Nil-safe. Finish returns the span to the
-// sink's pool: the caller must not touch the span afterwards — capture
-// Name/Duration/fields before finishing if they are needed.
-func (sp *Span) Finish(p *sim.Proc) {
-	if sp == nil {
-		return
-	}
-	sp.End = p.Now()
-	p.SetTracer(sp.prev)
-	// Fold this span's resource breakdown into the enclosing span, so a
-	// parent op (e.g. a replicated write) reports the queue-wait and service
-	// time of its nested phases too.
-	if parent, ok := sp.prev.(*Span); ok && parent != nil {
-		for _, r := range sp.Resources {
-			pr := parent.resource(r.Resource)
-			pr.Wait += r.Wait
-			pr.Hold += r.Hold
-		}
-	}
-	sp.sink.record(sp)
 }
 
 // String renders one span with its wait-vs-service breakdown.
@@ -177,28 +97,192 @@ func (sp *Span) String() string {
 	return b.String()
 }
 
+// spanRec is a span as the sink stores it: fixed-size and pointer-free, so
+// a ring of thousands costs the garbage collector nothing to scan. Its
+// resource entries sit in the sink's entry ring from position resAt on.
+type spanRec struct {
+	id, parent                    uint64
+	start, end                    sim.Time
+	bytes                         int64
+	resAt                         uint64
+	name, class, tenant, pool, pg sim.Label
+	nres                          uint32
+	err                           bool
+}
+
+func (r *spanRec) duration() time.Duration { return (r.end - r.start).Duration() }
+
+// span is rec as a reader sees it; names is sim.LabelNames.
+func (r *spanRec) span(names []string, res []ResourceSpan) Span {
+	return Span{ID: r.id, Parent: r.parent, Name: names[r.name], Class: names[r.class], Tenant: names[r.tenant],
+		Pool: names[r.pool], PG: names[r.pg], Bytes: r.bytes, Start: r.start, End: r.end, Err: r.err, Resources: res}
+}
+
+// resEntry is one resource's share of a recorded span.
+type resEntry struct {
+	res        sim.Label
+	wait, hold time.Duration
+}
+
+func (e resEntry) span(names []string) ResourceSpan {
+	return ResourceSpan{Resource: names[e.res], Wait: e.wait, Hold: e.hold}
+}
+
+// OpenSpan is a span in flight. It attaches to the executing sim.Proc as its
+// Tracer, so resource waits, including those of child processes (replica
+// writers, parallel chunk reads), accrue automatically, keyed by the
+// resource itself; a nested Start records the enclosing span as parent.
+// Every method is nil-safe, so a nil sink traces nothing.
+type OpenSpan struct {
+	rec       spanRec
+	res       []openRes // in first-touch order
+	sink      *TraceSink
+	parent    *OpenSpan // the enclosing span at Start, while it is that span
+	prev      sim.Tracer
+	prevTrace uint64
+}
+
+type openRes struct {
+	r          *sim.Resource
+	wait, hold time.Duration
+}
+
+func (sp *OpenSpan) resource(r *sim.Resource) *openRes {
+	for i := range sp.res {
+		if sp.res[i].r == r {
+			return &sp.res[i]
+		}
+	}
+	sp.res = append(sp.res, openRes{r: r})
+	return &sp.res[len(sp.res)-1]
+}
+
+// ResourceWait implements sim.Tracer. A report under another trace id comes
+// from a process that outlived the span this object held then; it is
+// dropped.
+func (sp *OpenSpan) ResourceWait(r *sim.Resource, trace uint64, start, end sim.Time) {
+	if trace != sp.rec.id || end <= start {
+		return
+	}
+	sp.resource(r).wait += (end - start).Duration()
+}
+
+// ResourceHold implements sim.Tracer, as ResourceWait does.
+func (sp *OpenSpan) ResourceHold(r *sim.Resource, trace uint64, start, end sim.Time) {
+	if trace != sp.rec.id || end <= start {
+		return
+	}
+	sp.resource(r).hold += (end - start).Duration()
+}
+
+// SetOp fills in the span's operation identity. Nil-safe.
+func (sp *OpenSpan) SetOp(pool, pg sim.Label, bytes int64) *OpenSpan {
+	if sp != nil {
+		sp.rec.pool, sp.rec.pg, sp.rec.bytes = pool, pg, bytes
+	}
+	return sp
+}
+
+// SetBytes sets the span's payload size, for an op that learns it late.
+// Nil-safe.
+func (sp *OpenSpan) SetBytes(bytes int64) {
+	if sp != nil {
+		sp.rec.bytes = bytes
+	}
+}
+
+// SetClass tags the span with the QoS class its I/O was admitted under.
+// Nil-safe.
+func (sp *OpenSpan) SetClass(class sim.Label) *OpenSpan {
+	if sp != nil {
+		sp.rec.class = class
+	}
+	return sp
+}
+
+// SetTenant attributes the span to a tenant identity. Nil-safe.
+func (sp *OpenSpan) SetTenant(tenant sim.Label) *OpenSpan {
+	if sp != nil {
+		sp.rec.tenant = tenant
+	}
+	return sp
+}
+
+// SetErr marks the span failed when err is not nil. Nil-safe.
+func (sp *OpenSpan) SetErr(err error) {
+	if sp != nil {
+		sp.rec.err = err != nil
+	}
+}
+
+// Finish closes the span at the process's current virtual time, restores the
+// parent tracer, and records the span in the sink. Must be called on the
+// same process that Started it. Nil-safe. Finish returns the span to the
+// sink's pool: the caller must not touch the span afterwards.
+//
+// A child folds its resource breakdown into its parent, so a parent op (a
+// replicated write, say) reports the queue wait and service time of its
+// nested phases too — but only while the parent is still open as the span
+// the child started under. A child that outlives its parent is recorded as
+// a root and folds nowhere: the parent's object may already serve another
+// op.
+func (sp *OpenSpan) Finish(p *sim.Proc) {
+	if sp == nil {
+		return
+	}
+	sp.rec.end = p.Now()
+	p.SetTracer(sp.prev, sp.prevTrace)
+	if parent := sp.parent; parent != nil {
+		if parent.rec.id == sp.rec.parent {
+			for _, r := range sp.res {
+				pr := parent.resource(r.r)
+				pr.wait += r.wait
+				pr.hold += r.hold
+			}
+		} else {
+			sp.rec.parent = 0
+		}
+	}
+	t := sp.sink
+	t.record(sp)
+	sp.rec.id = 0 // closed: reports and children under the old id are stale
+	sp.parent, sp.prev = nil, nil
+	if len(t.free) < spanPoolCap {
+		clear(sp.res)
+		sp.res = sp.res[:0]
+		t.free = append(t.free, sp)
+	}
+}
+
 // TraceSink collects finished spans: a fixed-capacity ring of the most
 // recent spans plus a bounded leaderboard of the slowest spans ever
 // recorded, so post-run analysis sees both the tail and the recent shape
-// without unbounded memory. Safe for concurrent use and on a nil receiver
-// (tracing disabled: Start returns nil and all Span methods no-op).
+// without unbounded memory. A nil sink is tracing disabled: Start returns
+// nil and every OpenSpan method no-ops.
 //
-// Spans are pooled: Finish recycles the span object and the ring reuses its
-// slots' resource slices, so steady-state tracing is allocation-free. With
-// SetSample(n) the sink keeps only every n-th span (deterministic counter,
-// not random): Start returns nil for the skipped ones, and since every Span
-// method is nil-safe, unsampled operations pay almost nothing.
+// A sink belongs to the goroutine that runs its engine, like the resources
+// it records; it has no lock. Read it from elsewhere only once that
+// goroutine is done with it.
+//
+// Spans are pooled: Finish recycles the span object, and the ring stores
+// pointer-free records whose strings are sim.Labels resolved by their
+// owners, so steady-state tracing neither allocates nor looks a name up.
 type TraceSink struct {
-	mu      sync.Mutex
-	ring    []Span
+	ring    []spanRec // the most recent spans; once full, the oldest is at pos
 	pos     int
+	res     []resEntry // the ring's resource entries; power-of-two length
+	resEnd  uint64     // position of the next entry; position i is res[i%len(res)]
 	total   int64
 	nextID  uint64
 	slowCap int
-	slow    []Span // sorted ascending by duration
-	sample  int64  // keep 1 of every sample spans (1 = all)
-	seen    int64  // spans considered by Start, sampled or not
-	pool    []*Span
+	slow    []slowRec // sorted ascending by duration
+	free    []*OpenSpan
+}
+
+// slowRec is a leaderboard entry; it owns its resource entries.
+type slowRec struct {
+	rec spanRec
+	res []resEntry
 }
 
 // DefaultSlowest is the leaderboard size kept by NewTraceSink.
@@ -208,126 +292,117 @@ const DefaultSlowest = 64
 const spanPoolCap = 1024
 
 // NewTraceSink returns a sink retaining the ringCap most recent spans
-// (minimum 16) and the DefaultSlowest slowest, sampling every span.
+// (minimum 16) and the DefaultSlowest slowest.
 func NewTraceSink(ringCap int) *TraceSink {
-	if ringCap < 16 {
-		ringCap = 16
+	ringCap = max(ringCap, 16)
+	entries := 1
+	for entries < 2*ringCap {
+		entries *= 2
 	}
-	return &TraceSink{ring: make([]Span, 0, ringCap), slowCap: DefaultSlowest, sample: 1}
-}
-
-// SetSample makes the sink keep one of every n spans (n <= 1 keeps all).
-// Sampling is a deterministic modulo of the span-start counter, so for a
-// fixed program the same spans are kept on every run.
-func (t *TraceSink) SetSample(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.sample = int64(n)
-	t.mu.Unlock()
-}
-
-// Sample returns the sink's sampling interval (1 = every span is kept).
-func (t *TraceSink) Sample() int {
-	if t == nil {
-		return 1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.sample)
-}
-
-// Seen reports how many span starts the sink has considered, including ones
-// dropped by sampling.
-func (t *TraceSink) Seen() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seen
+	return &TraceSink{ring: make([]spanRec, 0, ringCap), res: make([]resEntry, entries), slowCap: DefaultSlowest}
 }
 
 // Start opens a span named name at the process's current virtual time and
-// installs it as the process tracer. If the process is already inside a
-// span, the new span records it as parent. Returns nil (a no-op span) on a
-// nil sink or when sampling drops the span.
-func (t *TraceSink) Start(p *sim.Proc, name string) *Span {
+// installs it as the process tracer. It interns name on every call: a hot
+// path resolves its name once and calls StartLabel.
+func (t *TraceSink) Start(p *sim.Proc, name string) *OpenSpan {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.seen++
-	if t.sample > 1 && (t.seen-1)%t.sample != 0 {
-		t.mu.Unlock()
+	return t.StartLabel(p, sim.Intern(name))
+}
+
+// StartLabel opens a span named name at the process's current virtual time
+// and installs it as the process tracer. If the process is inside a span
+// that is still open, the new span records it as parent. Returns nil (a
+// no-op span) on a nil sink.
+func (t *TraceSink) StartLabel(p *sim.Proc, name sim.Label) *OpenSpan {
+	if t == nil {
 		return nil
 	}
+	var sp *OpenSpan
+	if n := len(t.free); n > 0 {
+		sp = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+	} else {
+		sp = &OpenSpan{sink: t}
+	}
 	t.nextID++
-	id := t.nextID
-	var sp *Span
-	if n := len(t.pool); n > 0 {
-		sp = t.pool[n-1]
-		t.pool[n-1] = nil
-		t.pool = t.pool[:n-1]
+	sp.rec = spanRec{id: t.nextID, name: name, start: p.Now()}
+	if tr, trace := p.Tracer(); tr != nil {
+		// A process can hold the tracer of a span that has since finished
+		// (it inherited it and outlived it); the id tells.
+		if parent, ok := tr.(*OpenSpan); ok && parent.rec.id == trace {
+			sp.parent, sp.rec.parent = parent, trace
+		}
 	}
-	t.mu.Unlock()
-	if sp == nil {
-		sp = &Span{}
-	}
-	res := sp.Resources[:0]
-	*sp = Span{ID: id, Name: name, Start: p.Now(), sink: t, Resources: res}
-	if parent, ok := p.Tracer().(*Span); ok && parent != nil {
-		sp.Parent = parent.ID
-	}
-	sp.prev = p.SetTracer(sp)
+	sp.prev, sp.prevTrace = p.SetTracer(sp, sp.rec.id)
 	return sp
 }
 
-func (t *TraceSink) record(sp *Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *TraceSink) record(sp *OpenSpan) {
 	t.total++
-	// Ring insert, reusing the evicted slot's resource slice so steady-state
-	// recording allocates nothing.
-	var slot *Span
+	rec := sp.rec
+	rec.nres = uint32(len(sp.res))
+	rec.resAt = t.resEnd
+	// Ring insert. oldest is the first entry position a record that stays
+	// in the ring still needs.
+	var slot *spanRec
+	oldest := t.resEnd
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, Span{})
+		t.ring = append(t.ring, spanRec{})
 		slot = &t.ring[len(t.ring)-1]
+		oldest = t.ring[0].resAt
 	} else {
 		slot = &t.ring[t.pos]
 		t.pos = (t.pos + 1) % len(t.ring)
+		oldest = t.ring[t.pos].resAt
 	}
-	res := slot.Resources
-	*slot = *sp
-	slot.Resources = append(res[:0], sp.Resources...)
-	slot.sink, slot.prev = nil, nil
-	// Leaderboard insert (ascending by duration, bounded). Entries own their
-	// resource slices: the ring slot aliased above gets rewritten on eviction.
-	d := sp.Duration()
-	if !(len(t.slow) == t.slowCap && d <= t.slow[0].Duration()) {
-		rec := *sp
-		rec.Resources = append([]ResourceSpan(nil), sp.Resources...)
-		rec.sink, rec.prev = nil, nil
-		i := sort.Search(len(t.slow), func(i int) bool { return t.slow[i].Duration() >= d })
-		t.slow = append(t.slow, Span{})
+	if need := t.resEnd + uint64(len(sp.res)) - oldest; need > uint64(len(t.res)) {
+		t.growEntries(oldest, need)
+	}
+	mask := uint64(len(t.res) - 1)
+	for _, r := range sp.res {
+		t.res[t.resEnd&mask] = resEntry{res: r.r.Label(), wait: r.wait, hold: r.hold}
+		t.resEnd++
+	}
+	*slot = rec
+	// Leaderboard insert (ascending by duration, bounded). When full, the
+	// fastest entry leaves and lends the newcomer its entry buffer.
+	d := rec.duration()
+	full := len(t.slow) == t.slowCap
+	if full && d <= t.slow[0].rec.duration() {
+		return
+	}
+	i := sort.Search(len(t.slow), func(i int) bool { return t.slow[i].rec.duration() >= d })
+	var buf []resEntry
+	if full {
+		buf = t.slow[0].res[:0]
+		copy(t.slow[:i-1], t.slow[1:i])
+		i--
+	} else {
+		t.slow = append(t.slow, slowRec{})
 		copy(t.slow[i+1:], t.slow[i:])
-		t.slow[i] = rec
-		if len(t.slow) > t.slowCap {
-			t.slow = t.slow[1:]
-		}
 	}
-	// Recycle the finished span for a later Start.
-	if len(t.pool) < spanPoolCap {
-		sp.sink, sp.prev = nil, nil
-		t.pool = append(t.pool, sp)
+	for _, r := range sp.res {
+		buf = append(buf, resEntry{res: r.r.Label(), wait: r.wait, hold: r.hold})
 	}
+	t.slow[i] = slowRec{rec: rec, res: buf}
+}
+
+// growEntries enlarges the entry ring to at least need entries, keeping the
+// positions from oldest on.
+func (t *TraceSink) growEntries(oldest, need uint64) {
+	size := uint64(len(t.res))
+	for size < need {
+		size *= 2
+	}
+	res := make([]resEntry, size)
+	for i := oldest; i < t.resEnd; i++ {
+		res[i&(size-1)] = t.res[i&uint64(len(t.res)-1)]
+	}
+	t.res = res
 }
 
 // Total reports how many spans have been recorded over the sink's lifetime.
@@ -335,8 +410,6 @@ func (t *TraceSink) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.total
 }
 
@@ -345,19 +418,28 @@ func (t *TraceSink) Recent(n int) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	size := len(t.ring)
-	if n > size {
-		n = size
-	}
+	n = min(n, size)
+	names, mask := sim.LabelNames(), uint64(len(t.res)-1)
 	out := make([]Span, 0, n)
+	// The entries of the n spans are contiguous in the entry ring: one
+	// allocation holds all of them.
+	var all []ResourceSpan
+	if n > 0 {
+		first, last := &t.ring[(t.pos+size-n)%size], &t.ring[(t.pos+size-1)%size]
+		all = make([]ResourceSpan, 0, last.resAt+uint64(last.nres)-first.resAt)
+	}
 	for i := size - n; i < size; i++ {
-		rec := t.ring[(t.pos+i)%size]
-		// Ring slots recycle their resource slices; returned spans must own
-		// theirs.
-		rec.Resources = append([]ResourceSpan(nil), rec.Resources...)
-		out = append(out, rec)
+		rec := &t.ring[(t.pos+i)%size]
+		var res []ResourceSpan
+		if rec.nres > 0 {
+			from := len(all)
+			for j := range uint64(rec.nres) {
+				all = append(all, t.res[(rec.resAt+j)&mask].span(names))
+			}
+			res = all[from:len(all):len(all)]
+		}
+		out = append(out, rec.span(names, res))
 	}
 	return out
 }
@@ -367,14 +449,18 @@ func (t *TraceSink) Slowest(n int) []Span {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > len(t.slow) {
-		n = len(t.slow)
-	}
+	n = min(n, len(t.slow))
+	names := sim.LabelNames()
 	out := make([]Span, 0, n)
 	for i := len(t.slow) - 1; i >= len(t.slow)-n; i-- {
-		out = append(out, t.slow[i])
+		var res []ResourceSpan
+		if len(t.slow[i].res) > 0 {
+			res = make([]ResourceSpan, len(t.slow[i].res))
+			for j, e := range t.slow[i].res {
+				res[j] = e.span(names)
+			}
+		}
+		out = append(out, t.slow[i].rec.span(names, res))
 	}
 	return out
 }
@@ -398,7 +484,7 @@ func (t *TraceSink) Report(n int) string {
 // family_errors_total:kind — resolved once, so an op's completion does no
 // string-keyed lookup.
 type OpStats struct {
-	kind  string
+	kind  sim.Label
 	total *Counter
 	lat   *Histogram
 	errs  *Counter // nil: the layer counts no errors
@@ -406,18 +492,17 @@ type OpStats struct {
 
 // NewOpStats resolves kind's handles in reg under family ("rados_op").
 func NewOpStats(reg *Registry, family, kind string, countErrors bool) OpStats {
-	st := OpStats{kind: kind, total: reg.Counter(family + "_total:" + kind), lat: reg.Histogram(family + "_latency:" + kind)}
+	st := OpStats{kind: sim.Intern(kind), total: reg.Counter(family + "_total:" + kind), lat: reg.Histogram(family + "_latency:" + kind)}
 	if countErrors {
 		st.errs = reg.Counter(family + "_errors_total:" + kind)
 	}
 	return st
 }
 
-// Op is one in-flight op: its span (nil when sampling dropped it), its
-// kind's handles and its start time. Latency runs on the op's own clock, so
-// the registry stays exact for ops whose span was not sampled.
+// Op is one in-flight op: its span (nil on a nil sink), its kind's handles
+// and its start time. Latency runs on the op's own clock, never the span's.
 type Op struct {
-	Span  *Span
+	Span  *OpenSpan
 	st    *OpStats
 	start sim.Time
 }
@@ -425,16 +510,14 @@ type Op struct {
 // Start opens the op's span, named after its kind, in sink; the caller tags
 // it. Tracing observes only — it adds no virtual time.
 func (st *OpStats) Start(p *sim.Proc, sink *TraceSink) Op {
-	return Op{Span: sink.Start(p, st.kind), st: st, start: p.Now()}
+	return Op{Span: sink.StartLabel(p, st.kind), st: st, start: p.Now()}
 }
 
 // Finish closes the span (which recycles it: it must not be used
 // afterwards) and records the op's count, latency and error.
 func (op Op) Finish(p *sim.Proc, err error) {
-	if op.Span != nil {
-		op.Span.Err = err != nil
-		op.Span.Finish(p)
-	}
+	op.Span.SetErr(err)
+	op.Span.Finish(p)
 	op.st.total.Inc()
 	op.st.lat.Add((p.Now() - op.start).Duration())
 	if err != nil && op.st.errs != nil {

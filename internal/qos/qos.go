@@ -77,6 +77,17 @@ func (c Class) String() string {
 	return "invalid"
 }
 
+// classLabels holds the class names resolved as span labels.
+var classLabels = func() (ls [NumClasses]sim.Label) {
+	for c := range ls {
+		ls[c] = sim.Intern(classNames[c])
+	}
+	return ls
+}()
+
+// Label returns the class name as a trace span label.
+func (c Class) Label() sim.Label { return classLabels[c] }
+
 // ClassNames lists the class names in enum order.
 func ClassNames() []string {
 	return append([]string(nil), classNames[:]...)
@@ -274,13 +285,13 @@ func (s *Scheduler) Resource() *sim.Resource { return s.res }
 // is under its depth cap and the fair queue grants a service slot, holds the
 // underlying resource for d of virtual time, then releases the slot to the
 // next op in SFQ order. Queue wait and service time are reported to the
-// process's tracer under the resource's name, so trace spans keep their
+// process's tracer as the resource's, so trace spans keep their
 // queue-wait/service breakdown.
 func (s *Scheduler) Use(p *sim.Proc, cls Class, d time.Duration) {
 	d = max(d, 0)
 	wait, queued := s.fq.Acquire(p, int(cls), int64(d), s.g.cfg.Classes[cls].MaxDepth)
-	if t := p.Tracer(); t != nil && queued {
-		t.ResourceWait(s.res.Name(), p.Now()-sim.Time(wait), p.Now())
+	if queued {
+		p.TraceWait(s.res, p.Now()-sim.Time(wait))
 	}
 	if fn := s.g.OnAdmit; fn != nil {
 		fn(s.res.Name(), cls, wait, queued)
@@ -291,9 +302,7 @@ func (s *Scheduler) Use(p *sim.Proc, cls Class, d time.Duration) {
 	s.res.Acquire(p)
 	start := p.Now()
 	p.Sleep(d)
-	if t := p.Tracer(); t != nil {
-		t.ResourceHold(s.res.Name(), start, p.Now())
-	}
+	p.TraceHold(s.res, start)
 	s.res.Release(p)
 	s.fq.flows[cls].busy += d
 	s.fq.Release(p, int(cls))

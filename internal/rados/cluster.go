@@ -136,6 +136,9 @@ type Pool struct {
 	// Class is the pool's device-class restriction ("" = any).
 	Class string
 
+	label    sim.Label   // Name, as trace spans carry it
+	pgLabels []sim.Label // each PG's name ("1.2a") as a span label, resolved on first use
+
 	codec              *ec.Codec          // lazily built EC codec (Erasure pools only)
 	lockWait, lockHold *metrics.Histogram // rados_pg_lock_wait:<Name>, rados_pg_lock_hold:<Name>
 	replApply          *metrics.Histogram // rados_replica_apply:<Name>: commit to last replica applied
@@ -360,6 +363,7 @@ func (c *Cluster) CreatePool(cfg PoolConfig) (*Pool, error) {
 	}
 	c.nextPool++
 	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy, Class: cfg.DeviceClass,
+		label: sim.Intern(cfg.Name), pgLabels: make([]sim.Label, cfg.PGNum),
 		lockWait: c.reg.Histogram("rados_pg_lock_wait:" + cfg.Name), lockHold: c.reg.Histogram("rados_pg_lock_hold:" + cfg.Name),
 		replApply: c.reg.Histogram("rados_replica_apply:" + cfg.Name)}
 	c.pools[cfg.Name] = p
@@ -379,6 +383,19 @@ func (c *Cluster) LookupPool(name string) (*Pool, error) {
 // PGOf computes the placement group of an object.
 func (c *Cluster) PGOf(p *Pool, oid string) crush.PG {
 	return crush.PGForObject(p.ID, p.PGNum, oid)
+}
+
+// Label returns the pool's name as a trace span label.
+func (p *Pool) Label() sim.Label { return p.label }
+
+// pgLabel returns the name of pg, one of p's PGs, as a span label.
+func (p *Pool) pgLabel(pg crush.PG) sim.Label {
+	l := p.pgLabels[pg.Seq]
+	if l == 0 {
+		l = sim.Intern(pg.String())
+		p.pgLabels[pg.Seq] = l
+	}
+	return l
 }
 
 // pgResCheck invalidates the placement caches when the CRUSH epoch moved.

@@ -74,9 +74,9 @@ func (c *Cluster) FPIndexEnabled() bool { return c.fpPool != 0 }
 // the lookup-latency histogram: the one bracket fpProbe and FPLookup share.
 func (c *Cluster) fpLookup(p *sim.Proc, pool *Pool, oid string, lookup func() bool) bool {
 	start := p.Now()
-	sp := c.sink.Start(p, "fpindex.lookup")
+	sp := c.sink.StartLabel(p, spanFPLookup)
 	if sp != nil {
-		sp.SetOp(pool.Name, c.PGOf(pool, oid).String(), 0).SetClass(qos.Dedup.String())
+		sp.SetOp(pool.label, pool.pgLabel(c.PGOf(pool, oid)), 0).SetClass(qos.Dedup.Label())
 	}
 	res := lookup()
 	sp.Finish(p)

@@ -13,6 +13,18 @@ import (
 	"dedupstore/internal/store"
 )
 
+// The names of the spans rados opens besides its gateway ops, resolved once.
+var (
+	spanJournal  = sim.Intern("rados.journal")
+	spanReplica  = sim.Intern("rados.replica")
+	spanFPLookup = sim.Intern("fpindex.lookup")
+	spanRecover  = map[string]sim.Label{
+		"copy":    sim.Intern("recover.copy"),
+		"rebuild": sim.Intern("recover.rebuild"),
+		"delete":  sim.Intern("recover.delete"),
+	}
+)
+
 // Gateway is a client session endpoint: it owns the client-side NIC and
 // issues object operations into the cluster under one QoS class. Foreground
 // gateways feed the cluster's foreground-op counter (watched by dedup rate
@@ -23,7 +35,7 @@ type Gateway struct {
 	nic        *qos.Scheduler
 	cls        qos.Class
 	foreground bool
-	tenant     string // tenant identity stamped on this gateway's spans
+	tenant     sim.Label // tenant identity stamped on this gateway's spans
 }
 
 // NewGateway creates a client gateway with its own 10GbE link. Its
@@ -62,10 +74,10 @@ func (g *Gateway) Class() qos.Class { return g.cls }
 // SetTenant attributes this gateway's operations to a tenant: every span it
 // opens from here on carries the identity, so cluster-level traffic is
 // traceable back to the serving front end's tenant that issued it.
-func (g *Gateway) SetTenant(tenant string) { g.tenant = tenant }
+func (g *Gateway) SetTenant(tenant string) { g.tenant = sim.Intern(tenant) }
 
 // Tenant returns the tenant identity this gateway is attributed to.
-func (g *Gateway) Tenant() string { return g.tenant }
+func (g *Gateway) Tenant() string { return g.tenant.String() }
 
 func (g *Gateway) noteOp(bytes int) {
 	if g.foreground {
@@ -78,7 +90,7 @@ func (g *Gateway) noteOp(bytes int) {
 func (g *Gateway) startOp(p *sim.Proc, st *metrics.OpStats, pool *Pool, oid string, bytes int) metrics.Op {
 	op := st.Start(p, g.c.sink)
 	if op.Span != nil {
-		op.Span.SetOp(pool.Name, g.c.PGOf(pool, oid).String(), int64(bytes)).SetClass(g.cls.String()).SetTenant(g.tenant)
+		op.Span.SetOp(pool.label, pool.pgLabel(g.c.PGOf(pool, oid)), int64(bytes)).SetClass(g.cls.Label()).SetTenant(g.tenant)
 	}
 	return op
 }
@@ -173,9 +185,7 @@ func (g *Gateway) ReadBorrowed(p *sim.Proc, pool *Pool, oid string, off, length 
 func (g *Gateway) tracedRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte, borrow bool) ([]byte, error) {
 	op := g.startOp(p, &g.c.ops.read, pool, oid, 0)
 	data, err := g.read(p, pool, oid, off, length, dst, borrow)
-	if op.Span != nil {
-		op.Span.Bytes = int64(len(data))
-	}
+	op.Span.SetBytes(int64(len(data)))
 	op.Finish(p, err)
 	return data, err
 }
@@ -491,8 +501,8 @@ func (g *Gateway) pullOnDemand(p *sim.Proc, pool *Pool, oid string, primary *osd
 // predicate are skipped (optionally counted as one degraded write); a
 // skipped copy keeps its old version, so it is stale from then on.
 type fanout struct {
-	name     string // child proc name
-	span     string // per-child trace span ("" = untraced children)
+	name     string    // child proc name
+	span     sim.Label // per-child trace span (0 = untraced children)
 	pool     *Pool
 	pg       crush.PG
 	bytes    int // payload bytes recorded on child spans
@@ -515,12 +525,9 @@ func (g *Gateway) startFanout(p *sim.Proc, f fanout) []*sim.Signal {
 			continue
 		}
 		sigs = append(sigs, p.Go(f.name, func(q *sim.Proc) {
-			if f.span != "" {
-				if sp := g.c.sink.Start(q, f.span); sp != nil {
-					sp.SetOp(f.pool.Name, f.pg.String(), int64(f.bytes)).
-						SetClass(g.cls.String())
-					defer sp.Finish(q)
-				}
+			if f.span != 0 {
+				sp := g.c.sink.StartLabel(q, f.span).SetOp(f.pool.label, f.pool.pgLabel(f.pg), int64(f.bytes)).SetClass(g.cls.Label())
+				defer sp.Finish(q)
 			}
 			f.do(q, i, o)
 		}))
@@ -564,15 +571,12 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 	g.c.setHead(key, primary.store.Version(key))
 	commit := p.Now()
 	journal := p.Go("journal", func(q *sim.Proc) {
-		jsp := g.c.sink.Start(q, "rados.journal")
-		if jsp != nil {
-			jsp.SetOp(pool.Name, pg.String(), int64(payload)).SetClass(g.cls.String())
-		}
+		jsp := g.c.sink.StartLabel(q, spanJournal).SetOp(pool.label, pool.pgLabel(pg), int64(payload)).SetClass(g.cls.Label())
 		primary.diskWrite(q, g.cls, cost, payload)
 		jsp.Finish(q)
 	})
 	legs := g.startFanout(p, fanout{
-		name: "replica", span: "rados.replica",
+		name: "replica", span: spanReplica,
 		pool: pool, pg: pg, bytes: payload,
 		targets:  acting[1:],
 		ok:       func(_ int, o *osd) bool { return o.alive },

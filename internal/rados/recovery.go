@@ -283,9 +283,9 @@ func (c *Cluster) staleInstall(key store.Key, v uint64) bool {
 }
 
 func (c *Cluster) runRecoveryTask(q *sim.Proc, t recoveryTask, stats *RecoveryStats) {
-	sp := c.sink.Start(q, "recover."+t.kind).
-		SetOp(t.pool.Name, c.PGOf(t.pool, t.key.OID).String(), 0).
-		SetClass(qos.Recovery.String())
+	sp := c.sink.StartLabel(q, spanRecover[t.kind]).
+		SetOp(t.pool.label, t.pool.pgLabel(c.PGOf(t.pool, t.key.OID)), 0).
+		SetClass(qos.Recovery.Label())
 	defer sp.Finish(q)
 	switch t.kind {
 	case "delete":

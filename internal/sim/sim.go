@@ -269,12 +269,16 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // inherited by child processes spawned with Go/GoAt, so a fan-out operation
 // (replicated write, parallel chunk flush) accumulates onto one trace span
 // unless a child installs its own.
+//
+// A tracer is installed under a trace id, and every report carries the id
+// the reporting process holds. A child can outlive the trace it inherited,
+// and a tracer reused for a later trace tells such a stale report by its id.
 type Tracer interface {
-	// ResourceWait reports time spent queued for a resource slot.
-	ResourceWait(resource string, start, end Time)
-	// ResourceHold reports time spent holding a resource slot in Use (the
+	// ResourceWait reports time spent queued for a slot of r.
+	ResourceWait(r *Resource, trace uint64, start, end Time)
+	// ResourceHold reports time spent holding a slot of r in Use (the
 	// station's service time).
-	ResourceHold(resource string, start, end Time)
+	ResourceHold(r *Resource, trace uint64, start, end Time)
 }
 
 // Proc is a simulated process. All waiting primitives take the Proc so that
@@ -290,18 +294,37 @@ type Proc struct {
 	fn     func(p *Proc)
 	daemon bool
 	tracer Tracer
+	trace  uint64 // the id tracer was installed under
 }
 
-// SetTracer installs (or with nil, removes) the process's tracer and returns
-// the previous one, so callers can scope a span and restore the parent.
-func (p *Proc) SetTracer(t Tracer) Tracer {
-	prev := p.tracer
-	p.tracer = t
-	return prev
+// SetTracer installs (or with nil, removes) the process's tracer under trace
+// id trace and returns the previous pair, so callers can scope a span and
+// restore the parent.
+func (p *Proc) SetTracer(t Tracer, trace uint64) (Tracer, uint64) {
+	prev, prevTrace := p.tracer, p.trace
+	p.tracer, p.trace = t, trace
+	return prev, prevTrace
 }
 
-// Tracer returns the process's current tracer (nil if none).
-func (p *Proc) Tracer() Tracer { return p.tracer }
+// Tracer returns the process's current tracer (nil if none) and the trace id
+// it was installed under.
+func (p *Proc) Tracer() (Tracer, uint64) { return p.tracer, p.trace }
+
+// TraceWait reports to the process's tracer, if any, that it queued for a
+// slot of r from start until now.
+func (p *Proc) TraceWait(r *Resource, start Time) {
+	if p.tracer != nil {
+		p.tracer.ResourceWait(r, p.trace, start, p.Now())
+	}
+}
+
+// TraceHold reports to the process's tracer, if any, that it held a slot of
+// r from start until now.
+func (p *Proc) TraceHold(r *Resource, start Time) {
+	if p.tracer != nil {
+		p.tracer.ResourceHold(r, p.trace, start, p.Now())
+	}
+}
 
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -360,7 +383,7 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 		e.freeProcs = e.freeProcs[:n-1]
 		p.name = name
 		p.daemon = daemon
-		p.tracer = nil
+		p.tracer, p.trace = nil, 0
 		p.done = NewSignal() // callers may still hold the previous run's signal
 		p.fn = fn
 		e.stats.ProcsReused++
@@ -371,7 +394,7 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 		e.coros = append(e.coros, p)
 	}
 	if e.cur != nil {
-		p.tracer = e.cur.tracer // children report into the spawner's span
+		p.tracer, p.trace = e.cur.tracer, e.cur.trace // children report into the spawner's span
 	}
 	e.live++
 	if !daemon {
@@ -722,6 +745,7 @@ func (c *Cond) Broadcast(p *Proc) {
 // time averages are exact, not sampled.
 type Resource struct {
 	name    string
+	label   Label // name, resolved the first time a trace asks
 	cap     int
 	inUse   int
 	waiters []*Proc
@@ -747,6 +771,15 @@ func NewResource(name string, capacity int) *Resource {
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
+
+// Label returns the resource name as a Label. The name is interned the first
+// time this is asked, so only a resource some trace records pays for it.
+func (r *Resource) Label() Label {
+	if r.label == 0 {
+		r.label = Intern(r.name)
+	}
+	return r.label
+}
 
 // Cap returns the resource's concurrency capacity.
 func (r *Resource) Cap() int { return r.cap }
@@ -796,9 +829,7 @@ func (r *Resource) Acquire(p *Proc) {
 	r.maxQueue = max(r.maxQueue, len(r.waiters))
 	p.park()
 	// Slot was transferred to us by Release; accounting already updated.
-	if p.tracer != nil {
-		p.tracer.ResourceWait(r.name, start, p.Now())
-	}
+	p.TraceWait(r, start)
 }
 
 // Release frees a slot and hands it to the first waiter, if any.
@@ -824,9 +855,7 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.Acquire(p)
 	start := p.Now()
 	p.Sleep(d)
-	if p.tracer != nil {
-		p.tracer.ResourceHold(r.name, start, p.Now())
-	}
+	p.TraceHold(r, start)
 	r.Release(p)
 }
 

@@ -528,7 +528,7 @@ func TestProcPanicUnwindsThroughRun(t *testing.T) {
 	}
 	ran := false
 	e.Go("after", func(p *Proc) {
-		if p.daemon || p.Tracer() != nil {
+		if tr, _ := p.Tracer(); p.daemon || tr != nil {
 			t.Error("spawn after a panic inherited from the dead process")
 		}
 		p.Sleep(time.Millisecond)

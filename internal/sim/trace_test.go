@@ -5,18 +5,26 @@ import (
 	"time"
 )
 
-// recTracer accumulates per-resource wait and hold durations.
+// recTracer accumulates per-resource wait and hold durations, and the trace
+// ids the reports carried.
 type recTracer struct {
-	waits map[string]time.Duration
-	holds map[string]time.Duration
+	waits  map[string]time.Duration
+	holds  map[string]time.Duration
+	traces map[uint64]int
 }
 
 func newRecTracer() *recTracer {
-	return &recTracer{waits: map[string]time.Duration{}, holds: map[string]time.Duration{}}
+	return &recTracer{waits: map[string]time.Duration{}, holds: map[string]time.Duration{}, traces: map[uint64]int{}}
 }
 
-func (t *recTracer) ResourceWait(r string, s, e Time) { t.waits[r] += (e - s).Duration() }
-func (t *recTracer) ResourceHold(r string, s, e Time) { t.holds[r] += (e - s).Duration() }
+func (t *recTracer) ResourceWait(r *Resource, trace uint64, s, e Time) {
+	t.waits[r.Name()] += (e - s).Duration()
+	t.traces[trace]++
+}
+func (t *recTracer) ResourceHold(r *Resource, trace uint64, s, e Time) {
+	t.holds[r.Name()] += (e - s).Duration()
+	t.traces[trace]++
+}
 
 func TestTracerWaitAndHold(t *testing.T) {
 	e := New(1)
@@ -26,7 +34,7 @@ func TestTracerWaitAndHold(t *testing.T) {
 		disk.Use(p, 50*time.Millisecond)
 	})
 	e.Go("second", func(p *Proc) {
-		p.SetTracer(tr)
+		p.SetTracer(tr, 1)
 		disk.Use(p, 30*time.Millisecond)
 	})
 	if left := e.Run(); left != 0 {
@@ -45,7 +53,7 @@ func TestTracerInheritedByChildren(t *testing.T) {
 	disk := NewResource("disk", 1)
 	tr := newRecTracer()
 	e.Go("parent", func(p *Proc) {
-		p.SetTracer(tr)
+		p.SetTracer(tr, 7)
 		sig := p.Go("child", func(q *Proc) {
 			disk.Use(q, 20*time.Millisecond)
 		})
@@ -56,6 +64,19 @@ func TestTracerInheritedByChildren(t *testing.T) {
 	}
 	if got := tr.holds["disk"]; got != 20*time.Millisecond {
 		t.Errorf("child hold not attributed to parent tracer: got %v, want 20ms", got)
+	}
+	if tr.traces[7] != 1 || len(tr.traces) != 1 {
+		t.Errorf("reports carried trace ids %v, want the parent's 7 once", tr.traces)
+	}
+}
+
+func TestLabelRoundTrip(t *testing.T) {
+	a, b := Intern("label.test.a"), Intern("label.test.b")
+	if a == 0 || a == b || Intern("label.test.a") != a {
+		t.Fatalf("Intern gave %d, %d, then %d for the first name again", a, b, Intern("label.test.a"))
+	}
+	if a.String() != "label.test.a" || b.String() != "label.test.b" || Intern("") != 0 || Label(0).String() != "" {
+		t.Errorf("labels read back %q, %q, %q", a, b, Label(0))
 	}
 }
 
