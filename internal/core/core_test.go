@@ -21,7 +21,13 @@ type env struct {
 
 func newDedupEnv(t *testing.T, mutate func(*Config)) *env {
 	t.Helper()
-	eng := sim.New(11)
+	return newSeededEnv(t, 11, mutate)
+}
+
+// newSeededEnv is newDedupEnv on an engine whose randomness derives from seed.
+func newSeededEnv(t *testing.T, seed int64, mutate func(*Config)) *env {
+	t.Helper()
+	eng := sim.New(seed)
 	c := rados.NewTestbed(eng, simcost.Default(), 4, 4)
 	cfg := DefaultConfig()
 	cfg.ChunkSize = 4096 // small chunks keep tests fast
@@ -63,6 +69,14 @@ func checkShared(c *rados.Cluster) {
 			st.CheckShared()
 		}
 	}
+}
+
+// at makes fn the handler of the named point l (sim.Engine.SetPoints): fn
+// runs on the process that reached l, with the point's key, and returns true
+// to end the operation there. Every other point passes. e.eng.SetPoints(nil)
+// removes it.
+func (e *env) at(l sim.Label, fn func(p *sim.Proc, key string) bool) {
+	e.eng.SetPoints(func(p *sim.Proc, at sim.Label, key string) bool { return at == l && fn(p, key) })
 }
 
 // drain flushes all dirty objects and stops the engine.

@@ -130,15 +130,15 @@ func TestDrainRunsRoundsUntilClean(t *testing.T) {
 		writeObjects(t, e, p, 8)
 		p.Sleep(time.Millisecond) // let the dirty-log appends land
 		crashed := ""
-		e.s.hooks.afterIntent = func(oid string) bool {
+		e.at(atAfterIntent, func(_ *sim.Proc, oid string) bool {
 			if crashed == "" {
 				crashed = oid
 				return true
 			}
 			return false
-		}
+		})
 		e.s.Engine().DrainAndWait(p)
-		e.s.hooks = rebindHooks{}
+		e.eng.SetPoints(nil)
 		if st := e.s.Engine().Stats(); crashed == "" || st.Requeued != 1 || st.ChunksFlushed != 8*16 {
 			t.Errorf("flush of %q crashed; stats %+v, want one requeue and all %d chunks flushed", crashed, st, 8*16)
 		}

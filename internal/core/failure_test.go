@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,16 +57,16 @@ func TestCrashAfterDeref(t *testing.T) {
 	// Overwrite both so the next flush must de-reference the old chunk.
 	writeTwo(t, e, v2)
 	crashes := 0
-	e.s.hooks.afterRelease = func(string) bool {
+	e.at(atAfterRelease, func(*sim.Proc, string) bool {
 		if crashes < 2 {
 			crashes++
 			return true // crash right after the old chunk's de-reference
 		}
 		return false
-	}
+	})
 	e.drain(t) // crashes twice, requeues, then succeeds
 	if crashes != 2 {
-		t.Fatalf("hook fired %d times", crashes)
+		t.Fatalf("point killed %d flushes", crashes)
 	}
 	verifyBoth(t, e, v2)
 }
@@ -78,16 +79,16 @@ func TestCrashAfterIntent(t *testing.T) {
 	content := bytes.Repeat([]byte{5}, 4096)
 	writeTwo(t, e, content)
 	crashes := 0
-	e.s.hooks.afterIntent = func(string) bool {
+	e.at(atAfterIntent, func(*sim.Proc, string) bool {
 		if crashes < 3 {
 			crashes++
 			return true // crash between chunk-pool write and map update
 		}
 		return false
-	}
+	})
 	e.drain(t)
 	if crashes != 3 {
-		t.Fatalf("hook fired %d times", crashes)
+		t.Fatalf("point killed %d flushes", crashes)
 	}
 	// §4.6: "If failure occurs at (3), (4), chunk's state is not cleaned.
 	// Therefore, next deduplication process handles this dirty chunk ...
@@ -100,52 +101,136 @@ func TestCrashAfterIntent(t *testing.T) {
 	}
 }
 
+// TestCrashStormConverges drives every named point from the seed: at each
+// hit a handler drawing only from the engine's random source kills the
+// operation (p = 1/4), delays it by up to two intent leases (p = 1/4) or lets
+// it pass, while the workload writes, overwrites and deletes objects that
+// share chunks and drains with GC passes running alongside. Once the handler
+// is gone, draining and reconciling must leave every object reading its last
+// written bytes and the reference tables exact. 50 seeds, half in each
+// reference mode; one seed of each mode runs twice and must decide alike.
 func TestCrashStormConverges(t *testing.T) {
-	// Random crashes at every hook point across many objects; repeated
-	// drains must converge to a consistent, fully deduplicated state.
-	e := crashEnv(t)
-	rng := rand.New(rand.NewSource(99))
-	contents := map[string][]byte{}
-	e.run(t, func(p *sim.Proc) {
-		for i := 0; i < 12; i++ {
-			oid := fmt.Sprintf("obj-%d", i)
-			data := make([]byte, 8192)
-			if i%3 == 0 {
-				copy(data, bytes.Repeat([]byte{0x42}, 8192)) // shared content
-			} else {
-				rng.Read(data)
-			}
-			contents[oid] = data
-			if err := e.cl.Write(p, oid, 0, data); err != nil {
-				t.Error(err)
+	hits := map[sim.Label]int{}
+	for seed := int64(1); seed <= 50; seed++ {
+		fp := seed > 25
+		log := crashStorm(t, seed, fp, hits)
+		if t.Failed() {
+			t.Fatalf("seed %d (false-positive refs %v) failed", seed, fp)
+		}
+		if seed == 1 || seed == 26 {
+			if again := crashStorm(t, seed, fp, hits); !slices.Equal(log, again) {
+				t.Fatalf("seed %d decided differently on a second run:\n%v\n%v", seed, log, again)
 			}
 		}
-	})
-	crash := func(string) bool { return rng.Intn(3) == 0 }
-	e.s.hooks = rebindHooks{afterIntent: crash, afterBind: crash, afterRelease: crash}
-	e.drain(t) // crashy drain: some flushes abort and requeue
+	}
+	for _, l := range []sim.Label{atAfterIntent, atAfterBind, atAfterRelease, atBeforeSweep} {
+		if hits[l] == 0 {
+			t.Errorf("no seed reached %v", l)
+		}
+	}
+}
 
-	// Disable crashes and drain again — protocol must converge. A flush
-	// killed after its bind left an uncommitted intent under a live binding:
-	// once the lease runs out the audit promotes it.
-	e.s.hooks = rebindHooks{}
-	e.drain(t)
+// crashStorm runs one seed of TestCrashStormConverges, counting each point's
+// hits into hits, and returns the handler's (label, key, decision) log.
+func crashStorm(t *testing.T, seed int64, fp bool, hits map[sim.Label]int) []string {
+	e := newSeededEnv(t, seed, func(cfg *Config) { cfg.FalsePositiveRefs = fp })
+	var log []string
+	e.eng.SetPoints(func(p *sim.Proc, at sim.Label, key string) bool {
+		hits[at]++
+		switch p.Rand().Intn(4) {
+		case 0:
+			log = append(log, fmt.Sprint(at, " ", key, " kill"))
+			return true
+		case 1:
+			d := time.Duration(p.Rand().Int63n(int64(2 * intentLease)))
+			log = append(log, fmt.Sprint(at, " ", key, " sleep ", d))
+			p.Sleep(d)
+		default:
+			log = append(log, fmt.Sprint(at, " ", key, " pass"))
+		}
+		return false
+	})
+
+	contents := map[string][]byte{}
 	e.run(t, func(p *sim.Proc) {
+		blocks := make([][]byte, 4) // every object is built from these: chunks are shared
+		for i := range blocks {
+			blocks[i] = make([]byte, 4096)
+			p.Rand().Read(blocks[i])
+		}
+		write := func(oid string) {
+			data := make([]byte, 0, 3*4096)
+			for range 3 {
+				data = append(data, blocks[p.Rand().Intn(len(blocks))]...)
+			}
+			// A write killed after its bind has landed, but its dirty-log
+			// append has not: the client sees the error and retries.
+			for {
+				err := e.cl.Write(p, oid, 0, data)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, errCrash) {
+					t.Errorf("write %s: %v", oid, err)
+					return
+				}
+			}
+			contents[oid] = data
+		}
+		drainWithGC := func() {
+			draining := true
+			gc := p.Go("gc", func(q *sim.Proc) {
+				for draining {
+					if _, err := e.s.GC(q); err != nil && !errors.Is(err, errCrash) {
+						t.Errorf("gc during the drain: %v", err)
+					}
+					q.Sleep(100 * time.Millisecond)
+				}
+			})
+			e.s.Engine().DrainAndWait(p)
+			draining = false
+			sim.WaitAll(p, gc)
+		}
+		for i := range 6 {
+			write(fmt.Sprintf("obj-%d", i))
+		}
+		drainWithGC()
+		for i := range 3 {
+			write(fmt.Sprintf("obj-%d", 2*i)) // overwrite
+		}
+		for _, oid := range []string{"obj-1", "obj-5"} {
+			if err := e.cl.Delete(p, oid); err != nil {
+				t.Errorf("delete %s: %v", oid, err)
+			}
+			delete(contents, oid)
+		}
+		write("obj-6")
+		drainWithGC()
+
+		// The storm is over: reconcile and require a spotless state.
+		e.eng.SetPoints(nil)
+		e.s.Engine().DrainAndWait(p)
 		p.Sleep(intentLease + time.Second)
 		if _, err := e.s.Audit(p); err != nil {
 			t.Error(err)
 		}
-	})
-
-	e.run(t, func(p *sim.Proc) {
+		for pass := 1; pass <= 2; pass++ {
+			st, err := e.s.GC(p)
+			if err != nil || (pass == 2 && st.StaleRefs != 0) {
+				t.Errorf("gc pass %d: err=%v %+v", pass, err, st)
+			}
+		}
+		if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
+			t.Errorf("scrub: err=%v issues=%v", err, rep.Issues)
+		}
 		for oid, want := range contents {
-			got, err := e.cl.Read(p, oid, 0, -1)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Errorf("object %s corrupt after crash storm: %v", oid, err)
+			if got, err := e.cl.Read(p, oid, 0, -1); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("object %s corrupt after the storm: %v", oid, err)
 			}
 		}
 	})
 	e.checkIntegrity(t)
+	return log
 }
 
 func TestFalsePositiveRefcountAndGC(t *testing.T) {

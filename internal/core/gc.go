@@ -192,8 +192,8 @@ func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats 
 			continue
 		}
 
-		if s.gcHookBeforeSweep != nil {
-			s.gcHookBeforeSweep(p, chunkOID)
+		if p.Point(atBeforeSweep, chunkOID) {
+			return errCrash
 		}
 
 		// Sweep: replay the decision under the PG lock, but only if no

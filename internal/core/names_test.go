@@ -111,7 +111,7 @@ func TestNameMemo(t *testing.T) {
 			data := randData(5, 4096)
 			id := FingerprintID(data)
 			learned := false
-			e.s.hooks.afterIntent = func(string) bool { learned = kept(e, id); return false }
+			e.at(atAfterIntent, func(*sim.Proc, string) bool { learned = kept(e, id); return false })
 			bound, err := e.s.rebind(p, e.s.hostGW(anyHost(e.s)), "obj", transition{
 				puts: []chunkPut{{pool: e.s.chunk, id: id, data: data, named: true}},
 				bind: func(*ChunkMap, *store.Txn) ([]Entry, bool, error) { return nil, true, nil },

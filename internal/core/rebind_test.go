@@ -205,7 +205,7 @@ func mapBytes(t *testing.T, e *env, oid string) []byte {
 // transition they describe, each with work to do and (where it can happen)
 // without. With work, the bind fires once and edits the map; without, the
 // transition reports raced and writes nothing: the stored map is the very
-// slice it was. Neither touches a chunk object or fires the intent hook.
+// slice it was. Neither touches a chunk object or reaches the intent point.
 func zeroPutCallerRows(t *testing.T) {
 	const (
 		flushed = "flushed" // clean, bound, evicted
@@ -252,8 +252,15 @@ func zeroPutCallerRows(t *testing.T) {
 					}
 					chunksBefore, rawBefore := chunks(), mapBytes(t, e, "obj")
 					binds := 0
-					e.s.hooks.afterIntent = func(string) bool { t.Error("intent hook fired for a transition with no puts"); return false }
-					e.s.hooks.afterBind = func(oid string) bool { binds++; return false }
+					e.eng.SetPoints(func(_ *sim.Proc, at sim.Label, _ string) bool {
+						switch at {
+						case atAfterIntent:
+							t.Error("intent point reached by a transition with no puts")
+						case atAfterBind:
+							binds++
+						}
+						return false
+					})
 					var err error
 					switch row.caller {
 					case "write":
@@ -263,7 +270,7 @@ func zeroPutCallerRows(t *testing.T) {
 					case "rededup":
 						err = e.s.rededupObject(p, gw, "obj", &ps)
 					}
-					e.s.hooks = rebindHooks{}
+					e.eng.SetPoints(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -278,7 +285,7 @@ func zeroPutCallerRows(t *testing.T) {
 						return
 					}
 					if binds != 1 {
-						t.Errorf("bind hook fired %d times, want 1", binds)
+						t.Errorf("bind point reached %d times, want 1", binds)
 					}
 					for _, en := range entries(t, p, e, "obj") {
 						if !row.want(en) {
@@ -313,8 +320,9 @@ func poolIntents(t *testing.T, p *sim.Proc, e *env) (expiries []sim.Time) {
 // all N under the surviving bindings, and GC sweeps the stale references on
 // the chunks the bind replaced. Either way — strict or false-positive — the
 // store ends with zero stale references, zero lost chunks and the bytes
-// intact. The hooks fire for every transition on the object, client writes
-// included, so they are armed around the victim only and keyed on its oid.
+// intact. The points are reached by every transition on the object, client
+// writes included, so the handler is set around the victim only and keyed on
+// its oid.
 func TestFlushKillWindows(t *testing.T) {
 	version := func(seed int64) []byte {
 		data := make([]byte, 40000)
@@ -370,18 +378,18 @@ func TestFlushKillWindows(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						kill := func(oid string) bool { return oid == v.oid }
+						kill := func(_ *sim.Proc, oid string) bool { return oid == v.oid }
 						if window == "afterIntent" {
-							e.s.hooks.afterIntent = kill
+							e.at(atAfterIntent, kill)
 						} else {
-							e.s.hooks.afterBind = kill
+							e.at(atAfterBind, kill)
 						}
 						// A flush swallows the crash and requeues; a client op returns it.
 						err := v.op(p, e)
 						if died := !v.flush; (err != nil) != died || (died && !errors.Is(err, errCrash)) {
 							t.Fatalf("victim returned %v", err)
 						}
-						e.s.hooks = rebindHooks{}
+						e.eng.SetPoints(nil)
 						orphans := int64(len(poolIntents(t, p, e)))
 						if slots := int64(len(entries(t, p, e, "obj"))); v.name != "cdc" && orphans != slots {
 							t.Fatalf("kill %s left %d intents, want one per slot (%d)", window, orphans, slots)
@@ -531,7 +539,7 @@ func TestFlushPartialBind(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.Sleep(time.Millisecond) // let the dirty-log append land
-				e.s.hooks.afterIntent = func(string) bool {
+				e.at(atAfterIntent, func(p *sim.Proc, _ string) bool {
 					if got := len(poolIntents(t, p, e)); got != slots {
 						t.Errorf("%d intents before the bind, want %d", got, slots)
 					}
@@ -541,7 +549,7 @@ func TestFlushPartialBind(t *testing.T) {
 						}
 					}))
 					return false // no crash: the bind sees the rewritten slot
-				}
+				})
 				gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
 				if err != nil {
 					t.Fatal(err)
@@ -549,7 +557,7 @@ func TestFlushPartialBind(t *testing.T) {
 				if err := e.s.engine.flushObject(p, gw, host, "obj", true); err != nil {
 					t.Fatal(err)
 				}
-				e.s.hooks = rebindHooks{}
+				e.eng.SetPoints(nil)
 				for i, en := range entries(t, p, e, "obj") {
 					id := FingerprintID(v1[i*4096 : (i+1)*4096])
 					st := chunkState(t, p, e, e.s.chunk, id)
@@ -676,7 +684,7 @@ func TestFlushPacedPastLease(t *testing.T) {
 			}
 		})
 		start := p.Now()
-		e.s.hooks.afterIntent = func(string) bool {
+		e.at(atAfterIntent, func(p *sim.Proc, _ string) bool {
 			if took := (p.Now() - start).Duration(); took <= intentLease {
 				t.Errorf("prepare took %v: the test no longer paces past the %v lease", took, intentLease)
 			}
@@ -690,7 +698,7 @@ func TestFlushPacedPastLease(t *testing.T) {
 				t.Errorf("%d intents at bind time, want %d", len(expiries), slots)
 			}
 			return false
-		}
+		})
 		gw, host, err := e.s.metaPrimaryGW("obj", qos.Dedup)
 		if err != nil {
 			t.Fatal(err)
@@ -698,7 +706,7 @@ func TestFlushPacedPastLease(t *testing.T) {
 		if err := e.s.engine.flushObject(p, gw, host, "obj", false); err != nil {
 			t.Fatal(err)
 		}
-		e.s.hooks = rebindHooks{}
+		e.eng.SetPoints(nil)
 		flushing = false
 		sim.WaitAll(p, reconcilers)
 		e.c.QoS().SetLimit(qos.Dedup, 0)

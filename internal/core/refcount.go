@@ -394,16 +394,17 @@ func fanOut(p *sim.Proc, name string, n, width int, fn func(q *sim.Proc, i int))
 	sim.WaitAll(p, sigs...)
 }
 
-// rebindHooks are simulated crash points inside rebind (tests only). A hook
-// returning true abandons the transition at that point, as a crash would.
-type rebindHooks struct {
-	afterIntent  func(oid string) bool // intents recorded, map untouched (transitions with puts only)
-	afterBind    func(oid string) bool // map rewritten, intents uncommitted
-	afterRelease func(oid string) bool // everything landed
-}
+// Named points (sim.Proc.Point) in rebind and GC, keyed by the object or chunk
+// worked on. A test's handler may delay the operation there, race another
+// against it, or end it as a crash would: the operation returns errCrash.
+var (
+	atAfterIntent  = sim.Intern("core.rebind.after_intent")  // intents recorded, map untouched (transitions with puts only)
+	atAfterBind    = sim.Intern("core.rebind.after_bind")    // map rewritten, intents uncommitted
+	atAfterRelease = sim.Intern("core.rebind.after_release") // everything landed
+	atBeforeSweep  = sim.Intern("core.gc.before_sweep")      // a chunk verified out of lock, not yet swept
 
-// errCrash simulates a failure injected by a rebindHooks hook.
-var errCrash = errors.New("core: injected crash")
+	errCrash = errors.New("core: injected crash")
+)
 
 // rebind is the one implementation of the paper's consistency ordering
 // (§4.6) — pin the chunk, bind it in the chunk map, commit the reference,
@@ -434,12 +435,14 @@ var errCrash = errors.New("core: injected crash")
 // references). A transition with no puts, or that replaced nothing, skips
 // those phases outright: a client write is the bind and nothing else.
 //
-// Crash windows and who resolves them: after intent, no binding names the
-// chunk, the lease expires and GC/audit abort the intent. After bind, the
+// Crash windows (the named points above) and who resolves them: after intent
+// (core.rebind.after_intent), no binding names the chunk, the lease expires
+// and GC/audit abort the intent. After bind (core.rebind.after_bind), the
 // binding exists but its reference is an expired intent, which GC/audit
 // promote; the replaced chunks keep a stale reference that GC's mark pass
 // (binding gone → reference dead) sweeps. Mid-commit or mid-release is the
-// same state, partly resolved; commit and release are idempotent.
+// same state, partly resolved; commit and release are idempotent. After
+// release (core.rebind.after_release) everything has landed.
 //
 // bound reports whether the chunk map changed; !bound with a nil error means
 // the bind raced and nothing happened. An abort error is surfaced unless a
@@ -448,7 +451,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	if err := s.pin(p, gw, oid, t.puts); err != nil {
 		return false, s.settle(p, gw, oid, t.puts, err)
 	}
-	if h := s.hooks.afterIntent; h != nil && len(t.puts) > 0 && h(oid) {
+	if len(t.puts) > 0 && p.Point(atAfterIntent, oid) {
 		return false, errCrash
 	}
 
@@ -475,7 +478,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 		j := cur.Find(put.off)
 		put.bound = j >= 0 && s.binds(cur.Entries[j], put.pool, put.id)
 	}
-	if h := s.hooks.afterBind; h != nil && h(oid) {
+	if p.Point(atAfterBind, oid) {
 		return true, errCrash
 	}
 	if err := s.settle(p, gw, oid, t.puts, nil); err != nil {
@@ -484,7 +487,7 @@ func (s *Store) rebind(p *sim.Proc, gw *rados.Gateway, oid string, t transition)
 	if err := s.release(p, gw, oid, unbound); err != nil {
 		return true, err
 	}
-	if h := s.hooks.afterRelease; h != nil && h(oid) {
+	if p.Point(atAfterRelease, oid) {
 		return true, errCrash
 	}
 	return true, nil

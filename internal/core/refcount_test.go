@@ -84,7 +84,7 @@ func FuzzRefKeyRoundTrip(f *testing.F) {
 // TestGCRaceSkipsSweep: GC verifies references outside the chunk's PG lock,
 // so any mutation of the chunk between that mark and the sweep must void the
 // sweep (version compare) and count as a raced skip. Each case is what the
-// hook does in that window, and each leaves a live binding "racer" that names
+// handler of core.gc.before_sweep does in that window, and each leaves a live binding "racer" that names
 // the chunk, which replaying the mark's decision would break:
 //
 //   - incref: a racing flush takes a new reference (intent, bind, commit);
@@ -152,24 +152,25 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 				}
 			})
 			raced := 0
-			e.s.gcHookBeforeSweep = func(p *sim.Proc, oid string) {
+			e.at(atBeforeSweep, func(p *sim.Proc, oid string) bool {
 				if oid == chunkOID {
 					raced++
 					tc.race(t, e, p, e.s.hostGW(anyHost(e.s)), ref)
 				}
-			}
+				return false
+			})
 			e.run(t, func(p *sim.Proc) {
 				stats, err := e.s.GC(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if raced != 1 || stats.RacedSkips != 1 || stats.ChunksDeleted != 0 {
-					t.Errorf("hook fired %d times, RacedSkips %d, ChunksDeleted %d; want 1, 1, 0 (the racer must win)",
+					t.Errorf("point reached %d times, RacedSkips %d, ChunksDeleted %d; want 1, 1, 0 (the racer must win)",
 						raced, stats.RacedSkips, stats.ChunksDeleted)
 				}
 			})
 			// A later pass with no race sees the live binding and keeps the chunk.
-			e.s.gcHookBeforeSweep = nil
+			e.eng.SetPoints(nil)
 			e.run(t, func(p *sim.Proc) {
 				stats, err := e.s.GC(p)
 				if err != nil || stats.ChunksDeleted != 0 || stats.StaleRefs != 0 {

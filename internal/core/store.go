@@ -161,7 +161,6 @@ type Store struct {
 	cache     *TieringPolicy
 	engine    *Engine
 	tier      tierState
-	hooks     rebindHooks
 
 	hostGWs  map[string]*rados.Gateway // keyed class|host: one internal gateway per QoS class per host
 	objLocks map[string]*sim.Resource  // inline-mode write locks of objects being written
@@ -170,11 +169,6 @@ type Store struct {
 	// names remembers the chunk names the host computed, with the stored
 	// bytes each names, so equal bytes are not hashed again (names.go).
 	names nameMemo
-
-	// gcHookBeforeSweep (tests only) runs between GC's out-of-lock
-	// verification and the under-lock sweep of each chunk, so tests can
-	// inject a racing reference mutation into exactly that window.
-	gcHookBeforeSweep func(p *sim.Proc, chunkOID string)
 }
 
 // Open creates (or errors on existing) the metadata and chunk pools and

@@ -314,7 +314,7 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.hooks.afterIntent = func(string) bool { return true }
+		e.at(atAfterIntent, func(*sim.Proc, string) bool { return true })
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +322,7 @@ func TestTierMigrateCrashAfterIntent(t *testing.T) {
 		if ps.Errors != 1 || ps.DemotedChunks != 0 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.hooks.afterIntent = nil
+		e.eng.SetPoints(nil)
 		for _, en := range entries(t, p, e, "obj") {
 			if en.Cold {
 				t.Fatal("binding moved despite the crash")
@@ -362,7 +362,7 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		e.s.hooks.afterBind = func(string) bool { return true }
+		e.at(atAfterBind, func(*sim.Proc, string) bool { return true })
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func TestTierMigrateCrashAfterBind(t *testing.T) {
 		if ps.Errors != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.hooks.afterBind = nil
+		e.eng.SetPoints(nil)
 		for _, en := range entries(t, p, e, "obj") {
 			if !en.Cold {
 				t.Fatal("binding should have flipped before the crash")
@@ -410,7 +410,7 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		heat(p, e, "obj")
-		e.s.hooks.afterBind = func(string) bool { return true }
+		e.at(atAfterBind, func(*sim.Proc, string) bool { return true })
 		ps, err := e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
@@ -418,7 +418,7 @@ func TestTierRecacheCrashAfterBind(t *testing.T) {
 		if ps.Errors != 1 || ps.Recaches != 1 {
 			t.Fatalf("crashed pass: %+v", ps)
 		}
-		e.s.hooks.afterBind = nil
+		e.eng.SetPoints(nil)
 		if got, _ := e.cl.Read(p, "obj", 0, -1); !bytes.Equal(got, data) {
 			t.Fatal("read mismatch after crashed recache")
 		}
@@ -448,8 +448,8 @@ func TestTierRacedByClientWrite(t *testing.T) {
 		}
 		e.s.Engine().DrainAndWait(p)
 		coolDown(p)
-		// The hook fires after phase 1, exactly inside the race window.
-		e.s.hooks.afterIntent = func(string) bool {
+		// The point is reached after phase 1, exactly inside the race window.
+		e.at(atAfterIntent, func(p *sim.Proc, _ string) bool {
 			done := p.Go("racer", func(q *sim.Proc) {
 				if err := e.cl.Write(q, "obj", 0, mkData(0x55, 4096)); err != nil {
 					t.Error(err)
@@ -457,9 +457,9 @@ func TestTierRacedByClientWrite(t *testing.T) {
 			})
 			sim.WaitAll(p, done)
 			return false // no crash — let phase 2 observe the raced slot
-		}
+		})
 		ps, err := e.s.TierPass(p)
-		e.s.hooks.afterIntent = nil
+		e.eng.SetPoints(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

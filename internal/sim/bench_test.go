@@ -61,3 +61,27 @@ func BenchmarkAfterCallback(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkPoint measures a named point with no handler, what every product
+// run pays at each one: it must neither allocate nor schedule an event.
+func BenchmarkPoint(b *testing.B) {
+	e := New(1)
+	at := Intern("sim.bench.point")
+	e.Go("caller", func(p *Proc) {
+		before := e.Stats().EventsScheduled
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if p.Point(at, "key") {
+				b.Fatal("a point with no handler ended the operation")
+			}
+		}
+		b.StopTimer()
+		if got := e.Stats().EventsScheduled; got != before {
+			b.Fatalf("%d points scheduled %d events", b.N, got-before)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.Point(at, "key") }); allocs != 0 {
+			b.Fatalf("a point with no handler allocates %v times", allocs)
+		}
+	})
+	e.Run()
+}

@@ -193,6 +193,7 @@ type Engine struct {
 	freeProcs []*Proc
 	coros     []*Proc // every process whose coroutine has not ended, for Close
 	stats     Stats
+	points    func(p *Proc, at Label, key string) bool // the named points' handler (point.go); nil in the product
 
 	// Daemon bookkeeping: daemon processes (background pollers) do not keep
 	// the simulation alive. Run returns once no non-daemon work remains.

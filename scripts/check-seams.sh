@@ -36,6 +36,12 @@
 # names.go, refcount.go (where it is defined) and local.go (the analysis
 # helpers): the store names bytes through Store.name, whose memo is the one
 # shortcut around SHA-256 (DESIGN.md §9), so no site keeps a second one.
+# And fails if a non-test file in internal/core, internal/rados or
+# internal/store declares a func-typed field, variable or type (or a struct
+# type of them) named like a hook: a window a test needs is a named point
+# (sim.Proc.Point), one mechanism a seed can drive (DESIGN.md §9).
+# And fails if a non-test file calls SetPoints(: only tests register a
+# point handler, so the product's runs, and their sim digests, never see one.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -68,6 +74,15 @@ if grep -n 'GoDaemon(' $(ls internal/core/*.go internal/rados/*.go | grep -v '_t
 fi
 if grep -n 'FingerprintID(' $(ls internal/core/*.go | grep -vE '_test\.go$|/(names|refcount|local)\.go$') | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' >&2; then
 	echo "check-seams: the lines above name bytes with FingerprintID in internal/core outside names.go, refcount.go and local.go; name them through Store.name (DESIGN.md §9)" >&2
+	exit 1
+fi
+if grep -inE '^[[:space:]]*(type[[:space:]]+[[:alnum:]_]*hook[[:alnum:]_]*[[:space:]]+(func|struct)\b|(var[[:space:]]+)?[[:alnum:]_]*hook[[:alnum:]_]*([[:space:]]*,[[:space:]]*[[:alnum:]_]+)*[[:space:]]+func\b)' \
+	$(ls internal/core/*.go internal/rados/*.go internal/store/*.go | grep -v '_test\.go$') >&2; then
+	echo "check-seams: the lines above declare a func-typed hook in internal/core, internal/rados or internal/store; give the window a named point (sim.Proc.Point) instead (DESIGN.md §9)" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'SetPoints(' . | grep -vE '^\./\.bench_build/|^[^:]*_test\.go:|^[^:]*:[0-9]+:[[:space:]]*//|^\./internal/sim/point\.go:[0-9]+:func \(e \*Engine\) SetPoints\(' >&2; then
+	echo "check-seams: the lines above register a named-point handler outside a test; only tests may, so product runs never reach one" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
