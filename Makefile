@@ -63,18 +63,19 @@ bench-module:
 	cd bench && go vet . && go test .
 
 # Kernel hot-path microbenchmarks: the DES engine and the metrics/trace
-# primitives every simulated I/O passes through, one dedup-scrub pass (host
-# cost per chunk read and verified) and naming a chunk through the name memo
-# (hit and miss). CI runs these so dispatch cost and allocs/op regressions
-# show up in review.
+# primitives every simulated I/O passes through, the erasure code's encode and
+# reconstruct (the paper's EC 2+1 over one 32 KiB chunk among them), one
+# dedup-scrub pass (host cost per chunk read and verified) and naming a chunk
+# through the name memo (hit and miss). CI runs these so dispatch cost and
+# allocs/op regressions show up in review.
 kernel-bench:
-	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics
+	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics ./internal/ec
 	go test -run NONE -bench 'ScrubChunkPool|Name' -benchmem ./internal/core
 
 # The same packages' benchmarks, one iteration each: a check a benchmark makes
 # (a b.Fatalf on a wrong result) runs in CI, which `go test ./...` never does.
 bench-smoke:
-	go test -run NONE -bench . -benchtime 1x ./internal/sim ./internal/metrics ./internal/core
+	go test -run NONE -bench . -benchtime 1x ./internal/sim ./internal/metrics ./internal/ec ./internal/core
 
 # Paired runs for a host-clock claim (ROADMAP.md's rules for claims): the
 # working tree against REV on one workload and seed, PAIRS alternating pairs,
@@ -114,7 +115,8 @@ bench-json:
 
 # Fuzz smoke: 30s per fuzz target over the parsers and decoders that guard
 # on-disk and operator input (ref keys, chunk maps, block traces, SLO specs,
-# bloom filters).
+# bloom filters), and over the erasure code's decode (any payload, any
+# erasure it tolerates).
 # Regression corpora run in `make test`; this step searches for new inputs.
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzRefKeyRoundTrip -fuzztime 30s ./internal/core
@@ -122,3 +124,4 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzParseTrace -fuzztime 30s ./internal/workload
 	go test -run NONE -fuzz FuzzParseSLO -fuzztime 30s ./internal/gateway
 	go test -run NONE -fuzz FuzzBloomUnmarshal -fuzztime 30s ./internal/bloom
+	go test -run NONE -fuzz FuzzECReconstruct -fuzztime 30s ./internal/ec

@@ -38,7 +38,7 @@ func TestAuditPromotesCrashedIntent(t *testing.T) {
 		gw := e.s.hostGW(anyHost(e.s))
 		// Phase 1 landed (chunk + intent), phase 2 landed (binding), then
 		// the flush died before phase 3.
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now(), nil)); err != nil {
+		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(e.s.chunk, data, ref, p.Now(), nil)); err != nil {
 			t.Fatal(err)
 		}
 		fabricateBinding(t, e, p, "victim", chunkOID)
@@ -131,7 +131,7 @@ func TestGCAbortsExpiredIntent(t *testing.T) {
 
 	e.run(t, func(p *sim.Proc) {
 		gw := e.s.hostGW(anyHost(e.s))
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(time.Second), nil)); err != nil {
+		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(e.s.chunk, data, ref, p.Now()+sim.Time(time.Second), nil)); err != nil {
 			t.Fatal(err)
 		}
 		// Before the lease expires the chunk is pinned.
@@ -167,7 +167,7 @@ func TestGCPromotesExpiredIntentWithBinding(t *testing.T) {
 
 	e.run(t, func(p *sim.Proc) {
 		gw := e.s.hostGW(anyHost(e.s))
-		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now(), nil)); err != nil {
+		if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(e.s.chunk, data, ref, p.Now(), nil)); err != nil {
 			t.Fatal(err)
 		}
 		fabricateBinding(t, e, p, "bound", chunkOID)

@@ -26,8 +26,9 @@ import (
 //   - they are the chunk's own payload, the copy a put creates the chunk
 //     from, and a stored payload never changes in place (rot gives the copy
 //     a new array). A slot's buffer is recycled scratch and is never kept;
-//   - only a replicated pool's payload is kept: there the clone is what the
-//     replicas store, while an erasure pool's clone is garbage once encoded;
+//   - only a payload its pool keeps is kept (rados.Pool.Own): a replicated
+//     pool's clone, which its replicas store. An erasure put makes no clone,
+//     and its shards are not the payload;
 //   - only a put whose name the host computed from those very bytes teaches
 //     the memo (chunkPut.named). A tier migration carries the source's name
 //     over bytes read from a copy that may have rotted;
@@ -94,7 +95,7 @@ func (s *Store) name(data []byte) string {
 
 // learnPut teaches the memo a put that created its chunk from a computed name.
 func (s *Store) learnPut(put *chunkPut, created []byte) {
-	if put.named && created != nil && put.pool.Red.Kind != rados.Erasure {
+	if put.named && created != nil {
 		s.names.learn(put.id, created)
 	}
 }

@@ -125,13 +125,18 @@ func chunkStates(t *testing.T, p *sim.Proc, s *core.Store, oid string) (states [
 }
 
 // allocEnv is a dedup store with 32 KiB chunks on the 4 × 4 testbed, its
-// chunk pool replicated rep times, tracing every span as the benchmark's
-// runs do.
-func allocEnv(t testing.TB, rep int) (*sim.Engine, *core.Store) {
+// chunk pool protected by red, tracing every span as the benchmark's runs
+// do; tiered, it also has the EC 2+1 cold pool.
+func allocEnv(t testing.TB, red rados.Redundancy, tiered bool) (*sim.Engine, *core.Store) {
 	eng := sim.New(11)
 	cfg := core.DefaultConfig()
 	cfg.Rate.Enabled = false
-	cfg.ChunkRedundancy = rados.ReplicatedN(rep)
+	cfg.ChunkRedundancy = red
+	if tiered {
+		cfg.Tiering = core.DefaultTiering()
+		cfg.HitSet.Period = 100 * time.Millisecond
+		cfg.HitSet.Retain = 4
+	}
 	s, err := core.Open(rados.NewTestbed(eng, simcost.Default(), 4, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +176,9 @@ func allocated(fn func()) uint64 {
 // drainAlloc flushes 256 dirty chunks held in objects of slots chunks each —
 // all chunks the pool already has, or each a new one — and returns the bytes
 // allocated per flushed chunk, in chunks.
-func drainAlloc(t *testing.T, rep, slots int, distinct bool) (perChunk float64) {
+func drainAlloc(t *testing.T, red rados.Redundancy, slots int, distinct bool) (perChunk float64) {
 	const chunks, chunk = 256, 32 << 10
-	eng, s := allocEnv(t, rep)
+	eng, s := allocEnv(t, red, false)
 	eng.Go("test", func(p *sim.Proc) {
 		// The pool holds the duplicates, and scratch buffers exist for a drain
 		// as wide as this one: each OSD's agent holds its object's slots until
@@ -204,7 +209,7 @@ func drainAlloc(t *testing.T, rep, slots int, distinct bool) (perChunk float64) 
 func TestFlushAllocatesOneCopyPerNewChunk(t *testing.T) {
 	for _, rep := range []int{2, 3} {
 		for _, slots := range []int{1, 32} {
-			dup, fresh := drainAlloc(t, rep, slots, false), drainAlloc(t, rep, slots, true)
+			dup, fresh := drainAlloc(t, rados.ReplicatedN(rep), slots, false), drainAlloc(t, rados.ReplicatedN(rep), slots, true)
 			t.Logf("rep x%d, %d-chunk objects: %.3f chunks allocated per duplicate chunk flushed, %.3f per new chunk", rep, slots, dup, fresh)
 			if dup >= 0.25 {
 				t.Errorf("rep x%d, %d-chunk objects: flushing a duplicate chunk allocates %.2f x its bytes, want under 0.25 x", rep, slots, dup)
@@ -216,11 +221,55 @@ func TestFlushAllocatesOneCopyPerNewChunk(t *testing.T) {
 	}
 }
 
+// TestECPutCopiesOnce: the erasure-pool sibling of
+// TestFlushAllocatesOneCopyPerNewChunk. A new chunk put into an EC 2+1 pool
+// is copied once, by the stripe split: two data shards of half a chunk each,
+// plus a parity shard of half a chunk, 1.5 x its bytes in all, and the
+// shards' bookkeeping comes to about a quarter more. The put makes no copy
+// of its own first, which would add 1 x. Both ways a chunk reaches such a
+// pool are measured: a flush into an EC 2+1 chunk pool, and a tier pass
+// demoting warm chunks into the EC 2+1 cold pool.
+func TestECPutCopiesOnce(t *testing.T) {
+	for _, slots := range []int{1, 32} {
+		dup, fresh := drainAlloc(t, rados.ErasureKM(2, 1), slots, false), drainAlloc(t, rados.ErasureKM(2, 1), slots, true)
+		t.Logf("EC 2+1 chunk pool, %d-chunk objects: %.3f chunks allocated per duplicate chunk flushed, %.3f per new chunk", slots, dup, fresh)
+		if fresh-dup >= 2 {
+			t.Errorf("EC 2+1, %d-chunk objects: flushing a new chunk allocates %.2f x its bytes more than a duplicate; want the shards and their bookkeeping, under 2 x", slots, fresh-dup)
+		}
+	}
+	const chunks, chunk = 256, 32 << 10
+	eng, s := allocEnv(t, rados.ReplicatedN(2), true)
+	eng.Go("test", func(p *sim.Proc) {
+		// A first pass demotes as many chunks, so the tier pass's scratch
+		// buffers exist before the measured one.
+		writeChunks(t, p, s, "warm", chunks, 1, true)
+		s.Engine().DrainAndWait(p)
+		p.Sleep(700 * time.Millisecond) // every access rolls out of the hitsets
+		if _, err := s.TierPass(p); err != nil {
+			t.Error(err)
+		}
+		writeChunks(t, p, s, "o", chunks, 1, true)
+		s.Engine().DrainAndWait(p)
+		p.Sleep(700 * time.Millisecond)
+		var st core.TierStats
+		var err error
+		perChunk := float64(allocated(func() { st, err = s.TierPass(p) })) / chunks / chunk
+		t.Logf("tier pass into the EC 2+1 cold pool: %.3f chunks allocated per chunk demoted", perChunk)
+		if err != nil || st.DemotedChunks != chunks {
+			t.Errorf("tier pass demoted %d chunks (%v), want %d: the test no longer builds the case it names", st.DemotedChunks, err, chunks)
+		}
+		if perChunk >= 2.2 {
+			t.Errorf("demoting a chunk allocates %.2f x its bytes, want the shards and the pass's bookkeeping, under 2.2 x", perChunk)
+		}
+	})
+	eng.Run()
+}
+
 // TestScrubBorrowsChunks: the dedup scrub only hashes chunk payloads, and on
 // a replicated pool reads them in place.
 func TestScrubBorrowsChunks(t *testing.T) {
 	const chunks, chunk = 256, 32 << 10
-	eng, s := allocEnv(t, 2)
+	eng, s := allocEnv(t, rados.ReplicatedN(2), false)
 	eng.Go("test", func(p *sim.Proc) {
 		writeChunks(t, p, s, "o", chunks, 1, true)
 		s.Engine().DrainAndWait(p)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -197,8 +196,9 @@ type intentOutcome struct {
 	// missing: a probe found no chunk and recorded nothing; the caller ships
 	// the bytes next.
 	missing bool
-	// created: the payload a put created the chunk from, the chunk's own
-	// copy of its bytes; nil when the chunk was already there.
+	// created: the payload a put created the chunk from when the pool keeps
+	// it (rados.Pool.Own): the chunk's own copy of its bytes. nil when the
+	// chunk was already there or its pool keeps only shards.
 	created []byte
 }
 
@@ -207,12 +207,13 @@ type intentOutcome struct {
 var ErrChunkVanished = errors.New("core: chunk vanished")
 
 // putIntentFn is phase 1 of the two-phase reference update: store the chunk
-// contents if absent (nil data pins an existing chunk only) and record a
-// reference intent with a lease expiry. No reference is committed — the
-// intent only pins the chunk against GC until commitIntentFn (phase 3) lands
-// or the lease runs out. Re-running phase 1 for the same reference refreshes
-// the lease.
-func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
+// contents in pool if absent (nil data pins an existing chunk only) and
+// record a reference intent with a lease expiry. No reference is committed —
+// the intent only pins the chunk against GC until commitIntentFn (phase 3)
+// lands or the lease runs out. Re-running phase 1 for the same reference
+// refreshes the lease. data may be a scratch buffer, as pool.Own lets it
+// be; pool is read only when data is not nil.
+func putIntentFn(pool *rados.Pool, data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
 	return func(v rados.View) (*store.Txn, error) {
 		if out != nil {
 			*out = intentOutcome{}
@@ -222,12 +223,11 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 			if data == nil {
 				return nil, ErrChunkVanished
 			}
-			// The chunk object keeps a copy; data may be a scratch buffer.
-			created := bytes.Clone(data)
-			if out != nil {
-				out.created = created
+			payload, kept := pool.Own(data)
+			if out != nil && kept {
+				out.created = payload
 			}
-			return txn.WriteFull(created).OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
+			return txn.WriteFull(payload).OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
 		}
 		if out != nil {
 			out.existed = true
@@ -251,7 +251,7 @@ func putIntentFn(data []byte, ref Ref, expiry sim.Time, out *intentOutcome) rado
 // does; on an absent one it records nothing and reports out.missing, which is
 // an answer, not an error.
 func probeIntentFn(ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
-	pin := putIntentFn(nil, ref, expiry, out)
+	pin := putIntentFn(nil, nil, ref, expiry, out)
 	return func(v rados.View) (*store.Txn, error) {
 		if !v.Exists() {
 			*out = intentOutcome{missing: true}
@@ -522,7 +522,7 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 		ref := s.refAt(oid, put.off)
 		expiry := q.Now() + sim.Time(intentLease)
 		var out intentOutcome
-		fn := putIntentFn(nil, ref, expiry, &out)
+		fn := putIntentFn(put.pool, nil, ref, expiry, &out)
 		if put.data != nil {
 			fn = probeIntentFn(ref, expiry, &out)
 		}
@@ -532,7 +532,7 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 			// shipping call then just records the intent on it.
 			put.shipped = true
 			s.cluster.Metrics().Counter("dedup_intent_probe_misses_total").Inc()
-			perr = gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.data, ref, expiry, &out))
+			perr = gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.pool, put.data, ref, expiry, &out))
 			if perr == nil {
 				s.learnPut(put, out.created)
 			}

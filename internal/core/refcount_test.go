@@ -106,7 +106,7 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 		race      func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref)
 	}{
 		{"incref", false, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
-			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), nil)); err != nil {
+			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(e.s.chunk, data, ref, p.Now()+sim.Time(intentLease), nil)); err != nil {
 				t.Errorf("racing intent: %v", err)
 			}
 			fabricateBinding(t, e, p, "racer", chunkOID)
@@ -116,7 +116,7 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 		}},
 		{"recommit", true, func(t *testing.T, e *env, p *sim.Proc, gw *rados.Gateway, ref Ref) {
 			var out intentOutcome
-			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(data, ref, p.Now()+sim.Time(intentLease), &out)); err != nil || !out.committed {
+			if err := gw.Mutate(p, e.s.chunk, chunkOID, putIntentFn(e.s.chunk, data, ref, p.Now()+sim.Time(intentLease), &out)); err != nil || !out.committed {
 				t.Errorf("racing re-commit: committed=%v, %v; want it to find the reference committed", out.committed, err)
 			}
 			fabricateBinding(t, e, p, "racer", chunkOID)
@@ -145,7 +145,7 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 				if tc.committed {
 					settle = commitIntentFn(ref)
 				}
-				for _, fn := range []rados.MutateFn{putIntentFn(data, ref, p.Now(), nil), settle} {
+				for _, fn := range []rados.MutateFn{putIntentFn(e.s.chunk, data, ref, p.Now(), nil), settle} {
 					if err := gw.Mutate(p, e.s.chunk, chunkOID, fn); err != nil {
 						t.Fatal(err)
 					}

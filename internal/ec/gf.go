@@ -3,10 +3,15 @@
 // (EC k=2, m=1 in §6.4). Any k of the k+m shards reconstruct the data.
 package ec
 
+import "encoding/binary"
+
 // GF(2^8) arithmetic with the AES field polynomial x^8+x^4+x^3+x^2+1 (0x11d).
 var (
 	gfExp [512]byte
 	gfLog [256]int
+	// mulTable[c][s] is c*s: 64 KiB built from the log/exp tables, so the
+	// row kernel takes one lookup per byte and no branch on zero.
+	mulTable [256][256]byte
 )
 
 func init() {
@@ -21,6 +26,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := range mulTable {
+		for s := range mulTable[c] {
+			mulTable[c][s] = gfMul(byte(c), byte(s))
+		}
 	}
 }
 
@@ -43,22 +53,23 @@ func gfDiv(a, b byte) byte {
 
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// mulRow computes dst ^= c * src for byte slices (dst and src same length).
+// mulRowXor computes dst ^= c * src for byte slices (dst and src same
+// length). Each step XORs eight table lookups into dst as one word.
 func mulRowXor(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
-	if c == 1 {
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
-		return
+	t := &mulTable[c]
+	src = src[:len(dst)]
+	n := len(dst) &^ 7
+	for i := 0; i < n; i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		v := uint64(t[s[0]]) | uint64(t[s[1]])<<8 | uint64(t[s[2]])<<16 | uint64(t[s[3]])<<24 |
+			uint64(t[s[4]])<<32 | uint64(t[s[5]])<<40 | uint64(t[s[6]])<<48 | uint64(t[s[7]])<<56
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^v)
 	}
-	logC := gfLog[c]
-	for i := range dst {
-		if s := src[i]; s != 0 {
-			dst[i] ^= gfExp[logC+gfLog[s]]
-		}
+	for i := n; i < len(dst); i++ {
+		dst[i] ^= t[src[i]]
 	}
 }
 
@@ -144,12 +155,10 @@ func (a matrix) invert() (matrix, bool) {
 	return out, true
 }
 
-// mulVec computes out[r] = sum_j a[r][j]*shards[j] over GF(256) rows.
+// apply computes out[r] ^= sum_j a[r][j]*shards[j] over GF(256) rows: into
+// zeroed out rows, the product a·shards.
 func (a matrix) apply(shards [][]byte, out [][]byte) {
 	for r := range a {
-		for i := range out[r] {
-			out[r][i] = 0
-		}
 		for j, row := range a[r] {
 			mulRowXor(out[r], shards[j], row)
 		}

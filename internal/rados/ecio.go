@@ -221,12 +221,13 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 			tmpl, _ = h.store.Snapshot(key)
 		}
 	}
-	codec := g.c.codecFor(pool)
-	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(len(data))+cost.ECEncode(len(data)))
-	shards, err := codec.Encode(stripeSplit(data, pool.Red.K))
+	// The shards are split and encoded before the encode's charge parks:
+	// data may be a caller's scratch buffer, of which they are the one copy.
+	shards, err := g.c.codecFor(pool).Encode(stripeSplit(data, pool.Red.K))
 	if err != nil {
 		return err
 	}
+	primary.host.cpu.Use(p, cost.OpOverhead+cost.Checksum(len(data))+cost.ECEncode(len(data)))
 	g.runFanout(p, fanout{
 		name: "ec-shard",
 		pool: pool, pg: pg,
@@ -272,7 +273,8 @@ func (g *Gateway) ecApplyRows(p *sim.Proc, pool *Pool, oid string, primary *osd,
 	cost := g.c.cost
 	k := pool.Red.K
 	codec := g.c.codecFor(pool)
-	oldLen := g.ecLen(pool, oid)
+	holders := g.c.ecHolders(pool, oid)
+	oldLen := ecLen(pool, oid, holders)
 	end := off + int64(len(data))
 	newLen := max(oldLen, end)
 	row0, row1 := rowRange(off, int64(len(data)), k)
@@ -282,7 +284,7 @@ func (g *Gateway) ecApplyRows(p *sim.Proc, pool *Pool, oid string, primary *osd,
 	rowBytes := make([]byte, (int64(row1)-int64(row0))*stripe)
 	if oldLen > int64(row0)*stripe {
 		readLen := min(oldLen, int64(row1)*stripe) - int64(row0)*stripe
-		if _, err := g.ecGather(p, pool, oid, int64(row0)*stripe, readLen, rowBytes[:readLen]); err != nil && err != ErrNotFound {
+		if _, err := g.ecGather(p, pool, oid, holders, int64(row0)*stripe, readLen, rowBytes[:readLen]); err != nil && err != ErrNotFound {
 			p.Sleep(cost.NetLatency) // the error reply
 			g.noteOp(0)
 			return err
@@ -374,16 +376,13 @@ func (g *Gateway) ecApplyRows(p *sim.Proc, pool *Pool, oid string, primary *osd,
 
 // --- Read paths --------------------------------------------------------------
 
-// ecLen returns the logical object length (0 if absent).
-func (g *Gateway) ecLen(pool *Pool, oid string) int64 {
-	if o := firstShard(g.c.ecHolders(pool, oid)); o != nil {
+// ecLen returns the logical object length a current shard records, given
+// holders, ecHolders' answer (0 if there is no current shard).
+func ecLen(pool *Pool, oid string, holders []*osd) int64 {
+	if o := firstShard(holders); o != nil {
 		return int64(getU64(mustXattr(o.store, store.Key{Pool: pool.ID, OID: oid}, xattrECLen)))
 	}
 	return 0
-}
-
-func (g *Gateway) ecExists(pool *Pool, oid string) bool {
-	return firstShard(g.c.ecHolders(pool, oid)) != nil
 }
 
 // firstShard returns the first holder ecHolders found, nil if there is none.
@@ -397,26 +396,23 @@ func firstShard(holders []*osd) *osd {
 // ecGather reads logical bytes [off, off+length) by fetching the covering
 // shard segments to the primary (reconstructing from parity when data
 // shards are down) and reassembling — into dst when it is non-nil (length is
-// then len(dst)), else into a fresh buffer.
-func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
+// then len(dst)), else into a fresh buffer. holders is ecHolders' answer of
+// this instant: the object's length and existence come from it too.
+func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, holders []*osd, off, length int64, dst []byte) ([]byte, error) {
 	cost := g.c.cost
 	codec := g.c.codecFor(pool)
 	k := pool.Red.K
 	key := store.Key{Pool: pool.ID, OID: oid}
-	totalLen := g.ecLen(pool, oid)
-	if totalLen == 0 {
-		if g.ecExists(pool, oid) {
-			return nil, nil
-		}
+	if firstShard(holders) == nil {
 		return nil, g.c.unavailable(key)
 	}
+	totalLen := ecLen(pool, oid, holders)
 	if length < 0 || off+length > totalLen {
 		length = totalLen - off
 	}
 	if off >= totalLen || length <= 0 {
 		return nil, nil
 	}
-	holders := g.c.ecHolders(pool, oid)
 	primary, err := g.ecCoord(p, pool, oid)
 	if err != nil {
 		return nil, err
@@ -482,7 +478,7 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, off, length int6
 
 func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64, dst []byte) ([]byte, error) {
 	p.Sleep(g.c.cost.NetLatency) // request
-	data, err := g.ecGather(p, pool, oid, off, length, dst)
+	data, err := g.ecGather(p, pool, oid, g.c.ecHolders(pool, oid), off, length, dst)
 	if err != nil {
 		g.noteOp(0)
 		return nil, err
@@ -504,18 +500,35 @@ type ecView struct {
 	p    *sim.Proc
 	pool *Pool
 	oid  string
+	// held is ecHolders' answer as of heldAt, the engine's dispatch count
+	// when it was taken. Holders change only while p is parked, and p parks
+	// only through a dispatch, so an equal count means the answer still
+	// holds: a fn's Exists, Size and metadata reads and the mirror after it
+	// share one scan, and a park — the fn's own Read, or any other — starts
+	// a new one.
+	held   []*osd
+	heldAt int64
 }
 
-func (v ecView) Exists() bool { return v.g.ecExists(v.pool, v.oid) }
-func (v ecView) Size() int64  { return v.g.ecLen(v.pool, v.oid) }
-func (v ecView) Read(off, length int64) ([]byte, error) {
-	return v.g.ecGather(v.p, v.pool, v.oid, off, length, nil)
+// holders returns ecHolders' answer, scanning again only if p has parked
+// since the last scan.
+func (v *ecView) holders() []*osd {
+	if at := v.p.Engine().Stats().EventsDispatched; v.held == nil || at != v.heldAt {
+		v.held, v.heldAt = v.g.c.ecHolders(v.pool, v.oid), at
+	}
+	return v.held
+}
+
+func (v *ecView) Exists() bool { return firstShard(v.holders()) != nil }
+func (v *ecView) Size() int64  { return ecLen(v.pool, v.oid, v.holders()) }
+func (v *ecView) Read(off, length int64) ([]byte, error) {
+	return v.g.ecGather(v.p, v.pool, v.oid, v.holders(), off, length, nil)
 }
 
 // meta views the first current shard: every current shard mirrors the
 // object's metadata. With none, it views an empty store (not found).
-func (v ecView) meta() replView {
-	if o := firstShard(v.g.c.ecHolders(v.pool, v.oid)); o != nil {
+func (v *ecView) meta() replView {
+	if o := firstShard(v.holders()); o != nil {
 		return replView{st: o.store, k: store.Key{Pool: v.pool.ID, OID: v.oid}}
 	}
 	return replView{st: noShards}
@@ -525,10 +538,10 @@ func (v ecView) meta() replView {
 // reads.
 var noShards = store.New()
 
-func (v ecView) GetXattr(name string) ([]byte, error) { return v.meta().GetXattr(name) }
-func (v ecView) OmapGet(key string) ([]byte, error)   { return v.meta().OmapGet(key) }
-func (v ecView) OmapList(max int) ([]string, error)   { return v.meta().OmapList(max) }
-func (v ecView) Version() uint64                      { return v.meta().Version() }
+func (v *ecView) GetXattr(name string) ([]byte, error) { return v.meta().GetXattr(name) }
+func (v *ecView) OmapGet(key string) ([]byte, error)   { return v.meta().OmapGet(key) }
+func (v *ecView) OmapList(max int) ([]string, error)   { return v.meta().OmapList(max) }
+func (v *ecView) Version() uint64                      { return v.meta().Version() }
 
 // ecMutate serves an EC-pool mutation — a shipped txn (Write, WriteFull,
 // Delete) or a Mutate's fn — holding the PG lock from before the request
@@ -548,8 +561,9 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn
 		return err
 	}
 	g.request(p, primary, payload, fn != nil && payload == 0)
+	v := &ecView{g: g, p: p, pool: pool, oid: oid}
 	if fn != nil {
-		if txn, err = g.mutateTxn(p, pool, oid, primary, ecView{g: g, p: p, pool: pool, oid: oid}, fn); txn == nil {
+		if txn, err = g.mutateTxn(p, pool, oid, primary, v, fn); txn == nil {
 			p.Sleep(g.c.cost.NetLatency) // ack, or the error reply
 			return err
 		}
@@ -602,7 +616,7 @@ func (g *Gateway) ecMutate(p *sim.Proc, pool *Pool, oid string, payload int, txn
 	// Metadata-only: mirror to all live current shard holders, at least k of
 	// them. Stamped, fewer would be the only current shards and the object
 	// lost; it is refused retryably until recovery fills the want set.
-	holders := g.c.ecHolders(pool, oid)
+	holders := v.holders()
 	if len(slices.DeleteFunc(slices.Clone(holders), func(o *osd) bool { return o == nil })) < pool.Red.K {
 		g.noteOp(0)
 		return g.c.unavailable(key)

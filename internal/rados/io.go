@@ -97,7 +97,8 @@ func (g *Gateway) startOp(p *sim.Proc, st *metrics.OpStats, pool *Pool, oid stri
 
 // View gives a Mutate closure read access to the object being mutated. For
 // replicated pools reads are local to the primary; for EC pools data reads
-// gather shards (and are charged accordingly).
+// gather shards (and are charged accordingly). Each call answers as of the
+// instant it is made, also after the closure parks (an EC view's Read parks).
 type View interface {
 	// Exists reports whether the object currently exists.
 	Exists() bool
@@ -147,10 +148,23 @@ func (g *Gateway) Write(p *sim.Proc, pool *Pool, oid string, off int64, data []b
 	return g.mutate(p, &g.c.ops.write, pool, oid, len(data), store.NewTxn().Write(off, data), nil)
 }
 
-// WriteFull replaces the object's contents. data stays the caller's: the
-// replicas share the one copy made here (an EC pool encodes fresh shards).
+// WriteFull replaces the object's contents. data stays the caller's (Own).
 func (g *Gateway) WriteFull(p *sim.Proc, pool *Pool, oid string, data []byte) error {
-	return g.mutate(p, &g.c.ops.writeFull, pool, oid, len(data), store.NewTxn().WriteFull(bytes.Clone(data)), nil)
+	payload, _ := pool.Own(data)
+	return g.mutate(p, &g.c.ops.writeFull, pool, oid, len(data), store.NewTxn().WriteFull(payload), nil)
+}
+
+// Own returns the payload a full write of data into the pool ships, so
+// that data stays the caller's once the write returns, and whether the
+// pool keeps that payload itself. A replicated pool does: its replicas share
+// the one copy made here. An erasure pool keeps only the fresh shards its
+// encode splits the payload into, so data itself is shipped and nothing
+// keeps it.
+func (pool *Pool) Own(data []byte) (payload []byte, kept bool) {
+	if pool.Red.Kind == Erasure {
+		return data, false
+	}
+	return bytes.Clone(data), true
 }
 
 // Delete removes the object.
@@ -695,7 +709,7 @@ func (g *Gateway) metaView(p *sim.Proc, pool *Pool, oid string) (View, error) {
 	g.fpProbe(p, pool, oid, serving)
 	p.Sleep(g.c.cost.NetLatency)
 	if pool.Red.Kind == Erasure {
-		return ecView{g: g, p: p, pool: pool, oid: oid}, nil
+		return &ecView{g: g, p: p, pool: pool, oid: oid}, nil
 	}
 	return replView{st: serving.store, k: store.Key{Pool: pool.ID, OID: oid}}, nil
 }

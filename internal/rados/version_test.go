@@ -420,6 +420,82 @@ func TestECMetaMutateKeepsKShards(t *testing.T) {
 	})
 }
 
+// TestECMutateViewSeesKillWhileParked: an EC Mutate's view remembers which
+// OSDs hold current shards only while its process has not parked. A shard
+// holder killed while the fn parks — in its own Read, or anywhere else — is
+// gone from what the fn's later Exists and OmapGet see, and from the holders
+// the metadata it returns is mirrored onto.
+func TestECMutateViewSeesKillWhileParked(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5a}, 3*StripeUnit)
+	one := func(h []*osd) []*osd { return h[1:2] }
+	every := func(h []*osd) []*osd { return h }
+	for _, tc := range []struct {
+		name   string
+		victim func(holders []*osd) []*osd
+		exists bool
+		read   bool // the fn parks in v.Read; else in a plain Sleep
+	}{
+		{"one holder/read", one, true, true},
+		{"one holder/sleep", one, true, false},
+		{"every holder/read", every, false, true},
+		{"every holder/sleep", every, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			key := store.Key{Pool: e.ecp.ID, OID: "obj"}
+			var killed []*osd
+			e.run(t, func(p *sim.Proc) {
+				if err := e.gw.WriteFull(p, e.ecp, "obj", data); err != nil {
+					e.fail(err)
+				}
+				if err := e.gw.OmapSet(p, e.ecp, "obj", map[string][]byte{"k": []byte("v")}); err != nil {
+					e.fail(err)
+				}
+				err := e.gw.Mutate(p, e.ecp, "obj", func(v View) (*store.Txn, error) {
+					if !v.Exists() {
+						t.Error("object missing before the read")
+					}
+					killed = tc.victim(e.c.ecHolders(e.ecp, "obj"))
+					p.Go("kill", func(*sim.Proc) { // runs once the fn parks
+						for _, o := range killed {
+							if err := e.c.CrashOSD(o.id); err != nil {
+								t.Error(err)
+							}
+						}
+					})
+					if !tc.read {
+						p.Sleep(time.Microsecond)
+					} else if got, err := v.Read(0, -1); err != nil || !bytes.Equal(got, data) {
+						t.Errorf("read: err=%v, match=%v", err, bytes.Equal(got, data))
+					}
+					if got := v.Exists(); got != tc.exists {
+						t.Errorf("after the kill Exists() = %v, want %v", got, tc.exists)
+					}
+					if val, err := v.OmapGet("k"); tc.exists != (err == nil && string(val) == "v") {
+						t.Errorf("after the kill OmapGet = %q, %v", val, err)
+					}
+					if !tc.exists {
+						return nil, nil
+					}
+					return store.NewTxn().OmapSet("k2", []byte("v2")), nil
+				})
+				if err != nil {
+					t.Errorf("mutate: %v", err)
+				}
+			})
+			for _, o := range e.c.osds {
+				if !o.store.Exists(key) {
+					continue
+				}
+				_, err := o.store.OmapGet(key, "k2")
+				if dead := slices.Contains(killed, o); dead != (err != nil) {
+					t.Errorf("osd.%d (killed %v): k2 mirrored = %v", o.id, dead, err == nil)
+				}
+			}
+		})
+	}
+}
+
 // setX returns a Mutate closure that sets xattr name to val.
 func setX(name string, val byte) MutateFn {
 	return func(View) (*store.Txn, error) { return store.NewTxn().SetXattr(name, []byte{val}), nil }
