@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs digest-check profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -62,8 +62,9 @@ lines:
 bench-module:
 	cd bench && go vet . && go test .
 
-# Kernel hot-path microbenchmarks: the DES engine and the metrics/trace
-# primitives every simulated I/O passes through, the erasure code's encode and
+# Kernel hot-path microbenchmarks: the DES engine (a sleep that continues in
+# place and one that parks, among them) and the metrics/trace primitives
+# every simulated I/O passes through, the erasure code's encode and
 # reconstruct (the paper's EC 2+1 over one 32 KiB chunk among them), one
 # dedup-scrub pass (host cost per chunk read and verified) and naming a chunk
 # through the name memo (hit and miss). CI runs these so dispatch cost and
@@ -88,6 +89,12 @@ PAIRS ?= 10
 METRIC ?= host_cpu_s
 bench-pairs:
 	sh scripts/bench-pairs.sh $(MODEL) $(REV) $(WORKLOAD) $(SEED) $(PAIRS) $(METRIC)
+
+# The check that a host-only change left the simulated product alone: every
+# workload at seeds 1-3 on the working tree and on REV, exit 1 on any
+# sim_digest difference or failed op. Not a CI step: it builds and runs REV.
+digest-check:
+	sh scripts/digest-check.sh $(REV)
 
 # CPU + heap profile of the golden sweep — the kernel's real workload.
 # Inspect with `go tool pprof profiles/sweep.cpu.pprof`.

@@ -168,9 +168,9 @@ func BenchmarkFlushObject(b *testing.B) {
 
 // BenchmarkScrubChunkPool measures a first dedup-scrub pass over a pool of 256
 // freshly flushed chunks of 32 KiB. The flush taught the name memo every
-// chunk, so each payload read costs a CRC-32C and a compare with the chunk's
-// stored payload, not SHA-256. A pass keeps nothing for the next, so every
-// iteration is a first pass.
+// chunk, and each payload read is the very array the memo keeps, so its
+// verdict is that identity: no SHA-256, no CRC-32C and no byte compare. A
+// pass keeps nothing for the next, so every iteration is a first pass.
 func BenchmarkScrubChunkPool(b *testing.B) {
 	const chunks = 256
 	eng, s := benchStore(b)
@@ -202,22 +202,41 @@ var nameSink string
 
 // BenchmarkName measures naming one 32 KiB payload: a hit is a CRC-32C, a map
 // lookup and a compare with the kept bytes; a miss is the CRC-32C and SHA-256.
+// The guess rows name it through nameAs with the chunk's own name: the kept
+// array itself is two map lookups, equal bytes elsewhere add the compare, and
+// a wrong guess (changed bytes) falls through to the miss.
 func BenchmarkName(b *testing.B) {
 	data := make([]byte, 32<<10)
 	rand.New(rand.NewSource(1)).Read(data)
 	s := &Store{names: newNameMemo()}
-	s.names.learn(FingerprintID(data), bytes.Clone(data))
+	id := FingerprintID(data)
+	s.names.learn(id, data)
 	other := bytes.Clone(data)
 	other[0] ^= 1
 	for _, bc := range []struct {
-		name string
-		data []byte
-	}{{"hit", data}, {"miss", other}} {
+		name  string
+		data  []byte
+		guess string // "": name, no guess
+	}{
+		{"hit", bytes.Clone(data), ""},
+		{"miss", other, ""},
+		{"guess/kept-array", data, id},
+		{"guess/equal-bytes", bytes.Clone(data), id},
+		{"guess/wrong", other, id},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(bc.data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				nameSink = s.name(bc.data)
+				if bc.guess == "" {
+					nameSink = s.name(bc.data)
+				} else {
+					nameSink = s.nameAs(bc.data, bc.guess)
+				}
+			}
+			b.StopTimer()
+			if want := FingerprintID(bc.data); nameSink != want {
+				b.Fatalf("named %s, want %s", nameSink, want)
 			}
 		})
 	}

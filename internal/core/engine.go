@@ -349,7 +349,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		// replicates. With tiering off, cold is always false and the pool is the
 		// single chunk pool, preserving the static design exactly.
 		sl.cold = s.cfg.Tiering.Enabled && s.cache.Temp(q.Now(), oid) == hitset.TempCold
-		sl.id = s.name(data)
+		sl.id = s.nameAs(data, sl.entry.ChunkID)
 		prepared++
 	})
 	if prepared == 0 {

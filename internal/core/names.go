@@ -93,6 +93,27 @@ func (s *Store) name(data []byte) string {
 	return FingerprintID(data)
 }
 
+// nameAs returns FingerprintID(data) where the caller has a guess at it: the
+// chunk's own name, which the scrub checks and the flush most often rewrites.
+// When the memo keeps guess and data is the very payload it keeps (the same
+// array) or equal bytes, the answer is guess with no CRC-32C: the kept bytes
+// are guess's by the memo's invariants, and a stored payload never changes in
+// place, so a copy that rotted holds a new array and is compared byte for
+// byte. (The runtime's compare returns at once for the very array.) Any
+// other data is named as name would.
+func (s *Store) nameAs(data []byte, guess string) string {
+	k, ok := s.names.byID[guess]
+	if m := s.names.byKey[k]; !ok || m.id != guess || !bytes.Equal(m.data, data) {
+		return s.name(data)
+	}
+	if checkNames {
+		if id := FingerprintID(data); id != guess {
+			panic(fmt.Sprintf("core: storecheck: memo names %d bytes %s by their guess, SHA-256 says %s", len(data), guess, id))
+		}
+	}
+	return guess
+}
+
 // learnPut teaches the memo a put that created its chunk from a computed name.
 func (s *Store) learnPut(put *chunkPut, created []byte) {
 	if put.named && created != nil {

@@ -173,6 +173,101 @@ func TestNameMemo(t *testing.T) {
 				t.Fatalf("scrub checked %d chunks, issues %v; want 2 chunks and only %v", rep.ChunkObjects, rep.Issues, want)
 			}
 		}},
+		{"nameAs: the guess is the kept array", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			data := randData(11, 4096)
+			id := FingerprintID(data)
+			writeDrain(t, p, e, "obj", data)
+			m := e.s.names.byKey[keyOf(data)]
+			if m.id != id {
+				t.Fatalf("the flush did not teach the memo %s", id)
+			}
+			if got := e.s.nameAs(m.data, id); got != id {
+				t.Fatalf("the kept array named %s, want %s", got, id)
+			}
+		}},
+		{"nameAs: equal bytes in another array", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			data := randData(12, 4096)
+			id := FingerprintID(data)
+			writeDrain(t, p, e, "obj", data)
+			if got := e.s.nameAs(bytes.Clone(data), id); got != id {
+				t.Fatalf("equal bytes named %s, want %s", got, id)
+			}
+		}},
+		{"nameAs: same length, other bytes", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			data := randData(13, 4096)
+			id := FingerprintID(data)
+			writeDrain(t, p, e, "obj", data)
+			other := bytes.Clone(data)
+			other[len(other)-1] ^= 1
+			if got, want := e.s.nameAs(other, id), FingerprintID(other); got != want {
+				t.Fatalf("changed bytes named %s by their guess, want %s", got, want)
+			}
+			if got, want := e.s.nameAs(data[:len(data)-1], id), FingerprintID(data[:len(data)-1]); got != want {
+				t.Fatalf("a shorter payload named %s by its guess, want %s", got, want)
+			}
+		}},
+		{"nameAs: a forgotten guess is not trusted", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			// A name that is not the bytes' own, forgotten again: were any
+			// trace of it left, nameAs would answer with it.
+			data := randData(14, 4096)
+			const guess = "not-the-fingerprint"
+			e.s.names.learn(guess, data)
+			e.s.names.forget(guess)
+			if got, want := e.s.nameAs(data, guess), FingerprintID(data); got != want {
+				t.Fatalf("a forgotten guess named %s, want %s", got, want)
+			}
+		}},
+		{"nameAs: a CRC-forged collider is named by its own bytes", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			a, b := randData(15, 4096), randData(16, 4096)
+			forgeCRC(b, crc32.Checksum(a, castagnoli))
+			idA := FingerprintID(a)
+			writeDrain(t, p, e, "a", a)
+			if !kept(e, idA) || keyOf(a) != keyOf(b) {
+				t.Fatal("the memo does not keep a payload b collides with")
+			}
+			if got, want := e.s.nameAs(b, idA), FingerprintID(b); got != want {
+				t.Fatalf("the collider named %s by a's name, want %s", got, want)
+			}
+		}},
+		{"scrub: rot on the primary copy of a kept chunk is reported", plain, func(t *testing.T, p *sim.Proc, e *env) {
+			data := randData(17, 4096)
+			id := FingerprintID(data)
+			writeDrain(t, p, e, "obj", data)
+			primary, _, err := e.c.PGPrimary(e.s.chunk, e.c.PGOf(e.s.chunk, id).Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _ := e.c.OSDStore(primary)
+			key := store.Key{Pool: e.s.chunk.ID, OID: id}
+			storesKept := func() bool {
+				stored, err := st.Borrow(key, 0, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &stored[0] == &e.s.names.byKey[keyOf(data)].data[0]
+			}
+			// The primary stores the very array the memo keeps, so the first
+			// pass's verdict is the identity one.
+			if !storesKept() {
+				t.Fatal("the primary does not store the array the memo keeps")
+			}
+			if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
+				t.Fatalf("clean scrub: err %v, issues %v", err, rep.Issues)
+			}
+			// Rot gives the primary's copy a new array; the memo keeps the
+			// name and the old array, and the scrub still sees the rot.
+			if err := e.c.CorruptForTest(primary, key, 5); err != nil {
+				t.Fatal(err)
+			}
+			if !kept(e, id) || storesKept() {
+				t.Fatalf("after rot: memo keeps %s %v, primary stores the kept array %v; want true, false", id, kept(e, id), storesKept())
+			}
+			rep, err := e.s.Scrub(p)
+			want := []ScrubIssue{{OID: id, Detail: "content does not match fingerprint (bit rot)"}}
+			if err != nil || !slices.Equal(rep.Issues, want) {
+				t.Fatalf("scrub after rot: err %v, issues %v; want %v", err, rep.Issues, want)
+			}
+		}},
 		{"EC put not learned", func(t *testing.T) *env {
 			return newDedupEnv(t, func(cfg *Config) { cfg.ChunkRedundancy = rados.ErasureKM(2, 1) })
 		}, func(t *testing.T, p *sim.Proc, e *env) {

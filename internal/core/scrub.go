@@ -110,10 +110,12 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 // scrubChunkPool verifies the chunk objects of one chunk pool.
 //
 // Every chunk is read on every pass and its bytes are named through the name
-// memo (names.go): a chunk the host named when it put it is a CRC-32C and an
-// exact compare with its stored payload, and any other bytes, rot included,
-// run SHA-256. The verdict is exact either way, since equal bytes have equal
-// SHA-256.
+// memo (names.go) with the chunk's own name as the guess. A chunk the host
+// named when it put it is read as the very array the memo keeps, so the
+// verdict is that identity, with no CRC-32C: a stored payload never changes
+// in place, and rot gives the rotten copy a new array, which is compared byte
+// for byte and, differing, named by SHA-256, as are any other bytes. The
+// verdict is exact either way, since equal bytes have equal SHA-256.
 func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, rep *ScrubReport) error {
 	for _, chunkOID := range s.cluster.ListObjects(cpool) {
 		rep.ChunkObjects++
@@ -132,7 +134,7 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 			}
 		}
 		rep.BytesVerified += int64(len(data))
-		if s.name(data) != chunkOID {
+		if s.nameAs(data, chunkOID) != chunkOID {
 			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "content does not match fingerprint (bit rot)"})
 		}
 		keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })

@@ -114,11 +114,16 @@ func (c *Cluster) ecHolders(p *Pool, oid string) []*osd {
 	want := c.want(p, pg)
 	holders := make([]*osd, p.Red.K+p.Red.M)
 	key := store.Key{Pool: p.ID, OID: oid}
+	head := c.head[key]
 	for _, o := range want[:min(len(want), len(holders))] {
-		if !c.upAlive(o) || !o.store.Exists(key) || !c.current(o, key) {
-			continue // a down, crashed or stale holder cannot serve its shard
+		if !c.upAlive(o) {
+			continue // a down or crashed holder cannot serve its shard
 		}
-		idx := int(getU64(mustXattr(o.store, key, xattrECIdx)))
+		v, x, ok := o.store.VersionXattr(key, xattrECIdx)
+		if !ok || v != head {
+			continue // no shard, or a stale one (current's rule, DESIGN.md §6.1)
+		}
+		idx := int(getU64(x))
 		if idx >= 0 && idx < len(holders) {
 			holders[idx] = o
 		}

@@ -617,9 +617,9 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 // current copy, which install refuses if the head moves in flight (a later
 // leg then heals it).
 func (g *Gateway) replicaApply(q *sim.Proc, primary, r *osd, key store.Key, prev uint64, txn *store.Txn) {
-	switch {
-	case g.c.current(r, key):
-	case r.store.Version(key) != prev:
+	switch v := r.store.Version(key); {
+	case v == g.c.head[key]: // current (cluster.go)
+	case v != prev:
 		if snap, err := primary.store.Snapshot(key); err == nil {
 			g.c.netSend(q, g.cls, r.host.nicSched, snap.PayloadBytes())
 			if g.c.install(q, r, key, snap) {

@@ -5,17 +5,40 @@ import (
 	"time"
 )
 
-// BenchmarkEngineEvents measures raw DES event throughput: the budget every
-// simulated I/O spends in the kernel.
-func BenchmarkEngineEvents(b *testing.B) {
-	e := New(1)
-	e.Go("ticker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
+// BenchmarkSleep measures one sleep of a process, the kernel's commonest
+// call. A lone sleeper's wake-up is always the next dispatch, so it continues
+// in place; sleepers that share every tick always have a wake-up due before
+// theirs, so each sleep parks and is dispatched from the queue — the raw
+// event round trip every simulated I/O spends in the kernel.
+func BenchmarkSleep(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		sleepers int
+		inPlace  bool // every sleep continues in place; else every sleep parks
+	}{{"lone", 1, true}, {"contended", 4, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(1)
+			per := max(b.N/bc.sleepers, 1)
+			n := per * bc.sleepers
+			for w := 0; w < bc.sleepers; w++ {
+				e.Go("sleeper", func(p *Proc) {
+					for i := 0; i < per; i++ {
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+			b.ResetTimer()
+			e.Run()
+			b.StopTimer()
+			want := int64(0)
+			if bc.inPlace {
+				want = int64(n)
+			}
+			if e.continued != want {
+				b.Fatalf("%d of %d sleeps continued in place, want %d", e.continued, n, want)
+			}
+		})
+	}
 }
 
 func BenchmarkResourceHandoff(b *testing.B) {

@@ -155,7 +155,8 @@ func (f *eventFIFO) pop() event {
 
 // Stats is a snapshot of the engine's execution counters. All values are
 // deterministic for a fixed seed and program, so they can appear in golden
-// outputs as a kernel-cost measure.
+// outputs as a kernel-cost measure. A sleep that continues in place
+// (SleepUntil) counts as the schedule and dispatch it stands for.
 type Stats struct {
 	EventsScheduled  int64 // total events ever scheduled
 	EventsDispatched int64 // events dispatched (callbacks run or procs resumed)
@@ -188,7 +189,9 @@ type Engine struct {
 	cur        *Proc // currently executing process (nil in engine/callback context)
 	live       int   // processes spawned and not yet finished
 	running    bool
-	inCallback bool // an engine callback (After/FireAt) is executing
+	inCallback bool  // an engine callback (After/FireAt) is executing
+	limit      Time  // the running RunUntil's limit
+	continued  int64 // sleeps that continued in place (SleepUntil); tests read it
 
 	freeProcs []*Proc
 	coros     []*Proc // every process whose coroutine has not ended, for Close
@@ -492,17 +495,40 @@ func (p *Proc) end() {
 
 // Sleep advances the process by d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.e.schedule(p.e.now+Time(d), p, nil)
-	p.park()
+	p.SleepUntil(p.e.now + Time(max(d, 0)))
 }
 
-// SleepUntil parks the process until virtual time t (no-op if t <= now).
+// SleepUntil advances the process to virtual time t, or to now if t has
+// passed; either way the wake-up is an event of its own. When it would be
+// the very next dispatch, p continues in place: it is the running process
+// (not a callback), the same-time FIFO is empty, the heap's earliest event
+// is strictly later than t, and t is within the running RunUntil's limit.
+// For a daemon RunUntil also needs non-daemon work to dispatch anything, and
+// that holds for as long as a daemon runs: RunUntil saw some before it
+// dispatched the daemon, and neither of its counts drops until another
+// process runs. The kernel then counts the wake-up exactly as a schedule and
+// dispatch would (seq, events, fast path, queue peaks) and moves the clock,
+// so the run's order, times and Stats are those of the parked path; only the
+// coroutine round trip is gone. Every other sleep parks.
 func (p *Proc) SleepUntil(t Time) {
-	p.e.schedule(t, p, nil)
-	p.park()
+	e := p.e
+	t = max(t, e.now)
+	if e.cur != p || e.fifo.len() > 0 || t > e.limit || (e.heap.len() > 0 && e.heap.a[0].at <= t) {
+		e.schedule(t, p, nil)
+		p.park()
+		return
+	}
+	e.seq++
+	e.stats.EventsScheduled++
+	e.stats.EventsDispatched++
+	if t == e.now {
+		e.stats.FastPath++
+		e.stats.PeakFIFO = max(e.stats.PeakFIFO, 1)
+	} else {
+		e.stats.PeakHeap = max(e.stats.PeakHeap, e.heap.len()+1)
+	}
+	e.now = t
+	e.continued++
 }
 
 // Run processes events until no non-daemon work remains (all non-daemon
@@ -523,7 +549,7 @@ func (e *Engine) RunUntil(limit Time) int {
 	if e.running {
 		panic("sim: nested Run")
 	}
-	e.running = true
+	e.running, e.limit = true, limit
 	defer func() { e.running, e.cur = false, nil }()
 	for {
 		hasF := e.fifo.len() > 0

@@ -248,25 +248,55 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
+// TestRunUntil: events beyond the limit stay queued and the clock stops at
+// the limit. A lone sleeper continues in place between its wake-ups, and no
+// continuation may pass the limit.
 func TestRunUntil(t *testing.T) {
-	e := New(1)
-	ticks := 0
-	e.Go("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(time.Second)
-			ticks++
-		}
-	})
-	e.RunUntil(Time(3500 * time.Millisecond))
-	if ticks != 3 {
-		t.Fatalf("ticks=%d want 3", ticks)
-	}
-	if e.Now() != Time(3500*time.Millisecond) {
-		t.Fatalf("now=%v", e.Now())
-	}
-	e.Run()
-	if ticks != 10 {
-		t.Fatalf("ticks=%d want 10 after full run", ticks)
+	for _, tc := range []struct {
+		name  string
+		sleep func(p *Proc) // one tick's wait
+		other bool          // a second process wakes between the ticks, so every tick parks
+	}{
+		{"lone Sleep", func(p *Proc) { p.Sleep(time.Second) }, false},
+		{"lone SleepUntil", func(p *Proc) { p.SleepUntil(p.Now() + Time(time.Second)) }, false},
+		{"Sleep beside another sleeper", func(p *Proc) { p.Sleep(time.Second) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			ticks := 0
+			e.Go("ticker", func(p *Proc) {
+				for i := 0; i < 10; i++ {
+					tc.sleep(p)
+					ticks++
+				}
+			})
+			if tc.other {
+				e.GoAt(Time(500*time.Millisecond), "other", func(p *Proc) {
+					for i := 0; i < 10; i++ {
+						p.Sleep(time.Second)
+					}
+				})
+			}
+			e.RunUntil(Time(3500 * time.Millisecond))
+			if ticks != 3 {
+				t.Fatalf("ticks=%d want 3", ticks)
+			}
+			if e.Now() != Time(3500*time.Millisecond) {
+				t.Fatalf("now=%v", e.Now())
+			}
+			// A wake-up due exactly at the limit runs; the next one waits.
+			e.RunUntil(Time(5 * time.Second))
+			if ticks != 5 || e.Now() != Time(5*time.Second) {
+				t.Fatalf("after RunUntil(5s): ticks=%d now=%v, want 5 at 5s", ticks, e.Now())
+			}
+			e.Run()
+			if ticks != 10 {
+				t.Fatalf("ticks=%d want 10 after full run", ticks)
+			}
+			if lone := !tc.other; lone != (e.continued > 0) {
+				t.Fatalf("%d sleeps continued in place; want some only for a lone sleeper", e.continued)
+			}
+		})
 	}
 }
 
@@ -349,30 +379,53 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestDaemonDoesNotKeepRunAlive: a daemon runs while foreground work exists,
+// and Run returns once none remains, however the daemon's sleeps are served:
+// beside the foreground, alone after it ends, or alone from the start.
 func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
-	e := New(1)
-	ticks := 0
-	e.GoDaemon("poller", func(p *Proc) {
-		for {
-			p.Sleep(10 * time.Millisecond)
-			ticks++
-		}
-	})
-	done := false
-	e.Go("fg", func(p *Proc) {
-		p.Sleep(35 * time.Millisecond)
-		done = true
-	})
-	e.Run()
-	if !done {
-		t.Fatal("foreground work did not finish")
-	}
-	// The daemon ran while foreground work existed, then Run returned.
-	if ticks < 3 || ticks > 4 {
-		t.Fatalf("daemon ticked %d times during 35ms of foreground work", ticks)
-	}
-	if e.Now() > Time(40*time.Millisecond) {
-		t.Fatalf("run continued past foreground completion: %v", e.Now())
+	for _, tc := range []struct {
+		name       string
+		fg         time.Duration // the foreground's one sleep; 0: no foreground
+		every      time.Duration // the daemon's tick
+		minT, maxT int           // ticks the daemon may make
+		maxNow     time.Duration // the clock when Run returns, at most
+	}{
+		{"beside foreground", 35 * time.Millisecond, 10 * time.Millisecond, 3, 4, 40 * time.Millisecond},
+		// Until 30ms the daemon is the next dispatch and continues in
+		// place; its wake-up at 35ms then outlives the foreground, which
+		// ends at 33ms, and Run returns without it.
+		{"daemon-only tail", 33 * time.Millisecond, 5 * time.Millisecond, 6, 6, 33 * time.Millisecond},
+		{"daemon alone", 0, time.Millisecond, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			ticks := 0
+			e.GoDaemon("poller", func(p *Proc) {
+				for {
+					p.Sleep(tc.every)
+					ticks++
+				}
+			})
+			done := tc.fg == 0
+			if tc.fg > 0 {
+				e.Go("fg", func(p *Proc) {
+					p.Sleep(tc.fg)
+					done = true
+				})
+			}
+			if live := e.Run(); live != 1 {
+				t.Fatalf("Run left %d processes live, want the parked daemon", live)
+			}
+			if !done {
+				t.Fatal("foreground work did not finish")
+			}
+			if ticks < tc.minT || ticks > tc.maxT {
+				t.Fatalf("daemon ticked %d times, want %d..%d", ticks, tc.minT, tc.maxT)
+			}
+			if e.Now() > Time(tc.maxNow) {
+				t.Fatalf("run continued past foreground completion: %v", e.Now())
+			}
+		})
 	}
 }
 

@@ -360,6 +360,19 @@ func (s *Store) Version(k Key) uint64 {
 	return 0
 }
 
+// VersionXattr reads in one locked lookup what Exists, Version and GetXattr
+// would: whether the object exists, its version, and the named xattr (nil
+// when absent); the value is read-only.
+func (s *Store) VersionXattr(k Key, name string) (version uint64, value []byte, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	obj, ok := s.objects[k]
+	if !ok {
+		return 0, nil, false
+	}
+	return obj.Version, obj.Xattr[name], true
+}
+
 // Size returns the object's data length.
 func (s *Store) Size(k Key) (int64, error) {
 	s.mu.Lock()

@@ -114,6 +114,23 @@ func TestXattr(t *testing.T) {
 	}
 }
 
+// TestVersionXattr: one read answers what Exists, Version and GetXattr would.
+func TestVersionXattr(t *testing.T) {
+	s := New()
+	if v, x, ok := s.VersionXattr(k, "idx"); ok || v != 0 || x != nil {
+		t.Fatalf("absent object: version %d, xattr %v, exists %v", v, x, ok)
+	}
+	s.Apply(k, NewTxn().Create().Stamp(7))
+	if v, x, ok := s.VersionXattr(k, "idx"); !ok || v != 7 || x != nil {
+		t.Fatalf("object without the xattr: version %d, xattr %v, exists %v", v, x, ok)
+	}
+	s.Apply(k, NewTxn().SetXattr("idx", []byte{2}).Stamp(9))
+	v, x, ok := s.VersionXattr(k, "idx")
+	if !ok || v != s.Version(k) || v != 9 || !bytes.Equal(x, []byte{2}) {
+		t.Fatalf("version %d, xattr %v, exists %v; want 9, [2], true", v, x, ok)
+	}
+}
+
 func TestOmap(t *testing.T) {
 	s := New()
 	s.Apply(k, NewTxn().Create().OmapSet("b", []byte("2")).OmapSet("a", []byte("1")))
