@@ -649,59 +649,3 @@ func TestMetadataEvictionReclaimsSpace(t *testing.T) {
 func newTestCluster(eng *sim.Engine) *rados.Cluster {
 	return rados.NewTestbed(eng, simcost.Default(), 4, 4)
 }
-
-func TestTieredPools(t *testing.T) {
-	// §4.2: metadata pool on fast media, chunk pool on cheap media. Build a
-	// hybrid cluster and verify data lands class-correctly end to end.
-	eng := sim.New(31)
-	c := rados.New(eng, simcost.Default())
-	id := 0
-	for h := 0; h < 4; h++ {
-		host := fmt.Sprintf("host%d", h)
-		c.AddHost(host, 12)
-		for d := 0; d < 2; d++ {
-			if err := c.AddOSDClass(id, host, 1.0, "ssd", 1.0); err != nil {
-				t.Fatal(err)
-			}
-			id++
-			if err := c.AddOSDClass(id, host, 1.0, "hdd", 8.0); err != nil {
-				t.Fatal(err)
-			}
-			id++
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.ChunkSize = 4096
-	cfg.Rate.Enabled = false
-	cfg.HitSet.HitCount = 1000
-	cfg.MetaDeviceClass = "ssd"
-	cfg.ChunkDeviceClass = "hdd"
-	s, err := Open(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := s.Client("tiered")
-	data := make([]byte, 16384)
-	rand.New(rand.NewSource(32)).Read(data)
-	eng.Go("w", func(p *sim.Proc) {
-		if err := cl.Write(p, "obj", 0, data); err != nil {
-			t.Error(err)
-		}
-		s.Engine().DrainAndWait(p)
-		got, err := cl.Read(p, "obj", 0, -1)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("tiered round trip: %v", err)
-		}
-	})
-	eng.Run()
-	for _, osdID := range c.OSDs() {
-		info, _ := c.Map().Lookup(osdID)
-		st, _ := c.OSDStore(osdID)
-		if n := st.PoolUsage(s.MetaPool().ID).Objects; n > 0 && info.Class != "ssd" {
-			t.Fatalf("metadata objects on %s osd.%d", info.Class, osdID)
-		}
-		if n := st.PoolUsage(s.ChunkPool().ID).Objects; n > 0 && info.Class != "hdd" {
-			t.Fatalf("chunk objects on %s osd.%d", info.Class, osdID)
-		}
-	}
-}

@@ -319,7 +319,7 @@ func TestGCReclaimsLeakedRefs(t *testing.T) {
 
 // actingOSDs lists the OSDs serving oid in pool.
 func actingOSDs(e *env, pool *rados.Pool, oid string) []int {
-	return e.c.Map().ActingSetClass(e.c.PGOf(pool, oid), pool.Red.Width(), pool.Class)
+	return e.c.Map().ActingSet(e.c.PGOf(pool, oid), pool.Red.Width())
 }
 
 // disjoint reports whether a shares no OSD with any of the other sets.

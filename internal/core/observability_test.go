@@ -13,7 +13,7 @@ import (
 // TestRatePolicyEarlyRunThrottles is the regression test for the
 // first-second measurement bug: with foreground load far above the high
 // watermark only 200ms into the run, the rate controller must drop the dedup
-// class weight into the above-high band (base/OpsPerDedupAboveHigh). The old
+// class weight into the above-high band (base/opsPerDedupAboveHigh). The old
 // full-window average divided those ops by a second that had not elapsed,
 // under-reported the rate, and left the controller in the mid (or
 // unthrottled) band.
@@ -33,7 +33,7 @@ func TestRatePolicyEarlyRunThrottles(t *testing.T) {
 		eng := e.s.Engine()
 		eng.rateBase = e.c.QoS().Weight(qos.Dedup)
 		eng.rateTick()
-		want := eng.rateBase / e.s.cfg.Rate.OpsPerDedupAboveHigh
+		want := eng.rateBase / opsPerDedupAboveHigh
 		if got := e.c.QoS().Weight(qos.Dedup); got != want {
 			t.Errorf("dedup weight after tick = %d, want %d (above-high band)", got, want)
 		}

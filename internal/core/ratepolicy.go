@@ -24,11 +24,16 @@ import (
 // ratePolicyTick is how often the controller re-evaluates foreground load.
 const ratePolicyTick = 50 * time.Millisecond
 
+// The paper's ratios (§4.4.2): one dedup I/O per this many foreground I/Os.
+const (
+	opsPerDedupAboveHigh = 500 // above the high watermark
+	opsPerDedupMid       = 100 // between the watermarks
+)
+
 // rateWeight maps foreground IOPS to a dedup-class weight: above the high
-// watermark the dedup class gets one share per OpsPerDedupAboveHigh client
-// shares (paper: 1:500); between the watermarks one per OpsPerDedupMid
-// (paper: 1:100); below the low watermark the full base weight — no
-// limitation.
+// watermark the dedup class gets one share per opsPerDedupAboveHigh client
+// shares; between the watermarks one per opsPerDedupMid; below the low
+// watermark the full base weight — no limitation.
 func rateWeight(rc RateConfig, base int64, iops float64) int64 {
 	gap := rateGap(rc, iops)
 	if gap == 0 {
@@ -52,14 +57,14 @@ func rateLimitInterval(rc RateConfig, iops float64) time.Duration {
 	return time.Duration(float64(gap) / iops * float64(time.Second))
 }
 
-// rateGap returns the watermark band's foreground-I/Os-per-dedup-I/O ratio
-// (at least 1), or 0 below the low watermark: no limitation.
+// rateGap returns the watermark band's foreground-I/Os-per-dedup-I/O ratio,
+// or 0 below the low watermark: no limitation.
 func rateGap(rc RateConfig, iops float64) int64 {
 	switch {
 	case iops > rc.HighIOPS:
-		return max(rc.OpsPerDedupAboveHigh, 1)
+		return opsPerDedupAboveHigh
 	case iops > rc.LowIOPS:
-		return max(rc.OpsPerDedupMid, 1)
+		return opsPerDedupMid
 	}
 	return 0
 }

@@ -36,19 +36,14 @@ type RateConfig struct {
 	// Enabled turns throttling on. Disabled reproduces the Fig. 5b / Fig. 14
 	// interference baseline.
 	Enabled bool
-	// LowIOPS / HighIOPS are the foreground-load watermarks.
+	// LowIOPS / HighIOPS are the foreground-load watermarks. The dedup
+	// ratio in each band is the paper's (ratepolicy.go).
 	LowIOPS, HighIOPS float64
-	// OpsPerDedupAboveHigh: one dedup I/O per this many foreground I/Os when
-	// load exceeds HighIOPS (paper: 500).
-	OpsPerDedupAboveHigh int64
-	// OpsPerDedupMid: one dedup I/O per this many foreground I/Os between
-	// the watermarks (paper: 100).
-	OpsPerDedupMid int64
 }
 
 // DefaultRate returns the paper's rate-control settings.
 func DefaultRate() RateConfig {
-	return RateConfig{Enabled: true, LowIOPS: 1000, HighIOPS: 4000, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
+	return RateConfig{Enabled: true, LowIOPS: 1000, HighIOPS: 4000}
 }
 
 // TieringConfig configures adaptive redundancy: hotness-driven per-object
@@ -95,11 +90,6 @@ type Config struct {
 	// MetaRedundancy / ChunkRedundancy are each pool's protection scheme
 	// ("each pool can separately select redundancy scheme", §4.2).
 	MetaRedundancy, ChunkRedundancy rados.Redundancy
-	// MetaDeviceClass / ChunkDeviceClass pin each pool to a device class
-	// ("" = any) — §4.2's "each pool can be placed to different storage
-	// location depending on the required performance": hot metadata (and
-	// cached chunks) on fast media, deduplicated chunks on cheap media.
-	MetaDeviceClass, ChunkDeviceClass string
 	// Mode selects dedup timing (default post-processing).
 	Mode Mode
 	// Rate is the background dedup rate control.
@@ -201,17 +191,11 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 			cfg.Tiering.Interval = time.Second
 		}
 	}
-	meta, err := cluster.CreatePool(rados.PoolConfig{
-		Name: metaPoolName, Redundancy: cfg.MetaRedundancy,
-		DeviceClass: cfg.MetaDeviceClass,
-	})
+	meta, err := cluster.CreatePool(rados.PoolConfig{Name: metaPoolName, Redundancy: cfg.MetaRedundancy})
 	if err != nil {
 		return nil, fmt.Errorf("core: create metadata pool: %w", err)
 	}
-	chunk, err := cluster.CreatePool(rados.PoolConfig{
-		Name: chunkPoolName, Redundancy: cfg.ChunkRedundancy,
-		DeviceClass: cfg.ChunkDeviceClass,
-	})
+	chunk, err := cluster.CreatePool(rados.PoolConfig{Name: chunkPoolName, Redundancy: cfg.ChunkRedundancy})
 	if err != nil {
 		return nil, fmt.Errorf("core: create chunk pool: %w", err)
 	}

@@ -20,10 +20,6 @@ type OSD struct {
 	ID     int
 	Host   string
 	Weight float64
-	// Class is the device class ("ssd", "hdd", ...); pools may restrict
-	// placement to one class ("each pool can be placed to different storage
-	// location depending on the required performance", paper §4.2).
-	Class string
 	// Up means the OSD is reachable; In means it participates in placement.
 	// An OSD that fails is first marked down (PGs degrade) and later marked
 	// out (PGs remap and recovery begins), mirroring Ceph's two-phase
@@ -39,18 +35,17 @@ type Map struct {
 	Epoch int
 	osds  map[int]*OSD
 
-	// pgCache memoizes MapPGClass results. Placement is a pure function of
-	// (map contents, pg, n, class) and every mutation bumps Epoch, so cached
-	// entries stay valid until the epoch moves; callers must treat returned
-	// slices as immutable.
+	// pgCache memoizes MapPG results. Placement is a pure function of (map
+	// contents, pg, n) and every mutation bumps Epoch, so cached entries stay
+	// valid until the epoch moves; callers must treat returned slices as
+	// immutable.
 	cacheEpoch int
 	pgCache    map[pgCacheKey][]int
 }
 
 type pgCacheKey struct {
-	pg    PG
-	n     int
-	class string
+	pg PG
+	n  int
 }
 
 // NewMap returns an empty cluster map at epoch 1.
@@ -68,24 +63,15 @@ func (m *Map) Clone() *Map {
 	return c
 }
 
-// AddOSD inserts an OSD (up+in) of the default "ssd" class and bumps the
-// epoch.
+// AddOSD inserts an OSD (up+in) and bumps the epoch.
 func (m *Map) AddOSD(id int, host string, weight float64) error {
-	return m.AddOSDClass(id, host, weight, "ssd")
-}
-
-// AddOSDClass inserts an OSD with an explicit device class.
-func (m *Map) AddOSDClass(id int, host string, weight float64, class string) error {
 	if _, ok := m.osds[id]; ok {
 		return fmt.Errorf("crush: osd.%d already exists", id)
 	}
 	if weight <= 0 {
 		return fmt.Errorf("crush: osd.%d invalid weight %v", id, weight)
 	}
-	if class == "" {
-		class = "ssd"
-	}
-	m.osds[id] = &OSD{ID: id, Host: host, Weight: weight, Class: class, Up: true, In: true}
+	m.osds[id] = &OSD{ID: id, Host: host, Weight: weight, Up: true, In: true}
 	m.Epoch++
 	return nil
 }
@@ -196,36 +182,31 @@ func straw2Draw(pg PG, trial uint64, itemKey uint64, weight float64) float64 {
 	return math.Log(u) / weight
 }
 
-// MapPG returns the ordered OSD set (size up to n) for a PG over all
-// device classes.
-func (m *Map) MapPG(pg PG, n int) []int { return m.MapPGClass(pg, n, "") }
-
-// MapPGClass is MapPG restricted to one device class ("" = any): the CRUSH
-// rule mechanism that lets a pool live on, say, SSDs while another lives on
-// HDDs. Placement chooses distinct hosts first (failure-domain separation)
-// and one OSD within each chosen host. Only in-OSDs of the class are
-// candidates; if there are fewer eligible hosts than n, remaining slots
-// fall back to distinct OSDs regardless of host.
+// MapPG returns the ordered OSD set (size up to n) for a PG. Placement
+// chooses distinct hosts first (failure-domain separation) and one OSD
+// within each chosen host. Only in-OSDs are candidates; if there are fewer
+// eligible hosts than n, remaining slots fall back to distinct OSDs
+// regardless of host.
 //
 // Results are memoized per epoch: the straw2 draws are pure, so repeated
 // resolutions of the same PG (every I/O resolves its placement) hit the
 // cache until a map mutation bumps the epoch. The returned slice is shared —
 // callers must not modify it.
-func (m *Map) MapPGClass(pg PG, n int, class string) []int {
+func (m *Map) MapPG(pg PG, n int) []int {
 	if m.cacheEpoch != m.Epoch || m.pgCache == nil {
 		m.cacheEpoch = m.Epoch
 		m.pgCache = make(map[pgCacheKey][]int)
 	}
-	key := pgCacheKey{pg: pg, n: n, class: class}
+	key := pgCacheKey{pg: pg, n: n}
 	if ids, ok := m.pgCache[key]; ok {
 		return ids
 	}
-	ids := m.mapPGClass(pg, n, class)
+	ids := m.mapPG(pg, n)
 	m.pgCache[key] = ids
 	return ids
 }
 
-func (m *Map) mapPGClass(pg PG, n int, class string) []int {
+func (m *Map) mapPG(pg PG, n int) []int {
 	type hostInfo struct {
 		name   string
 		osds   []*OSD
@@ -234,9 +215,6 @@ func (m *Map) mapPGClass(pg PG, n int, class string) []int {
 	byHost := map[string]*hostInfo{}
 	for _, id := range m.InOSDs() {
 		o := m.osds[id]
-		if class != "" && o.Class != class {
-			continue
-		}
 		hi := byHost[o.Host]
 		if hi == nil {
 			hi = &hostInfo{name: o.Host}
@@ -314,12 +292,9 @@ func (m *Map) mapPGClass(pg PG, n int, class string) []int {
 
 // ActingSet returns the up members of a PG's mapping, preserving order: the
 // replicas that can serve I/O right now. The first element is the primary.
-func (m *Map) ActingSet(pg PG, n int) []int { return m.ActingSetClass(pg, n, "") }
-
-// ActingSetClass is ActingSet restricted to one device class.
-func (m *Map) ActingSetClass(pg PG, n int, class string) []int {
+func (m *Map) ActingSet(pg PG, n int) []int {
 	var acting []int
-	for _, id := range m.MapPGClass(pg, n, class) {
+	for _, id := range m.MapPG(pg, n) {
 		if o, ok := m.osds[id]; ok && o.Up {
 			acting = append(acting, id)
 		}

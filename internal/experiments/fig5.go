@@ -155,7 +155,7 @@ func Fig14(sc Scale) []InterferenceResult {
 		{203, "no deduplication (ideal)", nil},
 		{204, "dedup w/o rate control", func(cfg *core.Config) { cfg.Rate.Enabled = false }},
 		{205, "dedup w/ rate control", func(cfg *core.Config) {
-			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500, OpsPerDedupAboveHigh: 500, OpsPerDedupMid: 100}
+			cfg.Rate = core.RateConfig{Enabled: true, LowIOPS: 100, HighIOPS: 500}
 		}},
 	}
 	return Runs(sc, cases, func(tb *Testbed, c fig14Case) InterferenceResult {

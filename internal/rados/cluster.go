@@ -119,10 +119,6 @@ type PoolConfig struct {
 	Name       string
 	PGNum      uint32
 	Redundancy Redundancy
-	// DeviceClass restricts placement to OSDs of this class ("" = any) —
-	// the paper's §4.2 option of placing the metadata and chunk pools on
-	// different storage tiers.
-	DeviceClass string
 }
 
 // Pool is a named object namespace with its own redundancy scheme — the
@@ -133,8 +129,6 @@ type Pool struct {
 	Name  string
 	PGNum uint32
 	Red   Redundancy
-	// Class is the pool's device-class restriction ("" = any).
-	Class string
 
 	label    sim.Label   // Name, as trace spans carry it
 	pgLabels []sim.Label // each PG's name ("1.2a") as a span label, resolved on first use
@@ -271,15 +265,19 @@ func (c *Cluster) Cost() simcost.Params { return c.cost }
 // Map returns the cluster's CRUSH map (live; mutations affect placement).
 func (c *Cluster) Map() *crush.Map { return c.cmap }
 
-// AddHost registers a server with the given CPU core count.
-func (c *Cluster) AddHost(name string, cores int) {
+// hostCores is every host's CPU core count: the paper's testbed servers
+// (Xeon E5-2690, §6.1).
+const hostCores = 12
+
+// AddHost registers a server with hostCores CPU cores.
+func (c *Cluster) AddHost(name string) {
 	if _, ok := c.hosts[name]; ok {
 		return
 	}
 	h := &host{
 		name: name,
 		nic:  sim.NewResource("nic."+name, 1),
-		cpu:  sim.NewResource("cpu."+name, max(cores, 1)),
+		cpu:  sim.NewResource("cpu."+name, hostCores),
 	}
 	h.nicSched = c.qsched.NewScheduler(h.nic)
 	c.rmon.Watch(h.nic)
@@ -287,32 +285,22 @@ func (c *Cluster) AddHost(name string, cores int) {
 	c.hosts[name] = h
 }
 
-// AddOSD registers an SSD-class OSD on a host (host must exist).
+// AddOSD registers an OSD on a host (host must exist).
 func (c *Cluster) AddOSD(id int, hostName string, weight float64) error {
-	return c.AddOSDClass(id, hostName, weight, "ssd", 1.0)
-}
-
-// AddOSDClass registers an OSD with a device class and a disk slowdown
-// factor relative to the cost model's SSD (e.g. "hdd" with factor 8).
-func (c *Cluster) AddOSDClass(id int, hostName string, weight float64, class string, slowFactor float64) error {
 	h, ok := c.hosts[hostName]
 	if !ok {
 		return fmt.Errorf("rados: unknown host %q", hostName)
 	}
-	if slowFactor <= 0 {
-		slowFactor = 1.0
-	}
-	if err := c.cmap.AddOSDClass(id, hostName, weight, class); err != nil {
+	if err := c.cmap.AddOSD(id, hostName, weight); err != nil {
 		return err
 	}
 	o := &osd{
-		id:       id,
-		host:     h,
-		store:    store.New(c.storeOpts...),
-		disk:     sim.NewResource(fmt.Sprintf("disk.osd%d", id), max(c.cost.DiskShards, 1)),
-		slow:     slowFactor,
-		baseSlow: slowFactor,
-		alive:    true,
+		id:    id,
+		host:  h,
+		store: store.New(c.storeOpts...),
+		disk:  sim.NewResource(fmt.Sprintf("disk.osd%d", id), max(c.cost.DiskShards, 1)),
+		slow:  1,
+		alive: true,
 	}
 	o.sched = c.qsched.NewScheduler(o.disk)
 	c.rmon.Watch(o.disk)
@@ -324,13 +312,13 @@ func (c *Cluster) AddOSDClass(id int, hostName string, weight float64, class str
 }
 
 // NewTestbed builds the paper's evaluation cluster: hosts each with
-// osdsPerHost OSDs, 12 cores per host (Xeon E5-2690).
+// osdsPerHost OSDs.
 func NewTestbed(eng *sim.Engine, cost simcost.Params, hosts, osdsPerHost int, opts ...Option) *Cluster {
 	c := New(eng, cost, opts...)
 	id := 0
 	for h := 0; h < hosts; h++ {
 		name := fmt.Sprintf("host%d", h)
-		c.AddHost(name, 12)
+		c.AddHost(name)
 		for d := 0; d < osdsPerHost; d++ {
 			if err := c.AddOSD(id, name, 1.0); err != nil {
 				panic(err)
@@ -362,7 +350,7 @@ func (c *Cluster) CreatePool(cfg PoolConfig) (*Pool, error) {
 		return nil, fmt.Errorf("rados: pool %q missing redundancy scheme", cfg.Name)
 	}
 	c.nextPool++
-	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy, Class: cfg.DeviceClass,
+	p := &Pool{ID: c.nextPool, Name: cfg.Name, PGNum: cfg.PGNum, Red: cfg.Redundancy,
 		label: sim.Intern(cfg.Name), pgLabels: make([]sim.Label, cfg.PGNum),
 		lockWait: c.reg.Histogram("rados_pg_lock_wait:" + cfg.Name), lockHold: c.reg.Histogram("rados_pg_lock_hold:" + cfg.Name),
 		replApply: c.reg.Histogram("rados_replica_apply:" + cfg.Name)}
@@ -400,8 +388,7 @@ func (p *Pool) pgLabel(pg crush.PG) sim.Label {
 
 // pgResCheck invalidates the placement caches when the CRUSH epoch moved.
 // A PG fully determines its pool (PG.Pool is the pool id), so caching by PG
-// alone is sound: every resolution of the same PG uses the same width and
-// device class.
+// alone is sound: every resolution of the same PG uses the same width.
 func (c *Cluster) pgResCheck() {
 	if c.pgResEpoch != c.cmap.Epoch || c.actCache == nil {
 		c.pgResEpoch = c.cmap.Epoch
@@ -417,7 +404,7 @@ func (c *Cluster) acting(p *Pool, pg crush.PG) []*osd {
 	if out, ok := c.actCache[pg]; ok {
 		return out
 	}
-	out := c.osdList(c.cmap.ActingSetClass(pg, p.Red.Width(), p.Class))
+	out := c.osdList(c.cmap.ActingSet(pg, p.Red.Width()))
 	c.actCache[pg] = out
 	return out
 }
@@ -440,7 +427,7 @@ func (c *Cluster) want(p *Pool, pg crush.PG) []*osd {
 	if out, ok := c.wantCache[pg]; ok {
 		return out
 	}
-	out := c.osdList(c.cmap.MapPGClass(pg, p.Red.Width(), p.Class))
+	out := c.osdList(c.cmap.MapPG(pg, p.Red.Width()))
 	c.wantCache[pg] = out
 	return out
 }
@@ -630,14 +617,15 @@ func (c *Cluster) OSDAlive(id int) bool {
 	return ok && o.alive
 }
 
-// SetOSDSlow scales an OSD's disk service times by factor relative to its
-// healthy speed (1.0 restores it). Models a failing/throttled device.
+// SetOSDSlow scales an OSD's disk service times by factor (1.0, or any
+// factor below it, restores the cost model's speed). Models a
+// failing/throttled device.
 func (c *Cluster) SetOSDSlow(id int, factor float64) error {
 	o, ok := c.osds[id]
 	if !ok {
 		return fmt.Errorf("rados: unknown osd %d", id)
 	}
-	o.slow = o.baseSlow * max(factor, 1)
+	o.slow = max(factor, 1)
 	return nil
 }
 

@@ -338,7 +338,7 @@ func TestFPIndexLockstepTransitions(t *testing.T) {
 			return nil
 		}},
 		{"recovery delete of an out-of-map holder", func(t *testing.T, e *fpEnv, p *sim.Proc) error {
-			e.c.AddHost("host4", 12)
+			e.c.AddHost("host4")
 			for d := 0; d < 4; d++ {
 				if err := e.c.AddOSD(16+d, "host4", 1.0); err != nil {
 					return err

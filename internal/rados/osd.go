@@ -32,12 +32,9 @@ type osd struct {
 	// sched is the per-OSD QoS op scheduler fronting disk: the single
 	// admission point for every disk I/O, fair-queued across classes.
 	sched *qos.Scheduler
-	// slow scales disk service times (1.0 = the cost model's SSD; an HDD
-	// class OSD uses a larger factor).
+	// slow scales disk service times: 1 is the cost model's SSD, and only a
+	// slow-disk fault (SetOSDSlow) raises it.
 	slow float64
-	// baseSlow remembers the device's healthy factor so a transient
-	// slow-disk fault (SetOSDSlow) can be reverted.
-	baseSlow float64
 	// alive models the OSD daemon process: false after a crash, true after
 	// restart. Aliveness is orthogonal to the CRUSH up/in flags — a crashed
 	// OSD stays "up" in the map until the heartbeat monitor's grace period

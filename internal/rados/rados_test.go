@@ -604,7 +604,7 @@ func TestRebalanceOnOSDAdd(t *testing.T) {
 	})
 	// Add a new host with 4 OSDs; rebalance must move data onto it and
 	// remove stale copies.
-	e.c.AddHost("host4", 12)
+	e.c.AddHost("host4")
 	for d := 0; d < 4; d++ {
 		if err := e.c.AddOSD(16+d, "host4", 1.0); err != nil {
 			t.Fatal(err)
