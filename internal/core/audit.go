@@ -81,7 +81,7 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 		reg.Counter("dedup_audit_refs_repaired_total").Add(stats.RefsRepaired)
 		reg.Counter("dedup_audit_lost_chunks_total").Add(stats.LostChunks)
 	}()
-	sp := s.cluster.Trace().Start(p, "dedup.audit").SetClass(qos.Scrub.Label())
+	sp := s.cluster.Trace().StartLabel(p, spanAudit).SetClass(qos.Scrub.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
 	for _, oid := range s.cluster.ListObjects(s.meta) {

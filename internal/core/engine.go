@@ -246,8 +246,13 @@ func anyHost(s *Store) string {
 	return hostName
 }
 
-// spanFlush names a flushObject's span.
-var spanFlush = sim.Intern("dedup.flush")
+// The flush's and the maintenance passes' span names, resolved once.
+var (
+	spanFlush = sim.Intern("dedup.flush")
+	spanGC    = sim.Intern("dedup.gc")
+	spanScrub = sim.Intern("dedup.scrub")
+	spanAudit = sim.Intern("dedup.audit")
+)
 
 // flushObject deduplicates one metadata object (§4.4.1 steps 2–6). force
 // (ModeFlushThrough and an explicit drain's agents) is client-visible and

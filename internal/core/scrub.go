@@ -43,7 +43,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 		reg.Counter("dedup_scrub_bytes_verified_total").Add(rep.BytesVerified)
 		reg.Counter("dedup_scrub_issues_total").Add(int64(len(rep.Issues)))
 	}()
-	sp := s.cluster.Trace().Start(p, "dedup.scrub").SetClass(qos.Scrub.Label())
+	sp := s.cluster.Trace().StartLabel(p, spanScrub).SetClass(qos.Scrub.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
 
