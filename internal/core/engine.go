@@ -410,13 +410,11 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	return err != nil || took < len(slots)
 }
 
-// requeueDirty puts a claimed object back on its PG's dirty list. The write
-// is retried through transient unavailability: losing it would strand dirty
-// cached chunks that no future sweep ever revisits.
+// requeueDirty puts a claimed object back on its PG's dirty list.
 func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error {
 	e.stats.Requeued++
 	e.reg().Counter("dedup_requeued_total").Inc()
-	return retryUnavailable(p, func() error { return e.s.setDirty(p, gw, oid, true) })
+	return e.s.setDirty(p, gw, oid, true)
 }
 
 // noteFlushed counts the puts a transition bound — the chunks that caused

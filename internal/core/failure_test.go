@@ -445,3 +445,40 @@ func TestSnapshotFailedCloneLeavesNoRefs(t *testing.T) {
 	})
 	e.checkIntegrity(t)
 }
+
+// TestDirtyAppendSurvivesUnavailability: a client write's dirty-list append
+// that meets a transiently unavailable OSD is retried, not dropped. Dropped,
+// it strands the object's dirty slots, since no drain or worker revisits an
+// object its PG's dirty list does not name.
+func TestDirtyAppendSurvivesUnavailability(t *testing.T) {
+	e := crashEnv(t)
+	// An object whose dirty list's primary serves no copy of the object
+	// itself, so the armed failure meets the append and not the bind.
+	var oid string
+	var prim int
+	for i := 0; oid == ""; i++ {
+		cand := fmt.Sprintf("obj%d", i)
+		list := actingOSDs(e, e.s.meta, e.s.dirtyListOID(cand))
+		if disjoint(list[:1], actingOSDs(e, e.s.meta, cand)) {
+			oid, prim = cand, list[0]
+		}
+	}
+	st, _ := e.c.OSDStore(prim)
+	data := bytes.Repeat([]byte("dirty-append"), 1000)
+	e.run(t, func(p *sim.Proc) {
+		st.FailApplies(1, rados.ErrOSDDown)
+		if err := e.cl.Write(p, oid, 0, data); err != nil {
+			t.Error(err)
+		}
+	})
+	e.drain(t)
+	e.run(t, func(p *sim.Proc) {
+		cm, err := e.s.readChunkMap(p, e.s.hostGW(anyHost(e.s)), oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := cm.DirtyEntries(); len(d) != 0 {
+			t.Errorf("%d slots of %s still dirty after a drain: the dirty-list append was lost", len(d), oid)
+		}
+	})
+}

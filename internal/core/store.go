@@ -320,14 +320,21 @@ func (s *Store) dirtyListOID(oid string) string {
 
 // setDirty adds oid to its PG's dirty list, or removes it. Adding is
 // idempotent, so a flush claim (remove) racing a client write (add) loses
-// nothing.
+// nothing; it is retried through transient unavailability, because a lost
+// add strands the object's dirty slots, which no drain or worker revisits.
 func (s *Store) setDirty(p *sim.Proc, gw *rados.Gateway, oid string, dirty bool) error {
-	return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-		if dirty {
-			return store.NewTxn().Create().OmapSet(oid, nil), nil
-		}
-		return store.NewTxn().Create().OmapRm(oid), nil
-	})
+	set := func() error {
+		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
+			if dirty {
+				return store.NewTxn().Create().OmapSet(oid, nil), nil
+			}
+			return store.NewTxn().Create().OmapRm(oid), nil
+		})
+	}
+	if dirty {
+		return retryUnavailable(p, set)
+	}
+	return set()
 }
 
 // dirtyListAll enumerates every dirty-list object name.

@@ -106,7 +106,7 @@ func (s *Store) rededupObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Ti
 		return err
 	}
 	ps.Rededups++
-	return retryUnavailable(p, func() error { return s.setDirty(p, gw, oid, true) })
+	return s.setDirty(p, gw, oid, true)
 }
 
 // evictObject drops the hot-time cached copies of an already-deduplicated
