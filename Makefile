@@ -112,9 +112,12 @@ fmt-check:
 golden:
 	go run ./cmd/dedupbench -scale 0.25 -results '' -golden check all
 
-# Regenerate the snapshots after an intentional, reviewed number shift.
+# Regenerate the snapshots after an intentional, reviewed number shift, then
+# assert the paper's shapes on what was written: a regeneration that drops a
+# claim fails here, before it is committed.
 golden-write:
 	go run ./cmd/dedupbench -scale 0.25 -results '' -golden write all
+	go test -count=1 -run Shape ./internal/experiments
 
 # Machine-readable sweep: canonical JSON per experiment plus a wall-clock
 # summary; CI uploads results/ as an artifact.

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
-// tinyScale keeps the experiment smoke tests fast; quickScale is for the
-// shape tests that need a little more data.
-var tinyScale, quickScale = Scale{Data: 0.1}, Scale{Data: 0.25}
+// tinyScale keeps the experiment smoke tests fast.
+var tinyScale = Scale{Data: 0.1}
 
 func TestFig3ShapeHolds(t *testing.T) {
 	if testing.Short() {
@@ -52,33 +52,86 @@ func TestFig5aShape(t *testing.T) {
 	}
 }
 
-// TestFig14Shape pins the interference picture at the golden scale (at
-// tinyScale the span is three blocks and nothing contends): an unthrottled
-// engine costs the foreground at least 5 % of its throughput — Figure 5-(b)
-// is that run — and the watermark controller gives all but 2 % of it back.
-// The paper's drop is far deeper (600 -> 200 MB/s); EXPERIMENTS.md states
-// the distance. The ablation reads the same runs: only the controller
-// adjusts the rate, and it still flushes its deferred backlog once the
-// stream stops. 8 s of simulated foreground per run.
-func TestFig14Shape(t *testing.T) {
-	if testing.Short() || raceBuild {
-		t.Skip("experiment smoke test")
+// fig14Shape pins the interference picture at the golden scale (at tinyScale
+// the span is three blocks and nothing contends): an unthrottled engine
+// costs the foreground at least 5 % of its throughput — Figure 5-(b) is that
+// run — and the watermark controller gives all but 2 % of it back. The
+// paper's drop is far deeper (600 -> 200 MB/s); EXPERIMENTS.md states the
+// distance. The ablation reads the same runs: only the controller adjusts
+// the rate, and it still flushes its deferred backlog once the stream stops.
+func fig14Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	const ablation = "QoS: watermark weight controller"
+	static := s.row(ablation, "config", "static dedup weight (controller off)")
+	controlled := s.row(ablation, "config", "watermark controller (scaled watermarks)")
+	ideal := fig14Retained(s, "no deduplication (ideal)")
+	st, ct := s.num(static, "retained %"), s.num(controlled, "retained %")
+	if ideal < 98 {
+		s.failf("ideal run retains %.1f %% of its throughput, want >= 98", ideal)
 	}
-	t.Parallel()
-	rs := Fig14(quickScale)
-	ideal, static, controlled := rs[0], rs[1], rs[2]
-	if retainedPct(ideal) < 98 || retainedPct(static) > 95 || retainedPct(controlled) < 98 {
-		t.Errorf("retained %%: ideal %.1f (want >= 98), without rate control %.1f (want <= 95), with it %.1f (want >= 98)",
-			retainedPct(ideal), retainedPct(static), retainedPct(controlled))
+	if st > 95 {
+		s.failf("without rate control the foreground retains %.1f %%, want <= 95", st)
 	}
-	if retainedPct(controlled) <= retainedPct(static) {
-		t.Errorf("controller retains %.1f %%, not more than the static weight's %.1f %%", retainedPct(controlled), retainedPct(static))
+	if ct < 98 {
+		s.failf("with rate control the foreground retains %.1f %%, want >= 98", ct)
 	}
-	if static.RateAdjusts != 0 || controlled.RateAdjusts == 0 {
-		t.Errorf("rate adjusts: static %d (want 0), controller %d (want > 0)", static.RateAdjusts, controlled.RateAdjusts)
+	if ct <= st {
+		s.failf("controller retains %.1f %%, not more than the static weight's %.1f %%", ct, st)
 	}
-	if controlled.FlushedIdle == 0 {
-		t.Error("controller flushed nothing in the idle tail")
+	if n := s.num(static, "rate adjusts"); n != 0 {
+		s.failf("static weight adjusted the rate %.0f times, want 0", n)
+	}
+	if s.num(controlled, "rate adjusts") == 0 {
+		s.failf("controller never adjusted the rate")
+	}
+	if s.num(controlled, "flushed (idle)") == 0 {
+		s.failf("controller flushed nothing in the idle tail")
+	}
+	return s.err()
+}
+
+// fig14Retained is retainedPct of one column of the Figure 14 table, over
+// Fig14's own windows: the engine starts a third of the way into the run, at
+// second start, and the before and after means are MeanMBps(1, start) and
+// MeanMBps(start+1, len) of the per-second throughput.
+func fig14Retained(s *shape, col string) float64 {
+	var mbps []float64
+	for _, r := range s.rows("Figure 14:") {
+		mbps = append(mbps, s.num(r, col))
+	}
+	start := len(mbps) / 3
+	if start < 2 {
+		s.failf("Figure 14 table has %d seconds: too few for its windows", len(mbps))
+		return 0
+	}
+	mean := func(v []float64) float64 {
+		sum := 0.0
+		for _, x := range v {
+			sum += x
+		}
+		return sum / float64(len(v))
+	}
+	return retainedPct(InterferenceResult{SteadyBefore: mean(mbps[1:start]), SteadyAfter: mean(mbps[start+1:])})
+}
+
+func TestFig14Shape(t *testing.T) { checkShape(t, "fig14", fig14Shape) }
+
+// TestFig14RetainedWindows: fig14Retained's windows are Fig14's own. Over
+// the columns of the two engine runs it gives the retained % that the
+// ablation table renders from the runs' exact means.
+func TestFig14RetainedWindows(t *testing.T) {
+	s := &shape{tabs: goldenTables(t, "fig14")}
+	for col, row := range map[string]string{
+		"dedup w/o rate control": "static dedup weight (controller off)",
+		"dedup w/ rate control":  "watermark controller (scaled watermarks)",
+	} {
+		got, want := fig14Retained(s, col), s.num(s.row("QoS: watermark weight controller", "config", row), "retained %")
+		if math.Abs(got-want) > 0.1 {
+			t.Errorf("%s: retained %.2f %% from the Figure 14 column, %.1f %% in the ablation table", col, got, want)
+		}
+	}
+	if err := s.err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -173,21 +226,19 @@ func TestScaleHelpers(t *testing.T) {
 	}
 }
 
-// TestFPIndexShape runs the latency sweep at the golden scale and checks the
-// claims the table's notes make: a monotone hit-latency cliff once the index
-// outgrows the small cache, a flat profile under the large cache, near-flat
-// negative lookups under both, and bloom false positives within ~2x of the
-// filters' design rate. Both seeds must show the same shape.
-func TestFPIndexShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	rows := FPIndexLatencySweep(quickScale)
+// fpindexShape checks the claims the latency table's notes make: a
+// monotone hit-latency cliff once the index outgrows the small cache, a flat
+// profile under the large cache, near-flat negative lookups under both, and
+// bloom false positives within ~2x of the filters' design rate. Both seeds
+// must show the same shape.
+func fpindexShape(tabs []Table) error {
+	s := &shape{tabs: tabs}
 	// Group rows by (seed, cache); within each group entries ascend.
-	groups := map[[2]int64][]FPIndexLatencyRow{}
-	var order [][2]int64
-	for _, r := range rows {
-		k := [2]int64{r.Seed, r.CacheKiB}
+	type key struct{ seed, cacheKiB float64 }
+	groups := map[key][]map[string]string{}
+	var order []key
+	for _, r := range s.rows("fpindex: chunk-existence lookup latency") {
+		k := key{s.num(r, "seed"), s.num(r, "cache KiB")}
 		if len(groups[k]) == 0 {
 			order = append(order, k)
 		}
@@ -196,60 +247,75 @@ func TestFPIndexShape(t *testing.T) {
 	for _, k := range order {
 		g := groups[k]
 		if len(g) < 3 {
-			t.Fatalf("seed %d cache %dKiB: only %d index sizes", k[0], k[1], len(g))
+			s.failf("seed %.0f cache %.0fKiB: only %d index sizes", k.seed, k.cacheKiB, len(g))
+			continue
 		}
+		hit := func(r map[string]string) float64 { return s.num(r, "hit p50 us") }
+		neg := func(r map[string]string) float64 { return s.num(r, "neg p50 us") }
 		first, last := g[0], g[len(g)-1]
 		for i := 1; i < len(g); i++ {
-			if g[i].HitP50Us < g[i-1].HitP50Us*0.99 {
-				t.Errorf("seed %d cache %dKiB: hit p50 not monotone: %d entries %.1fus -> %d entries %.1fus",
-					k[0], k[1], g[i-1].Entries, g[i-1].HitP50Us, g[i].Entries, g[i].HitP50Us)
+			if hit(g[i]) < hit(g[i-1])*0.99 {
+				s.failf("seed %.0f cache %.0fKiB: hit p50 not monotone: %.0f entries %.1fus -> %.0f entries %.1fus",
+					k.seed, k.cacheKiB, s.num(g[i-1], "entries"), hit(g[i-1]), s.num(g[i], "entries"), hit(g[i]))
 			}
 		}
-		smallCache := last.IndexKiB > k[1]
-		if smallCache && last.HitP50Us < 1.2*first.HitP50Us {
-			t.Errorf("seed %d cache %dKiB: no cliff: index %dKiB exceeds cache but hit p50 %.1fus vs %.1fus",
-				k[0], k[1], last.IndexKiB, last.HitP50Us, first.HitP50Us)
+		smallCache := s.num(last, "index KiB/osd") > k.cacheKiB
+		if smallCache && hit(last) < 1.2*hit(first) {
+			s.failf("seed %.0f cache %.0fKiB: no cliff: index %.0fKiB exceeds cache but hit p50 %.1fus vs %.1fus",
+				k.seed, k.cacheKiB, s.num(last, "index KiB/osd"), hit(last), hit(first))
 		}
-		if !smallCache && last.HitP50Us > 1.2*first.HitP50Us {
-			t.Errorf("seed %d cache %dKiB: cached config not flat: hit p50 %.1fus vs %.1fus",
-				k[0], k[1], last.HitP50Us, first.HitP50Us)
+		if !smallCache && hit(last) > 1.2*hit(first) {
+			s.failf("seed %.0f cache %.0fKiB: cached config not flat: hit p50 %.1fus vs %.1fus",
+				k.seed, k.cacheKiB, hit(last), hit(first))
 		}
-		if last.NegP50Us > 1.2*first.NegP50Us {
-			t.Errorf("seed %d cache %dKiB: negative lookups not flat: p50 %.1fus vs %.1fus",
-				k[0], k[1], last.NegP50Us, first.NegP50Us)
+		if neg(last) > 1.2*neg(first) {
+			s.failf("seed %.0f cache %.0fKiB: negative lookups not flat: p50 %.1fus vs %.1fus",
+				k.seed, k.cacheKiB, neg(last), neg(first))
 		}
 		for _, r := range g {
-			if r.ObsFPPct > 2*r.EstFPPct+0.1 {
-				t.Errorf("seed %d cache %dKiB entries %d: observed FP %.2f%% beyond 2x design %.2f%%",
-					k[0], k[1], r.Entries, r.ObsFPPct, r.EstFPPct)
+			if obs, est := s.num(r, "obs FP %"), s.num(r, "est FP %"); obs > 2*est+0.1 {
+				s.failf("seed %.0f cache %.0fKiB entries %.0f: observed FP %.2f%% beyond 2x design %.2f%%",
+					k.seed, k.cacheKiB, s.num(r, "entries"), obs, est)
 			}
 		}
 	}
+	return s.err()
 }
 
-// TestAblationShape gates the direction an ablation's note claims. The cache
+func TestFPIndexShape(t *testing.T) { checkShape(t, "fpindex", fpindexShape) }
+
+// ablationShape gates the direction an ablation's note claims. The cache
 // manager's hot exemption must cut the bytes the engine flushes to at most a
 // quarter of what the same rewrites flush with it off. The CDC-mode store
 // must save more than the fixed-chunk store, on byte-shifted streams and on
 // backup generations alike. False-positive refcounting must leave chunks
 // behind after the deletes, and none once GC has run.
-func TestAblationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+func ablationShape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	const cache, flushed = "Ablation: cache manager", "background bytes flushed"
+	on := s.num(s.row(cache, "mode", "cache on (hot objects exempt)"), flushed)
+	off := s.num(s.row(cache, "mode", "cache off (hot objects re-deduplicated)"), flushed)
+	if on*4 > off {
+		s.failf("cache on flushed %.2f MB, cache off %.2f MB: want at most a quarter", on, off)
 	}
-	sc := quickScale
-	rows := AblationCache(sc)
-	on, off := rows[0], rows[1]
-	if on.FlushedBytes*4 > off.FlushedBytes {
-		t.Errorf("cache on flushed %d bytes, cache off %d: want at most a quarter", on.FlushedBytes, off.FlushedBytes)
+	fixed, cdc := chunkingStores[0], chunkingStores[1]
+	for _, c := range []struct{ title, what string }{
+		{"Ablation: fixed vs CDC store", "shifted streams"},
+		{"Ablation: backup generations", "backup generations"},
+	} {
+		f, d := s.num(s.row(c.title, "store", fixed), "saved %"), s.num(s.row(c.title, "store", cdc), "saved %")
+		if d <= f {
+			s.failf("%s: %s saves %.1f%%, %s %.1f%%: want CDC ahead", c.what, cdc, d, fixed, f)
+		}
 	}
-	if cdc := AblationCDCStore(sc); cdc[1].Saved <= cdc[0].Saved {
-		t.Errorf("shifted streams: %s saves %.1f%%, %s %.1f%%: want CDC ahead", cdc[1].Store, cdc[1].Saved, cdc[0].Store, cdc[0].Saved)
+	fp := s.row("Ablation: strict vs false-positive", "mode", "false-positive + GC")
+	if s.num(fp, "chunks left pre-GC") == 0 {
+		s.failf("false-positive + GC left no chunks before GC: want some")
 	}
-	if bk := AblationBackup(sc); bk[1].Saved <= bk[0].Saved {
-		t.Errorf("backup generations: %s saves %.1f%%, %s %.1f%%: want CDC ahead", bk[1].Store, bk[1].Saved, bk[0].Store, bk[0].Saved)
+	if n := s.num(fp, "final chunks"); n != 0 {
+		s.failf("false-positive + GC left %.0f chunks after GC: want none", n)
 	}
-	if fp := AblationRefcount(sc)[1]; fp.ChunksLeaked == 0 || fp.FinalChunkCount != 0 {
-		t.Errorf("%s: %d chunks before GC, %d after: want some, then none", fp.Mode, fp.ChunksLeaked, fp.FinalChunkCount)
-	}
+	return s.err()
 }
+
+func TestAblationShape(t *testing.T) { checkShape(t, "ablation", ablationShape) }

@@ -345,19 +345,19 @@ func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyC
 // RedundancyTable renders the frontier sweep.
 func RedundancyTable(rows []RedundancyRow) Table {
 	return table("Adaptive redundancy: storage-efficiency vs tail-latency frontier (skewed popularity)",
-		[]string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations"},
+		[]string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations", "tier errors"},
 		[]string{
 			"frontier target: Adaptive efficiency >= Dedup+EC (hot objects drop chunk claims; no double-storing)",
 			"frontier target: Adaptive hot p99 <= 1.5x Replication (hot reads served replicated, never from EC)",
 		},
 		rows, func(r RedundancyRow) []string {
-			mig := "-"
+			mig, tierErrs := "-", "-"
 			if r.Config == "Adaptive" {
-				mig = fmt.Sprint(r.Migrations)
+				mig, tierErrs = fmt.Sprint(r.Migrations), fmt.Sprint(r.TierErrors)
 			}
 			return []string{
 				r.Config, f2(r.LogicalMB), f2(r.StoredMB), f2(r.Efficiency),
-				us(r.HotP99), us(r.AllP99), fmt.Sprint(r.HotReads), mig,
+				us(r.HotP99), us(r.AllP99), fmt.Sprint(r.HotReads), mig, tierErrs,
 			}
 		})
 }

@@ -1,62 +1,56 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestRedundancyShape runs the frontier sweep at the golden scale and checks
-// the dominance claims the table's notes make: adaptive must match or beat
-// the best static storage efficiency (Dedup+EC) while holding the hot-set
-// read tail within 1.5x of the best static tail (Replication). The chaos
-// soak must come back with every invariant intact.
-func TestRedundancyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+// redundancyShape checks the dominance claims the frontier table's notes
+// make: adaptive must match or beat the best static storage efficiency
+// (Dedup+EC) while holding the hot-set read tail within 1.5x of the best
+// static tail (Replication). The chaos soak must come back with every
+// invariant intact.
+func redundancyShape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	const frontier = "Adaptive redundancy: storage-efficiency"
+	rep := s.row(frontier, "config", "Replication")
+	ec := s.row(frontier, "config", "Dedup+EC")
+	ad := s.row(frontier, "config", "Adaptive")
+	if a, e := s.num(ad, "efficiency"), s.num(ec, "efficiency"); a < e {
+		s.failf("adaptive efficiency %.2f below static Dedup+EC %.2f", a, e)
 	}
-	rows := Redundancy(quickScale)
-	byName := map[string]RedundancyRow{}
-	for _, r := range rows {
-		byName[r.Config] = r
+	if a, r := s.num(ad, "hot p99"), s.num(rep, "hot p99"); a > 1.5*r {
+		s.failf("adaptive hot p99 %.0fµs exceeds 1.5x Replication (%.0fµs, limit %.1fµs)", a, r, 1.5*r)
 	}
-	rep, ok1 := byName["Replication"]
-	ec, ok2 := byName["Dedup+EC"]
-	ad, ok3 := byName["Adaptive"]
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatalf("missing configs in sweep: %v", rows)
+	if s.num(ad, "migrations") == 0 {
+		s.failf("adaptive config performed no migrations; tiering daemon did not run")
 	}
-	if ad.Efficiency < ec.Efficiency {
-		t.Errorf("adaptive efficiency %.3f below static Dedup+EC %.3f", ad.Efficiency, ec.Efficiency)
+	if n := s.num(ad, "tier errors"); n != 0 {
+		s.failf("adaptive config hit %.0f tiering errors in a fault-free run", n)
 	}
-	if limit := time.Duration(float64(rep.HotP99) * 1.5); ad.HotP99 > limit {
-		t.Errorf("adaptive hot p99 %v exceeds 1.5x Replication (%v, limit %v)", ad.HotP99, rep.HotP99, limit)
-	}
-	if ad.Migrations == 0 {
-		t.Error("adaptive config performed no migrations; tiering daemon did not run")
-	}
-	if ad.TierErrors != 0 {
-		t.Errorf("adaptive config hit %d tiering errors in a fault-free run", ad.TierErrors)
-	}
-	for _, r := range rows {
-		if r.HotReads == 0 {
-			t.Errorf("%s: no hot reads recorded", r.Config)
+	for _, r := range s.rows(frontier) {
+		if s.num(r, "hot reads") == 0 {
+			s.failf("%s: no hot reads recorded", r["config"])
 		}
 	}
 
-	ch := RedundancyChaos(quickScale)
-	if ch.Migrations == 0 {
-		t.Error("chaos soak performed no migrations; kills landed against an idle daemon")
+	chaos := s.rows("Adaptive redundancy: OSD kills")
+	if len(chaos) != 1 {
+		s.failf("chaos soak table has %d rows, want 1", len(chaos))
+		return s.err()
 	}
-	if ch.StaleRefs != 0 {
-		t.Errorf("stale refs after post-mortem GC: %d", ch.StaleRefs)
+	ch := chaos[0]
+	if s.num(ch, "migrations") == 0 {
+		s.failf("chaos soak performed no migrations; kills landed against an idle daemon")
 	}
-	if ch.ScrubIssues != 0 {
-		t.Errorf("scrub issues after reconciliation: %d", ch.ScrubIssues)
+	for _, c := range []struct{ col, what string }{
+		{"stale refs", "stale refs after post-mortem GC"},
+		{"scrub issues", "scrub issues after reconciliation"},
+		{"lost chunks", "lost chunks after OSD kills"},
+		{"verify errors", "objects failed byte-for-byte verification"},
+	} {
+		if n := s.num(ch, c.col); n != 0 {
+			s.failf("%s: %.0f", c.what, n)
+		}
 	}
-	if ch.LostChunks != 0 {
-		t.Errorf("lost chunks after OSD kills: %d", ch.LostChunks)
-	}
-	if ch.VerifyErrors != 0 {
-		t.Errorf("objects failed byte-for-byte verification: %d", ch.VerifyErrors)
-	}
+	return s.err()
 }
+
+func TestRedundancyShape(t *testing.T) { checkShape(t, "redundancy", redundancyShape) }
