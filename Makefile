@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs digest-check profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs digest-check model-check profile golden golden-write bench-json fuzz-smoke fmt-check
 
 verify: vet build test check-tests check-seams bench-module
 
@@ -96,6 +96,14 @@ bench-pairs:
 # sim_digest difference or failed op. Not a CI step: it builds and runs REV.
 digest-check:
 	sh scripts/digest-check.sh $(REV)
+
+# The check for a model gain: every workload at seeds 1-10 on the working tree
+# and on REV, every sim metric printed parent -> change; exit 1 unless METRIC
+# on WORKLOAD is better at every seed, every run is correct with no failed op,
+# and no sim metric is past its BENCHMARK.json bound. Not a CI step: it builds
+# and runs REV.
+model-check:
+	sh scripts/model-check.sh $(REV) $(WORKLOAD) $(METRIC)
 
 # CPU + heap profile of the golden sweep — the kernel's real workload.
 # Inspect with `go tool pprof profiles/sweep.cpu.pprof`.

@@ -159,6 +159,10 @@ type Store struct {
 	// names remembers the chunk names the host computed, with the stored
 	// bytes each names, so equal bytes are not hashed again (names.go).
 	names nameMemo
+
+	// dirtyListed counts dirty-list adds that found their object listed;
+	// dirtyFailed counts adds a write dropped once its retries ran out.
+	dirtyListed, dirtyFailed *metrics.Counter
 }
 
 // Open creates (or errors on existing) the metadata and chunk pools and
@@ -214,6 +218,9 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		hostGWs:  make(map[string]*rados.Gateway),
 		objLocks: make(map[string]*sim.Resource),
 		names:    newNameMemo(),
+
+		dirtyListed: cluster.Metrics().Counter("dedup_dirty_append_listed_total"),
+		dirtyFailed: cluster.Metrics().Counter("dedup_dirty_append_failed_total"),
 	}
 	if cfg.Tiering.Enabled {
 		s.coldChunk, err = cluster.CreatePool(rados.PoolConfig{
@@ -322,13 +329,22 @@ func (s *Store) dirtyListOID(oid string) string {
 // idempotent, so a flush claim (remove) racing a client write (add) loses
 // nothing; it is retried through transient unavailability, because a lost
 // add strands the object's dirty slots, which no drain or worker revisits.
+// An add that finds oid already listed is a read at the list's primary: the
+// op is issued and counted as before (a client's as a foreground op, which
+// the rate controller reads), but nothing is written, journaled or
+// replicated. That is safe because a write's bind commits before its add is
+// issued, so a claim ordered after a skipped add reads the new dirty slot.
 func (s *Store) setDirty(p *sim.Proc, gw *rados.Gateway, oid string, dirty bool) error {
 	set := func() error {
-		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(rados.View) (*store.Txn, error) {
-			if dirty {
-				return store.NewTxn().Create().OmapSet(oid, nil), nil
+		return gw.Mutate(p, s.meta, s.dirtyListOID(oid), func(v rados.View) (*store.Txn, error) {
+			if !dirty {
+				return store.NewTxn().Create().OmapRm(oid), nil
 			}
-			return store.NewTxn().Create().OmapRm(oid), nil
+			if _, err := v.OmapGet(oid); err == nil {
+				s.dirtyListed.Inc()
+				return nil, nil
+			}
+			return store.NewTxn().Create().OmapSet(oid, nil), nil
 		})
 	}
 	if dirty {
@@ -466,7 +482,9 @@ func (cl *Client) write(p *sim.Proc, oid string, off int64, data []byte) error {
 	// It outlives the write, so it does not trace into the write's span.
 	p.Go("dirty-log", func(q *sim.Proc) {
 		q.SetTracer(nil, 0)
-		_ = s.setDirty(q, cl.gw, oid, true)
+		if s.setDirty(q, cl.gw, oid, true) != nil {
+			s.dirtyFailed.Inc()
+		}
 	})
 	if s.cfg.Mode == ModeFlushThrough {
 		// "Proposed-flush": deduplicate immediately (Fig. 10 worst case). The
