@@ -1,7 +1,7 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build test vet lint race storecheck check-tests check-seams lines bench-module kernel-bench bench-smoke bench-pairs digest-check model-check profile golden golden-write bench-json fuzz-smoke fmt-check
+.PHONY: verify build test vet lint race storecheck check-tests check-seams compare-test lines bench-module kernel-bench bench-smoke bench-pairs digest-check model-check profile golden golden-write bench-json fuzz-smoke fmt-check
 
-verify: vet build test check-tests check-seams bench-module
+verify: vet build test check-tests check-seams compare-test bench-module
 
 vet:
 	go vet ./...
@@ -46,6 +46,11 @@ check-tests:
 check-seams:
 	sh scripts/check-seams.sh
 
+# The verdicts of scripts/compare.sh (digest-check, model-check, bench-pairs),
+# replayed on canned result lines: one fixture per rule, nothing built or run.
+compare-test:
+	sh scripts/compare-test.sh
+
 # The line counts PR messages report: non-test Go outside the benchmark
 # module and its build cache, then the two packages ROADMAP item 5 targets,
 # the two whose sum ROADMAP item 9 reads, and CRUSH placement.
@@ -79,31 +84,35 @@ kernel-bench:
 bench-smoke:
 	go test -run NONE -bench . -benchtime 1x ./internal/sim ./internal/metrics ./internal/ec ./internal/core
 
-# Paired runs for a host-clock claim (ROADMAP.md's rules for claims): the
-# working tree against REV on one workload and seed, PAIRS alternating pairs,
-# judged on METRIC. MODEL=-model skips the sim_digest check for a change that
-# moves the simulated product on purpose.
+# The three checks ROADMAP.md's rules for claims ask for, each a mode of
+# scripts/compare.sh: it builds REV in a git worktree and the working tree,
+# runs the benchmark on both and judges the runs with scripts/compare.awk. None
+# is a CI step: each builds and runs REV.
+#
+# Paired runs for a host-clock claim: the working tree against REV on one
+# workload and seed, PAIRS alternating pairs, judged on METRIC. MODEL=-model
+# skips the sim_digest check for a change that moves the simulated product on
+# purpose.
 REV ?= HEAD
 WORKLOAD ?= maintain-recover
 SEED ?= 1
 PAIRS ?= 10
 METRIC ?= host_cpu_s
 bench-pairs:
-	sh scripts/bench-pairs.sh $(MODEL) $(REV) $(WORKLOAD) $(SEED) $(PAIRS) $(METRIC)
+	sh scripts/compare.sh pairs $(MODEL) $(REV) $(WORKLOAD) $(SEED) $(PAIRS) $(METRIC)
 
 # The check that a host-only change left the simulated product alone: every
 # workload at seeds 1-3 on the working tree and on REV, exit 1 on any
-# sim_digest difference or failed op. Not a CI step: it builds and runs REV.
+# sim_digest difference or failed op.
 digest-check:
-	sh scripts/digest-check.sh $(REV)
+	sh scripts/compare.sh digest $(REV)
 
 # The check for a model gain: every workload at seeds 1-10 on the working tree
 # and on REV, every sim metric printed parent -> change; exit 1 unless METRIC
 # on WORKLOAD is better at every seed, every run is correct with no failed op,
-# and no sim metric is past its BENCHMARK.json bound. Not a CI step: it builds
-# and runs REV.
+# and no sim metric is past its BENCHMARK.json bound.
 model-check:
-	sh scripts/model-check.sh $(REV) $(WORKLOAD) $(METRIC)
+	sh scripts/compare.sh model $(REV) $(WORKLOAD) $(METRIC)
 
 # CPU + heap profile of the golden sweep — the kernel's real workload.
 # Inspect with `go tool pprof profiles/sweep.cpu.pprof`.
@@ -116,9 +125,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Golden regression gate: re-run the sweep at the snapshot scale and fail
-# with a per-cell diff on any drift. CI runs exactly this target.
+# with a per-cell diff on any drift. CI runs exactly this target. The same run
+# writes every experiment's canonical JSON and the wall-clock summary
+# (results/BENCH_pr.json) before it checks, so CI uploads them from here.
 golden:
-	go run ./cmd/dedupbench -scale 0.25 -results '' -golden check all
+	go run ./cmd/dedupbench -scale 0.25 -results results -timing results/BENCH_pr.json -golden check all
 
 # Regenerate the snapshots after an intentional, reviewed number shift, then
 # assert the paper's shapes on what was written: a regeneration that drops a
@@ -128,7 +139,8 @@ golden-write:
 	go test -count=1 -run Shape ./internal/experiments
 
 # Machine-readable sweep: canonical JSON per experiment plus a wall-clock
-# summary; CI uploads results/ as an artifact.
+# summary, without the golden check (the sweep ROADMAP.md's wall-clock rule
+# times; `make golden` writes the same files in CI).
 bench-json:
 	go run ./cmd/dedupbench -scale 0.25 -results results -timing results/BENCH_pr.json all
 

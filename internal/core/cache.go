@@ -24,11 +24,9 @@ import (
 type TieringPolicy struct {
 	tracker  *hitset.Tracker
 	adaptive bool // multi-level temperature + target forms (off: boolean §4.3 behavior)
-	reg      *metrics.Registry
 
-	skippedHot  int64
-	keptCached  int64
-	evictedCold int64
+	// The decision counts, one registry counter each.
+	skippedHot, keptCached, evictedCold *metrics.Counter
 
 	// tenants attributes objects to the tenant that last touched them, so
 	// migrations the policy daemon issues on an object's behalf carry the
@@ -37,10 +35,16 @@ type TieringPolicy struct {
 	tenants map[string]string
 }
 
-// NewTieringPolicy creates the placement policy; adaptive enables
-// multi-level temperatures and per-object target forms.
-func NewTieringPolicy(cfg hitset.Config, adaptive bool) *TieringPolicy {
-	tp := &TieringPolicy{tracker: hitset.New(cfg), adaptive: adaptive}
+// NewTieringPolicy creates the placement policy, counting its decisions in
+// reg; adaptive enables multi-level temperatures and per-object target forms.
+func NewTieringPolicy(cfg hitset.Config, adaptive bool, reg *metrics.Registry) *TieringPolicy {
+	tp := &TieringPolicy{
+		tracker:     hitset.New(cfg),
+		adaptive:    adaptive,
+		skippedHot:  reg.Counter("cache_skip_flush_hot_total"),
+		keptCached:  reg.Counter("cache_keep_cached_total"),
+		evictedCold: reg.Counter("cache_evict_cold_total"),
+	}
 	if adaptive {
 		tp.tenants = make(map[string]string)
 	}
@@ -49,10 +53,6 @@ func NewTieringPolicy(cfg hitset.Config, adaptive bool) *TieringPolicy {
 
 // Adaptive reports whether multi-level tiering is enabled.
 func (cm *TieringPolicy) Adaptive() bool { return cm.adaptive }
-
-// AttachRegistry mirrors the policy's decision counters into a metric
-// registry (nil detaches).
-func (cm *TieringPolicy) AttachRegistry(reg *metrics.Registry) { cm.reg = reg }
 
 // RecordAccessTenant notes a client read or write of oid and attributes the
 // object to tenant (adaptive mode only; the boolean cache manager has no
@@ -89,10 +89,7 @@ func (cm *TieringPolicy) Temp(now sim.Time, oid string) hitset.Temperature {
 // this cycle. Hot objects are skipped; they remain on the dirty list.
 func (cm *TieringPolicy) SkipFlush(now sim.Time, oid string) bool {
 	if cm.Hot(now, oid) {
-		cm.skippedHot++
-		if cm.reg != nil {
-			cm.reg.Counter("cache_skip_flush_hot_total").Inc()
-		}
+		cm.skippedHot.Inc()
 		return true
 	}
 	return false
@@ -103,20 +100,14 @@ func (cm *TieringPolicy) SkipFlush(now sim.Time, oid string) bool {
 // and one count, per object per flush pass.
 func (cm *TieringPolicy) KeepCachedAfterFlush(now sim.Time, oid string) bool {
 	if cm.Hot(now, oid) {
-		cm.keptCached++
-		if cm.reg != nil {
-			cm.reg.Counter("cache_keep_cached_total").Inc()
-		}
+		cm.keptCached.Inc()
 		return true
 	}
-	cm.evictedCold++
-	if cm.reg != nil {
-		cm.reg.Counter("cache_evict_cold_total").Inc()
-	}
+	cm.evictedCold.Inc()
 	return false
 }
 
 // Stats reports the policy's decision counters.
 func (cm *TieringPolicy) Stats() (skippedHot, keptCached, evictedCold int64) {
-	return cm.skippedHot, cm.keptCached, cm.evictedCold
+	return cm.skippedHot.Value(), cm.keptCached.Value(), cm.evictedCold.Value()
 }

@@ -382,6 +382,49 @@ func TestHotObjectSkipped(t *testing.T) {
 	e.checkIntegrity(t)
 }
 
+// TestTieringPolicyCountsInRegistry: the policy's Stats read its three
+// registry counters, and a hot object the engine skips, a cold object it
+// flushes and a drain that flushes the still-hot object move all three.
+func TestTieringPolicyCountsInRegistry(t *testing.T) {
+	e := newDedupEnv(t, func(cfg *Config) {
+		cfg.HitSet.HitCount = 2
+		cfg.HitSet.Period = time.Second
+		cfg.HitSet.Retain = 4
+	})
+	hot, cold := bytes.Repeat([]byte{3}, 4096), bytes.Repeat([]byte{4}, 4096)
+	e.run(t, func(p *sim.Proc) {
+		e.cl.Write(p, "cold", 0, cold)
+		e.cl.Write(p, "hot", 0, hot)
+		p.Sleep(1100 * time.Millisecond)
+		e.cl.Write(p, "hot", 0, hot)
+	})
+	e.s.StartEngine()
+	e.run(t, func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Second)
+			if err := e.cl.Write(p, "hot", 0, hot); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	e.drain(t)
+	skipped, kept, evicted := e.s.Cache().Stats()
+	reg := e.c.Metrics()
+	for _, c := range []struct {
+		name string
+		got  int64
+	}{
+		{"cache_skip_flush_hot_total", skipped},
+		{"cache_keep_cached_total", kept},
+		{"cache_evict_cold_total", evicted},
+	} {
+		if want := reg.Counter(c.name).Value(); c.got != want || c.got == 0 {
+			t.Errorf("Stats reads %s %d, registry %d; want equal and non-zero", c.name, c.got, want)
+		}
+	}
+	e.checkIntegrity(t)
+}
+
 func TestFlushThroughMode(t *testing.T) {
 	e := newDedupEnv(t, func(cfg *Config) { cfg.Mode = ModeFlushThrough })
 	data := make([]byte, 8192)

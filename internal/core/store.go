@@ -214,7 +214,7 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 		meta:     meta,
 		chunk:    chunk,
 		chk:      chunker.NewFixed(cfg.ChunkSize),
-		cache:    NewTieringPolicy(cfg.HitSet, cfg.Tiering.Enabled),
+		cache:    NewTieringPolicy(cfg.HitSet, cfg.Tiering.Enabled, cluster.Metrics()),
 		hostGWs:  make(map[string]*rados.Gateway),
 		objLocks: make(map[string]*sim.Resource),
 		names:    newNameMemo(),
@@ -230,7 +230,6 @@ func Open(cluster *rados.Cluster, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("core: create cold chunk pool: %w", err)
 		}
 	}
-	s.cache.AttachRegistry(cluster.Metrics())
 	s.engine = newEngine(s)
 	s.tier.daemon = sim.Loop{Name: "dedup.tier-policy", First: cfg.Tiering.Interval, Every: cfg.Tiering.Interval,
 		Tick: func(p *sim.Proc) bool { _, _ = s.TierPass(p); return false }}

@@ -160,9 +160,14 @@ func TestParallelMatchesSequentialTwoSeeds(t *testing.T) {
 	fig5a, _ := experiments.Lookup("fig5a")
 	exps := []experiments.Experiment{chaosAt(811), chaosAt(977), table2, fig5a}
 	// Enough spans that equal durations from different runs meet in the
-	// report, so its order depends on reading the runs in run order.
-	seq := Run(exps, Options{Workers: 1, Scale: sc, TraceN: 500}, nil)
-	par := Run(exps, Options{Workers: 4, Scale: sc, TraceN: 500}, nil)
+	// report, so its order depends on reading the runs in run order. The
+	// two sweeps share nothing, so they run at once.
+	var seq, par []Report
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); seq = Run(exps, Options{Workers: 1, Scale: sc, TraceN: 500}, nil) }()
+	go func() { defer wg.Done(); par = Run(exps, Options{Workers: 4, Scale: sc, TraceN: 500}, nil) }()
+	wg.Wait()
 	for i := range seq {
 		if seq[i].Err != nil || par[i].Err != nil {
 			t.Fatalf("%s errored: seq=%v par=%v", seq[i].Name, seq[i].Err, par[i].Err)
