@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -357,6 +358,10 @@ func TestHotObjectSkipped(t *testing.T) {
 		p.Sleep(1100 * time.Millisecond)
 		e.cl.Write(p, "hot", 0, data)
 	})
+	// No skip yet, so the dump has no line for the counter.
+	if dump := e.c.Metrics().Dump(); strings.Contains(dump, "dedup_skipped_hot_total") {
+		t.Fatalf("dump lists a skip counter before any skip:\n%s", dump)
+	}
 	e.s.StartEngine()
 	e.run(t, func(p *sim.Proc) {
 		// Keep touching the object every period: it stays hot.
@@ -372,6 +377,8 @@ func TestHotObjectSkipped(t *testing.T) {
 		}
 		if sk := e.s.Engine().Stats().SkippedHot; sk == 0 {
 			t.Error("engine never skipped the hot object")
+		} else if reg := e.c.Metrics().Counter("dedup_skipped_hot_total").Value(); reg != sk {
+			t.Errorf("SkippedHot %d, dedup_skipped_hot_total %d: want one count", sk, reg)
 		}
 	})
 	// After the object cools down, drain flushes it.

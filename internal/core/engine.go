@@ -20,7 +20,7 @@ type EngineStats struct {
 	BytesShipped   int64 // of those, bytes sent to the chunk pool: their probe missed
 	DupChunks      int64 // flushed chunks that already existed in the chunk pool
 	NoopFlushes    int64 // dirty slots whose content already matched their chunk (no chunk-pool I/O)
-	SkippedHot     int64
+	SkippedHot     int64 // claims a worker passed over because the object was hot
 	Requeued       int64 // flushes retried because a write raced
 	RateAdjusts    int64 // dedup-class weight changes made by rate control
 }
@@ -45,6 +45,12 @@ type Engine struct {
 	// Watermark rate-control state (ratepolicy.go).
 	rate     sim.Loop
 	rateBase int64 // dedup-class weight to restore when unthrottled
+
+	// dedup_skipped_hot_total and dedup_rate_adjusts_total, the only record
+	// of EngineStats.SkippedHot and RateAdjusts. Each is resolved at its
+	// first count: a registry lookup creates the entry, and a run that never
+	// counts one dumps no line for it.
+	skippedHot, rateAdjusts *metrics.Counter
 }
 
 func newEngine(s *Store) *Engine {
@@ -59,7 +65,20 @@ func newEngine(s *Store) *Engine {
 }
 
 // Stats returns a copy of the engine counters.
-func (e *Engine) Stats() EngineStats { return e.stats }
+func (e *Engine) Stats() EngineStats {
+	st := e.stats
+	st.SkippedHot, st.RateAdjusts = e.skippedHot.Value(), e.rateAdjusts.Value()
+	return st
+}
+
+// count adds one to *c, resolving it in the registry as name at its first
+// count.
+func (e *Engine) count(c **metrics.Counter, name string) {
+	if *c == nil {
+		*c = e.reg().Counter(name)
+	}
+	(*c).Inc()
+}
 
 // reg returns the cluster-wide metric registry; engine counters mirror into
 // it so `dedupctl metrics` shows flush/GC/eviction activity.
@@ -211,8 +230,7 @@ func (e *Engine) nextDirty(p *sim.Proc) (string, bool) {
 			// Hot objects stay on the dirty list for a later cycle (§3.2); a
 			// drain's agents force-flush everything.
 			if s.cache.SkipFlush(p.Now(), oid) {
-				e.stats.SkippedHot++
-				e.reg().Counter("dedup_skipped_hot_total").Inc()
+				e.count(&e.skippedHot, "dedup_skipped_hot_total")
 				continue
 			}
 			return oid, true

@@ -86,8 +86,7 @@ func (e *Engine) rateTick() {
 		changed = true
 	}
 	if changed {
-		e.stats.RateAdjusts++
-		e.reg().Counter("dedup_rate_adjusts_total").Inc()
+		e.count(&e.rateAdjusts, "dedup_rate_adjusts_total")
 	}
 }
 

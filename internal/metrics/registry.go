@@ -24,8 +24,13 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count; a nil counter reads 0.
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a named metric that can go up and down. Safe for concurrent use.
 type Gauge struct {
