@@ -408,13 +408,10 @@ func (c *ctl) tiering() {
 		}
 		// Everything the load wrote is warm right now; let it all cool past
 		// the hitset horizon, then run the daemon while re-reading the
-		// device's first objects every period — the daemon demotes the cold
-		// bulk to EC and recaches the re-heated set.
+		// device's first objects every period — the daemon demotes the
+		// dataset to EC and recaches the re-heated set.
 		p.Sleep(time.Duration(cfg.HitSet.Retain+1) * cfg.HitSet.Period)
-		hotSpan := 2 * c.dev.ObjectSize()
-		if hotSpan > c.dev.Size() {
-			hotSpan = c.dev.Size()
-		}
+		hotSpan := min(2*c.dev.ObjectSize(), c.dev.Size())
 		c.store.StartTieringDaemon()
 		for r := 0; r < 5; r++ {
 			read(0, hotSpan)
@@ -424,8 +421,8 @@ func (c *ctl) tiering() {
 		p.Sleep(2 * cfg.Tiering.Interval) // let the daemon notice and exit
 		// One final pass for the census: reads in two consecutive periods
 		// grade the working set hot, a single first touch grades the next
-		// span warm (and promotes its chunks back out of EC), the untouched
-		// bulk stays cold.
+		// span warm (its chunks stay in EC: a read moves none), the
+		// untouched bulk stays cold.
 		read(0, hotSpan)
 		p.Sleep(cfg.HitSet.Period)
 		read(0, hotSpan)
@@ -445,8 +442,7 @@ func (c *ctl) tiering() {
 	st := c.store.TierStats()
 	fmt.Printf("census at %v after %d pass(es); daemon running=%v, %d migration(s) in flight\n",
 		at, st.Passes, c.store.TieringDaemonRunning(), c.store.TierInFlight())
-	fmt.Printf("promote: %d recaches (%.2f MB rehydrated), %d chunks EC->replicated\n",
-		st.Recaches, float64(st.RecachedBytes)/1e6, st.PromotedChunks)
+	fmt.Printf("promote: %d recaches (%.2f MB rehydrated)\n", st.Recaches, float64(st.RecachedBytes)/1e6)
 	fmt.Printf("demote:  %d rededups, %d evicts (%d cached copies dropped), %d chunks replicated->EC\n",
 		st.Rededups, st.Evicts, st.EvictedChunks, st.DemotedChunks)
 	fmt.Printf("moved %.2f MB between chunk pools; %d raced skips, %d errors\n",

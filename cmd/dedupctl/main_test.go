@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,5 +130,34 @@ func TestGCAndAuditActions(t *testing.T) {
 	audit := regexp.MustCompile(`\naudit: \d+ objects, (\d+) bindings checked, 0 intents promoted, 0 refs repaired, 0 lost chunks\n`).FindStringSubmatch(out)
 	if gc == nil || audit == nil || gc[1] != audit[1] || gc[1] == "0" {
 		t.Errorf("want a clean gc and audit line, with as many references checked as bindings:\n%s", out)
+	}
+}
+
+// TestTieringAction: the census counts every object of the dataset once
+// (-size 8 MiB of 1 MiB objects), the cooled dataset is demoted to the EC
+// pool, no action fails, and the daemon is stopped by the end.
+func TestTieringAction(t *testing.T) {
+	out := dedupctl(t, "-size 8388608 tiering")
+	objects := 0
+	for _, row := range section(out, "tiering") {
+		if len(row) == 4 && (row[0] == "hot" || row[0] == "warm" || row[0] == "cold") {
+			n, err := strconv.Atoi(row[1])
+			if err != nil {
+				t.Fatalf("census row %v: %v", row, err)
+			}
+			objects += n
+		}
+	}
+	if objects != 8 {
+		t.Errorf("census rows sum to %d objects, want the dataset's 8:\n%s", objects, out)
+	}
+	if m := regexp.MustCompile(`\ndemote: .*, (\d+) chunks replicated->EC\n`).FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Errorf("demote line reports no chunk moved replicated->EC:\n%s", out)
+	}
+	if !regexp.MustCompile(`; \d+ raced skips, 0 errors\n`).MatchString(out) {
+		t.Errorf("tiering reports errors:\n%s", out)
+	}
+	if !strings.Contains(out, "daemon running=false,") {
+		t.Errorf("the daemon is still running at the end:\n%s", out)
 	}
 }

@@ -46,10 +46,8 @@ type Engine struct {
 	rate     sim.Loop
 	rateBase int64 // dedup-class weight to restore when unthrottled
 
-	// dedup_skipped_hot_total and dedup_rate_adjusts_total, the only record
-	// of EngineStats.SkippedHot and RateAdjusts. Each is resolved at its
-	// first count: a registry lookup creates the entry, and a run that never
-	// counts one dumps no line for it.
+	// Stats' SkippedHot and RateAdjusts, resolved at their first count: a
+	// lookup creates the registry entry, which a run that never counts lacks.
 	skippedHot, rateAdjusts *metrics.Counter
 }
 
@@ -71,8 +69,7 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// count adds one to *c, resolving it in the registry as name at its first
-// count.
+// count adds one to *c, resolving it as name at its first count.
 func (e *Engine) count(c **metrics.Counter, name string) {
 	if *c == nil {
 		*c = e.reg().Counter(name)

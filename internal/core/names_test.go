@@ -284,18 +284,14 @@ func TestNameMemo(t *testing.T) {
 			data := randData(8, 4096)
 			id := FingerprintID(data)
 			gw := e.s.hostGW(anyHost(e.s))
-			// Two objects share the chunk, so promoting one of them leaves
-			// the cold copy, and the name, in place.
+			// Two objects share the chunk, so demoting one of them leaves
+			// the replicated copy, and the name, in place.
 			writeDrain(t, p, e, "obj", data)
 			writeDrain(t, p, e, "twin", data)
-			coolDown(p)
-			if ps, err := e.s.TierPass(p); err != nil || ps.DemotedChunks != 2 {
-				t.Fatalf("demotion: err %v, %+v", err, ps)
-			}
-			// Rot every shard of the cold chunk, then promote one object's
+			// Rot every replica of the chunk, then demote one object's
 			// binding: the migration carries the chunk's name over the
 			// rotten bytes it read.
-			key := store.Key{Pool: e.s.coldChunk.ID, OID: id}
+			key := store.Key{Pool: e.s.chunk.ID, OID: id}
 			for _, osd := range e.c.OSDs() {
 				if st, _ := e.c.OSDStore(osd); st.Exists(key) {
 					if err := e.c.CorruptForTest(osd, key, 5); err != nil {
@@ -303,13 +299,13 @@ func TestNameMemo(t *testing.T) {
 					}
 				}
 			}
-			rotten, err := gw.Read(p, e.s.coldChunk, id, 0, -1)
+			rotten, err := gw.Read(p, e.s.chunk, id, 0, -1)
 			if err != nil || bytes.Equal(rotten, data) {
-				t.Fatalf("cold read: err %v, rotten %v", err, !bytes.Equal(rotten, data))
+				t.Fatalf("replicated read: err %v, rotten %v", err, !bytes.Equal(rotten, data))
 			}
 			entry := entries(t, p, e, "obj")[0]
-			if bound, err := e.s.migrateChunk(p, gw, "obj", entry, false); err != nil || !bound {
-				t.Fatalf("promotion: bound %v, err %v", bound, err)
+			if bound, err := e.s.migrateChunk(p, gw, "obj", entry); err != nil || !bound {
+				t.Fatalf("demotion: bound %v, err %v", bound, err)
 			}
 			if got, want := e.s.name(rotten), FingerprintID(rotten); got != want {
 				t.Fatalf("rotten bytes named %s, want their SHA-256 %s", got, want)

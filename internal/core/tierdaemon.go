@@ -14,9 +14,10 @@ import (
 // handles objects whose temperature drifted *after* placement — it walks the
 // metadata pool, grades each object (hitset temperature → target form),
 // diffs the target against what the chunk map actually says, and executes
-// the one action tiering.Decide picks (tiermigrate.go). All I/O it issues
-// rides the qos.Tiering class so foreground traffic keeps priority, and
-// every action opens a trace span carrying the owning tenant's identity.
+// the one action tiering.Decide picks (tiermigrate.go); a read moves no
+// chunk. All I/O it issues rides the qos.Tiering class so foreground traffic
+// keeps priority, and every action opens a trace span carrying the owning
+// tenant's identity.
 
 // TierStats counts the tiering subsystem's work. TierPass returns the delta
 // of one pass; Store.TierStats returns the running totals.
@@ -28,7 +29,7 @@ type TierStats struct {
 	Rededups       int64 // hot-form objects handed back to the dedup engine
 	Evicts         int64 // objects whose stale hot-time cache was dropped
 	EvictedChunks  int64 // cached copies dropped by those evicts
-	PromotedChunks int64 // chunk moves cold (EC) → warm (replicated)
+	PromotedChunks int64 // always 0: a warm object's chunks stay in their pool (bench reads it)
 	DemotedChunks  int64 // chunk moves warm (replicated) → cold (EC)
 	MigratedBytes  int64 // bytes moved between chunk pools
 	RacedSkips     int64 // actions abandoned because a client write raced
@@ -43,7 +44,6 @@ func (t *TierStats) add(d TierStats) {
 	t.Rededups += d.Rededups
 	t.Evicts += d.Evicts
 	t.EvictedChunks += d.EvictedChunks
-	t.PromotedChunks += d.PromotedChunks
 	t.DemotedChunks += d.DemotedChunks
 	t.MigratedBytes += d.MigratedBytes
 	t.RacedSkips += d.RacedSkips
@@ -135,7 +135,6 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 	reg.Counter("tier_recached_bytes_total").Add(ps.RecachedBytes)
 	reg.Counter("tier_rededups_total").Add(ps.Rededups)
 	reg.Counter("tier_evicted_chunks_total").Add(ps.EvictedChunks)
-	reg.Counter("tier_promoted_chunks_total").Add(ps.PromotedChunks)
 	reg.Counter("tier_demoted_chunks_total").Add(ps.DemotedChunks)
 	reg.Counter("tier_migrated_bytes_total").Add(ps.MigratedBytes)
 	reg.Counter("tier_raced_skips_total").Add(ps.RacedSkips)
@@ -196,10 +195,8 @@ func (s *Store) applyTierAction(p *sim.Proc, gw *rados.Gateway, oid string, cm *
 		err = s.rededupObject(p, gw, oid, ps)
 	case tiering.ActEvict:
 		err = s.evictObject(p, gw, oid, ps)
-	case tiering.ActPromoteWarm:
-		err = s.migrateObjectChunks(p, gw, oid, cm, false, ps)
 	case tiering.ActDemoteCold:
-		err = s.migrateObjectChunks(p, gw, oid, cm, true, ps)
+		err = s.migrateObjectChunks(p, gw, oid, cm, ps)
 	}
 	if errors.Is(err, rados.ErrNotFound) {
 		err = nil // object deleted mid-action: nothing to migrate

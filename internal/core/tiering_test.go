@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupstore/internal/hitset"
 	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
 )
@@ -142,9 +143,9 @@ func TestFlushLandsByTemperature(t *testing.T) {
 }
 
 // TestTierPassLifecycle drives one object through the full temperature
-// cycle — warm placement, demotion to EC, promotion back to the replicated
-// pool, recache to the hot form, and re-dedup — verifying pool residency,
-// data integrity, and reconciler cleanliness at every step.
+// cycle — warm placement, demotion to EC, a warm touch that moves nothing,
+// recache to the hot form, and re-dedup — verifying pool residency, data
+// integrity, and reconciler cleanliness at every step.
 func TestTierPassLifecycle(t *testing.T) {
 	e := newTierEnv(t, nil)
 	data := mkData(0x5A, 8192) // two 4 KiB chunks
@@ -181,23 +182,23 @@ func TestTierPassLifecycle(t *testing.T) {
 		}
 		checkClean(t, p, e)
 
-		// One access → warm → promote back into the replicated pool.
+		// One access → warm: the chunks stay in the EC pool.
 		coolDown(p)
 		e.s.cache.RecordAccessTenant(p.Now(), "obj", "")
 		ps, err = e.s.TierPass(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps.PromotedChunks != 2 {
-			t.Fatalf("PromotedChunks = %d, want 2", ps.PromotedChunks)
+		if census, _ := e.s.TierCensus(); census.Objects[hitset.TempWarm] != 1 {
+			t.Fatalf("census %+v, want the object warm", census)
+		}
+		if ps.MigratedBytes != 0 || ps.PromotedChunks != 0 {
+			t.Fatalf("a warm touch moved chunks: %+v", ps)
 		}
 		for _, en := range entries(t, p, e, "obj") {
-			if en.Cold {
-				t.Fatalf("slot %d not promoted", en.Start)
+			if !en.Cold {
+				t.Fatalf("slot %d left the EC pool", en.Start)
 			}
-		}
-		if n := len(e.c.ListObjects(e.s.coldChunk)); n != 0 {
-			t.Fatalf("%d chunk objects left in the cold pool after promote", n)
 		}
 		checkClean(t, p, e)
 
@@ -246,7 +247,7 @@ func TestTierPassLifecycle(t *testing.T) {
 
 		// Totals accumulated across the whole lifecycle.
 		tot := e.s.TierStats()
-		if tot.Passes != 4 || tot.DemotedChunks != 2 || tot.PromotedChunks != 2 || tot.Recaches != 1 || tot.Rededups != 1 {
+		if tot.Passes != 4 || tot.DemotedChunks != 2 || tot.PromotedChunks != 0 || tot.Recaches != 1 || tot.Rededups != 1 {
 			t.Fatalf("unexpected totals: %+v", tot)
 		}
 		census, _ := e.s.TierCensus()
@@ -257,6 +258,53 @@ func TestTierPassLifecycle(t *testing.T) {
 		if objs != 1 {
 			t.Fatalf("census counted %d objects, want 1", objs)
 		}
+	})
+}
+
+// TestTierReadMovesNoChunk: a cold object read once now and then grades warm
+// for a while and cold again, and no pass moves its chunks either way: they
+// stay in the EC pool, and the object reads back whole.
+func TestTierReadMovesNoChunk(t *testing.T) {
+	e := newTierEnv(t, nil)
+	data := mkData(0x3C, 8192) // two 4 KiB chunks
+	e.run(t, func(p *sim.Proc) {
+		if err := e.cl.Write(p, "obj", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		e.s.Engine().DrainAndWait(p)
+		coolDown(p)
+		if ps, err := e.s.TierPass(p); err != nil || ps.DemotedChunks != 2 {
+			t.Fatalf("demotion: err %v, %+v", err, ps)
+		}
+		for round := 0; round < 3; round++ {
+			if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("round %d: read mismatch (err=%v)", round, err)
+			}
+			for _, temp := range []hitset.Temperature{hitset.TempWarm, hitset.TempCold} {
+				if temp == hitset.TempCold {
+					coolDown(p)
+				}
+				if got := e.s.cache.Temp(p.Now(), "obj"); got != temp {
+					t.Fatalf("round %d: object is %v, want %v", round, got, temp)
+				}
+				ps, err := e.s.TierPass(p)
+				if err != nil || ps.MigratedBytes != 0 || ps.Errors != 0 {
+					t.Fatalf("round %d, %v pass: err %v, %+v", round, temp, err, ps)
+				}
+				for _, en := range entries(t, p, e, "obj") {
+					if !en.Cold || en.Dirty || en.ChunkID == "" {
+						t.Fatalf("round %d, %v pass: slot %+v left the EC pool", round, temp, en)
+					}
+				}
+			}
+		}
+		if tot := e.s.TierStats(); tot.DemotedChunks != 2 || tot.PromotedChunks != 0 || tot.Recaches != 0 {
+			t.Fatalf("totals %+v, want only the first demotion", tot)
+		}
+		if got, err := e.cl.Read(p, "obj", 0, -1); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read mismatch after the rounds (err=%v)", err)
+		}
+		checkClean(t, p, e)
 	})
 }
 

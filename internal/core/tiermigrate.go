@@ -122,15 +122,15 @@ func (s *Store) evictObject(p *sim.Proc, gw *rados.Gateway, oid string, ps *Tier
 	return nil
 }
 
-// migrateObjectChunks moves an object's clean, uncached chunk bindings into
-// the toCold pool, one chunk at a time.
-func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, toCold bool, ps *TierStats) error {
+// migrateObjectChunks demotes an object's clean, uncached chunk bindings
+// from the replicated chunk pool to the EC pool, one chunk at a time.
+func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, cm *ChunkMap, ps *TierStats) error {
 	for _, e := range cm.Entries {
-		if e.Dirty || e.Cached || e.ChunkID == "" || e.Cold == toCold {
+		if e.Dirty || e.Cached || e.ChunkID == "" || e.Cold {
 			continue
 		}
 		s.cluster.QoS().WaitTurn(p, qos.Tiering)
-		bound, err := s.migrateChunk(p, gw, oid, e, toCold)
+		bound, err := s.migrateChunk(p, gw, oid, e)
 		if err != nil {
 			return err
 		}
@@ -138,36 +138,32 @@ func (s *Store) migrateObjectChunks(p *sim.Proc, gw *rados.Gateway, oid string, 
 			ps.RacedSkips++
 			continue
 		}
-		if toCold {
-			ps.DemotedChunks++
-		} else {
-			ps.PromotedChunks++
-		}
+		ps.DemotedChunks++
 		ps.MigratedBytes += e.Len()
 	}
 	return nil
 }
 
-// migrateChunk moves one binding between chunk pools: pin the chunk in the
-// destination pool (creating it from the source copy if absent), flip the
-// binding's Cold bit unless the slot changed, release the source pool's
-// chunk. The same fingerprint may transiently exist in both pools — each
-// pool's copy has its own reference table, and refLiveness judges each
-// against the Cold bit. bound=false with a nil error means the slot raced.
-func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry, toCold bool) (bound bool, err error) {
-	data, err := s.readPadded(p, gw, s.chunkPoolFor(entry.Cold), entry.ChunkID, 0, entry.Len())
+// migrateChunk demotes one binding: pin the chunk in the EC pool (creating it
+// from the replicated copy if absent), set the binding's Cold bit unless the
+// slot changed, release the replicated chunk. The same fingerprint may
+// transiently exist in both pools — each pool's copy has its own reference
+// table, and refLiveness judges each against the Cold bit. bound=false with a
+// nil error means the slot raced.
+func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry Entry) (bound bool, err error) {
+	data, err := s.readPadded(p, gw, s.chunk, entry.ChunkID, 0, entry.Len())
 	if err != nil {
 		return false, err
 	}
 	defer s.recycle(data)
 	return s.rebind(p, gw, oid, transition{
-		puts: []chunkPut{{pool: s.chunkPoolFor(toCold), id: entry.ChunkID, data: data, off: entry.Start}},
+		puts: []chunkPut{{pool: s.coldChunk, id: entry.ChunkID, data: data, off: entry.Start}},
 		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {
 			i := cur.Find(entry.Start)
 			if i < 0 || cur.Entries[i] != entry {
 				return nil, true, nil // newer write or concurrent re-flush; leave it be
 			}
-			cur.Entries[i].Cold = toCold
+			cur.Entries[i].Cold = true
 			return []Entry{entry}, false, nil
 		},
 	})

@@ -239,7 +239,7 @@ func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) Redu
 	if s != nil {
 		used = h.footprint(s)
 		ts := s.TierStats()
-		row.Migrations = ts.PromotedChunks + ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
+		row.Migrations = ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
 		row.TierErrors = ts.Errors
 	} else {
 		used = h.c.PoolStats(rawPool).StoredTotal()
@@ -327,7 +327,7 @@ func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyC
 		s.Engine().DrainAndWait(p)
 
 		ts := s.TierStats()
-		row.Migrations = ts.PromotedChunks + ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
+		row.Migrations = ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
 		row.TierErrors = ts.Errors
 
 		// Post-mortem: the battery, then every object byte-for-byte.

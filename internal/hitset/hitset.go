@@ -39,7 +39,7 @@ const (
 	// TempCold objects have (near) zero recent accesses: candidates for
 	// erasure-coded, deduplicated storage.
 	TempCold Temperature = iota
-	// TempWarm objects see occasional traffic: replicated + deduplicated.
+	// TempWarm objects see occasional traffic: deduplicated, in either pool.
 	TempWarm
 	// TempHot objects are in the working set: kept replicated and
 	// undeduplicated so reads and writes never pay redirection.

@@ -175,6 +175,10 @@ func TestRegistryNilSafe(t *testing.T) {
 	if reg.Dump() != "" {
 		t.Fatal("nil registry Dump not empty")
 	}
+	var unresolved *Counter
+	if unresolved.Value() != 0 {
+		t.Fatal("nil counter does not read 0")
+	}
 }
 
 func TestRegistryDumpFormat(t *testing.T) {

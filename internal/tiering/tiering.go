@@ -12,7 +12,7 @@
 // coding while hot data must not:
 //
 //	hot  → replicated, undeduplicated (bytes live in the metadata pool)
-//	warm → replicated + deduplicated  (chunks in the replicated chunk pool)
+//	warm → deduplicated, chunks left in the pool they are in
 //	cold → erasure-coded + deduplicated (chunks in the EC chunk pool)
 package tiering
 
@@ -25,8 +25,8 @@ const (
 	// FormCached: replicated and undeduplicated — the object's bytes live in
 	// the (replicated) metadata pool; chunk-map slots hold no chunk binding.
 	FormCached Form = iota
-	// FormDedup: replicated and deduplicated — slots bind chunks in the
-	// replicated (warm) chunk pool, no cached copy.
+	// FormDedup: deduplicated, no cached copy — slots bind chunks in either
+	// pool; a flush binds new ones in the replicated (warm) chunk pool.
 	FormDedup
 	// FormDedupEC: erasure-coded and deduplicated — slots bind chunks in the
 	// EC (cold) chunk pool, no cached copy.
@@ -85,9 +85,6 @@ const (
 	// metadata object, the bindings are released, and the chunks
 	// de-referenced. The object ends replicated and undeduplicated.
 	ActRecache
-	// ActPromoteWarm moves cold (EC) chunks into the replicated chunk pool
-	// via the two-phase reference protocol.
-	ActPromoteWarm
 	// ActDemoteCold moves warm (replicated) chunks into the EC chunk pool
 	// via the two-phase reference protocol.
 	ActDemoteCold
@@ -101,7 +98,7 @@ const (
 	ActEvict
 )
 
-var actionNames = [...]string{"none", "recache", "promote-warm", "demote-cold", "rededup", "evict"}
+var actionNames = [...]string{"none", "recache", "demote-cold", "rededup", "evict"}
 
 func (a Action) String() string {
 	if a >= ActNone && a <= ActEvict {
@@ -127,21 +124,13 @@ func Decide(target Form, st ObjectState) Action {
 		if st.WarmChunks > 0 || st.ColdChunks > 0 || st.CachedBound > 0 {
 			return ActRecache
 		}
-	case FormDedup:
+	case FormDedup, FormDedupEC:
 		if st.CachedOnly > 0 {
 			return ActRededup
 		}
-		if st.ColdChunks > 0 {
-			return ActPromoteWarm
-		}
-		if st.CachedBound > 0 {
-			return ActEvict
-		}
-	case FormDedupEC:
-		if st.CachedOnly > 0 {
-			return ActRededup
-		}
-		if st.WarmChunks > 0 {
+		// A warm object's chunks stay in the pool they are in: a read
+		// moves none (DESIGN.md §11).
+		if target == FormDedupEC && st.WarmChunks > 0 {
 			return ActDemoteCold
 		}
 		if st.CachedBound > 0 {

@@ -27,7 +27,7 @@ func TestStrings(t *testing.T) {
 		t.Fatal("out-of-range form should stringify as invalid")
 	}
 	names := map[Action]string{
-		ActNone: "none", ActRecache: "recache", ActPromoteWarm: "promote-warm",
+		ActNone: "none", ActRecache: "recache",
 		ActDemoteCold: "demote-cold", ActRededup: "rededup", ActEvict: "evict",
 	}
 	for a, want := range names {
@@ -60,15 +60,17 @@ func TestDecide(t *testing.T) {
 		{"hot-cached-bound", FormCached, ObjectState{CachedBound: 4}, ActRecache},
 		{"hot-empty", FormCached, ObjectState{}, ActNone},
 
-		// Warm target: undedup'd slots re-dedup first; then pool moves; then
-		// cache eviction.
+		// Warm target: undedup'd slots re-dedup first, then cache eviction;
+		// chunks stay in the pool they are in.
 		{"warm-already", FormDedup, ObjectState{WarmChunks: 4}, ActNone},
 		{"warm-from-hot", FormDedup, ObjectState{CachedOnly: 4}, ActRededup},
-		{"warm-from-cold", FormDedup, ObjectState{ColdChunks: 4}, ActPromoteWarm},
+		{"warm-from-cold", FormDedup, ObjectState{ColdChunks: 4}, ActNone},
+		{"warm-mixed-pools", FormDedup, ObjectState{WarmChunks: 2, ColdChunks: 2}, ActNone},
 		{"warm-cached-bound", FormDedup, ObjectState{CachedBound: 2, WarmChunks: 2}, ActEvict},
 		{"warm-rededup-first", FormDedup, ObjectState{CachedOnly: 1, ColdChunks: 3}, ActRededup},
 
-		// Cold target mirrors warm with the pools swapped.
+		// Cold target: undedup'd slots re-dedup first, then replicated
+		// chunks move to EC, then cache eviction.
 		{"cold-already", FormDedupEC, ObjectState{ColdChunks: 4}, ActNone},
 		{"cold-from-hot", FormDedupEC, ObjectState{CachedOnly: 4}, ActRededup},
 		{"cold-from-warm", FormDedupEC, ObjectState{WarmChunks: 4}, ActDemoteCold},
@@ -91,9 +93,6 @@ func TestDecideConverges(t *testing.T) {
 		case ActRecache:
 			st.CachedOnly += st.WarmChunks + st.ColdChunks + st.CachedBound
 			st.WarmChunks, st.ColdChunks, st.CachedBound = 0, 0, 0
-		case ActPromoteWarm:
-			st.WarmChunks += st.ColdChunks
-			st.ColdChunks = 0
 		case ActDemoteCold:
 			st.ColdChunks += st.WarmChunks
 			st.WarmChunks = 0

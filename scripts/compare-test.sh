@@ -10,33 +10,35 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fail=0
 
-# runs WORKLOAD COUNT GAIN [SIDE N NAME VALUE]...: writes canned lines for
-# COUNT runs a side of WORKLOAD. Every run is correct with no failed op and
-# the same sim_digest. The parent's sim_cpu_s, host_cpu_s and sim_elapsed_s
-# rise 1 % a run; the change's two cpu metrics are GAIN times the parent's.
-# Each SIDE N NAME VALUE then sets one run's value. Sets wls and count for
-# expect.
+# runs WORKLOADS COUNT GAIN [SIDE N NAME VALUE]...: writes canned lines for
+# COUNT runs a side of each of the space-separated WORKLOADS. Every run is
+# correct with no failed op and the same sim_digest. The parent's sim_cpu_s,
+# host_cpu_s and sim_elapsed_s rise 1 % a run; the change's two cpu metrics
+# are GAIN times the parent's. Each SIDE N NAME VALUE then sets one run's
+# value, in every workload. Sets wls and count for expect.
 runs() {
 	wls=$1 count=$2
 	awk -v wl="$1" -v count="$2" -v gain="$3" -v over="$*" 'BEGIN {
 		no = split(over, o, " ")
-		for (n = 1; n <= count; n++)
-			for (k = 0; k < 2; k++) {
-				side = k ? "change" : "parent"
-				g = k ? gain : 1
-				v["sim_digest"] = "9979bb78"; v["correct"] = "true"; v["failed"] = 0
-				v["sim_cpu_s"] = 7.65 * (1 + n / 100) * g
-				v["host_cpu_s"] = 6 * (1 + n / 100) * g
-				v["sim_elapsed_s"] = 90 * (1 + n / 100)
-				for (i = 4; i + 3 <= no; i += 4)
-					if (o[i] == side && o[i + 1] == n)
-						v[o[i + 2]] = o[i + 3]
-				printf "%s %s %d {\"sim_digest\":\"%s\",\"failed_checks\":null}\n", side, wl, n, v["sim_digest"]
-				printf "%s %s %d {\"correct\":%s,\"failed\":%s,\"metrics\":{", side, wl, n, v["correct"], v["failed"]
-				printf "\"host_cpu_s\":{\"value\":%s,\"unit\":\"s\"},", v["host_cpu_s"]
-				printf "\"sim_cpu_s\":{\"value\":%s,\"unit\":\"s\"},", v["sim_cpu_s"]
-				printf "\"sim_elapsed_s\":{\"value\":%s,\"unit\":\"s\"}}}\n", v["sim_elapsed_s"]
-			}
+		nw = split(wl, ws, " ")
+		for (w = 1; w <= nw; w++)
+			for (n = 1; n <= count; n++)
+				for (k = 0; k < 2; k++) {
+					side = k ? "change" : "parent"
+					g = k ? gain : 1
+					v["sim_digest"] = "9979bb78"; v["correct"] = "true"; v["failed"] = 0
+					v["sim_cpu_s"] = 7.65 * (1 + n / 100) * g
+					v["host_cpu_s"] = 6 * (1 + n / 100) * g
+					v["sim_elapsed_s"] = 90 * (1 + n / 100)
+					for (i = 4; i + 3 <= no; i += 4)
+						if (o[i] == side && o[i + 1] == n)
+							v[o[i + 2]] = o[i + 3]
+					printf "%s %s %d {\"sim_digest\":\"%s\",\"failed_checks\":null}\n", side, ws[w], n, v["sim_digest"]
+					printf "%s %s %d {\"correct\":%s,\"failed\":%s,\"metrics\":{", side, ws[w], n, v["correct"], v["failed"]
+					printf "\"host_cpu_s\":{\"value\":%s,\"unit\":\"s\"},", v["host_cpu_s"]
+					printf "\"sim_cpu_s\":{\"value\":%s,\"unit\":\"s\"},", v["sim_cpu_s"]
+					printf "\"sim_elapsed_s\":{\"value\":%s,\"unit\":\"s\"}}}\n", v["sim_elapsed_s"]
+				}
 	}' >"$tmp/runs.txt"
 }
 
@@ -88,6 +90,12 @@ has "FLAG oltp-mixed seed 7 sim_elapsed_s: 96.3 -> 102.1 (+6.02%) is past its 5%
 runs oltp-mixed 10 0.77 parent 9 failed 1
 expect "model: a failed op" 1 "$flagged" mode=model claim=sim_cpu_s
 has "FLAG oltp-mixed seed 9 parent: correct true, failed 1"
+runs "ingest-drain oltp-mixed cold-ec-tier" 10 0.77
+sed 's/^\(change cold-ec-tier [0-9]* {"sim_digest":"\)9979bb78/\10ddba11/' "$tmp/runs.txt" >"$tmp/moved.txt"
+mv "$tmp/moved.txt" "$tmp/runs.txt"
+expect "model: the digests one workload moves" 0 "sim_digest cold-ec-tier: equal to the parent at 0 of 10 seeds" mode=model claim=sim_cpu_s wl=cold-ec-tier
+has "sim_digest ingest-drain: equal to the parent at 10 of 10 seeds"
+has "sim_digest oltp-mixed: equal to the parent at 10 of 10 seeds"
 
 meets="claim MEETS the paired-runs rule (>= 10 pairs, >= 9/10 wins, medians apart by more than the parent quartile distance)"
 fails="claim DOES NOT MEET the paired-runs rule (>= 10 pairs, >= 9/10 wins, medians apart by more than the parent quartile distance)"

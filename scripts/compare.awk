@@ -9,7 +9,9 @@
 # a flag, or if
 #   digest: a sim_digest differs;
 #   model:  claim on wl is not better at every seed, or a sim_* or space_ratio
-#           value on any workload and seed is past its BENCHMARK.json bound;
+#           value on any workload and seed is past its BENCHMARK.json bound
+#           (each workload's count of seeds with an equal sim_digest is
+#           printed, and judged by no rule);
 #   pairs:  there are fewer than 10 pairs, the change wins fewer than 9 in 10,
 #           the medians are no further apart than the parent's quartile
 #           distance, or (unless model=1) a sim_digest differs.
@@ -95,6 +97,7 @@ END {
 			cd = val["change", W[w], n, "sim_digest"]
 			same = pd != "" && pd == cd
 			differ += !same
+			equal[w] += same
 			if (mode == "digest")
 				printf "%s %s seed %d: %s\n", same ? "same  " : "DIFFER", W[w], n, same ? cd : "parent " pd ", working tree " cd
 		}
@@ -130,6 +133,11 @@ END {
 		}
 	}
 	printf "%s", flags
+	if (mode == "model") {
+		print ""
+		for (w = 1; w <= nw; w++)
+			printf "sim_digest %s: equal to the parent at %d of %d seeds\n", W[w], equal[w], count
+	}
 
 	printf "\nclaim %s on %s (%s is better), per %s:\n", claim, wl, better[claim], unit
 	for (n = 1; n <= count; n++) {
