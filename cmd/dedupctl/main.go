@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -577,12 +578,20 @@ func (c *ctl) verify() {
 		}
 		fmt.Printf("dedup scrub: %d metadata objects, %d chunks, %.1f MB verified, %d issues\n",
 			rep.MetadataObjects, rep.ChunkObjects, float64(rep.BytesVerified)/1e6, len(rep.Issues))
-		for i, is := range rep.Issues {
-			if i >= 5 {
-				fmt.Printf("  ... %d more\n", len(rep.Issues)-5)
-				break
+		byKind := map[string]int{}
+		var kinds []string
+		for _, is := range rep.Issues {
+			k := string(is.Kind)
+			if byKind[k] == 0 {
+				kinds = append(kinds, k)
 			}
-			fmt.Printf("  %s: %s\n", is.OID, is.Detail)
+			byKind[k]++
 		}
+		sort.Strings(kinds)
+		for _, kind := range kinds {
+			fmt.Printf("  %s: %d\n", kind, byKind[kind])
+		}
+		fmt.Printf("outstanding: %d intents, %d unbound references, %d unreferenced chunks\n",
+			rep.Intents, rep.UnboundRefs, rep.Unreferenced)
 	})
 }

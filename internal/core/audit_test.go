@@ -63,7 +63,7 @@ func TestAuditPromotesCrashedIntent(t *testing.T) {
 			t.Errorf("second audit not clean: %+v, %v", au, err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestAuditRepairsMissingRef: a binding whose chunk lost both the reference
@@ -98,7 +98,7 @@ func TestAuditRepairsMissingRef(t *testing.T) {
 			t.Errorf("GC after repair: deleted=%d stale=%d, %v", st.ChunksDeleted, st.StaleRefs, err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestAuditReportsLostChunk: a binding pointing at a chunk that does not
@@ -183,7 +183,7 @@ func TestGCPromotesExpiredIntentWithBinding(t *testing.T) {
 			t.Fatalf("chunk %+v, want one committed reference", st)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestScrubReportsCorruptRefcount: every key in a chunk's reference table
@@ -199,12 +199,13 @@ func TestScrubReportsCorruptRefcount(t *testing.T) {
 	chunkOID := FingerprintID(data)
 
 	for _, tc := range []struct {
-		key, detail string
-		badKeys     int64 // what GC removes
+		key     string
+		kind    ScrubKind
+		badKeys int64 // what GC removes
 	}{
-		{"ref.garbage", "unparseable reference key ref.garbage", 1},
-		{"int.garbage", "unparseable intent key int.garbage", 1},
-		{"bogus", "unknown omap key bogus", 0},
+		{"ref.garbage", KindBadRefKey, 1},
+		{"int.garbage", KindBadIntentKey, 1},
+		{"bogus", KindUnknownKey, 0},
 	} {
 		e.run(t, func(p *sim.Proc) {
 			gw := e.s.hostGW(anyHost(e.s))
@@ -216,8 +217,8 @@ func TestScrubReportsCorruptRefcount(t *testing.T) {
 			}
 			edit(store.NewTxn().OmapSet(tc.key, nil))
 			rep, err := e.s.Scrub(p)
-			if err != nil || !slices.Equal(rep.Issues, []ScrubIssue{{OID: chunkOID, Detail: tc.detail}}) {
-				t.Fatalf("%s: scrub issues %v, %v; want just %q", tc.key, rep.Issues, err, tc.detail)
+			if err != nil || !slices.Equal(rep.Issues, []ScrubIssue{{OID: chunkOID, Kind: tc.kind}}) {
+				t.Fatalf("%s: scrub issues %v, %v; want just %s", tc.key, rep.Issues, err, tc.kind)
 			}
 			st, err := e.s.GC(p)
 			if err != nil || st.BadRefKeys != tc.badKeys || st.StaleRefs != 0 || st.ChunksDeleted != 0 {
@@ -231,5 +232,5 @@ func TestScrubReportsCorruptRefcount(t *testing.T) {
 			}
 		})
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

@@ -190,7 +190,7 @@ func BenchmarkScrubChunkPool(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var rep ScrubReport
-			if err := s.scrubChunkPool(p, gw, s.chunk, &rep); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {
+			if err := s.scrubChunkPool(p, gw, s.chunk, map[refSite]uint8{}, &rep); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {
 				b.Fatalf("scrub: err %v, report %+v", err, rep)
 			}
 		}

@@ -58,7 +58,7 @@ func TestCDCWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("range read: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestCDCDedupsShiftedContent(t *testing.T) {
@@ -89,7 +89,7 @@ func TestCDCDedupsShiftedContent(t *testing.T) {
 			t.Fatalf("shifted object corrupt: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestCDCOverwriteAfterFlush(t *testing.T) {
@@ -117,7 +117,7 @@ func TestCDCOverwriteAfterFlush(t *testing.T) {
 			t.Fatalf("post-reflush read: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestCDCDeleteReleasesChunks(t *testing.T) {
@@ -169,7 +169,7 @@ func TestCDCConcurrentWritersConverge(t *testing.T) {
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestCDCWriteRacingFlushKeepsFinal(t *testing.T) {
@@ -195,5 +195,5 @@ func TestCDCWriteRacingFlushKeepsFinal(t *testing.T) {
 			t.Errorf("lost final write under CDC: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

@@ -102,7 +102,7 @@ func TestCrashDuringFlushKeepsInvariants(t *testing.T) {
 			t.Fatalf("scrub: %v", err)
 		}
 		for _, iss := range rep.Issues {
-			t.Errorf("scrub issue: %s: %s", iss.OID, iss.Detail)
+			t.Errorf("scrub issue: %s: %s", iss.OID, iss.Kind)
 		}
 		if _, err := e.s.GC(p); err != nil {
 			t.Fatalf("gc: %v", err)
@@ -117,5 +117,5 @@ func TestCrashDuringFlushKeepsInvariants(t *testing.T) {
 			t.Errorf("second GC pass still found work: %+v", st)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

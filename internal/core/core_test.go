@@ -86,74 +86,24 @@ func (e *env) drain(t *testing.T) {
 	e.run(t, func(p *sim.Proc) { e.s.Engine().DrainAndWait(p) })
 }
 
-// checkIntegrity verifies the global invariants of the design: every
-// non-cached chunk-map entry points at an existing chunk object whose
-// content round-trips, and every chunk object's committed references match
-// the live bindings that name it — exactly in strict mode, at least in
-// false-positive mode, where a released reference may wait for GC.
-func (e *env) checkIntegrity(t *testing.T) {
+// checkScrub runs scrubClean on a process of its own.
+func (e *env) checkScrub(t *testing.T) {
 	t.Helper()
-	e.run(t, func(p *sim.Proc) {
-		gw := e.s.hostGW(anyHost(e.s))
-		bindings := map[string]int{}
-		for _, oid := range e.c.ListObjects(e.s.meta) {
-			if IsSystemObject(oid) {
-				continue
-			}
-			raw, err := gw.GetXattr(p, e.s.meta, oid, XattrChunkMap)
-			if err != nil {
-				t.Errorf("object %s: no chunk map", oid)
-				continue
-			}
-			cm, err := UnmarshalChunkMap(raw)
-			if err != nil {
-				t.Errorf("object %s: %v", oid, err)
-				continue
-			}
-			for _, entry := range cm.Entries {
-				if entry.ChunkID == "" {
-					if !entry.Cached {
-						t.Errorf("object %s slot %d: no chunk and not cached (data lost)", oid, entry.Start)
-					}
-					continue
-				}
-				ok, err := gw.Exists(p, e.s.chunk, entry.ChunkID)
-				if err != nil || !ok {
-					if !entry.Cached && !entry.Dirty {
-						t.Errorf("object %s slot %d: chunk %s missing", oid, entry.Start, entry.ChunkID)
-					}
-					continue
-				}
-				if !entry.Dirty {
-					bindings[entry.ChunkID]++
-				}
-			}
-		}
-		for _, chunkOID := range e.c.ListObjects(e.s.chunk) {
-			keys, err := gw.OmapList(p, e.s.chunk, chunkOID, 0)
-			if err != nil {
-				t.Errorf("chunk %s: %v", chunkOID, err)
-				continue
-			}
-			table := partitionRefKeys(keys)
-			for _, k := range table.unknown {
-				t.Errorf("chunk %s: unknown omap key %q", chunkOID, k)
-			}
-			if len(table.intents) > 0 {
-				t.Errorf("chunk %s: %d uncommitted intents after drain", chunkOID, len(table.intents))
-			}
-			refs, live := len(table.refs), bindings[chunkOID]
-			switch {
-			case !e.s.cfg.FalsePositiveRefs && refs != live:
-				t.Errorf("chunk %s: %d committed references, %d live bindings (strict mode)", chunkOID, refs, live)
-			case refs < live:
-				t.Errorf("chunk %s: %d committed references, fewer than its %d live bindings", chunkOID, refs, live)
-			}
-			if !e.s.cfg.FalsePositiveRefs && refs == 0 {
-				t.Errorf("chunk %s: zero references but not deleted (strict mode)", chunkOID)
-			}
-		}
-	})
+	e.run(t, func(p *sim.Proc) { scrubClean(t, p, e) })
+}
+
+// scrubClean wants the dedup scrub of a settled store clean and no intent
+// left; in strict mode also every reference bound and every chunk
+// referenced, which false-positive mode leaves to GC.
+func scrubClean(t *testing.T, p *sim.Proc, e *env) {
+	t.Helper()
+	rep, err := e.s.Scrub(p)
+	if err != nil || !rep.Clean() || rep.Intents != 0 {
+		t.Errorf("scrub: err %v, issues %v, %d intents", err, rep.Issues, rep.Intents)
+	}
+	if !e.s.cfg.FalsePositiveRefs && (rep.UnboundRefs != 0 || rep.Unreferenced != 0) {
+		t.Errorf("scrub (strict mode): %d unbound references, %d unreferenced chunks", rep.UnboundRefs, rep.Unreferenced)
+	}
 }
 
 func TestWriteReadCachedRoundTrip(t *testing.T) {
@@ -201,7 +151,7 @@ func TestFlushMovesDataToChunkPool(t *testing.T) {
 			t.Errorf("range read after flush failed: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestGlobalDedupAcrossObjects(t *testing.T) {
@@ -231,7 +181,7 @@ func TestGlobalDedupAcrossObjects(t *testing.T) {
 			t.Errorf("%d committed references, want 10", n)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestOverwriteAfterFlushRededups(t *testing.T) {
@@ -257,7 +207,7 @@ func TestOverwriteAfterFlushRededups(t *testing.T) {
 			t.Errorf("read = %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestSubChunkWritePreRead(t *testing.T) {
@@ -280,7 +230,7 @@ func TestSubChunkWritePreRead(t *testing.T) {
 		}
 	})
 	e.drain(t)
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestDeleteDereferencesChunks(t *testing.T) {
@@ -386,7 +336,7 @@ func TestHotObjectSkipped(t *testing.T) {
 	if st := e.s.Engine().Stats(); st.ChunksFlushed == 0 {
 		t.Fatal("object never flushed after cooling")
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestTieringPolicyCountsInRegistry: the policy's Stats read its three
@@ -429,7 +379,7 @@ func TestTieringPolicyCountsInRegistry(t *testing.T) {
 			t.Errorf("Stats reads %s %d, registry %d; want equal and non-zero", c.name, c.got, want)
 		}
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestFlushThroughMode(t *testing.T) {
@@ -449,7 +399,7 @@ func TestFlushThroughMode(t *testing.T) {
 	if cp := e.c.PoolStats(e.s.chunk); cp.Objects != 2 {
 		t.Fatalf("chunk pool objects = %d, want 2", cp.Objects)
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestInlineMode(t *testing.T) {
@@ -475,7 +425,7 @@ func TestInlineMode(t *testing.T) {
 			t.Errorf("inline partial write: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestInlineLocksDropped: an inline write lock lives only while its object
@@ -506,7 +456,7 @@ func TestInlineLocksDropped(t *testing.T) {
 	if n := len(e.s.objLocks); n != 0 {
 		t.Fatalf("%d inline write locks left after every write returned, want 0", n)
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestInlineDedupsAcrossObjects(t *testing.T) {
@@ -520,7 +470,7 @@ func TestInlineDedupsAcrossObjects(t *testing.T) {
 	if cp := e.c.PoolStats(e.s.chunk); cp.Objects != 1 {
 		t.Fatalf("chunk pool objects = %d, want 1", cp.Objects)
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestConcurrentWritersDistinctObjects(t *testing.T) {
@@ -556,7 +506,7 @@ func TestConcurrentWritersDistinctObjects(t *testing.T) {
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestWriteRacingFlush(t *testing.T) {
@@ -584,7 +534,7 @@ func TestWriteRacingFlush(t *testing.T) {
 			t.Errorf("lost final write: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestDedupOnECChunkPool(t *testing.T) {
@@ -606,7 +556,7 @@ func TestDedupOnECChunkPool(t *testing.T) {
 	if cp.Objects != 4 {
 		t.Fatalf("chunk pool objects = %d", cp.Objects)
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestRecoveryPreservesDedupState(t *testing.T) {
@@ -639,7 +589,7 @@ func TestRecoveryPreservesDedupState(t *testing.T) {
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestStatAfterEviction(t *testing.T) {

@@ -68,7 +68,7 @@ func TestDrainIsUnpaced(t *testing.T) {
 				if st := e.s.Engine().Stats(); st.ChunksFlushed == 0 {
 					t.Fatalf("drain flushed nothing: %+v", st)
 				}
-				e.checkIntegrity(t)
+				e.checkScrub(t)
 				return took, e.c.Metrics().Histogram("dedup_pacing_wait").Sum()
 			}
 			free, _ := drain(RateConfig{})
@@ -151,7 +151,7 @@ func TestDrainRunsRoundsUntilClean(t *testing.T) {
 		}
 		checkClean(t, p, e)
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestDrainScalesOut: a drain runs one agent per OSD over the PGs it leads, so

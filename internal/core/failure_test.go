@@ -45,7 +45,7 @@ func verifyBoth(t *testing.T, e *env, content []byte) {
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestCrashAfterDeref(t *testing.T) {
@@ -229,7 +229,7 @@ func crashStorm(t *testing.T, seed int64, fp bool, hits map[sim.Label]int) []str
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 	return log
 }
 
@@ -374,7 +374,7 @@ func TestInlineFailedOverwriteKeepsOldData(t *testing.T) {
 			t.Errorf("read after the failed overwrite: err=%v; the old bytes must survive", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestSnapshotFailedCloneLeavesNoRefs: the clone's metadata OSDs die once the
@@ -443,7 +443,7 @@ func TestSnapshotFailedCloneLeavesNoRefs(t *testing.T) {
 			t.Errorf("chunk outlives its only object: refs=%d", len(st.refs))
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestDirtyAppendSurvivesUnavailability: a client write's dirty-list append

@@ -98,7 +98,7 @@ func TestFPIndexThroughDedupPath(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Fatalf("memtables never flushed to SSTables: %+v", st)
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestFPIndexSurvivesCrashDuringFlush is the chaos variant: a chunk-pool OSD
@@ -182,5 +182,5 @@ func TestFPIndexSurvivesCrashDuringFlush(t *testing.T) {
 			}
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

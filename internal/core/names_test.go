@@ -168,7 +168,7 @@ func TestNameMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := []ScrubIssue{{OID: rottenID, Detail: "content does not match fingerprint (bit rot)"}}
+			want := []ScrubIssue{{OID: rottenID, Kind: KindBitRot}}
 			if rep.ChunkObjects != 2 || !slices.Equal(rep.Issues, want) {
 				t.Fatalf("scrub checked %d chunks, issues %v; want 2 chunks and only %v", rep.ChunkObjects, rep.Issues, want)
 			}
@@ -263,7 +263,7 @@ func TestNameMemo(t *testing.T) {
 				t.Fatalf("after rot: memo keeps %s %v, primary stores the kept array %v; want true, false", id, kept(e, id), storesKept())
 			}
 			rep, err := e.s.Scrub(p)
-			want := []ScrubIssue{{OID: id, Detail: "content does not match fingerprint (bit rot)"}}
+			want := []ScrubIssue{{OID: id, Kind: KindBitRot}}
 			if err != nil || !slices.Equal(rep.Issues, want) {
 				t.Fatalf("scrub after rot: err %v, issues %v; want %v", err, rep.Issues, want)
 			}

@@ -81,7 +81,7 @@ func TestNoopFlushAccounting(t *testing.T) {
 	if reg := e.c.Metrics(); reg.Counter("dedup_noop_flushes_total").Value() != st.NoopFlushes {
 		t.Error("registry noop counter disagrees with engine stats")
 	}
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestTracedWriteChildrenNest: over traced writes and their drain, every

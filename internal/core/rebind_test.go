@@ -161,7 +161,7 @@ func probeRows(t *testing.T) {
 			}
 			checkClean(t, p, e)
 		})
-		e.checkIntegrity(t)
+		e.checkScrub(t)
 	})
 	t.Run("probe/vanished-snapshot-put", func(t *testing.T) {
 		e := newDedupEnv(t, nil)
@@ -459,7 +459,7 @@ func TestFlushKillWindows(t *testing.T) {
 						}
 						checkClean(t, p, e)
 					})
-					e.checkIntegrity(t)
+					e.checkScrub(t)
 				})
 			}
 		}
@@ -511,7 +511,7 @@ func snapshotRace(t *testing.T, fp bool) {
 		}
 		checkClean(t, p, e)
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // distinctSlots returns n 4 KiB slots of different content.
@@ -587,7 +587,7 @@ func TestFlushPartialBind(t *testing.T) {
 				}
 				checkClean(t, p, e)
 			})
-			e.checkIntegrity(t)
+			e.checkScrub(t)
 		})
 	}
 }
@@ -612,7 +612,7 @@ func TestFlushEqualSlots(t *testing.T) {
 		}
 		checkClean(t, p, e)
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestFlushShipsOnlyMissingChunks: object A's flush finds none of its four
@@ -650,7 +650,7 @@ func TestFlushShipsOnlyMissingChunks(t *testing.T) {
 		}
 		checkClean(t, p, e)
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // TestFlushPacedPastLease: rate control holds the flush to one chunk per
@@ -720,7 +720,7 @@ func TestFlushPacedPastLease(t *testing.T) {
 		}
 		checkClean(t, p, e)
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 // disjointOID returns an object ID whose metadata PG shares no OSD with its
@@ -800,7 +800,7 @@ func TestFlushUnreachableIsNotDeleted(t *testing.T) {
 					t.Errorf("read-back after the outage: %v", err)
 				}
 			})
-			e.checkIntegrity(t)
+			e.checkScrub(t)
 		})
 	}
 }
@@ -843,5 +843,5 @@ func TestInlineWriteUnreachableMapIsNotEmpty(t *testing.T) {
 			t.Errorf("object after the write: %d bytes, err=%v; the untouched chunk must survive", len(got), err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

@@ -177,7 +177,7 @@ func TestGCRaceSkipsSweep(t *testing.T) {
 					t.Errorf("second pass deleted=%d stale=%d, %v; want 0/0", stats.ChunksDeleted, stats.StaleRefs, err)
 				}
 			})
-			e.checkIntegrity(t)
+			e.checkScrub(t)
 		})
 	}
 }
@@ -247,7 +247,7 @@ func TestRefcountModes(t *testing.T) {
 					t.Errorf("%d chunk objects remain, want %d", got, objects/2+1)
 				}
 			})
-			e.checkIntegrity(t)
+			e.checkScrub(t)
 		})
 	}
 }

@@ -2,22 +2,43 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"dedupstore/internal/qos"
 	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
 )
 
-// Dedup-aware scrub: on top of the substrate's replica/parity scrub, the
-// dedup layer can verify its own invariants — a chunk object's content must
-// hash to its own ID (double hashing makes bit-rot self-evident), every
-// chunk-map entry must point at an existing chunk, and every key in a
-// chunk's reference table must be a reference or an intent that parses.
+// Dedup-aware scrub: the dedup layer's invariants, checked in one read-only
+// pass. The chunk pass reads every chunk and its reference table, the
+// metadata pass every chunk map, and the two are joined on the host per (pool
+// the entry's Cold bit selects, chunk ID, reference). Each ScrubKind names one
+// invariant, and every kind fails Clean(): no crash the protocol survives
+// (DESIGN.md §6.3) leaves one. Intents, UnboundRefs and Unreferenced are
+// states the protocol leaves open (a flush in flight, a crash leftover, false-
+// positive mode's lazy release), so they are counted, not issues, and the
+// caller judges them. A dirty slot naming a chunk is a binding: its reference
+// is held until the re-flush releases it.
 
-// ScrubIssue describes one dedup-level inconsistency.
+// ScrubKind names the invariant a ScrubIssue breaks.
+type ScrubKind string
+
+const (
+	KindBitRot       ScrubKind = "bit-rot"              // a chunk's content hashes to its own ID
+	KindBadRefKey    ScrubKind = "bad-ref-key"          // a "ref." key parses back to the Ref that wrote it
+	KindBadIntentKey ScrubKind = "bad-intent-key"       // an "int." key parses back likewise
+	KindUnknownKey   ScrubKind = "unknown-key"          // a reference table holds only references and intents
+	KindCorruptMap   ScrubKind = "corrupt-map"          // a chunk map parses
+	KindMissingMap   ScrubKind = "missing-map"          // a live metadata object has a chunk map
+	KindLostSlot     ScrubKind = "lost-slot"            // a slot names a chunk or holds cached data
+	KindMissingChunk ScrubKind = "missing-chunk"        // a clean, uncached binding's chunk is in its pool
+	KindUnrefBinding ScrubKind = "unreferenced-binding" // a clean binding's chunk holds its reference or intent
+)
+
+// ScrubIssue is one broken invariant, at a chunk or a metadata object.
 type ScrubIssue struct {
-	OID    string // object (metadata or chunk) involved
-	Detail string
+	OID  string
+	Kind ScrubKind
 }
 
 // ScrubReport summarizes a dedup scrub pass.
@@ -26,14 +47,26 @@ type ScrubReport struct {
 	ChunkObjects    int
 	BytesVerified   int64
 	Issues          []ScrubIssue
+
+	// Outstanding work, never an issue.
+	Intents, UnboundRefs, Unreferenced int
 }
 
 // Clean reports whether the scrub found no inconsistencies.
 func (r ScrubReport) Clean() bool { return len(r.Issues) == 0 }
 
+// refSite keys the join; the chunk pass marks each chunk it lists at Ref{}.
+type refSite struct {
+	pool  *rados.Pool
+	chunk string
+	ref   Ref
+}
+
+const listed, heldRef, heldIntent, bound uint8 = 1, 2, 4, 8
+
 // Scrub verifies the dedup layer's invariants. It is read-only; use the
-// substrate's Cluster.Scrub(repair=true) to fix replica divergence, and GC
-// to reclaim stale references.
+// substrate's Cluster.Scrub(repair=true) to fix replica divergence, the audit
+// to repair bindings, and GC to reclaim stale references.
 func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	var rep ScrubReport
 	reg := s.cluster.Metrics()
@@ -46,19 +79,17 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	sp := s.cluster.Trace().StartLabel(p, spanScrub).SetClass(qos.Scrub.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
+	j := map[refSite]uint8{}
 
-	// 1. Chunk objects: content must hash to the object ID (the double-
-	// hashing invariant) and the reference table must parse.
-	// With tiering on, both the warm and the cold pool hold chunk objects
-	// and each is verified against the same invariants.
+	// 1. Chunk objects, in the warm pool and, with tiering on, the cold one.
 	for _, cpool := range s.chunkPools() {
-		if err := s.scrubChunkPool(p, gw, cpool, &rep); err != nil {
+		if err := s.scrubChunkPool(p, gw, cpool, j, &rep); err != nil {
 			return rep, err
 		}
 	}
 
 	// 2. Metadata objects: every flushed entry must point at a live chunk in
-	// the pool its Cold bit selects.
+	// the pool its Cold bit selects, and hold its reference there.
 	for _, oid := range s.cluster.ListObjects(s.meta) {
 		if IsSystemObject(oid) {
 			continue
@@ -69,7 +100,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 		case rados.IsUnavailable(err):
 			return rep, err
 		case errors.Is(err, ErrCorruptMap):
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "corrupt chunk map"})
+			rep.Issues = append(rep.Issues, ScrubIssue{oid, KindCorruptMap})
 			continue
 		case errors.Is(err, ErrNotFound):
 			// Deleted since the listing, or live with no map.
@@ -78,36 +109,73 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 				return rep, err
 			}
 			if live {
-				rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
+				rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
 			}
 			continue
 		case err != nil:
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "missing chunk map"})
+			rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
 			continue
 		}
 		for _, e := range cm.Entries {
 			if e.ChunkID == "" {
 				if !e.Cached {
-					rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "slot has neither chunk nor cached data"})
+					rep.Issues = append(rep.Issues, ScrubIssue{oid, KindLostSlot})
 				}
 				continue
 			}
-			if e.Cached || e.Dirty {
-				continue // data still (also) in the metadata object
+			if !e.Cached && !e.Dirty {
+				ok, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID) })
+				if err != nil {
+					return rep, err
+				}
+				if !ok {
+					rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingChunk})
+					continue
+				}
 			}
-			ok, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID) })
-			if err != nil {
+			if err := s.scrubBinding(p, gw, j, oid, e, &rep); err != nil {
 				return rep, err
 			}
-			if !ok {
-				rep.Issues = append(rep.Issues, ScrubIssue{OID: oid, Detail: "chunk map points at missing chunk " + e.ChunkID})
-			}
+		}
+	}
+	for _, held := range j {
+		if held&(heldRef|bound) == heldRef {
+			rep.UnboundRefs++
 		}
 	}
 	return rep, nil
 }
 
-// scrubChunkPool verifies the chunk objects of one chunk pool.
+// scrubBinding joins binding e of oid with its chunk's reference table. A
+// clean binding whose listed chunk held neither its reference nor its intent
+// is re-read, chunk then map, before it counts: a pass beside live writers may
+// read the chunk before a flush pins it, and a quiet store never disagrees.
+func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j map[refSite]uint8, oid string, e Entry, rep *ScrubReport) error {
+	site := refSite{s.chunkPoolFor(e.Cold), e.ChunkID, s.refAt(oid, e.Start)}
+	held := j[site]
+	j[site] = held | bound
+	if e.Dirty || held&(heldRef|heldIntent) != 0 || j[refSite{site.pool, site.chunk, Ref{}}]&listed == 0 {
+		return nil
+	}
+	keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, site.pool, site.chunk, 0) })
+	if errors.Is(err, ErrNotFound) || err == nil && (slices.Contains(keys, site.ref.Key()) || slices.Contains(keys, site.ref.IntentKey())) {
+		return nil // held after all, or gone since: the existence check's to judge
+	}
+	if err != nil {
+		return err
+	}
+	cm, err := s.readChunkMap(p, gw, oid)
+	if err == nil && slices.Contains(cm.Entries, e) {
+		rep.Issues = append(rep.Issues, ScrubIssue{oid, KindUnrefBinding})
+	}
+	if rados.IsUnavailable(err) {
+		return err
+	}
+	return nil
+}
+
+// scrubChunkPool verifies the chunk objects of one chunk pool and records
+// their reference tables in j.
 //
 // Every chunk is read on every pass and its bytes are named through the name
 // memo (names.go) with the chunk's own name as the guess. A chunk the host
@@ -116,7 +184,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 // in place, and rot gives the rotten copy a new array, which is compared byte
 // for byte and, differing, named by SHA-256, as are any other bytes. The
 // verdict is exact either way, since equal bytes have equal SHA-256.
-func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, rep *ScrubReport) error {
+func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, j map[refSite]uint8, rep *ScrubReport) error {
 	for _, chunkOID := range s.cluster.ListObjects(cpool) {
 		rep.ChunkObjects++
 		// Borrowed: the bytes are only named, never kept.
@@ -135,27 +203,39 @@ func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool
 		}
 		rep.BytesVerified += int64(len(data))
 		if s.nameAs(data, chunkOID) != chunkOID {
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "content does not match fingerprint (bit rot)"})
+			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBitRot})
 		}
 		keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		if errors.Is(err, ErrNotFound) {
+			continue // deleted concurrently
+		}
+		if err != nil {
 			return err
 		}
+		j[refSite{cpool, chunkOID, Ref{}}] = listed
 		// Every key must parse back to the Ref that wrote it (an unparseable
 		// key is invisible to GC and would pin the chunk forever).
 		t := partitionRefKeys(keys)
 		for _, k := range t.refs {
-			if _, ok := parseRefKey(k); !ok {
-				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable reference key " + k})
+			if ref, ok := parseRefKey(k); ok {
+				j[refSite{cpool, chunkOID, ref}] |= heldRef
+			} else {
+				rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadRefKey})
 			}
 		}
 		for _, k := range t.intents {
-			if _, ok := parseIntentKey(k); !ok {
-				rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unparseable intent key " + k})
+			if ref, ok := parseIntentKey(k); ok {
+				j[refSite{cpool, chunkOID, ref}] |= heldIntent
+			} else {
+				rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadIntentKey})
 			}
 		}
-		for _, k := range t.unknown {
-			rep.Issues = append(rep.Issues, ScrubIssue{OID: chunkOID, Detail: "unknown omap key " + k})
+		for range t.unknown {
+			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindUnknownKey})
+		}
+		rep.Intents += len(t.intents)
+		if len(t.refs)+len(t.intents) == 0 {
+			rep.Unreferenced++
 		}
 	}
 	return nil

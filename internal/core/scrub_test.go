@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"dedupstore/internal/qos"
+	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/store"
 )
@@ -103,6 +108,37 @@ func TestDedupScrubRacesDelete(t *testing.T) {
 	})
 }
 
+// TestDedupScrubRacesFlush: a pass beside a drain reads reference tables
+// before the flushes commit and chunk maps after they bind. The bindings it
+// joins against stale tables are re-read before they count, so the pass
+// reports no issue.
+func TestDedupScrubRacesFlush(t *testing.T) {
+	e := newDedupEnv(t, nil)
+	const n = 40
+	e.run(t, func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if err := e.cl.Write(p, fmt.Sprintf("a%02d", i), 0, mkData(byte(i), 4096)); err != nil {
+				t.Error(err)
+			}
+		}
+		e.s.Engine().DrainAndWait(p)
+		// Duplicates of every chunk, dirty: their flushes add references to
+		// chunks the scrub lists.
+		for i := 0; i < n; i++ {
+			if err := e.cl.Write(p, fmt.Sprintf("b%02d", i), 0, mkData(byte(i), 4096)); err != nil {
+				t.Error(err)
+			}
+		}
+		drain := p.Go("drain", func(q *sim.Proc) { e.s.Engine().DrainAndWait(q) })
+		rep, err := e.s.Scrub(p)
+		drain.Wait(p)
+		if err != nil || !rep.Clean() {
+			t.Errorf("scrub racing a drain: err=%v, issues %v", err, rep.Issues)
+		}
+	})
+	e.checkScrub(t)
+}
+
 func TestDedupScrubDetectsChunkBitRot(t *testing.T) {
 	e := newDedupEnv(t, nil)
 	content := bytes.Repeat([]byte{9}, 4096)
@@ -127,14 +163,8 @@ func TestDedupScrubDetectsChunkBitRot(t *testing.T) {
 		if rep.Clean() {
 			t.Fatal("scrub missed chunk bit rot")
 		}
-		found := false
-		for _, is := range rep.Issues {
-			if is.OID == chunkOID {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("wrong issue set: %v", rep.Issues)
+		if want := []ScrubIssue{{OID: chunkOID, Kind: KindBitRot}}; !slices.Equal(rep.Issues, want) {
+			t.Fatalf("issues %v, want %v", rep.Issues, want)
 		}
 	})
 }
@@ -170,12 +200,8 @@ func TestDedupScrubDetectsBitRotAfterCleanPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for _, is := range rep.Issues {
-			found = found || is.OID == chunkOID
-		}
-		if !found {
-			t.Errorf("second pass missed the rot: issues %v", rep.Issues)
+		if want := []ScrubIssue{{OID: chunkOID, Kind: KindBitRot}}; !slices.Equal(rep.Issues, want) {
+			t.Errorf("second pass: issues %v, want %v", rep.Issues, want)
 		}
 		if rep.BytesVerified != first.BytesVerified {
 			t.Errorf("second pass verified %d bytes, first %d", rep.BytesVerified, first.BytesVerified)
@@ -199,10 +225,166 @@ func TestDedupScrubDetectsDanglingChunkRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Clean() {
-			t.Fatal("scrub missed dangling chunk reference")
+		if want := []ScrubIssue{{OID: "obj", Kind: KindMissingChunk}}; !slices.Equal(rep.Issues, want) {
+			t.Fatalf("issues %v, want %v", rep.Issues, want)
 		}
 	})
+}
+
+// TestScrubKinds breaks one invariant per row on a settled store, where "a"
+// and "b" share one flushed chunk, and wants Scrub to report exactly that
+// kind, or exactly that outstanding count, and to leave every object's bytes,
+// xattrs and omap on every OSD as they were.
+func TestScrubKinds(t *testing.T) {
+	data := mkData(0x51, 4096)
+	id := FingerprintID(data)
+	edit := func(t *testing.T, p *sim.Proc, e *env, pool *rados.Pool, oid string, txn *store.Txn) {
+		t.Helper()
+		if err := e.s.hostGW(anyHost(e.s)).Mutate(p, pool, oid, func(rados.View) (*store.Txn, error) { return txn, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refOf := func(e *env, oid string) Ref { return e.s.refAt(oid, 0) }
+	// killFlush writes "k" and flushes it with a crash at point l.
+	killFlush := func(l sim.Label) func(*testing.T, *sim.Proc, *env) {
+		return func(t *testing.T, p *sim.Proc, e *env) {
+			if err := e.cl.Write(p, "k", 0, mkData(0x52, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			e.at(l, func(_ *sim.Proc, oid string) bool { return oid == "k" })
+			defer e.eng.SetPoints(nil)
+			gw, host, err := e.s.metaPrimaryGW("k", qos.Dedup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.s.engine.flushObject(p, gw, host, "k", true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fp := func(cfg *Config) { cfg.FalsePositiveRefs = true }
+	type outcome struct {
+		Issues                             []ScrubIssue
+		Intents, UnboundRefs, Unreferenced int
+	}
+	for _, tc := range []struct {
+		name    string
+		newEnv  func(*testing.T, func(*Config)) *env
+		mutate  func(*Config)
+		breakIt func(*testing.T, *sim.Proc, *env)
+		want    outcome
+	}{
+		{"kill at core.rebind.after_bind", newDedupEnv, nil, killFlush(atAfterBind), outcome{Intents: 1}},
+		{"leftover intent: kill at core.rebind.after_intent", newDedupEnv, nil, killFlush(atAfterIntent), outcome{Intents: 1}},
+		{"hand-written reference", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.chunk, id, store.NewTxn().OmapSet(refOf(e, "ghost").Key(), nil))
+		}, outcome{UnboundRefs: 1}},
+		{"released chunk", newDedupEnv, fp, func(t *testing.T, p *sim.Proc, e *env) {
+			for _, oid := range []string{"a", "b"} {
+				if err := e.cl.Write(p, oid, 0, mkData(0x53, 4096)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.s.Engine().DrainAndWait(p)
+		}, outcome{Unreferenced: 1}},
+		{"deleted chunk", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			for _, osd := range e.c.OSDs() {
+				st, _ := e.c.OSDStore(osd)
+				st.Apply(store.Key{Pool: e.s.chunk.ID, OID: id}, store.NewTxn().Delete())
+			}
+		}, outcome{Issues: []ScrubIssue{{"a", KindMissingChunk}, {"b", KindMissingChunk}}}},
+		{"removed reference", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.chunk, id, store.NewTxn().OmapRm(refOf(e, "a").Key()))
+		}, outcome{Issues: []ScrubIssue{{"a", KindUnrefBinding}}}},
+		{"removed reference, cold-pool binding", newTierEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			coolDown(p)
+			if ps, err := e.s.TierPass(p); err != nil || ps.DemotedChunks != 2 {
+				t.Fatalf("demotion: err %v, %+v", err, ps)
+			}
+			edit(t, p, e, e.s.coldChunk, id, store.NewTxn().OmapRm(refOf(e, "a").Key()))
+		}, outcome{Issues: []ScrubIssue{{"a", KindUnrefBinding}}}},
+		{"bit rot", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			for _, osd := range actingOSDs(e, e.s.chunk, id) {
+				if err := e.c.CorruptForTest(osd, store.Key{Pool: e.s.chunk.ID, OID: id}, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, outcome{Issues: []ScrubIssue{{id, KindBitRot}}}},
+		{"unparseable reference key", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.chunk, id, store.NewTxn().OmapSet("ref.garbage", nil))
+		}, outcome{Issues: []ScrubIssue{{id, KindBadRefKey}}}},
+		{"unparseable intent key", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.chunk, id, store.NewTxn().OmapSet("int.garbage", nil))
+		}, outcome{Issues: []ScrubIssue{{id, KindBadIntentKey}}, Intents: 1}},
+		{"unknown key", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.chunk, id, store.NewTxn().OmapSet("bogus", nil))
+		}, outcome{Issues: []ScrubIssue{{id, KindUnknownKey}}}},
+		{"corrupt map", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.meta, "a", store.NewTxn().SetXattr(XattrChunkMap, []byte{0xff}))
+		}, outcome{Issues: []ScrubIssue{{"a", KindCorruptMap}}, UnboundRefs: 1}},
+		{"missing map", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			edit(t, p, e, e.s.meta, "bare", store.NewTxn().Create())
+		}, outcome{Issues: []ScrubIssue{{"bare", KindMissingMap}}}},
+		{"lost slot", newDedupEnv, nil, func(t *testing.T, p *sim.Proc, e *env) {
+			cm := &ChunkMap{Entries: []Entry{{Start: 0, End: 4096}}}
+			edit(t, p, e, e.s.meta, "lost", store.NewTxn().Create().SetXattr(XattrChunkMap, cm.Marshal()))
+		}, outcome{Issues: []ScrubIssue{{"lost", KindLostSlot}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.newEnv(t, tc.mutate)
+			e.run(t, func(p *sim.Proc) {
+				for _, oid := range []string{"a", "b"} {
+					if err := e.cl.Write(p, oid, 0, data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.s.Engine().DrainAndWait(p)
+				tc.breakIt(t, p, e)
+				before := storeDigest(t, e.c)
+				rep, err := e.s.Scrub(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := outcome{rep.Issues, rep.Intents, rep.UnboundRefs, rep.Unreferenced}
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Errorf("scrub reports %+v, want %+v", got, tc.want)
+				}
+				if storeDigest(t, e.c) != before {
+					t.Error("the scrub changed an object")
+				}
+			})
+		})
+	}
+}
+
+// storeDigest hashes every object on every OSD: its key, version, bytes,
+// xattrs and omap.
+func storeDigest(t *testing.T, c *rados.Cluster) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	kv := func(m map[string][]byte) {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%q=%x;", k, m[k])
+		}
+	}
+	for _, osd := range c.OSDs() {
+		st, _ := c.OSDStore(osd)
+		for _, k := range st.Keys() {
+			obj, err := st.Snapshot(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%d/%v@%d:%x|", osd, k, obj.Version, obj.Data)
+			kv(obj.Xattr)
+			kv(obj.Omap)
+		}
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // TestEvictColdOnceCooled: a pass skips a hot cached object, a pass after it

@@ -31,7 +31,7 @@ func TestSnapshotSharesChunks(t *testing.T) {
 			t.Fatalf("snapshot read: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestSnapshotDivergesOnWrite(t *testing.T) {
@@ -65,7 +65,7 @@ func TestSnapshotDivergesOnWrite(t *testing.T) {
 			t.Fatalf("source wrong after write: %v", err)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }
 
 func TestSnapshotDeleteOrderIndependent(t *testing.T) {
@@ -141,5 +141,5 @@ func TestManySnapshotsRefcount(t *testing.T) {
 			t.Fatalf("%d committed references, want 6", n)
 		}
 	})
-	e.checkIntegrity(t)
+	e.checkScrub(t)
 }

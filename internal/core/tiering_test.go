@@ -58,9 +58,7 @@ func entries(t *testing.T, p *sim.Proc, e *env, oid string) []Entry {
 // scrub across both chunk pools.
 func checkClean(t *testing.T, p *sim.Proc, e *env) {
 	t.Helper()
-	if rep, err := e.s.Scrub(p); err != nil || !rep.Clean() {
-		t.Fatalf("scrub: err=%v issues=%v", err, rep.Issues)
-	}
+	scrubClean(t, p, e)
 	if st, err := e.s.Audit(p); err != nil || !st.Clean() {
 		t.Fatalf("audit not clean: err=%v %+v", err, st)
 	}

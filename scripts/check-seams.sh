@@ -42,6 +42,10 @@
 # (sim.Proc.Point), one mechanism a seed can drive (DESIGN.md §9).
 # And fails if a non-test file calls SetPoints(: only tests register a
 # point handler, so the product's runs, and their sim digests, never see one.
+# And fails if partitionRefKeys( appears outside internal/core/refcount.go and
+# scrub.go, test files included: a reader of a chunk's reference table goes
+# through chunkRefs, and the one check that joins the tables with the bindings
+# is Store.Scrub (DESIGN.md §5), so no second one grows in a test helper.
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -83,6 +87,10 @@ if grep -inE '^[[:space:]]*(type[[:space:]]+[[:alnum:]_]*hook[[:alnum:]_]*[[:spa
 fi
 if grep -rn --include='*.go' 'SetPoints(' . | grep -vE '^\./\.bench_build/|^[^:]*_test\.go:|^[^:]*:[0-9]+:[[:space:]]*//|^\./internal/sim/point\.go:[0-9]+:func \(e \*Engine\) SetPoints\(' >&2; then
 	echo "check-seams: the lines above register a named-point handler outside a test; only tests may, so product runs never reach one" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'partitionRefKeys(' . | grep -vE '^\./(\.bench_build/|internal/core/(refcount|scrub)\.go:)' >&2; then
+	echo "check-seams: the lines above classify a reference table outside refcount.go and scrub.go; read it through chunkRefs, or check it with Store.Scrub" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
