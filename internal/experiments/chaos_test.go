@@ -2,34 +2,39 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
+// chaos811 is the first simulation of seed 811, shared by
+// TestChaosInvariants and TestChaosDeterministic so the package simulates
+// chaos three times (811 twice, 1907 once) rather than four. Either test
+// computes it when run alone.
+var chaos811 = sync.OnceValue(func() []ChaosResult { return ChaosSeeded(tinyScale, 811) })
+
+// chaosCanonical renders chaos results as the experiment's canonical JSON.
+func chaosCanonical(t *testing.T, rs []ChaosResult) string {
+	t.Helper()
+	j, err := Result{Name: "chaos", Tables: ChaosTables(rs)}.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(j)
+}
+
 // TestChaosInvariants: under crashes mid-load — including the high-rate
 // kill-during-flush and kill-during-GC bursts — no foreground op may fail,
 // no data may be lost, and the dedup invariants must hold afterwards. Two
-// seeds, per the crash-consistency acceptance bar. And the whole experiment
-// — fault firing, detection, degraded ops, recovery, final metrics — replays
-// bit-for-bit from a seed: seed 811 runs a second time and its canonical
-// JSON must equal the first run's.
+// seeds, per the crash-consistency acceptance bar.
 func TestChaosInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	canonical := func(rs []ChaosResult) string {
-		j, err := Result{Name: "chaos", Tables: ChaosTables(rs)}.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
 	for _, seed := range []int64{811, 1907} {
-		rs := ChaosSeeded(tinyScale, seed)
-		if seed == 811 {
-			if a, b := canonical(rs), canonical(ChaosSeeded(tinyScale, seed)); a != b {
-				t.Errorf("chaos diverged between identical runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
-			}
+		rs := chaos811()
+		if seed != 811 {
+			rs = ChaosSeeded(tinyScale, seed)
 		}
 		for _, r := range rs {
 			name := r.Scenario
@@ -75,5 +80,17 @@ func TestChaosInvariants(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChaosDeterministic: the whole experiment — fault firing, detection,
+// degraded ops, recovery, final metrics — replays bit-for-bit from a seed:
+// a fresh run of seed 811 must equal the shared first run's canonical JSON.
+func TestChaosDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test")
+	}
+	if a, b := chaosCanonical(t, chaos811()), chaosCanonical(t, ChaosSeeded(tinyScale, 811)); a != b {
+		t.Errorf("chaos diverged between identical runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
 }
