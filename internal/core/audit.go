@@ -84,50 +84,52 @@ func (s *Store) Audit(p *sim.Proc) (AuditStats, error) {
 	sp := s.cluster.Trace().StartLabel(p, spanAudit).SetClass(qos.Scrub.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
-	for _, oid := range s.cluster.ListObjects(s.meta) {
-		if IsSystemObject(oid) {
+	err := s.eachObject(func(oid string) error { return s.auditObject(p, gw, oid, &stats) })
+	return stats, err
+}
+
+// auditObject reconciles every clean binding of metadata object oid with its
+// chunk's reference table.
+func (s *Store) auditObject(p *sim.Proc, gw *rados.Gateway, oid string, stats *AuditStats) error {
+	stats.MetadataObjects++
+	cm, err := s.readChunkMap(p, gw, oid)
+	if rados.IsUnavailable(err) {
+		return err
+	}
+	if err != nil {
+		// Deleted concurrently or no map yet; corrupt maps are scrub's to
+		// report. Nothing to reconcile here either way.
+		return nil
+	}
+	for _, e := range cm.Entries {
+		if e.ChunkID == "" || e.Dirty {
+			// Dirty slots are in flux — the next flush cycle re-binds
+			// them; auditing mid-flight would race the engine.
 			continue
 		}
-		stats.MetadataObjects++
-		cm, err := s.readChunkMap(p, gw, oid)
-		if rados.IsUnavailable(err) {
-			return stats, err
+		stats.BindingsChecked++
+		ref := s.refAt(oid, e.Start)
+		var promoted, repaired bool
+		err := retryUnavailable(p, func() error {
+			return gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, auditBindingFn(ref, &promoted, &repaired))
+		})
+		if errors.Is(err, ErrNotFound) {
+			if !e.Cached {
+				// The data exists nowhere: binding names a chunk that is
+				// gone and the metadata object holds no cached copy.
+				stats.LostChunks++
+			}
+			continue
 		}
 		if err != nil {
-			// Deleted concurrently or no map yet; corrupt maps are scrub's to
-			// report. Nothing to reconcile here either way.
-			continue
+			return err
 		}
-		for _, e := range cm.Entries {
-			if e.ChunkID == "" || e.Dirty {
-				// Dirty slots are in flux — the next flush cycle re-binds
-				// them; auditing mid-flight would race the engine.
-				continue
-			}
-			stats.BindingsChecked++
-			ref := s.refAt(oid, e.Start)
-			var promoted, repaired bool
-			err := retryUnavailable(p, func() error {
-				return gw.Mutate(p, s.chunkPoolFor(e.Cold), e.ChunkID, auditBindingFn(ref, &promoted, &repaired))
-			})
-			if errors.Is(err, ErrNotFound) {
-				if !e.Cached {
-					// The data exists nowhere: binding names a chunk that is
-					// gone and the metadata object holds no cached copy.
-					stats.LostChunks++
-				}
-				continue
-			}
-			if err != nil {
-				return stats, err
-			}
-			switch {
-			case promoted:
-				stats.IntentsPromoted++
-			case repaired:
-				stats.RefsRepaired++
-			}
+		switch {
+		case promoted:
+			stats.IntentsPromoted++
+		case repaired:
+			stats.RefsRepaired++
 		}
 	}
-	return stats, nil
+	return nil
 }

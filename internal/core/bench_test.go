@@ -190,7 +190,10 @@ func BenchmarkScrubChunkPool(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var rep ScrubReport
-			if err := s.scrubChunkPool(p, gw, s.chunk, map[refSite]uint8{}, &rep); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {
+			j := map[refSite]uint8{}
+			if err := s.eachChunk(func(cpool *rados.Pool, id string) error {
+				return s.scrubChunk(p, gw, cpool, id, j, &rep)
+			}); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {
 				b.Fatalf("scrub: err %v, report %+v", err, rep)
 			}
 		}

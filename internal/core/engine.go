@@ -33,8 +33,7 @@ type EngineStats struct {
 // weight from the foreground load. An explicit drain (DrainAndWait) stops the
 // workers and flushes unpaced, one agent per OSD over the PGs it leads.
 type Engine struct {
-	s     *Store
-	stats EngineStats
+	s *Store
 
 	workers []sim.Loop // one per DedupThreads; DrainAndWait stops them
 
@@ -46,9 +45,10 @@ type Engine struct {
 	rate     sim.Loop
 	rateBase int64 // dedup-class weight to restore when unthrottled
 
-	// Stats' SkippedHot and RateAdjusts, resolved at their first count: a
+	// The dedup_* counters Stats reads, each resolved at its first count: a
 	// lookup creates the registry entry, which a run that never counts lacks.
-	skippedHot, rateAdjusts *metrics.Counter
+	objectsScanned, chunksFlushed, bytesFlushed, bytesShipped, dupChunks *metrics.Counter
+	noopFlushes, skippedHot, requeued, rateAdjusts                       *metrics.Counter
 }
 
 func newEngine(s *Store) *Engine {
@@ -62,19 +62,29 @@ func newEngine(s *Store) *Engine {
 	return e
 }
 
-// Stats returns a copy of the engine counters.
+// Stats returns the engine counters, read from the registry. The store is
+// its cluster's only one (Open refuses an existing metadata pool), so the
+// registry's dedup_* counters are this engine's.
 func (e *Engine) Stats() EngineStats {
-	st := e.stats
-	st.SkippedHot, st.RateAdjusts = e.skippedHot.Value(), e.rateAdjusts.Value()
-	return st
+	return EngineStats{
+		ObjectsScanned: e.objectsScanned.Value(),
+		ChunksFlushed:  e.chunksFlushed.Value(),
+		BytesFlushed:   e.bytesFlushed.Value(),
+		BytesShipped:   e.bytesShipped.Value(),
+		DupChunks:      e.dupChunks.Value(),
+		NoopFlushes:    e.noopFlushes.Value(),
+		SkippedHot:     e.skippedHot.Value(),
+		Requeued:       e.requeued.Value(),
+		RateAdjusts:    e.rateAdjusts.Value(),
+	}
 }
 
-// count adds one to *c, resolving it as name at its first count.
-func (e *Engine) count(c **metrics.Counter, name string) {
+// add adds n to *c, resolving it as name at its first count.
+func (e *Engine) add(c **metrics.Counter, name string, n int64) {
 	if *c == nil {
 		*c = e.reg().Counter(name)
 	}
-	(*c).Inc()
+	(*c).Add(n)
 }
 
 // reg returns the cluster-wide metric registry; engine counters mirror into
@@ -135,7 +145,7 @@ func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 	s := e.s
 	queues := make([][]string, len(osds)) // each set once its agent has listed
 	listing, lister := len(osds), sim.NewCond()
-	fanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
+	sim.FanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
 		var own []string
 		for seq := uint32(0); seq < s.meta.PGNum; seq++ {
 			id, primaryHost, err := s.cluster.PGPrimary(s.meta, seq)
@@ -227,7 +237,7 @@ func (e *Engine) nextDirty(p *sim.Proc) (string, bool) {
 			// Hot objects stay on the dirty list for a later cycle (§3.2); a
 			// drain's agents force-flush everything.
 			if s.cache.SkipFlush(p.Now(), oid) {
-				e.count(&e.skippedHot, "dedup_skipped_hot_total")
+				e.add(&e.skippedHot, "dedup_skipped_hot_total", 1)
 				continue
 			}
 			return oid, true
@@ -274,8 +284,7 @@ var (
 // bypasses rate control, which is decided here, once, for every flush path.
 func (e *Engine) flushObject(p *sim.Proc, gw *rados.Gateway, hostName, oid string, force bool) error {
 	s := e.s
-	e.stats.ObjectsScanned++
-	e.reg().Counter("dedup_objects_scanned_total").Inc()
+	e.add(&e.objectsScanned, "dedup_objects_scanned_total", 1)
 	sp := s.cluster.Trace().StartLabel(p, spanFlush).SetOp(s.meta.Label(), 0, 0)
 	defer sp.Finish(p)
 
@@ -350,7 +359,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		}
 	}()
 	prepared := 0
-	fanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+	sim.FanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		if paced {
 			e.pace(q)
 		}
@@ -418,8 +427,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		},
 	})
 	if bound {
-		e.stats.NoopFlushes += noops
-		e.reg().Counter("dedup_noop_flushes_total").Add(noops)
+		e.add(&e.noopFlushes, "dedup_noop_flushes_total", noops)
 		e.noteFlushed(puts)
 	}
 	return err != nil || took < len(slots)
@@ -427,8 +435,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 
 // requeueDirty puts a claimed object back on its PG's dirty list.
 func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error {
-	e.stats.Requeued++
-	e.reg().Counter("dedup_requeued_total").Inc()
+	e.add(&e.requeued, "dedup_requeued_total", 1)
 	return e.s.setDirty(p, gw, oid, true)
 }
 
@@ -449,14 +456,10 @@ func (e *Engine) noteFlushed(puts []chunkPut) {
 			}
 		}
 	}
-	e.stats.ChunksFlushed += chunks
-	e.stats.BytesFlushed += bytes
-	e.stats.BytesShipped += shipped
-	e.stats.DupChunks += dups
-	e.reg().Counter("dedup_chunks_flushed_total").Add(chunks)
-	e.reg().Counter("dedup_bytes_flushed_total").Add(bytes)
-	e.reg().Counter("dedup_chunk_bytes_shipped_total").Add(shipped)
-	e.reg().Counter("dedup_dup_chunks_total").Add(dups)
+	e.add(&e.chunksFlushed, "dedup_chunks_flushed_total", chunks)
+	e.add(&e.bytesFlushed, "dedup_bytes_flushed_total", bytes)
+	e.add(&e.bytesShipped, "dedup_chunk_bytes_shipped_total", shipped)
+	e.add(&e.dupChunks, "dedup_dup_chunks_total", dups)
 }
 
 // EvictStats reports one cold-eviction pass.
@@ -476,21 +479,19 @@ func (e *Engine) EvictCold(p *sim.Proc) EvictStats {
 	s := e.s
 	var stats EvictStats
 	gw := s.hostGW(anyHost(s))
-	for _, oid := range s.cluster.ListObjects(s.meta) {
-		if IsSystemObject(oid) {
-			continue
-		}
+	_ = s.eachObject(func(oid string) error {
 		stats.ObjectsScanned++
 		if s.cache.Hot(p.Now(), oid) {
 			stats.SkippedHot++
-			continue
+			return nil
 		}
 		// Best-effort: an object this pass cannot reach (or that a delete
 		// raced) is left for the next pass, so the error is dropped.
 		chunks, bytes, _ := s.evictCached(p, gw, oid)
 		stats.ChunksEvicted += chunks
 		stats.BytesEvicted += bytes
-	}
+		return nil
+	})
 	reg := e.reg()
 	reg.Counter("cache_agent_passes_total").Inc()
 	reg.Counter("cache_agent_chunks_evicted_total").Add(stats.ChunksEvicted)

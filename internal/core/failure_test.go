@@ -396,19 +396,15 @@ func TestSnapshotFailedCloneLeavesNoRefs(t *testing.T) {
 		}
 	}
 	// claimed reads the OSD stores directly (no simulated time passes): does
-	// any copy of the chunk record a reference or an intent from dst?
+	// any copy of the chunk record a reference or an intent from dst's one
+	// slot?
 	claimed := func() bool {
+		ref := e.s.refAt(dst, 0)
 		for _, osd := range e.c.OSDs() {
 			st, _ := e.c.OSDStore(osd)
 			keys, _ := st.OmapList(store.Key{Pool: e.s.chunk.ID, OID: id}, 0)
-			for _, k := range keys {
-				r, ok := parseRefKey(k)
-				if !ok {
-					r, ok = parseIntentKey(k)
-				}
-				if ok && r.OID == dst {
-					return true
-				}
+			if slices.Contains(keys, ref.Key()) || slices.Contains(keys, ref.IntentKey()) {
+				return true
 			}
 		}
 		return false

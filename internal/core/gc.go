@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"dedupstore/internal/qos"
 	"dedupstore/internal/rados"
@@ -45,8 +44,8 @@ type GCStats struct {
 type chunkSnapshot struct {
 	exists  bool
 	version uint64 // the chunk object's version (rados.View.Version)
-	refs    []string
-	intents map[string]sim.Time // intent key → lease expiry (0 if garbled)
+	refTable
+	expiry []sim.Time // each intent's lease expiry (0 if garbled)
 }
 
 // snapshotChunk reads a chunk's reference state atomically under its PG
@@ -59,18 +58,15 @@ func snapshotChunk(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string,
 				return nil, nil
 			}
 			snap.exists, snap.version = true, v.Version()
-			t, err := chunkRefs(v)
-			if err != nil {
+			var err error
+			if snap.refTable, err = chunkRefs(v); err != nil {
 				return nil, err
 			}
-			snap.refs = t.refs
-			snap.intents = make(map[string]sim.Time, len(t.intents))
-			for _, k := range t.intents {
-				var exp sim.Time
-				if raw, err := v.OmapGet(k); err == nil {
-					exp, _ = decodeExpiry(raw)
+			snap.expiry = make([]sim.Time, len(snap.intents))
+			for i, r := range snap.intents {
+				if raw, err := v.OmapGet(r.key); err == nil {
+					snap.expiry[i], _ = decodeExpiry(raw)
 				}
-				snap.intents[k] = exp
 			}
 			return nil, nil
 		})
@@ -90,17 +86,6 @@ type gcDecision struct {
 func (d *gcDecision) empty() bool {
 	return len(d.staleRefs) == 0 && len(d.badKeys) == 0 &&
 		len(d.promote) == 0 && len(d.abort) == 0
-}
-
-// sortedKeys returns the map's keys in sorted order — intent handling must
-// not depend on Go's randomized map iteration (determinism gate).
-func sortedKeys(m map[string]sim.Time) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // GC runs one mark-and-sweep pass over the chunk pool. It is safe to run
@@ -124,169 +109,141 @@ func (s *Store) GC(p *sim.Proc) (GCStats, error) {
 	sp := s.cluster.Trace().StartLabel(p, spanGC).SetClass(qos.GC.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.GC)
-	for _, cpool := range s.chunkPools() {
-		if err := s.gcPool(p, gw, cpool, &stats); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	err := s.eachChunk(func(cpool *rados.Pool, chunkOID string) error {
+		return s.gcChunk(p, gw, cpool, chunkOID, &stats)
+	})
+	return stats, err
 }
 
-// gcPool runs the mark-and-sweep over one chunk pool. With tiering on, the
-// same fingerprint may exist in both the warm and the cold pool while
-// objects migrate; liveness is therefore judged per (chunk, pool) — a
-// binding keeps a chunk alive only in the pool its Cold bit selects.
-func (s *Store) gcPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, stats *GCStats) error {
-	for _, chunkOID := range s.cluster.ListObjects(cpool) {
-		stats.ChunksScanned++
+// gcChunk runs the mark-and-sweep on one chunk object of cpool. With tiering
+// on, the same fingerprint may exist in both the warm and the cold pool while
+// objects migrate; liveness is therefore judged per (chunk, pool) — a binding
+// keeps a chunk alive only in the pool its Cold bit selects.
+func (s *Store) gcChunk(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, chunkOID string, stats *GCStats) error {
+	stats.ChunksScanned++
 
-		// Mark: snapshot the reference state under the PG lock, then verify
-		// each reference/intent against the (other-pool) chunk maps outside
-		// the lock.
-		var snap chunkSnapshot
-		if err := snapshotChunk(p, gw, cpool, chunkOID, &snap); err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue
-			}
-			return err
+	// Mark: snapshot the reference state under the PG lock, then verify each
+	// reference/intent against the (other-pool) chunk maps outside the lock.
+	var snap chunkSnapshot
+	if err := snapshotChunk(p, gw, cpool, chunkOID, &snap); err != nil {
+		if errors.Is(err, ErrNotFound) {
+			return nil
 		}
-		if !snap.exists {
+		return err
+	}
+	if !snap.exists {
+		return nil
+	}
+	dec := gcDecision{badKeys: snap.bad}
+	for _, r := range snap.refs {
+		stats.RefsChecked++
+		// An unreachable source counts as live: never reclaim blind.
+		if live, reachable := s.refLiveness(p, gw, r.ref, cpool, chunkOID); live || !reachable {
+			dec.liveRefs++
+		} else {
+			dec.staleRefs = append(dec.staleRefs, r.key)
+		}
+	}
+	for i, r := range snap.intents {
+		if snap.expiry[i] > p.Now() {
+			dec.keepintent++ // lease still running: the flush owns it
 			continue
 		}
-		var dec gcDecision
-		for _, key := range snap.refs {
-			ref, ok := parseRefKey(key)
-			if !ok {
-				dec.badKeys = append(dec.badKeys, key)
-				continue
-			}
-			stats.RefsChecked++
-			if s.refIsLive(p, gw, ref, cpool, chunkOID) {
-				dec.liveRefs++
-			} else {
-				dec.staleRefs = append(dec.staleRefs, key)
-			}
+		live, reachable := s.refLiveness(p, gw, r.ref, cpool, chunkOID)
+		switch {
+		case !reachable:
+			dec.keepintent++ // verify next pass, never reconcile blind
+		case live:
+			dec.promote = append(dec.promote, r.key)
+		default:
+			dec.abort = append(dec.abort, r.key)
 		}
-		for _, key := range sortedKeys(snap.intents) {
-			ref, ok := parseIntentKey(key)
-			if !ok {
-				dec.badKeys = append(dec.badKeys, key)
-				continue
-			}
-			if snap.intents[key] > p.Now() {
-				dec.keepintent++ // lease still running: the flush owns it
-				continue
-			}
-			live, reachable := s.refLiveness(p, gw, ref, cpool, chunkOID)
-			switch {
-			case !reachable:
-				dec.keepintent++ // verify next pass, never reconcile blind
-			case live:
-				dec.promote = append(dec.promote, key)
-			default:
-				dec.abort = append(dec.abort, key)
-			}
-		}
-		canDelete := dec.liveRefs == 0 && dec.keepintent == 0 && len(dec.promote) == 0
-		if dec.empty() && !canDelete {
-			continue
-		}
+	}
+	canDelete := dec.liveRefs == 0 && dec.keepintent == 0 && len(dec.promote) == 0
+	if dec.empty() && !canDelete {
+		return nil
+	}
 
-		if p.Point(atBeforeSweep, chunkOID) {
-			return errCrash
-		}
+	if p.Point(atBeforeSweep, chunkOID) {
+		return errCrash
+	}
 
-		// Sweep: replay the decision under the PG lock, but only if no
-		// mutation raced the verification (version compare).
-		raced := false
-		deleted := false
-		var reclaimed int64
-		err := retryUnavailable(p, func() error {
-			raced, deleted, reclaimed = false, false, 0
-			return gw.Mutate(p, cpool, chunkOID, func(v rados.View) (*store.Txn, error) {
-				if !v.Exists() {
-					return nil, nil
+	// Sweep: replay the decision under the PG lock, but only if no mutation
+	// raced the verification (version compare).
+	raced := false
+	deleted := false
+	var reclaimed int64
+	err := retryUnavailable(p, func() error {
+		raced, deleted, reclaimed = false, false, 0
+		return gw.Mutate(p, cpool, chunkOID, func(v rados.View) (*store.Txn, error) {
+			if !v.Exists() {
+				return nil, nil
+			}
+			if v.Version() != snap.version {
+				raced = true
+				return nil, nil
+			}
+			drop := make(map[string]bool, len(dec.staleRefs)+len(dec.abort))
+			for _, k := range dec.staleRefs {
+				drop[k] = true
+			}
+			for _, k := range dec.abort {
+				drop[k] = true
+			}
+			promote := make(map[string]bool, len(dec.promote))
+			for _, k := range dec.promote {
+				promote[k] = true
+			}
+			// The version proves the table is the one the mark read. Intents
+			// first: that is the table's sorted order ("int." < "ref.").
+			txn := store.NewTxn()
+			for _, k := range dec.badKeys {
+				txn.OmapRm(k)
+			}
+			remainRefs, remainIntents := 0, 0
+			for _, r := range snap.intents {
+				switch {
+				case drop[r.key]:
+					txn.OmapRm(r.key)
+				case promote[r.key]:
+					txn.OmapRm(r.key).OmapSet(r.ref.Key(), nil)
+					remainRefs++
+				default:
+					remainIntents++
 				}
-				if v.Version() != snap.version {
-					raced = true
-					return nil, nil
+			}
+			for _, r := range snap.refs {
+				if drop[r.key] {
+					txn.OmapRm(r.key)
+				} else {
+					remainRefs++
 				}
-				drop := make(map[string]bool, len(dec.staleRefs)+len(dec.badKeys)+len(dec.abort))
-				for _, k := range dec.staleRefs {
-					drop[k] = true
-				}
-				for _, k := range dec.badKeys {
-					drop[k] = true
-				}
-				for _, k := range dec.abort {
-					drop[k] = true
-				}
-				promote := make(map[string]bool, len(dec.promote))
-				for _, k := range dec.promote {
-					promote[k] = true
-				}
-				txn := store.NewTxn()
-				t, err := chunkRefs(v)
-				if err != nil {
-					return nil, err
-				}
-				// Intents first: that is the table's sorted order ("int." < "ref.").
-				remainRefs, remainIntents := 0, 0
-				for _, k := range t.intents {
-					switch {
-					case drop[k]:
-						txn.OmapRm(k)
-					case promote[k]:
-						txn.OmapRm(k)
-						if ref, ok := parseIntentKey(k); ok {
-							txn.OmapSet(ref.Key(), nil)
-							remainRefs++
-						}
-					default:
-						remainIntents++
-					}
-				}
-				for _, k := range t.refs {
-					if drop[k] {
-						txn.OmapRm(k)
-					} else {
-						remainRefs++
-					}
-				}
-				if remainRefs == 0 && remainIntents == 0 {
-					deleted = true
-					reclaimed = v.Size()
-					return store.NewTxn().Delete(), nil
-				}
-				return txn, nil
-			})
+			}
+			if remainRefs == 0 && remainIntents == 0 {
+				deleted = true
+				reclaimed = v.Size()
+				return store.NewTxn().Delete(), nil
+			}
+			return txn, nil
 		})
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-		if raced {
-			stats.RacedSkips++
-			continue
-		}
-		stats.StaleRefs += int64(len(dec.staleRefs))
-		stats.BadRefKeys += int64(len(dec.badKeys))
-		stats.IntentsPromoted += int64(len(dec.promote))
-		stats.IntentsAborted += int64(len(dec.abort))
-		if deleted {
-			s.names.forget(chunkOID)
-			stats.ChunksDeleted++
-			stats.BytesReclaimed += reclaimed
-		}
+	})
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return err
+	}
+	if raced {
+		stats.RacedSkips++
+		return nil
+	}
+	stats.StaleRefs += int64(len(dec.staleRefs))
+	stats.BadRefKeys += int64(len(dec.badKeys))
+	stats.IntentsPromoted += int64(len(dec.promote))
+	stats.IntentsAborted += int64(len(dec.abort))
+	if deleted {
+		s.names.forget(chunkOID)
+		stats.ChunksDeleted++
+		stats.BytesReclaimed += reclaimed
 	}
 	return nil
-}
-
-// refIsLive verifies a back reference: the source metadata object's chunk
-// map must still bind that offset to this chunk in this pool. Unreachable
-// sources count as live (conservative).
-func (s *Store) refIsLive(p *sim.Proc, gw *rados.Gateway, ref Ref, cpool *rados.Pool, chunkOID string) bool {
-	live, reachable := s.refLiveness(p, gw, ref, cpool, chunkOID)
-	return live || !reachable
 }
 
 // refLiveness checks whether the source chunk map binds ref.Offset to this

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +81,59 @@ func TestNoopFlushAccounting(t *testing.T) {
 	}
 	if reg := e.c.Metrics(); reg.Counter("dedup_noop_flushes_total").Value() != st.NoopFlushes {
 		t.Error("registry noop counter disagrees with engine stats")
+	}
+	e.checkScrub(t)
+}
+
+// TestEngineStatsReadRegistry: Stats is the registry's dedup_* counters, so
+// after a drain with a requeue, a no-op flush and a duplicate the two agree
+// field for field. Each counter is resolved at its first count, so a store
+// that never flushed dumps none of them.
+func TestEngineStatsReadRegistry(t *testing.T) {
+	names := [...]string{"dedup_objects_scanned_total", "dedup_chunks_flushed_total", "dedup_bytes_flushed_total",
+		"dedup_chunk_bytes_shipped_total", "dedup_dup_chunks_total", "dedup_noop_flushes_total", "dedup_requeued_total"}
+	e := newDedupEnv(t, nil)
+	data := randData(1, 2*4096)
+	write := func(p *sim.Proc, oid string) {
+		if err := e.cl.Write(p, oid, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.run(t, func(p *sim.Proc) { write(p, "a") })
+	dump := e.c.DumpMetrics()
+	for _, n := range names {
+		if strings.Contains(dump, "# TYPE "+n+" ") {
+			t.Errorf("%s dumped by a store that never flushed", n)
+		}
+	}
+	e.drain(t)
+	e.run(t, func(p *sim.Proc) {
+		// "a" rewritten with its own bytes is a no-op flush; "b" holds the
+		// same bytes, and its first flush ends after the intents and is
+		// requeued.
+		write(p, "a")
+		write(p, "b")
+		e.at(atAfterIntent, func(_ *sim.Proc, oid string) bool {
+			return oid == "b" && e.s.Engine().Stats().Requeued == 0
+		})
+		e.s.Engine().DrainAndWait(p)
+		e.eng.SetPoints(nil)
+	})
+	st := e.s.Engine().Stats()
+	reg := e.c.Metrics()
+	want := EngineStats{
+		ObjectsScanned: reg.Counter(names[0]).Value(),
+		ChunksFlushed:  reg.Counter(names[1]).Value(),
+		BytesFlushed:   reg.Counter(names[2]).Value(),
+		BytesShipped:   reg.Counter(names[3]).Value(),
+		DupChunks:      reg.Counter(names[4]).Value(),
+		NoopFlushes:    reg.Counter(names[5]).Value(),
+		Requeued:       reg.Counter(names[6]).Value(),
+		SkippedHot:     reg.Counter("dedup_skipped_hot_total").Value(),
+		RateAdjusts:    reg.Counter("dedup_rate_adjusts_total").Value(),
+	}
+	if st != want || st.Requeued != 1 || st.NoopFlushes != 2 || st.DupChunks == 0 {
+		t.Errorf("Stats() = %+v, registry %+v; want them equal with one requeue, two no-op slots and a duplicate", st, want)
 	}
 	e.checkScrub(t)
 }

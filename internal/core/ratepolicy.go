@@ -86,7 +86,7 @@ func (e *Engine) rateTick() {
 		changed = true
 	}
 	if changed {
-		e.count(&e.rateAdjusts, "dedup_rate_adjusts_total")
+		e.add(&e.rateAdjusts, "dedup_rate_adjusts_total", 1)
 	}
 }
 

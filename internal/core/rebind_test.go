@@ -303,9 +303,7 @@ func zeroPutCallerRows(t *testing.T) {
 func poolIntents(t *testing.T, p *sim.Proc, e *env) (expiries []sim.Time) {
 	t.Helper()
 	for _, id := range e.c.ListObjects(e.s.chunk) {
-		for _, exp := range chunkState(t, p, e, e.s.chunk, id).intents {
-			expiries = append(expiries, exp)
-		}
+		expiries = append(expiries, chunkState(t, p, e, e.s.chunk, id).expiry...)
 	}
 	return expiries
 }

@@ -155,24 +155,45 @@ func decodeExpiry(b []byte) (sim.Time, bool) {
 	return sim.Time(binary.LittleEndian.Uint64(b)), true
 }
 
+// refKey is a reference or intent key and the Ref it parses back to.
+type refKey struct {
+	key string
+	ref Ref
+}
+
 // refTable is a chunk object's omap partitioned by key kind, each part in the
-// sorted order OmapList returns. Every reader of a chunk's reference table —
-// release, abort, the GC mark and sweep, the audit and scrub — classifies its
-// keys here.
+// sorted order OmapList returns, with every reference and intent key parsed.
+// Every reader of a chunk's reference table — release, abort, the GC mark and
+// sweep, the scrub — classifies and parses its keys here, and nowhere else.
 type refTable struct {
-	refs    []string // committed references
-	intents []string // phase-1 intents
+	refs    []refKey // committed references
+	intents []refKey // phase-1 intents
+	bad     []string // "ref." and "int." keys that do not parse: no flush writes one
 	unknown []string // neither: nothing writes these
 }
 
 func partitionRefKeys(keys []string) (t refTable) {
+	nIntents, nRefs := 0, 0
 	for _, k := range keys {
 		switch {
 		case isRefKey(k):
-			t.refs = append(t.refs, k)
+			nRefs++
 		case isIntentKey(k):
-			t.intents = append(t.intents, k)
-		default:
+			nIntents++
+		}
+	}
+	// One array, sized once, holds both parts: GC and the scrub partition
+	// every chunk's table on every pass.
+	parsed := make([]refKey, nIntents+nRefs)
+	t.intents, t.refs = parsed[:0:nIntents], parsed[nIntents:nIntents]
+	for _, k := range keys {
+		if ref, ok := parseRefKey(k); ok {
+			t.refs = append(t.refs, refKey{k, ref})
+		} else if ref, ok := parseIntentKey(k); ok {
+			t.intents = append(t.intents, refKey{k, ref})
+		} else if isRefKey(k) || isIntentKey(k) {
+			t.bad = append(t.bad, k)
+		} else {
 			t.unknown = append(t.unknown, k)
 		}
 	}
@@ -182,6 +203,13 @@ func partitionRefKeys(keys []string) (t refTable) {
 // chunkRefs lists and partitions the reference table of the chunk under v.
 func chunkRefs(v rados.View) (refTable, error) {
 	keys, err := v.OmapList(0)
+	return partitionRefKeys(keys), err
+}
+
+// listChunkRefs is chunkRefs through gw, outside the chunk's PG lock,
+// retried through transient unavailability.
+func listChunkRefs(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, id string) (refTable, error) {
+	keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, pool, id, 0) })
 	return partitionRefKeys(keys), err
 }
 
@@ -300,7 +328,7 @@ func abortIntentFn(ref Ref, strict bool) rados.MutateFn {
 			if err != nil {
 				return nil, err
 			}
-			if len(t.refs) == 0 && len(t.intents) == 1 {
+			if len(t.refs)+len(t.bad) == 0 && len(t.intents) == 1 {
 				return store.NewTxn().Delete(), nil // this intent was all that held it
 			}
 		}
@@ -326,7 +354,7 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 			if err != nil {
 				return nil, err
 			}
-			if len(t.refs) == 1 && len(t.intents) == 0 {
+			if len(t.refs) == 1 && len(t.intents)+len(t.bad) == 0 {
 				return store.NewTxn().Delete(), nil // this reference was the last
 			}
 		}
@@ -370,28 +398,6 @@ type transition struct {
 	// take only some of the puts (slots that changed since the caller looked
 	// stay as they are): the edited map says which.
 	bind func(cur *ChunkMap, txn *store.Txn) (unbound []Entry, raced bool, err error)
-}
-
-// fanOut runs fn(q, i) for every i in [0, n) on at most width sim processes
-// and returns when all are done; with one item or width 1 it runs on p itself.
-func fanOut(p *sim.Proc, name string, n, width int, fn func(q *sim.Proc, i int)) {
-	if n <= 1 || width <= 1 {
-		for i := 0; i < n; i++ {
-			fn(p, i)
-		}
-		return
-	}
-	next := 0
-	sigs := make([]*sim.Signal, min(n, width))
-	for w := range sigs {
-		sigs[w] = p.Go(name, func(q *sim.Proc) {
-			for next < n {
-				next++
-				fn(q, next-1)
-			}
-		})
-	}
-	sim.WaitAll(p, sigs...)
 }
 
 // Named points (sim.Proc.Point) in rebind and GC, keyed by the object or chunk
@@ -514,7 +520,7 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 	if len(puts) == 0 {
 		return nil
 	}
-	fanOut(p, "intent", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+	sim.FanOut(p, "intent", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		if err != nil {
 			return
 		}
@@ -554,7 +560,7 @@ func (s *Store) settle(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkP
 		return cause
 	}
 	strict := !s.cfg.FalsePositiveRefs
-	fanOut(p, "settle", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+	sim.FanOut(p, "settle", len(puts), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		put := &puts[i]
 		if !put.intent {
 			return
@@ -583,7 +589,7 @@ func (s *Store) release(p *sim.Proc, gw *rados.Gateway, oid string, entries []En
 		return nil
 	}
 	strict := !s.cfg.FalsePositiveRefs
-	fanOut(p, "release", len(entries), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+	sim.FanOut(p, "release", len(entries), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
 		e := entries[i]
 		if e.ChunkID == "" || first != nil {
 			return

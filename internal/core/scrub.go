@@ -82,61 +82,15 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	j := map[refSite]uint8{}
 
 	// 1. Chunk objects, in the warm pool and, with tiering on, the cold one.
-	for _, cpool := range s.chunkPools() {
-		if err := s.scrubChunkPool(p, gw, cpool, j, &rep); err != nil {
-			return rep, err
-		}
+	if err := s.eachChunk(func(cpool *rados.Pool, chunkOID string) error {
+		return s.scrubChunk(p, gw, cpool, chunkOID, j, &rep)
+	}); err != nil {
+		return rep, err
 	}
-
 	// 2. Metadata objects: every flushed entry must point at a live chunk in
 	// the pool its Cold bit selects, and hold its reference there.
-	for _, oid := range s.cluster.ListObjects(s.meta) {
-		if IsSystemObject(oid) {
-			continue
-		}
-		rep.MetadataObjects++
-		cm, err := s.readChunkMap(p, gw, oid)
-		switch {
-		case rados.IsUnavailable(err):
-			return rep, err
-		case errors.Is(err, ErrCorruptMap):
-			rep.Issues = append(rep.Issues, ScrubIssue{oid, KindCorruptMap})
-			continue
-		case errors.Is(err, ErrNotFound):
-			// Deleted since the listing, or live with no map.
-			live, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.meta, oid) })
-			if err != nil {
-				return rep, err
-			}
-			if live {
-				rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
-			}
-			continue
-		case err != nil:
-			rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
-			continue
-		}
-		for _, e := range cm.Entries {
-			if e.ChunkID == "" {
-				if !e.Cached {
-					rep.Issues = append(rep.Issues, ScrubIssue{oid, KindLostSlot})
-				}
-				continue
-			}
-			if !e.Cached && !e.Dirty {
-				ok, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID) })
-				if err != nil {
-					return rep, err
-				}
-				if !ok {
-					rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingChunk})
-					continue
-				}
-			}
-			if err := s.scrubBinding(p, gw, j, oid, e, &rep); err != nil {
-				return rep, err
-			}
-		}
+	if err := s.eachObject(func(oid string) error { return s.scrubObject(p, gw, oid, j, &rep) }); err != nil {
+		return rep, err
 	}
 	for _, held := range j {
 		if held&(heldRef|bound) == heldRef {
@@ -144,6 +98,55 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// scrubObject checks the chunk map of metadata object oid and joins each of
+// its bindings with the reference tables the chunk pass recorded in j.
+func (s *Store) scrubObject(p *sim.Proc, gw *rados.Gateway, oid string, j map[refSite]uint8, rep *ScrubReport) error {
+	rep.MetadataObjects++
+	cm, err := s.readChunkMap(p, gw, oid)
+	switch {
+	case rados.IsUnavailable(err):
+		return err
+	case errors.Is(err, ErrCorruptMap):
+		rep.Issues = append(rep.Issues, ScrubIssue{oid, KindCorruptMap})
+		return nil
+	case errors.Is(err, ErrNotFound):
+		// Deleted since the listing, or live with no map.
+		live, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.meta, oid) })
+		if err != nil {
+			return err
+		}
+		if live {
+			rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
+		}
+		return nil
+	case err != nil:
+		rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingMap})
+		return nil
+	}
+	for _, e := range cm.Entries {
+		if e.ChunkID == "" {
+			if !e.Cached {
+				rep.Issues = append(rep.Issues, ScrubIssue{oid, KindLostSlot})
+			}
+			continue
+		}
+		if !e.Cached && !e.Dirty {
+			ok, err := retryGet(p, func() (bool, error) { return gw.Exists(p, s.chunkPoolFor(e.Cold), e.ChunkID) })
+			if err != nil {
+				return err
+			}
+			if !ok {
+				rep.Issues = append(rep.Issues, ScrubIssue{oid, KindMissingChunk})
+				continue
+			}
+		}
+		if err := s.scrubBinding(p, gw, j, oid, e, rep); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scrubBinding joins binding e of oid with its chunk's reference table. A
@@ -174,8 +177,8 @@ func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j map[refSite]uint8
 	return nil
 }
 
-// scrubChunkPool verifies the chunk objects of one chunk pool and records
-// their reference tables in j.
+// scrubChunk verifies one chunk object of cpool and records its reference
+// table in j.
 //
 // Every chunk is read on every pass and its bytes are named through the name
 // memo (names.go) with the chunk's own name as the guess. A chunk the host
@@ -184,59 +187,56 @@ func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j map[refSite]uint8
 // in place, and rot gives the rotten copy a new array, which is compared byte
 // for byte and, differing, named by SHA-256, as are any other bytes. The
 // verdict is exact either way, since equal bytes have equal SHA-256.
-func (s *Store) scrubChunkPool(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, j map[refSite]uint8, rep *ScrubReport) error {
-	for _, chunkOID := range s.cluster.ListObjects(cpool) {
-		rep.ChunkObjects++
-		// Borrowed: the bytes are only named, never kept.
-		data, err := retryGet(p, func() ([]byte, error) { return gw.ReadBorrowed(p, cpool, chunkOID, 0, -1) })
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // deleted concurrently
-			}
-			return err
-		}
-		host, herr := s.cluster.PrimaryHost(cpool, chunkOID)
-		if herr == nil {
-			if err := s.cluster.UseHostCPU(p, host, s.cluster.Cost().Hash(len(data))); err != nil {
-				return err
-			}
-		}
-		rep.BytesVerified += int64(len(data))
-		if s.nameAs(data, chunkOID) != chunkOID {
-			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBitRot})
-		}
-		keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, cpool, chunkOID, 0) })
+func (s *Store) scrubChunk(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, chunkOID string, j map[refSite]uint8, rep *ScrubReport) error {
+	rep.ChunkObjects++
+	// Borrowed: the bytes are only named, never kept.
+	data, err := retryGet(p, func() ([]byte, error) { return gw.ReadBorrowed(p, cpool, chunkOID, 0, -1) })
+	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			continue // deleted concurrently
+			return nil // deleted concurrently
 		}
-		if err != nil {
+		return err
+	}
+	host, herr := s.cluster.PrimaryHost(cpool, chunkOID)
+	if herr == nil {
+		if err := s.cluster.UseHostCPU(p, host, s.cluster.Cost().Hash(len(data))); err != nil {
 			return err
 		}
-		j[refSite{cpool, chunkOID, Ref{}}] = listed
-		// Every key must parse back to the Ref that wrote it (an unparseable
-		// key is invisible to GC and would pin the chunk forever).
-		t := partitionRefKeys(keys)
-		for _, k := range t.refs {
-			if ref, ok := parseRefKey(k); ok {
-				j[refSite{cpool, chunkOID, ref}] |= heldRef
-			} else {
-				rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadRefKey})
-			}
+	}
+	rep.BytesVerified += int64(len(data))
+	if s.nameAs(data, chunkOID) != chunkOID {
+		rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBitRot})
+	}
+	t, err := listChunkRefs(p, gw, cpool, chunkOID)
+	if errors.Is(err, ErrNotFound) {
+		return nil // deleted concurrently
+	}
+	if err != nil {
+		return err
+	}
+	j[refSite{cpool, chunkOID, Ref{}}] = listed
+	for _, r := range t.refs {
+		j[refSite{cpool, chunkOID, r.ref}] |= heldRef
+	}
+	for _, r := range t.intents {
+		j[refSite{cpool, chunkOID, r.ref}] |= heldIntent
+	}
+	rep.Intents += len(t.intents)
+	// Every key must parse back to the Ref that wrote it: no flush writes one
+	// that does not, and no binding can name it.
+	for _, k := range t.bad {
+		if isRefKey(k) {
+			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadRefKey})
+		} else {
+			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadIntentKey})
+			rep.Intents++
 		}
-		for _, k := range t.intents {
-			if ref, ok := parseIntentKey(k); ok {
-				j[refSite{cpool, chunkOID, ref}] |= heldIntent
-			} else {
-				rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindBadIntentKey})
-			}
-		}
-		for range t.unknown {
-			rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindUnknownKey})
-		}
-		rep.Intents += len(t.intents)
-		if len(t.refs)+len(t.intents) == 0 {
-			rep.Unreferenced++
-		}
+	}
+	for range t.unknown {
+		rep.Issues = append(rep.Issues, ScrubIssue{chunkOID, KindUnknownKey})
+	}
+	if len(t.refs)+len(t.intents)+len(t.bad) == 0 {
+		rep.Unreferenced++
 	}
 	return nil
 }

@@ -260,15 +260,6 @@ func (s *Store) chunkPoolFor(cold bool) *rados.Pool {
 	return s.chunk
 }
 
-// chunkPools lists the chunk pools in deterministic order (warm, then cold
-// when tiering is on) for passes that walk every chunk object (GC, scrub).
-func (s *Store) chunkPools() []*rados.Pool {
-	if s.coldChunk != nil {
-		return []*rados.Pool{s.chunk, s.coldChunk}
-	}
-	return []*rados.Pool{s.chunk}
-}
-
 // Engine returns the background dedup engine.
 func (s *Store) Engine() *Engine { return s.engine }
 

@@ -105,14 +105,11 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 	ps.Passes = 1
 	var census TierCensus
 	gw := s.hostGWClass(anyHost(s), qos.Tiering)
-	for _, oid := range s.cluster.ListObjects(s.meta) {
-		if IsSystemObject(oid) {
-			continue
-		}
+	_ = s.eachObject(func(oid string) error {
 		ps.ObjectsScanned++
 		cm, err := s.readChunkMap(p, gw, oid)
 		if err != nil {
-			continue // deleted meanwhile or unreachable: next pass; corrupt: scrub's finding
+			return nil // deleted meanwhile or unreachable: next pass; corrupt: scrub's finding
 		}
 		st, bytes := tierObjectState(cm)
 		temp := s.cache.Temp(p.Now(), oid)
@@ -120,12 +117,13 @@ func (s *Store) TierPass(p *sim.Proc) (TierStats, error) {
 		census.Bytes[temp] += bytes
 		act := tiering.Decide(tiering.FormFor(temp), st)
 		if act == tiering.ActNone {
-			continue
+			return nil
 		}
 		if err := s.applyTierAction(p, gw, oid, cm, act, &ps); err != nil {
 			ps.Errors++
 		}
-	}
+		return nil
+	})
 	s.tier.census = census
 	s.tier.censusAt = p.Now()
 	s.tier.stats.add(ps)

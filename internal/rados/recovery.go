@@ -188,25 +188,16 @@ func (c *Cluster) Recover(p *sim.Proc) RecoveryStats {
 		}
 		sort.Ints(dsts)
 		for _, id := range dsts {
-			queue := sim.NewQueue[recoveryTask]()
+			var tasks []recoveryTask
 			for _, t := range perDst[id] {
 				if match(t.kind) {
-					queue.PushFrom(c.eng, t)
+					tasks = append(tasks, t)
 				}
 			}
-			if queue.Len() == 0 {
-				continue
-			}
-			for w := 0; w < streamsPerOSD; w++ {
-				sigs = append(sigs, p.Go(fmt.Sprintf("recover.osd%d", id), func(q *sim.Proc) {
-					for {
-						t, ok := queue.TryPop()
-						if !ok {
-							return
-						}
-						c.runRecoveryTask(q, t, &stats)
-					}
-				}))
+			if len(tasks) > 0 {
+				sigs = append(sigs, sim.Workers(p, fmt.Sprintf("recover.osd%d", id), len(tasks), streamsPerOSD, func(q *sim.Proc, i int) {
+					c.runRecoveryTask(q, tasks[i], &stats)
+				})...)
 			}
 		}
 		sim.WaitAll(p, sigs...)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
@@ -44,37 +43,21 @@ func (s ScrubStats) Clean() bool { return len(s.Errors) == 0 }
 // the parity must verify and every shard's mirrored metadata must agree.
 // With repair set, inconsistent or stale replicas are rewritten from the
 // authoritative copy and missing EC redundancy is noted for Recover.
-// Objects are scrubbed by a worker pool whose width is the scrub
-// class's QoS depth cap — scrub paces itself purely through the scheduler —
-// with per-object results merged back in oid order so the report stays
-// deterministic.
+// Objects are scrubbed by a worker pool (sim.Workers) whose width is the
+// scrub class's QoS depth cap — scrub paces itself purely through the
+// scheduler — with per-object results merged back in oid order so the report
+// stays deterministic.
 func (c *Cluster) Scrub(p *sim.Proc, pool *Pool, repair bool) ScrubStats {
 	oids := c.ListObjects(pool)
-	sort.Strings(oids)
-	workers := max(c.qsched.MaxDepth(qos.Scrub), 1)
 	slots := make([]ScrubStats, len(oids))
-	queue := sim.NewQueue[int]()
-	for i := range oids {
-		queue.PushFrom(c.eng, i)
-	}
-	var sigs []*sim.Signal
-	for w := 0; w < workers; w++ {
-		sigs = append(sigs, p.Go("scrub", func(q *sim.Proc) {
-			for {
-				i, ok := queue.TryPop()
-				if !ok {
-					return
-				}
-				slots[i].Objects++
-				if pool.Red.Kind == Erasure {
-					c.scrubEC(q, pool, oids[i], repair, &slots[i])
-				} else {
-					c.scrubReplicated(q, pool, oids[i], repair, &slots[i])
-				}
-			}
-		}))
-	}
-	sim.WaitAll(p, sigs...)
+	sim.WaitAll(p, sim.Workers(p, "scrub", len(oids), max(c.qsched.MaxDepth(qos.Scrub), 1), func(q *sim.Proc, i int) {
+		slots[i].Objects++
+		if pool.Red.Kind == Erasure {
+			c.scrubEC(q, pool, oids[i], repair, &slots[i])
+		} else {
+			c.scrubReplicated(q, pool, oids[i], repair, &slots[i])
+		}
+	})...)
 	stats := ScrubStats{}
 	for _, s := range slots {
 		stats.Objects += s.Objects

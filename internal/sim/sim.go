@@ -189,7 +189,7 @@ type Engine struct {
 	cur        *Proc // currently executing process (nil in engine/callback context)
 	live       int   // processes spawned and not yet finished
 	running    bool
-	inCallback bool  // an engine callback (After/FireAt) is executing
+	inCallback bool  // an engine callback (After) is executing
 	limit      Time  // the running RunUntil's limit
 	continued  int64 // sleeps that continued in place (SleepUntil); tests read it
 
@@ -632,11 +632,6 @@ func (s *Signal) fire(e *Engine) {
 // no-op.
 func (s *Signal) Fire(p *Proc) { s.fire(p.e) }
 
-// FireAt schedules the signal to fire at virtual time t (engine callback).
-func (s *Signal) FireAt(e *Engine, t Time) {
-	e.schedule(t, nil, func() { s.fire(e) })
-}
-
 // Wait parks p until the signal fires.
 func (s *Signal) Wait(p *Proc) {
 	if s.fired {
@@ -651,6 +646,42 @@ func WaitAll(p *Proc, sigs ...*Signal) {
 	for _, s := range sigs {
 		s.Wait(p)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Workers: n tasks on a fixed set of child processes.
+
+// Workers starts width child processes of p, in order and all named name,
+// that together run fn(q, i) for every i in [0, n): a free child claims the
+// lowest index not yet claimed, so the tasks start in index order, each once.
+// It returns the children's done signals for the caller to wait on; a child
+// that finds nothing left to claim ends at once.
+func Workers(p *Proc, name string, n, width int, fn func(q *Proc, i int)) []*Signal {
+	next := 0
+	work := func(q *Proc) {
+		for next < n {
+			next++
+			fn(q, next-1)
+		}
+	}
+	sigs := make([]*Signal, width)
+	for w := range sigs {
+		sigs[w] = p.Go(name, work)
+	}
+	return sigs
+}
+
+// FanOut runs fn(q, i) for every i in [0, n) on at most width child
+// processes of p and returns when all are done; with n <= 1 or width <= 1 it
+// runs them in order on p itself and spawns nothing.
+func FanOut(p *Proc, name string, n, width int, fn func(q *Proc, i int)) {
+	if n <= 1 || width <= 1 {
+		for i := 0; i < n; i++ {
+			fn(p, i)
+		}
+		return
+	}
+	WaitAll(p, Workers(p, name, n, min(n, width), fn)...)
 }
 
 // ---------------------------------------------------------------------------
@@ -900,32 +931,16 @@ type Queue[T any] struct {
 // NewQueue returns an empty queue.
 func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
-// Len reports queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
 // Push enqueues v and wakes one waiting consumer.
 func (q *Queue[T]) Push(p *Proc, v T) {
 	if q.closed {
 		panic("sim: push to closed queue")
 	}
 	q.items = append(q.items, v)
-	q.wakeOne(p.e)
-}
-
-// PushFrom enqueues v from an engine callback context.
-func (q *Queue[T]) PushFrom(e *Engine, v T) {
-	if q.closed {
-		panic("sim: push to closed queue")
-	}
-	q.items = append(q.items, v)
-	q.wakeOne(e)
-}
-
-func (q *Queue[T]) wakeOne(e *Engine) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		e.schedule(e.now, w, nil)
+		p.e.schedule(p.Now(), w, nil)
 	}
 }
 
@@ -949,17 +964,6 @@ func (q *Queue[T]) Pop(p *Proc) (v T, ok bool) {
 		}
 		q.waiters = append(q.waiters, p)
 		p.park()
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// TryPop dequeues without blocking.
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
 	}
 	v = q.items[0]
 	q.items = q.items[1:]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -234,20 +235,6 @@ func TestQueueProducerConsumer(t *testing.T) {
 	}
 }
 
-func TestQueueTryPop(t *testing.T) {
-	q := NewQueue[string]()
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue succeeded")
-	}
-	e := New(1)
-	e.Go("p", func(p *Proc) { q.Push(p, "x") })
-	e.Run()
-	v, ok := q.TryPop()
-	if !ok || v != "x" {
-		t.Fatalf("TryPop = %q, %v", v, ok)
-	}
-}
-
 // TestRunUntil: events beyond the limit stay queued and the clock stops at
 // the limit. A lone sleeper continues in place between its wake-ups, and no
 // continuation may pass the limit.
@@ -337,21 +324,6 @@ func TestBlockedProcessReported(t *testing.T) {
 	e.Go("stuck", func(p *Proc) { s.Wait(p) })
 	if left := e.Run(); left != 1 {
 		t.Fatalf("left=%d want 1 (process waiting forever)", left)
-	}
-}
-
-func TestSignalFireAt(t *testing.T) {
-	e := New(1)
-	s := NewSignal()
-	var at Time
-	e.Go("w", func(p *Proc) {
-		s.Wait(p)
-		at = p.Now()
-	})
-	s.FireAt(e, Time(9*time.Millisecond))
-	e.Run()
-	if at != Time(9*time.Millisecond) {
-		t.Fatalf("at=%v", at)
 	}
 }
 
@@ -854,4 +826,78 @@ func TestLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorkers: the pool starts exactly width children for any n, 0 included,
+// before any of them runs; each child in turn makes the next claim, and
+// together they claim every index in [0, n) once, in increasing order.
+func TestWorkers(t *testing.T) {
+	for _, tc := range []struct{ n, width int }{{0, 3}, {1, 3}, {2, 3}, {7, 3}, {5, 1}} {
+		e := New(1)
+		var claims []int
+		var by []*Proc // the child that made each claim
+		e.Go("parent", func(p *Proc) {
+			before := e.Stats()
+			sigs := Workers(p, "w", tc.n, tc.width, func(q *Proc, i int) {
+				if q == p || q.Name() != "w" {
+					t.Errorf("n=%d width=%d: task %d ran on %q, want a child named w", tc.n, tc.width, i, q.Name())
+				}
+				claims, by = append(claims, i), append(by, q)
+				q.Sleep(time.Duration(1+i%3) * time.Millisecond)
+			})
+			st := e.Stats()
+			if spawned := st.ProcsSpawned + st.ProcsReused - before.ProcsSpawned - before.ProcsReused; spawned != int64(tc.width) || len(sigs) != tc.width || len(claims) != 0 {
+				t.Errorf("n=%d width=%d: %d spawned, %d signals, %d claims before the parent waits; want %d, %d, 0",
+					tc.n, tc.width, spawned, len(sigs), len(claims), tc.width, tc.width)
+			}
+			WaitAll(p, sigs...)
+		})
+		if left := e.Run(); left != 0 {
+			t.Fatalf("n=%d width=%d: %d processes left", tc.n, tc.width, left)
+		}
+		if !slices.Equal(claims, upTo(tc.n)) {
+			t.Fatalf("n=%d width=%d: claims %v, want 0..%d in order", tc.n, tc.width, claims, tc.n-1)
+		}
+		for i := 1; i < min(tc.n, tc.width); i++ {
+			if slices.Contains(by[:i], by[i]) {
+				t.Errorf("n=%d width=%d: claim %d by the child that made an earlier one; each child claims in turn", tc.n, tc.width, i)
+			}
+		}
+	}
+}
+
+// TestFanOut: with n <= 1 or width <= 1 every task runs on the caller, in
+// order, and nothing is spawned; otherwise min(n, width) children share them.
+func TestFanOut(t *testing.T) {
+	for _, tc := range []struct{ n, width, spawns int }{{0, 4, 0}, {1, 4, 0}, {5, 1, 0}, {5, 0, 0}, {3, 8, 3}, {6, 2, 2}} {
+		e := New(1)
+		var claims []int
+		e.Go("parent", func(p *Proc) {
+			before := e.Stats()
+			FanOut(p, "f", tc.n, tc.width, func(q *Proc, i int) {
+				if inline := tc.spawns == 0; (q == p) != inline {
+					t.Errorf("n=%d width=%d: task %d on the caller = %v, want %v", tc.n, tc.width, i, q == p, inline)
+				}
+				claims = append(claims, i)
+				q.Sleep(time.Millisecond)
+			})
+			st := e.Stats()
+			if spawned := st.ProcsSpawned + st.ProcsReused - before.ProcsSpawned - before.ProcsReused; spawned != int64(tc.spawns) {
+				t.Errorf("n=%d width=%d: %d spawned, want %d", tc.n, tc.width, spawned, tc.spawns)
+			}
+		})
+		e.Run()
+		if !slices.Equal(claims, upTo(tc.n)) {
+			t.Errorf("n=%d width=%d: claims %v, want 0..%d in order", tc.n, tc.width, claims, tc.n-1)
+		}
+	}
+}
+
+// upTo returns 0, 1, ..., n-1.
+func upTo(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }

@@ -21,7 +21,7 @@
 # GoDaemon: a periodic background service is a sim.Loop, which states its
 # schedule and its stop-and-restart rule once (DESIGN.md §9), and work that
 # ends with its caller, such as a drain's per-OSD agents, is a child process
-# (fanOut), not a daemon.
+# (sim.FanOut), not a daemon.
 # And fails if a non-test file outside internal/qos names weightScale,
 # lastFinish or bits.Mul64: fair queueing and rate limiting exist once, in
 # qos.FairQueue and qos.Limiter (DESIGN.md §10), whoever they meter.
@@ -42,10 +42,17 @@
 # (sim.Proc.Point), one mechanism a seed can drive (DESIGN.md §9).
 # And fails if a non-test file calls SetPoints(: only tests register a
 # point handler, so the product's runs, and their sim digests, never see one.
-# And fails if partitionRefKeys( appears outside internal/core/refcount.go and
-# scrub.go, test files included: a reader of a chunk's reference table goes
-# through chunkRefs, and the one check that joins the tables with the bindings
-# is Store.Scrub (DESIGN.md §5), so no second one grows in a test helper.
+# And fails if partitionRefKeys( appears outside internal/core/refcount.go,
+# test files included: a reader of a chunk's reference table goes through
+# chunkRefs or listChunkRefs, and the one check that joins the tables with the
+# bindings is Store.Scrub (DESIGN.md §5), so no second one grows in a test
+# helper.
+# And fails if parseRefKey( or parseIntentKey( appears outside refcount.go and
+# its test: the reference-key grammar is parsed once, into a refTable
+# (DESIGN.md §5).
+# And fails if a non-test file in internal/core calls ListObjects( outside
+# walk.go and local.go (which analyses raw pools): every whole-store pass
+# visits the one namespace walk (DESIGN.md §9).
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -89,8 +96,16 @@ if grep -rn --include='*.go' 'SetPoints(' . | grep -vE '^\./\.bench_build/|^[^:]
 	echo "check-seams: the lines above register a named-point handler outside a test; only tests may, so product runs never reach one" >&2
 	exit 1
 fi
-if grep -rn --include='*.go' 'partitionRefKeys(' . | grep -vE '^\./(\.bench_build/|internal/core/(refcount|scrub)\.go:)' >&2; then
-	echo "check-seams: the lines above classify a reference table outside refcount.go and scrub.go; read it through chunkRefs, or check it with Store.Scrub" >&2
+if grep -rn --include='*.go' 'partitionRefKeys(' . | grep -vE '^\./(\.bench_build/|internal/core/refcount\.go:)' >&2; then
+	echo "check-seams: the lines above classify a reference table outside refcount.go; read it through chunkRefs or listChunkRefs, or check it with Store.Scrub" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' '\b(parseRefKey|parseIntentKey)\(' . | grep -vE '^\./(\.bench_build/|internal/core/refcount(_test)?\.go:)' >&2; then
+	echo "check-seams: the lines above parse a reference key outside refcount.go; take the parsed keys from a refTable (chunkRefs, listChunkRefs)" >&2
+	exit 1
+fi
+if grep -n 'ListObjects(' $(ls internal/core/*.go | grep -vE '_test\.go$|/(walk|local)\.go$') >&2; then
+	echo "check-seams: the lines above list a pool in internal/core outside walk.go and local.go; visit the namespace walk (eachObject, eachChunk) instead" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
