@@ -201,6 +201,9 @@ type Cluster struct {
 	// when EnableFPIndex arms the index.
 	fpLookupLat *metrics.Histogram
 	fpMismatch  *metrics.Counter
+	// netLocal counts the bytes netSend delivered without a link (both ends
+	// on one host).
+	netLocal *metrics.Counter
 
 	// fpPool is the id of the pool fronted by per-OSD fingerprint indexes
 	// (0 = disabled); fpCfg is the index configuration shared by all OSDs.
@@ -253,6 +256,7 @@ func New(eng *sim.Engine, cost simcost.Params, opts ...Option) *Cluster {
 	c.ops.del = metrics.NewOpStats(c.reg, "rados_op", "rados.delete", true)
 	c.ops.read = metrics.NewOpStats(c.reg, "rados_op", "rados.read", true)
 	c.ops.mutate = metrics.NewOpStats(c.reg, "rados_op", "rados.mutate", true)
+	c.netLocal = c.reg.Counter("rados_net_local_bytes_total")
 	return c
 }
 
@@ -551,12 +555,22 @@ func (c *Cluster) OSDStore(id int) (*store.Store, bool) {
 // OSDs returns all OSD ids, ascending.
 func (c *Cluster) OSDs() []int { return c.cmap.OSDs() }
 
-// netSend models one network hop: the NIC is occupied only for the
-// serialization time; propagation latency accrues without holding the link.
-// The serialization slot is admitted through the link's QoS scheduler under
-// the op's class. A degraded link (SetNICSlow) stretches serialization by
-// its factor.
-func (c *Cluster) netSend(p *sim.Proc, cls qos.Class, nic *qos.Scheduler, n int) {
+// netSend models one network hop's charge on link nic, whose other end is
+// peer: the NIC is occupied only for the serialization time; propagation
+// latency accrues without holding the link. The serialization slot is
+// admitted through the link's QoS scheduler under the op's class. A degraded
+// link (SetNICSlow) stretches serialization by its factor. When both ends
+// share one link (a host gateway and an OSD on its host, two OSDs on one
+// host) the bytes never leave the host: the hop pays its latency, occupies
+// no link and counts its bytes in rados_net_local_bytes_total. This is the
+// one place that decides it; scripts/check-seams.sh keeps every link
+// charge here.
+func (c *Cluster) netSend(p *sim.Proc, cls qos.Class, nic, peer *qos.Scheduler, n int) {
+	if nic == peer {
+		c.netLocal.Add(int64(n))
+		p.Sleep(c.cost.NetLatency)
+		return
+	}
 	ser := c.cost.NetSer(n)
 	if f, ok := c.nicSlow[nic.Resource().Name()]; ok && f > 1 {
 		ser = time.Duration(float64(ser) * f)

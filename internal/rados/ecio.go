@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"dedupstore/internal/ec"
+	"dedupstore/internal/qos"
 	"dedupstore/internal/sim"
 	"dedupstore/internal/store"
 )
@@ -252,7 +253,7 @@ func (g *Gateway) ecApplyFull(p *sim.Proc, pool *Pool, oid string, data []byte, 
 				SetXattr(xattrECLen, putU64(uint64(len(data))))
 			txn.Ops = append(txn.Ops, meta.Ops...)
 			if target != primary {
-				g.c.netSend(q, g.cls, target.host.nicSched, len(shards[pos]))
+				g.c.netSend(q, g.cls, target.host.nicSched, primary.host.nicSched, len(shards[pos]))
 				target.host.cpu.Use(q, cost.OpOverhead)
 			}
 			if err := target.apply(q, key, txn); err != nil {
@@ -361,7 +362,7 @@ func (g *Gateway) ecApplyRows(p *sim.Proc, pool *Pool, oid string, primary *osd,
 				SetXattr(xattrECLen, putU64(uint64(newLen)))
 			txn.Ops = append(txn.Ops, meta.Ops...)
 			if target != primary {
-				g.c.netSend(q, g.cls, target.host.nicSched, len(shards[pos]))
+				g.c.netSend(q, g.cls, target.host.nicSched, primary.host.nicSched, len(shards[pos]))
 				target.host.cpu.Use(q, cost.OpOverhead)
 			}
 			target.diskWrite(q, g.cls, cost, txn.Bytes()) // phase 1: WAL
@@ -441,7 +442,7 @@ func (g *Gateway) ecGather(p *sim.Proc, pool *Pool, oid string, holders []*osd, 
 			}
 			o.diskRead(q, g.cls, cost, segLen)
 			if o != primary {
-				g.c.netSend(q, g.cls, primary.host.nicSched, segLen)
+				g.c.netSend(q, g.cls, primary.host.nicSched, o.host.nicSched, segLen)
 			}
 			segments[idx] = seg
 		})
@@ -489,11 +490,13 @@ func (g *Gateway) ecRead(p *sim.Proc, pool *Pool, oid string, off, length int64,
 		return nil, err
 	}
 	acting := g.c.acting(pool, g.c.PGOf(pool, oid))
+	var from *qos.Scheduler // the replying member's link
 	if i := slices.IndexFunc(acting, func(o *osd) bool { return o.alive }); i >= 0 {
-		acting[i].host.cpu.Use(p, g.c.cost.OpOverhead) // the replying member
-		g.c.netSend(p, g.cls, acting[i].host.nicSched, len(data))
+		acting[i].host.cpu.Use(p, g.c.cost.OpOverhead)
+		from = acting[i].host.nicSched
+		g.c.netSend(p, g.cls, from, g.nic, len(data))
 	}
-	g.c.netSend(p, g.cls, g.nic, len(data))
+	g.c.netSend(p, g.cls, g.nic, from, len(data))
 	g.noteOp(len(data))
 	return data, nil
 }

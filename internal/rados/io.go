@@ -238,8 +238,8 @@ func (g *Gateway) read(p *sim.Proc, pool *Pool, oid string, off, length int64, d
 		return nil, err
 	}
 	serving.diskRead(p, g.cls, g.c.cost, len(data))
-	g.c.netSend(p, g.cls, serving.host.nicSched, len(data))
-	g.c.netSend(p, g.cls, g.nic, len(data))
+	g.c.netSend(p, g.cls, serving.host.nicSched, g.nic, len(data))
+	g.c.netSend(p, g.cls, g.nic, serving.host.nicSched, len(data))
 	g.noteOp(len(data))
 	return data, nil
 }
@@ -438,8 +438,8 @@ func (g *Gateway) request(p *sim.Proc, primary *osd, payload int, bare bool) {
 		p.Sleep(g.c.cost.NetLatency)
 		return
 	}
-	g.c.netSend(p, g.cls, g.nic, payload)
-	g.c.netSend(p, g.cls, primary.host.nicSched, payload)
+	g.c.netSend(p, g.cls, g.nic, primary.host.nicSched, payload)
+	g.c.netSend(p, g.cls, primary.host.nicSched, g.nic, payload)
 }
 
 // mutateTxn is the primary's half of a Mutate on either pool kind, run under
@@ -596,7 +596,7 @@ func (g *Gateway) replicate(p *sim.Proc, pool *Pool, oid string, txn *store.Txn)
 		ok:       func(_ int, o *osd) bool { return o.alive },
 		degraded: true,
 		do: func(q *sim.Proc, _ int, r *osd) {
-			g.c.netSend(q, g.cls, r.host.nicSched, payload)
+			g.c.netSend(q, g.cls, r.host.nicSched, primary.host.nicSched, payload)
 			r.host.cpu.Use(q, cost.OpOverhead)
 			g.replicaApply(q, primary, r, key, prev, txn)
 		},
@@ -621,7 +621,7 @@ func (g *Gateway) replicaApply(q *sim.Proc, primary, r *osd, key store.Key, prev
 	case v == g.c.head[key]: // current (cluster.go)
 	case v != prev:
 		if snap, err := primary.store.Snapshot(key); err == nil {
-			g.c.netSend(q, g.cls, r.host.nicSched, snap.PayloadBytes())
+			g.c.netSend(q, g.cls, r.host.nicSched, primary.host.nicSched, snap.PayloadBytes())
 			if g.c.install(q, r, key, snap) {
 				r.diskWrite(q, g.cls, g.c.cost, snap.PayloadBytes())
 				g.c.reg.Counter("rados_replica_heals_total").Inc()
@@ -660,9 +660,11 @@ func (g *Gateway) PeekXattr(pool *Pool, oid, name string) ([]byte, error) {
 
 // ClientXfer charges the client-side link for n bytes delivered to this
 // gateway — used by layered services (e.g. dedup read redirection) whose
-// final hop is proxied through a storage node back to the client.
+// final hop is proxied through a storage node back to the client. Like an
+// OSD→OSD leg it occupies only the receiver's link; the proxy's end is not
+// named, so the hop is never taken for a local one.
 func (g *Gateway) ClientXfer(p *sim.Proc, n int) {
-	g.c.netSend(p, g.cls, g.nic, n)
+	g.c.netSend(p, g.cls, g.nic, nil, n)
 }
 
 // PrimaryHost returns the host of the acting primary for an object — where

@@ -227,7 +227,7 @@ func (c *Cluster) copyObject(p *sim.Proc, cls qos.Class, key store.Key, src, dst
 	}
 	n := snap.PayloadBytes()
 	src.diskRead(p, cls, c.cost, n)
-	c.netSend(p, cls, dst.host.nicSched, n)
+	c.netSend(p, cls, dst.host.nicSched, src.host.nicSched, n)
 	dst.host.cpu.Use(p, c.cost.OpOverhead)
 	if !c.install(p, dst, key, snap) {
 		return 0, false
@@ -349,7 +349,7 @@ func (c *Cluster) rebuildShard(q *sim.Proc, t recoveryTask, stats *RecoveryStats
 		shards[s.idx] = snap.Data
 		sigs = append(sigs, q.Go("rebuild-read", func(r *sim.Proc) {
 			s.osd.diskRead(r, qos.Recovery, cost, len(snap.Data))
-			c.netSend(r, qos.Recovery, t.dst.host.nicSched, len(snap.Data))
+			c.netSend(r, qos.Recovery, t.dst.host.nicSched, s.osd.host.nicSched, len(snap.Data))
 		}))
 	}
 	if got < k || template == nil {

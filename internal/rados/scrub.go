@@ -96,7 +96,7 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 		if err != nil {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: "replica missing"})
 			if repair {
-				c.repairCopy(p, key, rep, auth, stats)
+				c.repairCopy(p, key, acting[src], rep, auth, stats)
 			}
 			continue
 		}
@@ -111,14 +111,14 @@ func (c *Cluster) scrubReplicated(p *sim.Proc, pool *Pool, oid string, repair bo
 		if detail != "" {
 			stats.Errors = append(stats.Errors, ScrubError{Key: key, OSD: rep.id, Detail: detail})
 			if repair {
-				c.repairCopy(p, key, rep, auth, stats)
+				c.repairCopy(p, key, acting[src], rep, auth, stats)
 			}
 		}
 	}
 }
 
-func (c *Cluster) repairCopy(p *sim.Proc, key store.Key, dst *osd, auth *store.Object, stats *ScrubStats) {
-	c.netSend(p, qos.Scrub, dst.host.nicSched, auth.PayloadBytes())
+func (c *Cluster) repairCopy(p *sim.Proc, key store.Key, src, dst *osd, auth *store.Object, stats *ScrubStats) {
+	c.netSend(p, qos.Scrub, dst.host.nicSched, src.host.nicSched, auth.PayloadBytes())
 	if c.install(p, dst, key, auth) {
 		dst.diskWrite(p, qos.Scrub, c.cost, auth.PayloadBytes())
 		stats.Repaired++

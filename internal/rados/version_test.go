@@ -538,7 +538,7 @@ func TestReplicaLegsOutOfOrder(t *testing.T) {
 		var backlog []*sim.Signal
 		for range 3 {
 			backlog = append(backlog, p.Go("backlog", func(q *sim.Proc) {
-				e.c.netSend(q, qos.Scrub, replica.host.nicSched, 1<<20)
+				e.c.netSend(q, qos.Scrub, replica.host.nicSched, nil, 1<<20)
 			}))
 		}
 		late := p.Go("late", func(q *sim.Proc) {

@@ -53,6 +53,10 @@
 # And fails if a non-test file in internal/core calls ListObjects( outside
 # walk.go and local.go (which analyses raw pools): every whole-store pass
 # visits the one namespace walk (DESIGN.md §9).
+# And fails if a non-test file outside internal/rados/cluster.go calls .Use( on
+# a link scheduler (a host's nicSched, a gateway's nic): every link charge is a
+# Cluster.netSend, which alone decides that a hop between two ends on one host
+# occupies no link (DESIGN.md §9 "Network hops").
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -106,6 +110,10 @@ if grep -rnE --include='*.go' '\b(parseRefKey|parseIntentKey)\(' . | grep -vE '^
 fi
 if grep -n 'ListObjects(' $(ls internal/core/*.go | grep -vE '_test\.go$|/(walk|local)\.go$') >&2; then
 	echo "check-seams: the lines above list a pool in internal/core outside walk.go and local.go; visit the namespace walk (eachObject, eachChunk) instead" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' '\b(nicSched|nic)\.Use\(' . | grep -vE '^\./(\.bench_build/|internal/rados/cluster\.go:)|^[^:]*_test\.go:' >&2; then
+	echo "check-seams: the lines above charge a network link outside Cluster.netSend (internal/rados/cluster.go), which alone decides whether a hop occupies one" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
