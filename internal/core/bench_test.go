@@ -190,7 +190,7 @@ func BenchmarkScrubChunkPool(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var rep ScrubReport
-			j := map[refSite]uint8{}
+			j := newScrubJoin()
 			if err := s.eachChunk(func(cpool *rados.Pool, id string) error {
 				return s.scrubChunk(p, gw, cpool, id, j, &rep)
 			}); err != nil || rep.ChunkObjects != chunks || !rep.Clean() {

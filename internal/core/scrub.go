@@ -55,14 +55,32 @@ type ScrubReport struct {
 // Clean reports whether the scrub found no inconsistencies.
 func (r ScrubReport) Clean() bool { return len(r.Issues) == 0 }
 
-// refSite keys the join; the chunk pass marks each chunk it lists at Ref{}.
-type refSite struct {
+// chunkSite names one chunk object of one pool.
+type chunkSite struct {
 	pool  *rados.Pool
 	chunk string
-	ref   Ref
 }
 
-const listed, heldRef, heldIntent, bound uint8 = 1, 2, 4, 8
+// refSite keys the join: one reference slot of one chunk.
+type refSite struct {
+	chunkSite
+	ref Ref
+}
+
+const heldRef, heldIntent, bound uint8 = 1, 2, 4
+
+// scrubJoin is a pass's host-side join: the chunks the chunk pass listed, and
+// per reference slot what the chunk's table held and whether a binding names
+// it. The listed set is keyed by chunk alone, so a chunk costs one small entry
+// whatever its reference count.
+type scrubJoin struct {
+	listed map[chunkSite]struct{}
+	sites  map[refSite]uint8
+}
+
+func newScrubJoin() scrubJoin {
+	return scrubJoin{listed: map[chunkSite]struct{}{}, sites: map[refSite]uint8{}}
+}
 
 // Scrub verifies the dedup layer's invariants. It is read-only; use the
 // substrate's Cluster.Scrub(repair=true) to fix replica divergence, the audit
@@ -79,7 +97,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	sp := s.cluster.Trace().StartLabel(p, spanScrub).SetClass(qos.Scrub.Label())
 	defer sp.Finish(p)
 	gw := s.hostGWClass(anyHost(s), qos.Scrub)
-	j := map[refSite]uint8{}
+	j := newScrubJoin()
 
 	// 1. Chunk objects, in the warm pool and, with tiering on, the cold one.
 	if err := s.eachChunk(func(cpool *rados.Pool, chunkOID string) error {
@@ -92,7 +110,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 	if err := s.eachObject(func(oid string) error { return s.scrubObject(p, gw, oid, j, &rep) }); err != nil {
 		return rep, err
 	}
-	for _, held := range j {
+	for _, held := range j.sites {
 		if held&(heldRef|bound) == heldRef {
 			rep.UnboundRefs++
 		}
@@ -102,7 +120,7 @@ func (s *Store) Scrub(p *sim.Proc) (ScrubReport, error) {
 
 // scrubObject checks the chunk map of metadata object oid and joins each of
 // its bindings with the reference tables the chunk pass recorded in j.
-func (s *Store) scrubObject(p *sim.Proc, gw *rados.Gateway, oid string, j map[refSite]uint8, rep *ScrubReport) error {
+func (s *Store) scrubObject(p *sim.Proc, gw *rados.Gateway, oid string, j scrubJoin, rep *ScrubReport) error {
 	rep.MetadataObjects++
 	cm, err := s.readChunkMap(p, gw, oid)
 	switch {
@@ -153,11 +171,11 @@ func (s *Store) scrubObject(p *sim.Proc, gw *rados.Gateway, oid string, j map[re
 // clean binding whose listed chunk held neither its reference nor its intent
 // is re-read, chunk then map, before it counts: a pass beside live writers may
 // read the chunk before a flush pins it, and a quiet store never disagrees.
-func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j map[refSite]uint8, oid string, e Entry, rep *ScrubReport) error {
-	site := refSite{s.chunkPoolFor(e.Cold), e.ChunkID, s.refAt(oid, e.Start)}
-	held := j[site]
-	j[site] = held | bound
-	if e.Dirty || held&(heldRef|heldIntent) != 0 || j[refSite{site.pool, site.chunk, Ref{}}]&listed == 0 {
+func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j scrubJoin, oid string, e Entry, rep *ScrubReport) error {
+	site := refSite{chunkSite{s.chunkPoolFor(e.Cold), e.ChunkID}, s.refAt(oid, e.Start)}
+	held := j.sites[site]
+	j.sites[site] = held | bound
+	if _, listed := j.listed[site.chunkSite]; e.Dirty || held&(heldRef|heldIntent) != 0 || !listed {
 		return nil
 	}
 	keys, err := retryGet(p, func() ([]string, error) { return gw.OmapList(p, site.pool, site.chunk, 0) })
@@ -187,7 +205,7 @@ func (s *Store) scrubBinding(p *sim.Proc, gw *rados.Gateway, j map[refSite]uint8
 // in place, and rot gives the rotten copy a new array, which is compared byte
 // for byte and, differing, named by SHA-256, as are any other bytes. The
 // verdict is exact either way, since equal bytes have equal SHA-256.
-func (s *Store) scrubChunk(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, chunkOID string, j map[refSite]uint8, rep *ScrubReport) error {
+func (s *Store) scrubChunk(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, chunkOID string, j scrubJoin, rep *ScrubReport) error {
 	rep.ChunkObjects++
 	// Borrowed: the bytes are only named, never kept.
 	data, err := retryGet(p, func() ([]byte, error) { return gw.ReadBorrowed(p, cpool, chunkOID, 0, -1) })
@@ -214,12 +232,13 @@ func (s *Store) scrubChunk(p *sim.Proc, gw *rados.Gateway, cpool *rados.Pool, ch
 	if err != nil {
 		return err
 	}
-	j[refSite{cpool, chunkOID, Ref{}}] = listed
+	at := chunkSite{cpool, chunkOID}
+	j.listed[at] = struct{}{}
 	for _, r := range t.refs {
-		j[refSite{cpool, chunkOID, r.ref}] |= heldRef
+		j.sites[refSite{at, r.ref}] |= heldRef
 	}
 	for _, r := range t.intents {
-		j[refSite{cpool, chunkOID, r.ref}] |= heldIntent
+		j.sites[refSite{at, r.ref}] |= heldIntent
 	}
 	rep.Intents += len(t.intents)
 	// Every key must parse back to the Ref that wrote it: no flush writes one
