@@ -111,16 +111,19 @@ func benchStore(b *testing.B) (*sim.Engine, *Store) {
 }
 
 // BenchmarkFlushObject measures flushing one object of 32 dirty 32 KiB slots
-// — read, fingerprint, one rebind — when every slot's content is new to the
-// chunk pool (new), when the pool already holds all of it (dup), and when the
-// slots were rewritten with the bytes they are already bound to (same: no
-// chunk-pool I/O at all). sim-µs/op is what the modelled cluster takes for the
+// — one read, fingerprint, one rebind — when every slot's content is new to
+// the chunk pool (new), when the pool already holds all of it (dup), and when
+// the slots were rewritten with the bytes they are already bound to (same: no
+// chunk-pool I/O at all); and flushing the same object after a first flush
+// and a rewrite of every other slot with new content (sparse: 16 one-slot
+// runs, so 16 reads). sim-µs/op is what the modelled cluster takes for the
 // object; B/op is the host's side: a duplicate's payload is only hashed, a new
 // chunk's is copied once for all replicas, and the chunk map is encoded once
-// per object. Writing the object is outside the timer.
+// per object. Writing the object, and sparse's first flush, are outside the
+// timer.
 func BenchmarkFlushObject(b *testing.B) {
 	const slots, chunk = 32, 32 << 10
-	for _, variant := range []string{"new", "dup", "same"} {
+	for _, variant := range []string{"new", "dup", "same", "sparse"} {
 		b.Run(variant, func(b *testing.B) {
 			eng, s := benchStore(b)
 			cl := s.Client("bench")
@@ -136,7 +139,7 @@ func BenchmarkFlushObject(b *testing.B) {
 					b.StopTimer()
 					oid := fmt.Sprintf("o%d", i)
 					switch variant {
-					case "new":
+					case "new", "sparse":
 						for j := 0; j < slots; j++ {
 							binary.LittleEndian.PutUint32(data[j*chunk+1:], uint32(i))
 						}
@@ -149,6 +152,17 @@ func BenchmarkFlushObject(b *testing.B) {
 					gw, host, err := s.metaPrimaryGW(oid, qos.Dedup)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if variant == "sparse" {
+						if err := s.engine.flushObject(p, gw, host, oid, true); err != nil {
+							b.Fatal(err)
+						}
+						for j := 0; j < slots; j += 2 {
+							binary.LittleEndian.PutUint32(data[j*chunk+5:], ^uint32(i))
+							if err := cl.Write(p, oid, int64(j*chunk), data[j*chunk:(j+1)*chunk]); err != nil {
+								b.Fatal(err)
+							}
+						}
 					}
 					start := p.Now()
 					b.StartTimer()

@@ -50,21 +50,29 @@ func (e *Engine) rechunkObject(p *sim.Proc, gw *rados.Gateway, hostName, oid str
 	}
 	size := cm.Size()
 
-	// (1) Materialize the full object content and remember each slot's Gen.
+	// (1) Materialize the full object content and remember each slot's Gen:
+	// each run of cached slots with one read of the metadata object, as a
+	// static flush reads them, then each flushed slot from its chunk.
 	gens := make(map[int64]uint32, len(cm.Entries))
 	data := make([]byte, size)
+	var cached []Entry
 	for _, entry := range cm.Entries {
 		gens[entry.Start] = entry.Gen
-		dst := data[entry.Start:entry.End]
 		if entry.Cached {
-			_, err = gw.ReadInto(p, s.meta, oid, entry.Start, dst)
-		} else if entry.ChunkID != "" {
-			_, err = gw.ReadInto(p, s.chunk, entry.ChunkID, 0, dst)
-		} else {
-			continue
+			cached = append(cached, entry)
 		}
-		if err != nil {
-			return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
+	}
+	for _, run := range splitRuns(cached, func(e Entry) Entry { return e }) {
+		start, end := run[0].Start, run[len(run)-1].End
+		if _, err := gw.ReadInto(p, s.meta, oid, start, data[start:end]); err != nil {
+			return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, start, err)
+		}
+	}
+	for _, entry := range cm.Entries {
+		if !entry.Cached && entry.ChunkID != "" {
+			if _, err := gw.ReadInto(p, s.chunk, entry.ChunkID, 0, data[entry.Start:entry.End]); err != nil {
+				return 0, false, fmt.Errorf("core: cdc materialize %s@%d: %w", oid, entry.Start, err)
+			}
 		}
 	}
 

@@ -324,21 +324,22 @@ func (e *Engine) pace(p *sim.Proc) {
 }
 
 // flushStatic flushes the dirty fixed-size slots of one object as a single
-// chunk-map transition. Prepare runs FlushParallel-wide, one slot at a time:
-// a paced flush admits one chunk per WaitTurn — the spacing is set by the
-// watermark policy, so the trickle tracks the measured foreground rate; an
-// unpaced one (flush-through mode, explicit drains) is client-visible and
-// never held back — then the slot is read, fingerprinted and, unless it
-// already points at that chunk in that pool, given a put. Only when every slot
-// is prepared does rebind pin the puts, so intent → bind stays one fan-out
-// wave long however slowly the reads were paced. The one bind takes each slot
-// whose Gen still matches and leaves the rest dirty. It reports whether the
-// object must go back on the dirty list: a slot raced or failed.
+// chunk-map transition. A paced flush first admits one chunk per WaitTurn,
+// FlushParallel-wide — the spacing is set by the watermark policy, so the
+// trickle tracks the measured foreground rate; an unpaced one (flush-through
+// mode, explicit drains) is client-visible and never held back. Then each run
+// of adjacent slots is read with one read, and each slot is fingerprinted,
+// FlushParallel-wide, and, unless it already points at that chunk in that
+// pool, given a put. Only when every slot is prepared does rebind pin the
+// puts, so intent → bind stays one fan-out wave long however slowly the flush
+// was paced. The one bind takes each slot whose Gen still matches and leaves
+// the rest dirty. It reports whether the object must go back on the dirty
+// list: a slot raced or failed.
 func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid string, cm *ChunkMap, paced bool) (requeue bool) {
 	s := e.s
 	type slot struct {
 		entry Entry
-		data  []byte
+		data  []byte // a capped slice of its run's scratch buffer; nil if unread
 		id    string // fingerprint of data; "" while unprepared
 		cold  bool
 	}
@@ -351,26 +352,36 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	if len(slots) == 0 {
 		return false
 	}
+	if paced {
+		sim.FanOut(p, "flush.pace", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, _ int) { e.pace(q) })
+	}
+	runs := splitRuns(slots, func(sl slot) Entry { return sl.entry })
+	bufs := make([][]byte, len(runs))
 	defer func() {
-		for _, sl := range slots {
-			if sl.data != nil {
-				s.recycle(sl.data)
+		for _, buf := range bufs {
+			if buf != nil {
+				s.recycle(buf)
 			}
 		}
 	}()
-	prepared := 0
-	sim.FanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
-		if paced {
-			e.pace(q)
-		}
-		sl := &slots[i]
-		data, err := s.readPadded(q, gw, s.meta, oid, sl.entry.Start, sl.entry.Len())
+	sim.FanOut(p, "flush.read", len(runs), s.cfg.FlushParallel, func(q *sim.Proc, r int) {
+		run := runs[r]
+		off := run[0].entry.Start
+		buf, err := s.readPadded(q, gw, s.meta, oid, off, run[len(run)-1].entry.End-off)
 		if err != nil {
 			return
 		}
-		sl.data = data
+		bufs[r] = buf
+		for k := range run {
+			lo, hi := run[k].entry.Start-off, run[k].entry.End-off
+			run[k].data = buf[lo:hi:hi]
+		}
+	})
+	prepared := 0
+	sim.FanOut(p, "flush", len(slots), s.cfg.FlushParallel, func(q *sim.Proc, i int) {
+		sl := &slots[i]
 		// Fingerprint: the content hash that doubles as the chunk-pool object ID.
-		if s.cluster.UseHostCPU(q, hostName, s.cluster.Cost().Hash(len(data))) != nil {
+		if sl.data == nil || s.cluster.UseHostCPU(q, hostName, s.cluster.Cost().Hash(len(sl.data))) != nil {
 			return
 		}
 		// Adaptive tiering: the flush lands the chunk in the pool the object's
@@ -378,7 +389,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 		// replicates. With tiering off, cold is always false and the pool is the
 		// single chunk pool, preserving the static design exactly.
 		sl.cold = s.cfg.Tiering.Enabled && s.cache.Temp(q.Now(), oid) == hitset.TempCold
-		sl.id = s.nameAs(data, sl.entry.ChunkID)
+		sl.id = s.nameAs(sl.data, sl.entry.ChunkID)
 		prepared++
 	})
 	if prepared == 0 {

@@ -703,7 +703,10 @@ func (s *Store) readChunkMap(p *sim.Proc, gw *rados.Gateway, oid string) (*Chunk
 // is scratch, for readers that only hash the bytes or pass them on to a
 // transaction that copies what it keeps: hand it back with recycle once
 // nothing started with it is still running. Sim processes interleave at every
-// I/O, so each read in flight holds a buffer of its own.
+// I/O, so each read in flight holds a buffer of its own. A flush reads a run
+// of slots into one and hands each slot a capped slice of it: the slices are
+// the same scratch, so nothing keeps them either, and only the whole buffer
+// is recycled.
 func (s *Store) readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
 	var data []byte
 	if k := len(s.scratch) - 1; k >= 0 {
@@ -723,4 +726,24 @@ func (s *Store) readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid
 }
 
 // recycle returns a readPadded buffer for the next reader.
-func (s *Store) recycle(buf []byte) { s.scratch = append(s.scratch, buf) }
+func (s *Store) recycle(buf []byte) {
+	poison(buf[:cap(buf)])
+	s.scratch = append(s.scratch, buf)
+}
+
+// splitRuns splits xs, ascending by offset, into runs of adjacent slots, each
+// beginning where the one before it ends: both flush paths read each run of a
+// metadata object's cached slots with one read (DESIGN.md §6.3). The runs are
+// slices of xs.
+func splitRuns[T any](xs []T, entry func(T) Entry) [][]T {
+	var runs [][]T
+	for lo := 0; lo < len(xs); {
+		hi := lo + 1
+		for hi < len(xs) && entry(xs[hi]).Start == entry(xs[hi-1]).End {
+			hi++
+		}
+		runs = append(runs, xs[lo:hi])
+		lo = hi
+	}
+	return runs
+}
