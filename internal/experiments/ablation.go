@@ -17,18 +17,12 @@ import (
 // false-positive reference counting (§4.6), and the cache manager's
 // hot-object exemption (§4.3).
 
-// AblationChunkingRow compares chunking algorithms on the cloud dataset.
-type AblationChunkingRow struct {
-	Algorithm  string
-	DedupRatio float64
-	CPUPerMB   time.Duration // modeled chunking+hash CPU per MB of data (simcost rates)
-}
-
-// AblationChunking measures the trade the paper made: fixed chunking has
+// ablationChunking measures the trade the paper made: fixed chunking has
 // near-zero CPU cost; content-defined chunking finds slightly more
 // redundancy but burns CPU the paper says Ceph cannot spare (§5: small
-// random writes already use 60-80% CPU).
-func AblationChunking(sc Scale) []AblationChunkingRow {
+// random writes already use 60-80% CPU). The CPU column is the modeled
+// chunking+hash CPU per MB of data, at simcost rates.
+func ablationChunking(sc Scale) Table {
 	gen := workload.NewCloudGen(workload.CloudConfig{Objects: sc.countMin(10, 6), ObjectSize: 2 << 20, Seed: 901})
 	var contents [][]byte
 	var total int64
@@ -50,10 +44,10 @@ func AblationChunking(sc Scale) []AblationChunkingRow {
 		scans bool // pays the rolling-hash scan
 		split func([]byte) []chunker.Chunk
 	}
-	return Runs(sc, []chunking{
+	rows := Runs(sc, []chunking{
 		{fixed.Name(), false, func(b []byte) []chunker.Chunk { return fixed.Split(0, b) }},
 		{cdc.Name(), true, func(b []byte) []chunker.Chunk { return cdc.Split(0, b) }},
-	}, func(_ *Testbed, c chunking) AblationChunkingRow {
+	}, func(_ *Testbed, c chunking) []string {
 		seen := map[string]bool{}
 		var unique int64
 		var cpu time.Duration
@@ -70,25 +64,17 @@ func AblationChunking(sc Scale) []AblationChunkingRow {
 				}
 			}
 		}
-		return AblationChunkingRow{
-			Algorithm:  c.name,
-			DedupRatio: 100 * float64(total-unique) / float64(total),
-			CPUPerMB:   cpu / time.Duration(total/1e6+1),
-		}
+		return []string{c.name, f1(100 * float64(total-unique) / float64(total)), us(cpu / time.Duration(total/1e6+1))}
 	})
-}
-
-// AblationChunkingTable renders the chunking ablation.
-func AblationChunkingTable(rows []AblationChunkingRow) Table {
-	return table("Ablation: static vs content-defined chunking (cloud dataset)",
-		[]string{"algorithm", "dedup ratio %", "modeled chunk+hash CPU /MB"},
-		[]string{
+	return Table{
+		Title:   "Ablation: static vs content-defined chunking (cloud dataset)",
+		Columns: []string{"algorithm", "dedup ratio %", "modeled chunk+hash CPU /MB"},
+		Rows:    rows,
+		Notes: []string{
 			"the paper picks static chunking: CDC costs ~4x the CPU on a busy OSD (§5)",
 			"this synthetic dataset's duplication is block-aligned (favoring fixed chunks); CDC wins only on byte-shifted data",
 		},
-		rows, func(r AblationChunkingRow) []string {
-			return []string{r.Algorithm, f1(r.DedupRatio), us(r.CPUPerMB)}
-		})
+	}
 }
 
 // chunkPoolBytes writes streams, as objects named by oidFmt, through one
@@ -121,18 +107,11 @@ func chunkPoolBytes(sc Scale, seed int64, clientName, oidFmt string, streams [][
 // chunkingStores names chunkPoolBytes' two stores, in its order.
 var chunkingStores = []string{"fixed chunking", "content-defined chunking"}
 
-// AblationCDCRow compares the stores end to end on byte-shifted content.
-type AblationCDCRow struct {
-	Store       string
-	StoredBytes int64 // chunk-pool logical bytes after dedup
-	Saved       float64
-}
-
-// AblationCDCStore runs the fixed-chunk store and the CDC-mode store on the
+// ablationCDCStore runs the fixed-chunk store and the CDC-mode store on the
 // workload CDC exists for: objects that are byte-shifted copies of each
 // other (backup streams, log rotations). Fixed chunking sees entirely new
 // chunks after a shift; CDC re-finds the shared content.
-func AblationCDCStore(sc Scale) []AblationCDCRow {
+func ablationCDCStore(sc Scale) Table {
 	base := make([]byte, sc.bytes(512<<10))
 	fillSeeded(base, 905)
 	variants := make([][]byte, 6)
@@ -145,15 +124,15 @@ func AblationCDCStore(sc Scale) []AblationCDCRow {
 		variants[i] = append(append([]byte(nil), prefix...), base...)
 		logical += int64(len(variants[i]))
 	}
-	var rows []AblationCDCRow
-	for i, stored := range chunkPoolBytes(sc, 906, "cl", "stream%d", variants) {
-		rows = append(rows, AblationCDCRow{
-			Store:       chunkingStores[i],
-			StoredBytes: stored,
-			Saved:       100 * (1 - float64(stored)/float64(logical)),
-		})
+	t := Table{
+		Title:   "Ablation: fixed vs CDC store on byte-shifted streams (6 copies, unaligned prefixes)",
+		Columns: []string{"store", "chunk-pool bytes", "saved %"},
+		Notes:   []string{"CDC's raison d'être: shifted duplicates survive re-chunking; fixed chunking sees all-new chunks"},
 	}
-	return rows
+	for i, stored := range chunkPoolBytes(sc, 906, "cl", "stream%d", variants) {
+		t.Rows = append(t.Rows, []string{chunkingStores[i], mb(stored), f1(100 * (1 - float64(stored)/float64(logical)))})
+	}
+	return t
 }
 
 // fillSeeded fills buf deterministically (local copy to avoid exporting the
@@ -168,19 +147,10 @@ func fillSeeded(buf []byte, seed int64) {
 	}
 }
 
-// AblationBackupRow is one row of the backup-generations ablation.
-type AblationBackupRow struct {
-	Store       string
-	Generations int
-	LogicalMB   float64
-	StoredMB    float64
-	Saved       float64
-}
-
-// AblationBackup runs the classic dedup workload — successive backup
+// ablationBackup runs the classic dedup workload — successive backup
 // generations with small unaligned edits — through the fixed-chunk store
 // and the CDC-mode store.
-func AblationBackup(sc Scale) []AblationBackupRow {
+func ablationBackup(sc Scale) Table {
 	gen := workload.NewBackupGen(workload.BackupConfig{
 		BaseSize:    sc.bytes(1 << 20),
 		Generations: 5,
@@ -191,56 +161,29 @@ func AblationBackup(sc Scale) []AblationBackupRow {
 	for i := range gens {
 		gens[i] = gen.Generation(i)
 	}
-	var rows []AblationBackupRow
+	t := Table{
+		Title:   "Ablation: backup generations (5 gens, 3% unaligned churn each)",
+		Columns: []string{"store", "generations", "logical", "stored", "saved %"},
+		Notes:   []string{"unaligned edits shift fixed-chunk boundaries; CDC keeps unmodified regions dedupable"},
+	}
 	for i, stored := range chunkPoolBytes(sc, 908, "backup", "backup.gen%d", gens) {
-		rows = append(rows, AblationBackupRow{
-			Store:       chunkingStores[i],
-			Generations: gen.Generations(),
-			LogicalMB:   float64(gen.TotalBytes()) / 1e6,
-			StoredMB:    float64(stored) / 1e6,
-			Saved:       100 * (1 - float64(stored)/float64(gen.TotalBytes())),
+		t.Rows = append(t.Rows, []string{
+			chunkingStores[i], fmt.Sprint(gen.Generations()),
+			fmt.Sprintf("%.2f MB", float64(gen.TotalBytes())/1e6), fmt.Sprintf("%.2f MB", float64(stored)/1e6),
+			f1(100 * (1 - float64(stored)/float64(gen.TotalBytes()))),
 		})
 	}
-	return rows
+	return t
 }
 
-// AblationBackupTable renders the backup-generations ablation.
-func AblationBackupTable(rows []AblationBackupRow) Table {
-	return table("Ablation: backup generations (5 gens, 3% unaligned churn each)",
-		[]string{"store", "generations", "logical", "stored", "saved %"},
-		[]string{"unaligned edits shift fixed-chunk boundaries; CDC keeps unmodified regions dedupable"},
-		rows, func(r AblationBackupRow) []string {
-			return []string{
-				r.Store, fmt.Sprint(r.Generations),
-				fmt.Sprintf("%.2f MB", r.LogicalMB), fmt.Sprintf("%.2f MB", r.StoredMB), f1(r.Saved),
-			}
-		})
-}
-
-// AblationCDCStoreTable renders the end-to-end chunking ablation.
-func AblationCDCStoreTable(rows []AblationCDCRow) Table {
-	return table("Ablation: fixed vs CDC store on byte-shifted streams (6 copies, unaligned prefixes)",
-		[]string{"store", "chunk-pool bytes", "saved %"},
-		[]string{"CDC's raison d'être: shifted duplicates survive re-chunking; fixed chunking sees all-new chunks"},
-		rows, func(r AblationCDCRow) []string { return []string{r.Store, mb(r.StoredBytes), f1(r.Saved)} })
-}
-
-// AblationRefcountRow compares reference-counting disciplines.
-type AblationRefcountRow struct {
-	Mode            string
-	DeleteLatency   time.Duration // mean per-object delete latency
-	ChunksLeaked    int64         // zero-ref chunks left before GC
-	GCSeconds       float64       // GC pass duration (FP mode)
-	BytesReclaimed  int64
-	FinalChunkCount int
-}
-
-// AblationRefcount measures §4.6's trade: strict refcounting locks on both
+// ablationRefcount measures §4.6's trade: strict refcounting locks on both
 // increment and decrement but never leaks; false-positive refcounting makes
-// deletes cheaper and defers reclamation to a garbage collector.
-func AblationRefcount(sc Scale) []AblationRefcountRow {
+// deletes cheaper and defers reclamation to a garbage collector. Each row
+// reports the mean per-object delete latency, the zero-reference chunks left
+// before GC, and the GC pass (false-positive mode only).
+func ablationRefcount(sc Scale) Table {
 	const objects = 24
-	return Runs(sc, []bool{false, true}, func(tb *Testbed, fp bool) AblationRefcountRow {
+	rows := Runs(sc, []bool{false, true}, func(tb *Testbed, fp bool) []string {
 		h := tb.harness(902, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.FalsePositiveRefs = fp
@@ -260,9 +203,9 @@ func AblationRefcount(sc Scale) []AblationRefcountRow {
 			}
 			s.Engine().DrainAndWait(p)
 		})
-		row := AblationRefcountRow{Mode: "strict"}
+		mode := "strict"
 		if fp {
-			row.Mode = "false-positive + GC"
+			mode = "false-positive + GC"
 		}
 		var delTotal time.Duration
 		h.run(func(p *sim.Proc) {
@@ -272,46 +215,35 @@ func AblationRefcount(sc Scale) []AblationRefcountRow {
 				delTotal += (p.Now() - t0).Duration()
 			}
 		})
-		row.DeleteLatency = delTotal / objects
-		row.ChunksLeaked = int64(len(h.c.ListObjects(s.ChunkPool())))
+		leaked := len(h.c.ListObjects(s.ChunkPool()))
+		var gcSecs float64
+		var reclaimed int64
 		if fp {
 			h.run(func(p *sim.Proc) {
 				t0 := p.Now()
 				stats := must(s.GC(p))
-				row.GCSeconds = (p.Now() - t0).Seconds()
-				row.BytesReclaimed = stats.BytesReclaimed
+				gcSecs = (p.Now() - t0).Seconds()
+				reclaimed = stats.BytesReclaimed
 			})
 		}
-		row.FinalChunkCount = len(h.c.ListObjects(s.ChunkPool()))
-		return row
+		return []string{
+			mode, us(delTotal / objects),
+			fmt.Sprint(leaked), f2(gcSecs), mb(reclaimed), fmt.Sprint(len(h.c.ListObjects(s.ChunkPool()))),
+		}
 	})
+	return Table{
+		Title:   "Ablation: strict vs false-positive reference counting (§4.6)",
+		Columns: []string{"mode", "mean delete latency", "chunks left pre-GC", "GC secs", "reclaimed", "final chunks"},
+		Rows:    rows,
+		Notes:   []string{"FP mode trades cheaper deletes for a GC pass; both end with zero chunks after full delete"},
+	}
 }
 
-// AblationRefcountTable renders the refcount ablation.
-func AblationRefcountTable(rows []AblationRefcountRow) Table {
-	return table("Ablation: strict vs false-positive reference counting (§4.6)",
-		[]string{"mode", "mean delete latency", "chunks left pre-GC", "GC secs", "reclaimed", "final chunks"},
-		[]string{"FP mode trades cheaper deletes for a GC pass; both end with zero chunks after full delete"},
-		rows, func(r AblationRefcountRow) []string {
-			return []string{
-				r.Mode, us(r.DeleteLatency),
-				fmt.Sprint(r.ChunksLeaked), f2(r.GCSeconds), mb(r.BytesReclaimed), fmt.Sprint(r.FinalChunkCount),
-			}
-		})
-}
-
-// AblationCacheRow compares hot-object handling.
-type AblationCacheRow struct {
-	Mode         string
-	WriteLatency time.Duration
-	FlushedBytes int64
-}
-
-// AblationCache measures §3.2's claim that skipping hot objects avoids
+// ablationCache measures §3.2's claim that skipping hot objects avoids
 // wasted dedup I/O: a hot working set rewritten repeatedly with the cache
 // manager on (hot objects exempt) vs off (every write re-deduplicated).
-func AblationCache(sc Scale) []AblationCacheRow {
-	return Runs(sc, []bool{true, false}, func(tb *Testbed, cacheOn bool) AblationCacheRow {
+func ablationCache(sc Scale) Table {
+	rows := Runs(sc, []bool{true, false}, func(tb *Testbed, cacheOn bool) []string {
 		h := tb.harness(904, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.Rate.Enabled = false
@@ -346,29 +278,17 @@ func AblationCache(sc Scale) []AblationCacheRow {
 		if cacheOn {
 			mode = "cache on (hot objects exempt)"
 		}
-		return AblationCacheRow{
-			Mode:         mode,
-			WriteLatency: total / time.Duration(ops),
-			FlushedBytes: s.Engine().Stats().BytesFlushed,
-		}
+		return []string{mode, us(total / time.Duration(ops)), mb(s.Engine().Stats().BytesFlushed)}
 	})
-}
-
-// AblationCacheTable renders the cache ablation.
-func AblationCacheTable(rows []AblationCacheRow) Table {
-	return table("Ablation: cache manager hot-object exemption (§3.2, §4.3)",
-		[]string{"mode", "mean write latency", "background bytes flushed"},
-		[]string{"exempting hot objects cuts the bytes flushed about 10x by not deduplicating data about to be rewritten; mean write latency does not move, since flushes run behind the writes"},
-		rows, func(r AblationCacheRow) []string { return []string{r.Mode, us(r.WriteLatency), mb(r.FlushedBytes)} })
+	return Table{
+		Title:   "Ablation: cache manager hot-object exemption (§3.2, §4.3)",
+		Columns: []string{"mode", "mean write latency", "background bytes flushed"},
+		Rows:    rows,
+		Notes:   []string{"exempting hot objects cuts the bytes flushed about 10x by not deduplicating data about to be rewritten; mean write latency does not move, since flushes run behind the writes"},
+	}
 }
 
 // ablationTables runs every ablation as one experiment.
 func ablationTables(sc Scale) []Table {
-	return []Table{
-		AblationChunkingTable(AblationChunking(sc)),
-		AblationCDCStoreTable(AblationCDCStore(sc)),
-		AblationBackupTable(AblationBackup(sc)),
-		AblationRefcountTable(AblationRefcount(sc)),
-		AblationCacheTable(AblationCache(sc)),
-	}
+	return []Table{ablationChunking(sc), ablationCDCStore(sc), ablationBackup(sc), ablationRefcount(sc), ablationCache(sc)}
 }

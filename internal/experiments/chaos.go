@@ -24,9 +24,9 @@ import (
 // (seed, scale) pair reproduces bit-for-bit, faults landing between the
 // same I/O events on every run.
 
-// ChaosScenario selects the chunk-pool protection scheme and fault shape
+// chaosScenario selects the chunk-pool protection scheme and fault shape
 // under test.
-type ChaosScenario struct {
+type chaosScenario struct {
 	Name  string
 	Chunk rados.Redundancy
 	// KillN, when > 0, replaces the default single 4-second crash with a
@@ -40,8 +40,8 @@ type ChaosScenario struct {
 	GCDuring bool
 }
 
-// ChaosEvent is one timeline row.
-type ChaosEvent struct {
+// chaosEvent is one timeline row.
+type chaosEvent struct {
 	At   time.Duration // virtual time from experiment start
 	What string
 }
@@ -49,7 +49,7 @@ type ChaosEvent struct {
 // ChaosResult is one scenario's outcome.
 type ChaosResult struct {
 	Scenario string
-	Timeline []ChaosEvent
+	Timeline []chaosEvent
 
 	// Availability measures.
 	DetectLatency time.Duration // crash -> marked down
@@ -70,12 +70,12 @@ type ChaosResult struct {
 	Reconciled
 }
 
-// DefaultChaosScenarios covers both protection schemes for the chunk pool,
+// chaosScenarios covers both protection schemes for the chunk pool,
 // plus the high-rate kill schedules that stress the two-phase reference
 // protocol: kill-during-flush and kill-during-GC at 5x the single-crash
 // fault rate.
-func DefaultChaosScenarios() []ChaosScenario {
-	return []ChaosScenario{
+func chaosScenarios() []chaosScenario {
+	return []chaosScenario{
 		{Name: "rep2", Chunk: rados.ReplicatedN(2)},
 		{Name: "ec2+1", Chunk: rados.ErasureKM(2, 1)},
 		{Name: "rep2-killflush", Chunk: rados.ReplicatedN(2), KillN: 5},
@@ -86,12 +86,12 @@ func DefaultChaosScenarios() []ChaosScenario {
 // ChaosSeeded runs every scenario with the same seed and fault schedule,
 // one run each.
 func ChaosSeeded(sc Scale, seed int64) []ChaosResult {
-	return Runs(sc, DefaultChaosScenarios(), func(tb *Testbed, scn ChaosScenario) ChaosResult {
+	return Runs(sc, chaosScenarios(), func(tb *Testbed, scn chaosScenario) ChaosResult {
 		return chaosRun(tb, sc, scn, seed)
 	})
 }
 
-func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult {
+func chaosRun(tb *Testbed, sc Scale, scn chaosScenario, seed int64) ChaosResult {
 	res := ChaosResult{Scenario: scn.Name}
 	h := tb.harness(seed, 4, 4)
 	s := h.dedupStore(func(cfg *core.Config) {
@@ -208,7 +208,7 @@ func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult 
 		if ev.Revert {
 			what = "fault reverted: " + ev.Fault.String()
 		}
-		res.Timeline = append(res.Timeline, ChaosEvent{At: rel(ev.At), What: what})
+		res.Timeline = append(res.Timeline, chaosEvent{At: rel(ev.At), What: what})
 	}
 	for _, ev := range mon.Events() {
 		var what string
@@ -225,9 +225,9 @@ func chaosRun(tb *Testbed, sc Scale, scn ChaosScenario, seed int64) ChaosResult 
 		case "recovered":
 			what = "recovery pass complete"
 		}
-		res.Timeline = append(res.Timeline, ChaosEvent{At: rel(ev.At), What: what})
+		res.Timeline = append(res.Timeline, chaosEvent{At: rel(ev.At), What: what})
 	}
-	slices.SortStableFunc(res.Timeline, func(a, b ChaosEvent) int { return cmp.Compare(a.At, b.At) })
+	slices.SortStableFunc(res.Timeline, func(a, b chaosEvent) int { return cmp.Compare(a.At, b.At) })
 
 	reg := h.c.Metrics()
 	res.DegradedReads = reg.Counter("rados_degraded_reads_total").Value()
@@ -268,9 +268,14 @@ func chaosObject(rng *rand.Rand, size int) []byte {
 func ChaosTables(results []ChaosResult) []Table {
 	var out []Table
 	for _, r := range results {
-		out = append(out, table(fmt.Sprintf("Chaos availability timeline (chunk pool %s)", r.Scenario),
-			[]string{"t (virtual)", "event"}, nil,
-			r.Timeline, func(ev ChaosEvent) []string { return []string{ev.At.String(), ev.What} }))
+		timeline := Table{
+			Title:   fmt.Sprintf("Chaos availability timeline (chunk pool %s)", r.Scenario),
+			Columns: []string{"t (virtual)", "event"},
+		}
+		for _, ev := range r.Timeline {
+			timeline.Rows = append(timeline.Rows, []string{ev.At.String(), ev.What})
+		}
+		out = append(out, timeline)
 		out = append(out, Table{
 			Title:   fmt.Sprintf("Chaos summary (chunk pool %s)", r.Scenario),
 			Columns: []string{"measure", "value"},

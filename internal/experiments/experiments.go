@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§2.2, §6) and reports measured values alongside the paper's
 // published numbers so shape agreement is auditable. Every experiment is a
-// list of isolated runs (Runs): each builds a fresh simulated testbed,
-// replays its workload and returns a row, and the experiment renders the
-// rows as tables.
+// function from a Scale to its tables, built from a list of isolated runs
+// (Runs): each builds a fresh simulated testbed, replays its workload and
+// returns its table cells.
 //
 // Scales: sizes are reduced ~1000:1 from the paper (GB→MB); dedup ratios
 // and relative performance are structure properties, not size properties.
@@ -95,10 +95,10 @@ func (tb *Testbed) harness(seed int64, hosts, osdsPerHost int, opts ...rados.Opt
 }
 
 // Runs executes run once per case, each with its own Testbed, and returns
-// the rows in case order. Under a Scale with a pool every run is a job
+// the results in case order. Under a Scale with a pool every run is a job
 // holding one worker slot, and a panic in any run is re-raised here once
 // all have finished; otherwise the runs execute in order on the caller. A
-// run's engine is closed when it returns, so only its row and trace sink
+// run's engine is closed when it returns, so only its result and trace sink
 // outlive it; the sinks join the Scale's capture in case order.
 func Runs[C, R any](sc Scale, cases []C, run func(*Testbed, C) R) []R {
 	rows := make([]R, len(cases))
@@ -330,15 +330,6 @@ type Table struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
-}
-
-// table renders one row of cells per row.
-func table[R any](title string, columns, notes []string, rows []R, cells func(R) []string) Table {
-	t := Table{Title: title, Columns: columns, Notes: notes}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, cells(r))
-	}
-	return t
 }
 
 // String renders the table with aligned columns.

@@ -9,48 +9,61 @@ import (
 // tinyScale keeps the experiment smoke tests fast.
 var tinyScale = Scale{Data: 0.1}
 
-func TestFig3ShapeHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	rows := Fig3(tinyScale)
+// fig3Shape: global dedup finds more than local dedup on each of the six
+// workloads.
+func fig3Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	rows := s.rows("Figure 3:")
 	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
+		s.failf("Figure 3 has %d workloads, want 6", len(rows))
 	}
 	for _, r := range rows {
-		if r.Global <= r.Local {
-			t.Errorf("%s: global %.1f <= local %.1f", r.Workload, r.Global, r.Local)
+		if l, g := s.num(r, "local"), s.num(r, "global"); g <= l {
+			s.failf("%s: global %.1f <= local %.1f", r["workload"], g, l)
 		}
 	}
+	return s.err()
 }
 
-func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+func TestFig3ShapeHolds(t *testing.T) { checkSmokeShape(t, "fig3", fig3Shape) }
+
+// table1Shape: local dedup's ratio collapses from 4 to 16 OSDs while the
+// global ratio stays within 10 points of the content's 50 %.
+func table1Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	const t1 = "Table 1:"
+	first, last := s.num(s.row(t1, "OSDs", "4"), "local"), s.num(s.row(t1, "OSDs", "16"), "local")
+	if first <= last {
+		s.failf("local ratio did not collapse with OSD count: %.1f -> %.1f", first, last)
 	}
-	rows := Table1(tinyScale)
-	if rows[0].Local <= rows[3].Local {
-		t.Errorf("local ratio did not collapse with OSD count: %.1f -> %.1f", rows[0].Local, rows[3].Local)
-	}
-	for _, r := range rows {
-		if r.Global < 40 || r.Global > 60 {
-			t.Errorf("global ratio %.1f far from 50%%", r.Global)
+	for _, r := range s.rows(t1) {
+		if g := s.num(r, "global"); g < 40 || g > 60 {
+			s.failf("%s OSDs: global ratio %.1f far from 50%%", r["OSDs"], g)
 		}
 	}
+	return s.err()
 }
 
-func TestFig5aShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+func TestTable1Shape(t *testing.T) { checkSmokeShape(t, "table1", table1Shape) }
+
+// fig5aShape: inline dedup's 16 KB partial writes are slower than the
+// original store's, and chunk-aligned 32 KB writes win the throughput back.
+func fig5aShape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	const f5a = "Figure 5-(a):"
+	orig := s.num(s.row(f5a, "config", "Original, 16KB writes"), "MB/s")
+	partial := s.num(s.row(f5a, "config", "Inline dedup, 16KB writes (partial-write RMW)"), "MB/s")
+	aligned := s.num(s.row(f5a, "config", "Inline dedup, 32KB writes (chunk-aligned)"), "MB/s")
+	if partial >= orig {
+		s.failf("inline 16K (%.1f) not slower than original (%.1f)", partial, orig)
 	}
-	rows := Fig5a(tinyScale)
-	if rows[1].Throughput >= rows[0].Throughput {
-		t.Errorf("inline 16K (%.1f) not slower than original (%.1f)", rows[1].Throughput, rows[0].Throughput)
+	if aligned <= partial {
+		s.failf("aligned 32K (%.1f) not faster than partial 16K (%.1f)", aligned, partial)
 	}
-	if rows[2].Throughput <= rows[1].Throughput {
-		t.Errorf("aligned 32K (%.1f) not faster than partial 16K (%.1f)", rows[2].Throughput, rows[1].Throughput)
-	}
+	return s.err()
 }
+
+func TestFig5aShape(t *testing.T) { checkSmokeShape(t, "fig5a", fig5aShape) }
 
 // fig14Shape pins the interference picture at the golden scale (at tinyScale
 // the span is three blocks and nothing contends): an unthrottled engine
@@ -91,7 +104,7 @@ func fig14Shape(tabs []Table) error {
 }
 
 // fig14Retained is retainedPct of one column of the Figure 14 table, over
-// Fig14's own windows: the engine starts a third of the way into the run, at
+// fig14's own windows: the engine starts a third of the way into the run, at
 // second start, and the before and after means are MeanMBps(1, start) and
 // MeanMBps(start+1, len) of the per-second throughput.
 func fig14Retained(s *shape, col string) float64 {
@@ -111,12 +124,12 @@ func fig14Retained(s *shape, col string) float64 {
 		}
 		return sum / float64(len(v))
 	}
-	return retainedPct(InterferenceResult{SteadyBefore: mean(mbps[1:start]), SteadyAfter: mean(mbps[start+1:])})
+	return retainedPct(mean(mbps[1:start]), mean(mbps[start+1:]))
 }
 
 func TestFig14Shape(t *testing.T) { checkShape(t, "fig14", fig14Shape) }
 
-// TestFig14RetainedWindows: fig14Retained's windows are Fig14's own. Over
+// TestFig14RetainedWindows: fig14Retained's windows are fig14's own. Over
 // the columns of the two engine runs it gives the retained % that the
 // ablation table renders from the runs' exact means.
 func TestFig14RetainedWindows(t *testing.T) {
@@ -135,68 +148,89 @@ func TestFig14RetainedWindows(t *testing.T) {
 	}
 }
 
-func TestFig10Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+// fig10Shape: random-write latency orders Original < Proposed <
+// Proposed-flush.
+func fig10Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	lat := func(config string) float64 {
+		return s.num(s.row("Figure 10:", "config", config, "op", "randwrite"), "mean latency")
 	}
-	rows := Fig10(tinyScale)
-	lat := map[string]float64{}
-	for _, r := range rows {
-		if r.Op == "randwrite" {
-			lat[r.Config] = float64(r.Latency)
+	orig, prop, flush := lat("Original"), lat("Proposed"), lat("Proposed-flush")
+	if orig >= prop {
+		s.failf("write latency ordering wrong: Original %.0fµs >= Proposed %.0fµs", orig, prop)
+	}
+	if prop >= flush {
+		s.failf("write latency ordering wrong: Proposed %.0fµs >= Proposed-flush %.0fµs", prop, flush)
+	}
+	return s.err()
+}
+
+func TestFig10Shape(t *testing.T) { checkSmokeShape(t, "fig10", fig10Shape) }
+
+// table2Shape: stored metadata shrinks with each doubling of the chunk size,
+// and the ideal ratio at 64 KB is no higher than at 16 KB.
+func table2Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	var meta, ideal []float64
+	for _, chunk := range []string{"16KB", "32KB", "64KB"} {
+		r := s.row("Table 2:", "chunk", chunk)
+		meta = append(meta, s.num(r, "stored metadata"))
+		ideal = append(ideal, s.num(r, "ideal %"))
+	}
+	for i := 1; i < len(meta); i++ {
+		if meta[i] >= meta[i-1] {
+			s.failf("metadata not shrinking with chunk size: %.2f MB -> %.2f MB", meta[i-1], meta[i])
 		}
 	}
-	if !(lat["Original"] < lat["Proposed"] && lat["Proposed"] < lat["Proposed-flush"]) {
-		t.Errorf("write latency ordering wrong: %v", lat)
+	if ideal[0] < ideal[2] {
+		s.failf("ideal ratio not declining: %.1f -> %.1f", ideal[0], ideal[2])
 	}
+	return s.err()
 }
 
-func TestTable2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	rows := Table2(tinyScale)
-	if !(rows[0].StoredMetadata > rows[1].StoredMetadata && rows[1].StoredMetadata > rows[2].StoredMetadata) {
-		t.Errorf("metadata not shrinking with chunk size: %d/%d/%d",
-			rows[0].StoredMetadata, rows[1].StoredMetadata, rows[2].StoredMetadata)
-	}
-	if rows[0].IdealRatio < rows[2].IdealRatio {
-		t.Errorf("ideal ratio not declining: %.1f -> %.1f", rows[0].IdealRatio, rows[2].IdealRatio)
-	}
-}
+func TestTable2Shape(t *testing.T) { checkSmokeShape(t, "table2", table2Shape) }
 
-func TestTable3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	rows := Table3(tinyScale)
-	for _, r := range rows {
-		if r.ProposedMoved >= r.OriginalMoved {
-			t.Errorf("%d failed: proposed moved %d >= original %d", r.FailedOSDs, r.ProposedMoved, r.OriginalMoved)
+// table3Shape: recovery moves fewer bytes under dedup, for each count of
+// replaced OSDs.
+func table3Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	for _, n := range []string{"1", "2", "4"} {
+		r := s.row("Table 3:", "failed OSDs", n)
+		if prop, orig := s.num(r, "prop moved"), s.num(r, "orig moved"); prop >= orig {
+			s.failf("%s failed: proposed moved %.2f MB >= original %.2f MB", n, prop, orig)
 		}
 	}
+	return s.err()
 }
 
-func TestFig13Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
+func TestTable3Shape(t *testing.T) { checkSmokeShape(t, "table3", table3Shape) }
+
+// fig13Shape: after the last image, dedup stores under a fifth of what
+// replication does, compression shrinks the dedup footprint further, and EC
+// is cheaper than replication.
+func fig13Shape(tabs []Table) error {
+	s := &shape{tabs: tabs}
+	rows := s.rows("Figure 13:")
+	if len(rows) == 0 {
+		s.failf("Figure 13 has no images")
+		return s.err()
 	}
-	series := Fig13(tinyScale)
-	byLabel := map[string][]int64{}
-	for _, s := range series {
-		byLabel[s.Label] = s.UsedBytes
+	last := rows[len(rows)-1]
+	rep, ec := s.num(last, "rep"), s.num(last, "ec")
+	dedup, comp := s.num(last, "rep+dedup"), s.num(last, "rep+dedup+comp")
+	if dedup >= rep/5 {
+		s.failf("dedup saving too small: %.2f MB vs %.2f MB", dedup, rep)
 	}
-	last := func(l string) int64 { u := byLabel[l]; return u[len(u)-1] }
-	if last("rep+dedup") >= last("rep")/5 {
-		t.Errorf("dedup saving too small: %d vs %d", last("rep+dedup"), last("rep"))
+	if comp >= dedup {
+		s.failf("compression did not help: %.2f MB vs %.2f MB", comp, dedup)
 	}
-	if last("rep+dedup+comp") >= last("rep+dedup") {
-		t.Errorf("compression did not help: %d vs %d", last("rep+dedup+comp"), last("rep+dedup"))
+	if ec >= rep {
+		s.failf("EC not cheaper than replication: %.2f MB vs %.2f MB", ec, rep)
 	}
-	if last("ec") >= last("rep") {
-		t.Errorf("EC not cheaper than replication: %d vs %d", last("ec"), last("rep"))
-	}
+	return s.err()
 }
+
+func TestFig13Shape(t *testing.T) { checkSmokeShape(t, "fig13", fig13Shape) }
 
 func TestTableRendering(t *testing.T) {
 	tab := Table{

@@ -12,16 +12,7 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Fig10Row is one bar/line pair of Figure 10: latency and CPU usage for one
-// configuration of 8KB random I/O.
-type Fig10Row struct {
-	Config  string
-	Op      string // "randwrite" / "randread"
-	Latency time.Duration
-	CPUPct  float64
-}
-
-// Fig10 reproduces Figure 10: 8KB random write and random read latency/CPU
+// fig10 reproduces Figure 10: 8KB random write and random read latency/CPU
 // on a 32KB-chunk system, FIO 4 threads × 4 iodepth, for:
 //
 //   - Original:        the unmodified store.
@@ -30,7 +21,7 @@ type Fig10Row struct {
 //   - Proposed-flush:  every write deduplicates synchronously (worst case).
 //   - Proposed-cache:  data stays cached in the metadata pool (writes update
 //     only the chunk map; reads are served like the original).
-func Fig10(sc Scale) []Fig10Row {
+func fig10(sc Scale) []Table {
 	span := sc.bytes(4 << 20)
 	ops := sc.count(1500)
 	fioW := workload.FIOConfig{BlockSize: 8 << 10, Span: span, Pattern: workload.RandWrite,
@@ -40,15 +31,15 @@ func Fig10(sc Scale) []Fig10Row {
 
 	// measure runs cfg against dev and reports its mean latency with the
 	// cluster CPU utilization (%) across the phase.
-	measure := func(h *harness, dev *client.BlockDevice, config string, cfg workload.FIOConfig) Fig10Row {
+	measure := func(h *harness, dev *client.BlockDevice, config string, cfg workload.FIOConfig) []string {
 		busy0, start := h.c.HostCPUBusy(), h.eng.Now()
 		var res workload.FIOResult
 		h.run(func(p *sim.Proc) { res = workload.RunFIO(p, dev, cfg) })
-		row := Fig10Row{Config: config, Op: cfg.Pattern.String(), Latency: res.MeanLatency()}
+		cpuPct := 0.0
 		if elapsed := (h.eng.Now() - start).Duration(); elapsed > 0 {
-			row.CPUPct = 100 * float64(h.c.HostCPUBusy()-busy0) / (float64(elapsed) * float64(h.c.HostCount()*12))
+			cpuPct = 100 * float64(h.c.HostCPUBusy()-busy0) / (float64(elapsed) * float64(h.c.HostCount()*12))
 		}
-		return row
+		return []string{config, cfg.Pattern.String(), us(res.MeanLatency()), f1(cpuPct)}
 	}
 	// dedup opens a dedup store tweaked by mut and prefills a device on it.
 	dedup := func(h *harness, mut func(*core.Config)) (*core.Store, *client.BlockDevice) {
@@ -57,15 +48,15 @@ func Fig10(sc Scale) []Fig10Row {
 		h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
 		return s, dev
 	}
-	return slices.Concat(Runs(sc, []func(*Testbed) []Fig10Row{
-		func(tb *Testbed) []Fig10Row {
+	rows := slices.Concat(Runs(sc, []func(*Testbed) [][]string{
+		func(tb *Testbed) [][]string {
 			h := tb.harness(301, 4, 4)
 			dev := h.rawDevice("img", span, 0, rados.ReplicatedN(2))
 			h.run(func(p *sim.Proc) { _ = workload.Prefill(p, dev, fioW) })
-			return []Fig10Row{measure(h, dev, "Original", fioW), measure(h, dev, "Original", fioR)}
+			return [][]string{measure(h, dev, "Original", fioW), measure(h, dev, "Original", fioR)}
 		},
 		// Post-processing, engine + rate control active.
-		func(tb *Testbed) []Fig10Row {
+		func(tb *Testbed) [][]string {
 			h := tb.harness(302, 4, 4)
 			s, dev := dedup(h, func(cfg *core.Config) {
 				cfg.HitSet.HitCount = 1000 // measure the non-cached path
@@ -75,53 +66,42 @@ func Fig10(sc Scale) []Fig10Row {
 			// Reads against flushed data: the redirection path.
 			h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
 			s.StartEngine()
-			return []Fig10Row{w, measure(h, dev, "Proposed", fioR)}
+			return [][]string{w, measure(h, dev, "Proposed", fioR)}
 		},
 		// Synchronous dedup on every write.
-		func(tb *Testbed) []Fig10Row {
+		func(tb *Testbed) [][]string {
 			h := tb.harness(303, 4, 4)
 			_, dev := dedup(h, func(cfg *core.Config) {
 				cfg.Mode = core.ModeFlushThrough
 				cfg.HitSet.HitCount = 1000
 			})
-			return []Fig10Row{measure(h, dev, "Proposed-flush", fioW)}
+			return [][]string{measure(h, dev, "Proposed-flush", fioW)}
 		},
 		// Data stays in the metadata pool.
-		func(tb *Testbed) []Fig10Row {
+		func(tb *Testbed) [][]string {
 			h := tb.harness(304, 4, 4)
 			_, dev := dedup(h, func(cfg *core.Config) {
 				cfg.HitSet.HitCount = 1 // everything hot: nothing is flushed
 			})
-			return []Fig10Row{measure(h, dev, "Proposed-cache", fioW), measure(h, dev, "Proposed-cache", fioR)}
+			return [][]string{measure(h, dev, "Proposed-cache", fioW), measure(h, dev, "Proposed-cache", fioR)}
 		},
-	}, func(tb *Testbed, run func(*Testbed) []Fig10Row) []Fig10Row { return run(tb) })...)
-}
-
-// Fig10Table renders Fig10.
-func Fig10Table(rows []Fig10Row) Table {
-	return table("Figure 10: 8KB random I/O latency and CPU (32KB chunks, FIO 4thr x 4qd)",
-		[]string{"config", "op", "mean latency", "CPU %"},
-		[]string{
+	}, func(tb *Testbed, run func(*Testbed) [][]string) [][]string { return run(tb) })...)
+	return []Table{{
+		Title:   "Figure 10: 8KB random I/O latency and CPU (32KB chunks, FIO 4thr x 4qd)",
+		Columns: []string{"config", "op", "mean latency", "CPU %"},
+		Rows:    rows,
+		Notes: []string{
 			"paper shape: write — Proposed ~ +20% latency / ~2x CPU vs Original; Proposed-flush worst; Proposed-cache ~ Original",
 			"paper shape: read — Proposed (redirected) slower than Original; Proposed-cache ~ Original",
 		},
-		rows, func(r Fig10Row) []string { return []string{r.Config, r.Op, us(r.Latency), f1(r.CPUPct)} })
+	}}
 }
 
-// Fig11Row is one point of Figure 11: sequential throughput/latency at one
-// block size.
-type Fig11Row struct {
-	Config     string
-	Op         string
-	BlockSize  int64
-	Throughput float64 // MB/s aggregate over 3 clients
-	Latency    time.Duration
-}
-
-// Fig11 reproduces Figure 11: 32/64/128KB sequential read and write from
+// fig11 reproduces Figure 11: 32/64/128KB sequential read and write from
 // three clients, Original vs Proposed (32KB chunk system). Reads run after
-// all data is flushed to the chunk pool, as in the paper.
-func Fig11(sc Scale) []Fig11Row {
+// all data is flushed to the chunk pool, as in the paper. A row's MB/s is
+// the aggregate over the 3 clients, its latency their mean.
+func fig11(sc Scale) []Table {
 	span := sc.bytes(6 << 20) // per client
 	const clients = 3
 	type fig11Case struct {
@@ -132,7 +112,7 @@ func Fig11(sc Scale) []Fig11Row {
 	for _, bs := range []int64{32 << 10, 64 << 10, 128 << 10} {
 		cases = append(cases, fig11Case{bs, false}, fig11Case{bs, true})
 	}
-	return slices.Concat(Runs(sc, cases, func(tb *Testbed, c fig11Case) []Fig11Row {
+	rows := slices.Concat(Runs(sc, cases, func(tb *Testbed, c fig11Case) [][]string {
 		config, seed := "Original", int64(401)
 		if c.dedup {
 			config, seed = "Proposed", 402
@@ -153,7 +133,7 @@ func Fig11(sc Scale) []Fig11Row {
 				devs[i] = h.rawDevice(name, span, 0, rados.ReplicatedN(2))
 			}
 		}
-		phase := func(op string, pattern workload.Pattern, seed int64) Fig11Row {
+		phase := func(op string, pattern workload.Pattern, seed int64) []string {
 			results := make([]workload.FIOResult, clients)
 			h.run(func(p *sim.Proc) {
 				var sigs []*sim.Signal
@@ -167,13 +147,13 @@ func Fig11(sc Scale) []Fig11Row {
 				}
 				sim.WaitAll(p, sigs...)
 			})
-			row := Fig11Row{Config: config, Op: op, BlockSize: c.bs}
+			var mbps float64
+			var lat time.Duration
 			for _, r := range results {
-				row.Throughput += r.Throughput()
-				row.Latency += r.MeanLatency()
+				mbps += r.Throughput()
+				lat += r.MeanLatency()
 			}
-			row.Latency /= clients
-			return row
+			return []string{config, op, fmtKB(c.bs), f1(mbps), us(lat / clients)}
 		}
 		// Proposed writes with the background engine and rate control on,
 		// and reads after a full flush (the redirection path).
@@ -184,21 +164,17 @@ func Fig11(sc Scale) []Fig11Row {
 		if c.dedup {
 			h.run(func(p *sim.Proc) { s.Engine().DrainAndWait(p) })
 		}
-		return []Fig11Row{w, phase("read", workload.SeqRead, 82)}
+		return [][]string{w, phase("read", workload.SeqRead, 82)}
 	})...)
-}
-
-// Fig11Table renders Fig11.
-func Fig11Table(rows []Fig11Row) Table {
-	return table("Figure 11: sequential performance, 3 clients (32KB chunks)",
-		[]string{"config", "op", "block", "MB/s", "mean latency"},
-		[]string{
+	return []Table{{
+		Title:   "Figure 11: sequential performance, 3 clients (32KB chunks)",
+		Columns: []string{"config", "op", "block", "MB/s", "mean latency"},
+		Rows:    rows,
+		Notes: []string{
 			"paper shape: read — Proposed ~1/2 of Original at 32KB (redirection), gap narrows by 128KB (parallel chunk reads)",
 			"paper shape: write — Proposed close to Original at every block size (rate-controlled background dedup)",
 		},
-		rows, func(r Fig11Row) []string {
-			return []string{r.Config, r.Op, fmtKB(r.BlockSize), f1(r.Throughput), us(r.Latency)}
-		})
+	}}
 }
 
 // fmtKB renders a byte count in whole KiB, e.g. "32KB".

@@ -10,26 +10,13 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Fig12Row is one configuration's results for the SPEC SFS 2014 database
-// workload evaluation (Figure 12 a–e).
-type Fig12Row struct {
-	Config      string
-	Throughput  float64 // MB/s (a)
-	MeanLatency time.Duration
-	ReadIOPS    float64
-	WriteIOPS   float64
-	ReadLat     time.Duration
-	WriteLat    time.Duration
-	StorageUsed int64
-}
-
-// Fig12 reproduces Figure 12: the SFS database workload (fixed request
+// fig12 reproduces Figure 12: the SFS database workload (fixed request
 // rate) on four configurations — Replication, Proposed (dedup over
 // replication), EC, and Proposed-EC (dedup with an erasure-coded chunk
 // pool). The SFS property that total throughput is demand-bound (not
 // capacity-bound) makes Replication and Proposed match on throughput while
 // latency and storage differ; EC pays its read-modify-write penalty.
-func Fig12(sc Scale) []Fig12Row {
+func fig12(sc Scale) []Table {
 	sfsCfg := workload.SFSConfig{
 		Loads:            4,
 		BytesPerLoad:     sc.bytes(6 << 20), // paper: 240GB total, metric 10
@@ -64,7 +51,7 @@ func Fig12(sc Scale) []Fig12Row {
 			return h.dedupDevice("img", devSize, s), s
 		}},
 	}
-	return Runs(sc, setups, func(tb *Testbed, st setup) Fig12Row {
+	rows := Runs(sc, setups, func(tb *Testbed, st setup) []string {
 		h := tb.harness(st.seed, 4, 4)
 		dev, s := st.build(h)
 		h.run(func(p *sim.Proc) { check(workload.BuildSFSDataset(p, dev, sfsCfg)) })
@@ -88,32 +75,20 @@ func Fig12(sc Scale) []Fig12Row {
 		}
 		var res workload.SFSResult
 		h.run(func(p *sim.Proc) { res = workload.RunSFS(p, dev, sfsCfg) })
-		return Fig12Row{
-			Config:      st.name,
-			Throughput:  res.TotalThroughput(),
-			MeanLatency: res.MeanLatency(),
-			ReadIOPS:    res.Read.IOPS(res.Elapsed),
-			WriteIOPS:   res.Write.IOPS(res.Elapsed) + res.LogWrite.IOPS(res.Elapsed),
-			ReadLat:     res.Read.Lat.Mean(),
-			WriteLat:    res.Write.Lat.Mean(),
-			StorageUsed: used,
+		return []string{
+			st.name, f1(res.TotalThroughput()), us(res.MeanLatency()),
+			f1(res.Read.IOPS(res.Elapsed)), f1(res.Write.IOPS(res.Elapsed) + res.LogWrite.IOPS(res.Elapsed)),
+			us(res.Read.Lat.Mean()), us(res.Write.Lat.Mean()), mb(used),
 		}
 	})
-}
-
-// Fig12Table renders Fig12.
-func Fig12Table(rows []Fig12Row) Table {
-	return table("Figure 12: SPEC SFS 2014 database workload (rep=2 / EC 2+1)",
-		[]string{"config", "MB/s", "mean lat", "read IOPS", "write IOPS", "read lat", "write lat", "storage"},
-		[]string{
+	return []Table{{
+		Title:   "Figure 12: SPEC SFS 2014 database workload (rep=2 / EC 2+1)",
+		Columns: []string{"config", "MB/s", "mean lat", "read IOPS", "write IOPS", "read lat", "write lat", "storage"},
+		Rows:    rows,
+		Notes: []string{
 			"paper shape (a): Replication ~ Proposed throughput (fixed-rate workload); EC/Proposed-EC lower",
 			"paper shape (b,d): Proposed latency > Replication (dedup overhead); EC latencies much worse (RMW + spread reads)",
 			"paper shape (e): storage 428GB rep / 320GB EC / 48GB Proposed on the 240GB file set",
 		},
-		rows, func(r Fig12Row) []string {
-			return []string{
-				r.Config, f1(r.Throughput), us(r.MeanLatency), f1(r.ReadIOPS), f1(r.WriteIOPS),
-				us(r.ReadLat), us(r.WriteLat), mb(r.StorageUsed),
-			}
-		})
+	}}
 }

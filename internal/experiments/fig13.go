@@ -12,20 +12,13 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Fig13Series is one line of Figure 13: cumulative storage footprint as VM
-// images are added, for one redundancy/dedup/compression combination.
-type Fig13Series struct {
-	Label string
-	// UsedBytes[i] is the total footprint after writing image i+1.
-	UsedBytes []int64
-}
-
-// Fig13 reproduces Figure 13: ten identical-OS VM images written as thick
+// fig13 reproduces Figure 13: ten identical-OS VM images written as thick
 // images (zeros included, as the paper's 8GB images were), under
 // replication, EC, and their combinations with deduplication and node-local
 // (Btrfs-style) compression. Deduplication collapses the shared OS blocks
-// and the zero blocks; compression shrinks what remains.
-func Fig13(sc Scale) []Fig13Series {
+// and the zero blocks; compression shrinks what remains. One line per
+// combination: the cumulative storage footprint as the images are added.
+func fig13(sc Scale) []Table {
 	images := 10
 	imgCfg := workload.VMImageConfig{
 		ImageSize: sc.bytes(8 << 20), // paper: 8GB images
@@ -51,14 +44,15 @@ func Fig13(sc Scale) []Fig13Series {
 		{"ec+dedup", 814, rados.ErasureKM(2, 1), true, false},
 		{"ec+dedup+comp", 815, rados.ErasureKM(2, 1), true, true},
 	}
-	return Runs(sc, cases, func(tb *Testbed, c fig13Case) Fig13Series {
+	// footprints[c][i] is case c's footprint after writing image i+1.
+	footprints := Runs(sc, cases, func(tb *Testbed, c fig13Case) []int64 {
 		var opts []rados.Option
 		if c.compress {
 			opts = append(opts, rados.WithStoreOptions(store.WithSizeFn(compressfs.Default())))
 		}
 		h := tb.harness(c.seed, 4, 4, opts...)
-		series := Fig13Series{Label: c.label}
 
+		var used []int64
 		var s *core.Store
 		var rawPool *rados.Pool
 		var gwRaw *rados.Gateway
@@ -87,17 +81,13 @@ func Fig13(sc Scale) []Fig13Series {
 				}
 			})
 			if c.dedup {
-				series.UsedBytes = append(series.UsedBytes, h.footprint(s))
+				used = append(used, h.footprint(s))
 			} else {
-				series.UsedBytes = append(series.UsedBytes, h.c.PoolStats(rawPool).StoredTotal())
+				used = append(used, h.c.PoolStats(rawPool).StoredTotal())
 			}
 		}
-		return series
+		return used
 	})
-}
-
-// Fig13Table renders Fig13 as cumulative image-count rows.
-func Fig13Table(series []Fig13Series) Table {
 	t := Table{
 		Title:   "Figure 13: cumulative VM-image footprint (thick 8GB-scaled images)",
 		Columns: []string{"images"},
@@ -105,23 +95,15 @@ func Fig13Table(series []Fig13Series) Table {
 			"paper shape: rep 160GB, EC 120GB; rep+dedup ~2.2GB with ~200MB per extra image; ec+dedup+comp lowest",
 		},
 	}
-	for _, s := range series {
-		t.Columns = append(t.Columns, s.Label)
+	for _, c := range cases {
+		t.Columns = append(t.Columns, c.label)
 	}
-	n := 0
-	for _, s := range series {
-		n = max(n, len(s.UsedBytes))
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < images; i++ {
 		row := []string{fmt.Sprint(i + 1)}
-		for _, s := range series {
-			if i < len(s.UsedBytes) {
-				row = append(row, mb(s.UsedBytes[i]))
-			} else {
-				row = append(row, "-")
-			}
+		for _, u := range footprints {
+			row = append(row, mb(u[i]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []Table{t}
 }

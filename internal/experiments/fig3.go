@@ -9,16 +9,6 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Fig3Row is one bar pair of Figure 3: local vs global dedup ratio for a
-// workload on the 16-OSD testbed.
-type Fig3Row struct {
-	Workload    string
-	Local       float64
-	Global      float64
-	PaperLocal  float64
-	PaperGlobal float64
-}
-
 // fioDataset writes 5 MB (paper: 5GB) of sequential 8 KiB FIO blocks at
 // dedupPct into a raw replicated pool and returns the pool.
 func fioDataset(sc Scale, h *harness, dedupPct float64, seed int64) *rados.Pool {
@@ -40,13 +30,14 @@ func dedupRatios(h *harness, pool *rados.Pool, chunk int64) (local, global float
 	return core.LocalDedupAnalysis(h.c, pool, chunk).Ratio(), core.GlobalDedupAnalysis(h.c, pool, chunk).Ratio()
 }
 
-// Fig3 reproduces Figure 3: "Deduplication ratio comparison between global
+// fig3 reproduces Figure 3: "Deduplication ratio comparison between global
 // deduplication and local deduplication" across FIO, SPEC SFS DB, and the
-// private-cloud dataset, on 4 nodes × 4 OSDs.
-func Fig3(sc Scale) []Fig3Row {
+// private-cloud dataset, on 4 nodes × 4 OSDs: one bar pair per workload.
+func fig3(sc Scale) []Table {
 	type fig3Case struct {
-		row  Fig3Row // workload and paper numbers
-		seed int64
+		workload string
+		paper    [2]float64 // local, global
+		seed     int64
 		// load writes the data set and returns its pool and the chunk
 		// size the analysis uses.
 		load func(h *harness) (*rados.Pool, int64)
@@ -75,59 +66,39 @@ func Fig3(sc Scale) []Fig3Row {
 		return pool, 32 << 10
 	}
 	cases := []fig3Case{
-		{Fig3Row{Workload: "FIO dedup 50%", PaperLocal: 4.20, PaperGlobal: 50.01}, 101, fio(50)},
-		{Fig3Row{Workload: "FIO dedup 80%", PaperLocal: 12.98, PaperGlobal: 80.01}, 101, fio(80)},
-		{Fig3Row{Workload: "SFS DB (LD1)", PaperLocal: 8.96, PaperGlobal: 35.96}, 102, sfs(1)},
-		{Fig3Row{Workload: "SFS DB (LD3)", PaperLocal: 32.53, PaperGlobal: 80.60}, 102, sfs(3)},
-		{Fig3Row{Workload: "SFS DB (LD10)", PaperLocal: 50.02, PaperGlobal: 92.73}, 102, sfs(10)},
-		{Fig3Row{Workload: "SKT Private Cloud", PaperLocal: 21.53, PaperGlobal: 44.80}, 103, cloud},
+		{"FIO dedup 50%", [2]float64{4.20, 50.01}, 101, fio(50)},
+		{"FIO dedup 80%", [2]float64{12.98, 80.01}, 101, fio(80)},
+		{"SFS DB (LD1)", [2]float64{8.96, 35.96}, 102, sfs(1)},
+		{"SFS DB (LD3)", [2]float64{32.53, 80.60}, 102, sfs(3)},
+		{"SFS DB (LD10)", [2]float64{50.02, 92.73}, 102, sfs(10)},
+		{"SKT Private Cloud", [2]float64{21.53, 44.80}, 103, cloud},
 	}
-	return Runs(sc, cases, func(tb *Testbed, c fig3Case) Fig3Row {
-		h := tb.harness(c.seed, 4, 4)
-		pool, chunk := c.load(h)
-		c.row.Local, c.row.Global = dedupRatios(h, pool, chunk)
-		return c.row
-	})
+	return []Table{{
+		Title:   "Figure 3: local vs global deduplication ratio (%)",
+		Columns: []string{"workload", "local", "global", "paper-local", "paper-global"},
+		Rows: Runs(sc, cases, func(tb *Testbed, c fig3Case) []string {
+			h := tb.harness(c.seed, 4, 4)
+			pool, chunk := c.load(h)
+			local, global := dedupRatios(h, pool, chunk)
+			return []string{c.workload, f1(local), f1(global), f1(c.paper[0]), f1(c.paper[1])}
+		}),
+		Notes: []string{"shape target: global >> local everywhere; gap ~2-4x for SFS/cloud, ~12x for FIO on 16 OSDs"},
+	}}
 }
 
-// Fig3Table renders Fig3 results.
-func Fig3Table(rows []Fig3Row) Table {
-	return table("Figure 3: local vs global deduplication ratio (%)",
-		[]string{"workload", "local", "global", "paper-local", "paper-global"},
-		[]string{"shape target: global >> local everywhere; gap ~2-4x for SFS/cloud, ~12x for FIO on 16 OSDs"},
-		rows, func(r Fig3Row) []string {
-			return []string{r.Workload, f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)}
-		})
-}
-
-// Table1Row is one column of Table 1: local vs global ratio as the cluster
-// grows.
-type Table1Row struct {
-	OSDs        int
-	Local       float64
-	Global      float64
-	PaperLocal  float64
-	PaperGlobal float64
-}
-
-// Table1 reproduces Table 1: FIO dedup-50% content analyzed under local and
+// table1 reproduces Table 1: FIO dedup-50% content analyzed under local and
 // global dedup at 4, 8, 12, 16 OSDs — local dedup's ratio collapses as the
 // cluster scales out, global stays at the content's 50%.
-func Table1(sc Scale) []Table1Row {
+func table1(sc Scale) []Table {
 	paperLocal := map[int]float64{4: 15.5, 8: 8.1, 12: 5.5, 16: 4.1}
-	return Runs(sc, []int{4, 8, 12, 16}, func(tb *Testbed, osds int) Table1Row {
-		h := tb.harness(111, 4, osds/4)
-		local, global := dedupRatios(h, fioDataset(sc, h, 50, 41), 8<<10)
-		return Table1Row{osds, local, global, paperLocal[osds], 50.0}
-	})
-}
-
-// Table1Table renders Table1 results.
-func Table1Table(rows []Table1Row) Table {
-	return table("Table 1: dedup ratio (%) vs cluster size, FIO dedup=50%",
-		[]string{"OSDs", "local", "global", "paper-local", "paper-global"},
-		[]string{"shape target: local ratio shrinks ~1/OSDs; global stays ~50%"},
-		rows, func(r Table1Row) []string {
-			return []string{fmt.Sprint(r.OSDs), f1(r.Local), f1(r.Global), f1(r.PaperLocal), f1(r.PaperGlobal)}
-		})
+	return []Table{{
+		Title:   "Table 1: dedup ratio (%) vs cluster size, FIO dedup=50%",
+		Columns: []string{"OSDs", "local", "global", "paper-local", "paper-global"},
+		Rows: Runs(sc, []int{4, 8, 12, 16}, func(tb *Testbed, osds int) []string {
+			h := tb.harness(111, 4, osds/4)
+			local, global := dedupRatios(h, fioDataset(sc, h, 50, 41), 8<<10)
+			return []string{fmt.Sprint(osds), f1(local), f1(global), f1(paperLocal[osds]), f1(50.0)}
+		}),
+		Notes: []string{"shape target: local ratio shrinks ~1/OSDs; global stays ~50%"},
+	}}
 }

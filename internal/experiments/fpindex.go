@@ -36,23 +36,6 @@ func fpIndexSweepConfig(cacheBytes int) fpindex.Config {
 	}
 }
 
-// FPIndexLatencyRow is one (seed, index size, cache capacity) cell of the
-// lookup-latency sweep.
-type FPIndexLatencyRow struct {
-	Seed        int64
-	Entries     int   // fingerprints inserted (pre-replication)
-	CacheKiB    int64 // per-OSD block-cache capacity
-	IndexKiB    int64 // resulting per-OSD SSTable bytes (avg)
-	HitP50Us    float64
-	HitP99Us    float64
-	NegP50Us    float64
-	NegP99Us    float64
-	CacheHitPct float64 // block-cache hit ratio during the measured phase
-	ProbeKops   float64 // sustained lookups per second (hits + negatives)
-	ObsFPPct    float64 // bloom observed false-positive rate, measured phase
-	EstFPPct    float64 // bloom design false-positive rate (EstimatedFP)
-}
-
 // fpKeys derives a deterministic fingerprint population for a seed: 36-byte
 // chunk-style OIDs with uniformly spread hex digests (so SSTable blocks and
 // PGs are evenly loaded), plus an equal population of absent fingerprints
@@ -92,12 +75,16 @@ func cacheHitPct(before, after fpindex.Stats) float64 {
 	return 100 * float64(hits) / float64(hits+misses)
 }
 
-// FPIndexLatencySweep measures chunk-existence lookup latency across index
+// fpindexLatency measures chunk-existence lookup latency across index
 // sizes and cache capacities, two seeds each. Per cell: load the
 // fingerprints through the normal replicated write path, let compaction
 // drain, warm the cache with one unmeasured pass, then time every present
-// and absent probe individually at the acting primary.
-func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
+// and absent probe individually at the acting primary. Index KiB/osd is the
+// per-OSD SSTable bytes (mean); cache hit % is the block cache's hit ratio
+// in the measured phase; probe kops/s counts hits and negatives; obs FP %
+// is the bloom filters' observed false-positive rate there, est FP % their
+// design rate (EstimatedFP).
+func fpindexLatency(sc Scale) Table {
 	sizes := []int{sc.countMin(1000, 64), sc.countMin(4000, 256), sc.countMin(16000, 1024)}
 	caches := []int{32 << 10, 1 << 20}
 	seeds := []int64{1301, 1302}
@@ -115,7 +102,7 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 			}
 		}
 	}
-	return Runs(sc, cases, func(tb *Testbed, c latencyCase) FPIndexLatencyRow {
+	rows := Runs(sc, cases, func(tb *Testbed, c latencyCase) []string {
 		h := tb.harness(c.seed, 2, 2)
 		pool := must(h.c.CreatePool(rados.PoolConfig{Name: "chunks", PGNum: 64, Redundancy: rados.ReplicatedN(2)}))
 		check(h.c.EnableFPIndex(pool, fpIndexSweepConfig(c.cache)))
@@ -163,61 +150,34 @@ func FPIndexLatencySweep(sc Scale) []FPIndexLatencyRow {
 		after := h.c.FPIndexStats()
 
 		absentProbes := float64(max(after.AbsentProbes-before.AbsentProbes, 1))
-		return FPIndexLatencyRow{
-			Seed:        c.seed,
-			Entries:     c.entries,
-			CacheKiB:    int64(c.cache >> 10),
-			IndexKiB:    after.TableBytes / int64(len(h.c.OSDs())) >> 10,
-			HitP50Us:    percentileUs(hits, 50),
-			HitP99Us:    percentileUs(hits, 99),
-			NegP50Us:    percentileUs(negs, 50),
-			NegP99Us:    percentileUs(negs, 99),
-			CacheHitPct: cacheHitPct(before, after),
-			ProbeKops:   float64(len(hits)+len(negs)) / elapsed.Seconds() / 1000,
-			EstFPPct:    100 * (after.EstFPSum - before.EstFPSum) / absentProbes,
-			ObsFPPct:    100 * float64(after.BloomFalsePos-before.BloomFalsePos) / absentProbes,
+		return []string{
+			fmt.Sprint(c.seed), fmt.Sprint(c.entries), fmt.Sprint(int64(c.cache >> 10)),
+			fmt.Sprint(after.TableBytes / int64(len(h.c.OSDs())) >> 10),
+			f1(percentileUs(hits, 50)), f1(percentileUs(hits, 99)),
+			f1(percentileUs(negs, 50)), f1(percentileUs(negs, 99)), f1(cacheHitPct(before, after)),
+			f1(float64(len(hits)+len(negs)) / elapsed.Seconds() / 1000),
+			f2(100 * float64(after.BloomFalsePos-before.BloomFalsePos) / absentProbes),
+			f2(100 * (after.EstFPSum - before.EstFPSum) / absentProbes),
 		}
 	})
-}
-
-// FPIndexLatencyTable renders the lookup-latency sweep.
-func FPIndexLatencyTable(rows []FPIndexLatencyRow) Table {
-	return table("fpindex: chunk-existence lookup latency vs index size x block cache (per-OSD LSM index)",
-		[]string{"seed", "entries", "cache KiB", "index KiB/osd", "hit p50 us", "hit p99 us", "neg p50 us", "neg p99 us", "cache hit %", "probe kops/s", "obs FP %", "est FP %"},
-		[]string{
+	return Table{
+		Title:   "fpindex: chunk-existence lookup latency vs index size x block cache (per-OSD LSM index)",
+		Columns: []string{"seed", "entries", "cache KiB", "index KiB/osd", "hit p50 us", "hit p99 us", "neg p50 us", "neg p99 us", "cache hit %", "probe kops/s", "obs FP %", "est FP %"},
+		Rows:    rows,
+		Notes: []string{
 			"shape target: hit p50 rises monotonically with index size once SSTables exceed the cache (the cliff); cached configs stay flat",
 			"shape target: negative lookups stay near-flat across index sizes - bloom filters reject them before any block I/O",
 			"shape target: observed bloom false-positive rate within ~2x of the filters' design rate (est FP)",
 		},
-		rows, func(r FPIndexLatencyRow) []string {
-			return []string{
-				fmt.Sprint(r.Seed), fmt.Sprint(r.Entries), fmt.Sprint(r.CacheKiB),
-				fmt.Sprint(r.IndexKiB), f1(r.HitP50Us), f1(r.HitP99Us),
-				f1(r.NegP50Us), f1(r.NegP99Us), f1(r.CacheHitPct),
-				f1(r.ProbeKops), f2(r.ObsFPPct), f2(r.EstFPPct),
-			}
-		})
+	}
 }
 
-// FPIndexFlushRow is one configuration of the dedup-flush throughput
-// comparison.
-type FPIndexFlushRow struct {
-	Config        string
-	Seed          int64
-	ChunksFlushed int64
-	ElapsedMs     float64
-	FlushMBps     float64
-	IndexLookups  int64
-	CacheHitPct   float64
-	IndexWriteKiB int64
-}
-
-// FPIndexFlushSweep runs the paper's post-process dedup pipeline with the
+// fpindexFlush runs the paper's post-process dedup pipeline with the
 // fingerprint index off (flat map), on with a generous cache, and on with a
 // starved cache, and measures background flush throughput: the index's
 // existence probes and WAL/SSTable writes ride the same dedup-class QoS
 // budget as the flush I/O itself.
-func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
+func fpindexFlush(sc Scale) Table {
 	span := sc.bytes(8 << 20)
 	configs := []struct {
 		label string
@@ -238,7 +198,7 @@ func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
 			cases = append(cases, flushCase{seed, bc.label, bc.cfg})
 		}
 	}
-	return Runs(sc, cases, func(tb *Testbed, c flushCase) FPIndexFlushRow {
+	rows := Runs(sc, cases, func(tb *Testbed, c flushCase) []string {
 		h := tb.harness(c.seed, 2, 2)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.ChunkSize = 4096
@@ -265,37 +225,25 @@ func FPIndexFlushSweep(sc Scale) []FPIndexFlushRow {
 		check(h.c.FPIndexVerify())
 		after := h.c.FPIndexStats()
 		st := s.Engine().Stats()
-		return FPIndexFlushRow{
-			Config:        c.label,
-			Seed:          c.seed,
-			ChunksFlushed: st.ChunksFlushed,
-			ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
-			FlushMBps:     float64(st.ChunksFlushed*4096) / (1 << 20) / elapsed.Seconds(),
-			IndexLookups:  after.Lookups - before.Lookups,
-			CacheHitPct:   cacheHitPct(before, after),
-			IndexWriteKiB: (after.WriteBytes - before.WriteBytes) >> 10,
+		return []string{
+			c.label, fmt.Sprint(c.seed), fmt.Sprint(st.ChunksFlushed),
+			f1(float64(elapsed) / float64(time.Millisecond)), f1(float64(st.ChunksFlushed*4096) / (1 << 20) / elapsed.Seconds()),
+			fmt.Sprint(after.Lookups - before.Lookups), f1(cacheHitPct(before, after)),
+			fmt.Sprint((after.WriteBytes - before.WriteBytes) >> 10),
 		}
 	})
-}
-
-// FPIndexFlushTable renders the flush-throughput comparison.
-func FPIndexFlushTable(rows []FPIndexFlushRow) Table {
-	return table("fpindex: background dedup flush throughput - flat map vs LSM fingerprint index",
-		[]string{"config", "seed", "chunks flushed", "elapsed ms", "flush MB/s", "index lookups", "cache hit %", "index write KiB"},
-		[]string{
+	return Table{
+		Title:   "fpindex: background dedup flush throughput - flat map vs LSM fingerprint index",
+		Columns: []string{"config", "seed", "chunks flushed", "elapsed ms", "flush MB/s", "index lookups", "cache hit %", "index write KiB"},
+		Rows:    rows,
+		Notes: []string{
 			"shape target: flush bandwidth holds within ~5% of the flat map - index WAL/SSTable writes mostly overlap the replicated chunk writes on the dedup QoS budget; cache starvation shows up as a lower block-cache hit ratio and the larger share of the loss",
 			"flat-map rows show zero index traffic: the Config switch leaves the default path untouched",
 		},
-		rows, func(r FPIndexFlushRow) []string {
-			return []string{
-				r.Config, fmt.Sprint(r.Seed), fmt.Sprint(r.ChunksFlushed),
-				f1(r.ElapsedMs), f1(r.FlushMBps), fmt.Sprint(r.IndexLookups),
-				f1(r.CacheHitPct), fmt.Sprint(r.IndexWriteKiB),
-			}
-		})
+	}
 }
 
 // fpindexTables runs both fpindex tables as one golden-gated experiment.
 func fpindexTables(sc Scale) []Table {
-	return []Table{FPIndexLatencyTable(FPIndexLatencySweep(sc)), FPIndexFlushTable(FPIndexFlushSweep(sc))}
+	return []Table{fpindexLatency(sc), fpindexFlush(sc)}
 }

@@ -13,25 +13,13 @@ import (
 // The qos experiment exercises the per-OSD op scheduler directly, beyond
 // what the paper measures: an interference matrix (client latency while each
 // background class runs flat out). The ablation of the §4.4.2 watermark
-// controller against a static dedup-class weight reads Fig14's runs
-// (RateAblationTable).
+// controller against a static dedup-class weight reads fig14's runs.
 
-// QoSMatrixRow is one row of the interference matrix: client small-write
-// latency with one background class active.
-type QoSMatrixRow struct {
-	Background  string
-	MeanMs      float64
-	P99Ms       float64
-	MBps        float64
-	BGAdmitted  int64 // ops the scheduler admitted for the background class
-	BGThrottled int64 // submissions that hit the class depth cap
-}
-
-// QoSMatrix measures client randwrite latency against a deduplicated
+// qosMatrix measures client small-write latency against a deduplicated
 // dataset while, in turn, nothing / dedup flush / recovery / scrub / GC runs
-// in the background. Rate control is off so the matrix isolates the
-// scheduler's static weights and depth caps.
-func QoSMatrix(sc Scale) []QoSMatrixRow {
+// in the background, one row per class. Rate control is off so the matrix
+// isolates the scheduler's static weights and depth caps.
+func qosMatrix(sc Scale) []Table {
 	span := sc.bytes(16 << 20)
 	type bgCase struct {
 		label string
@@ -81,7 +69,7 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 		},
 	}
 
-	return Runs(sc, cases, func(tb *Testbed, bc bgCase) QoSMatrixRow {
+	rows := Runs(sc, cases, func(tb *Testbed, bc bgCase) []string {
 		h := tb.harness(901, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.Rate.Enabled = false // static weights: the scheduler alone
@@ -118,33 +106,27 @@ func QoSMatrix(sc Scale) []QoSMatrixRow {
 				Ops: int(span / (16 << 10)),
 			})
 		})
-		row := QoSMatrixRow{
-			Background: bc.label,
-			MeanMs:     float64(res.MeanLatency()) / float64(time.Millisecond),
-			P99Ms:      float64(res.Recorder.Lat.Percentile(99)) / float64(time.Millisecond),
-			MBps:       res.Throughput(),
-		}
+		// bg admitted: ops the scheduler admitted for the background class;
+		// bg throttled: its submissions that hit the class depth cap.
+		var admitted, throttled int64
 		if bc.cls != qos.NumClasses {
 			after := h.c.QoS().Totals()
-			row.BGAdmitted = after[bc.cls].Admitted - before[bc.cls].Admitted
-			row.BGThrottled = after[bc.cls].Throttled - before[bc.cls].Throttled
+			admitted = after[bc.cls].Admitted - before[bc.cls].Admitted
+			throttled = after[bc.cls].Throttled - before[bc.cls].Throttled
 		}
-		return row
+		return []string{
+			bc.label, f2(float64(res.MeanLatency()) / float64(time.Millisecond)),
+			f2(float64(res.Recorder.Lat.Percentile(99)) / float64(time.Millisecond)), f1(res.Throughput()),
+			fmt.Sprint(admitted), fmt.Sprint(throttled),
+		}
 	})
-}
-
-// QoSMatrixTable renders the interference matrix.
-func QoSMatrixTable(rows []QoSMatrixRow) Table {
-	return table("QoS: client 16KB randwrite latency vs active background class (static weights)",
-		[]string{"background", "mean ms", "p99 ms", "client MB/s", "bg admitted", "bg throttled"},
-		[]string{
+	return []Table{{
+		Title:   "QoS: client 16KB randwrite latency vs active background class (static weights)",
+		Columns: []string{"background", "mean ms", "p99 ms", "client MB/s", "bg admitted", "bg throttled"},
+		Rows:    rows,
+		Notes: []string{
 			"shape target: every background class leaves client latency within ~2x of baseline",
 			"background classes run at default weights (dedup 1000/cap 2, recovery 250/cap 4, scrub 100/cap 2, gc 100/cap 2)",
 		},
-		rows, func(r QoSMatrixRow) []string {
-			return []string{
-				r.Background, f2(r.MeanMs), f2(r.P99Ms), f1(r.MBps),
-				fmt.Sprint(r.BGAdmitted), fmt.Sprint(r.BGThrottled),
-			}
-		})
+	}}
 }

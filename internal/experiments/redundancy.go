@@ -37,19 +37,6 @@ import (
 // runs the full reconciliation battery: the two-phase reference protocol
 // must leave zero stale references, zero scrub issues, and zero lost data.
 
-// RedundancyRow is one configuration's point on the frontier.
-type RedundancyRow struct {
-	Config     string
-	LogicalMB  float64
-	StoredMB   float64
-	Efficiency float64 // logical / stored (higher is better)
-	HotP99     time.Duration
-	AllP99     time.Duration
-	HotReads   int64
-	Migrations int64 // chunk moves + recaches + rededups (adaptive only)
-	TierErrors int64
-}
-
 // redundancyWorkload describes the shared skewed-popularity dataset.
 type redundancyWorkload struct {
 	objects  int
@@ -115,9 +102,10 @@ type redundancyConfig struct {
 	seed       int64
 }
 
-// redundancyCase runs one configuration.
-func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) RedundancyRow {
-	row := RedundancyRow{Config: c.name}
+// redundancyCase runs one configuration: its point on the frontier.
+// Migrations (chunk moves + recaches + rededups) and tier errors are the
+// adaptive config's only.
+func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) []string {
 	h := tb.harness(c.seed, 4, 4)
 
 	var s *core.Store
@@ -172,6 +160,7 @@ func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) Redu
 	// recorded only after the first third, once placements converge.
 	hotLat := metrics.NewHistogram()
 	allLat := metrics.NewHistogram()
+	var hotReads int64
 	if s != nil {
 		s.StartEngine()
 		if adaptive {
@@ -204,7 +193,7 @@ func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) Redu
 							allLat.Add(lat)
 							if i < wl.hot {
 								hotLat.Add(lat)
-								row.HotReads++
+								hotReads++
 							}
 						}
 					}
@@ -236,59 +225,39 @@ func redundancyCase(tb *Testbed, wl redundancyWorkload, c redundancyConfig) Redu
 			}
 		}
 	})
+	mig, tierErrs := "-", "-"
 	if s != nil {
 		used = h.footprint(s)
-		ts := s.TierStats()
-		row.Migrations = ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
-		row.TierErrors = ts.Errors
+		if adaptive {
+			ts := s.TierStats()
+			mig = fmt.Sprint(ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups)
+			tierErrs = fmt.Sprint(ts.Errors)
+		}
 	} else {
 		used = h.c.PoolStats(rawPool).StoredTotal()
 	}
 
 	logical := int64(wl.objects) * wl.objSize
-	row.LogicalMB = float64(logical) / 1e6
-	row.StoredMB = float64(used) / 1e6
+	efficiency := 0.0 // logical / stored (higher is better)
 	if used > 0 {
-		row.Efficiency = float64(logical) / float64(used)
+		efficiency = float64(logical) / float64(used)
 	}
-	row.HotP99 = hotLat.Percentile(99)
-	row.AllP99 = allLat.Percentile(99)
-	return row
+	return []string{
+		c.name, f2(float64(logical) / 1e6), f2(float64(used) / 1e6), f2(efficiency),
+		us(hotLat.Percentile(99)), us(allLat.Percentile(99)), fmt.Sprint(hotReads), mig, tierErrs,
+	}
 }
 
-// Redundancy runs the four-configuration frontier sweep.
-func Redundancy(sc Scale) []RedundancyRow {
-	wl := redundancyWL(sc)
-	return Runs(sc, []redundancyConfig{
-		{"Replication", "raw", rados.ReplicatedN(2), 920},
-		{"Dedup+Rep", "dedup", rados.ReplicatedN(2), 921},
-		{"Dedup+EC", "dedup", rados.ErasureKM(2, 1), 922},
-		{"Adaptive", "adaptive", rados.Redundancy{}, 923},
-	}, func(tb *Testbed, c redundancyConfig) RedundancyRow { return redundancyCase(tb, wl, c) })
-}
-
-// RedundancyChaosRow reports the kill-during-migration soak: OSD crashes
-// land inside live tier migrations, then the reconcilers run and every
-// invariant is re-checked.
-type RedundancyChaosRow struct {
-	Kills        int
-	Migrations   int64
-	TierErrors   int64 // migration steps that died mid-protocol (expected > 0)
-	VerifyErrors int   // objects whose content diverged (must be 0)
-	Reconciled         // stale refs, scrub issues and lost chunks must be 0
-}
-
-// RedundancyChaos crashes OSDs while the tiering daemon is actively
+// redundancyChaos crashes OSDs while the tiering daemon is actively
 // migrating a cooling dataset, lets the leases expire, reconciles, and
-// verifies every object byte-for-byte.
-func RedundancyChaos(sc Scale) RedundancyChaosRow {
-	return Runs(sc, []int64{930}, func(tb *Testbed, seed int64) RedundancyChaosRow {
-		return redundancyChaos(tb, redundancyWL(sc), seed)
-	})[0]
-}
-
-func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyChaosRow {
-	row := RedundancyChaosRow{Kills: 3}
+// verifies every object byte-for-byte. Migration steps that died
+// mid-protocol are expected; objects whose content diverged, stale refs,
+// scrub issues and lost chunks must all be 0.
+func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) []string {
+	const kills = 3
+	var verifyErrors int
+	var migrations, tierErrors int64
+	var rec Reconciled
 	h := tb.harness(seed, 4, 4)
 	s := h.dedupStore(func(cfg *core.Config) {
 		cfg.ChunkSize = wl.chunkSz
@@ -312,13 +281,13 @@ func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyC
 		// heated so recaches run too, and kill OSDs across that window.
 		s.StartEngine()
 		s.StartTieringDaemon()
-		inj.Apply(chaos.CrashBurst(h.c.OSDs(), row.Kills, time.Second, 7*time.Second, 1300*time.Millisecond))
+		inj.Apply(chaos.CrashBurst(h.c.OSDs(), kills, time.Second, 7*time.Second, 1300*time.Millisecond))
 		rng := rand.New(rand.NewSource(seed + 1))
 		end := p.Now() + sim.Time(10*time.Second)
 		for p.Now() < end {
 			i := rng.Intn(wl.hot)
 			if _, err := cl.Read(p, redundancyOID(i), 0, wl.objSize); err != nil {
-				row.VerifyErrors++ // reads ride retries below; count hard failures
+				verifyErrors++ // reads ride retries below; count hard failures
 			}
 			p.Sleep(150 * time.Millisecond)
 		}
@@ -327,55 +296,45 @@ func redundancyChaos(tb *Testbed, wl redundancyWorkload, seed int64) RedundancyC
 		s.Engine().DrainAndWait(p)
 
 		ts := s.TierStats()
-		row.Migrations = ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
-		row.TierErrors = ts.Errors
+		migrations = ts.DemotedChunks + int64(ts.Recaches) + ts.Rededups
+		tierErrors = ts.Errors
 
 		// Post-mortem: the battery, then every object byte-for-byte.
-		row.Reconciled = reconcile(p, s)
+		rec = reconcile(p, s)
 		for i := 0; i < wl.objects; i++ {
 			got, err := cl.Read(p, redundancyOID(i), 0, wl.objSize)
 			if err != nil || string(got) != string(wl.objectData(i)) {
-				row.VerifyErrors++
+				verifyErrors++
 			}
 		}
 	})
-	return row
+	return []string{
+		fmt.Sprint(kills), fmt.Sprint(migrations), fmt.Sprint(tierErrors),
+		fmt.Sprint(rec.StaleRefs), fmt.Sprint(rec.ScrubIssues), fmt.Sprint(rec.LostChunks), fmt.Sprint(verifyErrors),
+	}
 }
 
-// RedundancyTable renders the frontier sweep.
-func RedundancyTable(rows []RedundancyRow) Table {
-	return table("Adaptive redundancy: storage-efficiency vs tail-latency frontier (skewed popularity)",
-		[]string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations", "tier errors"},
-		[]string{
+// redundancyTables runs the frontier sweep and the chaos soak as one
+// experiment.
+func redundancyTables(sc Scale) []Table {
+	wl := redundancyWL(sc)
+	return []Table{{
+		Title:   "Adaptive redundancy: storage-efficiency vs tail-latency frontier (skewed popularity)",
+		Columns: []string{"config", "logical MB", "stored MB", "efficiency", "hot p99", "all p99", "hot reads", "migrations", "tier errors"},
+		Rows: Runs(sc, []redundancyConfig{
+			{"Replication", "raw", rados.ReplicatedN(2), 920},
+			{"Dedup+Rep", "dedup", rados.ReplicatedN(2), 921},
+			{"Dedup+EC", "dedup", rados.ErasureKM(2, 1), 922},
+			{"Adaptive", "adaptive", rados.Redundancy{}, 923},
+		}, func(tb *Testbed, c redundancyConfig) []string { return redundancyCase(tb, wl, c) }),
+		Notes: []string{
 			"frontier target: Adaptive efficiency >= Dedup+EC (hot objects drop chunk claims; no double-storing)",
 			"frontier target: Adaptive hot p99 <= 1.5x Replication (hot reads served replicated, never from EC)",
 		},
-		rows, func(r RedundancyRow) []string {
-			mig, tierErrs := "-", "-"
-			if r.Config == "Adaptive" {
-				mig, tierErrs = fmt.Sprint(r.Migrations), fmt.Sprint(r.TierErrors)
-			}
-			return []string{
-				r.Config, f2(r.LogicalMB), f2(r.StoredMB), f2(r.Efficiency),
-				us(r.HotP99), us(r.AllP99), fmt.Sprint(r.HotReads), mig, tierErrs,
-			}
-		})
-}
-
-// RedundancyChaosTable renders the kill-during-migration soak.
-func RedundancyChaosTable(r RedundancyChaosRow) Table {
-	return table("Adaptive redundancy: OSD kills during live migrations",
-		[]string{"kills", "migrations", "mid-protocol deaths", "stale refs", "scrub issues", "lost chunks", "verify errors"},
-		[]string{"invariant: stale refs, scrub issues, lost chunks, verify errors all 0 after lease expiry + audit + GC"},
-		[]RedundancyChaosRow{r}, func(r RedundancyChaosRow) []string {
-			return []string{
-				fmt.Sprint(r.Kills), fmt.Sprint(r.Migrations), fmt.Sprint(r.TierErrors),
-				fmt.Sprint(r.StaleRefs), fmt.Sprint(r.ScrubIssues), fmt.Sprint(r.LostChunks), fmt.Sprint(r.VerifyErrors),
-			}
-		})
-}
-
-// redundancyTables runs the sweep and the chaos soak as one experiment.
-func redundancyTables(sc Scale) []Table {
-	return []Table{RedundancyTable(Redundancy(sc)), RedundancyChaosTable(RedundancyChaos(sc))}
+	}, {
+		Title:   "Adaptive redundancy: OSD kills during live migrations",
+		Columns: []string{"kills", "migrations", "mid-protocol deaths", "stale refs", "scrub issues", "lost chunks", "verify errors"},
+		Rows:    Runs(sc, []int64{930}, func(tb *Testbed, seed int64) []string { return redundancyChaos(tb, wl, seed) }),
+		Notes:   []string{"invariant: stale refs, scrub issues, lost chunks, verify errors all 0 after lease expiry + audit + GC"},
+	}}
 }

@@ -38,7 +38,7 @@ func (r Result) Output() string {
 }
 
 // Experiment is one registered paper experiment: a stable CLI name and the
-// function that renders its tables. Run builds every simulation through
+// function that builds its tables. Run builds every simulation through
 // Runs, each an isolated deterministic sim, so a sweep may execute the runs
 // of any set of experiments concurrently.
 type Experiment struct {
@@ -46,30 +46,25 @@ type Experiment struct {
 	Run  func(Scale) []Table
 }
 
-// one is the Run of an experiment with one table: its rows, rendered.
-func one[R any](rows func(Scale) R, render func(R) Table) func(Scale) []Table {
-	return func(sc Scale) []Table { return []Table{render(rows(sc))} }
-}
-
 // Registry returns every experiment in canonical presentation order (the
 // order of figures and tables in the paper, then chaos and the ablations).
 func Registry() []Experiment {
 	return []Experiment{
-		{"fig3", one(Fig3, Fig3Table)},
-		{"table1", one(Table1, Table1Table)},
-		{"fig5a", one(Fig5a, Fig5aTable)},
-		{"fig10", one(Fig10, Fig10Table)},
-		{"fig11", one(Fig11, Fig11Table)},
-		{"table2", one(Table2, Table2Table)},
-		{"fig12", one(Fig12, Fig12Table)},
-		{"table3", one(Table3, Table3Table)},
-		{"fig13", one(Fig13, Fig13Table)},
-		{"fig14", fig14Tables},
+		{"fig3", fig3},
+		{"table1", table1},
+		{"fig5a", fig5a},
+		{"fig10", fig10},
+		{"fig11", fig11},
+		{"table2", table2},
+		{"fig12", fig12},
+		{"table3", table3},
+		{"fig13", fig13},
+		{"fig14", fig14},
 		{"chaos", func(sc Scale) []Table { return ChaosTables(ChaosSeeded(sc, 811)) }},
 		{"ablation", ablationTables},
-		{"qos", one(QoSMatrix, QoSMatrixTable)},
+		{"qos", qosMatrix},
 		{"fpindex", fpindexTables},
-		{"scale", one(ScaleSweep, ScaleTable)},
+		{"scale", scaleSweep},
 		{"tenants", tenantsTables},
 		{"redundancy", redundancyTables},
 	}

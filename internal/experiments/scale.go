@@ -20,31 +20,11 @@ import (
 // wall-clock cost per configuration is measured outside the golden path
 // (`make profile`, BENCH_pr.json).
 
-// ScaleRow is one cluster size of the scaling sweep.
-type ScaleRow struct {
-	Hosts   int
-	OSDs    int
-	Clients int
-	PGs     int
-	Bytes   int64 // total bytes written (== read back)
-	Ops     int   // client write ops (reads add the same count again)
-
-	WriteMBps float64
-	WriteP50  time.Duration
-	WriteP99  time.Duration
-	ReadMBps  float64
-	ReadP50   time.Duration
-	ReadP99   time.Duration
-
-	Stats       sim.Stats // engine counters at end of run
-	EventsPerOp float64   // dispatched events per client op (setup included)
-}
-
 // scaleCase runs one cluster size: hosts×osdsPerHost OSDs, one client
 // gateway per host, each client writing perClient bytes of 32 KiB objects
 // into a 2x-replicated pool with 4 concurrent streams, then reading every
-// object back the same way.
-func scaleCase(tb *Testbed, sc Scale, hosts, osdsPerHost int) ScaleRow {
+// object back the same way. The events per op count setup too.
+func scaleCase(tb *Testbed, sc Scale, hosts, osdsPerHost int) []string {
 	const (
 		opSize  = 32 << 10
 		streams = 4 // concurrent ops per client
@@ -104,46 +84,31 @@ func scaleCase(tb *Testbed, sc Scale, hosts, osdsPerHost int) ScaleRow {
 	totalOps := clients * opsPerClient
 	totalBytes := int64(totalOps) * opSize
 	st := h.eng.Stats()
-	row := ScaleRow{
-		Hosts: hosts, OSDs: osds, Clients: clients, PGs: pgs,
-		Bytes: totalBytes, Ops: totalOps,
-		WriteMBps: float64(totalBytes) / 1e6 / wrote.Seconds(),
-		WriteP50:  writeLat.Percentile(50),
-		WriteP99:  writeLat.Percentile(99),
-		ReadMBps:  float64(totalBytes) / 1e6 / read.Seconds(),
-		ReadP50:   readLat.Percentile(50),
-		ReadP99:   readLat.Percentile(99),
-		Stats:     st,
-	}
-	row.EventsPerOp = float64(st.EventsDispatched) / float64(2*totalOps)
-	return row
-}
-
-// ScaleSweep runs the 16 -> 64 -> 256 OSD sweep.
-func ScaleSweep(sc Scale) []ScaleRow {
-	return Runs(sc, []int{4, 8, 16}, func(tb *Testbed, n int) ScaleRow { return scaleCase(tb, sc, n, n) })
-}
-
-// ScaleTable renders the sweep.
-func ScaleTable(rows []ScaleRow) Table {
+	writeMBps := float64(totalBytes) / 1e6 / wrote.Seconds()
+	readMBps := float64(totalBytes) / 1e6 / read.Seconds()
 	ms := func(d time.Duration) string { return f2(float64(d) / float64(time.Millisecond)) }
-	return table("Scaling sweep: 16 -> 256 OSDs, client load proportional to cluster size",
-		[]string{
+	return []string{
+		fmt.Sprint(osds), fmt.Sprint(hosts), fmt.Sprint(clients), fmt.Sprint(pgs), mb(totalBytes),
+		f1(writeMBps), ms(writeLat.Percentile(50)), ms(writeLat.Percentile(99)),
+		f1(readMBps), ms(readLat.Percentile(50)), ms(readLat.Percentile(99)),
+		fmt.Sprint(st.EventsDispatched), f1(float64(st.EventsDispatched) / float64(2*totalOps)), fmt.Sprint(st.PeakHeap),
+	}
+}
+
+// scaleSweep runs the 16 -> 64 -> 256 OSD sweep.
+func scaleSweep(sc Scale) []Table {
+	return []Table{{
+		Title: "Scaling sweep: 16 -> 256 OSDs, client load proportional to cluster size",
+		Columns: []string{
 			"osds", "hosts", "clients", "pgs", "data",
 			"write MB/s", "wr p50 ms", "wr p99 ms",
 			"read MB/s", "rd p50 ms", "rd p99 ms",
 			"events", "events/op", "peak heap",
 		},
-		[]string{
+		Rows: Runs(sc, []int{4, 8, 16}, func(tb *Testbed, n int) []string { return scaleCase(tb, sc, n, n) }),
+		Notes: []string{
 			"shape target: aggregate MB/s grows ~linearly with OSD count; p99 stays flat (per-OSD load is constant)",
 			"sim cost: events dispatched and heap high-water mark are the deterministic proxies for kernel wall-clock (see `make profile` for real time)",
 		},
-		rows, func(r ScaleRow) []string {
-			return []string{
-				fmt.Sprint(r.OSDs), fmt.Sprint(r.Hosts), fmt.Sprint(r.Clients), fmt.Sprint(r.PGs), mb(r.Bytes),
-				f1(r.WriteMBps), ms(r.WriteP50), ms(r.WriteP99),
-				f1(r.ReadMBps), ms(r.ReadP50), ms(r.ReadP99),
-				fmt.Sprint(r.Stats.EventsDispatched), f1(r.EventsPerOp), fmt.Sprint(r.Stats.PeakHeap),
-			}
-		})
+	}}
 }

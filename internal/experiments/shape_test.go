@@ -42,6 +42,23 @@ func checkShape(t *testing.T, name string, pred func([]Table) error) {
 	}
 }
 
+// checkSmokeShape runs a shape predicate on experiment name's golden tables
+// and, outside -short, on the tables the experiment builds at tinyScale.
+func checkSmokeShape(t *testing.T, name string, pred func([]Table) error) {
+	t.Helper()
+	checkShape(t, name, pred)
+	if testing.Short() {
+		return
+	}
+	exp, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	if err := pred(exp.Run(tinyScale)); err != nil {
+		t.Errorf("the %s tables at tinyScale break their shape:\n%v", name, err)
+	}
+}
+
 // shape reads a predicate's cells out of rendered tables and collects its
 // failures. A table, row, column or number it cannot read is a failure too,
 // so a predicate that asks for a cell the tables lack fails instead of
@@ -78,14 +95,19 @@ func (s *shape) rows(title string) []map[string]string {
 	return rows
 }
 
-// row returns the row of table title whose cell in column col is key.
-func (s *shape) row(title, col, key string) map[string]string {
+// row returns the first row of table title whose cells match keys, given
+// as column, value pairs.
+func (s *shape) row(title string, keys ...string) map[string]string {
+rows:
 	for _, r := range s.rows(title) {
-		if r[col] == key {
-			return r
+		for i := 0; i+1 < len(keys); i += 2 {
+			if r[keys[i]] != keys[i+1] {
+				continue rows
+			}
 		}
+		return r
 	}
-	s.failf("table %q has no row with %s %q", title, col, key)
+	s.failf("table %q has no row with %q", title, keys)
 	return nil
 }
 
@@ -126,6 +148,13 @@ func TestShapePredicatesBite(t *testing.T) {
 		want  string // in the predicate's error
 	}
 	const (
+		fig3      = "Figure 3:"
+		table1    = "Table 1:"
+		fig5a     = "Figure 5-(a):"
+		fig10     = "Figure 10:"
+		table2    = "Table 2:"
+		table3    = "Table 3:"
+		fig13     = "Figure 13:"
 		fig14     = "Figure 14:"
 		rateAbl   = "QoS: watermark weight controller"
 		lookups   = "fpindex: chunk-existence lookup latency"
@@ -143,6 +172,36 @@ func TestShapePredicatesBite(t *testing.T) {
 		pred   func([]Table) error
 		cuts   []cut
 	}{
+		{"fig3", fig3Shape, []cut{
+			{fig3, 0, "", "", "has 5 workloads, want 6"},
+			{fig3, 5, "global", "10.0", "global 10.0 <= local"},
+		}},
+		{"table1", table1Shape, []cut{
+			{table1, 3, "local", "30.0", "did not collapse"},
+			{table1, 0, "global", "30.0", "global ratio 30.0 far from 50%"},
+			{table1, 2, "global", "70.0", "global ratio 70.0 far from 50%"},
+		}},
+		{"fig5a", fig5aShape, []cut{
+			{fig5a, 1, "MB/s", "300.0", "not slower than original"},
+			{fig5a, 2, "MB/s", "1.0", "not faster than partial"},
+		}},
+		{"fig10", fig10Shape, []cut{
+			{fig10, 0, "mean latency", "5ms", "Original 5000µs >= Proposed"},
+			{fig10, 4, "mean latency", "1ms", ">= Proposed-flush 1000µs"},
+		}},
+		{"table2", table2Shape, []cut{
+			{table2, 1, "stored metadata", "1.00 MB", "0.52 MB -> 1.00 MB"},
+			{table2, 2, "stored metadata", "0.50 MB", "0.26 MB -> 0.50 MB"},
+			{table2, 2, "ideal %", "50.0", "ideal ratio not declining"},
+		}},
+		{"table3", table3Shape, []cut{
+			{table3, 1, "prop moved", "100.00 MB", "2 failed: proposed moved"},
+		}},
+		{"fig13", fig13Shape, []cut{
+			{fig13, 9, "rep+dedup", "20.00 MB", "dedup saving too small"},
+			{fig13, 9, "rep+dedup+comp", "1.00 MB", "compression did not help"},
+			{fig13, 9, "ec", "50.00 MB", "EC not cheaper"},
+		}},
 		{"fig14", fig14Shape, []cut{
 			{fig14, 7, "no deduplication (ideal)", "0.0", "ideal run retains"},
 			{rateAbl, 0, "retained %", "100.0", "without rate control the foreground retains"},

@@ -8,24 +8,12 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Table2Row is one column of Table 2: the chunk-size trade-off on the
-// private-cloud dataset.
-type Table2Row struct {
-	ChunkSize      int64
-	IdealRatio     float64 // dedup ratio of the data alone
-	StoredData     int64   // post-dedup data bytes
-	StoredMetadata int64   // chunk maps, references, per-object overheads
-	ActualRatio    float64 // ratio including metadata cost
-	PaperIdeal     float64
-	PaperActual    float64
-}
-
-// Table2 reproduces Table 2: "Deduplication ratio comparison based on chunk
+// table2 reproduces Table 2: "Deduplication ratio comparison based on chunk
 // size of 16KB, 32KB, and 64KB" on the private-cloud dataset. Small chunks
 // find more duplicate data but pay proportionally more metadata (150B map
 // entries, 64B references, 512B per-object overheads — §5), so the actual
 // ratio inverts the ideal ordering.
-func Table2(sc Scale) []Table2Row {
+func table2(sc Scale) []Table {
 	paper := map[int64][2]float64{
 		16 << 10: {46.4, 41.7},
 		32 << 10: {44.8, 42.4},
@@ -41,7 +29,7 @@ func Table2(sc Scale) []Table2Row {
 		logical += int64(len(contents[i]))
 	}
 
-	return Runs(sc, []int64{16 << 10, 32 << 10, 64 << 10}, func(tb *Testbed, cs int64) Table2Row {
+	rows := Runs(sc, []int64{16 << 10, 32 << 10, 64 << 10}, func(tb *Testbed, cs int64) []string {
 		// Ideal ratio: content analysis only.
 		chk := chunker.NewFixed(cs)
 		seen := map[string]bool{}
@@ -81,27 +69,18 @@ func Table2(sc Scale) []Table2Row {
 		chunk := h.c.PoolStats(s.ChunkPool())
 		storedData := meta.StoredPhysical + chunk.StoredPhysical
 		storedMeta := meta.StoredMetadata + chunk.StoredMetadata
-		return Table2Row{
-			ChunkSize: cs, IdealRatio: ideal,
-			StoredData: storedData, StoredMetadata: storedMeta,
-			ActualRatio: 100 * (1 - float64(storedData+storedMeta)/float64(logical)),
-			PaperIdeal:  paper[cs][0], PaperActual: paper[cs][1],
+		return []string{
+			fmtKB(cs), f1(ideal), mb(storedData), mb(storedMeta),
+			f1(100 * (1 - float64(storedData+storedMeta)/float64(logical))), f1(paper[cs][0]), f1(paper[cs][1]),
 		}
 	})
-}
-
-// Table2Table renders Table2.
-func Table2Table(rows []Table2Row) Table {
-	return table("Table 2: dedup ratio vs chunk size (private-cloud dataset, replication excluded)",
-		[]string{"chunk", "ideal %", "stored data", "stored metadata", "actual %", "paper-ideal %", "paper-actual %"},
-		[]string{
+	return []Table{{
+		Title:   "Table 2: dedup ratio vs chunk size (private-cloud dataset, replication excluded)",
+		Columns: []string{"chunk", "ideal %", "stored data", "stored metadata", "actual %", "paper-ideal %", "paper-actual %"},
+		Rows:    rows,
+		Notes: []string{
 			"shape target: ideal ratio falls as chunks grow; metadata halves per doubling; actual ratio crossover favors larger chunks",
 			"paper stored: 1.82/1.88/1.89 TB data and 163/82/41 GB metadata on the 3.3TB dataset",
 		},
-		rows, func(r Table2Row) []string {
-			return []string{
-				fmtKB(r.ChunkSize), f1(r.IdealRatio), mb(r.StoredData), mb(r.StoredMetadata),
-				f1(r.ActualRatio), f1(r.PaperIdeal), f1(r.PaperActual),
-			}
-		})
+	}}
 }

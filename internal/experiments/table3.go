@@ -11,24 +11,12 @@ import (
 	"dedupstore/internal/workload"
 )
 
-// Table3Row is one cell pair of Table 3: recovery time after replacing a
-// number of OSDs.
-type Table3Row struct {
-	FailedOSDs    int
-	OriginalSecs  float64
-	ProposedSecs  float64
-	PaperOriginal float64
-	PaperProposed float64
-	OriginalMoved int64
-	ProposedMoved int64
-}
-
-// Table3 reproduces Table 3: recovery time for a dataset with 50% dedup
+// table3 reproduces Table 3: recovery time for a dataset with 50% dedup
 // ratio under the original store vs the proposed design, for 1/2/4 replaced
 // OSDs. Deduplication halves the bytes recovery must move, so recovery is
 // proportionally faster — entirely through the substrate's recovery engine,
 // since dedup state lives in self-contained objects.
-func Table3(sc Scale) []Table3Row {
+func table3(sc Scale) []Table {
 	paper := map[int][2]float64{1: {68.04, 43.72}, 2: {71.35, 44.51}, 4: {81.77, 54.78}}
 	span := sc.bytes(100 << 20) // paper: 100GB
 	fio := workload.FIOConfig{
@@ -75,35 +63,23 @@ func Table3(sc Scale) []Table3Row {
 		h.run(func(p *sim.Proc) { stats = h.c.Recover(p) })
 		return stats
 	})
-	var rows []Table3Row
+	var rows [][]string
 	for i := 0; i < len(cases); i += 2 {
 		n, orig, prop := len(cases[i].failed), stats[i], stats[i+1]
-		rows = append(rows, Table3Row{
-			FailedOSDs:    n,
-			OriginalSecs:  orig.Duration().Seconds(),
-			ProposedSecs:  prop.Duration().Seconds(),
-			PaperOriginal: paper[n][0],
-			PaperProposed: paper[n][1],
-			OriginalMoved: orig.BytesMoved,
-			ProposedMoved: prop.BytesMoved,
+		origSecs, propSecs := orig.Duration().Seconds(), prop.Duration().Seconds()
+		rows = append(rows, []string{
+			fmt.Sprint(n), f2(origSecs * 1000), f2(propSecs * 1000),
+			f2(propSecs / origSecs), f2(paper[n][1] / paper[n][0]),
+			mb(orig.BytesMoved), mb(prop.BytesMoved),
 		})
 	}
-	return rows
-}
-
-// Table3Table renders Table3.
-func Table3Table(rows []Table3Row) Table {
-	return table("Table 3: recovery time after replacing OSDs (dataset at 50% dedup ratio)",
-		[]string{"failed OSDs", "original (ms)", "proposed (ms)", "prop/orig", "paper prop/orig", "orig moved", "prop moved"},
-		[]string{
+	return []Table{{
+		Title:   "Table 3: recovery time after replacing OSDs (dataset at 50% dedup ratio)",
+		Columns: []string{"failed OSDs", "original (ms)", "proposed (ms)", "prop/orig", "paper prop/orig", "orig moved", "prop moved"},
+		Rows:    rows,
+		Notes: []string{
 			"shape target: proposed recovery ~35-45% faster (half the bytes to move); both grow with failed OSD count",
 			"paper absolute times: 68.0/71.4/81.8 s original vs 43.7/44.5/54.8 s proposed (100GB unscaled)",
 		},
-		rows, func(r Table3Row) []string {
-			return []string{
-				fmt.Sprint(r.FailedOSDs), f2(r.OriginalSecs * 1000), f2(r.ProposedSecs * 1000),
-				f2(r.ProposedSecs / r.OriginalSecs), f2(r.PaperProposed / r.PaperOriginal),
-				mb(r.OriginalMoved), mb(r.ProposedMoved),
-			}
-		})
+	}}
 }

@@ -17,24 +17,16 @@ import (
 // dedup-hostile traffic blow a quiet gold tenant's p99?) and a fleet sweep
 // sharing one cluster across many tenants in the built-in SLO classes.
 
-// TenantIsolationRow is one configuration of the noisy-neighbor study.
-type TenantIsolationRow struct {
-	Config     string
-	QuietP99Ms float64
-	VsSolo     float64 // quiet p99 relative to the solo baseline
-	NoisyMB    int64   // bytes the noisy tenant got admitted, MB
-	NoisyThrot int64
-	NoisyWaitS float64 // total admission wait the noisy tenant ate, seconds
-}
-
-// TenantIsolation measures a quiet gold tenant's small-write p99 three ways:
+// tenantIsolation measures a quiet gold tenant's small-write p99 three ways:
 // alone, sharing the cluster with an unthrottled noisy neighbor (two client
 // sessions) running dedup-hostile traffic (low-dup random writes — every block fingerprints,
 // misses, and flushes), and sharing with the same neighbor held to the
 // bronze SLO. The headline is the before/after p99 delta: isolation off
 // lets the neighbor blow the quiet tenant's tail; the bronze token bucket
-// keeps it near solo.
-func TenantIsolation(sc Scale) []TenantIsolationRow {
+// keeps it near solo. Each row reports the quiet p99, its ratio to the solo
+// baseline, and what the noisy tenant got: bytes admitted, throttles and the
+// total admission wait it ate.
+func tenantIsolation(sc Scale) Table {
 	span := sc.bytes(16 << 20)
 	// The neighbor writes across a wide span: many stripe objects, many PGs,
 	// so its queue depth lands on the OSDs instead of serializing on a
@@ -45,11 +37,18 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 		noisy bool
 		slo   gateway.SLO
 	}
-	rows := Runs(sc, []tenantCase{
+	// isolated is one run: the quiet tenant's p99, which the table divides
+	// by the solo run's, and the noisy tenant's cells.
+	type isolated struct {
+		p99Ms float64
+		noisy []string
+	}
+	cases := []tenantCase{
 		{label: "quiet gold, solo (baseline)"},
 		{label: "+ noisy neighbor, isolation off", noisy: true, slo: gateway.SLO{}},
 		{label: "+ noisy neighbor, bronze SLO", noisy: true, slo: gateway.Bronze},
-	}, func(tb *Testbed, tc tenantCase) TenantIsolationRow {
+	}
+	runs := Runs(sc, cases, func(tb *Testbed, tc tenantCase) isolated {
 		h := tb.harness(910, 4, 4)
 		s := h.dedupStore(func(cfg *core.Config) {
 			cfg.HitSet.HitCount = 1000
@@ -111,65 +110,49 @@ func TenantIsolation(sc Scale) []TenantIsolationRow {
 			})
 		})
 
-		qst := quiet.Stats()
-		row := TenantIsolationRow{
-			Config:     tc.label,
-			QuietP99Ms: float64(qst.P99Lat) / float64(time.Millisecond),
+		r := isolated{
+			p99Ms: float64(quiet.Stats().P99Lat) / float64(time.Millisecond),
+			noisy: []string{"0", "0", f2(0)},
 		}
 		if tc.noisy {
 			nst := noisy.Stats()
-			row.NoisyMB = nst.Bytes / 1e6
-			row.NoisyThrot = nst.Throttled
-			row.NoisyWaitS = nst.QueueWait.Seconds()
+			r.noisy = []string{fmt.Sprint(nst.Bytes / 1e6), fmt.Sprint(nst.Throttled), f2(nst.QueueWait.Seconds())}
 		}
-		return row
+		return r
 	})
-	if solo := rows[0].QuietP99Ms; solo > 0 {
-		for i := range rows {
-			rows[i].VsSolo = rows[i].QuietP99Ms / solo
-		}
-	}
-	return rows
-}
-
-// TenantIsolationTable renders the noisy-neighbor study.
-func TenantIsolationTable(rows []TenantIsolationRow) Table {
-	return table("Tenants: quiet gold tenant 16KB randwrite p99 vs noisy neighbor (dedup-hostile 64KB randwrite)",
-		[]string{"config", "quiet p99 ms", "vs solo", "noisy MB", "noisy throttled", "noisy wait s"},
-		[]string{
+	t := Table{
+		Title:   "Tenants: quiet gold tenant 16KB randwrite p99 vs noisy neighbor (dedup-hostile 64KB randwrite)",
+		Columns: []string{"config", "quiet p99 ms", "vs solo", "noisy MB", "noisy throttled", "noisy wait s"},
+		Notes: []string{
 			"shape target: bronze SLO holds quiet p99 within 1.5x of solo; isolation off degrades it >=3x",
 			"noisy traffic is 0%-dup random writes: every block fingerprints, misses, and flushes",
 		},
-		rows, func(r TenantIsolationRow) []string {
-			return []string{
-				r.Config, f2(r.QuietP99Ms), f2(r.VsSolo),
-				fmt.Sprint(r.NoisyMB), fmt.Sprint(r.NoisyThrot), f2(r.NoisyWaitS),
-			}
-		})
+	}
+	for i, r := range runs {
+		vsSolo := 0.0
+		if solo := runs[0].p99Ms; solo > 0 {
+			vsSolo = r.p99Ms / solo
+		}
+		t.Rows = append(t.Rows, append([]string{cases[i].label, f2(r.p99Ms), f2(vsSolo)}, r.noisy...))
+	}
+	return t
 }
 
-// TenantFleetRow aggregates one SLO class of the fleet sweep.
-type TenantFleetRow struct {
-	Class     string
-	Tenants   int
-	Ops       int64
-	MB        int64
-	Throttled int64
-	AvgWaitMs float64
-}
-
-// TenantFleet shares one cluster across many tenants (1000 at full scale)
+// tenantFleet shares one cluster across many tenants (1000 at full scale)
 // round-robined over the built-in SLO classes, all submitting concurrently
 // through a slot-bounded coordinator, and reports per-class admission
 // totals: weighted SFQ should let gold through with the least queueing
 // while bronze absorbs the wait.
-func TenantFleet(sc Scale) []TenantFleetRow {
-	return Runs(sc, []int64{915}, func(tb *Testbed, seed int64) []TenantFleetRow {
-		return tenantFleet(tb, sc, seed)
-	})[0]
+func tenantFleet(sc Scale) Table {
+	return Table{
+		Title:   "Tenants: fleet of tenants round-robined over gold/silver/bronze, 64-slot coordinator",
+		Columns: []string{"class", "tenants", "ops", "MB", "throttled", "avg wait ms"},
+		Rows:    Runs(sc, []int64{915}, func(tb *Testbed, seed int64) [][]string { return fleetRun(tb, sc, seed) })[0],
+		Notes:   []string{"shape target: gold's average admission wait is the lowest of the three classes"},
+	}
 }
 
-func tenantFleet(tb *Testbed, sc Scale, seed int64) []TenantFleetRow {
+func fleetRun(tb *Testbed, sc Scale, seed int64) [][]string {
 	h := tb.harness(seed, 4, 4)
 	pool, gw := h.rawPool("fleet", rados.ReplicatedN(2))
 	coord := gateway.New(h.c.Metrics(), 64)
@@ -194,34 +177,21 @@ func tenantFleet(tb *Testbed, sc Scale, seed int64) []TenantFleetRow {
 		}
 	})
 
-	var rows []TenantFleetRow
+	var rows [][]string
 	for _, ct := range coord.Totals() {
-		r := TenantFleetRow{
-			Class: ct.Class, Tenants: ct.Tenants, Ops: ct.Ops,
-			MB: ct.Bytes / 1e6, Throttled: ct.Throttled,
-		}
+		avgWaitMs := 0.0
 		if ct.Ops > 0 {
-			r.AvgWaitMs = float64(ct.QueueWait) / float64(ct.Ops) / float64(time.Millisecond)
+			avgWaitMs = float64(ct.QueueWait) / float64(ct.Ops) / float64(time.Millisecond)
 		}
-		rows = append(rows, r)
+		rows = append(rows, []string{
+			ct.Class, fmt.Sprint(ct.Tenants), fmt.Sprint(ct.Ops),
+			fmt.Sprint(ct.Bytes / 1e6), fmt.Sprint(ct.Throttled), f2(avgWaitMs),
+		})
 	}
 	return rows
 }
 
-// TenantFleetTable renders the fleet sweep.
-func TenantFleetTable(rows []TenantFleetRow) Table {
-	return table("Tenants: fleet of tenants round-robined over gold/silver/bronze, 64-slot coordinator",
-		[]string{"class", "tenants", "ops", "MB", "throttled", "avg wait ms"},
-		[]string{"shape target: gold's average admission wait is the lowest of the three classes"},
-		rows, func(r TenantFleetRow) []string {
-			return []string{
-				r.Class, fmt.Sprint(r.Tenants), fmt.Sprint(r.Ops),
-				fmt.Sprint(r.MB), fmt.Sprint(r.Throttled), f2(r.AvgWaitMs),
-			}
-		})
-}
-
 // tenantsTables runs both tenant tables as one experiment.
 func tenantsTables(sc Scale) []Table {
-	return []Table{TenantIsolationTable(TenantIsolation(sc)), TenantFleetTable(TenantFleet(sc))}
+	return []Table{tenantIsolation(sc), tenantFleet(sc)}
 }

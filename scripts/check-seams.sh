@@ -57,6 +57,9 @@
 # a link scheduler (a host's nicSched, a gateway's nic): every link charge is a
 # Cluster.netSend, which alone decides that a hop between two ends on one host
 # occupies no link (DESIGN.md §9 "Network hops").
+# And fails if a non-test file in internal/experiments declares a row type
+# (type …Row): an experiment builds its tables from its runs' cells, so no
+# typed-row layer sits between a run and its table (EXPERIMENTS.md).
 set -eu
 cd "$(dirname "$0")/.."
 bad=0
@@ -114,6 +117,10 @@ if grep -n 'ListObjects(' $(ls internal/core/*.go | grep -vE '_test\.go$|/(walk|
 fi
 if grep -rnE --include='*.go' '\b(nicSched|nic)\.Use\(' . | grep -vE '^\./(\.bench_build/|internal/rados/cluster\.go:)|^[^:]*_test\.go:' >&2; then
 	echo "check-seams: the lines above charge a network link outside Cluster.netSend (internal/rados/cluster.go), which alone decides whether a hop occupies one" >&2
+	exit 1
+fi
+if grep -nE '\btype[[:space:]]+([[:alnum:]_]*Row|row)\b' $(ls internal/experiments/*.go | grep -v '_test\.go$') >&2; then
+	echo "check-seams: the lines above declare a row type in internal/experiments; a run returns its table cells and the experiment builds its Table from them" >&2
 	exit 1
 fi
 if grep -rnE --include='*.go' '\b(weightScale|lastFinish)\b|bits\.Mul64' . | grep -vE '^\./(\.bench_build/|internal/qos/)|^[^:]*_test\.go:'; then
