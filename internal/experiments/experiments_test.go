@@ -260,11 +260,13 @@ func TestScaleHelpers(t *testing.T) {
 	}
 }
 
-// fpindexShape checks the claims the latency table's notes make: a
-// monotone hit-latency cliff once the index outgrows the small cache, a flat
-// profile under the large cache, near-flat negative lookups under both, and
-// bloom false positives within ~2x of the filters' design rate. Both seeds
-// must show the same shape.
+// fpindexShape checks the claims the two tables' notes make. The latency
+// table: a monotone hit-latency cliff once the index outgrows the small
+// cache, a flat profile under the large cache, near-flat negative lookups
+// under both, and bloom false positives within ~2x of the filters' design
+// rate. The flush table: with the 1 MiB cache the index costs at most 5 % of
+// the flat map's flush bandwidth, and the starved 4 KiB cache costs more.
+// Both seeds must show the same shape.
 func fpindexShape(tabs []Table) error {
 	s := &shape{tabs: tabs}
 	// Group rows by (seed, cache); within each group entries ascend.
@@ -311,6 +313,22 @@ func fpindexShape(tabs []Table) error {
 				s.failf("seed %.0f cache %.0fKiB entries %.0f: observed FP %.2f%% beyond 2x design %.2f%%",
 					k.seed, k.cacheKiB, s.num(r, "entries"), obs, est)
 			}
+		}
+	}
+	const flush = "fpindex: background dedup flush throughput"
+	for _, flat := range s.rows(flush) {
+		if flat["config"] != "flat map (index off)" {
+			continue
+		}
+		seed := flat["seed"]
+		off := s.num(flat, "flush MB/s")
+		mib := s.num(s.row(flush, "seed", seed, "config", "lsm index, 1 MiB cache"), "flush MB/s")
+		starved := s.num(s.row(flush, "seed", seed, "config", "lsm index, 4 KiB cache"), "flush MB/s")
+		if mib < 0.95*off {
+			s.failf("seed %s: the 1 MiB cache flushes %.1f MB/s, more than 5%% below the flat map's %.1f", seed, mib, off)
+		}
+		if starved >= mib {
+			s.failf("seed %s: the starved 4 KiB cache flushes %.1f MB/s, not below the 1 MiB cache's %.1f", seed, starved, mib)
 		}
 	}
 	return s.err()

@@ -237,7 +237,7 @@ func fpindexFlush(sc Scale) Table {
 		Columns: []string{"config", "seed", "chunks flushed", "elapsed ms", "flush MB/s", "index lookups", "cache hit %", "index write KiB"},
 		Rows:    rows,
 		Notes: []string{
-			"shape target: flush bandwidth holds within ~5% of the flat map - index WAL/SSTable writes mostly overlap the replicated chunk writes on the dedup QoS budget; cache starvation shows up as a lower block-cache hit ratio and the larger share of the loss",
+			"shape target: with the 1 MiB cache, flush bandwidth holds within ~5% of the flat map - index WAL/SSTable writes mostly overlap the replicated chunk writes on the dedup QoS budget; the starved 4 KiB cache costs more, with a lower block-cache hit ratio",
 			"flat-map rows show zero index traffic: the Config switch leaves the default path untouched",
 		},
 	}
