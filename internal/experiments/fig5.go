@@ -58,7 +58,7 @@ func fig5a(sc Scale) []Table {
 	}}
 }
 
-// interference is one Fig14 run. Its values feed three tables: Figure 5-(b),
+// interference is one fig14 run. Its values feed three tables: Figure 5-(b),
 // Figure 14 and the watermark-vs-static ablation.
 type interference struct {
 	label string
