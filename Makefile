@@ -75,12 +75,13 @@ bench-module:
 # every simulated I/O passes through, the erasure code's encode and
 # reconstruct (the paper's EC 2+1 over one 32 KiB chunk among them), one
 # dedup-scrub pass (host cost per chunk read and verified), naming a chunk
-# through the name memo (hit and miss) and flushing one object (sim-µs/op and
-# B/op, with its dirty slots in one run and in sixteen). CI runs these so
-# dispatch cost and allocs/op regressions show up in review.
+# through the name memo (hit and miss), flushing one object (sim-µs/op and
+# B/op, with its dirty slots in one run and in sixteen) and draining a 64 MiB
+# backlog (sim-µs/MiB and B/op). CI runs these so dispatch cost and allocs/op
+# regressions show up in review.
 kernel-bench:
 	go test -run NONE -bench=. -benchmem ./internal/sim ./internal/metrics ./internal/ec
-	go test -run NONE -bench 'ScrubChunkPool|Name|FlushObject' -benchmem ./internal/core
+	go test -run NONE -bench 'ScrubChunkPool|Name|FlushObject|Drain' -benchmem ./internal/core
 
 # The same packages' benchmarks, one iteration each: a check a benchmark makes
 # (a b.Fatalf on a wrong result) runs in CI, which `go test ./...` never does.

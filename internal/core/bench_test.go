@@ -186,6 +186,52 @@ func BenchmarkFlushObject(b *testing.B) {
 	}
 }
 
+// BenchmarkDrain measures one explicit drain of a backlog of 64 one-MiB
+// objects, each 32 new 32 KiB chunks, on the 4x4 testbed: one agent per OSD,
+// each agentMaxOps flushes wide. sim-µs/MiB is what the modelled cluster
+// takes per drained MiB; B/op and allocs/op are the host's, per drain. Each
+// backlog rewrites the same objects, whose flush releases the chunks of the
+// one before, so the chunk pool holds one backlog. Only the drains of
+// iterations 0..N-1 are timed: writing each backlog and the warm-up drain
+// that fills the scratch pool are not.
+func BenchmarkDrain(b *testing.B) {
+	const objects, objSize, chunk = 64, 1 << 20, 32 << 10
+	eng, s := benchStore(b)
+	cl := s.Client("bench")
+	data := make([]byte, objSize)
+	b.SetBytes(objects * objSize)
+	b.ReportAllocs()
+	var simTime sim.Time
+	eng.Go("drainer", func(p *sim.Proc) {
+		for i := -1; i < b.N; i++ { // iteration -1 fills the scratch pool
+			b.StopTimer()
+			for o := 0; o < objects; o++ {
+				for off := 0; off < objSize; off += chunk {
+					binary.LittleEndian.PutUint64(data[off:], uint64(i+1)<<32|uint64(o)<<16|uint64(off/chunk))
+				}
+				if err := cl.Write(p, fmt.Sprintf("o%d", o), 0, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before, start := s.engine.Stats().ChunksFlushed, p.Now()
+			if i >= 0 {
+				b.StartTimer()
+			}
+			s.engine.DrainAndWait(p)
+			if i >= 0 {
+				simTime += p.Now() - start
+			}
+			if got := s.engine.Stats().ChunksFlushed - before; got != objects*objSize/chunk {
+				b.Fatalf("drain flushed %d chunks, want %d", got, objects*objSize/chunk)
+			}
+		}
+		b.StopTimer() // the engine's work after the last drain is not a drain's
+	})
+	b.ResetTimer() // nor is building the store
+	eng.Run()
+	b.ReportMetric(simTime.Seconds()*1e6/float64(b.N)/(objects*objSize>>20), "sim-µs/MiB")
+}
+
 // BenchmarkScrubChunkPool measures a first dedup-scrub pass over a pool of 256
 // freshly flushed chunks of 32 KiB. The flush taught the name memo every
 // chunk, and each payload read is the very array the memo keeps, so its

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"dedupstore/internal/metrics"
 	"dedupstore/internal/qos"
 	"dedupstore/internal/rados"
 	"dedupstore/internal/sim"
@@ -219,13 +223,7 @@ func TestDrainSharesSkewedBacklog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var names []string
-		for i := 0; len(names) < n; i++ {
-			oid := fmt.Sprintf("skew%d", i)
-			if id, _, err := c.PGPrimary(s.meta, c.PGOf(s.meta, oid).Seq); err == nil && id == c.OSDs()[0] {
-				names = append(names, oid)
-			}
-		}
+		names := skewedNames(c, s, c.OSDs()[0], n)
 		eng.Go("test", func(p *sim.Proc) {
 			cl := s.Client("client0")
 			data := make([]byte, objSize)
@@ -256,6 +254,181 @@ func TestDrainSharesSkewedBacklog(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("dedup_drain_shared_total = 0, want agents to take work off the loaded queue")
+	}
+}
+
+// skewedNames returns n object names whose metadata PG's primary is osd.
+func skewedNames(c *rados.Cluster, s *Store, osd, n int) []string {
+	var names []string
+	for i := 0; len(names) < n; i++ {
+		oid := fmt.Sprintf("skew%d", i)
+		if id, _, err := c.PGPrimary(s.meta, c.PGOf(s.meta, oid).Seq); err == nil && id == osd {
+			names = append(names, oid)
+		}
+	}
+	return names
+}
+
+// drainAgents groups the dedup.flush spans the trace ring still holds by the
+// dedup.drain agent span they ran under, agents in the order they finished.
+func drainAgents(c *rados.Cluster) (agents []metrics.Span, flushes map[uint64][]metrics.Span) {
+	flushes = make(map[uint64][]metrics.Span)
+	for _, sp := range c.Trace().Recent(int(c.Trace().Total())) {
+		switch sp.Name {
+		case "dedup.drain":
+			agents = append(agents, sp)
+		case "dedup.flush":
+			flushes[sp.Parent] = append(flushes[sp.Parent], sp)
+		}
+	}
+	return agents, flushes
+}
+
+// inFlight is the most spans open at one instant; one that ends at t is
+// closed before one that starts at t opens.
+func inFlight(spans []metrics.Span) int {
+	most := 0
+	for _, sp := range spans {
+		open := 0
+		for _, o := range spans {
+			if o.Start <= sp.Start && sp.Start < o.End {
+				open++
+			}
+		}
+		most = max(most, open)
+	}
+	return most
+}
+
+// TestDrainAgentOverlapsFlushes: a backlog whose metadata all lands on one
+// OSD, more objects than the other agents' slots can take off the end of its
+// queue. Each agent keeps more than one flush in flight and never more than
+// agentMaxOps, each object is flushed once, and the store scrubs clean. Then
+// one apply at the loaded OSD fails (store.FailApplies, armed after a flush's
+// bind): the flush it belongs to is requeued, and the drain's next round
+// flushes it.
+func TestDrainAgentOverlapsFlushes(t *testing.T) {
+	const objects, slots = 96, 4
+	e := newDedupEnv(t, nil)
+	osd := e.c.OSDs()[0]
+	names := skewedNames(e.c, e.s, osd, objects)
+	write := func(p *sim.Proc, gen int) {
+		data := make([]byte, slots*4096)
+		for _, oid := range names {
+			for off := 0; off < len(data); off += 4096 {
+				copy(data[off:], fmt.Sprintf("%s.%d.%d", oid, off, gen))
+			}
+			if err := e.cl.Write(p, oid, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sleep(time.Millisecond) // let the dirty-log appends land
+	}
+	e.run(t, func(p *sim.Proc) {
+		write(p, 0)
+		e.s.Engine().DrainAndWait(p)
+	})
+	agents, flushes := drainAgents(e.c)
+	if len(agents) != 2*len(e.c.OSDs()) {
+		t.Fatalf("%d dedup.drain spans, want one per OSD in each of two rounds", len(agents))
+	}
+	total := 0
+	for _, ag := range agents {
+		fl := flushes[ag.ID]
+		total += len(fl)
+		if n := inFlight(fl); len(fl) > 0 && (n < 2 || n > agentMaxOps) {
+			t.Errorf("agent span %d: %d flushes, at most %d in flight; want 2..%d", ag.ID, len(fl), n, agentMaxOps)
+		}
+	}
+	if total != objects || len(flushes) != len(e.c.OSDs()) {
+		t.Errorf("%d flushes under %d agents, want %d under all %d", total, len(flushes), objects, len(e.c.OSDs()))
+	}
+	if got := e.c.Metrics().Counter("dedup_objects_scanned_total").Value(); got != objects {
+		t.Errorf("dedup_objects_scanned_total = %d, want %d: each object flushed once", got, objects)
+	}
+	e.checkScrub(t)
+
+	st, ok := e.c.OSDStore(osd)
+	if !ok {
+		t.Fatalf("osd.%d has no store", osd)
+	}
+	failed := ""
+	e.run(t, func(p *sim.Proc) {
+		write(p, 1)
+		e.at(atAfterBind, func(_ *sim.Proc, oid string) bool {
+			if failed == "" {
+				failed = oid
+				st.FailApplies(1, errors.New("torn write"))
+			}
+			return false
+		})
+		e.s.Engine().DrainAndWait(p)
+		e.eng.SetPoints(nil)
+	})
+	if got := e.s.Engine().Stats().Requeued; failed == "" || got != 1 {
+		t.Fatalf("armed a failing apply after %q's bind; %d requeued, want 1", failed, got)
+	}
+	// The second drain's agent spans, round by round: its first round flushes
+	// every object, its second the requeued one, and its third finds none.
+	agents, flushes = drainAgents(e.c)
+	n := len(e.c.OSDs())
+	if len(agents) < 3*n || len(agents)%n != 0 {
+		t.Fatalf("the trace holds %d dedup.drain spans, want rounds of %d agents, at least 3", len(agents), n)
+	}
+	agents = agents[len(agents)-3*n:]
+	for r, want := range []int{objects, 1, 0} {
+		round := agents[r*n : (r+1)*n]
+		got := 0
+		for _, ag := range round {
+			got += len(flushes[ag.ID])
+			if r > 0 && ag.Start < agents[r*n-1].End {
+				t.Errorf("round %d's agent span %d starts at %v, before round %d ended", r+1, ag.ID, ag.Start, r)
+			}
+		}
+		if got != want {
+			t.Errorf("the second drain's round %d flushed %d objects, want %d", r+1, got, want)
+		}
+	}
+	if got := e.c.Metrics().Counter("dedup_objects_scanned_total").Value(); got != 2*objects+1 {
+		t.Errorf("dedup_objects_scanned_total = %d, want %d: the failed flush once more", got, 2*objects+1)
+	}
+	e.checkScrub(t)
+}
+
+// TestDrainTrimsScratch: the read buffers a drain's width adds to the idle
+// pool are held weakly once it returns, so the next drain still reuses them
+// but a GC reclaims them: the drain's peak does not stay resident.
+func TestDrainTrimsScratch(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only the GC below reclaims
+	e := newDedupEnv(t, nil)
+	live := func() (n int) {
+		for _, w := range e.s.scratch.spare {
+			if w.Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	var idle, trimmed int
+	e.run(t, func(p *sim.Proc) {
+		writeObjects(t, e, p, 32)
+		idle = len(e.s.scratch.idle)
+		e.s.Engine().DrainAndWait(p)
+		trimmed = live()
+	})
+	if len(e.s.scratch.idle) != idle || trimmed == 0 {
+		t.Fatalf("after the drain: %d buffers held, %d weakly; want the %d held before and the rest weakly", len(e.s.scratch.idle), trimmed, idle)
+	}
+	e.run(t, func(p *sim.Proc) {
+		writeObjects(t, e, p, 32)
+		e.s.Engine().DrainAndWait(p)
+	})
+	if got := live(); got != trimmed {
+		t.Errorf("a second drain of the same width left %d buffers weakly held, want the %d it reused", got, trimmed)
+	}
+	runtime.GC()
+	if got := live(); got != 0 {
+		t.Errorf("%d weakly held buffers survived a GC, want 0", got)
 	}
 }
 

@@ -31,7 +31,8 @@ type EngineStats struct {
 // reference counting, and update the chunk maps — all throttled by the
 // watermark rate controller (§4.4.2), which retunes the dedup QoS class
 // weight from the foreground load. An explicit drain (DrainAndWait) stops the
-// workers and flushes unpaced, one agent per OSD over the PGs it leads.
+// workers and flushes unpaced, one agent per OSD over the PGs it leads, each
+// keeping agentMaxOps flushes in flight.
 type Engine struct {
 	s *Store
 
@@ -104,10 +105,12 @@ func (e *Engine) Start() {
 // stopped, so it runs unpaced and parks the rate policy at once: a slot
 // asleep in WaitTurn leaves at its next re-check. Its width comes from the
 // map, not from DedupThreads: one agent per OSD over the PGs it leads
-// (§4.4.1, Fig. 8), in rounds until one finds nothing, which also catches a
-// PG whose primary moved and an object a failed flush put back.
+// (§4.4.1, Fig. 8), each agentMaxOps flushes wide, in rounds until one finds
+// nothing, which also catches a PG whose primary moved and an object a failed
+// flush put back. The read buffers that width adds to the store's idle pool
+// are held only weakly once it returns (scratchPool.trim).
 func (e *Engine) DrainAndWait(p *sim.Proc) {
-	t0 := p.Now()
+	t0, idle := p.Now(), len(e.s.scratch.idle)
 	// The workers finish their current object and exit; the rate controller
 	// exits at its next wake-up (DESIGN.md §9).
 	var workers []*sim.Signal
@@ -130,22 +133,32 @@ func (e *Engine) DrainAndWait(p *sim.Proc) {
 	}
 	e.pending = e.pending[:0] // flushed: a restarted worker must not revisit them
 	clear(e.inQueue)
+	e.s.scratch.trim(idle)
 	e.reg().Gauge("dedup_rate_policy_parked").Set(0)
 	e.reg().Histogram("dedup_drain_seconds").Add((p.Now() - t0).Duration())
 }
 
+// agentMaxOps is how many flushes one drain agent keeps in flight: the
+// default of Ceph's osd_agent_max_ops, the per-OSD limit of the cache-tier
+// agent the paper's engine builds on.
+const agentMaxOps = 4
+
 // drainRound runs one drain agent per OSD as a child of p. An agent lists the
-// dirty lists of the PGs whose acting primary is its OSD and flushes that
-// queue from the front, one unclaimed object at a time, unpaced. Once its own
-// queue is empty it takes the last object of the longest queue among agents
-// that have finished listing, so a backlog skewed onto one primary still
-// drains at cluster width; it stops when every agent has listed and no queue
-// holds work. It reports how many objects the agents flushed.
+// dirty lists of the PGs whose acting primary is its OSD, then flushes that
+// queue from the front, unpaced, agentMaxOps objects at a time: each of its
+// flush slots takes the next unclaimed object. Once its own queue is empty a
+// slot takes the last object of the longest queue among agents that have
+// finished listing, so a backlog skewed onto one primary still drains at
+// cluster width; it stops when every agent has listed and no queue holds
+// work. Each agent is a dedup.drain span, so its flushes are its children. It
+// reports how many objects the agents flushed.
 func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 	s := e.s
 	queues := make([][]string, len(osds)) // each set once its agent has listed
 	listing, lister := len(osds), sim.NewCond()
 	sim.FanOut(p, "dedup.drain", len(osds), len(osds), func(q *sim.Proc, i int) {
+		sp := s.cluster.Trace().StartLabel(q, spanDrain).SetOp(s.meta.Label(), 0, 0)
+		defer sp.Finish(q)
 		var own []string
 		for seq := uint32(0); seq < s.meta.PGNum; seq++ {
 			id, primaryHost, err := s.cluster.PGPrimary(s.meta, seq)
@@ -159,30 +172,32 @@ func (e *Engine) drainRound(p *sim.Proc, osds []int) (flushed int) {
 		queues[i] = own
 		listing--
 		lister.Broadcast(q)
-		for {
-			var oid string
-			shared := false
-			if len(queues[i]) > 0 {
-				oid, queues[i] = queues[i][0], queues[i][1:]
-			} else if j := longest(queues); j >= 0 {
-				last := len(queues[j]) - 1
-				oid, queues[j], shared = queues[j][last], queues[j][:last], true
-			} else if listing > 0 {
-				// Idle, not a barrier: a slower lister may yet publish work.
-				lister.Wait(q)
-				continue
-			} else {
-				return
+		sim.FanOut(q, "dedup.drain.op", agentMaxOps, agentMaxOps, func(r *sim.Proc, _ int) {
+			for {
+				var oid string
+				shared := false
+				if len(queues[i]) > 0 {
+					oid, queues[i] = queues[i][0], queues[i][1:]
+				} else if j := longest(queues); j >= 0 {
+					last := len(queues[j]) - 1
+					oid, queues[j], shared = queues[j][last], queues[j][:last], true
+				} else if listing > 0 {
+					// Idle, not a barrier: a slower lister may yet publish work.
+					lister.Wait(r)
+					continue
+				} else {
+					return
+				}
+				if e.claimed[oid] {
+					continue
+				}
+				if shared {
+					e.reg().Counter("dedup_drain_shared_total").Inc()
+				}
+				flushed++
+				e.flushClaimed(r, oid, true)
 			}
-			if e.claimed[oid] {
-				continue
-			}
-			if shared {
-				e.reg().Counter("dedup_drain_shared_total").Inc()
-			}
-			flushed++
-			e.flushClaimed(q, oid, true)
-		}
+		})
 	})
 	return flushed
 }
@@ -274,6 +289,7 @@ func anyHost(s *Store) string {
 // The flush's and the maintenance passes' span names, resolved once.
 var (
 	spanFlush = sim.Intern("dedup.flush")
+	spanDrain = sim.Intern("dedup.drain")
 	spanGC    = sim.Intern("dedup.gc")
 	spanScrub = sim.Intern("dedup.scrub")
 	spanAudit = sim.Intern("dedup.audit")
@@ -360,7 +376,7 @@ func (e *Engine) flushStatic(p *sim.Proc, gw *rados.Gateway, hostName, oid strin
 	defer func() {
 		for _, buf := range bufs {
 			if buf != nil {
-				s.recycle(buf)
+				s.scratch.put(buf)
 			}
 		}
 	}()

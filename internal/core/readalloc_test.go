@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -178,11 +179,15 @@ func allocated(fn func()) uint64 {
 // allocated per flushed chunk, in chunks.
 func drainAlloc(t *testing.T, red rados.Redundancy, slots int, distinct bool) (perChunk float64) {
 	const chunks, chunk = 256, 32 << 10
+	// A drain holds the scratch buffers its width added only weakly once it
+	// returns (scratchPool.trim): no GC may reclaim the warm-up's before the
+	// measured drain takes them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	eng, s := allocEnv(t, red, false)
 	eng.Go("test", func(p *sim.Proc) {
 		// The pool holds the duplicates, and scratch buffers exist for a drain
-		// as wide as this one: each OSD's agent holds its object's slots until
-		// the bind, so the warm-up drains twice as many objects.
+		// as wide as this one: each agent holds its objects' slots until the
+		// bind, so the warm-up drains twice as many objects.
 		writeChunks(t, p, s, "warm", 2*chunks, slots, distinct)
 		s.Engine().DrainAndWait(p)
 		writeChunks(t, p, s, "o", chunks, slots, distinct)

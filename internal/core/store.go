@@ -154,7 +154,7 @@ type Store struct {
 
 	hostGWs  map[string]*rados.Gateway // keyed class|host: one internal gateway per QoS class per host
 	objLocks map[string]*sim.Resource  // inline-mode write locks of objects being written
-	scratch  [][]byte                  // idle readPadded buffers
+	scratch  scratchPool               // idle readPadded buffers
 
 	// names remembers the chunk names the host computed, with the stored
 	// bytes each names, so equal bytes are not hashed again (names.go).
@@ -701,34 +701,21 @@ func (s *Store) readChunkMap(p *sim.Proc, gw *rados.Gateway, oid string) (*Chunk
 // readPadded reads n bytes at off, zero-padding a short read: an entry may
 // extend past the bytes its object physically holds (sparse tail). The buffer
 // is scratch, for readers that only hash the bytes or pass them on to a
-// transaction that copies what it keeps: hand it back with recycle once
+// transaction that copies what it keeps: hand it back with s.scratch.put once
 // nothing started with it is still running. Sim processes interleave at every
 // I/O, so each read in flight holds a buffer of its own. A flush reads a run
 // of slots into one and hands each slot a capped slice of it: the slices are
 // the same scratch, so nothing keeps them either, and only the whole buffer
 // is recycled.
 func (s *Store) readPadded(p *sim.Proc, gw *rados.Gateway, pool *rados.Pool, oid string, off, n int64) ([]byte, error) {
-	var data []byte
-	if k := len(s.scratch) - 1; k >= 0 {
-		data, s.scratch = s.scratch[k], s.scratch[:k]
-	}
-	if int64(cap(data)) < n {
-		data = make([]byte, n)
-	}
-	data = data[:n]
+	data := s.scratch.get(n)
 	got, err := gw.ReadInto(p, pool, oid, off, data)
 	if err != nil {
-		s.recycle(data)
+		s.scratch.put(data)
 		return nil, err
 	}
 	clear(data[got:])
 	return data, nil
-}
-
-// recycle returns a readPadded buffer for the next reader.
-func (s *Store) recycle(buf []byte) {
-	poison(buf[:cap(buf)])
-	s.scratch = append(s.scratch, buf)
 }
 
 // splitRuns splits xs, ascending by offset, into runs of adjacent slots, each

@@ -6,7 +6,7 @@ package core
 // disagree: the aliasing guard for the memo's kept bytes (names.go).
 const checkNames = true
 
-// poison overwrites a recycled scratch buffer (Store.recycle), so that
+// poison overwrites a recycled scratch buffer (scratchPool.put), so that
 // anything still holding it, or a slice of it, sees its bytes change: the
 // shared-payload sweep or the name memo's check then panics.
 func poison(buf []byte) {

@@ -27,7 +27,7 @@ func (s *Store) recacheObject(p *sim.Proc, gw *rados.Gateway, oid string, cm *Ch
 	fills := make(map[int64][]byte)
 	defer func() {
 		for _, data := range fills {
-			s.recycle(data)
+			s.scratch.put(data)
 		}
 	}()
 	payload := 0
@@ -155,7 +155,7 @@ func (s *Store) migrateChunk(p *sim.Proc, gw *rados.Gateway, oid string, entry E
 	if err != nil {
 		return false, err
 	}
-	defer s.recycle(data)
+	defer s.scratch.put(data)
 	return s.rebind(p, gw, oid, transition{
 		puts: []chunkPut{{pool: s.coldChunk, id: entry.ChunkID, data: data, off: entry.Start}},
 		bind: func(cur *ChunkMap, _ *store.Txn) ([]Entry, bool, error) {

@@ -188,7 +188,10 @@ func table2Shape(tabs []Table) error {
 	return s.err()
 }
 
-func TestTable2Shape(t *testing.T) { checkSmokeShape(t, "table2", table2Shape) }
+// TestTable2Shape checks the golden only: table2's dataset floor
+// (countMin(16, 8)) makes any scale under 0.5 simulate the golden's 8
+// objects, so a tinyScale run would repeat it cell for cell.
+func TestTable2Shape(t *testing.T) { checkShape(t, "table2", table2Shape) }
 
 // table3Shape: recovery moves fewer bytes under dedup, for each count of
 // replaced OSDs.
