@@ -280,7 +280,7 @@ func (m *sleepModel) snapshot() Stats {
 	s := m.stats
 	s.ProcsSpawned = int64(len(m.procs))
 	s.ProcsLive = m.live
-	s.ProcsPooled = min(m.finished, procPoolCap)
+	s.ProcsPooled = m.finished
 	return s
 }
 

@@ -169,10 +169,6 @@ type Stats struct {
 	ProcsPooled      int   // finished coroutines parked for reuse
 }
 
-// procPoolCap bounds the free list of finished process coroutines kept for
-// reuse. Beyond the cap a finishing coroutine exits instead of parking.
-const procPoolCap = 256
-
 // Engine owns the virtual clock and the event queue. Create one with New,
 // spawn processes with Go, then call Run.
 //
@@ -293,7 +289,6 @@ type Proc struct {
 	next   func() (struct{}, bool) // engine side: run the process until it yields or ends
 	stop   func()                  // engine side: end the coroutine (Close)
 	yield  func(struct{}) bool     // process side: hand control back to the engine
-	coro   int                     // index in e.coros
 	done   *Signal
 	fn     func(p *Proc)
 	daemon bool
@@ -392,7 +387,7 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 		p.fn = fn
 		e.stats.ProcsReused++
 	} else {
-		p = &Proc{e: e, name: name, done: NewSignal(), daemon: daemon, fn: fn, coro: len(e.coros)}
+		p = &Proc{e: e, name: name, done: NewSignal(), daemon: daemon, fn: fn}
 		e.stats.ProcsSpawned++
 		p.next, p.stop = iter.Pull(p.loop)
 		e.coros = append(e.coros, p)
@@ -409,12 +404,12 @@ func (e *Engine) goAt(at Time, name string, fn func(p *Proc), daemon bool) *Sign
 }
 
 // loop is the body of a process coroutine: run the current fn, do the
-// finish bookkeeping, park on the free list (if there is room) and yield
-// until reincarnated as a later spawn. The engine is inside next for the
-// whole bookkeeping section, and a reused Proc's fields are rewritten
-// strictly before the next call that resumes the coroutine, so the handoff
-// is race-free. A coroutine ends when its process returns with the pool
-// full, or when Close stops it.
+// finish bookkeeping, park on the free list and yield until reincarnated as
+// a later spawn. The engine is inside next for the whole bookkeeping
+// section, and a reused Proc's fields are rewritten strictly before the next
+// call that resumes the coroutine, so the handoff is race-free. The pool is
+// unbounded: it never holds more coroutines than were live at once, a peak
+// the run already paid for. A coroutine ends only when Close stops it.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
 	p.yield = yield
@@ -427,16 +422,7 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 			e.nonDaemonLive--
 		}
 		p.done.fire(e)
-		recycle := len(e.freeProcs) < procPoolCap
-		if recycle {
-			e.freeProcs = append(e.freeProcs, p)
-		}
-		if !recycle {
-			last := e.coros[len(e.coros)-1]
-			last.coro, e.coros[p.coro] = p.coro, last
-			e.coros = e.coros[:len(e.coros)-1]
-			return // ends the coroutine, which returns control to the engine
-		}
+		e.freeProcs = append(e.freeProcs, p)
 		if !yield(struct{}{}) { // return control to the engine
 			return // stopped by Close while pooled
 		}
@@ -470,8 +456,8 @@ func (e *Engine) Close() {
 	if e.running {
 		panic("sim: Close during Run")
 	}
-	// A process whose deferred calls swallow the stop and return recycles
-	// into the emptied pool instead of removing itself from e.coros.
+	// A process whose deferred calls swallow the stop and return parks in
+	// the emptied pool, which is dropped again below.
 	e.freeProcs = nil
 	for len(e.coros) > 0 {
 		p := e.coros[len(e.coros)-1]

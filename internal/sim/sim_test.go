@@ -619,8 +619,8 @@ func TestDaemonResumesUnderRunFromAnotherGoroutine(t *testing.T) {
 
 // The process counters are part of the benchmark's digest, so the pool's
 // behaviour is pinned: 300 short processes, three times over. The first wave
-// creates all 300 (plus the driver), 256 of them park in the pool as they
-// finish, and each later wave reuses those and creates the other 44.
+// creates all 300 (plus the driver), every one parks in the pool as it
+// finishes, and each later wave reuses them and creates none.
 func TestProcPoolCountersPinned(t *testing.T) {
 	e := New(1)
 	e.Go("driver", func(p *Proc) {
@@ -638,7 +638,7 @@ func TestProcPoolCountersPinned(t *testing.T) {
 	}
 	st := e.Stats()
 	got := [4]int64{st.ProcsSpawned, st.ProcsReused, int64(st.ProcsPooled), st.EventsDispatched}
-	if want := [4]int64{1 + 300 + 44 + 44, 256 + 256, 256, 1822}; got != want {
+	if want := [4]int64{1 + 300, 300 + 300, 300 + 1, 1822}; got != want {
 		t.Fatalf("spawned, reused, pooled, dispatched = %v, want %v", got, want)
 	}
 }
