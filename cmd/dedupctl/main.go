@@ -170,8 +170,8 @@ func (c *ctl) status() {
 	cl := c.world.Cluster
 	fmt.Printf("cluster: %d hosts, %d OSDs, epoch %d\n", cl.HostCount(), len(cl.OSDs()), cl.Map().Epoch)
 	st := c.store.Engine().Stats()
-	fmt.Printf("engine: %d objects scanned, %d chunks flushed (%.1f MB), %d duplicate hits, %d requeues, %.1f MB shipped\n",
-		st.ObjectsScanned, st.ChunksFlushed, float64(st.BytesFlushed)/1e6, st.DupChunks, st.Requeued, float64(st.BytesShipped)/1e6)
+	fmt.Printf("engine: %d objects scanned, %d chunks flushed (%.1f MB), %d duplicate hits, %d requeues\n",
+		st.ObjectsScanned, st.ChunksFlushed, float64(st.BytesFlushed)/1e6, st.DupChunks, st.Requeued)
 	skipped, kept, evicted := c.store.Cache().Stats()
 	fmt.Printf("cache: %d hot skips, %d kept cached, %d evicted cold\n", skipped, kept, evicted)
 	fmt.Printf("virtual time: %v\n", c.world.Engine.Now())

@@ -153,7 +153,7 @@ func Example() {
 	st := store.Engine().Stats()
 	fmt.Printf("engine: %d chunks flushed, %d were duplicates\n", st.ChunksFlushed, st.DupChunks)
 	// Output:
-	// wrote 11 objects (2.9 MB logical) at virtual time 21.148908ms
+	// wrote 11 objects (2.9 MB logical) at virtual time 21.161352ms
 	// chunk pool: 16 unique chunks, 0.52 MB data
 	// stored (incl. 2x replication + metadata): 1.12 MB for 2.88 MB logical -> 80.5% saved vs raw 2x
 	// read-after-dedup verified: image-3 content intact

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -308,9 +307,9 @@ func TestHotObjectSkipped(t *testing.T) {
 		p.Sleep(1100 * time.Millisecond)
 		e.cl.Write(p, "hot", 0, data)
 	})
-	// No skip yet, so the dump has no line for the counter.
-	if dump := e.c.Metrics().Dump(); strings.Contains(dump, "dedup_skipped_hot_total") {
-		t.Fatalf("dump lists a skip counter before any skip:\n%s", dump)
+	// No skip yet.
+	if sk := e.s.Engine().Stats().SkippedHot; sk != 0 {
+		t.Fatalf("SkippedHot %d before the engine ran", sk)
 	}
 	e.s.StartEngine()
 	e.run(t, func(p *sim.Proc) {
@@ -327,8 +326,8 @@ func TestHotObjectSkipped(t *testing.T) {
 		}
 		if sk := e.s.Engine().Stats().SkippedHot; sk == 0 {
 			t.Error("engine never skipped the hot object")
-		} else if reg := e.c.Metrics().Counter("dedup_skipped_hot_total").Value(); reg != sk {
-			t.Errorf("SkippedHot %d, dedup_skipped_hot_total %d: want one count", sk, reg)
+		} else if reg := e.c.Metrics().Counter("cache_skip_flush_hot_total").Value(); reg != sk {
+			t.Errorf("SkippedHot %d, cache_skip_flush_hot_total %d: want one count", sk, reg)
 		}
 	})
 	// After the object cools down, drain flushes it.

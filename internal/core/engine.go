@@ -17,10 +17,9 @@ type EngineStats struct {
 	ObjectsScanned int64
 	ChunksFlushed  int64 // chunks that caused real chunk-pool I/O
 	BytesFlushed   int64 // bytes of the chunks flushes bound in the chunk pool
-	BytesShipped   int64 // of those, bytes sent to the chunk pool: their probe missed
 	DupChunks      int64 // flushed chunks that already existed in the chunk pool
 	NoopFlushes    int64 // dirty slots whose content already matched their chunk (no chunk-pool I/O)
-	SkippedHot     int64 // claims a worker passed over because the object was hot
+	SkippedHot     int64 // claims a worker passed over because the object was hot (TieringPolicy.SkipFlush)
 	Requeued       int64 // flushes retried because a write raced
 	RateAdjusts    int64 // dedup-class weight changes made by rate control
 }
@@ -48,8 +47,8 @@ type Engine struct {
 
 	// The dedup_* counters Stats reads, each resolved at its first count: a
 	// lookup creates the registry entry, which a run that never counts lacks.
-	objectsScanned, chunksFlushed, bytesFlushed, bytesShipped, dupChunks *metrics.Counter
-	noopFlushes, skippedHot, requeued, rateAdjusts                       *metrics.Counter
+	objectsScanned, chunksFlushed, bytesFlushed, dupChunks *metrics.Counter
+	noopFlushes, requeued, rateAdjusts                     *metrics.Counter
 }
 
 func newEngine(s *Store) *Engine {
@@ -65,16 +64,16 @@ func newEngine(s *Store) *Engine {
 
 // Stats returns the engine counters, read from the registry. The store is
 // its cluster's only one (Open refuses an existing metadata pool), so the
-// registry's dedup_* counters are this engine's.
+// registry's dedup_* counters are this engine's, and SkippedHot is its
+// tiering policy's cache_skip_flush_hot_total: SkipFlush counts each skip.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		ObjectsScanned: e.objectsScanned.Value(),
 		ChunksFlushed:  e.chunksFlushed.Value(),
 		BytesFlushed:   e.bytesFlushed.Value(),
-		BytesShipped:   e.bytesShipped.Value(),
 		DupChunks:      e.dupChunks.Value(),
 		NoopFlushes:    e.noopFlushes.Value(),
-		SkippedHot:     e.skippedHot.Value(),
+		SkippedHot:     e.s.cache.skippedHot.Value(),
 		Requeued:       e.requeued.Value(),
 		RateAdjusts:    e.rateAdjusts.Value(),
 	}
@@ -252,7 +251,6 @@ func (e *Engine) nextDirty(p *sim.Proc) (string, bool) {
 			// Hot objects stay on the dirty list for a later cycle (§3.2); a
 			// drain's agents force-flush everything.
 			if s.cache.SkipFlush(p.Now(), oid) {
-				e.add(&e.skippedHot, "dedup_skipped_hot_total", 1)
 				continue
 			}
 			return oid, true
@@ -467,17 +465,13 @@ func (e *Engine) requeueDirty(p *sim.Proc, gw *rados.Gateway, oid string) error 
 }
 
 // noteFlushed counts the puts a transition bound — the chunks that caused
-// real chunk-pool I/O — those the pool already held, and the bytes of those
-// whose data travelled.
+// real chunk-pool I/O — their bytes, and those the pool already held.
 func (e *Engine) noteFlushed(puts []chunkPut) {
-	var chunks, bytes, shipped, dups int64
+	var chunks, bytes, dups int64
 	for _, put := range puts {
 		if put.bound {
 			chunks++
 			bytes += int64(len(put.data))
-			if put.shipped {
-				shipped += int64(len(put.data))
-			}
 			if put.existed {
 				dups++
 			}
@@ -485,7 +479,6 @@ func (e *Engine) noteFlushed(puts []chunkPut) {
 	}
 	e.add(&e.chunksFlushed, "dedup_chunks_flushed_total", chunks)
 	e.add(&e.bytesFlushed, "dedup_bytes_flushed_total", bytes)
-	e.add(&e.bytesShipped, "dedup_chunk_bytes_shipped_total", shipped)
 	e.add(&e.dupChunks, "dedup_dup_chunks_total", dups)
 }
 

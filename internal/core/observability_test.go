@@ -85,13 +85,14 @@ func TestNoopFlushAccounting(t *testing.T) {
 	e.checkScrub(t)
 }
 
-// TestEngineStatsReadRegistry: Stats is the registry's dedup_* counters, so
-// after a drain with a requeue, a no-op flush and a duplicate the two agree
-// field for field. Each counter is resolved at its first count, so a store
-// that never flushed dumps none of them.
+// TestEngineStatsReadRegistry: Stats is the registry's dedup_* counters and
+// the tiering policy's skip counter, so after a drain with a requeue, a no-op
+// flush and a duplicate the two agree field for field. Each dedup_* counter
+// is resolved at its first count, so a store that never flushed dumps none
+// of them.
 func TestEngineStatsReadRegistry(t *testing.T) {
 	names := [...]string{"dedup_objects_scanned_total", "dedup_chunks_flushed_total", "dedup_bytes_flushed_total",
-		"dedup_chunk_bytes_shipped_total", "dedup_dup_chunks_total", "dedup_noop_flushes_total", "dedup_requeued_total"}
+		"dedup_dup_chunks_total", "dedup_noop_flushes_total", "dedup_requeued_total"}
 	e := newDedupEnv(t, nil)
 	data := randData(1, 2*4096)
 	write := func(p *sim.Proc, oid string) {
@@ -125,11 +126,10 @@ func TestEngineStatsReadRegistry(t *testing.T) {
 		ObjectsScanned: reg.Counter(names[0]).Value(),
 		ChunksFlushed:  reg.Counter(names[1]).Value(),
 		BytesFlushed:   reg.Counter(names[2]).Value(),
-		BytesShipped:   reg.Counter(names[3]).Value(),
-		DupChunks:      reg.Counter(names[4]).Value(),
-		NoopFlushes:    reg.Counter(names[5]).Value(),
-		Requeued:       reg.Counter(names[6]).Value(),
-		SkippedHot:     reg.Counter("dedup_skipped_hot_total").Value(),
+		DupChunks:      reg.Counter(names[3]).Value(),
+		NoopFlushes:    reg.Counter(names[4]).Value(),
+		Requeued:       reg.Counter(names[5]).Value(),
+		SkippedHot:     reg.Counter("cache_skip_flush_hot_total").Value(),
 		RateAdjusts:    reg.Counter("dedup_rate_adjusts_total").Value(),
 	}
 	if st != want || st.Requeued != 1 || st.NoopFlushes != 2 || st.DupChunks == 0 {

@@ -116,17 +116,17 @@ func TestRebindTable(t *testing.T) {
 		}
 	}
 	zeroPutCallerRows(t)
-	probeRows(t)
+	pinRows(t)
 }
 
-// probeRows are TestRebindTable's rows for the intent phase's probe. Two
-// transitions on different objects put the same new chunk at once: both
-// probes miss, both ship, the first shipping call creates the chunk and the
-// second records its intent on it, which leaves one chunk with two counted
-// references. And a data-less put, a snapshot's, on a chunk that is gone
-// still fails the transition with ErrChunkVanished and leaves nothing.
-func probeRows(t *testing.T) {
-	t.Run("probe/racing-ship", func(t *testing.T) {
+// pinRows are TestRebindTable's rows for the intent phase. Two transitions
+// on different objects put the same new chunk at once: both ship it, the
+// first put creates the chunk and the second records its intent on it, which
+// leaves one chunk with two counted references. And a data-less put, a
+// snapshot's, on a chunk that is gone fails the transition with
+// ErrChunkVanished and leaves nothing.
+func pinRows(t *testing.T) {
+	t.Run("pin/racing-put", func(t *testing.T) {
 		e := newDedupEnv(t, nil)
 		data := mkData(0x5A, 4096)
 		id := FingerprintID(data)
@@ -150,8 +150,8 @@ func probeRows(t *testing.T) {
 			}
 			sim.WaitAll(p, sigs...)
 			x, y := puts["x"][0], puts["y"][0]
-			if !x.shipped || !y.shipped || x.existed == y.existed {
-				t.Errorf("x %+v, y %+v: want both probes missed, one shipping call created the chunk", x, y)
+			if x.existed == y.existed {
+				t.Errorf("x %+v, y %+v: want one put created the chunk and the other found it", x, y)
 			}
 			if st := chunkState(t, p, e, e.s.chunk, id); !st.exists || len(st.refs) != 2 || len(st.intents) != 0 {
 				t.Errorf("chunk %+v, want two counted references", st)
@@ -163,7 +163,7 @@ func probeRows(t *testing.T) {
 		})
 		e.checkScrub(t)
 	})
-	t.Run("probe/vanished-snapshot-put", func(t *testing.T) {
+	t.Run("pin/vanished-snapshot-put", func(t *testing.T) {
 		e := newDedupEnv(t, nil)
 		id := FingerprintID(mkData(0x5B, 4096))
 		e.run(t, func(p *sim.Proc) {
@@ -175,8 +175,8 @@ func probeRows(t *testing.T) {
 					return nil, false, nil
 				},
 			})
-			if bound || !errors.Is(err, ErrChunkVanished) || put[0].shipped {
-				t.Errorf("bound=%v err=%v shipped=%v, want ErrChunkVanished and nothing shipped", bound, err, put[0].shipped)
+			if bound || !errors.Is(err, ErrChunkVanished) || put[0].existed || put[0].intent {
+				t.Errorf("bound=%v err=%v put %+v, want ErrChunkVanished and no chunk found", bound, err, put[0])
 			}
 			if st := chunkState(t, p, e, e.s.chunk, id); st.exists {
 				t.Errorf("chunk %+v created by a data-less put", st)
@@ -613,26 +613,26 @@ func TestFlushEqualSlots(t *testing.T) {
 	e.checkScrub(t)
 }
 
-// TestFlushShipsOnlyMissingChunks: object A's flush finds none of its four
-// chunks in the pool and ships every one; object B holds the same content,
-// so each of its probes finds the chunk by fingerprint and B's flush ships no
-// bytes. Each chunk ends with both objects' counted references.
-func TestFlushShipsOnlyMissingChunks(t *testing.T) {
+// TestFlushPinsEachPutOnce: phase 1 is one chunk-pool op per put, whether
+// the put creates its chunk or finds it there. Object A's flush of four new
+// chunks and object B's flush of the same content each make two chunk-pool
+// mutations per chunk, the intent and the commit, and each chunk ends with
+// both objects' counted references.
+func TestFlushPinsEachPutOnce(t *testing.T) {
 	const slots = 4
 	e := newDedupEnv(t, nil)
 	data := distinctSlots(24, slots)
+	mutations := e.c.Metrics().Histogram("rados_pg_lock_wait:" + e.s.chunk.Name) // one PG-lock acquisition per mutation
 	e.run(t, func(p *sim.Proc) {
-		var shipped []int64
 		for _, oid := range []string{"A", "B"} {
-			before := e.s.engine.Stats().BytesShipped
 			if err := e.cl.Write(p, oid, 0, data); err != nil {
 				t.Fatal(err)
 			}
+			before := mutations.Count()
 			e.s.Engine().DrainAndWait(p)
-			shipped = append(shipped, e.s.engine.Stats().BytesShipped-before)
-		}
-		if shipped[0] != slots*4096 || shipped[1] != 0 {
-			t.Errorf("A shipped %d bytes, B %d: want %d and 0", shipped[0], shipped[1], slots*4096)
+			if n := mutations.Count() - before; n != 2*slots {
+				t.Errorf("%s's flush made %d chunk-pool mutations, want %d: an intent and a commit per chunk", oid, n, 2*slots)
+			}
 		}
 		if n := e.c.PoolStats(e.s.chunk).Objects; n != slots {
 			t.Errorf("%d chunk objects, want %d", n, slots)
@@ -642,9 +642,6 @@ func TestFlushShipsOnlyMissingChunks(t *testing.T) {
 			if st := chunkState(t, p, e, e.s.chunk, id); len(st.refs) != 2 || len(st.intents) != 0 {
 				t.Errorf("chunk %d %+v, want two counted references", i, st)
 			}
-		}
-		if misses := e.c.Metrics().Counter("dedup_intent_probe_misses_total").Value(); misses != slots {
-			t.Errorf("%d probe misses, want %d", misses, slots)
 		}
 		checkClean(t, p, e)
 	})

@@ -221,9 +221,6 @@ type intentOutcome struct {
 	committed bool
 	// existed: the chunk was already in the pool (a duplicate).
 	existed bool
-	// missing: a probe found no chunk and recorded nothing; the caller ships
-	// the bytes next.
-	missing bool
 	// created: the payload a put created the chunk from when the pool keeps
 	// it (rados.Pool.Own): the chunk's own copy of its bytes. nil when the
 	// chunk was already there or its pool keeps only shards.
@@ -271,21 +268,6 @@ func putIntentFn(pool *rados.Pool, data []byte, ref Ref, expiry sim.Time, out *i
 			return txn.OmapSet(ref.Key(), val), nil
 		}
 		return txn.OmapSet(ref.IntentKey(), encodeExpiry(expiry)), nil
-	}
-}
-
-// probeIntentFn is phase 1 by fingerprint alone, for a put whose bytes have
-// not travelled: on a chunk already in the pool it does what putIntentFn
-// does; on an absent one it records nothing and reports out.missing, which is
-// an answer, not an error.
-func probeIntentFn(ref Ref, expiry sim.Time, out *intentOutcome) rados.MutateFn {
-	pin := putIntentFn(nil, nil, ref, expiry, out)
-	return func(v rados.View) (*store.Txn, error) {
-		if !v.Exists() {
-			*out = intentOutcome{missing: true}
-			return nil, nil
-		}
-		return pin(v)
 	}
 }
 
@@ -368,8 +350,7 @@ func releaseRefFn(ref Ref, strict bool) rados.MutateFn {
 // phase 1 pins it in pool, creating the chunk object from data if absent. A
 // put with nil data pins a chunk that must already be there and fails the
 // transition with ErrChunkVanished if it is not. The caller sets named; the
-// other flags are rebind's to set, and existed, shipped and bound are its
-// report.
+// other flags are rebind's to set, and existed and bound are its report.
 type chunkPut struct {
 	pool *rados.Pool
 	id   string
@@ -379,7 +360,6 @@ type chunkPut struct {
 	named bool // id is the name the host computed from data: a chunk created from it teaches the name memo
 
 	existed bool // phase 1 found the chunk already in the pool
-	shipped bool // phase 1 sent data to the chunk's primary: its probe missed
 	intent  bool // phase 1 recorded an intent, which commit or abort must settle
 	bound   bool // the chunk map as rebind wrote it binds off to this chunk
 }
@@ -420,10 +400,9 @@ var (
 // re-dedup, recache and tier migration all describe a transition:
 //
 //	intent   every put records a reference intent on its chunk object
-//	         with a lease expiry: the chunk is pinned against GC but the
-//	         reference is not yet committed. The chunk's name is its
-//	         fingerprint, so a put probes by name first and ships its bytes,
-//	         creating the chunk, only when the probe finds it absent;
+//	         with a lease expiry, in one op that ships the put's bytes and
+//	         creates the chunk if it is absent: the chunk is pinned against
+//	         GC but the reference is not yet committed;
 //	bind     t.bind edits the chunk map under the metadata object's PG lock
 //	         — the authoritative statement of which references exist. A
 //	         raced or failed bind aborts the intents inline;
@@ -511,10 +490,9 @@ func loadChunkMap(v rados.View) (*ChunkMap, error) {
 // refAt names the reference from offset off of metadata object oid.
 func (s *Store) refAt(oid string, off int64) Ref { return Ref{Pool: s.meta.ID, OID: oid, Offset: off} }
 
-// pin is rebind's intent phase. A put with data first probes its chunk by
-// fingerprint with a data-less intent, and ships the bytes only when the
-// probe finds the chunk absent: a duplicate costs one small round trip, a new
-// chunk that trip plus the shipping call. It stops recording at the first
+// pin is rebind's intent phase: one chunk-pool op per put, which ships the
+// put's bytes (none for a data-less put) and creates the chunk or records
+// the intent on the one already there. It stops recording at the first
 // error.
 func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut) (err error) {
 	if len(puts) == 0 {
@@ -525,28 +503,13 @@ func (s *Store) pin(p *sim.Proc, gw *rados.Gateway, oid string, puts []chunkPut)
 			return
 		}
 		put := &puts[i]
-		ref := s.refAt(oid, put.off)
-		expiry := q.Now() + sim.Time(intentLease)
 		var out intentOutcome
-		fn := putIntentFn(put.pool, nil, ref, expiry, &out)
-		if put.data != nil {
-			fn = probeIntentFn(ref, expiry, &out)
-		}
-		perr := gw.Mutate(q, put.pool, put.id, fn)
-		if perr == nil && out.missing {
-			// A put racing on the same chunk may create it meanwhile; the
-			// shipping call then just records the intent on it.
-			put.shipped = true
-			s.cluster.Metrics().Counter("dedup_intent_probe_misses_total").Inc()
-			perr = gw.MutateWithPayload(q, put.pool, put.id, len(put.data), putIntentFn(put.pool, put.data, ref, expiry, &out))
-			if perr == nil {
-				s.learnPut(put, out.created)
-			}
-		}
-		if perr != nil {
+		fn := putIntentFn(put.pool, put.data, s.refAt(oid, put.off), q.Now()+sim.Time(intentLease), &out)
+		if perr := gw.MutateWithPayload(q, put.pool, put.id, len(put.data), fn); perr != nil {
 			err = fmt.Errorf("core: pin chunk %s: %w", put.id, perr)
 			return
 		}
+		s.learnPut(put, out.created)
 		put.existed, put.intent = out.existed, !out.committed
 	})
 	return err

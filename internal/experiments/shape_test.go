@@ -220,8 +220,8 @@ func TestShapePredicatesBite(t *testing.T) {
 			{lookups, 5, "hit p50 us", "1000.0", "cached config not flat"},
 			{lookups, 2, "neg p50 us", "1000.0", "negative lookups not flat"},
 			{lookups, 0, "obs FP %", "50.00", "beyond 2x design"},
-			{flush, 4, "flush MB/s", "40.0", "more than 5% below the flat map's 52.5"},
-			{flush, 2, "flush MB/s", "60.0", "not below the 1 MiB cache's 50.9"},
+			{flush, 4, "flush MB/s", "40.0", "more than 5% below the flat map's 54.2"},
+			{flush, 2, "flush MB/s", "60.0", "not below the 1 MiB cache's 52.8"},
 		}},
 		{"ablation", ablationShape, []cut{
 			{cacheAbl, 0, "background bytes flushed", "1000.00 MB", "want at most a quarter"},
